@@ -553,10 +553,8 @@ struct PendingRemote {
     /// The shipped subtree's output columns, so a failed slot can be
     /// filled with a *well-formed* empty table.
     columns: Vec<String>,
-    /// Rendered subplan, keying the phased-execution result cache.
-    plan_key: String,
     /// The shipped plan itself (needed to repair around a slow or failed
-    /// destination).
+    /// destination); rendered, it keys the phased-execution result cache.
     plan: PlanNode,
     /// Visited-set shipped with the subplan (re-sent verbatim on retry).
     visited: Vec<PeerId>,
@@ -1712,7 +1710,7 @@ impl PeerNode {
         let mut estimator = Estimator::new(CostParams::default());
         for ad in self.registry.advertisements() {
             if let Some(stats) = &ad.stats {
-                estimator.set_stats(ad.peer, stats.clone());
+                estimator.borrow_stats(ad.peer, stats);
             }
         }
         if self.config.optimize {
@@ -1891,10 +1889,9 @@ impl PeerNode {
             Some(ch) => ch,
             None => self.channels.open(self.id, dest),
         };
-        let plan_key = plan.to_string();
         if self.config.phased {
             if let Some(root) = self.rooted.get(&qid) {
-                if let Some(cached) = root.phase_cache.get(&(dest, plan_key.clone())) {
+                if let Some(cached) = root.phase_cache.get(&(dest, plan.to_string())) {
                     // A previous phase already fetched this subplan from
                     // this peer: reuse the result, ship nothing (§2.5's
                     // phased alternative to discarding).
@@ -1915,7 +1912,6 @@ impl PeerNode {
                 slot,
                 dest,
                 columns,
-                plan_key,
                 plan: plan.clone(),
                 visited: visited.clone(),
                 attempt: 0,
@@ -2713,7 +2709,7 @@ impl PeerNode {
         self.tracer
             .get_mut()
             .event_with(ctx.now_us(), qid.0, "exec:failed", || {
-                format!("subplan {} lost at {failed_peer}", pending.plan_key)
+                format!("subplan {} lost at {failed_peer}", pending.plan)
             });
         self.flight(ctx.now_us(), "replan", || {
             format!("{qid} subplan lost at {failed_peer}")
@@ -3281,7 +3277,7 @@ impl NodeLogic for PeerNode {
                     if self.config.phased && !partial {
                         if let Some(root) = self.rooted.get_mut(&qid) {
                             root.phase_cache
-                                .insert((pending.dest, pending.plan_key.clone()), result.clone());
+                                .insert((pending.dest, pending.plan.to_string()), result.clone());
                         }
                     }
                     // A probe that covered the whole stream has already

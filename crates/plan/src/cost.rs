@@ -8,8 +8,11 @@
 
 use crate::node::{PlanNode, Site, Subquery};
 use sqpeer_routing::PeerId;
+use sqpeer_rql::QueryPattern;
 use sqpeer_store::BaseStatistics;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Tuning knobs for the estimator.
 #[derive(Debug, Clone, Copy)]
@@ -32,13 +35,17 @@ impl Default for CostParams {
 }
 
 /// Estimates result cardinalities from advertised per-peer statistics.
+///
+/// Snapshots are either owned ([`Estimator::set_stats`]) or borrowed from
+/// whoever holds the advertisements ([`Estimator::borrow_stats`]) — a peer
+/// planning a query reads its registry's snapshots in place.
 #[derive(Debug, Clone, Default)]
-pub struct Estimator {
-    stats: HashMap<PeerId, BaseStatistics>,
+pub struct Estimator<'a> {
+    stats: HashMap<PeerId, Cow<'a, BaseStatistics>>,
     params: CostParams,
 }
 
-impl Estimator {
+impl<'a> Estimator<'a> {
     /// Creates an estimator with the given parameters.
     pub fn new(params: CostParams) -> Self {
         Estimator {
@@ -50,7 +57,19 @@ impl Estimator {
     /// Registers a peer's statistics snapshot (shipped with its
     /// advertisement or piggybacked on channel packets).
     pub fn set_stats(&mut self, peer: PeerId, stats: BaseStatistics) {
-        self.stats.insert(peer, stats);
+        self.stats.insert(peer, Cow::Owned(stats));
+    }
+
+    /// Registers a peer's statistics snapshot without copying it.
+    pub fn borrow_stats(&mut self, peer: PeerId, stats: &'a BaseStatistics) {
+        self.stats.insert(peer, Cow::Borrowed(stats));
+    }
+
+    fn stats_at(&self, site: Site) -> Option<&BaseStatistics> {
+        match site {
+            Site::Peer(p) => self.stats.get(&p).map(Cow::as_ref),
+            Site::Hole => None,
+        }
     }
 
     /// The estimator's parameters.
@@ -64,10 +83,7 @@ impl Estimator {
     /// composite subqueries chain pairwise join estimates
     /// `|L ⋈ R| ≈ |L|·|R| / max(distinct keys)`.
     pub fn fetch_cardinality(&self, site: Site, subquery: &Subquery) -> f64 {
-        let stats = match site {
-            Site::Peer(p) => self.stats.get(&p),
-            Site::Hole => None,
-        };
+        let stats = self.stats_at(site);
         let mut card: Option<f64> = None;
         for pattern in subquery.query.patterns() {
             let (triples, distinct) = match stats {
@@ -98,10 +114,7 @@ impl Estimator {
     /// textual pattern order.
     pub fn fetch_work(&self, site: Site, subquery: &Subquery) -> f64 {
         use sqpeer_rql::Term;
-        let stats = match site {
-            Site::Peer(p) => self.stats.get(&p),
-            Site::Hole => None,
-        };
+        let stats = self.stats_at(site);
         let query = &subquery.query;
         let Some(stats) = stats else {
             return self.params.default_property_card * query.patterns().len().max(1) as f64;
@@ -183,19 +196,19 @@ impl Estimator {
     /// of the plan by answering to more than one subqueries, only one
     /// channel is of course created" (§2.4).
     pub fn transfer_bytes(&self, plan: &PlanNode, initiator: PeerId) -> f64 {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         self.transfer_bytes_to(plan, Site::Peer(initiator), &mut seen)
     }
 
-    fn transfer_bytes_to(
+    fn transfer_bytes_to<'p>(
         &self,
-        plan: &PlanNode,
+        plan: &'p PlanNode,
         dest: Site,
-        seen: &mut std::collections::HashSet<(String, Site, Site)>,
+        seen: &mut HashSet<FetchKey<'p>>,
     ) -> f64 {
         match plan {
             PlanNode::Fetch { subquery, site } => {
-                if *site == dest || !seen.insert((subquery.query.to_string(), *site, dest)) {
+                if *site == dest || !seen.insert(FetchKey(&subquery.query, *site, dest)) {
                     0.0
                 } else {
                     self.plan_bytes(plan)
@@ -225,9 +238,40 @@ impl Estimator {
     }
 }
 
+/// One fetch result on one channel, as [`Estimator::transfer_bytes`]
+/// dedups them: the shipped pattern compared structurally, plus the
+/// channel's two ends.
+struct FetchKey<'p>(&'p QueryPattern, Site, Site);
+
+impl PartialEq for FetchKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.1, self.2) == (other.1, other.2) && self.0 == other.0
+    }
+}
+
+impl Eq for FetchKey<'_> {}
+
+impl Hash for FetchKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Enough to tell one plan's fetches apart; `eq` decides.
+        for pattern in self.0.patterns() {
+            pattern.property.hash(state);
+        }
+        (self.1, self.2).hash(state);
+    }
+}
+
 /// A network cost model: transfer and processing costs in virtual
 /// milliseconds. Implemented over the simulator's link table by the
 /// overlay crate; [`UniformCost`] is the table-driven default.
+///
+/// **Precondition:** every returned cost is `>= 0` (so not NaN either)
+/// — moving or processing data never pays back. The optimiser's
+/// bounded evaluation of the distributed shape ([`crate::optimize()`])
+/// abandons a running sum once it exceeds the bound, which is only sound
+/// for non-negative terms; a model that breaks the precondition is still
+/// handled correctly (the first negative or NaN term switches the early
+/// exit off), it just forfeits the saving.
 pub trait NetworkCost {
     /// Cost of moving `bytes` from `from` to `to`.
     fn transfer(&self, from: Site, to: Site, bytes: f64) -> f64;

@@ -37,12 +37,26 @@ impl Subquery {
     /// Short label `Q1`, `Q2` or `Q1.Q2` derived from the covered pattern
     /// indices (matching the paper's figures).
     pub fn label(&self) -> String {
-        let parts: Vec<String> = self.covers.iter().map(|i| format!("Q{}", i + 1)).collect();
-        if parts.is_empty() {
-            "Q".to_string()
-        } else {
-            parts.join(".")
+        Label(&self.covers).to_string()
+    }
+}
+
+/// [`Subquery::label`] as a `Display`, so rendering a plan allocates
+/// nothing per fetch.
+struct Label<'a>(&'a [usize]);
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_empty() {
+            return f.write_str("Q");
         }
+        for (n, i) in self.0.iter().enumerate() {
+            if n > 0 {
+                f.write_str(".")?;
+            }
+            write!(f, "Q{}", i + 1)?;
+        }
+        Ok(())
     }
 }
 
@@ -185,7 +199,9 @@ impl PlanNode {
 impl fmt::Display for PlanNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanNode::Fetch { subquery, site } => write!(f, "{}@{}", subquery.label(), site),
+            PlanNode::Fetch { subquery, site } => {
+                write!(f, "{}@{}", Label(&subquery.covers), site)
+            }
             PlanNode::Union(inputs) => {
                 write!(f, "∪(")?;
                 for (i, input) in inputs.iter().enumerate() {

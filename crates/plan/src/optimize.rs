@@ -5,6 +5,7 @@ use crate::node::{PlanNode, Site, Subquery};
 use sqpeer_routing::PeerId;
 use sqpeer_rql::QueryPattern;
 use sqpeer_trace::Tracer;
+use std::cell::Cell;
 
 /// Flattens nested (unsited) joins: `⋈(⋈(a,b),c)` → `⋈(a,b,c)`.
 ///
@@ -44,19 +45,15 @@ pub fn flatten_joins(plan: PlanNode) -> PlanNode {
 /// of the plan (Figure 4, Plan 2). "Pushing joins below the unions
 /// produces smaller intermediate results" and enables pipelined
 /// evaluation.
+///
+/// The result has one join per combination of union branches — n^k for k
+/// unions of n. [`optimize`] decides whether this shape wins without
+/// building it; this eager form is what EXPLAIN's stages, experiment E4
+/// and the tests render and compare against.
 pub fn distribute_joins(plan: PlanNode) -> PlanNode {
     match plan {
         PlanNode::Join { inputs, site } => {
-            let inputs: Vec<PlanNode> = inputs.into_iter().map(distribute_joins).collect();
-            // Split union inputs from the rest.
-            let mut choice_lists: Vec<Vec<PlanNode>> = Vec::new();
-            for input in inputs {
-                match input {
-                    PlanNode::Union(branches) => choice_lists.push(branches),
-                    other => choice_lists.push(vec![other]),
-                }
-            }
-            let combos = cartesian(&choice_lists);
+            let combos = cartesian(&choice_lists(inputs));
             if combos.len() == 1 {
                 let only = combos.into_iter().next().expect("non-empty");
                 return PlanNode::Join { inputs: only, site };
@@ -73,6 +70,19 @@ pub fn distribute_joins(plan: PlanNode) -> PlanNode {
         }
         leaf => leaf,
     }
+}
+
+/// The alternatives each input of a join contributes to the distributed
+/// shape: the branches of a (distributed) union input, or the input
+/// itself.
+fn choice_lists(inputs: Vec<PlanNode>) -> Vec<Vec<PlanNode>> {
+    inputs
+        .into_iter()
+        .map(|input| match distribute_joins(input) {
+            PlanNode::Union(branches) => branches,
+            other => vec![other],
+        })
+        .collect()
 }
 
 fn cartesian(lists: &[Vec<PlanNode>]) -> Vec<Vec<PlanNode>> {
@@ -189,22 +199,20 @@ pub fn assign_sites(
     estimator: &Estimator,
     net: &dyn NetworkCost,
 ) -> (PlanNode, f64) {
-    best_for(plan, Site::Peer(initiator), estimator, net)
+    best_for(&plan, Site::Peer(initiator), estimator, net)
 }
 
+/// The cheapest siting of `plan` with its result delivered to `dest`, and
+/// what it costs. Candidate sites are costed on the unsited plan
+/// ([`cost_for`]); only the winner of each join is built.
 fn best_for(
-    plan: PlanNode,
+    plan: &PlanNode,
     dest: Site,
     estimator: &Estimator,
     net: &dyn NetworkCost,
 ) -> (PlanNode, f64) {
     match plan {
-        PlanNode::Fetch { subquery, site } => {
-            let tuples = estimator.fetch_cardinality(site, &subquery);
-            let bytes = tuples * estimator.params().tuple_bytes;
-            let cost = net.processing(site, tuples) + net.transfer(site, dest, bytes);
-            (PlanNode::Fetch { subquery, site }, cost)
-        }
+        PlanNode::Fetch { .. } => (plan.clone(), cost_for(plan, dest, estimator, net)),
         PlanNode::Union(inputs) => {
             // The union is merged at the destination.
             let mut total = 0.0;
@@ -217,42 +225,170 @@ fn best_for(
             (PlanNode::Union(out), total)
         }
         PlanNode::Join { inputs, .. } => {
-            // Candidates: the destination plus every peer below.
-            let mut candidates: Vec<Site> = vec![dest];
-            for input in &inputs {
-                for p in input.peers() {
-                    let s = Site::Peer(p);
-                    if !candidates.contains(&s) {
-                        candidates.push(s);
-                    }
-                }
-            }
-            let mut best: Option<(PlanNode, f64)> = None;
-            for site in candidates {
-                let mut total = 0.0;
-                let mut sited_inputs = Vec::with_capacity(inputs.len());
-                for input in inputs.iter().cloned() {
-                    let (p, c) = best_for(input, site, estimator, net);
-                    total += c;
-                    sited_inputs.push(p);
-                }
-                let candidate = PlanNode::Join {
-                    inputs: sited_inputs,
-                    site: match site {
-                        Site::Peer(p) => Some(p),
-                        Site::Hole => None,
-                    },
-                };
-                let out_tuples = estimator.plan_cardinality(&candidate);
-                total += net.processing(site, out_tuples)
-                    + net.transfer(site, dest, out_tuples * estimator.params().tuple_bytes);
-                if best.as_ref().is_none_or(|(_, c)| total < *c) {
-                    best = Some((candidate, total));
-                }
-            }
-            best.expect("joins have at least one candidate site")
+            let (site, total) = best_join_site(plan, inputs, dest, estimator, net);
+            let sited = PlanNode::Join {
+                inputs: inputs
+                    .iter()
+                    .map(|input| best_for(input, site, estimator, net).0)
+                    .collect(),
+                site: match site {
+                    Site::Peer(p) => Some(p),
+                    Site::Hole => None,
+                },
+            };
+            (sited, total)
         }
     }
+}
+
+/// The cost [`best_for`] reports for `plan`, without building the plan.
+fn cost_for(plan: &PlanNode, dest: Site, estimator: &Estimator, net: &dyn NetworkCost) -> f64 {
+    match plan {
+        PlanNode::Fetch { subquery, site } => {
+            let tuples = estimator.fetch_cardinality(*site, subquery);
+            let bytes = tuples * estimator.params().tuple_bytes;
+            net.processing(*site, tuples) + net.transfer(*site, dest, bytes)
+        }
+        PlanNode::Union(inputs) => inputs_cost(inputs, dest, estimator, net),
+        PlanNode::Join { inputs, .. } => best_join_site(plan, inputs, dest, estimator, net).1,
+    }
+}
+
+fn inputs_cost(
+    inputs: &[PlanNode],
+    dest: Site,
+    estimator: &Estimator,
+    net: &dyn NetworkCost,
+) -> f64 {
+    let mut total = 0.0;
+    for input in inputs {
+        total += cost_for(input, dest, estimator, net);
+    }
+    total
+}
+
+/// The cheapest execution site for `join` (whose inputs are `inputs`)
+/// delivering to `dest`: the destination itself or any peer below.
+fn best_join_site(
+    join: &PlanNode,
+    inputs: &[PlanNode],
+    dest: Site,
+    estimator: &Estimator,
+    net: &dyn NetworkCost,
+) -> (Site, f64) {
+    let mut candidates: Vec<Site> = vec![dest];
+    for input in inputs {
+        for p in input.peers() {
+            let s = Site::Peer(p);
+            if !candidates.contains(&s) {
+                candidates.push(s);
+            }
+        }
+    }
+    // The join's output size does not depend on where anything runs.
+    let out_tuples = estimator.plan_cardinality(join);
+    let out_bytes = out_tuples * estimator.params().tuple_bytes;
+    let mut best: Option<(Site, f64)> = None;
+    for site in candidates {
+        let total = inputs_cost(inputs, site, estimator, net)
+            + (net.processing(site, out_tuples) + net.transfer(site, dest, out_bytes));
+        if best.is_none_or(|(_, c)| total < c) {
+            best = Some((site, total));
+        }
+    }
+    best.expect("joins have at least one candidate site")
+}
+
+/// A cost model watched for terms that break [`NetworkCost`]'s
+/// non-negativity precondition, which the early exit of
+/// [`site_distributed`] relies on.
+struct Guarded<'n> {
+    inner: &'n dyn NetworkCost,
+    nonnegative: Cell<bool>,
+}
+
+impl Guarded<'_> {
+    fn seen(&self, term: f64) -> f64 {
+        if term.is_nan() || term < 0.0 {
+            self.nonnegative.set(false);
+        }
+        term
+    }
+}
+
+impl NetworkCost for Guarded<'_> {
+    fn transfer(&self, from: Site, to: Site, bytes: f64) -> f64 {
+        self.seen(self.inner.transfer(from, to, bytes))
+    }
+
+    fn processing(&self, at: Site, tuples: f64) -> f64 {
+        self.seen(self.inner.processing(at, tuples))
+    }
+}
+
+/// Sites the distributed shape of `plan1` — what
+/// `assign_sites(merge_same_peer(flatten_joins(distribute_joins(plan1))))`
+/// returns, bit for bit — or gives up with `None` as soon as its cost is
+/// known to exceed `bound`.
+///
+/// A top-level join is never distributed as a whole: its combinations are
+/// enumerated one at a time in [`cartesian`]'s order (last input fastest),
+/// and each is merged, sited and added to the running cost exactly as the
+/// eager pipeline would have. Every term being `>= 0`, a running cost
+/// above `bound` can only grow, so the remaining n^k − i combinations need
+/// not be looked at; once `net` has seen a term that is not, the sum is
+/// finished instead.
+fn site_distributed(
+    plan1: PlanNode,
+    dest: Site,
+    estimator: &Estimator,
+    net: &Guarded,
+    bound: f64,
+) -> Option<(PlanNode, f64)> {
+    let PlanNode::Join { inputs, site } = plan1 else {
+        // The generator puts joins at the top only; any other shape takes
+        // the eager pipeline as is.
+        let plan3 = merge_same_peer(flatten_joins(distribute_joins(plan1)));
+        return Some(best_for(&plan3, dest, estimator, net));
+    };
+    let lists = choice_lists(inputs);
+    let branch = |picks: &[usize]| {
+        let combo = lists
+            .iter()
+            .zip(picks)
+            .map(|(l, &i)| l[i].clone())
+            .collect();
+        let merged = merge_same_peer(flatten_joins(PlanNode::Join {
+            inputs: combo,
+            site,
+        }));
+        best_for(&merged, dest, estimator, net)
+    };
+    let mut picks = vec![0; lists.len()];
+    if lists.iter().all(|l| l.len() == 1) {
+        return Some(branch(&picks));
+    }
+    let mut branches = Vec::new();
+    let mut total = 0.0;
+    let mut more = lists.iter().all(|l| !l.is_empty());
+    while more {
+        let (sited, cost) = branch(&picks);
+        total += cost;
+        branches.push(sited);
+        if total > bound && net.nonnegative.get() {
+            return None;
+        }
+        more = false;
+        for (pick, list) in picks.iter_mut().zip(&lists).rev() {
+            *pick += 1;
+            if *pick < list.len() {
+                more = true;
+                break;
+            }
+            *pick = 0;
+        }
+    }
+    Some((PlanNode::Union(branches), total))
 }
 
 /// A per-stage snapshot of the optimisation pipeline, printed by
@@ -260,7 +396,8 @@ fn best_for(
 #[derive(Debug, Clone)]
 pub struct OptimizeReport {
     /// `(stage name, rendered plan, fetch count, estimated transfer
-    /// bytes)` for each stage.
+    /// bytes)` for each stage. Rendered only on request — by [`optimize`],
+    /// and by [`optimize_traced`] on an enabled tracer; empty otherwise.
     pub stages: Vec<(String, String, usize, f64)>,
     /// Final estimated execution cost under the supplied cost model.
     pub final_cost: f64,
@@ -275,21 +412,27 @@ pub struct OptimizeReport {
 /// The paper gates the join/union distribution on a benefit heuristic
 /// ("rewriting … is beneficial, if the expected size of the join result is
 /// smaller than any of the inputs"); with a cost model in hand we make the
-/// gate exact: both the generated shape and the fully distributed+merged
-/// shape are sited, and the cheaper plan wins.
+/// gate exact: the fully distributed+merged shape wins when, sited, it
+/// costs no more than the sited generated shape. The distributed shape is
+/// costed under that bound ([`site_distributed`]) and only kept when it
+/// wins, so declining Fig 4's Plan 2 does not cost its n^k joins.
+///
+/// This entry point always renders the per-stage report, which *does*
+/// build Plans 2 and 3; callers that only want the plan use
+/// [`optimize_traced`] with a disabled tracer.
 pub fn optimize(
     plan: PlanNode,
     initiator: PeerId,
     estimator: &Estimator,
     net: &dyn NetworkCost,
 ) -> (PlanNode, OptimizeReport) {
-    let mut off = Tracer::disabled();
+    let mut scratch = Tracer::enabled();
     optimize_traced(
         plan,
         initiator,
         estimator,
         net,
-        &mut off,
+        &mut scratch,
         0,
         sqpeer_trace::NO_QUERY,
     )
@@ -301,8 +444,9 @@ pub fn optimize(
 /// `rewrite:distribute` when joins were pushed below unions,
 /// `rewrite:merge-same-peer` when TR1/TR2 collapsed same-peer fetches
 /// (detail reports how many), and `rewrite:site` with the winning shape
-/// and its estimated cost. On a disabled tracer the comparisons are
-/// skipped entirely, so this is exactly [`optimize`].
+/// and its estimated cost. On a disabled tracer nothing is rendered — no
+/// events, no report stages, no Plans 2 and 3; the returned plan, cost and
+/// `distributed_won` are the same either way.
 pub fn optimize_traced(
     plan: PlanNode,
     initiator: PeerId,
@@ -312,43 +456,49 @@ pub fn optimize_traced(
     now_us: u64,
     qid: u64,
 ) -> (PlanNode, OptimizeReport) {
-    let mut stages = Vec::new();
-    let snap = |stages: &mut Vec<(String, String, usize, f64)>, name: &str, p: &PlanNode| {
-        stages.push((
+    let stage = |name: &str, p: &PlanNode| {
+        (
             name.to_string(),
             p.to_string(),
             p.fetch_count(),
             estimator.transfer_bytes(p, initiator),
-        ));
+        )
     };
     let plan1 = flatten_joins(plan);
-    snap(&mut stages, "plan 1 (generated)", &plan1);
-    let plan2 = distribute_joins(plan1.clone());
-    if tracer.is_enabled() && plan2 != plan1 {
-        tracer.event_with(now_us, qid, "rewrite:distribute", || {
-            format!("joins pushed below unions: {}", plan2)
-        });
-    }
-    snap(&mut stages, "plan 2 (joins below unions)", &plan2);
-    let flat2 = flatten_joins(plan2);
-    let plan3 = merge_same_peer(flat2.clone());
+    let mut stages = Vec::new();
     if tracer.is_enabled() {
-        let merged = flat2.fetch_count().saturating_sub(plan3.fetch_count());
-        if merged > 0 {
-            tracer.event_with(now_us, qid, "rewrite:merge-same-peer", || {
-                format!("TR1+TR2 merged {merged} same-peer fetches: {plan3}")
+        stages.push(stage("plan 1 (generated)", &plan1));
+        let plan2 = distribute_joins(plan1.clone());
+        let snap2 = stage("plan 2 (joins below unions)", &plan2);
+        if plan2 != plan1 {
+            tracer.event_with(now_us, qid, "rewrite:distribute", || {
+                format!("joins pushed below unions: {}", snap2.1)
             });
         }
+        stages.push(snap2);
+        let flat2 = flatten_joins(plan2);
+        let unmerged = flat2.fetch_count();
+        let snap3 = stage("plan 3 (same-peer merge, TR1+TR2)", &merge_same_peer(flat2));
+        let merged = unmerged.saturating_sub(snap3.2);
+        if merged > 0 {
+            tracer.event_with(now_us, qid, "rewrite:merge-same-peer", || {
+                format!("TR1+TR2 merged {merged} same-peer fetches: {}", snap3.1)
+            });
+        }
+        stages.push(snap3);
     }
-    snap(&mut stages, "plan 3 (same-peer merge, TR1+TR2)", &plan3);
-    let (sited_gen, gen_cost) = assign_sites(plan1, initiator, estimator, net);
-    let (sited_dist, dist_cost) = assign_sites(plan3, initiator, estimator, net);
-    let distributed_won = dist_cost <= gen_cost;
-    let (best, cost) = if distributed_won {
-        (sited_dist, dist_cost)
-    } else {
-        (sited_gen, gen_cost)
+
+    let dest = Site::Peer(initiator);
+    let guarded = Guarded {
+        inner: net,
+        nonnegative: Cell::new(true),
     };
+    let (sited_gen, gen_cost) = best_for(&plan1, dest, estimator, &guarded);
+    let (best, cost, distributed_won) =
+        match site_distributed(plan1, dest, estimator, &guarded, gen_cost) {
+            Some((sited_dist, dist_cost)) if dist_cost <= gen_cost => (sited_dist, dist_cost, true),
+            _ => (sited_gen, gen_cost, false),
+        };
     tracer.event_with(now_us, qid, "rewrite:site", || {
         format!(
             "{} shape won, cost {:.1}",
@@ -360,7 +510,9 @@ pub fn optimize_traced(
             cost
         )
     });
-    snap(&mut stages, "plan 4 (shipping sites)", &best);
+    if tracer.is_enabled() {
+        stages.push(stage("plan 4 (shipping sites)", &best));
+    }
     (
         best,
         OptimizeReport {

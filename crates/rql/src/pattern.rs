@@ -124,8 +124,15 @@ pub enum CondOperand {
 }
 
 /// A semantic query pattern: the conjunctive core of an RQL query.
+///
+/// Immutable after construction and shared behind an [`Arc`]: a clone is
+/// a reference-count bump, so the plan layer can copy fetch leaves (and
+/// whole plans) without copying the patterns they ship.
 #[derive(Debug, Clone)]
-pub struct QueryPattern {
+pub struct QueryPattern(Arc<PatternData>);
+
+#[derive(Debug, Clone)]
+struct PatternData {
     schema: Arc<Schema>,
     var_names: Vec<String>,
     patterns: Vec<PathPattern>,
@@ -174,7 +181,7 @@ impl QueryPattern {
             Some(ob) => Some((builder.lookup_var(&ob.var)?, ob.ascending)),
             None => None,
         };
-        let qp = QueryPattern {
+        let qp = QueryPattern(Arc::new(PatternData {
             schema: Arc::clone(schema),
             var_names: builder.var_names,
             patterns: builder.patterns,
@@ -183,7 +190,7 @@ impl QueryPattern {
             filters,
             order_by,
             limit: ast.limit,
-        };
+        }));
         qp.check_connected()?;
         Ok(qp)
     }
@@ -197,7 +204,7 @@ impl QueryPattern {
         projection: Vec<VarId>,
         filters: Vec<ResolvedCondition>,
     ) -> Self {
-        QueryPattern {
+        QueryPattern(Arc::new(PatternData {
             schema,
             var_names,
             patterns,
@@ -206,77 +213,78 @@ impl QueryPattern {
             filters,
             order_by: None,
             limit: None,
-        }
+        }))
     }
 
     /// The standalone class-membership patterns.
     pub fn class_patterns(&self) -> &[ClassPattern] {
-        &self.class_patterns
+        &self.0.class_patterns
     }
 
     /// Attaches standalone class-membership patterns (programmatic
     /// construction; the parser produces them from `{X;C}` FROM items).
     pub fn with_class_patterns(mut self, class_patterns: Vec<ClassPattern>) -> Self {
-        self.class_patterns = class_patterns;
+        Arc::make_mut(&mut self.0).class_patterns = class_patterns;
         self
     }
 
     /// Attaches a Top-N clause (`ORDER BY` + `LIMIT`) to the pattern.
     pub fn with_top(mut self, order_by: Option<(VarId, bool)>, limit: Option<usize>) -> Self {
-        self.order_by = order_by;
-        self.limit = limit;
+        let data = Arc::make_mut(&mut self.0);
+        data.order_by = order_by;
+        data.limit = limit;
         self
     }
 
     /// The `ORDER BY` variable and direction, if any.
     pub fn order_by(&self) -> Option<(VarId, bool)> {
-        self.order_by
+        self.0.order_by
     }
 
     /// The `LIMIT` count, if any.
     pub fn limit(&self) -> Option<usize> {
-        self.limit
+        self.0.limit
     }
 
     /// The schema this pattern is resolved against.
     pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        &self.0.schema
     }
 
     /// The path patterns, in FROM-clause order.
     pub fn patterns(&self) -> &[PathPattern] {
-        &self.patterns
+        &self.0.patterns
     }
 
     /// The projected variables, in SELECT-clause order.
     pub fn projection(&self) -> &[VarId] {
-        &self.projection
+        &self.0.projection
     }
 
     /// The resolved filters.
     pub fn filters(&self) -> &[ResolvedCondition] {
-        &self.filters
+        &self.0.filters
     }
 
     /// Printable name of variable `v`.
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.var_names[v.0 as usize]
+        &self.0.var_names[v.0 as usize]
     }
 
     /// All variable names, indexed by `VarId`.
     pub fn var_names(&self) -> &[String] {
-        &self.var_names
+        &self.0.var_names
     }
 
     /// Number of variables.
     pub fn var_count(&self) -> usize {
-        self.var_names.len()
+        self.0.var_names.len()
     }
 
     /// Replaces the projection (used when deriving shipped subqueries whose
     /// projection must include join variables).
     pub fn with_projection(mut self, projection: Vec<VarId>) -> Self {
-        self.projection = projection;
+        Arc::make_mut(&mut self.0).projection = projection;
         self
     }
 
@@ -285,10 +293,14 @@ impl QueryPattern {
     /// variable ids stable and dropping filters that mention variables not
     /// bound by the kept patterns.
     pub fn subpattern(&self, indices: &[usize], projection: Vec<VarId>) -> QueryPattern {
-        let patterns: Vec<_> = indices.iter().map(|&i| self.patterns[i].clone()).collect();
+        let patterns: Vec<_> = indices
+            .iter()
+            .map(|&i| self.0.patterns[i].clone())
+            .collect();
         let bound: std::collections::HashSet<VarId> =
             patterns.iter().flat_map(|p| p.vars()).collect();
         let filters = self
+            .0
             .filters
             .iter()
             .filter(|f| {
@@ -299,9 +311,9 @@ impl QueryPattern {
             })
             .cloned()
             .collect();
-        QueryPattern {
-            schema: Arc::clone(&self.schema),
-            var_names: self.var_names.clone(),
+        QueryPattern(Arc::new(PatternData {
+            schema: Arc::clone(&self.0.schema),
+            var_names: self.0.var_names.clone(),
             patterns,
             projection,
             filters,
@@ -310,14 +322,14 @@ impl QueryPattern {
             class_patterns: Vec::new(),
             order_by: None,
             limit: None,
-        }
+        }))
     }
 
     /// Builds the join tree rooted at the first path pattern, following
     /// shared-variable edges (§2.4: the processing algorithm starts "from
     /// the root of the annotated query pattern" and recurses into children).
     pub fn join_tree(&self) -> JoinTree {
-        let n = self.patterns.len();
+        let n = self.0.patterns.len();
         let mut nodes: Vec<JoinTreeNode> = (0..n)
             .map(|i| JoinTreeNode {
                 pattern: i,
@@ -344,7 +356,7 @@ impl QueryPattern {
                 order.push(i);
                 for j in 0..n {
                     if !visited[j] {
-                        if let Some(v) = self.patterns[i].shared_var(&self.patterns[j]) {
+                        if let Some(v) = self.0.patterns[i].shared_var(&self.0.patterns[j]) {
                             visited[j] = true;
                             nodes[j].parent = Some(i);
                             nodes[j].join_var = Some(v);
@@ -370,10 +382,10 @@ impl QueryPattern {
         // Class patterns with variables must touch the path patterns when
         // both kinds are present (otherwise they would demand a cartesian
         // product the processing algorithm never builds).
-        if !self.patterns.is_empty() {
+        if !self.0.patterns.is_empty() {
             let path_vars: std::collections::HashSet<VarId> =
-                self.patterns.iter().flat_map(|p| p.vars()).collect();
-            for cp in &self.class_patterns {
+                self.0.patterns.iter().flat_map(|p| p.vars()).collect();
+            for cp in &self.0.class_patterns {
                 if let Some(v) = cp.var() {
                     if !path_vars.contains(&v) {
                         return Err(ResolveError::DisconnectedPattern);
@@ -392,16 +404,18 @@ impl QueryPattern {
 
 impl PartialEq for QueryPattern {
     fn eq(&self, other: &Self) -> bool {
-        self.var_names == other.var_names
-            && self.patterns == other.patterns
-            && self.projection == other.projection
-            && self.filters == other.filters
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.var_names == other.0.var_names
+                && self.0.patterns == other.0.patterns
+                && self.0.projection == other.0.projection
+                && self.0.filters == other.0.filters)
     }
 }
 
 impl fmt::Display for QueryPattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let proj: Vec<_> = self
+            .0
             .projection
             .iter()
             .map(|&v| self.var_name(v).to_string())
@@ -422,42 +436,44 @@ impl fmt::Display for QueryPattern {
                 Term::Literal(l) => l.to_string(),
             };
             match e.class {
-                Some(c) => format!("{{{term};{}}}", self.schema.class_qname(c)),
+                Some(c) => format!("{{{term};{}}}", self.0.schema.class_qname(c)),
                 None => format!("{{{term}}}"),
             }
         };
         let mut items: Vec<_> = self
+            .0
             .patterns
             .iter()
             .map(|p| {
                 format!(
                     "{}{}{}",
                     fmt_endpoint(&p.subject),
-                    self.schema.property_qname(p.property),
+                    self.0.schema.property_qname(p.property),
                     fmt_endpoint(&p.object)
                 )
             })
             .collect();
-        items.extend(self.class_patterns.iter().map(|cp| {
+        items.extend(self.0.class_patterns.iter().map(|cp| {
             fmt_endpoint(&Endpoint {
                 term: cp.term.clone(),
                 class: Some(cp.class),
             })
         }));
         write!(f, " FROM {}", items.join(", "))?;
-        if !self.filters.is_empty() {
+        if !self.0.filters.is_empty() {
             let fmt_op = |o: &CondOperand| match o {
                 CondOperand::Var(v) => self.var_name(*v).to_string(),
                 CondOperand::Const(n) => n.to_string(),
             };
             let conds: Vec<_> = self
+                .0
                 .filters
                 .iter()
                 .map(|c| format!("{} {} {}", fmt_op(&c.left), c.op, fmt_op(&c.right)))
                 .collect();
             write!(f, " WHERE {}", conds.join(" AND "))?;
         }
-        if let Some((v, asc)) = self.order_by {
+        if let Some((v, asc)) = self.0.order_by {
             write!(
                 f,
                 " ORDER BY {}{}",
@@ -465,7 +481,7 @@ impl fmt::Display for QueryPattern {
                 if asc { "" } else { " DESC" }
             )?;
         }
-        if let Some(n) = self.limit {
+        if let Some(n) = self.0.limit {
             write!(f, " LIMIT {n}")?;
         }
         Ok(())
