@@ -1,18 +1,16 @@
 //! E16 wall-clock harness: interned statistics-ordered evaluation vs the
-//! retained row-at-a-time reference engine, plus parallel union execution
-//! at 1/2/4 workers. The experiment binary (`cargo run --release --bin
-//! experiments e16`) produces the recorded tables and `BENCH_e16.json`;
-//! this harness is the criterion view of the same comparison.
+//! retained row-at-a-time reference engine. The experiment binary
+//! (`cargo run --release --bin experiments e16`) produces the recorded
+//! table and `BENCH_e16.json`; this harness is the criterion view of the
+//! same comparison.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqpeer::exec::{eval_local_threads, BaseKind};
-use sqpeer::plan::{PlanNode, Site, Subquery};
 use sqpeer::prelude::*;
 use sqpeer::rql::{evaluate_reference, evaluate_snapshot};
 use sqpeer_testkit::fixtures::fig1_schema;
-use sqpeer_testkit::{chain_properties, chain_query_text, populate, zipf_workload, DataSpec};
+use sqpeer_testkit::{populate, zipf_workload, DataSpec};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -66,31 +64,6 @@ fn bench(c: &mut Criterion) {
             black_box(rows)
         })
     });
-    group.finish();
-
-    // Parallel union execution: 9 chain-2 fetch branches at one peer.
-    let chains = chain_properties(&schema, 2);
-    let branches: Vec<PlanNode> = (0..9)
-        .map(|i| PlanNode::Fetch {
-            subquery: Subquery {
-                covers: vec![0],
-                query: compile(
-                    &chain_query_text(&schema, &chains[i % chains.len()]),
-                    &schema,
-                )
-                .expect("chain queries compile"),
-            },
-            site: Site::Peer(PeerId(1)),
-        })
-        .collect();
-    let plan = PlanNode::Union(branches);
-    let kind = BaseKind::Materialized(base);
-    let mut group = c.benchmark_group("e16_parallel_union");
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| black_box(eval_local_threads(&plan, PeerId(1), &kind, w).len()))
-        });
-    }
     group.finish();
 }
 

@@ -81,7 +81,7 @@ pub fn all_experiments() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "e16",
-            "interned local evaluation: row-at-a-time vs interned, parallel unions",
+            "interned local evaluation: row-at-a-time vs interned (cold and warm)",
         ),
         (
             "e17",
@@ -1668,7 +1668,6 @@ fn e15() -> String {
 }
 
 fn e16() -> String {
-    use sqpeer::exec::{eval_local_threads, BaseKind};
     use sqpeer::rql::{evaluate_reference, evaluate_snapshot};
     use sqpeer_testkit::zipf_workload;
     use std::time::Instant;
@@ -1754,78 +1753,15 @@ fn e16() -> String {
     ]);
     out.push_str(&t1.render());
 
-    // Parallel union execution: a 9-branch union of chain-2 fetches (the
-    // shape horizontal distribution produces), at 1/2/4 workers.
-    let chains = chain_properties(&schema, 2);
-    let branches: Vec<PlanNode> = (0..9)
-        .map(|i| PlanNode::Fetch {
-            subquery: Subquery {
-                covers: vec![0],
-                query: compile(
-                    &chain_query_text(&schema, &chains[i % chains.len()]),
-                    &schema,
-                )
-                .expect("chain queries compile"),
-            },
-            site: Site::Peer(PeerId(1)),
-        })
-        .collect();
-    let plan = PlanNode::Union(branches);
-    let kind = BaseKind::Materialized(base.clone());
-    // Prime the snapshot so worker counts compare pure evaluation.
-    let expected = eval_local_threads(&plan, PeerId(1), &kind, 1).len();
-    let mut worker_ms: Vec<(usize, f64)> = Vec::new();
-    let mut t2 = Table::new(&["workers", "union ms", "rows", "speedup vs 1 worker"]);
-    for workers in [1usize, 2, 4] {
-        let (elapsed, rows) = best(|| eval_local_threads(&plan, PeerId(1), &kind, workers).len());
-        assert_eq!(rows, expected, "worker count must not change results");
-        worker_ms.push((workers, elapsed));
-        t2.row(vec![
-            workers.to_string(),
-            format!("{elapsed:.2}"),
-            rows.to_string(),
-            format!("{} x", f1(worker_ms[0].1 / elapsed)),
-        ]);
-    }
-    out.push('\n');
-    out.push_str(&t2.render());
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Scheduler pin: more workers must never make the union slower. The
-    // worker count clamps to the host's cores (beyond that the rows do
-    // identical work), so the whole series must be monotone non-increasing
-    // up to wall-clock noise (25 % + 1 ms slack).
-    for pair in worker_ms.windows(2) {
-        let (w_prev, t_prev) = pair[0];
-        let (w_next, t_next) = pair[1];
-        assert!(
-            t_next <= t_prev * 1.25 + 1.0,
-            "{w_next} workers slower than {w_prev} ({t_next:.2} vs {t_prev:.2} ms): \
-             spawning overhead leaked back into eval_local_threads"
-        );
-    }
-    out.push_str(&format!(
-        "\nhost parallelism: {cores} core(s); eval_local defaults to {} worker(s).\n\
-         The work queue is clamped to the host's cores (inline fallback), so\n\
-         extra requested workers cost nothing — the series above is asserted\n\
-         monotone non-increasing; fan-out only pays off with real cores.\n",
-        sqpeer::exec::default_workers()
-    ));
-
     // Machine-readable record so the perf trajectory is tracked per PR.
-    let unions: Vec<String> = worker_ms
-        .iter()
-        .map(|(w, t)| format!("\"{w}\": {t:.3}"))
-        .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e16\",\n  \"host_cores\": {cores},\n  \"base_triples\": {triples},\n  \
+        "{{\n  \"experiment\": \"e16\",\n  \"base_triples\": {triples},\n  \
          \"queries\": {},\n  \"reference_ms\": {ref_ms:.3},\n  \
          \"interned_cold_ms\": {cold_ms:.3},\n  \"interned_warm_ms\": {warm_ms:.3},\n  \
-         \"speedup_warm\": {:.2},\n  \"speedup_cold\": {:.2},\n  \
-         \"union_ms_by_workers\": {{ {} }}\n}}\n",
+         \"speedup_warm\": {:.2},\n  \"speedup_cold\": {:.2}\n}}\n",
         workload.len(),
         ref_ms / warm_ms,
         ref_ms / cold_ms,
-        unions.join(", ")
     );
     match std::fs::write("BENCH_e16.json", &json) {
         Ok(()) => out.push_str("\nwrote BENCH_e16.json\n"),

@@ -22,7 +22,7 @@ pub mod msg;
 pub mod obs;
 pub mod peer;
 
-pub use local::{default_workers, eval_local, eval_local_threads};
+pub use local::eval_local;
 pub use msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome, TraceCtx};
 pub use obs::{ObsConfig, ObsState, SlowQuery};
 pub use peer::{BaseKind, ClusterInfo, PeerConfig, PeerMode, PeerNode, Role, SlowChannelPolicy};

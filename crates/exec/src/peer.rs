@@ -540,9 +540,97 @@ struct OutgoingStream {
     sent_acc: Option<ResultSet>,
 }
 
+impl OutgoingStream {
+    /// An empty, unfinished stream answering `(channel, qid, tag)` under
+    /// the sender's configured credit window.
+    fn new(
+        channel: PeerChannel,
+        qid: QueryId,
+        tag: u64,
+        columns: Vec<String>,
+        config: &PeerConfig,
+    ) -> Self {
+        OutgoingStream {
+            channel,
+            qid,
+            tag,
+            columns,
+            unproduced: std::collections::VecDeque::new(),
+            queued: std::collections::VecDeque::new(),
+            next_seq: 0,
+            inflight: 0,
+            window: config.stream_credit_window.max(1),
+            finished: false,
+            partial: false,
+            stats: None,
+            sent_acc: None,
+        }
+    }
+}
+
 /// Key of an outgoing stream: the stream's consumer plus the subplan
 /// identity it answers, mirroring the `served` dedup log.
 type StreamKey = (PeerId, QueryId, u64);
+
+/// What an armed timer stands for. Timer ids are opaque sequence numbers
+/// handed to the transport; the table in [`PeerNode`] resolves a fired
+/// id back to the machine that armed it.
+#[derive(Debug)]
+enum Timer {
+    /// Periodic lease renewal of this peer's own advertisement.
+    Heartbeat,
+    /// Periodic sweep of unrenewed advertisements held here.
+    Sweep,
+    /// Periodic observability rollup push.
+    Obs,
+    /// Gather timeout of a hierarchical routing descent.
+    HierGather(QueryId),
+    /// A result held back by the processing-load model. Occupies a §2.5
+    /// slot until it fires.
+    Completion {
+        completion: Completion,
+        result: ResultSet,
+        partial: bool,
+    },
+    /// Production pacing of a streamed result: one more batch of the
+    /// outgoing stream exists when it fires. Occupies a §2.5 slot until
+    /// the last batch does.
+    Production(StreamKey),
+    /// Slow-channel throughput probe of an outstanding subplan tag.
+    Probe(u64),
+    /// Subplan timeout of an outstanding tag.
+    Timeout(u64),
+}
+
+impl Timer {
+    /// The name `timer_kind` reports (the strings `model::conform`
+    /// selects timers by).
+    fn kind(&self) -> &'static str {
+        match self {
+            Timer::Heartbeat => "heartbeat",
+            Timer::Sweep => "sweep",
+            Timer::Obs => "obs",
+            Timer::HierGather(_) => "hier-gather",
+            Timer::Completion { .. } => "completion",
+            Timer::Production(_) => "production",
+            Timer::Probe(_) => "probe",
+            Timer::Timeout(_) => "timeout",
+        }
+    }
+
+    /// Does this timer hold one of the peer's §2.5 processing slots?
+    fn holds_slot(&self) -> bool {
+        matches!(self, Timer::Completion { .. } | Timer::Production(_))
+    }
+}
+
+/// Sends `msg` to `to`, charged at its own wire size (returned, for
+/// callers that account the bytes).
+fn send(ctx: &mut Ctx<Msg>, to: PeerId, msg: Msg) -> usize {
+    let bytes = msg.wire_size();
+    ctx.send(node_of(to), msg, bytes);
+    bytes
+}
 
 #[derive(Debug)]
 struct PendingRemote {
@@ -662,13 +750,9 @@ pub struct PeerNode {
     /// Route requests this super-peer relayed on the backbone:
     /// query id → the node the eventual response must be forwarded to.
     route_relays: HashMap<QueryId, PeerId>,
-    /// Completions deferred by the processing-delay model, keyed by timer.
-    delayed: HashMap<u64, (Completion, ResultSet, bool)>,
-    /// Subplan-timeout timers: timer id → outstanding tag.
-    timeouts: HashMap<u64, u64>,
-    /// Slow-channel probe timers (armed only with `config.slow_channel`
-    /// set): timer id → outstanding tag.
-    probes: HashMap<u64, u64>,
+    /// Every armed timer, by id (see [`Timer`]).
+    timers: HashMap<u64, Timer>,
+    next_timer: u64,
     /// Subplans waiting for a processing slot (FIFO).
     slot_queue: std::collections::VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
     /// Partially received streamed results, keyed by outstanding tag:
@@ -676,10 +760,6 @@ pub struct PeerNode {
     streams: HashMap<u64, StreamState>,
     /// Credit-gated outgoing result streams this peer is the sender of.
     outgoing: HashMap<StreamKey, OutgoingStream>,
-    /// Production pacing timers (processing-load model over streamed
-    /// results): timer id → outgoing stream key.
-    productions: HashMap<u64, StreamKey>,
-    next_timer: u64,
     /// Idempotent receive: highest attempt served per subplan identity
     /// `(root peer, query, tag)` — keyed on the transport-agnostic
     /// [`PeerId`], not a simulator node index, so the dedup log survives
@@ -705,12 +785,6 @@ pub struct PeerNode {
     last_cluster_summary: Option<ActiveSchema>,
     /// In-flight hierarchical scatter/gathers, by query.
     hier_gathers: HashMap<QueryId, HierGather>,
-    /// Gather-timeout timers: timer id → query id.
-    hier_timers: HashMap<u64, QueryId>,
-    /// Timer ids driving periodic heartbeats.
-    heartbeat_timers: HashSet<u64>,
-    /// Timer ids driving periodic lease sweeps.
-    sweep_timers: HashSet<u64>,
     /// Routing/plan memoisation (None when disabled by config). RefCell
     /// because routing entry points take `&self`.
     cache: Option<RefCell<SemanticCache>>,
@@ -731,8 +805,6 @@ pub struct PeerNode {
     pub credits_granted: u64,
     /// The observability plane (None when `config.obs` is unset).
     obs: Option<crate::obs::ObsState>,
-    /// Timer ids driving periodic rollup pushes.
-    obs_timers: HashSet<u64>,
 }
 
 impl PeerNode {
@@ -765,14 +837,11 @@ impl PeerNode {
             outstanding: HashMap::new(),
             next_tag: 0,
             route_relays: HashMap::new(),
-            delayed: HashMap::new(),
-            timeouts: HashMap::new(),
-            probes: HashMap::new(),
+            timers: HashMap::new(),
+            next_timer: 0,
             slot_queue: std::collections::VecDeque::new(),
             streams: HashMap::new(),
             outgoing: HashMap::new(),
-            productions: HashMap::new(),
-            next_timer: 0,
             served: HashMap::new(),
             lease_expiry: HashMap::new(),
             departed: HashMap::new(),
@@ -781,9 +850,6 @@ impl PeerNode {
             cluster_summaries: HashMap::new(),
             last_cluster_summary: None,
             hier_gathers: HashMap::new(),
-            hier_timers: HashMap::new(),
-            heartbeat_timers: HashSet::new(),
-            sweep_timers: HashSet::new(),
             cache,
             tracer,
             profiles: HashMap::new(),
@@ -791,7 +857,6 @@ impl PeerNode {
             max_stream_inflight: 0,
             credits_granted: 0,
             obs,
-            obs_timers: HashSet::new(),
         }
     }
 
@@ -813,15 +878,21 @@ impl PeerNode {
     /// This peer's own advertisement, if it has a base.
     pub fn own_advertisement(&self) -> Option<Advertisement> {
         let active = self.base.active_schema()?;
-        let stats = match &self.base {
-            BaseKind::Materialized(db) => Some(db.statistics()),
-            _ => None,
-        };
         let mut ad = Advertisement::new(self.id, active);
-        if let Some(s) = stats {
+        if let Some(s) = self.base_stats() {
             ad = ad.with_stats(s);
         }
         Some(ad)
+    }
+
+    /// A fresh statistics snapshot of the base (§2.4: piggybacked on
+    /// advertisements and channel packets for the root's optimiser); only
+    /// materialized bases snapshot cheaply.
+    fn base_stats(&self) -> Option<sqpeer_store::BaseStatistics> {
+        match &self.base {
+            BaseKind::Materialized(db) => Some(db.statistics()),
+            _ => None,
+        }
     }
 
     /// Channels currently rooted here (inspection).
@@ -916,12 +987,7 @@ impl PeerNode {
                             backbone_ttl: self.config.backbone_ttl,
                             partial: None,
                         };
-                        let bytes = msg.wire_size();
-                        if let Some(root) = self.rooted.get_mut(&qid) {
-                            root.messages_sent += 1;
-                            root.bytes_sent += bytes as u64;
-                        }
-                        ctx.send(node_of(sp), msg, bytes);
+                        self.send_rooted(ctx, qid, sp, msg);
                     }
                     None => self.finalize(ctx, qid, ResultSet::default(), true),
                 }
@@ -1060,28 +1126,17 @@ impl PeerNode {
     /// Classifies an armed timer id by the machine it belongs to, so
     /// external drivers (the conformance replayer in `sqpeer-model`) can
     /// select "the retry timeout" or "the completion tick" without
-    /// depending on arm order. Timer ids are opaque sequence numbers;
-    /// this resolves them against the same internal maps `on_timer` uses.
+    /// depending on arm order.
     pub fn timer_kind(&self, timer: u64) -> &'static str {
-        if self.heartbeat_timers.contains(&timer) {
-            "heartbeat"
-        } else if self.sweep_timers.contains(&timer) {
-            "sweep"
-        } else if self.delayed.contains_key(&timer) {
-            "completion"
-        } else if self.productions.contains_key(&timer) {
-            "production"
-        } else if self.probes.contains_key(&timer) {
-            "probe"
-        } else if self.hier_timers.contains_key(&timer) {
-            "hier-gather"
-        } else if self.timeouts.contains_key(&timer) {
-            "timeout"
-        } else if self.obs_timers.contains(&timer) {
-            "obs"
-        } else {
-            "unknown"
-        }
+        self.timers.get(&timer).map_or("unknown", Timer::kind)
+    }
+
+    /// Arms `timer` to fire after `delay_us`.
+    fn arm(&mut self, ctx: &mut Ctx<Msg>, delay_us: u64, timer: Timer) {
+        let id = self.next_timer;
+        self.next_timer += 1;
+        self.timers.insert(id, timer);
+        ctx.set_timer(delay_us, id);
     }
 
     // ------------------------------------------------------------------
@@ -1109,30 +1164,38 @@ impl PeerNode {
         self.renew_lease(ctx.now_us(), peer);
         if let Some(ad) = self.departed.remove(&peer) {
             self.registry.register(ad.clone());
-            if self.role == Role::Super
-                && !self.super_peers.contains(&peer)
-                && self.cluster.is_none()
-            {
-                for &sp in &self.super_peers {
-                    let msg = Msg::Advertise(ad.clone());
-                    let bytes = msg.wire_size();
-                    ctx.send(node_of(sp), msg, bytes);
-                }
+            self.replicate(ctx, peer, || Msg::Advertise(ad.clone()));
+        }
+    }
+
+    /// Flat-backbone replication ("all super-peers are aware of each
+    /// other", §3.1): a super-peer relays what it learned directly from
+    /// `origin` to every backbone super-peer. What arrived over the
+    /// backbone is stored but not re-forwarded (loop guard), and
+    /// hierarchical overlays replace replication entirely — only merged
+    /// *summaries* travel up the cluster tree.
+    fn replicate(&self, ctx: &mut Ctx<Msg>, origin: PeerId, msg: impl Fn() -> Msg) {
+        if self.role == Role::Super && self.cluster.is_none() && !self.super_peers.contains(&origin)
+        {
+            for &sp in &self.super_peers {
+                send(ctx, sp, msg());
             }
         }
     }
 
-    /// Sends this peer's lease renewal to everyone holding its ad:
-    /// super-peers in hybrid mode, semantic neighbours in ad-hoc mode.
-    fn send_heartbeats(&mut self, ctx: &mut Ctx<Msg>) {
-        let targets: Vec<PeerId> = match self.config.mode {
-            PeerMode::Hybrid => self.super_peers.clone(),
-            PeerMode::Adhoc => self.neighbours.clone(),
-        };
-        for &p in &targets {
-            let msg = Msg::Heartbeat;
-            let bytes = msg.wire_size();
-            ctx.send(node_of(p), msg, bytes);
+    /// Everyone holding this peer's advertisement: super-peers in hybrid
+    /// mode, semantic neighbours in ad-hoc mode.
+    fn ad_holders(&self) -> &[PeerId] {
+        match self.config.mode {
+            PeerMode::Hybrid => &self.super_peers,
+            PeerMode::Adhoc => &self.neighbours,
+        }
+    }
+
+    /// Sends this peer's lease renewal to everyone holding its ad.
+    fn send_heartbeats(&self, ctx: &mut Ctx<Msg>) {
+        for &p in self.ad_holders() {
+            send(ctx, p, Msg::Heartbeat);
         }
     }
 
@@ -1165,16 +1228,7 @@ impl PeerNode {
                     self.flight(now, "lease-expiry", || {
                         format!("advertisement of {peer} expired unrenewed")
                     });
-                    if self.role == Role::Super
-                        && !self.super_peers.contains(&peer)
-                        && self.cluster.is_none()
-                    {
-                        for &sp in &self.super_peers {
-                            let msg = Msg::ExpirePeer(ad.clone());
-                            let bytes = msg.wire_size();
-                            ctx.send(node_of(sp), msg, bytes);
-                        }
-                    }
+                    self.replicate(ctx, peer, || Msg::ExpirePeer(ad.clone()));
                 }
                 Some(_) => {}
                 None => {
@@ -1215,20 +1269,14 @@ impl PeerNode {
             }
         }
         if self.own_advertisement().is_some() {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.heartbeat_timers.insert(timer);
-            ctx.set_timer(period, timer);
+            self.arm(ctx, period, Timer::Heartbeat);
         }
         // Lease sweeps run wherever advertisements are held: super-peers
         // in hybrid mode, every data peer in ad-hoc mode.
         if self.role == Role::Super
             || (self.config.mode == PeerMode::Adhoc && self.role == Role::Simple)
         {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.sweep_timers.insert(timer);
-            ctx.set_timer(period, timer);
+            self.arm(ctx, period, Timer::Sweep);
         }
     }
 
@@ -1245,22 +1293,16 @@ impl PeerNode {
     /// departed reachable, so their super-peers can still name those
     /// peers as known-missing contributors.
     fn own_summary(&self) -> Option<ActiveSchema> {
-        fn fold(acc: Option<ActiveSchema>, active: &ActiveSchema) -> Option<ActiveSchema> {
-            Some(match acc {
-                Some(s) => s.merge(active),
-                None => active.clone(),
-            })
-        }
         let mut acc = self.last_pushed_summary.clone();
         for ad in self.registry.advertisements() {
-            acc = fold(acc, &ad.active);
+            acc = fold_summary(acc, &ad.active);
         }
         // HashMap iteration order is not deterministic; fold in peer order
         // so equal registries always produce byte-identical summaries.
         let mut departed: Vec<(&PeerId, &Advertisement)> = self.departed.iter().collect();
         departed.sort_by_key(|(p, _)| **p);
         for (_, ad) in departed {
-            acc = fold(acc, &ad.active);
+            acc = fold_summary(acc, &ad.active);
         }
         acc
     }
@@ -1291,8 +1333,7 @@ impl PeerNode {
                 owner: self.id,
                 summary,
             };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(cluster.head), msg, bytes);
+            send(ctx, cluster.head, msg);
         }
     }
 
@@ -1306,19 +1347,13 @@ impl PeerNode {
         if cluster.head != self.id {
             return;
         }
-        fn fold(acc: Option<ActiveSchema>, active: &ActiveSchema) -> Option<ActiveSchema> {
-            Some(match acc {
-                Some(s) => s.merge(active),
-                None => active.clone(),
-            })
-        }
         let mut acc = self.last_cluster_summary.clone();
         if let Some(own) = self.own_summary() {
-            acc = fold(acc, &own);
+            acc = fold_summary(acc, &own);
         }
         for m in &cluster.members {
             if let Some(s) = self.member_summaries.get(m) {
-                acc = fold(acc, s);
+                acc = fold_summary(acc, s);
             }
         }
         let Some(mut summary) = acc else {
@@ -1339,8 +1374,7 @@ impl PeerNode {
                 owner: self.id,
                 summary: summary.clone(),
             };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(h), msg, bytes);
+            send(ctx, h, msg);
         }
     }
 
@@ -1388,10 +1422,7 @@ impl PeerNode {
         let Some(period) = self.obs_push_period() else {
             return;
         };
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.obs_timers.insert(timer);
-        ctx.set_timer(period, timer);
+        self.arm(ctx, period, Timer::Obs);
     }
 
     /// Pushes this peer's rollup *delta* one level up the cluster tree.
@@ -1441,14 +1472,11 @@ impl PeerNode {
             registry,
             patterns,
         };
-        let bytes = msg.wire_size();
-        for &d in &dests {
-            ctx.send(node_of(d), msg.clone(), bytes);
-        }
+        let bytes: usize = dests.iter().map(|&d| send(ctx, d, msg.clone())).sum();
         let obs = self.obs.as_mut().expect("checked above");
         obs.commit_push();
         obs.pushes_sent += dests.len() as u64;
-        obs.push_bytes_sent += bytes as u64 * dests.len() as u64;
+        obs.push_bytes_sent += bytes as u64;
         obs.dirty = false;
     }
 
@@ -1543,20 +1571,16 @@ impl PeerNode {
                 query: query.clone(),
                 scope,
             };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(target), msg, bytes);
+            send(ctx, target, msg);
         }
         // Silent subtree losses (a crashed super-peer produces no delivery
         // failure) must not hang the query: a gather timeout converts
         // unanswered subtrees into known-missing contributors.
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.hier_timers.insert(timer, qid);
         let delay = self
             .config
             .subplan_timeout_us
             .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
-        ctx.set_timer(delay, timer);
+        self.arm(ctx, delay, Timer::HierGather(qid));
     }
 
     /// Answers a finished gather. Annotations are sorted into the
@@ -1584,8 +1608,7 @@ impl PeerNode {
                 },
             ),
         };
-        let bytes = msg.wire_size();
-        ctx.send(node_of(to), msg, bytes);
+        send(ctx, to, msg);
     }
 
     fn continue_with_annotation(
@@ -1791,84 +1814,57 @@ impl PeerNode {
         if fully_local(&plan, self.id) {
             self.queries_processed += 1;
             let result = eval_local(&plan, self.id, &self.base);
-            let per_row = self.config.processing_us_per_row;
-            if per_row > 0 {
-                // Incremental production: a streamed channel result is
-                // "produced" batch by batch over virtual time — the first
-                // data packet leaves after one batch's processing charge,
-                // while the rest of the evaluation is still being paid
-                // for.
-                if let Completion::Channel { channel, qid, tag } = completion {
-                    let batch = self.config.stream_batch_rows.unwrap_or(usize::MAX).max(1);
-                    if result.rows.len() > batch {
-                        self.start_paced_stream(ctx, channel, qid, tag, result, batch);
-                        return;
-                    }
-                    // Single-packet result: fall through to the one-shot
-                    // processing delay.
-                    let delay = per_row * (result.len() as u64 + 1);
-                    let timer = self.next_timer;
-                    self.next_timer += 1;
-                    self.delayed.insert(
-                        timer,
-                        (Completion::Channel { channel, qid, tag }, result, false),
-                    );
-                    ctx.set_timer(delay, timer);
+            if self.config.processing_us_per_row == 0 {
+                self.complete(ctx, completion, result, false);
+                return;
+            }
+            // Incremental production: a streamed channel result is
+            // "produced" batch by batch over virtual time — the first
+            // data packet leaves after one batch's processing charge,
+            // while the rest of the evaluation is still being paid for.
+            // Anything else (single-packet results included) takes the
+            // one-shot processing delay.
+            if let Completion::Channel { channel, qid, tag } = completion {
+                let batch = self.config.stream_batch_rows.unwrap_or(usize::MAX).max(1);
+                if result.rows.len() > batch {
+                    self.start_paced_stream(ctx, channel, qid, tag, result, batch);
                     return;
                 }
-                // Model the peer's processing load: the result is ready
-                // after `rows × per_row` virtual microseconds.
-                let delay = per_row * (result.len() as u64 + 1);
-                let timer = self.next_timer;
-                self.next_timer += 1;
-                self.delayed.insert(timer, (completion, result, false));
-                ctx.set_timer(delay, timer);
-            } else {
-                self.complete(ctx, completion, result, false);
             }
+            self.complete_after_processing(ctx, completion, result, false);
             return;
         }
-        match plan {
-            PlanNode::Fetch { subquery, site } => match site {
-                Site::Peer(p) => {
-                    debug_assert_ne!(p, self.id);
-                    let frame = self.new_frame(qid, FrameOp::Union, completion, 1);
-                    let plan = PlanNode::Fetch { subquery, site };
-                    self.dispatch_remote(ctx, qid, p, plan, frame, 0, vec![self.id]);
-                }
-                Site::Hole => {
-                    // An unfillable hole reaching execution means routing
-                    // found nobody: a partial empty result.
-                    let columns = plan_columns(&PlanNode::Fetch { subquery, site });
-                    self.complete(ctx, completion, ResultSet::empty(columns), true);
-                }
-            },
-            PlanNode::Union(inputs) => {
-                let frame = self.new_frame(qid, FrameOp::Union, completion, inputs.len());
-                for (slot, input) in inputs.into_iter().enumerate() {
-                    self.execute(ctx, qid, input, Completion::Parent { frame, slot });
-                }
+        // A remote fetch, or a join sited elsewhere (query shipping: the
+        // whole join subtree executes at `p`, §2.5, Figure 5 right),
+        // travels as one subplan.
+        let shipped_to = match &plan {
+            PlanNode::Fetch {
+                site: Site::Peer(p),
+                ..
+            } => Some(*p),
+            PlanNode::Join { site: Some(p), .. } if *p != self.id => Some(*p),
+            _ => None,
+        };
+        if let Some(p) = shipped_to {
+            debug_assert_ne!(p, self.id);
+            let frame = self.new_frame(qid, FrameOp::Union, completion, 1);
+            self.dispatch_remote(ctx, qid, p, plan, frame, 0, vec![self.id]);
+            return;
+        }
+        let (op, inputs) = match plan {
+            PlanNode::Fetch { .. } => {
+                // An unfillable hole reaching execution means routing
+                // found nobody: a partial empty result.
+                let columns = plan_columns(&plan);
+                self.complete(ctx, completion, ResultSet::empty(columns), true);
+                return;
             }
-            PlanNode::Join { inputs, site } => {
-                match site {
-                    Some(p) if p != self.id => {
-                        // Query shipping: the whole join subtree executes
-                        // at `p` (§2.5, Figure 5 right).
-                        let frame = self.new_frame(qid, FrameOp::Union, completion, 1);
-                        let plan = PlanNode::Join {
-                            inputs,
-                            site: Some(p),
-                        };
-                        self.dispatch_remote(ctx, qid, p, plan, frame, 0, vec![self.id]);
-                    }
-                    _ => {
-                        let frame = self.new_frame(qid, FrameOp::Join, completion, inputs.len());
-                        for (slot, input) in inputs.into_iter().enumerate() {
-                            self.execute(ctx, qid, input, Completion::Parent { frame, slot });
-                        }
-                    }
-                }
-            }
+            PlanNode::Union(inputs) => (FrameOp::Union, inputs),
+            PlanNode::Join { inputs, .. } => (FrameOp::Join, inputs),
+        };
+        let frame = self.new_frame(qid, op, completion, inputs.len());
+        for (slot, input) in inputs.into_iter().enumerate() {
+            self.execute(ctx, qid, input, Completion::Parent { frame, slot });
         }
     }
 
@@ -1883,12 +1879,7 @@ impl PeerNode {
         slot: usize,
         visited: Vec<PeerId>,
     ) {
-        // Reuse the open channel towards `dest` if one exists (§2.4: one
-        // channel per contacted peer).
-        let channel = match self.channels.open_towards(dest) {
-            Some(ch) => ch,
-            None => self.channels.open(self.id, dest),
-        };
+        let channel = self.channel_to(dest);
         if self.config.phased {
             if let Some(root) = self.rooted.get(&qid) {
                 if let Some(cached) = root.phase_cache.get(&(dest, plan.to_string())) {
@@ -1912,48 +1903,29 @@ impl PeerNode {
                 slot,
                 dest,
                 columns,
-                plan: plan.clone(),
-                visited: visited.clone(),
+                plan,
+                visited,
                 attempt: 0,
                 dispatched_at_us: ctx.now_us(),
                 bytes_observed: 0,
             },
         );
         if let Some(timeout) = self.config.subplan_timeout_us {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.timeouts.insert(timer, tag);
-            ctx.set_timer(timeout, timer);
+            self.arm(ctx, timeout, Timer::Timeout(tag));
         }
         // Telemetry-driven adaptation probes the channel's throughput
         // window well before the timeout would fire (root side only —
         // forwarding peers leave slow channels to their own roots).
         if let Some(policy) = self.config.slow_channel {
             if self.rooted.contains_key(&qid) {
-                let timer = self.next_timer;
-                self.next_timer += 1;
-                self.probes.insert(timer, tag);
-                ctx.set_timer(policy.grace_us + policy.probe_interval_us, timer);
+                let first = policy.grace_us + policy.probe_interval_us;
+                self.arm(ctx, first, Timer::Probe(tag));
             }
         }
-        let msg = Msg::Subplan {
-            channel,
-            qid,
-            tag,
-            plan,
-            visited,
-            attempt: 0,
-            trace: self.config.trace.then_some(crate::msg::TraceCtx {
-                origin: self.id,
-                parent_start_us: ctx.now_us(),
-            }),
-        };
-        let bytes = msg.wire_size();
+        self.send_subplan(ctx, tag, channel);
         if let Some(root) = self.rooted.get_mut(&qid) {
             root.dispatched += 1;
             root.peers_contacted.insert(dest);
-            root.messages_sent += 1;
-            root.bytes_sent += bytes as u64;
         }
         self.tracer
             .get_mut()
@@ -1963,7 +1935,45 @@ impl PeerNode {
         self.flight(ctx.now_us(), "dispatch", || {
             format!("{qid} subplan tag {tag} → {dest}")
         });
-        ctx.send(node_of(dest), msg, bytes);
+    }
+
+    /// The open channel towards `dest`, or a fresh one (§2.4: one channel
+    /// per contacted peer).
+    fn channel_to(&mut self, dest: PeerId) -> PeerChannel {
+        match self.channels.open_towards(dest) {
+            Some(ch) => ch,
+            None => self.channels.open(self.id, dest),
+        }
+    }
+
+    /// Ships outstanding subplan `tag`, at its recorded attempt, over
+    /// `channel`.
+    fn send_subplan(&mut self, ctx: &mut Ctx<Msg>, tag: u64, channel: PeerChannel) {
+        let pending = &self.outstanding[&tag];
+        let (qid, dest) = (pending.qid, pending.dest);
+        let msg = Msg::Subplan {
+            channel,
+            qid,
+            tag,
+            plan: pending.plan.clone(),
+            visited: pending.visited.clone(),
+            attempt: pending.attempt,
+            trace: self.config.trace.then_some(crate::msg::TraceCtx {
+                origin: self.id,
+                parent_start_us: ctx.now_us(),
+            }),
+        };
+        self.send_rooted(ctx, qid, dest, msg);
+    }
+
+    /// [`send`], charged to `qid`'s profile counters when this peer roots
+    /// the query.
+    fn send_rooted(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, to: PeerId, msg: Msg) {
+        let bytes = send(ctx, to, msg);
+        if let Some(root) = self.rooted.get_mut(&qid) {
+            root.messages_sent += 1;
+            root.bytes_sent += bytes as u64;
+        }
     }
 
     /// Re-sends a timed-out subplan to the same destination (at-least-once
@@ -1977,33 +1987,12 @@ impl PeerNode {
         };
         pending.attempt += 1;
         let (qid, dest, attempt) = (pending.qid, pending.dest, pending.attempt);
-        let (plan, visited) = (pending.plan.clone(), pending.visited.clone());
-        let channel = match self.channels.open_towards(dest) {
-            Some(ch) => ch,
-            None => self.channels.open(self.id, dest),
-        };
+        let channel = self.channel_to(dest);
         ctx.note_retry();
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.timeouts.insert(timer, tag);
-        ctx.set_timer(base_timeout << attempt.min(16), timer);
-        let msg = Msg::Subplan {
-            channel,
-            qid,
-            tag,
-            trace: self.config.trace.then_some(crate::msg::TraceCtx {
-                origin: self.id,
-                parent_start_us: ctx.now_us(),
-            }),
-            plan,
-            visited,
-            attempt,
-        };
-        let bytes = msg.wire_size();
+        self.arm(ctx, base_timeout << attempt.min(16), Timer::Timeout(tag));
+        self.send_subplan(ctx, tag, channel);
         if let Some(root) = self.rooted.get_mut(&qid) {
             root.retries += 1;
-            root.messages_sent += 1;
-            root.bytes_sent += bytes as u64;
         }
         self.tracer
             .get_mut()
@@ -2013,7 +2002,53 @@ impl PeerNode {
         self.flight(ctx.now_us(), "retry", || {
             format!("{qid} subplan tag {tag} → {dest}, attempt {attempt}")
         });
-        ctx.send(node_of(dest), msg, bytes);
+    }
+
+    /// The timeout of outstanding subplan `tag` fired: the channel is too
+    /// slow or the message was silently lost — the timer is the only
+    /// signal the root ever gets. A result that already arrived cleared
+    /// the outstanding entry, making this a no-op.
+    fn subplan_timed_out(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
+        let Some(pending) = self.outstanding.get(&tag) else {
+            return;
+        };
+        let (qid, attempt) = (pending.qid, pending.attempt);
+        ctx.note_timeout();
+        if let Some(root) = self.rooted.get_mut(&qid) {
+            root.timeouts += 1;
+        }
+        self.tracer
+            .get_mut()
+            .event_with(ctx.now_us(), qid.0, "exec:timeout", || {
+                format!("subplan tag {tag} timed out")
+            });
+        self.flight(ctx.now_us(), "timeout", || {
+            format!("{qid} subplan tag {tag} timed out")
+        });
+        if attempt < self.config.subplan_retries {
+            // At-least-once dispatch: retry the same destination with
+            // exponential backoff before giving up on it.
+            let base = self
+                .config
+                .subplan_timeout_us
+                .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
+            self.retry_subplan(ctx, tag, base);
+        } else if let Some(pending) = self.outstanding.remove(&tag) {
+            // Retries exhausted: treat the destination as gone, adapt
+            // (§2.5), and garbage-collect the dead channel entries.
+            let now = ctx.now_us();
+            self.note_adaptation(qid, || {
+                format!(
+                    "t={now}us timeout: subplan tag {tag} at {} abandoned after {} attempts — \
+                     replanned",
+                    pending.dest,
+                    pending.attempt + 1
+                )
+            });
+            self.channels.fail_towards(pending.dest);
+            self.channels.sweep();
+            self.handle_lost_subplan(ctx, pending, ReplanCause::Timeout);
+        }
     }
 
     fn complete(
@@ -2026,12 +2061,7 @@ impl PeerNode {
         match completion {
             Completion::Parent { frame, slot } => self.fill_slot(ctx, frame, slot, result, partial),
             Completion::Channel { channel, qid, tag } => {
-                // Piggyback fresh statistics for the root's optimiser
-                // (§2.4); only materialized bases snapshot cheaply.
-                let stats = match &self.base {
-                    BaseKind::Materialized(db) => Some(db.statistics()),
-                    _ => None,
-                };
+                let stats = self.base_stats();
                 let key: StreamKey = (channel.root, qid, tag);
                 if self.outgoing.get(&key).is_some_and(|s| !s.finished) {
                     // A pipelined forwarding stream already carried the
@@ -2063,31 +2093,19 @@ impl PeerNode {
                         seq: 0,
                         last: true,
                     };
-                    let bytes = msg.wire_size();
-                    ctx.send(node_of(channel.root), msg, bytes);
+                    send(ctx, channel.root, msg);
                 } else {
                     // Stream the result as a credit-gated pipeline of
                     // data packets: at most `stream_credit_window` are in
                     // flight until the root credits them back.
-                    let columns = result.columns.clone();
-                    self.outgoing.insert(
-                        key,
-                        OutgoingStream {
-                            channel,
-                            qid,
-                            tag,
-                            columns,
-                            unproduced: std::collections::VecDeque::new(),
-                            queued: result.rows.chunks(batch).map(<[Row]>::to_vec).collect(),
-                            next_seq: 0,
-                            inflight: 0,
-                            window: self.config.stream_credit_window.max(1),
-                            finished: true,
-                            partial,
-                            stats,
-                            sent_acc: None,
-                        },
-                    );
+                    let stream = OutgoingStream {
+                        queued: result.rows.chunks(batch).map(<[Row]>::to_vec).collect(),
+                        finished: true,
+                        partial,
+                        stats,
+                        ..OutgoingStream::new(channel, qid, tag, result.columns, &self.config)
+                    };
+                    self.outgoing.insert(key, stream);
                     self.flush_stream(ctx, key);
                 }
             }
@@ -2104,9 +2122,7 @@ impl PeerNode {
                 // A forwarding stream may have pipelined batches already;
                 // the failure supersedes it.
                 self.outgoing.remove(&(channel.root, qid, tag));
-                let msg = Msg::SubplanFailed { channel, qid, tag };
-                let bytes = msg.wire_size();
-                ctx.send(node_of(channel.root), msg, bytes);
+                send(ctx, channel.root, Msg::SubplanFailed { channel, qid, tag });
             }
             Completion::Root { qid } => self.finalize(ctx, qid, ResultSet::default(), true),
         }
@@ -2149,8 +2165,7 @@ impl PeerNode {
                 stream.window
             );
             high_water = high_water.max(stream.inflight);
-            let bytes = msg.wire_size();
-            ctx.send(node_of(stream.channel.root), msg, bytes);
+            send(ctx, stream.channel.root, msg);
         }
         self.max_stream_inflight = self.max_stream_inflight.max(high_water);
         if sent_last {
@@ -2172,37 +2187,48 @@ impl PeerNode {
         result: ResultSet,
         batch: usize,
     ) {
-        let stats = match &self.base {
-            BaseKind::Materialized(db) => Some(db.statistics()),
-            _ => None,
-        };
         let key: StreamKey = (channel.root, qid, tag);
-        let columns = result.columns.clone();
         let unproduced: std::collections::VecDeque<Vec<Row>> =
             result.rows.chunks(batch).map(<[Row]>::to_vec).collect();
         let first_rows = unproduced.front().map_or(0, Vec::len) as u64;
-        self.outgoing.insert(
-            key,
-            OutgoingStream {
-                channel,
-                qid,
-                tag,
-                columns,
-                unproduced,
-                queued: std::collections::VecDeque::new(),
-                next_seq: 0,
-                inflight: 0,
-                window: self.config.stream_credit_window.max(1),
-                finished: false,
-                partial: false,
-                stats,
-                sent_acc: None,
-            },
-        );
-        let timer = self.next_timer;
-        self.next_timer += 1;
-        self.productions.insert(timer, key);
-        ctx.set_timer(self.config.processing_us_per_row * (first_rows + 1), timer);
+        let stream = OutgoingStream {
+            unproduced,
+            stats: self.base_stats(),
+            ..OutgoingStream::new(channel, qid, tag, result.columns, &self.config)
+        };
+        self.outgoing.insert(key, stream);
+        let delay = self.config.processing_us_per_row * (first_rows + 1);
+        self.arm(ctx, delay, Timer::Production(key));
+    }
+
+    /// A production tick of paced stream `key`: one more batch exists;
+    /// ship what the credit window allows and schedule the next tick.
+    fn produce_batch(&mut self, ctx: &mut Ctx<Msg>, key: StreamKey) {
+        let Some(stream) = self.outgoing.get_mut(&key) else {
+            return;
+        };
+        if let Some(rows) = stream.unproduced.pop_front() {
+            stream.queued.push_back(rows);
+        }
+        match stream.unproduced.front().map(Vec::len) {
+            Some(rows) => {
+                let delay = self.config.processing_us_per_row * rows as u64;
+                self.arm(ctx, delay, Timer::Production(key));
+            }
+            None => {
+                // Production finished: the processing slot frees.
+                stream.finished = true;
+                self.admit_queued(ctx);
+            }
+        }
+        self.flush_stream(ctx, key);
+    }
+
+    /// Admits the next subplan waiting for a processing slot, if any.
+    fn admit_queued(&mut self, ctx: &mut Ctx<Msg>) {
+        if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
+            self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
+        }
     }
 
     /// Pipelined consumption of one in-order batch drained from a
@@ -2312,21 +2338,9 @@ impl PeerNode {
         contrib: ResultSet,
     ) {
         let key: StreamKey = (channel.root, qid, tag);
-        let window = self.config.stream_credit_window.max(1);
         let stream = self.outgoing.entry(key).or_insert_with(|| OutgoingStream {
-            channel,
-            qid,
-            tag,
-            columns: contrib.columns.clone(),
-            unproduced: std::collections::VecDeque::new(),
-            queued: std::collections::VecDeque::new(),
-            next_seq: 0,
-            inflight: 0,
-            window,
-            finished: false,
-            partial: false,
-            stats: None,
             sent_acc: Some(ResultSet::empty(contrib.columns.clone())),
+            ..OutgoingStream::new(channel, qid, tag, contrib.columns.clone(), &self.config)
         });
         if stream.finished {
             return;
@@ -2388,21 +2402,32 @@ impl PeerNode {
         }
         let frame = self.frames.remove(&frame_id).expect("frame exists");
         let (combined, combined_partial) = combine(&frame);
-        let per_row = self.config.processing_us_per_row;
-        if per_row > 0 && frame.op == FrameOp::Join {
+        if self.config.processing_us_per_row > 0 && frame.op == FrameOp::Join {
             // The join work happens at this peer: charge its load before
-            // the result moves on (§2.5's processing-load axis).
-            let delay = per_row * (combined.len() as u64 + 1);
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.delayed.insert(
-                timer,
-                (frame.completion.clone(), combined, combined_partial),
-            );
-            ctx.set_timer(delay, timer);
+            // the result moves on.
+            self.complete_after_processing(ctx, frame.completion, combined, combined_partial);
         } else {
-            self.complete(ctx, frame.completion.clone(), combined, combined_partial);
+            self.complete(ctx, frame.completion, combined, combined_partial);
         }
+    }
+
+    /// Models the peer's processing load (§2.5: "the processing load of
+    /// the peers should also be taken into account"): the result moves on
+    /// after `rows × processing_us_per_row` virtual microseconds.
+    fn complete_after_processing(
+        &mut self,
+        ctx: &mut Ctx<Msg>,
+        completion: Completion,
+        result: ResultSet,
+        partial: bool,
+    ) {
+        let delay = self.config.processing_us_per_row * (result.len() as u64 + 1);
+        let timer = Timer::Completion {
+            completion,
+            result,
+            partial,
+        };
+        self.arm(ctx, delay, timer);
     }
 
     fn finalize(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, result: ResultSet, partial: bool) {
@@ -2565,8 +2590,7 @@ impl PeerNode {
                 qid,
                 result: projected,
             };
-            let bytes = msg.wire_size();
-            ctx.send(node_of(client), msg, bytes);
+            send(ctx, client, msg);
         }
     }
 
@@ -2625,10 +2649,7 @@ impl PeerNode {
         let floor_bpms = (expected * policy.min_fraction_permille / 1_000).max(1);
         let observed_bpms = bytes * 1_000 / window_us;
         if observed_bpms >= floor_bpms {
-            let timer = self.next_timer;
-            self.next_timer += 1;
-            self.probes.insert(timer, tag);
-            ctx.set_timer(policy.probe_interval_us, timer);
+            self.arm(ctx, policy.probe_interval_us, Timer::Probe(tag));
             return;
         }
         let now = ctx.now_us();
@@ -2816,7 +2837,8 @@ impl PeerNode {
         // until a running local evaluation finishes (paced stream
         // productions occupy their slot until the last batch exists).
         if let Some(slots) = self.config.slots {
-            if self.delayed.len() + self.productions.len() >= slots.max(1) {
+            let busy = self.timers.values().filter(|t| t.holds_slot()).count();
+            if busy >= slots.max(1) {
                 self.slot_queue
                     .push_back((channel, qid, tag, plan, visited));
                 return;
@@ -2894,6 +2916,14 @@ impl PeerNode {
             }
         })
     }
+}
+
+/// Folds one more active-schema into a running summary merge.
+fn fold_summary(acc: Option<ActiveSchema>, active: &ActiveSchema) -> Option<ActiveSchema> {
+    Some(match acc {
+        Some(s) => s.merge(active),
+        None => active.clone(),
+    })
 }
 
 /// Replaces every fetch at `peer` with a hole and clears join sites
@@ -2999,25 +3029,14 @@ impl NodeLogic for PeerNode {
         match msg {
             Msg::Advertise(ad) => {
                 // Super-peers replicate simple-peer advertisements across
-                // the backbone ("all super-peers are aware of each other",
-                // §3.1) so every super-peer can produce the complete
-                // annotated pattern the hybrid architecture promises.
-                // Advertisements relayed by another super-peer are stored
-                // but not re-forwarded (loop guard). Hierarchical overlays
-                // replace backbone replication entirely: the ad stays in
-                // this super-peer's registry and only its merged *summary*
-                // travels up the cluster tree.
-                let from_backbone = self.super_peers.contains(&peer_of(from));
+                // the backbone so every super-peer can produce the complete
+                // annotated pattern the hybrid architecture promises; in a
+                // hierarchical overlay the ad stays in this super-peer's
+                // registry and only its merged summary travels.
                 self.renew_lease(ctx.now_us(), ad.peer);
                 self.departed.remove(&ad.peer);
                 self.registry.register(ad.clone());
-                if self.role == Role::Super && !from_backbone && self.cluster.is_none() {
-                    for &sp in &self.super_peers {
-                        let msg = Msg::Advertise(ad.clone());
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
-                    }
-                }
+                self.replicate(ctx, peer_of(from), || Msg::Advertise(ad.clone()));
                 if self.role == Role::Super && self.cluster.is_some() {
                     self.push_summary(ctx, false);
                 }
@@ -3032,16 +3051,7 @@ impl NodeLogic for PeerNode {
                 // Hierarchical summaries are monotone, so a withdrawal
                 // never shrinks them; the widened summary just descends
                 // into this cluster one false-positive at a time.
-                if self.role == Role::Super
-                    && !self.super_peers.contains(&peer_of(from))
-                    && self.cluster.is_none()
-                {
-                    for &sp in &self.super_peers {
-                        let msg = Msg::WithdrawPeer(peer_of(from));
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
-                    }
-                }
+                self.replicate(ctx, peer_of(from), || Msg::WithdrawPeer(peer_of(from)));
             }
             Msg::WithdrawPeer(peer) => {
                 self.registry.unregister(peer);
@@ -3055,16 +3065,7 @@ impl NodeLogic for PeerNode {
                 // super-peers renew the replicated advertisement too —
                 // pointless in a hierarchical overlay, where no remote
                 // super-peer holds the advertisement.
-                if self.role == Role::Super
-                    && !self.super_peers.contains(&peer)
-                    && self.cluster.is_none()
-                {
-                    for &sp in &self.super_peers {
-                        let msg = Msg::HeartbeatPeer(peer);
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
-                    }
-                }
+                self.replicate(ctx, peer, || Msg::HeartbeatPeer(peer));
             }
             Msg::HeartbeatPeer(peer) => {
                 self.heartbeat_from(ctx, peer);
@@ -3081,9 +3082,7 @@ impl NodeLogic for PeerNode {
             }
             Msg::RequestAds { .. } => {
                 let ads: Vec<Advertisement> = self.own_advertisement().into_iter().collect();
-                let msg = Msg::AdsResponse(ads);
-                let bytes = msg.wire_size();
-                ctx.send(from, msg, bytes);
+                send(ctx, peer_of(from), Msg::AdsResponse(ads));
             }
             Msg::AdsResponse(ads) => {
                 for ad in ads {
@@ -3110,8 +3109,7 @@ impl NodeLogic for PeerNode {
                         annotated,
                         missing,
                     };
-                    let bytes = msg.wire_size();
-                    ctx.send(node_of(requester), msg, bytes);
+                    send(ctx, requester, msg);
                 } else {
                     if let Some(root) = self.rooted.get_mut(&qid) {
                         // The super-peer named departed contributors: the
@@ -3158,26 +3156,27 @@ impl NodeLogic for PeerNode {
                         self.registry.register(ad.with_stats(fresh));
                     }
                 }
-                if !self.outstanding.contains_key(&tag) {
+                let Some(pending) = self.outstanding.get_mut(&tag) else {
                     self.streams.remove(&tag);
                     return;
-                }
-                let (frame_id, slot) = {
-                    let now = ctx.now_us();
-                    let pending = self.outstanding.get_mut(&tag).expect("checked above");
-                    if pending.bytes_observed == 0 {
-                        // Per-link TTFR: the first result packet of this
-                        // subplan just arrived — telemetry's streaming
-                        // figure of merit.
-                        let elapsed = now.saturating_sub(pending.dispatched_at_us);
-                        ctx.note_stream_ttfr(from, elapsed);
-                    }
-                    // Throughput accounting for the slow-channel probes:
-                    // every packet (streamed batches included) counts as
-                    // progress on this channel's window.
-                    pending.bytes_observed += result.wire_size() as u64 + 48;
-                    (pending.frame, pending.slot)
                 };
+                if pending.qid != qid {
+                    // `tag` and `qid` are the sender's claim: a packet
+                    // naming another query's tag must not reach its slot.
+                    return;
+                }
+                if pending.bytes_observed == 0 {
+                    // Per-link TTFR: the first result packet of this
+                    // subplan just arrived — telemetry's streaming
+                    // figure of merit.
+                    let elapsed = ctx.now_us().saturating_sub(pending.dispatched_at_us);
+                    ctx.note_stream_ttfr(from, elapsed);
+                }
+                // Throughput accounting for the slow-channel probes:
+                // every packet (streamed batches included) counts as
+                // progress on this channel's window.
+                pending.bytes_observed += result.wire_size() as u64 + 48;
+                let (frame_id, slot) = (pending.frame, pending.slot);
                 // Pipelined join consumption: a probe activating on this
                 // packet needs the full drained prefix (earlier batches
                 // arrived before its sibling slots filled), not just this
@@ -3226,7 +3225,7 @@ impl NodeLogic for PeerNode {
                         tag,
                         credits: 1,
                     };
-                    let bytes = msg.wire_size();
+                    self.send_rooted(ctx, qid, peer_of(from), msg);
                     self.credits_granted += 1;
                     self.flight(ctx.now_us(), "credit", || {
                         format!("{qid} stream tag {tag}: granted 1 credit")
@@ -3240,11 +3239,6 @@ impl NodeLogic for PeerNode {
                             state.packets_received
                         );
                     }
-                    if let Some(root) = self.rooted.get_mut(&qid) {
-                        root.messages_sent += 1;
-                        root.bytes_sent += bytes as u64;
-                    }
-                    ctx.send(from, msg, bytes);
                 }
                 if !drained.is_empty() {
                     let batch = ResultSet {
@@ -3260,7 +3254,6 @@ impl NodeLogic for PeerNode {
                 let partial = state.partial;
                 let result = state.assemble();
                 if let Some(pending) = self.outstanding.remove(&tag) {
-                    debug_assert_eq!(pending.qid, qid);
                     let rows = result.rows.len();
                     if let Some(root) = self.rooted.get_mut(&qid) {
                         root.answered_subplans += 1;
@@ -3334,11 +3327,8 @@ impl NodeLogic for PeerNode {
                 // in-flight count and push what the window now allows.
                 let key: StreamKey = (channel.root, qid, tag);
                 if let Some(stream) = self.outgoing.get_mut(&key) {
-                    debug_assert!(
-                        credits <= stream.window,
-                        "credit grant of {credits} exceeds window {}",
-                        stream.window
-                    );
+                    // `credits` is the consumer's claim: an over-grant
+                    // clamps at an empty window.
                     stream.inflight = stream.inflight.saturating_sub(credits);
                     self.flush_stream(ctx, key);
                 }
@@ -3351,19 +3341,18 @@ impl NodeLogic for PeerNode {
                     .cluster
                     .as_ref()
                     .is_some_and(|c| c.head == self.id && c.members.contains(&owner));
-                if is_member {
-                    let merged = match self.member_summaries.get(&owner) {
-                        Some(prev) => prev.merge(&summary),
-                        None => summary,
-                    };
-                    self.member_summaries.insert(owner, merged);
-                    self.push_cluster_summary(ctx, false);
+                let held = if is_member {
+                    &mut self.member_summaries
                 } else {
-                    let merged = match self.cluster_summaries.get(&owner) {
-                        Some(prev) => prev.merge(&summary),
-                        None => summary,
-                    };
-                    self.cluster_summaries.insert(owner, merged);
+                    &mut self.cluster_summaries
+                };
+                let merged = match held.get(&owner) {
+                    Some(prev) => prev.merge(&summary),
+                    None => summary,
+                };
+                held.insert(owner, merged);
+                if is_member {
+                    self.push_cluster_summary(ctx, false);
                 }
             }
             Msg::HierRouteRequest { qid, query, scope } => {
@@ -3422,17 +3411,11 @@ impl NodeLogic for PeerNode {
         self.frames.clear();
         self.outstanding.clear();
         self.route_relays.clear();
-        self.delayed.clear();
-        self.timeouts.clear();
-        self.probes.clear();
+        self.timers.clear();
         self.slot_queue.clear();
         self.streams.clear();
         self.outgoing.clear();
-        self.productions.clear();
         self.served.clear();
-        self.heartbeat_timers.clear();
-        self.sweep_timers.clear();
-        self.obs_timers.clear();
         // Accumulated rollups survive the restart — registry links fold
         // latest-wins and pattern increments were counted exactly once,
         // so dropping them would lose history. Re-ripple what this peer
@@ -3444,7 +3427,6 @@ impl NodeLogic for PeerNode {
         // restarted head treats summary-less subtrees as intersecting
         // (conservative descent) until members re-push.
         self.hier_gathers.clear();
-        self.hier_timers.clear();
         self.member_summaries.clear();
         self.cluster_summaries.clear();
         self.last_pushed_summary = None;
@@ -3458,14 +3440,8 @@ impl NodeLogic for PeerNode {
         // Recovery protocol: re-advertise so holders whose sweep
         // tombstoned this peer restore its active-schema to routing.
         if let Some(ad) = self.own_advertisement() {
-            let targets: Vec<PeerId> = match self.config.mode {
-                PeerMode::Hybrid => self.super_peers.clone(),
-                PeerMode::Adhoc => self.neighbours.clone(),
-            };
-            for &p in &targets {
-                let msg = Msg::Advertise(ad.clone());
-                let bytes = msg.wire_size();
-                ctx.send(node_of(p), msg, bytes);
+            for &p in self.ad_holders() {
+                send(ctx, p, Msg::Advertise(ad.clone()));
             }
         }
         // A restarted super-peer's registry is durable: re-push its merged
@@ -3478,141 +3454,56 @@ impl NodeLogic for PeerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, timer: u64) {
-        if self.obs_timers.remove(&timer) {
-            self.push_obs(ctx);
-            self.arm_obs_timer(ctx);
+        let Some(timer) = self.timers.remove(&timer) else {
             return;
-        }
-        if self.heartbeat_timers.remove(&timer) {
-            self.send_heartbeats(ctx);
-            let period = self.lease_period().expect("armed only with leases on");
-            let next = self.next_timer;
-            self.next_timer += 1;
-            self.heartbeat_timers.insert(next);
-            ctx.set_timer(period, next);
-            return;
-        }
-        if self.sweep_timers.remove(&timer) {
-            self.sweep_leases(ctx);
-            // Periodic summary re-push: heals a restarted head (whose
-            // summary tables are volatile) without any extra machinery.
-            // A sweep itself never changes the merged summary — expiry
-            // just moves an ad from the registry to the tombstones, and
-            // both feed the merge.
-            if self.role == Role::Super && self.cluster.is_some() {
-                self.push_summary(ctx, true);
+        };
+        match timer {
+            Timer::Obs => {
+                self.push_obs(ctx);
+                self.arm_obs_timer(ctx);
             }
-            let period = self.lease_period().expect("armed only with leases on");
-            let next = self.next_timer;
-            self.next_timer += 1;
-            self.sweep_timers.insert(next);
-            ctx.set_timer(period, next);
-            return;
-        }
-        if let Some(qid) = self.hier_timers.remove(&timer) {
-            // Gather timeout: subtrees that never answered (silently
-            // crashed super-peers produce no delivery failure) become
-            // known-missing contributors, so the root's answer is honestly
-            // flagged partial rather than silently incomplete.
-            if let Some(mut gather) = self.hier_gathers.remove(&qid) {
-                let mut lost: Vec<PeerId> = gather.pending.drain().collect();
-                lost.sort();
-                gather.missing.extend(lost);
-                self.finalize_hier_gather(ctx, qid, gather);
+            Timer::Heartbeat => {
+                self.send_heartbeats(ctx);
+                let period = self.lease_period().expect("armed only with leases on");
+                self.arm(ctx, period, Timer::Heartbeat);
             }
-            return;
-        }
-        if let Some((completion, result, partial)) = self.delayed.remove(&timer) {
-            self.complete(ctx, completion, result, partial);
-            // A slot freed: admit the next queued subplan, if any.
-            if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
-                self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
+            Timer::Sweep => {
+                self.sweep_leases(ctx);
+                // Periodic summary re-push: heals a restarted head (whose
+                // summary tables are volatile) without any extra machinery.
+                // A sweep itself never changes the merged summary — expiry
+                // just moves an ad from the registry to the tombstones, and
+                // both feed the merge.
+                if self.role == Role::Super && self.cluster.is_some() {
+                    self.push_summary(ctx, true);
+                }
+                let period = self.lease_period().expect("armed only with leases on");
+                self.arm(ctx, period, Timer::Sweep);
             }
-            return;
-        }
-        if let Some(key) = self.productions.remove(&timer) {
-            // One more batch of a paced stream exists; ship what the
-            // credit window allows and schedule the next production tick.
-            let next_batch_rows = {
-                let Some(stream) = self.outgoing.get_mut(&key) else {
-                    return;
-                };
-                if let Some(rows) = stream.unproduced.pop_front() {
-                    stream.queued.push_back(rows);
-                }
-                if stream.unproduced.is_empty() {
-                    stream.finished = true;
-                    None
-                } else {
-                    Some(stream.unproduced.front().map_or(0, Vec::len) as u64)
-                }
-            };
-            match next_batch_rows {
-                Some(rows) => {
-                    let next = self.next_timer;
-                    self.next_timer += 1;
-                    self.productions.insert(next, key);
-                    ctx.set_timer(self.config.processing_us_per_row * rows, next);
-                }
-                None => {
-                    // Production finished: the processing slot frees.
-                    if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
-                        self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
-                    }
+            Timer::HierGather(qid) => {
+                // Gather timeout: subtrees that never answered (silently
+                // crashed super-peers produce no delivery failure) become
+                // known-missing contributors, so the root's answer is honestly
+                // flagged partial rather than silently incomplete.
+                if let Some(mut gather) = self.hier_gathers.remove(&qid) {
+                    let mut lost: Vec<PeerId> = gather.pending.drain().collect();
+                    lost.sort();
+                    gather.missing.extend(lost);
+                    self.finalize_hier_gather(ctx, qid, gather);
                 }
             }
-            self.flush_stream(ctx, key);
-            return;
-        }
-        if let Some(tag) = self.probes.remove(&timer) {
-            self.probe_channel(ctx, tag);
-            return;
-        }
-        if let Some(tag) = self.timeouts.remove(&timer) {
-            // The subplan is still outstanding: the channel is too slow
-            // or the message was silently lost — the timer is the only
-            // signal the root ever gets. A result that already arrived
-            // cleared the outstanding entry, making this a no-op.
-            if !self.outstanding.contains_key(&tag) {
-                return;
+            Timer::Completion {
+                completion,
+                result,
+                partial,
+            } => {
+                self.complete(ctx, completion, result, partial);
+                // A slot freed.
+                self.admit_queued(ctx);
             }
-            ctx.note_timeout();
-            let timed_out_qid = self.outstanding[&tag].qid;
-            if let Some(root) = self.rooted.get_mut(&timed_out_qid) {
-                root.timeouts += 1;
-            }
-            self.tracer
-                .get_mut()
-                .event_with(ctx.now_us(), timed_out_qid.0, "exec:timeout", || {
-                    format!("subplan tag {tag} timed out")
-                });
-            self.flight(ctx.now_us(), "timeout", || {
-                format!("{timed_out_qid} subplan tag {tag} timed out")
-            });
-            let attempt = self.outstanding[&tag].attempt;
-            if attempt < self.config.subplan_retries {
-                // At-least-once dispatch: retry the same destination with
-                // exponential backoff before giving up on it.
-                let base = self
-                    .config
-                    .subplan_timeout_us
-                    .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
-                self.retry_subplan(ctx, tag, base);
-            } else if let Some(pending) = self.outstanding.remove(&tag) {
-                // Retries exhausted: treat the destination as gone, adapt
-                // (§2.5), and garbage-collect the dead channel entries.
-                let now = ctx.now_us();
-                self.note_adaptation(timed_out_qid, || {
-                    format!(
-                        "t={now}us timeout: subplan tag {tag} at {} abandoned after {} attempts — replanned",
-                        pending.dest,
-                        pending.attempt + 1
-                    )
-                });
-                self.channels.fail_towards(pending.dest);
-                self.channels.sweep();
-                self.handle_lost_subplan(ctx, pending, ReplanCause::Timeout);
-            }
+            Timer::Production(key) => self.produce_batch(ctx, key),
+            Timer::Probe(tag) => self.probe_channel(ctx, tag),
+            Timer::Timeout(tag) => self.subplan_timed_out(ctx, tag),
         }
     }
 
@@ -3678,8 +3569,7 @@ impl NodeLogic for PeerNode {
                             query: query.clone(),
                             scope: HierScope::Local,
                         };
-                        let bytes = msg.wire_size();
-                        ctx.send(node_of(sp), msg, bytes);
+                        send(ctx, sp, msg);
                     }
                 } else {
                     // A member or sibling head is down: its subtree's
@@ -3764,8 +3654,7 @@ impl PeerNode {
                 annotated,
                 missing,
             };
-            let bytes = msg.wire_size();
-            ctx.send(from, msg, bytes);
+            send(ctx, peer_of(from), msg);
             return;
         }
         let sp = next.expect("checked above");
@@ -3776,8 +3665,7 @@ impl PeerNode {
             backbone_ttl: backbone_ttl - 1,
             partial: Some(annotated),
         };
-        let bytes = msg.wire_size();
-        ctx.send(node_of(sp), msg, bytes);
+        send(ctx, sp, msg);
     }
 }
 
@@ -3812,6 +3700,13 @@ mod tests {
         db
     }
 
+    /// Poses `query` at `origin` as client-peer 99.
+    fn pose(sim: &mut Simulator<PeerNode>, origin: NodeId, qid: QueryId, query: QueryPattern) {
+        let msg = Msg::ClientQuery { qid, query };
+        let bytes = msg.wire_size();
+        sim.inject(NodeId(99), origin, msg, bytes);
+    }
+
     fn adhoc_config() -> PeerConfig {
         PeerConfig {
             mode: PeerMode::Adhoc,
@@ -3842,12 +3737,7 @@ mod tests {
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
 
         let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(1),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -3884,12 +3774,7 @@ mod tests {
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
 
         let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(1),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -3948,12 +3833,7 @@ mod tests {
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(1),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
         let p1 = sim.node(NodeId(1)).unwrap();
         let events = p1.trace_events_for(QueryId(1));
@@ -3977,12 +3857,7 @@ mod tests {
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(1),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
         let p1 = sim.node(NodeId(1)).unwrap();
         assert!(p1.outcomes.contains_key(&QueryId(1)));
@@ -4015,12 +3890,7 @@ mod tests {
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
 
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(7),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(7), query);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4072,12 +3942,7 @@ mod tests {
         }
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(5),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(5), query);
         sim.run_to_quiescence();
         let outcome = sim
             .node(NodeId(1))
@@ -4116,12 +3981,7 @@ mod tests {
             sim.add_node(NodeId(2), holder);
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
             let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-            let msg = Msg::ClientQuery {
-                qid: QueryId(8),
-                query,
-            };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            pose(&mut sim, NodeId(1), QueryId(8), query);
             sim.run_to_quiescence();
             let rs = sim
                 .node(NodeId(1))
@@ -4203,12 +4063,7 @@ mod tests {
             sim.add_node(NodeId(2), holder);
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
             let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-            let msg = Msg::ClientQuery {
-                qid: QueryId(8),
-                query,
-            };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            pose(&mut sim, NodeId(1), QueryId(8), query);
             sim.run_to_quiescence();
             let link_ttfr = sim
                 .telemetry()
@@ -4278,12 +4133,7 @@ mod tests {
         sim.add_node(NodeId(2), holder);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(3),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(3), query);
         sim.run_to_quiescence();
         let root = sim.node(NodeId(1)).unwrap();
         assert_eq!(root.outcomes.get(&QueryId(3)).unwrap().result.len(), 25);
@@ -4325,12 +4175,7 @@ mod tests {
         sim.add_node(NodeId(2), holder);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(3),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(3), query);
         sim.run_to_quiescence();
         // After the answer streamed back, P1 holds fresh statistics.
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -4346,23 +4191,22 @@ mod tests {
     }
 
     /// §2.5 slots: a single-slot peer serialises concurrent subplans;
-    /// more slots restore parallel service.
+    /// more slots restore parallel service. A single-packet answer holds
+    /// its slot for the one-shot processing delay, a paced production
+    /// (streamed multi-row answer) until its last batch exists.
     #[test]
     fn slots_serialize_concurrent_subplans() {
         let schema = fig1_schema();
-        let run = |slots: usize| -> u64 {
+        let run = |slots: usize, batch: Option<usize>, rows: &[(&str, &str, &str)]| -> u64 {
             let mut sim: Simulator<PeerNode> = Simulator::default();
             // Two querying peers share one busy data holder.
             let holder_config = PeerConfig {
                 processing_us_per_row: 50_000, // 50 ms/row
                 slots: Some(slots),
+                stream_batch_rows: batch,
                 ..adhoc_config()
             };
-            let holder = PeerNode::simple(
-                PeerId(3),
-                base_with(&schema, &[("http://a", "prop1", "http://b")]),
-                holder_config,
-            );
+            let holder = PeerNode::simple(PeerId(3), base_with(&schema, rows), holder_config);
             let holder_ad = holder.own_advertisement().unwrap();
             for i in [1u32, 2] {
                 let mut p = PeerNode::simple(PeerId(i), base_with(&schema, &[]), adhoc_config());
@@ -4373,12 +4217,7 @@ mod tests {
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
             let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
             for (qid, origin) in [(QueryId(1), NodeId(1)), (QueryId(2), NodeId(2))] {
-                let msg = Msg::ClientQuery {
-                    qid,
-                    query: query.clone(),
-                };
-                let bytes = msg.wire_size();
-                sim.inject(NodeId(99), origin, msg, bytes);
+                pose(&mut sim, origin, qid, query.clone());
             }
             sim.run_to_quiescence();
             // Latest completion across the two queries.
@@ -4396,12 +4235,20 @@ mod tests {
                 .max()
                 .unwrap()
         };
-        let serialized = run(1);
-        let parallel = run(2);
-        assert!(
-            serialized > parallel,
-            "one slot must serialise service ({serialized} vs {parallel})"
-        );
+        let one_row = [("http://a", "prop1", "http://b")];
+        let three_rows = [
+            ("http://a", "prop1", "http://b"),
+            ("http://c", "prop1", "http://d"),
+            ("http://e", "prop1", "http://f"),
+        ];
+        for (batch, rows) in [(None, &one_row[..]), (Some(1), &three_rows[..])] {
+            let serialized = run(1, batch, rows);
+            let parallel = run(2, batch, rows);
+            assert!(
+                serialized > parallel,
+                "one slot must serialise service ({serialized} vs {parallel}, batch {batch:?})"
+            );
+        }
     }
 
     /// §2.5 throughput adaptation: a live-but-slow peer gets abandoned
@@ -4446,12 +4293,7 @@ mod tests {
             sim.add_node(NodeId(3), fast);
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
             let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-            let msg = Msg::ClientQuery {
-                qid: QueryId(4),
-                query,
-            };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            pose(&mut sim, NodeId(1), QueryId(4), query);
             sim.run_to_quiescence();
             let o = sim
                 .node(NodeId(1))
@@ -4516,12 +4358,7 @@ mod tests {
             sim.add_node(NodeId(3), fast);
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
             let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-            let msg = Msg::ClientQuery {
-                qid: QueryId(4),
-                query,
-            };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            pose(&mut sim, NodeId(1), QueryId(4), query);
             sim.run_to_quiescence();
             let p1 = sim.node(NodeId(1)).unwrap();
             let o = p1.outcomes.get(&QueryId(4)).unwrap();
@@ -4583,12 +4420,7 @@ mod tests {
         sim.add_node(NodeId(2), p2);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(1),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
 
         let root = sim.node(NodeId(1)).unwrap().trace_events_for(QueryId(1));
@@ -4647,12 +4479,7 @@ mod tests {
             // P3 dies while the subplans are in flight (before delivery).
             sim.schedule_node_down(30_000, NodeId(3));
             let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-            let msg = Msg::ClientQuery {
-                qid: QueryId(9),
-                query,
-            };
-            let bytes = msg.wire_size();
-            sim.inject(NodeId(99), NodeId(1), msg, bytes);
+            pose(&mut sim, NodeId(1), QueryId(9), query);
             sim.run_to_quiescence();
             let rows = sim
                 .node(NodeId(1))
@@ -4692,12 +4519,7 @@ mod tests {
 
         // prop2 is not in anyone's base.
         let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(2),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(2), query);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4739,12 +4561,7 @@ mod tests {
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
 
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(1),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4784,12 +4601,7 @@ mod tests {
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
 
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(3),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(3), query);
         sim.run_to_quiescence();
 
         let outcome = sim
@@ -4836,12 +4648,7 @@ mod tests {
         }
 
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
-        let msg = Msg::ClientQuery {
-            qid: QueryId(9),
-            query,
-        };
-        let bytes = msg.wire_size();
-        sim.inject(NodeId(99), NodeId(1), msg, bytes);
+        pose(&mut sim, NodeId(1), QueryId(9), query);
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
@@ -4965,5 +4772,149 @@ mod tests {
             "post-restart grace must end at restart + lease, not a sweep later"
         );
         assert_eq!(holder.departed_peers(), vec![PeerId(2)]);
+    }
+
+    /// Arms every [`Timer`] kind and checks the names `model::conform`
+    /// selects timers by, then that a restart forgets every timer except
+    /// the periodic ones `on_restart` re-arms.
+    #[test]
+    fn timer_table_names_every_kind_and_restart_keeps_only_periodic() {
+        let schema = fig1_schema();
+        let config = PeerConfig {
+            ad_lease_us: Some(4_000_000),
+            obs: Some(crate::obs::ObsConfig::default()),
+            ..adhoc_config()
+        };
+        let mut node = PeerNode::simple(
+            PeerId(1),
+            base_with(&schema, &[("a", "prop1", "b")]),
+            config,
+        );
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        // Boot arms the periodic three: heartbeat and sweep (an ad-hoc data
+        // peer both advertises and holds advertisements), then obs.
+        node.on_start(&mut ctx);
+        let key: StreamKey = (PeerId(2), QueryId(1), 0);
+        node.arm(&mut ctx, 1, Timer::HierGather(QueryId(1)));
+        let held = Timer::Completion {
+            completion: Completion::Root { qid: QueryId(1) },
+            result: ResultSet::default(),
+            partial: false,
+        };
+        node.arm(&mut ctx, 1, held);
+        node.arm(&mut ctx, 1, Timer::Production(key));
+        node.arm(&mut ctx, 1, Timer::Probe(0));
+        node.arm(&mut ctx, 1, Timer::Timeout(0));
+        let kinds = |node: &PeerNode, ctx: Ctx<Msg>| -> Vec<&'static str> {
+            let timers = ctx.into_effects().timers;
+            timers.iter().map(|&(_, id)| node.timer_kind(id)).collect()
+        };
+        assert_eq!(
+            kinds(&node, ctx),
+            [
+                "heartbeat",
+                "sweep",
+                "obs",
+                "hier-gather",
+                "completion",
+                "production",
+                "probe",
+                "timeout"
+            ]
+        );
+        assert_eq!(node.timer_kind(8), "unknown");
+        assert_eq!(node.timers.values().filter(|t| t.holds_slot()).count(), 2);
+
+        let mut ctx = Ctx::detached(10, NodeId(1));
+        node.on_restart(&mut ctx);
+        assert_eq!(kinds(&node, ctx), ["heartbeat", "sweep", "obs"]);
+        assert_eq!(node.timers.len(), 3, "pre-crash timers are forgotten");
+        assert!((0..8).all(|id| node.timer_kind(id) == "unknown"));
+    }
+
+    /// `Credit::credits` and `Data::qid` are chosen by the remote peer: a
+    /// frame that over-grants or names another query's tag must neither
+    /// panic (debug builds included) nor disturb the stream or frame it
+    /// points at.
+    #[test]
+    fn remote_chosen_credit_and_qid_are_not_trusted() {
+        let schema = fig1_schema();
+        let streaming = PeerConfig {
+            stream_batch_rows: Some(1),
+            stream_credit_window: 2,
+            ..adhoc_config()
+        };
+        let rows: Vec<(String, String)> =
+            (0..5).map(|i| (format!("a{i}"), format!("b{i}"))).collect();
+        let triples: Vec<(&str, &str, &str)> = rows
+            .iter()
+            .map(|(a, b)| (a.as_str(), "prop1", b.as_str()))
+            .collect();
+        let mut holder = PeerNode::simple(PeerId(2), base_with(&schema, &triples), streaming);
+        let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
+        root.registry.register(holder.own_advertisement().unwrap());
+
+        // Root dispatches tag 0 of query 1 to the holder…
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
+        let qid = QueryId(1);
+        root.on_message(&mut ctx, NodeId(99), Msg::ClientQuery { qid, query });
+        let mut outbox = ctx.into_effects().outbox;
+        let (to, subplan, _) = outbox.pop().expect("one subplan dispatched");
+        assert_eq!(to, NodeId(2));
+        // …which starts a 5-packet stream with 2 packets in flight.
+        let mut ctx = Ctx::detached(0, NodeId(2));
+        holder.on_message(&mut ctx, NodeId(1), subplan);
+        let mut data = ctx.into_effects().outbox;
+        assert_eq!(data.len(), 2);
+        let key: StreamKey = (PeerId(1), qid, 0);
+        let channel = holder.outgoing[&key].channel;
+
+        // An absurd grant empties the window and no more: two further
+        // packets leave, exactly as for a grant of the whole window.
+        let mut ctx = Ctx::detached(0, NodeId(2));
+        let credits = u32::MAX;
+        let credit = Msg::Credit {
+            channel,
+            qid,
+            tag: 0,
+            credits,
+        };
+        holder.on_message(&mut ctx, NodeId(1), credit);
+        assert_eq!(ctx.into_effects().outbox.len(), 2);
+        let stream = &holder.outgoing[&key];
+        assert_eq!((stream.inflight, stream.next_seq), (2, 4));
+        assert_eq!(holder.max_stream_inflight, 2);
+
+        // A data packet carrying tag 0 under a foreign query id is dropped
+        // before ingestion: no reassembly state, no credit, the pending
+        // entry and its frame slot untouched.
+        let (_, packet, _) = data.remove(0);
+        let Msg::Data {
+            channel, result, ..
+        } = packet
+        else {
+            panic!("holder streams Data packets");
+        };
+        let forged = Msg::Data {
+            channel,
+            qid: QueryId(777),
+            tag: 0,
+            result,
+            partial: false,
+            stats: None,
+            seq: 0,
+            last: true,
+        };
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        root.on_message(&mut ctx, NodeId(2), forged);
+        assert!(ctx.into_effects().outbox.is_empty());
+        assert!(root.streams.is_empty());
+        assert_eq!(root.outstanding[&0].bytes_observed, 0);
+        assert!(root
+            .frames
+            .values()
+            .all(|f| f.slots.iter().all(Option::is_none)));
+        assert!(root.outcomes.is_empty());
     }
 }
