@@ -16,7 +16,7 @@
 //! status 127.0.0.1:7401
 //! schema fig1
 //! stream_batch_rows 8      # stream subplan results in 8-row packets
-//! answer_batch_rows 8      # stream client answers in 8-row frames
+//! answer_batch_rows 8      # client answers leave in 8-row frames, back to back
 //! obs                      # enable the observability plane (defaults)
 //! obs_slow_query_ms 500    # slow-query threshold (implies obs)
 //! peer

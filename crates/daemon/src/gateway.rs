@@ -18,7 +18,8 @@ use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::compile;
 use sqpeer_wire::{
-    read_frame, write_frame, Envelope, GatewayRequest, GatewayResponse, SchemaRegistry,
+    encode_frame, read_frame, read_payload, AnswerFrame, Envelope, GatewayRequest, GatewayResponse,
+    SchemaRegistry,
 };
 use std::collections::HashMap;
 use std::io;
@@ -244,27 +245,27 @@ fn serve_client(
             Err(_) => return,
         };
         let response = answer(&request, &tenants, &next_qid);
-        if write_frame(&mut stream, &response).is_err() {
+        if io::Write::write_all(&mut stream, &response).is_err() {
             return;
         }
     }
 }
 
-/// Resolves one request to a verdict. The token lookup is the *only*
-/// place a host address enters the picture — an unknown token returns
-/// before any connection exists, and a known one can only ever reach its
-/// own tenant's host.
+/// Resolves one request to a verdict, as the [`GatewayResponse`] frame
+/// to write back. The token lookup is the *only* place a host address
+/// enters the picture — an unknown token returns before any connection
+/// exists, and a known one can only ever reach its own tenant's host.
 fn answer(
     request: &GatewayRequest,
     tenants: &HashMap<String, Tenant>,
     next_qid: &AtomicU64,
-) -> GatewayResponse {
+) -> Vec<u8> {
     let Some(tenant) = tenants.get(&request.token) else {
-        return GatewayResponse::Unauthorized;
+        return encode_frame(&GatewayResponse::Unauthorized);
     };
     let query = match compile(&request.query, &tenant.schema) {
         Ok(q) => q,
-        Err(e) => return GatewayResponse::Error(e.to_string()),
+        Err(e) => return encode_frame(&GatewayResponse::Error(e.to_string())),
     };
     let qid = sqpeer_exec::QueryId(next_qid.fetch_add(1, Ordering::SeqCst));
     let envelope = Envelope {
@@ -273,7 +274,7 @@ fn answer(
         sent_at_us: 0,
         msg: sqpeer_exec::Msg::ClientQuery { qid, query },
     };
-    let frame = sqpeer_wire::encode_frame(&envelope);
+    let frame = encode_frame(&envelope);
     let charge = frame.len() as u64;
 
     if let Err(quota) = tenant
@@ -282,7 +283,7 @@ fn answer(
         .expect("admission lock poisoned")
         .try_admit(charge)
     {
-        return GatewayResponse::OverQuota { quota };
+        return encode_frame(&GatewayResponse::OverQuota { quota });
     }
     let verdict = forward(tenant, &frame);
     tenant
@@ -290,68 +291,41 @@ fn answer(
         .lock()
         .expect("admission lock poisoned")
         .release(charge);
-    verdict
+    verdict.unwrap_or_else(|error| encode_frame(&GatewayResponse::Error(error)))
 }
 
 /// Ships an admitted, already-encoded query frame to the tenant's host
-/// and renders the `Data` reply — a single packet, or a streamed
-/// sequence of packets ending in one flagged `last`. The gateway
-/// wall-clocks the stream: `ttfr_us` is when the first answer rows
-/// arrived, `latency_us` when the final packet did.
-fn forward(tenant: &Tenant, frame: &[u8]) -> GatewayResponse {
+/// and renders the `Data` reply — a single packet, or a streamed sequence
+/// of packets ending in one flagged `last` — into the `Answer` frame,
+/// packet by packet as each arrives. The gateway wall-clocks the stream:
+/// `ttfr_us` is when the first packet carrying rows had been rendered,
+/// `latency_us` when the final one had. `Err` is the text of a
+/// [`GatewayResponse::Error`].
+fn forward(tenant: &Tenant, frame: &[u8]) -> Result<Vec<u8>, String> {
     let started = std::time::Instant::now();
-    let mut host = match TcpStream::connect(&tenant.host) {
-        Ok(s) => s,
-        Err(e) => return GatewayResponse::Error(format!("host unreachable: {e}")),
-    };
-    if let Err(e) = io::Write::write_all(&mut host, frame) {
-        return GatewayResponse::Error(format!("host write failed: {e}"));
-    }
-    let mut columns: Vec<String> = Vec::new();
-    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut host =
+        TcpStream::connect(&tenant.host).map_err(|e| format!("host unreachable: {e}"))?;
+    // One small frame out, a burst of frames back: neither end should
+    // wait on the other's delayed ACK.
+    let _ = host.set_nodelay(true);
+    io::Write::write_all(&mut host, frame).map_err(|e| format!("host write failed: {e}"))?;
+    let mut answer = AnswerFrame::new();
     let mut partial = false;
     let mut ttfr_us = 0u64;
     loop {
-        let reply: Envelope = match read_frame(&mut host, &tenant.schemas) {
-            Ok(Some(e)) => e,
-            Ok(None) => return GatewayResponse::Error("host closed without answering".into()),
-            Err(e) => return GatewayResponse::Error(format!("host reply unreadable: {e}")),
-        };
-        match reply.msg {
-            sqpeer_exec::Msg::Data {
-                result,
-                partial: batch_partial,
-                last,
-                ..
-            } => {
-                if columns.is_empty() {
-                    columns = result.columns.clone();
-                }
-                if ttfr_us == 0 && !result.rows.is_empty() {
-                    ttfr_us = started.elapsed().as_micros() as u64;
-                }
-                partial |= batch_partial;
-                rows.extend(
-                    result
-                        .rows
-                        .iter()
-                        .map(|row| row.iter().map(|node| node.to_string()).collect::<Vec<_>>()),
-                );
-                if last {
-                    return GatewayResponse::Answer {
-                        columns,
-                        rows,
-                        partial,
-                        ttfr_us,
-                        latency_us: started.elapsed().as_micros() as u64,
-                    };
-                }
-            }
-            other => {
-                return GatewayResponse::Error(format!(
-                    "host sent an unexpected message: {other:?}"
-                ))
-            }
+        let payload = read_payload(&mut host)
+            .map_err(|e| format!("host reply unreadable: {e}"))?
+            .ok_or("host closed without answering")?;
+        let packet = answer
+            .push_data(&payload, &tenant.schemas)
+            .map_err(|e| format!("host reply unreadable: {e}"))?;
+        if ttfr_us == 0 && packet.has_rows {
+            ttfr_us = started.elapsed().as_micros() as u64;
+        }
+        partial |= packet.partial;
+        if packet.last {
+            let latency_us = started.elapsed().as_micros() as u64;
+            return Ok(answer.finish(partial, ttfr_us, latency_us));
         }
     }
 }
@@ -407,6 +381,6 @@ mod tests {
             &tenants,
             &AtomicU64::new(0),
         );
-        assert_eq!(verdict, GatewayResponse::Unauthorized);
+        assert_eq!(verdict, encode_frame(&GatewayResponse::Unauthorized));
     }
 }

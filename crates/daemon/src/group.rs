@@ -136,6 +136,23 @@ pub fn outcome<T: Transport<PeerNode>>(
         .and_then(|n| n.outcomes.get(&qid))
 }
 
+/// Takes the completed outcome of `qid` out of member `at`, and drops the
+/// copy of its answer that the root sent the group's client node: a
+/// long-running driver that polls with this instead of [`outcome`] keeps
+/// no answer past the moment it collects it.
+pub fn take_outcome<T: Transport<PeerNode>>(
+    transport: &mut T,
+    group: &Group,
+    at: PeerId,
+    qid: QueryId,
+) -> Option<QueryOutcome> {
+    let outcome = transport.node_mut(node_of(at))?.outcomes.remove(&qid)?;
+    if let Some(client) = transport.node_mut(node_of(group.client)) {
+        client.client_answers.remove(&qid);
+    }
+    Some(outcome)
+}
+
 /// Steps `transport` in `slice_us` increments until `qid` completes at
 /// `at` or `budget_us` of transport time elapses. Returns whether the
 /// outcome arrived.

@@ -17,7 +17,7 @@
 //! per-query reply channel, so several queries can be in flight at once.
 
 use crate::{assemble, group, Group, GroupSpec, LoopbackNet};
-use sqpeer_exec::{Msg, PeerNode, QueryId};
+use sqpeer_exec::{Msg, PeerNode, QueryId, QueryOutcome};
 use sqpeer_net::{Channel, ChannelId, ChannelState, Transport};
 use sqpeer_routing::PeerId;
 use sqpeer_rql::ResultSet;
@@ -45,28 +45,22 @@ pub struct HostConfig {
     pub settle_us: u64,
     /// Stream answers back to peer-port clients in batches of this many
     /// rows — each batch its own `Data` frame (`seq` ascending, `last`
-    /// on the final one), paced [`ANSWER_PACE_US`] apart so downstream
-    /// consumers observe a genuine first-batch-early arrival. `None`
-    /// (the default) keeps the single-frame answer.
+    /// on the final one), written back to back. `None` (the default)
+    /// keeps the single-frame answer.
     pub answer_batch_rows: Option<usize>,
 }
-
-/// Real-time pacing between streamed answer frames on the peer port:
-/// long enough that a client's first-row and total-latency clocks are
-/// measurably apart, short enough to be negligible against query time.
-pub const ANSWER_PACE_US: u64 = 1_000;
 
 /// One in-flight query inside the pump.
 struct InFlight {
     at: PeerId,
-    reply: Sender<(ResultSet, bool)>,
+    reply: Sender<QueryOutcome>,
 }
 
 /// A query command from a connection thread to the pump.
 struct Command {
     at: PeerId,
     query: sqpeer_rql::QueryPattern,
-    reply: Sender<(ResultSet, bool)>,
+    reply: Sender<QueryOutcome>,
 }
 
 /// A running host.
@@ -149,6 +143,9 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
             while !shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _)) => {
+                        // Answers leave as a burst of small frames: do
+                        // not let Nagle hold one back for the peer's ACK.
+                        let _ = stream.set_nodelay(true);
                         let cmd_tx = cmd_tx.clone();
                         let schemas = schemas.clone();
                         let shutdown = Arc::clone(&shutdown);
@@ -218,18 +215,7 @@ fn pump(
             );
         }
         net.step_for(1_000);
-        in_flight.retain(|&qid, flight| match group::outcome(&net, flight.at, qid) {
-            Some(outcome) => {
-                if let Some(t) = outcome.ttfr_us {
-                    ttfr.count += 1;
-                    ttfr.sum_us += t;
-                    ttfr.last_us = Some(t);
-                }
-                let _ = flight.reply.send((outcome.result.clone(), outcome.partial));
-                false
-            }
-            None => true,
-        });
+        collect(&mut net, &group, &mut in_flight, &mut ttfr);
         status_refresh += 1;
         if status_refresh.is_multiple_of(100) {
             if let Ok(mut t) = status_text.lock() {
@@ -237,6 +223,31 @@ fn pump(
             }
         }
     }
+}
+
+/// Hands every finished in-flight query's outcome to its connection
+/// thread. The outcome is *taken* out of the group, so the host holds an
+/// answer only until its reply is handed over.
+fn collect(
+    net: &mut LoopbackNet<PeerNode>,
+    group: &Group,
+    in_flight: &mut HashMap<QueryId, InFlight>,
+    ttfr: &mut QueryTtfr,
+) {
+    in_flight.retain(
+        |&qid, flight| match group::take_outcome(net, group, flight.at, qid) {
+            Some(outcome) => {
+                if let Some(t) = outcome.ttfr_us {
+                    ttfr.count += 1;
+                    ttfr.sum_us += t;
+                    ttfr.last_us = Some(t);
+                }
+                let _ = flight.reply.send(outcome);
+                false
+            }
+            None => true,
+        },
+    );
 }
 
 /// Aggregate per-query time-to-first-row, as seen by this host's roots.
@@ -374,7 +385,10 @@ fn serve_connection(
         {
             return;
         }
-        let Ok((result, partial)) = reply_rx.recv() else {
+        let Ok(QueryOutcome {
+            result, partial, ..
+        }) = reply_rx.recv()
+        else {
             return;
         };
         let channel = Channel {
@@ -398,33 +412,86 @@ fn serve_connection(
                 last,
             },
         };
-        match answer_batch_rows {
-            Some(batch) if batch > 0 && result.rows.len() > batch => {
-                let columns = result.columns.clone();
-                let chunks = result.rows;
-                let total = chunks.chunks(batch).count();
-                for (i, rows) in chunks.chunks(batch).enumerate() {
-                    if i > 0 {
-                        // Pace the stream so the client's first-row and
-                        // total-latency clocks are measurably apart.
-                        std::thread::sleep(Duration::from_micros(ANSWER_PACE_US));
-                    }
-                    let last = i + 1 == total;
-                    let piece = ResultSet {
-                        columns: columns.clone(),
-                        rows: rows.to_vec(),
-                    };
-                    let frame = data(piece, if last { partial } else { false }, i as u32, last);
-                    if write_frame(&mut stream, &frame).is_err() {
-                        return;
-                    }
-                }
+        // Frames are cut off the owned row vector and leave back to back;
+        // the one that empties it is flagged `last` and alone carries
+        // `partial`. Without batching that is the only frame.
+        let batch = answer_batch_rows.filter(|&b| b > 0).unwrap_or(usize::MAX);
+        let ResultSet { columns, rows } = result;
+        let mut rows = rows.into_iter();
+        for seq in 0.. {
+            let piece = ResultSet {
+                columns: columns.clone(),
+                rows: rows.by_ref().take(batch).collect(),
+            };
+            let last = rows.len() == 0;
+            if write_frame(&mut stream, &data(piece, last && partial, seq, last)).is_err() {
+                return;
             }
-            _ => {
-                if write_frame(&mut stream, &data(result, partial, 0, true)).is_err() {
-                    return;
-                }
+            if last {
+                break;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqpeer_exec::{node_of, PeerConfig};
+    use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema, fig2_bases};
+
+    /// A host that serves queries for ever must not keep their answers:
+    /// once the pump has handed an outcome to its connection thread,
+    /// neither the root nor the group's client node holds a copy.
+    #[test]
+    fn collected_outcomes_leave_the_group() {
+        const QUERIES: usize = 200;
+        let schema = fig1_schema();
+        let mut schemas = SchemaRegistry::new();
+        schemas.register(Arc::clone(&schema));
+        let mut net: LoopbackNet<PeerNode> = LoopbackNet::new(schemas);
+        let spec = GroupSpec {
+            bases: fig2_bases(&schema),
+            schema,
+            config: PeerConfig::default(),
+        };
+        let mut group = assemble(&mut net, spec, 50_000);
+        let query = group.compile(fig1_query_text()).expect("fixture compiles");
+        let at = group.peers[0];
+
+        let mut in_flight = HashMap::new();
+        let mut ttfr = QueryTtfr::default();
+        let (reply, replies) = channel();
+        for _ in 0..QUERIES {
+            let qid = group::pose(&mut net, &mut group, at, query.clone());
+            let reply = reply.clone();
+            in_flight.insert(qid, InFlight { at, reply });
+        }
+        for _ in 0..1_000 {
+            if in_flight.is_empty() {
+                break;
+            }
+            net.step_for(1_000);
+            collect(&mut net, &group, &mut in_flight, &mut ttfr);
+        }
+        assert!(
+            in_flight.is_empty(),
+            "{} queries never completed",
+            in_flight.len()
+        );
+
+        let answers: Vec<QueryOutcome> = replies.try_iter().collect();
+        assert_eq!(answers.len(), QUERIES);
+        assert!(answers.iter().all(|o| !o.partial && o.result.len() == 3));
+        assert_eq!(ttfr.count, QUERIES as u64);
+
+        let root = net.node(node_of(at)).expect("root hosted");
+        assert_eq!(root.outcomes.len(), 0, "the root kept collected outcomes");
+        let client = net.node(node_of(group.client)).expect("client hosted");
+        assert_eq!(
+            client.client_answers.len(),
+            0,
+            "the client node kept answers"
+        );
     }
 }

@@ -28,8 +28,7 @@ pub fn eval_local(plan: &PlanNode, me: PeerId, base: &BaseKind) -> ResultSet {
             let Some(mut acc) = parts.next() else {
                 return ResultSet::default();
             };
-            let rest: Vec<ResultSet> = parts.collect();
-            acc.union_all(&rest);
+            acc.union_all_owned(parts);
             acc
         }
         PlanNode::Join { inputs, .. } => {

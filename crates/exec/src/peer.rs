@@ -27,7 +27,7 @@ use sqpeer_routing::{
     route_limited, route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId,
     RoutingPolicy,
 };
-use sqpeer_rql::{QueryPattern, ResultSet, Row};
+use sqpeer_rql::{QueryPattern, ResultSet, Row, UnionAcc};
 use sqpeer_rvl::{ActiveSchema, VirtualBase};
 use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
@@ -537,7 +537,7 @@ struct OutgoingStream {
     /// Union-forwarding streams dedup against the rows already queued
     /// (`None` for pre-chunked result streams, whose batches are
     /// disjoint by construction).
-    sent_acc: Option<ResultSet>,
+    sent_acc: Option<UnionAcc>,
 }
 
 impl OutgoingStream {
@@ -2339,7 +2339,7 @@ impl PeerNode {
     ) {
         let key: StreamKey = (channel.root, qid, tag);
         let stream = self.outgoing.entry(key).or_insert_with(|| OutgoingStream {
-            sent_acc: Some(ResultSet::empty(contrib.columns.clone())),
+            sent_acc: Some(UnionAcc::new(ResultSet::empty(contrib.columns.clone()))),
             ..OutgoingStream::new(channel, qid, tag, contrib.columns.clone(), &self.config)
         });
         if stream.finished {
@@ -2401,13 +2401,14 @@ impl PeerNode {
             return;
         }
         let frame = self.frames.remove(&frame_id).expect("frame exists");
-        let (combined, combined_partial) = combine(&frame);
-        if self.config.processing_us_per_row > 0 && frame.op == FrameOp::Join {
+        let op = frame.op;
+        let (completion, combined, combined_partial) = combine(frame);
+        if self.config.processing_us_per_row > 0 && op == FrameOp::Join {
             // The join work happens at this peer: charge its load before
             // the result moves on.
-            self.complete_after_processing(ctx, frame.completion, combined, combined_partial);
+            self.complete_after_processing(ctx, completion, combined, combined_partial);
         } else {
-            self.complete(ctx, frame.completion, combined, combined_partial);
+            self.complete(ctx, completion, combined, combined_partial);
         }
     }
 
@@ -2462,7 +2463,7 @@ impl PeerNode {
         // Apply the query's final projection (§2.1 projections). An empty
         // result coming out of a hole has no columns; give it the query's
         // projection schema so consumers see a well-formed (empty) table.
-        let mut projected = result.project(&names);
+        let mut projected = result.into_projection(&names);
         if projected.rows.is_empty() && projected.columns.len() != names.len() {
             projected = ResultSet::empty(names.clone());
         }
@@ -2490,10 +2491,13 @@ impl PeerNode {
             }
             root.first_row_at_us.map(|at| at.saturating_sub(started))
         };
+        // The one copy of the answer: the client's. The outcome keeps the
+        // original.
+        let answer = client.map(|client| (client, projected.clone()));
         self.outcomes.insert(
             qid,
             QueryOutcome {
-                result: projected.clone(),
+                result: projected,
                 completed_at_us: ctx.now_us(),
                 latency_us: ctx.now_us().saturating_sub(started),
                 ttfr_us,
@@ -2585,12 +2589,8 @@ impl PeerNode {
                 }
             }
         }
-        if let Some(client) = client {
-            let msg = Msg::ClientAnswer {
-                qid,
-                result: projected,
-            };
-            send(ctx, client, msg);
+        if let Some((client, result)) = answer {
+            send(ctx, client, Msg::ClientAnswer { qid, result });
         }
     }
 
@@ -2973,42 +2973,31 @@ pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
     }
 }
 
-fn combine(frame: &Frame) -> (ResultSet, bool) {
-    if let Some(pre) = &frame.precombined {
+/// Folds a finished frame's slots into its result, consuming them: the
+/// first filled slot becomes the accumulator as it is and the others are
+/// unioned (one pass, new rows moved in) or joined onto it in slot order.
+fn combine(frame: Frame) -> (Completion, ResultSet, bool) {
+    let partial = frame.partial && frame.op != FrameOp::Race;
+    if let Some(pre) = frame.precombined {
         // A pipelined join probe already folded the combined result
         // incrementally as the batches streamed in.
-        return (pre.clone(), frame.partial && frame.op != FrameOp::Race);
+        return (frame.completion, pre, partial);
     }
-    let slots: Vec<&ResultSet> = frame.slots.iter().flatten().collect();
-    let combined = match frame.op {
-        FrameOp::Union => {
-            let mut iter = slots.into_iter();
-            let Some(first) = iter.next() else {
-                return (ResultSet::default(), true);
-            };
-            let mut acc = first.clone();
-            for s in iter {
-                acc.union(s);
-            }
-            acc
-        }
-        FrameOp::Join => {
-            let mut iter = slots.into_iter();
-            let Some(first) = iter.next() else {
-                return (ResultSet::default(), true);
-            };
-            let mut acc = first.clone();
-            for s in iter {
-                acc = acc.join(s);
-            }
-            acc
-        }
-        FrameOp::Race => {
-            // The winning (non-partial) slot if any, else the first filled.
-            slots.first().map(|s| (*s).clone()).unwrap_or_default()
-        }
+    let mut slots = frame.slots.into_iter().flatten();
+    let Some(mut acc) = slots.next() else {
+        return (
+            frame.completion,
+            ResultSet::default(),
+            frame.op != FrameOp::Race,
+        );
     };
-    (combined, frame.partial && frame.op != FrameOp::Race)
+    match frame.op {
+        FrameOp::Union => acc.union_all_owned(slots),
+        FrameOp::Join => acc = slots.fold(acc, |acc, s| acc.join(&s)),
+        // The winning (non-partial) slot if any, else the first filled.
+        FrameOp::Race => {}
+    }
+    (frame.completion, acc, partial)
 }
 
 impl NodeLogic for PeerNode {
@@ -4916,5 +4905,76 @@ mod tests {
             .values()
             .all(|f| f.slots.iter().all(Option::is_none)));
         assert!(root.outcomes.is_empty());
+    }
+
+    /// `combine` as it was before it consumed its frame: the first filled
+    /// slot cloned, every other one folded onto it by reference.
+    fn combine_slot_by_slot(op: FrameOp, slots: &[Option<ResultSet>]) -> ResultSet {
+        let mut filled = slots.iter().flatten();
+        let mut acc = filled.next().cloned().unwrap_or_default();
+        for s in filled {
+            match op {
+                FrameOp::Union => acc.union(s),
+                FrameOp::Join => acc = acc.join(s),
+                FrameOp::Race => {}
+            }
+        }
+        acc
+    }
+
+    proptest::proptest! {
+        /// The one-pass fold over owned slots gives the rows the
+        /// slot-by-slot fold gave, in the same order, for unions of 1–8
+        /// overlapping slots (some column-permuted, some never filled)
+        /// and for joins.
+        #[test]
+        fn combine_matches_slot_by_slot_fold(
+            cells in proptest::collection::vec(0..5u32, 0..96),
+            shape in proptest::collection::vec(0..4u8, 1..9),
+            join in proptest::strategy::any::<bool>(),
+        ) {
+            let node = |v: u32| sqpeer_rdfs::Node::Resource(Resource::new(format!("http://r/{v}")));
+            let mut cells = cells.chunks_exact(2);
+            let slots: Vec<Option<ResultSet>> = shape
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| {
+                    // Slot 0 is always filled; the others are sometimes a
+                    // hole, sometimes column-permuted. A join chains
+                    // X–Y, Y–Z, Z–W… so consecutive slots share a column.
+                    if i > 0 && kind == 0 {
+                        return None;
+                    }
+                    let names = |a: usize, b: usize| vec![format!("C{a}"), format!("C{b}")];
+                    let columns = match (join, kind) {
+                        (true, _) => names(i, i + 1),
+                        (false, 1) => names(1, 0),
+                        (false, _) => names(0, 1),
+                    };
+                    let rows = cells
+                        .by_ref()
+                        .take(6)
+                        .map(|c| vec![node(c[0]), node(c[1])])
+                        .collect();
+                    Some(ResultSet { columns, rows })
+                })
+                .collect();
+            let op = if join { FrameOp::Join } else { FrameOp::Union };
+            let expected = combine_slot_by_slot(op, &slots);
+            let frame = Frame {
+                qid: QueryId(1),
+                op,
+                completion: Completion::Root { qid: QueryId(1) },
+                remaining: 0,
+                slots,
+                partial: false,
+                done: false,
+                probe: None,
+                precombined: None,
+            };
+            let (_, combined, partial) = combine(frame);
+            proptest::prop_assert_eq!(combined, expected);
+            proptest::prop_assert!(!partial);
+        }
     }
 }

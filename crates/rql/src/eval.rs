@@ -18,6 +18,7 @@
 //! projection; they return identical row sets.
 
 use crate::ast::CmpOp;
+use crate::distinct::UnionAcc;
 use crate::pattern::{CondOperand, Endpoint, QueryPattern, Term};
 use sqpeer_rdfs::{FxHashMap, FxHashSet, Node, Resource};
 use sqpeer_store::{BaseStatistics, DescriptionBase, InternedBase, SymId};
@@ -63,33 +64,39 @@ impl ResultSet {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// Appends every row not already present (hash-based set insertion;
-    /// node clones are cheap `Arc` bumps).
+    /// Appends every row not already present.
     pub fn extend_distinct(&mut self, rows: impl IntoIterator<Item = Row>) {
-        let mut seen: FxHashSet<Row> = self.rows.iter().cloned().collect();
+        let mut acc = UnionAcc::new(std::mem::take(self));
         for row in rows {
-            if seen.insert(row.clone()) {
-                self.rows.push(row);
-            }
+            acc.push_distinct(row);
         }
+        *self = acc.into_result();
     }
 
-    /// Unions many result sets in one pass, building the dedup set once
-    /// instead of re-hashing the accumulator per input (the merge step of
-    /// wide horizontal-distribution unions).
+    /// Unions many result sets in one pass, indexing the accumulator once
+    /// instead of once per input (the merge step of wide
+    /// horizontal-distribution unions).
     pub fn union_all<'a>(&mut self, parts: impl IntoIterator<Item = &'a ResultSet>) {
-        let mut seen: FxHashSet<Row> = self.rows.iter().cloned().collect();
+        let mut acc = UnionAcc::new(std::mem::take(self));
         for part in parts {
-            let perm: Option<Vec<usize>> =
-                self.columns.iter().map(|c| part.column_index(c)).collect();
-            let Some(perm) = perm else { continue };
-            for row in &part.rows {
-                let row: Row = perm.iter().map(|&i| row[i].clone()).collect();
-                if seen.insert(row.clone()) {
-                    self.rows.push(row);
-                }
-            }
+            acc.union(part);
         }
+        *self = acc.into_result();
+    }
+
+    /// [`union_all`](Self::union_all) over parts handed over by value:
+    /// their new rows move into `self` instead of being cloned. With no
+    /// parts, nothing is hashed.
+    pub fn union_all_owned(&mut self, parts: impl IntoIterator<Item = ResultSet>) {
+        let mut parts = parts.into_iter().peekable();
+        if parts.peek().is_none() {
+            return;
+        }
+        let mut acc = UnionAcc::new(std::mem::take(self));
+        for part in parts {
+            acc.union_owned(part);
+        }
+        *self = acc.into_result();
     }
 
     /// Set-semantics union with `other` (columns must match by name;
@@ -105,19 +112,12 @@ impl ResultSet {
     /// to the accumulator (permuted into `self`'s column order). This is
     /// the streaming-union primitive: a pipelined merge point forwards
     /// exactly the delta downstream, preserving set semantics without
-    /// re-sending rows an earlier batch already contributed.
+    /// re-sending rows an earlier batch already contributed. A merge point
+    /// that does this batch after batch keeps a [`UnionAcc`] instead.
     pub fn union_delta(&mut self, other: &ResultSet) -> Vec<Row> {
-        let mut seen: FxHashSet<Row> = self.rows.iter().cloned().collect();
-        let mut delta = Vec::new();
-        let perm: Option<Vec<usize>> = self.columns.iter().map(|c| other.column_index(c)).collect();
-        let Some(perm) = perm else { return delta };
-        for row in &other.rows {
-            let row: Row = perm.iter().map(|&i| row[i].clone()).collect();
-            if seen.insert(row.clone()) {
-                self.rows.push(row.clone());
-                delta.push(row);
-            }
-        }
+        let mut acc = UnionAcc::new(std::mem::take(self));
+        let delta = acc.union_delta(other);
+        *self = acc.into_result();
         delta
     }
 
@@ -191,16 +191,42 @@ impl ResultSet {
         out
     }
 
-    /// Projects onto `names` (in that order), deduplicating rows.
+    /// Projects onto `names` (in that order; unknown names are skipped),
+    /// deduplicating rows. A projection that keeps every column is a
+    /// permutation: distinct rows stay distinct and nothing is hashed.
     pub fn project(&self, names: &[String]) -> ResultSet {
-        let idx: Vec<usize> = names.iter().filter_map(|n| self.column_index(n)).collect();
+        self.project_onto(&self.projection_indices(names))
+    }
+
+    /// [`project`](Self::project) of a result handed over by value: when
+    /// `names` are its columns in order it comes back untouched.
+    pub fn into_projection(self, names: &[String]) -> ResultSet {
+        let idx = self.projection_indices(names);
+        if idx.iter().copied().eq(0..self.columns.len()) {
+            return self;
+        }
+        self.project_onto(&idx)
+    }
+
+    fn projection_indices(&self, names: &[String]) -> Vec<usize> {
+        names.iter().filter_map(|n| self.column_index(n)).collect()
+    }
+
+    fn project_onto(&self, idx: &[usize]) -> ResultSet {
+        let project = |row: &Row| idx.iter().map(|&i| row[i].clone()).collect();
         let mut out = ResultSet::empty(idx.iter().map(|&i| self.columns[i].clone()).collect());
-        out.extend_distinct(
-            self.rows
-                .iter()
-                .map(|row| idx.iter().map(|&i| row[i].clone()).collect::<Row>()),
-        );
-        out
+        let mut kept = vec![false; self.columns.len()];
+        let permutation =
+            idx.len() == kept.len() && idx.iter().all(|&i| !std::mem::replace(&mut kept[i], true));
+        if permutation {
+            out.rows = self.rows.iter().map(project).collect();
+            return out;
+        }
+        let mut out = UnionAcc::new(out);
+        for row in &self.rows {
+            out.push_distinct_cells(row, idx);
+        }
+        out.into_result()
     }
 
     /// Applies a Top-N clause: stable-sorts by the named column (resources

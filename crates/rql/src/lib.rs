@@ -23,6 +23,7 @@
 //!   oracle in the test suite.
 
 pub mod ast;
+mod distinct;
 pub mod error;
 pub mod eval;
 pub mod lexer;
@@ -30,6 +31,7 @@ pub mod parser;
 pub mod pattern;
 
 pub use ast::{CmpOp, Condition, NodeSpec, Operand, PathExpr, Projection, QueryAst};
+pub use distinct::UnionAcc;
 pub use error::{ParseError, ResolveError, RqlError};
 pub use eval::{
     evaluate, evaluate_reference, evaluate_snapshot, node_cmp, row_cmp, stats_join_order,

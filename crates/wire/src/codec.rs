@@ -258,6 +258,11 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
+    /// The next raw byte, not consumed.
+    pub fn peek(&self) -> Result<u8, WireError> {
+        self.buf.get(self.pos).copied().ok_or(WireError::Eof)
+    }
+
     /// `n` raw bytes.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
@@ -347,12 +352,14 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
+    /// Length-prefixed UTF-8 string, borrowed from the input.
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| WireError::BadUtf8)
+    }
+
     /// Length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, WireError> {
-        let bytes = self.bytes()?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadUtf8)
+        self.str().map(str::to_owned)
     }
 }
 

@@ -29,6 +29,7 @@ mod types;
 pub use codec::{Reader, Wire, WireError, Writer, MAX_DEPTH};
 pub use fingerprint::{schema_fingerprint, SchemaRegistry};
 pub use msg::{
-    decode_frame, decode_payload, decode_value, encode_frame, encode_value, read_frame, scoped_qid,
-    write_frame, Envelope, GatewayRequest, GatewayResponse, MAX_FRAME_BYTES, WIRE_VERSION,
+    decode_frame, decode_payload, decode_value, encode_frame, encode_value, read_frame,
+    read_payload, scoped_qid, write_frame, AnswerFrame, DataFlags, Envelope, GatewayRequest,
+    GatewayResponse, MAX_FRAME_BYTES, WIRE_VERSION,
 };

@@ -23,6 +23,7 @@
 use crate::codec::{Reader, Wire, WireError, Writer};
 use crate::SchemaRegistry;
 use sqpeer_exec::{HierScope, Msg, QueryId, TraceCtx};
+use sqpeer_rdfs::Literal;
 use sqpeer_routing::PeerId;
 use std::io::{Read, Write};
 
@@ -32,6 +33,9 @@ pub const WIRE_VERSION: u8 = 1;
 /// Sanity cap on a frame's claimed payload length (16 MiB): a crafted
 /// length prefix must not make a reader allocate unboundedly.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
+
+/// `Msg::Data`'s tag, which [`AnswerFrame::push_data`] also looks for.
+const DATA_TAG: u64 = 11;
 
 impl Wire for Msg {
     fn encode(&self, w: &mut Writer) {
@@ -112,7 +116,7 @@ impl Wire for Msg {
                 seq,
                 last,
             } => {
-                w.u64v(11);
+                w.u64v(DATA_TAG);
                 channel.encode(w);
                 qid.encode(w);
                 w.u64v(*tag);
@@ -224,7 +228,7 @@ impl Wire for Msg {
                 attempt: r.u32v()?,
                 trace: Option::<TraceCtx>::decode(r)?,
             }),
-            11 => Ok(Msg::Data {
+            DATA_TAG => Ok(Msg::Data {
                 channel: Wire::decode(r)?,
                 qid: Wire::decode(r)?,
                 tag: r.u64v()?,
@@ -329,13 +333,25 @@ impl Wire for Envelope {
 /// Encodes a value into a complete frame: length prefix, version byte,
 /// payload.
 pub fn encode_frame<T: Wire>(value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.byte(WIRE_VERSION);
+    let mut w = frame_writer();
     value.encode(&mut w);
-    let payload = w.into_bytes();
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    finish_frame(w)
+}
+
+/// A writer holding a frame's first five bytes: room for the length
+/// prefix, then the version byte.
+fn frame_writer() -> Writer {
+    let mut w = Writer::new();
+    w.raw(&[0; 4]);
+    w.byte(WIRE_VERSION);
+    w
+}
+
+/// Fills in the length prefix [`frame_writer`] left room for.
+fn finish_frame(w: Writer) -> Vec<u8> {
+    let mut frame = w.into_bytes();
+    let payload = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&payload.to_le_bytes());
     frame
 }
 
@@ -361,6 +377,17 @@ pub fn decode_frame<T: Wire>(bytes: &[u8], schemas: &SchemaRegistry) -> Result<T
 
 /// Decodes a frame payload (version byte + value, no length prefix).
 pub fn decode_payload<T: Wire>(payload: &[u8], schemas: &SchemaRegistry) -> Result<T, WireError> {
+    let mut r = payload_reader(payload, schemas)?;
+    let value = T::decode(&mut r)?;
+    r.expect_end()?;
+    Ok(value)
+}
+
+/// A reader over a frame payload, past its (checked) version byte.
+fn payload_reader<'a>(
+    payload: &'a [u8],
+    schemas: &'a SchemaRegistry,
+) -> Result<Reader<'a>, WireError> {
     let mut r = Reader::new(payload, schemas);
     let version = r.byte()?;
     if version != WIRE_VERSION {
@@ -369,9 +396,7 @@ pub fn decode_payload<T: Wire>(payload: &[u8], schemas: &SchemaRegistry) -> Resu
             want: WIRE_VERSION,
         });
     }
-    let value = T::decode(&mut r)?;
-    r.expect_end()?;
-    Ok(value)
+    Ok(r)
 }
 
 /// Writes one frame to a byte sink (a TCP stream, in practice).
@@ -386,6 +411,18 @@ pub fn read_frame<T: Wire>(
     source: &mut impl Read,
     schemas: &SchemaRegistry,
 ) -> std::io::Result<Option<T>> {
+    let Some(payload) = read_payload(source)? else {
+        return Ok(None);
+    };
+    decode_payload(&payload, schemas)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Reads one frame's payload (version byte + value) off a byte source,
+/// undecoded. `Ok(None)` on clean EOF; a close mid-frame or an oversized
+/// length is an error.
+pub fn read_payload(source: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -411,9 +448,7 @@ pub fn read_frame<T: Wire>(
     }
     let mut payload = vec![0u8; len as usize];
     source.read_exact(&mut payload)?;
-    decode_payload(&payload, schemas)
-        .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    Ok(Some(payload))
 }
 
 /// A gateway-front-door request: what a tenant client sends the gateway.
@@ -520,6 +555,125 @@ impl Wire for GatewayResponse {
                 tag: tag as u64,
             }),
         }
+    }
+}
+
+/// Builds the frame of a [`GatewayResponse::Answer`] out of the host's
+/// `Data` packets as they arrive, without a `Node`, a `String` or the
+/// `Vec<Vec<String>>` in between: each cell's display form is written
+/// straight from the packet's bytes into the rows' wire bytes. The
+/// finished frame is byte for byte
+/// `encode_frame(&GatewayResponse::Answer { rows, .. })` with every cell
+/// of `rows` the decoded node's `to_string()`.
+#[derive(Debug, Default)]
+pub struct AnswerFrame {
+    columns: Vec<String>,
+    rows: Writer,
+    count: usize,
+    /// Display form of the cell at hand, for literals that need `fmt`.
+    scratch: String,
+}
+
+/// What one `Data` packet said besides its rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataFlags {
+    /// Did the packet carry any rows?
+    pub has_rows: bool,
+    /// The packet's completeness flag.
+    pub partial: bool,
+    /// Is this the stream's final packet?
+    pub last: bool,
+}
+
+impl AnswerFrame {
+    /// A frame with no rows yet.
+    pub fn new() -> Self {
+        AnswerFrame::default()
+    }
+
+    /// Appends the rows of one host reply: `payload` is a frame payload
+    /// (version byte first) holding an [`Envelope`] whose message is
+    /// `Data`. Accepts exactly the payloads [`decode_payload`] accepts as
+    /// such an envelope; the first packet's columns name the answer's.
+    pub fn push_data(
+        &mut self,
+        payload: &[u8],
+        schemas: &SchemaRegistry,
+    ) -> Result<DataFlags, WireError> {
+        use std::fmt::Write as _;
+        let mut r = payload_reader(payload, schemas)?;
+        let (_from, _to, _sent_at_us) =
+            (PeerId::decode(&mut r)?, PeerId::decode(&mut r)?, r.u64v()?);
+        match r.u64v()? {
+            DATA_TAG => {}
+            tag => return Err(WireError::BadTag { what: "Data", tag }),
+        }
+        sqpeer_exec::PeerChannel::decode(&mut r)?;
+        let (_qid, _tag) = (QueryId::decode(&mut r)?, r.u64v()?);
+        let columns = Vec::<String>::decode(&mut r)?;
+        if self.columns.is_empty() {
+            self.columns = columns;
+        }
+        let rows = r.count()?;
+        for _ in 0..rows {
+            let cells = r.count()?;
+            self.rows.usizev(cells);
+            for _ in 0..cells {
+                // A `Node`: resource or literal, rendered as `Display` does.
+                match (r.byte()?, r.peek()?) {
+                    (0, _) => {
+                        let uri = r.str()?;
+                        self.rows.usizev(1 + uri.len());
+                        self.rows.byte(b'&');
+                        self.rows.raw(uri.as_bytes());
+                    }
+                    (1, 0) => {
+                        r.byte()?;
+                        let s = r.str()?;
+                        self.rows.usizev(2 + s.len());
+                        self.rows.byte(b'"');
+                        self.rows.raw(s.as_bytes());
+                        self.rows.byte(b'"');
+                    }
+                    (1, _) => {
+                        let number_or_bool = Literal::decode(&mut r)?;
+                        self.scratch.clear();
+                        let _ = write!(self.scratch, "{number_or_bool}");
+                        self.rows.string(&self.scratch);
+                    }
+                    (tag, _) => {
+                        return Err(WireError::BadTag {
+                            what: "Node",
+                            tag: tag as u64,
+                        })
+                    }
+                }
+            }
+        }
+        self.count += rows;
+        let partial = r.boolean()?;
+        Option::<sqpeer_store::BaseStatistics>::decode(&mut r)?;
+        let _seq = r.u32v()?;
+        let last = r.boolean()?;
+        r.expect_end()?;
+        Ok(DataFlags {
+            has_rows: rows > 0,
+            partial,
+            last,
+        })
+    }
+
+    /// The complete frame: length prefix, version byte, the `Answer`.
+    pub fn finish(self, partial: bool, ttfr_us: u64, latency_us: u64) -> Vec<u8> {
+        let mut w = frame_writer();
+        w.byte(0);
+        self.columns.encode(&mut w);
+        w.usizev(self.count);
+        w.raw(&self.rows.into_bytes());
+        w.boolean(partial);
+        w.u64v(ttfr_us);
+        w.u64v(latency_us);
+        finish_frame(w)
     }
 }
 

@@ -107,7 +107,7 @@ impl Wire for Resource {
         w.string(self.uri());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Resource::new(r.string()?))
+        Ok(Resource::new(r.str()?))
     }
 }
 
@@ -134,7 +134,7 @@ impl Wire for Literal {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.byte()? {
-            0 => Ok(Literal::String(r.string()?.into())),
+            0 => Ok(Literal::String(r.str()?.into())),
             1 => Ok(Literal::Integer(r.i64v()?)),
             2 => Ok(Literal::Float(r.f64bits()?)),
             3 => Ok(Literal::Boolean(r.boolean()?)),

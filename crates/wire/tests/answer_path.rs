@@ -1,0 +1,145 @@
+//! The two codec steps an answer crosses on its way out: the `ResultSet`
+//! decode (cells built from strings borrowed out of the frame) and the
+//! gateway's `Answer` frame, rendered from the host's `Data` packets
+//! without decoding them into nodes.
+
+use proptest::prelude::*;
+use sqpeer_exec::{Msg, QueryId};
+use sqpeer_net::{Channel, ChannelId, ChannelState};
+use sqpeer_rdfs::{Literal, Node, Resource};
+use sqpeer_routing::PeerId;
+use sqpeer_rql::ResultSet;
+use sqpeer_wire::{
+    decode_payload, decode_value, encode_frame, encode_value, AnswerFrame, Envelope,
+    GatewayResponse, SchemaRegistry, WireError,
+};
+
+/// The frame payload of a host reply carrying `rows`.
+fn data_payload(
+    columns: &[String],
+    rows: &[Vec<Node>],
+    partial: bool,
+    seq: u32,
+    last: bool,
+) -> Vec<u8> {
+    let frame = encode_frame(&Envelope {
+        from: PeerId(0),
+        to: PeerId(u32::MAX),
+        sent_at_us: 0,
+        msg: Msg::Data {
+            channel: Channel {
+                id: ChannelId(3),
+                root: PeerId(u32::MAX),
+                dest: PeerId(0),
+                state: ChannelState::Closed,
+            },
+            qid: QueryId(3),
+            tag: 0,
+            result: ResultSet {
+                columns: columns.to_vec(),
+                rows: rows.to_vec(),
+            },
+            partial,
+            stats: None,
+            seq,
+            last,
+        },
+    });
+    frame[4..].to_vec()
+}
+
+/// Cells from a small pool — most URIs and strings recur many times in
+/// one result — over resources and all four literal kinds.
+fn node(kind: u8, v: u32) -> Node {
+    match kind % 6 {
+        0..=2 => Node::Resource(Resource::new(format!("http://example.org/data/r{}", v % 5))),
+        3 => Node::Literal(Literal::string(format!("name \"{}\" é", v % 3))),
+        4 if v.is_multiple_of(2) => Node::Literal(Literal::Integer(i64::from(v) - 40)),
+        4 => Node::Literal(Literal::Float(f64::from(v) / 7.0 - 3.0)),
+        _ => Node::Literal(Literal::Boolean(v.is_multiple_of(2))),
+    }
+}
+
+fn arb_result_set() -> impl Strategy<Value = ResultSet> {
+    (0..4usize, prop::collection::vec((0..6u8, 0..80u32), 0..120)).prop_map(|(width, cells)| {
+        ResultSet {
+            columns: ["X", "Y", "Z"][..width]
+                .iter()
+                .map(|c| c.to_string())
+                .collect(),
+            rows: match width {
+                0 => Vec::new(),
+                _ => cells
+                    .chunks_exact(width)
+                    .map(|row| row.iter().map(|&(k, v)| node(k, v)).collect())
+                    .collect(),
+            },
+        }
+    })
+}
+
+proptest! {
+    #[test]
+    fn result_set_roundtrips_by_value_and_by_bytes(rs in arb_result_set()) {
+        let reg = SchemaRegistry::new();
+        let bytes = encode_value(&rs);
+        let decoded: ResultSet = decode_value(&bytes, &reg).expect("decode of own encoding");
+        prop_assert_eq!(&decoded, &rs);
+        prop_assert_eq!(encode_value(&decoded), bytes);
+    }
+
+    /// The frame built from two `Data` packets' bytes is the frame of the
+    /// response value whose cells are each decoded node's `to_string()`.
+    #[test]
+    fn answer_frame_is_the_rendered_response_frame(
+        rs in arb_result_set(),
+        cut in 0..120usize,
+        partial in any::<bool>(),
+        clocks in (0..5_000_000u64, 0..5_000_000u64),
+    ) {
+        let reg = SchemaRegistry::new();
+        let expected = encode_frame(&GatewayResponse::Answer {
+            columns: rs.columns.clone(),
+            rows: rs
+                .rows
+                .iter()
+                .map(|row| row.iter().map(|node| node.to_string()).collect())
+                .collect(),
+            partial,
+            ttfr_us: clocks.0,
+            latency_us: clocks.1,
+        });
+        let (first, second) = rs.rows.split_at(cut.min(rs.rows.len()));
+        let mut frame = AnswerFrame::new();
+        let head = frame
+            .push_data(&data_payload(&rs.columns, first, false, 0, false), &reg)
+            .expect("own encoding");
+        prop_assert_eq!((head.has_rows, head.partial, head.last), (!first.is_empty(), false, false));
+        let tail = frame
+            .push_data(&data_payload(&rs.columns, second, partial, 1, true), &reg)
+            .expect("own encoding");
+        prop_assert_eq!((tail.has_rows, tail.partial, tail.last), (!second.is_empty(), partial, true));
+        prop_assert_eq!(frame.finish(partial, clocks.0, clocks.1), expected);
+    }
+
+    /// Rendering from the bytes rejects what decoding rejects: every
+    /// truncation of a reply, and every single-byte corruption that the
+    /// decoder refuses.
+    #[test]
+    fn push_data_rejects_what_the_decoder_rejects(rs in arb_result_set(), flip in any::<u64>()) {
+        let reg = SchemaRegistry::new();
+        let payload = data_payload(&rs.columns, &rs.rows, false, 0, true);
+        for cut in 0..payload.len() {
+            prop_assert!(AnswerFrame::new().push_data(&payload[..cut], &reg).is_err());
+        }
+        let mut bent = payload.clone();
+        let at = (flip as usize >> 8) % bent.len();
+        bent[at] ^= 1 << (flip % 8);
+        let decoded: Result<Envelope, WireError> = decode_payload(&bent, &reg);
+        let rendered = AnswerFrame::new().push_data(&bent, &reg);
+        match decoded {
+            Ok(Envelope { msg: Msg::Data { .. }, .. }) => prop_assert!(rendered.is_ok()),
+            _ => prop_assert!(rendered.is_err()),
+        }
+    }
+}
