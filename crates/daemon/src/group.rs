@@ -11,7 +11,7 @@
 //! advertisement discovery, plus a client node that poses queries.
 
 use sqpeer_exec::{
-    node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
+    inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
 };
 use sqpeer_net::Transport;
 use sqpeer_rdfs::Schema;
@@ -94,9 +94,7 @@ pub fn assemble<T: Transport<PeerNode>>(
             if other == peer {
                 continue;
             }
-            let msg = Msg::RequestAds { depth: 1 };
-            let bytes = msg.wire_size();
-            transport.inject(node_of(peer), node_of(other), msg, bytes);
+            inject(transport, peer, other, Msg::RequestAds { depth: 1 });
         }
     }
     transport.step_for(settle_us);
@@ -119,9 +117,7 @@ pub fn pose<T: Transport<PeerNode>>(
 ) -> QueryId {
     let qid = QueryId(group.next_qid);
     group.next_qid += 1;
-    let msg = Msg::ClientQuery { qid, query };
-    let bytes = msg.wire_size();
-    transport.inject(node_of(group.client), node_of(at), msg, bytes);
+    inject(transport, group.client, at, Msg::ClientQuery { qid, query });
     qid
 }
 

@@ -21,6 +21,7 @@ pub mod local;
 pub mod msg;
 pub mod obs;
 pub mod peer;
+pub mod stream;
 
 pub use local::eval_local;
 pub use msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome, TraceCtx};
@@ -34,6 +35,19 @@ pub use sqpeer_trace::{spans_well_nested, stitched_well_nested, QueryProfile, Tr
 /// simulator node (the two id spaces coincide by construction).
 pub fn node_of(peer: sqpeer_routing::PeerId) -> sqpeer_net::NodeId {
     sqpeer_net::NodeId(peer.0)
+}
+
+/// Hands `msg` to `transport` as if `from` had sent it to `to`, charged
+/// at its own wire size — how drivers (overlay builders, the daemon's
+/// group, tests) put advertisements and client queries on the wire.
+pub fn inject<T: sqpeer_net::Transport<PeerNode>>(
+    transport: &mut T,
+    from: sqpeer_routing::PeerId,
+    to: sqpeer_routing::PeerId,
+    msg: Msg,
+) {
+    let bytes = msg.wire_size();
+    transport.inject(node_of(from), node_of(to), msg, bytes);
 }
 
 /// Maps a simulator node id back to the routing-level peer id.

@@ -16,6 +16,7 @@
 
 use crate::local::{eval_local, fully_local};
 use crate::msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome};
+use crate::stream::{Receiver, Sender};
 use crate::{node_of, peer_of};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
 use sqpeer_net::{Channel, ChannelTable, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
@@ -127,11 +128,6 @@ pub struct PeerConfig {
     /// processing load of the peers should also be taken into account",
     /// §2.5). Zero = infinitely fast peers.
     pub processing_us_per_row: u64,
-    /// Network cost model the optimiser consults for shipping decisions;
-    /// `None` uses uniform costs. Overlay builders mirror the simulator's
-    /// link table here so compile-time shipping choices (§2.5, Figure 5)
-    /// see the same network the execution will.
-    pub cost_model: Option<UniformCost>,
     /// Memoise routing annotations and generated plans across queries
     /// (epoch-invalidated, so advertisement churn is always observed).
     /// `None` disables caching entirely.
@@ -160,11 +156,7 @@ pub struct PeerConfig {
 ///
 /// A probe observes the bytes a channel delivered to the root inside its
 /// lifetime window and compares the windowed rate against
-/// `expected_bytes_per_ms × min_fraction_permille / 1000`, where the
-/// expected rate is scaled down by the [`UniformCost`] per-byte link
-/// override towards the destination (a link the cost model prices at 3×
-/// the default per-byte cost is expected to deliver a third of the
-/// bytes per millisecond).
+/// `expected_bytes_per_ms × min_fraction_permille / 1000`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowChannelPolicy {
     /// Virtual µs between throughput probes of one outstanding subplan.
@@ -219,7 +211,6 @@ impl Default for PeerConfig {
             ad_lease_us: None,
             phased: false,
             processing_us_per_row: 0,
-            cost_model: None,
             cache: Some(CacheConfig::default()),
             trace: false,
             slow_channel: None,
@@ -421,6 +412,24 @@ struct Frame {
     precombined: Option<ResultSet>,
 }
 
+impl Frame {
+    /// Would a batch drained for the still-streaming `slot` activate the
+    /// pipelined join probe now — a live `Join` frame whose every other
+    /// slot is filled and which is not probing `slot` already? The probe
+    /// then needs the stream's whole drained prefix, not just that batch.
+    fn probe_activates(&self, slot: usize) -> bool {
+        self.op == FrameOp::Join
+            && !self.done
+            && self.slots[slot].is_none()
+            && self
+                .slots
+                .iter()
+                .enumerate()
+                .all(|(i, s)| i == slot || s.is_some())
+            && self.probe.as_ref().is_none_or(|p| p.slot != slot)
+    }
+}
+
 /// Pipelined join consumption: once every slot of a `Join` frame except
 /// the streaming one is filled, arriving batches probe against the
 /// already-built sides instead of buffering until the stream completes.
@@ -443,95 +452,28 @@ struct JoinProbe {
     acc: Option<ResultSet>,
 }
 
-/// Reassembly state for one streamed subplan result (receiver side).
-/// Batches drain into `acc` strictly in sequence order the moment they
-/// can — the pipelined-consumption hook (§2.4) sees every drained batch
-/// immediately. Out-of-order arrivals wait in `pending`; duplicate
-/// sequence numbers are dropped, preserving concatenation semantics.
+/// Root-side reassembly of one streamed subplan result: the seq machine
+/// ([`Receiver`]) plus the rows it has released so far. Every drained
+/// batch is visible to the pipelined-consumption hook (§2.4) at once.
 #[derive(Debug, Default)]
-struct StreamState {
+struct Reassembly {
+    recv: Receiver<Vec<Row>>,
     columns: Vec<String>,
     /// Rows of every batch drained so far, in sequence order.
     acc: Vec<Row>,
-    /// The sequence number the in-order drain is waiting for.
-    next_seq: u32,
-    /// Batches that arrived ahead of a gap, indexed by sequence number.
-    pending: std::collections::BTreeMap<u32, Vec<Row>>,
-    last_seq: Option<u32>,
     partial: bool,
-    /// Packets ingested, duplicates included — the denominator of the
-    /// credit-accounting assert (≤ 1 credit may go back per packet).
-    packets_received: u32,
-    /// Credits granted back for this stream so far.
-    credits_back: u32,
 }
 
-impl StreamState {
-    /// Would `seq` be discarded by seq-dedup — already drained, or
-    /// already buffered ahead of a gap?
-    fn is_dup(&self, seq: u32) -> bool {
-        seq < self.next_seq || self.pending.contains_key(&seq)
-    }
-
-    /// Ingests one packet and returns the rows that became drainable, in
-    /// sequence order (empty when the packet was a duplicate or arrived
-    /// ahead of a gap).
-    fn ingest(&mut self, seq: u32, rows: Vec<Row>, last: bool) -> Vec<Row> {
-        self.packets_received += 1;
-        if last {
-            self.last_seq = Some(seq);
-        }
-        if seq >= self.next_seq && !self.pending.contains_key(&seq) {
-            self.pending.insert(seq, rows);
-        }
-        let mut drained = Vec::new();
-        while let Some(rows) = self.pending.remove(&self.next_seq) {
-            drained.extend(rows.iter().cloned());
-            self.acc.extend(rows);
-            self.next_seq += 1;
-        }
-        drained
-    }
-
-    /// All batches `0..=last_seq` drained?
-    fn complete(&self) -> bool {
-        self.last_seq.is_some_and(|last| self.next_seq > last)
-    }
-
-    fn assemble(self) -> ResultSet {
-        ResultSet {
-            columns: self.columns,
-            rows: self.acc,
-        }
-    }
-}
-
-/// Sender-side state of one credit-gated outgoing data-packet stream.
-/// At most `window` packets are in flight (sent but not yet credited
-/// back by the root via [`Msg::Credit`]); the rest wait in `queued`.
-/// Under the processing-load model, batches additionally sit in
-/// `unproduced` until their production timer fires — the incremental
-/// production that lets the first packet leave while evaluation of the
-/// remainder is still being charged.
+/// One outgoing data-packet stream: the credit-gated [`Sender`] plus
+/// what its packets are addressed and closed with.
 #[derive(Debug)]
 struct OutgoingStream {
     channel: PeerChannel,
     qid: QueryId,
     tag: u64,
     columns: Vec<String>,
-    /// Batches the processing-load model has not yet "produced".
-    unproduced: std::collections::VecDeque<Vec<Row>>,
-    /// Produced batches awaiting window room.
-    queued: std::collections::VecDeque<Vec<Row>>,
-    /// Next sequence number to put on the wire.
-    next_seq: u32,
-    /// Packets on the wire the root has not yet credited back.
-    inflight: u32,
-    /// Max packets in flight (the sender's credit window).
-    window: u32,
-    /// No more batches will be queued: once `queued` drains, the final
-    /// packet goes out carrying `partial` and `stats`.
-    finished: bool,
+    core: Sender<Vec<Row>>,
+    /// Carried by the final packet.
     partial: bool,
     stats: Option<sqpeer_store::BaseStatistics>,
     /// Union-forwarding streams dedup against the rows already queued
@@ -541,26 +483,20 @@ struct OutgoingStream {
 }
 
 impl OutgoingStream {
-    /// An empty, unfinished stream answering `(channel, qid, tag)` under
-    /// the sender's configured credit window.
+    /// A stream of `core`'s packets answering `(channel, qid, tag)`.
     fn new(
         channel: PeerChannel,
         qid: QueryId,
         tag: u64,
         columns: Vec<String>,
-        config: &PeerConfig,
+        core: Sender<Vec<Row>>,
     ) -> Self {
         OutgoingStream {
             channel,
             qid,
             tag,
             columns,
-            unproduced: std::collections::VecDeque::new(),
-            queued: std::collections::VecDeque::new(),
-            next_seq: 0,
-            inflight: 0,
-            window: config.stream_credit_window.max(1),
-            finished: false,
+            core,
             partial: false,
             stats: None,
             sent_acc: None,
@@ -654,6 +590,10 @@ struct PendingRemote {
     /// Result bytes received on this channel so far (streamed batches
     /// included) — the numerator of the windowed throughput.
     bytes_observed: u64,
+    /// The partially received streamed result. Living here, it goes
+    /// wherever the outstanding entry goes: answered, abandoned or
+    /// replanned away, no reassembly outlives its subplan.
+    stream: Reassembly,
 }
 
 /// Why a re-plan fired, for cause-attributed adaptation counters.
@@ -755,9 +695,6 @@ pub struct PeerNode {
     next_timer: u64,
     /// Subplans waiting for a processing slot (FIFO).
     slot_queue: std::collections::VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
-    /// Partially received streamed results, keyed by outstanding tag:
-    /// an in-order drain over out-of-order arrivals.
-    streams: HashMap<u64, StreamState>,
     /// Credit-gated outgoing result streams this peer is the sender of.
     outgoing: HashMap<StreamKey, OutgoingStream>,
     /// Idempotent receive: highest attempt served per subplan identity
@@ -840,7 +777,6 @@ impl PeerNode {
             timers: HashMap::new(),
             next_timer: 0,
             slot_queue: std::collections::VecDeque::new(),
-            streams: HashMap::new(),
             outgoing: HashMap::new(),
             served: HashMap::new(),
             lease_expiry: HashMap::new(),
@@ -897,7 +833,7 @@ impl PeerNode {
 
     /// Channels currently rooted here (inspection).
     pub fn rooted_channels(&self) -> usize {
-        self.channels.rooted_count()
+        self.channels.len()
     }
 
     // ------------------------------------------------------------------
@@ -1737,7 +1673,7 @@ impl PeerNode {
             }
         }
         if self.config.optimize {
-            let net_cost = self.config.cost_model.clone().unwrap_or_default();
+            let net_cost = UniformCost::default();
             let (optimized, report) = {
                 let mut tracer = self.tracer.borrow_mut();
                 optimize_traced(
@@ -1879,7 +1815,7 @@ impl PeerNode {
         slot: usize,
         visited: Vec<PeerId>,
     ) {
-        let channel = self.channel_to(dest);
+        let channel = self.channels.channel_to(self.id, dest);
         if self.config.phased {
             if let Some(root) = self.rooted.get(&qid) {
                 if let Some(cached) = root.phase_cache.get(&(dest, plan.to_string())) {
@@ -1908,6 +1844,7 @@ impl PeerNode {
                 attempt: 0,
                 dispatched_at_us: ctx.now_us(),
                 bytes_observed: 0,
+                stream: Reassembly::default(),
             },
         );
         if let Some(timeout) = self.config.subplan_timeout_us {
@@ -1935,15 +1872,6 @@ impl PeerNode {
         self.flight(ctx.now_us(), "dispatch", || {
             format!("{qid} subplan tag {tag} → {dest}")
         });
-    }
-
-    /// The open channel towards `dest`, or a fresh one (§2.4: one channel
-    /// per contacted peer).
-    fn channel_to(&mut self, dest: PeerId) -> PeerChannel {
-        match self.channels.open_towards(dest) {
-            Some(ch) => ch,
-            None => self.channels.open(self.id, dest),
-        }
     }
 
     /// Ships outstanding subplan `tag`, at its recorded attempt, over
@@ -1987,7 +1915,7 @@ impl PeerNode {
         };
         pending.attempt += 1;
         let (qid, dest, attempt) = (pending.qid, pending.dest, pending.attempt);
-        let channel = self.channel_to(dest);
+        let channel = self.channels.channel_to(self.id, dest);
         ctx.note_retry();
         self.arm(ctx, base_timeout << attempt.min(16), Timer::Timeout(tag));
         self.send_subplan(ctx, tag, channel);
@@ -2034,8 +1962,8 @@ impl PeerNode {
                 .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
             self.retry_subplan(ctx, tag, base);
         } else if let Some(pending) = self.outstanding.remove(&tag) {
-            // Retries exhausted: treat the destination as gone, adapt
-            // (§2.5), and garbage-collect the dead channel entries.
+            // Retries exhausted: treat the destination as gone and adapt
+            // (§2.5).
             let now = ctx.now_us();
             self.note_adaptation(qid, || {
                 format!(
@@ -2045,8 +1973,6 @@ impl PeerNode {
                     pending.attempt + 1
                 )
             });
-            self.channels.fail_towards(pending.dest);
-            self.channels.sweep();
             self.handle_lost_subplan(ctx, pending, ReplanCause::Timeout);
         }
     }
@@ -2063,7 +1989,7 @@ impl PeerNode {
             Completion::Channel { channel, qid, tag } => {
                 let stats = self.base_stats();
                 let key: StreamKey = (channel.root, qid, tag);
-                if self.outgoing.get(&key).is_some_and(|s| !s.finished) {
+                if self.outgoing.get(&key).is_some_and(|s| !s.core.finished()) {
                     // A pipelined forwarding stream already carried the
                     // arriving batches downstream — close it with the
                     // remaining delta, the honest partial flag and the
@@ -2074,8 +2000,8 @@ impl PeerNode {
                         .as_mut()
                         .map(|acc| acc.union_delta(&result))
                         .unwrap_or_default();
-                    stream.queued.push_back(delta);
-                    stream.finished = true;
+                    stream.core.push(delta);
+                    stream.core.finish();
                     stream.partial = partial;
                     stream.stats = stats;
                     self.flush_stream(ctx, key);
@@ -2098,12 +2024,15 @@ impl PeerNode {
                     // Stream the result as a credit-gated pipeline of
                     // data packets: at most `stream_credit_window` are in
                     // flight until the root credits them back.
+                    let mut core = Sender::new(self.config.stream_credit_window);
+                    for rows in result.rows.chunks(batch) {
+                        core.push(rows.to_vec());
+                    }
+                    core.finish();
                     let stream = OutgoingStream {
-                        queued: result.rows.chunks(batch).map(<[Row]>::to_vec).collect(),
-                        finished: true,
                         partial,
                         stats,
-                        ..OutgoingStream::new(channel, qid, tag, result.columns, &self.config)
+                        ..OutgoingStream::new(channel, qid, tag, result.columns, core)
                     };
                     self.outgoing.insert(key, stream);
                     self.flush_stream(ctx, key);
@@ -2129,20 +2058,13 @@ impl PeerNode {
     }
 
     /// Sends as many queued packets of `key`'s stream as the credit
-    /// window allows. The final packet (once the stream is `finished`
-    /// and fully drained) carries the partial flag and the statistics
-    /// snapshot, and retires the stream.
+    /// window allows. The final packet carries the partial flag and the
+    /// statistics snapshot, and retires the stream.
     fn flush_stream(&mut self, ctx: &mut Ctx<Msg>, key: StreamKey) {
         let Some(stream) = self.outgoing.get_mut(&key) else {
             return;
         };
-        let mut high_water = 0;
-        let mut sent_last = false;
-        while stream.inflight < stream.window && !sent_last {
-            let Some(rows) = stream.queued.pop_front() else {
-                break;
-            };
-            sent_last = stream.finished && stream.queued.is_empty() && stream.unproduced.is_empty();
+        while let Some((seq, rows, last)) = stream.core.next_packet() {
             let msg = Msg::Data {
                 channel: stream.channel,
                 qid: stream.qid,
@@ -2151,25 +2073,17 @@ impl PeerNode {
                     columns: stream.columns.clone(),
                     rows,
                 },
-                partial: if sent_last { stream.partial } else { false },
-                stats: if sent_last { stream.stats.take() } else { None },
-                seq: stream.next_seq,
-                last: sent_last,
+                partial: last && stream.partial,
+                stats: if last { stream.stats.take() } else { None },
+                seq,
+                last,
             };
-            stream.next_seq += 1;
-            stream.inflight += 1;
-            debug_assert!(
-                stream.inflight <= stream.window,
-                "stream {key:?}: {} packets in flight exceeds credit window {}",
-                stream.inflight,
-                stream.window
-            );
-            high_water = high_water.max(stream.inflight);
+            self.max_stream_inflight = self.max_stream_inflight.max(stream.core.inflight());
             send(ctx, stream.channel.root, msg);
-        }
-        self.max_stream_inflight = self.max_stream_inflight.max(high_water);
-        if sent_last {
-            self.outgoing.remove(&key);
+            if last {
+                self.outgoing.remove(&key);
+                return;
+            }
         }
     }
 
@@ -2191,10 +2105,10 @@ impl PeerNode {
         let unproduced: std::collections::VecDeque<Vec<Row>> =
             result.rows.chunks(batch).map(<[Row]>::to_vec).collect();
         let first_rows = unproduced.front().map_or(0, Vec::len) as u64;
+        let core = Sender::paced(self.config.stream_credit_window, unproduced);
         let stream = OutgoingStream {
-            unproduced,
             stats: self.base_stats(),
-            ..OutgoingStream::new(channel, qid, tag, result.columns, &self.config)
+            ..OutgoingStream::new(channel, qid, tag, result.columns, core)
         };
         self.outgoing.insert(key, stream);
         let delay = self.config.processing_us_per_row * (first_rows + 1);
@@ -2207,19 +2121,13 @@ impl PeerNode {
         let Some(stream) = self.outgoing.get_mut(&key) else {
             return;
         };
-        if let Some(rows) = stream.unproduced.pop_front() {
-            stream.queued.push_back(rows);
-        }
-        match stream.unproduced.front().map(Vec::len) {
+        match stream.core.produce().map(Vec::len) {
             Some(rows) => {
                 let delay = self.config.processing_us_per_row * rows as u64;
                 self.arm(ctx, delay, Timer::Production(key));
             }
-            None => {
-                // Production finished: the processing slot frees.
-                stream.finished = true;
-                self.admit_queued(ctx);
-            }
+            // Production finished: the processing slot frees.
+            None => self.admit_queued(ctx),
         }
         self.flush_stream(ctx, key);
     }
@@ -2254,52 +2162,49 @@ impl PeerNode {
             let contrib = match frame.op {
                 FrameOp::Union => Some(batch),
                 FrameOp::Join => {
-                    let others_filled = frame
-                        .slots
-                        .iter()
-                        .enumerate()
-                        .all(|(i, s)| i == slot || s.is_some());
-                    if !others_filled {
-                        None
-                    } else {
-                        if frame.probe.as_ref().is_none_or(|p| p.slot != slot) {
-                            // Activate the probe: fold the filled sides
-                            // once; every batch joins against them from
-                            // here on. (The caller backfills previously
-                            // drained rows into this first batch.)
-                            let prefix = frame.slots[..slot].iter().flatten().fold(
-                                None::<ResultSet>,
-                                |acc, s| match acc {
-                                    None => Some(s.clone()),
-                                    Some(a) => Some(a.join(s)),
-                                },
-                            );
-                            let suffix: Vec<ResultSet> =
-                                frame.slots[slot + 1..].iter().flatten().cloned().collect();
-                            frame.probe = Some(JoinProbe {
-                                slot,
-                                prefix,
-                                suffix,
-                                acc: None,
-                            });
-                        }
-                        let probe = frame.probe.as_mut().expect("just ensured");
-                        let mut t = match &probe.prefix {
-                            Some(p) => p.join(&batch),
-                            None => batch,
-                        };
-                        for s in &probe.suffix {
-                            t = t.join(s);
-                        }
-                        let out = t.clone();
-                        match &mut probe.acc {
-                            Some(acc) => {
-                                acc.union(&t);
-                            }
-                            None => probe.acc = Some(t),
-                        }
-                        Some(out)
+                    if frame.probe_activates(slot) {
+                        // Fold the filled sides once; every batch joins
+                        // against them from here on. (The caller backfills
+                        // previously drained rows into this first batch.)
+                        let prefix = frame.slots[..slot].iter().flatten().fold(
+                            None::<ResultSet>,
+                            |acc, s| match acc {
+                                None => Some(s.clone()),
+                                Some(a) => Some(a.join(s)),
+                            },
+                        );
+                        let suffix: Vec<ResultSet> =
+                            frame.slots[slot + 1..].iter().flatten().cloned().collect();
+                        frame.probe = Some(JoinProbe {
+                            slot,
+                            prefix,
+                            suffix,
+                            acc: None,
+                        });
                     }
+                    // No probe on this slot: a sibling is still unfilled,
+                    // and the batch waits for the assembled stream.
+                    frame
+                        .probe
+                        .as_mut()
+                        .filter(|p| p.slot == slot)
+                        .map(|probe| {
+                            let mut t = match &probe.prefix {
+                                Some(p) => p.join(&batch),
+                                None => batch,
+                            };
+                            for s in &probe.suffix {
+                                t = t.join(s);
+                            }
+                            let out = t.clone();
+                            match &mut probe.acc {
+                                Some(acc) => {
+                                    acc.union(&t);
+                                }
+                                None => probe.acc = Some(t),
+                            }
+                            out
+                        })
                 }
                 FrameOp::Race => None,
             };
@@ -2340,9 +2245,15 @@ impl PeerNode {
         let key: StreamKey = (channel.root, qid, tag);
         let stream = self.outgoing.entry(key).or_insert_with(|| OutgoingStream {
             sent_acc: Some(UnionAcc::new(ResultSet::empty(contrib.columns.clone()))),
-            ..OutgoingStream::new(channel, qid, tag, contrib.columns.clone(), &self.config)
+            ..OutgoingStream::new(
+                channel,
+                qid,
+                tag,
+                contrib.columns.clone(),
+                Sender::new(self.config.stream_credit_window),
+            )
         });
-        if stream.finished {
+        if stream.core.finished() {
             return;
         }
         let delta = stream
@@ -2351,7 +2262,7 @@ impl PeerNode {
             .map(|acc| acc.union_delta(&contrib))
             .unwrap_or_default();
         if !delta.is_empty() {
-            stream.queued.push_back(delta);
+            stream.core.push(delta);
         }
         self.flush_stream(ctx, key);
     }
@@ -2634,19 +2545,8 @@ impl PeerNode {
         let (qid, dest) = (pending.qid, pending.dest);
         let bytes = pending.bytes_observed;
         let window_us = ctx.now_us().saturating_sub(pending.dispatched_at_us).max(1);
-        // Expected rate, scaled by the cost model's pricing of this link:
-        // a link the model prices at n× the default per-byte cost is
-        // expected to deliver 1/n of the bytes per millisecond.
-        let expected = match &self.config.cost_model {
-            Some(cost) if cost.per_byte > 0.0 => {
-                use sqpeer_plan::NetworkCost as _;
-                let relative =
-                    cost.transfer(Site::Peer(self.id), Site::Peer(dest), 1.0) / cost.per_byte;
-                (policy.expected_bytes_per_ms as f64 / relative.max(f64::MIN_POSITIVE)) as u64
-            }
-            _ => policy.expected_bytes_per_ms,
-        };
-        let floor_bpms = (expected * policy.min_fraction_permille / 1_000).max(1);
+        let floor_bpms =
+            (policy.expected_bytes_per_ms * policy.min_fraction_permille / 1_000).max(1);
         let observed_bpms = bytes * 1_000 / window_us;
         if observed_bpms >= floor_bpms {
             self.arm(ctx, policy.probe_interval_us, Timer::Probe(tag));
@@ -2669,8 +2569,6 @@ impl PeerNode {
             )
         });
         let pending = self.outstanding.remove(&tag).expect("checked above");
-        self.channels.fail_towards(dest);
-        self.channels.sweep();
         self.handle_lost_subplan(ctx, pending, ReplanCause::SlowChannel);
     }
 
@@ -2724,6 +2622,9 @@ impl PeerNode {
     ) {
         let qid = pending.qid;
         let failed_peer = pending.dest;
+        // The channel is dead with its destination; whatever adaptation
+        // dispatches next mints a fresh one.
+        self.channels.drop_towards(failed_peer);
         if let Some(root) = self.rooted.get_mut(&qid) {
             root.failed_subplans += 1;
         }
@@ -2752,9 +2653,15 @@ impl PeerNode {
             if let Some(root) = self.rooted.get_mut(&qid) {
                 root.missing.insert(failed_peer);
             }
-            let empty = ResultSet::empty(pending.columns);
-            self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
+            self.fail_slot(ctx, pending);
         }
+    }
+
+    /// Gives up on `pending`'s branch: its slot is filled with a
+    /// well-formed empty partial result.
+    fn fail_slot(&mut self, ctx: &mut Ctx<Msg>, pending: PendingRemote) {
+        let empty = ResultSet::empty(pending.columns);
+        self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
     }
 
     /// Re-routes one lost subplan around `failed` without disturbing the
@@ -2798,8 +2705,7 @@ impl PeerNode {
                 },
             );
         } else {
-            let empty = ResultSet::empty(pending.columns);
-            self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
+            self.fail_slot(ctx, pending);
         }
     }
 
@@ -2844,7 +2750,6 @@ impl PeerNode {
                 return;
             }
         }
-        self.channels.accept(channel);
         let completion = Completion::Channel { channel, qid, tag };
 
         if plan.is_complete() {
@@ -3146,7 +3051,6 @@ impl NodeLogic for PeerNode {
                     }
                 }
                 let Some(pending) = self.outstanding.get_mut(&tag) else {
-                    self.streams.remove(&tag);
                     return;
                 };
                 if pending.qid != qid {
@@ -3170,44 +3074,41 @@ impl NodeLogic for PeerNode {
                 // packet needs the full drained prefix (earlier batches
                 // arrived before its sibling slots filled), not just this
                 // packet's rows.
-                let needs_backfill = self.frames.get(&frame_id).is_some_and(|f| {
-                    f.op == FrameOp::Join
-                        && !f.done
-                        && f.slots[slot].is_none()
-                        && f.slots
-                            .iter()
-                            .enumerate()
-                            .all(|(i, s)| i == slot || s.is_some())
-                        && f.probe.as_ref().is_none_or(|p| p.slot != slot)
-                });
+                let needs_backfill = self
+                    .frames
+                    .get(&frame_id)
+                    .is_some_and(|f| f.probe_activates(slot));
                 // In-order drain over possibly reordered or duplicated
                 // batches (smaller packets travel faster; retries resend
                 // from the start).
-                let (drained, incomplete, columns) = {
-                    let state = self.streams.entry(tag).or_default();
-                    if state.columns.is_empty() {
-                        state.columns = result.columns.clone();
-                    }
-                    state.partial |= partial;
-                    if state.is_dup(seq) {
-                        // At-least-once dispatch and fault-plan duplication
-                        // both make repeated sequence numbers normal; each
-                        // one must land in the dedup counter, never in the
-                        // answer.
-                        ctx.note_stream_dedup();
-                    }
-                    let mut drained = state.ingest(seq, result.rows, last);
-                    if needs_backfill && !drained.is_empty() {
-                        drained = state.acc.clone();
-                    }
-                    (drained, !state.complete(), state.columns.clone())
-                };
-                if incomplete {
+                let state = &mut pending.stream;
+                if state.columns.is_empty() {
+                    state.columns = result.columns.clone();
+                }
+                state.partial |= partial;
+                let ingested = state.recv.ingest(seq, result.rows, last);
+                if ingested.is_dup {
+                    // At-least-once dispatch and fault-plan duplication
+                    // both make repeated sequence numbers normal; each
+                    // one must land in the dedup counter, never in the
+                    // answer.
+                    ctx.note_stream_dedup();
+                }
+                let mut drained: Vec<Row> = Vec::new();
+                for rows in ingested.drained {
+                    state.acc.extend(rows.iter().cloned());
+                    drained.extend(rows);
+                }
+                if needs_backfill && !drained.is_empty() {
+                    drained = state.acc.clone();
+                }
+                let batch = (!drained.is_empty()).then(|| ResultSet {
+                    columns: state.columns.clone(),
+                    rows: drained,
+                });
+                if ingested.credit_owed {
                     // Credit-based backpressure: acknowledge the packet so
-                    // the sender may put another in flight. Duplicates are
-                    // credited too — a retrying sender starts its window
-                    // over and would otherwise stall on already-drained
-                    // sequence numbers.
+                    // the sender may put another in flight.
                     let msg = Msg::Credit {
                         channel,
                         qid,
@@ -3219,30 +3120,19 @@ impl NodeLogic for PeerNode {
                     self.flight(ctx.now_us(), "credit", || {
                         format!("{qid} stream tag {tag}: granted 1 credit")
                     });
-                    if let Some(state) = self.streams.get_mut(&tag) {
-                        state.credits_back += 1;
-                        debug_assert!(
-                            state.credits_back <= state.packets_received,
-                            "stream tag {tag}: granted {} credits for only {} packets",
-                            state.credits_back,
-                            state.packets_received
-                        );
-                    }
                 }
-                if !drained.is_empty() {
-                    let batch = ResultSet {
-                        columns,
-                        rows: drained,
-                    };
+                if let Some(batch) = batch {
                     self.consume_batch(ctx, qid, frame_id, slot, batch);
                 }
-                if incomplete {
+                if ingested.credit_owed {
                     return;
                 }
-                let state = self.streams.remove(&tag).expect("present");
-                let partial = state.partial;
-                let result = state.assemble();
                 if let Some(pending) = self.outstanding.remove(&tag) {
+                    let partial = pending.stream.partial;
+                    let result = ResultSet {
+                        columns: pending.stream.columns,
+                        rows: pending.stream.acc,
+                    };
                     let rows = result.rows.len();
                     if let Some(root) = self.rooted.get_mut(&qid) {
                         root.answered_subplans += 1;
@@ -3288,8 +3178,7 @@ impl NodeLogic for PeerNode {
                     if self.rooted.contains_key(&qid) && self.config.adaptive {
                         self.adapt_or_give_up(ctx, qid, Some(pending.dest), ReplanCause::Delivery);
                     } else {
-                        let empty = ResultSet::empty(pending.columns);
-                        self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
+                        self.fail_slot(ctx, pending);
                     }
                 }
             }
@@ -3316,9 +3205,7 @@ impl NodeLogic for PeerNode {
                 // in-flight count and push what the window now allows.
                 let key: StreamKey = (channel.root, qid, tag);
                 if let Some(stream) = self.outgoing.get_mut(&key) {
-                    // `credits` is the consumer's claim: an over-grant
-                    // clamps at an empty window.
-                    stream.inflight = stream.inflight.saturating_sub(credits);
+                    stream.core.grant(credits);
                     self.flush_stream(ctx, key);
                 }
             }
@@ -3402,7 +3289,6 @@ impl NodeLogic for PeerNode {
         self.route_relays.clear();
         self.timers.clear();
         self.slot_queue.clear();
-        self.streams.clear();
         self.outgoing.clear();
         self.served.clear();
         // Accumulated rollups survive the restart — registry links fold
@@ -3505,10 +3391,7 @@ impl NodeLogic for PeerNode {
 
     fn on_delivery_failure(&mut self, ctx: &mut Ctx<Msg>, to: NodeId, msg: Msg) {
         let failed_peer = peer_of(to);
-        self.channels.fail_towards(failed_peer);
-        // GC: failed channels never come back (adaptation opens fresh
-        // ones), so drop them now to keep the table bounded.
-        self.channels.sweep();
+        self.channels.drop_towards(failed_peer);
         match msg {
             Msg::Subplan { tag, .. } => {
                 let Some(pending) = self.outstanding.remove(&tag) else {
@@ -3991,33 +3874,6 @@ mod tests {
             msgs_streamed > msgs_single,
             "7 batches beat 1 packet in message count ({msgs_streamed} vs {msgs_single})"
         );
-    }
-
-    /// The in-order drain: reordered packets buffer until the gap fills,
-    /// duplicates (pending *and* already-drained) are dropped, and the
-    /// assembled rows come out in sequence order.
-    #[test]
-    fn stream_state_drains_in_order_despite_reorder_and_dup() {
-        let row = |i: i64| vec![sqpeer_rdfs::Node::Literal(sqpeer_rdfs::Literal::Integer(i))];
-        let mut st = StreamState {
-            columns: vec!["X".to_string()],
-            ..StreamState::default()
-        };
-        // seq 1 overtakes seq 0: buffered, nothing drains yet.
-        assert!(st.ingest(1, vec![row(1)], false).is_empty());
-        assert!(!st.complete());
-        // A duplicate of the buffered packet changes nothing.
-        assert!(st.ingest(1, vec![row(1)], false).is_empty());
-        // seq 0 arrives: both drain, in order.
-        assert_eq!(st.ingest(0, vec![row(0)], false), vec![row(0), row(1)]);
-        // A duplicate of an already-drained packet is ignored.
-        assert!(st.ingest(0, vec![row(0)], false).is_empty());
-        assert!(!st.complete());
-        // The final packet closes the stream.
-        assert_eq!(st.ingest(2, vec![row(2)], true), vec![row(2)]);
-        assert!(st.complete());
-        let rs = st.assemble();
-        assert_eq!(rs.rows, vec![row(0), row(1), row(2)]);
     }
 
     /// The tentpole claim at unit scale: with per-row evaluation cost,
@@ -4608,9 +4464,9 @@ mod tests {
         assert!(sim.metrics().duplicates_delivered() >= 1);
     }
 
-    /// Adaptation rounds fail channels and open fresh ones; the sweep
-    /// keeps the root's channel table bounded instead of accumulating one
-    /// dead entry per round.
+    /// Adaptation rounds drop channels and open fresh ones; the root's
+    /// channel table stays bounded instead of accumulating one dead entry
+    /// per round.
     #[test]
     fn channel_table_stays_bounded_across_adaptation_rounds() {
         let schema = fig1_schema();
@@ -4644,26 +4500,8 @@ mod tests {
         let outcome = p1.outcomes.get(&QueryId(9)).expect("gave up").clone();
         assert!(outcome.partial);
         assert_eq!(outcome.missing, vec![PeerId(2), PeerId(3), PeerId(4)]);
-        // Every round's failed channels were garbage-collected.
+        // Every round's failed channels were dropped.
         assert_eq!(p1.rooted_channels(), 0);
-    }
-
-    /// Seq-dedup classification behind the dedup-drop counter: packets
-    /// already drained or already buffered are dups; every ingest counts
-    /// toward the credit-accounting denominator.
-    #[test]
-    fn stream_state_dedup_classification() {
-        let row = |i: i64| vec![sqpeer_rdfs::Node::Literal(sqpeer_rdfs::Literal::Integer(i))];
-        let mut st = StreamState::default();
-        assert!(!st.is_dup(0));
-        st.ingest(1, vec![row(1)], false);
-        assert!(st.is_dup(1), "buffered ahead of the gap");
-        assert!(!st.is_dup(0));
-        st.ingest(0, vec![row(0)], false);
-        assert!(st.is_dup(0), "already drained");
-        assert!(st.is_dup(1), "already drained");
-        assert!(!st.is_dup(2));
-        assert_eq!(st.packets_received, 2);
     }
 
     /// Lease-bootstrap regression (arm-after-register): an advertisement
@@ -4872,7 +4710,7 @@ mod tests {
         holder.on_message(&mut ctx, NodeId(1), credit);
         assert_eq!(ctx.into_effects().outbox.len(), 2);
         let stream = &holder.outgoing[&key];
-        assert_eq!((stream.inflight, stream.next_seq), (2, 4));
+        assert_eq!((stream.core.inflight(), stream.core.next_seq()), (2, 4));
         assert_eq!(holder.max_stream_inflight, 2);
 
         // A data packet carrying tag 0 under a foreign query id is dropped
@@ -4898,13 +4736,105 @@ mod tests {
         let mut ctx = Ctx::detached(0, NodeId(1));
         root.on_message(&mut ctx, NodeId(2), forged);
         assert!(ctx.into_effects().outbox.is_empty());
-        assert!(root.streams.is_empty());
+        assert_eq!(root.outstanding[&0].stream.recv, Receiver::default());
         assert_eq!(root.outstanding[&0].bytes_observed, 0);
         assert!(root
             .frames
             .values()
             .all(|f| f.slots.iter().all(Option::is_none)));
         assert!(root.outcomes.is_empty());
+    }
+
+    /// A root that has received the first packet of a five-packet stream
+    /// from holder P2 (tag 0 of query 1) and nothing more: returns the
+    /// root, the channel, and the id of the armed subplan timeout.
+    fn half_received_stream() -> (PeerNode, PeerChannel, u64) {
+        let schema = fig1_schema();
+        let streaming = PeerConfig {
+            stream_batch_rows: Some(1),
+            stream_credit_window: 2,
+            ..adhoc_config()
+        };
+        let rows: Vec<(String, String)> =
+            (0..5).map(|i| (format!("a{i}"), format!("b{i}"))).collect();
+        let triples: Vec<(&str, &str, &str)> = rows
+            .iter()
+            .map(|(a, b)| (a.as_str(), "prop1", b.as_str()))
+            .collect();
+        let mut holder = PeerNode::simple(PeerId(2), base_with(&schema, &triples), streaming);
+        let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
+        root.registry.register(holder.own_advertisement().unwrap());
+
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
+        let qid = QueryId(1);
+        root.on_message(&mut ctx, NodeId(99), Msg::ClientQuery { qid, query });
+        let mut effects = ctx.into_effects();
+        let (_, subplan, _) = effects.outbox.pop().expect("one subplan dispatched");
+        let (_, timeout) = effects.timers.pop().expect("its timeout armed");
+        assert_eq!(root.timer_kind(timeout), "timeout");
+
+        let mut ctx = Ctx::detached(0, NodeId(2));
+        holder.on_message(&mut ctx, NodeId(1), subplan);
+        let (_, first, _) = ctx.into_effects().outbox.remove(0);
+        let Msg::Data { channel, seq, .. } = &first else {
+            panic!("holder streams Data packets");
+        };
+        assert_eq!(*seq, 0);
+        let channel = *channel;
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        root.on_message(&mut ctx, NodeId(2), first);
+        let pending = &root.outstanding[&0];
+        assert_eq!(
+            (pending.stream.recv.next_seq(), pending.stream.acc.len()),
+            (1, 1)
+        );
+        (root, channel, timeout)
+    }
+
+    /// The orphaned-reassembly leak, timeout path: the holder streams its
+    /// first batch and goes silent; once the retry ladder is exhausted
+    /// the root abandons the tag and keeps none of its rows.
+    #[test]
+    fn abandoned_stream_leaves_no_reassembly_after_timeout_ladder() {
+        let (mut root, _, mut timeout) = half_received_stream();
+        // Two silent retries, then the ladder gives out.
+        for _ in 0..=PeerConfig::default().subplan_retries {
+            let mut ctx = Ctx::detached(0, NodeId(1));
+            root.on_timer(&mut ctx, timeout);
+            if let Some(&(_, next)) = ctx.into_effects().timers.last() {
+                timeout = next;
+            }
+        }
+        let outcome = &root.outcomes[&QueryId(1)];
+        assert!(outcome.partial);
+        assert_eq!(outcome.missing, vec![PeerId(2)]);
+        assert!(
+            root.outstanding.is_empty(),
+            "no reassembly outlives its tag"
+        );
+        assert!(root.frames.is_empty());
+        assert_eq!(root.rooted_channels(), 0);
+    }
+
+    /// The same leak through `SubplanFailed`: the holder gives up on the
+    /// subplan mid-stream.
+    #[test]
+    fn abandoned_stream_leaves_no_reassembly_after_subplan_failed() {
+        let (mut root, channel, _) = half_received_stream();
+        let failed = Msg::SubplanFailed {
+            channel,
+            qid: QueryId(1),
+            tag: 0,
+        };
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        root.on_message(&mut ctx, NodeId(2), failed);
+        assert!(root.outcomes[&QueryId(1)].partial);
+        assert!(
+            root.outstanding.is_empty(),
+            "no reassembly outlives its tag"
+        );
+        assert!(root.frames.is_empty());
     }
 
     /// `combine` as it was before it consumed its frame: the first filled

@@ -1,11 +1,13 @@
 //! Model-checked protocol core for the SQPeer middleware.
 //!
-//! This crate holds small-state FSM models of the four protocol
-//! machines embedded in `crates/exec/src/peer.rs`, an exhaustive
-//! explorer that checks them against safety and liveness properties
-//! under an adversarial network, and a conformance layer that replays
-//! model traces against the real `PeerNode` logic through the
-//! `Ctx`/`NodeLogic` seam.
+//! This crate holds the four protocol machines of `sqpeer-exec` in
+//! explorable form — the stream machine as the shipped
+//! `sqpeer_exec::stream` types themselves, lease, dispatch and replan as
+//! small-state FSM models of what `crates/exec/src/peer.rs` does — an
+//! exhaustive explorer that checks them against safety and liveness
+//! properties under an adversarial network, and a conformance layer
+//! that replays model traces against the real `PeerNode` logic through
+//! the `Ctx`/`NodeLogic` seam.
 //!
 //! - [`explore`] — the machine trait, BFS explorer with canonical state
 //!   hashing, counterexample schedules and termination proofs.
@@ -14,7 +16,8 @@
 //! - [`dispatch`] — at-least-once subplan dispatch: timeout ladder,
 //!   `(root, qid, tag)` dedup, failover to an alternate holder.
 //! - [`stream`] — credit-window streaming: seq-numbered data, in-order
-//!   drain, seq dedup, credit grants, retry re-serves.
+//!   drain, seq dedup, credit grants, retry re-serves — the real
+//!   `Sender`/`Receiver` inside a modelled network and timeout ladder.
 //! - [`replan`] — channel failure and replanning with completeness
 //!   accounting (the `missing` set) and honest partials.
 //! - [`trace`] — the shared replayable trace format (also the format of

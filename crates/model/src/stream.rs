@@ -1,12 +1,19 @@
-//! Small-state model of the credit-windowed stream machine
-//! (`crates/exec/src/peer.rs`: `OutgoingStream`, `StreamState`,
-//! `Msg::Data` / `Msg::Credit`).
+//! The credit-windowed stream machine under an adversarial network.
 //!
-//! One or two independent streams cross an adversarial network: the
-//! sender emits seq-numbered `Data` packets, at most `window` in flight
-//! (its credit ledger); the receiver drains in order, discards duplicate
-//! sequence numbers, and grants one `Credit` per consumed packet while
-//! the stream is incomplete. The at-least-once ladder is modelled as an
+//! The two ends of every stream are the types that ship:
+//! [`sqpeer_exec::stream::Sender`] and [`sqpeer_exec::stream::Receiver`]
+//! over the unit payload, driven through the same methods
+//! `crates/exec/src/peer.rs` calls for `Msg::Data`, `Msg::Credit` and a
+//! re-served `Msg::Subplan`. What this module adds is everything around
+//! them that `peer.rs` gets from its environment: the network, the
+//! adversary, the timeout ladder, the `served` dedup log and the outcome
+//! slot.
+//!
+//! One or two independent streams cross the network: the sender emits
+//! seq-numbered `Data` packets, at most `window` in flight (its credit
+//! ledger); the receiver drains in order, discards duplicate sequence
+//! numbers, and owes one `Credit` per consumed packet while the stream
+//! is incomplete. The at-least-once ladder is modelled as an
 //! adversarially-timed `Timeout` that re-sends the `Subplan` (bumping the
 //! attempt; the dest's `served` log dedups stale attempts) until
 //! `retries` is exhausted, after which the root abandons with an honest
@@ -33,6 +40,7 @@
 //! forever) as a deadlock counterexample.
 
 use crate::explore::Machine;
+use sqpeer_exec::stream::{Receiver, Sender};
 
 /// One bounded stream-machine configuration.
 #[derive(Debug, Clone)]
@@ -70,26 +78,23 @@ pub enum StreamMsg {
     Credit { sid: u8 },
 }
 
-/// Sender side: the dest's `OutgoingStream` ledger plus its `served` log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Sender {
+/// Destination side: the outgoing stream plus the `served` log.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Dest {
     /// Highest attempt served (the `(root,qid,tag)` dedup log).
     pub served: u8,
-    /// Next sequence number to put on the wire.
-    pub next_seq: u8,
-    /// Packets sent but not credited back.
-    pub inflight: u8,
-    /// Stream retired (final packet sent)?
+    /// The shipped sender, holding one unit batch per data packet.
+    pub stream: Sender<()>,
+    /// Final packet sent: the real dest has removed the stream from its
+    /// `outgoing` table, so later credits find nothing to grant.
     pub retired: bool,
 }
 
-/// Receiver side: the root's `StreamState` and outcome slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Receiver {
-    /// In-order drain cursor.
-    pub next_seq: u8,
-    /// Bitmask of batches buffered ahead of a gap.
-    pub pending: u8,
+/// Root side: the outstanding subplan's reassembly and outcome slot.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Root {
+    /// The shipped receiver.
+    pub stream: Receiver<()>,
     /// Credit for `skip_credit_for_seq` already withheld?
     pub skipped: bool,
     /// Outcome slot.
@@ -108,7 +113,7 @@ pub enum Outcome {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StreamState {
-    pub streams: Vec<(Sender, Receiver)>,
+    pub streams: Vec<(Dest, Root)>,
     /// Sorted multiset of in-flight messages.
     pub net: Vec<StreamMsg>,
     pub dups_left: u8,
@@ -147,25 +152,26 @@ impl StreamMachine {
         StreamMachine { cfg }
     }
 
-    /// Sender flush: emit packets while the window has room, mirroring
-    /// `flush_stream` (sends are atomic within the handler, not separate
-    /// adversary steps).
-    fn flush(&self, sid: u8, sender: &mut Sender, net: &mut Vec<StreamMsg>) {
-        while !sender.retired
-            && sender.inflight < self.cfg.window
-            && sender.next_seq < self.cfg.batches
-        {
+    /// A freshly served stream: every batch queued, the queue final.
+    fn serve(&self) -> Sender<()> {
+        let mut stream = Sender::new(self.cfg.window.into());
+        for _ in 0..self.cfg.batches {
+            stream.push(());
+        }
+        stream.finish();
+        stream
+    }
+
+    /// Puts on the wire whatever `dest`'s window allows, as
+    /// `flush_stream` does (sends are atomic within the handler, not
+    /// separate adversary steps).
+    fn send(sid: u8, dest: &mut Dest, net: &mut Vec<StreamMsg>) {
+        while let Some((seq, (), last)) = dest.stream.next_packet() {
             net.push(StreamMsg::Data {
                 sid,
-                seq: sender.next_seq,
+                seq: seq as u8,
             });
-            sender.next_seq += 1;
-            sender.inflight += 1;
-            if sender.next_seq == self.cfg.batches {
-                // Final packet sent: the real dest removes the
-                // `OutgoingStream`; late credits are ignored.
-                sender.retired = true;
-            }
+            dest.retired = last;
         }
     }
 }
@@ -182,20 +188,18 @@ impl Machine for StreamMachine {
         let mut streams = Vec::new();
         let mut net = Vec::new();
         for sid in 0..self.cfg.streams {
-            let mut sender = Sender {
+            let mut dest = Dest {
                 served: 0,
-                next_seq: 0,
-                inflight: 0,
+                stream: self.serve(),
                 retired: false,
             };
             // The initial Subplan has been served: the stream starts
             // flowing (dispatch itself is the dispatch machine's model).
-            self.flush(sid, &mut sender, &mut net);
+            Self::send(sid, &mut dest, &mut net);
             streams.push((
-                sender,
-                Receiver {
-                    next_seq: 0,
-                    pending: 0,
+                dest,
+                Root {
+                    stream: Receiver::default(),
                     skipped: false,
                     outcome: Outcome::Pending,
                     attempt: 0,
@@ -226,8 +230,8 @@ impl Machine for StreamMachine {
             }
         }
         if self.cfg.retries.is_some() {
-            for (sid, (_, recv)) in s.streams.iter().enumerate() {
-                if recv.outcome == Outcome::Pending {
+            for (sid, (_, root)) in s.streams.iter().enumerate() {
+                if root.outcome == Outcome::Pending {
                     out.push(StreamAct::Timeout(sid as u8));
                 }
             }
@@ -247,18 +251,18 @@ impl Machine for StreamMachine {
             }
             StreamAct::Timeout(sid) => {
                 let max = self.cfg.retries.expect("timeout only with a ladder");
-                let (_, recv) = &mut next.streams[sid as usize];
-                if recv.attempt < max {
-                    recv.attempt += 1;
+                let (_, root) = &mut next.streams[sid as usize];
+                if root.attempt < max {
+                    root.attempt += 1;
                     next.net.push(StreamMsg::Subplan {
                         sid,
-                        attempt: recv.attempt,
+                        attempt: root.attempt,
                     });
                 } else {
                     // Ladder exhausted: honest partial, stream retired at
                     // the root (`outstanding` entry removed — later data
                     // is stray).
-                    recv.outcome = Outcome::Abandoned;
+                    root.outcome = Outcome::Abandoned;
                 }
             }
             StreamAct::Deliver(i, expect) => {
@@ -266,62 +270,47 @@ impl Machine for StreamMachine {
                 debug_assert_eq!(msg, expect, "action/state index drift");
                 match msg {
                     StreamMsg::Subplan { sid, attempt } => {
-                        let (sender, _) = &mut next.streams[sid as usize];
+                        let (dest, _) = &mut next.streams[sid as usize];
                         // `served` dedup: stale attempts are dropped.
-                        if attempt > sender.served {
-                            sender.served = attempt;
+                        if attempt > dest.served {
                             // Re-serve restarts the stream from seq 0
                             // with a fresh ledger; packets from the old
                             // attempt may still be on the wire.
-                            sender.next_seq = 0;
-                            sender.inflight = 0;
-                            sender.retired = false;
-                            let mut sv = *sender;
-                            self.flush(sid, &mut sv, &mut next.net);
-                            next.streams[sid as usize].0 = sv;
+                            *dest = Dest {
+                                served: attempt,
+                                stream: self.serve(),
+                                retired: false,
+                            };
+                            Self::send(sid, dest, &mut next.net);
                         }
                     }
                     StreamMsg::Data { sid, seq } => {
-                        let (_, recv) = &mut next.streams[sid as usize];
-                        if recv.outcome != Outcome::Pending {
-                            // Stray: root has no outstanding entry.
-                        } else {
-                            let dup = seq < recv.next_seq || recv.pending & (1 << seq) != 0;
-                            if !dup {
-                                recv.pending |= 1 << seq;
-                                while recv.pending & (1 << recv.next_seq) != 0 {
-                                    recv.pending &= !(1 << recv.next_seq);
-                                    recv.next_seq += 1;
-                                }
+                        let (_, root) = &mut next.streams[sid as usize];
+                        // A settled outcome means no outstanding entry:
+                        // the packet is stray.
+                        if root.outcome == Outcome::Pending {
+                            let last = seq + 1 == self.cfg.batches;
+                            let got = root.stream.ingest(seq.into(), (), last);
+                            if root.stream.complete() {
+                                root.outcome = Outcome::Complete;
                             }
-                            let complete = recv.next_seq == self.cfg.batches;
-                            if complete {
-                                recv.outcome = Outcome::Complete;
-                            } else {
-                                // One credit per consumed packet —
-                                // duplicates included (a retrying sender
-                                // restarts its window and would stall on
-                                // already-drained seqs otherwise)...
-                                let skip = !dup
-                                    && !recv.skipped
-                                    && self.cfg.skip_credit_for_seq == Some(seq);
-                                if skip {
-                                    // ...unless the injected mutation
-                                    // withholds this one.
-                                    recv.skipped = true;
-                                } else {
-                                    next.net.push(StreamMsg::Credit { sid });
-                                }
+                            // The injected mutation withholds one owed
+                            // credit, on a fresh packet only.
+                            let skip = !got.is_dup
+                                && !root.skipped
+                                && self.cfg.skip_credit_for_seq == Some(seq);
+                            if got.credit_owed && skip {
+                                root.skipped = true;
+                            } else if got.credit_owed {
+                                next.net.push(StreamMsg::Credit { sid });
                             }
                         }
                     }
                     StreamMsg::Credit { sid } => {
-                        let (sender, _) = &mut next.streams[sid as usize];
-                        if !sender.retired {
-                            sender.inflight = sender.inflight.saturating_sub(1);
-                            let mut sv = *sender;
-                            self.flush(sid, &mut sv, &mut next.net);
-                            next.streams[sid as usize].0 = sv;
+                        let (dest, _) = &mut next.streams[sid as usize];
+                        if !dest.retired {
+                            dest.stream.grant(1);
+                            Self::send(sid, dest, &mut next.net);
                         }
                     }
                 }
@@ -332,11 +321,12 @@ impl Machine for StreamMachine {
     }
 
     fn invariant(&self, s: &StreamState) -> Result<(), String> {
-        for (sid, (sender, recv)) in s.streams.iter().enumerate() {
-            if sender.inflight > self.cfg.window {
+        for (sid, (dest, root)) in s.streams.iter().enumerate() {
+            if dest.stream.inflight() > dest.stream.window() {
                 return Err(format!(
                     "stream {sid}: sender ledger {} exceeds window {}",
-                    sender.inflight, self.cfg.window
+                    dest.stream.inflight(),
+                    dest.stream.window()
                 ));
             }
             // Wire occupancy: unconditional only without duplication and
@@ -354,12 +344,14 @@ impl Machine for StreamMachine {
                     ));
                 }
             }
-            if recv.outcome == Outcome::Complete
-                && (recv.next_seq != self.cfg.batches || recv.pending != 0)
+            let (cursor, residue) = (root.stream.next_seq(), root.stream.buffered());
+            if root.outcome == Outcome::Complete
+                && (cursor != u32::from(self.cfg.batches) || residue != 0)
             {
                 return Err(format!(
-                    "stream {sid}: completed with cursor {} / residue {:#b} (want {} batches)",
-                    recv.next_seq, recv.pending, self.cfg.batches
+                    "stream {sid}: completed with cursor {cursor} / {residue} buffered (want {} \
+                     batches)",
+                    self.cfg.batches
                 ));
             }
         }

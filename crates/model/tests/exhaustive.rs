@@ -6,7 +6,10 @@
 //! artifact).
 //!
 //! Run with `--nocapture` to see the explored-state counts per
-//! configuration; CI copies them into the job summary.
+//! configuration; CI copies them into the job summary. The same lines
+//! are pinned by `tests/states.golden`: a change that moves a count must
+//! re-bless it (`BLESS=1 cargo test -p sqpeer-model --test exhaustive`)
+//! and explain the difference in DESIGN.md §5.
 
 use sqpeer_model::explore::{explore, Report, ViolationKind};
 use sqpeer_model::{dispatch, lease, replan, stream, trace};
@@ -32,6 +35,24 @@ where
         .collect()
 }
 
+/// Compares the per-configuration summary lines with the committed
+/// `tests/states.golden` (or rewrites it under `BLESS=1`).
+fn golden_check(actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/states.golden");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&path, actual).expect("write states.golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden {} ({e})", path.display()));
+    assert_eq!(
+        actual, expected,
+        "explored-state lines diverged from tests/states.golden; if intended, re-bless with \
+         `BLESS=1 cargo test -p sqpeer-model --test exhaustive` and explain the difference in \
+         DESIGN.md §5"
+    );
+}
+
 /// All four machines, every bounded configuration, explored to a
 /// fixpoint — with the acceptance floor: ≥ 10⁵ distinct states covered
 /// across the machines. One test so each configuration is explored
@@ -50,6 +71,9 @@ fn all_machines_exhaustive_meet_coverage_floor() {
 
     let total: usize = reports.iter().map(|r| r.states).sum();
     println!("total explored states across machines: {total}");
+    let mut lines: String = reports.iter().map(|r| r.summary() + "\n").collect();
+    lines += &format!("total explored states across machines: {total}\n");
+    golden_check(&lines);
     assert!(
         total >= 100_000,
         "bounded configs cover only {total} states — below the 10^5 floor"

@@ -7,11 +7,16 @@
 //! also contain 'changing plan' and failure information or even statistics
 //! useful for query optimization."
 //!
-//! The simulator moves the actual messages; this module is the channel
-//! *bookkeeping* both ends keep: local ids minted by the root, per-channel
-//! state, and lookup in both directions. The execution engine
-//! (`sqpeer-exec`) opens one channel per contacted peer and tags every
-//! packet with the channel id.
+//! The transport moves the actual messages; this module is what the two
+//! ends of a channel *are*:
+//!
+//! * at the **root**, a [`ChannelTable`] entry — the destination and the
+//!   local id minted for it. The execution engine (`sqpeer-exec`) keeps
+//!   one channel per contacted peer ("only one channel is of course
+//!   created") and forgets it when the destination is given up on;
+//! * at the **destination**, nothing but the [`Channel`] value each
+//!   subplan arrives with, echoed on every packet sent back so the root
+//!   can tell its channels apart.
 
 use crate::sim::NodeId;
 use std::collections::HashMap;
@@ -51,122 +56,60 @@ pub struct Channel<I = NodeId> {
     pub state: ChannelState,
 }
 
-/// The channel table a node keeps: channels it roots plus channels rooted
-/// elsewhere that target it.
+/// The channels a node roots: for each destination, the id of the one
+/// channel towards it.
 #[derive(Debug, Clone)]
 pub struct ChannelTable<I = NodeId> {
     next_id: u64,
-    /// Channels this node manages (it is the root).
-    rooted: HashMap<ChannelId, Channel<I>>,
-    /// Channels this node serves (it is the destination), keyed by
-    /// (root, id) because ids are only unique per root.
-    serving: HashMap<(I, ChannelId), Channel<I>>,
+    towards: HashMap<I, ChannelId>,
 }
 
 impl<I> Default for ChannelTable<I> {
     fn default() -> Self {
         ChannelTable {
             next_id: 0,
-            rooted: HashMap::new(),
-            serving: HashMap::new(),
+            towards: HashMap::new(),
         }
     }
 }
 
-impl<I: Copy + Eq + Hash + Ord> ChannelTable<I> {
+impl<I: Copy + Eq + Hash> ChannelTable<I> {
     /// Creates an empty table.
     pub fn new() -> Self {
         ChannelTable::default()
     }
 
-    /// Opens a channel rooted at `root` (this node) towards `dest`,
-    /// minting a fresh local id.
-    pub fn open(&mut self, root: I, dest: I) -> Channel<I> {
-        let id = ChannelId(self.next_id);
-        self.next_id += 1;
-        let ch = Channel {
+    /// The channel `root` (this node) keeps towards `dest`, minting a
+    /// fresh local id on first contact — "although each of these peers
+    /// may contribute … only one channel is of course created" (§2.4).
+    pub fn channel_to(&mut self, root: I, dest: I) -> Channel<I> {
+        let id = *self.towards.entry(dest).or_insert_with(|| {
+            let id = ChannelId(self.next_id);
+            self.next_id += 1;
+            id
+        });
+        Channel {
             id,
             root,
             dest,
             state: ChannelState::Open,
-        };
-        self.rooted.insert(id, ch);
-        ch
-    }
-
-    /// Records, at the destination side, a channel another node rooted.
-    pub fn accept(&mut self, ch: Channel<I>) {
-        self.serving.insert((ch.root, ch.id), ch);
-    }
-
-    /// A channel this node roots.
-    pub fn rooted(&self, id: ChannelId) -> Option<&Channel<I>> {
-        self.rooted.get(&id)
-    }
-
-    /// A channel this node serves for `root`.
-    pub fn serving(&self, root: I, id: ChannelId) -> Option<&Channel<I>> {
-        self.serving.get(&(root, id))
-    }
-
-    /// All open channels this node roots, ordered by id.
-    pub fn open_rooted(&self) -> Vec<Channel<I>> {
-        let mut out: Vec<Channel<I>> = self
-            .rooted
-            .values()
-            .filter(|c| c.state == ChannelState::Open)
-            .copied()
-            .collect();
-        out.sort_by_key(|c| c.id);
-        out
-    }
-
-    /// The open channel (if any) this node roots towards `dest` —
-    /// "although each of these peers may contribute … only one channel is
-    /// of course created" (§2.4).
-    pub fn open_towards(&self, dest: I) -> Option<Channel<I>> {
-        self.open_rooted().into_iter().find(|c| c.dest == dest)
-    }
-
-    /// Marks a rooted channel's state; returns the updated channel.
-    pub fn set_state(&mut self, id: ChannelId, state: ChannelState) -> Option<Channel<I>> {
-        let ch = self.rooted.get_mut(&id)?;
-        ch.state = state;
-        Some(*ch)
-    }
-
-    /// Marks every open channel towards `dest` failed, returning them —
-    /// what a root does on a delivery-failure signal.
-    pub fn fail_towards(&mut self, dest: I) -> Vec<Channel<I>> {
-        let mut failed = Vec::new();
-        for ch in self.rooted.values_mut() {
-            if ch.dest == dest && ch.state == ChannelState::Open {
-                ch.state = ChannelState::Failed;
-                failed.push(*ch);
-            }
         }
-        failed.sort_by_key(|c| c.id);
-        failed
     }
 
-    /// Closes and forgets a served channel.
-    pub fn finish_serving(&mut self, root: I, id: ChannelId) -> Option<Channel<I>> {
-        self.serving.remove(&(root, id))
+    /// Forgets the channel towards `dest`, if any — what a root does once
+    /// it gives up on the destination. Later contact mints a fresh id.
+    pub fn drop_towards(&mut self, dest: I) {
+        self.towards.remove(&dest);
     }
 
-    /// Number of channels this node currently roots (any state).
-    pub fn rooted_count(&self) -> usize {
-        self.rooted.len()
+    /// Number of channels this node currently roots.
+    pub fn len(&self) -> usize {
+        self.towards.len()
     }
 
-    /// Garbage-collects rooted channels that are `Failed` or `Closed`,
-    /// returning how many entries were removed. Roots call this after
-    /// adaptation so the table stays bounded across re-plan rounds
-    /// instead of accumulating one dead entry per failure.
-    pub fn sweep(&mut self) -> usize {
-        let before = self.rooted.len();
-        self.rooted.retain(|_, ch| ch.state == ChannelState::Open);
-        before - self.rooted.len()
+    /// Does this node root no channel?
+    pub fn is_empty(&self) -> bool {
+        self.towards.is_empty()
     }
 }
 
@@ -178,84 +121,44 @@ mod tests {
     fn ids_are_local_to_the_root() {
         let mut a = ChannelTable::new();
         let mut b = ChannelTable::new();
-        let ch_a = a.open(NodeId(1), NodeId(2));
-        let ch_b = b.open(NodeId(3), NodeId(2));
+        let ch_a = a.channel_to(NodeId(1), NodeId(2));
+        let ch_b = b.channel_to(NodeId(3), NodeId(2));
         // Both roots mint id 0 — disambiguated at the destination by root.
         assert_eq!(ch_a.id, ch_b.id);
-        let mut dest = ChannelTable::new();
-        dest.accept(ch_a);
-        dest.accept(ch_b);
-        assert_eq!(dest.serving(NodeId(1), ch_a.id).unwrap().root, NodeId(1));
-        assert_eq!(dest.serving(NodeId(3), ch_b.id).unwrap().root, NodeId(3));
+        assert_ne!(ch_a, ch_b);
+        assert_eq!((ch_a.root, ch_b.root), (NodeId(1), NodeId(3)));
     }
 
     #[test]
-    fn open_towards_reuses_single_channel() {
+    fn channel_to_reuses_single_channel() {
         let mut t = ChannelTable::new();
-        assert!(t.open_towards(NodeId(5)).is_none());
-        let ch = t.open(NodeId(1), NodeId(5));
-        assert_eq!(t.open_towards(NodeId(5)), Some(ch));
-        assert_eq!(t.open_rooted().len(), 1);
+        assert!(t.is_empty());
+        let ch = t.channel_to(NodeId(1), NodeId(5));
+        assert_eq!(ch.state, ChannelState::Open);
+        assert_eq!(t.channel_to(NodeId(1), NodeId(5)), ch);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
-    fn failure_marks_all_channels_to_dest() {
+    fn drop_forgets_only_that_destination() {
         let mut t = ChannelTable::new();
-        let c1 = t.open(NodeId(1), NodeId(5));
-        let _c2 = t.open(NodeId(1), NodeId(6));
-        let c3 = t.open(NodeId(1), NodeId(5));
-        let failed = t.fail_towards(NodeId(5));
-        assert_eq!(failed.len(), 2);
-        assert_eq!(failed[0].id, c1.id);
-        assert_eq!(failed[1].id, c3.id);
-        assert_eq!(t.rooted(c1.id).unwrap().state, ChannelState::Failed);
-        assert!(t.open_towards(NodeId(5)).is_none());
-        assert!(t.open_towards(NodeId(6)).is_some());
-    }
-
-    #[test]
-    fn state_transitions_and_cleanup() {
-        let mut t = ChannelTable::new();
-        let ch = t.open(NodeId(1), NodeId(2));
-        assert_eq!(
-            t.set_state(ch.id, ChannelState::Closed).unwrap().state,
-            ChannelState::Closed
-        );
-        assert!(t.open_rooted().is_empty());
-        assert_eq!(t.set_state(ChannelId(99), ChannelState::Closed), None);
-
-        let mut dest = ChannelTable::new();
-        dest.accept(ch);
-        assert!(dest.finish_serving(NodeId(1), ch.id).is_some());
-        assert!(dest.finish_serving(NodeId(1), ch.id).is_none());
-    }
-
-    #[test]
-    fn sweep_collects_dead_channels_only() {
-        let mut t = ChannelTable::new();
-        let a = t.open(NodeId(1), NodeId(2));
-        let b = t.open(NodeId(1), NodeId(3));
-        let c = t.open(NodeId(1), NodeId(4));
-        t.fail_towards(NodeId(2));
-        t.set_state(b.id, ChannelState::Closed);
-        assert_eq!(t.rooted_count(), 3);
-        assert_eq!(t.sweep(), 2);
-        assert_eq!(t.rooted_count(), 1);
-        assert!(t.rooted(a.id).is_none());
-        assert!(t.rooted(b.id).is_none());
-        assert_eq!(t.rooted(c.id).unwrap().state, ChannelState::Open);
-        // Idempotent, and fresh ids still mint past swept ones.
-        assert_eq!(t.sweep(), 0);
-        let d = t.open(NodeId(1), NodeId(5));
-        assert!(d.id > c.id);
+        let c5 = t.channel_to(NodeId(1), NodeId(5));
+        let c6 = t.channel_to(NodeId(1), NodeId(6));
+        t.drop_towards(NodeId(5));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.channel_to(NodeId(1), NodeId(6)), c6);
+        // Idempotent, and fresh ids still mint past dropped ones.
+        t.drop_towards(NodeId(5));
+        let again = t.channel_to(NodeId(1), NodeId(5));
+        assert!(again.id > c5.id && again.id > c6.id);
     }
 
     #[test]
     fn ids_increase_monotonically() {
         let mut t = ChannelTable::new();
-        let a = t.open(NodeId(1), NodeId(2));
-        let b = t.open(NodeId(1), NodeId(3));
+        let a = t.channel_to(NodeId(1), NodeId(2));
+        let b = t.channel_to(NodeId(1), NodeId(3));
         assert!(b.id > a.id);
-        assert_eq!(t.rooted_count(), 2);
+        assert_eq!(t.len(), 2);
     }
 }

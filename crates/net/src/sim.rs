@@ -451,13 +451,6 @@ impl<N: NodeLogic> Simulator<N> {
         self.default_link
     }
 
-    /// The explicitly-overridden directed links, in no particular order.
-    /// Every pair not listed here uses [`Simulator::default_link`] — so
-    /// cost models can iterate overrides instead of all O(n²) pairs.
-    pub fn overridden_links(&self) -> impl Iterator<Item = (NodeId, NodeId, LinkSpec)> + '_ {
-        self.links.iter().map(|(&(a, b), &s)| (a, b, s))
-    }
-
     /// Current virtual time (µs).
     pub fn now_us(&self) -> u64 {
         self.now_us

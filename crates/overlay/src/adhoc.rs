@@ -6,7 +6,9 @@
 //! locally over this semantic neighbourhood; partial plans with holes are
 //! forwarded and filled downstream (interleaved routing and processing).
 
-use sqpeer_exec::{node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome};
+use sqpeer_exec::{
+    inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome,
+};
 use sqpeer_net::{LinkSpec, Simulator};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::{PeerId, Topology};
@@ -201,9 +203,7 @@ impl AdhocNetwork {
     /// a 2-depth, 3-depth, etc. neighbourhood" (§3.2).
     pub fn discover(&mut self, peer: PeerId, depth: u32) {
         for other in self.topology.neighbourhood(peer, depth as usize) {
-            let msg = Msg::RequestAds { depth };
-            let bytes = msg.wire_size();
-            self.sim.inject(node_of(peer), node_of(other), msg, bytes);
+            inject(&mut self.sim, peer, other, Msg::RequestAds { depth });
         }
     }
 
@@ -211,10 +211,12 @@ impl AdhocNetwork {
     pub fn query(&mut self, at: PeerId, query: QueryPattern) -> QueryId {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
-        let msg = Msg::ClientQuery { qid, query };
-        let bytes = msg.wire_size();
-        self.sim
-            .inject(node_of(self.client), node_of(at), msg, bytes);
+        inject(
+            &mut self.sim,
+            self.client,
+            at,
+            Msg::ClientQuery { qid, query },
+        );
         qid
     }
 
@@ -229,9 +231,7 @@ impl AdhocNetwork {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
         let msg = Msg::ExecutePlan { qid, query, plan };
-        let bytes = msg.wire_size();
-        self.sim
-            .inject(node_of(self.client), node_of(at), msg, bytes);
+        inject(&mut self.sim, self.client, at, msg);
         qid
     }
 

@@ -21,8 +21,8 @@
 //! identical to flat-backbone routing.
 
 use crate::hybrid::HybridNetwork;
-use sqpeer_exec::{node_of, BaseKind, ClusterInfo, Msg, PeerConfig, PeerMode, PeerNode};
-use sqpeer_net::{LinkSpec, Simulator};
+use sqpeer_exec::{BaseKind, ClusterInfo, PeerConfig, PeerMode};
+use sqpeer_net::LinkSpec;
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rvl::VirtualBase;
@@ -129,20 +129,10 @@ impl HierBuilder {
     /// advertisement to its super-peer and runs to quiescence (summary
     /// pushes ride the same boot window).
     pub fn build(self) -> HybridNetwork {
-        let HierBuilder {
-            schema,
-            config,
-            default_link,
-            super_count,
-            cluster_size,
-            widen,
-            clusters,
-            bases,
-        } = self;
-        let partition: Vec<Vec<u32>> = clusters.unwrap_or_else(|| {
-            (0..super_count)
+        let partition: Vec<Vec<u32>> = self.clusters.unwrap_or_else(|| {
+            (0..self.super_count)
                 .collect::<Vec<u32>>()
-                .chunks(cluster_size as usize)
+                .chunks(self.cluster_size as usize)
                 .map(<[u32]>::to_vec)
                 .collect()
         });
@@ -155,59 +145,28 @@ impl HierBuilder {
             hs
         };
 
-        let mut sim: Simulator<PeerNode> = Simulator::new(default_link);
-        let super_ids: Vec<PeerId> = (0..super_count).map(PeerId).collect();
+        // Cluster by cluster, members in id order.
+        let mut supers = Vec::with_capacity(self.super_count as usize);
         for cluster in &partition {
             let mut members: Vec<PeerId> = cluster.iter().map(|&i| PeerId(i)).collect();
             members.sort_unstable();
-            let head = members[0];
             for &sp in &members {
-                let mut node = PeerNode::super_peer(sp, config.clone());
-                // The full super-peer list stays known (degradation falls
-                // back to a flat scatter over it); replication over it is
-                // disabled by the cluster marker.
-                node.super_peers = super_ids.iter().copied().filter(|&o| o != sp).collect();
-                node.cluster = Some(ClusterInfo {
-                    head,
+                let info = ClusterInfo {
+                    head: members[0],
                     members: members.clone(),
                     heads: heads.clone(),
-                    widen,
-                });
-                sim.add_node(node_of(sp), node);
+                    widen: self.widen,
+                };
+                supers.push((sp, Some(info)));
             }
         }
-
-        let mut peer_ids = Vec::with_capacity(bases.len());
-        let mut assignments = Vec::with_capacity(bases.len());
-        for (i, (base, sp_idx)) in bases.into_iter().enumerate() {
-            let id = PeerId(super_count + i as u32);
-            let sp = super_ids[sp_idx as usize];
-            let mut node = PeerNode::new(id, sqpeer_exec::Role::Simple, base, config.clone());
-            node.super_peers = vec![sp];
-            sim.add_node(node_of(id), node);
-            peer_ids.push(id);
-            assignments.push((id, sp));
-        }
-
-        let client = PeerId(super_count + peer_ids.len() as u32);
-        sim.add_node(node_of(client), PeerNode::client(client));
-
-        // Advertisement push (join protocol); summary pushes cascade from
-        // the receiving super-peers during the same boot run.
-        for (peer, sp) in assignments {
-            let ad = sim
-                .node(node_of(peer))
-                .and_then(PeerNode::own_advertisement)
-                .expect("simple peers have bases");
-            let msg = Msg::Advertise(ad);
-            let bytes = msg.wire_size();
-            sim.inject(node_of(peer), node_of(sp), msg, bytes);
-        }
-        let run_window_us = crate::hybrid::run_window(&config);
-        let mut net =
-            HybridNetwork::from_parts(sim, schema, super_ids, peer_ids, client, run_window_us);
-        net.run();
-        net
+        crate::hybrid::spawn(
+            self.schema,
+            self.config,
+            self.default_link,
+            supers,
+            self.bases,
+        )
     }
 }
 
@@ -217,6 +176,7 @@ mod tests {
     use crate::hybrid::tests::{base_with, fig1_schema};
     use crate::oracle::{oracle_answer, oracle_base};
     use crate::HybridBuilder;
+    use sqpeer_exec::node_of;
 
     /// Nine super-peers in three clusters; holders scattered across all
     /// clusters. The hierarchical answer must equal the flat oracle.

@@ -6,7 +6,10 @@
 //! corresponding active-schema (push). All super-peers are aware of each
 //! other."
 
-use sqpeer_exec::{node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome};
+use sqpeer_exec::{
+    inject, node_of, BaseKind, ClusterInfo, Msg, PeerConfig, PeerMode, PeerNode, QueryId,
+    QueryOutcome,
+};
 use sqpeer_net::{LinkSpec, NodeId, Simulator};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
@@ -85,68 +88,81 @@ impl HybridBuilder {
     /// every peer's advertisement to its super-peer (as real, costed
     /// messages) and runs to quiescence.
     pub fn build(self) -> HybridNetwork {
-        let HybridBuilder {
-            schema,
-            config,
-            default_link,
-            super_count,
-            bases,
-        } = self;
-        let mut sim: Simulator<PeerNode> = Simulator::new(default_link);
-
-        let super_ids: Vec<PeerId> = (0..super_count).map(PeerId).collect();
-        for &sp in &super_ids {
-            let mut node = PeerNode::super_peer(sp, config.clone());
-            node.super_peers = super_ids.iter().copied().filter(|&o| o != sp).collect();
-            sim.add_node(node_of(sp), node);
-        }
-
-        let mut peer_ids = Vec::with_capacity(bases.len());
-        let mut assignments = Vec::with_capacity(bases.len());
-        for (i, (base, sp_idx)) in bases.into_iter().enumerate() {
-            let id = PeerId(super_count + i as u32);
-            let sp = super_ids[sp_idx as usize];
-            let mut node = PeerNode::new(id, sqpeer_exec::Role::Simple, base, config.clone());
-            node.super_peers = vec![sp];
-            sim.add_node(node_of(id), node);
-            peer_ids.push(id);
-            assignments.push((id, sp));
-        }
-
-        // The client node lives past all peers.
-        let client = PeerId(super_count + peer_ids.len() as u32);
-        sim.add_node(node_of(client), PeerNode::client(client));
-
-        // Advertisement push (join protocol).
-        for (peer, sp) in assignments {
-            let ad = sim
-                .node(node_of(peer))
-                .and_then(PeerNode::own_advertisement)
-                .expect("simple peers have bases");
-            let msg = Msg::Advertise(ad);
-            let bytes = msg.wire_size();
-            sim.inject(node_of(peer), node_of(sp), msg, bytes);
-        }
-        let run_window_us = run_window(&config);
-        let mut net = HybridNetwork {
-            sim,
-            schema,
-            super_ids,
-            peer_ids,
-            client,
-            next_qid: 0,
-            run_window_us,
-        };
-        net.run();
-        net
+        let supers = (0..self.super_count).map(|sp| (PeerId(sp), None)).collect();
+        spawn(
+            self.schema,
+            self.config,
+            self.default_link,
+            supers,
+            self.bases,
+        )
     }
+}
+
+/// Spawns a super-peer overlay and boots it: the super-peers in the
+/// order given (each with its place in the cluster tree, `None` on a flat
+/// backbone), the simple peers of `bases` under theirs, the client past
+/// all peers; then every simple peer's advertisement is pushed to its
+/// super-peer as a real, costed message (the join protocol) and the
+/// network runs until the boot traffic — summary pushes included — has
+/// settled.
+pub(crate) fn spawn(
+    schema: Arc<Schema>,
+    config: PeerConfig,
+    default_link: LinkSpec,
+    supers: Vec<(PeerId, Option<ClusterInfo>)>,
+    bases: Vec<(BaseKind, u32)>,
+) -> HybridNetwork {
+    let mut sim: Simulator<PeerNode> = Simulator::new(default_link);
+    let super_count = supers.len() as u32;
+    let super_ids: Vec<PeerId> = (0..super_count).map(PeerId).collect();
+    for (sp, cluster) in supers {
+        let mut node = PeerNode::super_peer(sp, config.clone());
+        // In a cluster tree the full super-peer list stays known too
+        // (degradation falls back to a flat scatter over it); replication
+        // over it is disabled by the cluster marker.
+        node.super_peers = super_ids.iter().copied().filter(|&o| o != sp).collect();
+        node.cluster = cluster;
+        sim.add_node(node_of(sp), node);
+    }
+
+    let mut peer_ids = Vec::with_capacity(bases.len());
+    for (i, (base, sp_idx)) in bases.into_iter().enumerate() {
+        let id = PeerId(super_count + i as u32);
+        let mut node = PeerNode::new(id, sqpeer_exec::Role::Simple, base, config.clone());
+        node.super_peers = vec![super_ids[sp_idx as usize]];
+        sim.add_node(node_of(id), node);
+        peer_ids.push(id);
+    }
+
+    // The client node lives past all peers.
+    let client = PeerId(super_count + peer_ids.len() as u32);
+    sim.add_node(node_of(client), PeerNode::client(client));
+
+    for &peer in &peer_ids {
+        let node = sim.node(node_of(peer)).expect("just added");
+        let ad = node.own_advertisement().expect("simple peers have bases");
+        let sp = node.super_peers[0];
+        inject(&mut sim, peer, sp, Msg::Advertise(ad));
+    }
+    let mut net = HybridNetwork {
+        sim,
+        schema,
+        super_ids,
+        peer_ids,
+        client,
+        next_qid: 0,
+        run_window_us: run_window(&config),
+    };
+    net.run();
+    net
 }
 
 /// The bounded run window a configuration demands, or `None` when runs
 /// can go to quiescence. Lease heartbeats re-arm forever, so leases
 /// force a two-lease window; likewise the observability plane's rollup
 /// pushes never quiesce, so an obs-on config gets four push periods.
-pub(crate) fn run_window(config: &PeerConfig) -> Option<u64> {
+fn run_window(config: &PeerConfig) -> Option<u64> {
     config.ad_lease_us.map(|l| 2 * l).or_else(|| {
         config
             .obs
@@ -170,27 +186,6 @@ pub struct HybridNetwork {
 }
 
 impl HybridNetwork {
-    /// Crate-internal assembly for sibling builders (the hierarchical
-    /// builder produces the same driver type over a different backbone).
-    pub(crate) fn from_parts(
-        sim: Simulator<PeerNode>,
-        schema: Arc<Schema>,
-        super_ids: Vec<PeerId>,
-        peer_ids: Vec<PeerId>,
-        client: PeerId,
-        run_window_us: Option<u64>,
-    ) -> Self {
-        HybridNetwork {
-            sim,
-            schema,
-            super_ids,
-            peer_ids,
-            client,
-            next_qid: 0,
-            run_window_us,
-        }
-    }
-
     /// The community schema.
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
@@ -231,10 +226,12 @@ impl HybridNetwork {
     pub fn query(&mut self, at: PeerId, query: QueryPattern) -> QueryId {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
-        let msg = Msg::ClientQuery { qid, query };
-        let bytes = msg.wire_size();
-        self.sim
-            .inject(node_of(self.client), node_of(at), msg, bytes);
+        inject(
+            &mut self.sim,
+            self.client,
+            at,
+            Msg::ClientQuery { qid, query },
+        );
         qid
     }
 
@@ -249,9 +246,7 @@ impl HybridNetwork {
         let qid = QueryId(self.next_qid);
         self.next_qid += 1;
         let msg = Msg::ExecutePlan { qid, query, plan };
-        let bytes = msg.wire_size();
-        self.sim
-            .inject(node_of(self.client), node_of(at), msg, bytes);
+        inject(&mut self.sim, self.client, at, msg);
         qid
     }
 
@@ -420,9 +415,7 @@ impl HybridNetwork {
         let sp = node.super_peers.first().copied();
         let ad = node.own_advertisement();
         if let (Some(sp), Some(ad)) = (sp, ad) {
-            let msg = Msg::Advertise(ad);
-            let bytes = msg.wire_size();
-            self.sim.inject(peer_node(peer), peer_node(sp), msg, bytes);
+            inject(&mut self.sim, peer, sp, Msg::Advertise(ad));
         }
     }
 
@@ -435,9 +428,7 @@ impl HybridNetwork {
             .node(peer_node(peer))
             .and_then(|n| n.super_peers.first().copied());
         if let Some(sp) = sp {
-            let msg = Msg::Withdraw;
-            let bytes = msg.wire_size();
-            self.sim.inject(peer_node(peer), peer_node(sp), msg, bytes);
+            inject(&mut self.sim, peer, sp, Msg::Withdraw);
         }
         // Down after the withdrawal is on the wire (generous margin).
         let at = self.sim.now_us() + 1_000_000;

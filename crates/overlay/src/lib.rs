@@ -26,36 +26,3 @@ pub use adhoc::{AdhocBuilder, AdhocNetwork};
 pub use hier::HierBuilder;
 pub use hybrid::{HybridBuilder, HybridNetwork};
 pub use oracle::{oracle_answer, oracle_base};
-
-use sqpeer_exec::PeerNode;
-use sqpeer_net::Simulator;
-use sqpeer_plan::UniformCost;
-use sqpeer_routing::PeerId;
-use std::collections::HashSet;
-
-/// Builds a plan-level cost model mirroring a simulator's link table, so
-/// compile-time shipping decisions see the execution network. `peers`
-/// bounds which pairs are tabulated.
-///
-/// Only the simulator's *overridden* links are walked — the all-pairs
-/// probe this replaces was quadratic in the peer count, which dominated
-/// setup time on thousand-peer overlays whose link tables are sparse.
-pub fn cost_model_of(sim: &Simulator<PeerNode>, peers: &[PeerId]) -> UniformCost {
-    // Per-byte cost proportional to 1/bandwidth; the constant matches the
-    // simulator's default link so uniform networks stay uniform.
-    let default = sim.default_link();
-    let mut cost = UniformCost::new(1.0 / default.bytes_per_ms as f64, 0.001);
-    let peer_set: HashSet<u32> = peers.iter().map(|p| p.0).collect();
-    for (a, b, spec) in sim.overridden_links() {
-        if !peer_set.contains(&a.0) || !peer_set.contains(&b.0) || spec == default {
-            continue;
-        }
-        let per_byte = if spec.up {
-            1.0 / spec.bytes_per_ms.max(1) as f64
-        } else {
-            1e9
-        };
-        cost.set_link(PeerId(a.0), PeerId(b.0), per_byte);
-    }
-    cost
-}
