@@ -338,7 +338,7 @@ fn fig3() -> String {
     out.push_str(&format!(
         "\nsimulated execution from P1: channels deployed = {}, answer rows = {}\n",
         root.rooted_channels(),
-        root.outcomes.get(&qid).map(|o| o.result.len()).unwrap_or(0),
+        root.outcome(qid).map(|o| o.result.len()).unwrap_or(0),
     ));
     out
 }
@@ -2127,7 +2127,7 @@ fn e19() -> String {
         sim.run_to_quiescence();
 
         let root = sim.node(NodeId(1)).unwrap();
-        let outcome = root.outcomes.get(&qid).expect("query completed");
+        let outcome = root.outcome(qid).expect("query completed");
         assert_eq!(outcome.result.len(), 1, "the replica must answer");
         let events = root.trace_events_for(qid);
         let dispatched = events

@@ -127,9 +127,7 @@ pub fn outcome<T: Transport<PeerNode>>(
     at: PeerId,
     qid: QueryId,
 ) -> Option<&QueryOutcome> {
-    transport
-        .node(node_of(at))
-        .and_then(|n| n.outcomes.get(&qid))
+    transport.node(node_of(at)).and_then(|n| n.outcome(qid))
 }
 
 /// Takes the completed outcome of `qid` out of member `at`, and drops the
@@ -142,7 +140,7 @@ pub fn take_outcome<T: Transport<PeerNode>>(
     at: PeerId,
     qid: QueryId,
 ) -> Option<QueryOutcome> {
-    let outcome = transport.node_mut(node_of(at))?.outcomes.remove(&qid)?;
+    let outcome = transport.node_mut(node_of(at))?.take_outcome(qid)?;
     if let Some(client) = transport.node_mut(node_of(group.client)) {
         client.client_answers.remove(&qid);
     }

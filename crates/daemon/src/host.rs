@@ -486,7 +486,15 @@ mod tests {
         assert_eq!(ttfr.count, QUERIES as u64);
 
         let root = net.node(node_of(at)).expect("root hosted");
-        assert_eq!(root.outcomes.len(), 0, "the root kept collected outcomes");
+        assert!(
+            (0..QUERIES as u64).all(|q| root.outcome(QueryId(q)).is_none()),
+            "the root kept collected outcomes"
+        );
+        assert_eq!(
+            root.rooted_queries(),
+            0,
+            "the root kept records of collected queries"
+        );
         let client = net.node(node_of(group.client)).expect("client hosted");
         assert_eq!(
             client.client_answers.len(),

@@ -171,24 +171,7 @@ where
         for (delay, timer) in effects.timers {
             self.push(now + delay, Pending::Timer { node, timer });
         }
-        for _ in 0..effects.retries {
-            self.metrics.record_retry();
-        }
-        for _ in 0..effects.timeouts {
-            self.metrics.record_timeout();
-        }
-        for _ in 0..effects.replans {
-            self.metrics.record_replan();
-        }
-        for _ in 0..effects.slow_replans {
-            self.metrics.record_slow_replan();
-        }
-        for _ in 0..effects.timeout_replans {
-            self.metrics.record_timeout_replan();
-        }
-        for _ in 0..effects.stream_dedups {
-            self.metrics.record_stream_dedup();
-        }
+        self.metrics.absorb(effects.counters);
     }
 
     fn dispatch_frame(&mut self, frame: Vec<u8>, bytes: usize) {
@@ -372,5 +355,38 @@ mod tests {
         net.step_for(5_000);
         assert_eq!(net.metrics().dropped(), 1);
         assert_eq!(net.metrics().total_messages(), 0);
+    }
+
+    /// What a node notes in `Ctx::counters` reaches this transport's
+    /// metrics — each counter its own accessor.
+    #[test]
+    fn counters_noted_by_a_node_reach_metrics() {
+        struct Replanner;
+        impl NodeLogic for Replanner {
+            type Msg = u64;
+            fn on_message(&mut self, ctx: &mut Ctx<u64>, _from: NodeId, msg: u64) {
+                let counters = ctx.counters();
+                counters.replans += 1;
+                if msg == 0 {
+                    counters.slow_channel_replans += 1;
+                } else {
+                    counters.timeout_replans += 1;
+                }
+            }
+        }
+        let mut net: LoopbackNet<Replanner> = LoopbackNet::new(SchemaRegistry::new());
+        net.add_node(NodeId(0), Replanner);
+        net.inject(NodeId(1), NodeId(0), 0, 8);
+        net.inject(NodeId(1), NodeId(0), 1, 8);
+        net.inject(NodeId(1), NodeId(0), 1, 8);
+        net.step_for(5_000);
+        let m = net.metrics();
+        assert_eq!(m.replans(), 3);
+        assert_eq!(m.slow_channel_replans(), 1);
+        assert_eq!(m.timeout_replans(), 2);
+        assert_eq!(
+            m.retries_sent() + m.timeouts_fired() + m.stream_dedup_drops(),
+            0
+        );
     }
 }

@@ -70,10 +70,6 @@ pub struct PeerConfig {
     /// Which advertisement matches are routed to (paper-strict or
     /// completeness-favouring).
     pub routing_policy: RoutingPolicy,
-    /// Bound on adaptation rounds per query.
-    pub max_replans: u32,
-    /// Hops a route request may travel on the super-peer backbone.
-    pub backbone_ttl: u32,
     /// Broadcast-bounding caps applied to every routing pass (§5 future
     /// work: "constraints regarding the number of peer nodes that each
     /// query is broadcasted").
@@ -191,6 +187,12 @@ impl PeerConfig {
     /// before it fires, yet bounded, so a silently lost subplan is
     /// always eventually detected and re-planned.
     pub const DEFAULT_SUBPLAN_TIMEOUT_US: u64 = 250 * 2 * 20_000;
+
+    /// Bound on adaptation rounds per query.
+    pub const MAX_REPLANS: u32 = 3;
+
+    /// Hops a route request may travel on the super-peer backbone.
+    pub const BACKBONE_TTL: u32 = 4;
 }
 
 impl Default for PeerConfig {
@@ -200,8 +202,6 @@ impl Default for PeerConfig {
             optimize: true,
             adaptive: true,
             routing_policy: RoutingPolicy::SubsumedOnly,
-            max_replans: 3,
-            backbone_ttl: 4,
             limits: sqpeer_routing::RoutingLimits::unlimited(),
             stream_batch_rows: None,
             stream_credit_window: 4,
@@ -294,15 +294,15 @@ impl BaseKind {
     }
 }
 
-/// Root-side bookkeeping for a query this peer initiated.
+/// Everything a root knows about one query it initiated: the running
+/// state and, from finalisation on, the answer. One record per query, so
+/// [`PeerNode::take_outcome`] leaves nothing of a collected query behind.
 #[derive(Debug)]
 struct RootQuery {
     query: QueryPattern,
     client: Option<PeerId>,
     excluded: HashSet<PeerId>,
-    replans: u32,
     started_at_us: u64,
-    answered: bool,
     /// Virtual µs at which the first answer rows became visible at this
     /// root — a streamed batch draining in order, or a complete local or
     /// remote result. Feeds `ttfr_us` in the outcome and profile.
@@ -316,25 +316,22 @@ struct RootQuery {
     /// Completed subplan results kept across phases (phased adaptation):
     /// `(destination peer, rendered subplan) → result`.
     phase_cache: HashMap<(PeerId, String), ResultSet>,
-    /// Profile counters (plain integer bumps on the hot path; aggregated
-    /// into a [`QueryProfile`] at finalisation when tracing is on).
-    dispatched: u64,
-    answered_subplans: u64,
-    failed_subplans: u64,
-    retries: u64,
-    timeouts: u64,
-    messages_sent: u64,
-    bytes_sent: u64,
-    bytes_received: u64,
     peers_contacted: HashSet<PeerId>,
-    cache_hits: u64,
-    cache_misses: u64,
-    plan_cache_hits: u64,
-    plan_cache_misses: u64,
     /// Phase timestamps: when the routing annotation became available and
     /// when the executable plan was ready.
     annotated_at_us: Option<u64>,
     plan_ready_at_us: Option<u64>,
+    /// The query's profile. Its counters (and `replans`, which bounds
+    /// adaptation) are plain integer bumps on the hot path while the
+    /// query runs; finalisation fills in the times and the answer's
+    /// shape when tracing is on, which is when [`PeerNode::profile`]
+    /// serves it.
+    profile: QueryProfile,
+    /// The EXPLAIN capture (populated at planning with tracing on).
+    explain: Option<Explain>,
+    /// The answer, from finalisation on. An answered query is no longer
+    /// `live_root`: late traffic cannot move its profile.
+    outcome: Option<QueryOutcome>,
 }
 
 impl RootQuery {
@@ -343,27 +340,16 @@ impl RootQuery {
             query,
             client,
             excluded: HashSet::new(),
-            replans: 0,
             started_at_us,
-            answered: false,
             first_row_at_us: None,
             missing: HashSet::new(),
             phase_cache: HashMap::new(),
-            dispatched: 0,
-            answered_subplans: 0,
-            failed_subplans: 0,
-            retries: 0,
-            timeouts: 0,
-            messages_sent: 0,
-            bytes_sent: 0,
-            bytes_received: 0,
             peers_contacted: HashSet::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
             annotated_at_us: None,
             plan_ready_at_us: None,
+            profile: QueryProfile::default(),
+            explain: None,
+            outcome: None,
         }
     }
 }
@@ -670,8 +656,6 @@ pub struct PeerNode {
     /// foreign schema are reformulated onto the local SON's schema before
     /// routing (§3.1 "super-peers may handle the role of a mediator").
     pub articulations: Vec<sqpeer_subsume::Articulation>,
-    /// Answers to queries this peer rooted.
-    pub outcomes: HashMap<QueryId, QueryOutcome>,
     /// Answers received as a client.
     pub client_answers: HashMap<QueryId, ResultSet>,
     /// Subqueries this peer evaluated locally (the per-peer load measure
@@ -682,6 +666,8 @@ pub struct PeerNode {
     pub cluster: Option<ClusterInfo>,
 
     channels: ChannelTable<PeerId>,
+    /// Queries this peer rooted, running and answered — see
+    /// [`PeerNode::outcome`] / [`PeerNode::take_outcome`].
     rooted: HashMap<QueryId, RootQuery>,
     frames: HashMap<u64, Frame>,
     next_frame: u64,
@@ -728,12 +714,6 @@ pub struct PeerNode {
     /// The span/event recorder (disabled unless `config.trace`). RefCell
     /// because routing/planning entry points take `&self`.
     tracer: RefCell<Tracer>,
-    /// Per-query post-run profiles (populated at finalisation with
-    /// tracing on).
-    profiles: HashMap<QueryId, QueryProfile>,
-    /// Per-query EXPLAIN captures (populated at planning with tracing
-    /// on).
-    explains: HashMap<QueryId, Explain>,
     /// High-water mark of data packets in flight on any single outgoing
     /// stream — observability for the credit-window bound (stays at or
     /// below `config.stream_credit_window` when streaming).
@@ -763,7 +743,6 @@ impl PeerNode {
             super_peers: Vec::new(),
             neighbours: Vec::new(),
             articulations: Vec::new(),
-            outcomes: HashMap::new(),
             client_answers: HashMap::new(),
             queries_processed: 0,
             cluster: None,
@@ -788,8 +767,6 @@ impl PeerNode {
             hier_gathers: HashMap::new(),
             cache,
             tracer,
-            profiles: HashMap::new(),
-            explains: HashMap::new(),
             max_stream_inflight: 0,
             credits_granted: 0,
             obs,
@@ -836,6 +813,35 @@ impl PeerNode {
         self.channels.len()
     }
 
+    /// Rooted-query records held here, running and answered-but-not-yet-
+    /// taken (inspection).
+    pub fn rooted_queries(&self) -> usize {
+        self.rooted.len()
+    }
+
+    /// The answer to a query this peer rooted, once it completed.
+    pub fn outcome(&self, qid: QueryId) -> Option<&QueryOutcome> {
+        self.rooted.get(&qid)?.outcome.as_ref()
+    }
+
+    /// Takes the answer to a completed query and with it everything this
+    /// root kept about the query (profile, EXPLAIN, exclusions): a
+    /// long-running host that collects answers this way holds no
+    /// per-query state past the collection.
+    pub fn take_outcome(&mut self, qid: QueryId) -> Option<QueryOutcome> {
+        self.outcome(qid)?;
+        self.rooted.remove(&qid)?.outcome
+    }
+
+    /// The still-running query `qid` rooted here. `None` once answered,
+    /// so whatever arrives late leaves the finished query's profile as
+    /// finalisation wrote it.
+    fn live_root(&mut self, qid: QueryId) -> Option<&mut RootQuery> {
+        self.rooted
+            .get_mut(&qid)
+            .filter(|root| root.outcome.is_none())
+    }
+
     // ------------------------------------------------------------------
     // Observability surface (populated with `config.trace` on)
     // ------------------------------------------------------------------
@@ -852,12 +858,13 @@ impl PeerNode {
 
     /// The post-run profile of a query this peer rooted (tracing on).
     pub fn profile(&self, qid: QueryId) -> Option<QueryProfile> {
-        self.profiles.get(&qid).cloned()
+        let root = self.rooted.get(&qid)?;
+        (self.config.trace && root.outcome.is_some()).then(|| root.profile.clone())
     }
 
     /// The EXPLAIN capture of a query this peer rooted (tracing on).
     pub fn explain(&self, qid: QueryId) -> Option<Explain> {
-        self.explains.get(&qid).cloned()
+        self.rooted.get(&qid)?.explain.clone()
     }
 
     // ------------------------------------------------------------------
@@ -920,7 +927,7 @@ impl PeerNode {
                         let msg = Msg::RouteRequest {
                             qid,
                             query,
-                            backbone_ttl: self.config.backbone_ttl,
+                            backbone_ttl: PeerConfig::BACKBONE_TTL,
                             partial: None,
                         };
                         self.send_rooted(ctx, qid, sp, msg);
@@ -941,16 +948,16 @@ impl PeerNode {
                     // Attribute routing-cache activity to this query.
                     if let Some(after) = self.cache_stats() {
                         let d = after.since(&before);
-                        if let Some(root) = self.rooted.get_mut(&qid) {
-                            root.cache_hits += d.hits + d.subsumption_hits;
-                            root.cache_misses += d.misses;
+                        if let Some(root) = self.live_root(qid) {
+                            root.profile.cache_hits += d.hits + d.subsumption_hits;
+                            root.profile.cache_misses += d.misses;
                         }
                     }
                 }
                 // Staleness-bound neighbourhood: lease-expired neighbours
                 // that would have matched are known-missing contributors.
                 let departed = self.departed_matching(&query);
-                if let Some(root) = self.rooted.get_mut(&qid) {
+                if let Some(root) = self.live_root(qid) {
                     root.missing.extend(departed);
                 }
                 self.continue_with_annotation(ctx, qid, annotated);
@@ -1556,7 +1563,7 @@ impl PeerNode {
         // Duplicate-tolerant: a replayed RouteResponse (or any other
         // duplicate trigger) must not start a second execution for an
         // answered query.
-        if self.rooted.get(&qid).is_none_or(|r| r.answered) {
+        if self.live_root(qid).is_none() {
             return;
         }
         // Run-time adaptation: peers this root already saw fail must not
@@ -1567,7 +1574,7 @@ impl PeerNode {
             annotated.remove_peer(peer);
         }
         let now = ctx.now_us();
-        if let Some(root) = self.rooted.get_mut(&qid) {
+        if let Some(root) = self.live_root(qid) {
             root.annotated_at_us.get_or_insert(now);
         }
         self.tracer
@@ -1585,11 +1592,11 @@ impl PeerNode {
             .and_then(|c| c.borrow_mut().plan_for(epochs, &annotated));
         let cache_hit = cached.is_some();
         if self.cache.is_some() {
-            if let Some(root) = self.rooted.get_mut(&qid) {
+            if let Some(root) = self.live_root(qid) {
                 if cache_hit {
-                    root.plan_cache_hits += 1;
+                    root.profile.plan_cache_hits += 1;
                 } else {
-                    root.plan_cache_misses += 1;
+                    root.profile.plan_cache_misses += 1;
                 }
             }
             self.tracer
@@ -1603,23 +1610,23 @@ impl PeerNode {
                 // A memoised plan skips plan generation, but EXPLAIN still
                 // needs the optimisation pipeline: re-derive it (planning
                 // is deterministic, so the plan is identical).
-                if self.config.trace && !self.explains.contains_key(&qid) {
+                if self.config.trace && self.live_root(qid).is_some_and(|r| r.explain.is_none()) {
                     let (_, explain) = self.build_plan(&annotated, qid, now);
-                    if let Some(explain) = explain {
-                        self.explains.insert(qid, explain);
+                    if let Some(root) = self.live_root(qid) {
+                        root.explain = explain;
                     }
                 }
                 plan
             }
             None => {
                 let (plan, explain) = self.build_plan(&annotated, qid, now);
-                if let Some(mut explain) = explain {
+                if let (Some(mut explain), Some(root)) = (explain, self.live_root(qid)) {
                     // Re-plans produce a fresh Explain for the new plan;
                     // the adaptation log survives across phases.
-                    if let Some(prev) = self.explains.remove(&qid) {
+                    if let Some(prev) = root.explain.take() {
                         explain.adaptation = prev.adaptation;
                     }
-                    self.explains.insert(qid, explain);
+                    root.explain = Some(explain);
                 }
                 if let Some(cache) = &self.cache {
                     cache.borrow_mut().store_plan(epochs, &annotated, &plan);
@@ -1629,7 +1636,7 @@ impl PeerNode {
         };
         let now = ctx.now_us();
         self.tracer.get_mut().end(now, plan_span);
-        if let Some(root) = self.rooted.get_mut(&qid) {
+        if let Some(root) = self.live_root(qid) {
             root.plan_ready_at_us.get_or_insert(now);
         }
 
@@ -1860,8 +1867,8 @@ impl PeerNode {
             }
         }
         self.send_subplan(ctx, tag, channel);
-        if let Some(root) = self.rooted.get_mut(&qid) {
-            root.dispatched += 1;
+        if let Some(root) = self.live_root(qid) {
+            root.profile.subplans_dispatched += 1;
             root.peers_contacted.insert(dest);
         }
         self.tracer
@@ -1898,9 +1905,9 @@ impl PeerNode {
     /// the query.
     fn send_rooted(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, to: PeerId, msg: Msg) {
         let bytes = send(ctx, to, msg);
-        if let Some(root) = self.rooted.get_mut(&qid) {
-            root.messages_sent += 1;
-            root.bytes_sent += bytes as u64;
+        if let Some(root) = self.live_root(qid) {
+            root.profile.messages_sent += 1;
+            root.profile.bytes_sent += bytes as u64;
         }
     }
 
@@ -1916,11 +1923,11 @@ impl PeerNode {
         pending.attempt += 1;
         let (qid, dest, attempt) = (pending.qid, pending.dest, pending.attempt);
         let channel = self.channels.channel_to(self.id, dest);
-        ctx.note_retry();
+        ctx.counters().retries_sent += 1;
         self.arm(ctx, base_timeout << attempt.min(16), Timer::Timeout(tag));
         self.send_subplan(ctx, tag, channel);
-        if let Some(root) = self.rooted.get_mut(&qid) {
-            root.retries += 1;
+        if let Some(root) = self.live_root(qid) {
+            root.profile.retries += 1;
         }
         self.tracer
             .get_mut()
@@ -1941,9 +1948,9 @@ impl PeerNode {
             return;
         };
         let (qid, attempt) = (pending.qid, pending.attempt);
-        ctx.note_timeout();
-        if let Some(root) = self.rooted.get_mut(&qid) {
-            root.timeouts += 1;
+        ctx.counters().timeouts_fired += 1;
+        if let Some(root) = self.live_root(qid) {
+            root.profile.timeouts += 1;
         }
         self.tracer
             .get_mut()
@@ -2218,7 +2225,7 @@ impl PeerNode {
         }
         // Time-to-first-row: the first contribution rows that became
         // visible at the root of this query.
-        if let Some(root) = self.rooted.get_mut(&qid) {
+        if let Some(root) = self.live_root(qid) {
             root.first_row_at_us.get_or_insert(ctx.now_us());
         }
         // Union/join forwarding: an intermediate frame answering through
@@ -2343,51 +2350,46 @@ impl PeerNode {
     }
 
     fn finalize(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, result: ResultSet, partial: bool) {
-        let (names, client, replans, started, missing) = {
-            let Some(root) = self.rooted.get_mut(&qid) else {
-                return;
-            };
-            if root.answered {
-                return;
-            }
-            root.answered = true;
-            let names: Vec<String> = root
-                .query
-                .projection()
-                .iter()
-                .map(|&v| root.query.var_name(v).to_string())
-                .collect();
-            let mut missing: Vec<PeerId> = root.missing.iter().copied().collect();
-            missing.sort();
-            (
-                names,
-                root.client,
-                root.replans,
-                root.started_at_us,
-                missing,
-            )
+        let now = ctx.now_us();
+        let trace = self.config.trace;
+        // `live_root`, spelled out so the tracer and the obs plane stay
+        // borrowable beside the record.
+        let Some(root) = self
+            .rooted
+            .get_mut(&qid)
+            .filter(|root| root.outcome.is_none())
+        else {
+            return;
         };
+        let names: Vec<String> = root
+            .query
+            .projection()
+            .iter()
+            .map(|&v| root.query.var_name(v).to_string())
+            .collect();
+        let mut missing: Vec<PeerId> = root.missing.iter().copied().collect();
+        missing.sort();
+        let missing_count = missing.len();
+        let started = root.started_at_us;
+        let replans = root.profile.replans;
         // Honest completeness: once any contributor was given up on, the
         // root cannot claim the full answer — a surviving replica may
         // hold different rows than the lost peer did.
-        let partial = partial || !missing.is_empty();
+        let partial = partial || missing_count > 0;
         // Apply the query's final projection (§2.1 projections). An empty
         // result coming out of a hole has no columns; give it the query's
         // projection schema so consumers see a well-formed (empty) table.
         let mut projected = result.into_projection(&names);
         if projected.rows.is_empty() && projected.columns.len() != names.len() {
-            projected = ResultSet::empty(names.clone());
+            projected = ResultSet::empty(names);
         }
         // Top-N (§5): ORDER BY + LIMIT apply to the whole distributed
         // answer, at the root, after assembly.
-        let (order, limit) = {
-            let root = self.rooted.get(&qid).expect("checked above");
-            let order = root
-                .query
-                .order_by()
-                .map(|(v, asc)| (root.query.var_name(v).to_string(), asc));
-            (order, root.query.limit())
-        };
+        let order = root
+            .query
+            .order_by()
+            .map(|(v, asc)| (root.query.var_name(v).to_string(), asc));
+        let limit = root.query.limit();
         if order.is_some() || limit.is_some() {
             projected.apply_top(order.as_ref().map(|(n, a)| (n.as_str(), *a)), limit);
         }
@@ -2395,109 +2397,77 @@ impl PeerNode {
         // Time-to-first-row: streamed batches set it on arrival; a
         // monolithic (or fully local) answer's first row arrives with the
         // whole result, i.e. now.
-        let ttfr_us = {
-            let root = self.rooted.get_mut(&qid).expect("checked above");
-            if rows > 0 && root.first_row_at_us.is_none() {
-                root.first_row_at_us = Some(ctx.now_us());
-            }
-            root.first_row_at_us.map(|at| at.saturating_sub(started))
-        };
+        if rows > 0 {
+            root.first_row_at_us.get_or_insert(now);
+        }
+        let ttfr_us = root.first_row_at_us.map(|at| at.saturating_sub(started));
+        let latency_us = now.saturating_sub(started);
         // The one copy of the answer: the client's. The outcome keeps the
         // original.
-        let answer = client.map(|client| (client, projected.clone()));
-        self.outcomes.insert(
-            qid,
-            QueryOutcome {
-                result: projected,
-                completed_at_us: ctx.now_us(),
-                latency_us: ctx.now_us().saturating_sub(started),
-                ttfr_us,
-                replans,
-                partial,
-                missing: missing.clone(),
-            },
-        );
+        let answer = root.client.map(|client| (client, projected.clone()));
+        root.outcome = Some(QueryOutcome {
+            result: projected,
+            completed_at_us: now,
+            latency_us,
+            ttfr_us,
+            replans,
+            partial,
+            missing,
+        });
         self.tracer
             .get_mut()
-            .event_with(ctx.now_us(), qid.0, "query:done", || {
+            .event_with(now, qid.0, "query:done", || {
                 format!(
                     "{rows} rows, {}",
                     if partial { "partial" } else { "complete" }
                 )
             });
-        if self.config.trace {
-            let now = ctx.now_us();
-            if let Some(root) = self.rooted.get(&qid) {
-                let annotated_at = root.annotated_at_us.unwrap_or(started);
-                let plan_ready = root.plan_ready_at_us.unwrap_or(annotated_at);
-                let profile = QueryProfile {
-                    qid: qid.0,
-                    query: root.query.to_string(),
-                    routing_us: annotated_at.saturating_sub(started),
-                    planning_us: plan_ready.saturating_sub(annotated_at),
-                    execution_us: now.saturating_sub(plan_ready),
-                    total_us: now.saturating_sub(started),
-                    ttfr_us,
-                    messages_sent: root.messages_sent,
-                    bytes_sent: root.bytes_sent,
-                    bytes_received: root.bytes_received,
-                    peers_contacted: root.peers_contacted.len(),
-                    subplans_dispatched: root.dispatched,
-                    subplans_answered: root.answered_subplans,
-                    subplans_failed: root.failed_subplans,
-                    retries: root.retries,
-                    timeouts: root.timeouts,
-                    replans,
-                    cache_hits: root.cache_hits,
-                    cache_misses: root.cache_misses,
-                    plan_cache_hits: root.plan_cache_hits,
-                    plan_cache_misses: root.plan_cache_misses,
-                    partial,
-                    missing: missing.len(),
-                    rows,
-                };
-                self.profiles.insert(qid, profile);
-            }
+        if trace {
+            // The counters were bumped in place while the query ran; what
+            // remains is where its time went and the answer's shape.
+            let annotated_at = root.annotated_at_us.unwrap_or(started);
+            let plan_ready = root.plan_ready_at_us.unwrap_or(annotated_at);
+            let profile = &mut root.profile;
+            profile.qid = qid.0;
+            profile.query = root.query.to_string();
+            profile.routing_us = annotated_at.saturating_sub(started);
+            profile.planning_us = plan_ready.saturating_sub(annotated_at);
+            profile.execution_us = now.saturating_sub(plan_ready);
+            profile.total_us = latency_us;
+            profile.ttfr_us = ttfr_us;
+            profile.peers_contacted = root.peers_contacted.len();
+            profile.partial = partial;
+            profile.missing = missing_count;
+            profile.rows = rows;
         }
-        if let Some(threshold) = self.obs.as_ref().map(|o| o.config.slow_query_us) {
-            let now = ctx.now_us();
-            let latency_us = now.saturating_sub(started);
-            let (pattern, peers) = {
-                let root = self.rooted.get(&qid).expect("checked above");
-                (root.query.to_string(), root.peers_contacted.len() as u64)
-            };
-            let slow = latency_us >= threshold;
-            // EXPLAIN/profile capture only exists with tracing on; a slow
-            // query without tracing still lands in the log, JSON-less.
-            let explain_json = slow
-                .then(|| self.explains.get(&qid).map(|e| e.to_json()))
-                .flatten();
-            let profile_json = slow
-                .then(|| self.profiles.get(&qid).map(|p| p.to_json()))
-                .flatten();
-            if let Some(obs) = &mut self.obs {
-                obs.patterns.record(
-                    &pattern,
+        if let Some(obs) = &mut self.obs {
+            let pattern = root.query.to_string();
+            let peers = root.peers_contacted.len() as u64;
+            obs.patterns.record(
+                &pattern,
+                latency_us,
+                ttfr_us,
+                peers,
+                partial,
+                u64::from(replans),
+            );
+            obs.dirty = true;
+            let threshold = obs.config.slow_query_us;
+            if latency_us >= threshold {
+                obs.recorder.record_with(now, "slow-query", || {
+                    format!("{qid} took {latency_us}us (threshold {threshold}us)")
+                });
+                // EXPLAIN/profile capture only exists with tracing on; a
+                // slow query without tracing still lands in the log,
+                // JSON-less.
+                obs.log_slow_query(crate::obs::SlowQuery {
+                    query: qid,
+                    at_us: now,
                     latency_us,
-                    ttfr_us,
-                    peers,
-                    partial,
-                    u64::from(replans),
-                );
-                obs.dirty = true;
-                if slow {
-                    obs.recorder.record_with(now, "slow-query", || {
-                        format!("{qid} took {latency_us}us (threshold {threshold}us)")
-                    });
-                    obs.log_slow_query(crate::obs::SlowQuery {
-                        query: qid,
-                        at_us: now,
-                        latency_us,
-                        pattern,
-                        explain_json,
-                        profile_json,
-                    });
-                }
+                    pattern,
+                    explain_json: root.explain.as_ref().map(|e| e.to_json()),
+                    profile_json: trace.then(|| root.profile.to_json()),
+                });
             }
         }
         if let Some((client, result)) = answer {
@@ -2509,13 +2479,14 @@ impl PeerNode {
     // Run-time adaptation (§2.5)
     // ------------------------------------------------------------------
 
-    /// Bumps the cause-attributed replan counter (alongside the total
-    /// counted by `note_replan`), so chaos/experiment reports can say
-    /// *why* adaptation fired.
-    fn note_replan_cause(ctx: &mut Ctx<Msg>, cause: ReplanCause) {
+    /// Counts one re-plan, and its cause alongside the total, so
+    /// chaos/experiment reports can say *why* adaptation fired.
+    fn note_replan(ctx: &mut Ctx<Msg>, cause: ReplanCause) {
+        let counters = ctx.counters();
+        counters.replans += 1;
         match cause {
-            ReplanCause::Timeout => ctx.note_timeout_replan(),
-            ReplanCause::SlowChannel => ctx.note_slow_replan(),
+            ReplanCause::Timeout => counters.timeout_replans += 1,
+            ReplanCause::SlowChannel => counters.slow_channel_replans += 1,
             ReplanCause::Delivery => {}
         }
     }
@@ -2523,7 +2494,9 @@ impl PeerNode {
     /// Appends one observation line to the query's EXPLAIN adaptation
     /// log (§2.5) — no-op unless tracing captured an Explain.
     fn note_adaptation(&mut self, qid: QueryId, line: impl FnOnce() -> String) {
-        if let Some(explain) = self.explains.get_mut(&qid) {
+        // Not `live_root`: a subplan abandoned after a give-up answer
+        // still belongs in the log.
+        if let Some(explain) = self.rooted.get_mut(&qid).and_then(|r| r.explain.as_mut()) {
             explain.adaptation.push(line());
         }
     }
@@ -2579,23 +2552,19 @@ impl PeerNode {
         culprit: Option<PeerId>,
         cause: ReplanCause,
     ) {
-        let Some(root) = self.rooted.get_mut(&qid) else {
+        let Some(root) = self.live_root(qid) else {
             return;
         };
-        if root.answered {
-            return;
-        }
         if let Some(p) = culprit {
             root.excluded.insert(p);
             root.missing.insert(p);
         }
-        if root.replans >= self.config.max_replans {
+        if root.profile.replans >= PeerConfig::MAX_REPLANS {
             self.finalize(ctx, qid, ResultSet::default(), true);
             return;
         }
-        root.replans += 1;
-        ctx.note_replan();
-        Self::note_replan_cause(ctx, cause);
+        root.profile.replans += 1;
+        Self::note_replan(ctx, cause);
         // ubQL semantics: discard all intermediate results and on-going
         // computations, then re-run routing + processing.
         let stale_frames: Vec<u64> = self
@@ -2625,8 +2594,8 @@ impl PeerNode {
         // The channel is dead with its destination; whatever adaptation
         // dispatches next mints a fresh one.
         self.channels.drop_towards(failed_peer);
-        if let Some(root) = self.rooted.get_mut(&qid) {
-            root.failed_subplans += 1;
+        if let Some(root) = self.live_root(qid) {
+            root.profile.subplans_failed += 1;
         }
         self.tracer
             .get_mut()
@@ -2650,7 +2619,7 @@ impl PeerNode {
             // Static execution (or an intermediate peer): the lost branch
             // becomes an empty partial slot and the rest of the plan
             // continues.
-            if let Some(root) = self.rooted.get_mut(&qid) {
+            if let Some(root) = self.live_root(qid) {
                 root.missing.insert(failed_peer);
             }
             self.fail_slot(ctx, pending);
@@ -2678,19 +2647,15 @@ impl PeerNode {
         cause: ReplanCause,
     ) {
         let excluded: Vec<PeerId> = {
-            let Some(root) = self.rooted.get_mut(&qid) else {
+            let Some(root) = self.live_root(qid) else {
                 return;
             };
-            if root.answered {
-                return;
-            }
             root.excluded.insert(failed);
             root.missing.insert(failed);
-            root.replans += 1;
+            root.profile.replans += 1;
             root.excluded.iter().copied().collect()
         };
-        ctx.note_replan();
-        Self::note_replan_cause(ctx, cause);
+        Self::note_replan(ctx, cause);
         // Every trace of the failed peer becomes a hole / unsited join.
         let holed = strip_peer(plan, failed);
         let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
@@ -3005,7 +2970,7 @@ impl NodeLogic for PeerNode {
                     };
                     send(ctx, requester, msg);
                 } else {
-                    if let Some(root) = self.rooted.get_mut(&qid) {
+                    if let Some(root) = self.live_root(qid) {
                         // The super-peer named departed contributors: the
                         // answer is known to be missing their rows.
                         root.missing.extend(missing);
@@ -3092,7 +3057,7 @@ impl NodeLogic for PeerNode {
                     // both make repeated sequence numbers normal; each
                     // one must land in the dedup counter, never in the
                     // answer.
-                    ctx.note_stream_dedup();
+                    ctx.counters().stream_dedup_drops += 1;
                 }
                 let mut drained: Vec<Row> = Vec::new();
                 for rows in ingested.drained {
@@ -3134,9 +3099,9 @@ impl NodeLogic for PeerNode {
                         rows: pending.stream.acc,
                     };
                     let rows = result.rows.len();
-                    if let Some(root) = self.rooted.get_mut(&qid) {
-                        root.answered_subplans += 1;
-                        root.bytes_received += result.wire_size() as u64;
+                    if let Some(root) = self.live_root(qid) {
+                        root.profile.subplans_answered += 1;
+                        root.profile.bytes_received += result.wire_size() as u64;
                     }
                     self.tracer
                         .get_mut()
@@ -3147,7 +3112,7 @@ impl NodeLogic for PeerNode {
                             )
                         });
                     if self.config.phased && !partial {
-                        if let Some(root) = self.rooted.get_mut(&qid) {
+                        if let Some(root) = self.live_root(qid) {
                             root.phase_cache
                                 .insert((pending.dest, pending.plan.to_string()), result.clone());
                         }
@@ -3167,8 +3132,8 @@ impl NodeLogic for PeerNode {
             }
             Msg::SubplanFailed { qid, tag, .. } => {
                 if let Some(pending) = self.outstanding.remove(&tag) {
-                    if let Some(root) = self.rooted.get_mut(&qid) {
-                        root.failed_subplans += 1;
+                    if let Some(root) = self.live_root(qid) {
+                        root.profile.subplans_failed += 1;
                     }
                     self.tracer
                         .get_mut()
@@ -3283,7 +3248,7 @@ impl NodeLogic for PeerNode {
         // pending timer (the simulator already discarded those). Durable
         // state — the base, the ad registry, recorded outcomes — survives.
         self.channels = ChannelTable::new();
-        self.rooted.clear();
+        self.rooted.retain(|_, root| root.outcome.is_some());
         self.frames.clear();
         self.outstanding.clear();
         self.route_relays.clear();
@@ -3613,7 +3578,7 @@ mod tests {
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
-        let outcome = p1.outcomes.get(&QueryId(1)).expect("query completed");
+        let outcome = p1.outcome(QueryId(1)).expect("query completed");
         assert!(!outcome.partial);
         assert_eq!(outcome.result.len(), 1);
         assert_eq!(outcome.result.columns, vec!["X", "Z"]);
@@ -3732,7 +3697,7 @@ mod tests {
         pose(&mut sim, NodeId(1), QueryId(1), query);
         sim.run_to_quiescence();
         let p1 = sim.node(NodeId(1)).unwrap();
-        assert!(p1.outcomes.contains_key(&QueryId(1)));
+        assert!(p1.outcome(QueryId(1)).is_some());
         assert!(p1.trace_events().is_empty());
         assert!(p1.profile(QueryId(1)).is_none());
         assert!(p1.explain(QueryId(1)).is_none());
@@ -3768,8 +3733,7 @@ mod tests {
         let outcome = sim
             .node(NodeId(1))
             .unwrap()
-            .outcomes
-            .get(&QueryId(7))
+            .outcome(QueryId(7))
             .expect("completed")
             .clone();
         // Set semantics: the duplicate row across P1/P3 appears once.
@@ -3816,12 +3780,7 @@ mod tests {
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
         pose(&mut sim, NodeId(1), QueryId(5), query);
         sim.run_to_quiescence();
-        let outcome = sim
-            .node(NodeId(1))
-            .unwrap()
-            .outcomes
-            .get(&QueryId(5))
-            .unwrap();
+        let outcome = sim.node(NodeId(1)).unwrap().outcome(QueryId(5)).unwrap();
         // Only P4's three rows (the largest extent) were fetched.
         assert_eq!(outcome.result.len(), 3);
     }
@@ -3858,8 +3817,7 @@ mod tests {
             let rs = sim
                 .node(NodeId(1))
                 .unwrap()
-                .outcomes
-                .get(&QueryId(8))
+                .outcome(QueryId(8))
                 .unwrap()
                 .result
                 .clone()
@@ -3920,8 +3878,7 @@ mod tests {
             let outcome = sim
                 .node(NodeId(1))
                 .unwrap()
-                .outcomes
-                .get(&QueryId(8))
+                .outcome(QueryId(8))
                 .unwrap()
                 .clone();
             (outcome, link_ttfr)
@@ -3981,7 +3938,7 @@ mod tests {
         pose(&mut sim, NodeId(1), QueryId(3), query);
         sim.run_to_quiescence();
         let root = sim.node(NodeId(1)).unwrap();
-        assert_eq!(root.outcomes.get(&QueryId(3)).unwrap().result.len(), 25);
+        assert_eq!(root.outcome(QueryId(3)).unwrap().result.len(), 25);
         let holder = sim.node(NodeId(2)).unwrap();
         assert!(
             holder.max_stream_inflight <= 2,
@@ -4071,8 +4028,9 @@ mod tests {
                 .map(|&i| {
                     sim.node(NodeId(i))
                         .unwrap()
-                        .outcomes
+                        .rooted
                         .values()
+                        .filter_map(|r| r.outcome.as_ref())
                         .map(|o| o.completed_at_us)
                         .max()
                         .unwrap()
@@ -4140,12 +4098,7 @@ mod tests {
             let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
             pose(&mut sim, NodeId(1), QueryId(4), query);
             sim.run_to_quiescence();
-            let o = sim
-                .node(NodeId(1))
-                .unwrap()
-                .outcomes
-                .get(&QueryId(4))
-                .unwrap();
+            let o = sim.node(NodeId(1)).unwrap().outcome(QueryId(4)).unwrap();
             (o.result.len(), o.latency_us)
         };
         let (rows_slow, t_slow) = run(None);
@@ -4206,7 +4159,7 @@ mod tests {
             pose(&mut sim, NodeId(1), QueryId(4), query);
             sim.run_to_quiescence();
             let p1 = sim.node(NodeId(1)).unwrap();
-            let o = p1.outcomes.get(&QueryId(4)).unwrap();
+            let o = p1.outcome(QueryId(4)).unwrap();
             let events: Vec<String> = p1
                 .trace_events_for(QueryId(4))
                 .iter()
@@ -4329,8 +4282,7 @@ mod tests {
             let rows = sim
                 .node(NodeId(1))
                 .unwrap()
-                .outcomes
-                .get(&QueryId(9))
+                .outcome(QueryId(9))
                 .unwrap()
                 .result
                 .len();
@@ -4370,8 +4322,7 @@ mod tests {
         let outcome = sim
             .node(NodeId(1))
             .unwrap()
-            .outcomes
-            .get(&QueryId(2))
+            .outcome(QueryId(2))
             .expect("completed")
             .clone();
         assert!(outcome.partial);
@@ -4412,8 +4363,7 @@ mod tests {
         let outcome = sim
             .node(NodeId(1))
             .unwrap()
-            .outcomes
-            .get(&QueryId(1))
+            .outcome(QueryId(1))
             .expect("root gave up with an honest answer")
             .clone();
         assert!(outcome.partial);
@@ -4452,8 +4402,7 @@ mod tests {
         let outcome = sim
             .node(NodeId(1))
             .unwrap()
-            .outcomes
-            .get(&QueryId(3))
+            .outcome(QueryId(3))
             .expect("completed")
             .clone();
         assert!(!outcome.partial);
@@ -4497,7 +4446,7 @@ mod tests {
         sim.run_to_quiescence();
 
         let p1 = sim.node(NodeId(1)).unwrap();
-        let outcome = p1.outcomes.get(&QueryId(9)).expect("gave up").clone();
+        let outcome = p1.outcome(QueryId(9)).expect("gave up").clone();
         assert!(outcome.partial);
         assert_eq!(outcome.missing, vec![PeerId(2), PeerId(3), PeerId(4)]);
         // Every round's failed channels were dropped.
@@ -4742,7 +4691,7 @@ mod tests {
             .frames
             .values()
             .all(|f| f.slots.iter().all(Option::is_none)));
-        assert!(root.outcomes.is_empty());
+        assert!(root.rooted.values().all(|r| r.outcome.is_none()));
     }
 
     /// A root that has received the first packet of a five-packet stream
@@ -4806,7 +4755,7 @@ mod tests {
                 timeout = next;
             }
         }
-        let outcome = &root.outcomes[&QueryId(1)];
+        let outcome = root.outcome(QueryId(1)).unwrap();
         assert!(outcome.partial);
         assert_eq!(outcome.missing, vec![PeerId(2)]);
         assert!(
@@ -4829,7 +4778,7 @@ mod tests {
         };
         let mut ctx = Ctx::detached(0, NodeId(1));
         root.on_message(&mut ctx, NodeId(2), failed);
-        assert!(root.outcomes[&QueryId(1)].partial);
+        assert!(root.outcome(QueryId(1)).unwrap().partial);
         assert!(
             root.outstanding.is_empty(),
             "no reassembly outlives its tag"

@@ -17,7 +17,7 @@
 
 use crate::trace::{Step, Trace};
 use sqpeer_exec::{node_of, Msg, PeerNode, QueryId};
-use sqpeer_net::{Ctx, NodeId, NodeLogic};
+use sqpeer_net::{Counters, Ctx, NodeId, NodeLogic};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One in-flight message.
@@ -44,11 +44,8 @@ pub struct Conductor {
     pool: Vec<Flight>,
     timers: Vec<PendingTimer>,
     seq: u64,
-    /// Seq-dedup drops reported by receivers (satellite counter).
-    pub stream_dedups: usize,
-    pub retries: usize,
-    pub timeouts: usize,
-    pub replans: usize,
+    /// The protocol counters the hosted peers reported.
+    pub counters: Counters,
 }
 
 impl Default for Conductor {
@@ -66,10 +63,7 @@ impl Conductor {
             pool: Vec::new(),
             timers: Vec::new(),
             seq: 0,
-            stream_dedups: 0,
-            retries: 0,
-            timeouts: 0,
-            replans: 0,
+            counters: Counters::default(),
         }
     }
 
@@ -125,10 +119,7 @@ impl Conductor {
                 id,
             });
         }
-        self.retries += effects.retries;
-        self.timeouts += effects.timeouts;
-        self.replans += effects.replans;
-        self.stream_dedups += effects.stream_dedups;
+        self.counters += effects.counters;
     }
 
     fn dispatch(&mut self, flight: Flight) {
@@ -263,7 +254,7 @@ impl Conductor {
                     .nodes
                     .get(&node)
                     .ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))?;
-                let outcome = peer.outcomes.get(&qid).ok_or_else(|| {
+                let outcome = peer.outcome(qid).ok_or_else(|| {
                     format!("step `{step}`: node {} has no outcome for {qid}", node.0)
                 })?;
                 match step.get("status") {
@@ -305,7 +296,7 @@ impl Conductor {
                     .nodes
                     .get(&node)
                     .ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))?;
-                if peer.outcomes.contains_key(&qid) {
+                if peer.outcome(qid).is_some() {
                     return Err(format!(
                         "step `{step}`: node {} unexpectedly finalised {qid}",
                         node.0
@@ -339,10 +330,10 @@ impl Conductor {
             }
             Some("dedups") => {
                 let min = step.u64_or("min", 1)? as usize;
-                if self.stream_dedups < min {
+                let saw = self.counters.stream_dedup_drops;
+                if saw < min {
                     return Err(format!(
-                        "step `{step}`: expected ≥{min} stream dedup drops, saw {}",
-                        self.stream_dedups
+                        "step `{step}`: expected ≥{min} stream dedup drops, saw {saw}"
                     ));
                 }
                 Ok(())
@@ -723,5 +714,41 @@ mod tests {
         let mut conductor = Conductor::new();
         let trace = parse("unit-verb", "teleport node=1").unwrap();
         assert!(conductor.run(&trace).unwrap_err().contains("unknown verb"));
+    }
+
+    /// Why a re-plan fired is noted by the peer and must reach the
+    /// conductor like every other counter: one subplan abandoned by its
+    /// timeout, one (fresh scenario) by the slow-channel probe.
+    #[test]
+    fn replan_causes_noted_by_a_peer_arrive() {
+        let lose_the_subplan = |timer: &str| {
+            format!("deliver kind=clientquery\ndrop kind=subplan\ntimer node=1 kind={timer}\ndrain")
+        };
+        let mut by_timeout = scenarios::retry_pair(0);
+        let trace = parse("unit-timeout-replan", &lose_the_subplan("timeout")).unwrap();
+        by_timeout.run(&trace).unwrap();
+        assert_eq!(
+            by_timeout.counters,
+            Counters {
+                timeouts_fired: 1,
+                replans: 1,
+                timeout_replans: 1,
+                ..Counters::default()
+            }
+        );
+
+        let mut by_probe = scenarios::chain_pair(|config| {
+            config.slow_channel = Some(sqpeer_exec::SlowChannelPolicy::default());
+        });
+        let trace = parse("unit-slow-replan", &lose_the_subplan("probe")).unwrap();
+        by_probe.run(&trace).unwrap();
+        assert_eq!(
+            by_probe.counters,
+            Counters {
+                replans: 1,
+                slow_channel_replans: 1,
+                ..Counters::default()
+            }
+        );
     }
 }

@@ -37,39 +37,45 @@ pub struct Metrics {
     dropped: usize,
     silent_drops: usize,
     duplicates_delivered: usize,
-    retries_sent: usize,
-    timeouts_fired: usize,
-    replans: usize,
-    slow_channel_replans: usize,
-    timeout_replans: usize,
-    stream_dedup_drops: usize,
+    counters: Counters,
 }
 
-/// Named global-counter deltas between two [`Metrics`] snapshots — what
-/// happened inside one measurement window. Produced by
-/// [`Metrics::delta_since`].
+/// The protocol counters nodes report through
+/// [`Ctx::counters`](crate::Ctx::counters): each callback's bumps travel
+/// in its [`Effects`](crate::Effects) and the transport adds them to its
+/// [`Metrics`] with [`Metrics::absorb`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsDelta {
-    /// Messages delivered.
-    pub messages: usize,
-    /// Bytes delivered.
-    pub bytes: usize,
-    /// Deliveries dropped by down nodes/links.
-    pub drops: usize,
-    /// Subplan retries sent.
-    pub retries: usize,
+pub struct Counters {
+    /// Subplan retries sent (at-least-once dispatch).
+    pub retries_sent: usize,
     /// Subplan timeouts fired.
-    pub timeouts: usize,
+    pub timeouts_fired: usize,
     /// Query re-plans (all causes).
     pub replans: usize,
     /// Re-plans triggered by the telemetry slow-channel detector — a
     /// degraded-but-alive link caught by windowed throughput before its
-    /// timeout fired (§2.5).
+    /// timeout fired (§2.5). Counted *in addition to* `replans`.
     pub slow_channel_replans: usize,
-    /// Re-plans triggered by a subplan timeout.
+    /// Re-plans triggered by a subplan timeout. Counted *in addition to*
+    /// `replans`.
     pub timeout_replans: usize,
-    /// Stream `Data` packets discarded by seq-dedup before reassembly.
+    /// Stream `Data` packets discarded by seq-dedup before reassembly — a
+    /// duplicated or stale sequence number. The at-least-once dispatch
+    /// and fault-plan duplication both legitimately produce these;
+    /// counting them makes the "duplicates never reach the answer"
+    /// invariant observable in every chaos run.
     pub stream_dedup_drops: usize,
+}
+
+impl std::ops::AddAssign for Counters {
+    fn add_assign(&mut self, c: Counters) {
+        self.retries_sent += c.retries_sent;
+        self.timeouts_fired += c.timeouts_fired;
+        self.replans += c.replans;
+        self.slow_channel_replans += c.slow_channel_replans;
+        self.timeout_replans += c.timeout_replans;
+        self.stream_dedup_drops += c.stream_dedup_drops;
+    }
 }
 
 impl Metrics {
@@ -110,41 +116,9 @@ impl Metrics {
         self.per_node.entry(to).or_default().duplicates_received += 1;
     }
 
-    /// Records a protocol-level subplan retry (reported by nodes via
-    /// [`crate::Ctx::note_retry`]).
-    pub fn record_retry(&mut self) {
-        self.retries_sent += 1;
-    }
-
-    /// Records a subplan-timeout firing ([`crate::Ctx::note_timeout`]).
-    pub fn record_timeout(&mut self) {
-        self.timeouts_fired += 1;
-    }
-
-    /// Records a query re-plan ([`crate::Ctx::note_replan`]).
-    pub fn record_replan(&mut self) {
-        self.replans += 1;
-    }
-
-    /// Records a re-plan triggered by the telemetry slow-channel detector
-    /// ([`crate::Ctx::note_slow_replan`]) — counted *in addition to* the
-    /// total in [`Metrics::replans`].
-    pub fn record_slow_replan(&mut self) {
-        self.slow_channel_replans += 1;
-    }
-
-    /// Records a re-plan triggered by a subplan timeout
-    /// ([`crate::Ctx::note_timeout_replan`]) — counted *in addition to*
-    /// the total in [`Metrics::replans`].
-    pub fn record_timeout_replan(&mut self) {
-        self.timeout_replans += 1;
-    }
-
-    /// Records a stream packet discarded by seq-dedup
-    /// ([`crate::Ctx::note_stream_dedup`]) — a duplicated or stale `Data`
-    /// sequence number dropped before reassembly.
-    pub fn record_stream_dedup(&mut self) {
-        self.stream_dedup_drops += 1;
+    /// Adds the protocol counters one callback reported.
+    pub fn absorb(&mut self, counters: Counters) {
+        self.counters += counters;
     }
 
     /// Counters of one node.
@@ -179,27 +153,27 @@ impl Metrics {
 
     /// Subplan retries nodes reported sending.
     pub fn retries_sent(&self) -> usize {
-        self.retries_sent
+        self.counters.retries_sent
     }
 
     /// Subplan timeouts nodes reported firing.
     pub fn timeouts_fired(&self) -> usize {
-        self.timeouts_fired
+        self.counters.timeouts_fired
     }
 
     /// Query re-plans nodes reported.
     pub fn replans(&self) -> usize {
-        self.replans
+        self.counters.replans
     }
 
     /// Re-plans attributed to the telemetry slow-channel detector.
     pub fn slow_channel_replans(&self) -> usize {
-        self.slow_channel_replans
+        self.counters.slow_channel_replans
     }
 
     /// Re-plans attributed to a subplan timeout.
     pub fn timeout_replans(&self) -> usize {
-        self.timeout_replans
+        self.counters.timeout_replans
     }
 
     /// Stream packets discarded by seq-dedup before reassembly. Every
@@ -207,7 +181,7 @@ impl Metrics {
     /// land here rather than in the answer — the live counterpart of the
     /// model checker's dedup invariant.
     pub fn stream_dedup_drops(&self) -> usize {
-        self.stream_dedup_drops
+        self.counters.stream_dedup_drops
     }
 
     /// Maximum messages received by any single node — the hot-spot measure
@@ -224,28 +198,6 @@ impl Metrics {
     /// Resets all counters (between experiment phases).
     pub fn reset(&mut self) {
         *self = Metrics::default();
-    }
-
-    /// Global-counter deltas against an earlier snapshot. Used by
-    /// profiling and the overhead reports to attribute traffic to one
-    /// measurement window without resetting shared counters; the replan
-    /// deltas say *why* adaptation fired (slow channel vs timeout).
-    pub fn delta_since(&self, earlier: &Metrics) -> MetricsDelta {
-        MetricsDelta {
-            messages: self.deliveries.saturating_sub(earlier.deliveries),
-            bytes: self.delivered_bytes.saturating_sub(earlier.delivered_bytes),
-            drops: self.dropped.saturating_sub(earlier.dropped),
-            retries: self.retries_sent.saturating_sub(earlier.retries_sent),
-            timeouts: self.timeouts_fired.saturating_sub(earlier.timeouts_fired),
-            replans: self.replans.saturating_sub(earlier.replans),
-            slow_channel_replans: self
-                .slow_channel_replans
-                .saturating_sub(earlier.slow_channel_replans),
-            timeout_replans: self.timeout_replans.saturating_sub(earlier.timeout_replans),
-            stream_dedup_drops: self
-                .stream_dedup_drops
-                .saturating_sub(earlier.stream_dedup_drops),
-        }
     }
 }
 
@@ -282,13 +234,13 @@ mod tests {
         m.record_silent_drop(NodeId(4));
         m.record_silent_drop(NodeId(4));
         m.record_duplicate(NodeId(5));
-        m.record_retry();
-        m.record_timeout();
-        m.record_timeout();
-        m.record_replan();
-        m.record_stream_dedup();
-        m.record_stream_dedup();
-        m.record_stream_dedup();
+        m.absorb(Counters {
+            retries_sent: 1,
+            timeouts_fired: 2,
+            replans: 1,
+            stream_dedup_drops: 3,
+            ..Counters::default()
+        });
         assert_eq!(m.silent_drops(), 2);
         assert_eq!(m.node(NodeId(4)).silent_dropped, 2);
         // Silent drops are accounted separately from notified drops.
@@ -307,27 +259,63 @@ mod tests {
     fn replan_causes_and_delta_attribution() {
         let mut m = Metrics::default();
         m.record_delivery(NodeId(0), NodeId(1), 100);
-        let before = m.clone();
         // Two replans: one caught by telemetry, one by its timeout.
-        m.record_replan();
-        m.record_slow_replan();
-        m.record_replan();
-        m.record_timeout_replan();
+        m.absorb(Counters {
+            replans: 1,
+            slow_channel_replans: 1,
+            ..Counters::default()
+        });
+        m.absorb(Counters {
+            replans: 1,
+            timeout_replans: 1,
+            ..Counters::default()
+        });
         m.record_delivery(NodeId(0), NodeId(1), 50);
         assert_eq!(m.replans(), 2);
         assert_eq!(m.slow_channel_replans(), 1);
         assert_eq!(m.timeout_replans(), 1);
-        let delta = m.delta_since(&before);
-        assert_eq!(
-            delta,
-            MetricsDelta {
-                messages: 1,
-                bytes: 50,
-                replans: 2,
-                slow_channel_replans: 1,
-                timeout_replans: 1,
-                ..MetricsDelta::default()
-            }
-        );
+        assert_eq!(m.total_messages(), 2);
+        assert_eq!(m.total_bytes(), 150);
+        assert_eq!(m.retries_sent() + m.timeouts_fired() + m.dropped(), 0);
+    }
+
+    /// The `Ctx` seam, no simulator: each counter a node bumps once
+    /// arrives, through the callback's `Effects`, at exactly its own
+    /// `Metrics` accessor.
+    #[test]
+    fn each_noted_counter_moves_only_its_own_accessor() {
+        type Bump = fn(&mut Counters);
+        let bumps: [Bump; 6] = [
+            |c| c.retries_sent += 1,
+            |c| c.timeouts_fired += 1,
+            |c| c.replans += 1,
+            |c| c.slow_channel_replans += 1,
+            |c| c.timeout_replans += 1,
+            |c| c.stream_dedup_drops += 1,
+        ];
+        let read = |m: &Metrics| {
+            [
+                m.retries_sent(),
+                m.timeouts_fired(),
+                m.replans(),
+                m.slow_channel_replans(),
+                m.timeout_replans(),
+                m.stream_dedup_drops(),
+            ]
+        };
+        let mut m = Metrics::default();
+        for (i, bump) in bumps.iter().enumerate() {
+            let before = read(&m);
+            let mut ctx: crate::Ctx<()> = crate::Ctx::detached(0, NodeId(1));
+            bump(ctx.counters());
+            let effects = ctx.into_effects();
+            assert!(effects.outbox.is_empty() && effects.timers.is_empty());
+            m.absorb(effects.counters);
+            let mut want = before;
+            want[i] += 1;
+            assert_eq!(read(&m), want, "counter {i}");
+        }
+        assert_eq!(read(&m), [1; 6]);
+        assert_eq!(m.total_messages() + m.dropped() + m.silent_drops(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The discrete-event core: virtual time, links, delivery, failures.
 
 use crate::fault::{FaultPlan, SplitMix64};
-use crate::metrics::Metrics;
+use crate::metrics::{Counters, Metrics};
 use crate::queue::{CalendarQueue, Scheduled};
 use crate::telemetry::TelemetryRegistry;
 use std::collections::{HashMap, HashSet};
@@ -87,15 +87,7 @@ pub struct Ctx<M> {
     now_us: u64,
     /// The node being called.
     node: NodeId,
-    outbox: Vec<(NodeId, M, usize)>,
-    timers: Vec<(u64, u64)>,
-    retries: usize,
-    timeouts: usize,
-    replans: usize,
-    slow_replans: usize,
-    timeout_replans: usize,
-    stream_dedups: usize,
-    stream_ttfr: Vec<(NodeId, u64)>,
+    effects: Effects<M>,
 }
 
 impl<M> Ctx<M> {
@@ -103,15 +95,12 @@ impl<M> Ctx<M> {
         Ctx {
             now_us,
             node,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-            retries: 0,
-            timeouts: 0,
-            replans: 0,
-            slow_replans: 0,
-            timeout_replans: 0,
-            stream_dedups: 0,
-            stream_ttfr: Vec::new(),
+            effects: Effects {
+                outbox: Vec::new(),
+                timers: Vec::new(),
+                counters: Counters::default(),
+                stream_ttfr: Vec::new(),
+            },
         }
     }
 
@@ -127,51 +116,19 @@ impl<M> Ctx<M> {
 
     /// Sends `msg` (`bytes` bytes on the wire) to `to`.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: usize) {
-        self.outbox.push((to, msg, bytes));
+        self.effects.outbox.push((to, msg, bytes));
     }
 
     /// Schedules [`NodeLogic::on_timer`] with `timer` after `delay_us`.
     pub fn set_timer(&mut self, delay_us: u64, timer: u64) {
-        self.timers.push((delay_us, timer));
+        self.effects.timers.push((delay_us, timer));
     }
 
-    /// Reports a subplan retry to [`Metrics::retries_sent`].
-    pub fn note_retry(&mut self) {
-        self.retries += 1;
-    }
-
-    /// Reports a subplan-timeout firing to [`Metrics::timeouts_fired`].
-    pub fn note_timeout(&mut self) {
-        self.timeouts += 1;
-    }
-
-    /// Reports a query re-plan to [`Metrics::replans`].
-    pub fn note_replan(&mut self) {
-        self.replans += 1;
-    }
-
-    /// Attributes a re-plan to the telemetry slow-channel detector
-    /// ([`Metrics::slow_channel_replans`]); call alongside
-    /// [`Ctx::note_replan`].
-    pub fn note_slow_replan(&mut self) {
-        self.slow_replans += 1;
-    }
-
-    /// Attributes a re-plan to a subplan timeout
-    /// ([`Metrics::timeout_replans`]); call alongside
-    /// [`Ctx::note_replan`].
-    pub fn note_timeout_replan(&mut self) {
-        self.timeout_replans += 1;
-    }
-
-    /// Reports a stream packet discarded by seq-dedup — a duplicate or
-    /// stale `Data` sequence number dropped before reassembly
-    /// ([`Metrics::stream_dedup_drops`]). The at-least-once dispatch and
-    /// fault-plan duplication both legitimately produce these; counting
-    /// them makes the "duplicates never reach the answer" invariant
-    /// observable in every chaos run.
-    pub fn note_stream_dedup(&mut self) {
-        self.stream_dedups += 1;
+    /// The protocol counters this callback reports: a node bumps the
+    /// field naming what happened (`ctx.counters().retries_sent += 1`)
+    /// and the transport adds them to its [`Metrics`].
+    pub fn counters(&mut self) -> &mut Counters {
+        &mut self.effects.counters
     }
 
     /// Reports per-link time-to-first-row: `elapsed_us` between a subplan
@@ -179,7 +136,7 @@ impl<M> Ctx<M> {
     /// from `from`. Recorded into the telemetry registry's `ttfr_us`
     /// histogram on the `from → me` link (the direction the data flows).
     pub fn note_stream_ttfr(&mut self, from: NodeId, elapsed_us: u64) {
-        self.stream_ttfr.push((from, elapsed_us));
+        self.effects.stream_ttfr.push((from, elapsed_us));
     }
 
     /// A context for driving a [`NodeLogic`] *outside* the simulator —
@@ -193,43 +150,24 @@ impl<M> Ctx<M> {
     }
 
     /// Consumes the context, yielding everything the node asked for.
-    pub fn into_effects(self) -> CtxEffects<M> {
-        CtxEffects {
-            outbox: self.outbox,
-            timers: self.timers,
-            retries: self.retries,
-            timeouts: self.timeouts,
-            replans: self.replans,
-            slow_replans: self.slow_replans,
-            timeout_replans: self.timeout_replans,
-            stream_dedups: self.stream_dedups,
-            stream_ttfr: self.stream_ttfr,
-        }
+    pub fn into_effects(self) -> Effects<M> {
+        self.effects
     }
 }
 
-/// The effects a [`NodeLogic`] callback accumulated in its [`Ctx`]:
-/// messages to send, timers to arm, counters to fold into [`Metrics`].
-/// Produced by [`Ctx::into_effects`] for transports that dispatch
-/// callbacks outside the simulator.
+/// What a [`NodeLogic`] callback asked of its transport through its
+/// [`Ctx`]: messages to send, timers to arm, counters to add to
+/// [`Metrics`], telemetry observations. Every transport applies one of
+/// these per callback; only how a send and a timer are scheduled differs
+/// between them.
 #[derive(Debug)]
-pub struct CtxEffects<M> {
+pub struct Effects<M> {
     /// `(to, msg, bytes)` sends, in call order.
     pub outbox: Vec<(NodeId, M, usize)>,
     /// `(delay_us, timer)` timer arms, in call order.
     pub timers: Vec<(u64, u64)>,
-    /// [`Ctx::note_retry`] count.
-    pub retries: usize,
-    /// [`Ctx::note_timeout`] count.
-    pub timeouts: usize,
-    /// [`Ctx::note_replan`] count.
-    pub replans: usize,
-    /// [`Ctx::note_slow_replan`] count.
-    pub slow_replans: usize,
-    /// [`Ctx::note_timeout_replan`] count.
-    pub timeout_replans: usize,
-    /// [`Ctx::note_stream_dedup`] count.
-    pub stream_dedups: usize,
+    /// The [`Ctx::counters`] bumps, for [`Metrics::absorb`].
+    pub counters: Counters,
     /// [`Ctx::note_stream_ttfr`] observations: `(from, elapsed_us)` per
     /// first result packet, for the telemetry registry.
     pub stream_ttfr: Vec<(NodeId, u64)>,
@@ -746,49 +684,20 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn flush(&mut self, ctx: Ctx<N::Msg>) {
-        let Ctx {
-            node,
-            outbox,
-            timers,
-            retries,
-            timeouts,
-            replans,
-            slow_replans,
-            timeout_replans,
-            stream_dedups,
-            stream_ttfr,
-            ..
-        } = ctx;
+        let Ctx { node, effects, .. } = ctx;
         if let Some(telemetry) = &mut self.telemetry {
-            for (from, elapsed) in stream_ttfr {
+            for (from, elapsed) in effects.stream_ttfr {
                 telemetry.record_ttfr(from, node, elapsed);
             }
         }
-        for (to, msg, bytes) in outbox {
+        for (to, msg, bytes) in effects.outbox {
             self.metrics.record_send(node, to, bytes);
             self.schedule_send(node, to, msg, bytes);
         }
-        for (delay, timer) in timers {
+        for (delay, timer) in effects.timers {
             self.push(self.now_us + delay, EventKind::Timer { node, timer });
         }
-        for _ in 0..retries {
-            self.metrics.record_retry();
-        }
-        for _ in 0..timeouts {
-            self.metrics.record_timeout();
-        }
-        for _ in 0..replans {
-            self.metrics.record_replan();
-        }
-        for _ in 0..slow_replans {
-            self.metrics.record_slow_replan();
-        }
-        for _ in 0..timeout_replans {
-            self.metrics.record_timeout_replan();
-        }
-        for _ in 0..stream_dedups {
-            self.metrics.record_stream_dedup();
-        }
+        self.metrics.absorb(effects.counters);
     }
 }
 

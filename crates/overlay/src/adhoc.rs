@@ -6,13 +6,11 @@
 //! locally over this semantic neighbourhood; partial plans with holes are
 //! forwarded and filled downstream (interleaved routing and processing).
 
-use sqpeer_exec::{
-    inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome,
-};
+use crate::network::Network;
+use sqpeer_exec::{inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode};
 use sqpeer_net::{LinkSpec, Simulator};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::{PeerId, Topology};
-use sqpeer_rql::{compile, QueryPattern, RqlError};
 use sqpeer_rvl::VirtualBase;
 use sqpeer_store::DescriptionBase;
 use std::sync::Arc;
@@ -130,15 +128,8 @@ impl AdhocBuilder {
         let client = PeerId(count);
         sim.add_node(node_of(client), PeerNode::client(client));
 
-        let mut net = AdhocNetwork {
-            sim,
-            schema,
-            topology,
-            peer_count: count,
-            client,
-            next_qid: 0,
-            lease_us: config.ad_lease_us,
-        };
+        let peers = (0..count).map(PeerId).collect();
+        let mut net = Network::new(sim, schema, &config, Vec::new(), peers, client, topology);
         // Pull-based discovery.
         for i in 0..count {
             net.discover(PeerId(i), discovery_depth);
@@ -148,54 +139,16 @@ impl AdhocBuilder {
     }
 }
 
-/// A running ad-hoc SON.
-pub struct AdhocNetwork {
-    sim: Simulator<PeerNode>,
-    schema: Arc<Schema>,
-    topology: Topology,
-    peer_count: u32,
-    client: PeerId,
-    next_qid: u64,
-    /// The configured advertisement lease (None = immortal neighbour
-    /// entries). With leases on the network never quiesces, so
-    /// [`AdhocNetwork::run`] advances bounded windows instead.
-    lease_us: Option<u64>,
-}
+/// A running ad-hoc SON: the shared [`Network`] driver with no
+/// super-peers, plus the physical topology its peers discover over.
+pub type AdhocNetwork = Network;
 
-impl AdhocNetwork {
-    /// The community schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
+/// What only an ad-hoc SON has: physical links and pull-based discovery
+/// over them.
+impl Network {
     /// The physical topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// All peer ids.
-    pub fn peers(&self) -> Vec<PeerId> {
-        (0..self.peer_count).map(PeerId).collect()
-    }
-
-    /// The client-peer id.
-    pub fn client(&self) -> PeerId {
-        self.client
-    }
-
-    /// The underlying simulator.
-    pub fn sim(&self) -> &Simulator<PeerNode> {
-        &self.sim
-    }
-
-    /// Mutable simulator access.
-    pub fn sim_mut(&mut self) -> &mut Simulator<PeerNode> {
-        &mut self.sim
-    }
-
-    /// Compiles an RQL text against the community schema.
-    pub fn compile(&self, rql: &str) -> Result<QueryPattern, RqlError> {
-        compile(rql, &self.schema)
     }
 
     /// Sends `RequestAds` from `peer` to every member of its `depth`-hop
@@ -203,137 +156,8 @@ impl AdhocNetwork {
     /// a 2-depth, 3-depth, etc. neighbourhood" (§3.2).
     pub fn discover(&mut self, peer: PeerId, depth: u32) {
         for other in self.topology.neighbourhood(peer, depth as usize) {
-            inject(&mut self.sim, peer, other, Msg::RequestAds { depth });
+            inject(self.sim_mut(), peer, other, Msg::RequestAds { depth });
         }
-    }
-
-    /// Injects `query` from the client at peer `at`.
-    pub fn query(&mut self, at: PeerId, query: QueryPattern) -> QueryId {
-        let qid = QueryId(self.next_qid);
-        self.next_qid += 1;
-        inject(
-            &mut self.sim,
-            self.client,
-            at,
-            Msg::ClientQuery { qid, query },
-        );
-        qid
-    }
-
-    /// Injects a pre-built plan for execution at peer `at` (experiment
-    /// harness entry — bypasses routing and optimisation).
-    pub fn execute_plan(
-        &mut self,
-        at: PeerId,
-        query: QueryPattern,
-        plan: sqpeer_plan::PlanNode,
-    ) -> QueryId {
-        let qid = QueryId(self.next_qid);
-        self.next_qid += 1;
-        let msg = Msg::ExecutePlan { qid, query, plan };
-        inject(&mut self.sim, self.client, at, msg);
-        qid
-    }
-
-    /// Runs the network: to quiescence with immortal neighbour entries,
-    /// or a bounded two-lease window when leases are on (periodic
-    /// heartbeat timers never quiesce).
-    pub fn run(&mut self) {
-        match self.lease_us {
-            None => {
-                self.sim.run_to_quiescence();
-            }
-            Some(lease) => {
-                self.run_for(2 * lease);
-            }
-        }
-    }
-
-    /// Advances the network by `us` of virtual time, processing every
-    /// event in the window (later events stay queued).
-    pub fn run_for(&mut self, us: u64) {
-        let until = self.sim.now_us() + us;
-        self.sim.run_until(until);
-    }
-
-    /// The outcome of `qid` at its root peer `at`.
-    pub fn outcome(&self, at: PeerId, qid: QueryId) -> Option<&QueryOutcome> {
-        self.sim
-            .node(node_of(at))
-            .and_then(|n| n.outcomes.get(&qid))
-    }
-
-    /// The routing/plan cache counters of peer `at` (None if the peer is
-    /// down or caching is disabled).
-    pub fn cache_stats(&self, at: PeerId) -> Option<sqpeer_exec::CacheStats> {
-        self.sim.node(node_of(at)).and_then(|n| n.cache_stats())
-    }
-
-    /// The post-run profile of `qid` at its root peer `at` (tracing on).
-    pub fn profile(&self, at: PeerId, qid: QueryId) -> Option<sqpeer_exec::QueryProfile> {
-        self.sim.node(node_of(at)).and_then(|n| n.profile(qid))
-    }
-
-    /// The EXPLAIN rendering of `qid` at its root peer `at` (tracing on).
-    pub fn explain(&self, at: PeerId, qid: QueryId) -> Option<sqpeer_exec::Explain> {
-        self.sim.node(node_of(at)).and_then(|n| n.explain(qid))
-    }
-
-    /// All span/trace events peer `at` recorded (empty when tracing off).
-    pub fn trace_events(&self, at: PeerId) -> Vec<sqpeer_exec::TraceEvent> {
-        self.sim
-            .node(node_of(at))
-            .map(|n| n.trace_events())
-            .unwrap_or_default()
-    }
-
-    /// Turns on per-link telemetry (latency/size histograms, windowed
-    /// throughput) with the given observation window. Off by default —
-    /// disabled networks pay nothing.
-    pub fn enable_telemetry(&mut self, window_us: u64) {
-        self.sim.enable_telemetry(window_us);
-    }
-
-    /// A point-in-time copy of the overlay's telemetry registry, ready
-    /// for [`render`](sqpeer_net::TelemetryRegistry::render) /
-    /// [`to_json`](sqpeer_net::TelemetryRegistry::to_json) or off-line
-    /// merging. `None` unless [`enable_telemetry`] was called.
-    ///
-    /// [`enable_telemetry`]: AdhocNetwork::enable_telemetry
-    pub fn telemetry_snapshot(&self) -> Option<sqpeer_net::TelemetryRegistry> {
-        self.sim.telemetry().cloned()
-    }
-
-    /// All peer bases (for oracle construction).
-    pub fn bases(&self) -> Vec<&DescriptionBase> {
-        (0..self.peer_count)
-            .filter_map(|i| match &self.sim.node(node_of(PeerId(i)))?.base {
-                sqpeer_exec::BaseKind::Materialized(db) => Some(db),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Takes a peer down at the current virtual time.
-    pub fn crash_peer(&mut self, peer: PeerId) {
-        let now = self.sim.now_us();
-        self.sim.schedule_node_down(now, node_of(peer));
-        self.topology.remove_peer(peer);
-    }
-
-    /// Ungraceful crash: the peer vanishes with **no** failure
-    /// notifications. The physical topology keeps the entry — nobody
-    /// knows the peer is gone until its neighbour-entry lease lapses.
-    pub fn crash_peer_silent(&mut self, peer: PeerId) {
-        let now = self.sim.now_us();
-        self.sim.schedule_silent_crash(now, node_of(peer));
-    }
-
-    /// Restarts a silently-crashed peer; the recovering node
-    /// re-advertises to its physical neighbours.
-    pub fn restart_peer(&mut self, peer: PeerId) {
-        let now = self.sim.now_us();
-        self.sim.schedule_silent_restart(now, node_of(peer));
     }
 }
 
@@ -632,5 +456,35 @@ mod tests {
         let healed = net.outcome(origin, q2).expect("completed").clone();
         assert!(!healed.partial, "{healed:?}");
         assert_eq!(healed.result.len(), 1);
+    }
+
+    /// The observability plane's rollup pushes re-arm for ever, like
+    /// lease heartbeats: an ad-hoc SON with the plane on must boot and
+    /// answer through the same bounded-window `run()` a hybrid one uses.
+    #[test]
+    fn adhoc_with_obs_builds_and_answers() {
+        let schema = fig1_schema();
+        let mut b = AdhocBuilder::new(Arc::clone(&schema), 1).config(PeerConfig {
+            obs: Some(sqpeer_exec::ObsConfig::default()),
+            ..PeerConfig::default()
+        });
+        let origin = b.add_peer(base_with(&schema, &[("a", "prop1", "b")]));
+        let holder = b.add_peer(base_with(&schema, &[("b", "prop2", "c")]));
+        b.link(origin, holder);
+        let mut net = b.build();
+
+        let query = net
+            .compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}")
+            .unwrap();
+        let qid = net.query(origin, query.clone());
+        net.run();
+        let outcome = net.outcome(origin, qid).expect("completed");
+        assert!(!outcome.partial, "{outcome:?}");
+        let oracle = oracle_base(&schema, net.bases());
+        assert_eq!(
+            outcome.result.clone().sorted(),
+            oracle_answer(&oracle, &query)
+        );
+        assert_eq!(outcome.result.len(), 1);
     }
 }

@@ -283,8 +283,7 @@ fn duplex_window_one_streams_complete_without_deadlock() {
     for root in [1u32, 2] {
         let node = sim.node(NodeId(root)).unwrap();
         let outcome = node
-            .outcomes
-            .get(&QueryId(u64::from(root)))
+            .outcome(QueryId(u64::from(root)))
             .unwrap_or_else(|| panic!("peer {root} wedged: no outcome"));
         assert!(!outcome.partial, "peer {root}: duplex stream lost rows");
         assert_eq!(
