@@ -8,7 +8,8 @@
 //!
 //! A group mirrors the ad-hoc SON construction of `sqpeer-overlay`: one
 //! [`PeerNode`] per description base, fully meshed neighbours, pull-based
-//! advertisement discovery, plus a client node that poses queries.
+//! advertisement discovery. There is no client node: the driver poses a
+//! query *at* a member and reads the outcome there.
 
 use sqpeer_exec::{
     inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
@@ -34,8 +35,6 @@ pub struct GroupSpec {
 pub struct Group {
     /// Member peers, in base order: `PeerId(0..n)`.
     pub peers: Vec<PeerId>,
-    /// The client-peer that poses queries (`PeerId(n)`).
-    pub client: PeerId,
     /// The community schema.
     pub schema: Arc<Schema>,
     next_qid: u64,
@@ -49,8 +48,8 @@ impl Group {
 }
 
 /// Assembles `spec` onto `transport`: adds one fully-meshed peer node per
-/// base plus a client node, then runs pull-based advertisement discovery
-/// for `settle_us` of transport time.
+/// base, then runs pull-based advertisement discovery for `settle_us` of
+/// transport time.
 pub fn assemble<T: Transport<PeerNode>>(
     transport: &mut T,
     spec: GroupSpec,
@@ -79,13 +78,11 @@ pub fn assemble<T: Transport<PeerNode>>(
             config.clone(),
         );
         if let Some(ad) = node.own_advertisement() {
-            node.registry.register(ad);
+            node.son.registry.register(ad);
         }
-        node.neighbours = peers.iter().copied().filter(|&p| p != id).collect();
+        node.son.neighbours = peers.iter().copied().filter(|&p| p != id).collect();
         transport.add_node(node_of(id), node);
     }
-    let client = PeerId(count);
-    transport.add_node(node_of(client), PeerNode::client(client));
 
     // Pull-based discovery: every peer asks every neighbour for its
     // 1-hop neighbourhood's advertisements (§3.2).
@@ -101,14 +98,14 @@ pub fn assemble<T: Transport<PeerNode>>(
 
     Group {
         peers,
-        client,
         schema,
         next_qid: 0,
     }
 }
 
-/// Poses `query` at member `at` from the group's client. Returns the
-/// query id to poll with [`outcome`].
+/// Poses `query` at member `at`, as that member's own: the root records
+/// the outcome and mails the answer to nobody. Returns the query id to
+/// poll with [`outcome`].
 pub fn pose<T: Transport<PeerNode>>(
     transport: &mut T,
     group: &mut Group,
@@ -117,7 +114,7 @@ pub fn pose<T: Transport<PeerNode>>(
 ) -> QueryId {
     let qid = QueryId(group.next_qid);
     group.next_qid += 1;
-    inject(transport, group.client, at, Msg::ClientQuery { qid, query });
+    inject(transport, at, at, Msg::ClientQuery { qid, query });
     qid
 }
 
@@ -130,21 +127,15 @@ pub fn outcome<T: Transport<PeerNode>>(
     transport.node(node_of(at)).and_then(|n| n.outcome(qid))
 }
 
-/// Takes the completed outcome of `qid` out of member `at`, and drops the
-/// copy of its answer that the root sent the group's client node: a
+/// Takes the completed outcome of `qid` out of member `at`: a
 /// long-running driver that polls with this instead of [`outcome`] keeps
 /// no answer past the moment it collects it.
 pub fn take_outcome<T: Transport<PeerNode>>(
     transport: &mut T,
-    group: &Group,
     at: PeerId,
     qid: QueryId,
 ) -> Option<QueryOutcome> {
-    let outcome = transport.node_mut(node_of(at))?.take_outcome(qid)?;
-    if let Some(client) = transport.node_mut(node_of(group.client)) {
-        client.client_answers.remove(&qid);
-    }
-    Some(outcome)
+    transport.node_mut(node_of(at))?.take_outcome(qid)
 }
 
 /// Steps `transport` in `slice_us` increments until `qid` completes at

@@ -205,23 +205,33 @@ fn pump(
     while !shutdown.load(Ordering::SeqCst) {
         // Admit every waiting command, then give the transport a slice.
         while let Ok(cmd) = cmd_rx.try_recv() {
-            let qid = group::pose(&mut net, &mut group, cmd.at, cmd.query);
-            in_flight.insert(
-                qid,
-                InFlight {
-                    at: cmd.at,
-                    reply: cmd.reply,
-                },
-            );
+            admit(&mut net, &mut group, cmd, &mut in_flight);
         }
         net.step_for(1_000);
-        collect(&mut net, &group, &mut in_flight, &mut ttfr);
+        collect(&mut net, &mut in_flight, &mut ttfr);
         status_refresh += 1;
         if status_refresh.is_multiple_of(100) {
             if let Ok(mut t) = status_text.lock() {
-                *t = render_status(&net, &ttfr);
+                *t = render_status(&net, &ttfr, in_flight.len());
             }
         }
+    }
+}
+
+/// Poses `cmd`'s query at the member it names. The address came off a
+/// socket: one that names no member is refused — dropping the command
+/// drops its reply sender, which closes the connection — instead of
+/// leaving a query that can never finish in flight for ever.
+fn admit(
+    net: &mut LoopbackNet<PeerNode>,
+    group: &mut Group,
+    cmd: Command,
+    in_flight: &mut HashMap<QueryId, InFlight>,
+) {
+    let Command { at, query, reply } = cmd;
+    if group.peers.contains(&at) {
+        let qid = group::pose(net, group, at, query);
+        in_flight.insert(qid, InFlight { at, reply });
     }
 }
 
@@ -230,12 +240,11 @@ fn pump(
 /// answer only until its reply is handed over.
 fn collect(
     net: &mut LoopbackNet<PeerNode>,
-    group: &Group,
     in_flight: &mut HashMap<QueryId, InFlight>,
     ttfr: &mut QueryTtfr,
 ) {
     in_flight.retain(
-        |&qid, flight| match group::take_outcome(net, group, flight.at, qid) {
+        |&qid, flight| match group::take_outcome(net, flight.at, qid) {
             Some(outcome) => {
                 if let Some(t) = outcome.ttfr_us {
                     ttfr.count += 1;
@@ -260,7 +269,7 @@ struct QueryTtfr {
 
 /// Renders the plain-text status page: counters plus the telemetry
 /// snapshot's own rendering.
-fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr) -> String {
+fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let m = net.metrics();
@@ -272,6 +281,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr) -> String {
     let _ = writeln!(out, "retries {}", m.retries_sent());
     let _ = writeln!(out, "replans {}", m.replans());
     let _ = writeln!(out, "decode_failures {}", net.decode_failures());
+    let _ = writeln!(out, "in_flight {in_flight}");
     // Streaming counters, folded across the hosted nodes: the high-water
     // in-flight mark (bounded by the credit window) and total credits
     // granted by consumers.
@@ -373,8 +383,9 @@ fn serve_connection(
         };
         let (reply_tx, reply_rx) = channel();
         // `envelope.to` names the member peer the client wants to pose
-        // the query at; the pump re-mints a host-local qid and the reply
-        // echoes the client's own.
+        // the query at (the pump refuses one that names no member by
+        // dropping `reply_tx`, and the connection closes); the pump
+        // re-mints a host-local qid and the reply echoes the client's own.
         if cmd_tx
             .send(Command {
                 at: envelope.to,
@@ -441,8 +452,9 @@ mod tests {
     use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema, fig2_bases};
 
     /// A host that serves queries for ever must not keep their answers:
-    /// once the pump has handed an outcome to its connection thread,
-    /// neither the root nor the group's client node holds a copy.
+    /// once the pump has handed an outcome to its connection thread, the
+    /// root holds no copy (and no node exists to have been mailed one),
+    /// and no member's idempotent-receive log has outgrown its bound.
     #[test]
     fn collected_outcomes_leave_the_group() {
         const QUERIES: usize = 200;
@@ -472,7 +484,7 @@ mod tests {
                 break;
             }
             net.step_for(1_000);
-            collect(&mut net, &group, &mut in_flight, &mut ttfr);
+            collect(&mut net, &mut in_flight, &mut ttfr);
         }
         assert!(
             in_flight.is_empty(),
@@ -495,11 +507,101 @@ mod tests {
             0,
             "the root kept records of collected queries"
         );
-        let client = net.node(node_of(group.client)).expect("client hosted");
         assert_eq!(
-            client.client_answers.len(),
-            0,
-            "the client node kept answers"
+            net.node_ids().len(),
+            group.peers.len(),
+            "a group hosts its members and nothing else"
         );
+        let served: Vec<usize> = group.peers[1..]
+            .iter()
+            .map(|&p| {
+                net.node(node_of(p))
+                    .expect("member hosted")
+                    .served_subplans()
+            })
+            .collect();
+        assert!(
+            served.iter().all(|&n| n <= PeerNode::SERVED_LOG_CAP),
+            "idempotent-receive logs grew past the bound: {served:?}"
+        );
+    }
+
+    /// A socket may name any peer id. One that names no member must be
+    /// refused at once — not parked on a query that can never finish —
+    /// and must leave nothing behind in the pump.
+    #[test]
+    fn non_member_address_is_refused() {
+        let schema = fig1_schema();
+        let host = spawn_host(HostConfig {
+            listen: "127.0.0.1:0".into(),
+            status: Some("127.0.0.1:0".into()),
+            spec: GroupSpec {
+                bases: fig2_bases(&schema),
+                schema: Arc::clone(&schema),
+                config: PeerConfig::default(),
+            },
+            telemetry_window_us: None,
+            settle_us: 200_000,
+            answer_batch_rows: None,
+        })
+        .expect("host starts");
+        let mut schemas = SchemaRegistry::new();
+        schemas.register(Arc::clone(&schema));
+        let query = sqpeer_rql::compile(fig1_query_text(), &schema).expect("fixture compiles");
+        let ask = |to: PeerId| -> io::Result<Option<Envelope>> {
+            let mut stream = TcpStream::connect(host.addr)?;
+            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+            let msg = Msg::ClientQuery {
+                qid: QueryId(7),
+                query: query.clone(),
+            };
+            let envelope = Envelope {
+                from: PeerId(9_999),
+                to,
+                sent_at_us: 0,
+                msg,
+            };
+            write_frame(&mut stream, &envelope)?;
+            read_frame(&mut stream, &schemas)
+        };
+
+        let asked = std::time::Instant::now();
+        let refused = ask(PeerId(999));
+        assert!(
+            asked.elapsed() < Duration::from_secs(1),
+            "a non-member address parked the connection: {refused:?}"
+        );
+        assert!(
+            !matches!(refused, Ok(Some(_))),
+            "a non-member address was answered: {refused:?}"
+        );
+
+        let reply = ask(PeerId(0))
+            .expect("reply readable")
+            .expect("a member still answers");
+        let Msg::Data { result, last, .. } = reply.msg else {
+            panic!("expected Data, got {:?}", reply.msg);
+        };
+        assert!(last && result.len() == 3);
+
+        // The pump republishes its status every ~100 slices: wait for
+        // the page that has counted the answered query.
+        let status_addr = host.status_addr.expect("status port bound");
+        let mut seen = None;
+        for _ in 0..100 {
+            let mut text = String::new();
+            let mut status = TcpStream::connect(status_addr).expect("status reachable");
+            io::Read::read_to_string(&mut status, &mut text).expect("status readable");
+            if text.contains("query_ttfr_count 1") {
+                seen = text
+                    .lines()
+                    .find(|l| l.starts_with("in_flight"))
+                    .map(str::to_string);
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(seen.as_deref(), Some("in_flight 0"));
+        host.shutdown();
     }
 }

@@ -1,8 +1,20 @@
 //! The SQPeer distributed execution engine (paper §2.4–§2.5, §3).
 //!
 //! This crate implements the peer state machine that runs inside the
-//! network simulator: the [`PeerNode`] plugs into
-//! [`sqpeer_net::Simulator`] and implements, per peer role,
+//! network simulator. It is cut along the line the paper draws between
+//! what a peer *knows about its SON* (§2.2 advertisements, §3.1
+//! registries and the backbone, §3.2 pulled neighbourhoods) and how it
+//! *runs a query* (§2.4 channels, §2.5 adaptation):
+//!
+//! * [`son::Directory`] owns the knowledge plane — the advertisement
+//!   registry and its leases, tombstones, cluster summaries, backbone
+//!   relays and tree-descent routing gathers — and is unit-tested
+//!   without a network;
+//! * [`PeerNode`] ([`peer`]) holds one directory and is the query plane;
+//!   [`stream`] is the sans-IO seq/credit machine of one channel.
+//!
+//! The [`PeerNode`] plugs into [`sqpeer_net::Simulator`] and implements,
+//! per peer role,
 //!
 //! * query intake from client-peers,
 //! * routing — locally (ad-hoc mode, over the peer's pulled neighbourhood
@@ -21,12 +33,14 @@ pub mod local;
 pub mod msg;
 pub mod obs;
 pub mod peer;
+pub mod son;
 pub mod stream;
 
 pub use local::eval_local;
 pub use msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome, TraceCtx};
 pub use obs::{ObsConfig, ObsState, SlowQuery};
-pub use peer::{BaseKind, ClusterInfo, PeerConfig, PeerMode, PeerNode, Role, SlowChannelPolicy};
+pub use peer::{BaseKind, PeerConfig, PeerMode, PeerNode, Role, SlowChannelPolicy};
+pub use son::{ClusterInfo, Directory};
 pub use sqpeer_cache::{CacheConfig, CacheStats};
 pub use sqpeer_plan::Explain;
 pub use sqpeer_trace::{spans_well_nested, stitched_well_nested, QueryProfile, TraceEvent, Tracer};
@@ -48,6 +62,14 @@ pub fn inject<T: sqpeer_net::Transport<PeerNode>>(
 ) {
     let bytes = msg.wire_size();
     transport.inject(node_of(from), node_of(to), msg, bytes);
+}
+
+/// Sends `msg` to `to`, charged at its own wire size (returned, for
+/// callers that account the bytes).
+pub(crate) fn send(ctx: &mut sqpeer_net::Ctx<Msg>, to: sqpeer_routing::PeerId, msg: Msg) -> usize {
+    let bytes = msg.wire_size();
+    ctx.send(node_of(to), msg, bytes);
+    bytes
 }
 
 /// Maps a simulator node id back to the routing-level peer id.

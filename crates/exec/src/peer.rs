@@ -10,14 +10,22 @@
 //!   simple-peers … mainly responsible for routing queries".
 //!
 //! The node plugs into the [`sqpeer_net::Simulator`] event loop; every
-//! behaviour — advertisement push/pull, routing delegation, channel
-//! deployment, result streaming, hole filling, run-time adaptation — is a
-//! reaction to a delivered message or a failure notification.
+//! behaviour is a reaction to a delivered message, a timer or a failure
+//! notification. What the peer *knows* about its SON — advertisements and
+//! their leases, cluster summaries, backbone relays and tree-descent
+//! routing gathers — is the [`Directory`] in its `son` field
+//! (`crate::son`); this file is the life of a query over that knowledge:
+//! intake, routing delegation or local routing, planning, channel
+//! deployment, result streaming, hole filling, run-time adaptation. The
+//! node routes SON messages, timers and delivery failures to the
+//! directory, lends it the router (`local_route`'s) and keeps
+//! the one timer table.
 
 use crate::local::{eval_local, fully_local};
-use crate::msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome};
+use crate::msg::{Msg, PeerChannel, QueryId, QueryOutcome};
+use crate::son::{Directory, Route};
 use crate::stream::{Receiver, Sender};
-use crate::{node_of, peer_of};
+use crate::{node_of, peer_of, send};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
 use sqpeer_net::{Channel, ChannelTable, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
 use sqpeer_plan::{
@@ -25,15 +33,14 @@ use sqpeer_plan::{
     Subquery, UniformCost,
 };
 use sqpeer_routing::{
-    route_limited, route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId,
-    RoutingPolicy,
+    route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingPolicy,
 };
 use sqpeer_rql::{QueryPattern, ResultSet, Row, UnionAcc};
 use sqpeer_rvl::{ActiveSchema, VirtualBase};
 use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::OnceLock;
 
 /// The role a peer plays in the system (§3).
@@ -130,8 +137,8 @@ pub struct PeerConfig {
     pub cache: Option<CacheConfig>,
     /// Record query-lifecycle spans/events, per-query [`QueryProfile`]s
     /// and [`Explain`] plans. Off by default; when off the recorder is a
-    /// branch-and-return (zero allocation — bench E18 pins the overhead
-    /// at ≤3 %) and query answers are bit-identical to a trace-on run.
+    /// branch-and-return (zero allocation) and query answers are
+    /// bit-identical to a trace-on run (asserted by bench E18).
     pub trace: bool,
     /// Telemetry-driven adaptation (§2.5: "the optimizer may alter a
     /// running query plan by observing the throughput of a certain
@@ -300,7 +307,9 @@ impl BaseKind {
 #[derive(Debug)]
 struct RootQuery {
     query: QueryPattern,
-    client: Option<PeerId>,
+    /// Who posed the query, and is mailed the answer — unless that is
+    /// this peer itself (a driver that collects outcomes at the root).
+    client: PeerId,
     excluded: HashSet<PeerId>,
     started_at_us: u64,
     /// Virtual µs at which the first answer rows became visible at this
@@ -335,7 +344,7 @@ struct RootQuery {
 }
 
 impl RootQuery {
-    fn new(query: QueryPattern, client: Option<PeerId>, started_at_us: u64) -> Self {
+    fn new(query: QueryPattern, client: PeerId, started_at_us: u64) -> Self {
         RootQuery {
             query,
             client,
@@ -546,14 +555,6 @@ impl Timer {
     }
 }
 
-/// Sends `msg` to `to`, charged at its own wire size (returned, for
-/// callers that account the bytes).
-fn send(ctx: &mut Ctx<Msg>, to: PeerId, msg: Msg) -> usize {
-    let bytes = msg.wire_size();
-    ctx.send(node_of(to), msg, bytes);
-    bytes
-}
-
 #[derive(Debug)]
 struct PendingRemote {
     qid: QueryId,
@@ -582,6 +583,123 @@ struct PendingRemote {
     stream: Reassembly,
 }
 
+/// The idempotent-receive log: highest attempt served per subplan
+/// identity `(root peer, query, tag)` — keyed on the transport-agnostic
+/// [`PeerId`], not a simulator node index, so the log survives a change
+/// of substrate. Network duplicates (attempt ≤ served) are dropped;
+/// genuine retries (attempt > served) re-evaluate.
+///
+/// Bounded, in two generations: identities are recorded in `recent`
+/// until it holds [`ServedLog::GENERATION`] of them, then `recent`
+/// becomes `older` and what `older` held is forgotten — at most
+/// [`ServedLog::CAP`] identities, always including the `GENERATION` most
+/// recent, and a long-running peer's log does not grow with the queries
+/// it has ever served. A duplicate trails its original by a network
+/// delay, well inside that window; one that arrives after its identity
+/// was forgotten is merely served again, and its answer is dropped at the
+/// root, which no longer holds the tag (or, if it still does, lands in
+/// the slot the original was for, deduplicated by sequence number).
+#[derive(Debug, Default)]
+struct ServedLog {
+    recent: HashMap<StreamKey, u32>,
+    older: HashMap<StreamKey, u32>,
+}
+
+impl ServedLog {
+    const GENERATION: usize = 128;
+    const CAP: usize = 2 * Self::GENERATION;
+
+    /// Records `attempt` of subplan `key`. `false` for a duplicate: an
+    /// attempt no higher than one already served.
+    fn admit(&mut self, key: StreamKey, attempt: u32) -> bool {
+        if let Some(seen) = self.recent.get_mut(&key) {
+            let retry = attempt > *seen;
+            *seen = (*seen).max(attempt);
+            return retry;
+        }
+        if self.older.get(&key).is_some_and(|&seen| attempt <= seen) {
+            return false;
+        }
+        if self.recent.len() == Self::GENERATION {
+            std::mem::swap(&mut self.recent, &mut self.older);
+            self.recent.clear();
+        }
+        self.recent.insert(key, attempt);
+        true
+    }
+
+    fn len(&self) -> usize {
+        self.recent.len() + self.older.len()
+    }
+}
+
+/// What annotating a query over a registry takes besides the registry:
+/// borrowed field by field, so the directory can be lent it while it is
+/// itself borrowed mutably.
+struct Router<'a> {
+    cache: Option<&'a RefCell<SemanticCache>>,
+    tracer: &'a RefCell<Tracer>,
+    config: &'a PeerConfig,
+}
+
+impl Router<'_> {
+    fn route(
+        &self,
+        registry: &AdRegistry,
+        query: &QueryPattern,
+        excluded: &HashSet<PeerId>,
+        now_us: u64,
+        qid: u64,
+    ) -> AnnotatedQuery {
+        // The memoised path serves the common case (no per-query
+        // exclusions); adaptation re-routes with exclusions bypass it, as
+        // excluded sets are query-local and would pollute shared entries.
+        if excluded.is_empty() {
+            if let Some(cache) = self.cache {
+                let before = if self.config.trace {
+                    Some(cache.borrow().stats())
+                } else {
+                    None
+                };
+                let annotated = cache.borrow_mut().route(
+                    registry,
+                    query,
+                    self.config.routing_policy,
+                    self.config.limits,
+                );
+                if let Some(before) = before {
+                    let d = cache.borrow().stats().since(&before);
+                    self.tracer
+                        .borrow_mut()
+                        .event_with(now_us, qid, "cache:lookup", || {
+                            format!(
+                                "{} exact, {} subsumption, {} miss",
+                                d.hits, d.subsumption_hits, d.misses
+                            )
+                        });
+                }
+                return annotated;
+            }
+        }
+        let ads: Vec<Advertisement> = registry
+            .advertisements()
+            .into_iter()
+            .filter(|a| !excluded.contains(&a.peer))
+            .cloned()
+            .collect();
+        let mut tracer = self.tracer.borrow_mut();
+        route_limited_traced(
+            query,
+            &ads,
+            self.config.routing_policy,
+            self.config.limits,
+            &mut tracer,
+            now_us,
+            qid,
+        )
+    }
+}
+
 /// Why a re-plan fired, for cause-attributed adaptation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReplanCause {
@@ -591,47 +709,6 @@ enum ReplanCause {
     Timeout,
     /// The telemetry windowed-throughput floor (slow-but-alive channel).
     SlowChannel,
-}
-
-/// A super-peer's position in a hierarchical (nested) SON: the flat
-/// backbone is partitioned into clusters, each with a designated head.
-/// Heads summarise their members' advertisements and exchange those
-/// summaries with the other heads, so routing descends the cluster tree
-/// (entry super-peer → head → intersecting clusters/members) instead of
-/// every super-peer replicating every advertisement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterInfo {
-    /// This cluster's head (may be this peer itself).
-    pub head: PeerId,
-    /// All super-peers of this cluster, sorted, including the head and
-    /// this peer.
-    pub members: Vec<PeerId>,
-    /// All cluster heads of the overlay, sorted, including `head`.
-    pub heads: Vec<PeerId>,
-    /// Widen cluster summaries to schema-hierarchy roots before pushing
-    /// them (coarser summaries: fewer pushes, more false-positive
-    /// descents, never a missed holder).
-    pub widen: bool,
-}
-
-/// Who a hierarchical routing gather answers to.
-#[derive(Debug, Clone, Copy)]
-enum HierReply {
-    /// A simple peer's plain `RouteRequest`: answer with `RouteResponse`.
-    Flat(PeerId),
-    /// An inner tree node's `HierRouteRequest`: answer with
-    /// `HierRouteResponse`.
-    Inner(PeerId),
-}
-
-/// An in-flight scatter/gather over the cluster tree: annotations and
-/// known-missing peers accumulated so far, and the subtrees still owed a
-/// response.
-struct HierGather {
-    reply: HierReply,
-    acc: AnnotatedQuery,
-    missing: Vec<PeerId>,
-    pending: HashSet<PeerId>,
 }
 
 /// The peer node: state machine over the simulated network.
@@ -644,26 +721,15 @@ pub struct PeerNode {
     pub config: PeerConfig,
     /// The description base.
     pub base: BaseKind,
-    /// Advertisement knowledge: the SON registry (super-peers), or the
-    /// semantic neighbourhood (ad-hoc simple-peers).
-    pub registry: AdRegistry,
-    /// Super-peers this peer is connected to (simple-peers), or the
-    /// backbone (super-peers).
-    pub super_peers: Vec<PeerId>,
-    /// Physical neighbours (ad-hoc mode).
-    pub neighbours: Vec<PeerId>,
-    /// Articulations this super-peer can mediate with: queries over a
-    /// foreign schema are reformulated onto the local SON's schema before
-    /// routing (§3.1 "super-peers may handle the role of a mediator").
-    pub articulations: Vec<sqpeer_subsume::Articulation>,
+    /// What this peer knows about its SON: the advertisement registry
+    /// and its leases, its super-peers/neighbours, its place in the
+    /// cluster tree, and the routing requests it is serving.
+    pub son: Directory,
     /// Answers received as a client.
     pub client_answers: HashMap<QueryId, ResultSet>,
     /// Subqueries this peer evaluated locally (the per-peer load measure
     /// of §2.2 / E8).
     pub queries_processed: usize,
-    /// Hierarchical-SON position (super-peers in nested overlays only).
-    /// `None` keeps the flat backbone behaviour unchanged.
-    pub cluster: Option<ClusterInfo>,
 
     channels: ChannelTable<PeerId>,
     /// Queries this peer rooted, running and answered — see
@@ -673,41 +739,15 @@ pub struct PeerNode {
     next_frame: u64,
     outstanding: HashMap<u64, PendingRemote>,
     next_tag: u64,
-    /// Route requests this super-peer relayed on the backbone:
-    /// query id → the node the eventual response must be forwarded to.
-    route_relays: HashMap<QueryId, PeerId>,
     /// Every armed timer, by id (see [`Timer`]).
     timers: HashMap<u64, Timer>,
     next_timer: u64,
     /// Subplans waiting for a processing slot (FIFO).
-    slot_queue: std::collections::VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
+    slot_queue: VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
     /// Credit-gated outgoing result streams this peer is the sender of.
     outgoing: HashMap<StreamKey, OutgoingStream>,
-    /// Idempotent receive: highest attempt served per subplan identity
-    /// `(root peer, query, tag)` — keyed on the transport-agnostic
-    /// [`PeerId`], not a simulator node index, so the dedup log survives
-    /// a change of substrate. Network duplicates (attempt ≤ served)
-    /// are dropped; genuine retries (attempt > served) re-evaluate.
-    served: HashMap<(PeerId, QueryId, u64), u32>,
-    /// Lease bookkeeping (only populated with `config.ad_lease_us` set):
-    /// advertisement expiry deadlines per peer.
-    lease_expiry: HashMap<PeerId, u64>,
-    /// Tombstones of lease-expired peers: their last advertisement, kept
-    /// so routing can name known-missing contributors. Cleared when the
-    /// peer re-advertises or heartbeats again.
-    departed: HashMap<PeerId, Advertisement>,
-    /// The member summary last pushed to this peer's cluster head (also
-    /// folded into later summaries so they only ever grow — a stale
-    /// summary is at worst too wide, never too narrow).
-    last_pushed_summary: Option<ActiveSchema>,
-    /// At a head: member super-peer → its latest pushed summary.
-    member_summaries: HashMap<PeerId, ActiveSchema>,
-    /// At a head: other cluster head → that cluster's latest summary.
-    cluster_summaries: HashMap<PeerId, ActiveSchema>,
-    /// At a head: the cluster summary last pushed to the other heads.
-    last_cluster_summary: Option<ActiveSchema>,
-    /// In-flight hierarchical scatter/gathers, by query.
-    hier_gathers: HashMap<QueryId, HierGather>,
+    /// Idempotent receive of subplans (see [`ServedLog`]).
+    served: ServedLog,
     /// Routing/plan memoisation (None when disabled by config). RefCell
     /// because routing entry points take `&self`.
     cache: Option<RefCell<SemanticCache>>,
@@ -735,36 +775,24 @@ impl PeerNode {
             Tracer::disabled()
         });
         PeerNode {
+            son: Directory::new(id, role, &config),
             id,
             role,
             config,
             base,
-            registry: AdRegistry::new(),
-            super_peers: Vec::new(),
-            neighbours: Vec::new(),
-            articulations: Vec::new(),
             client_answers: HashMap::new(),
             queries_processed: 0,
-            cluster: None,
             channels: ChannelTable::new(),
             rooted: HashMap::new(),
             frames: HashMap::new(),
             next_frame: 0,
             outstanding: HashMap::new(),
             next_tag: 0,
-            route_relays: HashMap::new(),
             timers: HashMap::new(),
             next_timer: 0,
-            slot_queue: std::collections::VecDeque::new(),
+            slot_queue: VecDeque::new(),
             outgoing: HashMap::new(),
-            served: HashMap::new(),
-            lease_expiry: HashMap::new(),
-            departed: HashMap::new(),
-            last_pushed_summary: None,
-            member_summaries: HashMap::new(),
-            cluster_summaries: HashMap::new(),
-            last_cluster_summary: None,
-            hier_gathers: HashMap::new(),
+            served: ServedLog::default(),
             cache,
             tracer,
             max_stream_inflight: 0,
@@ -817,6 +845,15 @@ impl PeerNode {
     /// taken (inspection).
     pub fn rooted_queries(&self) -> usize {
         self.rooted.len()
+    }
+
+    /// The most subplan identities the idempotent-receive log holds.
+    pub const SERVED_LOG_CAP: usize = ServedLog::CAP;
+
+    /// Subplan identities held in the idempotent-receive log
+    /// (inspection; at most [`PeerNode::SERVED_LOG_CAP`]).
+    pub fn served_subplans(&self) -> usize {
+        self.served.len()
     }
 
     /// The answer to a query this peer rooted, once it completed.
@@ -876,7 +913,7 @@ impl PeerNode {
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
         query: QueryPattern,
-        client: Option<PeerId>,
+        client: PeerId,
     ) {
         // Class-membership patterns are outside the routable fragment
         // (§2.1: routing operates on path patterns); such queries are
@@ -912,6 +949,7 @@ impl PeerNode {
                 // Delegate routing to a super-peer (§3.1). Pick the first
                 // non-excluded one.
                 let sp = self
+                    .son
                     .super_peers
                     .iter()
                     .find(|p| !root.excluded.contains(p))
@@ -956,7 +994,7 @@ impl PeerNode {
                 }
                 // Staleness-bound neighbourhood: lease-expired neighbours
                 // that would have matched are known-missing contributors.
-                let departed = self.departed_matching(&query);
+                let departed = self.son.departed_matching(&query);
                 if let Some(root) = self.live_root(qid) {
                     root.missing.extend(departed);
                 }
@@ -972,6 +1010,7 @@ impl PeerNode {
             .unwrap_or_default()
     }
 
+    /// Annotates `query` over what this peer's directory holds.
     fn local_route(
         &self,
         query: &QueryPattern,
@@ -979,53 +1018,34 @@ impl PeerNode {
         now_us: u64,
         qid: u64,
     ) -> AnnotatedQuery {
-        // The memoised path serves the common case (no per-query
-        // exclusions); adaptation re-routes with exclusions bypass it, as
-        // excluded sets are query-local and would pollute shared entries.
-        if excluded.is_empty() {
-            if let Some(cache) = &self.cache {
-                let before = if self.config.trace {
-                    Some(cache.borrow().stats())
-                } else {
-                    None
-                };
-                let annotated = cache.borrow_mut().route(
-                    &self.registry,
-                    query,
-                    self.config.routing_policy,
-                    self.config.limits,
-                );
-                if let Some(before) = before {
-                    let d = cache.borrow().stats().since(&before);
-                    self.tracer
-                        .borrow_mut()
-                        .event_with(now_us, qid, "cache:lookup", || {
-                            format!(
-                                "{} exact, {} subsumption, {} miss",
-                                d.hits, d.subsumption_hits, d.misses
-                            )
-                        });
-                }
-                return annotated;
-            }
+        let router = Router {
+            cache: self.cache.as_ref(),
+            tracer: &self.tracer,
+            config: &self.config,
+        };
+        router.route(&self.son.registry, query, excluded, now_us, qid)
+    }
+
+    /// Hands the directory a routing request (`serve`) with this peer's
+    /// router lent to it, and arms the gather timeout it asks for.
+    fn serve_route_request(
+        &mut self,
+        ctx: &mut Ctx<Msg>,
+        qid: QueryId,
+        serve: impl FnOnce(&mut Directory, &mut Ctx<Msg>, Route<'_>) -> Option<u64>,
+    ) {
+        let router = Router {
+            cache: self.cache.as_ref(),
+            tracer: &self.tracer,
+            config: &self.config,
+        };
+        let now = ctx.now_us();
+        let delay = serve(&mut self.son, ctx, &|registry, query| {
+            router.route(registry, query, &HashSet::new(), now, qid.0)
+        });
+        if let Some(delay) = delay {
+            self.arm(ctx, delay, Timer::HierGather(qid));
         }
-        let ads: Vec<Advertisement> = self
-            .registry
-            .advertisements()
-            .into_iter()
-            .filter(|a| !excluded.contains(&a.peer))
-            .cloned()
-            .collect();
-        let mut tracer = self.tracer.borrow_mut();
-        route_limited_traced(
-            query,
-            &ads,
-            self.config.routing_policy,
-            self.config.limits,
-            &mut tracer,
-            now_us,
-            qid,
-        )
     }
 
     /// A snapshot of this peer's routing/plan cache counters, if caching
@@ -1034,36 +1054,9 @@ impl PeerNode {
         self.cache.as_ref().map(|c| c.borrow().stats())
     }
 
-    /// Departed (lease-expired) peers whose tombstoned active-schema
-    /// matches `query` — contributors any answer is known to be missing.
-    /// Sorted for determinism.
-    fn departed_matching(&self, query: &QueryPattern) -> Vec<PeerId> {
-        if self.departed.is_empty() {
-            return Vec::new();
-        }
-        let mut out: Vec<PeerId> = self
-            .departed
-            .iter()
-            .filter(|(_, ad)| {
-                let annotated = route_limited(
-                    query,
-                    std::slice::from_ref(*ad),
-                    self.config.routing_policy,
-                    sqpeer_routing::RoutingLimits::unlimited(),
-                );
-                !annotated.all_peers().is_empty()
-            })
-            .map(|(&peer, _)| peer)
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Peers in the departed set (inspection for tests/experiments).
     pub fn departed_peers(&self) -> Vec<PeerId> {
-        let mut out: Vec<PeerId> = self.departed.keys().copied().collect();
-        out.sort();
-        out
+        self.son.departed_peers()
     }
 
     /// Classifies an armed timer id by the machine it belongs to, so
@@ -1086,238 +1079,17 @@ impl PeerNode {
     // Advertisement leases (opt-in via `config.ad_lease_us`)
     // ------------------------------------------------------------------
 
-    /// Heartbeat/sweep period: a quarter of the lease, so a peer can lose
-    /// three consecutive heartbeats before its advertisement expires.
-    fn lease_period(&self) -> Option<u64> {
-        self.config.ad_lease_us.map(|l| (l / 4).max(1))
-    }
-
-    /// Records a lease renewal for `peer`'s advertisement.
-    fn renew_lease(&mut self, now: u64, peer: PeerId) {
-        if let Some(lease) = self.config.ad_lease_us {
-            self.lease_expiry.insert(peer, now + lease);
-        }
-    }
-
-    /// A heartbeat (direct or backbone-replicated) arrived from `peer`.
-    /// Renews the lease; if the peer had already been tombstoned, the
-    /// expiry was premature — restore the advertisement (and replicate
-    /// the restoration over the backbone like a fresh Advertise).
-    fn heartbeat_from(&mut self, ctx: &mut Ctx<Msg>, peer: PeerId) {
-        self.renew_lease(ctx.now_us(), peer);
-        if let Some(ad) = self.departed.remove(&peer) {
-            self.registry.register(ad.clone());
-            self.replicate(ctx, peer, || Msg::Advertise(ad.clone()));
-        }
-    }
-
-    /// Flat-backbone replication ("all super-peers are aware of each
-    /// other", §3.1): a super-peer relays what it learned directly from
-    /// `origin` to every backbone super-peer. What arrived over the
-    /// backbone is stored but not re-forwarded (loop guard), and
-    /// hierarchical overlays replace replication entirely — only merged
-    /// *summaries* travel up the cluster tree.
-    fn replicate(&self, ctx: &mut Ctx<Msg>, origin: PeerId, msg: impl Fn() -> Msg) {
-        if self.role == Role::Super && self.cluster.is_none() && !self.super_peers.contains(&origin)
-        {
-            for &sp in &self.super_peers {
-                send(ctx, sp, msg());
-            }
-        }
-    }
-
-    /// Everyone holding this peer's advertisement: super-peers in hybrid
-    /// mode, semantic neighbours in ad-hoc mode.
-    fn ad_holders(&self) -> &[PeerId] {
-        match self.config.mode {
-            PeerMode::Hybrid => &self.super_peers,
-            PeerMode::Adhoc => &self.neighbours,
-        }
-    }
-
-    /// Sends this peer's lease renewal to everyone holding its ad.
-    fn send_heartbeats(&self, ctx: &mut Ctx<Msg>) {
-        for &p in self.ad_holders() {
-            send(ctx, p, Msg::Heartbeat);
-        }
-    }
-
-    /// Purges advertisements whose lease expired unrenewed: the peer is
-    /// tombstoned (kept for completeness accounting) and, at a super-peer,
-    /// the expiry replicates over the backbone like a withdrawal.
-    fn sweep_leases(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(lease) = self.config.ad_lease_us else {
-            return;
-        };
-        let now = ctx.now_us();
-        let peers: Vec<PeerId> = self
-            .registry
-            .advertisements()
-            .iter()
-            .map(|a| a.peer)
-            .collect();
-        for peer in peers {
-            if peer == self.id {
-                continue;
-            }
-            match self.lease_expiry.get(&peer).copied() {
-                Some(deadline) if deadline <= now => {
-                    let Some(ad) = self.registry.get(peer).cloned() else {
-                        continue;
-                    };
-                    self.registry.unregister(peer);
-                    self.lease_expiry.remove(&peer);
-                    self.departed.insert(peer, ad.clone());
-                    self.flight(now, "lease-expiry", || {
-                        format!("advertisement of {peer} expired unrenewed")
-                    });
-                    self.replicate(ctx, peer, || Msg::ExpirePeer(ad.clone()));
-                }
-                Some(_) => {}
-                None => {
-                    // Fallback for ads that slipped into the registry after
-                    // the timers were armed (direct registry seeding in
-                    // tests/experiments): grant a full lease from now
-                    // instead of expiring instantly. The bootstrap and
-                    // restart cases are pinned earlier, at arm time, by
-                    // `arm_lease_timers`.
-                    self.lease_expiry.insert(peer, now + lease);
-                }
-            }
-        }
-    }
-
     /// Arms the periodic heartbeat/sweep timers (no-op with leases off).
     fn arm_lease_timers(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(period) = self.lease_period() else {
+        let Some(period) = self.son.lease_period() else {
             return;
         };
-        // Pin the bootstrap grace at arm time: advertisements already held
-        // (seeded before boot, or surviving a restart that wiped the
-        // deadlines) get a full lease from *now*. Previously the deadline
-        // was seeded lazily by the first sweep to notice it was missing,
-        // which silently extended the grace by one sweep period — and by
-        // however long the first sweep was delayed.
-        let lease = self.config.ad_lease_us.expect("period implies lease");
-        let now = ctx.now_us();
-        let peers: Vec<PeerId> = self
-            .registry
-            .advertisements()
-            .iter()
-            .map(|a| a.peer)
-            .collect();
-        for peer in peers {
-            if peer != self.id {
-                self.lease_expiry.entry(peer).or_insert(now + lease);
-            }
-        }
+        self.son.seed_leases(ctx.now_us());
         if self.own_advertisement().is_some() {
             self.arm(ctx, period, Timer::Heartbeat);
         }
-        // Lease sweeps run wherever advertisements are held: super-peers
-        // in hybrid mode, every data peer in ad-hoc mode.
-        if self.role == Role::Super
-            || (self.config.mode == PeerMode::Adhoc && self.role == Role::Simple)
-        {
+        if self.son.sweeps() {
             self.arm(ctx, period, Timer::Sweep);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Hierarchical SONs: cluster summaries and tree-descent routing
-    // ------------------------------------------------------------------
-
-    /// Everything answerable through this super-peer, as one merged
-    /// active-schema: member advertisements, departed tombstones, and
-    /// whatever was pushed before. Folding in tombstones and past pushes
-    /// makes summaries *monotone* — a stale summary is at worst too wide
-    /// (a harmless false-positive descent), never too narrow (a silently
-    /// skipped holder) — and keeps clusters whose only matching peers
-    /// departed reachable, so their super-peers can still name those
-    /// peers as known-missing contributors.
-    fn own_summary(&self) -> Option<ActiveSchema> {
-        let mut acc = self.last_pushed_summary.clone();
-        for ad in self.registry.advertisements() {
-            acc = fold_summary(acc, &ad.active);
-        }
-        // HashMap iteration order is not deterministic; fold in peer order
-        // so equal registries always produce byte-identical summaries.
-        let mut departed: Vec<(&PeerId, &Advertisement)> = self.departed.iter().collect();
-        departed.sort_by_key(|(p, _)| **p);
-        for (_, ad) in departed {
-            acc = fold_summary(acc, &ad.active);
-        }
-        acc
-    }
-
-    /// Pushes this super-peer's member summary to its cluster head when
-    /// it changed, or unconditionally with `force` — the periodic
-    /// self-heal that re-seeds a head whose restart wiped its (volatile)
-    /// summary tables. Heads fold their own registry into the cluster
-    /// summary directly and never message themselves.
-    fn push_summary(&mut self, ctx: &mut Ctx<Msg>, force: bool) {
-        let Some(cluster) = self.cluster.clone() else {
-            return;
-        };
-        let Some(summary) = self.own_summary() else {
-            return;
-        };
-        let changed = self.last_pushed_summary.as_ref() != Some(&summary);
-        if changed {
-            self.last_pushed_summary = Some(summary.clone());
-        }
-        if !changed && !force {
-            return;
-        }
-        if cluster.head == self.id {
-            self.push_cluster_summary(ctx, force);
-        } else {
-            let msg = Msg::SummaryAdvertise {
-                owner: self.id,
-                summary,
-            };
-            send(ctx, cluster.head, msg);
-        }
-    }
-
-    /// At a head: recomputes the cluster summary (own registry plus all
-    /// member summaries, widened when configured) and pushes it to the
-    /// other heads when it changed (or with `force`).
-    fn push_cluster_summary(&mut self, ctx: &mut Ctx<Msg>, force: bool) {
-        let Some(cluster) = self.cluster.clone() else {
-            return;
-        };
-        if cluster.head != self.id {
-            return;
-        }
-        let mut acc = self.last_cluster_summary.clone();
-        if let Some(own) = self.own_summary() {
-            acc = fold_summary(acc, &own);
-        }
-        for m in &cluster.members {
-            if let Some(s) = self.member_summaries.get(m) {
-                acc = fold_summary(acc, s);
-            }
-        }
-        let Some(mut summary) = acc else {
-            return;
-        };
-        if cluster.widen {
-            summary = sqpeer_subsume::widen_summary(&summary);
-        }
-        if !force && self.last_cluster_summary.as_ref() == Some(&summary) {
-            return;
-        }
-        self.last_cluster_summary = Some(summary.clone());
-        for &h in &cluster.heads {
-            if h == self.id {
-                continue;
-            }
-            let msg = Msg::SummaryAdvertise {
-                owner: self.id,
-                summary: summary.clone(),
-            };
-            send(ctx, h, msg);
         }
     }
 
@@ -1386,19 +1158,20 @@ impl PeerNode {
         if !obs.dirty {
             return;
         }
-        let dests: Vec<PeerId> = match &self.cluster {
+        let dests: Vec<PeerId> = match &self.son.cluster {
             Some(c) if c.head == self.id => {
                 c.heads.iter().copied().filter(|&h| h != self.id).collect()
             }
             Some(c) => vec![c.head],
             None => match self.role {
                 Role::Super => self
+                    .son
                     .super_peers
                     .iter()
                     .copied()
                     .filter(|&p| p != self.id)
                     .collect(),
-                Role::Simple => self.super_peers.first().copied().into_iter().collect(),
+                Role::Simple => self.son.super_peers.first().copied().into_iter().collect(),
                 Role::Client => Vec::new(),
             },
         };
@@ -1421,137 +1194,6 @@ impl PeerNode {
         obs.pushes_sent += dests.len() as u64;
         obs.push_bytes_sent += bytes as u64;
         obs.dirty = false;
-    }
-
-    /// Can `summary` possibly annotate any path pattern of `query`? The
-    /// loosest match kind counts — pruning must only skip subtrees that
-    /// cannot contribute under *any* routing policy.
-    fn summary_intersects(summary: &ActiveSchema, query: &QueryPattern) -> bool {
-        if !sqpeer_routing::same_schema(summary.schema(), query.schema()) {
-            return false;
-        }
-        query.patterns().iter().any(|pat| {
-            summary
-                .active_properties()
-                .iter()
-                .any(|ap| sqpeer_subsume::match_pattern(summary.schema(), ap, pat).is_some())
-        })
-    }
-
-    /// Starts a hierarchical scatter/gather: annotate the local registry,
-    /// then descend into exactly the subtrees whose summaries intersect
-    /// the query. Subtrees without a summary (head restarted, push still
-    /// in flight) are conservatively descended into.
-    fn begin_hier_gather(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        qid: QueryId,
-        query: &QueryPattern,
-        reply: HierReply,
-        scope: HierScope,
-        requester: PeerId,
-    ) {
-        if self.hier_gathers.contains_key(&qid) {
-            // A duplicated routing request must not fork a second gather;
-            // the in-flight one will answer the requester.
-            return;
-        }
-        let acc = self.local_route(query, &HashSet::new(), ctx.now_us(), qid.0);
-        let missing = self.departed_matching(query);
-        let mut pending: Vec<(PeerId, HierScope)> = Vec::new();
-        if let Some(cluster) = self.cluster.clone() {
-            if scope == HierScope::Global && cluster.head != self.id {
-                // Not the head: the head covers everything beyond our own
-                // members.
-                pending.push((cluster.head, HierScope::Global));
-            } else if scope != HierScope::Local {
-                // Head (or entry super-peer that *is* the head): descend
-                // into intersecting member super-peers…
-                for &m in &cluster.members {
-                    if m == self.id || m == requester {
-                        continue;
-                    }
-                    let descend = self
-                        .member_summaries
-                        .get(&m)
-                        .is_none_or(|s| Self::summary_intersects(s, query));
-                    if descend {
-                        pending.push((m, HierScope::Local));
-                    }
-                }
-                // …and, for a global descent, into intersecting sibling
-                // clusters.
-                if scope == HierScope::Global {
-                    for &h in &cluster.heads {
-                        if h == self.id {
-                            continue;
-                        }
-                        let descend = self
-                            .cluster_summaries
-                            .get(&h)
-                            .is_none_or(|s| Self::summary_intersects(s, query));
-                        if descend {
-                            pending.push((h, HierScope::Cluster));
-                        }
-                    }
-                }
-            }
-        }
-        let gather = HierGather {
-            reply,
-            acc,
-            missing,
-            pending: pending.iter().map(|&(p, _)| p).collect(),
-        };
-        if gather.pending.is_empty() {
-            self.finalize_hier_gather(ctx, qid, gather);
-            return;
-        }
-        self.hier_gathers.insert(qid, gather);
-        for (target, scope) in pending {
-            let msg = Msg::HierRouteRequest {
-                qid,
-                query: query.clone(),
-                scope,
-            };
-            send(ctx, target, msg);
-        }
-        // Silent subtree losses (a crashed super-peer produces no delivery
-        // failure) must not hang the query: a gather timeout converts
-        // unanswered subtrees into known-missing contributors.
-        let delay = self
-            .config
-            .subplan_timeout_us
-            .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
-        self.arm(ctx, delay, Timer::HierGather(qid));
-    }
-
-    /// Answers a finished gather. Annotations are sorted into the
-    /// canonical per-peer order single-registry routing produces, so the
-    /// root plans over exactly what flat routing would have handed it.
-    fn finalize_hier_gather(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, mut gather: HierGather) {
-        gather.acc.sort_by_peer();
-        gather.missing.sort();
-        gather.missing.dedup();
-        let (to, msg) = match gather.reply {
-            HierReply::Flat(requester) => (
-                requester,
-                Msg::RouteResponse {
-                    qid,
-                    annotated: gather.acc,
-                    missing: gather.missing,
-                },
-            ),
-            HierReply::Inner(requester) => (
-                requester,
-                Msg::HierRouteResponse {
-                    qid,
-                    annotated: gather.acc,
-                    missing: gather.missing,
-                },
-            ),
-        };
-        send(ctx, to, msg);
     }
 
     fn continue_with_annotation(
@@ -1585,7 +1227,7 @@ impl PeerNode {
         // against both registry epochs, since ranking and optimiser costs
         // follow advertised statistics.
         let plan_span = self.tracer.get_mut().begin(now, qid.0, "plan");
-        let epochs = self.registry.epochs();
+        let epochs = self.son.registry.epochs();
         let cached = self
             .cache
             .as_ref()
@@ -1674,7 +1316,7 @@ impl PeerNode {
     ) -> (PlanNode, Option<Explain>) {
         let plan = generate_plan(annotated);
         let mut estimator = Estimator::new(CostParams::default());
-        for ad in self.registry.advertisements() {
+        for ad in self.son.registry.advertisements() {
             if let Some(stats) = &ad.stats {
                 estimator.borrow_stats(ad.peer, stats);
             }
@@ -2402,9 +2044,10 @@ impl PeerNode {
         }
         let ttfr_us = root.first_row_at_us.map(|at| at.saturating_sub(started));
         let latency_us = now.saturating_sub(started);
-        // The one copy of the answer: the client's. The outcome keeps the
-        // original.
-        let answer = root.client.map(|client| (client, projected.clone()));
+        // The one copy of the answer: a remote client's. A driver that
+        // posed the query from this peer itself reads the outcome.
+        let client = root.client;
+        let answer = (client != self.id).then(|| projected.clone());
         root.outcome = Some(QueryOutcome {
             result: projected,
             completed_at_us: now,
@@ -2470,7 +2113,7 @@ impl PeerNode {
                 });
             }
         }
-        if let Some((client, result)) = answer {
+        if let Some(result) = answer {
             send(ctx, client, Msg::ClientAnswer { qid, result });
         }
     }
@@ -2788,14 +2431,6 @@ impl PeerNode {
     }
 }
 
-/// Folds one more active-schema into a running summary merge.
-fn fold_summary(acc: Option<ActiveSchema>, active: &ActiveSchema) -> Option<ActiveSchema> {
-    Some(match acc {
-        Some(s) => s.merge(active),
-        None => active.clone(),
-    })
-}
-
 /// Replaces every fetch at `peer` with a hole and clears join sites
 /// assigned to it (used by phased subplan repair).
 fn strip_peer(plan: PlanNode, peer: PeerId) -> PlanNode {
@@ -2886,90 +2521,38 @@ impl NodeLogic for PeerNode {
             }
         }
         match msg {
-            Msg::Advertise(ad) => {
-                // Super-peers replicate simple-peer advertisements across
-                // the backbone so every super-peer can produce the complete
-                // annotated pattern the hybrid architecture promises; in a
-                // hierarchical overlay the ad stays in this super-peer's
-                // registry and only its merged summary travels.
-                self.renew_lease(ctx.now_us(), ad.peer);
-                self.departed.remove(&ad.peer);
-                self.registry.register(ad.clone());
-                self.replicate(ctx, peer_of(from), || Msg::Advertise(ad.clone()));
-                if self.role == Role::Super && self.cluster.is_some() {
-                    self.push_summary(ctx, false);
-                }
-            }
-            Msg::Withdraw => {
-                self.registry.unregister(peer_of(from));
-                self.lease_expiry.remove(&peer_of(from));
-                self.departed.remove(&peer_of(from));
-                // Withdrawals replicate like advertisements. A withdrawal
-                // relayed over the backbone names the leaving peer in the
-                // dedicated variant below, so only direct leaves fan out.
-                // Hierarchical summaries are monotone, so a withdrawal
-                // never shrinks them; the widened summary just descends
-                // into this cluster one false-positive at a time.
-                self.replicate(ctx, peer_of(from), || Msg::WithdrawPeer(peer_of(from)));
-            }
-            Msg::WithdrawPeer(peer) => {
-                self.registry.unregister(peer);
-                self.lease_expiry.remove(&peer);
-                self.departed.remove(&peer);
-            }
-            Msg::Heartbeat => {
-                let peer = peer_of(from);
-                self.heartbeat_from(ctx, peer);
-                // Replicate member heartbeats over the backbone so remote
-                // super-peers renew the replicated advertisement too —
-                // pointless in a hierarchical overlay, where no remote
-                // super-peer holds the advertisement.
-                self.replicate(ctx, peer, || Msg::HeartbeatPeer(peer));
-            }
-            Msg::HeartbeatPeer(peer) => {
-                self.heartbeat_from(ctx, peer);
-            }
-            Msg::ExpirePeer(ad) => {
-                // A backbone super-peer saw this lease expire; purge the
-                // peer here too and keep the tombstone. A concurrent
-                // renewal here loses — the next heartbeat restores.
-                if self.registry.get(ad.peer).is_some() {
-                    self.registry.unregister(ad.peer);
-                }
-                self.lease_expiry.remove(&ad.peer);
-                self.departed.insert(ad.peer, ad);
-            }
+            Msg::Advertise(ad) => self.son.advertised(ctx, peer_of(from), ad),
+            Msg::Withdraw => self.son.withdrawn(ctx, peer_of(from)),
+            Msg::WithdrawPeer(peer) => self.son.forget(peer),
+            Msg::Heartbeat => self.son.heartbeat(ctx, peer_of(from)),
+            Msg::HeartbeatPeer(peer) => self.son.alive(ctx, peer),
+            Msg::ExpirePeer(ad) => self.son.tombstone(ad),
             Msg::RequestAds { .. } => {
                 let ads: Vec<Advertisement> = self.own_advertisement().into_iter().collect();
                 send(ctx, peer_of(from), Msg::AdsResponse(ads));
             }
-            Msg::AdsResponse(ads) => {
-                for ad in ads {
-                    self.registry.register(ad);
-                }
-            }
+            Msg::AdsResponse(ads) => self.son.pulled(ads),
             Msg::RouteRequest {
                 qid,
                 query,
                 backbone_ttl,
                 partial,
             } => {
-                self.handle_route_request(ctx, from, qid, query, backbone_ttl, partial);
+                let from = peer_of(from);
+                self.serve_route_request(ctx, qid, |son, ctx, route| {
+                    son.route_request(ctx, route, from, qid, query, backbone_ttl, partial)
+                });
             }
             Msg::RouteResponse {
                 qid,
                 annotated,
                 missing,
             } => {
-                if let Some(requester) = self.route_relays.remove(&qid) {
-                    // This node was a backbone relay: pass the answer back.
-                    let msg = Msg::RouteResponse {
-                        qid,
-                        annotated,
-                        missing,
-                    };
-                    send(ctx, requester, msg);
-                } else {
+                // A backbone relay passes the answer back; what it hands
+                // over is for a query rooted here.
+                if let Some((annotated, missing)) =
+                    self.son.route_response(ctx, qid, annotated, missing)
+                {
                     if let Some(root) = self.live_root(qid) {
                         // The super-peer named departed contributors: the
                         // answer is known to be missing their rows.
@@ -2991,11 +2574,9 @@ impl NodeLogic for PeerNode {
                 // seen are dropped (their answer is already on the wire
                 // or queued); a higher attempt is a genuine retry and is
                 // served afresh.
-                let key = (channel.root, qid, tag);
-                if self.served.get(&key).is_some_and(|&seen| attempt <= seen) {
+                if !self.served.admit((channel.root, qid, tag), attempt) {
                     return;
                 }
-                self.served.insert(key, attempt);
                 self.serve_subplan(ctx, channel, qid, tag, plan, visited, trace);
             }
             Msg::Data {
@@ -3011,9 +2592,7 @@ impl NodeLogic for PeerNode {
                 if let Some(fresh) = stats {
                     // Refresh the sender's advertised statistics — channel
                     // packets keep the optimiser's estimates current (§2.4).
-                    if let Some(ad) = self.registry.get(peer_of(from)).cloned() {
-                        self.registry.register(ad.with_stats(fresh));
-                    }
+                    self.son.refresh_stats(peer_of(from), fresh);
                 }
                 let Some(pending) = self.outstanding.get_mut(&tag) else {
                     return;
@@ -3148,14 +2727,12 @@ impl NodeLogic for PeerNode {
                 }
             }
             Msg::ExecutePlan { qid, query, plan } => {
-                self.rooted.insert(
-                    qid,
-                    RootQuery::new(query, Some(peer_of(from)), ctx.now_us()),
-                );
+                self.rooted
+                    .insert(qid, RootQuery::new(query, peer_of(from), ctx.now_us()));
                 self.execute(ctx, qid, plan, Completion::Root { qid });
             }
             Msg::ClientQuery { qid, query } => {
-                self.begin_query(ctx, qid, query, Some(peer_of(from)));
+                self.begin_query(ctx, qid, query, peer_of(from));
             }
             Msg::ClientAnswer { qid, result } => {
                 self.client_answers.insert(qid, result);
@@ -3175,46 +2752,21 @@ impl NodeLogic for PeerNode {
                 }
             }
             Msg::SummaryAdvertise { owner, summary } => {
-                // Summaries only ever grow (merged into what we already
-                // hold), so reordered or replayed pushes cannot narrow a
-                // subtree's coverage and cause a missed descent.
-                let is_member = self
-                    .cluster
-                    .as_ref()
-                    .is_some_and(|c| c.head == self.id && c.members.contains(&owner));
-                let held = if is_member {
-                    &mut self.member_summaries
-                } else {
-                    &mut self.cluster_summaries
-                };
-                let merged = match held.get(&owner) {
-                    Some(prev) => prev.merge(&summary),
-                    None => summary,
-                };
-                held.insert(owner, merged);
-                if is_member {
-                    self.push_cluster_summary(ctx, false);
-                }
+                self.son.summary_advertised(ctx, owner, summary);
             }
             Msg::HierRouteRequest { qid, query, scope } => {
-                let reply = HierReply::Inner(peer_of(from));
-                self.begin_hier_gather(ctx, qid, &query, reply, scope, peer_of(from));
+                let from = peer_of(from);
+                self.serve_route_request(ctx, qid, |son, ctx, route| {
+                    son.hier_route_request(ctx, route, from, qid, &query, scope)
+                });
             }
             Msg::HierRouteResponse {
                 qid,
                 annotated,
                 missing,
             } => {
-                let Some(gather) = self.hier_gathers.get_mut(&qid) else {
-                    return;
-                };
-                gather.acc.merge(&annotated);
-                gather.missing.extend(missing);
-                gather.pending.remove(&peer_of(from));
-                if gather.pending.is_empty() {
-                    let gather = self.hier_gathers.remove(&qid).expect("present");
-                    self.finalize_hier_gather(ctx, qid, gather);
-                }
+                self.son
+                    .hier_route_response(ctx, peer_of(from), qid, annotated, missing);
             }
             Msg::ObsPush {
                 owner,
@@ -3226,9 +2778,9 @@ impl NodeLogic for PeerNode {
                 // locally but never forwarded (the no-echo rule); a
                 // member's push is also queued for the next push up the
                 // tree.
-                let peer_exchange = match &self.cluster {
+                let peer_exchange = match &self.son.cluster {
                     Some(c) => c.head == self.id && c.heads.contains(&owner) && owner != self.id,
-                    None => self.role == Role::Super && self.super_peers.contains(&owner),
+                    None => self.role == Role::Super && self.son.super_peers.contains(&owner),
                 };
                 if let Some(obs) = &mut self.obs {
                     obs.accept_push(registry, patterns, peer_exchange);
@@ -3246,16 +2798,16 @@ impl NodeLogic for PeerNode {
         // An ungraceful restart loses all in-flight execution state: open
         // channels, frames, streams, the served-attempt log, and every
         // pending timer (the simulator already discarded those). Durable
-        // state — the base, the ad registry, recorded outcomes — survives.
+        // state — the base, recorded outcomes, and what the directory
+        // keeps of itself — survives.
         self.channels = ChannelTable::new();
         self.rooted.retain(|_, root| root.outcome.is_some());
         self.frames.clear();
         self.outstanding.clear();
-        self.route_relays.clear();
         self.timers.clear();
         self.slot_queue.clear();
         self.outgoing.clear();
-        self.served.clear();
+        self.served = ServedLog::default();
         // Accumulated rollups survive the restart — registry links fold
         // latest-wins and pattern increments were counted exactly once,
         // so dropping them would lose history. Re-ripple what this peer
@@ -3263,32 +2815,9 @@ impl NodeLogic for PeerNode {
         if let Some(obs) = &mut self.obs {
             obs.on_restart();
         }
-        // Hierarchical summaries are soft state rebuilt from pushes; a
-        // restarted head treats summary-less subtrees as intersecting
-        // (conservative descent) until members re-push.
-        self.hier_gathers.clear();
-        self.member_summaries.clear();
-        self.cluster_summaries.clear();
-        self.last_pushed_summary = None;
-        self.last_cluster_summary = None;
-        // Lease deadlines were computed from pre-crash heartbeats that may
-        // have been silently eaten while this node was down; drop them.
-        // `arm_lease_timers` below re-seeds every held ad with a full
-        // lease from the restart instant, so the grace period is pinned
-        // to recovery time rather than to whenever the first sweep runs.
-        self.lease_expiry.clear();
-        // Recovery protocol: re-advertise so holders whose sweep
-        // tombstoned this peer restore its active-schema to routing.
-        if let Some(ad) = self.own_advertisement() {
-            for &p in self.ad_holders() {
-                send(ctx, p, Msg::Advertise(ad.clone()));
-            }
-        }
-        // A restarted super-peer's registry is durable: re-push its merged
-        // summary so the cluster tree prunes correctly again.
-        if self.role == Role::Super && self.cluster.is_some() {
-            self.push_summary(ctx, true);
-        }
+        // The directory re-advertises; `arm_lease_timers` then re-seeds
+        // every held ad with a full lease from the restart instant.
+        self.son.restart(ctx, self.own_advertisement());
         self.arm_lease_timers(ctx);
         self.arm_obs_timer(ctx);
     }
@@ -3303,35 +2832,21 @@ impl NodeLogic for PeerNode {
                 self.arm_obs_timer(ctx);
             }
             Timer::Heartbeat => {
-                self.send_heartbeats(ctx);
-                let period = self.lease_period().expect("armed only with leases on");
+                self.son.send_heartbeats(ctx);
+                let period = self.son.lease_period().expect("armed only with leases on");
                 self.arm(ctx, period, Timer::Heartbeat);
             }
             Timer::Sweep => {
-                self.sweep_leases(ctx);
-                // Periodic summary re-push: heals a restarted head (whose
-                // summary tables are volatile) without any extra machinery.
-                // A sweep itself never changes the merged summary — expiry
-                // just moves an ad from the registry to the tombstones, and
-                // both feed the merge.
-                if self.role == Role::Super && self.cluster.is_some() {
-                    self.push_summary(ctx, true);
+                let now = ctx.now_us();
+                for peer in self.son.sweep(ctx) {
+                    self.flight(now, "lease-expiry", || {
+                        format!("advertisement of {peer} expired unrenewed")
+                    });
                 }
-                let period = self.lease_period().expect("armed only with leases on");
+                let period = self.son.lease_period().expect("armed only with leases on");
                 self.arm(ctx, period, Timer::Sweep);
             }
-            Timer::HierGather(qid) => {
-                // Gather timeout: subtrees that never answered (silently
-                // crashed super-peers produce no delivery failure) become
-                // known-missing contributors, so the root's answer is honestly
-                // flagged partial rather than silently incomplete.
-                if let Some(mut gather) = self.hier_gathers.remove(&qid) {
-                    let mut lost: Vec<PeerId> = gather.pending.drain().collect();
-                    lost.sort();
-                    gather.missing.extend(lost);
-                    self.finalize_hier_gather(ctx, qid, gather);
-                }
-            }
+            Timer::HierGather(qid) => self.son.gather_timed_out(ctx, qid),
             Timer::Completion {
                 completion,
                 result,
@@ -3368,141 +2883,12 @@ impl NodeLogic for PeerNode {
                 self.adapt_or_give_up(ctx, qid, Some(failed_peer), ReplanCause::Delivery);
             }
             Msg::HierRouteRequest { qid, scope, .. } => {
-                // A subtree of an in-flight gather is unreachable.
-                if scope == HierScope::Global {
-                    // The cluster head is down: re-parent locally so later
-                    // queries pick a live head…
-                    if let Some(c) = self.cluster.as_mut() {
-                        if c.head == failed_peer {
-                            c.head = c
-                                .members
-                                .iter()
-                                .copied()
-                                .find(|&m| m != failed_peer)
-                                .unwrap_or(self.id);
-                        }
-                    }
-                }
-                let Some(mut gather) = self.hier_gathers.remove(&qid) else {
-                    return;
-                };
-                if !gather.pending.remove(&failed_peer) {
-                    self.hier_gathers.insert(qid, gather);
-                    return;
-                }
-                if scope == HierScope::Global {
-                    // …and degrade *this* query to a flat scatter over
-                    // every super-peer: the summaries needed for pruning
-                    // died with the head, but correctness only needs every
-                    // registry consulted once.
-                    let query = gather.acc.query().clone();
-                    for sp in self.super_peers.clone() {
-                        if sp == failed_peer || sp == self.id || gather.pending.contains(&sp) {
-                            continue;
-                        }
-                        gather.pending.insert(sp);
-                        let msg = Msg::HierRouteRequest {
-                            qid,
-                            query: query.clone(),
-                            scope: HierScope::Local,
-                        };
-                        send(ctx, sp, msg);
-                    }
-                } else {
-                    // A member or sibling head is down: its subtree's
-                    // holders are unknown — name it missing so the answer
-                    // is honestly partial.
-                    gather.missing.push(failed_peer);
-                }
-                if gather.pending.is_empty() {
-                    self.finalize_hier_gather(ctx, qid, gather);
-                } else {
-                    self.hier_gathers.insert(qid, gather);
-                }
+                self.son
+                    .hier_request_undelivered(ctx, failed_peer, qid, scope);
             }
             // Lost answers/acknowledgements are not recoverable.
             _ => {}
         }
-    }
-}
-
-impl PeerNode {
-    /// Super-peer routing service (§3.1): annotate from the SON registry,
-    /// or discover the responsible super-peer through the backbone when
-    /// this SON is unknown here ("it sends the query randomly to one of
-    /// its known super-peers, which will consecutively discover the
-    /// appropriate super-peer through the super-peers backbone").
-    #[allow(clippy::too_many_arguments)]
-    fn handle_route_request(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        from: NodeId,
-        qid: QueryId,
-        query: QueryPattern,
-        backbone_ttl: u32,
-        partial: Option<AnnotatedQuery>,
-    ) {
-        if self.cluster.is_some() {
-            // Hierarchical SON: answer by descending the cluster tree
-            // instead of walking the flat backbone. (Mediation through
-            // articulations stays a flat-backbone feature.)
-            let reply = HierReply::Flat(peer_of(from));
-            self.begin_hier_gather(ctx, qid, &query, reply, HierScope::Global, peer_of(from));
-            return;
-        }
-        let mut annotated = self.local_route(&query, &HashSet::new(), ctx.now_us(), qid.0);
-        if annotated.all_peers().is_empty() {
-            // Mediation (§3.1): a query over a foreign schema is
-            // reformulated onto this SON's schema through an articulation
-            // and routed again. Variables are preserved, so the requester
-            // executes the reformulated subplans transparently.
-            for articulation in &self.articulations {
-                if !sqpeer_routing::same_schema(articulation.source(), query.schema()) {
-                    continue;
-                }
-                if let Some(reformulated) = articulation.reformulate(&query) {
-                    let mediated =
-                        self.local_route(&reformulated, &HashSet::new(), ctx.now_us(), qid.0);
-                    if !mediated.all_peers().is_empty() {
-                        annotated = mediated;
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(prev) = partial {
-            annotated.merge(&prev);
-        }
-        // Forward along the backbone while the pattern is incomplete: some
-        // other super-peer may know peers for the remaining patterns. The
-        // response retraces the relay chain back to the requester.
-        let next = self
-            .super_peers
-            .iter()
-            .find(|p| node_of(**p) != from && !self.route_relays.contains_key(&qid))
-            .copied();
-        if annotated.is_complete() || backbone_ttl == 0 || next.is_none() {
-            // Completeness accounting: name lease-expired peers whose
-            // tombstoned active-schema matched, so the root knows whose
-            // contributions its answer is missing.
-            let missing = self.departed_matching(&query);
-            let msg = Msg::RouteResponse {
-                qid,
-                annotated,
-                missing,
-            };
-            send(ctx, peer_of(from), msg);
-            return;
-        }
-        let sp = next.expect("checked above");
-        self.route_relays.insert(qid, peer_of(from));
-        let msg = Msg::RouteRequest {
-            qid,
-            query,
-            backbone_ttl: backbone_ttl - 1,
-            partial: Some(annotated),
-        };
-        send(ctx, sp, msg);
     }
 }
 
@@ -3566,8 +2952,8 @@ mod tests {
         // P1 knows itself and P2.
         let ad1 = p1.own_advertisement().unwrap();
         let ad2 = p2.own_advertisement().unwrap();
-        p1.registry.register(ad1);
-        p1.registry.register(ad2);
+        p1.son.registry.register(ad1);
+        p1.son.registry.register(ad2);
 
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), p2);
@@ -3604,8 +2990,8 @@ mod tests {
         let p2 = PeerNode::simple(PeerId(2), b2, config);
         let ad1 = p1.own_advertisement().unwrap();
         let ad2 = p2.own_advertisement().unwrap();
-        p1.registry.register(ad1);
-        p1.registry.register(ad2);
+        p1.son.registry.register(ad1);
+        p1.son.registry.register(ad2);
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), p2);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -3666,7 +3052,7 @@ mod tests {
         let b1 = base_with(&schema, &[("a", "prop1", "b")]);
         let mut p1 = PeerNode::simple(PeerId(1), b1, config);
         let ad1 = p1.own_advertisement().unwrap();
-        p1.registry.register(ad1);
+        p1.son.registry.register(ad1);
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
@@ -3690,7 +3076,7 @@ mod tests {
         let b1 = base_with(&schema, &[("a", "prop1", "b")]);
         let mut p1 = PeerNode::simple(PeerId(1), b1, adhoc_config());
         let ad1 = p1.own_advertisement().unwrap();
-        p1.registry.register(ad1);
+        p1.son.registry.register(ad1);
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
@@ -3719,7 +3105,7 @@ mod tests {
             p2.own_advertisement().unwrap(),
             p3.own_advertisement().unwrap(),
         ] {
-            p1.registry.register(ad);
+            p1.son.registry.register(ad);
         }
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), p2);
@@ -3769,7 +3155,7 @@ mod tests {
                 .map(|(a, b, c)| (a.as_str(), b.as_str(), c.as_str()))
                 .collect();
             let node = PeerNode::simple(PeerId(i), base_with(&schema, &refs), adhoc_config());
-            p1.registry.register(node.own_advertisement().unwrap());
+            p1.son.registry.register(node.own_advertisement().unwrap());
             nodes.push((i, node));
         }
         sim.add_node(NodeId(1), p1);
@@ -3807,7 +3193,9 @@ mod tests {
                 ));
             }
             let holder = PeerNode::simple(PeerId(2), holder_base, config);
-            p1.registry.register(holder.own_advertisement().unwrap());
+            p1.son
+                .registry
+                .register(holder.own_advertisement().unwrap());
             sim.add_node(NodeId(1), p1);
             sim.add_node(NodeId(2), holder);
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -3861,7 +3249,9 @@ mod tests {
                 ));
             }
             let holder = PeerNode::simple(PeerId(2), holder_base, config);
-            p1.registry.register(holder.own_advertisement().unwrap());
+            p1.son
+                .registry
+                .register(holder.own_advertisement().unwrap());
             sim.add_node(NodeId(1), p1);
             sim.add_node(NodeId(2), holder);
             sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -3930,7 +3320,9 @@ mod tests {
             ));
         }
         let holder = PeerNode::simple(PeerId(2), holder_base, config);
-        p1.registry.register(holder.own_advertisement().unwrap());
+        p1.son
+            .registry
+            .register(holder.own_advertisement().unwrap());
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), holder);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -3972,7 +3364,7 @@ mod tests {
             holder.own_advertisement().unwrap().active,
         );
         assert!(bare.stats.is_none());
-        p1.registry.register(bare);
+        p1.son.registry.register(bare);
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), holder);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -3982,6 +3374,7 @@ mod tests {
         // After the answer streamed back, P1 holds fresh statistics.
         let p1 = sim.node(NodeId(1)).unwrap();
         let stats = p1
+            .son
             .registry
             .get(PeerId(2))
             .unwrap()
@@ -4012,7 +3405,7 @@ mod tests {
             let holder_ad = holder.own_advertisement().unwrap();
             for i in [1u32, 2] {
                 let mut p = PeerNode::simple(PeerId(i), base_with(&schema, &[]), adhoc_config());
-                p.registry.register(holder_ad.clone());
+                p.son.registry.register(holder_ad.clone());
                 sim.add_node(NodeId(i), p);
             }
             sim.add_node(NodeId(3), holder);
@@ -4086,8 +3479,8 @@ mod tests {
             // discovered at repair time.
             let slow_ad = slow.own_advertisement().unwrap();
             let fast_ad = fast.own_advertisement().unwrap();
-            p1.registry.register(slow_ad);
-            p1.registry.register(fast_ad);
+            p1.son.registry.register(slow_ad);
+            p1.son.registry.register(fast_ad);
             // Make routing prefer the slow peer deterministically by
             // capping to 1 (slow peer wins the tiebreak on PeerId).
             p1.config.limits = sqpeer_routing::RoutingLimits::top(1);
@@ -4148,8 +3541,8 @@ mod tests {
             );
             let slow_ad = slow.own_advertisement().unwrap();
             let fast_ad = fast.own_advertisement().unwrap();
-            p1.registry.register(slow_ad);
-            p1.registry.register(fast_ad);
+            p1.son.registry.register(slow_ad);
+            p1.son.registry.register(fast_ad);
             p1.config.limits = sqpeer_routing::RoutingLimits::top(1);
             sim.add_node(NodeId(1), p1);
             sim.add_node(NodeId(2), slow);
@@ -4212,8 +3605,8 @@ mod tests {
         let p2 = PeerNode::simple(PeerId(2), b2, config);
         let ad1 = p1.own_advertisement().unwrap();
         let ad2 = p2.own_advertisement().unwrap();
-        p1.registry.register(ad1);
-        p1.registry.register(ad2);
+        p1.son.registry.register(ad1);
+        p1.son.registry.register(ad2);
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), p2);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -4267,7 +3660,7 @@ mod tests {
                 dying.own_advertisement().unwrap(),
                 backup.own_advertisement().unwrap(),
             ] {
-                p1.registry.register(ad);
+                p1.son.registry.register(ad);
             }
             sim.add_node(NodeId(1), p1);
             sim.add_node(NodeId(2), survivor);
@@ -4310,7 +3703,7 @@ mod tests {
         let b1 = base_with(&schema, &[("a", "prop1", "b")]);
         let mut p1 = PeerNode::simple(PeerId(1), b1, adhoc_config());
         let ad1 = p1.own_advertisement().unwrap();
-        p1.registry.register(ad1);
+        p1.son.registry.register(ad1);
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
 
@@ -4351,7 +3744,7 @@ mod tests {
             base_with(&schema, &[("a", "prop1", "b")]),
             adhoc_config(),
         );
-        p1.registry.register(p2.own_advertisement().unwrap());
+        p1.son.registry.register(p2.own_advertisement().unwrap());
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), p2);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -4375,6 +3768,29 @@ mod tests {
         assert!(m.replans() >= 1);
     }
 
+    /// The idempotent-receive log drops duplicates, admits retries, never
+    /// holds more than its bound and never forgets one of the
+    /// `GENERATION` most recent identities.
+    #[test]
+    fn served_log_is_bounded_and_remembers_the_recent() {
+        let key = |tag: u64| (PeerId(1), QueryId(0), tag);
+        let mut log = ServedLog::default();
+        assert!(log.admit(key(0), 0));
+        assert!(!log.admit(key(0), 0), "a duplicate was admitted");
+        assert!(log.admit(key(0), 1), "a retry was dropped");
+        assert!(!log.admit(key(0), 0), "a stale attempt was admitted");
+        for tag in 1..=10 * ServedLog::CAP as u64 {
+            assert!(log.admit(key(tag), 0));
+            assert!(log.len() <= ServedLog::CAP);
+            let oldest_kept = tag.saturating_sub(ServedLog::GENERATION as u64 - 1);
+            for recent in [oldest_kept, (oldest_kept + tag) / 2, tag] {
+                assert!(!log.admit(key(recent), 0), "forgot {recent} at {tag}");
+            }
+        }
+        // Forgotten long ago: served again.
+        assert!(log.admit(key(0), 0));
+    }
+
     /// Idempotent receive: with every message duplicated in flight, each
     /// subplan attempt is evaluated exactly once and the answer is
     /// unchanged.
@@ -4390,7 +3806,7 @@ mod tests {
             base_with(&schema, &[("a", "prop1", "b")]),
             adhoc_config(),
         );
-        p1.registry.register(p2.own_advertisement().unwrap());
+        p1.son.registry.register(p2.own_advertisement().unwrap());
         sim.add_node(NodeId(1), p1);
         sim.add_node(NodeId(2), p2);
         sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
@@ -4429,7 +3845,7 @@ mod tests {
                 base_with(&schema, &[("a", "prop1", "b")]),
                 adhoc_config(),
             );
-            p1.registry.register(node.own_advertisement().unwrap());
+            p1.son.registry.register(node.own_advertisement().unwrap());
             holders.push((i, node));
         }
         sim.add_node(NodeId(1), p1);
@@ -4480,14 +3896,14 @@ mod tests {
             base_with(&schema, &[("b", "prop2", "c")]),
             config,
         );
-        p1.registry.register(p2.own_advertisement().unwrap());
+        p1.son.registry.register(p2.own_advertisement().unwrap());
         sim.add_node(NodeId(1), p1);
 
         // The grace holds for the full lease despite zero heartbeats...
         sim.run_until(lease - 100_000);
         let holder = sim.node(NodeId(1)).unwrap();
         assert!(
-            holder.registry.get(PeerId(2)).is_some(),
+            holder.son.registry.get(PeerId(2)).is_some(),
             "bootstrap grace must span a full lease"
         );
         assert!(holder.departed_peers().is_empty());
@@ -4496,7 +3912,7 @@ mod tests {
         sim.run_until(lease + 100_000);
         let holder = sim.node(NodeId(1)).unwrap();
         assert!(
-            holder.registry.get(PeerId(2)).is_none(),
+            holder.son.registry.get(PeerId(2)).is_none(),
             "unrenewed bootstrap ad must expire at arm + lease, not a sweep later"
         );
         assert_eq!(holder.departed_peers(), vec![PeerId(2)]);
@@ -4526,7 +3942,7 @@ mod tests {
             base_with(&schema, &[("b", "prop2", "c")]),
             config,
         );
-        p1.registry.register(p2.own_advertisement().unwrap());
+        p1.son.registry.register(p2.own_advertisement().unwrap());
         sim.add_node(NodeId(1), p1);
         // Crash mid-grace (the registry is durable, the deadlines are
         // volatile) and restart half a second later.
@@ -4537,14 +3953,14 @@ mod tests {
         sim.run_until(restart_at + lease - 100_000);
         let holder = sim.node(NodeId(1)).unwrap();
         assert!(
-            holder.registry.get(PeerId(2)).is_some(),
+            holder.son.registry.get(PeerId(2)).is_some(),
             "restart must re-grant a full grace from the restart instant"
         );
 
         sim.run_until(restart_at + lease + 100_000);
         let holder = sim.node(NodeId(1)).unwrap();
         assert!(
-            holder.registry.get(PeerId(2)).is_none(),
+            holder.son.registry.get(PeerId(2)).is_none(),
             "post-restart grace must end at restart + lease, not a sweep later"
         );
         assert_eq!(holder.departed_peers(), vec![PeerId(2)]);
@@ -4628,7 +4044,9 @@ mod tests {
             .collect();
         let mut holder = PeerNode::simple(PeerId(2), base_with(&schema, &triples), streaming);
         let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
-        root.registry.register(holder.own_advertisement().unwrap());
+        root.son
+            .registry
+            .register(holder.own_advertisement().unwrap());
 
         // Root dispatches tag 0 of query 1 to the holder…
         let mut ctx = Ctx::detached(0, NodeId(1));
@@ -4712,7 +4130,9 @@ mod tests {
             .collect();
         let mut holder = PeerNode::simple(PeerId(2), base_with(&schema, &triples), streaming);
         let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
-        root.registry.register(holder.own_advertisement().unwrap());
+        root.son
+            .registry
+            .register(holder.own_advertisement().unwrap());
 
         let mut ctx = Ctx::detached(0, NodeId(1));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();

@@ -312,7 +312,7 @@ impl Conductor {
                     .nodes
                     .get(&node)
                     .ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))?;
-                let registered = peer.registry.get(peer_id).is_some();
+                let registered = peer.son.registry.get(peer_id).is_some();
                 let departed = peer.departed_peers().contains(&peer_id);
                 if want_departed && !departed {
                     return Err(format!(
@@ -606,9 +606,9 @@ pub mod scenarios {
         let ids: Vec<PeerId> = peers.iter().map(|p| p.id).collect();
         for peer in &mut peers {
             for ad in &ads {
-                peer.registry.register(ad.clone());
+                peer.son.registry.register(ad.clone());
             }
-            peer.neighbours = ids.iter().copied().filter(|&id| id != peer.id).collect();
+            peer.son.neighbours = ids.iter().copied().filter(|&id| id != peer.id).collect();
         }
 
         let mut conductor = Conductor::new();

@@ -107,7 +107,7 @@ impl AdhocBuilder {
             let mut node = PeerNode::new(id, sqpeer_exec::Role::Simple, base, config.clone());
             // A peer always knows its own base.
             if let Some(ad) = node.own_advertisement() {
-                node.registry.register(ad);
+                node.son.registry.register(ad);
             }
             sim.add_node(node_of(id), node);
             topology.add_peer(id);
@@ -120,7 +120,7 @@ impl AdhocBuilder {
             let id = PeerId(i);
             let neighbours = topology.neighbours(id).to_vec();
             if let Some(node) = sim.node_mut(node_of(id)) {
-                node.neighbours = neighbours;
+                node.son.neighbours = neighbours;
             }
         }
 
@@ -238,8 +238,8 @@ mod tests {
 
         // With 1-hop discovery P1 does not know P5.
         let p1_node = net.sim().node(node_of(p1)).unwrap();
-        assert!(p1_node.registry.get(p5).is_none());
-        assert!(p1_node.registry.get(p2).is_some());
+        assert!(p1_node.son.registry.get(p5).is_none());
+        assert!(p1_node.son.registry.get(p2).is_some());
 
         let query = net
             .compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}")
@@ -276,6 +276,7 @@ mod tests {
             .sim()
             .node(node_of(p1))
             .unwrap()
+            .son
             .registry
             .get(p5)
             .is_some());
@@ -285,6 +286,7 @@ mod tests {
             .sim()
             .node(node_of(p1))
             .unwrap()
+            .son
             .registry
             .get(p5)
             .is_none());
@@ -344,6 +346,7 @@ mod tests {
             .sim()
             .node(node_of(origin))
             .unwrap()
+            .son
             .registry
             .get(legacy)
             .is_some());
@@ -438,7 +441,7 @@ mod tests {
         net.run_for(3 * LEASE);
         let node_a = net.sim().node(node_of(origin)).unwrap();
         assert!(
-            node_a.registry.get(holder).is_none(),
+            node_a.son.registry.get(holder).is_none(),
             "the stale neighbour entry must expire"
         );
         assert_eq!(node_a.departed_peers(), vec![holder]);

@@ -217,9 +217,9 @@ mod tests {
         for &sp in net.super_peers() {
             let n = net.sim().node(node_of(sp)).unwrap();
             assert!(
-                n.registry.len() <= 1,
+                n.son.registry.len() <= 1,
                 "super-peer {sp} must hold only its own members, got {}",
-                n.registry.len()
+                n.son.registry.len()
             );
         }
     }

@@ -118,8 +118,8 @@ pub(crate) fn spawn(
         // In a cluster tree the full super-peer list stays known too
         // (degradation falls back to a flat scatter over it); replication
         // over it is disabled by the cluster marker.
-        node.super_peers = super_ids.iter().copied().filter(|&o| o != sp).collect();
-        node.cluster = cluster;
+        node.son.super_peers = super_ids.iter().copied().filter(|&o| o != sp).collect();
+        node.son.cluster = cluster;
         sim.add_node(node_of(sp), node);
     }
 
@@ -127,7 +127,7 @@ pub(crate) fn spawn(
     for (i, (base, sp_idx)) in bases.into_iter().enumerate() {
         let id = PeerId(super_count + i as u32);
         let mut node = PeerNode::new(id, sqpeer_exec::Role::Simple, base, config.clone());
-        node.super_peers = vec![super_ids[sp_idx as usize]];
+        node.son.super_peers = vec![super_ids[sp_idx as usize]];
         sim.add_node(node_of(id), node);
         peer_ids.push(id);
     }
@@ -139,7 +139,7 @@ pub(crate) fn spawn(
     for &peer in &peer_ids {
         let node = sim.node(node_of(peer)).expect("just added");
         let ad = node.own_advertisement().expect("simple peers have bases");
-        let sp = node.super_peers[0];
+        let sp = node.son.super_peers[0];
         inject(&mut sim, peer, sp, Msg::Advertise(ad));
     }
     let mut net = Network::new(
@@ -212,6 +212,7 @@ pub(crate) mod tests {
             net.sim()
                 .node(node_of(net.super_peers()[0]))
                 .unwrap()
+                .son
                 .registry
                 .len(),
             5
@@ -460,6 +461,7 @@ pub(crate) mod tests {
         net.sim_mut()
             .node_mut(node_of(sp))
             .unwrap()
+            .son
             .articulations
             .push(art);
 
@@ -517,6 +519,7 @@ pub(crate) mod tests {
                 .sim()
                 .node(node_of(sp))
                 .unwrap()
+                .son
                 .registry
                 .get(leaver)
                 .is_some());
@@ -528,6 +531,7 @@ pub(crate) mod tests {
                 net.sim()
                     .node(node_of(sp))
                     .unwrap()
+                    .son
                     .registry
                     .get(leaver)
                     .is_none(),
@@ -575,7 +579,7 @@ pub(crate) mod tests {
         for &sp in net.super_peers() {
             let node = net.sim().node(node_of(sp)).unwrap();
             assert!(
-                node.registry.get(victim).is_none(),
+                node.son.registry.get(victim).is_none(),
                 "lease sweep must purge the ghost at {sp}"
             );
             assert_eq!(

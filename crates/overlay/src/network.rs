@@ -284,7 +284,7 @@ impl Network {
         } else {
             return;
         }
-        let sp = node.super_peers.first().copied();
+        let sp = node.son.super_peers.first().copied();
         let ad = node.own_advertisement();
         if let (Some(sp), Some(ad)) = (sp, ad) {
             inject(&mut self.sim, peer, sp, Msg::Advertise(ad));
@@ -298,7 +298,7 @@ impl Network {
         let sp = self
             .sim
             .node(node_of(peer))
-            .and_then(|n| n.super_peers.first().copied());
+            .and_then(|n| n.son.super_peers.first().copied());
         if let Some(sp) = sp {
             inject(&mut self.sim, peer, sp, Msg::Withdraw);
         }

@@ -190,7 +190,7 @@ mod tests {
             assert!(net.topology().neighbours(id).len() >= 2);
         }
         // Discovery populated registries beyond self.
-        let some_registry = net.sim().node(node_of(ids[0])).unwrap().registry.len();
+        let some_registry = net.sim().node(node_of(ids[0])).unwrap().son.registry.len();
         assert!(
             some_registry >= 3,
             "self + 2 ring neighbours, got {some_registry}"

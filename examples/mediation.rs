@@ -49,6 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     net.sim_mut()
         .node_mut(node_of(sp))
         .expect("super-peer exists")
+        .son
         .articulations
         .push(articulation);
 

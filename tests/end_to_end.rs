@@ -258,10 +258,10 @@ fn duplex_window_one_streams_complete_without_deadlock() {
     let mut p2 = PeerNode::simple(PeerId(2), base_for("two"), config);
     let ad1 = p1.own_advertisement().unwrap();
     let ad2 = p2.own_advertisement().unwrap();
-    p1.registry.register(ad1.clone());
-    p1.registry.register(ad2.clone());
-    p2.registry.register(ad1);
-    p2.registry.register(ad2);
+    p1.son.registry.register(ad1.clone());
+    p1.son.registry.register(ad2.clone());
+    p2.son.registry.register(ad1);
+    p2.son.registry.register(ad2);
 
     let mut sim: Simulator<PeerNode> = Simulator::default();
     sim.add_node(NodeId(1), p1);

@@ -218,8 +218,8 @@ fn figure7_adhoc_scenario() {
 
     // Discovery: P1 knows P2, P3, P4 but not P5.
     let p1_node = net.sim().node(node_of(p1)).unwrap();
-    assert!(p1_node.registry.get(peers[1]).is_some());
-    assert!(p1_node.registry.get(p5).is_none());
+    assert!(p1_node.son.registry.get(peers[1]).is_some());
+    assert!(p1_node.son.registry.get(p5).is_none());
 
     let query = net
         .compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}")

@@ -102,7 +102,7 @@ fn heads(net: &HybridNetwork) -> Vec<PeerId> {
         .filter(|&s| {
             net.sim()
                 .node(node_of(s))
-                .and_then(|n| n.cluster.as_ref())
+                .and_then(|n| n.son.cluster.as_ref())
                 .is_some_and(|c| c.head == s)
         })
         .collect()
