@@ -13,7 +13,26 @@
 //! the tenant's host is contacted and released when the answer (or
 //! failure) comes back, so an over-quota tenant consumes gateway-side
 //! arithmetic only.
+//!
+//! Threading: one accept thread owns the listener and sits in a blocking
+//! `accept` ([`GatewayHandle::shutdown`] sets the flag, then connects to
+//! the bound address once to wake it); one thread per client connection
+//! owns that client's socket *and* the host connections its requests have
+//! opened — at most one per tenant, in a plain map local to the thread,
+//! filled only from the `tenants.get(token)` result, so the sentence
+//! above about tokens and hosts stays true of kept connections too.
+//! Nothing is shared between client connections and no lock is taken on
+//! the query path except the tenant's admission counter.
+//!
+//! A host connection is put back only after a reply that ended in its
+//! `last` packet; any error drops it. A *kept* connection may have been
+//! closed by the host since its last reply (restart, idle reset): if it
+//! fails before one reply byte has arrived, the frame is re-sent once on
+//! a fresh connection. That is safe because a query is read-only — the
+//! worst a duplicate costs is the host evaluating it twice — and it is
+//! bounded because a failure on the fresh connection is final.
 
+use crate::host::wake_accept;
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::compile;
@@ -146,9 +165,10 @@ pub struct GatewayHandle {
 }
 
 impl GatewayHandle {
-    /// Signals the accept loop to stop and joins it.
+    /// Signals the accept loop to stop, wakes it and joins it.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -163,7 +183,6 @@ const GATEWAY_PEER: PeerId = PeerId(u32::MAX);
 /// Connections speak framed [`GatewayRequest`] / [`GatewayResponse`].
 pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
     let listener = TcpListener::bind(&config.listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let tenants: Arc<HashMap<String, Tenant>> = Arc::new(
@@ -193,21 +212,14 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
     {
         let shutdown = Arc::clone(&shutdown);
         threads.push(std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let tenants = Arc::clone(&tenants);
-                        let shutdown = Arc::clone(&shutdown);
-                        let next_qid = Arc::clone(&next_qid);
-                        std::thread::spawn(move || {
-                            serve_client(stream, tenants, next_qid, shutdown)
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            while let Ok((stream, _)) = listener.accept() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
+                let tenants = Arc::clone(&tenants);
+                let shutdown = Arc::clone(&shutdown);
+                let next_qid = Arc::clone(&next_qid);
+                std::thread::spawn(move || serve_client(stream, tenants, next_qid, shutdown));
             }
         }));
     }
@@ -219,7 +231,13 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
     })
 }
 
-/// One client connection: framed requests in, framed verdicts out.
+/// The host connections one client connection has open, by the token of
+/// the tenant each belongs to (the key is borrowed from the tenant table,
+/// so it can only name a tenant that exists).
+type HostConns<'a> = HashMap<&'a str, TcpStream>;
+
+/// One client connection: framed requests in, framed verdicts out. The
+/// host connections its requests open live and die with it.
 fn serve_client(
     mut stream: TcpStream,
     tenants: Arc<HashMap<String, Tenant>>,
@@ -230,6 +248,7 @@ fn serve_client(
     // Requests carry no schema-bound types, so an empty registry decodes
     // them.
     let no_schemas = SchemaRegistry::new();
+    let mut hosts = HostConns::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -244,7 +263,7 @@ fn serve_client(
             }
             Err(_) => return,
         };
-        let response = answer(&request, &tenants, &next_qid);
+        let response = answer(&request, &tenants, &next_qid, &mut hosts);
         if io::Write::write_all(&mut stream, &response).is_err() {
             return;
         }
@@ -254,13 +273,15 @@ fn serve_client(
 /// Resolves one request to a verdict, as the [`GatewayResponse`] frame
 /// to write back. The token lookup is the *only* place a host address
 /// enters the picture — an unknown token returns before any connection
-/// exists, and a known one can only ever reach its own tenant's host.
-fn answer(
+/// exists, and a known one can only ever reach its own tenant's host,
+/// over a fresh connection or the one `hosts` keeps under that token.
+fn answer<'a>(
     request: &GatewayRequest,
-    tenants: &HashMap<String, Tenant>,
+    tenants: &'a HashMap<String, Tenant>,
     next_qid: &AtomicU64,
+    hosts: &mut HostConns<'a>,
 ) -> Vec<u8> {
-    let Some(tenant) = tenants.get(&request.token) else {
+    let Some((token, tenant)) = tenants.get_key_value(&request.token) else {
         return encode_frame(&GatewayResponse::Unauthorized);
     };
     let query = match compile(&request.query, &tenant.schema) {
@@ -285,30 +306,52 @@ fn answer(
     {
         return encode_frame(&GatewayResponse::OverQuota { quota });
     }
-    let verdict = forward(tenant, &frame);
+    let verdict = forward(tenant, &frame, hosts.remove(token.as_str()));
     tenant
         .admission
         .lock()
         .expect("admission lock poisoned")
         .release(charge);
-    verdict.unwrap_or_else(|error| encode_frame(&GatewayResponse::Error(error)))
+    match verdict {
+        Ok((answer, host)) => {
+            hosts.insert(token, host);
+            answer
+        }
+        Err(error) => encode_frame(&GatewayResponse::Error(error)),
+    }
 }
 
-/// Ships an admitted, already-encoded query frame to the tenant's host
-/// and renders the `Data` reply — a single packet, or a streamed sequence
-/// of packets ending in one flagged `last` — into the `Answer` frame,
-/// packet by packet as each arrives. The gateway wall-clocks the stream:
-/// `ttfr_us` is when the first packet carrying rows had been rendered,
-/// `latency_us` when the final one had. `Err` is the text of a
-/// [`GatewayResponse::Error`].
-fn forward(tenant: &Tenant, frame: &[u8]) -> Result<Vec<u8>, String> {
+/// Ships an admitted, already-encoded query frame to the tenant's host,
+/// on `kept` (the connection this client's last query to the tenant left
+/// open) or else on a fresh one, and renders the `Data` reply — a single
+/// packet, or a streamed sequence of packets ending in one flagged `last`
+/// — into the `Answer` frame, packet by packet as each arrives. The
+/// gateway wall-clocks the stream: `ttfr_us` is when the first packet
+/// carrying rows had been rendered, `latency_us` when the final one had.
+/// Returns the connection with the answer once `last` has been read, so
+/// it is on a frame boundary and can carry the next query; `Err` is the
+/// text of a [`GatewayResponse::Error`] and drops the connection.
+fn forward(
+    tenant: &Tenant,
+    frame: &[u8],
+    kept: Option<TcpStream>,
+) -> Result<(Vec<u8>, TcpStream), String> {
     let started = std::time::Instant::now();
-    let mut host =
-        TcpStream::connect(&tenant.host).map_err(|e| format!("host unreachable: {e}"))?;
-    // One small frame out, a burst of frames back: neither end should
-    // wait on the other's delayed ACK.
-    let _ = host.set_nodelay(true);
-    io::Write::write_all(&mut host, frame).map_err(|e| format!("host write failed: {e}"))?;
+    // A kept connection the host has closed since its last reply fails
+    // here, before any reply byte: re-send on a fresh one, once.
+    let kept = kept.and_then(|mut host| send(&mut host, frame).ok().map(|()| host));
+    let mut host = match kept {
+        Some(host) => host,
+        None => {
+            let mut host =
+                TcpStream::connect(&tenant.host).map_err(|e| format!("host unreachable: {e}"))?;
+            // One small frame out, a burst of frames back: neither end
+            // should wait on the other's delayed ACK.
+            let _ = host.set_nodelay(true);
+            send(&mut host, frame)?;
+            host
+        }
+    };
     let mut answer = AnswerFrame::new();
     let mut partial = false;
     let mut ttfr_us = 0u64;
@@ -325,7 +368,23 @@ fn forward(tenant: &Tenant, frame: &[u8]) -> Result<Vec<u8>, String> {
         partial |= packet.partial;
         if packet.last {
             let latency_us = started.elapsed().as_micros() as u64;
-            return Ok(answer.finish(partial, ttfr_us, latency_us));
+            return Ok((answer.finish(partial, ttfr_us, latency_us), host));
+        }
+    }
+}
+
+/// Writes the query frame and waits, without consuming it, for the first
+/// byte of the reply: `Ok` means the host has begun to answer on this
+/// connection, so from here on a failure is the query's, not a stale
+/// socket's.
+fn send(host: &mut TcpStream, frame: &[u8]) -> Result<(), String> {
+    io::Write::write_all(host, frame).map_err(|e| format!("host write failed: {e}"))?;
+    loop {
+        match host.peek(&mut [0]) {
+            Ok(0) => return Err("host closed without answering".into()),
+            Ok(_) => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("host reply unreadable: {e}")),
         }
     }
 }
@@ -380,7 +439,176 @@ mod tests {
             },
             &tenants,
             &AtomicU64::new(0),
+            &mut HostConns::new(),
         );
         assert_eq!(verdict, encode_frame(&GatewayResponse::Unauthorized));
+    }
+
+    use crate::{spawn_host, GroupSpec, HostConfig, HostHandle};
+    use sqpeer_exec::PeerConfig;
+    use sqpeer_testkit::fixtures::{base_with, fig1_query_text, fig1_schema};
+
+    /// A one-peer group whose Figure-1 answer is a single row under
+    /// `http://{name}/`.
+    fn host(name: &str) -> HostHandle {
+        let schema = fig1_schema();
+        let uri = |local: &str| format!("http://{name}/{local}");
+        let (a, b, c) = (uri("a"), uri("b"), uri("c"));
+        spawn_host(HostConfig {
+            listen: "127.0.0.1:0".into(),
+            status: None,
+            spec: GroupSpec {
+                bases: vec![base_with(&schema, &[(&a, "prop1", &b), (&b, "prop2", &c)])],
+                schema,
+                config: PeerConfig::default(),
+            },
+            telemetry_window_us: None,
+            settle_us: 100_000,
+            answer_batch_rows: None,
+        })
+        .expect("host binds a loopback port")
+    }
+
+    fn tenant(host: &str, at: u32, quotas: Quotas) -> Tenant {
+        let schema = fig1_schema();
+        let mut schemas = SchemaRegistry::new();
+        schemas.register(Arc::clone(&schema));
+        Tenant {
+            host: host.into(),
+            schema,
+            schemas,
+            at: PeerId(at),
+            admission: Mutex::new(Admission::new(quotas)),
+        }
+    }
+
+    /// A connected socket whose far end is already closed: what a kept
+    /// host connection looks like after the host restarted.
+    fn stale_connection() -> TcpStream {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("listener binds");
+        let stream = TcpStream::connect(listener.local_addr().expect("bound")).expect("connects");
+        drop(listener.accept().expect("accepts"));
+        stream
+    }
+
+    /// One client connection, every kind of verdict in turn, twenty
+    /// times over: each token sees its own tenant's URIs only, refusals
+    /// touch no host, and whatever path a request takes out of `forward`
+    /// — answered, answered after the one re-send, failed, failed after
+    /// the re-send — its admission charge is back before the next.
+    #[test]
+    fn a_shared_client_connection_keeps_tenants_apart_and_charges_released() {
+        let (acme, globex) = (host("acme"), host("globex"));
+        // Any contact with this address fails: the port is closed again.
+        let nowhere = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("a free port")
+            .to_string();
+        let starved = Quotas {
+            max_concurrent: 8,
+            max_bytes_in_flight: 1,
+        };
+        let tenants: HashMap<String, Tenant> = [
+            (
+                "acme-token",
+                tenant(&acme.addr.to_string(), 0, Quotas::default()),
+            ),
+            (
+                "globex-token",
+                tenant(&globex.addr.to_string(), 0, Quotas::default()),
+            ),
+            ("starved-token", tenant(&nowhere, 0, starved)),
+            // Posed at a peer id the group lacks: the host closes
+            // without answering.
+            (
+                "lost-token",
+                tenant(&acme.addr.to_string(), 999, Quotas::default()),
+            ),
+        ]
+        .into_iter()
+        .map(|(token, tenant)| (token.to_string(), tenant))
+        .collect();
+        let next_qid = AtomicU64::new(0);
+        let mut hosts = HostConns::new();
+        fn ask<'a>(
+            token: &str,
+            tenants: &'a HashMap<String, Tenant>,
+            next_qid: &AtomicU64,
+            hosts: &mut HostConns<'a>,
+        ) -> GatewayResponse {
+            let request = GatewayRequest {
+                token: token.into(),
+                query: fig1_query_text().into(),
+            };
+            let verdict = answer(&request, tenants, next_qid, hosts);
+            for (token, tenant) in tenants {
+                let admission = tenant.admission.lock().expect("admission lock");
+                assert_eq!(
+                    (admission.in_flight(), admission.bytes_in_flight()),
+                    (0, 0),
+                    "{token} still charged after a verdict"
+                );
+            }
+            sqpeer_wire::decode_frame(&verdict, &SchemaRegistry::new()).expect("verdict decodes")
+        }
+        let sees_only = |verdict: GatewayResponse, own: &str, foreign: &str| {
+            let GatewayResponse::Answer { rows, partial, .. } = verdict else {
+                panic!("{own} should get an answer, got {verdict:?}");
+            };
+            assert!(!rows.is_empty() && !partial);
+            assert!(
+                rows.iter()
+                    .flatten()
+                    .all(|v| v.contains(own) && !v.contains(foreign)),
+                "cross-tenant leak into {own}: {rows:?}"
+            );
+        };
+
+        for round in 0..20 {
+            // Every fifth round the kept connections have gone stale.
+            if round % 5 == 4 {
+                for token in ["acme-token", "globex-token"] {
+                    let (token, _) = tenants.get_key_value(token).expect("configured");
+                    hosts.insert(token, stale_connection());
+                }
+            }
+            sees_only(
+                ask("acme-token", &tenants, &next_qid, &mut hosts),
+                "acme",
+                "globex",
+            );
+            sees_only(
+                ask("globex-token", &tenants, &next_qid, &mut hosts),
+                "globex",
+                "acme",
+            );
+            assert_eq!(
+                ask("stolen-token", &tenants, &next_qid, &mut hosts),
+                GatewayResponse::Unauthorized
+            );
+            let GatewayResponse::OverQuota { quota } =
+                ask("starved-token", &tenants, &next_qid, &mut hosts)
+            else {
+                panic!("the starved tenant should be over quota");
+            };
+            assert!(quota.contains("bytes"), "{quota}");
+            // A stale connection in front of a query no host will answer:
+            // the re-send fails too, and that is final.
+            if round % 2 == 1 {
+                let (token, _) = tenants.get_key_value("lost-token").expect("configured");
+                hosts.insert(token, stale_connection());
+            }
+            assert_eq!(
+                ask("lost-token", &tenants, &next_qid, &mut hosts),
+                GatewayResponse::Error("host closed without answering".into())
+            );
+            // Only the tenants that were answered keep a connection.
+            let mut kept: Vec<&str> = hosts.keys().copied().collect();
+            kept.sort_unstable();
+            assert_eq!(kept, ["acme-token", "globex-token"], "round {round}");
+        }
+
+        acme.shutdown();
+        globex.shutdown();
     }
 }

@@ -15,6 +15,17 @@
 //! connection, and one pump thread that owns the transport. Connection
 //! threads talk to the pump over an mpsc channel and block on a
 //! per-query reply channel, so several queries can be in flight at once.
+//!
+//! Each accept thread owns its listener and sits in a blocking `accept`;
+//! [`HostHandle::shutdown`] sets the flag and then connects to each bound
+//! address once, so the thread wakes, sees the flag and leaves. A
+//! connection thread owns its socket for the connection's whole life and
+//! serves any number of queries on it (the gateway keeps one open per
+//! client connection). Its 500 ms read timeout is only an idle tick to
+//! notice shutdown: a timeout *between* frames is retried, a timeout once
+//! any byte of a frame was consumed closes the connection
+//! (`wire::read_payload`), because the consumed bytes cannot be given
+//! back and everything after them would be read out of frame.
 
 use crate::{assemble, group, Group, GroupSpec, LoopbackNet};
 use sqpeer_exec::{Msg, PeerNode, QueryId, QueryOutcome};
@@ -24,7 +35,7 @@ use sqpeer_rql::ResultSet;
 use sqpeer_wire::{read_frame, write_frame, Envelope, SchemaRegistry};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -74,13 +85,32 @@ pub struct HostHandle {
 }
 
 impl HostHandle {
-    /// Signals every thread to stop and joins them.
+    /// Signals every thread to stop, wakes the accept threads and joins
+    /// them all.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake_accept(self.addr);
+        if let Some(status) = self.status_addr {
+            wake_accept(status);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
+}
+
+/// Unblocks the thread parked in `accept` on the listener bound to
+/// `addr` by connecting to it once; the caller has already set the
+/// shutdown flag that thread checks on waking. A listener on the
+/// unspecified address is reached over loopback.
+pub(crate) fn wake_accept(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect(addr);
 }
 
 /// Boots a host: assembles the group on a fresh loopback transport,
@@ -104,17 +134,9 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     let group = assemble(&mut net, spec, settle_us);
 
     let listener = TcpListener::bind(&listen)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let status_listener = match &status {
-        Some(s) => {
-            let l = TcpListener::bind(s)?;
-            l.set_nonblocking(true)?;
-            Some(l)
-        }
-        None => None,
-    };
+    let status_listener = status.map(TcpListener::bind).transpose()?;
     let status_addr = status_listener.as_ref().and_then(|l| l.local_addr().ok());
 
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -140,24 +162,19 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
         let shutdown = Arc::clone(&shutdown);
         let schemas = schemas.clone();
         threads.push(std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Answers leave as a burst of small frames: do
-                        // not let Nagle hold one back for the peer's ACK.
-                        let _ = stream.set_nodelay(true);
-                        let cmd_tx = cmd_tx.clone();
-                        let schemas = schemas.clone();
-                        let shutdown = Arc::clone(&shutdown);
-                        std::thread::spawn(move || {
-                            serve_connection(stream, cmd_tx, schemas, shutdown, answer_batch_rows)
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            while let Ok((stream, _)) = listener.accept() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
+                // Answers leave as a burst of small frames: do not let
+                // Nagle hold one back for the peer's ACK.
+                let _ = stream.set_nodelay(true);
+                let cmd_tx = cmd_tx.clone();
+                let schemas = schemas.clone();
+                let shutdown = Arc::clone(&shutdown);
+                std::thread::spawn(move || {
+                    serve_connection(stream, cmd_tx, schemas, shutdown, answer_batch_rows)
+                });
             }
         }));
     }
@@ -167,17 +184,12 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
         let shutdown = Arc::clone(&shutdown);
         let status_text = Arc::clone(&status_text);
         threads.push(std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        let text = status_text.lock().map(|t| t.clone()).unwrap_or_default();
-                        let _ = io::Write::write_all(&mut stream, text.as_bytes());
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
+            while let Ok((mut stream, _)) = listener.accept() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
+                let text = status_text.lock().map(|t| t.clone()).unwrap_or_default();
+                let _ = io::Write::write_all(&mut stream, text.as_bytes());
             }
         }));
     }

@@ -422,6 +422,12 @@ pub fn read_frame<T: Wire>(
 /// Reads one frame's payload (version byte + value) off a byte source,
 /// undecoded. `Ok(None)` on clean EOF; a close mid-frame or an oversized
 /// length is an error.
+///
+/// On a source with a read timeout, `WouldBlock`/`TimedOut` is returned
+/// only while no byte of a frame has been consumed — the caller may call
+/// again and is still on a frame boundary. Once any byte of a frame was
+/// taken a timeout is `InvalidData` ("stalled mid-frame"): the consumed
+/// bytes are gone, so the stream cannot be resumed, only closed.
 pub fn read_payload(source: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -436,6 +442,7 @@ pub fn read_payload(source: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> 
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if filled > 0 => return Err(mid_frame(e)),
             Err(e) => return Err(e),
         }
     }
@@ -447,8 +454,20 @@ pub fn read_payload(source: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> 
         ));
     }
     let mut payload = vec![0u8; len as usize];
-    source.read_exact(&mut payload)?;
+    source.read_exact(&mut payload).map_err(mid_frame)?;
     Ok(Some(payload))
+}
+
+/// A read timeout after part of a frame was consumed is not the idle
+/// signal a caller may retry on; every other error passes through.
+fn mid_frame(e: std::io::Error) -> std::io::Error {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "connection stalled mid-frame",
+        ),
+        _ => e,
+    }
 }
 
 /// A gateway-front-door request: what a tenant client sends the gateway.

@@ -226,6 +226,66 @@ fn io_read_frame_reports_clean_eof_and_rejects_mid_frame_close() {
         .is_some());
 }
 
+/// A reader that plays a script of reads: byte chunks and error kinds.
+struct Scripted(std::collections::VecDeque<Result<Vec<u8>, std::io::ErrorKind>>);
+
+impl std::io::Read for Scripted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.0.pop_front() {
+            None => Ok(0),
+            Some(Err(kind)) => Err(kind.into()),
+            Some(Ok(mut chunk)) => {
+                let n = chunk.len().min(buf.len());
+                buf[..n].copy_from_slice(&chunk[..n]);
+                if n < chunk.len() {
+                    self.0.push_front(Ok(chunk.split_off(n)));
+                }
+                Ok(n)
+            }
+        }
+    }
+}
+
+/// A read timeout is the caller's idle signal only on a frame boundary.
+/// Once bytes of a frame are consumed they cannot be given back, so a
+/// timeout there must not look retryable: a retry would start reading
+/// the next "frame" from the middle of this one.
+#[test]
+fn io_read_timeout_is_retryable_only_between_frames() {
+    use std::io::ErrorKind::{InvalidData, TimedOut, WouldBlock};
+    let frame = encode_frame(&sample_msg());
+
+    // Before the first byte: the error passes through, nothing is lost,
+    // and the next call reads the whole frame.
+    let mut idle = Scripted([Err(WouldBlock), Ok(frame.clone())].into());
+    let err = sqpeer_wire::read_payload(&mut idle).unwrap_err();
+    assert_eq!(err.kind(), WouldBlock);
+    let payload = sqpeer_wire::read_payload(&mut idle).unwrap().unwrap();
+    assert_eq!(payload, frame[4..]);
+
+    // Two length bytes, then a timeout, then the rest: not retryable.
+    for kind in [WouldBlock, TimedOut] {
+        let mut stalled =
+            Scripted([Ok(frame[..2].to_vec()), Err(kind), Ok(frame[2..].to_vec())].into());
+        let err = sqpeer_wire::read_payload(&mut stalled).unwrap_err();
+        assert_eq!(err.kind(), InvalidData, "{err}");
+        assert!(err.to_string().contains("stalled mid-frame"), "{err}");
+    }
+
+    // The same once the length is in and the payload is half read.
+    let half = 4 + (frame.len() - 4) / 2;
+    let mut stalled = Scripted(
+        [
+            Ok(frame[..half].to_vec()),
+            Err(WouldBlock),
+            Ok(frame[half..].to_vec()),
+        ]
+        .into(),
+    );
+    let err = sqpeer_wire::read_payload(&mut stalled).unwrap_err();
+    assert_eq!(err.kind(), InvalidData, "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Deployment smoke test: boots two sqpeerd tenant hosts and the
 # multi-tenant gateway on loopback TCP, poses one query per tenant,
-# asserts hard cross-tenant isolation and the admission quota, and
-# captures the telemetry status page.
+# asserts hard cross-tenant isolation and the admission quota, captures
+# the telemetry status page, and checks that an idle gateway process
+# sleeps (nobody polls for a connection).
 #
 # Usage: scripts/deploy_smoke.sh [outdir]   (default: deploy-smoke/)
 # Requires: target/release/sqpeerd (cargo build --release -p sqpeer-daemon)
@@ -109,5 +110,20 @@ sleep 0.5
 "$BIN" status 127.0.0.1:7412 | tee "$OUT/status.txt"
 grep -q "sqpeerd status"    "$OUT/status.txt" || { echo "FAIL: no status page"; exit 1; }
 grep -q "decode_failures 0" "$OUT/status.txt" || { echo "FAIL: wire decode failures on the host"; exit 1; }
+
+echo "== nobody polls: an idle gateway sleeps =="
+# Voluntary context switches, summed over a process' threads, one second
+# apart. A thread blocked in accept() or read() makes none; a 5 ms accept
+# poll alone makes 200 a second. The hosts' figure is printed, not
+# asserted: their pump still steps the transport in 1 ms slices.
+voluntary_switches() {
+  cat /proc/"$1"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n + 0 }'
+}
+before=(); for pid in "${PIDS[@]}"; do before+=("$(voluntary_switches "$pid")"); done
+sleep 1
+rate=(); for i in "${!PIDS[@]}"; do rate+=($(( $(voluntary_switches "${PIDS[$i]}") - before[i] ))); done
+echo "voluntary context switches in 1 s: acme host ${rate[0]}, globex host ${rate[1]}, gateway ${rate[2]}" \
+  | tee "$OUT/idle_switches.txt"
+[ "${rate[2]}" -le 20 ] || { echo "FAIL: the idle gateway woke ${rate[2]} times in a second — something polls"; exit 1; }
 
 echo "deploy smoke: OK"
