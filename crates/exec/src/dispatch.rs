@@ -1,0 +1,909 @@
+//! A subplan in flight, from the root's side (§2.4–§2.5).
+//!
+//! The paper gives the root of a channel two things to do with it:
+//! collect the data packets that flow dest → root, and "alter a running
+//! query plan" when the channel fails or "by observing the throughput of
+//! a certain channel". [`Dispatcher`] is that rule, stated once — one
+//! owner for every subplan this peer has shipped and not yet settled:
+//!
+//! ```text
+//! dispatch ──► outstanding[tag] ──data──► drained batch … ──last──► Answered
+//!                 │  ▲
+//!        timed_out│  │retry (attempt+1, timeout × 2ⁿ), at most `retries` times
+//!                 ▼  │
+//!        retries exhausted ─────────────────────────────► Lost(Timeout)
+//!        probed below the throughput floor ─────────────► Lost(SlowChannel)
+//!        refused (`SubplanFailed`) ─────────────────────► Lost(Refused)
+//!        undelivered (destination down) ────────────────► Lost(Delivery)
+//! ```
+//!
+//! Like [`crate::son::Directory`] it sends through the peer's [`Ctx`]
+//! (so a [`Ctx::detached`] drives it without a network — the unit tests
+//! below), hands back the delays it wants armed — the timer table is the
+//! peer's — and copies what it needs of the configuration at
+//! construction. It knows nothing of frames, rooted queries, the tracer
+//! or the observability plane: every call returns a [`Step`] whose
+//! [`Verdict`] says what became of the subplan and whose [`Event`]s say
+//! what happened, for the peer to act on and record.
+
+use crate::msg::{Msg, PeerChannel, QueryId, TraceCtx};
+use crate::peer::{plan_columns, PeerConfig, SlowChannelPolicy};
+use crate::stream::Receiver;
+use crate::{peer_of, send};
+use sqpeer_net::{ChannelTable, Ctx, NodeId};
+use sqpeer_plan::PlanNode;
+use sqpeer_routing::PeerId;
+use sqpeer_rql::{ResultSet, Row};
+use std::collections::HashMap;
+use std::fmt;
+
+/// Why a subplan was given up on, for cause-attributed adaptation
+/// counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplanCause {
+    /// A sender-side delivery-failure notification (destination down).
+    Delivery,
+    /// The destination answered `SubplanFailed`: it could not serve it.
+    Refused,
+    /// A subplan timeout with retries exhausted.
+    Timeout,
+    /// The telemetry windowed-throughput floor (slow-but-alive channel).
+    SlowChannel,
+}
+
+impl fmt::Display for ReplanCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ReplanCause::Delivery => "delivery failure",
+            ReplanCause::Refused => "refused",
+            ReplanCause::Timeout => "timeout",
+            ReplanCause::SlowChannel => "slow channel",
+        })
+    }
+}
+
+/// One shipped subplan the root still waits on. It leaves the dispatcher
+/// only inside [`Verdict::Lost`], for the adaptation that replaces it.
+#[derive(Debug)]
+pub(crate) struct PendingRemote {
+    pub(crate) qid: QueryId,
+    pub(crate) frame: u64,
+    pub(crate) slot: usize,
+    pub(crate) dest: PeerId,
+    /// The shipped subtree's output columns, so a failed slot can be
+    /// filled with a *well-formed* empty table.
+    pub(crate) columns: Vec<String>,
+    /// The shipped plan itself (needed to repair around a slow or failed
+    /// destination); rendered, it keys the phased-execution result cache.
+    pub(crate) plan: PlanNode,
+    /// Visited-set shipped with the subplan (re-sent verbatim on retry).
+    visited: Vec<PeerId>,
+    /// At-least-once attempts sent so far (0 = original dispatch only).
+    attempt: u32,
+    /// Virtual µs the subplan was first dispatched — the start of the
+    /// throughput window the slow-channel probes observe.
+    dispatched_at_us: u64,
+    /// Result bytes received on this channel so far (streamed batches
+    /// included) — the numerator of the windowed throughput.
+    bytes_observed: u64,
+    /// The partially received streamed result. Living here, it goes
+    /// wherever the outstanding entry goes: answered, abandoned or
+    /// replanned away, no reassembly outlives its subplan.
+    stream: Reassembly,
+}
+
+impl PendingRemote {
+    /// Ships the subplan, at its recorded attempt, over `channel`;
+    /// `origin` is the dispatching peer when it traces. Returns the bytes
+    /// put on the wire.
+    fn ship(
+        &self,
+        ctx: &mut Ctx<Msg>,
+        tag: u64,
+        channel: PeerChannel,
+        origin: Option<PeerId>,
+    ) -> u64 {
+        let msg = Msg::Subplan {
+            channel,
+            qid: self.qid,
+            tag,
+            plan: self.plan.clone(),
+            visited: self.visited.clone(),
+            attempt: self.attempt,
+            trace: origin.map(|origin| TraceCtx {
+                origin,
+                parent_start_us: ctx.now_us(),
+            }),
+        };
+        send(ctx, self.dest, msg) as u64
+    }
+}
+
+/// Root-side reassembly of one streamed subplan result: the seq machine
+/// ([`Receiver`]) plus the rows it has released so far, in sequence
+/// order. Every drained batch is visible to the pipelined-consumption
+/// hook (§2.4) at once.
+#[derive(Debug, Default)]
+struct Reassembly {
+    recv: Receiver<Vec<Row>>,
+    drained: ResultSet,
+    partial: bool,
+}
+
+/// What a `Data` message carries besides the `(qid, tag)` it claims.
+#[derive(Debug)]
+pub(crate) struct Packet {
+    pub(crate) channel: PeerChannel,
+    pub(crate) seq: u32,
+    pub(crate) last: bool,
+    pub(crate) result: ResultSet,
+    pub(crate) partial: bool,
+}
+
+/// One thing that happened to a subplan in flight. The peer folds each
+/// into its counters, the query's profile, the tracer and the flight
+/// recorder; the `Display` form is the detail both recorders show, after
+/// the subplan's tag and destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Event {
+    /// Shipped for the first time, over channel `channel`.
+    Dispatched { channel: u64, bytes: u64 },
+    /// Re-shipped to the same destination after a timeout.
+    Retried { attempt: u32, bytes: u64 },
+    /// Its timeout fired with no complete answer.
+    TimedOut,
+    /// A probe saw `bytes` arrive in `window_us`: below the floor.
+    SlowChannel {
+        bytes: u64,
+        window_us: u64,
+        floor_bpms: u64,
+    },
+    /// A packet of its still-incomplete stream was acknowledged.
+    CreditGranted { bytes: u64 },
+    /// Its whole result arrived: `rows` rows, `bytes` of payload.
+    Answered { rows: usize, bytes: u64 },
+    /// The destination reported it could not serve it.
+    Refused,
+    /// Given up on; always the last event of its subplan.
+    Lost { attempts: u32, cause: ReplanCause },
+}
+
+impl Event {
+    /// The tracer event name (DESIGN.md §4) and the flight-recorder kind
+    /// this is recorded under.
+    pub(crate) fn recorded_as(&self) -> (Option<&'static str>, Option<&'static str>) {
+        match self {
+            Event::Dispatched { .. } => (Some("exec:dispatch"), Some("dispatch")),
+            Event::Retried { .. } => (Some("exec:retry"), Some("retry")),
+            Event::TimedOut => (Some("exec:timeout"), Some("timeout")),
+            Event::SlowChannel { .. } => (Some("exec:slow-channel"), None),
+            Event::CreditGranted { .. } => (None, Some("credit")),
+            Event::Answered { .. } => (Some("exec:answer"), None),
+            Event::Refused => (Some("exec:refused"), None),
+            Event::Lost { .. } => (Some("exec:failed"), Some("replan")),
+        }
+    }
+}
+
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Event::Dispatched { channel, .. } => write!(f, "shipped over channel {channel}"),
+            Event::Retried { attempt, .. } => write!(f, "re-shipped, attempt {attempt}"),
+            Event::TimedOut => f.write_str("timed out"),
+            Event::SlowChannel {
+                bytes,
+                window_us,
+                floor_bpms,
+            } => write!(
+                f,
+                "slow channel: window {bytes}B/{window_us}us = {} B/ms below floor {floor_bpms} B/ms",
+                bytes * 1_000 / window_us
+            ),
+            Event::CreditGranted { .. } => f.write_str("stream packet granted 1 credit"),
+            Event::Answered { rows, .. } => write!(f, "answered, {rows} rows"),
+            Event::Refused => f.write_str("refused by the destination"),
+            Event::Lost { attempts, cause } => {
+                write!(f, "given up after {attempts} attempt(s): {cause}")
+            }
+        }
+    }
+}
+
+/// What became of a subplan in one step.
+#[derive(Debug)]
+pub(crate) enum Verdict {
+    /// Still in flight; arm what is set for its tag.
+    Pending {
+        timeout_us: Option<u64>,
+        probe_us: Option<u64>,
+    },
+    /// In-order rows of its still-open stream became available for
+    /// `(frame, slot)`.
+    Drained {
+        frame: u64,
+        slot: usize,
+        batch: ResultSet,
+    },
+    /// Its whole `result` arrived for `(frame, slot)`; `last` is what the
+    /// final packet drained, not yet consumed as a batch.
+    Answered {
+        frame: u64,
+        slot: usize,
+        plan: PlanNode,
+        last: Option<ResultSet>,
+        result: ResultSet,
+        partial: bool,
+    },
+    /// Given up on; the channel towards its destination is dropped.
+    Lost {
+        pending: PendingRemote,
+        cause: ReplanCause,
+    },
+}
+
+/// The outcome of one dispatcher call on subplan `tag` of `qid`, shipped
+/// to `dest`: what happened, in order (no call reports more than two
+/// things), and what became of the subplan.
+#[derive(Debug)]
+pub(crate) struct Step {
+    pub(crate) qid: QueryId,
+    pub(crate) tag: u64,
+    pub(crate) dest: PeerId,
+    pub(crate) events: [Option<Event>; 2],
+    pub(crate) verdict: Verdict,
+}
+
+impl Step {
+    fn new(
+        (qid, tag, dest): (QueryId, u64, PeerId),
+        events: [Option<Event>; 2],
+        verdict: Verdict,
+    ) -> Self {
+        Step {
+            qid,
+            tag,
+            dest,
+            events,
+            verdict,
+        }
+    }
+}
+
+/// Every subplan this peer has shipped and not yet settled, and the
+/// channels they travel on (see the module documentation).
+#[derive(Debug)]
+pub(crate) struct Dispatcher {
+    id: PeerId,
+    /// `PeerConfig::subplan_timeout_us`: the base every timeout this
+    /// dispatcher asks for is a power-of-two multiple of.
+    timeout_us: Option<u64>,
+    /// `PeerConfig::subplan_retries`.
+    retries: u32,
+    slow_channel: Option<SlowChannelPolicy>,
+    /// The trace context shipped subplans carry (`PeerConfig::trace`).
+    origin: Option<PeerId>,
+    channels: ChannelTable<PeerId>,
+    outstanding: HashMap<u64, PendingRemote>,
+    next_tag: u64,
+}
+
+impl Dispatcher {
+    pub(crate) fn new(id: PeerId, config: &PeerConfig) -> Self {
+        Dispatcher {
+            id,
+            timeout_us: config.subplan_timeout_us,
+            retries: config.subplan_retries,
+            slow_channel: config.slow_channel,
+            origin: config.trace.then_some(id),
+            channels: ChannelTable::new(),
+            outstanding: HashMap::new(),
+            next_tag: 0,
+        }
+    }
+
+    /// Channels currently rooted here.
+    pub(crate) fn open_channels(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// Ships `plan` to `dest` as a fresh subplan of `qid` feeding
+    /// `(frame, slot)`. `probe` asks for slow-channel probes as well as
+    /// the timeout (set at the query's root only — forwarding peers leave
+    /// slow channels to their own roots).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn dispatch(
+        &mut self,
+        ctx: &mut Ctx<Msg>,
+        qid: QueryId,
+        dest: PeerId,
+        plan: PlanNode,
+        (frame, slot): (u64, usize),
+        visited: Vec<PeerId>,
+        probe: bool,
+    ) -> Step {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        let channel = self.channels.channel_to(self.id, dest);
+        let pending = PendingRemote {
+            qid,
+            frame,
+            slot,
+            dest,
+            columns: plan_columns(&plan),
+            plan,
+            visited,
+            attempt: 0,
+            dispatched_at_us: ctx.now_us(),
+            bytes_observed: 0,
+            stream: Reassembly::default(),
+        };
+        let bytes = pending.ship(ctx, tag, channel, self.origin);
+        self.outstanding.insert(tag, pending);
+        let channel = channel.id.0;
+        let events = [Some(Event::Dispatched { channel, bytes }), None];
+        // Telemetry-driven adaptation probes the channel's throughput
+        // window well before the timeout would fire; the grace period
+        // lets one round-trip plus service fit first.
+        let probe_us = self
+            .slow_channel
+            .filter(|_| probe)
+            .map(|policy| policy.grace_us + policy.probe_interval_us);
+        let timeout_us = self.timeout_us;
+        let verdict = Verdict::Pending {
+            timeout_us,
+            probe_us,
+        };
+        Step::new((qid, tag, dest), events, verdict)
+    }
+
+    /// A `Data` packet claiming `(qid, tag)` arrived from `from`: ingests
+    /// it into the subplan's reassembly (in-order drain over reordered or
+    /// duplicated batches — smaller packets travel faster, retries resend
+    /// from the start), accounts it to the channel's throughput window and
+    /// acknowledges it with one credit while the stream is incomplete.
+    /// `backfill(frame, slot)` says whether what this packet drains must
+    /// be handed over together with everything drained before it.
+    /// `None` when the claim matches no outstanding subplan.
+    pub(crate) fn data(
+        &mut self,
+        ctx: &mut Ctx<Msg>,
+        from: NodeId,
+        qid: QueryId,
+        tag: u64,
+        packet: Packet,
+        backfill: impl FnOnce(u64, usize) -> bool,
+    ) -> Option<Step> {
+        // `tag` and `qid` are the sender's claim: a packet naming another
+        // query's tag must not reach its slot.
+        let pending = self.outstanding.get_mut(&tag).filter(|p| p.qid == qid)?;
+        if pending.bytes_observed == 0 {
+            // Per-link TTFR: the first result packet of this subplan just
+            // arrived — telemetry's streaming figure of merit.
+            let elapsed = ctx.now_us().saturating_sub(pending.dispatched_at_us);
+            ctx.note_stream_ttfr(from, elapsed);
+        }
+        pending.bytes_observed += packet.result.wire_size() as u64 + 48;
+        let (dest, frame, slot) = (pending.dest, pending.frame, pending.slot);
+        let backfill = backfill(frame, slot);
+        let state = &mut pending.stream;
+        let ResultSet { columns, rows } = packet.result;
+        if state.drained.columns.is_empty() {
+            state.drained.columns = columns;
+        }
+        state.partial |= packet.partial;
+        let ingested = state.recv.ingest(packet.seq, rows, packet.last);
+        if ingested.is_dup {
+            // At-least-once dispatch and fault-plan duplication both make
+            // repeated sequence numbers normal; each one must land in the
+            // dedup counter, never in the answer.
+            ctx.counters().stream_dedup_drops += 1;
+        }
+        let mut fresh: Vec<Row> = ingested.drained.into_iter().flatten().collect();
+        state.drained.rows.extend(fresh.iter().cloned());
+        if backfill && !fresh.is_empty() {
+            fresh = state.drained.rows.clone();
+        }
+        let batch = (!fresh.is_empty()).then(|| ResultSet {
+            columns: state.drained.columns.clone(),
+            rows: fresh,
+        });
+        let (event, verdict) = if ingested.credit_owed {
+            // Credit-based backpressure: acknowledge the packet so the
+            // sender may put another in flight.
+            let credit = Msg::Credit {
+                channel: packet.channel,
+                qid,
+                tag,
+                credits: 1,
+            };
+            let bytes = send(ctx, peer_of(from), credit) as u64;
+            let verdict = match batch {
+                Some(batch) => Verdict::Drained { frame, slot, batch },
+                None => Verdict::Pending {
+                    timeout_us: None,
+                    probe_us: None,
+                },
+            };
+            (Event::CreditGranted { bytes }, verdict)
+        } else {
+            let pending = self.outstanding.remove(&tag).expect("looked up above");
+            let result = pending.stream.drained;
+            let answered = Event::Answered {
+                rows: result.rows.len(),
+                bytes: result.wire_size() as u64,
+            };
+            let verdict = Verdict::Answered {
+                frame,
+                slot,
+                plan: pending.plan,
+                last: batch,
+                result,
+                partial: pending.stream.partial,
+            };
+            (answered, verdict)
+        };
+        let events = [Some(event), None];
+        Some(Step::new((qid, tag, dest), events, verdict))
+    }
+
+    /// The destination answered `SubplanFailed` for `(qid, tag)` — the
+    /// sender's claim, checked like a `Data` packet's.
+    pub(crate) fn refused(&mut self, qid: QueryId, tag: u64) -> Option<Step> {
+        self.outstanding.get(&tag).filter(|p| p.qid == qid)?;
+        self.lose(tag, ReplanCause::Refused, Some(Event::Refused))
+    }
+
+    /// The transport could not deliver `msg` to `to`: the channel towards
+    /// it is dead, and so is the subplan `msg` shipped, if it did.
+    pub(crate) fn undelivered(&mut self, to: PeerId, msg: &Msg) -> Option<Step> {
+        let lost = match msg {
+            Msg::Subplan { tag, .. } => self.lose(*tag, ReplanCause::Delivery, None),
+            _ => None,
+        };
+        if lost.is_none() {
+            self.channels.drop_towards(to);
+        }
+        lost
+    }
+
+    /// The timeout of subplan `tag` fired: the channel is too slow or a
+    /// message was silently lost — the timer is the only signal the root
+    /// ever gets. Re-sends to the same destination with exponential
+    /// backoff (the tag stays, so whichever attempt's answer arrives
+    /// first fills the slot; the bumped attempt lets the destination
+    /// separate genuine retries from network duplicates) until the
+    /// retries are spent. A subplan already settled makes this a no-op.
+    pub(crate) fn timed_out(&mut self, ctx: &mut Ctx<Msg>, tag: u64) -> Option<Step> {
+        // A timeout only ever fires off the base it was armed with.
+        let base = self.timeout_us?;
+        let pending = self.outstanding.get_mut(&tag)?;
+        if pending.attempt >= self.retries {
+            return self.lose(tag, ReplanCause::Timeout, Some(Event::TimedOut));
+        }
+        pending.attempt += 1;
+        let (qid, dest, attempt) = (pending.qid, pending.dest, pending.attempt);
+        let channel = self.channels.channel_to(self.id, dest);
+        let bytes = pending.ship(ctx, tag, channel, self.origin);
+        let events = [
+            Some(Event::TimedOut),
+            Some(Event::Retried { attempt, bytes }),
+        ];
+        let verdict = Verdict::Pending {
+            timeout_us: Some(base << attempt.min(16)),
+            probe_us: None,
+        };
+        Some(Step::new((qid, tag, dest), events, verdict))
+    }
+
+    /// One telemetry probe of subplan `tag`'s channel: compares the
+    /// throughput observed over the channel's lifetime window against the
+    /// policy floor and gives up on a degraded-but-alive channel
+    /// **before** its timeout would fire. A healthy channel re-arms the
+    /// probe; a settled subplan retires it silently.
+    pub(crate) fn probed(&mut self, ctx: &mut Ctx<Msg>, tag: u64) -> Option<Step> {
+        let policy = self.slow_channel?;
+        let pending = self.outstanding.get(&tag)?;
+        let (qid, dest, bytes) = (pending.qid, pending.dest, pending.bytes_observed);
+        let window_us = ctx.now_us().saturating_sub(pending.dispatched_at_us).max(1);
+        let floor_bpms =
+            (policy.expected_bytes_per_ms * policy.min_fraction_permille / 1_000).max(1);
+        if bytes * 1_000 / window_us < floor_bpms {
+            let slow = Event::SlowChannel {
+                bytes,
+                window_us,
+                floor_bpms,
+            };
+            return self.lose(tag, ReplanCause::SlowChannel, Some(slow));
+        }
+        let verdict = Verdict::Pending {
+            timeout_us: None,
+            probe_us: Some(policy.probe_interval_us),
+        };
+        let events = [None, None];
+        Some(Step::new((qid, tag, dest), events, verdict))
+    }
+
+    /// Gives up on subplan `tag`: it leaves with the channel towards its
+    /// destination (whatever adaptation dispatches next mints a fresh
+    /// one). `observed` is what showed the loss, reported first.
+    fn lose(&mut self, tag: u64, cause: ReplanCause, observed: Option<Event>) -> Option<Step> {
+        let pending = self.outstanding.remove(&tag)?;
+        let (qid, dest) = (pending.qid, pending.dest);
+        self.channels.drop_towards(dest);
+        let attempts = pending.attempt + 1;
+        let lost = Some(Event::Lost { attempts, cause });
+        let events = match observed {
+            Some(_) => [observed, lost],
+            None => [lost, None],
+        };
+        let verdict = Verdict::Lost { pending, cause };
+        Some(Step::new((qid, tag, dest), events, verdict))
+    }
+
+    /// Forgets every outstanding subplan of `qid` (ubQL semantics: a full
+    /// re-plan discards all on-going computations); their timers become
+    /// no-ops.
+    pub(crate) fn abandon(&mut self, qid: QueryId) {
+        self.outstanding.retain(|_, p| p.qid != qid);
+    }
+
+    /// An ungraceful restart: every open channel and subplan in flight is
+    /// lost.
+    pub(crate) fn clear(&mut self) {
+        self.channels = ChannelTable::new();
+        self.outstanding.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node_of;
+    use sqpeer_rdfs::{Node, Resource};
+
+    const ROOT: PeerId = PeerId(1);
+    const HOLDER: PeerId = PeerId(2);
+    /// The base subplan timeout of [`dispatcher`].
+    const T: u64 = 1_000;
+
+    /// A dispatcher at `ROOT` with a timeout of `T` and two retries.
+    fn dispatcher(slow_channel: Option<SlowChannelPolicy>) -> Dispatcher {
+        let config = PeerConfig {
+            subplan_timeout_us: Some(T),
+            subplan_retries: 2,
+            slow_channel,
+            ..PeerConfig::default()
+        };
+        Dispatcher::new(ROOT, &config)
+    }
+
+    fn ctx_at(now_us: u64) -> Ctx<Msg> {
+        Ctx::detached(now_us, node_of(ROOT))
+    }
+
+    /// The messages `ctx` collected, in send order.
+    fn sent(ctx: Ctx<Msg>) -> Vec<Msg> {
+        let outbox = ctx.into_effects().outbox;
+        outbox.into_iter().map(|(_, msg, _)| msg).collect()
+    }
+
+    /// The attempt numbers of the `Subplan`s among `msgs`.
+    fn attempts(msgs: &[Msg]) -> Vec<u32> {
+        msgs.iter()
+            .filter_map(|m| match m {
+                Msg::Subplan { attempt, .. } => Some(*attempt),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Ships an (empty) subplan of query `qid` to `HOLDER` at t = 0, with
+    /// probes asked for; returns the step and the `Subplan` sent.
+    fn ship(d: &mut Dispatcher, qid: u64) -> (Step, Msg) {
+        let mut ctx = ctx_at(0);
+        let plan = PlanNode::Union(Vec::new());
+        let step = d.dispatch(
+            &mut ctx,
+            QueryId(qid),
+            HOLDER,
+            plan,
+            (qid, 0),
+            vec![ROOT],
+            true,
+        );
+        (step, sent(ctx).pop().expect("the subplan was sent"))
+    }
+
+    /// Packet `seq` of a one-column stream answering `subplan`: `rows`
+    /// rows named after the sequence number.
+    fn packet(subplan: &Msg, seq: u32, last: bool, rows: usize) -> Packet {
+        let Msg::Subplan { channel, .. } = subplan else {
+            panic!("not a subplan: {subplan:?}");
+        };
+        let row = |i| vec![Node::Resource(Resource::new(format!("r{seq}.{i}")))];
+        Packet {
+            channel: *channel,
+            seq,
+            last,
+            result: ResultSet {
+                columns: vec!["X".into()],
+                rows: (0..rows).map(row).collect(),
+            },
+            partial: false,
+        }
+    }
+
+    fn ingest(
+        d: &mut Dispatcher,
+        ctx: &mut Ctx<Msg>,
+        qid: u64,
+        tag: u64,
+        p: Packet,
+    ) -> Option<Step> {
+        d.data(ctx, node_of(HOLDER), QueryId(qid), tag, p, |_, _| false)
+    }
+
+    /// At-least-once dispatch: timeouts `T`, `2T`, `4T`, the attempt
+    /// number on every `Subplan`, and `Lost(Timeout)` once `retries`
+    /// re-sends went unanswered.
+    #[test]
+    fn timeout_ladder_backs_off_then_gives_up() {
+        let mut d = dispatcher(None);
+        let (step, subplan) = ship(&mut d, 1);
+        assert_eq!(attempts(&[subplan]), [0]);
+        let mut armed = vec![step.verdict];
+        for attempt in 1..=2 {
+            let mut ctx = ctx_at(0);
+            let step = d.timed_out(&mut ctx, 0).expect("still outstanding");
+            assert_eq!(attempts(&sent(ctx)), [attempt]);
+            assert_eq!(step.events[0], Some(Event::TimedOut));
+            assert!(
+                matches!(step.events[1], Some(Event::Retried { attempt: a, .. }) if a == attempt)
+            );
+            armed.push(step.verdict);
+        }
+        let delays: Vec<Option<u64>> = armed
+            .iter()
+            .map(|v| match v {
+                Verdict::Pending { timeout_us, .. } => *timeout_us,
+                other => panic!("not pending: {other:?}"),
+            })
+            .collect();
+        assert_eq!(delays, [Some(T), Some(2 * T), Some(4 * T)]);
+
+        let mut ctx = ctx_at(0);
+        let step = d.timed_out(&mut ctx, 0).expect("still outstanding");
+        assert!(sent(ctx).is_empty(), "retries are spent");
+        let cause = ReplanCause::Timeout;
+        let lost = Event::Lost { attempts: 3, cause };
+        assert_eq!(step.events, [Some(Event::TimedOut), Some(lost)]);
+        assert!(matches!(step.verdict, Verdict::Lost { cause: c, .. } if c == cause));
+        assert_eq!(d.open_channels(), 0, "the channel goes with the subplan");
+        assert!(d.timed_out(&mut ctx_at(0), 0).is_none());
+    }
+
+    /// The tag outlives a retry: whichever attempt's answer arrives first
+    /// fills the slot, the other's finds nothing, and so does the timer.
+    #[test]
+    fn late_answer_after_a_retry_fills_once() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        d.timed_out(&mut ctx_at(T), 0).expect("retried");
+        let mut ctx = ctx_at(T + 1);
+        let step = ingest(&mut d, &mut ctx, 1, 0, packet(&subplan, 0, true, 1)).expect("live");
+        assert_eq!((step.qid, step.tag, step.dest), (QueryId(1), 0, HOLDER));
+        let Verdict::Answered {
+            frame,
+            slot,
+            result,
+            last,
+            ..
+        } = step.verdict
+        else {
+            panic!("a complete single-packet answer: {:?}", step.verdict);
+        };
+        assert_eq!((frame, slot, result.rows.len()), (1, 0, 1));
+        assert_eq!(last, Some(result));
+        assert!(ingest(&mut d, &mut ctx, 1, 0, packet(&subplan, 0, true, 1)).is_none());
+        assert!(d.timed_out(&mut ctx, 0).is_none());
+        assert!(sent(ctx).is_empty(), "a complete stream owes no credit");
+    }
+
+    /// Reordered and duplicated packets drain once, in sequence order;
+    /// every packet of the still-open stream is acknowledged with exactly
+    /// one credit and every repeat lands in the dedup counter.
+    #[test]
+    fn reordered_and_duplicated_packets_drain_in_order() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        let mut ctx = ctx_at(5);
+        let mut feed = |d: &mut Dispatcher, seq, last| {
+            let step = ingest(d, &mut ctx, 1, 0, packet(&subplan, seq, last, 1)).expect("live");
+            if !last {
+                assert!(matches!(
+                    step.events,
+                    [Some(Event::CreditGranted { .. }), None]
+                ));
+            }
+            step.verdict
+        };
+        let names =
+            |rows: &[Row]| -> Vec<String> { rows.iter().map(|r| format!("{:?}", r[0])).collect() };
+        // 1 waits for 0; 0 releases both; their repeats release nothing.
+        assert!(matches!(feed(&mut d, 1, false), Verdict::Pending { .. }));
+        let Verdict::Drained { batch, .. } = feed(&mut d, 0, false) else {
+            panic!("0 and 1 drain together");
+        };
+        assert_eq!(batch.rows.len(), 2);
+        let in_order = names(&batch.rows);
+        assert!(matches!(feed(&mut d, 0, false), Verdict::Pending { .. }));
+        assert!(matches!(feed(&mut d, 1, false), Verdict::Pending { .. }));
+        let Verdict::Answered { result, last, .. } = feed(&mut d, 2, true) else {
+            panic!("the last packet completes the stream");
+        };
+        assert_eq!(last.map(|b| b.rows.len()), Some(1));
+        assert_eq!(names(&result.rows)[..2], in_order[..]);
+        assert_eq!(result.rows.len(), 3);
+
+        let effects = ctx.into_effects();
+        assert_eq!(effects.counters.stream_dedup_drops, 2);
+        assert_eq!(effects.stream_ttfr, [(node_of(HOLDER), 5)]);
+        assert_eq!(effects.outbox.len(), 4, "one credit per non-final packet");
+        for (to, msg, _) in &effects.outbox {
+            assert_eq!(*to, node_of(HOLDER));
+            assert!(matches!(
+                msg,
+                Msg::Credit {
+                    credits: 1,
+                    tag: 0,
+                    ..
+                }
+            ));
+        }
+    }
+
+    /// A probe never comes before the grace period, re-arms while the
+    /// channel's window holds the floor and gives up below it.
+    #[test]
+    fn probe_rearms_above_the_floor_and_gives_up_below() {
+        let policy = SlowChannelPolicy::default();
+        let first = policy.grace_us + policy.probe_interval_us;
+        let mut d = dispatcher(Some(policy));
+        let (step, subplan) = ship(&mut d, 1);
+        let Verdict::Pending { probe_us, .. } = step.verdict else {
+            panic!("dispatched subplans are pending");
+        };
+        assert_eq!(probe_us, Some(first));
+        // 400 rows in the first window: ≈ 16 B/ms against a 10 B/ms floor.
+        ingest(
+            &mut d,
+            &mut ctx_at(first / 2),
+            1,
+            0,
+            packet(&subplan, 0, false, 400),
+        );
+        let step = d.probed(&mut ctx_at(first), 0).expect("outstanding");
+        assert_eq!(step.events, [None, None]);
+        let rearm = Some(policy.probe_interval_us);
+        assert!(
+            matches!(step.verdict, Verdict::Pending { timeout_us: None, probe_us } if probe_us == rearm)
+        );
+        // Nothing since: the same bytes over ten times the window.
+        let step = d.probed(&mut ctx_at(10 * first), 0).expect("outstanding");
+        let cause = ReplanCause::SlowChannel;
+        assert!(matches!(
+            step.events[0],
+            Some(Event::SlowChannel { floor_bpms: 10, .. })
+        ));
+        assert_eq!(step.events[1], Some(Event::Lost { attempts: 1, cause }));
+        assert!(matches!(step.verdict, Verdict::Lost { cause: c, .. } if c == cause));
+        assert!(d.probed(&mut ctx_at(11 * first), 0).is_none());
+
+        // No policy, or a forwarding peer's dispatch: no probe is armed.
+        let (step, _) = ship(&mut dispatcher(None), 1);
+        assert!(matches!(
+            step.verdict,
+            Verdict::Pending { probe_us: None, .. }
+        ));
+    }
+
+    /// `SubplanFailed` and delivery failures naming a tag that is not
+    /// outstanding — or, for the remote-chosen `qid`, another query's —
+    /// settle nothing; naming a live one loses it.
+    #[test]
+    fn refusals_and_delivery_failures_of_unknown_tags_are_no_ops() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        assert!(d.refused(QueryId(1), 7).is_none());
+        assert!(d.refused(QueryId(2), 0).is_none(), "tag 0 is query 1's");
+        let mut stray = subplan.clone();
+        if let Msg::Subplan { tag, .. } = &mut stray {
+            *tag = 7;
+        }
+        assert!(d.undelivered(HOLDER, &stray).is_none());
+        assert_eq!(d.outstanding.len(), 1);
+
+        let step = d.undelivered(HOLDER, &subplan).expect("tag 0 was live");
+        let cause = ReplanCause::Delivery;
+        assert_eq!(
+            step.events,
+            [Some(Event::Lost { attempts: 1, cause }), None]
+        );
+        let (_, subplan) = ship(&mut d, 1);
+        assert!(matches!(subplan, Msg::Subplan { tag: 1, .. }));
+        let step = d.refused(QueryId(1), 1).expect("tag 1 is live");
+        let cause = ReplanCause::Refused;
+        assert_eq!(
+            step.events,
+            [
+                Some(Event::Refused),
+                Some(Event::Lost { attempts: 1, cause })
+            ]
+        );
+        assert!(matches!(step.verdict, Verdict::Lost { cause: c, .. } if c == cause));
+        assert!(d.outstanding.is_empty());
+    }
+
+    /// A full re-plan forgets the query's subplans — half-received
+    /// streams included — and nobody else's.
+    #[test]
+    fn abandon_forgets_one_query_only() {
+        let mut d = dispatcher(None);
+        let (_, first) = ship(&mut d, 1);
+        ship(&mut d, 2);
+        ship(&mut d, 1);
+        ingest(&mut d, &mut ctx_at(1), 1, 0, packet(&first, 0, false, 1));
+        d.abandon(QueryId(1));
+        assert_eq!(d.outstanding.keys().collect::<Vec<_>>(), [&1]);
+        let mut ctx = ctx_at(2);
+        assert!(ingest(&mut d, &mut ctx, 1, 0, packet(&first, 1, true, 1)).is_none());
+        assert!(d.timed_out(&mut ctx, 0).is_none());
+        assert!(d.timed_out(&mut ctx, 2).is_none());
+        assert!(sent(ctx).is_empty());
+        assert!(
+            d.timed_out(&mut ctx_at(2), 1).is_some(),
+            "query 2 is untouched"
+        );
+    }
+
+    /// A dispatcher that has received the first packet of a five-packet
+    /// stream from `HOLDER` (tag 0 of query 1) and nothing more.
+    fn half_received_stream() -> Dispatcher {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        ingest(&mut d, &mut ctx_at(0), 1, 0, packet(&subplan, 0, false, 1));
+        let stream = &d.outstanding[&0].stream;
+        assert_eq!((stream.recv.next_seq(), stream.drained.rows.len()), (1, 1));
+        d
+    }
+
+    /// The orphaned-reassembly leak, timeout path: the holder streams its
+    /// first batch and goes silent; once the retry ladder is exhausted
+    /// the subplan leaves with the rows it had reassembled.
+    #[test]
+    fn abandoned_stream_leaves_no_reassembly_after_timeout_ladder() {
+        let mut d = half_received_stream();
+        let mut verdict = None;
+        for _ in 0..=d.retries {
+            verdict = d.timed_out(&mut ctx_at(0), 0).map(|step| step.verdict);
+        }
+        let Some(Verdict::Lost { pending, .. }) = verdict else {
+            panic!("the ladder gives out: {verdict:?}");
+        };
+        assert_eq!(pending.stream.drained.rows.len(), 1);
+        assert!(d.outstanding.is_empty(), "no reassembly outlives its tag");
+        assert_eq!(d.open_channels(), 0);
+    }
+
+    /// The same leak through `SubplanFailed`: the holder gives up on the
+    /// subplan mid-stream.
+    #[test]
+    fn abandoned_stream_leaves_no_reassembly_after_subplan_failed() {
+        let mut d = half_received_stream();
+        let step = d.refused(QueryId(1), 0).expect("tag 0 is live");
+        assert!(matches!(step.verdict, Verdict::Lost { .. }));
+        assert!(d.outstanding.is_empty(), "no reassembly outlives its tag");
+        assert_eq!(d.open_channels(), 0);
+    }
+}

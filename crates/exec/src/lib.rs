@@ -10,8 +10,13 @@
 //!   registry and its leases, tombstones, cluster summaries, backbone
 //!   relays and tree-descent routing gathers — and is unit-tested
 //!   without a network;
-//! * [`PeerNode`] ([`peer`]) holds one directory and is the query plane;
-//!   [`stream`] is the sans-IO seq/credit machine of one channel.
+//! * [`PeerNode`] ([`peer`]) holds one directory and is the query plane:
+//!   the plan interpreter and the run-time adaptation. What it has
+//!   shipped and still waits on — channels, the timeout/retry/probe
+//!   ladder, answer reassembly — is one `dispatch::Dispatcher`, which
+//!   says what happened to a subplan as a typed `dispatch::Event` and
+//!   is likewise unit-tested without a network; [`stream`] is the
+//!   sans-IO seq/credit machine of one channel.
 //!
 //! The [`PeerNode`] plugs into [`sqpeer_net::Simulator`] and implements,
 //! per peer role,
@@ -29,6 +34,7 @@
 //!   intermediate results (the ubQL approach), excludes the obsolete peer
 //!   and re-runs routing + processing.
 
+mod dispatch;
 pub mod local;
 pub mod msg;
 pub mod obs;

@@ -14,20 +14,27 @@
 //! notification. What the peer *knows* about its SON — advertisements and
 //! their leases, cluster summaries, backbone relays and tree-descent
 //! routing gathers — is the [`Directory`] in its `son` field
-//! (`crate::son`); this file is the life of a query over that knowledge:
-//! intake, routing delegation or local routing, planning, channel
-//! deployment, result streaming, hole filling, run-time adaptation. The
-//! node routes SON messages, timers and delivery failures to the
-//! directory, lends it the router (`local_route`'s) and keeps
-//! the one timer table.
+//! (`crate::son`); every subplan it has shipped and not yet settled —
+//! the channel, the timeout/retry ladder, the slow-channel probes, the
+//! reassembly of the streamed answer — is the `Dispatcher` in its
+//! `dispatch` field (`crate::dispatch`). This file is the life of a query
+//! over the two: intake, routing delegation or local routing, planning,
+//! the plan interpreter (frames, slots, pipelined joins), serving and
+//! streaming subplans for other roots, hole filling, and the run-time
+//! adaptation that every lost subplan reaches through
+//! `handle_lost_subplan`. The node routes messages, timers and delivery
+//! failures to the directory and the dispatcher, lends the directory its
+//! router (`local_route`'s), records what the dispatcher reports
+//! (`note`) and keeps the one timer table.
 
+use crate::dispatch::{Dispatcher, Event, Packet, PendingRemote, ReplanCause, Step, Verdict};
 use crate::local::{eval_local, fully_local};
 use crate::msg::{Msg, PeerChannel, QueryId, QueryOutcome};
 use crate::son::{Directory, Route};
-use crate::stream::{Receiver, Sender};
+use crate::stream::Sender;
 use crate::{node_of, peer_of, send};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
-use sqpeer_net::{Channel, ChannelTable, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
+use sqpeer_net::{Channel, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
 use sqpeer_plan::{
     generate_plan, optimize_traced, CostParams, Estimator, Explain, OptimizeReport, PlanNode, Site,
     Subquery, UniformCost,
@@ -142,7 +149,7 @@ pub struct PeerConfig {
     pub trace: bool,
     /// Telemetry-driven adaptation (§2.5: "the optimizer may alter a
     /// running query plan by observing the throughput of a certain
-    /// channel"): the root probes each outstanding subplan's windowed
+    /// channel"): the root probes each in-flight subplan's windowed
     /// throughput and replans a channel whose observed rate falls below
     /// the policy floor — **before** the subplan timeout would fire.
     /// `None` (the default) keeps adaptation purely timeout-driven.
@@ -162,7 +169,7 @@ pub struct PeerConfig {
 /// `expected_bytes_per_ms × min_fraction_permille / 1000`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowChannelPolicy {
-    /// Virtual µs between throughput probes of one outstanding subplan.
+    /// Virtual µs between throughput probes of one in-flight subplan.
     pub probe_interval_us: u64,
     /// Grace period after dispatch before the first probe: one network
     /// round-trip plus service must plausibly fit, or every dispatch
@@ -447,18 +454,6 @@ struct JoinProbe {
     acc: Option<ResultSet>,
 }
 
-/// Root-side reassembly of one streamed subplan result: the seq machine
-/// ([`Receiver`]) plus the rows it has released so far. Every drained
-/// batch is visible to the pipelined-consumption hook (§2.4) at once.
-#[derive(Debug, Default)]
-struct Reassembly {
-    recv: Receiver<Vec<Row>>,
-    columns: Vec<String>,
-    /// Rows of every batch drained so far, in sequence order.
-    acc: Vec<Row>,
-    partial: bool,
-}
-
 /// One outgoing data-packet stream: the credit-gated [`Sender`] plus
 /// what its packets are addressed and closed with.
 #[derive(Debug)]
@@ -527,9 +522,9 @@ enum Timer {
     /// outgoing stream exists when it fires. Occupies a §2.5 slot until
     /// the last batch does.
     Production(StreamKey),
-    /// Slow-channel throughput probe of an outstanding subplan tag.
+    /// Slow-channel throughput probe of an in-flight subplan tag.
     Probe(u64),
-    /// Subplan timeout of an outstanding tag.
+    /// Subplan timeout of an in-flight tag.
     Timeout(u64),
 }
 
@@ -553,34 +548,6 @@ impl Timer {
     fn holds_slot(&self) -> bool {
         matches!(self, Timer::Completion { .. } | Timer::Production(_))
     }
-}
-
-#[derive(Debug)]
-struct PendingRemote {
-    qid: QueryId,
-    frame: u64,
-    slot: usize,
-    dest: PeerId,
-    /// The shipped subtree's output columns, so a failed slot can be
-    /// filled with a *well-formed* empty table.
-    columns: Vec<String>,
-    /// The shipped plan itself (needed to repair around a slow or failed
-    /// destination); rendered, it keys the phased-execution result cache.
-    plan: PlanNode,
-    /// Visited-set shipped with the subplan (re-sent verbatim on retry).
-    visited: Vec<PeerId>,
-    /// At-least-once attempts sent so far (0 = original dispatch only).
-    attempt: u32,
-    /// Virtual µs the subplan was first dispatched — the start of the
-    /// throughput window the slow-channel probes observe.
-    dispatched_at_us: u64,
-    /// Result bytes received on this channel so far (streamed batches
-    /// included) — the numerator of the windowed throughput.
-    bytes_observed: u64,
-    /// The partially received streamed result. Living here, it goes
-    /// wherever the outstanding entry goes: answered, abandoned or
-    /// replanned away, no reassembly outlives its subplan.
-    stream: Reassembly,
 }
 
 /// The idempotent-receive log: highest attempt served per subplan
@@ -700,17 +667,6 @@ impl Router<'_> {
     }
 }
 
-/// Why a re-plan fired, for cause-attributed adaptation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplanCause {
-    /// A sender-side delivery-failure notification (destination down).
-    Delivery,
-    /// A subplan timeout with retries exhausted.
-    Timeout,
-    /// The telemetry windowed-throughput floor (slow-but-alive channel).
-    SlowChannel,
-}
-
 /// The peer node: state machine over the simulated network.
 pub struct PeerNode {
     /// This peer's id (coincides with its simulator node id).
@@ -731,14 +687,14 @@ pub struct PeerNode {
     /// of §2.2 / E8).
     pub queries_processed: usize,
 
-    channels: ChannelTable<PeerId>,
     /// Queries this peer rooted, running and answered — see
     /// [`PeerNode::outcome`] / [`PeerNode::take_outcome`].
     rooted: HashMap<QueryId, RootQuery>,
     frames: HashMap<u64, Frame>,
     next_frame: u64,
-    outstanding: HashMap<u64, PendingRemote>,
-    next_tag: u64,
+    /// Subplans shipped from here and not yet settled, and the channels
+    /// they travel on.
+    dispatch: Dispatcher,
     /// Every armed timer, by id (see [`Timer`]).
     timers: HashMap<u64, Timer>,
     next_timer: u64,
@@ -776,18 +732,16 @@ impl PeerNode {
         });
         PeerNode {
             son: Directory::new(id, role, &config),
+            dispatch: Dispatcher::new(id, &config),
             id,
             role,
             config,
             base,
             client_answers: HashMap::new(),
             queries_processed: 0,
-            channels: ChannelTable::new(),
             rooted: HashMap::new(),
             frames: HashMap::new(),
             next_frame: 0,
-            outstanding: HashMap::new(),
-            next_tag: 0,
             timers: HashMap::new(),
             next_timer: 0,
             slot_queue: VecDeque::new(),
@@ -838,7 +792,7 @@ impl PeerNode {
 
     /// Channels currently rooted here (inspection).
     pub fn rooted_channels(&self) -> usize {
-        self.channels.len()
+        self.dispatch.open_channels()
     }
 
     /// Rooted-query records held here, running and answered-but-not-yet-
@@ -968,7 +922,11 @@ impl PeerNode {
                             backbone_ttl: PeerConfig::BACKBONE_TTL,
                             partial: None,
                         };
-                        self.send_rooted(ctx, qid, sp, msg);
+                        let bytes = send(ctx, sp, msg);
+                        if let Some(root) = self.live_root(qid) {
+                            root.profile.messages_sent += 1;
+                            root.profile.bytes_sent += bytes as u64;
+                        }
                     }
                     None => self.finalize(ctx, qid, ResultSet::default(), true),
                 }
@@ -1453,6 +1411,8 @@ impl PeerNode {
         }
     }
 
+    /// Ships `plan` to `dest` as a subplan feeding `(frame, slot)` —
+    /// unless a previous phase already fetched it from there.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_remote(
         &mut self,
@@ -1464,7 +1424,6 @@ impl PeerNode {
         slot: usize,
         visited: Vec<PeerId>,
     ) {
-        let channel = self.channels.channel_to(self.id, dest);
         if self.config.phased {
             if let Some(root) = self.rooted.get(&qid) {
                 if let Some(cached) = root.phase_cache.get(&(dest, plan.to_string())) {
@@ -1477,152 +1436,123 @@ impl PeerNode {
                 }
             }
         }
-        let tag = self.next_tag;
-        self.next_tag += 1;
-        let columns = plan_columns(&plan);
-        self.outstanding.insert(
-            tag,
-            PendingRemote {
-                qid,
+        let probe = self.rooted.contains_key(&qid);
+        let step = self
+            .dispatch
+            .dispatch(ctx, qid, dest, plan, (frame, slot), visited, probe);
+        self.settle(ctx, Some(step));
+    }
+
+    /// Records what the dispatcher reported of one step and acts on its
+    /// verdict. Every way a subplan in flight moves on — armed, drained,
+    /// answered, lost — passes through here.
+    fn settle(&mut self, ctx: &mut Ctx<Msg>, step: Option<Step>) {
+        let Some(step) = step else {
+            return;
+        };
+        let (qid, tag) = (step.qid, step.tag);
+        for event in step.events.into_iter().flatten() {
+            self.note(ctx, qid, tag, step.dest, event);
+        }
+        match step.verdict {
+            Verdict::Pending {
+                timeout_us,
+                probe_us,
+            } => {
+                if let Some(delay) = timeout_us {
+                    self.arm(ctx, delay, Timer::Timeout(tag));
+                }
+                if let Some(delay) = probe_us {
+                    self.arm(ctx, delay, Timer::Probe(tag));
+                }
+            }
+            Verdict::Drained { frame, slot, batch } => {
+                self.consume_batch(ctx, qid, frame, slot, batch)
+            }
+            Verdict::Answered {
                 frame,
                 slot,
-                dest,
-                columns,
                 plan,
-                visited,
-                attempt: 0,
-                dispatched_at_us: ctx.now_us(),
-                bytes_observed: 0,
-                stream: Reassembly::default(),
-            },
-        );
-        if let Some(timeout) = self.config.subplan_timeout_us {
-            self.arm(ctx, timeout, Timer::Timeout(tag));
+                last,
+                result,
+                partial,
+            } => {
+                if let Some(batch) = last {
+                    self.consume_batch(ctx, qid, frame, slot, batch);
+                }
+                if self.config.phased && !partial {
+                    if let Some(root) = self.live_root(qid) {
+                        root.phase_cache
+                            .insert((step.dest, plan.to_string()), result.clone());
+                    }
+                }
+                // A probe that covered the whole stream has already
+                // folded the frame's combined result incrementally;
+                // hand it over so `combine` skips the re-fold.
+                if let Some(f) = self.frames.get_mut(&frame) {
+                    if let Some(probe) = f.probe.take() {
+                        if probe.slot == slot {
+                            f.precombined = probe.acc;
+                        }
+                    }
+                }
+                self.fill_slot(ctx, frame, slot, result, partial);
+            }
+            Verdict::Lost { pending, cause } => self.handle_lost_subplan(ctx, pending, cause),
         }
-        // Telemetry-driven adaptation probes the channel's throughput
-        // window well before the timeout would fire (root side only —
-        // forwarding peers leave slow channels to their own roots).
-        if let Some(policy) = self.config.slow_channel {
-            if self.rooted.contains_key(&qid) {
-                let first = policy.grace_us + policy.probe_interval_us;
-                self.arm(ctx, first, Timer::Probe(tag));
+    }
+
+    /// Folds one event of subplan `tag` (shipped to `dest`) into every
+    /// recorder that keeps it: the transport's protocol counters, the
+    /// query's profile (while this peer roots it live), the tracer, the
+    /// flight recorder and — for a loss — the EXPLAIN adaptation log.
+    fn note(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, tag: u64, dest: PeerId, event: Event) {
+        let now = ctx.now_us();
+        if let Some(root) = self.live_root(qid) {
+            let profile = &mut root.profile;
+            if let Event::Dispatched { bytes, .. }
+            | Event::Retried { bytes, .. }
+            | Event::CreditGranted { bytes } = event
+            {
+                profile.messages_sent += 1;
+                profile.bytes_sent += bytes;
+            }
+            match event {
+                Event::Dispatched { .. } => {
+                    profile.subplans_dispatched += 1;
+                    root.peers_contacted.insert(dest);
+                }
+                Event::Retried { .. } => profile.retries += 1,
+                Event::TimedOut => profile.timeouts += 1,
+                Event::Answered { bytes, .. } => {
+                    profile.subplans_answered += 1;
+                    profile.bytes_received += bytes;
+                }
+                Event::Lost { .. } => profile.subplans_failed += 1,
+                Event::SlowChannel { .. } | Event::CreditGranted { .. } | Event::Refused => {}
             }
         }
-        self.send_subplan(ctx, tag, channel);
-        if let Some(root) = self.live_root(qid) {
-            root.profile.subplans_dispatched += 1;
-            root.peers_contacted.insert(dest);
+        let describe = || format!("subplan tag {tag} → {dest}: {event}");
+        match event {
+            Event::Retried { .. } => ctx.counters().retries_sent += 1,
+            Event::TimedOut => ctx.counters().timeouts_fired += 1,
+            Event::CreditGranted { .. } => self.credits_granted += 1,
+            // The EXPLAIN adaptation log (§2.5): the window that flagged a
+            // channel, and every loss with its cause. Not `live_root`: a
+            // subplan abandoned after a give-up answer still belongs.
+            Event::SlowChannel { .. } | Event::Lost { .. } => {
+                if let Some(explain) = self.rooted.get_mut(&qid).and_then(|r| r.explain.as_mut()) {
+                    explain.adaptation.push(format!("t={now}us {}", describe()));
+                }
+            }
+            _ => {}
         }
-        self.tracer
-            .get_mut()
-            .event_with(ctx.now_us(), qid.0, "exec:dispatch", || {
-                format!("subplan tag {tag} → {dest} over channel {}", channel.id.0)
-            });
-        self.flight(ctx.now_us(), "dispatch", || {
-            format!("{qid} subplan tag {tag} → {dest}")
-        });
-    }
-
-    /// Ships outstanding subplan `tag`, at its recorded attempt, over
-    /// `channel`.
-    fn send_subplan(&mut self, ctx: &mut Ctx<Msg>, tag: u64, channel: PeerChannel) {
-        let pending = &self.outstanding[&tag];
-        let (qid, dest) = (pending.qid, pending.dest);
-        let msg = Msg::Subplan {
-            channel,
-            qid,
-            tag,
-            plan: pending.plan.clone(),
-            visited: pending.visited.clone(),
-            attempt: pending.attempt,
-            trace: self.config.trace.then_some(crate::msg::TraceCtx {
-                origin: self.id,
-                parent_start_us: ctx.now_us(),
-            }),
-        };
-        self.send_rooted(ctx, qid, dest, msg);
-    }
-
-    /// [`send`], charged to `qid`'s profile counters when this peer roots
-    /// the query.
-    fn send_rooted(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, to: PeerId, msg: Msg) {
-        let bytes = send(ctx, to, msg);
-        if let Some(root) = self.live_root(qid) {
-            root.profile.messages_sent += 1;
-            root.profile.bytes_sent += bytes as u64;
+        let (name, kind) = event.recorded_as();
+        if let Some(name) = name {
+            self.tracer.get_mut().event_with(now, qid.0, name, describe);
         }
-    }
-
-    /// Re-sends a timed-out subplan to the same destination (at-least-once
-    /// dispatch), arming the next timeout with exponential backoff. The
-    /// tag stays the same — whichever attempt's answer arrives first fills
-    /// the slot; the bumped attempt lets the destination separate genuine
-    /// retries from network duplicates.
-    fn retry_subplan(&mut self, ctx: &mut Ctx<Msg>, tag: u64, base_timeout: u64) {
-        let Some(pending) = self.outstanding.get_mut(&tag) else {
-            return;
-        };
-        pending.attempt += 1;
-        let (qid, dest, attempt) = (pending.qid, pending.dest, pending.attempt);
-        let channel = self.channels.channel_to(self.id, dest);
-        ctx.counters().retries_sent += 1;
-        self.arm(ctx, base_timeout << attempt.min(16), Timer::Timeout(tag));
-        self.send_subplan(ctx, tag, channel);
-        if let Some(root) = self.live_root(qid) {
-            root.profile.retries += 1;
-        }
-        self.tracer
-            .get_mut()
-            .event_with(ctx.now_us(), qid.0, "exec:retry", || {
-                format!("subplan tag {tag} → {dest}, attempt {attempt}")
-            });
-        self.flight(ctx.now_us(), "retry", || {
-            format!("{qid} subplan tag {tag} → {dest}, attempt {attempt}")
-        });
-    }
-
-    /// The timeout of outstanding subplan `tag` fired: the channel is too
-    /// slow or the message was silently lost — the timer is the only
-    /// signal the root ever gets. A result that already arrived cleared
-    /// the outstanding entry, making this a no-op.
-    fn subplan_timed_out(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
-        let Some(pending) = self.outstanding.get(&tag) else {
-            return;
-        };
-        let (qid, attempt) = (pending.qid, pending.attempt);
-        ctx.counters().timeouts_fired += 1;
-        if let Some(root) = self.live_root(qid) {
-            root.profile.timeouts += 1;
-        }
-        self.tracer
-            .get_mut()
-            .event_with(ctx.now_us(), qid.0, "exec:timeout", || {
-                format!("subplan tag {tag} timed out")
-            });
-        self.flight(ctx.now_us(), "timeout", || {
-            format!("{qid} subplan tag {tag} timed out")
-        });
-        if attempt < self.config.subplan_retries {
-            // At-least-once dispatch: retry the same destination with
-            // exponential backoff before giving up on it.
-            let base = self
-                .config
-                .subplan_timeout_us
-                .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US);
-            self.retry_subplan(ctx, tag, base);
-        } else if let Some(pending) = self.outstanding.remove(&tag) {
-            // Retries exhausted: treat the destination as gone and adapt
-            // (§2.5).
-            let now = ctx.now_us();
-            self.note_adaptation(qid, || {
-                format!(
-                    "t={now}us timeout: subplan tag {tag} at {} abandoned after {} attempts — \
-                     replanned",
-                    pending.dest,
-                    pending.attempt + 1
-                )
-            });
-            self.handle_lost_subplan(ctx, pending, ReplanCause::Timeout);
+        if let Some(kind) = kind {
+            self.flight(now, kind, || format!("{qid} {}", describe()));
         }
     }
 
@@ -1688,21 +1618,6 @@ impl PeerNode {
                 }
             }
             Completion::Root { qid } => self.finalize(ctx, qid, result, partial),
-        }
-    }
-
-    fn fail(&mut self, ctx: &mut Ctx<Msg>, completion: Completion, columns: Vec<String>) {
-        match completion {
-            Completion::Parent { frame, slot } => {
-                self.fill_slot(ctx, frame, slot, ResultSet::empty(columns), true)
-            }
-            Completion::Channel { channel, qid, tag } => {
-                // A forwarding stream may have pipelined batches already;
-                // the failure supersedes it.
-                self.outgoing.remove(&(channel.root, qid, tag));
-                send(ctx, channel.root, Msg::SubplanFailed { channel, qid, tag });
-            }
-            Completion::Root { qid } => self.finalize(ctx, qid, ResultSet::default(), true),
         }
     }
 
@@ -2130,62 +2045,8 @@ impl PeerNode {
         match cause {
             ReplanCause::Timeout => counters.timeout_replans += 1,
             ReplanCause::SlowChannel => counters.slow_channel_replans += 1,
-            ReplanCause::Delivery => {}
+            ReplanCause::Delivery | ReplanCause::Refused => {}
         }
-    }
-
-    /// Appends one observation line to the query's EXPLAIN adaptation
-    /// log (§2.5) — no-op unless tracing captured an Explain.
-    fn note_adaptation(&mut self, qid: QueryId, line: impl FnOnce() -> String) {
-        // Not `live_root`: a subplan abandoned after a give-up answer
-        // still belongs in the log.
-        if let Some(explain) = self.rooted.get_mut(&qid).and_then(|r| r.explain.as_mut()) {
-            explain.adaptation.push(line());
-        }
-    }
-
-    /// One telemetry probe of an outstanding subplan's channel: compares
-    /// the throughput observed over the channel's lifetime window against
-    /// the policy floor, and abandons a degraded-but-alive channel
-    /// **before** its timeout would fire (§2.5: "the optimizer may alter
-    /// a running query plan by observing the throughput of a certain
-    /// channel"). A healthy (or not yet conclusive) channel re-arms the
-    /// probe; an answered subplan retires it silently.
-    fn probe_channel(&mut self, ctx: &mut Ctx<Msg>, tag: u64) {
-        let Some(policy) = self.config.slow_channel else {
-            return;
-        };
-        let Some(pending) = self.outstanding.get(&tag) else {
-            return;
-        };
-        let (qid, dest) = (pending.qid, pending.dest);
-        let bytes = pending.bytes_observed;
-        let window_us = ctx.now_us().saturating_sub(pending.dispatched_at_us).max(1);
-        let floor_bpms =
-            (policy.expected_bytes_per_ms * policy.min_fraction_permille / 1_000).max(1);
-        let observed_bpms = bytes * 1_000 / window_us;
-        if observed_bpms >= floor_bpms {
-            self.arm(ctx, policy.probe_interval_us, Timer::Probe(tag));
-            return;
-        }
-        let now = ctx.now_us();
-        self.tracer
-            .get_mut()
-            .event_with(now, qid.0, "exec:slow-channel", || {
-                format!(
-                    "subplan tag {tag} → {dest}: window {bytes}B/{window_us}us = \
-                     {observed_bpms} B/ms below floor {floor_bpms} B/ms — replanning \
-                     before timeout"
-                )
-            });
-        self.note_adaptation(qid, || {
-            format!(
-                "t={now}us slow channel to {dest}: window {bytes}B/{window_us}us = \
-                 {observed_bpms} B/ms < floor {floor_bpms} B/ms — replanned before timeout"
-            )
-        });
-        let pending = self.outstanding.remove(&tag).expect("checked above");
-        self.handle_lost_subplan(ctx, pending, ReplanCause::SlowChannel);
     }
 
     fn adapt_or_give_up(
@@ -2219,42 +2080,27 @@ impl PeerNode {
         for id in stale_frames {
             self.frames.remove(&id);
         }
-        self.outstanding.retain(|_, p| p.qid != qid);
+        self.dispatch.abandon(qid);
         self.plan_and_execute(ctx, qid);
     }
 
-    /// Common handling for a subplan lost to a failed destination or a
-    /// too-slow channel: phased repair, full re-plan, or graceful partial
-    /// degradation, per configuration.
+    /// The one road a lost subplan takes, whatever showed the loss
+    /// (delivery failure, refusal, timeout ladder, slow channel): phased
+    /// repair, full re-plan, or graceful partial degradation, per
+    /// configuration. The dispatcher has already dropped the channel.
     fn handle_lost_subplan(
         &mut self,
         ctx: &mut Ctx<Msg>,
         pending: PendingRemote,
         cause: ReplanCause,
     ) {
-        let qid = pending.qid;
-        let failed_peer = pending.dest;
-        // The channel is dead with its destination; whatever adaptation
-        // dispatches next mints a fresh one.
-        self.channels.drop_towards(failed_peer);
-        if let Some(root) = self.live_root(qid) {
-            root.profile.subplans_failed += 1;
-        }
-        self.tracer
-            .get_mut()
-            .event_with(ctx.now_us(), qid.0, "exec:failed", || {
-                format!("subplan {} lost at {failed_peer}", pending.plan)
-            });
-        self.flight(ctx.now_us(), "replan", || {
-            format!("{qid} subplan lost at {failed_peer}")
-        });
+        let (qid, failed_peer) = (pending.qid, pending.dest);
         let is_root = self.rooted.contains_key(&qid);
         if is_root && self.config.adaptive && self.config.phased {
             // Phased, subplan-level repair (§2.5: "the alteration is done
             // on a subplan and not on the whole query plan"): everything
             // else keeps running; only the lost fragment is re-routed.
-            let plan = pending.plan.clone();
-            self.repair_subplan(ctx, qid, failed_peer, plan, pending, cause);
+            self.repair_subplan(ctx, pending, cause);
         } else if is_root && self.config.adaptive {
             // ubQL semantics: discard everything and re-plan.
             self.adapt_or_give_up(ctx, qid, Some(failed_peer), cause);
@@ -2265,30 +2111,25 @@ impl PeerNode {
             if let Some(root) = self.live_root(qid) {
                 root.missing.insert(failed_peer);
             }
-            self.fail_slot(ctx, pending);
+            let empty = ResultSet::empty(pending.columns);
+            self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
         }
     }
 
-    /// Gives up on `pending`'s branch: its slot is filled with a
-    /// well-formed empty partial result.
-    fn fail_slot(&mut self, ctx: &mut Ctx<Msg>, pending: PendingRemote) {
-        let empty = ResultSet::empty(pending.columns);
-        self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
-    }
-
-    /// Re-routes one lost subplan around `failed` without disturbing the
-    /// rest of the running plan: the failed peer's fetches become holes,
-    /// local routing fills them with alternatives, and the repaired
-    /// fragment feeds the *same* frame slot.
-    fn repair_subplan(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        qid: QueryId,
-        failed: PeerId,
-        plan: PlanNode,
-        pending: PendingRemote,
-        cause: ReplanCause,
-    ) {
+    /// Re-routes one lost subplan around its failed destination without
+    /// disturbing the rest of the running plan: the failed peer's fetches
+    /// become holes, local routing fills them with alternatives, and the
+    /// repaired fragment feeds the *same* frame slot.
+    fn repair_subplan(&mut self, ctx: &mut Ctx<Msg>, pending: PendingRemote, cause: ReplanCause) {
+        let PendingRemote {
+            qid,
+            dest: failed,
+            frame,
+            slot,
+            columns,
+            plan,
+            ..
+        } = pending;
         let excluded: Vec<PeerId> = {
             let Some(root) = self.live_root(qid) else {
                 return;
@@ -2303,17 +2144,10 @@ impl PeerNode {
         let holed = strip_peer(plan, failed);
         let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
         if repaired.is_complete() {
-            self.execute(
-                ctx,
-                qid,
-                repaired,
-                Completion::Parent {
-                    frame: pending.frame,
-                    slot: pending.slot,
-                },
-            );
+            self.execute(ctx, qid, repaired, Completion::Parent { frame, slot });
         } else {
-            self.fail_slot(ctx, pending);
+            // Nobody else holds it: an empty partial slot.
+            self.fill_slot(ctx, frame, slot, ResultSet::empty(columns), true);
         }
     }
 
@@ -2381,8 +2215,10 @@ impl PeerNode {
                 self.dispatch_remote(ctx, qid, peer, filled, frame, 0, visited);
             }
             None => {
-                let columns = plan_columns(&filled);
-                self.fail(ctx, completion, columns);
+                // Nobody left to ask: refuse the subplan. A forwarding
+                // stream an earlier attempt pipelined is superseded.
+                self.outgoing.remove(&(channel.root, qid, tag));
+                send(ctx, channel.root, Msg::SubplanFailed { channel, qid, tag });
             }
         }
     }
@@ -2594,137 +2430,28 @@ impl NodeLogic for PeerNode {
                     // packets keep the optimiser's estimates current (§2.4).
                     self.son.refresh_stats(peer_of(from), fresh);
                 }
-                let Some(pending) = self.outstanding.get_mut(&tag) else {
-                    return;
+                let packet = Packet {
+                    channel,
+                    seq,
+                    last,
+                    result,
+                    partial,
                 };
-                if pending.qid != qid {
-                    // `tag` and `qid` are the sender's claim: a packet
-                    // naming another query's tag must not reach its slot.
-                    return;
-                }
-                if pending.bytes_observed == 0 {
-                    // Per-link TTFR: the first result packet of this
-                    // subplan just arrived — telemetry's streaming
-                    // figure of merit.
-                    let elapsed = ctx.now_us().saturating_sub(pending.dispatched_at_us);
-                    ctx.note_stream_ttfr(from, elapsed);
-                }
-                // Throughput accounting for the slow-channel probes:
-                // every packet (streamed batches included) counts as
-                // progress on this channel's window.
-                pending.bytes_observed += result.wire_size() as u64 + 48;
-                let (frame_id, slot) = (pending.frame, pending.slot);
                 // Pipelined join consumption: a probe activating on this
                 // packet needs the full drained prefix (earlier batches
                 // arrived before its sibling slots filled), not just this
                 // packet's rows.
-                let needs_backfill = self
-                    .frames
-                    .get(&frame_id)
-                    .is_some_and(|f| f.probe_activates(slot));
-                // In-order drain over possibly reordered or duplicated
-                // batches (smaller packets travel faster; retries resend
-                // from the start).
-                let state = &mut pending.stream;
-                if state.columns.is_empty() {
-                    state.columns = result.columns.clone();
-                }
-                state.partial |= partial;
-                let ingested = state.recv.ingest(seq, result.rows, last);
-                if ingested.is_dup {
-                    // At-least-once dispatch and fault-plan duplication
-                    // both make repeated sequence numbers normal; each
-                    // one must land in the dedup counter, never in the
-                    // answer.
-                    ctx.counters().stream_dedup_drops += 1;
-                }
-                let mut drained: Vec<Row> = Vec::new();
-                for rows in ingested.drained {
-                    state.acc.extend(rows.iter().cloned());
-                    drained.extend(rows);
-                }
-                if needs_backfill && !drained.is_empty() {
-                    drained = state.acc.clone();
-                }
-                let batch = (!drained.is_empty()).then(|| ResultSet {
-                    columns: state.columns.clone(),
-                    rows: drained,
-                });
-                if ingested.credit_owed {
-                    // Credit-based backpressure: acknowledge the packet so
-                    // the sender may put another in flight.
-                    let msg = Msg::Credit {
-                        channel,
-                        qid,
-                        tag,
-                        credits: 1,
-                    };
-                    self.send_rooted(ctx, qid, peer_of(from), msg);
-                    self.credits_granted += 1;
-                    self.flight(ctx.now_us(), "credit", || {
-                        format!("{qid} stream tag {tag}: granted 1 credit")
+                let frames = &self.frames;
+                let step = self
+                    .dispatch
+                    .data(ctx, from, qid, tag, packet, |frame, slot| {
+                        frames.get(&frame).is_some_and(|f| f.probe_activates(slot))
                     });
-                }
-                if let Some(batch) = batch {
-                    self.consume_batch(ctx, qid, frame_id, slot, batch);
-                }
-                if ingested.credit_owed {
-                    return;
-                }
-                if let Some(pending) = self.outstanding.remove(&tag) {
-                    let partial = pending.stream.partial;
-                    let result = ResultSet {
-                        columns: pending.stream.columns,
-                        rows: pending.stream.acc,
-                    };
-                    let rows = result.rows.len();
-                    if let Some(root) = self.live_root(qid) {
-                        root.profile.subplans_answered += 1;
-                        root.profile.bytes_received += result.wire_size() as u64;
-                    }
-                    self.tracer
-                        .get_mut()
-                        .event_with(ctx.now_us(), qid.0, "exec:answer", || {
-                            format!(
-                                "subplan tag {tag} answered by {}: {rows} rows",
-                                pending.dest
-                            )
-                        });
-                    if self.config.phased && !partial {
-                        if let Some(root) = self.live_root(qid) {
-                            root.phase_cache
-                                .insert((pending.dest, pending.plan.to_string()), result.clone());
-                        }
-                    }
-                    // A probe that covered the whole stream has already
-                    // folded the frame's combined result incrementally;
-                    // hand it over so `combine` skips the re-fold.
-                    if let Some(frame) = self.frames.get_mut(&pending.frame) {
-                        if let Some(probe) = frame.probe.take() {
-                            if probe.slot == pending.slot {
-                                frame.precombined = probe.acc;
-                            }
-                        }
-                    }
-                    self.fill_slot(ctx, pending.frame, pending.slot, result, partial);
-                }
+                self.settle(ctx, step);
             }
             Msg::SubplanFailed { qid, tag, .. } => {
-                if let Some(pending) = self.outstanding.remove(&tag) {
-                    if let Some(root) = self.live_root(qid) {
-                        root.profile.subplans_failed += 1;
-                    }
-                    self.tracer
-                        .get_mut()
-                        .event_with(ctx.now_us(), qid.0, "exec:failed", || {
-                            format!("subplan tag {tag} failed at {}", pending.dest)
-                        });
-                    if self.rooted.contains_key(&qid) && self.config.adaptive {
-                        self.adapt_or_give_up(ctx, qid, Some(pending.dest), ReplanCause::Delivery);
-                    } else {
-                        self.fail_slot(ctx, pending);
-                    }
-                }
+                let step = self.dispatch.refused(qid, tag);
+                self.settle(ctx, step);
             }
             Msg::ExecutePlan { qid, query, plan } => {
                 self.rooted
@@ -2800,10 +2527,9 @@ impl NodeLogic for PeerNode {
         // pending timer (the simulator already discarded those). Durable
         // state — the base, recorded outcomes, and what the directory
         // keeps of itself — survives.
-        self.channels = ChannelTable::new();
+        self.dispatch.clear();
         self.rooted.retain(|_, root| root.outcome.is_some());
         self.frames.clear();
-        self.outstanding.clear();
         self.timers.clear();
         self.slot_queue.clear();
         self.outgoing.clear();
@@ -2857,8 +2583,14 @@ impl NodeLogic for PeerNode {
                 self.admit_queued(ctx);
             }
             Timer::Production(key) => self.produce_batch(ctx, key),
-            Timer::Probe(tag) => self.probe_channel(ctx, tag),
-            Timer::Timeout(tag) => self.subplan_timed_out(ctx, tag),
+            Timer::Probe(tag) => {
+                let step = self.dispatch.probed(ctx, tag);
+                self.settle(ctx, step);
+            }
+            Timer::Timeout(tag) => {
+                let step = self.dispatch.timed_out(ctx, tag);
+                self.settle(ctx, step);
+            }
         }
     }
 
@@ -2871,14 +2603,9 @@ impl NodeLogic for PeerNode {
 
     fn on_delivery_failure(&mut self, ctx: &mut Ctx<Msg>, to: NodeId, msg: Msg) {
         let failed_peer = peer_of(to);
-        self.channels.drop_towards(failed_peer);
+        let step = self.dispatch.undelivered(failed_peer, &msg);
+        self.settle(ctx, step);
         match msg {
-            Msg::Subplan { tag, .. } => {
-                let Some(pending) = self.outstanding.remove(&tag) else {
-                    return;
-                };
-                self.handle_lost_subplan(ctx, pending, ReplanCause::Delivery);
-            }
             Msg::RouteRequest { qid, .. } if self.rooted.contains_key(&qid) => {
                 self.adapt_or_give_up(ctx, qid, Some(failed_peer), ReplanCause::Delivery);
             }
@@ -4024,10 +3751,10 @@ mod tests {
         assert!((0..8).all(|id| node.timer_kind(id) == "unknown"));
     }
 
-    /// `Credit::credits` and `Data::qid` are chosen by the remote peer: a
-    /// frame that over-grants or names another query's tag must neither
-    /// panic (debug builds included) nor disturb the stream or frame it
-    /// points at.
+    /// `Credit::credits`, `Data::qid` and `SubplanFailed::qid` are chosen
+    /// by the remote peer: a frame that over-grants or names another
+    /// query's tag must neither panic (debug builds included) nor disturb
+    /// the stream or frame it points at.
     #[test]
     fn remote_chosen_credit_and_qid_are_not_trusted() {
         let schema = fig1_schema();
@@ -4075,134 +3802,103 @@ mod tests {
             credits,
         };
         holder.on_message(&mut ctx, NodeId(1), credit);
-        assert_eq!(ctx.into_effects().outbox.len(), 2);
+        data.extend(ctx.into_effects().outbox);
+        assert_eq!(data.len(), 4);
         let stream = &holder.outgoing[&key];
         assert_eq!((stream.core.inflight(), stream.core.next_seq()), (2, 4));
         assert_eq!(holder.max_stream_inflight, 2);
 
         // A data packet carrying tag 0 under a foreign query id is dropped
-        // before ingestion: no reassembly state, no credit, the pending
+        // before ingestion (were it ingested, its `last` flag would close
+        // the stream after one row), and so is a `SubplanFailed` naming
+        // the live tag under a foreign query id: no credit, the pending
         // entry and its frame slot untouched.
-        let (_, packet, _) = data.remove(0);
-        let Msg::Data {
-            channel, result, ..
-        } = packet
-        else {
+        let Msg::Data { result, .. } = &data[0].1 else {
             panic!("holder streams Data packets");
         };
         let forged = Msg::Data {
             channel,
             qid: QueryId(777),
             tag: 0,
-            result,
+            result: result.clone(),
             partial: false,
             stats: None,
             seq: 0,
             last: true,
         };
-        let mut ctx = Ctx::detached(0, NodeId(1));
-        root.on_message(&mut ctx, NodeId(2), forged);
-        assert!(ctx.into_effects().outbox.is_empty());
-        assert_eq!(root.outstanding[&0].stream.recv, Receiver::default());
-        assert_eq!(root.outstanding[&0].bytes_observed, 0);
-        assert!(root
-            .frames
-            .values()
-            .all(|f| f.slots.iter().all(Option::is_none)));
-        assert!(root.rooted.values().all(|r| r.outcome.is_none()));
+        let refusal = Msg::SubplanFailed {
+            channel,
+            qid: QueryId(777),
+            tag: 0,
+        };
+        for forged in [forged, refusal] {
+            let mut ctx = Ctx::detached(0, NodeId(1));
+            root.on_message(&mut ctx, NodeId(2), forged);
+            assert!(ctx.into_effects().outbox.is_empty());
+            assert!(root
+                .frames
+                .values()
+                .all(|f| f.slots.iter().all(Option::is_none)));
+            assert!(root.rooted.values().all(|r| r.outcome.is_none()));
+        }
+
+        // The stream the forgeries pointed at runs to its complete answer.
+        let mut to_root: VecDeque<Msg> = data.into_iter().map(|(_, msg, _)| msg).collect();
+        while let Some(packet) = to_root.pop_front() {
+            let mut ctx = Ctx::detached(0, NodeId(1));
+            root.on_message(&mut ctx, NodeId(2), packet);
+            for (to, credit, _) in ctx.into_effects().outbox {
+                if to == NodeId(2) {
+                    let mut ctx = Ctx::detached(0, NodeId(2));
+                    holder.on_message(&mut ctx, NodeId(1), credit);
+                    to_root.extend(ctx.into_effects().outbox.into_iter().map(|(_, msg, _)| msg));
+                }
+            }
+        }
+        let outcome = root.outcome(qid).expect("the real stream completed");
+        assert!(!outcome.partial);
+        assert_eq!(outcome.result.len(), 5);
     }
 
-    /// A root that has received the first packet of a five-packet stream
-    /// from holder P2 (tag 0 of query 1) and nothing more: returns the
-    /// root, the channel, and the id of the armed subplan timeout.
-    fn half_received_stream() -> (PeerNode, PeerChannel, u64) {
+    /// A refused subplan (`SubplanFailed`) takes the road every lost
+    /// subplan takes: under static execution the root names the refusing
+    /// peer missing and forgets the channel towards it.
+    #[test]
+    fn refused_subplan_is_lost_like_any_other() {
         let schema = fig1_schema();
-        let streaming = PeerConfig {
-            stream_batch_rows: Some(1),
-            stream_credit_window: 2,
+        let config = PeerConfig {
+            adaptive: false,
             ..adhoc_config()
         };
-        let rows: Vec<(String, String)> =
-            (0..5).map(|i| (format!("a{i}"), format!("b{i}"))).collect();
-        let triples: Vec<(&str, &str, &str)> = rows
-            .iter()
-            .map(|(a, b)| (a.as_str(), "prop1", b.as_str()))
-            .collect();
-        let mut holder = PeerNode::simple(PeerId(2), base_with(&schema, &triples), streaming);
-        let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
+        let holder = PeerNode::simple(
+            PeerId(2),
+            base_with(&schema, &[("a", "prop1", "b")]),
+            config.clone(),
+        );
+        let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), config);
         root.son
             .registry
             .register(holder.own_advertisement().unwrap());
-
         let mut ctx = Ctx::detached(0, NodeId(1));
         let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
         let qid = QueryId(1);
         root.on_message(&mut ctx, NodeId(99), Msg::ClientQuery { qid, query });
-        let mut effects = ctx.into_effects();
-        let (_, subplan, _) = effects.outbox.pop().expect("one subplan dispatched");
-        let (_, timeout) = effects.timers.pop().expect("its timeout armed");
-        assert_eq!(root.timer_kind(timeout), "timeout");
-
-        let mut ctx = Ctx::detached(0, NodeId(2));
-        holder.on_message(&mut ctx, NodeId(1), subplan);
-        let (_, first, _) = ctx.into_effects().outbox.remove(0);
-        let Msg::Data { channel, seq, .. } = &first else {
-            panic!("holder streams Data packets");
+        let (_, subplan, _) = ctx.into_effects().outbox.pop().expect("one subplan");
+        let Msg::Subplan { channel, tag, .. } = subplan else {
+            panic!("root dispatches a Subplan");
         };
-        assert_eq!(*seq, 0);
-        let channel = *channel;
-        let mut ctx = Ctx::detached(0, NodeId(1));
-        root.on_message(&mut ctx, NodeId(2), first);
-        let pending = &root.outstanding[&0];
-        assert_eq!(
-            (pending.stream.recv.next_seq(), pending.stream.acc.len()),
-            (1, 1)
-        );
-        (root, channel, timeout)
-    }
+        assert_eq!(root.rooted_channels(), 1);
 
-    /// The orphaned-reassembly leak, timeout path: the holder streams its
-    /// first batch and goes silent; once the retry ladder is exhausted
-    /// the root abandons the tag and keeps none of its rows.
-    #[test]
-    fn abandoned_stream_leaves_no_reassembly_after_timeout_ladder() {
-        let (mut root, _, mut timeout) = half_received_stream();
-        // Two silent retries, then the ladder gives out.
-        for _ in 0..=PeerConfig::default().subplan_retries {
-            let mut ctx = Ctx::detached(0, NodeId(1));
-            root.on_timer(&mut ctx, timeout);
-            if let Some(&(_, next)) = ctx.into_effects().timers.last() {
-                timeout = next;
-            }
-        }
-        let outcome = root.outcome(QueryId(1)).unwrap();
+        let mut ctx = Ctx::detached(0, NodeId(1));
+        root.on_message(
+            &mut ctx,
+            NodeId(2),
+            Msg::SubplanFailed { channel, qid, tag },
+        );
+        let outcome = root.outcome(qid).expect("the lost slot completes the plan");
         assert!(outcome.partial);
         assert_eq!(outcome.missing, vec![PeerId(2)]);
-        assert!(
-            root.outstanding.is_empty(),
-            "no reassembly outlives its tag"
-        );
-        assert!(root.frames.is_empty());
         assert_eq!(root.rooted_channels(), 0);
-    }
-
-    /// The same leak through `SubplanFailed`: the holder gives up on the
-    /// subplan mid-stream.
-    #[test]
-    fn abandoned_stream_leaves_no_reassembly_after_subplan_failed() {
-        let (mut root, channel, _) = half_received_stream();
-        let failed = Msg::SubplanFailed {
-            channel,
-            qid: QueryId(1),
-            tag: 0,
-        };
-        let mut ctx = Ctx::detached(0, NodeId(1));
-        root.on_message(&mut ctx, NodeId(2), failed);
-        assert!(root.outcome(QueryId(1)).unwrap().partial);
-        assert!(
-            root.outstanding.is_empty(),
-            "no reassembly outlives its tag"
-        );
         assert!(root.frames.is_empty());
     }
 

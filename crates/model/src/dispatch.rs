@@ -1,6 +1,7 @@
 //! Small-state model of the at-least-once dispatch machine
-//! (`crates/exec/src/peer.rs`: `dispatch_remote`, `retry_subplan`, the
-//! `served` dedup log, and the timeout ladder).
+//! (`crates/exec/src/dispatch.rs`: `Dispatcher::dispatch`, `timed_out` —
+//! the timeout ladder — and `data`; the destination's `ServedLog` in
+//! `crates/exec/src/peer.rs`).
 //!
 //! A root R dispatches one subplan per query to a destination D over an
 //! adversarial network. The subplan may be re-sent up to `retries` times

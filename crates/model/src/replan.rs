@@ -1,6 +1,8 @@
 //! Small-state model of the channel fail/replan machine with
-//! completeness accounting (`crates/exec/src/peer.rs`: `fail_channel`,
-//! `replan_query`, the `missing` set and outcome finalisation).
+//! completeness accounting (`crates/exec/src/peer.rs`:
+//! `handle_lost_subplan` — the one road every `Lost` verdict of
+//! `exec::dispatch` takes — `adapt_or_give_up`, the `missing` set and
+//! outcome finalisation).
 //!
 //! A root unions partial answers from two contributors. The adversary
 //! may fail the channel to a contributor (a budgeted `FailChannel`
