@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqpeer::exec::{Msg, QueryId};
+use sqpeer::net::{Channel, ChannelId, ChannelState};
 use sqpeer::prelude::*;
-use sqpeer_net::{Channel, ChannelId, ChannelState};
 use sqpeer_testkit::fixtures::fig1_schema;
 use sqpeer_wire::{decode_frame, encode_frame, Envelope, SchemaRegistry};
 use std::hint::black_box;

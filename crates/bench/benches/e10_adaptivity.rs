@@ -1,58 +1,20 @@
 //! E10 benchmarks: end-to-end query execution with a mid-flight crash,
-//! adaptive vs static.
+//! adaptive vs static, on E10's replica pair at half its data volume.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqpeer::exec::{node_of, PeerConfig};
-use sqpeer::overlay::HybridBuilder;
-use sqpeer::prelude::*;
-use sqpeer_testkit::fixtures::fig1_schema;
-use sqpeer_testkit::{populate, DataSpec};
+use sqpeer::exec::PeerConfig;
+use sqpeer_bench::harness::answer;
+use sqpeer_bench::scenario::{replica_pair, unoptimized, CHAIN_QUERY};
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn run(adaptive: bool) -> usize {
-    let schema = fig1_schema();
     let config = PeerConfig {
         adaptive,
-        optimize: false,
-        ..PeerConfig::default()
+        ..unoptimized()
     };
-    let mut b = HybridBuilder::new(Arc::clone(&schema), 1).config(config);
-    let mut rng = StdRng::seed_from_u64(10);
-    let spec = DataSpec {
-        triples_per_property: 50,
-        class_pool: 25,
-    };
-    let mut replica = DescriptionBase::new(Arc::clone(&schema));
-    populate(
-        &mut replica,
-        &[schema.property_by_name("prop1").unwrap()],
-        spec,
-        &mut rng,
-    );
-    let mut tail = DescriptionBase::new(Arc::clone(&schema));
-    populate(
-        &mut tail,
-        &[schema.property_by_name("prop2").unwrap()],
-        spec,
-        &mut rng,
-    );
-    let origin = b.add_peer(DescriptionBase::new(Arc::clone(&schema)), 0);
-    let fragile = b.add_peer(replica.clone(), 0);
-    let _backup = b.add_peer(replica, 0);
-    let _tail = b.add_peer(tail, 0);
-    let mut net = b.build();
-    let now = net.sim().now_us();
-    net.sim_mut()
-        .schedule_node_down(now + 60_000, node_of(fragile));
-    let query = net
-        .compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}")
-        .unwrap();
-    let qid = net.query(origin, query);
-    net.run();
-    net.outcome(origin, qid).unwrap().result.len()
+    let (mut net, [origin, ..]) = replica_pair(config, 10, 50, true, Some(60_000));
+    let query = net.compile(CHAIN_QUERY).unwrap();
+    answer(&mut net, origin, query).result.len()
 }
 
 fn bench(c: &mut Criterion) {

@@ -2,11 +2,11 @@
 //! routing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sqpeer::dht::{ChordRing, SchemaDht, SubsumptionMode};
 use sqpeer::prelude::*;
 use sqpeer::routing::RoutingPolicy;
-use sqpeer::rvl::ActiveSchema;
-use sqpeer_dht::{ChordRing, SchemaDht, SubsumptionMode};
-use sqpeer_testkit::fixtures::{base_with, fig1_query_text, fig1_schema};
+use sqpeer_bench::scenario::{ads_of, fig1_query};
+use sqpeer_testkit::fixtures::{fig1_schema, fig2_bases};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -25,29 +25,8 @@ fn bench(c: &mut Criterion) {
 
     // DHT-backed routing vs direct registry routing on the Figure 2 setup.
     let schema = fig1_schema();
-    let query = compile(fig1_query_text(), &schema).unwrap();
-    let profiles: [&[(&str, &str, &str)]; 4] = [
-        &[
-            ("http://a", "prop1", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-        &[("http://a", "prop1", "http://b")],
-        &[("http://b", "prop2", "http://c")],
-        &[
-            ("http://a", "prop4", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-    ];
-    let ads: Vec<Advertisement> = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            Advertisement::new(
-                PeerId(i as u32 + 1),
-                ActiveSchema::of_base(&base_with(&schema, p)),
-            )
-        })
-        .collect();
+    let query = fig1_query(&schema);
+    let ads = ads_of(&fig2_bases(&schema), 4);
     let mut dht = SchemaDht::new(SubsumptionMode::PublishClosure);
     for i in 0..64u32 {
         dht.join_node(PeerId(i));

@@ -12,38 +12,10 @@ use rand::SeedableRng;
 use sqpeer::cache::SemanticCache;
 use sqpeer::prelude::*;
 use sqpeer::routing::{route_limited, RoutingLimits, RoutingPolicy};
-use sqpeer::rvl::ActiveSchema;
-use sqpeer_testkit::fixtures::{base_with, fig1_schema};
+use sqpeer_bench::scenario::cache_registry;
+use sqpeer_testkit::fixtures::fig1_schema;
 use sqpeer_testkit::zipf_workload;
 use std::hint::black_box;
-
-fn registry(n: usize) -> AdRegistry {
-    let schema = fig1_schema();
-    let profiles: [&[(&str, &str, &str)]; 4] = [
-        &[
-            ("http://a", "prop1", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-        &[("http://a", "prop1", "http://b")],
-        &[
-            ("http://b", "prop2", "http://c"),
-            ("http://c", "prop3", "http://d"),
-        ],
-        &[
-            ("http://a", "prop4", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-    ];
-    let mut reg = AdRegistry::new();
-    for i in 0..n {
-        let base = base_with(&schema, profiles[i % 4]);
-        reg.register(Advertisement::new(
-            PeerId(i as u32 + 1),
-            ActiveSchema::of_base(&base),
-        ));
-    }
-    reg
-}
 
 fn bench(c: &mut Criterion) {
     let schema = fig1_schema();
@@ -53,7 +25,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e15/zipf_workload");
     for ads in [64usize, 512] {
         for exponent in [0.0f64, 1.0] {
-            let reg = registry(ads);
+            let reg = cache_registry(&schema, ads);
             let mut rng = StdRng::seed_from_u64(15);
             let workload = zipf_workload(&schema, 6, &[1, 2], exponent, 200, &mut rng);
             assert!(!workload.is_empty());

@@ -5,34 +5,16 @@
 //! same comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqpeer::prelude::*;
-use sqpeer::rql::{evaluate_reference, evaluate_snapshot};
+use sqpeer::rql::evaluate_snapshot;
+use sqpeer_bench::scenario::{eval_base, eval_workload};
 use sqpeer_testkit::fixtures::fig1_schema;
-use sqpeer_testkit::{populate, zipf_workload, DataSpec};
 use std::hint::black_box;
-use std::sync::Arc;
-
-fn sized_base(schema: &Arc<Schema>, triples_per_property: usize) -> DescriptionBase {
-    let properties: Vec<PropertyId> = schema.properties().collect();
-    let mut base = DescriptionBase::new(Arc::clone(schema));
-    populate(
-        &mut base,
-        &properties,
-        DataSpec {
-            triples_per_property,
-            class_pool: 170,
-        },
-        &mut StdRng::seed_from_u64(16),
-    );
-    base
-}
 
 fn bench(c: &mut Criterion) {
     let schema = fig1_schema();
-    let base = sized_base(&schema, 2700); // ~10k triples after dedup
-    let workload = zipf_workload(&schema, 6, &[1, 2], 1.0, 40, &mut StdRng::seed_from_u64(61));
+    let base = eval_base(&schema, 2700); // ~10k triples after dedup
+    let workload = eval_workload(&schema);
 
     let mut group = c.benchmark_group("e16_engines");
     group.throughput(Throughput::Elements(workload.len() as u64));

@@ -1,14 +1,12 @@
 //! E8 benchmarks: SON end-to-end query cost vs flooding cost at growing
-//! network sizes.
+//! network sizes, on E8's relevant-four placement and flooding topology.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sqpeer::exec::PeerConfig;
 use sqpeer::prelude::*;
-use sqpeer::routing::{flood, Topology};
-use sqpeer_testkit::{
-    chain_properties, chain_query_text, community_schema, hybrid_network, DataSpec, NetworkSpec,
-    SchemaSpec,
-};
+use sqpeer::routing::flood;
+use sqpeer_bench::harness::answer;
+use sqpeer_bench::scenario::relevant_four;
+use sqpeer_testkit::{chain_properties, chain_query_text, community_schema, SchemaSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -24,33 +22,17 @@ fn bench(c: &mut Criterion) {
     for n in [16usize, 64] {
         group.bench_with_input(BenchmarkId::new("son_query", n), &n, |b, &n| {
             b.iter_batched(
-                || {
-                    let spec = NetworkSpec {
-                        peers: n,
-                        properties_per_peer: 2,
-                        data: DataSpec {
-                            triples_per_property: 10,
-                            class_pool: 8,
-                        },
-                        seed: n as u64,
-                    };
-                    hybrid_network(&schema, spec, 2, PeerConfig::default())
-                },
-                |(mut net, ids)| {
+                || relevant_four(&schema, &chain, n),
+                |(mut net, ids, _)| {
                     let query = net.compile(&query_text).unwrap();
-                    let qid = net.query(ids[0], query);
-                    net.run();
-                    black_box(net.outcome(ids[0], qid).unwrap().result.len())
+                    black_box(answer(&mut net, ids[n - 1], query).result.len())
                 },
                 criterion::BatchSize::SmallInput,
             )
         });
 
+        let (_, _, topo) = relevant_four(&schema, &chain, n);
         group.bench_with_input(BenchmarkId::new("flood", n), &n, |b, &n| {
-            let mut topo = Topology::new();
-            for i in 0..n as u32 {
-                topo.add_link(PeerId(i), PeerId((i + 1) % n as u32));
-            }
             b.iter(|| black_box(flood(&topo, PeerId(0), n)))
         });
     }

@@ -6,24 +6,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqpeer::prelude::*;
 use sqpeer::routing::{PathIndex, TripleIndexCost};
-use sqpeer::rvl::ActiveSchema;
-use sqpeer_testkit::{community_schema, populate, DataSpec, SchemaSpec};
+use sqpeer_bench::scenario::fragment_bases;
+use sqpeer_testkit::{community_schema, DataSpec, SchemaSpec};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let schema = community_schema(SchemaSpec::default(), 8);
-    let props: Vec<PropertyId> = schema.properties().take(3).collect();
-    let mut base = DescriptionBase::new(schema.clone());
-    let mut rng = StdRng::seed_from_u64(9);
-    populate(
-        &mut base,
-        &props,
-        DataSpec {
-            triples_per_property: 100,
-            class_pool: 50,
-        },
-        &mut rng,
-    );
+    // One of E9's churning peers (3 properties), at twice its data volume.
+    let data = DataSpec {
+        triples_per_property: 100,
+        class_pool: 50,
+    };
+    let base = fragment_bases(&schema, 1, 3, data, &mut StdRng::seed_from_u64(9)).remove(0);
     let active = ActiveSchema::of_base(&base);
 
     c.bench_function("e9/derive_advertisement", |b| {

@@ -4,39 +4,18 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sqpeer::prelude::*;
 use sqpeer::routing::RoutingPolicy;
-use sqpeer::rvl::ActiveSchema;
-use sqpeer_testkit::fixtures::{base_with, fig1_query_text, fig1_schema};
+use sqpeer_bench::scenario::{ads_of, fig1_query};
+use sqpeer_testkit::fixtures::{fig1_schema, fig2_bases};
 use std::hint::black_box;
-
-fn ads(n: usize) -> Vec<Advertisement> {
-    let schema = fig1_schema();
-    let profiles: [&[(&str, &str, &str)]; 4] = [
-        &[
-            ("http://a", "prop1", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-        &[("http://a", "prop1", "http://b")],
-        &[("http://b", "prop2", "http://c")],
-        &[
-            ("http://a", "prop4", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-    ];
-    (0..n)
-        .map(|i| {
-            let base = base_with(&schema, profiles[i % 4]);
-            Advertisement::new(PeerId(i as u32 + 1), ActiveSchema::of_base(&base))
-        })
-        .collect()
-}
 
 fn bench(c: &mut Criterion) {
     let schema = fig1_schema();
-    let query = compile(fig1_query_text(), &schema).unwrap();
+    let query = fig1_query(&schema);
+    let bases = fig2_bases(&schema);
 
     let mut group = c.benchmark_group("fig2/route");
     for n in [4usize, 64, 512, 4096] {
-        let advertisements = ads(n);
+        let advertisements = ads_of(&bases, n);
         group.bench_with_input(BenchmarkId::new("subsumed_only", n), &n, |b, _| {
             b.iter(|| black_box(route(&query, &advertisements, RoutingPolicy::SubsumedOnly)))
         });

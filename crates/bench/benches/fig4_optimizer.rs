@@ -11,12 +11,10 @@ use sqpeer::plan::{
 };
 use sqpeer::prelude::*;
 use sqpeer::routing::RoutingPolicy;
-use sqpeer::rvl::ActiveSchema;
 use sqpeer::trace::NO_QUERY;
-use sqpeer_testkit::fixtures::{base_with, fig1_query_text, fig1_schema};
-use sqpeer_testkit::{
-    chain_properties, chain_query_text, community_schema, populate, DataSpec, SchemaSpec,
-};
+use sqpeer_bench::scenario::{ads_of, fig1_query, populated};
+use sqpeer_testkit::fixtures::{fig1_schema, fig2_bases};
+use sqpeer_testkit::{chain_properties, chain_query_text, community_schema, DataSpec, SchemaSpec};
 use std::hint::black_box;
 
 /// The generated plan of a `len`-pattern chain query with 56 holders per
@@ -38,8 +36,7 @@ fn wide_chain_plan(len: usize) -> PlanNode {
     let mut rng = StdRng::seed_from_u64(0);
     let ads: Vec<Advertisement> = (0..len * 56)
         .map(|i| {
-            let mut base = DescriptionBase::new(schema.clone());
-            populate(&mut base, &[chain[i / 56]], one_triple, &mut rng);
+            let base = populated(&schema, &[chain[i / 56]], one_triple, &mut rng);
             Advertisement::new(PeerId(i as u32 + 1), ActiveSchema::of_base(&base))
         })
         .collect();
@@ -48,28 +45,8 @@ fn wide_chain_plan(len: usize) -> PlanNode {
 
 fn bench(c: &mut Criterion) {
     let schema = fig1_schema();
-    let query = compile(fig1_query_text(), &schema).unwrap();
-    let profiles: [&[(&str, &str, &str)]; 4] = [
-        &[
-            ("http://a", "prop1", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-        &[("http://a", "prop1", "http://b")],
-        &[("http://b", "prop2", "http://c")],
-        &[
-            ("http://a", "prop4", "http://b"),
-            ("http://b", "prop2", "http://c"),
-        ],
-    ];
-    let bases: Vec<DescriptionBase> = profiles.iter().map(|p| base_with(&schema, p)).collect();
-    let ads: Vec<Advertisement> = bases
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            Advertisement::new(PeerId(i as u32 + 1), ActiveSchema::of_base(b))
-                .with_stats(b.statistics())
-        })
-        .collect();
+    let query = fig1_query(&schema);
+    let ads = ads_of(&fig2_bases(&schema), 4);
     let annotated = route(&query, &ads, RoutingPolicy::SubsumedOnly);
     let plan1 = generate_plan(&annotated);
 

@@ -2,28 +2,16 @@
 //! simulated execution of the data- vs query-shipping plans.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqpeer::exec::PeerConfig;
-use sqpeer::overlay::HybridBuilder;
-use sqpeer::plan::{assign_sites, CostParams, Estimator, PlanNode, Site, Subquery, UniformCost};
+use sqpeer::plan::{assign_sites, CostParams, Estimator, UniformCost};
 use sqpeer::prelude::*;
-use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema};
-use sqpeer_testkit::{populate, DataSpec};
+use sqpeer_bench::harness::execute;
+use sqpeer_bench::scenario::{fig1_query, shipping_plans, shipping_triangle};
+use sqpeer_testkit::fixtures::fig1_schema;
 use std::hint::black_box;
-use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
-    let schema = fig1_schema();
-    let query = compile(fig1_query_text(), &schema).unwrap();
-    let fetch = |i: usize, peer: u32| PlanNode::Fetch {
-        subquery: Subquery {
-            covers: vec![i],
-            query: sqpeer::plan::single_pattern_subquery(&query, i, &query.patterns()[i]),
-        },
-        site: Site::Peer(PeerId(peer)),
-    };
-    let plan = PlanNode::join(vec![fetch(0, 2), fetch(1, 3)]);
+    let query = fig1_query(&fig1_schema());
+    let (plan, _) = shipping_plans(&query, &[PeerId(1), PeerId(2), PeerId(3)]);
     let estimator = Estimator::new(CostParams::default());
     let mut net_cost = UniformCost::new(1.0, 0.001);
     net_cost.set_link(PeerId(1), PeerId(3), 10.0);
@@ -33,54 +21,13 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(assign_sites(plan.clone(), PeerId(1), &estimator, &net_cost)))
     });
 
-    // Full simulated execution of both plan shapes.
+    // Full simulated execution of both plan shapes, on E5's triangle at
+    // the middle of its bandwidth sweep.
     let run = |ship_query: bool| {
-        let mut b = HybridBuilder::new(Arc::clone(&schema), 1).config(PeerConfig {
-            optimize: false,
-            ..PeerConfig::default()
-        });
-        let mut rng = StdRng::seed_from_u64(7);
-        let spec = DataSpec {
-            triples_per_property: 100,
-            class_pool: 50,
-        };
-        let empty = DescriptionBase::new(Arc::clone(&schema));
-        let mut b2 = DescriptionBase::new(Arc::clone(&schema));
-        populate(
-            &mut b2,
-            &[schema.property_by_name("prop1").unwrap()],
-            spec,
-            &mut rng,
-        );
-        let mut b3 = DescriptionBase::new(Arc::clone(&schema));
-        populate(
-            &mut b3,
-            &[schema.property_by_name("prop2").unwrap()],
-            spec,
-            &mut rng,
-        );
-        let p1 = b.add_peer(empty, 0);
-        let p2 = b.add_peer(b2, 0);
-        let p3 = b.add_peer(b3, 0);
-        let mut net = b.build();
-        let mk = |i: usize, peer: PeerId| PlanNode::Fetch {
-            subquery: Subquery {
-                covers: vec![i],
-                query: sqpeer::plan::single_pattern_subquery(&query, i, &query.patterns()[i]),
-            },
-            site: Site::Peer(peer),
-        };
-        let plan = if ship_query {
-            PlanNode::Join {
-                inputs: vec![mk(0, p2), mk(1, p3)],
-                site: Some(p2),
-            }
-        } else {
-            PlanNode::join(vec![mk(0, p2), mk(1, p3)])
-        };
-        let qid = net.execute_plan(p1, query.clone(), plan);
-        net.run();
-        net.outcome(p1, qid).unwrap().result.len()
+        let (mut net, ids) = shipping_triangle(100, 1_000, 0);
+        let (data, query_ship) = shipping_plans(&query, &ids);
+        let plan = if ship_query { query_ship } else { data };
+        execute(&mut net, ids[0], &query, &plan).result.len()
     };
 
     c.bench_function("fig5/simulate_data_shipping", |b| {

@@ -3,6 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqpeer::exec::{PeerConfig, PeerMode};
+use sqpeer_bench::harness::answer;
+use sqpeer_bench::scenario::CHAIN_QUERY;
 use sqpeer_testkit::fig7_network;
 use std::hint::black_box;
 
@@ -22,12 +24,8 @@ fn bench(c: &mut Criterion) {
         b.iter_batched(
             || fig7_network(config()),
             |(mut net, peers)| {
-                let query = net
-                    .compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}")
-                    .unwrap();
-                let qid = net.query(peers[0], query);
-                net.run();
-                black_box(net.outcome(peers[0], qid).unwrap().result.len())
+                let query = net.compile(CHAIN_QUERY).unwrap();
+                black_box(answer(&mut net, peers[0], query).result.len())
             },
             criterion::BatchSize::SmallInput,
         )

@@ -5,8 +5,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqpeer::prelude::*;
-use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema};
-use sqpeer_testkit::{populate, DataSpec};
+use sqpeer_bench::scenario::{fig1_query, populated};
+use sqpeer_testkit::fixtures::fig1_schema;
+use sqpeer_testkit::DataSpec;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -16,23 +17,16 @@ fn sized_base(triples: usize) -> DescriptionBase {
         .iter()
         .map(|p| schema.property_by_name(p).unwrap())
         .collect();
-    let mut base = DescriptionBase::new(Arc::clone(&schema));
-    let mut rng = StdRng::seed_from_u64(1);
-    populate(
-        &mut base,
-        &props,
-        DataSpec {
-            triples_per_property: triples / 3,
-            class_pool: (triples / 6).max(4),
-        },
-        &mut rng,
-    );
-    base
+    let spec = DataSpec {
+        triples_per_property: triples / 3,
+        class_pool: (triples / 6).max(4),
+    };
+    populated(&schema, &props, spec, &mut StdRng::seed_from_u64(1))
 }
 
 fn bench(c: &mut Criterion) {
     let schema = fig1_schema();
-    let query = compile(fig1_query_text(), &schema).unwrap();
+    let query = fig1_query(&schema);
     let single = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
 
     let mut group = c.benchmark_group("local_eval");

@@ -7,30 +7,27 @@
 //! cargo run --release --bin experiments --list     # list experiments
 //! ```
 
-use sqpeer_bench::{all_experiments, run_experiment};
+use sqpeer_bench::{find, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list" || a == "-l") {
-        for (id, desc) in all_experiments() {
-            println!("{id:<6} {desc}");
+        for e in EXPERIMENTS {
+            println!("{:<6} {}", e.id, e.about);
         }
         return;
     }
     let ids: Vec<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        all_experiments()
-            .iter()
-            .map(|(id, _)| id.to_string())
-            .collect()
+        EXPERIMENTS.iter().map(|e| e.id.to_string()).collect()
     } else {
         args
     };
     let mut failed = false;
     for id in &ids {
-        match run_experiment(id) {
-            Some(report) => {
+        match find(id) {
+            Some(experiment) => {
                 println!("{}", "=".repeat(72));
-                println!("{report}");
+                println!("{}", experiment.run());
             }
             None => {
                 eprintln!("unknown experiment `{id}` (try --list)");

@@ -18,65 +18,12 @@
 //! machine-dependent joins `machine_dependent()` with its reason, the
 //! rule is not widened.
 //!
-//! The parser is a deliberately tiny `"key": number` scanner — the
-//! files are written by our own formatter, and a scanner keeps this
-//! binary dependency-free.
+//! The scanner and the gated/ungated rule live beside the writer
+//! (`sqpeer_bench::harness`), where a unit test holds them to each other.
 
+use sqpeer_bench::harness::{machine_dependent, metrics, Metric};
 use std::path::Path;
 use std::process::ExitCode;
-
-/// One numeric observation: key plus occurrence index (rows arrays
-/// repeat keys; pairing by index keeps row order significant).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct Metric {
-    key: String,
-    occurrence: usize,
-}
-
-/// Extracts every `"key": number` pair in document order.
-fn scan_numbers(text: &str) -> Vec<(String, f64)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let Some(end) = text[i + 1..].find('"').map(|e| i + 1 + e) else {
-            break;
-        };
-        let key = &text[i + 1..end];
-        i = end + 1;
-        let rest = text[i..].trim_start();
-        if !rest.starts_with(':') {
-            continue;
-        }
-        let value = rest[1..].trim_start();
-        let len = value
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(value.len());
-        if len == 0 {
-            continue;
-        }
-        if let Ok(v) = value[..len].parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
-}
-
-/// Is this key a machine-dependent measurement (reported, never gated)?
-fn machine_dependent(key: &str) -> bool {
-    key.ends_with("_ms")
-        || key.ends_with("_pct")
-        || key.contains("wall")
-        || key.starts_with("loopback_")
-        || key.starts_with("tcp_")
-        || key.starts_with("speedup")
-        || key == "host_cores"
-        || key.chars().all(|c| c.is_ascii_digit())
-}
 
 /// A gated comparison whose fresh value differs from the baseline.
 struct Violation {
@@ -93,26 +40,8 @@ fn compare_file(
     violations: &mut Vec<Violation>,
     gated: &mut usize,
 ) -> Result<(), String> {
-    let base_nums = scan_numbers(baseline);
-    let fresh_nums = scan_numbers(fresh);
-    let occurrences = |nums: &[(String, f64)]| -> Vec<(Metric, f64)> {
-        let mut counts = std::collections::HashMap::new();
-        nums.iter()
-            .map(|(k, v)| {
-                let n = counts.entry(k.clone()).or_insert(0usize);
-                let m = Metric {
-                    key: k.clone(),
-                    occurrence: *n,
-                };
-                *n += 1;
-                (m, *v)
-            })
-            .collect()
-    };
-    let base = occurrences(&base_nums);
-    let fresh_map: std::collections::HashMap<Metric, f64> =
-        occurrences(&fresh_nums).into_iter().collect();
-    for (metric, b) in base {
+    let fresh_map: std::collections::HashMap<Metric, f64> = metrics(fresh).into_iter().collect();
+    for (metric, b) in metrics(baseline) {
         if machine_dependent(&metric.key) {
             continue;
         }
