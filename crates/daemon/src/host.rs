@@ -16,6 +16,13 @@
 //! threads talk to the pump over an mpsc channel and block on a
 //! per-query reply channel, so several queries can be in flight at once.
 //!
+//! The pump is a loop over one [`Pump::turn`] — admit what waits, run
+//! what is due, hand finished outcomes over, republish a stale status
+//! page — and one [`Pump::idle_wait`], the host's single sleep, taken
+//! only after a turn that did nothing, so an answer is never held for
+//! the rest of a time slice. Admission still polls: nothing wakes the
+//! pump when a command arrives, so an idle host looks once a millisecond.
+//!
 //! Each accept thread owns its listener and sits in a blocking `accept`;
 //! [`HostHandle::shutdown`] sets the flag and then connects to each bound
 //! address once, so the thread wakes, sees the flag and leaves. A
@@ -38,7 +45,7 @@ use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -141,9 +148,9 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let (cmd_tx, cmd_rx) = channel::<Command>();
-    // The pump publishes status text through a shared cell the status
-    // thread reads — the transport itself never leaves the pump thread.
-    let status_text: Arc<std::sync::Mutex<String>> = Arc::new(std::sync::Mutex::new(String::new()));
+    // Renders the first status page, before any thread can serve it.
+    let pump = Pump::new(net, group, cmd_rx);
+    let status_text = Arc::clone(&pump.status_text);
 
     let mut threads = Vec::new();
 
@@ -151,10 +158,7 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     // outcomes, refreshes the status text.
     {
         let shutdown = Arc::clone(&shutdown);
-        let status_text = Arc::clone(&status_text);
-        threads.push(std::thread::spawn(move || {
-            pump(net, group, cmd_rx, shutdown, status_text);
-        }));
+        threads.push(std::thread::spawn(move || pump.run(&shutdown)));
     }
 
     // Peer-port accept thread.
@@ -182,7 +186,6 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     // Status accept thread.
     if let Some(listener) = status_listener {
         let shutdown = Arc::clone(&shutdown);
-        let status_text = Arc::clone(&status_text);
         threads.push(std::thread::spawn(move || {
             while let Ok((mut stream, _)) = listener.accept() {
                 if shutdown.load(Ordering::SeqCst) {
@@ -202,73 +205,113 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     })
 }
 
-/// The transport-owning loop: drain commands, step real time, complete
-/// queries, refresh status.
-fn pump(
-    mut net: LoopbackNet<PeerNode>,
-    mut group: Group,
+/// What the pump thread owns: the transport, the group on it, every
+/// query admitted but not yet answered, and the page the status thread
+/// serves (the transport itself never leaves this thread).
+struct Pump {
+    net: LoopbackNet<PeerNode>,
+    group: Group,
     cmd_rx: Receiver<Command>,
-    shutdown: Arc<AtomicBool>,
-    status_text: Arc<std::sync::Mutex<String>>,
-) {
-    let mut in_flight: HashMap<QueryId, InFlight> = HashMap::new();
-    let mut status_refresh = 0u32;
-    let mut ttfr = QueryTtfr::default();
-    while !shutdown.load(Ordering::SeqCst) {
-        // Admit every waiting command, then give the transport a slice.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            admit(&mut net, &mut group, cmd, &mut in_flight);
-        }
-        net.step_for(1_000);
-        collect(&mut net, &mut in_flight, &mut ttfr);
-        status_refresh += 1;
-        if status_refresh.is_multiple_of(100) {
-            if let Ok(mut t) = status_text.lock() {
-                *t = render_status(&net, &ttfr, in_flight.len());
+    in_flight: HashMap<QueryId, InFlight>,
+    ttfr: QueryTtfr,
+    status_text: Arc<Mutex<String>>,
+    status_due_us: u64,
+}
+
+impl Pump {
+    fn new(net: LoopbackNet<PeerNode>, group: Group, cmd_rx: Receiver<Command>) -> Self {
+        let mut pump = Pump {
+            net,
+            group,
+            cmd_rx,
+            in_flight: HashMap::new(),
+            ttfr: QueryTtfr::default(),
+            status_text: Arc::default(),
+            status_due_us: 0,
+        };
+        pump.publish_status();
+        pump
+    }
+
+    /// The transport-owning loop: turns back to back while they find
+    /// work, one sleep when one finds none.
+    fn run(mut self, shutdown: &AtomicBool) {
+        while !shutdown.load(Ordering::SeqCst) {
+            if self.turn() == 0 {
+                self.idle_wait();
             }
         }
     }
-}
 
-/// Poses `cmd`'s query at the member it names. The address came off a
-/// socket: one that names no member is refused — dropping the command
-/// drops its reply sender, which closes the connection — instead of
-/// leaving a query that can never finish in flight for ever.
-fn admit(
-    net: &mut LoopbackNet<PeerNode>,
-    group: &mut Group,
-    cmd: Command,
-    in_flight: &mut HashMap<QueryId, InFlight>,
-) {
-    let Command { at, query, reply } = cmd;
-    if group.peers.contains(&at) {
-        let qid = group::pose(net, group, at, query);
-        in_flight.insert(qid, InFlight { at, reply });
+    /// Everything the pump does, once, none of it blocking; a point query
+    /// completes in the turn that admits it. Returns how many commands
+    /// and transport occurrences it handled — 0 means there is nothing to
+    /// do but wait.
+    fn turn(&mut self) -> usize {
+        let mut done = 0;
+        while let Ok(cmd) = self.cmd_rx.try_recv() {
+            self.admit(cmd);
+            done += 1;
+        }
+        done += self.net.run_due();
+        self.collect();
+        if self.net.now_us() >= self.status_due_us {
+            self.publish_status();
+        }
+        done
     }
-}
 
-/// Hands every finished in-flight query's outcome to its connection
-/// thread. The outcome is *taken* out of the group, so the host holds an
-/// answer only until its reply is handed over.
-fn collect(
-    net: &mut LoopbackNet<PeerNode>,
-    in_flight: &mut HashMap<QueryId, InFlight>,
-    ttfr: &mut QueryTtfr,
-) {
-    in_flight.retain(
-        |&qid, flight| match group::take_outcome(net, flight.at, qid) {
-            Some(outcome) => {
-                if let Some(t) = outcome.ttfr_us {
-                    ttfr.count += 1;
-                    ttfr.sum_us += t;
-                    ttfr.last_us = Some(t);
+    /// The host's one sleep: until the next armed timer or the status
+    /// deadline, and never past the 1 ms after which the command channel
+    /// is looked at again.
+    fn idle_wait(&self) {
+        let next_due_us = self.net.next_due_us().unwrap_or(u64::MAX);
+        let wake_us = next_due_us.min(self.status_due_us);
+        let wait_us = wake_us.saturating_sub(self.net.now_us()).min(1_000);
+        std::thread::sleep(Duration::from_micros(wait_us));
+    }
+
+    /// Rewrites the status page and puts its next deadline 100 ms on.
+    fn publish_status(&mut self) {
+        let page = render_status(&self.net, &self.ttfr, self.in_flight.len());
+        if let Ok(mut text) = self.status_text.lock() {
+            *text = page;
+        }
+        self.status_due_us = self.net.now_us() + 100_000;
+    }
+
+    /// Poses `cmd`'s query at the member it names. The address came off a
+    /// socket: one that names no member is refused — dropping the command
+    /// drops its reply sender, which closes the connection — instead of
+    /// leaving a query that can never finish in flight for ever.
+    fn admit(&mut self, cmd: Command) {
+        let Command { at, query, reply } = cmd;
+        if self.group.peers.contains(&at) {
+            let qid = group::pose(&mut self.net, &mut self.group, at, query);
+            self.in_flight.insert(qid, InFlight { at, reply });
+        }
+    }
+
+    /// Hands every finished in-flight query's outcome to its connection
+    /// thread. The outcome is *taken* out of the group, so the host holds
+    /// an answer only until its reply is handed over.
+    fn collect(&mut self) {
+        let Pump { net, ttfr, .. } = self;
+        self.in_flight.retain(
+            |&qid, flight| match group::take_outcome(net, flight.at, qid) {
+                Some(outcome) => {
+                    if let Some(t) = outcome.ttfr_us {
+                        ttfr.count += 1;
+                        ttfr.sum_us += t;
+                        ttfr.last_us = Some(t);
+                    }
+                    let _ = flight.reply.send(outcome);
+                    false
                 }
-                let _ = flight.reply.send(outcome);
-                false
-            }
-            None => true,
-        },
-    );
+                None => true,
+            },
+        );
+    }
 }
 
 /// Aggregate per-query time-to-first-row, as seen by this host's roots.
@@ -463,13 +506,9 @@ mod tests {
     use sqpeer_exec::{node_of, PeerConfig};
     use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema, fig2_bases};
 
-    /// A host that serves queries for ever must not keep their answers:
-    /// once the pump has handed an outcome to its connection thread, the
-    /// root holds no copy (and no node exists to have been mailed one),
-    /// and no member's idempotent-receive log has outgrown its bound.
-    #[test]
-    fn collected_outcomes_leave_the_group() {
-        const QUERIES: usize = 200;
+    /// A pump over the Figure 2 group, its command channel and the
+    /// compiled Figure 1 query — everything a host has but the sockets.
+    fn fig2_pump() -> (Pump, Sender<Command>, sqpeer_rql::QueryPattern) {
         let schema = fig1_schema();
         let mut schemas = SchemaRegistry::new();
         schemas.register(Arc::clone(&schema));
@@ -479,32 +518,87 @@ mod tests {
             schema,
             config: PeerConfig::default(),
         };
-        let mut group = assemble(&mut net, spec, 50_000);
+        let group = assemble(&mut net, spec, 50_000);
         let query = group.compile(fig1_query_text()).expect("fixture compiles");
-        let at = group.peers[0];
+        let (cmd_tx, cmd_rx) = channel();
+        (Pump::new(net, group, cmd_rx), cmd_tx, query)
+    }
 
-        let mut in_flight = HashMap::new();
-        let mut ttfr = QueryTtfr::default();
-        let (reply, replies) = channel();
-        for _ in 0..QUERIES {
-            let qid = group::pose(&mut net, &mut group, at, query.clone());
-            let reply = reply.clone();
-            in_flight.insert(qid, InFlight { at, reply });
-        }
+    /// Queues `query` at `at` as a connection thread would; the returned
+    /// receiver is where that thread would block for the outcome.
+    fn queue(
+        cmd_tx: &Sender<Command>,
+        at: PeerId,
+        query: &sqpeer_rql::QueryPattern,
+    ) -> Receiver<QueryOutcome> {
+        let (reply, outcome) = channel();
+        let query = query.clone();
+        cmd_tx
+            .send(Command { at, query, reply })
+            .expect("the pump holds the receiver");
+        outcome
+    }
+
+    /// The completion half of "park the pump", without a stopwatch: the
+    /// turn that admits a point query also runs it and hands its outcome
+    /// over, so no sleep can fall between an answer and its reply — and
+    /// two clients whose commands wait together are answered together.
+    #[test]
+    fn a_turn_answers_every_command_that_waited_for_it() {
+        let (mut pump, cmd_tx, query) = fig2_pump();
+        let at = pump.group.peers[0];
+
+        let one = queue(&cmd_tx, at, &query);
+        assert!(pump.turn() > 0);
+        let outcome = one.try_recv().expect("answered in the admitting turn");
+        assert!(!outcome.partial && outcome.result.len() == 3);
+        assert!(pump.in_flight.is_empty());
+
+        let (a, b) = (queue(&cmd_tx, at, &query), queue(&cmd_tx, at, &query));
+        assert!(pump.turn() > 0);
+        assert!(a.try_recv().is_ok() && b.try_recv().is_ok());
+        assert!(pump.in_flight.is_empty());
+        assert_eq!(pump.ttfr.count, 3);
+    }
+
+    /// A turn that finds no command, nothing due and nothing finished
+    /// says so — that 0 is what sends `run` into `idle_wait`.
+    #[test]
+    fn a_turn_over_an_idle_group_reports_nothing_done() {
+        let (mut pump, _cmd_tx, _) = fig2_pump();
+        assert_eq!(pump.turn(), 0);
+        assert_eq!(pump.turn(), 0);
+    }
+
+    /// A host that serves queries for ever must not keep their answers:
+    /// once the pump has handed an outcome to its connection thread, the
+    /// root holds no copy (and no node exists to have been mailed one),
+    /// and no member's idempotent-receive log has outgrown its bound.
+    #[test]
+    fn collected_outcomes_leave_the_group() {
+        const QUERIES: usize = 200;
+        let (mut pump, cmd_tx, query) = fig2_pump();
+        let at = pump.group.peers[0];
+        let replies: Vec<_> = (0..QUERIES).map(|_| queue(&cmd_tx, at, &query)).collect();
+        // The loop that ships, bounded where `run` watches a shutdown flag.
         for _ in 0..1_000 {
-            if in_flight.is_empty() {
+            if pump.turn() == 0 {
+                pump.idle_wait();
+            }
+            if pump.in_flight.is_empty() {
                 break;
             }
-            net.step_for(1_000);
-            collect(&mut net, &mut in_flight, &mut ttfr);
         }
         assert!(
-            in_flight.is_empty(),
+            pump.in_flight.is_empty(),
             "{} queries never completed",
-            in_flight.len()
+            pump.in_flight.len()
         );
+        let Pump {
+            net, group, ttfr, ..
+        } = pump;
 
-        let answers: Vec<QueryOutcome> = replies.try_iter().collect();
+        let answers: Vec<QueryOutcome> = replies.iter().flat_map(|r| r.try_recv()).collect();
         assert_eq!(answers.len(), QUERIES);
         assert!(answers.iter().all(|o| !o.partial && o.result.len() == 3));
         assert_eq!(ttfr.count, QUERIES as u64);
@@ -538,25 +632,49 @@ mod tests {
         );
     }
 
-    /// A socket may name any peer id. One that names no member must be
-    /// refused at once — not parked on a query that can never finish —
-    /// and must leave nothing behind in the pump.
-    #[test]
-    fn non_member_address_is_refused() {
-        let schema = fig1_schema();
-        let host = spawn_host(HostConfig {
+    /// A host for the Figure 2 group with both ports on loopback.
+    fn fig2_host(schema: &Arc<sqpeer_rdfs::Schema>) -> HostHandle {
+        spawn_host(HostConfig {
             listen: "127.0.0.1:0".into(),
             status: Some("127.0.0.1:0".into()),
             spec: GroupSpec {
-                bases: fig2_bases(&schema),
-                schema: Arc::clone(&schema),
+                bases: fig2_bases(schema),
+                schema: Arc::clone(schema),
                 config: PeerConfig::default(),
             },
             telemetry_window_us: None,
             settle_us: 200_000,
             answer_batch_rows: None,
         })
-        .expect("host starts");
+        .expect("host starts")
+    }
+
+    fn read_status(host: &HostHandle) -> String {
+        let mut text = String::new();
+        let mut status =
+            TcpStream::connect(host.status_addr.expect("status port bound")).expect("reachable");
+        io::Read::read_to_string(&mut status, &mut text).expect("status readable");
+        text
+    }
+
+    /// The status port never serves an empty page: the first one is
+    /// rendered before the listener's thread exists, not ≈ 0.1 s into the
+    /// pump's life.
+    #[test]
+    fn the_first_status_read_finds_a_page() {
+        let host = fig2_host(&fig1_schema());
+        let text = read_status(&host);
+        assert!(text.contains("sqpeerd status"), "got {text:?}");
+        host.shutdown();
+    }
+
+    /// A socket may name any peer id. One that names no member must be
+    /// refused at once — not parked on a query that can never finish —
+    /// and must leave nothing behind in the pump.
+    #[test]
+    fn non_member_address_is_refused() {
+        let schema = fig1_schema();
+        let host = fig2_host(&schema);
         let mut schemas = SchemaRegistry::new();
         schemas.register(Arc::clone(&schema));
         let query = sqpeer_rql::compile(fig1_query_text(), &schema).expect("fixture compiles");
@@ -596,14 +714,11 @@ mod tests {
         };
         assert!(last && result.len() == 3);
 
-        // The pump republishes its status every ~100 slices: wait for
-        // the page that has counted the answered query.
-        let status_addr = host.status_addr.expect("status port bound");
+        // The pump republishes its status when the page is 100 ms old:
+        // wait for the one that has counted the answered query.
         let mut seen = None;
         for _ in 0..100 {
-            let mut text = String::new();
-            let mut status = TcpStream::connect(status_addr).expect("status reachable");
-            io::Read::read_to_string(&mut status, &mut text).expect("status readable");
+            let text = read_status(&host);
             if text.contains("query_ttfr_count 1") {
                 seen = text
                     .lines()

@@ -9,19 +9,25 @@
 //! dropped, never delivered corrupted.
 //!
 //! Delivery is immediate-due (loopback has no propagation delay); timers
-//! arm at real microsecond offsets. [`LoopbackNet::step_for`] pumps
-//! until the wall clock has advanced the requested amount, sleeping in
-//! millisecond slices while nothing is due.
+//! arm at real microsecond offsets. [`LoopbackNet::run_due`] dispatches
+//! everything that is due and never sleeps; [`LoopbackNet::next_due_us`]
+//! names the earliest deadline still queued. [`Transport::step_for`] is
+//! those two with a sleep between them; the `sqpeerd` pump, which has
+//! work of its own to interleave, calls them itself and owns the sleep.
 
 use crate::RealClock;
 use sqpeer_net::{Clock, Ctx, Metrics, NodeId, NodeLogic, TelemetryRegistry, Transport};
 use sqpeer_routing::PeerId;
 use sqpeer_wire::{Reader, SchemaRegistry, Wire, WireError, Writer, WIRE_VERSION};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// One queued occurrence: an encoded frame to deliver or a timer to fire.
+/// `Ord` only because the queue's tuple needs it: `seq` never repeats,
+/// so no comparison reaches the item.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Pending {
     /// An encoded wire frame (version byte + generic envelope), plus the
     /// bandwidth-accounting byte size the sender declared.
@@ -43,8 +49,9 @@ where
 {
     clock: RealClock,
     nodes: HashMap<NodeId, N>,
-    queue: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    pending: HashMap<u64, Pending>,
+    /// Min-heap on `(due_us, seq)`: `seq` counts pushes, so occurrences
+    /// due at the same microsecond run in the order they were queued.
+    queue: BinaryHeap<Reverse<(u64, u64, Pending)>>,
     seq: u64,
     metrics: Metrics,
     telemetry: Option<TelemetryRegistry>,
@@ -97,7 +104,6 @@ where
             clock: RealClock::new(),
             nodes: HashMap::new(),
             queue: BinaryHeap::new(),
-            pending: HashMap::new(),
             seq: 0,
             metrics: Metrics::default(),
             telemetry: None,
@@ -132,10 +138,8 @@ where
     }
 
     fn push(&mut self, due_us: u64, item: Pending) {
-        let key = self.seq;
+        self.queue.push(Reverse((due_us, self.seq, item)));
         self.seq += 1;
-        self.pending.insert(key, item);
-        self.queue.push(Reverse((due_us, key, 0)));
     }
 
     fn boot(&mut self) {
@@ -144,9 +148,7 @@ where
         }
         self.booted = true;
         let now = self.clock.now_us();
-        let mut ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        ids.sort();
-        for id in ids {
+        for id in self.node_ids() {
             let mut ctx = Ctx::detached(now, id);
             if let Some(node) = self.nodes.get_mut(&id) {
                 node.on_start(&mut ctx);
@@ -220,21 +222,24 @@ where
         self.flush(node, ctx);
     }
 
-    /// Processes everything due at or before the current real time.
-    /// Returns the number of dispatched occurrences.
-    fn drain_due(&mut self) -> usize {
+    /// Takes the queue's head if the real clock has reached its deadline.
+    fn pop_due(&mut self) -> Option<Pending> {
+        let head = self.queue.peek_mut()?;
+        let Reverse((due_us, ..)) = *head;
+        (due_us <= self.clock.now_us()).then(|| PeekMut::pop(head).0 .2)
+    }
+
+    /// Dispatches everything due at or before the current real time —
+    /// what that sends in turn included, and the nodes' `on_start` the
+    /// first time — and returns without sleeping, however near the next
+    /// timer is. Returns the number of dispatched occurrences.
+    pub fn run_due(&mut self) -> usize {
         // Budget against self-sustaining message storms, mirroring the
         // simulator's guard.
         const BUDGET: usize = 1_000_000;
+        self.boot();
         let mut processed = 0;
-        while let Some(&Reverse((due, key, _))) = self.queue.peek() {
-            if due > self.clock.now_us() {
-                break;
-            }
-            self.queue.pop();
-            let Some(item) = self.pending.remove(&key) else {
-                continue;
-            };
+        while let Some(item) = self.pop_due() {
             processed += 1;
             match item {
                 Pending::Frame { frame, bytes } => self.dispatch_frame(frame, bytes),
@@ -243,6 +248,12 @@ where
             assert!(processed < BUDGET, "loopback event storm");
         }
         processed
+    }
+
+    /// When the earliest queued occurrence falls due, on this
+    /// transport's clock; `None` while nothing is queued.
+    pub fn next_due_us(&self) -> Option<u64> {
+        self.queue.peek().map(|Reverse((due, ..))| *due)
     }
 }
 
@@ -265,23 +276,19 @@ where
     }
 
     fn step_for(&mut self, us: u64) -> usize {
-        self.boot();
         let deadline = self.clock.now_us().saturating_add(us);
-        let mut processed = self.drain_due();
-        while self.clock.now_us() < deadline {
+        let mut processed = self.run_due();
+        loop {
+            let now = self.clock.now_us();
+            if now >= deadline {
+                return processed;
+            }
             // Sleep until the next due item or the deadline, whichever
             // is sooner, in bounded slices so new work is noticed.
-            let now = self.clock.now_us();
-            let next_due = self
-                .queue
-                .peek()
-                .map(|Reverse((due, _, _))| *due)
-                .unwrap_or(u64::MAX);
-            let wait = next_due.max(now).min(deadline) - now;
+            let wait = self.next_due_us().unwrap_or(deadline).clamp(now, deadline) - now;
             std::thread::sleep(Duration::from_micros(wait.clamp(50, 1_000)));
-            processed += self.drain_due();
+            processed += self.run_due();
         }
-        processed
     }
 
     fn node(&self, id: NodeId) -> Option<&N> {
@@ -345,6 +352,45 @@ mod tests {
         assert_eq!(net.metrics().total_messages(), 4);
         let telemetry = net.telemetry_snapshot().unwrap();
         assert!(!telemetry.is_empty());
+    }
+
+    /// `run_due` is the drain without the sleep: it boots the nodes and
+    /// carries the exchange an injected message sets off to its end, but
+    /// leaves a timer that is not due yet in the queue, where
+    /// `next_due_us` names its deadline.
+    #[test]
+    fn run_due_runs_the_exchange_and_leaves_the_timer_armed() {
+        let mut net: LoopbackNet<Echo> = LoopbackNet::new(SchemaRegistry::new());
+        net.add_node(NodeId(0), Echo(Vec::new()));
+        net.add_node(NodeId(1), Echo(Vec::new()));
+        assert_eq!(net.next_due_us(), None, "nothing queued before boot");
+        net.inject(NodeId(0), NodeId(1), 3, 64);
+        let before = net.now_us();
+        assert_eq!(net.run_due(), 4, "3, 2, 1, 0: the whole ping-pong");
+        assert_eq!(net.node(NodeId(1)).unwrap().0, [3, 1]);
+        assert_eq!(net.node(NodeId(0)).unwrap().0, [2, 0]);
+        let due = net.next_due_us().expect("both on_start timers are queued");
+        assert!(
+            (before + 5_000..=net.now_us() + 5_000).contains(&due),
+            "the head is not the 5 ms timer: {due}"
+        );
+        assert_eq!(net.run_due(), 0, "nothing else is due");
+    }
+
+    /// Occurrences due at the same microsecond run in the order they
+    /// were queued — `seq` is the tie-break, and nothing else is.
+    #[test]
+    fn equal_due_frames_are_delivered_in_queue_order() {
+        let mut net: LoopbackNet<Echo> = LoopbackNet::new(SchemaRegistry::new());
+        net.add_node(NodeId(1), Echo(Vec::new()));
+        // Payloads in no sorted order: ordering by frame bytes would move them.
+        for msg in [0u64, 9, 4, 7, 2].map(|m| m * 1_000) {
+            let frame = encode_envelope(NodeId(0), NodeId(1), 0, &msg);
+            net.push(0, Pending::Frame { frame, bytes: 8 });
+        }
+        net.run_due();
+        let got = &net.node(NodeId(1)).unwrap().0;
+        assert_eq!(got[..5], [0, 9_000, 4_000, 7_000, 2_000]);
     }
 
     #[test]

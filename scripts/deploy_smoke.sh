@@ -105,7 +105,9 @@ rc=0; "$BIN" query 127.0.0.1:7431 starved-token "$QUERY" 2> "$OUT/starved.txt" |
 grep -q "bytes" "$OUT/starved.txt" || { echo "FAIL: quota message missing"; exit 1; }
 
 echo "== telemetry status page =="
-# The host refreshes its status text periodically; give it a beat.
+# The port serves a page from the moment the host is up and the pump
+# republishes it once it is 100 ms old; wait for one that has counted the
+# queries above.
 sleep 0.5
 "$BIN" status 127.0.0.1:7412 | tee "$OUT/status.txt"
 grep -q "sqpeerd status"    "$OUT/status.txt" || { echo "FAIL: no status page"; exit 1; }
@@ -114,8 +116,10 @@ grep -q "decode_failures 0" "$OUT/status.txt" || { echo "FAIL: wire decode failu
 echo "== nobody polls: an idle gateway sleeps =="
 # Voluntary context switches, summed over a process' threads, one second
 # apart. A thread blocked in accept() or read() makes none; a 5 ms accept
-# poll alone makes 200 a second. The hosts' figure is printed, not
-# asserted: their pump still steps the transport in 1 ms slices.
+# poll alone makes 200 a second. The hosts' figure (≈ 900) is printed,
+# not asserted: their pump no longer sleeps on a finished answer, but
+# nothing wakes it when a command arrives, so while idle it still looks at
+# its command channel once a millisecond.
 voluntary_switches() {
   cat /proc/"$1"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n + 0 }'
 }
