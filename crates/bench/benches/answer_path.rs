@@ -1,7 +1,8 @@
 //! Single-layer microbenchmarks of the path an answer takes from the
 //! root's `combine()` to the gateway: the union fold, the `Data` packet
-//! decode and the final projection, at `gw_scan`'s answer sizes (URIs
-//! drawn from a 600-resource pool per column, so they repeat).
+//! decode, a two-pattern chain joined and projected in one pass (what a
+//! root's last join does) and the final projection, at `gw_scan`'s answer
+//! sizes (URIs drawn from a 600-resource pool per column, so they repeat).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqpeer::exec::{Msg, QueryId};
@@ -26,6 +27,26 @@ fn rows(columns: &[&str], from: usize, to: usize) -> ResultSet {
                     .collect()
             })
             .collect(),
+    }
+}
+
+/// One half of a two-pattern chain: 1,800 rows of a unique end column
+/// and the join column `Y`, which takes 600 values three times each.
+fn chain_half(columns: [&str; 2], end: usize) -> ResultSet {
+    let uri = |c: &str, n: usize| {
+        Node::Resource(Resource::new(format!("http://example.org/data/{c}/r{n}")))
+    };
+    let row = |i: usize| {
+        let (end_cell, y) = (uri(columns[end], i), uri("Y", i % 600));
+        if end == 0 {
+            vec![end_cell, y]
+        } else {
+            vec![y, end_cell]
+        }
+    };
+    ResultSet {
+        columns: columns.iter().map(|c| c.to_string()).collect(),
+        rows: (0..1_800).map(row).collect(),
     }
 }
 
@@ -68,6 +89,14 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("decode_data_1800", |b| {
         b.iter(|| black_box(decode_frame::<Envelope>(black_box(&frame), &schemas)))
+    });
+
+    // 1,800 ⋈ 1,800 on `Y` is 5,400 rows, projected onto the ends.
+    let (left, right) = (chain_half(["X", "Y"], 0), chain_half(["Y", "Z"], 1));
+    let ends: Vec<String> = ["X", "Z"].iter().map(|c| c.to_string()).collect();
+    assert_eq!(left.join_onto(&right, Some(&ends)).0.len(), 5_400);
+    group.bench_function("join_project_chain_5400", |b| {
+        b.iter(|| black_box(left.join_onto(&right, Some(&ends))))
     });
 
     let wide = rows(&["X", "Y", "Z"], 0, 5_300);

@@ -130,6 +130,24 @@ struct Reassembly {
     partial: bool,
 }
 
+/// Who reads the rows a `Data` packet releases for its `(frame, slot)`:
+/// nobody (they move into the reassembly), a reader of that batch, or of
+/// the batch with everything released before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reader {
+    Nobody,
+    Batch,
+    Backfill,
+}
+
+/// Released rows: word that they `Arrived` (into the reassembly only), or
+/// the `Batch` their [`Reader`] asked for.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Drained {
+    Arrived,
+    Batch(ResultSet),
+}
+
 /// What a `Data` message carries besides the `(qid, tag)` it claims.
 #[derive(Debug)]
 pub(crate) struct Packet {
@@ -223,7 +241,7 @@ pub(crate) enum Verdict {
     Drained {
         frame: u64,
         slot: usize,
-        batch: ResultSet,
+        batch: Drained,
     },
     /// Its whole `result` arrived for `(frame, slot)`; `last` is what the
     /// final packet drained, not yet consumed as a batch.
@@ -231,7 +249,7 @@ pub(crate) enum Verdict {
         frame: u64,
         slot: usize,
         plan: PlanNode,
-        last: Option<ResultSet>,
+        last: Option<Drained>,
         result: ResultSet,
         partial: bool,
     },
@@ -362,8 +380,7 @@ impl Dispatcher {
     /// duplicated batches — smaller packets travel faster, retries resend
     /// from the start), accounts it to the channel's throughput window and
     /// acknowledges it with one credit while the stream is incomplete.
-    /// `backfill(frame, slot)` says whether what this packet drains must
-    /// be handed over together with everything drained before it.
+    /// `reader(frame, slot)` says who reads what this packet drains.
     /// `None` when the claim matches no outstanding subplan.
     pub(crate) fn data(
         &mut self,
@@ -372,7 +389,7 @@ impl Dispatcher {
         qid: QueryId,
         tag: u64,
         packet: Packet,
-        backfill: impl FnOnce(u64, usize) -> bool,
+        reader: impl FnOnce(u64, usize) -> Reader,
     ) -> Option<Step> {
         // `tag` and `qid` are the sender's claim: a packet naming another
         // query's tag must not reach its slot.
@@ -385,7 +402,7 @@ impl Dispatcher {
         }
         pending.bytes_observed += packet.result.wire_size() as u64 + 48;
         let (dest, frame, slot) = (pending.dest, pending.frame, pending.slot);
-        let backfill = backfill(frame, slot);
+        let reader = reader(frame, slot);
         let state = &mut pending.stream;
         let ResultSet { columns, rows } = packet.result;
         if state.drained.columns.is_empty() {
@@ -400,13 +417,18 @@ impl Dispatcher {
             ctx.counters().stream_dedup_drops += 1;
         }
         let mut fresh: Vec<Row> = ingested.drained.into_iter().flatten().collect();
-        state.drained.rows.extend(fresh.iter().cloned());
-        if backfill && !fresh.is_empty() {
-            fresh = state.drained.rows.clone();
+        let (drained, arrived) = (&mut state.drained, !fresh.is_empty());
+        match reader {
+            Reader::Batch => drained.rows.extend(fresh.iter().cloned()),
+            Reader::Nobody | Reader::Backfill => drained.rows.append(&mut fresh),
         }
-        let batch = (!fresh.is_empty()).then(|| ResultSet {
-            columns: state.drained.columns.clone(),
-            rows: fresh,
+        let batch = arrived.then(|| match reader {
+            Reader::Nobody => Drained::Arrived,
+            Reader::Batch => Drained::Batch(ResultSet {
+                columns: drained.columns.clone(),
+                rows: fresh,
+            }),
+            Reader::Backfill => Drained::Batch(drained.clone()),
         });
         let (event, verdict) = if ingested.credit_owed {
             // Credit-based backpressure: acknowledge the packet so the
@@ -641,7 +663,23 @@ mod tests {
         tag: u64,
         p: Packet,
     ) -> Option<Step> {
-        d.data(ctx, node_of(HOLDER), QueryId(qid), tag, p, |_, _| false)
+        d.data(ctx, node_of(HOLDER), QueryId(qid), tag, p, |_, _| {
+            Reader::Batch
+        })
+    }
+
+    /// Packet `p` of tag 0 of query 1, read at its slot by `reader`.
+    fn ingest_read_by(d: &mut Dispatcher, ctx: &mut Ctx<Msg>, p: Packet, reader: Reader) -> Step {
+        let step = d.data(ctx, node_of(HOLDER), QueryId(1), 0, p, |_, _| reader);
+        step.expect("tag 0 is live")
+    }
+
+    /// The rows of a batch handed over to a reader.
+    fn read(drained: Option<Drained>) -> Vec<Row> {
+        match drained {
+            Some(Drained::Batch(batch)) => batch.rows,
+            other => panic!("no batch: {other:?}"),
+        }
     }
 
     /// At-least-once dispatch: timeouts `T`, `2T`, `4T`, the attempt
@@ -704,7 +742,7 @@ mod tests {
             panic!("a complete single-packet answer: {:?}", step.verdict);
         };
         assert_eq!((frame, slot, result.rows.len()), (1, 0, 1));
-        assert_eq!(last, Some(result));
+        assert_eq!(last, Some(Drained::Batch(result)));
         assert!(ingest(&mut d, &mut ctx, 1, 0, packet(&subplan, 0, true, 1)).is_none());
         assert!(d.timed_out(&mut ctx, 0).is_none());
         assert!(sent(ctx).is_empty(), "a complete stream owes no credit");
@@ -735,14 +773,15 @@ mod tests {
         let Verdict::Drained { batch, .. } = feed(&mut d, 0, false) else {
             panic!("0 and 1 drain together");
         };
-        assert_eq!(batch.rows.len(), 2);
-        let in_order = names(&batch.rows);
+        let batch = read(Some(batch));
+        assert_eq!(batch.len(), 2);
+        let in_order = names(&batch);
         assert!(matches!(feed(&mut d, 0, false), Verdict::Pending { .. }));
         assert!(matches!(feed(&mut d, 1, false), Verdict::Pending { .. }));
         let Verdict::Answered { result, last, .. } = feed(&mut d, 2, true) else {
             panic!("the last packet completes the stream");
         };
-        assert_eq!(last.map(|b| b.rows.len()), Some(1));
+        assert_eq!(read(last).len(), 1);
         assert_eq!(names(&result.rows)[..2], in_order[..]);
         assert_eq!(result.rows.len(), 3);
 
@@ -761,6 +800,74 @@ mod tests {
                 }
             ));
         }
+    }
+
+    /// A slot nobody reads (a union answering the root): a one-packet
+    /// answer lands whole in the result, and the verdict only says that
+    /// rows came with it.
+    #[test]
+    fn an_unread_single_packet_answer_lands_whole() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        let p = packet(&subplan, 0, true, 3);
+        let rows = p.result.rows.clone();
+        let step = ingest_read_by(&mut d, &mut ctx_at(1), p, Reader::Nobody);
+        assert!(matches!(
+            step.events,
+            [Some(Event::Answered { rows: 3, .. }), None]
+        ));
+        let Verdict::Answered { last, result, .. } = step.verdict else {
+            panic!("a complete single-packet answer: {:?}", step.verdict);
+        };
+        assert_eq!(last, Some(Drained::Arrived));
+        assert_eq!(result.rows, rows);
+    }
+
+    /// A join slot still reads: nothing while a sibling is unfilled, then
+    /// — its probe activating — everything released so far, then each
+    /// packet's rows, the last beside the whole result.
+    #[test]
+    fn a_read_slot_gets_its_batch_and_its_backfill() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        let mut ctx = ctx_at(1);
+        let mut feed = |seq, last, rows, reader| {
+            ingest_read_by(&mut d, &mut ctx, packet(&subplan, seq, last, rows), reader).verdict
+        };
+        let Verdict::Drained { batch, .. } = feed(0, false, 2, Reader::Nobody) else {
+            panic!("packet 0 drains");
+        };
+        assert_eq!(batch, Drained::Arrived);
+        let Verdict::Drained { batch, .. } = feed(1, false, 1, Reader::Backfill) else {
+            panic!("packet 1 drains");
+        };
+        let backfill = read(Some(batch));
+        let Verdict::Answered { last, result, .. } = feed(2, true, 2, Reader::Batch) else {
+            panic!("packet 2 completes the stream");
+        };
+        let last = read(last);
+        assert_eq!((backfill.len(), last.len()), (3, 2));
+        assert_eq!([backfill, last].concat(), result.rows);
+    }
+
+    /// A repeated packet of a slot nobody reads lands in the dedup
+    /// counter, never in the answer.
+    #[test]
+    fn an_unread_duplicate_is_only_counted() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        let mut ctx = ctx_at(1);
+        let mut feed = |seq, last| {
+            let p = packet(&subplan, seq, last, 1);
+            ingest_read_by(&mut d, &mut ctx, p, Reader::Nobody).verdict
+        };
+        assert!(matches!(feed(0, false), Verdict::Drained { .. }));
+        assert!(matches!(feed(0, false), Verdict::Pending { .. }));
+        let Verdict::Answered { last, result, .. } = feed(1, true) else {
+            panic!("packet 1 completes the stream");
+        };
+        assert_eq!((last, result.rows.len()), (Some(Drained::Arrived), 2));
+        assert_eq!(ctx.into_effects().counters.stream_dedup_drops, 1);
     }
 
     /// A probe never comes before the grace period, re-arms while the

@@ -27,7 +27,9 @@
 //! router (`local_route`'s), records what the dispatcher reports
 //! (`note`) and keeps the one timer table.
 
-use crate::dispatch::{Dispatcher, Event, Packet, PendingRemote, ReplanCause, Step, Verdict};
+use crate::dispatch::{
+    Dispatcher, Drained, Event, Packet, PendingRemote, Reader, ReplanCause, Step, Verdict,
+};
 use crate::local::{eval_local, fully_local};
 use crate::msg::{Msg, PeerChannel, QueryId, QueryOutcome};
 use crate::son::{Directory, Route};
@@ -415,20 +417,22 @@ struct Frame {
 }
 
 impl Frame {
-    /// Would a batch drained for the still-streaming `slot` activate the
-    /// pipelined join probe now — a live `Join` frame whose every other
-    /// slot is filled and which is not probing `slot` already? The probe
-    /// then needs the stream's whole drained prefix, not just that batch.
-    fn probe_activates(&self, slot: usize) -> bool {
-        self.op == FrameOp::Join
-            && !self.done
-            && self.slots[slot].is_none()
-            && self
-                .slots
-                .iter()
-                .enumerate()
-                .all(|(i, s)| i == slot || s.is_some())
-            && self.probe.as_ref().is_none_or(|p| p.slot != slot)
+    /// Who reads the rows a packet releases for the still-streaming
+    /// `slot`. A live `Join` frame whose every other slot is filled
+    /// activates its pipelined probe on them, which needs the stream's
+    /// whole drained prefix (a backfill), and reads each batch after; a
+    /// `Union` relaying towards a channel (while `forwarding`) reads each.
+    fn reader(&self, slot: usize, forwarding: bool) -> Reader {
+        let mut others = self.slots.iter().enumerate().filter(|&(i, _)| i != slot);
+        let siblings_filled = others.all(|(_, s)| s.is_some());
+        let relays = forwarding && matches!(self.completion, Completion::Channel { .. });
+        match self.op {
+            _ if self.done || self.slots[slot].is_some() => Reader::Nobody,
+            FrameOp::Join if self.probe.as_ref().is_some_and(|p| p.slot == slot) => Reader::Batch,
+            FrameOp::Join if siblings_filled => Reader::Backfill,
+            FrameOp::Union if relays => Reader::Batch,
+            _ => Reader::Nobody,
+        }
     }
 }
 
@@ -1374,7 +1378,8 @@ impl PeerNode {
                     return;
                 }
             }
-            self.complete_after_processing(ctx, completion, result, false);
+            let rows = result.len();
+            self.complete_after_processing(ctx, completion, result, false, rows);
             return;
         }
         // A remote fetch, or a join sited elsewhere (query shipping: the
@@ -1706,15 +1711,16 @@ impl PeerNode {
     /// Pipelined consumption of one in-order batch drained from a
     /// streamed subplan feeding `(frame_id, slot)`: join frames probe the
     /// batch against their already-built sides, and any resulting
-    /// contribution rows timestamp the root's time-to-first-row and are
-    /// forwarded downstream when the frame completes towards a channel.
+    /// contribution rows (for a union, rows that only arrived) timestamp
+    /// the root's time-to-first-row and are forwarded downstream when the
+    /// frame completes towards a channel.
     fn consume_batch(
         &mut self,
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
         frame_id: u64,
         slot: usize,
-        batch: ResultSet,
+        batch: Drained,
     ) {
         let (contrib, completion) = {
             let Some(frame) = self.frames.get_mut(&frame_id) else {
@@ -1723,10 +1729,10 @@ impl PeerNode {
             if frame.done || frame.slots[slot].is_some() {
                 return;
             }
-            let contrib = match frame.op {
-                FrameOp::Union => Some(batch),
-                FrameOp::Join => {
-                    if frame.probe_activates(slot) {
+            let contrib = match (frame.op, batch) {
+                (FrameOp::Union, batch) => Some(batch),
+                (FrameOp::Join, Drained::Batch(batch)) => {
+                    if frame.reader(slot, false) == Reader::Backfill {
                         // Fold the filled sides once; every batch joins
                         // against them from here on. (The caller backfills
                         // previously drained rows into this first batch.)
@@ -1767,19 +1773,18 @@ impl PeerNode {
                                 }
                                 None => probe.acc = Some(t),
                             }
-                            out
+                            Drained::Batch(out)
                         })
                 }
-                FrameOp::Race => None,
+                _ => None,
             };
             (contrib, frame.completion.clone())
         };
-        let Some(contrib) = contrib else {
-            return;
+        let contrib = match contrib {
+            None => return,
+            Some(Drained::Batch(rows)) if rows.is_empty() => return,
+            Some(contrib) => contrib,
         };
-        if contrib.rows.is_empty() {
-            return;
-        }
         // Time-to-first-row: the first contribution rows that became
         // visible at the root of this query.
         if let Some(root) = self.live_root(qid) {
@@ -1788,10 +1793,10 @@ impl PeerNode {
         // Union/join forwarding: an intermediate frame answering through
         // a channel relays the contribution downstream immediately, so
         // the root sees first rows before this peer's inputs complete.
-        if self.config.stream_batch_rows.is_some() {
-            if let Completion::Channel { channel, qid, tag } = completion {
-                self.forward_delta(ctx, channel, qid, tag, contrib);
-            }
+        if let (Drained::Batch(contrib), Some(_), Completion::Channel { channel, qid, tag }) =
+            (contrib, self.config.stream_batch_rows, completion)
+        {
+            self.forward_delta(ctx, channel, qid, tag, contrib);
         }
     }
 
@@ -1877,11 +1882,17 @@ impl PeerNode {
         }
         let frame = self.frames.remove(&frame_id).expect("frame exists");
         let op = frame.op;
-        let (completion, combined, combined_partial) = combine(frame);
+        // A rooted query's last join applies the query's projection.
+        let root = match frame.completion {
+            Completion::Root { qid } if op == FrameOp::Join => self.rooted.get(&qid),
+            _ => None,
+        };
+        let names = root.map(|root| projection_names(&root.query));
+        let (completion, combined, combined_partial, rows) = combine(frame, names.as_deref());
         if self.config.processing_us_per_row > 0 && op == FrameOp::Join {
             // The join work happens at this peer: charge its load before
             // the result moves on.
-            self.complete_after_processing(ctx, completion, combined, combined_partial);
+            self.complete_after_processing(ctx, completion, combined, combined_partial, rows);
         } else {
             self.complete(ctx, completion, combined, combined_partial);
         }
@@ -1889,15 +1900,17 @@ impl PeerNode {
 
     /// Models the peer's processing load (§2.5: "the processing load of
     /// the peers should also be taken into account"): the result moves on
-    /// after `rows × processing_us_per_row` virtual microseconds.
+    /// after `(rows + 1) × processing_us_per_row` virtual microseconds,
+    /// `rows` being what the peer produced before any projection.
     fn complete_after_processing(
         &mut self,
         ctx: &mut Ctx<Msg>,
         completion: Completion,
         result: ResultSet,
         partial: bool,
+        rows: usize,
     ) {
-        let delay = self.config.processing_us_per_row * (result.len() as u64 + 1);
+        let delay = self.config.processing_us_per_row * (rows as u64 + 1);
         let timer = Timer::Completion {
             completion,
             result,
@@ -1918,12 +1931,7 @@ impl PeerNode {
         else {
             return;
         };
-        let names: Vec<String> = root
-            .query
-            .projection()
-            .iter()
-            .map(|&v| root.query.var_name(v).to_string())
-            .collect();
+        let names = projection_names(&root.query);
         let mut missing: Vec<PeerId> = root.missing.iter().copied().collect();
         missing.sort();
         let missing_count = missing.len();
@@ -1933,9 +1941,10 @@ impl PeerNode {
         // root cannot claim the full answer — a surviving replica may
         // hold different rows than the lost peer did.
         let partial = partial || missing_count > 0;
-        // Apply the query's final projection (§2.1 projections). An empty
-        // result coming out of a hole has no columns; give it the query's
-        // projection schema so consumers see a well-formed (empty) table.
+        // Apply the query's final projection (§2.1 projections) — already
+        // applied by a last join at this root. An empty result coming out
+        // of a hole has no columns; give it the query's projection schema
+        // so consumers see a well-formed (empty) table.
         let mut projected = result.into_projection(&names);
         if projected.rows.is_empty() && projected.columns.len() != names.len() {
             projected = ResultSet::empty(names);
@@ -2290,15 +2299,16 @@ fn strip_peer(plan: PlanNode, peer: PeerId) -> PlanNode {
     })
 }
 
+/// The names of `query`'s projected variables, in order.
+fn projection_names(query: &QueryPattern) -> Vec<String> {
+    let names = query.projection().iter();
+    names.map(|&v| query.var_name(v).to_string()).collect()
+}
+
 /// The natural output columns of a plan subtree.
 pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
     match plan {
-        PlanNode::Fetch { subquery, .. } => subquery
-            .query
-            .projection()
-            .iter()
-            .map(|&v| subquery.query.var_name(v).to_string())
-            .collect(),
+        PlanNode::Fetch { subquery, .. } => projection_names(&subquery.query),
         PlanNode::Union(inputs) => inputs.first().map(plan_columns).unwrap_or_default(),
         PlanNode::Join { inputs, .. } => {
             let mut cols: Vec<String> = Vec::new();
@@ -2316,29 +2326,37 @@ pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
 
 /// Folds a finished frame's slots into its result, consuming them: the
 /// first filled slot becomes the accumulator as it is and the others are
-/// unioned (one pass, new rows moved in) or joined onto it in slot order.
-fn combine(frame: Frame) -> (Completion, ResultSet, bool) {
+/// unioned (one pass, new rows moved in) or joined onto it in slot order,
+/// the last join projecting onto `names` when given. Also returns the
+/// partial flag and the rows of the combined result before that
+/// projection.
+fn combine(frame: Frame, names: Option<&[String]>) -> (Completion, ResultSet, bool, usize) {
     let partial = frame.partial && frame.op != FrameOp::Race;
     if let Some(pre) = frame.precombined {
         // A pipelined join probe already folded the combined result
         // incrementally as the batches streamed in.
-        return (frame.completion, pre, partial);
+        let rows = pre.len();
+        return (frame.completion, pre, partial, rows);
     }
-    let mut slots = frame.slots.into_iter().flatten();
+    let mut slots = frame.slots.into_iter().flatten().peekable();
     let Some(mut acc) = slots.next() else {
-        return (
-            frame.completion,
-            ResultSet::default(),
-            frame.op != FrameOp::Race,
-        );
+        let partial = frame.op != FrameOp::Race;
+        return (frame.completion, ResultSet::default(), partial, 0);
     };
+    let mut rows = None;
     match frame.op {
         FrameOp::Union => acc.union_all_owned(slots),
-        FrameOp::Join => acc = slots.fold(acc, |acc, s| acc.join(&s)),
+        FrameOp::Join => {
+            while let Some(s) = slots.next() {
+                let (joined, n) = acc.join_onto(&s, names.filter(|_| slots.peek().is_none()));
+                (acc, rows) = (joined, Some(n));
+            }
+        }
         // The winning (non-partial) slot if any, else the first filled.
         FrameOp::Race => {}
     }
-    (frame.completion, acc, partial)
+    let rows = rows.unwrap_or(acc.len());
+    (frame.completion, acc, partial, rows)
 }
 
 impl NodeLogic for PeerNode {
@@ -2437,15 +2455,13 @@ impl NodeLogic for PeerNode {
                     result,
                     partial,
                 };
-                // Pipelined join consumption: a probe activating on this
-                // packet needs the full drained prefix (earlier batches
-                // arrived before its sibling slots filled), not just this
-                // packet's rows.
-                let frames = &self.frames;
+                let (frames, forwarding) = (&self.frames, self.config.stream_batch_rows.is_some());
                 let step = self
                     .dispatch
                     .data(ctx, from, qid, tag, packet, |frame, slot| {
-                        frames.get(&frame).is_some_and(|f| f.probe_activates(slot))
+                        frames
+                            .get(&frame)
+                            .map_or(Reader::Nobody, |f| f.reader(slot, forwarding))
                     });
                 self.settle(ctx, step);
             }
@@ -3967,7 +3983,12 @@ mod tests {
                 probe: None,
                 precombined: None,
             };
-            let (_, combined, partial) = combine(frame);
+            // A join projects onto its chain's two ends as it joins.
+            let ends = [expected.columns.first(), expected.columns.last()];
+            let names: Vec<String> = ends.into_iter().flatten().cloned().collect();
+            let (_, combined, partial, rows) = combine(frame, join.then_some(&names[..]));
+            proptest::prop_assert_eq!(rows, expected.len());
+            let expected = if join { expected.project(&names) } else { expected };
             proptest::prop_assert_eq!(combined, expected);
             proptest::prop_assert!(!partial);
         }

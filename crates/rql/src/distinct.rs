@@ -5,10 +5,10 @@
 //! incoming row is hashed once, in the accumulator's column order, and
 //! compared cell by cell against the rows already there; only a row that
 //! turns out to be new is cloned (or, handed over by value, moved) into
-//! the vector. Row order is arrival order — exactly what the
-//! `FxHashSet<Row>`-of-clones formulation this replaces produced, which
-//! is what keeps streamed batches, `wire_size()` and the byte counters
-//! downstream unchanged.
+//! the vector. Row order is arrival order — exactly what the hash set of
+//! cloned rows this replaces produced, which is what keeps streamed
+//! batches, `wire_size()` and the byte counters downstream unchanged.
+//! [`IdRowSet`] is the same index over rows of `u32` ids.
 
 use crate::eval::{ResultSet, Row};
 use sqpeer_rdfs::fxhash::FxHasher;
@@ -22,6 +22,13 @@ fn hash_cells<'a>(cells: impl Iterator<Item = &'a Node>) -> u64 {
     for cell in cells {
         cell.hash(&mut hasher);
     }
+    hasher.finish()
+}
+
+/// One hash for a row of ids.
+pub(crate) fn hash_ids(ids: impl Iterator<Item = u32>) -> u64 {
+    let mut hasher = FxHasher::default();
+    ids.for_each(|id| hasher.write_u32(id));
     hasher.finish()
 }
 
@@ -93,6 +100,30 @@ impl RowIndex {
             }
             at = (at + 1) & mask;
         }
+    }
+}
+
+/// Distinct equal-width rows of ids, flat in insertion order, over a
+/// [`RowIndex`] — what [`ResultSet::join_onto`] dedups once cells are ids.
+#[derive(Debug)]
+pub(crate) struct IdRowSet(Vec<u32>, RowIndex);
+
+impl IdRowSet {
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        IdRowSet(Vec::new(), RowIndex::with_capacity(rows))
+    }
+
+    /// Adds `row` unless an equal row is present; returns whether it was.
+    pub(crate) fn insert(&mut self, row: &[u32]) -> bool {
+        let (ids, w) = (&mut self.0, row.len());
+        let same = |at: usize| ids[at * w..][..w] == *row;
+        let new = self
+            .1
+            .insert(hash_ids(row.iter().copied()), ids.len() / w.max(1), same);
+        if new {
+            ids.extend_from_slice(row);
+        }
+        new
     }
 }
 

@@ -18,9 +18,9 @@
 //! projection; they return identical row sets.
 
 use crate::ast::CmpOp;
-use crate::distinct::UnionAcc;
+use crate::distinct::{hash_ids, IdRowSet, UnionAcc};
 use crate::pattern::{CondOperand, Endpoint, QueryPattern, Term};
-use sqpeer_rdfs::{FxHashMap, FxHashSet, Node, Resource};
+use sqpeer_rdfs::{FxHashMap, FxHashSet, Literal, Node, Resource};
 use sqpeer_store::{BaseStatistics, DescriptionBase, InternedBase, SymId};
 use std::collections::HashSet;
 
@@ -121,74 +121,99 @@ impl ResultSet {
         delta
     }
 
-    /// Natural hash join with `other` on all shared column names.
-    ///
-    /// Join keys are interned to dense integers first (one hash of each
-    /// node value per occurrence), so multi-column key comparison, the
-    /// build-side index and output dedup all run over `u32`s instead of
-    /// re-hashing URI strings.
+    /// Natural hash join with `other` on all shared column names (none: the
+    /// cartesian product): `self`'s columns, then `other`'s unshared ones;
+    /// distinct rows, each `self` row's matches in `other`'s order.
     ///
     /// This is the ⋈ of vertical distribution (§2.4), which "ensures
     /// correctness of query results".
     pub fn join(&self, other: &ResultSet) -> ResultSet {
+        self.join_onto(other, None).0
+    }
+
+    /// [`join`](Self::join), projected onto `names` (`None`: every column)
+    /// as it is built — the rows of `join` then [`project`](Self::project),
+    /// in that order — and the row count of the unprojected join. Each
+    /// input cell gets a `u32` id once; the key index (key hash → `other`'s
+    /// rows, key ids checked on a hit) and the dedups run over ids, and
+    /// nodes are cloned only for a row whose projected ids are new.
+    pub fn join_onto(&self, other: &ResultSet, names: Option<&[String]>) -> (ResultSet, usize) {
+        let (wa, wb) = (self.columns.len(), other.columns.len());
         let shared: Vec<(usize, usize)> = self
             .columns
             .iter()
             .enumerate()
             .filter_map(|(i, c)| other.column_index(c).map(|j| (i, j)))
             .collect();
-        let other_extra: Vec<usize> = (0..other.columns.len())
-            .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
-            .collect();
-        let mut columns = self.columns.clone();
-        columns.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
-
-        let mut out = ResultSet::empty(columns);
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        if shared.is_empty() {
-            // Cartesian product (only reachable through hand-built plans).
-            for a in &self.rows {
-                for b in &other.rows {
-                    let mut row = a.clone();
-                    row.extend(other_extra.iter().map(|&j| b[j].clone()));
-                    if seen.insert(row.clone()) {
-                        out.rows.push(row);
-                    }
-                }
-            }
-            return out;
-        }
-        // Intern the build side's key columns; probe keys that miss the
-        // interner cannot match any build row.
-        let mut intern: FxHashMap<&Node, u32> = FxHashMap::default();
-        let mut index: FxHashMap<Vec<u32>, Vec<&Row>> = FxHashMap::default();
-        for b in &other.rows {
-            let key: Vec<u32> = shared
+        // Each output column as a cell of the pair `a ++ b`.
+        let unshared = (0..wb).filter(|j| shared.iter().all(|s| s.1 != *j));
+        let proj: Vec<usize> = match names {
+            None => (0..wa).chain(unshared.map(|j| wa + j)).collect(),
+            Some(names) => names
                 .iter()
-                .map(|&(_, j)| {
-                    let next = intern.len() as u32;
-                    *intern.entry(&b[j]).or_insert(next)
+                .filter_map(|n| {
+                    self.column_index(n)
+                        .or_else(|| Some(wa + other.column_index(n)?))
                 })
-                .collect();
-            index.entry(key).or_default().push(b);
+                .collect(),
+        };
+        let columns = proj.iter().map(|&c| pick(&self.columns, &other.columns, c));
+        let mut out = ResultSet::empty(columns.cloned().collect());
+
+        // Pre-sized: growing would re-hash every string behind the keys.
+        let cells = wa * self.len() + wb * other.len();
+        assert!(cells < LONELY as usize, "a join input of 2^31 cells");
+        let mut intern: FxHashMap<&Node, u32> =
+            FxHashMap::with_capacity_and_hasher(cells, Default::default());
+        let mut ids = Vec::with_capacity(cells);
+        for node in self.rows.iter().chain(&other.rows).flatten() {
+            let nan = matches!(node, Node::Literal(Literal::Float(f)) if f.is_nan());
+            let next = intern.len() as u32 | if nan { LONELY } else { 0 };
+            ids.push(*intern.entry(node).or_insert(next));
         }
-        for a in &self.rows {
-            let key: Option<Vec<u32>> = shared
-                .iter()
-                .map(|&(i, _)| intern.get(&a[i]).copied())
-                .collect();
-            let Some(key) = key else { continue };
-            if let Some(matches) = index.get(&key) {
-                for b in matches {
-                    let mut row = a.clone();
-                    row.extend(other_extra.iter().map(|&j| b[j].clone()));
-                    if seen.insert(row.clone()) {
-                        out.rows.push(row);
-                    }
+        let (a_ids, b_ids) = ids.split_at(wa * self.len());
+        // Which rows repeat an earlier row of their side. A pair of rows
+        // neither of which does joins into a row no earlier pair gave.
+        let repeats = |ids: &[u32], w: usize, n: usize| -> Vec<bool> {
+            let mut earlier = IdRowSet::with_capacity(n);
+            (0..n)
+                .map(|r| !earlier.insert(&ids[r * w..][..w]))
+                .collect()
+        };
+        let a_repeats = repeats(a_ids, wa, self.len());
+        let b_repeats = repeats(b_ids, wb, other.len());
+
+        // Key hash → the rows of `other` under it, in order.
+        let mut index: FxHashMap<u64, Vec<usize>> =
+            FxHashMap::with_capacity_and_hasher(other.len(), Default::default());
+        for j in 0..other.len() {
+            let b = &b_ids[j * wb..][..wb];
+            let hash = hash_ids(shared.iter().map(|&(_, sj)| b[sj]));
+            index.entry(hash).or_default().push(j);
+        }
+
+        let lonely = |ids: &[u32]| ids.iter().any(|id| id & LONELY != 0);
+        let mut kept = IdRowSet::with_capacity(self.len());
+        let (mut tuple, mut joined) = (Vec::with_capacity(proj.len()), 0);
+        for (i, a_row) in self.rows.iter().enumerate() {
+            let a = &a_ids[i * wa..][..wa];
+            let hash = hash_ids(shared.iter().map(|&(si, _)| a[si]));
+            for &j in index.get(&hash).into_iter().flatten() {
+                let b = &b_ids[j * wb..][..wb];
+                let repeat = (a_repeats[i] || b_repeats[j]) && !lonely(a) && !lonely(b);
+                if repeat || shared.iter().any(|&(si, sj)| a[si] != b[sj]) {
+                    continue;
+                }
+                joined += 1;
+                tuple.clear();
+                tuple.extend(proj.iter().map(|&c| *pick(a, b, c)));
+                if names.is_none() || lonely(&tuple) || kept.insert(&tuple) {
+                    let cell = |&c: &usize| pick(a_row, &other.rows[j], c).clone();
+                    out.rows.push(proj.iter().map(cell).collect());
                 }
             }
         }
-        out
+        (out, joined)
     }
 
     /// Projects onto `names` (in that order; unknown names are skipped),
@@ -268,10 +293,21 @@ impl ResultSet {
     }
 }
 
+/// Cell `c` of the pair `a ++ b`.
+fn pick<'a, T>(a: &'a [T], b: &'a [T], c: usize) -> &'a T {
+    match c.checked_sub(a.len()) {
+        None => &a[c],
+        Some(j) => &b[j],
+    }
+}
+
+/// Marks the join id of a cell not equal to itself (a NaN): it is fresh
+/// at each occurrence, and a row holding one is distinct, as under `==`.
+const LONELY: u32 = 1 << 31;
+
 /// Total order over nodes used by `ORDER BY`: resources before literals,
 /// resources by URI, literals by `Literal::total_cmp`.
 pub fn node_cmp(a: &Node, b: &Node) -> std::cmp::Ordering {
-    use sqpeer_rdfs::Literal;
     match (a, b) {
         (Node::Resource(x), Node::Resource(y)) => x.uri().cmp(y.uri()),
         (Node::Literal(x), Node::Literal(y)) => Literal::total_cmp(x, y),

@@ -1,9 +1,10 @@
 //! `ResultSet`'s set operations against the implementation they replaced.
 //!
 //! [`reference`] keeps the previous bodies of `extend_distinct`,
-//! `union_all`, `union_delta` and `project` — a `FxHashSet<Row>` of cloned
-//! rows rebuilt on every call — word for word. The index-based versions
-//! must produce the same columns, the same rows **in the same order**
+//! `union_all`, `union_delta`, `project` and `join` — a `FxHashSet<Row>` of
+//! cloned rows rebuilt on every call — word for word. The index-based
+//! versions, and `join_onto` against `join` then `project`, must produce
+//! the same columns, the same rows **in the same order**
 //! (order decides how an answer is cut into batches, hence `wire_size()`
 //! and every byte counter downstream) and the same returned delta.
 //! Outputs are compared through `{:?}` so that rows holding a NaN, which
@@ -16,7 +17,7 @@ use sqpeer_rdfs::{Literal, Node, Resource};
 use sqpeer_rql::{ResultSet, Row, UnionAcc};
 
 mod reference {
-    use sqpeer_rdfs::FxHashSet;
+    use sqpeer_rdfs::{FxHashMap, FxHashSet, Node};
     use sqpeer_rql::{ResultSet, Row};
 
     pub fn extend_distinct(this: &mut ResultSet, rows: impl IntoIterator<Item = Row>) {
@@ -67,6 +68,67 @@ mod reference {
                 .iter()
                 .map(|row| idx.iter().map(|&i| row[i].clone()).collect::<Row>()),
         );
+        out
+    }
+
+    pub fn join(this: &ResultSet, other: &ResultSet) -> ResultSet {
+        let shared: Vec<(usize, usize)> = this
+            .columns
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| other.column_index(c).map(|j| (i, j)))
+            .collect();
+        let other_extra: Vec<usize> = (0..other.columns.len())
+            .filter(|j| !shared.iter().any(|&(_, sj)| sj == *j))
+            .collect();
+        let mut columns = this.columns.clone();
+        columns.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
+
+        let mut out = ResultSet::empty(columns);
+        let mut seen: FxHashSet<Row> = FxHashSet::default();
+        if shared.is_empty() {
+            // Cartesian product (only reachable through hand-built plans).
+            for a in &this.rows {
+                for b in &other.rows {
+                    let mut row = a.clone();
+                    row.extend(other_extra.iter().map(|&j| b[j].clone()));
+                    if seen.insert(row.clone()) {
+                        out.rows.push(row);
+                    }
+                }
+            }
+            return out;
+        }
+        // Intern the build side's key columns; probe keys that miss the
+        // interner cannot match any build row.
+        let mut intern: FxHashMap<&Node, u32> = FxHashMap::default();
+        let mut index: FxHashMap<Vec<u32>, Vec<&Row>> = FxHashMap::default();
+        for b in &other.rows {
+            let key: Vec<u32> = shared
+                .iter()
+                .map(|&(_, j)| {
+                    let next = intern.len() as u32;
+                    *intern.entry(&b[j]).or_insert(next)
+                })
+                .collect();
+            index.entry(key).or_default().push(b);
+        }
+        for a in &this.rows {
+            let key: Option<Vec<u32>> = shared
+                .iter()
+                .map(|&(i, _)| intern.get(&a[i]).copied())
+                .collect();
+            let Some(key) = key else { continue };
+            if let Some(matches) = index.get(&key) {
+                for b in matches {
+                    let mut row = a.clone();
+                    row.extend(other_extra.iter().map(|&j| b[j].clone()));
+                    if seen.insert(row.clone()) {
+                        out.rows.push(row);
+                    }
+                }
+            }
+        }
         out
     }
 }
@@ -121,6 +183,18 @@ fn part_for(rng: &mut StdRng, acc: &ResultSet) -> ResultSet {
         _ => {}
     }
     table(rng, columns, 10)
+}
+
+/// The two sides of a join, each over 0–3 of five names in random order:
+/// shared columns overlap, sit permuted, or are absent (a cartesian
+/// product); either side may be empty; duplicates within.
+fn join_sides(rng: &mut StdRng) -> (ResultSet, ResultSet) {
+    let names = ["X", "Y", "Z", "W", "V"].map(String::from);
+    let side = |rng: &mut StdRng| {
+        let columns = shuffled(rng, names.to_vec())[..rng.gen_range(0..=3)].to_vec();
+        table(rng, columns, 12)
+    };
+    (side(rng), side(rng))
 }
 
 fn shown(set: &ResultSet) -> String {
@@ -208,5 +282,36 @@ proptest! {
         let expected = reference::project(&set, &names);
         prop_assert_eq!(shown(&set.project(&names)), shown(&expected));
         prop_assert_eq!(shown(&set.into_projection(&names)), shown(&expected));
+    }
+
+    #[test]
+    fn join_matches_reference(seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (a, b) = join_sides(rng);
+        prop_assert_eq!(shown(&a.join(&b)), shown(&reference::join(&a, &b)));
+    }
+
+    /// `join_onto` is `join` then `project`, row for row, and reports the
+    /// unprojected join's row count.
+    #[test]
+    fn join_onto_matches_reference_join_then_project(seed in any::<u64>()) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let (a, b) = join_sides(rng);
+        let joined = reference::join(&a, &b);
+
+        // Every column permuted, a subset, a repeated or an unknown name.
+        let mut names = shuffled(rng, joined.columns.clone());
+        match rng.gen_range(0..5u8) {
+            0 if !names.is_empty() => {
+                names.truncate(rng.gen_range(0..names.len()));
+            }
+            1 if !names.is_empty() => names.push(names[0].clone()),
+            2 => names.insert(rng.gen_range(0..=names.len()), "U".to_string()),
+            _ => {}
+        }
+
+        let (got, rows) = a.join_onto(&b, Some(&names));
+        prop_assert_eq!(shown(&got), shown(&reference::project(&joined, &names)));
+        prop_assert_eq!(rows, joined.len());
     }
 }

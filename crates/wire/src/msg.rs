@@ -630,12 +630,18 @@ impl AnswerFrame {
         sqpeer_exec::PeerChannel::decode(&mut r)?;
         let (_qid, _tag) = (QueryId::decode(&mut r)?, r.u64v()?);
         let columns = Vec::<String>::decode(&mut r)?;
+        let width = columns.len();
         if self.columns.is_empty() {
             self.columns = columns;
         }
         let rows = r.count()?;
         for _ in 0..rows {
             let cells = r.count()?;
+            if cells != width {
+                return Err(WireError::Mismatch(
+                    "row width differs from the column count",
+                ));
+            }
             self.rows.usizev(cells);
             for _ in 0..cells {
                 // A `Node`: resource or literal, rendered as `Display` does.

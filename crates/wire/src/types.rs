@@ -176,11 +176,16 @@ impl Wire for ResultSet {
         self.columns.encode(w);
         self.rows.encode(w);
     }
+    /// Refuses a row whose cell count is not the column count: the
+    /// join and the union index cells by column position.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ResultSet {
-            columns: Vec::<String>::decode(r)?,
-            rows: Vec::<Vec<Node>>::decode(r)?,
-        })
+        let (columns, rows) = (Vec::<String>::decode(r)?, Vec::<Vec<Node>>::decode(r)?);
+        if rows.iter().any(|row| row.len() != columns.len()) {
+            return Err(WireError::Mismatch(
+                "row width differs from the column count",
+            ));
+        }
+        Ok(ResultSet { columns, rows })
     }
 }
 

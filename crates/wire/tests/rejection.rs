@@ -9,10 +9,13 @@
 
 use proptest::prelude::*;
 use sqpeer_exec::{Msg, QueryId};
-use sqpeer_rql::compile;
+use sqpeer_net::{Channel, ChannelId, ChannelState};
+use sqpeer_rdfs::{Node, Resource};
+use sqpeer_routing::PeerId;
+use sqpeer_rql::{compile, ResultSet};
 use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema};
 use sqpeer_wire::{
-    decode_frame, decode_payload, decode_value, encode_frame, encode_value, Envelope,
+    decode_frame, decode_payload, decode_value, encode_frame, encode_value, AnswerFrame, Envelope,
     SchemaRegistry, WireError, Writer, MAX_DEPTH, WIRE_VERSION,
 };
 
@@ -204,6 +207,48 @@ fn embedded_query_that_fails_to_compile_is_an_error() {
         decode_value::<Msg>(&bytes, &reg).unwrap_err(),
         WireError::Query(_)
     ));
+}
+
+/// A result row with more or fewer cells than the result has columns is
+/// refused — by the decoder and by the gateway's renderer alike — before
+/// a join or a union indexes its cells by column position.
+#[test]
+fn ragged_result_rows_are_refused() {
+    let reg = registry();
+    let cell = || Node::Resource(Resource::new("http://example.org/r"));
+    for width in [1, 3] {
+        let ragged = ResultSet {
+            columns: vec!["X".into(), "Y".into()],
+            rows: vec![vec![cell(), cell()], vec![cell(); width]],
+        };
+        let refused = WireError::Mismatch("row width differs from the column count");
+        let decoded = decode_value::<ResultSet>(&encode_value(&ragged), &reg);
+        assert_eq!(decoded.unwrap_err(), refused);
+        let reply = encode_frame(&Envelope {
+            from: PeerId(0),
+            to: PeerId(1),
+            sent_at_us: 0,
+            msg: Msg::Data {
+                channel: Channel {
+                    id: ChannelId(1),
+                    root: PeerId(1),
+                    dest: PeerId(0),
+                    state: ChannelState::Open,
+                },
+                qid: QueryId(1),
+                tag: 0,
+                result: ragged,
+                partial: false,
+                stats: None,
+                seq: 0,
+                last: true,
+            },
+        });
+        let decoded = decode_frame::<Envelope>(&reply, &reg);
+        assert_eq!(decoded.unwrap_err(), refused);
+        let rendered = AnswerFrame::new().push_data(&reply[4..], &reg);
+        assert_eq!(rendered.unwrap_err(), refused);
+    }
 }
 
 #[test]
