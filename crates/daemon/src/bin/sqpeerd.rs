@@ -89,6 +89,18 @@ fn named_schema(name: &str) -> Result<Arc<Schema>, String> {
     }
 }
 
+/// The value of setting `key`; `bad <key> '<value>'` when it is not one.
+fn setting<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {key} '{value}'"))
+}
+
+/// A millisecond setting in µs, refused the same way when µs cannot hold
+/// it.
+fn ms_to_us(key: &str, ms: &str) -> Result<u64, String> {
+    let us = setting::<u64>(key, ms)?.checked_mul(1_000);
+    us.ok_or_else(|| format!("bad {key} '{ms}'"))
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let [path] = args else {
         return Err("usage: sqpeerd serve <config>".into());
@@ -97,8 +109,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut status = None;
     let mut schema: Option<Arc<Schema>> = None;
     let mut bases: Vec<Vec<(String, String, String)>> = Vec::new();
-    let mut settle_ms = 200u64;
-    let mut telemetry_window_ms = Some(1_000u64);
+    let mut settle_us = 200_000;
+    let mut telemetry_window_us = Some(1_000_000);
     let mut answer_batch_rows = None;
     let mut stream_batch_rows = None;
     let mut obs: Option<sqpeer_exec::ObsConfig> = None;
@@ -115,31 +127,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .last_mut()
                 .ok_or("'triple' before any 'peer' line")?
                 .push((s.to_string(), p.to_string(), o.to_string())),
-            ("settle_ms", [ms]) => {
-                settle_ms = ms.parse().map_err(|_| format!("bad settle_ms '{ms}'"))?
-            }
-            ("telemetry_window_ms", [ms]) => {
-                telemetry_window_ms = Some(ms.parse().map_err(|_| format!("bad window '{ms}'"))?)
-            }
-            ("answer_batch_rows", [n]) => {
-                answer_batch_rows = Some(
-                    n.parse()
-                        .map_err(|_| format!("bad answer_batch_rows '{n}'"))?,
-                )
-            }
-            ("stream_batch_rows", [n]) => {
-                stream_batch_rows = Some(
-                    n.parse()
-                        .map_err(|_| format!("bad stream_batch_rows '{n}'"))?,
-                )
-            }
+            ("settle_ms", [ms]) => settle_us = ms_to_us(key, ms)?,
+            ("telemetry_window_ms", [ms]) => telemetry_window_us = Some(ms_to_us(key, ms)?),
+            ("answer_batch_rows", [n]) => answer_batch_rows = Some(setting(key, n)?),
+            ("stream_batch_rows", [n]) => stream_batch_rows = Some(setting(key, n)?),
             ("obs", []) => obs = Some(obs.unwrap_or_default()),
             ("obs_slow_query_ms", [ms]) => {
-                let threshold_ms: u64 = ms
-                    .parse()
-                    .map_err(|_| format!("bad obs_slow_query_ms '{ms}'"))?;
                 let mut cfg = obs.unwrap_or_default();
-                cfg.slow_query_us = threshold_ms * 1_000;
+                cfg.slow_query_us = ms_to_us(key, ms)?;
                 obs = Some(cfg);
             }
             _ => return Err(format!("bad config line: '{line}'")),
@@ -173,8 +168,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 ..PeerConfig::default()
             },
         },
-        telemetry_window_us: telemetry_window_ms.map(|ms| ms * 1_000),
-        settle_us: settle_ms * 1_000,
+        telemetry_window_us,
+        settle_us,
         answer_batch_rows,
     })
     .map_err(|e| format!("cannot start host: {e}"))?;
@@ -221,7 +216,7 @@ fn cmd_gateway(args: &[String]) -> Result<(), String> {
                     token: token.to_string(),
                     host: host.to_string(),
                     schema: schema.clone().ok_or("'tenant' before any 'schema' line")?,
-                    at: PeerId(at.parse().map_err(|_| format!("bad peer id '{at}'"))?),
+                    at: PeerId(setting("peer id", at)?),
                     quotas,
                 });
             }

@@ -371,6 +371,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
     let _ = writeln!(out, "## obs");
     let mut patterns = sqpeer_net::PatternStats::new();
     let (mut obs_on, mut pushes, mut push_bytes) = (false, 0u64, 0u64);
+    let mut per_node = String::new();
     for id in net.node_ids() {
         let Some(obs) = net.node(id).and_then(PeerNode::obs) else {
             continue;
@@ -379,6 +380,17 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
         patterns.merge(&obs.patterns);
         pushes += obs.pushes_sent;
         push_bytes += obs.push_bytes_sent;
+        for sq in &obs.slow_queries {
+            let _ = writeln!(
+                per_node,
+                "slow_query node {} {} latency_us {} pattern {}",
+                id.0, sq.query, sq.latency_us, sq.pattern
+            );
+        }
+        if !obs.recorder.is_empty() {
+            let _ = writeln!(per_node, "# flight recorder, node {}", id.0);
+            per_node.push_str(&obs.recorder.dump());
+        }
     }
     if !obs_on {
         let _ = writeln!(out, "obs off");
@@ -387,23 +399,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
     let _ = writeln!(out, "obs_pushes_sent {pushes}");
     let _ = writeln!(out, "obs_push_bytes {push_bytes}");
     out.push_str(&patterns.render());
-    for id in net.node_ids() {
-        let Some(obs) = net.node(id).and_then(PeerNode::obs) else {
-            continue;
-        };
-        for sq in &obs.slow_queries {
-            let _ = writeln!(
-                out,
-                "slow_query node {} {} latency_us {} pattern {}",
-                id.0, sq.query, sq.latency_us, sq.pattern
-            );
-        }
-        if !obs.recorder.is_empty() {
-            let _ = writeln!(out, "# flight recorder, node {}", id.0);
-            out.push_str(&obs.recorder.dump());
-        }
-    }
-    out
+    out + &per_node
 }
 
 /// One peer-port connection: `Envelope(ClientQuery)` in, one or more

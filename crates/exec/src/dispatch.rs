@@ -29,7 +29,7 @@
 use crate::msg::{Msg, PeerChannel, QueryId, TraceCtx};
 use crate::peer::{plan_columns, PeerConfig, SlowChannelPolicy};
 use crate::stream::Receiver;
-use crate::{peer_of, send};
+use crate::{peer_of, send, Event};
 use sqpeer_net::{ChannelTable, Ctx, NodeId};
 use sqpeer_plan::PlanNode;
 use sqpeer_routing::PeerId;
@@ -156,76 +156,6 @@ pub(crate) struct Packet {
     pub(crate) last: bool,
     pub(crate) result: ResultSet,
     pub(crate) partial: bool,
-}
-
-/// One thing that happened to a subplan in flight. The peer folds each
-/// into its counters, the query's profile, the tracer and the flight
-/// recorder; the `Display` form is the detail both recorders show, after
-/// the subplan's tag and destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Event {
-    /// Shipped for the first time, over channel `channel`.
-    Dispatched { channel: u64, bytes: u64 },
-    /// Re-shipped to the same destination after a timeout.
-    Retried { attempt: u32, bytes: u64 },
-    /// Its timeout fired with no complete answer.
-    TimedOut,
-    /// A probe saw `bytes` arrive in `window_us`: below the floor.
-    SlowChannel {
-        bytes: u64,
-        window_us: u64,
-        floor_bpms: u64,
-    },
-    /// A packet of its still-incomplete stream was acknowledged.
-    CreditGranted { bytes: u64 },
-    /// Its whole result arrived: `rows` rows, `bytes` of payload.
-    Answered { rows: usize, bytes: u64 },
-    /// The destination reported it could not serve it.
-    Refused,
-    /// Given up on; always the last event of its subplan.
-    Lost { attempts: u32, cause: ReplanCause },
-}
-
-impl Event {
-    /// The tracer event name (DESIGN.md §4) and the flight-recorder kind
-    /// this is recorded under.
-    pub(crate) fn recorded_as(&self) -> (Option<&'static str>, Option<&'static str>) {
-        match self {
-            Event::Dispatched { .. } => (Some("exec:dispatch"), Some("dispatch")),
-            Event::Retried { .. } => (Some("exec:retry"), Some("retry")),
-            Event::TimedOut => (Some("exec:timeout"), Some("timeout")),
-            Event::SlowChannel { .. } => (Some("exec:slow-channel"), None),
-            Event::CreditGranted { .. } => (None, Some("credit")),
-            Event::Answered { .. } => (Some("exec:answer"), None),
-            Event::Refused => (Some("exec:refused"), None),
-            Event::Lost { .. } => (Some("exec:failed"), Some("replan")),
-        }
-    }
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            Event::Dispatched { channel, .. } => write!(f, "shipped over channel {channel}"),
-            Event::Retried { attempt, .. } => write!(f, "re-shipped, attempt {attempt}"),
-            Event::TimedOut => f.write_str("timed out"),
-            Event::SlowChannel {
-                bytes,
-                window_us,
-                floor_bpms,
-            } => write!(
-                f,
-                "slow channel: window {bytes}B/{window_us}us = {} B/ms below floor {floor_bpms} B/ms",
-                bytes * 1_000 / window_us
-            ),
-            Event::CreditGranted { .. } => f.write_str("stream packet granted 1 credit"),
-            Event::Answered { rows, .. } => write!(f, "answered, {rows} rows"),
-            Event::Refused => f.write_str("refused by the destination"),
-            Event::Lost { attempts, cause } => {
-                write!(f, "given up after {attempts} attempt(s): {cause}")
-            }
-        }
-    }
 }
 
 /// What became of a subplan in one step.
@@ -410,12 +340,10 @@ impl Dispatcher {
         }
         state.partial |= packet.partial;
         let ingested = state.recv.ingest(packet.seq, rows, packet.last);
-        if ingested.is_dup {
-            // At-least-once dispatch and fault-plan duplication both make
-            // repeated sequence numbers normal; each one must land in the
-            // dedup counter, never in the answer.
-            ctx.counters().stream_dedup_drops += 1;
-        }
+        // At-least-once dispatch and fault-plan duplication both make
+        // repeated sequence numbers normal; each one must land in the
+        // dedup counter, never in the answer.
+        let dup = ingested.is_dup.then_some(Event::DuplicateDropped);
         let mut fresh: Vec<Row> = ingested.drained.into_iter().flatten().collect();
         let (drained, arrived) = (&mut state.drained, !fresh.is_empty());
         match reader {
@@ -465,7 +393,7 @@ impl Dispatcher {
             };
             (answered, verdict)
         };
-        let events = [Some(event), None];
+        let events = [Some(event), dup];
         Some(Step::new((qid, tag, dest), events, verdict))
     }
 
@@ -750,20 +678,19 @@ mod tests {
 
     /// Reordered and duplicated packets drain once, in sequence order;
     /// every packet of the still-open stream is acknowledged with exactly
-    /// one credit and every repeat lands in the dedup counter.
+    /// one credit and every repeat is reported as a dropped duplicate.
     #[test]
     fn reordered_and_duplicated_packets_drain_in_order() {
         let mut d = dispatcher(None);
         let (_, subplan) = ship(&mut d, 1);
         let mut ctx = ctx_at(5);
+        let mut dups = 0;
         let mut feed = |d: &mut Dispatcher, seq, last| {
             let step = ingest(d, &mut ctx, 1, 0, packet(&subplan, seq, last, 1)).expect("live");
             if !last {
-                assert!(matches!(
-                    step.events,
-                    [Some(Event::CreditGranted { .. }), None]
-                ));
+                assert!(matches!(step.events[0], Some(Event::CreditGranted { .. })));
             }
+            dups += usize::from(step.events[1] == Some(Event::DuplicateDropped));
             step.verdict
         };
         let names =
@@ -785,8 +712,8 @@ mod tests {
         assert_eq!(names(&result.rows)[..2], in_order[..]);
         assert_eq!(result.rows.len(), 3);
 
+        assert_eq!(dups, 2);
         let effects = ctx.into_effects();
-        assert_eq!(effects.counters.stream_dedup_drops, 2);
         assert_eq!(effects.stream_ttfr, [(node_of(HOLDER), 5)]);
         assert_eq!(effects.outbox.len(), 4, "one credit per non-final packet");
         for (to, msg, _) in &effects.outbox {
@@ -850,8 +777,8 @@ mod tests {
         assert_eq!([backfill, last].concat(), result.rows);
     }
 
-    /// A repeated packet of a slot nobody reads lands in the dedup
-    /// counter, never in the answer.
+    /// A repeated packet of a slot nobody reads is reported as a dropped
+    /// duplicate, never added to the answer.
     #[test]
     fn an_unread_duplicate_is_only_counted() {
         let mut d = dispatcher(None);
@@ -859,15 +786,16 @@ mod tests {
         let mut ctx = ctx_at(1);
         let mut feed = |seq, last| {
             let p = packet(&subplan, seq, last, 1);
-            ingest_read_by(&mut d, &mut ctx, p, Reader::Nobody).verdict
+            ingest_read_by(&mut d, &mut ctx, p, Reader::Nobody)
         };
-        assert!(matches!(feed(0, false), Verdict::Drained { .. }));
-        assert!(matches!(feed(0, false), Verdict::Pending { .. }));
-        let Verdict::Answered { last, result, .. } = feed(1, true) else {
+        assert!(matches!(feed(0, false).verdict, Verdict::Drained { .. }));
+        let dup = feed(0, false);
+        assert!(matches!(dup.verdict, Verdict::Pending { .. }));
+        assert_eq!(dup.events[1], Some(Event::DuplicateDropped));
+        let Verdict::Answered { last, result, .. } = feed(1, true).verdict else {
             panic!("packet 1 completes the stream");
         };
         assert_eq!((last, result.rows.len()), (Some(Drained::Arrived), 2));
-        assert_eq!(ctx.into_effects().counters.stream_dedup_drops, 1);
     }
 
     /// A probe never comes before the grace period, re-arms while the

@@ -14,9 +14,10 @@
 //!   the plan interpreter and the run-time adaptation. What it has
 //!   shipped and still waits on — channels, the timeout/retry/probe
 //!   ladder, answer reassembly — is one `dispatch::Dispatcher`, which
-//!   says what happened to a subplan as a typed `dispatch::Event` and
-//!   is likewise unit-tested without a network; [`stream`] is the
-//!   sans-IO seq/credit machine of one channel.
+//!   says what happened to a subplan as a typed `Event` ([`obs`], the
+//!   type of every protocol event a peer records) and is likewise
+//!   unit-tested without a network; [`stream`] is the sans-IO seq/credit
+//!   machine of one channel.
 //!
 //! The [`PeerNode`] plugs into [`sqpeer_net::Simulator`] and implements,
 //! per peer role,
@@ -44,7 +45,8 @@ pub mod stream;
 
 pub use local::eval_local;
 pub use msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome, TraceCtx};
-pub use obs::{ObsConfig, ObsState, SlowQuery};
+pub(crate) use obs::{Event, Subject};
+pub use obs::{FlightRing, ObsConfig, ObsState, SlowQuery};
 pub use peer::{BaseKind, PeerConfig, PeerMode, PeerNode, Role, SlowChannelPolicy};
 pub use son::{ClusterInfo, Directory};
 pub use sqpeer_cache::{CacheConfig, CacheStats};

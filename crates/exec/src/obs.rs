@@ -2,7 +2,7 @@
 //!
 //! Each peer with an [`ObsConfig`] keeps an [`ObsState`]: a local
 //! receiver-side [`TelemetryRegistry`], a [`PatternStats`] table of the
-//! queries it rooted, a bounded [`FlightRecorder`] of protocol events,
+//! queries it rooted, a bounded [`FlightRing`] of protocol `Event`s,
 //! and a small slow-query log. Members push *deltas* — only what
 //! changed since their last push — up the cluster tree on a period
 //! (`Msg::ObsPush`); heads fold the arriving deltas and exchange them
@@ -31,10 +31,190 @@
 //!   super-peers) push is folded locally and never re-shipped, so peer
 //!   exchange cannot double-count a cluster.
 
-use sqpeer_net::{FlightRecorder, PatternStats, TelemetryRegistry, DEFAULT_WINDOW_US};
+use sqpeer_net::{PatternStats, TelemetryRegistry};
+use sqpeer_routing::PeerId;
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
 
+use crate::dispatch::ReplanCause;
 use crate::msg::QueryId;
+
+/// One protocol event a peer records; only `PeerNode::note` folds one
+/// into the recorders. The `Display` form is the detail they show, after
+/// the event's [`Subject`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Event {
+    /// A subplan shipped for the first time, over channel `channel`.
+    Dispatched { channel: u64, bytes: u64 },
+    /// Re-shipped to the same destination after a timeout.
+    Retried { attempt: u32, bytes: u64 },
+    /// Its timeout fired with no complete answer.
+    TimedOut,
+    /// A probe saw `bytes` arrive in `window_us`: below the floor.
+    SlowChannel {
+        bytes: u64,
+        window_us: u64,
+        floor_bpms: u64,
+    },
+    /// A packet of its still-incomplete stream was acknowledged.
+    CreditGranted { bytes: u64 },
+    /// A packet of its stream repeated a sequence number already seen.
+    DuplicateDropped,
+    /// Its whole result arrived: `rows` rows, `bytes` of payload.
+    Answered { rows: usize, bytes: u64 },
+    /// The destination reported it could not serve it.
+    Refused,
+    /// Given up on; always the last event of its subplan.
+    Lost { attempts: u32, cause: ReplanCause },
+    /// The root re-plans the query (whole, or the lost fragment).
+    Replanned { cause: ReplanCause },
+    /// The query's answer took `latency_us`, at or above the threshold.
+    SlowQuery { latency_us: u64, threshold_us: u64 },
+    /// A held advertisement of `peer` lapsed unrenewed.
+    LeaseExpired { peer: PeerId },
+    /// The transport could not decode a frame addressed here; the text is
+    /// the transport's.
+    DecodeFailure(String),
+}
+
+impl Event {
+    /// The tracer event name (DESIGN.md §4) and the flight-ring kind
+    /// this is recorded under.
+    pub(crate) fn recorded_as(&self) -> (Option<&'static str>, Option<&'static str>) {
+        match self {
+            Event::Dispatched { .. } => (Some("exec:dispatch"), Some("dispatch")),
+            Event::Retried { .. } => (Some("exec:retry"), Some("retry")),
+            Event::TimedOut => (Some("exec:timeout"), Some("timeout")),
+            Event::SlowChannel { .. } => (Some("exec:slow-channel"), None),
+            Event::CreditGranted { .. } => (None, Some("credit")),
+            Event::DuplicateDropped => (Some("exec:dedup"), None),
+            Event::Answered { .. } => (Some("exec:answer"), None),
+            Event::Refused => (Some("exec:refused"), None),
+            Event::Lost { .. } => (Some("exec:failed"), Some("replan")),
+            Event::Replanned { .. } => (Some("exec:replan"), None),
+            Event::SlowQuery { .. } => (None, Some("slow-query")),
+            Event::LeaseExpired { .. } => (None, Some("lease-expiry")),
+            Event::DecodeFailure(_) => (None, Some("decode-failure")),
+        }
+    }
+}
+
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Event::Dispatched { channel, .. } => write!(f, "shipped over channel {channel}"),
+            Event::Retried { attempt, .. } => write!(f, "re-shipped, attempt {attempt}"),
+            Event::TimedOut => f.write_str("timed out"),
+            Event::SlowChannel {
+                bytes,
+                window_us,
+                floor_bpms,
+            } => write!(
+                f,
+                "slow channel: window {bytes}B/{window_us}us = {} B/ms below floor {floor_bpms} B/ms",
+                bytes * 1_000 / window_us
+            ),
+            Event::CreditGranted { .. } => f.write_str("stream packet granted 1 credit"),
+            Event::DuplicateDropped => f.write_str("duplicate stream packet dropped"),
+            Event::Answered { rows, .. } => write!(f, "answered, {rows} rows"),
+            Event::Refused => f.write_str("refused by the destination"),
+            Event::Lost { attempts, cause } => {
+                write!(f, "given up after {attempts} attempt(s): {cause}")
+            }
+            Event::Replanned { cause } => write!(f, "re-planned: {cause}"),
+            Event::SlowQuery {
+                latency_us,
+                threshold_us,
+            } => write!(f, "took {latency_us}us (threshold {threshold_us}us)"),
+            Event::LeaseExpired { peer } => write!(f, "advertisement of {peer} expired unrenewed"),
+            Event::DecodeFailure(detail) => f.write_str(detail),
+        }
+    }
+}
+
+/// What an [`Event`] concerns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Subject {
+    /// The peer itself: an advertisement it holds, its transport.
+    Peer,
+    /// A query this peer roots.
+    Query(QueryId),
+    /// Subplan `tag` of `qid`, shipped to `dest`.
+    Subplan {
+        qid: QueryId,
+        tag: u64,
+        dest: PeerId,
+    },
+}
+
+impl Subject {
+    /// The query concerned, if any.
+    pub(crate) fn qid(self) -> Option<QueryId> {
+        match self {
+            Subject::Peer => None,
+            Subject::Query(qid) | Subject::Subplan { qid, .. } => Some(qid),
+        }
+    }
+}
+
+/// The prefix of an event's detail below the query — the tracer and the
+/// EXPLAIN log already say which query they hold.
+impl fmt::Display for Subject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Subject::Subplan { tag, dest, .. } => write!(f, "subplan tag {tag} → {dest}: "),
+            Subject::Peer | Subject::Query(_) => Ok(()),
+        }
+    }
+}
+
+/// A bounded ring of recent protocol events — the per-peer "black box"
+/// dumped into chaos replay artifacts and served by `sqpeerd obs`. It
+/// keeps the events typed; only [`FlightRing::dump`] formats them.
+#[derive(Debug, Default)]
+pub struct FlightRing {
+    events: VecDeque<(u64, Subject, Event)>,
+    dropped: u64,
+}
+
+impl FlightRing {
+    /// Events retained; the oldest falls off past this.
+    pub const CAP: usize = 256;
+
+    /// Records `event` about `subject` at `at_us`; the event must have a
+    /// flight kind.
+    pub(crate) fn record(&mut self, at_us: u64, subject: Subject, event: Event) {
+        if self.events.len() == Self::CAP {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back((at_us, subject, event));
+    }
+
+    /// True when nothing is retained.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Plain-text dump, one event per line, oldest first — the form
+    /// embedded in chaos artifacts and served by `sqpeerd obs`.
+    pub fn dump(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "# flight recorder: {} event(s) retained, {} dropped (cap {})",
+            self.events.len(),
+            self.dropped,
+            Self::CAP
+        );
+        for (at_us, subject, event) in &self.events {
+            let kind = event.recorded_as().1.unwrap_or_default();
+            let qid = subject.qid().map(|q| format!("{q} ")).unwrap_or_default();
+            let _ = writeln!(out, "{at_us:>12} {kind:<14} {qid}{subject}{event}");
+        }
+        out
+    }
+}
 
 /// Observability-plane configuration (absent = plane fully off, zero
 /// cost, bit-identical behaviour — pinned by the transparency proptest).
@@ -44,22 +224,16 @@ pub struct ObsConfig {
     /// `0` disables pushing entirely (local-only collection — what the
     /// chaos harness uses so obs never perturbs fault-plan draws).
     pub push_period_us: u64,
-    /// Flight-recorder ring capacity in events (`0` = recorder off).
-    pub flight_recorder_cap: usize,
     /// Root-observed latency above which a finished query lands in the
     /// slow-query log with its EXPLAIN + profile JSON.
     pub slow_query_us: u64,
-    /// Slow-query log capacity (oldest entries evicted).
-    pub slow_query_cap: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             push_period_us: 500_000,
-            flight_recorder_cap: 256,
             slow_query_us: 1_000_000,
-            slow_query_cap: 32,
         }
     }
 }
@@ -82,18 +256,16 @@ pub struct SlowQuery {
     pub profile_json: Option<String>,
 }
 
-/// The live observability state of one peer.
-#[derive(Debug)]
+/// The live observability state of one peer, configured by `PeerConfig::obs`.
+#[derive(Debug, Default)]
 pub struct ObsState {
-    /// The plane's configuration.
-    pub config: ObsConfig,
     /// Receiver-side link telemetry this peer observed locally.
     pub local: TelemetryRegistry,
     /// Pattern statistics of queries this peer rooted.
     pub patterns: PatternStats,
     /// The protocol-event ring.
-    pub recorder: FlightRecorder,
-    /// Slow queries, oldest first, bounded by `config.slow_query_cap`.
+    pub recorder: FlightRing,
+    /// Slow queries, oldest first, bounded by [`ObsState::SLOW_QUERY_CAP`].
     pub slow_queries: VecDeque<SlowQuery>,
     /// Links accumulated from every push received (member *and* peer
     /// exchange), folded per-link latest-wins.
@@ -123,25 +295,8 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    /// Fresh state under `config`.
-    pub fn new(config: ObsConfig) -> Self {
-        ObsState {
-            config,
-            local: TelemetryRegistry::new(DEFAULT_WINDOW_US),
-            patterns: PatternStats::new(),
-            recorder: FlightRecorder::new(config.flight_recorder_cap),
-            slow_queries: VecDeque::new(),
-            rollup_reg: TelemetryRegistry::new(DEFAULT_WINDOW_US),
-            rollup_pats: PatternStats::new(),
-            pending_reg: TelemetryRegistry::new(DEFAULT_WINDOW_US),
-            pending_pats: PatternStats::new(),
-            last_reg: TelemetryRegistry::new(DEFAULT_WINDOW_US),
-            last_pats: PatternStats::new(),
-            pushes_sent: 0,
-            push_bytes_sent: 0,
-            dirty: false,
-        }
-    }
+    /// Slow-query log capacity (oldest entries evicted).
+    pub const SLOW_QUERY_CAP: usize = 32;
 
     /// Accepts a rollup push. `peer_exchange` marks pushes from equals —
     /// a sibling head, or a fellow super-peer on the flat backbone —
@@ -182,7 +337,7 @@ impl ObsState {
     pub fn commit_push(&mut self) {
         self.last_reg = self.local.clone();
         self.last_pats = self.patterns.clone();
-        self.pending_reg = TelemetryRegistry::new(DEFAULT_WINDOW_US);
+        self.pending_reg = TelemetryRegistry::default();
         self.pending_pats = PatternStats::new();
     }
 
@@ -200,30 +355,107 @@ impl ObsState {
 
     /// Appends a slow-query record, evicting the oldest past the cap.
     pub fn log_slow_query(&mut self, entry: SlowQuery) {
-        if self.config.slow_query_cap == 0 {
-            return;
-        }
-        if self.slow_queries.len() == self.config.slow_query_cap {
+        if self.slow_queries.len() == Self::SLOW_QUERY_CAP {
             self.slow_queries.pop_front();
         }
         self.slow_queries.push_back(entry);
-    }
-
-    /// Restart hook. Accumulated rollups are *kept*: registry links
-    /// fold latest-wins (stale entries are safe lower bounds that the
-    /// next delta overwrites) and pattern increments were counted
-    /// exactly once, so dropping either would lose history, not fix it.
-    /// Only the dirty flag is raised so this peer re-ripples anything
-    /// it learned while the rest of the tree thought it was gone.
-    pub fn on_restart(&mut self) {
-        self.dirty = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqpeer_net::NodeId;
+    use sqpeer_net::{NodeId, DEFAULT_WINDOW_US};
+
+    /// One event of each flight kind, its line pinned word for word:
+    /// chaos artifacts and `sqpeerd obs` readers rely on this text.
+    #[test]
+    fn flight_dump_text_is_pinned() {
+        let mut ring = FlightRing::default();
+        let (qid, cause) = (QueryId(3), ReplanCause::Timeout);
+        let subplan = Subject::Subplan {
+            qid,
+            tag: 5,
+            dest: PeerId(2),
+        };
+        let events = [
+            (
+                10,
+                subplan,
+                Event::Dispatched {
+                    channel: 7,
+                    bytes: 100,
+                },
+            ),
+            (
+                20,
+                subplan,
+                Event::Retried {
+                    attempt: 1,
+                    bytes: 100,
+                },
+            ),
+            (1_000_030, subplan, Event::TimedOut),
+            (1_000_040, subplan, Event::CreditGranted { bytes: 40 }),
+            (4_000_050, subplan, Event::Lost { attempts: 3, cause }),
+            (
+                4_500_000,
+                Subject::Peer,
+                Event::LeaseExpired { peer: PeerId(4) },
+            ),
+            (
+                5_000_000,
+                Subject::Query(qid),
+                Event::SlowQuery {
+                    latency_us: 1_500_000,
+                    threshold_us: 1_000_000,
+                },
+            ),
+            (
+                5_000_001,
+                Subject::Peer,
+                Event::DecodeFailure("frame from node 9 failed to decode: Eof".into()),
+            ),
+        ];
+        for (at_us, subject, event) in events {
+            ring.record(at_us, subject, event);
+        }
+        assert_eq!(
+            ring.dump(),
+            "\
+# flight recorder: 8 event(s) retained, 0 dropped (cap 256)
+          10 dispatch       q3 subplan tag 5 → P2: shipped over channel 7
+          20 retry          q3 subplan tag 5 → P2: re-shipped, attempt 1
+     1000030 timeout        q3 subplan tag 5 → P2: timed out
+     1000040 credit         q3 subplan tag 5 → P2: stream packet granted 1 credit
+     4000050 replan         q3 subplan tag 5 → P2: given up after 3 attempt(s): timeout
+     4500000 lease-expiry   advertisement of P4 expired unrenewed
+     5000000 slow-query     q3 took 1500000us (threshold 1000000us)
+     5000001 decode-failure frame from node 9 failed to decode: Eof
+"
+        );
+    }
+
+    #[test]
+    fn flight_ring_drops_its_oldest_past_the_cap() {
+        let mut ring = FlightRing::default();
+        assert!(ring.is_empty());
+        for peer in 0..FlightRing::CAP as u32 + 2 {
+            let event = Event::LeaseExpired { peer: PeerId(peer) };
+            ring.record(u64::from(peer), Subject::Peer, event);
+        }
+        let dump = ring.dump();
+        let mut lines = dump.lines();
+        assert_eq!(
+            lines.next(),
+            Some("# flight recorder: 256 event(s) retained, 2 dropped (cap 256)")
+        );
+        assert_eq!(
+            lines.next(),
+            Some("           2 lease-expiry   advertisement of P2 expired unrenewed")
+        );
+        assert_eq!(lines.count(), FlightRing::CAP - 1);
+    }
 
     fn reg_with(from: u32, to: u32, bytes: usize) -> TelemetryRegistry {
         let mut r = TelemetryRegistry::new(DEFAULT_WINDOW_US);
@@ -233,8 +465,10 @@ mod tests {
 
     #[test]
     fn snapshot_folds_local_members_and_peer_exchange() {
-        let mut obs = ObsState::new(ObsConfig::default());
-        obs.local = reg_with(1, 2, 100);
+        let mut obs = ObsState {
+            local: reg_with(1, 2, 100),
+            ..ObsState::default()
+        };
         obs.patterns.record("p-local", 50, None, 1, false, 0);
 
         let mut mp = PatternStats::new();
@@ -257,7 +491,7 @@ mod tests {
 
     #[test]
     fn pushes_carry_only_deltas() {
-        let mut obs = ObsState::new(ObsConfig::default());
+        let mut obs = ObsState::default();
         obs.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
         obs.patterns.record("p", 50, None, 1, false, 0);
 
@@ -285,7 +519,7 @@ mod tests {
 
     #[test]
     fn accept_push_replaces_links_and_adds_patterns() {
-        let mut obs = ObsState::new(ObsConfig::default());
+        let mut obs = ObsState::default();
         let mut p1 = PatternStats::new();
         p1.record("q", 10, None, 1, false, 0);
         obs.accept_push(reg_with(1, 2, 100), p1.clone(), false);
@@ -295,19 +529,13 @@ mod tests {
         let (reg, pats) = obs.snapshot();
         assert_eq!(reg.total_bytes(), 250);
         assert_eq!(pats.get("q").unwrap().count, 2);
-        // Restart keeps the accumulated rollups and re-ripples them.
-        obs.on_restart();
-        assert!(obs.dirty);
-        assert_eq!(obs.snapshot().0.total_bytes(), 250);
     }
 
     #[test]
     fn slow_query_log_is_bounded() {
-        let mut obs = ObsState::new(ObsConfig {
-            slow_query_cap: 2,
-            ..ObsConfig::default()
-        });
-        for i in 0..4 {
+        let mut obs = ObsState::default();
+        let cap = ObsState::SLOW_QUERY_CAP as u64;
+        for i in 0..cap + 2 {
             obs.log_slow_query(SlowQuery {
                 query: QueryId(i),
                 at_us: i * 10,
@@ -317,7 +545,7 @@ mod tests {
                 profile_json: None,
             });
         }
-        assert_eq!(obs.slow_queries.len(), 2);
+        assert_eq!(obs.slow_queries.len(), ObsState::SLOW_QUERY_CAP);
         assert_eq!(obs.slow_queries[0].query, QueryId(2));
     }
 }

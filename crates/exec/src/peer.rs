@@ -24,17 +24,17 @@
 //! adaptation that every lost subplan reaches through
 //! `handle_lost_subplan`. The node routes messages, timers and delivery
 //! failures to the directory and the dispatcher, lends the directory its
-//! router (`local_route`'s), records what the dispatcher reports
-//! (`note`) and keeps the one timer table.
+//! router (`local_route`'s), records every protocol event through one
+//! fold (`note`) and keeps the one timer table.
 
 use crate::dispatch::{
-    Dispatcher, Drained, Event, Packet, PendingRemote, Reader, ReplanCause, Step, Verdict,
+    Dispatcher, Drained, Packet, PendingRemote, Reader, ReplanCause, Step, Verdict,
 };
 use crate::local::{eval_local, fully_local};
 use crate::msg::{Msg, PeerChannel, QueryId, QueryOutcome};
 use crate::son::{Directory, Route};
 use crate::stream::Sender;
-use crate::{node_of, peer_of, send};
+use crate::{node_of, peer_of, send, Event, Subject};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
 use sqpeer_net::{Channel, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
 use sqpeer_plan::{
@@ -728,7 +728,7 @@ impl PeerNode {
     /// Creates a peer with the given role and base.
     pub fn new(id: PeerId, role: Role, base: BaseKind, config: PeerConfig) -> Self {
         let cache = config.cache.map(|c| RefCell::new(SemanticCache::new(c)));
-        let obs = config.obs.map(crate::obs::ObsState::new);
+        let obs = config.obs.map(|_| crate::obs::ObsState::default());
         let tracer = RefCell::new(if config.trace {
             Tracer::enabled()
         } else {
@@ -1059,14 +1059,6 @@ impl PeerNode {
     // Observability plane (opt-in via `config.obs`)
     // ------------------------------------------------------------------
 
-    /// Records a flight-recorder event; the detail closure only runs
-    /// when the plane is on and the ring has capacity.
-    fn flight(&mut self, now_us: u64, kind: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(obs) = &mut self.obs {
-            obs.recorder.record_with(now_us, kind, detail);
-        }
-    }
-
     /// The observability state, when the plane is on.
     pub fn obs(&self) -> Option<&crate::obs::ObsState> {
         self.obs.as_ref()
@@ -1087,19 +1079,13 @@ impl PeerNode {
             .unwrap_or_default()
     }
 
-    fn obs_push_period(&self) -> Option<u64> {
-        self.config
-            .obs
-            .and_then(|o| (o.push_period_us > 0).then_some(o.push_period_us))
-    }
-
     /// Arms the periodic rollup-push timer (no-op with the plane off or
     /// the push period zero — local-only collection).
     fn arm_obs_timer(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(period) = self.obs_push_period() else {
-            return;
-        };
-        self.arm(ctx, period, Timer::Obs);
+        let period = self.config.obs.map(|o| o.push_period_us);
+        if let Some(period) = period.filter(|&p| p > 0) {
+            self.arm(ctx, period, Timer::Obs);
+        }
     }
 
     /// Pushes this peer's rollup *delta* one level up the cluster tree.
@@ -1455,9 +1441,9 @@ impl PeerNode {
         let Some(step) = step else {
             return;
         };
-        let (qid, tag) = (step.qid, step.tag);
+        let (qid, tag, dest) = (step.qid, step.tag, step.dest);
         for event in step.events.into_iter().flatten() {
-            self.note(ctx, qid, tag, step.dest, event);
+            self.note(ctx, Subject::Subplan { qid, tag, dest }, event);
         }
         match step.verdict {
             Verdict::Pending {
@@ -1507,13 +1493,15 @@ impl PeerNode {
         }
     }
 
-    /// Folds one event of subplan `tag` (shipped to `dest`) into every
-    /// recorder that keeps it: the transport's protocol counters, the
-    /// query's profile (while this peer roots it live), the tracer, the
-    /// flight recorder and — for a loss — the EXPLAIN adaptation log.
-    fn note(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, tag: u64, dest: PeerId, event: Event) {
+    /// Folds one protocol event about `subject` into every recorder that
+    /// keeps it: the transport's protocol counters, the query's profile
+    /// (while this peer roots it live), the tracer, the flight ring and —
+    /// for a slow channel or a loss — the EXPLAIN adaptation log. The only
+    /// writer of any of them for an [`Event`].
+    fn note(&mut self, ctx: &mut Ctx<Msg>, subject: Subject, event: Event) {
         let now = ctx.now_us();
-        if let Some(root) = self.live_root(qid) {
+        let qid = subject.qid();
+        if let Some(root) = qid.and_then(|qid| self.live_root(qid)) {
             let profile = &mut root.profile;
             if let Event::Dispatched { bytes, .. }
             | Event::Retried { bytes, .. }
@@ -1525,7 +1513,9 @@ impl PeerNode {
             match event {
                 Event::Dispatched { .. } => {
                     profile.subplans_dispatched += 1;
-                    root.peers_contacted.insert(dest);
+                    if let Subject::Subplan { dest, .. } = subject {
+                        root.peers_contacted.insert(dest);
+                    }
                 }
                 Event::Retried { .. } => profile.retries += 1,
                 Event::TimedOut => profile.timeouts += 1,
@@ -1534,30 +1524,40 @@ impl PeerNode {
                     profile.bytes_received += bytes;
                 }
                 Event::Lost { .. } => profile.subplans_failed += 1,
-                Event::SlowChannel { .. } | Event::CreditGranted { .. } | Event::Refused => {}
+                Event::Replanned { .. } => profile.replans += 1,
+                _ => {}
             }
         }
-        let describe = || format!("subplan tag {tag} → {dest}: {event}");
         match event {
             Event::Retried { .. } => ctx.counters().retries_sent += 1,
             Event::TimedOut => ctx.counters().timeouts_fired += 1,
             Event::CreditGranted { .. } => self.credits_granted += 1,
+            Event::DuplicateDropped => ctx.counters().stream_dedup_drops += 1,
+            Event::Replanned { cause } => {
+                // The cause beside the total says *why* adaptation fired.
+                let counters = ctx.counters();
+                counters.replans += 1;
+                counters.timeout_replans += usize::from(cause == ReplanCause::Timeout);
+                counters.slow_channel_replans += usize::from(cause == ReplanCause::SlowChannel);
+            }
             // The EXPLAIN adaptation log (§2.5): the window that flagged a
             // channel, and every loss with its cause. Not `live_root`: a
             // subplan abandoned after a give-up answer still belongs.
             Event::SlowChannel { .. } | Event::Lost { .. } => {
-                if let Some(explain) = self.rooted.get_mut(&qid).and_then(|r| r.explain.as_mut()) {
-                    explain.adaptation.push(format!("t={now}us {}", describe()));
+                let explain = qid.and_then(|qid| self.rooted.get_mut(&qid)?.explain.as_mut());
+                if let Some(e) = explain {
+                    e.adaptation.push(format!("t={now}us {subject}{event}"));
                 }
             }
             _ => {}
         }
         let (name, kind) = event.recorded_as();
-        if let Some(name) = name {
-            self.tracer.get_mut().event_with(now, qid.0, name, describe);
+        if let (Some(name), Some(qid)) = (name, qid) {
+            let detail = || format!("{subject}{event}");
+            self.tracer.get_mut().event_with(now, qid.0, name, detail);
         }
-        if let Some(kind) = kind {
-            self.flight(now, kind, || format!("{qid} {}", describe()));
+        if let (Some(obs), Some(_)) = (&mut self.obs, kind) {
+            obs.recorder.record(now, subject, event);
         }
     }
 
@@ -2007,7 +2007,8 @@ impl PeerNode {
             profile.missing = missing_count;
             profile.rows = rows;
         }
-        if let Some(obs) = &mut self.obs {
+        let mut slow = None;
+        if let (Some(obs), Some(config)) = (&mut self.obs, self.config.obs) {
             let pattern = root.query.to_string();
             let peers = root.peers_contacted.len() as u64;
             obs.patterns.record(
@@ -2019,10 +2020,11 @@ impl PeerNode {
                 u64::from(replans),
             );
             obs.dirty = true;
-            let threshold = obs.config.slow_query_us;
-            if latency_us >= threshold {
-                obs.recorder.record_with(now, "slow-query", || {
-                    format!("{qid} took {latency_us}us (threshold {threshold}us)")
+            let threshold_us = config.slow_query_us;
+            if latency_us >= threshold_us {
+                slow = Some(Event::SlowQuery {
+                    latency_us,
+                    threshold_us,
                 });
                 // EXPLAIN/profile capture only exists with tracing on; a
                 // slow query without tracing still lands in the log,
@@ -2037,6 +2039,9 @@ impl PeerNode {
                 });
             }
         }
+        if let Some(event) = slow {
+            self.note(ctx, Subject::Query(qid), event);
+        }
         if let Some(result) = answer {
             send(ctx, client, Msg::ClientAnswer { qid, result });
         }
@@ -2045,18 +2050,6 @@ impl PeerNode {
     // ------------------------------------------------------------------
     // Run-time adaptation (§2.5)
     // ------------------------------------------------------------------
-
-    /// Counts one re-plan, and its cause alongside the total, so
-    /// chaos/experiment reports can say *why* adaptation fired.
-    fn note_replan(ctx: &mut Ctx<Msg>, cause: ReplanCause) {
-        let counters = ctx.counters();
-        counters.replans += 1;
-        match cause {
-            ReplanCause::Timeout => counters.timeout_replans += 1,
-            ReplanCause::SlowChannel => counters.slow_channel_replans += 1,
-            ReplanCause::Delivery | ReplanCause::Refused => {}
-        }
-    }
 
     fn adapt_or_give_up(
         &mut self,
@@ -2076,8 +2069,7 @@ impl PeerNode {
             self.finalize(ctx, qid, ResultSet::default(), true);
             return;
         }
-        root.profile.replans += 1;
-        Self::note_replan(ctx, cause);
+        self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
         // ubQL semantics: discard all intermediate results and on-going
         // computations, then re-run routing + processing.
         let stale_frames: Vec<u64> = self
@@ -2145,10 +2137,9 @@ impl PeerNode {
             };
             root.excluded.insert(failed);
             root.missing.insert(failed);
-            root.profile.replans += 1;
             root.excluded.iter().copied().collect()
         };
-        Self::note_replan(ctx, cause);
+        self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
         // Every trace of the failed peer becomes a hole / unsited join.
         let holed = strip_peer(plan, failed);
         let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
@@ -2555,7 +2546,7 @@ impl NodeLogic for PeerNode {
         // so dropping them would lose history. Re-ripple what this peer
         // knows in case downstream wrote it off while it was down.
         if let Some(obs) = &mut self.obs {
-            obs.on_restart();
+            obs.dirty = true;
         }
         // The directory re-advertises; `arm_lease_timers` then re-seeds
         // every held ad with a full lease from the restart instant.
@@ -2579,11 +2570,8 @@ impl NodeLogic for PeerNode {
                 self.arm(ctx, period, Timer::Heartbeat);
             }
             Timer::Sweep => {
-                let now = ctx.now_us();
                 for peer in self.son.sweep(ctx) {
-                    self.flight(now, "lease-expiry", || {
-                        format!("advertisement of {peer} expired unrenewed")
-                    });
+                    self.note(ctx, Subject::Peer, Event::LeaseExpired { peer });
                 }
                 let period = self.son.lease_period().expect("armed only with leases on");
                 self.arm(ctx, period, Timer::Sweep);
@@ -2611,10 +2599,11 @@ impl NodeLogic for PeerNode {
     }
 
     fn on_transport_anomaly(&mut self, now_us: u64, detail: &str) {
-        if let Some(obs) = &mut self.obs {
-            obs.recorder
-                .record_with(now_us, "decode-failure", || detail.to_string());
-        }
+        // No context comes with the hook, and a decode failure moves no
+        // counter: a detached one serves.
+        let mut ctx = Ctx::detached(now_us, node_of(self.id));
+        let event = Event::DecodeFailure(detail.to_string());
+        self.note(&mut ctx, Subject::Peer, event);
     }
 
     fn on_delivery_failure(&mut self, ctx: &mut Ctx<Msg>, to: NodeId, msg: Msg) {

@@ -35,7 +35,7 @@ pub mod transport;
 pub use channel::{Channel, ChannelId, ChannelState, ChannelTable};
 pub use fault::{ChurnEvent, FaultPlan, SplitMix64};
 pub use metrics::{Counters, Metrics, NodeMetrics};
-pub use obs::{FlightEvent, FlightRecorder, PatternEntry, PatternStats};
+pub use obs::{PatternEntry, PatternStats};
 pub use queue::{CalendarQueue, Scheduled};
 pub use sim::{Ctx, Effects, LinkSpec, NodeId, NodeLogic, Simulator};
 pub use telemetry::{Histogram, LinkTelemetry, TelemetryRegistry, DEFAULT_WINDOW_US};

@@ -1,17 +1,7 @@
-//! The node-local half of the hierarchical observability plane: a
-//! bounded flight recorder of protocol events and a per-query-pattern
-//! statistics table.
-//!
-//! Both types follow the same discipline as [`crate::telemetry`]:
-//!
-//! * **Zero cost when disabled** — holders keep an `Option`; the
-//!   flight-recorder API takes the event detail as a closure so the
-//!   `format!` never runs when recording is off or the ring is size 0.
-//! * **Deterministic** — timestamps come from the caller's clock
-//!   (virtual or real), never from a global.
-//! * **Mergeable** — [`PatternStats::merge`] is a commutative monoid
-//!   fold, so cluster heads aggregate member tables the same way they
-//!   aggregate [`crate::TelemetryRegistry`] snapshots.
+//! The node-local pattern table of the hierarchical observability
+//! plane: per-query-pattern statistics. [`PatternStats::merge`] is a
+//! commutative monoid fold, so cluster heads aggregate member tables the
+//! same way they aggregate [`crate::TelemetryRegistry`] snapshots.
 //!
 //! The pattern table is the substrate for query-mining-driven adaptive
 //! topology (ROADMAP item 5): which patterns are hot, how many peers
@@ -19,103 +9,6 @@
 
 use crate::telemetry::Histogram;
 use std::collections::HashMap;
-use std::collections::VecDeque;
-
-/// One recorded protocol event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// When the event happened (µs on the recording node's clock).
-    pub at_us: u64,
-    /// Event class — one of the taxonomy constants used by the peer
-    /// logic: `dispatch`, `retry`, `timeout`, `replan`, `lease-expiry`,
-    /// `credit`, `stream-drop`, `slow-query`, `decode-failure`.
-    pub kind: &'static str,
-    /// Human-readable detail, already formatted.
-    pub detail: String,
-}
-
-/// A bounded ring of recent protocol events — the per-peer "black box"
-/// dumped into chaos replay artifacts and on anomaly triggers.
-///
-/// Capacity 0 disables recording entirely (and skips the detail
-/// closure), so a configured-but-empty recorder costs one branch.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder {
-    cap: usize,
-    events: VecDeque<FlightEvent>,
-    dropped: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping at most `cap` events (0 = off).
-    pub fn new(cap: usize) -> Self {
-        FlightRecorder {
-            cap,
-            events: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Records one event; `detail` is only evaluated when the ring is
-    /// live. The oldest event falls off when the ring is full.
-    pub fn record_with(&mut self, at_us: u64, kind: &'static str, detail: impl FnOnce() -> String) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(FlightEvent {
-            at_us,
-            kind,
-            detail: detail(),
-        });
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.events.iter()
-    }
-
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events that fell off the front of the ring.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Plain-text dump, one event per line, oldest first — the form
-    /// embedded in chaos artifacts and served by `sqpeerd obs`.
-    pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# flight recorder: {} event(s) retained, {} dropped (cap {})",
-            self.events.len(),
-            self.dropped,
-            self.cap
-        );
-        for e in &self.events {
-            let _ = writeln!(out, "{:>12} {:<14} {}", e.at_us, e.kind, e.detail);
-        }
-        out
-    }
-}
 
 /// Aggregate statistics of one query-pattern fingerprint.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -345,24 +238,6 @@ impl PatternStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recorder_bounds_and_defers_detail() {
-        let mut fr = FlightRecorder::new(2);
-        fr.record_with(10, "dispatch", || "q0 -> N3".into());
-        fr.record_with(20, "retry", || "q0 attempt 1".into());
-        fr.record_with(30, "timeout", || "q0 gave up".into());
-        assert_eq!(fr.len(), 2);
-        assert_eq!(fr.dropped(), 1);
-        let kinds: Vec<&str> = fr.events().map(|e| e.kind).collect();
-        assert_eq!(kinds, vec!["retry", "timeout"]);
-        assert!(fr.dump().contains("timeout"));
-
-        // Capacity 0 never evaluates the closure.
-        let mut off = FlightRecorder::new(0);
-        off.record_with(1, "dispatch", || panic!("must not format"));
-        assert!(off.is_empty());
-    }
 
     #[test]
     fn pattern_stats_record_and_query() {

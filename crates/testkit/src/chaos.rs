@@ -22,9 +22,9 @@ use crate::schema_gen::{community_schema, SchemaSpec};
 use crate::workload::random_chain_query;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqpeer::exec::{node_of, ObsConfig, PeerConfig};
+use sqpeer::exec::{node_of, ObsConfig, PeerConfig, QueryId};
 use sqpeer::net::{FaultPlan, Metrics, SplitMix64};
-use sqpeer::overlay::{oracle_answer, oracle_base};
+use sqpeer::overlay::{oracle_answer, oracle_base, HybridNetwork};
 use sqpeer::routing::PeerId;
 use sqpeer::rql::{QueryPattern, ResultSet};
 
@@ -130,6 +130,11 @@ impl ChaosReport {
 
 /// Runs one seeded chaos schedule and checks both invariants.
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
+    run_chaos_keeping(spec).0
+}
+
+/// [`run_chaos`], also returning the drained network and each query's `(origin, qid)`.
+pub fn run_chaos_keeping(spec: &ChaosSpec) -> (ChaosReport, HybridNetwork, Vec<(PeerId, QueryId)>) {
     let schema = community_schema(SchemaSpec::default(), spec.seed ^ 0xA5A5);
     let net_spec = NetworkSpec {
         peers: spec.peers,
@@ -303,7 +308,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
         .map(|n| n.max_stream_inflight)
         .max()
         .unwrap_or(0);
-    report
+    (report, net, injected)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ pub mod network_gen;
 pub mod schema_gen;
 pub mod workload;
 
-pub use chaos::{run_chaos, ChaosReport, ChaosSpec};
+pub use chaos::{run_chaos, run_chaos_keeping, ChaosReport, ChaosSpec};
 pub use data_gen::{populate, DataSpec};
 pub use fixtures::{fig1_schema, fig2_bases, fig6_network, fig7_network};
 pub use network_gen::{adhoc_network, hier_network, hybrid_network, NetworkSpec, TopologyKind};

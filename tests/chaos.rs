@@ -10,7 +10,8 @@
 //! each failing query's EXPLAIN rendering and profile JSON (chaos runs
 //! trace), so the exact schedule replays from the report alone.
 
-use sqpeer_testkit::{run_chaos, ChaosSpec};
+use sqpeer::exec::{node_of, PeerNode, QueryId, TraceEvent};
+use sqpeer_testkit::{run_chaos, run_chaos_keeping, ChaosSpec};
 use std::fs;
 use std::path::PathBuf;
 
@@ -274,4 +275,91 @@ fn regression_streamed_dup_reorder_seed2() {
          accounting went dishonest"
     );
     assert!(report.max_stream_inflight > 0 && report.max_stream_inflight <= 4);
+}
+
+/// Every recorder of a protocol event agrees. One lossy, streamed light
+/// schedule (it retries, times out, re-plans and drops duplicates) is
+/// read back: per answered query, the root's profile, tracer and flight
+/// ring count the same retries, timeouts and re-plans up to the answer
+/// (the profile stops counting there, while a subplan still outstanding
+/// may time out and be retried after it); across the overlay, each
+/// protocol counter equals what the tracers and the flight rings
+/// recorded.
+#[test]
+fn recorders_agree_on_a_lossy_run() {
+    let spec = ChaosSpec {
+        stream_batch_rows: Some(16),
+        ..light(2)
+    };
+    let (report, net, injected) = run_chaos_keeping(&spec);
+    assert!(report.holds(), "{:?}", report.violations);
+    let node = |p| net.sim().node(node_of(p)).expect("a node of the overlay");
+    // What `n` recorded as `name` (tracer) and `kind` (flight ring),
+    // about `qid` up to `until_us`, or about anything at any time.
+    let traced = |n: &PeerNode, of: Option<(QueryId, u64)>, name: &str| {
+        let hit = |e: &&TraceEvent| of.is_none_or(|(q, until)| e.qid == q.0 && e.start_us <= until);
+        n.trace_events()
+            .iter()
+            .filter(hit)
+            .filter(|e| e.name == name)
+            .count()
+    };
+    let flown = |n: &PeerNode, of: Option<(QueryId, u64)>, kind: &str| {
+        let dump = n.flight_dump();
+        let header = dump.lines().next().unwrap_or_default();
+        assert!(
+            header.contains(" 0 dropped"),
+            "the ring overflowed: {header}"
+        );
+        let hit = |line: &&str| {
+            let words: Vec<&str> = line.split_whitespace().take(3).collect();
+            let at: u64 = words[0].parse().expect("a timestamp");
+            words[1] == kind && of.is_none_or(|(q, until)| words[2] == q.to_string() && at <= until)
+        };
+        dump.lines().skip(1).filter(hit).count()
+    };
+    let mut checked = 0;
+    for &(origin, qid) in &injected {
+        let (Some(profile), Some(outcome)) = (net.profile(origin, qid), net.outcome(origin, qid))
+        else {
+            continue;
+        };
+        let (root, of) = (node(origin), Some((qid, outcome.completed_at_us)));
+        let retries = profile.retries as usize;
+        assert_eq!(retries, traced(root, of, "exec:retry"), "{qid} retries");
+        assert_eq!(retries, flown(root, of, "retry"), "{qid} retries");
+        let timeouts = profile.timeouts as usize;
+        assert_eq!(timeouts, traced(root, of, "exec:timeout"), "{qid} timeouts");
+        assert_eq!(timeouts, flown(root, of, "timeout"), "{qid} timeouts");
+        let replans = profile.replans as usize;
+        assert_eq!(replans, traced(root, of, "exec:replan"), "{qid} replans");
+        checked += 1;
+    }
+    assert!(checked > 0, "no query kept a profile");
+
+    let all: Vec<&PeerNode> = net
+        .peers()
+        .iter()
+        .chain(net.super_peers())
+        .map(|&p| node(p))
+        .collect();
+    let sum = |count: &dyn Fn(&PeerNode) -> usize| all.iter().map(|n| count(n)).sum::<usize>();
+    let m = net.sim().metrics();
+    let retries = m.retries_sent();
+    assert_eq!(retries, sum(&|n| traced(n, None, "exec:retry")));
+    assert_eq!(retries, sum(&|n| flown(n, None, "retry")));
+    let timeouts = m.timeouts_fired();
+    assert_eq!(timeouts, sum(&|n| traced(n, None, "exec:timeout")));
+    assert_eq!(timeouts, sum(&|n| flown(n, None, "timeout")));
+    assert_eq!(m.replans(), sum(&|n| traced(n, None, "exec:replan")));
+    let dups = m.stream_dedup_drops();
+    assert_eq!(dups, sum(&|n| traced(n, None, "exec:dedup")));
+    assert!(
+        retries > 0 && timeouts > 0 && m.replans() > 0 && dups > 0,
+        "the schedule must exercise every counter: {} {} {} {}",
+        retries,
+        timeouts,
+        m.replans(),
+        dups
+    );
 }

@@ -266,7 +266,6 @@ fn zero_threshold_logs_every_query_with_json() {
         obs: Some(ObsConfig {
             push_period_us: PUSH_US,
             slow_query_us: 0,
-            ..ObsConfig::default()
         }),
         ..PeerConfig::default()
     };
