@@ -349,7 +349,7 @@ pub fn tcp_leg(spec: GroupSpec, batch: Option<usize>, work: &Workload) -> Leg {
                 first_us = Some(sent.elapsed().as_micros() as u64);
             }
             answer.columns = result.columns;
-            answer.rows.extend(result.rows);
+            answer.rows.append(result.rows);
             if last {
                 assert!(!partial);
                 break;

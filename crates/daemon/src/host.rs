@@ -474,23 +474,22 @@ fn serve_connection(
                 last,
             },
         };
-        // Frames are cut off the owned row vector and leave back to back;
-        // the one that empties it is flagged `last` and alone carries
-        // `partial`. Without batching that is the only frame.
+        // Frames are cut as row ranges of the answer's dictionary (each is
+        // encoded with just the entries it uses) and leave back to back;
+        // the final one is flagged `last` and alone carries `partial`.
+        // Without batching that is the only frame.
         let batch = answer_batch_rows.filter(|&b| b > 0).unwrap_or(usize::MAX);
-        let ResultSet { columns, rows } = result;
-        let mut rows = rows.into_iter();
-        for seq in 0.. {
+        let pieces = result.rows.chunks(batch);
+        let count = pieces.len();
+        for (seq, rows) in pieces.enumerate() {
             let piece = ResultSet {
-                columns: columns.clone(),
-                rows: rows.by_ref().take(batch).collect(),
+                columns: result.columns.clone(),
+                rows,
             };
-            let last = rows.len() == 0;
-            if write_frame(&mut stream, &data(piece, last && partial, seq, last)).is_err() {
+            let last = seq + 1 == count;
+            let frame = data(piece, last && partial, seq as u32, last);
+            if write_frame(&mut stream, &frame).is_err() {
                 return;
-            }
-            if last {
-                break;
             }
         }
     }

@@ -13,7 +13,7 @@ use sqpeer_daemon::{
 };
 use sqpeer_exec::{Msg, PeerConfig, QueryId};
 use sqpeer_routing::PeerId;
-use sqpeer_rql::{compile, ResultSet};
+use sqpeer_rql::{compile, ResultSet, Rows};
 use sqpeer_testkit::fixtures::{base_with, fig1_schema};
 use sqpeer_wire::{
     read_frame, write_frame, Envelope, GatewayRequest, GatewayResponse, SchemaRegistry,
@@ -188,7 +188,7 @@ fn streamed_frames_concatenate_to_the_single_frame_answer() {
     for batch in [1, 2, n - 1, n, n + 1] {
         let (frames, verdict) = ask(Some(batch));
         assert_eq!(frames.len(), n.div_ceil(batch), "batch {batch}");
-        let mut rows = Vec::new();
+        let mut rows = Rows::default();
         for (i, frame) in frames.iter().enumerate() {
             let is_final = i + 1 == frames.len();
             assert_eq!(frame.seq, i as u32, "batch {batch}");
@@ -196,7 +196,7 @@ fn streamed_frames_concatenate_to_the_single_frame_answer() {
             assert!(!frame.partial, "batch {batch}, frame {i}");
             assert!(frame.result.rows.len() <= batch, "batch {batch}, frame {i}");
             assert_eq!(frame.result.columns, answer.columns, "batch {batch}");
-            rows.extend(frame.result.rows.iter().cloned());
+            rows.append(frame.result.rows.clone());
         }
         assert_eq!(
             rows, answer.rows,

@@ -33,7 +33,7 @@ use crate::{peer_of, send, Event};
 use sqpeer_net::{ChannelTable, Ctx, NodeId};
 use sqpeer_plan::PlanNode;
 use sqpeer_routing::PeerId;
-use sqpeer_rql::{ResultSet, Row};
+use sqpeer_rql::{ResultSet, Rows};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -125,7 +125,7 @@ impl PendingRemote {
 /// hook (§2.4) at once.
 #[derive(Debug, Default)]
 struct Reassembly {
-    recv: Receiver<Vec<Row>>,
+    recv: Receiver<Rows>,
     drained: ResultSet,
     partial: bool,
 }
@@ -311,7 +311,9 @@ impl Dispatcher {
     /// from the start), accounts it to the channel's throughput window and
     /// acknowledges it with one credit while the stream is incomplete.
     /// `reader(frame, slot)` says who reads what this packet drains.
-    /// `None` when the claim matches no outstanding subplan.
+    /// `None` when the claim matches no outstanding subplan. One answer
+    /// has one set of columns, the first packet's: a packet carrying rows
+    /// under others is refused like a `SubplanFailed`.
     pub(crate) fn data(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -324,31 +326,39 @@ impl Dispatcher {
         // `tag` and `qid` are the sender's claim: a packet naming another
         // query's tag must not reach its slot.
         let pending = self.outstanding.get_mut(&tag).filter(|p| p.qid == qid)?;
+        let bytes = packet.result.wire_size() as u64 + 48;
+        let drained = &mut pending.stream.drained;
+        let ResultSet { columns, rows } = packet.result;
+        if drained.columns.is_empty() && drained.is_empty() {
+            drained.columns = columns;
+        } else if !rows.is_empty() && columns != drained.columns {
+            return self.lose(tag, ReplanCause::Refused, Some(Event::Refused));
+        }
         if pending.bytes_observed == 0 {
             // Per-link TTFR: the first result packet of this subplan just
             // arrived — telemetry's streaming figure of merit.
             let elapsed = ctx.now_us().saturating_sub(pending.dispatched_at_us);
             ctx.note_stream_ttfr(from, elapsed);
         }
-        pending.bytes_observed += packet.result.wire_size() as u64 + 48;
+        pending.bytes_observed += bytes;
         let (dest, frame, slot) = (pending.dest, pending.frame, pending.slot);
         let reader = reader(frame, slot);
         let state = &mut pending.stream;
-        let ResultSet { columns, rows } = packet.result;
-        if state.drained.columns.is_empty() {
-            state.drained.columns = columns;
-        }
         state.partial |= packet.partial;
         let ingested = state.recv.ingest(packet.seq, rows, packet.last);
         // At-least-once dispatch and fault-plan duplication both make
         // repeated sequence numbers normal; each one must land in the
         // dedup counter, never in the answer.
         let dup = ingested.is_dup.then_some(Event::DuplicateDropped);
-        let mut fresh: Vec<Row> = ingested.drained.into_iter().flatten().collect();
+        let mut fresh = Rows::default();
+        ingested
+            .drained
+            .into_iter()
+            .for_each(|batch| fresh.append(batch));
         let (drained, arrived) = (&mut state.drained, !fresh.is_empty());
         match reader {
-            Reader::Batch => drained.rows.extend(fresh.iter().cloned()),
-            Reader::Nobody | Reader::Backfill => drained.rows.append(&mut fresh),
+            Reader::Batch => drained.rows.append(fresh.clone()),
+            Reader::Nobody | Reader::Backfill => drained.rows.append(std::mem::take(&mut fresh)),
         }
         let batch = arrived.then(|| match reader {
             Reader::Nobody => Drained::Arrived,
@@ -380,7 +390,7 @@ impl Dispatcher {
             let pending = self.outstanding.remove(&tag).expect("looked up above");
             let result = pending.stream.drained;
             let answered = Event::Answered {
-                rows: result.rows.len(),
+                rows: result.len(),
                 bytes: result.wire_size() as u64,
             };
             let verdict = Verdict::Answered {
@@ -576,10 +586,7 @@ mod tests {
             channel: *channel,
             seq,
             last,
-            result: ResultSet {
-                columns: vec!["X".into()],
-                rows: (0..rows).map(row).collect(),
-            },
+            result: ResultSet::from_rows(vec!["X".into()], (0..rows).map(row).collect()),
             partial: false,
         }
     }
@@ -603,7 +610,7 @@ mod tests {
     }
 
     /// The rows of a batch handed over to a reader.
-    fn read(drained: Option<Drained>) -> Vec<Row> {
+    fn read(drained: Option<Drained>) -> Rows {
         match drained {
             Some(Drained::Batch(batch)) => batch.rows,
             other => panic!("no batch: {other:?}"),
@@ -669,7 +676,7 @@ mod tests {
         else {
             panic!("a complete single-packet answer: {:?}", step.verdict);
         };
-        assert_eq!((frame, slot, result.rows.len()), (1, 0, 1));
+        assert_eq!((frame, slot, result.len()), (1, 0, 1));
         assert_eq!(last, Some(Drained::Batch(result)));
         assert!(ingest(&mut d, &mut ctx, 1, 0, packet(&subplan, 0, true, 1)).is_none());
         assert!(d.timed_out(&mut ctx, 0).is_none());
@@ -694,7 +701,7 @@ mod tests {
             step.verdict
         };
         let names =
-            |rows: &[Row]| -> Vec<String> { rows.iter().map(|r| format!("{:?}", r[0])).collect() };
+            |rows: &Rows| -> Vec<String> { rows.iter().map(|r| format!("{r:?}")).collect() };
         // 1 waits for 0; 0 releases both; their repeats release nothing.
         assert!(matches!(feed(&mut d, 1, false), Verdict::Pending { .. }));
         let Verdict::Drained { batch, .. } = feed(&mut d, 0, false) else {
@@ -710,7 +717,7 @@ mod tests {
         };
         assert_eq!(read(last).len(), 1);
         assert_eq!(names(&result.rows)[..2], in_order[..]);
-        assert_eq!(result.rows.len(), 3);
+        assert_eq!(result.len(), 3);
 
         assert_eq!(dups, 2);
         let effects = ctx.into_effects();
@@ -768,13 +775,42 @@ mod tests {
         let Verdict::Drained { batch, .. } = feed(1, false, 1, Reader::Backfill) else {
             panic!("packet 1 drains");
         };
-        let backfill = read(Some(batch));
         let Verdict::Answered { last, result, .. } = feed(2, true, 2, Reader::Batch) else {
             panic!("packet 2 completes the stream");
         };
-        let last = read(last);
+        let (mut backfill, last) = (read(Some(batch)), read(last));
         assert_eq!((backfill.len(), last.len()), (3, 2));
-        assert_eq!([backfill, last].concat(), result.rows);
+        backfill.append(last);
+        assert_eq!(backfill, result.rows);
+    }
+
+    /// One answer, one set of columns: a later packet carrying rows under
+    /// columns other than the first packet's is refused — the subplan is
+    /// lost the way a `SubplanFailed` loses it, with nothing answered.
+    #[test]
+    fn a_packet_changing_the_columns_is_refused() {
+        let mut d = dispatcher(None);
+        let (_, subplan) = ship(&mut d, 1);
+        let mut ctx = ctx_at(1);
+        let first = ingest_read_by(
+            &mut d,
+            &mut ctx,
+            packet(&subplan, 0, false, 1),
+            Reader::Nobody,
+        );
+        assert!(matches!(first.verdict, Verdict::Drained { .. }));
+        let mut wider = packet(&subplan, 1, true, 1);
+        wider.result = ResultSet::from_rows(
+            vec!["X".into(), "Y".into()],
+            vec![vec![Node::Resource(Resource::new("r1")); 2]],
+        );
+        let step = ingest_read_by(&mut d, &mut ctx, wider, Reader::Nobody);
+        let cause = ReplanCause::Refused;
+        let lost = Event::Lost { attempts: 1, cause };
+        assert_eq!(step.events, [Some(Event::Refused), Some(lost)]);
+        assert!(matches!(step.verdict, Verdict::Lost { cause: c, .. } if c == cause));
+        assert!(d.outstanding.is_empty());
+        assert_eq!(d.open_channels(), 0);
     }
 
     /// A repeated packet of a slot nobody reads is reported as a dropped
@@ -795,7 +831,7 @@ mod tests {
         let Verdict::Answered { last, result, .. } = feed(1, true).verdict else {
             panic!("packet 1 completes the stream");
         };
-        assert_eq!((last, result.rows.len()), (Some(Drained::Arrived), 2));
+        assert_eq!((last, result.len()), (Some(Drained::Arrived), 2));
     }
 
     /// A probe never comes before the grace period, re-arms while the

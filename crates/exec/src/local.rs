@@ -28,7 +28,7 @@ pub fn eval_local(plan: &PlanNode, me: PeerId, base: &BaseKind) -> ResultSet {
             let Some(mut acc) = parts.next() else {
                 return ResultSet::default();
             };
-            acc.union_all_owned(parts);
+            acc.union_all(&parts.collect::<Vec<_>>());
             acc
         }
         PlanNode::Join { inputs, .. } => {

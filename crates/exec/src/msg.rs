@@ -363,12 +363,12 @@ mod tests {
         assert!(small.wire_size() > 32);
 
         let empty = ResultSet::empty(vec!["X".into()]);
-        let mut big = ResultSet::empty(vec!["X".into()]);
-        big.extend_distinct((0..100).map(|i| {
-            vec![sqpeer_rdfs::Node::Resource(sqpeer_rdfs::Resource::new(
-                format!("r{i}"),
-            ))]
-        }));
+        let big = ResultSet::from_rows(
+            vec!["X".into()],
+            (0..100)
+                .map(|i| vec![sqpeer_rdfs::Node::Resource(format!("r{i}").as_str().into())])
+                .collect(),
+        );
         let d_small = Msg::Data {
             channel: sqpeer_net::Channel {
                 id: sqpeer_net::ChannelId(0),

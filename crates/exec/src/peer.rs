@@ -44,7 +44,7 @@ use sqpeer_plan::{
 use sqpeer_routing::{
     route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingPolicy,
 };
-use sqpeer_rql::{QueryPattern, ResultSet, Row, UnionAcc};
+use sqpeer_rql::{QueryPattern, ResultSet, Rows, UnionAcc};
 use sqpeer_rvl::{ActiveSchema, VirtualBase};
 use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
@@ -466,7 +466,7 @@ struct OutgoingStream {
     qid: QueryId,
     tag: u64,
     columns: Vec<String>,
-    core: Sender<Vec<Row>>,
+    core: Sender<Rows>,
     /// Carried by the final packet.
     partial: bool,
     stats: Option<sqpeer_store::BaseStatistics>,
@@ -483,7 +483,7 @@ impl OutgoingStream {
         qid: QueryId,
         tag: u64,
         columns: Vec<String>,
-        core: Sender<Vec<Row>>,
+        core: Sender<Rows>,
     ) -> Self {
         OutgoingStream {
             channel,
@@ -1609,9 +1609,7 @@ impl PeerNode {
                     // data packets: at most `stream_credit_window` are in
                     // flight until the root credits them back.
                     let mut core = Sender::new(self.config.stream_credit_window);
-                    for rows in result.rows.chunks(batch) {
-                        core.push(rows.to_vec());
-                    }
+                    result.rows.chunks(batch).for_each(|rows| core.push(rows));
                     core.finish();
                     let stream = OutgoingStream {
                         partial,
@@ -1671,9 +1669,8 @@ impl PeerNode {
         batch: usize,
     ) {
         let key: StreamKey = (channel.root, qid, tag);
-        let unproduced: std::collections::VecDeque<Vec<Row>> =
-            result.rows.chunks(batch).map(<[Row]>::to_vec).collect();
-        let first_rows = unproduced.front().map_or(0, Vec::len) as u64;
+        let unproduced: std::collections::VecDeque<Rows> = result.rows.chunks(batch).collect();
+        let first_rows = unproduced.front().map_or(0, Rows::len) as u64;
         let core = Sender::paced(self.config.stream_credit_window, unproduced);
         let stream = OutgoingStream {
             stats: self.base_stats(),
@@ -1690,7 +1687,7 @@ impl PeerNode {
         let Some(stream) = self.outgoing.get_mut(&key) else {
             return;
         };
-        match stream.core.produce().map(Vec::len) {
+        match stream.core.produce().map(Rows::len) {
             Some(rows) => {
                 let delay = self.config.processing_us_per_row * rows as u64;
                 self.arm(ctx, delay, Timer::Production(key));
@@ -2317,7 +2314,7 @@ pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
 
 /// Folds a finished frame's slots into its result, consuming them: the
 /// first filled slot becomes the accumulator as it is and the others are
-/// unioned (one pass, new rows moved in) or joined onto it in slot order,
+/// unioned (one pass) or joined onto it in slot order,
 /// the last join projecting onto `names` when given. Also returns the
 /// partial flag and the rows of the combined result before that
 /// projection.
@@ -2336,7 +2333,7 @@ fn combine(frame: Frame, names: Option<&[String]>) -> (Completion, ResultSet, bo
     };
     let mut rows = None;
     match frame.op {
-        FrameOp::Union => acc.union_all_owned(slots),
+        FrameOp::Union => acc.union_all(&slots.collect::<Vec<_>>()),
         FrameOp::Join => {
             while let Some(s) = slots.next() {
                 let (joined, n) = acc.join_onto(&s, names.filter(|_| slots.peek().is_none()));
@@ -3956,7 +3953,7 @@ mod tests {
                         .take(6)
                         .map(|c| vec![node(c[0]), node(c[1])])
                         .collect();
-                    Some(ResultSet { columns, rows })
+                    Some(ResultSet::from_rows(columns, rows))
                 })
                 .collect();
             let op = if join { FrameOp::Join } else { FrameOp::Union };

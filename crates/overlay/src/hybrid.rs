@@ -339,8 +339,8 @@ pub(crate) mod tests {
         net.run();
         let outcome = net.outcome(origin, qid).expect("completed");
         assert_eq!(outcome.result.len(), 2);
-        assert_eq!(outcome.result.rows[0][0].to_string(), "&http://x/3");
-        assert_eq!(outcome.result.rows[1][0].to_string(), "&http://x/2");
+        assert_eq!(outcome.result.rows.row(0)[0].to_string(), "&http://x/3");
+        assert_eq!(outcome.result.rows.row(1)[0].to_string(), "&http://x/2");
     }
 
     /// Repeated identical queries hit the super-peer's routing cache; the

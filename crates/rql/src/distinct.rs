@@ -1,29 +1,23 @@
-//! Set-semantics accumulation without a second copy of the rows.
+//! Set-semantics accumulation over dictionary ids.
 //!
-//! [`UnionAcc`] is a [`ResultSet`] plus a position index over its row
-//! vector: an open-addressing table of `(row hash, position)` pairs. An
-//! incoming row is hashed once, in the accumulator's column order, and
-//! compared cell by cell against the rows already there; only a row that
-//! turns out to be new is cloned (or, handed over by value, moved) into
-//! the vector. Row order is arrival order — exactly what the hash set of
-//! cloned rows this replaces produced, which is what keeps streamed
-//! batches, `wire_size()` and the byte counters downstream unchanged.
-//! [`IdRowSet`] is the same index over rows of `u32` ids.
+//! Rows are deduplicated by comparing ids, which is only sound once equal
+//! nodes share one id. [`Values`] makes them: an index keyed by each
+//! entry's content hash, so merging a foreign dictionary hashes every
+//! distinct value once instead of every cell. [`UnionAcc`] is a
+//! [`ResultSet`] whose dictionary is indexed so, plus a position index
+//! over its rows: an incoming row is mapped to ids, hashed, compared id by
+//! id, and appended only if new. Row order is arrival order — what the hash
+//! set of cloned rows this replaced produced, which keeps streamed batches,
+//! `wire_size()` and the byte counters downstream unchanged. A NaN equals
+//! nothing: it never shares an id, and a row holding one is always new.
+//! [`IdRowSet`] is the row index over bare rows of ids.
 
-use crate::eval::{ResultSet, Row};
+use crate::eval::ResultSet;
+use crate::rows::Rows;
 use sqpeer_rdfs::fxhash::FxHasher;
-use sqpeer_rdfs::Node;
+use sqpeer_rdfs::{Literal, Node};
 use std::hash::{Hash, Hasher};
-
-/// One hash for a row given as a cell sequence (so a permuted view of a
-/// foreign row hashes like the row it would become).
-fn hash_cells<'a>(cells: impl Iterator<Item = &'a Node>) -> u64 {
-    let mut hasher = FxHasher::default();
-    for cell in cells {
-        cell.hash(&mut hasher);
-    }
-    hasher.finish()
-}
+use std::sync::Arc;
 
 /// One hash for a row of ids.
 pub(crate) fn hash_ids(ids: impl Iterator<Item = u32>) -> u64 {
@@ -32,10 +26,15 @@ pub(crate) fn hash_ids(ids: impl Iterator<Item = u32>) -> u64 {
     hasher.finish()
 }
 
+/// Is `node` a NaN, the one value not equal to itself?
+pub(crate) fn is_nan(node: &Node) -> bool {
+    matches!(node, Node::Literal(Literal::Float(f)) if f.is_nan())
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     hash: u64,
-    /// Position in the row vector; [`VACANT`] marks an empty slot.
+    /// Position in the vector indexed; [`VACANT`] marks an empty slot.
     pos: usize,
 }
 
@@ -45,9 +44,9 @@ const VACANT_SLOT: Slot = Slot {
     pos: VACANT,
 };
 
-/// Row hash → position in a row vector held elsewhere. Linear probing
-/// over a power-of-two table kept at most half full; the bucket is taken
-/// from the hash's high bits, where a multiplicative hash mixes best.
+/// Hash → position in a vector held elsewhere. Linear probing over a
+/// power-of-two table kept at most half full; the bucket is taken from the
+/// hash's high bits, where a multiplicative hash mixes best.
 #[derive(Debug)]
 struct RowIndex {
     slots: Vec<Slot>,
@@ -66,7 +65,7 @@ impl RowIndex {
         (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// Records `pos` under `hash` without looking for an equal row.
+    /// Records `pos` under `hash` without looking for an equal entry.
     fn place(&mut self, hash: u64, pos: usize) {
         let mask = self.slots.len() - 1;
         let mut at = self.bucket(hash);
@@ -77,9 +76,14 @@ impl RowIndex {
         self.used += 1;
     }
 
-    /// Unless some indexed position with this `hash` satisfies `same`,
-    /// records `pos` under it and returns `true`.
-    fn insert(&mut self, hash: u64, pos: usize, mut same: impl FnMut(usize) -> bool) -> bool {
+    /// The indexed position with this `hash` that satisfies `same`, if
+    /// any; else records `pos` under it and returns `None`.
+    fn insert(
+        &mut self,
+        hash: u64,
+        pos: usize,
+        mut same: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
         if (self.used + 1) * 2 > self.slots.len() {
             let old = std::mem::replace(self, RowIndex::with_capacity(self.slots.len()));
             for slot in old.slots.into_iter().filter(|s| s.pos != VACANT) {
@@ -93,10 +97,10 @@ impl RowIndex {
             if slot.pos == VACANT {
                 self.slots[at] = Slot { hash, pos };
                 self.used += 1;
-                return true;
+                return None;
             }
             if slot.hash == hash && same(slot.pos) {
-                return false;
+                return Some(slot.pos);
             }
             at = (at + 1) & mask;
         }
@@ -104,7 +108,7 @@ impl RowIndex {
 }
 
 /// Distinct equal-width rows of ids, flat in insertion order, over a
-/// [`RowIndex`] — what [`ResultSet::join_onto`] dedups once cells are ids.
+/// [`RowIndex`] — what [`ResultSet::join_onto`] dedups.
 #[derive(Debug)]
 pub(crate) struct IdRowSet(Vec<u32>, RowIndex);
 
@@ -117,9 +121,8 @@ impl IdRowSet {
     pub(crate) fn insert(&mut self, row: &[u32]) -> bool {
         let (ids, w) = (&mut self.0, row.len());
         let same = |at: usize| ids[at * w..][..w] == *row;
-        let new = self
-            .1
-            .insert(hash_ids(row.iter().copied()), ids.len() / w.max(1), same);
+        let hash = hash_ids(row.iter().copied());
+        let new = self.1.insert(hash, ids.len() / w.max(1), same).is_none();
         if new {
             ids.extend_from_slice(row);
         }
@@ -127,57 +130,96 @@ impl IdRowSet {
     }
 }
 
-/// A union accumulator: a [`ResultSet`] that remembers which rows it
-/// holds, across calls. This is the ∪ of horizontal distribution (§2.4)
-/// for a merge point that unions many inputs, or one input many times
-/// (a forwarding stream deduplicating batch after batch).
+/// Content hash → position in a dictionary held elsewhere. Interning a
+/// node through it gives equal nodes one id; a NaN keeps its own.
+#[derive(Debug)]
+pub(crate) struct Values(RowIndex);
+
+impl Values {
+    /// Indexes `dict` as it is. When an entry repeats an earlier one, also
+    /// returns the id each entry is to be known by: its own or, for a
+    /// repeat, the first equal entry's.
+    pub(crate) fn of(dict: &[Node]) -> (Values, Option<Vec<u32>>) {
+        let mut index = RowIndex::with_capacity(dict.len());
+        let mut remap: Option<Vec<u32>> = None;
+        for (pos, node) in dict.iter().enumerate() {
+            if let Some(at) = index.insert(hash_node(node), pos, |at| dict[at] == *node) {
+                remap.get_or_insert_with(|| (0..dict.len() as u32).collect())[pos] = at as u32;
+            }
+        }
+        (Values(index), remap)
+    }
+
+    /// The id of `node` in `dict`, which this indexes; a clone of `node`
+    /// is appended if no entry equals it.
+    pub(crate) fn intern(&mut self, dict: &mut Vec<Node>, node: &Node) -> u32 {
+        let pos = dict.len();
+        match self.0.insert(hash_node(node), pos, |at| dict[at] == *node) {
+            Some(at) => at as u32,
+            None => {
+                dict.push(node.clone());
+                pos as u32
+            }
+        }
+    }
+
+    /// Maps ids into `from` to ids into `dict`, interning each entry of
+    /// `from` the first time it is asked for.
+    pub(crate) fn mapper<'a>(
+        &'a mut self,
+        dict: &'a mut Vec<Node>,
+        from: &'a [Node],
+    ) -> impl FnMut(u32) -> u32 + 'a {
+        let mut to = vec![u32::MAX; from.len()];
+        move |id| {
+            let mapped = &mut to[id as usize];
+            if *mapped == u32::MAX {
+                *mapped = self.intern(dict, &from[id as usize]);
+            }
+            *mapped
+        }
+    }
+}
+
+fn hash_node(node: &Node) -> u64 {
+    let mut hasher = FxHasher::default();
+    node.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// A union accumulator: a [`ResultSet`] that remembers which values and
+/// which rows it holds, across calls. This is the ∪ of horizontal
+/// distribution (§2.4) for a merge point that unions many inputs, or one
+/// input many times (a forwarding stream deduplicating batch after batch).
 #[derive(Debug)]
 pub struct UnionAcc {
     set: ResultSet,
+    values: Values,
     index: RowIndex,
 }
 
 impl UnionAcc {
-    /// Starts from `set`. Its rows are taken as they are — duplicates
-    /// among them stay, as they do in the accumulator of
-    /// [`ResultSet::union`].
-    pub fn new(set: ResultSet) -> Self {
-        let mut index = RowIndex::with_capacity(set.rows.len());
-        for (pos, row) in set.rows.iter().enumerate() {
-            index.place(hash_cells(row.iter()), pos);
+    /// Starts from `set`: its dictionary and ids are adopted as they are
+    /// (a repeated entry's ids are pointed at the first equal one), and its
+    /// rows are taken as they are — duplicates among them stay, as they do
+    /// in the accumulator of [`ResultSet::union`].
+    pub fn new(mut set: ResultSet) -> Self {
+        let (values, remap) = Values::of(&set.rows.dict);
+        let Rows { ids, len, .. } = &mut set.rows;
+        if let Some(remap) = remap {
+            ids.iter_mut().for_each(|id| *id = remap[*id as usize]);
         }
-        UnionAcc { set, index }
+        let w = set.columns.len();
+        let mut index = RowIndex::with_capacity(*len);
+        for r in 0..*len {
+            index.place(hash_ids(ids[r * w..][..w].iter().copied()), r);
+        }
+        UnionAcc { set, values, index }
     }
 
     /// The accumulated result.
     pub fn into_result(self) -> ResultSet {
         self.set
-    }
-
-    /// Appends `row` (already in this accumulator's column order) unless
-    /// an equal row is present. Returns whether it was new.
-    pub fn push_distinct(&mut self, row: Row) -> bool {
-        let rows = &self.set.rows;
-        let new = self
-            .index
-            .insert(hash_cells(row.iter()), rows.len(), |at| rows[at] == row);
-        if new {
-            self.set.rows.push(row);
-        }
-        new
-    }
-
-    /// Appends `row[i] for i in cells` unless an equal row is present;
-    /// the cells are cloned only then.
-    pub(crate) fn push_distinct_cells(&mut self, row: &[Node], cells: &[usize]) {
-        let rows = &self.set.rows;
-        let view = || cells.iter().map(|&i| &row[i]);
-        if self
-            .index
-            .insert(hash_cells(view()), rows.len(), |at| view().eq(&rows[at]))
-        {
-            self.set.rows.push(view().cloned().collect());
-        }
     }
 
     /// Where each of this accumulator's columns sits in `part`; `None`
@@ -191,38 +233,45 @@ impl UnionAcc {
     }
 
     /// Set-semantics union with `part`, whose columns are matched by name
-    /// and permuted into this accumulator's order.
+    /// and permuted into this accumulator's order. Each entry of `part`'s
+    /// dictionary a row uses is interned once, and cloned only if no equal
+    /// entry is here.
     pub fn union(&mut self, part: &ResultSet) {
         let Some(perm) = self.columns_in(part) else {
             return;
         };
-        for row in &part.rows {
-            self.push_distinct_cells(row, &perm);
-        }
-    }
-
-    /// [`union`](Self::union) of a part handed over by value: where its
-    /// columns already line up, new rows move in instead of being cloned.
-    pub fn union_owned(&mut self, part: ResultSet) {
-        let Some(perm) = self.columns_in(&part) else {
-            return;
-        };
-        let aligned = part.columns.len() == perm.len() && perm.iter().copied().eq(0..perm.len());
-        for row in part.rows {
-            if aligned && row.len() == perm.len() {
-                self.push_distinct(row);
-            } else {
-                self.push_distinct_cells(&row, &perm);
-            }
+        let (w, k, ids) = (part.columns.len(), perm.len(), part.rows.ids());
+        let rows = (0..part.len()).flat_map(|r| perm.iter().map(move |&c| ids[r * w + c]));
+        let dict = Arc::make_mut(&mut self.set.rows.dict);
+        let map = self.values.mapper(dict, part.rows.dict());
+        let mapped: Vec<u32> = rows.map(map).collect();
+        for r in 0..part.len() {
+            self.push(&mapped[r * k..][..k]);
         }
     }
 
     /// [`union`](Self::union) that also returns the rows that were new,
     /// in this accumulator's column order — what a pipelined merge point
     /// forwards downstream.
-    pub fn union_delta(&mut self, part: &ResultSet) -> Vec<Row> {
-        let before = self.set.rows.len();
+    pub fn union_delta(&mut self, part: &ResultSet) -> Rows {
+        let before = self.set.len();
         self.union(part);
-        self.set.rows[before..].to_vec()
+        self.set.rows.slice(before..self.set.len())
+    }
+
+    /// Appends `row`, ids of this dictionary, unless an equal row is here.
+    fn push(&mut self, row: &[u32]) {
+        let Rows { dict, ids, len } = &mut self.set.rows;
+        let w = row.len();
+        let nan = || row.iter().any(|&id| is_nan(&dict[id as usize]));
+        let same = |at: usize| ids[at * w..][..w] == *row && !nan();
+        if self
+            .index
+            .insert(hash_ids(row.iter().copied()), *len, same)
+            .is_none()
+        {
+            ids.extend_from_slice(row);
+            *len += 1;
+        }
     }
 }

@@ -18,14 +18,14 @@
 //! projection; they return identical row sets.
 
 use crate::ast::CmpOp;
-use crate::distinct::{hash_ids, IdRowSet, UnionAcc};
+use crate::distinct::{hash_ids, is_nan, IdRowSet, UnionAcc, Values};
 use crate::pattern::{CondOperand, Endpoint, QueryPattern, Term};
+use crate::rows::Rows;
 use sqpeer_rdfs::{FxHashMap, FxHashSet, Literal, Node, Resource};
 use sqpeer_store::{BaseStatistics, DescriptionBase, InternedBase, SymId};
+use std::borrow::Cow;
 use std::collections::HashSet;
-
-/// One result row; columns follow [`ResultSet::columns`].
-pub type Row = Vec<Node>;
+use std::sync::Arc;
 
 /// A set-semantics result table with named columns.
 ///
@@ -36,8 +36,8 @@ pub type Row = Vec<Node>;
 pub struct ResultSet {
     /// Column names, in projection order.
     pub columns: Vec<String>,
-    /// Distinct rows.
-    pub rows: Vec<Row>,
+    /// Distinct rows, as dictionary ids.
+    pub rows: Rows,
 }
 
 impl ResultSet {
@@ -45,8 +45,37 @@ impl ResultSet {
     pub fn empty(columns: Vec<String>) -> Self {
         ResultSet {
             columns,
-            rows: Vec::new(),
+            rows: Rows::default(),
         }
+    }
+
+    /// A result set of `len` rows of one id per column each, row-major,
+    /// into `dict`. `Err` says what does not fit: the ids do not make
+    /// exactly `len` rows, or one lies beyond the dictionary.
+    pub fn from_dict(
+        columns: Vec<String>,
+        dict: Vec<Node>,
+        ids: Vec<u32>,
+        len: usize,
+    ) -> Result<Self, &'static str> {
+        if len.checked_mul(columns.len()) != Some(ids.len()) {
+            return Err("row count differs from the cells");
+        }
+        if ids.iter().any(|&id| id as usize >= dict.len()) {
+            return Err("id beyond the dictionary");
+        }
+        let dict = Arc::new(dict);
+        let rows = Rows { dict, ids, len };
+        Ok(ResultSet { columns, rows })
+    }
+
+    /// A result set holding `rows` as they are (duplicates stay), each as
+    /// wide as `columns`, and each cell its own dictionary entry.
+    pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Node>>) -> Self {
+        assert!(rows.iter().all(|row| row.len() == columns.len()));
+        let (len, dict): (_, Vec<Node>) = (rows.len(), rows.into_iter().flatten().collect());
+        let ids = (0..dict.len() as u32).collect();
+        Self::from_dict(columns, dict, ids, len).expect("rows as wide as the columns")
     }
 
     /// Number of rows.
@@ -64,37 +93,17 @@ impl ResultSet {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// Appends every row not already present.
-    pub fn extend_distinct(&mut self, rows: impl IntoIterator<Item = Row>) {
-        let mut acc = UnionAcc::new(std::mem::take(self));
-        for row in rows {
-            acc.push_distinct(row);
-        }
-        *self = acc.into_result();
-    }
-
     /// Unions many result sets in one pass, indexing the accumulator once
     /// instead of once per input (the merge step of wide
-    /// horizontal-distribution unions).
+    /// horizontal-distribution unions). With no parts, nothing is hashed.
     pub fn union_all<'a>(&mut self, parts: impl IntoIterator<Item = &'a ResultSet>) {
-        let mut acc = UnionAcc::new(std::mem::take(self));
-        for part in parts {
-            acc.union(part);
-        }
-        *self = acc.into_result();
-    }
-
-    /// [`union_all`](Self::union_all) over parts handed over by value:
-    /// their new rows move into `self` instead of being cloned. With no
-    /// parts, nothing is hashed.
-    pub fn union_all_owned(&mut self, parts: impl IntoIterator<Item = ResultSet>) {
         let mut parts = parts.into_iter().peekable();
         if parts.peek().is_none() {
             return;
         }
         let mut acc = UnionAcc::new(std::mem::take(self));
         for part in parts {
-            acc.union_owned(part);
+            acc.union(part);
         }
         *self = acc.into_result();
     }
@@ -106,19 +115,6 @@ impl ResultSet {
     /// the same pattern "obtained by these peers should be unioned".
     pub fn union(&mut self, other: &ResultSet) {
         self.union_all([other]);
-    }
-
-    /// [`union`](Self::union) that also returns the rows that were *new*
-    /// to the accumulator (permuted into `self`'s column order). This is
-    /// the streaming-union primitive: a pipelined merge point forwards
-    /// exactly the delta downstream, preserving set semantics without
-    /// re-sending rows an earlier batch already contributed. A merge point
-    /// that does this batch after batch keeps a [`UnionAcc`] instead.
-    pub fn union_delta(&mut self, other: &ResultSet) -> Vec<Row> {
-        let mut acc = UnionAcc::new(std::mem::take(self));
-        let delta = acc.union_delta(other);
-        *self = acc.into_result();
-        delta
     }
 
     /// Natural hash join with `other` on all shared column names (none: the
@@ -133,10 +129,10 @@ impl ResultSet {
 
     /// [`join`](Self::join), projected onto `names` (`None`: every column)
     /// as it is built — the rows of `join` then [`project`](Self::project),
-    /// in that order — and the row count of the unprojected join. Each
-    /// input cell gets a `u32` id once; the key index (key hash → `other`'s
-    /// rows, key ids checked on a hit) and the dedups run over ids, and
-    /// nodes are cloned only for a row whose projected ids are new.
+    /// in that order — and the row count of the unprojected join. The two
+    /// dictionaries merge into one, each distinct value hashed once, so
+    /// equal nodes share an id; the key index (key hash → `other`'s rows,
+    /// key ids checked on a hit), the dedups and the output rows are ids.
     pub fn join_onto(&self, other: &ResultSet, names: Option<&[String]>) -> (ResultSet, usize) {
         let (wa, wb) = (self.columns.len(), other.columns.len());
         let shared: Vec<(usize, usize)> = self
@@ -158,20 +154,17 @@ impl ResultSet {
                 .collect(),
         };
         let columns = proj.iter().map(|&c| pick(&self.columns, &other.columns, c));
-        let mut out = ResultSet::empty(columns.cloned().collect());
+        let columns = columns.cloned().collect();
 
-        // Pre-sized: growing would re-hash every string behind the keys.
-        let cells = wa * self.len() + wb * other.len();
-        assert!(cells < LONELY as usize, "a join input of 2^31 cells");
-        let mut intern: FxHashMap<&Node, u32> =
-            FxHashMap::with_capacity_and_hasher(cells, Default::default());
-        let mut ids = Vec::with_capacity(cells);
-        for node in self.rows.iter().chain(&other.rows).flatten() {
-            let nan = matches!(node, Node::Literal(Literal::Float(f)) if f.is_nan());
-            let next = intern.len() as u32 | if nan { LONELY } else { 0 };
-            ids.push(*intern.entry(node).or_insert(next));
-        }
-        let (a_ids, b_ids) = ids.split_at(wa * self.len());
+        let mut dict = Vec::clone(&self.rows.dict);
+        let (mut values, remap) = Values::of(&dict);
+        let a_ids = match remap {
+            None => Cow::Borrowed(self.rows.ids()),
+            Some(remap) => self.rows.ids.iter().map(|&id| remap[id as usize]).collect(),
+        };
+        let b_ids: Vec<u32> = (other.rows.ids.iter().copied())
+            .map(values.mapper(&mut dict, &other.rows.dict))
+            .collect();
         // Which rows repeat an earlier row of their side. A pair of rows
         // neither of which does joins into a row no earlier pair gave.
         let repeats = |ids: &[u32], w: usize, n: usize| -> Vec<bool> {
@@ -180,25 +173,30 @@ impl ResultSet {
                 .map(|r| !earlier.insert(&ids[r * w..][..w]))
                 .collect()
         };
-        let a_repeats = repeats(a_ids, wa, self.len());
-        let b_repeats = repeats(b_ids, wb, other.len());
+        let a_repeats = repeats(&a_ids, wa, self.len());
+        let b_repeats = repeats(&b_ids, wb, other.len());
 
-        // Key hash → the rows of `other` under it, in order.
-        let mut index: FxHashMap<u64, Vec<usize>> =
+        // Key hash → the first row of `other` under it; `next[j]`, the
+        // row after `j` under its key.
+        let mut first: FxHashMap<u64, usize> =
             FxHashMap::with_capacity_and_hasher(other.len(), Default::default());
-        for j in 0..other.len() {
+        let mut next = vec![None; other.len()];
+        for j in (0..other.len()).rev() {
             let b = &b_ids[j * wb..][..wb];
-            let hash = hash_ids(shared.iter().map(|&(_, sj)| b[sj]));
-            index.entry(hash).or_default().push(j);
+            next[j] = first.insert(hash_ids(shared.iter().map(|&(_, sj)| b[sj])), j);
         }
 
-        let lonely = |ids: &[u32]| ids.iter().any(|id| id & LONELY != 0);
+        // A NaN cell equals nothing: its row neither repeats nor is repeated.
+        let lonely = |ids: &[u32]| ids.iter().any(|&id| is_nan(&dict[id as usize]));
         let mut kept = IdRowSet::with_capacity(self.len());
-        let (mut tuple, mut joined) = (Vec::with_capacity(proj.len()), 0);
-        for (i, a_row) in self.rows.iter().enumerate() {
+        let (mut out, mut len, mut joined) = (Vec::new(), 0, 0);
+        let mut tuple = Vec::with_capacity(proj.len());
+        for i in 0..self.len() {
             let a = &a_ids[i * wa..][..wa];
             let hash = hash_ids(shared.iter().map(|&(si, _)| a[si]));
-            for &j in index.get(&hash).into_iter().flatten() {
+            let mut under = first.get(&hash).copied();
+            while let Some(j) = under {
+                under = next[j];
                 let b = &b_ids[j * wb..][..wb];
                 let repeat = (a_repeats[i] || b_repeats[j]) && !lonely(a) && !lonely(b);
                 if repeat || shared.iter().any(|&(si, sj)| a[si] != b[sj]) {
@@ -208,12 +206,17 @@ impl ResultSet {
                 tuple.clear();
                 tuple.extend(proj.iter().map(|&c| *pick(a, b, c)));
                 if names.is_none() || lonely(&tuple) || kept.insert(&tuple) {
-                    let cell = |&c: &usize| pick(a_row, &other.rows[j], c).clone();
-                    out.rows.push(proj.iter().map(cell).collect());
+                    out.extend_from_slice(&tuple);
+                    len += 1;
                 }
             }
         }
-        (out, joined)
+        let rows = Rows {
+            dict: Arc::new(dict),
+            ids: out,
+            len,
+        };
+        (ResultSet { columns, rows }, joined)
     }
 
     /// Projects onto `names` (in that order; unknown names are skipped),
@@ -237,21 +240,25 @@ impl ResultSet {
         names.iter().filter_map(|n| self.column_index(n)).collect()
     }
 
+    /// Columns `idx` — a union into an empty set of those columns, unless
+    /// a permutation.
     fn project_onto(&self, idx: &[usize]) -> ResultSet {
-        let project = |row: &Row| idx.iter().map(|&i| row[i].clone()).collect();
         let mut out = ResultSet::empty(idx.iter().map(|&i| self.columns[i].clone()).collect());
         let mut kept = vec![false; self.columns.len()];
         let permutation =
             idx.len() == kept.len() && idx.iter().all(|&i| !std::mem::replace(&mut kept[i], true));
-        if permutation {
-            out.rows = self.rows.iter().map(project).collect();
+        if !permutation {
+            out.union(self);
             return out;
         }
-        let mut out = UnionAcc::new(out);
-        for row in &self.rows {
-            out.push_distinct_cells(row, idx);
-        }
-        out.into_result()
+        let (ids, w) = (&self.rows.ids, self.columns.len());
+        let ids = (0..self.len()).flat_map(|r| idx.iter().map(move |&i| ids[r * w + i]));
+        out.rows = Rows {
+            ids: ids.collect(),
+            dict: Arc::clone(&self.rows.dict),
+            len: self.len(),
+        };
+        out
     }
 
     /// Applies a Top-N clause: stable-sorts by the named column (resources
@@ -280,7 +287,12 @@ impl ResultSet {
     /// for assertions in tests and experiment output (no per-comparison
     /// display-string allocation).
     pub fn sorted(mut self) -> ResultSet {
-        self.rows.sort_by(|a, b| row_cmp(a, b));
+        self.rows.sort_by(|a, b| {
+            let mut cells = a.iter().zip(b.iter()).map(|(x, y)| node_cmp(x, y));
+            cells
+                .find(|ord| ord.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         self
     }
 
@@ -301,10 +313,6 @@ fn pick<'a, T>(a: &'a [T], b: &'a [T], c: usize) -> &'a T {
     }
 }
 
-/// Marks the join id of a cell not equal to itself (a NaN): it is fresh
-/// at each occurrence, and a row holding one is distinct, as under `==`.
-const LONELY: u32 = 1 << 31;
-
 /// Total order over nodes used by `ORDER BY`: resources before literals,
 /// resources by URI, literals by `Literal::total_cmp`.
 pub fn node_cmp(a: &Node, b: &Node) -> std::cmp::Ordering {
@@ -314,17 +322,6 @@ pub fn node_cmp(a: &Node, b: &Node) -> std::cmp::Ordering {
         (Node::Resource(_), Node::Literal(_)) => std::cmp::Ordering::Less,
         (Node::Literal(_), Node::Resource(_)) => std::cmp::Ordering::Greater,
     }
-}
-
-/// Row-wise lexicographic extension of [`node_cmp`].
-pub fn row_cmp(a: &[Node], b: &[Node]) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        match node_cmp(x, y) {
-            std::cmp::Ordering::Equal => continue,
-            ord => return ord,
-        }
-    }
-    a.len().cmp(&b.len())
 }
 
 // ----------------------------------------------------------------------
@@ -487,45 +484,46 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
         std::mem::swap(&mut cur, &mut next);
     }
 
-    // Projection with set semantics; nodes materialise only here.
-    let proj: Vec<usize> = query.projection().iter().map(|v| v.0 as usize).collect();
-    let names: Vec<String> = query
-        .projection()
-        .iter()
-        .map(|&v| query.var_name(v).to_string())
-        .collect();
-    let mut out = ResultSet::empty(names);
-    if proj.len() <= 4 {
-        // Narrow projections (the common case) pack into one u128 key —
-        // no per-row allocation during dedup.
-        let mut seen: FxHashSet<u128> = FxHashSet::default();
-        for row in cur.chunks_exact(width) {
-            let mut key: u128 = 0;
-            for &i in &proj {
-                debug_assert_ne!(row[i], UNBOUND, "projected variable must be bound");
-                key = (key << 32) | row[i] as u128;
-            }
-            if seen.insert(key) {
-                out.rows
-                    .push(proj.iter().map(|&i| ib.node(row[i]).clone()).collect());
-            }
-        }
-    } else {
-        let mut seen: FxHashSet<Vec<SymId>> = FxHashSet::default();
-        for row in cur.chunks_exact(width) {
-            let key: Vec<SymId> = proj
-                .iter()
-                .map(|&i| {
-                    debug_assert_ne!(row[i], UNBOUND, "projected variable must be bound");
-                    row[i]
-                })
-                .collect();
-            if seen.insert(key) {
-                out.rows
-                    .push(proj.iter().map(|&i| ib.node(row[i]).clone()).collect());
-            }
-        }
+    // Projection with set semantics. Narrow projections (the common case)
+    // pack into one u128 key — no per-row allocation during dedup. Each
+    // distinct symbol kept becomes one dictionary entry: its node is
+    // cloned once, and every cell holding it is that entry's id.
+    let names = query.projection().iter().map(|&v| query.var_name(v));
+    let columns: Vec<String> = names.map(str::to_string).collect();
+    if cur.is_empty() {
+        return ResultSet::empty(columns);
     }
+    let proj: Vec<usize> = query.projection().iter().map(|v| v.0 as usize).collect();
+    let rows = cur.len() / width;
+    let mut narrow = FxHashSet::<u128>::with_capacity_and_hasher(rows, Default::default());
+    let mut wide = FxHashSet::default();
+    let mut new_row = |row: &[SymId]| {
+        debug_assert!(
+            proj.iter().all(|&i| row[i] != UNBOUND),
+            "projected variable unbound"
+        );
+        if proj.len() <= 4 {
+            narrow.insert(proj.iter().fold(0, |k, &i| (k << 32) | row[i] as u128))
+        } else {
+            wide.insert(proj.iter().map(|&i| row[i]).collect::<Vec<SymId>>())
+        }
+    };
+    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::new(), 0);
+    let mut entry = vec![u32::MAX; ib.node_count()];
+    for row in cur.chunks_exact(width).filter(|row| new_row(row)) {
+        for &i in &proj {
+            let id = &mut entry[row[i] as usize];
+            if *id == u32::MAX {
+                *id = dict.len() as u32;
+                dict.push(ib.node(row[i]).clone());
+            }
+            ids.push(*id);
+        }
+        len += 1;
+    }
+    let dict = Arc::new(dict);
+    let rows = Rows { dict, ids, len };
+    let mut out = ResultSet { columns, rows };
     let order = query.order_by().map(|(v, asc)| (query.var_name(v), asc));
     if order.is_some() || query.limit().is_some() {
         out.apply_top(order, query.limit());
@@ -793,10 +791,9 @@ pub fn evaluate_reference(query: &QueryPattern, base: &DescriptionBase) -> Resul
         .iter()
         .map(|&v| query.var_name(v).to_string())
         .collect();
-    let mut out = ResultSet::empty(names);
-    let mut seen = HashSet::new();
+    let (mut seen, mut rows) = (HashSet::new(), Vec::new());
     for b in &partial {
-        let row: Row = query
+        let row: Vec<Node> = query
             .projection()
             .iter()
             .map(|&v| {
@@ -806,9 +803,10 @@ pub fn evaluate_reference(query: &QueryPattern, base: &DescriptionBase) -> Resul
             })
             .collect();
         if seen.insert(row.clone()) {
-            out.rows.push(row);
+            rows.push(row);
         }
     }
+    let mut out = ResultSet::from_rows(names, rows);
     let order = query.order_by().map(|(v, asc)| (query.var_name(v), asc));
     if order.is_some() || query.limit().is_some() {
         out.apply_top(order, query.limit());
@@ -993,7 +991,7 @@ mod tests {
     fn direct_subproperty_query() {
         let rs = run("SELECT X, Y FROM {X}prop4{Y}");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(4)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(4)));
     }
 
     #[test]
@@ -1008,14 +1006,14 @@ mod tests {
         let rs = run("SELECT X, Y FROM {X;C5}prop1{Y}");
         // Only r4 is typed C5 (domain of prop4).
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(4)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(4)));
     }
 
     #[test]
     fn literal_filter() {
         let rs = run("SELECT X FROM {X}age{A} WHERE A >= 18");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(1)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(1)));
     }
 
     #[test]
@@ -1028,7 +1026,7 @@ mod tests {
     fn constant_subject() {
         let rs = run("SELECT Y FROM {&http://data/r1}prop1{Y}");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(2)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(2)));
     }
 
     #[test]
@@ -1046,7 +1044,7 @@ mod tests {
     fn resource_inequality_filter() {
         let rs = run("SELECT X, Y FROM {X}prop1{Y} WHERE X != &http://data/r1");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(4)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(4)));
     }
 
     #[test]
@@ -1068,7 +1066,7 @@ mod tests {
         // C6-constrained prop2 pattern finds exactly it.
         let rs = run("SELECT X FROM {X;C6}prop2{Y}");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(5)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(5)));
     }
 
     #[test]
@@ -1087,64 +1085,77 @@ mod tests {
 
     #[test]
     fn result_set_union_dedups_and_permutes() {
-        let mut a = ResultSet {
-            columns: vec!["X".into(), "Y".into()],
-            rows: vec![vec![Node::Resource(r(1)), Node::Resource(r(2))]],
-        };
-        let b = ResultSet {
-            columns: vec!["Y".into(), "X".into()],
-            rows: vec![
+        let mut a = ResultSet::from_rows(
+            vec!["X".into(), "Y".into()],
+            vec![vec![Node::Resource(r(1)), Node::Resource(r(2))]],
+        );
+        let b = ResultSet::from_rows(
+            vec!["Y".into(), "X".into()],
+            vec![
                 vec![Node::Resource(r(2)), Node::Resource(r(1))], // same row, permuted
                 vec![Node::Resource(r(9)), Node::Resource(r(8))],
             ],
-        };
+        );
         a.union(&b);
         assert_eq!(a.len(), 2);
     }
 
     #[test]
     fn result_set_join_on_shared_columns() {
-        let a = ResultSet {
-            columns: vec!["X".into(), "Y".into()],
-            rows: vec![
+        let a = ResultSet::from_rows(
+            vec!["X".into(), "Y".into()],
+            vec![
                 vec![Node::Resource(r(1)), Node::Resource(r(2))],
                 vec![Node::Resource(r(4)), Node::Resource(r(5))],
             ],
-        };
-        let b = ResultSet {
-            columns: vec!["Y".into(), "Z".into()],
-            rows: vec![vec![Node::Resource(r(2)), Node::Resource(r(3))]],
-        };
+        );
+        let b = ResultSet::from_rows(
+            vec!["Y".into(), "Z".into()],
+            vec![vec![Node::Resource(r(2)), Node::Resource(r(3))]],
+        );
         let j = a.join(&b);
         assert_eq!(j.columns, vec!["X", "Y", "Z"]);
         assert_eq!(j.len(), 1);
-        assert_eq!(j.rows[0][2], Node::Resource(r(3)));
+        assert_eq!(j.rows.row(0)[2], Node::Resource(r(3)));
     }
 
     #[test]
     fn result_set_project() {
-        let a = ResultSet {
-            columns: vec!["X".into(), "Y".into()],
-            rows: vec![
+        let a = ResultSet::from_rows(
+            vec!["X".into(), "Y".into()],
+            vec![
                 vec![Node::Resource(r(1)), Node::Resource(r(2))],
                 vec![Node::Resource(r(1)), Node::Resource(r(3))],
             ],
-        };
+        );
         let p = a.project(&["X".into()]);
         assert_eq!(p.len(), 1);
     }
 
     #[test]
-    fn extend_distinct_dedups() {
+    fn union_dedups_by_value_not_by_id() {
+        // r1 sits under ids 0 and 2; the NaN's row is never a duplicate.
+        let nan = Node::Literal(Literal::Float(f64::NAN));
+        let dict = vec![
+            Node::Resource(r(1)),
+            Node::Resource(r(2)),
+            Node::Resource(r(1)),
+            nan,
+        ];
+        let part = ResultSet::from_dict(vec!["X".into()], dict, vec![0, 1, 2, 3, 3], 5).unwrap();
         let mut rs = ResultSet::empty(vec!["X".into()]);
-        rs.extend_distinct(vec![
-            vec![Node::Resource(r(1))],
-            vec![Node::Resource(r(2))],
-            vec![Node::Resource(r(1))],
-        ]);
-        assert_eq!(rs.len(), 2);
-        rs.extend_distinct(vec![vec![Node::Resource(r(2))], vec![Node::Resource(r(3))]]);
-        assert_eq!(rs.len(), 3);
+        rs.union(&part);
+        assert_eq!(rs.len(), 4, "{rs:?}");
+        rs.union(&ResultSet::from_rows(
+            vec!["X".into()],
+            vec![vec![Node::Resource(r(2))], vec![Node::Resource(r(3))]],
+        ));
+        assert_eq!(rs.len(), 5);
+        assert_eq!(
+            rs.rows.dict().len(),
+            4,
+            "r1, r2, the NaN, r3: one entry each"
+        );
     }
 
     #[test]
@@ -1152,7 +1163,7 @@ mod tests {
         // Top-N over literal values.
         let rs = run("SELECT X, A FROM {X}age{A} ORDER BY A DESC LIMIT 1");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][1], Node::Literal(Literal::Integer(30)));
+        assert_eq!(rs.rows.row(0)[1], Node::Literal(Literal::Integer(30)));
         // `run` post-sorts for determinism, so exercise ordering through
         // a direct evaluation.
         let s = schema();
@@ -1163,8 +1174,8 @@ mod tests {
         .unwrap();
         let rs = evaluate(&qp, &base(&s));
         assert_eq!(rs.len(), 2);
-        assert_eq!(rs.rows[0][1], Node::Literal(Literal::Integer(17)));
-        assert_eq!(rs.rows[1][1], Node::Literal(Literal::Integer(30)));
+        assert_eq!(rs.rows.row(0)[1], Node::Literal(Literal::Integer(17)));
+        assert_eq!(rs.rows.row(1)[1], Node::Literal(Literal::Integer(30)));
         // LIMIT without ORDER BY truncates in evaluation order.
         let rs = run("SELECT X, Y FROM {X}prop1{Y} LIMIT 1");
         assert_eq!(rs.len(), 1);
@@ -1173,7 +1184,7 @@ mod tests {
         assert!(rs.is_empty());
         // Ordering by resources sorts by URI.
         let rs = run("SELECT X FROM {X}prop1{Y} ORDER BY X DESC LIMIT 1");
-        assert_eq!(rs.rows[0][0], Node::Resource(r(4)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(4)));
     }
 
     #[test]
@@ -1185,7 +1196,7 @@ mod tests {
         // Class pattern joined with a path pattern narrows bindings.
         let rs = run("SELECT X, Y FROM {X}prop1{Y}, {X;C5}");
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(4)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(4)));
         // Constant membership tests (programmatic construction): r4 is a
         // C5 instance, r1 is not.
         let s = schema();
@@ -1222,33 +1233,33 @@ mod tests {
 
     #[test]
     fn apply_top_edge_cases() {
-        let mut rs = ResultSet {
-            columns: vec!["X".into()],
-            rows: vec![
+        let mut rs = ResultSet::from_rows(
+            vec!["X".into()],
+            vec![
                 vec![Node::Resource(r(2))],
                 vec![Node::Resource(r(1))],
                 vec![Node::Resource(r(3))],
             ],
-        };
+        );
         // Unknown order column: order preserved, limit still applies.
         rs.apply_top(Some(("Nope", true)), Some(2));
         assert_eq!(rs.len(), 2);
-        assert_eq!(rs.rows[0][0], Node::Resource(r(2)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(2)));
         // Limit larger than the result is a no-op.
         rs.apply_top(None, Some(99));
         assert_eq!(rs.len(), 2);
         // Mixed node kinds: resources sort before literals.
-        let mut mixed = ResultSet {
-            columns: vec!["V".into()],
-            rows: vec![
+        let mut mixed = ResultSet::from_rows(
+            vec!["V".into()],
+            vec![
                 vec![Node::Literal(Literal::Integer(1))],
                 vec![Node::Resource(r(9))],
             ],
-        };
+        );
         mixed.apply_top(Some(("V", true)), None);
-        assert!(matches!(mixed.rows[0][0], Node::Resource(_)));
+        assert!(matches!(mixed.rows.row(0)[0], Node::Resource(_)));
         mixed.apply_top(Some(("V", false)), None);
-        assert!(matches!(mixed.rows[0][0], Node::Literal(_)));
+        assert!(matches!(mixed.rows.row(0)[0], Node::Literal(_)));
     }
 
     #[test]
@@ -1281,18 +1292,18 @@ mod tests {
 
     #[test]
     fn sorted_orders_rows_total() {
-        let rs = ResultSet {
-            columns: vec!["X".into(), "V".into()],
-            rows: vec![
+        let rs = ResultSet::from_rows(
+            vec!["X".into(), "V".into()],
+            vec![
                 vec![Node::Resource(r(2)), Node::Literal(Literal::Integer(1))],
                 vec![Node::Resource(r(1)), Node::Literal(Literal::Integer(9))],
                 vec![Node::Resource(r(1)), Node::Literal(Literal::Integer(2))],
             ],
-        }
+        )
         .sorted();
-        assert_eq!(rs.rows[0][0], Node::Resource(r(1)));
-        assert_eq!(rs.rows[0][1], Node::Literal(Literal::Integer(2)));
-        assert_eq!(rs.rows[2][0], Node::Resource(r(2)));
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(1)));
+        assert_eq!(rs.rows.row(0)[1], Node::Literal(Literal::Integer(2)));
+        assert_eq!(rs.rows.row(2)[0], Node::Resource(r(2)));
     }
 
     #[test]

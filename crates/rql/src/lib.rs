@@ -29,19 +29,20 @@ pub mod eval;
 pub mod lexer;
 pub mod parser;
 pub mod pattern;
+mod rows;
 
 pub use ast::{CmpOp, Condition, NodeSpec, Operand, PathExpr, Projection, QueryAst};
 pub use distinct::UnionAcc;
 pub use error::{ParseError, ResolveError, RqlError};
 pub use eval::{
-    evaluate, evaluate_reference, evaluate_snapshot, node_cmp, row_cmp, stats_join_order,
-    ResultSet, Row,
+    evaluate, evaluate_reference, evaluate_snapshot, node_cmp, stats_join_order, ResultSet,
 };
 pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::parse_query;
 pub use pattern::{
     Endpoint, JoinTree, JoinTreeNode, PathPattern, QueryPattern, ResolvedCondition, Term, VarId,
 };
+pub use rows::{RowRef, Rows};
 
 use sqpeer_rdfs::Schema;
 

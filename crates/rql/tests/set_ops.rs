@@ -1,26 +1,49 @@
 //! `ResultSet`'s set operations against the implementation they replaced.
 //!
-//! [`reference`] keeps the previous bodies of `extend_distinct`,
-//! `union_all`, `union_delta`, `project` and `join` — a `FxHashSet<Row>` of
-//! cloned rows rebuilt on every call — word for word. The index-based
-//! versions, and `join_onto` against `join` then `project`, must produce
-//! the same columns, the same rows **in the same order**
-//! (order decides how an answer is cut into batches, hence `wire_size()`
-//! and every byte counter downstream) and the same returned delta.
-//! Outputs are compared through `{:?}` so that rows holding a NaN, which
-//! no set operation ever merges, still compare.
+//! [`reference`] keeps the previous bodies of `union_all`, `union_delta`,
+//! `project` and `join` — over rows of nodes, with a `FxHashSet` of cloned
+//! rows rebuilt on every call — word for word. The operations over
+//! dictionary ids, and `join_onto` against `join` then `project`, must
+//! produce the same columns, the same rows **in the same order** (order
+//! decides how an answer is cut into batches, hence `wire_size()` and every
+//! byte counter downstream) and the same returned delta, whatever the
+//! dictionaries hold: each input gets one of its own, in which a value may
+//! sit under several ids, a NaN may be shared or not, and entries may be
+//! unused. Outputs are compared through `{:?}` so that rows holding a NaN,
+//! which no set operation ever merges, still compare.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqpeer_rdfs::{Literal, Node, Resource};
-use sqpeer_rql::{ResultSet, Row, UnionAcc};
+use sqpeer_rql::{ResultSet, UnionAcc};
 
 mod reference {
     use sqpeer_rdfs::{FxHashMap, FxHashSet, Node};
-    use sqpeer_rql::{ResultSet, Row};
 
-    pub fn extend_distinct(this: &mut ResultSet, rows: impl IntoIterator<Item = Row>) {
+    /// A result as rows of nodes.
+    #[derive(Debug, Clone)]
+    pub struct Table {
+        pub columns: Vec<String>,
+        pub rows: Vec<Vec<Node>>,
+    }
+
+    type Row = Vec<Node>;
+
+    impl Table {
+        pub fn empty(columns: Vec<String>) -> Self {
+            Table {
+                columns,
+                rows: Vec::new(),
+            }
+        }
+
+        fn column_index(&self, name: &str) -> Option<usize> {
+            self.columns.iter().position(|c| c == name)
+        }
+    }
+
+    pub fn extend_distinct(this: &mut Table, rows: impl IntoIterator<Item = Row>) {
         let mut seen: FxHashSet<Row> = this.rows.iter().cloned().collect();
         for row in rows {
             if seen.insert(row.clone()) {
@@ -29,7 +52,7 @@ mod reference {
         }
     }
 
-    pub fn union_all<'a>(this: &mut ResultSet, parts: impl IntoIterator<Item = &'a ResultSet>) {
+    pub fn union_all<'a>(this: &mut Table, parts: impl IntoIterator<Item = &'a Table>) {
         let mut seen: FxHashSet<Row> = this.rows.iter().cloned().collect();
         for part in parts {
             let perm: Option<Vec<usize>> =
@@ -44,7 +67,7 @@ mod reference {
         }
     }
 
-    pub fn union_delta(this: &mut ResultSet, other: &ResultSet) -> Vec<Row> {
+    pub fn union_delta(this: &mut Table, other: &Table) -> Vec<Row> {
         let mut seen: FxHashSet<Row> = this.rows.iter().cloned().collect();
         let mut delta = Vec::new();
         let perm: Option<Vec<usize>> = this.columns.iter().map(|c| other.column_index(c)).collect();
@@ -59,9 +82,9 @@ mod reference {
         delta
     }
 
-    pub fn project(this: &ResultSet, names: &[String]) -> ResultSet {
+    pub fn project(this: &Table, names: &[String]) -> Table {
         let idx: Vec<usize> = names.iter().filter_map(|n| this.column_index(n)).collect();
-        let mut out = ResultSet::empty(idx.iter().map(|&i| this.columns[i].clone()).collect());
+        let mut out = Table::empty(idx.iter().map(|&i| this.columns[i].clone()).collect());
         extend_distinct(
             &mut out,
             this.rows
@@ -71,7 +94,7 @@ mod reference {
         out
     }
 
-    pub fn join(this: &ResultSet, other: &ResultSet) -> ResultSet {
+    pub fn join(this: &Table, other: &Table) -> Table {
         let shared: Vec<(usize, usize)> = this
             .columns
             .iter()
@@ -84,7 +107,7 @@ mod reference {
         let mut columns = this.columns.clone();
         columns.extend(other_extra.iter().map(|&j| other.columns[j].clone()));
 
-        let mut out = ResultSet::empty(columns);
+        let mut out = Table::empty(columns);
         let mut seen: FxHashSet<Row> = FxHashSet::default();
         if shared.is_empty() {
             // Cartesian product (only reachable through hand-built plans).
@@ -133,6 +156,8 @@ mod reference {
     }
 }
 
+use reference::Table;
+
 /// A cell from a domain small enough that rows collide: resources and all
 /// four literal kinds, a NaN among them.
 fn cell(rng: &mut StdRng) -> Node {
@@ -147,11 +172,34 @@ fn cell(rng: &mut StdRng) -> Node {
     }
 }
 
-fn table(rng: &mut StdRng, columns: Vec<String>, max_rows: usize) -> ResultSet {
+fn table(rng: &mut StdRng, columns: Vec<String>, max_rows: usize) -> Table {
     let rows = (0..rng.gen_range(0..=max_rows))
         .map(|_| columns.iter().map(|_| cell(rng)).collect())
         .collect();
-    ResultSet { columns, rows }
+    Table { columns, rows }
+}
+
+/// `t` as a result set over a dictionary of its own: at any cell a value
+/// (a NaN too) may take a fresh id or reuse one, and entries no row uses
+/// are mixed in.
+fn coded(rng: &mut StdRng, t: &Table) -> ResultSet {
+    let (mut dict, mut ids): (Vec<Node>, Vec<u32>) = (Vec::new(), Vec::new());
+    for node in t.rows.iter().flatten() {
+        if rng.gen_bool(0.2) {
+            dict.push(cell(rng));
+        }
+        let shown = format!("{node:?}");
+        let reused = dict.iter().position(|d| format!("{d:?}") == shown);
+        let id = match reused.filter(|_| rng.gen_bool(0.7)) {
+            Some(id) => id,
+            None => {
+                dict.push(node.clone());
+                dict.len() - 1
+            }
+        };
+        ids.push(id as u32);
+    }
+    ResultSet::from_dict(t.columns.clone(), dict, ids, t.rows.len()).expect("ids in range")
 }
 
 fn shuffled(rng: &mut StdRng, mut names: Vec<String>) -> Vec<String> {
@@ -162,7 +210,7 @@ fn shuffled(rng: &mut StdRng, mut names: Vec<String>) -> Vec<String> {
 }
 
 /// An accumulator over 0–3 columns, duplicates allowed.
-fn accumulator(rng: &mut StdRng) -> ResultSet {
+fn accumulator(rng: &mut StdRng) -> Table {
     let names = ["X", "Y", "Z"].map(String::from);
     let columns = names[..rng.gen_range(0..=3)].to_vec();
     table(rng, columns, 10)
@@ -170,7 +218,7 @@ fn accumulator(rng: &mut StdRng) -> ResultSet {
 
 /// A part to union into `acc`: its columns permuted, sometimes one
 /// missing (the part is then skipped) or one extra; duplicates within.
-fn part_for(rng: &mut StdRng, acc: &ResultSet) -> ResultSet {
+fn part_for(rng: &mut StdRng, acc: &Table) -> Table {
     let mut columns = shuffled(rng, acc.columns.clone());
     match rng.gen_range(0..6u8) {
         0 if !columns.is_empty() => {
@@ -188,7 +236,7 @@ fn part_for(rng: &mut StdRng, acc: &ResultSet) -> ResultSet {
 /// The two sides of a join, each over 0–3 of five names in random order:
 /// shared columns overlap, sit permuted, or are absent (a cartesian
 /// product); either side may be empty; duplicates within.
-fn join_sides(rng: &mut StdRng) -> (ResultSet, ResultSet) {
+fn join_sides(rng: &mut StdRng) -> (Table, Table) {
     let names = ["X", "Y", "Z", "W", "V"].map(String::from);
     let side = |rng: &mut StdRng| {
         let columns = shuffled(rng, names.to_vec())[..rng.gen_range(0..=3)].to_vec();
@@ -198,7 +246,11 @@ fn join_sides(rng: &mut StdRng) -> (ResultSet, ResultSet) {
 }
 
 fn shown(set: &ResultSet) -> String {
-    format!("{set:?}")
+    format!("{:?} {:?}", set.columns, set.rows)
+}
+
+fn expected(t: &Table) -> String {
+    format!("{:?} {:?}", t.columns, t.rows)
 }
 
 proptest! {
@@ -206,57 +258,46 @@ proptest! {
     fn union_all_matches_reference(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let acc = accumulator(rng);
-        let parts: Vec<ResultSet> = (0..rng.gen_range(0..5)).map(|_| part_for(rng, &acc)).collect();
+        let parts: Vec<Table> = (0..rng.gen_range(0..5)).map(|_| part_for(rng, &acc)).collect();
 
-        let mut expected = acc.clone();
-        reference::union_all(&mut expected, &parts);
+        let mut oracle = acc.clone();
+        reference::union_all(&mut oracle, &parts);
 
-        let mut by_ref = acc.clone();
-        by_ref.union_all(&parts);
-        prop_assert_eq!(shown(&by_ref), shown(&expected));
-
-        let mut by_value = acc.clone();
-        by_value.union_all_owned(parts.clone());
-        prop_assert_eq!(shown(&by_value), shown(&expected));
+        let acc = coded(rng, &acc);
+        let parts: Vec<ResultSet> = parts.iter().map(|p| coded(rng, p)).collect();
+        let mut all = acc.clone();
+        all.union_all(&parts);
+        prop_assert_eq!(shown(&all), expected(&oracle));
 
         // One at a time is the same fold.
         let mut one_by_one = acc;
         for part in &parts {
             one_by_one.union(part);
         }
-        prop_assert_eq!(shown(&one_by_one), shown(&expected));
+        prop_assert_eq!(shown(&one_by_one), expected(&oracle));
     }
 
     #[test]
     fn union_delta_matches_reference_batch_after_batch(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let acc = accumulator(rng);
-        let batches: Vec<ResultSet> =
+        let batches: Vec<Table> =
             (0..rng.gen_range(1..5)).map(|_| part_for(rng, &acc)).collect();
 
-        let mut expected = acc.clone();
-        let mut one_shot = acc.clone();
-        let mut kept = UnionAcc::new(acc);
+        let mut oracle = acc.clone();
+        let mut one_shot = coded(rng, &acc);
+        let mut kept = UnionAcc::new(coded(rng, &acc));
         for batch in &batches {
-            let delta = reference::union_delta(&mut expected, batch);
-            prop_assert_eq!(format!("{:?}", one_shot.union_delta(batch)), format!("{delta:?}"));
-            prop_assert_eq!(format!("{:?}", kept.union_delta(batch)), format!("{delta:?}"));
-            prop_assert_eq!(shown(&one_shot), shown(&expected));
+            let delta = format!("{:?}", reference::union_delta(&mut oracle, batch));
+            let batch = coded(rng, batch);
+            // An accumulator afresh per batch, over what the last one held.
+            let mut fresh = UnionAcc::new(one_shot);
+            prop_assert_eq!(format!("{:?}", fresh.union_delta(&batch)), delta.clone());
+            one_shot = fresh.into_result();
+            prop_assert_eq!(format!("{:?}", kept.union_delta(&batch)), delta);
+            prop_assert_eq!(shown(&one_shot), expected(&oracle));
         }
-        prop_assert_eq!(shown(&kept.into_result()), shown(&expected));
-    }
-
-    #[test]
-    fn extend_distinct_matches_reference(seed in any::<u64>()) {
-        let rng = &mut StdRng::seed_from_u64(seed);
-        let acc = accumulator(rng);
-        let rows: Vec<Row> = table(rng, acc.columns.clone(), 12).rows;
-
-        let mut expected = acc.clone();
-        reference::extend_distinct(&mut expected, rows.clone());
-        let mut got = acc;
-        got.extend_distinct(rows);
-        prop_assert_eq!(shown(&got), shown(&expected));
+        prop_assert_eq!(shown(&kept.into_result()), expected(&oracle));
     }
 
     /// `project` is defined on a result set proper — distinct rows, which
@@ -265,8 +306,9 @@ proptest! {
     fn project_matches_reference(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let drawn = accumulator(rng);
-        let mut set = ResultSet::empty(drawn.columns);
-        set.extend_distinct(drawn.rows);
+        let mut distinct = Table::empty(drawn.columns.clone());
+        reference::extend_distinct(&mut distinct, drawn.rows);
+        let set = coded(rng, &distinct);
 
         // A permutation, a subset, a repeated or an unknown name.
         let mut names = shuffled(rng, set.columns.clone());
@@ -279,16 +321,17 @@ proptest! {
             _ => {}
         }
 
-        let expected = reference::project(&set, &names);
-        prop_assert_eq!(shown(&set.project(&names)), shown(&expected));
-        prop_assert_eq!(shown(&set.into_projection(&names)), shown(&expected));
+        let oracle = expected(&reference::project(&distinct, &names));
+        prop_assert_eq!(shown(&set.project(&names)), oracle.clone());
+        prop_assert_eq!(shown(&set.into_projection(&names)), oracle);
     }
 
     #[test]
     fn join_matches_reference(seed in any::<u64>()) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let (a, b) = join_sides(rng);
-        prop_assert_eq!(shown(&a.join(&b)), shown(&reference::join(&a, &b)));
+        let oracle = expected(&reference::join(&a, &b));
+        prop_assert_eq!(shown(&coded(rng, &a).join(&coded(rng, &b))), oracle);
     }
 
     /// `join_onto` is `join` then `project`, row for row, and reports the
@@ -310,8 +353,46 @@ proptest! {
             _ => {}
         }
 
-        let (got, rows) = a.join_onto(&b, Some(&names));
-        prop_assert_eq!(shown(&got), shown(&reference::project(&joined, &names)));
-        prop_assert_eq!(rows, joined.len());
+        let (got, rows) = coded(rng, &a).join_onto(&coded(rng, &b), Some(&names));
+        prop_assert_eq!(shown(&got), expected(&reference::project(&joined, &names)));
+        prop_assert_eq!(rows, joined.rows.len());
+    }
+
+    /// A result cut into pieces and glued back is the result, row for row,
+    /// whether the pieces share its dictionary or are slices with one of
+    /// their own (just the entries they use); sorted and cut short, it is
+    /// the node rows sorted and cut short.
+    #[test]
+    fn chunks_slices_append_sort_and_truncate_keep_the_rows(seed in any::<u64>(), n in 1..6usize) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let t = accumulator(rng);
+        let set = coded(rng, &t);
+        let (mut shared, mut sliced) = (set.rows.chunks(n), Vec::new());
+        let mut glued = ResultSet::empty(set.columns.clone());
+        for at in (0..set.len()).step_by(n) {
+            let slice = set.rows.slice(at..set.len().min(at + n));
+            let mut used = vec![false; slice.dict().len()];
+            slice.ids().iter().for_each(|&id| used[id as usize] = true);
+            prop_assert!(used.into_iter().all(|u| u), "an unused entry in a slice");
+            let piece = shared.next().expect("a piece per slice");
+            prop_assert_eq!(format!("{piece:?}"), format!("{slice:?}"));
+            glued.rows.append(piece);
+            sliced.push(slice);
+        }
+        prop_assert_eq!(shown(&glued), expected(&t));
+        let mut glued = ResultSet::empty(set.columns.clone());
+        sliced.into_iter().for_each(|slice| glued.rows.append(slice));
+        prop_assert_eq!(shown(&glued), expected(&t));
+
+        let by_shown = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            format!("{a:?}").cmp(&format!("{b:?}"))
+        };
+        let mut rows = t.rows.clone();
+        rows.sort_by(|a, b| by_shown(a, b));
+        rows.truncate(n);
+        let mut sorted = set.clone();
+        sorted.rows.sort_by(|a, b| by_shown(&a, &b));
+        sorted.rows.truncate(n);
+        prop_assert_eq!(format!("{:?}", sorted.rows), format!("{rows:?}"));
     }
 }

@@ -218,7 +218,7 @@ impl ViewDefinition {
             result.column_index(name)
         };
         let mut added = 0;
-        for row in &result.rows {
+        for row in result.rows.iter() {
             for clause in &self.clauses {
                 match *clause {
                     ViewClause::Class { class, var } => {

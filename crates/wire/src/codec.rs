@@ -138,17 +138,11 @@ impl Writer {
 
     /// Unsigned LEB128 varint.
     pub fn u64v(&mut self, mut v: u64) {
-        loop {
-            let mut b = (v & 0x7f) as u8;
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
             v >>= 7;
-            if v != 0 {
-                b |= 0x80;
-            }
-            self.buf.push(b);
-            if v == 0 {
-                return;
-            }
         }
+        self.buf.push(v as u8);
     }
 
     /// `u32` as varint.

@@ -18,7 +18,8 @@
 //! speaks exactly [`WIRE_VERSION`]; any other version byte is
 //! [`WireError::BadVersion`] — peers of different versions do not
 //! negotiate, they refuse (the gateway routes tenants to same-version
-//! groups).
+//! groups). Version 2 ships result sets as a dictionary plus ids, so a
+//! version-1 peer gets `BadVersion` from a version-2 one, and back.
 
 use crate::codec::{Reader, Wire, WireError, Writer};
 use crate::SchemaRegistry;
@@ -28,7 +29,7 @@ use sqpeer_routing::PeerId;
 use std::io::{Read, Write};
 
 /// The one wire version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Sanity cap on a frame's claimed payload length (16 MiB): a crafted
 /// length prefix must not make a reader allocate unboundedly.
@@ -579,9 +580,10 @@ impl Wire for GatewayResponse {
 
 /// Builds the frame of a [`GatewayResponse::Answer`] out of the host's
 /// `Data` packets as they arrive, without a `Node`, a `String` or the
-/// `Vec<Vec<String>>` in between: each cell's display form is written
-/// straight from the packet's bytes into the rows' wire bytes. The
-/// finished frame is byte for byte
+/// `Vec<Vec<String>>` in between: each dictionary entry is read once, and
+/// every cell that holds it copies its display form into the rows' wire
+/// bytes — straight from the packet's bytes, or, for a number or boolean,
+/// from its one rendering. The finished frame is byte for byte
 /// `encode_frame(&GatewayResponse::Answer { rows, .. })` with every cell
 /// of `rows` the decoded node's `to_string()`.
 #[derive(Debug, Default)]
@@ -589,8 +591,18 @@ pub struct AnswerFrame {
     columns: Vec<String>,
     rows: Writer,
     count: usize,
-    /// Display form of the cell at hand, for literals that need `fmt`.
+    /// Display forms of the packet's literals that need `fmt`.
     scratch: String,
+}
+
+/// How one dictionary entry of a `Data` packet shows in an `Answer`.
+enum Shown<'a> {
+    /// A resource: `&` and its URI.
+    Uri(&'a str),
+    /// A string literal, quoted.
+    Text(&'a str),
+    /// Any other literal: its `Display` form, at this range of `scratch`.
+    Other(std::ops::Range<usize>),
 }
 
 /// What one `Data` packet said besides its rows.
@@ -613,7 +625,8 @@ impl AnswerFrame {
     /// Appends the rows of one host reply: `payload` is a frame payload
     /// (version byte first) holding an [`Envelope`] whose message is
     /// `Data`. Accepts exactly the payloads [`decode_payload`] accepts as
-    /// such an envelope; the first packet's columns name the answer's.
+    /// such an envelope; the first packet's columns name the answer's, and
+    /// a later packet carrying rows under other columns is refused.
     pub fn push_data(
         &mut self,
         payload: &[u8],
@@ -630,48 +643,59 @@ impl AnswerFrame {
         sqpeer_exec::PeerChannel::decode(&mut r)?;
         let (_qid, _tag) = (QueryId::decode(&mut r)?, r.u64v()?);
         let columns = Vec::<String>::decode(&mut r)?;
-        let width = columns.len();
-        if self.columns.is_empty() {
-            self.columns = columns;
+        // Each entry as it shows: a string of the packet behind a mark,
+        // or, for a literal that needs `fmt`, its rendering in `scratch`.
+        let count = r.count()?;
+        let mut entries = Vec::with_capacity(count);
+        self.scratch.clear();
+        for _ in 0..count {
+            // A `Node`: resource or literal, shown as `Display` does.
+            entries.push(match (r.byte()?, r.peek()?) {
+                (0, _) => Shown::Uri(r.str()?),
+                (1, 0) => {
+                    r.byte()?;
+                    Shown::Text(r.str()?)
+                }
+                (1, _) => {
+                    let (number_or_bool, at) = (Literal::decode(&mut r)?, self.scratch.len());
+                    let _ = write!(self.scratch, "{number_or_bool}");
+                    Shown::Other(at..self.scratch.len())
+                }
+                (tag, _) => {
+                    return Err(WireError::BadTag {
+                        what: "Node",
+                        tag: tag as u64,
+                    })
+                }
+            });
         }
-        let rows = r.count()?;
+        let width = columns.len();
+        let rows = crate::types::row_count(&mut r, width)?;
+        if self.columns.is_empty() && self.count == 0 {
+            self.columns = columns;
+        } else if rows > 0 && columns != self.columns {
+            return Err(WireError::Mismatch(
+                "packet columns differ from the answer's",
+            ));
+        }
+        let out = &mut self.rows;
         for _ in 0..rows {
-            let cells = r.count()?;
-            if cells != width {
-                return Err(WireError::Mismatch(
-                    "row width differs from the column count",
-                ));
-            }
-            self.rows.usizev(cells);
-            for _ in 0..cells {
-                // A `Node`: resource or literal, rendered as `Display` does.
-                match (r.byte()?, r.peek()?) {
-                    (0, _) => {
-                        let uri = r.str()?;
-                        self.rows.usizev(1 + uri.len());
-                        self.rows.byte(b'&');
-                        self.rows.raw(uri.as_bytes());
+            out.usizev(width);
+            for _ in 0..width {
+                match entries.get(r.u32v()? as usize) {
+                    Some(Shown::Uri(uri)) => {
+                        out.usizev(1 + uri.len());
+                        out.byte(b'&');
+                        out.raw(uri.as_bytes());
                     }
-                    (1, 0) => {
-                        r.byte()?;
-                        let s = r.str()?;
-                        self.rows.usizev(2 + s.len());
-                        self.rows.byte(b'"');
-                        self.rows.raw(s.as_bytes());
-                        self.rows.byte(b'"');
+                    Some(Shown::Text(s)) => {
+                        out.usizev(2 + s.len());
+                        out.byte(b'"');
+                        out.raw(s.as_bytes());
+                        out.byte(b'"');
                     }
-                    (1, _) => {
-                        let number_or_bool = Literal::decode(&mut r)?;
-                        self.scratch.clear();
-                        let _ = write!(self.scratch, "{number_or_bool}");
-                        self.rows.string(&self.scratch);
-                    }
-                    (tag, _) => {
-                        return Err(WireError::BadTag {
-                            what: "Node",
-                            tag: tag as u64,
-                        })
-                    }
+                    Some(Shown::Other(at)) => out.string(&self.scratch[at.clone()]),
+                    None => return Err(WireError::Mismatch("id beyond the dictionary")),
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! [`Wire`] encodings for the middleware's payload types.
 //!
 //! Most types encode structurally (field by field, unions tagged in
-//! declaration order). Two deliberate exceptions:
+//! declaration order). Three deliberate exceptions:
 //!
 //! * **Queries travel as text.** A [`QueryPattern`] is schema-resolved and
 //!   interned; its canonical form on the wire is the schema fingerprint
@@ -11,6 +11,10 @@
 //! * **Statistics travel closed.** A [`BaseStatistics`] snapshot ships both
 //!   its direct and subsumption-closed vectors verbatim, so the receiving
 //!   side needs no schema to reconstruct the closure.
+//! * **Answers travel as a dictionary plus ids.** A [`ResultSet`] ships
+//!   each node its rows use once and every cell as a varint id, as it is
+//!   held in memory: decode allocates once per distinct value, not once
+//!   per cell, and hashes nothing.
 
 use crate::codec::{Reader, Wire, WireError, Writer};
 use crate::fingerprint::schema_fingerprint;
@@ -172,20 +176,59 @@ impl Wire for Node {
 }
 
 impl Wire for ResultSet {
+    /// Columns, the dictionary entries the rows use in the order they are
+    /// first used, the row count, then every cell's id into those entries:
+    /// unused entries and the dictionary's order never reach the wire, so
+    /// decoding and encoding again gives back the same bytes.
     fn encode(&self, w: &mut Writer) {
         self.columns.encode(w);
-        self.rows.encode(w);
-    }
-    /// Refuses a row whose cell count is not the column count: the
-    /// join and the union index cells by column position.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let (columns, rows) = (Vec::<String>::decode(r)?, Vec::<Vec<Node>>::decode(r)?);
-        if rows.iter().any(|row| row.len() != columns.len()) {
-            return Err(WireError::Mismatch(
-                "row width differs from the column count",
-            ));
+        let (dict, ids) = (self.rows.dict(), self.rows.ids());
+        // A dictionary every entry of which is used, first uses in order
+        // (what the engine, a decode and a union produce), goes as it is.
+        let mut next = 0;
+        let in_order = ids.iter().all(|&id| {
+            next += u32::from(id == next);
+            id < next
+        });
+        if in_order && next as usize == dict.len() {
+            w.usizev(dict.len());
+            dict.iter().for_each(|node| node.encode(w));
+            w.usizev(self.len());
+            ids.iter().for_each(|&id| w.u32v(id));
+            return;
         }
-        Ok(ResultSet { columns, rows })
+        let (mut wire_id, mut used) = (vec![u32::MAX; dict.len()], Vec::new());
+        for &id in ids {
+            if wire_id[id as usize] == u32::MAX {
+                wire_id[id as usize] = used.len() as u32;
+                used.push(id);
+            }
+        }
+        w.usizev(used.len());
+        used.iter().for_each(|&id| dict[id as usize].encode(w));
+        w.usizev(self.len());
+        ids.iter().for_each(|&id| w.u32v(wire_id[id as usize]));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (columns, dict) = (Vec::<String>::decode(r)?, Vec::<Node>::decode(r)?);
+        let len = row_count(r, columns.len())?;
+        let ids = (0..len * columns.len()).map(|_| r.u32v());
+        let ids = ids.collect::<Result<Vec<u32>, _>>()?;
+        ResultSet::from_dict(columns, dict, ids, len).map_err(WireError::Mismatch)
+    }
+}
+
+/// A result set's row count, refused before anything is allocated for it
+/// when its cells could not fit in the bytes left (an id takes at least
+/// one) or when, over zero columns, it claims more than the one row a set
+/// of empty tuples holds.
+pub(crate) fn row_count(r: &mut Reader<'_>, width: usize) -> Result<usize, WireError> {
+    let claimed = r.u64v()?;
+    let available = r.remaining();
+    match claimed.checked_mul(width as u64) {
+        _ if width == 0 && claimed > 1 => Err(WireError::Mismatch("zero columns, several rows")),
+        Some(cells) if cells <= available as u64 => Ok(claimed as usize),
+        _ => Err(WireError::Overlong { claimed, available }),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The two codec steps an answer crosses on its way out: the `ResultSet`
-//! decode (cells built from strings borrowed out of the frame) and the
-//! gateway's `Answer` frame, rendered from the host's `Data` packets
-//! without decoding them into nodes.
+//! decode (a dictionary of nodes built from strings borrowed out of the
+//! frame, plus ids) and the gateway's `Answer` frame, rendered from the
+//! host's `Data` packets without decoding them into nodes.
 
 use proptest::prelude::*;
 use sqpeer_exec::{Msg, QueryId};
@@ -14,14 +14,8 @@ use sqpeer_wire::{
     GatewayResponse, SchemaRegistry, WireError,
 };
 
-/// The frame payload of a host reply carrying `rows`.
-fn data_payload(
-    columns: &[String],
-    rows: &[Vec<Node>],
-    partial: bool,
-    seq: u32,
-    last: bool,
-) -> Vec<u8> {
+/// The frame payload of a host reply carrying `result`.
+fn data_payload(result: ResultSet, partial: bool, seq: u32, last: bool) -> Vec<u8> {
     let frame = encode_frame(&Envelope {
         from: PeerId(0),
         to: PeerId(u32::MAX),
@@ -35,10 +29,7 @@ fn data_payload(
             },
             qid: QueryId(3),
             tag: 0,
-            result: ResultSet {
-                columns: columns.to_vec(),
-                rows: rows.to_vec(),
-            },
+            result,
             partial,
             stats: None,
             seq,
@@ -60,21 +51,18 @@ fn node(kind: u8, v: u32) -> Node {
     }
 }
 
+/// A result set over a dictionary drawn from the pool, so one value may
+/// sit under several ids and some entries are used by no row.
 fn arb_result_set() -> impl Strategy<Value = ResultSet> {
-    (0..4usize, prop::collection::vec((0..6u8, 0..80u32), 0..120)).prop_map(|(width, cells)| {
-        ResultSet {
-            columns: ["X", "Y", "Z"][..width]
-                .iter()
-                .map(|c| c.to_string())
-                .collect(),
-            rows: match width {
-                0 => Vec::new(),
-                _ => cells
-                    .chunks_exact(width)
-                    .map(|row| row.iter().map(|&(k, v)| node(k, v)).collect())
-                    .collect(),
-            },
-        }
+    let entries = prop::collection::vec((0..6u8, 0..80u32), 1..40);
+    let picks = prop::collection::vec(any::<u32>(), 0..120);
+    (0..4usize, entries, picks).prop_map(|(width, entries, picks)| {
+        let columns = ["X", "Y", "Z"][..width].iter().map(|c| c.to_string());
+        let dict: Vec<Node> = entries.iter().map(|&(k, v)| node(k, v)).collect();
+        let rows = picks.len().checked_div(width).unwrap_or(picks.len().min(1));
+        let n = dict.len() as u32;
+        let ids = picks[..rows * width].iter().map(|p| p % n);
+        ResultSet::from_dict(columns.collect(), dict, ids.collect(), rows).expect("ids in range")
     })
 }
 
@@ -88,8 +76,9 @@ proptest! {
         prop_assert_eq!(encode_value(&decoded), bytes);
     }
 
-    /// The frame built from two `Data` packets' bytes is the frame of the
-    /// response value whose cells are each decoded node's `to_string()`.
+    /// The frame built from three `Data` packets' bytes, each with its own
+    /// dictionary, is the frame of the response value whose cells are each
+    /// decoded node's `to_string()`.
     #[test]
     fn answer_frame_is_the_rendered_response_frame(
         rs in arb_result_set(),
@@ -109,16 +98,18 @@ proptest! {
             ttfr_us: clocks.0,
             latency_us: clocks.1,
         });
-        let (first, second) = rs.rows.split_at(cut.min(rs.rows.len()));
+        // Three packets, each with a dictionary of its own.
+        let cut = cut.min(rs.len());
+        let pieces = [0..cut / 2, cut / 2..cut, cut..rs.len()];
         let mut frame = AnswerFrame::new();
-        let head = frame
-            .push_data(&data_payload(&rs.columns, first, false, 0, false), &reg)
-            .expect("own encoding");
-        prop_assert_eq!((head.has_rows, head.partial, head.last), (!first.is_empty(), false, false));
-        let tail = frame
-            .push_data(&data_payload(&rs.columns, second, partial, 1, true), &reg)
-            .expect("own encoding");
-        prop_assert_eq!((tail.has_rows, tail.partial, tail.last), (!second.is_empty(), partial, true));
+        for (seq, rows) in pieces.into_iter().enumerate() {
+            let last = seq == 2;
+            let piece = ResultSet { columns: rs.columns.clone(), rows: rs.rows.slice(rows) };
+            let has_rows = !piece.is_empty();
+            let payload = data_payload(piece, last && partial, seq as u32, last);
+            let flags = frame.push_data(&payload, &reg).expect("own encoding");
+            prop_assert_eq!((flags.has_rows, flags.partial, flags.last), (has_rows, last && partial, last));
+        }
         prop_assert_eq!(frame.finish(partial, clocks.0, clocks.1), expected);
     }
 
@@ -128,7 +119,7 @@ proptest! {
     #[test]
     fn push_data_rejects_what_the_decoder_rejects(rs in arb_result_set(), flip in any::<u64>()) {
         let reg = SchemaRegistry::new();
-        let payload = data_payload(&rs.columns, &rs.rows, false, 0, true);
+        let payload = data_payload(rs, false, 0, true);
         for cut in 0..payload.len() {
             prop_assert!(AnswerFrame::new().push_data(&payload[..cut], &reg).is_err());
         }

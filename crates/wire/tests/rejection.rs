@@ -209,46 +209,143 @@ fn embedded_query_that_fails_to_compile_is_an_error() {
     ));
 }
 
-/// A result row with more or fewer cells than the result has columns is
-/// refused — by the decoder and by the gateway's renderer alike — before
-/// a join or a union indexes its cells by column position.
+/// The payload of a host's `Data` reply carrying `result`.
+fn reply(result: ResultSet) -> Vec<u8> {
+    let frame = encode_frame(&Envelope {
+        from: PeerId(0),
+        to: PeerId(1),
+        sent_at_us: 0,
+        msg: Msg::Data {
+            channel: Channel {
+                id: ChannelId(1),
+                root: PeerId(1),
+                dest: PeerId(0),
+                state: ChannelState::Open,
+            },
+            qid: QueryId(1),
+            tag: 0,
+            result,
+            partial: false,
+            stats: None,
+            seq: 0,
+            last: true,
+        },
+    });
+    frame[4..].to_vec()
+}
+
+/// A two-column result set of one row, as a reply's payload with its
+/// encoding swapped for `bent` (hand-written result set bytes).
+fn bent_reply(bent: &[u8]) -> Vec<u8> {
+    let cell = || Node::Resource(Resource::new("http://example.org/r"));
+    let result = ResultSet::from_rows(vec!["X".into(), "Y".into()], vec![vec![cell(), cell()]]);
+    let (payload, own) = (reply(result.clone()), encode_value(&result));
+    let at = payload
+        .windows(own.len())
+        .position(|w| w == own)
+        .expect("embedded");
+    [&payload[..at], bent, &payload[at + own.len()..]].concat()
+}
+
+/// Result set bytes: `columns`, one resource per dictionary entry, the
+/// claimed row count, then `ids`.
+fn result_bytes(columns: &[&str], entries: u64, rows: u64, ids: &[u64]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.usizev(columns.len());
+    columns.iter().for_each(|c| w.string(c));
+    w.u64v(entries);
+    for i in 0..entries.min(4) {
+        w.byte(0); // Node::Resource
+        w.string(&format!("http://example.org/r{i}"));
+    }
+    w.u64v(rows);
+    ids.iter().for_each(|&id| w.u64v(id));
+    w.into_bytes()
+}
+
+/// Every way a result set's counts and ids can lie is refused — by the
+/// decoder, bare and inside a reply, and by the gateway's renderer alike,
+/// with the same error — before anything is sized by the lie.
+#[test]
+fn dictionary_claims_beyond_the_bytes_are_refused() {
+    let reg = registry();
+    let xy = ["X", "Y"];
+    let overlong = |claimed| WireError::Overlong {
+        claimed,
+        available: 0,
+    };
+    let cases = [
+        // An id past the dictionary's two entries.
+        (
+            result_bytes(&xy, 2, 1, &[0, 2]),
+            WireError::Mismatch("id beyond the dictionary"),
+        ),
+        // A dictionary of 2^40 entries, or 2^40 rows, in a few bytes.
+        (result_bytes(&xy, 1 << 40, 0, &[]), overlong(1 << 40)),
+        (result_bytes(&xy, 2, 1 << 40, &[]), overlong(1 << 40)),
+        // A set of empty tuples holds one row at most.
+        (
+            result_bytes(&[], 0, 2, &[]),
+            WireError::Mismatch("zero columns, several rows"),
+        ),
+    ];
+    // How many bytes were left over is beside the point.
+    let shown = |e: WireError| match e {
+        WireError::Overlong { claimed, .. } => overlong(claimed),
+        e => e,
+    };
+    for (bytes, refused) in cases {
+        let bare = decode_value::<ResultSet>(&bytes, &reg).unwrap_err();
+        assert_eq!(shown(bare), refused);
+        let payload = bent_reply(&bytes);
+        let decoded = decode_payload::<Envelope>(&payload, &reg).unwrap_err();
+        let rendered = AnswerFrame::new().push_data(&payload, &reg).unwrap_err();
+        assert_eq!(rendered, decoded);
+        assert_eq!(shown(decoded), refused);
+    }
+}
+
+/// A result row with fewer cells than the result has columns — the last
+/// row short of ids — is refused by the decoder and by the gateway's
+/// renderer alike, before a join or a union indexes its cells by column.
 #[test]
 fn ragged_result_rows_are_refused() {
     let reg = registry();
+    let ragged = result_bytes(&["X", "Y"], 2, 2, &[0, 1, 0]);
+    assert!(matches!(
+        decode_value::<ResultSet>(&ragged, &reg).unwrap_err(),
+        WireError::Overlong {
+            claimed: 2,
+            available: 3
+        }
+    ));
+    let payload = bent_reply(&ragged);
+    assert!(decode_payload::<Envelope>(&payload, &reg).is_err());
+    assert!(AnswerFrame::new().push_data(&payload, &reg).is_err());
+}
+
+/// One answer, one set of columns: the gateway takes the first packet's,
+/// and a later packet whose rows sit under other columns is refused
+/// instead of adding rows of another width to the answer.
+#[test]
+fn a_packet_changing_the_answer_columns_is_refused() {
+    let reg = registry();
     let cell = || Node::Resource(Resource::new("http://example.org/r"));
-    for width in [1, 3] {
-        let ragged = ResultSet {
-            columns: vec!["X".into(), "Y".into()],
-            rows: vec![vec![cell(), cell()], vec![cell(); width]],
-        };
-        let refused = WireError::Mismatch("row width differs from the column count");
-        let decoded = decode_value::<ResultSet>(&encode_value(&ragged), &reg);
-        assert_eq!(decoded.unwrap_err(), refused);
-        let reply = encode_frame(&Envelope {
-            from: PeerId(0),
-            to: PeerId(1),
-            sent_at_us: 0,
-            msg: Msg::Data {
-                channel: Channel {
-                    id: ChannelId(1),
-                    root: PeerId(1),
-                    dest: PeerId(0),
-                    state: ChannelState::Open,
-                },
-                qid: QueryId(1),
-                tag: 0,
-                result: ragged,
-                partial: false,
-                stats: None,
-                seq: 0,
-                last: true,
-            },
-        });
-        let decoded = decode_frame::<Envelope>(&reply, &reg);
-        assert_eq!(decoded.unwrap_err(), refused);
-        let rendered = AnswerFrame::new().push_data(&reply[4..], &reg);
-        assert_eq!(rendered.unwrap_err(), refused);
-    }
+    let columns = |names: &[&str]| names.iter().map(|c| c.to_string()).collect::<Vec<_>>();
+    let xy = ResultSet::from_rows(columns(&["X", "Y"]), vec![vec![cell(); 2]]);
+    let xyz = ResultSet::from_rows(columns(&["X", "Y", "Z"]), vec![vec![cell(); 3]]);
+    let mut frame = AnswerFrame::new();
+    frame
+        .push_data(&reply(xy.clone()), &reg)
+        .expect("first packet");
+    frame
+        .push_data(&reply(ResultSet::empty(columns(&["Z"]))), &reg)
+        .expect("no rows");
+    frame.push_data(&reply(xy), &reg).expect("same columns");
+    assert_eq!(
+        frame.push_data(&reply(xyz), &reg).unwrap_err(),
+        WireError::Mismatch("packet columns differ from the answer's")
+    );
 }
 
 #[test]

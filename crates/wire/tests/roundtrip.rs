@@ -66,7 +66,26 @@ fn arb_result_set() -> impl Strategy<Value = ResultSet> {
             .filter(|c| c.len() == 2)
             .map(|c| c.iter().map(|&(k, v)| node(k, v)).collect())
             .collect();
-        ResultSet { columns, rows }
+        ResultSet::from_rows(columns, rows)
+    })
+}
+
+/// A result set of 0–2 columns over a dictionary of few values: one value
+/// under several ids, a NaN among them, entries no row uses.
+fn arb_dictionary_set() -> impl Strategy<Value = ResultSet> {
+    let entries = prop::collection::vec((0..4u8, 0..4u32), 1..12);
+    let picks = prop::collection::vec(any::<u32>(), 0..24);
+    (0..3usize, entries, picks).prop_map(|(width, entries, picks)| {
+        let columns = ["X", "Y"][..width].iter().map(|c| c.to_string()).collect();
+        let value = |(k, v)| match (k, v) {
+            (2, 0) => Node::Literal(Literal::Float(f64::NAN)),
+            _ => node(k, v),
+        };
+        let dict: Vec<Node> = entries.into_iter().map(value).collect();
+        let rows = picks.len().checked_div(width).unwrap_or(picks.len().min(1));
+        let n = dict.len() as u32;
+        let ids = picks[..rows * width].iter().map(|p| p % n);
+        ResultSet::from_dict(columns, dict, ids.collect(), rows).expect("ids in range")
     })
 }
 
@@ -308,6 +327,24 @@ proptest! {
     }
 
     /// Plans (recursive) roundtrip to structurally equal trees.
+    /// The encoding is canonical whatever the dictionary held: the rows'
+    /// values, only the entries they use, in the order they are first
+    /// used — so decoding and re-encoding reproduces the bytes.
+    #[test]
+    fn result_set_encoding_is_canonical(rs in arb_dictionary_set()) {
+        let reg = registry();
+        let bytes = encode_value(&rs);
+        let decoded: ResultSet = decode_value(&bytes, &reg).expect("decode");
+        prop_assert_eq!(format!("{decoded:?}"), format!("{rs:?}"));
+        prop_assert_eq!(encode_value(&decoded), bytes);
+        let mut used = 0;
+        for &id in decoded.rows.ids() {
+            prop_assert!(id <= used, "id {} before id {}", id, used);
+            used += u32::from(id == used);
+        }
+        prop_assert_eq!(used as usize, decoded.rows.dict().len());
+    }
+
     #[test]
     fn plan_roundtrips(plan in arb_plan()) {
         let reg = registry();

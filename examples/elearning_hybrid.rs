@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "learner query joined fragments from {:?}, {:?} and {:?}:",
         p_univ, p_portal, p_mirror
     );
-    for row in &outcome.result.rows {
+    for row in outcome.result.rows.iter() {
         println!("  {row:?}");
     }
     println!(

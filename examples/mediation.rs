@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.result.columns,
         outcome.partial
     );
-    for row in &outcome.result.rows {
+    for row in outcome.result.rows.iter() {
         println!("  {row:?}");
     }
     Ok(())
