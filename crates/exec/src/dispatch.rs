@@ -27,7 +27,7 @@
 //! what happened, for the peer to act on and record.
 
 use crate::msg::{Msg, PeerChannel, QueryId, TraceCtx};
-use crate::peer::{plan_columns, PeerConfig, SlowChannelPolicy};
+use crate::peer::{by_key, plan_columns, PeerConfig, SlowChannelPolicy};
 use crate::stream::Receiver;
 use crate::{peer_of, send, Event};
 use sqpeer_net::{ChannelTable, Ctx, NodeId};
@@ -36,6 +36,7 @@ use sqpeer_routing::PeerId;
 use sqpeer_rql::{ResultSet, Rows};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Why a subplan was given up on, for cause-attributed adaptation
 /// counters.
@@ -513,6 +514,18 @@ impl Dispatcher {
     pub(crate) fn clear(&mut self) {
         self.channels = ChannelTable::new();
         self.outstanding.clear();
+    }
+
+    /// Hashes what a later call reads, for [`crate::PeerNode::digest`]:
+    /// the tag counter, the channels, and each outstanding subplan in tag
+    /// order — all of it but the clock its throughput window opened at.
+    pub(crate) fn digest(&self, h: &mut impl Hasher) {
+        (self.next_tag, &self.channels).hash(h);
+        for (tag, p) in by_key(&self.outstanding) {
+            (tag, p.qid, p.frame, p.slot, p.dest, &p.visited, p.attempt).hash(h);
+            let stream = format!("{:?}", p.stream); // cursor, buffered seqs, rows, partial
+            (p.bytes_observed, p.plan.to_string(), stream).hash(h);
+        }
     }
 }
 

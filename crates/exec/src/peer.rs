@@ -50,6 +50,7 @@ use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 /// The role a peer plays in the system (§3).
@@ -812,6 +813,43 @@ impl PeerNode {
     /// (inspection; at most [`PeerNode::SERVED_LOG_CAP`]).
     pub fn served_subplans(&self) -> usize {
         self.served.len()
+    }
+
+    /// A canonical digest of this peer's protocol state, by which the model
+    /// checker (`sqpeer-model`) tells explored states apart: what a later
+    /// step reads, in sorted order, with no clock reading and no timer id.
+    /// Left out: the immutable configuration and base, the answers a client
+    /// keeps, the tracer, the semantic cache (cached ≡ uncached), the
+    /// observability plane, telemetry, and the SON state beyond the
+    /// registry and the departed set.
+    pub fn digest(&self) -> u64 {
+        let h = &mut std::collections::hash_map::DefaultHasher::new();
+        (self.queries_processed, self.next_frame).hash(h);
+        self.dispatch.digest(h);
+        for (qid, root) in by_key(&self.rooted) {
+            let (excluded, missing) = (sorted(&root.excluded), sorted(&root.missing));
+            (qid, excluded, missing, root.profile.replans).hash(h);
+            let phases = sorted(root.phase_cache.iter().map(|(k, r)| (k, format!("{r:?}"))));
+            let outcome = root.outcome.as_ref();
+            let outcome = outcome.map(|o| (&o.result, o.partial, &o.missing, o.replans));
+            (phases, format!("{outcome:?}")).hash(h);
+        }
+        for (id, frame) in by_key(&self.frames) {
+            (id, format!("{frame:?}")).hash(h);
+        }
+        for (key, s) in by_key(&self.outgoing) {
+            let ledger = (s.channel, &s.columns, &s.core, s.partial, &s.sent_acc);
+            (key, format!("{ledger:?}"), s.stats.is_some()).hash(h);
+        }
+        sorted(self.timers.values().map(|t| format!("{t:?}"))).hash(h);
+        for (channel, qid, tag, plan, visited) in &self.slot_queue {
+            (format!("{channel:?}"), qid, tag, plan.to_string(), visited).hash(h);
+        }
+        (by_key(&self.served.recent), by_key(&self.served.older)).hash(h);
+        let ads = self.son.registry.advertisements();
+        let registered: Vec<PeerId> = ads.iter().map(|ad| ad.peer).collect();
+        (registered, self.son.departed_peers()).hash(h);
+        h.finish()
     }
 
     /// The answer to a query this peer rooted, once it completed.
@@ -2285,6 +2323,20 @@ fn strip_peer(plan: PlanNode, peer: PeerId) -> PlanNode {
         };
         PlanNode::Fetch { subquery: sq, site }
     })
+}
+
+/// A map's entries in key order: how a digest reads a `HashMap`.
+pub(crate) fn by_key<K: Ord, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
+    let mut entries: Vec<_> = map.iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    entries
+}
+
+/// `items` sorted: how a digest reads a set.
+fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut items: Vec<T> = items.into_iter().collect();
+    items.sort_unstable();
+    items
 }
 
 /// The names of `query`'s projected variables, in order.
@@ -3902,6 +3954,120 @@ mod tests {
         assert_eq!(outcome.missing, vec![PeerId(2)]);
         assert_eq!(root.rooted_channels(), 0);
         assert!(root.frames.is_empty());
+    }
+
+    /// Hands `msg` from `from` to `node` off-network; returns what it sent
+    /// and the ids of the timers it armed.
+    fn hand(node: &mut PeerNode, from: PeerId, msg: Msg) -> (Vec<(PeerId, Msg)>, Vec<u64>) {
+        let mut ctx = Ctx::detached(0, node_of(node.id));
+        node.on_message(&mut ctx, node_of(from), msg);
+        let effects = ctx.into_effects();
+        let sent = effects.outbox.into_iter();
+        let sent = sent.map(|(to, msg, _)| (peer_of(to), msg)).collect();
+        (sent, effects.timers.into_iter().map(|(_, id)| id).collect())
+    }
+
+    /// The chain query's root, P1, over contributors P2 and P3 holding
+    /// `(b, prop2, c)` and `(b, prop2, d)`, with every advertisement
+    /// registered at P1 and the query not yet posed.
+    fn chain_trio(config: PeerConfig) -> (PeerNode, PeerNode, PeerNode) {
+        let schema = fig1_schema();
+        let peer = |id, triples: &[(&str, &str, &str)]| {
+            PeerNode::simple(PeerId(id), base_with(&schema, triples), config.clone())
+        };
+        let mut p1 = peer(1, &[("a", "prop1", "b")]);
+        let (p2, p3) = (
+            peer(2, &[("b", "prop2", "c")]),
+            peer(3, &[("b", "prop2", "d")]),
+        );
+        for ad in [&p1, &p2, &p3].map(|p| p.own_advertisement().unwrap()) {
+            p1.son.registry.register(ad);
+        }
+        (p1, p2, p3)
+    }
+
+    /// Poses the chain query at `root` as client-peer 99.
+    fn pose_chain(root: &mut PeerNode) -> (Vec<(PeerId, Msg)>, Vec<u64>) {
+        let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &fig1_schema());
+        let query = query.unwrap();
+        hand(
+            root,
+            PeerId(99),
+            Msg::ClientQuery {
+                qid: QueryId(1),
+                query,
+            },
+        )
+    }
+
+    /// The digest reads maps in sorted order: two contributors' answers
+    /// reaching the root in either order leave it in one state.
+    #[test]
+    fn digest_is_independent_of_the_order_of_independent_deliveries() {
+        let (mut first, mut p2, mut p3) = chain_trio(adhoc_config());
+        let (mut second, _, _) = chain_trio(adhoc_config());
+        let (subplans, _) = pose_chain(&mut first);
+        assert_eq!(pose_chain(&mut second).0.len(), 2);
+        let mut answers = Vec::new();
+        for (to, subplan) in subplans {
+            let holder = if to == PeerId(2) { &mut p2 } else { &mut p3 };
+            answers.push((to, hand(holder, PeerId(1), subplan).0.remove(0).1));
+        }
+        let posed = first.digest();
+        for (from, answer) in answers.iter().cloned() {
+            hand(&mut first, from, answer);
+        }
+        for (from, answer) in answers.into_iter().rev() {
+            hand(&mut second, from, answer);
+        }
+        assert!(first
+            .outcome(QueryId(1))
+            .is_some_and(|o| o.result.len() == 2));
+        assert_eq!(first.digest(), second.digest());
+        assert_ne!(first.digest(), posed);
+    }
+
+    /// A retry changes nothing at the root but the subplan's attempt — and
+    /// the digest tells the two states apart.
+    #[test]
+    fn digest_tells_a_retry_from_the_first_attempt() {
+        let config = PeerConfig {
+            subplan_timeout_us: Some(1_000),
+            subplan_retries: 1,
+            ..adhoc_config()
+        };
+        let (mut root, _, _) = chain_trio(config);
+        let (_, timeouts) = pose_chain(&mut root);
+        let first = root.digest();
+        let mut ctx = Ctx::detached(1_000, node_of(root.id));
+        root.on_timer(&mut ctx, timeouts[0]);
+        let resent = ctx.into_effects().outbox;
+        assert!(matches!(
+            resent[..],
+            [(_, Msg::Subplan { attempt: 1, .. }, _)]
+        ));
+        assert_ne!(root.digest(), first);
+    }
+
+    /// Tracing is left out: the same run with the recorder on and off
+    /// ends in the same digests at every peer.
+    #[test]
+    fn digest_ignores_the_tracer() {
+        let digests = |trace| {
+            let (mut p1, mut p2, mut p3) = chain_trio(PeerConfig {
+                trace,
+                ..adhoc_config()
+            });
+            let (subplans, _) = pose_chain(&mut p1);
+            for (to, subplan) in subplans {
+                let holder = if to == PeerId(2) { &mut p2 } else { &mut p3 };
+                let (answer, _) = hand(holder, PeerId(1), subplan);
+                hand(&mut p1, to, answer[0].1.clone());
+            }
+            assert!(p1.outcome(QueryId(1)).is_some());
+            [p1.digest(), p2.digest(), p3.digest()]
+        };
+        assert_eq!(digests(true), digests(false));
     }
 
     /// `combine` as it was before it consumed its frame: the first filled

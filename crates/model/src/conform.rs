@@ -1,24 +1,33 @@
-//! Conformance: replay model traces against the real `PeerNode` logic.
+//! Real peers under an adversarial schedule: conformance replay and the
+//! peer machine the explorer searches.
 //!
-//! The models in this crate are abstractions; the [`Conductor`] closes
-//! the loop by driving the *actual* production state machines through
-//! the same adversarial schedules. It hosts real
-//! [`PeerNode`](sqpeer_exec::PeerNode)s behind the transport-neutral
+//! The [`Conductor`] hosts real [`PeerNode`]s behind the transport-neutral
 //! [`Ctx`]/[`NodeLogic`] seam (exactly as the virtual-time simulator and
 //! the daemon's loopback transport do), holds every sent message in a
 //! visible pool, and executes [`crate::trace`] scripts: each `deliver` /
 //! `drop` / `dup` / `timer` / `down` / `up` step picks its target by
 //! message-kind selectors, so a trace is a *schedule*, not a transcript.
 //!
+//! [`PeerMachine`] makes those schedules a [`Machine`]: a state is the
+//! shortest schedule found to reach it, replayed on a fresh [`scenarios`]
+//! builder and identified by [`Conductor::digest`]; an action is one trace
+//! step. The dispatch, retry, dedup and replan code the explorer checks is
+//! therefore the code that ships, and every counterexample is a trace
+//! [`Conductor::run`] replays.
+//!
 //! Determinism: the pool preserves send order, selectors resolve to the
 //! first match (`nth=` overrides), and virtual time only advances via
 //! `advance` steps or when a timer fires. Replaying a trace twice yields
 //! identical outcomes.
 
+use crate::explore::Machine;
 use crate::trace::{Step, Trace};
-use sqpeer_exec::{node_of, Msg, PeerNode, QueryId};
+use sqpeer_exec::{node_of, Msg, PeerConfig, PeerNode, QueryId, Role};
 use sqpeer_net::{Counters, Ctx, NodeId, NodeLogic};
+use sqpeer_routing::PeerId;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
 /// One in-flight message.
 #[derive(Debug, Clone)]
@@ -36,7 +45,16 @@ struct PendingTimer {
     id: u64,
 }
 
+/// What the adversary may spend on a schedule, or has spent on one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Faults {
+    pub drops: u8,
+    pub dups: u8,
+    pub crashes: u8,
+}
+
 /// Hosts real peers and replays trace schedules against them.
+#[derive(Default)]
 pub struct Conductor {
     now_us: u64,
     nodes: BTreeMap<NodeId, PeerNode>,
@@ -44,31 +62,30 @@ pub struct Conductor {
     pool: Vec<Flight>,
     timers: Vec<PendingTimer>,
     seq: u64,
+    /// The `drop`, `dup` and `down` steps run so far.
+    spent: Faults,
+    /// Every subplan identity `(root, qid, tag, attempt)` delivered to a
+    /// live peer, with the peer and the restarts it had had by then.
+    handed: BTreeSet<(NodeId, u32, PeerId, QueryId, u64, u32)>,
+    restarts: BTreeMap<NodeId, u32>,
     /// The protocol counters the hosted peers reported.
     pub counters: Counters,
 }
 
-impl Default for Conductor {
-    fn default() -> Self {
-        Conductor::new()
-    }
-}
-
 impl Conductor {
-    pub fn new() -> Self {
-        Conductor {
-            now_us: 0,
-            nodes: BTreeMap::new(),
-            down: BTreeSet::new(),
-            pool: Vec::new(),
-            timers: Vec::new(),
-            seq: 0,
-            counters: Counters::default(),
+    /// The state the explorer tells schedules apart by: every peer's
+    /// [`PeerNode::digest`], who is down, the in-flight messages as a
+    /// multiset, what the adversary has spent and the subplans handed out.
+    /// Pending timers are in the peers' digests; the clock is not.
+    pub fn digest(&self) -> u64 {
+        let h = &mut DefaultHasher::new();
+        for (id, node) in &self.nodes {
+            (id, node.digest()).hash(h);
         }
-    }
-
-    pub fn now_us(&self) -> u64 {
-        self.now_us
+        let mut pool: Vec<u64> = self.pool.iter().map(flight_digest).collect();
+        pool.sort_unstable();
+        (&self.down, pool, self.spent, &self.handed, &self.restarts).hash(h);
+        h.finish()
     }
 
     /// Adds a peer under its own id (`node_of` convention).
@@ -76,10 +93,6 @@ impl Conductor {
         let id = node_of(peer.id);
         self.nodes.insert(id, peer);
         id
-    }
-
-    pub fn node(&self, id: NodeId) -> Option<&PeerNode> {
-        self.nodes.get(&id)
     }
 
     /// Runs `on_start` for every peer (in id order) — scenario setup.
@@ -136,6 +149,18 @@ impl Conductor {
             }
             return;
         }
+        if let Msg::Subplan {
+            channel,
+            qid,
+            tag,
+            attempt,
+            ..
+        } = &msg
+        {
+            let restarts = self.restarts.get(&to).copied().unwrap_or(0);
+            let handed = (to, restarts, channel.root, *qid, *tag, *attempt);
+            self.handed.insert(handed);
+        }
         let mut ctx = Ctx::detached(self.now_us, to);
         if let Some(node) = self.nodes.get_mut(&to) {
             node.on_message(&mut ctx, from, msg);
@@ -143,28 +168,36 @@ impl Conductor {
         self.flush(to, ctx);
     }
 
+    /// Indices of the pool messages matching the step's selectors.
+    fn matching(&self, step: &Step) -> Result<Vec<usize>, String> {
+        let mut hits = Vec::new();
+        for (i, flight) in self.pool.iter().enumerate() {
+            if flight_matches(flight, step)? {
+                hits.push(i);
+            }
+        }
+        Ok(hits)
+    }
+
     /// Index of the `nth` pool message matching the step's selectors.
     fn find_flight(&self, step: &Step) -> Result<usize, String> {
         let nth = step.u64_or("nth", 0)? as usize;
-        let mut seen = 0usize;
-        for (i, flight) in self.pool.iter().enumerate() {
-            if !flight_matches(flight, step)? {
-                continue;
-            }
-            if seen == nth {
-                return Ok(i);
-            }
-            seen += 1;
-        }
-        let pool: Vec<String> = self
-            .pool
-            .iter()
+        let hit = self.matching(step)?.get(nth).copied();
+        hit.ok_or_else(|| {
+            format!(
+                "step `{step}`: no matching in-flight message ({})",
+                self.listing()
+            )
+        })
+    }
+
+    /// The pool, for error messages.
+    fn listing(&self) -> String {
+        let pool = self.pool.iter();
+        let pool: Vec<String> = pool
             .map(|f| format!("{} {}->{}", msg_kind(&f.msg), f.from.0, f.to.0))
             .collect();
-        Err(format!(
-            "step `{step}`: no matching in-flight message (pool: [{}])",
-            pool.join(", ")
-        ))
+        format!("pool: [{}]", pool.join(", "))
     }
 
     fn fire_timer(&mut self, at: usize) {
@@ -177,51 +210,46 @@ impl Conductor {
         self.flush(timer.node, ctx);
     }
 
+    /// The kind of timer `t` is, as its peer names it.
+    fn kind(&self, t: &PendingTimer) -> &'static str {
+        self.nodes
+            .get(&t.node)
+            .map_or("?", |node| node.timer_kind(t.id))
+    }
+
+    /// Does pending timer `t` re-arm itself whenever it fires? Such a timer
+    /// never quiesces: neither `drain` nor the explorer fires it unbidden.
+    fn periodic(&self, t: &PendingTimer) -> bool {
+        matches!(self.kind(t), "heartbeat" | "sweep" | "obs")
+    }
+
     /// Index (into `self.timers`) of the earliest-due timer matching the
     /// step's `node=` / `kind=` / `nth=` selectors.
     fn find_timer(&self, step: &Step) -> Result<usize, String> {
-        let want_node = step.get_u64("node")?.map(|n| NodeId(n as u32));
-        let want_kind = step.get("kind");
-        let nth = step.u64_or("nth", 0)? as usize;
-        let mut candidates: Vec<usize> = (0..self.timers.len())
+        let (node, kind) = (step.get_u64("node")?, step.get("kind"));
+        let mut hits: Vec<usize> = (0..self.timers.len())
             .filter(|&i| {
                 let t = &self.timers[i];
-                if want_node.is_some_and(|n| n != t.node) {
-                    return false;
-                }
-                match want_kind {
-                    Some(kind) => self
-                        .nodes
-                        .get(&t.node)
-                        .is_some_and(|node| node.timer_kind(t.id) == kind),
-                    None => true,
-                }
+                node.is_none_or(|n| n == u64::from(t.node.0))
+                    && kind.is_none_or(|k| k == self.kind(t))
             })
             .collect();
-        candidates.sort_by_key(|&i| (self.timers[i].due_us, self.timers[i].seq));
-        candidates.get(nth).copied().ok_or_else(|| {
-            let pending: Vec<String> = self
-                .timers
-                .iter()
-                .map(|t| {
-                    let kind = self
-                        .nodes
-                        .get(&t.node)
-                        .map_or("?", |node| node.timer_kind(t.id));
-                    format!("node={} kind={kind} due={}us", t.node.0, t.due_us)
-                })
-                .collect();
-            format!(
-                "step `{step}`: no matching timer (pending: [{}])",
-                pending.join(", ")
-            )
-        })
+        hits.sort_by_key(|&i| (self.timers[i].due_us, self.timers[i].seq));
+        hits.get(step.u64_or("nth", 0)? as usize)
+            .copied()
+            .ok_or_else(|| {
+                let pending = self.timers.iter();
+                let pending = pending
+                    .map(|t| format!("node={} kind={} due={}us", t.node.0, self.kind(t), t.due_us));
+                let pending = pending.collect::<Vec<_>>().join(", ");
+                format!("step `{step}`: no matching timer (pending: [{pending}])")
+            })
     }
 
     /// Fair completion: deliver every pooled message (FIFO), firing due
     /// one-shot timers (completions, productions, retry timeouts) as the
-    /// pool runs dry. Periodic maintenance timers (heartbeat, sweep) stay
-    /// armed — they never quiesce and the trace fires them explicitly.
+    /// pool runs dry. [Periodic](Conductor::periodic) timers stay armed —
+    /// a trace fires them explicitly.
     fn drain(&mut self) -> Result<(), String> {
         for _ in 0..100_000 {
             if !self.pool.is_empty() {
@@ -230,12 +258,7 @@ impl Conductor {
                 continue;
             }
             let next = (0..self.timers.len())
-                .filter(|&i| {
-                    let t = &self.timers[i];
-                    self.nodes
-                        .get(&t.node)
-                        .is_some_and(|n| !matches!(n.timer_kind(t.id), "heartbeat" | "sweep"))
-                })
+                .filter(|&i| !self.periodic(&self.timers[i]))
                 .min_by_key(|&i| (self.timers[i].due_us, self.timers[i].seq));
             match next {
                 Some(i) => self.fire_timer(i),
@@ -245,85 +268,48 @@ impl Conductor {
         Err("drain: event budget exceeded (livelock in the real logic?)".to_string())
     }
 
+    /// The peer a step's `node=` names.
+    fn peer(&self, step: &Step) -> Result<&PeerNode, String> {
+        let node = NodeId(step.need_u64("node")? as u32);
+        let peer = self.nodes.get(&node);
+        peer.ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))
+    }
+
     fn expect(&self, step: &Step) -> Result<(), String> {
+        let fail = |what: String| Err(format!("step `{step}`: {what}"));
         match step.get("kind") {
             Some("outcome") => {
-                let node = NodeId(step.need_u64("node")? as u32);
                 let qid = QueryId(step.need_u64("qid")?);
-                let peer = self
-                    .nodes
-                    .get(&node)
-                    .ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))?;
-                let outcome = peer.outcome(qid).ok_or_else(|| {
-                    format!("step `{step}`: node {} has no outcome for {qid}", node.0)
-                })?;
+                let Some(o) = self.peer(step)?.outcome(qid) else {
+                    return fail(format!("no outcome for {qid}"));
+                };
+                let (rows, missing) = (o.result.len() as u64, o.missing.len() as u64);
+                if let Some(want) = step.get_u64("rows")?.filter(|&want| want != rows) {
+                    return fail(format!("expected {want} rows, got {rows}"));
+                }
+                if let Some(want) = step.get_u64("missing")?.filter(|&want| want != missing) {
+                    return fail(format!("expected {want} missing, got {:?}", o.missing));
+                }
                 match step.get("status") {
-                    Some("complete") if outcome.partial => {
-                        return Err(format!(
-                            "step `{step}`: expected complete, got partial (missing {:?})",
-                            outcome.missing
-                        ));
+                    Some("complete") if o.partial => fail(format!(
+                        "expected complete, got partial (missing {:?})",
+                        o.missing
+                    )),
+                    Some("partial") if !o.partial => fail("expected partial, got complete".into()),
+                    Some(other) if !matches!(other, "complete" | "partial") => {
+                        fail(format!("unknown status `{other}`"))
                     }
-                    Some("partial") if !outcome.partial => {
-                        return Err(format!("step `{step}`: expected partial, got complete"));
-                    }
-                    Some("complete") | Some("partial") | None => {}
-                    Some(other) => {
-                        return Err(format!("step `{step}`: unknown status `{other}`"));
-                    }
+                    _ => Ok(()),
                 }
-                if let Some(rows) = step.get_u64("rows")? {
-                    let got = outcome.result.len() as u64;
-                    if got != rows {
-                        return Err(format!("step `{step}`: expected {rows} rows, got {got}"));
-                    }
-                }
-                if let Some(missing) = step.get_u64("missing")? {
-                    let got = outcome.missing.len() as u64;
-                    if got != missing {
-                        return Err(format!(
-                            "step `{step}`: expected {missing} missing peers, got {:?}",
-                            outcome.missing
-                        ));
-                    }
-                }
-                Ok(())
             }
-            Some("no-outcome") => {
-                let node = NodeId(step.need_u64("node")? as u32);
-                let qid = QueryId(step.need_u64("qid")?);
-                let peer = self
-                    .nodes
-                    .get(&node)
-                    .ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))?;
-                if peer.outcome(qid).is_some() {
-                    return Err(format!(
-                        "step `{step}`: node {} unexpectedly finalised {qid}",
-                        node.0
-                    ));
-                }
-                Ok(())
-            }
-            Some("registered") | Some("departed") => {
-                let want_departed = step.get("kind") == Some("departed");
-                let node = NodeId(step.need_u64("node")? as u32);
-                let peer_id = sqpeer_routing::PeerId(step.need_u64("peer")? as u32);
-                let peer = self
-                    .nodes
-                    .get(&node)
-                    .ok_or_else(|| format!("step `{step}`: unknown node {}", node.0))?;
-                let registered = peer.son.registry.get(peer_id).is_some();
-                let departed = peer.departed_peers().contains(&peer_id);
-                if want_departed && !departed {
-                    return Err(format!(
-                        "step `{step}`: peer {} not departed at node {} (registered: {registered})",
-                        peer_id.0, node.0
-                    ));
-                }
-                if !want_departed && !registered {
-                    return Err(format!(
-                        "step `{step}`: peer {} not registered at node {} (departed: {departed})",
-                        peer_id.0, node.0
+            Some(kind @ ("registered" | "departed")) => {
+                let (peer, id) = (self.peer(step)?, PeerId(step.need_u64("peer")? as u32));
+                let registered = peer.son.registry.get(id).is_some();
+                let departed = peer.departed_peers().contains(&id);
+                if (kind == "departed" && !departed) || (kind == "registered" && !registered) {
+                    let peer = id.0;
+                    return fail(format!(
+                        "peer {peer} not {kind} (registered: {registered}, departed: {departed})"
                     ));
                 }
                 Ok(())
@@ -332,9 +318,7 @@ impl Conductor {
                 let min = step.u64_or("min", 1)? as usize;
                 let saw = self.counters.stream_dedup_drops;
                 if saw < min {
-                    return Err(format!(
-                        "step `{step}`: expected ≥{min} stream dedup drops, saw {saw}"
-                    ));
+                    return fail(format!("expected ≥{min} stream dedup drops, saw {saw}"));
                 }
                 Ok(())
             }
@@ -345,49 +329,24 @@ impl Conductor {
                 // expectation itself). `count=0` asserts absence — the only
                 // way a trace can prove backpressure held a packet back.
                 let want = step.need_u64("count")?;
-                let probe = Step {
-                    verb: "deliver".to_string(),
-                    kv: step
-                        .kv
-                        .iter()
-                        .filter(|(k, _)| k != "kind" && k != "count")
-                        .map(|(k, v)| {
-                            let key = if k == "msg" { "kind" } else { k };
-                            (key.to_string(), v.clone())
-                        })
-                        .collect(),
-                };
-                let got = self
-                    .pool
-                    .iter()
-                    .map(|f| flight_matches(f, &probe))
-                    .collect::<Result<Vec<bool>, String>>()?
-                    .into_iter()
-                    .filter(|&hit| hit)
-                    .count() as u64;
-                if got != want {
-                    let pool: Vec<String> = self
-                        .pool
-                        .iter()
-                        .map(|f| format!("{} {}->{}", msg_kind(&f.msg), f.from.0, f.to.0))
-                        .collect();
-                    return Err(format!(
-                        "step `{step}`: expected {want} matching in-flight messages, found {got} (pool: [{}])",
-                        pool.join(", ")
+                let kv = step.kv.iter().filter(|(k, _)| k != "kind" && k != "count");
+                let kv: Vec<_> = kv
+                    .map(|(k, v)| (if k == "msg" { "kind" } else { k }, v.clone()))
+                    .collect();
+                let found = self.matching(&line("deliver", &selectors(&kv, 0)))?.len();
+                if found as u64 != want {
+                    return fail(format!(
+                        "expected {want} matching, found {found} ({})",
+                        self.listing()
                     ));
                 }
                 Ok(())
             }
-            Some("quiet") => {
-                if !self.pool.is_empty() {
-                    return Err(format!(
-                        "step `{step}`: {} messages still in flight",
-                        self.pool.len()
-                    ));
-                }
-                Ok(())
+            Some("quiet") if !self.pool.is_empty() => {
+                fail(format!("{} messages still in flight", self.pool.len()))
             }
-            other => Err(format!("step `{step}`: unknown expectation {other:?}")),
+            Some("quiet") => Ok(()),
+            other => fail(format!("unknown expectation {other:?}")),
         }
     }
 
@@ -396,54 +355,47 @@ impl Conductor {
     pub fn run_step(&mut self, step: &Step) -> Result<(), String> {
         match step.verb.as_str() {
             "deliver" => {
-                let i = self.find_flight(step)?;
-                let flight = self.pool.remove(i);
+                let flight = self.pool.remove(self.find_flight(step)?);
                 self.dispatch(flight);
-                Ok(())
             }
             "drop" => {
-                let i = self.find_flight(step)?;
-                self.pool.remove(i);
-                Ok(())
+                self.pool.remove(self.find_flight(step)?);
+                self.spent.drops += 1;
             }
             "dup" => {
-                let i = self.find_flight(step)?;
-                let copy = self.pool[i].clone();
+                let copy = self.pool[self.find_flight(step)?].clone();
                 self.pool.push(copy);
-                Ok(())
+                self.spent.dups += 1;
             }
             "timer" => {
                 let i = self.find_timer(step)?;
                 self.fire_timer(i);
-                Ok(())
             }
-            "advance" => {
-                self.now_us += step.need_u64("us")?;
-                Ok(())
-            }
+            "advance" => self.now_us += step.need_u64("us")?,
             "down" => {
                 let node = NodeId(step.need_u64("node")? as u32);
                 self.down.insert(node);
+                self.spent.crashes += 1;
                 // A crashed process loses its pending timers.
                 self.timers.retain(|t| t.node != node);
-                Ok(())
             }
             "up" => {
                 let node = NodeId(step.need_u64("node")? as u32);
                 if !self.down.remove(&node) {
                     return Err(format!("step `{step}`: node {} was not down", node.0));
                 }
+                *self.restarts.entry(node).or_default() += 1;
                 let mut ctx = Ctx::detached(self.now_us, node);
                 if let Some(n) = self.nodes.get_mut(&node) {
                     n.on_restart(&mut ctx);
                 }
                 self.flush(node, ctx);
-                Ok(())
             }
-            "drain" => self.drain(),
-            "expect" => self.expect(step),
-            other => Err(format!("step `{step}`: unknown verb `{other}`")),
+            "drain" => self.drain()?,
+            "expect" => self.expect(step)?,
+            other => return Err(format!("step `{step}`: unknown verb `{other}`")),
         }
+        Ok(())
     }
 
     /// Replays a whole trace, reporting the failing step by index.
@@ -483,9 +435,12 @@ pub fn msg_kind(msg: &Msg) -> &'static str {
     }
 }
 
-/// Numeric field of a message addressable from a selector.
-fn msg_u64(msg: &Msg, key: &str) -> Option<u64> {
-    match (msg, key) {
+/// Numeric field of a flight addressable from a selector: one of its
+/// ends, or a field of its message.
+fn field(flight: &Flight, key: &str) -> Option<u64> {
+    match (&flight.msg, key) {
+        (_, "from") => Some(u64::from(flight.from.0)),
+        (_, "to") => Some(u64::from(flight.to.0)),
         (
             Msg::RouteRequest { qid, .. }
             | Msg::RouteResponse { qid, .. }
@@ -519,23 +474,10 @@ fn flight_matches(flight: &Flight, step: &Step) -> Result<bool, String> {
         let hit = match key.as_str() {
             "nth" => true,
             "kind" => msg_kind(&flight.msg) == value,
-            "to" => {
-                let want: u64 = value
-                    .parse()
-                    .map_err(|_| format!("step `{step}`: to={value} is not a number"))?;
-                u64::from(flight.to.0) == want
-            }
-            "from" => {
-                let want: u64 = value
-                    .parse()
-                    .map_err(|_| format!("step `{step}`: from={value} is not a number"))?;
-                u64::from(flight.from.0) == want
-            }
-            field => {
-                let want: u64 = value
-                    .parse()
-                    .map_err(|_| format!("step `{step}`: {field}={value} is not a number"))?;
-                msg_u64(&flight.msg, field) == Some(want)
+            _ => {
+                let number = || format!("step `{step}`: {key}={value} is not a number");
+                let want: u64 = value.parse().map_err(|_| number())?;
+                field(flight, key) == Some(want)
             }
         };
         if !hit {
@@ -545,14 +487,320 @@ fn flight_matches(flight: &Flight, step: &Step) -> Result<bool, String> {
     Ok(true)
 }
 
+/// A message in flight as the explorer tells it apart: its ends and its
+/// wire encoding.
+fn flight_digest(flight: &Flight) -> u64 {
+    let h = &mut DefaultHasher::new();
+    let encoded = sqpeer_wire::encode_value(&flight.msg);
+    (flight.from, flight.to, encoded).hash(h);
+    h.finish()
+}
+
+/// A trace line: `verb` and its selectors.
+fn line(verb: &str, kv: &[(String, String)]) -> Step {
+    let (verb, kv) = (verb.to_string(), kv.to_vec());
+    Step { verb, kv }
+}
+
+/// Selectors `(key, value)` from pairs, plus `nth=` when `nth` earlier
+/// candidates match them too.
+fn selectors(pairs: &[(&str, String)], nth: usize) -> Vec<(String, String)> {
+    let nth = (nth > 0).then(|| ("nth", nth.to_string()));
+    let pairs = pairs.iter().cloned().chain(nth);
+    pairs.map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// One bounded configuration of the [`PeerMachine`]: a scenario and what
+/// the adversary may spend on it.
+#[derive(Debug, Clone, Copy)]
+pub struct PeerCfg {
+    pub name: &'static str,
+    pub scenario: fn() -> Conductor,
+    pub budget: Faults,
+}
+
+/// A state of the [`PeerMachine`]: the first — so shortest — schedule the
+/// explorer found to it, with the steps enabled, the invariant verdict and
+/// the goal test taken where its replay ended. Identified by the
+/// [`Conductor::digest`] there, which is what its `Debug` prints.
+#[derive(Clone)]
+pub struct Reached {
+    digest: u64,
+    schedule: Vec<Step>,
+    next: Vec<Step>,
+    verdict: Result<(), String>,
+    goal: bool,
+}
+
+impl PartialEq for Reached {
+    fn eq(&self, other: &Self) -> bool {
+        self.digest == other.digest
+    }
+}
+
+impl Eq for Reached {}
+
+impl Hash for Reached {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.digest.hash(h);
+    }
+}
+
+impl std::fmt::Debug for Reached {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let steps = self.schedule.len();
+        write!(f, "digest={:016x} after {steps} steps", self.digest)
+    }
+}
+
+/// The peers of a [`scenarios`] builder under a budgeted adversary, as a
+/// [`Machine`]. Its invariants are those of the hand-written dispatch
+/// and replan models it replaced, checked on real outcomes against an
+/// oracle — the scenario drained with no adversary:
+///
+/// - honesty: an answer is partial exactly when it names missing peers,
+///   and a complete one has the oracle's rows;
+/// - soundness: no answer has a row the oracle lacks;
+/// - dedup: a peer rooting no query evaluates at most once per distinct
+///   `(root, qid, tag, attempt)` delivered to it (per incarnation);
+/// - ladder: no subplan in flight carries an attempt beyond its sender's
+///   `subplan_retries`;
+/// - replans: no answer took more than [`PeerConfig::MAX_REPLANS`].
+///
+/// The goal is every posed query answered at its root and nothing in
+/// flight.
+pub struct PeerMachine {
+    cfg: PeerCfg,
+    /// The posed queries, `(root, qid)`, with the oracle's rows.
+    oracle: BTreeMap<(NodeId, QueryId), BTreeSet<String>>,
+}
+
+/// An answer's rows, as a set of renderings.
+fn rows(result: &sqpeer_rql::ResultSet) -> BTreeSet<String> {
+    result.rows.iter().map(|row| format!("{row:?}")).collect()
+}
+
+impl PeerMachine {
+    pub fn new(cfg: PeerCfg) -> Self {
+        let mut oracle = (cfg.scenario)();
+        let posed: Vec<(NodeId, QueryId)> = (oracle.pool.iter())
+            .filter_map(|f| match f.msg {
+                Msg::ClientQuery { qid, .. } => Some((f.to, qid)),
+                _ => None,
+            })
+            .collect();
+        oracle.drain().expect("the scenario drains");
+        let answer = |(root, qid)| {
+            let outcome = oracle.nodes[&root].outcome(qid);
+            (
+                (root, qid),
+                rows(&outcome.expect("the oracle answers").result),
+            )
+        };
+        let oracle = posed.into_iter().map(answer).collect();
+        PeerMachine { cfg, oracle }
+    }
+
+    fn roots(&self, node: NodeId) -> bool {
+        self.oracle.keys().any(|&(root, _)| root == node)
+    }
+
+    /// Replays `schedule` on a fresh scenario — the one replay a state
+    /// costs — and takes there everything the explorer asks of the state.
+    fn reach(&self, schedule: Vec<Step>) -> Reached {
+        let mut c = (self.cfg.scenario)();
+        for step in &schedule {
+            let replayed = c.run_step(step);
+            replayed.unwrap_or_else(|e| panic!("{}: a schedule does not replay: {e}", self.name()));
+        }
+        let answered =
+            (self.oracle.keys()).all(|&(root, qid)| c.nodes[&root].outcome(qid).is_some());
+        Reached {
+            digest: c.digest(),
+            next: self.next(&c),
+            verdict: self.check(&c),
+            goal: answered && c.pool.is_empty(),
+            schedule,
+        }
+    }
+
+    /// Deliver any message in flight; drop or duplicate one a peer sent
+    /// (the client's injection stays reliable) while the budget lasts;
+    /// fire any pending one-shot timer, in any order — one fired early
+    /// stands for a slow link; take a peer rooting no query down while the
+    /// budget lasts, or bring it back up.
+    fn next(&self, c: &Conductor) -> Vec<Step> {
+        let (budget, spent, mut out) = (self.cfg.budget, c.spent, Vec::new());
+        let mut seen = BTreeSet::new();
+        for (i, f) in c.pool.iter().enumerate() {
+            if !seen.insert(flight_digest(f)) {
+                continue; // the same successors as its twin
+            }
+            let mut pairs = vec![("kind", msg_kind(&f.msg).to_string())];
+            for key in ["from", "to", "qid", "tag", "seq", "attempt"] {
+                pairs.extend(field(f, key).map(|n| (key, n.to_string())));
+            }
+            let probe = line("deliver", &selectors(&pairs, 0));
+            let twins = c.pool[..i]
+                .iter()
+                .filter(|g| flight_matches(g, &probe) == Ok(true));
+            let kv = selectors(&pairs, twins.count());
+            let injected = matches!(f.msg, Msg::ClientQuery { .. });
+            out.push(line("deliver", &kv));
+            if !injected && spent.drops < budget.drops {
+                out.push(line("drop", &kv));
+            }
+            if !injected && spent.dups < budget.dups {
+                out.push(line("dup", &kv));
+            }
+        }
+        let mut timers: Vec<&PendingTimer> = c.timers.iter().filter(|t| !c.periodic(t)).collect();
+        timers.sort_by_key(|t| (t.due_us, t.seq));
+        for (i, t) in timers.iter().enumerate() {
+            let twins = timers[..i]
+                .iter()
+                .filter(|u| u.node == t.node && c.kind(u) == c.kind(t));
+            let pairs = [
+                ("node", t.node.0.to_string()),
+                ("kind", c.kind(t).to_string()),
+            ];
+            out.push(line("timer", &selectors(&pairs, twins.count())));
+        }
+        for (&id, node) in &c.nodes {
+            let kv = selectors(&[("node", id.0.to_string())], 0);
+            if node.role == Role::Client || self.roots(id) {
+                continue;
+            } else if c.down.contains(&id) {
+                out.push(line("up", &kv));
+            } else if spent.crashes < budget.crashes {
+                out.push(line("down", &kv));
+            }
+        }
+        out
+    }
+
+    fn check(&self, c: &Conductor) -> Result<(), String> {
+        for (&(root, qid), oracle) in &self.oracle {
+            let Some(o) = c.nodes[&root].outcome(qid) else {
+                continue;
+            };
+            let (got, partial, missing) = (rows(&o.result), o.partial, &o.missing);
+            if partial == missing.is_empty() {
+                return Err(format!(
+                    "honesty: {qid} partial={partial} missing {missing:?}"
+                ));
+            }
+            if !partial && (got != *oracle || o.result.len() != oracle.len()) {
+                return Err(format!(
+                    "honesty: {qid} complete: {got:?}, oracle {oracle:?}"
+                ));
+            }
+            if !got.is_subset(oracle) {
+                return Err(format!(
+                    "soundness: {qid} answered {got:?}, oracle {oracle:?}"
+                ));
+            }
+            if o.replans > PeerConfig::MAX_REPLANS {
+                return Err(format!("replans: {qid} re-planned {} times", o.replans));
+            }
+        }
+        for (&id, node) in c.nodes.iter().filter(|(&id, _)| !self.roots(id)) {
+            let handed = c.handed.iter().filter(|h| h.0 == id).count();
+            let evals = node.queries_processed;
+            if evals > handed {
+                return Err(format!(
+                    "dedup: node {} evaluated {evals}× for {handed} subplans",
+                    id.0
+                ));
+            }
+        }
+        for f in &c.pool {
+            let (from, retries) = (f.from.0, c.nodes[&f.from].config.subplan_retries);
+            if let Msg::Subplan { attempt, .. } = f.msg {
+                if attempt > retries {
+                    return Err(format!(
+                        "ladder: node {from} sent attempt {attempt} of {retries}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Machine for PeerMachine {
+    type State = Reached;
+    type Action = Step;
+
+    fn name(&self) -> String {
+        format!("peer/{}", self.cfg.name)
+    }
+
+    fn initial(&self) -> Reached {
+        self.reach(Vec::new())
+    }
+
+    fn actions(&self, s: &Reached, out: &mut Vec<Step>) {
+        out.extend(s.next.iter().cloned());
+    }
+
+    fn apply(&self, s: &Reached, a: &Step) -> Reached {
+        self.reach(s.schedule.iter().chain([a]).cloned().collect())
+    }
+
+    fn invariant(&self, s: &Reached) -> Result<(), String> {
+        s.verdict.clone()
+    }
+
+    fn is_goal(&self, s: &Reached) -> bool {
+        s.goal
+    }
+
+    fn is_fair(&self, a: &Step) -> bool {
+        matches!(a.verb.as_str(), "deliver" | "timer" | "up")
+    }
+
+    fn render_action(&self, a: &Step) -> String {
+        a.to_string()
+    }
+}
+
+/// The bounded configurations CI explores to a fixpoint. Between them: a
+/// deep retry ladder, drop plus duplicate, duplicates across rounds, a
+/// crashed contributor and the replan it forces, a failover to a second
+/// contributor, two concurrent queries, and loss inside a streamed answer.
+pub fn configs() -> Vec<PeerCfg> {
+    let cfg = |name, scenario, (drops, dups, crashes)| {
+        let budget = Faults {
+            drops,
+            dups,
+            crashes,
+        };
+        PeerCfg {
+            name,
+            scenario,
+            budget,
+        }
+    };
+    use scenarios::{failover_trio, retry_pair, retry_pair_twice, streaming_pair};
+    vec![
+        cfg("retry2-drop", || retry_pair(2), (1, 0, 0)),
+        cfg("retry1-drop-dup", || retry_pair(1), (1, 1, 0)),
+        cfg("retry0-drop-2dups", || retry_pair(0), (1, 2, 0)),
+        cfg("retry1-crash", || retry_pair(1), (0, 0, 1)),
+        cfg("failover-drop", || failover_trio(0), (1, 0, 0)),
+        cfg("two-queries-dup", || retry_pair_twice(0), (0, 1, 0)),
+        cfg("stream-drop", || streaming_pair(2, 1), (1, 0, 0)),
+    ]
+}
+
 /// Shared scenario builders for the named conformance traces. Each
 /// returns a booted [`Conductor`] with the client query already pooled;
 /// the trace owns the schedule from the first `deliver` on.
 pub mod scenarios {
     use super::*;
-    use sqpeer_exec::{PeerConfig, PeerMode};
+    use sqpeer_exec::PeerMode;
     use sqpeer_rdfs::{Range, Resource, Schema, SchemaBuilder, Triple};
-    use sqpeer_routing::PeerId;
     use sqpeer_rql::compile;
     use sqpeer_store::DescriptionBase;
     use std::sync::Arc;
@@ -563,9 +811,8 @@ pub mod scenarios {
         let c1 = b.class("C1").unwrap();
         let c2 = b.class("C2").unwrap();
         let c3 = b.class("C3").unwrap();
-        let p1 = b.property("prop1", c1, Range::Class(c2)).unwrap();
-        let _ = b.property("prop2", c2, Range::Class(c3)).unwrap();
-        let _ = p1;
+        b.property("prop1", c1, Range::Class(c2)).unwrap();
+        b.property("prop2", c2, Range::Class(c3)).unwrap();
         Arc::new(b.finish().unwrap())
     }
 
@@ -599,10 +846,8 @@ pub mod scenarios {
             let base = base_with(&schema, triples);
             peers.push(PeerNode::simple(PeerId(2 + i as u32), base, config.clone()));
         }
-        let ads: Vec<_> = peers
-            .iter()
-            .map(|p| p.own_advertisement().unwrap())
-            .collect();
+        let ads = peers.iter().map(|p| p.own_advertisement().unwrap());
+        let ads: Vec<_> = ads.collect();
         let ids: Vec<PeerId> = peers.iter().map(|p| p.id).collect();
         for peer in &mut peers {
             for ad in &ads {
@@ -611,7 +856,7 @@ pub mod scenarios {
             peer.son.neighbours = ids.iter().copied().filter(|&id| id != peer.id).collect();
         }
 
-        let mut conductor = Conductor::new();
+        let mut conductor = Conductor::default();
         for peer in peers {
             conductor.add_peer(peer);
         }
@@ -619,14 +864,8 @@ pub mod scenarios {
         conductor.boot();
 
         let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-        conductor.inject(
-            NodeId(99),
-            NodeId(1),
-            Msg::ClientQuery {
-                qid: QueryId(1),
-                query,
-            },
-        );
+        let qid = QueryId(1);
+        conductor.inject(NodeId(99), NodeId(1), Msg::ClientQuery { qid, query });
         conductor
     }
 
@@ -645,15 +884,8 @@ pub mod scenarios {
         let mut config = adhoc_config();
         config.stream_batch_rows = Some(rows);
         config.stream_credit_window = window;
-        build(
-            config,
-            &[&[
-                ("b", "prop2", "c0"),
-                ("b", "prop2", "c1"),
-                ("b", "prop2", "c2"),
-                ("b", "prop2", "c3"),
-            ]],
-        )
+        let triples = ["c0", "c1", "c2", "c3"].map(|c| ("b", "prop2", c));
+        build(config, &[&triples])
     }
 
     /// [`chain_pair`] with the at-least-once ladder armed: a finite
@@ -663,6 +895,18 @@ pub mod scenarios {
             config.subplan_timeout_us = Some(200_000);
             config.subplan_retries = retries;
         })
+    }
+
+    /// [`retry_pair`] with a second client query, `qid=2`, pooled beside
+    /// the first: two concurrent queries share the root and the holder.
+    pub fn retry_pair_twice(retries: u32) -> Conductor {
+        let mut conductor = retry_pair(retries);
+        let mut second = conductor.pool[0].clone();
+        if let Msg::ClientQuery { qid, .. } = &mut second.msg {
+            *qid = QueryId(2);
+        }
+        conductor.pool.push(second);
+        conductor
     }
 
     /// [`chain_pair`] with advertisement leases armed at `lease_us`
@@ -709,9 +953,27 @@ mod tests {
         assert!(err.contains("clientquery"), "pool listing absent: {err}");
     }
 
+    /// The observability plane's rollup timer re-arms itself forever, like
+    /// the lease timers: `drain` must leave it armed rather than chase it
+    /// through its event budget.
+    #[test]
+    fn drain_leaves_the_periodic_obs_timer_armed() {
+        let mut conductor = scenarios::chain_pair(|config| {
+            config.obs = Some(sqpeer_exec::ObsConfig::default());
+        });
+        let trace = parse(
+            "unit-obs-drain",
+            "deliver kind=clientquery\ndrain\nexpect outcome node=1 qid=1 status=complete rows=1",
+        )
+        .unwrap();
+        conductor.run(&trace).unwrap();
+        let armed = conductor.timers.iter().filter(|t| conductor.periodic(t));
+        assert_eq!(armed.count(), 2, "one rollup timer per serving peer");
+    }
+
     #[test]
     fn unknown_verbs_are_rejected() {
-        let mut conductor = Conductor::new();
+        let mut conductor = Conductor::default();
         let trace = parse("unit-verb", "teleport node=1").unwrap();
         assert!(conductor.run(&trace).unwrap_err().contains("unknown verb"));
     }

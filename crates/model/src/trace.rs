@@ -27,9 +27,10 @@
 //! ```
 //!
 //! The verbs the conformance replayer executes are `deliver`, `drop`,
-//! `dup`, `timer`, `down`, `up`, `advance`, `drain` and `expect`;
-//! model-level schedules may also contain machine-internal verbs such as
-//! `tick` or `fail-channel`, which replay against the model itself.
+//! `dup`, `timer`, `down`, `up`, `advance`, `drain` and `expect`. The peer
+//! machine's counterexamples use only these, so each replays on real peers;
+//! the lease and stream models' schedules name model-level things (`tick`,
+//! `sid=`, `holder=`) and replay against the model itself.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};

@@ -1,9 +1,9 @@
 //! Conformance: the named traces under `crates/model/traces/` replayed
-//! against the real `PeerNode` logic — two per protocol machine. Each
-//! trace is an adversarial schedule in the shared replay grammar (the
-//! same grammar the explorer renders counterexamples in); the
-//! [`Conductor`] hosts actual peers behind the `Ctx`/`NodeLogic` seam
-//! and executes it step by step.
+//! against the real `PeerNode` logic — two each for streaming, dispatch,
+//! leases and replanning. Each trace is an adversarial schedule in the
+//! shared replay grammar (the same grammar the explorer renders
+//! counterexamples in); the [`Conductor`] hosts actual peers behind the
+//! `Ctx`/`NodeLogic` seam and executes it step by step.
 //!
 //! A trace failure reports the trace name, the failing step, and the
 //! live pool/timer listing — edit the `.trace` file, not this harness.
@@ -23,7 +23,7 @@ fn replay(name: &str, conductor: Conductor) {
     }
 }
 
-// ---- stream machine ----
+// ---- streaming ----
 
 #[test]
 fn stream_dup_reorder_seed2() {
@@ -38,7 +38,7 @@ fn stream_credit_window_one_backpressure() {
     );
 }
 
-// ---- dispatch machine ----
+// ---- dispatch: retry and dedup ----
 
 #[test]
 fn dispatch_retry_after_drop() {
@@ -50,7 +50,7 @@ fn dispatch_dup_subplan_served_once() {
     replay("dispatch_dup_subplan_served_once", scenarios::retry_pair(0));
 }
 
-// ---- lease machine ----
+// ---- leases ----
 
 #[test]
 fn lease_expiry_tombstone() {
@@ -65,7 +65,7 @@ fn lease_heartbeat_renews_and_readvertises() {
     );
 }
 
-// ---- replan machine ----
+// ---- replanning ----
 
 #[test]
 fn replan_dest_down_honest_partial() {

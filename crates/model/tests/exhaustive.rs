@@ -1,9 +1,9 @@
-//! The standing model-check: every bounded configuration of the four
-//! protocol machines explored to a fixpoint, violation-free, with a
-//! termination proof — plus the mutation demonstration showing that the
-//! harness actually catches bugs (a sender that skips one credit grant
-//! wedges, and the wedge renders as a replayable counterexample
-//! artifact).
+//! The standing model-check: every bounded configuration of the three
+//! machines explored to a fixpoint, violation-free, with a termination
+//! proof — plus the demonstrations that the harness catches bugs: a
+//! sender that skips one credit grant wedges, and a silently lost subplan
+//! with no timeout to notice it deadlocks real peers; each counterexample
+//! renders as a replayable trace artifact.
 //!
 //! Run with `--nocapture` to see the explored-state counts per
 //! configuration; CI copies them into the job summary. The same lines
@@ -11,23 +11,28 @@
 //! re-bless it (`BLESS=1 cargo test -p sqpeer-model --test exhaustive`)
 //! and explain the difference in DESIGN.md §5.
 
-use sqpeer_model::explore::{explore, Report, ViolationKind};
-use sqpeer_model::{dispatch, lease, replan, stream, trace};
+use sqpeer_model::conform::{self, scenarios, Faults, PeerCfg, PeerMachine};
+use sqpeer_model::explore::{explore, Machine, Report, ViolationKind};
+use sqpeer_model::{lease, stream, trace};
 
 /// Per-configuration state budget: a fixpoint beyond this means the
 /// configuration is no longer small-state and must be re-bounded, not
 /// silently sampled.
 const BUDGET: usize = 2_000_000;
 
-fn check_all<M, C, F>(configs: Vec<C>, build: F) -> Vec<Report>
+/// The same for the peer machine, whose states each cost a replay of the
+/// real peers.
+const PEER_BUDGET: usize = 50_000;
+
+fn check_all<M, C, F>(configs: Vec<C>, build: F, budget: usize) -> Vec<Report>
 where
-    M: sqpeer_model::explore::Machine,
+    M: Machine,
     F: Fn(C) -> M,
 {
     configs
         .into_iter()
         .map(|cfg| {
-            let report = explore(&build(cfg), BUDGET);
+            let report = explore(&build(cfg), budget);
             report.assert_verified();
             println!("{}", report.summary());
             report
@@ -53,21 +58,25 @@ fn golden_check(actual: &str) {
     );
 }
 
-/// All four machines, every bounded configuration, explored to a
+/// All three machines, every bounded configuration, explored to a
 /// fixpoint — with the acceptance floor: ≥ 10⁵ distinct states covered
 /// across the machines. One test so each configuration is explored
-/// exactly once per run.
+/// exactly once per run; the peer machine, which replays real peers for
+/// every state it reaches, runs on a thread beside the other two.
 #[test]
 fn all_machines_exhaustive_meet_coverage_floor() {
-    let mut reports = Vec::new();
-    reports.extend(check_all(lease::configs(), lease::LeaseMachine::new));
-    reports.extend(check_all(
-        dispatch::configs(),
-        dispatch::DispatchMachine::new,
-    ));
-    reports.extend(check_all(stream::configs(), stream::StreamMachine::new));
-    reports.extend(check_all(replan::configs(), replan::ReplanMachine::new));
-    assert_eq!(reports.len(), 17, "a configuration family went missing");
+    let reports: Vec<Report> = std::thread::scope(|s| {
+        let peer = s.spawn(|| check_all(conform::configs(), PeerMachine::new, PEER_BUDGET));
+        let mut reports = check_all(lease::configs(), lease::LeaseMachine::new, BUDGET);
+        reports.extend(check_all(
+            stream::configs(),
+            stream::StreamMachine::new,
+            BUDGET,
+        ));
+        let peer = peer.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        reports.into_iter().chain(peer).collect()
+    });
+    assert_eq!(reports.len(), 16, "a configuration family went missing");
 
     let total: usize = reports.iter().map(|r| r.states).sum();
     println!("total explored states across machines: {total}");
@@ -113,4 +122,39 @@ fn skipped_credit_grant_yields_counterexample_artifact() {
         "drop/dup-free config: the wedge needs no adversary, only the skipped grant"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Counterexamples of the peer machine are conformance traces. Without a
+/// subplan timeout nothing tells the root that its subplan was silently
+/// dropped, so real peers deadlock; the artifact, parsed back, replays on
+/// a fresh scenario with `Conductor::run` and ends at the digest the
+/// explorer reported.
+#[test]
+fn peer_counterexample_replays_as_a_conformance_trace() {
+    fn no_timeout() -> conform::Conductor {
+        scenarios::chain_pair(|config| config.subplan_timeout_us = None)
+    }
+    let budget = Faults {
+        drops: 1,
+        ..Faults::default()
+    };
+    let cfg = PeerCfg {
+        name: "no-timeout-drop",
+        scenario: no_timeout,
+        budget,
+    };
+    let report = explore(&PeerMachine::new(cfg), PEER_BUDGET);
+    let cex = report.violation.as_ref().expect("a lost subplan wedges");
+    assert_eq!(cex.kind, ViolationKind::Deadlock, "{}", report.summary());
+
+    let dir = std::env::temp_dir().join(format!("sqpeer-model-peer-cex-{}", std::process::id()));
+    let path = trace::write_counterexample_to(&dir, &report.name, cex).expect("writable");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let replay = trace::parse(&report.name, &text).expect("artifact is valid trace grammar");
+    assert!(replay.steps.iter().any(|s| s.verb == "drop"), "{text}");
+    let mut conductor = no_timeout();
+    conductor.run(&replay).expect("the counterexample replays");
+    let digest = format!("digest={:016x}", conductor.digest());
+    assert!(cex.state.starts_with(&digest), "{digest} vs {}", cex.state);
 }

@@ -113,6 +113,16 @@ impl<I: Copy + Eq + Hash> ChannelTable<I> {
     }
 }
 
+/// Canonical: the open channels hash in destination order, whatever
+/// order the map keeps them in.
+impl<I: Ord + Hash> Hash for ChannelTable<I> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let mut open: Vec<_> = self.towards.iter().collect();
+        open.sort_unstable();
+        (self.next_id, open).hash(state);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
