@@ -32,9 +32,9 @@ use crate::stream::Receiver;
 use crate::{peer_of, send, Event};
 use sqpeer_net::{ChannelTable, Ctx, NodeId};
 use sqpeer_plan::PlanNode;
+use sqpeer_rdfs::FxHashMap;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::{ResultSet, Rows};
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -233,7 +233,7 @@ pub(crate) struct Dispatcher {
     /// The trace context shipped subplans carry (`PeerConfig::trace`).
     origin: Option<PeerId>,
     channels: ChannelTable<PeerId>,
-    outstanding: HashMap<u64, PendingRemote>,
+    outstanding: FxHashMap<u64, PendingRemote>,
     next_tag: u64,
 }
 
@@ -246,7 +246,7 @@ impl Dispatcher {
             slow_channel: config.slow_channel,
             origin: config.trace.then_some(id),
             channels: ChannelTable::new(),
-            outstanding: HashMap::new(),
+            outstanding: FxHashMap::default(),
             next_tag: 0,
         }
     }

@@ -298,8 +298,11 @@ impl Msg {
             Msg::Heartbeat => 16,
             Msg::HeartbeatPeer(_) => 24,
             Msg::ExpirePeer(ad) => ad.active.wire_size() + 24,
-            Msg::RouteRequest { query, .. } => 48 + query.to_string().len(),
+            Msg::RouteRequest { query, .. } => 48 + query.text().len(),
             Msg::RouteResponse {
+                annotated, missing, ..
+            }
+            | Msg::HierRouteResponse {
                 annotated, missing, ..
             } => {
                 let anns: usize = (0..annotated.query().patterns().len())
@@ -319,20 +322,12 @@ impl Msg {
             Msg::SubplanFailed { .. } => 48,
             Msg::Credit { .. } => 48,
             Msg::ExecutePlan { query, plan, .. } => {
-                32 + query.to_string().len() + 80 * plan.fetch_count()
+                32 + query.text().len() + 80 * plan.fetch_count()
             }
-            Msg::ClientQuery { query, .. } => 32 + query.to_string().len(),
+            Msg::ClientQuery { query, .. } => 32 + query.text().len(),
             Msg::ClientAnswer { result, .. } => 32 + result.wire_size(),
             Msg::SummaryAdvertise { summary, .. } => summary.wire_size() + 24,
-            Msg::HierRouteRequest { query, .. } => 40 + query.to_string().len(),
-            Msg::HierRouteResponse {
-                annotated, missing, ..
-            } => {
-                let anns: usize = (0..annotated.query().patterns().len())
-                    .map(|i| annotated.peers_for(i).len())
-                    .sum();
-                64 + 32 * anns + 8 * missing.len()
-            }
+            Msg::HierRouteRequest { query, .. } => 40 + query.text().len(),
             Msg::ObsPush {
                 registry, patterns, ..
             } => 24 + registry.wire_size() + patterns.wire_size(),

@@ -41,6 +41,7 @@ use sqpeer_plan::{
     generate_plan, optimize_traced, CostParams, Estimator, Explain, OptimizeReport, PlanNode, Site,
     Subquery, UniformCost,
 };
+use sqpeer_rdfs::{FxHashMap, FxHashSet};
 use sqpeer_routing::{
     route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingPolicy,
 };
@@ -49,7 +50,7 @@ use sqpeer_rvl::{ActiveSchema, VirtualBase};
 use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
@@ -320,7 +321,7 @@ struct RootQuery {
     /// Who posed the query, and is mailed the answer — unless that is
     /// this peer itself (a driver that collects outcomes at the root).
     client: PeerId,
-    excluded: HashSet<PeerId>,
+    excluded: FxHashSet<PeerId>,
     started_at_us: u64,
     /// Virtual µs at which the first answer rows became visible at this
     /// root — a streamed batch draining in order, or a complete local or
@@ -331,11 +332,11 @@ struct RootQuery {
     /// (lease-expiry tombstones matching the query). Any entry forces
     /// the final answer partial — the root cannot know whether surviving
     /// replicas held the same rows.
-    missing: HashSet<PeerId>,
+    missing: FxHashSet<PeerId>,
     /// Completed subplan results kept across phases (phased adaptation):
     /// `(destination peer, rendered subplan) → result`.
-    phase_cache: HashMap<(PeerId, String), ResultSet>,
-    peers_contacted: HashSet<PeerId>,
+    phase_cache: FxHashMap<(PeerId, String), ResultSet>,
+    peers_contacted: FxHashSet<PeerId>,
     /// Phase timestamps: when the routing annotation became available and
     /// when the executable plan was ready.
     annotated_at_us: Option<u64>,
@@ -358,12 +359,12 @@ impl RootQuery {
         RootQuery {
             query,
             client,
-            excluded: HashSet::new(),
+            excluded: FxHashSet::default(),
             started_at_us,
             first_row_at_us: None,
-            missing: HashSet::new(),
-            phase_cache: HashMap::new(),
-            peers_contacted: HashSet::new(),
+            missing: FxHashSet::default(),
+            phase_cache: FxHashMap::default(),
+            peers_contacted: FxHashSet::default(),
             annotated_at_us: None,
             plan_ready_at_us: None,
             profile: QueryProfile::default(),
@@ -573,8 +574,8 @@ impl Timer {
 /// the slot the original was for, deduplicated by sequence number).
 #[derive(Debug, Default)]
 struct ServedLog {
-    recent: HashMap<StreamKey, u32>,
-    older: HashMap<StreamKey, u32>,
+    recent: FxHashMap<StreamKey, u32>,
+    older: FxHashMap<StreamKey, u32>,
 }
 
 impl ServedLog {
@@ -619,7 +620,7 @@ impl Router<'_> {
         &self,
         registry: &AdRegistry,
         query: &QueryPattern,
-        excluded: &HashSet<PeerId>,
+        excluded: &FxHashSet<PeerId>,
         now_us: u64,
         qid: u64,
     ) -> AnnotatedQuery {
@@ -687,26 +688,26 @@ pub struct PeerNode {
     /// cluster tree, and the routing requests it is serving.
     pub son: Directory,
     /// Answers received as a client.
-    pub client_answers: HashMap<QueryId, ResultSet>,
+    pub client_answers: FxHashMap<QueryId, ResultSet>,
     /// Subqueries this peer evaluated locally (the per-peer load measure
     /// of §2.2 / E8).
     pub queries_processed: usize,
 
     /// Queries this peer rooted, running and answered — see
     /// [`PeerNode::outcome`] / [`PeerNode::take_outcome`].
-    rooted: HashMap<QueryId, RootQuery>,
-    frames: HashMap<u64, Frame>,
+    rooted: FxHashMap<QueryId, RootQuery>,
+    frames: FxHashMap<u64, Frame>,
     next_frame: u64,
     /// Subplans shipped from here and not yet settled, and the channels
     /// they travel on.
     dispatch: Dispatcher,
     /// Every armed timer, by id (see [`Timer`]).
-    timers: HashMap<u64, Timer>,
+    timers: FxHashMap<u64, Timer>,
     next_timer: u64,
     /// Subplans waiting for a processing slot (FIFO).
     slot_queue: VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
     /// Credit-gated outgoing result streams this peer is the sender of.
-    outgoing: HashMap<StreamKey, OutgoingStream>,
+    outgoing: FxHashMap<StreamKey, OutgoingStream>,
     /// Idempotent receive of subplans (see [`ServedLog`]).
     served: ServedLog,
     /// Routing/plan memoisation (None when disabled by config). RefCell
@@ -742,15 +743,15 @@ impl PeerNode {
             role,
             config,
             base,
-            client_answers: HashMap::new(),
+            client_answers: FxHashMap::default(),
             queries_processed: 0,
-            rooted: HashMap::new(),
-            frames: HashMap::new(),
+            rooted: FxHashMap::default(),
+            frames: FxHashMap::default(),
             next_frame: 0,
-            timers: HashMap::new(),
+            timers: FxHashMap::default(),
             next_timer: 0,
             slot_queue: VecDeque::new(),
-            outgoing: HashMap::new(),
+            outgoing: FxHashMap::default(),
             served: ServedLog::default(),
             cache,
             tracer,
@@ -785,12 +786,13 @@ impl PeerNode {
         Some(ad)
     }
 
-    /// A fresh statistics snapshot of the base (§2.4: piggybacked on
-    /// advertisements and channel packets for the root's optimiser); only
-    /// materialized bases snapshot cheaply.
+    /// The base's current statistics snapshot (§2.4: piggybacked on
+    /// advertisements and channel packets for the root's optimiser),
+    /// shared until the base next changes; only materialized bases
+    /// snapshot cheaply.
     fn base_stats(&self) -> Option<sqpeer_store::BaseStatistics> {
         match &self.base {
-            BaseKind::Materialized(db) => Some(db.statistics()),
+            BaseKind::Materialized(db) => Some(db.stats().clone()),
             _ => None,
         }
     }
@@ -1003,7 +1005,7 @@ impl PeerNode {
         }
     }
 
-    fn excluded_of(&self, qid: QueryId) -> HashSet<PeerId> {
+    fn excluded_of(&self, qid: QueryId) -> FxHashSet<PeerId> {
         self.rooted
             .get(&qid)
             .map(|r| r.excluded.clone())
@@ -1014,7 +1016,7 @@ impl PeerNode {
     fn local_route(
         &self,
         query: &QueryPattern,
-        excluded: &HashSet<PeerId>,
+        excluded: &FxHashSet<PeerId>,
         now_us: u64,
         qid: u64,
     ) -> AnnotatedQuery {
@@ -1041,7 +1043,7 @@ impl PeerNode {
         };
         let now = ctx.now_us();
         let delay = serve(&mut self.son, ctx, &|registry, query| {
-            router.route(registry, query, &HashSet::new(), now, qid.0)
+            router.route(registry, query, &FxHashSet::default(), now, qid.0)
         });
         if let Some(delay) = delay {
             self.arm(ctx, delay, Timer::HierGather(qid));
@@ -2031,7 +2033,7 @@ impl PeerNode {
             let plan_ready = root.plan_ready_at_us.unwrap_or(annotated_at);
             let profile = &mut root.profile;
             profile.qid = qid.0;
-            profile.query = root.query.to_string();
+            profile.query = root.query.text().to_owned();
             profile.routing_us = annotated_at.saturating_sub(started);
             profile.planning_us = plan_ready.saturating_sub(annotated_at);
             profile.execution_us = now.saturating_sub(plan_ready);
@@ -2044,10 +2046,9 @@ impl PeerNode {
         }
         let mut slow = None;
         if let (Some(obs), Some(config)) = (&mut self.obs, self.config.obs) {
-            let pattern = root.query.to_string();
             let peers = root.peers_contacted.len() as u64;
             obs.patterns.record(
-                &pattern,
+                root.query.text(),
                 latency_us,
                 ttfr_us,
                 peers,
@@ -2068,7 +2069,7 @@ impl PeerNode {
                     query: qid,
                     at_us: now,
                     latency_us,
-                    pattern,
+                    pattern: root.query.text().to_owned(),
                     explain_json: root.explain.as_ref().map(|e| e.to_json()),
                     profile_json: trace.then(|| root.profile.to_json()),
                 });
@@ -2264,7 +2265,7 @@ impl PeerNode {
     /// Only single-pattern holes are fillable (composite fetches are never
     /// minted with a hole site); a hole nobody matches stays a hole.
     fn fill_holes(&self, plan: PlanNode, visited: &[PeerId], now_us: u64, qid: u64) -> PlanNode {
-        let excluded: HashSet<PeerId> = visited.iter().copied().collect();
+        let excluded: FxHashSet<PeerId> = visited.iter().copied().collect();
         plan.map_fetches(&mut |subquery: Subquery, site: Site| {
             if site != Site::Hole || subquery.query.patterns().len() != 1 {
                 return PlanNode::Fetch { subquery, site };
@@ -2325,8 +2326,8 @@ fn strip_peer(plan: PlanNode, peer: PeerId) -> PlanNode {
     })
 }
 
-/// A map's entries in key order: how a digest reads a `HashMap`.
-pub(crate) fn by_key<K: Ord, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
+/// A map's entries in key order: how a digest reads a hash map.
+pub(crate) fn by_key<K: Ord, V>(map: &FxHashMap<K, V>) -> Vec<(&K, &V)> {
     let mut entries: Vec<_> = map.iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
     entries
@@ -3164,6 +3165,50 @@ mod tests {
             .expect("refreshed");
         let prop1 = schema.property_by_name("prop1").unwrap();
         assert_eq!(stats.property(prop1).triples, 1);
+    }
+
+    /// The shared statistics snapshot follows every write: a peer that
+    /// serves a subplan after its base changed ships the new counts, not
+    /// the snapshot it shipped before.
+    #[test]
+    fn data_packets_carry_post_write_statistics() {
+        let schema = fig1_schema();
+        let prop1 = schema.property_by_name("prop1").unwrap();
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        let mut p1 = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
+        let holder = PeerNode::simple(
+            PeerId(2),
+            base_with(&schema, &[("http://a", "prop1", "http://b")]),
+            adhoc_config(),
+        );
+        p1.son
+            .registry
+            .register(holder.own_advertisement().unwrap());
+        sim.add_node(NodeId(1), p1);
+        sim.add_node(NodeId(2), holder);
+        sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
+        let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
+        let shipped = |sim: &Simulator<PeerNode>| {
+            let root = sim.node(NodeId(1)).unwrap();
+            let ad = root.son.registry.get(PeerId(2)).unwrap();
+            ad.stats.as_ref().unwrap().property(prop1).triples
+        };
+        pose(&mut sim, NodeId(1), QueryId(3), query.clone());
+        sim.run_to_quiescence();
+        assert_eq!(shipped(&sim), 1);
+
+        for i in 0..2 {
+            let BaseKind::Materialized(db) = &mut sim.node_mut(NodeId(2)).unwrap().base else {
+                unreachable!("the holder has a materialized base");
+            };
+            let s = Resource::new(format!("http://s/{i}"));
+            db.insert_described(Triple::new(s, prop1, Resource::new("http://o")));
+            pose(&mut sim, NodeId(1), QueryId(4 + i), query.clone());
+            sim.run_to_quiescence();
+            let rows = sim.node(NodeId(1)).unwrap().outcome(QueryId(4 + i));
+            assert_eq!(rows.unwrap().result.len(), 2 + i as usize);
+            assert_eq!(shipped(&sim), 2 + i as usize, "stale after write {i}");
+        }
     }
 
     /// §2.5 slots: a single-slot peer serialises concurrent subplans;

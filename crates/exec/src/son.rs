@@ -38,13 +38,13 @@ use crate::msg::{HierScope, Msg, QueryId};
 use crate::peer::{PeerConfig, PeerMode, Role};
 use crate::send;
 use sqpeer_net::Ctx;
+use sqpeer_rdfs::{FxHashMap, FxHashSet};
 use sqpeer_routing::{
     route_limited, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingLimits, RoutingPolicy,
 };
 use sqpeer_rql::QueryPattern;
 use sqpeer_rvl::ActiveSchema;
 use sqpeer_store::BaseStatistics;
-use std::collections::{HashMap, HashSet};
 
 /// A super-peer's position in a hierarchical (nested) SON: the flat
 /// backbone is partitioned into clusters, each with a designated head.
@@ -88,7 +88,7 @@ struct HierGather {
     reply: HierReply,
     acc: AnnotatedQuery,
     missing: Vec<PeerId>,
-    pending: HashSet<PeerId>,
+    pending: FxHashSet<PeerId>,
 }
 
 /// One peer's knowledge of the SON (see the module documentation).
@@ -118,26 +118,26 @@ pub struct Directory {
     pub cluster: Option<ClusterInfo>,
     /// Route requests this super-peer relayed on the backbone:
     /// query id → the node the eventual response must be forwarded to.
-    route_relays: HashMap<QueryId, PeerId>,
+    route_relays: FxHashMap<QueryId, PeerId>,
     /// Lease bookkeeping (only populated with a lease set):
     /// advertisement expiry deadlines per peer.
-    lease_expiry: HashMap<PeerId, u64>,
+    lease_expiry: FxHashMap<PeerId, u64>,
     /// Tombstones of lease-expired peers: their last advertisement, kept
     /// so routing can name known-missing contributors. Cleared when the
     /// peer re-advertises or heartbeats again.
-    departed: HashMap<PeerId, Advertisement>,
+    departed: FxHashMap<PeerId, Advertisement>,
     /// The member summary last pushed to this peer's cluster head (also
     /// folded into later summaries so they only ever grow — a stale
     /// summary is at worst too wide, never too narrow).
     last_pushed_summary: Option<ActiveSchema>,
     /// At a head: member super-peer → its latest pushed summary.
-    member_summaries: HashMap<PeerId, ActiveSchema>,
+    member_summaries: FxHashMap<PeerId, ActiveSchema>,
     /// At a head: other cluster head → that cluster's latest summary.
-    cluster_summaries: HashMap<PeerId, ActiveSchema>,
+    cluster_summaries: FxHashMap<PeerId, ActiveSchema>,
     /// At a head: the cluster summary last pushed to the other heads.
     last_cluster_summary: Option<ActiveSchema>,
     /// In-flight hierarchical scatter/gathers, by query.
-    hier_gathers: HashMap<QueryId, HierGather>,
+    hier_gathers: FxHashMap<QueryId, HierGather>,
 }
 
 impl Directory {
@@ -159,14 +159,14 @@ impl Directory {
             neighbours: Vec::new(),
             articulations: Vec::new(),
             cluster: None,
-            route_relays: HashMap::new(),
-            lease_expiry: HashMap::new(),
-            departed: HashMap::new(),
+            route_relays: FxHashMap::default(),
+            lease_expiry: FxHashMap::default(),
+            departed: FxHashMap::default(),
             last_pushed_summary: None,
-            member_summaries: HashMap::new(),
-            cluster_summaries: HashMap::new(),
+            member_summaries: FxHashMap::default(),
+            cluster_summaries: FxHashMap::default(),
             last_cluster_summary: None,
-            hier_gathers: HashMap::new(),
+            hier_gathers: FxHashMap::default(),
         }
     }
 
@@ -433,7 +433,7 @@ impl Directory {
         for ad in self.registry.advertisements() {
             acc = fold_summary(acc, &ad.active);
         }
-        // HashMap iteration order is not deterministic; fold in peer order
+        // Hash-map iteration order is not peer order; fold in peer order
         // so equal registries always produce byte-identical summaries.
         let mut departed: Vec<(&PeerId, &Advertisement)> = self.departed.iter().collect();
         departed.sort_by_key(|(p, _)| **p);
@@ -696,7 +696,7 @@ impl Directory {
             } else if scope != HierScope::Local {
                 // Head (or entry super-peer that *is* the head): descend
                 // into intersecting member super-peers…
-                let descend = |held: &HashMap<PeerId, ActiveSchema>, p: PeerId| {
+                let descend = |held: &FxHashMap<PeerId, ActiveSchema>, p: PeerId| {
                     held.get(&p).is_none_or(|s| summary_intersects(s, query))
                 };
                 for &m in &cluster.members {

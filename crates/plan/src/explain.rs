@@ -54,7 +54,7 @@ impl Explain {
         estimator: &Estimator,
     ) -> Explain {
         Explain {
-            query: annotated.query().to_string(),
+            query: annotated.query().text().to_owned(),
             annotated: annotated.to_string(),
             stages: report.stages.clone(),
             final_plan: final_plan.to_string(),

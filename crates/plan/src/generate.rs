@@ -13,7 +13,7 @@ use std::hash::{Hash, Hasher};
 /// resurrect a wrong plan.
 pub fn annotated_fingerprint(annotated: &AnnotatedQuery) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    annotated.query().to_string().hash(&mut h);
+    annotated.query().text().hash(&mut h);
     for i in 0..annotated.query().patterns().len() {
         0xa5a5_a5a5u32.hash(&mut h); // pattern separator
         for ann in annotated.peers_for(i) {

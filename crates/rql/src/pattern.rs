@@ -13,8 +13,8 @@
 use crate::ast::{LiteralSpec, NodeSpec, Operand, Projection, QueryAst};
 use crate::error::ResolveError;
 use sqpeer_rdfs::{ClassId, Literal, Node, PropertyId, Range, Resource, Schema};
-use std::fmt;
-use std::sync::Arc;
+use std::fmt::{self, Write};
+use std::sync::{Arc, OnceLock};
 
 /// Index of a variable within one [`QueryPattern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,7 +127,8 @@ pub enum CondOperand {
 ///
 /// Immutable after construction and shared behind an [`Arc`]: a clone is
 /// a reference-count bump, so the plan layer can copy fetch leaves (and
-/// whole plans) without copying the patterns they ship.
+/// whole plans) without copying the patterns they ship. Its RQL text is
+/// rendered once, on first use, and shared the same way.
 #[derive(Debug, Clone)]
 pub struct QueryPattern(Arc<PatternData>);
 
@@ -143,6 +144,8 @@ struct PatternData {
     order_by: Option<(VarId, bool)>,
     /// `LIMIT` row count (Top-N queries, §5 future work).
     limit: Option<usize>,
+    /// The rendered RQL text; reset by every edit ([`QueryPattern::edit`]).
+    text: OnceLock<String>,
 }
 
 impl QueryPattern {
@@ -190,6 +193,7 @@ impl QueryPattern {
             filters,
             order_by,
             limit: ast.limit,
+            text: OnceLock::new(),
         }));
         qp.check_connected()?;
         Ok(qp)
@@ -213,7 +217,16 @@ impl QueryPattern {
             filters,
             order_by: None,
             limit: None,
+            text: OnceLock::new(),
         }))
+    }
+
+    /// The shared data, for a builder to change: unshared first, and its
+    /// text memo reset. Every builder edits through here.
+    fn edit(&mut self) -> &mut PatternData {
+        let data = Arc::make_mut(&mut self.0);
+        data.text.take();
+        data
     }
 
     /// The standalone class-membership patterns.
@@ -224,13 +237,13 @@ impl QueryPattern {
     /// Attaches standalone class-membership patterns (programmatic
     /// construction; the parser produces them from `{X;C}` FROM items).
     pub fn with_class_patterns(mut self, class_patterns: Vec<ClassPattern>) -> Self {
-        Arc::make_mut(&mut self.0).class_patterns = class_patterns;
+        self.edit().class_patterns = class_patterns;
         self
     }
 
     /// Attaches a Top-N clause (`ORDER BY` + `LIMIT`) to the pattern.
     pub fn with_top(mut self, order_by: Option<(VarId, bool)>, limit: Option<usize>) -> Self {
-        let data = Arc::make_mut(&mut self.0);
+        let data = self.edit();
         data.order_by = order_by;
         data.limit = limit;
         self
@@ -284,7 +297,7 @@ impl QueryPattern {
     /// Replaces the projection (used when deriving shipped subqueries whose
     /// projection must include join variables).
     pub fn with_projection(mut self, projection: Vec<VarId>) -> Self {
-        Arc::make_mut(&mut self.0).projection = projection;
+        self.edit().projection = projection;
         self
     }
 
@@ -311,18 +324,10 @@ impl QueryPattern {
             })
             .cloned()
             .collect();
-        QueryPattern(Arc::new(PatternData {
-            schema: Arc::clone(&self.0.schema),
-            var_names: self.0.var_names.clone(),
-            patterns,
-            projection,
-            filters,
-            // Class patterns and Top-N apply to the whole answer, never
-            // to shipped fragments.
-            class_patterns: Vec::new(),
-            order_by: None,
-            limit: None,
-        }))
+        // Class patterns and Top-N apply to the whole answer, never to
+        // shipped fragments.
+        let (schema, var_names) = (Arc::clone(&self.0.schema), self.0.var_names.clone());
+        QueryPattern::from_parts(schema, var_names, patterns, projection, filters)
     }
 
     /// Builds the join tree rooted at the first path pattern, following
@@ -396,24 +401,16 @@ impl QueryPattern {
         Ok(())
     }
 
-    /// Renders the pattern as parseable RQL text.
-    pub fn to_rql(&self) -> String {
-        self.to_string()
+    /// The pattern as parseable RQL text (its `Display`), rendered on
+    /// first use and kept.
+    pub fn text(&self) -> &str {
+        self.0
+            .text
+            .get_or_init(|| self.render().expect("writing to a String"))
     }
-}
 
-impl PartialEq for QueryPattern {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-            || (self.0.var_names == other.0.var_names
-                && self.0.patterns == other.0.patterns
-                && self.0.projection == other.0.projection
-                && self.0.filters == other.0.filters)
-    }
-}
-
-impl fmt::Display for QueryPattern {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    fn render(&self) -> Result<String, fmt::Error> {
+        let mut f = String::new();
         let proj: Vec<_> = self
             .0
             .projection
@@ -484,7 +481,27 @@ impl fmt::Display for QueryPattern {
         if let Some(n) = self.0.limit {
             write!(f, " LIMIT {n}")?;
         }
-        Ok(())
+        Ok(f)
+    }
+}
+
+/// Equal when every field the text renders is equal.
+impl PartialEq for QueryPattern {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.var_names == b.var_names
+                && a.patterns == b.patterns
+                && a.class_patterns == b.class_patterns
+                && a.projection == b.projection
+                && a.filters == b.filters
+                && (a.order_by, a.limit) == (b.order_by, b.limit))
+    }
+}
+
+impl fmt::Display for QueryPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.text())
     }
 }
 
@@ -837,10 +854,10 @@ mod tests {
     #[test]
     fn display_round_trips() {
         let qp = compile("SELECT X, Y FROM {X}prop1{Y}, {Y}prop2{Z} WHERE Z != &http://r").unwrap();
-        let text = qp.to_rql();
+        let text = qp.text();
         assert!(text.contains("n1:prop1"), "{text}");
         let schema = fig1_schema();
-        let qp2 = QueryPattern::resolve(&parse_query(&text).unwrap(), &schema).unwrap();
+        let qp2 = QueryPattern::resolve(&parse_query(text).unwrap(), &schema).unwrap();
         assert_eq!(qp.patterns(), qp2.patterns());
         assert_eq!(qp.projection(), qp2.projection());
     }

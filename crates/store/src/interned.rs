@@ -157,7 +157,7 @@ impl InternedBase {
         }
 
         InternedBase {
-            stats: base.statistics(),
+            stats: base.stats().clone(),
             schema,
             nodes,
             ids,

@@ -68,6 +68,8 @@ pub struct DescriptionBase {
     types_of: HashMap<Resource, Vec<ClassId>>,
     /// Lazily-built interned snapshot; invalidated by every mutation.
     interned: OnceLock<Arc<InternedBase>>,
+    /// Lazily-taken statistics snapshot; invalidated with `interned`.
+    stats: OnceLock<BaseStatistics>,
 }
 
 impl DescriptionBase {
@@ -78,6 +80,7 @@ impl DescriptionBase {
             prop_extents: vec![PropExtent::default(); schema.property_count()],
             types_of: HashMap::new(),
             interned: OnceLock::new(),
+            stats: OnceLock::new(),
             schema,
         }
     }
@@ -100,6 +103,7 @@ impl DescriptionBase {
     /// Adds a typing fact. Returns `true` if it was new.
     pub fn insert_typing(&mut self, typing: Typing) -> bool {
         self.interned.take();
+        self.stats.take();
         let newly = self.class_extents[typing.class.0 as usize].insert(typing.resource.clone());
         if newly {
             self.types_of
@@ -114,6 +118,7 @@ impl DescriptionBase {
     /// if it was new.
     pub fn insert_triple(&mut self, triple: Triple) -> bool {
         self.interned.take();
+        self.stats.take();
         self.prop_extents[triple.property.0 as usize].insert(triple.subject, triple.object)
     }
 
@@ -255,6 +260,13 @@ impl DescriptionBase {
             .classes()
             .filter(|c| !self.class_extents[c.0 as usize].is_empty())
             .collect()
+    }
+
+    /// The statistics snapshot of this base as it stands: taken on first
+    /// use after a mutation, then shared by every caller (the interned
+    /// snapshot, advertisements, data packets) until the next one.
+    pub fn stats(&self) -> &BaseStatistics {
+        self.stats.get_or_init(|| self.statistics())
     }
 
     /// Takes a statistics snapshot for advertisement and cost estimation.

@@ -8,6 +8,7 @@
 //! optimization").
 
 use sqpeer_rdfs::{ClassId, PropertyId, Schema};
+use std::sync::Arc;
 
 /// Per-property cardinalities.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,14 +29,23 @@ pub struct ClassStats {
 }
 
 /// A statistics snapshot of one peer base, with subsumption-closed lookups.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BaseStatistics {
+///
+/// Immutable and shared behind an [`Arc`]: every advertisement and data
+/// packet that carries the snapshot of one base version holds the same
+/// vectors, and a clone is a reference-count bump.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BaseStatistics(Arc<StatsData>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct StatsData {
     props: Vec<PropertyStats>,
     classes: Vec<ClassStats>,
     /// Closed (subsumption-aware) triple counts, precomputed at snapshot
     /// time so consumers do not need the schema.
     props_closed: Vec<PropertyStats>,
     classes_closed: Vec<ClassStats>,
+    /// The exact encoded size, computed once at construction.
+    wire_size: usize,
 }
 
 impl BaseStatistics {
@@ -68,44 +78,33 @@ impl BaseStatistics {
                 agg
             })
             .collect();
-        BaseStatistics {
-            props,
-            classes,
-            props_closed,
-            classes_closed,
-        }
+        BaseStatistics::from_raw_parts(props, classes, props_closed, classes_closed)
     }
 
     /// Direct statistics for property `p`.
     pub fn property(&self, p: PropertyId) -> PropertyStats {
-        self.props.get(p.0 as usize).copied().unwrap_or_default()
+        at(&self.0.props, p.0)
     }
 
     /// Subsumption-closed statistics for property `p` (includes all
     /// subproperties).
     pub fn property_closed(&self, p: PropertyId) -> PropertyStats {
-        self.props_closed
-            .get(p.0 as usize)
-            .copied()
-            .unwrap_or_default()
+        at(&self.0.props_closed, p.0)
     }
 
     /// Direct statistics for class `c`.
     pub fn class(&self, c: ClassId) -> ClassStats {
-        self.classes.get(c.0 as usize).copied().unwrap_or_default()
+        at(&self.0.classes, c.0)
     }
 
     /// Subsumption-closed statistics for class `c`.
     pub fn class_closed(&self, c: ClassId) -> ClassStats {
-        self.classes_closed
-            .get(c.0 as usize)
-            .copied()
-            .unwrap_or_default()
+        at(&self.0.classes_closed, c.0)
     }
 
     /// Total triples in the snapshot.
     pub fn total_triples(&self) -> usize {
-        self.props.iter().map(|p| p.triples).sum()
+        self.0.props.iter().map(|p| p.triples).sum()
     }
 
     /// Reassembles a snapshot from vectors produced by
@@ -118,48 +117,23 @@ impl BaseStatistics {
         props_closed: Vec<PropertyStats>,
         classes_closed: Vec<ClassStats>,
     ) -> Self {
-        BaseStatistics {
+        let wire_size = wire_size(&props, &classes, &props_closed, &classes_closed);
+        BaseStatistics(Arc::new(StatsData {
             props,
             classes,
             props_closed,
             classes_closed,
-        }
+            wire_size,
+        }))
     }
 
     /// The exact encoded size of this snapshot under the wire codec
-    /// (four length-prefixed vectors of varints), computed without
-    /// encoding. Message-size accounting uses this so the simulator
-    /// charges bandwidth for the bytes the codec actually frames,
-    /// instead of a flat per-snapshot guess.
+    /// (four length-prefixed vectors of varints), computed once when the
+    /// snapshot is built. Message-size accounting uses this so the
+    /// simulator charges bandwidth for the bytes the codec actually
+    /// frames, instead of a flat per-snapshot guess.
     pub fn wire_size(&self) -> usize {
-        fn varint_len(mut v: u64) -> usize {
-            let mut n = 1;
-            while v >= 0x80 {
-                v >>= 7;
-                n += 1;
-            }
-            n
-        }
-        fn props_len(ps: &[PropertyStats]) -> usize {
-            varint_len(ps.len() as u64)
-                + ps.iter()
-                    .map(|p| {
-                        varint_len(p.triples as u64)
-                            + varint_len(p.distinct_subjects as u64)
-                            + varint_len(p.distinct_objects as u64)
-                    })
-                    .sum::<usize>()
-        }
-        fn classes_len(cs: &[ClassStats]) -> usize {
-            varint_len(cs.len() as u64)
-                + cs.iter()
-                    .map(|c| varint_len(c.instances as u64))
-                    .sum::<usize>()
-        }
-        props_len(&self.props)
-            + classes_len(&self.classes)
-            + props_len(&self.props_closed)
-            + classes_len(&self.classes_closed)
+        self.0.wire_size
     }
 
     /// The four statistics vectors (direct properties, direct classes,
@@ -172,13 +146,47 @@ impl BaseStatistics {
         &[PropertyStats],
         &[ClassStats],
     ) {
-        (
-            &self.props,
-            &self.classes,
-            &self.props_closed,
-            &self.classes_closed,
-        )
+        let d = &*self.0;
+        (&d.props, &d.classes, &d.props_closed, &d.classes_closed)
     }
+}
+
+/// Entry `id` of a statistics vector; an id past its end counts nothing.
+fn at<T: Copy + Default>(stats: &[T], id: u32) -> T {
+    stats.get(id as usize).copied().unwrap_or_default()
+}
+
+fn wire_size(
+    props: &[PropertyStats],
+    classes: &[ClassStats],
+    props_closed: &[PropertyStats],
+    classes_closed: &[ClassStats],
+) -> usize {
+    fn varint_len(mut v: u64) -> usize {
+        let mut n = 1;
+        while v >= 0x80 {
+            v >>= 7;
+            n += 1;
+        }
+        n
+    }
+    fn props_len(ps: &[PropertyStats]) -> usize {
+        varint_len(ps.len() as u64)
+            + ps.iter()
+                .map(|p| {
+                    varint_len(p.triples as u64)
+                        + varint_len(p.distinct_subjects as u64)
+                        + varint_len(p.distinct_objects as u64)
+                })
+                .sum::<usize>()
+    }
+    fn classes_len(cs: &[ClassStats]) -> usize {
+        varint_len(cs.len() as u64)
+            + cs.iter()
+                .map(|c| varint_len(c.instances as u64))
+                .sum::<usize>()
+    }
+    props_len(props) + classes_len(classes) + props_len(props_closed) + classes_len(classes_closed)
 }
 
 #[cfg(test)]
@@ -223,7 +231,7 @@ mod tests {
 
     #[test]
     fn out_of_range_ids_default() {
-        let stats = BaseStatistics::default();
+        let stats = BaseStatistics::from_raw_parts(vec![], vec![], vec![], vec![]);
         assert_eq!(stats.property(PropertyId(42)).triples, 0);
         assert_eq!(stats.class_closed(ClassId(42)).instances, 0);
     }

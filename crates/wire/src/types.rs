@@ -5,7 +5,7 @@
 //!
 //! * **Queries travel as text.** A [`QueryPattern`] is schema-resolved and
 //!   interned; its canonical form on the wire is the schema fingerprint
-//!   plus its `to_rql()` rendering, recompiled at decode. This keeps the
+//!   plus its RQL text (`QueryPattern::text`), recompiled at decode. This keeps the
 //!   wire format stable across internal pattern-representation changes and
 //!   matches the paper's model of peers exchanging (RQL) query fragments.
 //! * **Statistics travel closed.** A [`BaseStatistics`] snapshot ships both
@@ -345,7 +345,7 @@ impl Wire for PeerAnnotation {
 impl Wire for QueryPattern {
     fn encode(&self, w: &mut Writer) {
         w.u64v(schema_fingerprint(self.schema()));
-        w.string(&self.to_rql());
+        w.string(self.text());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let fp = r.u64v()?;

@@ -12,8 +12,9 @@ use sqpeer_net::{Channel, ChannelId, ChannelState};
 use sqpeer_plan::{PlanNode, Site, Subquery};
 use sqpeer_rdfs::{Literal, Node, Resource};
 use sqpeer_routing::{route, Advertisement, PeerId, RoutingPolicy};
-use sqpeer_rql::{compile, ResultSet};
+use sqpeer_rql::{compile, QueryPattern, ResultSet};
 use sqpeer_rvl::ActiveSchema;
+use sqpeer_store::{BaseStatistics, ClassStats, PropertyStats};
 use sqpeer_testkit::fixtures::{fig1_schema, fig2_bases};
 use sqpeer_wire::{decode_value, encode_value, SchemaRegistry, Wire};
 
@@ -345,6 +346,36 @@ proptest! {
         prop_assert_eq!(used as usize, decoded.rows.dict().len());
     }
 
+    /// A snapshot's `wire_size`, computed once when it is built or
+    /// decoded, is exactly the bytes the codec writes, at every varint
+    /// width.
+    #[test]
+    fn statistics_wire_size_is_exact_at_any_magnitude(
+        counts in prop::collection::vec((0..64u32, any::<u64>()), 0..24)
+    ) {
+        let n: Vec<usize> = counts.iter().map(|&(shift, v)| (v >> shift) as usize).collect();
+        let props: Vec<PropertyStats> = n
+            .chunks_exact(3)
+            .map(|c| PropertyStats {
+                triples: c[0],
+                distinct_subjects: c[1],
+                distinct_objects: c[2],
+            })
+            .collect();
+        let classes: Vec<ClassStats> = n.iter().map(|&instances| ClassStats { instances }).collect();
+        let stats = BaseStatistics::from_raw_parts(
+            props.clone(),
+            classes.clone(),
+            props.into_iter().rev().collect(),
+            classes[..n.len() / 2].to_vec(),
+        );
+        let bytes = encode_value(&stats);
+        prop_assert_eq!(stats.wire_size(), bytes.len());
+        let decoded: BaseStatistics = decode_value(&bytes, &registry()).expect("decode");
+        prop_assert_eq!(decoded.wire_size(), bytes.len());
+        prop_assert_eq!(decoded, stats);
+    }
+
     #[test]
     fn plan_roundtrips(plan in arb_plan()) {
         let reg = registry();
@@ -430,4 +461,35 @@ fn statistics_roundtrip_preserves_closed_lookups() {
         assert_eq!(decoded.property_closed(p), stats.property_closed(p));
     }
     assert_eq!(decoded.total_triples(), stats.total_triples());
+}
+
+/// The same exactness over the fixture bases: a fresh snapshot, the one
+/// the base shares, and each decoded.
+#[test]
+fn statistics_wire_size_is_exact() {
+    let reg = registry();
+    let schema = fig1_schema();
+    for base in fig2_bases(&schema) {
+        for stats in [base.statistics(), base.stats().clone()] {
+            let bytes = encode_value(&stats);
+            assert_eq!(stats.wire_size(), bytes.len());
+            let decoded: BaseStatistics = decode_value(&bytes, &reg).unwrap();
+            assert_eq!(decoded.wire_size(), bytes.len());
+        }
+    }
+}
+
+/// A decoded query reads as the text it was encoded from and compares
+/// equal to the original on every rendered field.
+#[test]
+fn decoded_queries_read_as_encoded() {
+    let reg = registry();
+    let schema = fig1_schema();
+    let top_n = "SELECT X, Y FROM {X}prop1{Y}, {X;C5} ORDER BY Y DESC LIMIT 4";
+    for text in QUERY_TEXTS.into_iter().chain([top_n]) {
+        let query = compile(text, &schema).unwrap();
+        let decoded: QueryPattern = decode_value(&encode_value(&query), &reg).unwrap();
+        assert_eq!(decoded.text(), query.text());
+        assert_eq!(decoded, query);
+    }
 }
