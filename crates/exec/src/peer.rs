@@ -550,6 +550,11 @@ impl Timer {
         }
     }
 
+    /// Does [`PeerNode::on_timer`] re-arm this timer whenever it fires?
+    fn periodic(&self) -> bool {
+        matches!(self, Timer::Heartbeat | Timer::Sweep | Timer::Obs)
+    }
+
     /// Does this timer hold one of the peer's §2.5 processing slots?
     fn holds_slot(&self) -> bool {
         matches!(self, Timer::Completion { .. } | Timer::Production(_))
@@ -819,12 +824,13 @@ impl PeerNode {
 
     /// A canonical digest of this peer's protocol state, by which the model
     /// checker (`sqpeer-model`) tells explored states apart: what a later
-    /// step reads, in sorted order, with no clock reading and no timer id.
-    /// Left out: the immutable configuration and base, the answers a client
-    /// keeps, the tracer, the semantic cache (cached ≡ uncached), the
+    /// step reads, in sorted order, with no timer id and time only relative
+    /// to `now_us` (each lease deadline as the time it has left). Left out:
+    /// the immutable configuration and base, the answers a client keeps,
+    /// the tracer, the semantic cache (cached ≡ uncached), the
     /// observability plane, telemetry, and the SON state beyond the
-    /// registry and the departed set.
-    pub fn digest(&self) -> u64 {
+    /// registry, the leases and the departed set.
+    pub fn digest(&self, now_us: u64) -> u64 {
         let h = &mut std::collections::hash_map::DefaultHasher::new();
         (self.queries_processed, self.next_frame).hash(h);
         self.dispatch.digest(h);
@@ -851,6 +857,9 @@ impl PeerNode {
         let ads = self.son.registry.advertisements();
         let registered: Vec<PeerId> = ads.iter().map(|ad| ad.peer).collect();
         (registered, self.son.departed_peers()).hash(h);
+        for (peer, at) in self.son.lease_deadlines() {
+            (peer, at.saturating_sub(now_us)).hash(h);
+        }
         h.finish()
     }
 
@@ -1067,6 +1076,12 @@ impl PeerNode {
     /// depending on arm order.
     pub fn timer_kind(&self, timer: u64) -> &'static str {
         self.timers.get(&timer).map_or("unknown", Timer::kind)
+    }
+
+    /// Does armed timer id `timer` re-arm itself whenever it fires
+    /// (heartbeat, sweep, obs rollup)? Such a timer never quiesces.
+    pub fn timer_periodic(&self, timer: u64) -> bool {
+        self.timers.get(&timer).is_some_and(Timer::periodic)
     }
 
     /// Arms `timer` to fire after `delay_us`.
@@ -3793,8 +3808,8 @@ mod tests {
     }
 
     /// Arms every [`Timer`] kind and checks the names `model::conform`
-    /// selects timers by, then that a restart forgets every timer except
-    /// the periodic ones `on_restart` re-arms.
+    /// selects timers by and which of them re-arm, then that a restart
+    /// forgets every timer except the periodic ones `on_restart` re-arms.
     #[test]
     fn timer_table_names_every_kind_and_restart_keeps_only_periodic() {
         let schema = fig1_schema();
@@ -3842,11 +3857,17 @@ mod tests {
         );
         assert_eq!(node.timer_kind(8), "unknown");
         assert_eq!(node.timers.values().filter(|t| t.holds_slot()).count(), 2);
+        let periodic: Vec<bool> = (0..9).map(|id| node.timer_periodic(id)).collect();
+        assert_eq!(
+            periodic,
+            [true, true, true, false, false, false, false, false, false]
+        );
 
         let mut ctx = Ctx::detached(10, NodeId(1));
         node.on_restart(&mut ctx);
         assert_eq!(kinds(&node, ctx), ["heartbeat", "sweep", "obs"]);
         assert_eq!(node.timers.len(), 3, "pre-crash timers are forgotten");
+        assert!((8..11).all(|id| node.timer_periodic(id)));
         assert!((0..8).all(|id| node.timer_kind(id) == "unknown"));
     }
 
@@ -4058,7 +4079,7 @@ mod tests {
             let holder = if to == PeerId(2) { &mut p2 } else { &mut p3 };
             answers.push((to, hand(holder, PeerId(1), subplan).0.remove(0).1));
         }
-        let posed = first.digest();
+        let posed = first.digest(0);
         for (from, answer) in answers.iter().cloned() {
             hand(&mut first, from, answer);
         }
@@ -4068,8 +4089,8 @@ mod tests {
         assert!(first
             .outcome(QueryId(1))
             .is_some_and(|o| o.result.len() == 2));
-        assert_eq!(first.digest(), second.digest());
-        assert_ne!(first.digest(), posed);
+        assert_eq!(first.digest(0), second.digest(0));
+        assert_ne!(first.digest(0), posed);
     }
 
     /// A retry changes nothing at the root but the subplan's attempt — and
@@ -4083,7 +4104,7 @@ mod tests {
         };
         let (mut root, _, _) = chain_trio(config);
         let (_, timeouts) = pose_chain(&mut root);
-        let first = root.digest();
+        let first = root.digest(0);
         let mut ctx = Ctx::detached(1_000, node_of(root.id));
         root.on_timer(&mut ctx, timeouts[0]);
         let resent = ctx.into_effects().outbox;
@@ -4091,7 +4112,24 @@ mod tests {
             resent[..],
             [(_, Msg::Subplan { attempt: 1, .. }, _)]
         ));
-        assert_ne!(root.digest(), first);
+        assert_ne!(root.digest(0), first);
+    }
+
+    /// Lease deadlines enter the digest as the time they have left: a peer
+    /// armed a second later is the same state a second later, and not the
+    /// same state at the same instant.
+    #[test]
+    fn digest_reads_lease_deadlines_relative_to_now() {
+        let config = PeerConfig {
+            ad_lease_us: Some(4_000_000),
+            ..adhoc_config()
+        };
+        let (mut early, mut late) = (chain_trio(config.clone()).0, chain_trio(config).0);
+        early.on_start(&mut Ctx::detached(0, NodeId(1)));
+        late.on_start(&mut Ctx::detached(1_000_000, NodeId(1)));
+        assert_eq!(early.son.lease_deadlines().len(), 2, "P2's and P3's ads");
+        assert_eq!(early.digest(0), late.digest(1_000_000));
+        assert_ne!(early.digest(0), late.digest(0));
     }
 
     /// Tracing is left out: the same run with the recorder on and off
@@ -4110,7 +4148,7 @@ mod tests {
                 hand(&mut p1, to, answer[0].1.clone());
             }
             assert!(p1.outcome(QueryId(1)).is_some());
-            [p1.digest(), p2.digest(), p3.digest()]
+            [p1.digest(0), p2.digest(0), p3.digest(0)]
         };
         assert_eq!(digests(true), digests(false));
     }

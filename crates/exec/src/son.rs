@@ -35,7 +35,7 @@
 //! relay claims.
 
 use crate::msg::{HierScope, Msg, QueryId};
-use crate::peer::{PeerConfig, PeerMode, Role};
+use crate::peer::{by_key, PeerConfig, PeerMode, Role};
 use crate::send;
 use sqpeer_net::Ctx;
 use sqpeer_rdfs::{FxHashMap, FxHashSet};
@@ -292,8 +292,14 @@ impl Directory {
 
     /// Heartbeat/sweep period: a quarter of the lease, so a peer can lose
     /// three consecutive heartbeats before its advertisement expires.
-    pub(crate) fn lease_period(&self) -> Option<u64> {
+    pub fn lease_period(&self) -> Option<u64> {
         self.lease_us.map(|l| (l / 4).max(1))
+    }
+
+    /// The lease deadline of every advertisement held here, in peer order
+    /// (inspection).
+    pub fn lease_deadlines(&self) -> Vec<(&PeerId, &u64)> {
+        by_key(&self.lease_expiry)
     }
 
     /// Lease sweeps run wherever advertisements are held: super-peers in
@@ -321,7 +327,7 @@ impl Directory {
 
     /// Everyone holding this peer's advertisement: super-peers in hybrid
     /// mode, semantic neighbours in ad-hoc mode.
-    pub(crate) fn ad_holders(&self) -> &[PeerId] {
+    pub fn ad_holders(&self) -> &[PeerId] {
         match self.mode {
             PeerMode::Hybrid => &self.super_peers,
             PeerMode::Adhoc => &self.neighbours,

@@ -11,13 +11,14 @@
 //! [`PeerMachine`] makes those schedules a [`Machine`]: a state is the
 //! shortest schedule found to reach it, replayed on a fresh [`scenarios`]
 //! builder and identified by [`Conductor::digest`]; an action is one trace
-//! step. The dispatch, retry, dedup and replan code the explorer checks is
-//! therefore the code that ships, and every counterexample is a trace
-//! [`Conductor::run`] replays.
+//! step. The dispatch, retry, dedup, replan and lease code the explorer
+//! checks is therefore the code that ships, and every counterexample is a
+//! trace [`Conductor::run`] replays.
 //!
 //! Determinism: the pool preserves send order, selectors resolve to the
 //! first match (`nth=` overrides), and virtual time only advances via
-//! `advance` steps or when a timer fires. Replaying a trace twice yields
+//! `advance` steps or when a timer fires — while periodic timers are
+//! armed, only when one of them does. Replaying a trace twice yields
 //! identical outcomes.
 
 use crate::explore::Machine;
@@ -35,6 +36,8 @@ pub struct Flight {
     pub from: NodeId,
     pub to: NodeId,
     pub msg: Msg,
+    /// When it was sent (a duplicate keeps its original's).
+    pub sent_us: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -68,6 +71,12 @@ pub struct Conductor {
     /// live peer, with the peer and the restarts it had had by then.
     handed: BTreeSet<(NodeId, u32, PeerId, QueryId, u64, u32)>,
     restarts: BTreeMap<NodeId, u32>,
+    /// When each peer last went down or came back up; a peer missing here
+    /// has been up since boot (time 0). A ghost for the down-convergence
+    /// invariant — no peer reads it.
+    since: BTreeMap<NodeId, u64>,
+    /// `D` in heartbeat periods (see `bounds`); a scenario sets it.
+    delay_periods: u64,
     /// The protocol counters the hosted peers reported.
     pub counters: Counters,
 }
@@ -76,15 +85,79 @@ impl Conductor {
     /// The state the explorer tells schedules apart by: every peer's
     /// [`PeerNode::digest`], who is down, the in-flight messages as a
     /// multiset, what the adversary has spent and the subplans handed out.
-    /// Pending timers are in the peers' digests; the clock is not.
+    /// Pending timers are in the peers' digests. The clock is not; what
+    /// reads it is, relative to now: while a periodic timer ticks, each
+    /// timer's due, and with leases on, each flight's age and the `since`
+    /// ghost, saturated at their bounds.
     pub fn digest(&self) -> u64 {
-        let h = &mut DefaultHasher::new();
+        let (h, now) = (&mut DefaultHasher::new(), self.now_us);
         for (id, node) in &self.nodes {
-            (id, node.digest()).hash(h);
+            (id, node.digest(now)).hash(h);
         }
-        let mut pool: Vec<u64> = self.pool.iter().map(flight_digest).collect();
+        let mut pool: Vec<u64> = self.pool.iter().map(|f| self.flight_digest(f)).collect();
         pool.sort_unstable();
         (&self.down, pool, self.spent, &self.handed, &self.restarts).hash(h);
+        let due = |t: &PendingTimer| (t.node, self.kind(t), t.due_us.saturating_sub(now));
+        let ticking = self.ticking();
+        let mut timers: Vec<_> = self.timers.iter().filter(|_| ticking).map(due).collect();
+        timers.sort_unstable();
+        (timers, self.quiet()).hash(h);
+        h.finish()
+    }
+
+    /// For each lease whose member is down and whose holder is up, how
+    /// long both have been so: all the down-convergence invariant reads
+    /// of the `since` ghost, saturated at its bound.
+    fn quiet(&self) -> Vec<(NodeId, NodeId, u64)> {
+        let Some((_, _, bound)) = self.bounds() else {
+            return Vec::new();
+        };
+        let pairs = self.leases().into_iter();
+        let pairs = pairs.filter(|(h, m)| self.down.contains(m) && !self.down.contains(h));
+        let since = |n| self.since.get(&n).copied().unwrap_or(0);
+        let quiet = |h, m| (self.now_us - since(h).max(since(m))).min(bound);
+        pairs.map(|(h, m)| (h, m, quiet(h, m))).collect()
+    }
+
+    /// `(lease, D, down)` in µs, from the first peer running leases. A
+    /// heartbeat carries no timestamp, so only `D`, the longest a message
+    /// may stay in flight, keeps a stale one from renewing a dead member;
+    /// what the code then meets: a member down for `down = D + lease +
+    /// period` is tombstoned at every holder up for as long.
+    fn bounds(&self) -> Option<(u64, u64, u64)> {
+        let mut peers = self.nodes.values();
+        let (lease, period) = peers.find_map(|n| n.config.ad_lease_us.zip(n.son.lease_period()))?;
+        let delay = self.delay_periods * period;
+        Some((lease, delay, delay + lease + period))
+    }
+
+    /// Every lease kept, as `(holder, member)`: a data peer and each peer
+    /// it advertises to that runs leases.
+    fn leases(&self) -> Vec<(NodeId, NodeId)> {
+        let members = self.nodes.iter().filter(|(_, n)| n.role == Role::Simple);
+        let ads =
+            members.flat_map(|(&m, n)| n.son.ad_holders().iter().map(move |&h| (node_of(h), m)));
+        let leased =
+            |h: &NodeId| (self.nodes.get(h)).is_some_and(|n| n.son.lease_period().is_some());
+        ads.filter(|(h, _)| leased(h)).collect()
+    }
+
+    /// Member `m`'s advertisement at holder `h`: `Some(true)` tombstoned,
+    /// `Some(false)` registered, `None` neither (or both).
+    fn lease_at(&self, h: NodeId, m: NodeId) -> Option<bool> {
+        let (holder, peer) = (&self.nodes[&h], self.nodes[&m].id);
+        let departed = holder.departed_peers().contains(&peer);
+        (departed != holder.son.registry.get(peer).is_some()).then_some(departed)
+    }
+
+    /// A message in flight as the explorer tells it apart: its ends, its
+    /// wire encoding and — with leases on — its age, saturated at `D`.
+    fn flight_digest(&self, flight: &Flight) -> u64 {
+        let h = &mut DefaultHasher::new();
+        let encoded = sqpeer_wire::encode_value(&flight.msg);
+        let age = self.bounds().map_or(0, |(_, delay, _)| delay);
+        let age = (self.now_us - flight.sent_us).min(age);
+        (flight.from, flight.to, encoded, age).hash(h);
         h.finish()
     }
 
@@ -110,17 +183,19 @@ impl Conductor {
     /// Places a message in the pool without delivering it — scenario
     /// setup for client injections; the trace decides when it lands.
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: Msg) {
-        self.pool.push(Flight { from, to, msg });
+        let sent_us = self.now_us;
+        self.pool.push(Flight {
+            from,
+            to,
+            msg,
+            sent_us,
+        });
     }
 
     fn flush(&mut self, node: NodeId, ctx: Ctx<Msg>) {
         let effects = ctx.into_effects();
         for (to, msg, _bytes) in effects.outbox {
-            self.pool.push(Flight {
-                from: node,
-                to,
-                msg,
-            });
+            self.inject(node, to, msg);
         }
         for (delay, id) in effects.timers {
             let seq = self.seq;
@@ -136,7 +211,7 @@ impl Conductor {
     }
 
     fn dispatch(&mut self, flight: Flight) {
-        let Flight { from, to, msg } = flight;
+        let Flight { from, to, msg, .. } = flight;
         if self.down.contains(&to) || !self.nodes.contains_key(&to) {
             // The destination is gone: the only signal the sender gets is
             // the delivery-failure callback (mirrors the simulator).
@@ -200,9 +275,24 @@ impl Conductor {
         format!("pool: [{}]", pool.join(", "))
     }
 
+    /// The clock once `t` fires: its due — except that while periodic
+    /// timers tick, they alone move the clock, and a one-shot timer fires
+    /// early, at now.
+    fn fire_at(&self, t: &PendingTimer) -> u64 {
+        if self.ticking() && !self.periodic(t) {
+            return self.now_us;
+        }
+        self.now_us.max(t.due_us)
+    }
+
+    /// Is a periodic timer armed — is the clock state?
+    fn ticking(&self) -> bool {
+        self.timers.iter().any(|t| self.periodic(t))
+    }
+
     fn fire_timer(&mut self, at: usize) {
+        self.now_us = self.fire_at(&self.timers[at]);
         let timer = self.timers.remove(at);
-        self.now_us = self.now_us.max(timer.due_us);
         let mut ctx = Ctx::detached(self.now_us, timer.node);
         if let Some(node) = self.nodes.get_mut(&timer.node) {
             node.on_timer(&mut ctx, timer.id);
@@ -218,9 +308,10 @@ impl Conductor {
     }
 
     /// Does pending timer `t` re-arm itself whenever it fires? Such a timer
-    /// never quiesces: neither `drain` nor the explorer fires it unbidden.
+    /// never quiesces: `drain` never fires it, and the explorer only as
+    /// the next tick of the clock.
     fn periodic(&self, t: &PendingTimer) -> bool {
-        matches!(self.kind(t), "heartbeat" | "sweep" | "obs")
+        (self.nodes.get(&t.node)).is_some_and(|node| node.timer_periodic(t.id))
     }
 
     /// Index (into `self.timers`) of the earliest-due timer matching the
@@ -375,6 +466,7 @@ impl Conductor {
             "down" => {
                 let node = NodeId(step.need_u64("node")? as u32);
                 self.down.insert(node);
+                self.since.insert(node, self.now_us);
                 self.spent.crashes += 1;
                 // A crashed process loses its pending timers.
                 self.timers.retain(|t| t.node != node);
@@ -385,6 +477,7 @@ impl Conductor {
                     return Err(format!("step `{step}`: node {} was not down", node.0));
                 }
                 *self.restarts.entry(node).or_default() += 1;
+                self.since.insert(node, self.now_us);
                 let mut ctx = Ctx::detached(self.now_us, node);
                 if let Some(n) = self.nodes.get_mut(&node) {
                     n.on_restart(&mut ctx);
@@ -487,15 +580,6 @@ fn flight_matches(flight: &Flight, step: &Step) -> Result<bool, String> {
     Ok(true)
 }
 
-/// A message in flight as the explorer tells it apart: its ends and its
-/// wire encoding.
-fn flight_digest(flight: &Flight) -> u64 {
-    let h = &mut DefaultHasher::new();
-    let encoded = sqpeer_wire::encode_value(&flight.msg);
-    (flight.from, flight.to, encoded).hash(h);
-    h.finish()
-}
-
 /// A trace line: `verb` and its selectors.
 fn line(verb: &str, kv: &[(String, String)]) -> Step {
     let (verb, kv) = (verb.to_string(), kv.to_vec());
@@ -554,9 +638,9 @@ impl std::fmt::Debug for Reached {
 }
 
 /// The peers of a [`scenarios`] builder under a budgeted adversary, as a
-/// [`Machine`]. Its invariants are those of the hand-written dispatch
-/// and replan models it replaced, checked on real outcomes against an
-/// oracle — the scenario drained with no adversary:
+/// [`Machine`]. Its invariants are those of the hand-written dispatch,
+/// replan and lease models it replaced, checked on real outcomes against
+/// an oracle — the scenario drained with no adversary:
 ///
 /// - honesty: an answer is partial exactly when it names missing peers,
 ///   and a complete one has the oracle's rows;
@@ -565,10 +649,14 @@ impl std::fmt::Debug for Reached {
 ///   `(root, qid, tag, attempt)` delivered to it (per incarnation);
 /// - ladder: no subplan in flight carries an attempt beyond its sender's
 ///   `subplan_retries`;
-/// - replans: no answer took more than [`PeerConfig::MAX_REPLANS`].
+/// - replans: no answer took more than [`PeerConfig::MAX_REPLANS`];
+/// - grant: no lease deadline lies more than a lease past now;
+/// - down-convergence: a member down, at a holder up, for the bound the
+///   code meets (`Conductor::bounds`) is tombstoned there.
 ///
-/// The goal is every posed query answered at its root and nothing in
-/// flight.
+/// The goal is every posed query answered at its root, every live member
+/// registered and every down one tombstoned at each live holder, and
+/// nothing but heartbeats in flight.
 pub struct PeerMachine {
     cfg: PeerCfg,
     /// The posed queries, `(root, qid)`, with the oracle's rows.
@@ -615,11 +703,14 @@ impl PeerMachine {
         }
         let answered =
             (self.oracle.keys()).all(|&(root, qid)| c.nodes[&root].outcome(qid).is_some());
+        let settled = (c.leases().into_iter())
+            .filter(|(h, _)| !c.down.contains(h))
+            .all(|(h, m)| c.lease_at(h, m) == Some(c.down.contains(&m)));
         Reached {
             digest: c.digest(),
             next: self.next(&c),
             verdict: self.check(&c),
-            goal: answered && c.pool.is_empty(),
+            goal: answered && settled && c.pool.iter().all(|f| matches!(f.msg, Msg::Heartbeat)),
             schedule,
         }
     }
@@ -627,13 +718,15 @@ impl PeerMachine {
     /// Deliver any message in flight; drop or duplicate one a peer sent
     /// (the client's injection stays reliable) while the budget lasts;
     /// fire any pending one-shot timer, in any order — one fired early
-    /// stands for a slow link; take a peer rooting no query down while the
-    /// budget lasts, or bring it back up.
+    /// stands for a slow link; fire the earliest-due periodic timer — the
+    /// clock's tick — unless it would pass a one-shot's due; never fire a
+    /// timer that leaves a message in flight longer than `D`; take a peer
+    /// rooting no query down while the budget lasts, or bring it back up.
     fn next(&self, c: &Conductor) -> Vec<Step> {
         let (budget, spent, mut out) = (self.cfg.budget, c.spent, Vec::new());
         let mut seen = BTreeSet::new();
         for (i, f) in c.pool.iter().enumerate() {
-            if !seen.insert(flight_digest(f)) {
+            if !seen.insert(c.flight_digest(f)) {
                 continue; // the same successors as its twin
             }
             let mut pairs = vec![("kind", msg_kind(&f.msg).to_string())];
@@ -654,9 +747,17 @@ impl PeerMachine {
                 out.push(line("dup", &kv));
             }
         }
-        let mut timers: Vec<&PendingTimer> = c.timers.iter().filter(|t| !c.periodic(t)).collect();
+        let mut timers: Vec<&PendingTimer> = c.timers.iter().collect();
         timers.sort_by_key(|t| (t.due_us, t.seq));
+        let tick = timers.iter().find(|t| c.periodic(t)).map(|t| t.seq);
+        let delay = c.bounds().map_or(u64::MAX, |(_, delay, _)| delay);
         for (i, t) in timers.iter().enumerate() {
+            let at = c.fire_at(t);
+            let stale = c.pool.iter().any(|f| at - f.sent_us > delay);
+            let overdue = timers.iter().any(|u| !c.periodic(u) && u.due_us < at);
+            if stale || (c.periodic(t) && (overdue || Some(t.seq) != tick)) {
+                continue;
+            }
             let twins = timers[..i]
                 .iter()
                 .filter(|u| u.node == t.node && c.kind(u) == c.kind(t));
@@ -724,6 +825,23 @@ impl PeerMachine {
                 }
             }
         }
+        let Some((lease, _, down)) = c.bounds() else {
+            return Ok(());
+        };
+        for (id, node) in &c.nodes {
+            for (peer, &at) in node.son.lease_deadlines() {
+                if at > c.now_us + lease {
+                    let (id, peer, now) = (id.0, peer.0, c.now_us);
+                    return Err(format!("grant: node {id} holds {peer} to {at} at {now}"));
+                }
+            }
+        }
+        for (h, m, quiet) in c.quiet() {
+            if quiet >= down && c.lease_at(h, m) != Some(true) {
+                let (h, m) = (h.0, m.0);
+                return Err(format!("down-convergence: {m} down {down} µs, live at {h}"));
+            }
+        }
         Ok(())
     }
 }
@@ -768,21 +886,21 @@ impl Machine for PeerMachine {
 /// The bounded configurations CI explores to a fixpoint. Between them: a
 /// deep retry ladder, drop plus duplicate, duplicates across rounds, a
 /// crashed contributor and the replan it forces, a failover to a second
-/// contributor, two concurrent queries, and loss inside a streamed answer.
+/// contributor, two concurrent queries, loss inside a streamed answer,
+/// and leases under duplication, loss, member and holder crashes, and a
+/// crashed streamer.
 pub fn configs() -> Vec<PeerCfg> {
-    let cfg = |name, scenario, (drops, dups, crashes)| {
-        let budget = Faults {
+    let cfg = |name, scenario, (drops, dups, crashes)| PeerCfg {
+        name,
+        scenario,
+        budget: Faults {
             drops,
             dups,
             crashes,
-        };
-        PeerCfg {
-            name,
-            scenario,
-            budget,
-        }
+        },
     };
-    use scenarios::{failover_trio, retry_pair, retry_pair_twice, streaming_pair};
+    use scenarios::{failover_trio, retry_pair, retry_pair_twice};
+    use scenarios::{lease_super_pair, streaming_lease_pair, streaming_pair};
     vec![
         cfg("retry2-drop", || retry_pair(2), (1, 0, 0)),
         cfg("retry1-drop-dup", || retry_pair(1), (1, 1, 0)),
@@ -791,12 +909,17 @@ pub fn configs() -> Vec<PeerCfg> {
         cfg("failover-drop", || failover_trio(0), (1, 0, 0)),
         cfg("two-queries-dup", || retry_pair_twice(0), (0, 1, 0)),
         cfg("stream-drop", || streaming_pair(2, 1), (1, 0, 0)),
+        cfg("lease-steady-dup", || lease_super_pair(true), (0, 1, 0)),
+        cfg("lease-crash-drop", || lease_super_pair(true), (1, 0, 1)),
+        cfg("lease-crash-dup", || lease_super_pair(true), (0, 1, 1)),
+        cfg("lease-holder-restart", || lease_super_pair(true), (0, 0, 2)),
+        cfg("lease-stream-crash", streaming_lease_pair, (0, 0, 1)),
     ]
 }
 
 /// Shared scenario builders for the named conformance traces. Each
-/// returns a booted [`Conductor`] with the client query already pooled;
-/// the trace owns the schedule from the first `deliver` on.
+/// returns a booted [`Conductor`], with the client query already pooled
+/// unless it says otherwise; the trace owns the schedule from there on.
 pub mod scenarios {
     use super::*;
     use sqpeer_exec::PeerMode;
@@ -881,9 +1004,25 @@ pub mod scenarios {
     /// `window` — the streaming machine's conformance scenario (the
     /// four-row join arrives as several seq-numbered packets).
     pub fn streaming_pair(rows: usize, window: u32) -> Conductor {
+        streaming(rows, window, None)
+    }
+
+    /// [`streaming_pair`]`(2, 1)` under [`LEASE_US`] leases, with a subplan
+    /// timeout of one heartbeat period and no retries: a lease can run out
+    /// while the answer streams.
+    pub fn streaming_lease_pair() -> Conductor {
+        streaming(2, 1, Some(LEASE_US))
+    }
+
+    fn streaming(rows: usize, window: u32, lease_us: Option<u64>) -> Conductor {
         let mut config = adhoc_config();
         config.stream_batch_rows = Some(rows);
         config.stream_credit_window = window;
+        if let Some(lease) = lease_us {
+            config.ad_lease_us = lease_us;
+            config.subplan_timeout_us = Some(lease / 4);
+            config.subplan_retries = 0;
+        }
         let triples = ["c0", "c1", "c2", "c3"].map(|c| ("b", "prop2", c));
         build(config, &[&triples])
     }
@@ -915,6 +1054,35 @@ pub mod scenarios {
         chain_pair(|config| {
             config.ad_lease_us = Some(lease_us);
         })
+    }
+
+    /// The lease the lease scenarios run: heartbeat and sweep every 1 s.
+    pub const LEASE_US: u64 = 4_000_000;
+
+    /// The §3.1 SON at its smallest: super-peer P1 holds the
+    /// advertisement of its one hybrid member P2 under a [`LEASE_US`]
+    /// lease, `D` one heartbeat period, and no query is posed — P2
+    /// heartbeats, P1 sweeps, and either may crash. With `member_leases`
+    /// off, P2 never heartbeats.
+    pub fn lease_super_pair(member_leases: bool) -> Conductor {
+        let config = |on: bool| PeerConfig {
+            ad_lease_us: on.then_some(LEASE_US),
+            ..PeerConfig::default()
+        };
+        let base = base_with(&fig1_schema(), &[("b", "prop2", "c")]);
+        let mut member = PeerNode::simple(PeerId(2), base, config(member_leases));
+        member.son.super_peers = vec![PeerId(1)];
+        let mut holder = PeerNode::super_peer(PeerId(1), config(true));
+        let ad = member.own_advertisement().unwrap();
+        holder.son.registry.register(ad);
+        let mut conductor = Conductor {
+            delay_periods: 1,
+            ..Conductor::default()
+        };
+        conductor.add_peer(holder);
+        conductor.add_peer(member);
+        conductor.boot();
+        conductor
     }
 
     /// Three peers: P2 holds `(b, prop2, c)` and P3 holds `(b, prop2,

@@ -26,7 +26,7 @@
 //! ([`crate::trace`]), so a counterexample is directly a replayable
 //! artifact.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A small-state protocol FSM the explorer can exhaust.
@@ -169,57 +169,42 @@ impl Report {
     }
 }
 
+/// Every state found, by id — ids are handed out in BFS order, so
+/// expanding states in id order *is* the BFS queue — with its goal test
+/// and its BFS-tree parent (state and rendered action), from which
+/// counterexamples read their shortest schedules.
+type Found<S> = Vec<(S, bool, Option<(u32, String)>)>;
+
 /// Exhausts `machine`'s reachable states, panicking if the fixpoint
 /// exceeds `max_states` (a budget breach means the configuration is not
 /// small-state and the "exhaustive" claim would be silently hollow).
 pub fn explore<M: Machine>(machine: &M, max_states: usize) -> Report {
-    let mut states: Vec<M::State> = Vec::new();
+    let mut found: Found<M::State> = Vec::new();
     let mut index: HashMap<M::State, u32> = HashMap::new();
-    // BFS tree: parent state + rendered action, for shortest-schedule
-    // counterexamples.
-    let mut parent: Vec<Option<(u32, String)>> = Vec::new();
-    // Fair successors per state, for the liveness analysis.
-    let mut fair_succ: Vec<Vec<u32>> = Vec::new();
-    let mut goal: Vec<bool> = Vec::new();
-
-    let mut intern = |s: M::State,
-                      from: Option<(u32, &M::Action)>,
-                      states: &mut Vec<M::State>,
-                      parent: &mut Vec<Option<(u32, String)>>,
-                      fair_succ: &mut Vec<Vec<u32>>,
-                      goal: &mut Vec<bool>,
-                      queue: &mut VecDeque<u32>|
-     -> u32 {
+    let mut intern = |s: M::State, from: Option<(u32, &M::Action)>, found: &mut Found<_>| {
         if let Some(&id) = index.get(&s) {
             return id;
         }
-        let id = u32::try_from(states.len()).expect("state count fits u32");
+        let id = u32::try_from(found.len()).expect("state count fits u32");
+        let (goal, parent) = (
+            machine.is_goal(&s),
+            from.map(|(p, a)| (p, machine.render_action(a))),
+        );
         index.insert(s.clone(), id);
-        goal.push(machine.is_goal(&s));
-        states.push(s);
-        parent.push(from.map(|(p, a)| (p, machine.render_action(a))));
-        fair_succ.push(Vec::new());
-        queue.push_back(id);
+        found.push((s, goal, parent));
         id
     };
+    intern(machine.initial(), None, &mut found);
 
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    intern(
-        machine.initial(),
-        None,
-        &mut states,
-        &mut parent,
-        &mut fair_succ,
-        &mut goal,
-        &mut queue,
-    );
-
+    // Fair successors per state, for the liveness analysis.
+    let mut fair_succ: Vec<Vec<u32>> = Vec::new();
     let mut transitions = 0usize;
     let mut actions: Vec<M::Action> = Vec::new();
     let mut violation: Option<(u32, ViolationKind)> = None;
 
-    'bfs: while let Some(id) = queue.pop_front() {
-        let state = states[id as usize].clone();
+    'bfs: while let Some((state, goal)) = found.get(fair_succ.len()).map(|f| (f.0.clone(), f.1)) {
+        let id = fair_succ.len() as u32;
+        fair_succ.push(Vec::new());
         if let Err(inv) = machine.invariant(&state) {
             violation = Some((id, ViolationKind::Safety(inv)));
             break 'bfs;
@@ -227,75 +212,71 @@ pub fn explore<M: Machine>(machine: &M, max_states: usize) -> Report {
         actions.clear();
         machine.actions(&state, &mut actions);
         if actions.is_empty() {
-            if !goal[id as usize] {
+            if !goal {
                 violation = Some((id, ViolationKind::Deadlock));
                 break 'bfs;
             }
             continue;
         }
         let mut any_fair = false;
-        let acts = std::mem::take(&mut actions);
-        for action in &acts {
+        for action in &actions {
             transitions += 1;
-            let succ = machine.apply(&state, action);
-            let succ_id = intern(
-                succ,
+            let succ = intern(
+                machine.apply(&state, action),
                 Some((id, action)),
-                &mut states,
-                &mut parent,
-                &mut fair_succ,
-                &mut goal,
-                &mut queue,
+                &mut found,
             );
             if machine.is_fair(action) {
                 any_fair = true;
-                fair_succ[id as usize].push(succ_id);
+                fair_succ[id as usize].push(succ);
             }
         }
-        actions = acts;
-        if !any_fair && !goal[id as usize] {
+        if !any_fair && !goal {
             violation = Some((id, ViolationKind::FairWedge));
             break 'bfs;
         }
         assert!(
-            states.len() <= max_states,
+            found.len() <= max_states,
             "{}: exceeded the {max_states}-state budget before the fixpoint — \
              the configuration is not small-state",
             machine.name()
         );
     }
 
-    let goal_states = goal.iter().filter(|g| **g).count();
-
+    let n = found.len();
+    let goal_states = found.iter().filter(|f| f.1).count();
+    let report = |violation, termination| Report {
+        name: machine.name(),
+        states: n,
+        transitions,
+        goal_states,
+        violation,
+        termination,
+    };
+    let counterexample = |kind, at: usize, cycle| {
+        let (state, schedule) = (format!("{:?}", found[at].0), schedule_to(&found, at));
+        Some(Counterexample {
+            kind,
+            schedule,
+            state,
+            cycle,
+        })
+    };
     if let Some((id, kind)) = violation {
-        let schedule = schedule_to(&parent, id);
-        return Report {
-            name: machine.name(),
-            states: states.len(),
-            transitions,
-            goal_states,
-            violation: Some(Counterexample {
-                kind,
-                schedule,
-                state: format!("{:?}", states[id as usize]),
-                cycle: Vec::new(),
-            }),
-            termination: None,
-        };
+        return report(counterexample(kind, id as usize, Vec::new()), None);
     }
 
     // Termination: the fair sub-graph restricted to non-goal states must
     // be acyclic. Iterative DFS with tri-colour marks; a back edge is a
     // fair non-terminating execution.
-    let n = states.len();
     let mut color = vec![0u8; n]; // 0 white, 1 on stack, 2 done
     let mut fair_transitions = 0usize;
     for start in 0..n {
-        if color[start] != 0 || goal[start] {
+        if color[start] != 0 || found[start].1 {
             continue;
         }
-        // Stack of (state, next-successor cursor); `path` mirrors the
-        // grey states for cycle extraction.
+        // Stack of (state, next-successor cursor): the grey states, for
+        // cycle extraction.
         let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
         color[start] = 1;
         while let Some(frame) = stack.last_mut() {
@@ -303,7 +284,7 @@ pub fn explore<M: Machine>(machine: &M, max_states: usize) -> Report {
             if frame.1 < fair_succ[v].len() {
                 let w = fair_succ[v][frame.1] as usize;
                 frame.1 += 1;
-                if goal[w] {
+                if found[w].1 {
                     continue; // fair executions may stop here
                 }
                 match color[w] {
@@ -312,29 +293,14 @@ pub fn explore<M: Machine>(machine: &M, max_states: usize) -> Report {
                         stack.push((w, 0));
                     }
                     1 => {
-                        // Back edge v → w: extract the cycle actions.
-                        let pos = stack
+                        // Back edge v → w: extract the cycle's states.
+                        let pos = stack.iter().position(|&(s, _)| s == w);
+                        let pos = pos.expect("grey state is on the stack");
+                        let cycle = stack[pos..]
                             .iter()
-                            .position(|&(s, _)| s == w)
-                            .expect("grey state is on the stack");
-                        let cycle: Vec<String> = stack[pos..]
-                            .iter()
-                            .map(|&(s, _)| format!("{:?}", states[s]))
-                            .collect();
-                        let schedule = schedule_to(&parent, w as u32);
-                        return Report {
-                            name: machine.name(),
-                            states: n,
-                            transitions,
-                            goal_states,
-                            violation: Some(Counterexample {
-                                kind: ViolationKind::FairCycle,
-                                schedule,
-                                state: format!("{:?}", states[w]),
-                                cycle,
-                            }),
-                            termination: None,
-                        };
+                            .map(|&(s, _)| format!("{:?}", found[s].0));
+                        let cex = counterexample(ViolationKind::FairCycle, w, cycle.collect());
+                        return report(cex, None);
                     }
                     _ => {}
                 }
@@ -346,26 +312,23 @@ pub fn explore<M: Machine>(machine: &M, max_states: usize) -> Report {
         }
     }
 
-    Report {
-        name: machine.name(),
-        states: n,
-        transitions,
-        goal_states,
-        violation: None,
-        termination: Some(TerminationProof {
-            nongoal_states: n - goal_states,
+    let nongoal_states = n - goal_states;
+    report(
+        None,
+        Some(TerminationProof {
+            nongoal_states,
             fair_transitions,
         }),
-    }
+    )
 }
 
 /// Rendered actions from the initial state to `target` along BFS parents.
-fn schedule_to(parent: &[Option<(u32, String)>], target: u32) -> Vec<String> {
+fn schedule_to<S>(found: &Found<S>, target: usize) -> Vec<String> {
     let mut lines = Vec::new();
     let mut cursor = target;
-    while let Some((p, action)) = &parent[cursor as usize] {
+    while let Some((p, action)) = &found[cursor].2 {
         lines.push(action.clone());
-        cursor = *p;
+        cursor = *p as usize;
     }
     lines.reverse();
     lines

@@ -2,22 +2,21 @@
 //!
 //! An exhaustive explorer that checks the protocol machines of
 //! `sqpeer-exec` against safety and liveness properties under an
-//! adversarial network, and three machines to run it on. Two are the
-//! code that ships: the stream machine holds the real `sqpeer_exec::stream`
-//! types, and the peer machine replays schedules on real `PeerNode`s. The
-//! lease machine stays a small-state FSM model (DESIGN.md §5 says why).
+//! adversarial network, and two machines to run it on — both the code
+//! that ships, with no hand-written restatement left: the stream machine
+//! holds the real `sqpeer_exec::stream` types, and the peer machine
+//! replays schedules on real `PeerNode`s.
 //!
 //! - [`explore`] — the machine trait, BFS explorer with canonical state
 //!   hashing, counterexample schedules and termination proofs.
-//! - [`lease`] — advertisement leases: renew / heartbeat / sweep /
-//!   tombstone / re-advertise, with member and holder churn.
 //! - [`stream`] — credit-window streaming: seq-numbered data, in-order
 //!   drain, seq dedup, credit grants, retry re-serves — the real
 //!   `Sender`/`Receiver` inside a modelled network and timeout ladder.
 //! - [`conform`] — the conductor that drives real `PeerNode`s through
 //!   trace schedules, and the peer machine built on it: dispatch, the
-//!   timeout ladder, `(root, qid, tag, attempt)` dedup, failover, replans
-//!   and completeness accounting, explored as shipped.
+//!   timeout ladder, `(root, qid, tag, attempt)` dedup, failover, replans,
+//!   completeness accounting and advertisement leases (time is state: the
+//!   heartbeat and sweep timers are the clock), explored as shipped.
 //! - [`trace`] — the shared replayable trace format (also the format of
 //!   counterexample artifacts).
 //!
@@ -31,6 +30,5 @@
 
 pub mod conform;
 pub mod explore;
-pub mod lease;
 pub mod stream;
 pub mod trace;

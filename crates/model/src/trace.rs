@@ -3,8 +3,8 @@
 //! One grammar serves two producers and two consumers:
 //!
 //! - The explorer renders counterexample schedules in it (see
-//!   [`write_counterexample`]), so a failed model check leaves a chaos
-//!   artifact on disk that explains and reproduces the violation.
+//!   [`write_counterexample_to`]), so a counterexample is a chaos
+//!   artifact that explains and reproduces the violation.
 //! - Named conformance traces (`crates/model/traces/*.trace`) are written
 //!   in it by hand and replayed against the real `PeerNode` logic by
 //!   [`crate::conform::Conductor`].
@@ -29,8 +29,8 @@
 //! The verbs the conformance replayer executes are `deliver`, `drop`,
 //! `dup`, `timer`, `down`, `up`, `advance`, `drain` and `expect`. The peer
 //! machine's counterexamples use only these, so each replays on real peers;
-//! the lease and stream models' schedules name model-level things (`tick`,
-//! `sid=`, `holder=`) and replay against the model itself.
+//! the stream machine's schedules name its own streams (`sid=`) and replay
+//! against the machine itself.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -140,25 +140,9 @@ pub fn load(path: &Path) -> Result<Trace, String> {
     parse(&name, &src)
 }
 
-/// Where counterexample artifacts land: `$MODEL_ARTIFACT_DIR`, or
-/// `target/model-artifacts` for local runs.
-pub fn artifact_dir() -> PathBuf {
-    std::env::var_os("MODEL_ARTIFACT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/model-artifacts"))
-}
-
-/// Renders a counterexample as a replayable chaos artifact: `#` header
-/// lines explaining the violation, then the schedule in trace grammar.
-/// Returns the artifact path.
-pub fn write_counterexample(
-    name: &str,
-    cex: &crate::explore::Counterexample,
-) -> std::io::Result<PathBuf> {
-    write_counterexample_to(&artifact_dir(), name, cex)
-}
-
-/// [`write_counterexample`] into an explicit directory.
+/// Renders a counterexample into `dir` as a replayable chaos artifact:
+/// `#` header lines explaining the violation, then the schedule in trace
+/// grammar. Returns the artifact path.
 pub fn write_counterexample_to(
     dir: &Path,
     name: &str,

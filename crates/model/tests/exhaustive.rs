@@ -1,9 +1,10 @@
-//! The standing model-check: every bounded configuration of the three
+//! The standing model-check: every bounded configuration of the two
 //! machines explored to a fixpoint, violation-free, with a termination
 //! proof — plus the demonstrations that the harness catches bugs: a
-//! sender that skips one credit grant wedges, and a silently lost subplan
-//! with no timeout to notice it deadlocks real peers; each counterexample
-//! renders as a replayable trace artifact.
+//! sender that skips one credit grant wedges, a silently lost subplan
+//! with no timeout to notice it deadlocks real peers, and a member that
+//! never heartbeats stays tombstoned forever; each counterexample renders
+//! as a replayable trace artifact.
 //!
 //! Run with `--nocapture` to see the explored-state counts per
 //! configuration; CI copies them into the job summary. The same lines
@@ -12,8 +13,8 @@
 //! and explain the difference in DESIGN.md §5.
 
 use sqpeer_model::conform::{self, scenarios, Faults, PeerCfg, PeerMachine};
-use sqpeer_model::explore::{explore, Machine, Report, ViolationKind};
-use sqpeer_model::{lease, stream, trace};
+use sqpeer_model::explore::{explore, Report, ViolationKind};
+use sqpeer_model::{stream, trace};
 
 /// Per-configuration state budget: a fixpoint beyond this means the
 /// configuration is no longer small-state and must be re-bounded, not
@@ -24,20 +25,35 @@ const BUDGET: usize = 2_000_000;
 /// real peers.
 const PEER_BUDGET: usize = 50_000;
 
-fn check_all<M, C, F>(configs: Vec<C>, build: F, budget: usize) -> Vec<Report>
-where
-    M: Machine,
-    F: Fn(C) -> M,
-{
-    configs
-        .into_iter()
-        .map(|cfg| {
-            let report = explore(&build(cfg), budget);
+/// One configuration's exploration, to run on whichever worker is free.
+type Job = Box<dyn FnOnce() -> Report + Send>;
+
+/// Runs `jobs` on two workers, each taking the next one as it finishes
+/// the last, and returns the verified reports in job order.
+fn run_verified(jobs: Vec<Job>) -> Vec<Report> {
+    let queue = std::sync::Mutex::new(jobs.into_iter().enumerate().rev().collect::<Vec<_>>());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard must drop before the job runs, or one worker
+            // holds the queue for the whole exploration.
+            let Some((i, job)) = queue.lock().unwrap().pop() else {
+                break;
+            };
+            let report = job();
             report.assert_verified();
             println!("{}", report.summary());
-            report
-        })
-        .collect()
+            done.push((i, report));
+        }
+        done
+    };
+    let mut done: Vec<(usize, Report)> = std::thread::scope(|s| {
+        let workers = [s.spawn(work), s.spawn(work)];
+        let joined = workers.map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        joined.into_iter().flatten().collect()
+    });
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Compares the per-configuration summary lines with the committed
@@ -58,25 +74,20 @@ fn golden_check(actual: &str) {
     );
 }
 
-/// All three machines, every bounded configuration, explored to a
-/// fixpoint — with the acceptance floor: ≥ 10⁵ distinct states covered
-/// across the machines. One test so each configuration is explored
-/// exactly once per run; the peer machine, which replays real peers for
-/// every state it reaches, runs on a thread beside the other two.
+/// Both machines, every bounded configuration, explored to a fixpoint —
+/// with the acceptance floor: ≥ 10⁵ distinct states covered across the
+/// machines. One test so each configuration is explored exactly once per
+/// run, on two workers.
 #[test]
 fn all_machines_exhaustive_meet_coverage_floor() {
-    let reports: Vec<Report> = std::thread::scope(|s| {
-        let peer = s.spawn(|| check_all(conform::configs(), PeerMachine::new, PEER_BUDGET));
-        let mut reports = check_all(lease::configs(), lease::LeaseMachine::new, BUDGET);
-        reports.extend(check_all(
-            stream::configs(),
-            stream::StreamMachine::new,
-            BUDGET,
-        ));
-        let peer = peer.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        reports.into_iter().chain(peer).collect()
-    });
-    assert_eq!(reports.len(), 16, "a configuration family went missing");
+    let stream = stream::configs()
+        .into_iter()
+        .map(|cfg| Box::new(move || explore(&stream::StreamMachine::new(cfg), BUDGET)) as Job);
+    let peer = conform::configs()
+        .into_iter()
+        .map(|cfg| Box::new(move || explore(&PeerMachine::new(cfg), PEER_BUDGET)) as Job);
+    let reports = run_verified(stream.chain(peer).collect());
+    assert_eq!(reports.len(), 17, "a configuration family went missing");
 
     let total: usize = reports.iter().map(|r| r.states).sum();
     println!("total explored states across machines: {total}");
@@ -124,11 +135,31 @@ fn skipped_credit_grant_yields_counterexample_artifact() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Writes the counterexample of a peer-machine `report` as an artifact,
+/// parses it back and replays it with `Conductor::run` on a fresh
+/// `scenario`: it must end at the digest the explorer reported.
+fn replay_artifact(report: &Report, scenario: fn() -> conform::Conductor) -> trace::Trace {
+    let cex = report.violation.as_ref().expect("a counterexample");
+    let dir = format!(
+        "sqpeer-{}-{}",
+        report.name.replace('/', "-"),
+        std::process::id()
+    );
+    let dir = std::env::temp_dir().join(dir);
+    let path = trace::write_counterexample_to(&dir, &report.name, cex).expect("writable");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let replay = trace::parse(&report.name, &text).expect("artifact is valid trace grammar");
+    let mut conductor = scenario();
+    conductor.run(&replay).expect("the counterexample replays");
+    let digest = format!("digest={:016x}", conductor.digest());
+    assert!(cex.state.starts_with(&digest), "{digest} vs {}", cex.state);
+    replay
+}
+
 /// Counterexamples of the peer machine are conformance traces. Without a
 /// subplan timeout nothing tells the root that its subplan was silently
-/// dropped, so real peers deadlock; the artifact, parsed back, replays on
-/// a fresh scenario with `Conductor::run` and ends at the digest the
-/// explorer reported.
+/// dropped, so real peers deadlock.
 #[test]
 fn peer_counterexample_replays_as_a_conformance_trace() {
     fn no_timeout() -> conform::Conductor {
@@ -144,17 +175,34 @@ fn peer_counterexample_replays_as_a_conformance_trace() {
         budget,
     };
     let report = explore(&PeerMachine::new(cfg), PEER_BUDGET);
-    let cex = report.violation.as_ref().expect("a lost subplan wedges");
-    assert_eq!(cex.kind, ViolationKind::Deadlock, "{}", report.summary());
+    let kind = report.violation.as_ref().map(|cex| &cex.kind);
+    assert_eq!(kind, Some(&ViolationKind::Deadlock), "{}", report.summary());
+    let replay = replay_artifact(&report, no_timeout);
+    assert!(replay.steps.iter().any(|s| s.verb == "drop"));
+}
 
-    let dir = std::env::temp_dir().join(format!("sqpeer-model-peer-cex-{}", std::process::id()));
-    let path = trace::write_counterexample_to(&dir, &report.name, cex).expect("writable");
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    let replay = trace::parse(&report.name, &text).expect("artifact is valid trace grammar");
-    assert!(replay.steps.iter().any(|s| s.verb == "drop"), "{text}");
-    let mut conductor = no_timeout();
-    conductor.run(&replay).expect("the counterexample replays");
-    let digest = format!("digest={:016x}", conductor.digest());
-    assert!(cex.state.starts_with(&digest), "{digest} vs {}", cex.state);
+/// The same with time as state: a member running with leases off never
+/// heartbeats, so its super-peer tombstones it and it stays tombstoned
+/// while up. The holder's heartbeat and sweep ticks then loop forever
+/// short of the goal — a fair cycle.
+#[test]
+fn lease_counterexample_replays_as_a_conformance_trace() {
+    fn silent_member() -> conform::Conductor {
+        scenarios::lease_super_pair(false)
+    }
+    let cfg = PeerCfg {
+        name: "silent-member",
+        scenario: silent_member,
+        budget: Faults::default(),
+    };
+    let report = explore(&PeerMachine::new(cfg), PEER_BUDGET);
+    let kind = report.violation.as_ref().map(|cex| &cex.kind);
+    assert_eq!(
+        kind,
+        Some(&ViolationKind::FairCycle),
+        "{}",
+        report.summary()
+    );
+    let replay = replay_artifact(&report, silent_member);
+    assert!(replay.steps.iter().any(|s| s.get("kind") == Some("sweep")));
 }

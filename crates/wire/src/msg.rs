@@ -454,8 +454,16 @@ pub fn read_payload(source: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> 
             WireError::FrameTooLarge(len as u64).to_string(),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    source.read_exact(&mut payload).map_err(mid_frame)?;
+    // The buffer grows as bytes arrive: a length claim that no payload
+    // byte backs yet costs at most 64 KiB.
+    let mut payload = Vec::with_capacity((len as usize).min(64 * 1024));
+    let got = source.take(u64::from(len)).read_to_end(&mut payload);
+    if got.map_err(mid_frame)? < len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
+    }
     Ok(Some(payload))
 }
 

@@ -428,6 +428,37 @@ fn io_read_timeout_is_retryable_only_between_frames() {
     assert_eq!(err.kind(), InvalidData, "{err}");
 }
 
+/// A reader that claims the largest frame, sends 1 KiB of it and closes,
+/// recording the largest buffer a read call offers it.
+struct Claimer {
+    script: Scripted,
+    largest: usize,
+}
+
+impl std::io::Read for Claimer {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest = self.largest.max(buf.len());
+        self.script.read(buf)
+    }
+}
+
+/// A bare length claim allocates nothing like what it claims: the
+/// payload buffer grows with the bytes that actually arrive, and a close
+/// short of the claim is still `UnexpectedEof`.
+#[test]
+fn io_length_claim_allocates_only_what_arrives() {
+    let claim = sqpeer_wire::MAX_FRAME_BYTES.to_le_bytes().to_vec();
+    let script = Scripted([Ok(claim), Ok(vec![WIRE_VERSION; 1024])].into());
+    let mut source = Claimer { script, largest: 0 };
+    let err = sqpeer_wire::read_payload(&mut source).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    assert!(
+        source.largest <= 64 * 1024,
+        "a read was offered {} bytes on a bare claim",
+        source.largest
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
