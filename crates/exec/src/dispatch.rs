@@ -27,7 +27,7 @@
 //! what happened, for the peer to act on and record.
 
 use crate::msg::{Msg, PeerChannel, QueryId, TraceCtx};
-use crate::peer::{by_key, plan_columns, PeerConfig, SlowChannelPolicy};
+use crate::peer::{by_key, PeerConfig, SlowChannelPolicy};
 use crate::stream::Receiver;
 use crate::{peer_of, send, Event};
 use sqpeer_net::{ChannelTable, Ctx, NodeId};
@@ -71,11 +71,9 @@ pub(crate) struct PendingRemote {
     pub(crate) frame: u64,
     pub(crate) slot: usize,
     pub(crate) dest: PeerId,
-    /// The shipped subtree's output columns, so a failed slot can be
-    /// filled with a *well-formed* empty table.
-    pub(crate) columns: Vec<String>,
     /// The shipped plan itself (needed to repair around a slow or failed
-    /// destination); rendered, it keys the phased-execution result cache.
+    /// destination, and for the columns of the empty table that fills a
+    /// lost slot); rendered, it keys the phased-execution result cache.
     pub(crate) plan: PlanNode,
     /// Visited-set shipped with the subplan (re-sent verbatim on retry).
     visited: Vec<PeerId>,
@@ -279,7 +277,6 @@ impl Dispatcher {
             frame,
             slot,
             dest,
-            columns: plan_columns(&plan),
             plan,
             visited,
             attempt: 0,

@@ -2163,7 +2163,7 @@ impl PeerNode {
             if let Some(root) = self.live_root(qid) {
                 root.missing.insert(failed_peer);
             }
-            let empty = ResultSet::empty(pending.columns);
+            let empty = ResultSet::empty(plan_columns(&pending.plan));
             self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
         }
     }
@@ -2178,10 +2178,10 @@ impl PeerNode {
             dest: failed,
             frame,
             slot,
-            columns,
             plan,
             ..
         } = pending;
+        let columns = plan_columns(&plan);
         let excluded: Vec<PeerId> = {
             let Some(root) = self.live_root(qid) else {
                 return;
@@ -2362,7 +2362,7 @@ fn projection_names(query: &QueryPattern) -> Vec<String> {
 }
 
 /// The natural output columns of a plan subtree.
-pub(crate) fn plan_columns(plan: &PlanNode) -> Vec<String> {
+fn plan_columns(plan: &PlanNode) -> Vec<String> {
     match plan {
         PlanNode::Fetch { subquery, .. } => projection_names(&subquery.query),
         PlanNode::Union(inputs) => inputs.first().map(plan_columns).unwrap_or_default(),
@@ -4020,6 +4020,57 @@ mod tests {
         assert_eq!(outcome.missing, vec![PeerId(2)]);
         assert_eq!(root.rooted_channels(), 0);
         assert!(root.frames.is_empty());
+    }
+
+    /// A lost subplan's slot is filled with an empty table under the
+    /// shipped plan's columns: by static execution, and by phased repair
+    /// when nobody else holds the lost fragment.
+    #[test]
+    fn lost_subplan_leaves_an_empty_slot_under_the_plan_columns() {
+        let schema = fig1_schema();
+        for (adaptive, phased) in [(false, false), (true, true)] {
+            let config = PeerConfig {
+                adaptive,
+                phased,
+                ..adhoc_config()
+            };
+            let peer = |id, triples: &[(&str, &str, &str)]| {
+                PeerNode::simple(PeerId(id), base_with(&schema, triples), config.clone())
+            };
+            let mut root = peer(1, &[]);
+            for holder in [
+                peer(2, &[("a", "prop1", "b")]),
+                peer(3, &[("b", "prop2", "c")]),
+            ] {
+                let ad = holder.own_advertisement().unwrap();
+                root.son.registry.register(ad);
+            }
+            let (sent, _) = pose_chain(&mut root);
+            let shipped = sent.into_iter().find_map(|(to, msg)| match msg {
+                Msg::Subplan {
+                    channel, tag, plan, ..
+                } if to == PeerId(2) => Some((channel, tag, plan)),
+                _ => None,
+            });
+            let (channel, tag, plan) = shipped.expect("a subplan for P2");
+            let qid = QueryId(1);
+            hand(
+                &mut root,
+                PeerId(2),
+                Msg::SubplanFailed { channel, qid, tag },
+            );
+
+            let frame = root
+                .frames
+                .values()
+                .next()
+                .expect("P3's slot keeps it open");
+            let filled: Vec<&ResultSet> = frame.slots.iter().flatten().collect();
+            assert_eq!(filled.len(), 1, "adaptive={adaptive}");
+            assert!(filled[0].is_empty());
+            assert_eq!(filled[0].columns, ["X", "Y"]);
+            assert_eq!(filled[0].columns, plan_columns(&plan));
+        }
     }
 
     /// Hands `msg` from `from` to `node` off-network; returns what it sent

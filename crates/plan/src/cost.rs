@@ -7,6 +7,7 @@
 //! should also be taken into account."
 
 use crate::node::{PlanNode, Site, Subquery};
+use sqpeer_rdfs::FxHashMap;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::QueryPattern;
 use sqpeer_store::BaseStatistics;
@@ -41,7 +42,7 @@ impl Default for CostParams {
 /// planning a query reads its registry's snapshots in place.
 #[derive(Debug, Clone, Default)]
 pub struct Estimator<'a> {
-    stats: HashMap<PeerId, Cow<'a, BaseStatistics>>,
+    stats: FxHashMap<PeerId, Cow<'a, BaseStatistics>>,
     params: CostParams,
 }
 
@@ -49,7 +50,7 @@ impl<'a> Estimator<'a> {
     /// Creates an estimator with the given parameters.
     pub fn new(params: CostParams) -> Self {
         Estimator {
-            stats: HashMap::new(),
+            stats: FxHashMap::default(),
             params,
         }
     }

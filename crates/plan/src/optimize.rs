@@ -204,7 +204,7 @@ pub fn assign_sites(
 
 /// The cheapest siting of `plan` with its result delivered to `dest`, and
 /// what it costs. Candidate sites are costed on the unsited plan
-/// ([`cost_for`]); only the winner of each join is built.
+/// ([`Priced`]); only the winner of each join is built.
 fn best_for(
     plan: &PlanNode,
     dest: Site,
@@ -212,7 +212,10 @@ fn best_for(
     net: &dyn NetworkCost,
 ) -> (PlanNode, f64) {
     match plan {
-        PlanNode::Fetch { .. } => (plan.clone(), cost_for(plan, dest, estimator, net)),
+        PlanNode::Fetch { .. } => {
+            let cost = Priced::of(plan, estimator).cost(dest, estimator, net);
+            (plan.clone(), cost)
+        }
         PlanNode::Union(inputs) => {
             // The union is merged at the destination.
             let mut total = 0.0;
@@ -241,30 +244,41 @@ fn best_for(
     }
 }
 
-/// The cost [`best_for`] reports for `plan`, without building the plan.
-fn cost_for(plan: &PlanNode, dest: Site, estimator: &Estimator, net: &dyn NetworkCost) -> f64 {
-    match plan {
-        PlanNode::Fetch { subquery, site } => {
-            let tuples = estimator.fetch_cardinality(*site, subquery);
-            let bytes = tuples * estimator.params().tuple_bytes;
-            net.processing(*site, tuples) + net.transfer(*site, dest, bytes)
-        }
-        PlanNode::Union(inputs) => inputs_cost(inputs, dest, estimator, net),
-        PlanNode::Join { inputs, .. } => best_join_site(plan, inputs, dest, estimator, net).1,
-    }
+/// A subtree with each fetch's estimated tuples read once, so that costing
+/// it at many destinations reads no statistics; a join stays a join.
+enum Priced<'p> {
+    Fetch(Site, f64),
+    Union(Vec<Priced<'p>>),
+    Join(&'p PlanNode, &'p [PlanNode]),
 }
 
-fn inputs_cost(
-    inputs: &[PlanNode],
-    dest: Site,
-    estimator: &Estimator,
-    net: &dyn NetworkCost,
-) -> f64 {
-    let mut total = 0.0;
-    for input in inputs {
-        total += cost_for(input, dest, estimator, net);
+impl<'p> Priced<'p> {
+    fn of(plan: &'p PlanNode, estimator: &Estimator) -> Self {
+        match plan {
+            PlanNode::Fetch { subquery, site } => {
+                Priced::Fetch(*site, estimator.fetch_cardinality(*site, subquery))
+            }
+            PlanNode::Union(inputs) => {
+                Priced::Union(inputs.iter().map(|i| Self::of(i, estimator)).collect())
+            }
+            PlanNode::Join { inputs, .. } => Priced::Join(plan, inputs),
+        }
     }
-    total
+
+    /// The cost [`best_for`] reports for the subtree delivered to `dest`,
+    /// without building the plan; inputs are summed in order.
+    fn cost(&self, dest: Site, estimator: &Estimator, net: &dyn NetworkCost) -> f64 {
+        match self {
+            Priced::Fetch(site, tuples) => {
+                let bytes = tuples * estimator.params().tuple_bytes;
+                net.processing(*site, *tuples) + net.transfer(*site, dest, bytes)
+            }
+            Priced::Union(inputs) => inputs
+                .iter()
+                .fold(0.0, |t, p| t + p.cost(dest, estimator, net)),
+            Priced::Join(join, inputs) => best_join_site(join, inputs, dest, estimator, net).1,
+        }
+    }
 }
 
 /// The cheapest execution site for `join` (whose inputs are `inputs`)
@@ -288,10 +302,15 @@ fn best_join_site(
     // The join's output size does not depend on where anything runs.
     let out_tuples = estimator.plan_cardinality(join);
     let out_bytes = out_tuples * estimator.params().tuple_bytes;
+    // Nor does what a fetch below returns: priced once, not per site.
+    let priced: Vec<Priced> = inputs.iter().map(|i| Priced::of(i, estimator)).collect();
     let mut best: Option<(Site, f64)> = None;
     for site in candidates {
-        let total = inputs_cost(inputs, site, estimator, net)
-            + (net.processing(site, out_tuples) + net.transfer(site, dest, out_bytes));
+        let inputs_cost = priced
+            .iter()
+            .fold(0.0, |t, p| t + p.cost(site, estimator, net));
+        let total =
+            inputs_cost + (net.processing(site, out_tuples) + net.transfer(site, dest, out_bytes));
         if best.is_none_or(|(_, c)| total < c) {
             best = Some((site, total));
         }

@@ -403,9 +403,9 @@ const UNBOUND: SymId = SymId::MAX;
 /// Evaluates `query` against `base`, returning projected distinct rows.
 ///
 /// Runs the interned engine over the base's cached snapshot (built on
-/// first use — see [`DescriptionBase::interned`]).
+/// first use — see [`DescriptionBase::snapshot`]).
 pub fn evaluate(query: &QueryPattern, base: &DescriptionBase) -> ResultSet {
-    evaluate_snapshot(query, &base.interned())
+    evaluate_snapshot(query, base.snapshot())
 }
 
 /// Evaluates `query` against a prebuilt interned snapshot.
@@ -416,7 +416,12 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
     let mut cur: Vec<SymId> = vec![UNBOUND; width];
     let mut next: Vec<SymId> = Vec::new();
 
-    for &pi in &stats_join_order(query, ib.stats()) {
+    // One pattern has one order: no statistics read.
+    let order = match query.patterns().len() {
+        1 => Cow::Borrowed(&[0][..]),
+        _ => Cow::Owned(stats_join_order(query, ib.stats())),
+    };
+    for &pi in order.iter() {
         let pattern = &query.patterns()[pi];
         next.clear();
         extend_interned(ib, pattern, &cur, width, &mut next);
@@ -495,7 +500,9 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
     }
     let proj: Vec<usize> = query.projection().iter().map(|v| v.0 as usize).collect();
     let rows = cur.len() / width;
-    let mut narrow = FxHashSet::<u128>::with_capacity_and_hasher(rows, Default::default());
+    // One row is distinct by itself: no set is built for it.
+    let unique = if rows > 1 { rows } else { 0 };
+    let mut narrow = FxHashSet::<u128>::with_capacity_and_hasher(unique, Default::default());
     let mut wide = FxHashSet::default();
     let mut new_row = |row: &[SymId]| {
         debug_assert!(
@@ -508,11 +515,25 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
             wide.insert(proj.iter().map(|&i| row[i]).collect::<Vec<SymId>>())
         }
     };
-    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::new(), 0);
-    let mut entry = vec![u32::MAX; ib.node_count()];
-    for row in cur.chunks_exact(width).filter(|row| new_row(row)) {
+    // Symbol → dictionary entry: a table over the whole base when the
+    // cells may reach a good share of it, else a map of the cells.
+    let cells = rows * proj.len();
+    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::with_capacity(cells), 0);
+    let table_len = if cells * 8 >= ib.node_count() {
+        ib.node_count()
+    } else {
+        0
+    };
+    let (mut table, mut map) = (vec![u32::MAX; table_len], FxHashMap::default());
+    for row in cur
+        .chunks_exact(width)
+        .filter(|row| rows == 1 || new_row(row))
+    {
         for &i in &proj {
-            let id = &mut entry[row[i] as usize];
+            let id = match table.get_mut(row[i] as usize) {
+                Some(id) => id,
+                None => map.entry(row[i]).or_insert(u32::MAX),
+            };
             if *id == u32::MAX {
                 *id = dict.len() as u32;
                 dict.push(ib.node(row[i]).clone());
@@ -562,9 +583,9 @@ fn extend_interned(
         endpoint.class.is_none_or(|c| ib.is_instance(id, c))
     };
 
-    // The subsumption-closed extent list, resolved once per pattern
-    // instead of per binding row.
-    let extents: Vec<_> = ib.descendant_extents(pattern.property).collect();
+    // The subsumption-closed extents, walked off the descendant bit set per
+    // binding row: no list is built for the one row a first pattern extends.
+    let extents = || ib.descendant_extents(pattern.property);
 
     for row in cur.chunks_exact(width) {
         let subj: Option<SymId> = match &pattern.subject.term {
@@ -606,29 +627,26 @@ fn extend_interned(
         match (subj, obj) {
             (Some(s), Some(o)) => {
                 // Both ends fixed: membership test.
-                if extents
-                    .iter()
-                    .any(|e| e.with_subject(s).any(|(_, oo)| oo == o))
-                {
+                if extents().any(|e| e.with_subject(s).any(|(_, oo)| oo == o)) {
                     emit(s, o);
                 }
             }
             (Some(s), None) => {
-                for e in &extents {
+                for e in extents() {
                     for (ss, oo) in e.with_subject(s) {
                         emit(ss, oo);
                     }
                 }
             }
             (None, Some(o)) => {
-                for e in &extents {
+                for e in extents() {
                     for (ss, oo) in e.with_object(o) {
                         emit(ss, oo);
                     }
                 }
             }
             (None, None) => {
-                for e in &extents {
+                for e in extents() {
                     for (ss, oo) in e.pairs() {
                         emit(ss, oo);
                     }
@@ -969,10 +987,13 @@ mod tests {
     /// reference engine on the way out.
     fn run(src: &str) -> ResultSet {
         let s = schema();
-        let qp = QueryPattern::resolve(&parse_query(src).unwrap(), &s).unwrap();
-        let b = base(&s);
-        let interned = evaluate(&qp, &b).sorted();
-        let reference = evaluate_reference(&qp, &b).sorted();
+        run_on(&s, &base(&s), src)
+    }
+
+    fn run_on(s: &Arc<Schema>, b: &DescriptionBase, src: &str) -> ResultSet {
+        let qp = QueryPattern::resolve(&parse_query(src).unwrap(), s).unwrap();
+        let interned = evaluate(&qp, b).sorted();
+        let reference = evaluate_reference(&qp, b).sorted();
         if qp.order_by().is_none() && qp.limit().is_none() {
             assert_eq!(interned, reference, "engines disagree on {src}");
         }
@@ -985,6 +1006,68 @@ mod tests {
         // prop1's closed extent includes the prop4 triple.
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.columns, vec!["X", "Y"]);
+    }
+
+    /// One pattern is evaluated without join ordering, and its projection
+    /// scratch is sized by the answer: every shape still agrees with the
+    /// reference engine.
+    #[test]
+    fn one_pattern_shapes_agree_with_the_reference() {
+        for (src, rows) in [
+            ("SELECT X, Y FROM {X;C5}prop1{Y}", 1),
+            ("SELECT X, Y FROM {X}prop1{Y;C6}", 1),
+            ("SELECT X FROM {X;C1}prop1{Y;C2}", 2),
+            ("SELECT X, A FROM {X}age{A} WHERE A < 20", 1),
+            ("SELECT X, Y FROM {X}prop1{Y} WHERE Y != &http://data/r2", 1),
+            ("SELECT Y FROM {&http://nowhere}prop1{Y}", 0),
+            ("SELECT X FROM {X;C5}prop1{&http://nowhere}", 0),
+        ] {
+            assert_eq!(run(src).len(), rows, "{src}");
+        }
+        // Top-N on distinct keys: one order, so compare before sorting.
+        let s = schema();
+        for src in [
+            "SELECT X, A FROM {X}age{A} ORDER BY A DESC LIMIT 1",
+            "SELECT X, A FROM {X}age{A} ORDER BY A ASC",
+            "SELECT X, Y FROM {X}prop1{Y} ORDER BY X DESC LIMIT 1",
+        ] {
+            let qp = QueryPattern::resolve(&parse_query(src).unwrap(), &s).unwrap();
+            let b = base(&s);
+            assert_eq!(evaluate(&qp, &b), evaluate_reference(&qp, &b), "{src}");
+        }
+        // `{X}p{X}` needs a property whose ends may meet.
+        let mut sb = SchemaBuilder::new("n2", "http://example.org/n2#");
+        let person = sb.class("Person").unwrap();
+        let knows = sb.property("knows", person, Range::Class(person)).unwrap();
+        let s = Arc::new(sb.finish().unwrap());
+        let mut b = DescriptionBase::new(Arc::clone(&s));
+        for (x, y) in [(1, 1), (1, 2), (2, 3), (3, 3)] {
+            b.insert_described(Triple::new(r(x), knows, r(y)));
+        }
+        let rs = run_on(&s, &b, "SELECT X FROM {X}knows{X}");
+        assert_eq!(
+            rs.rows.iter().map(|row| row[0].clone()).collect::<Vec<_>>(),
+            [Node::Resource(r(1)), Node::Resource(r(3))]
+        );
+    }
+
+    /// A one-row answer from a base of more than 10⁴ nodes, and the whole
+    /// extent of that base: the dictionary is built by the cells, not by
+    /// the base, either way.
+    #[test]
+    fn one_row_from_a_large_base() {
+        let s = schema();
+        let p1 = s.property_by_name("prop1").unwrap();
+        let mut b = DescriptionBase::new(Arc::clone(&s));
+        for i in 0..6_000 {
+            b.insert_described(Triple::new(r(i), p1, r(100_000 + i)));
+        }
+        assert!(b.snapshot().node_count() >= 10_000);
+        let rs = run_on(&s, &b, "SELECT Y FROM {&http://data/r7}prop1{Y}");
+        assert_eq!(rs.len(), 1);
+        assert_eq!(rs.rows.row(0)[0], Node::Resource(r(100_007)));
+        assert_eq!(rs.rows.dict().len(), 1);
+        assert_eq!(run_on(&s, &b, "SELECT X, Y FROM {X}prop1{Y}").len(), 6_000);
     }
 
     #[test]

@@ -94,10 +94,14 @@ impl DescriptionBase {
     /// rebuilt after mutations. The `Arc` keeps snapshots usable (and
     /// shareable across evaluation threads) even if the base mutates later.
     pub fn interned(&self) -> Arc<InternedBase> {
-        Arc::clone(
-            self.interned
-                .get_or_init(|| Arc::new(InternedBase::build(self))),
-        )
+        Arc::clone(self.snapshot())
+    }
+
+    /// [`interned`](Self::interned), borrowed: no reference count moves,
+    /// for a caller done with the snapshot before the base can change.
+    pub fn snapshot(&self) -> &Arc<InternedBase> {
+        self.interned
+            .get_or_init(|| Arc::new(InternedBase::build(self)))
     }
 
     /// Adds a typing fact. Returns `true` if it was new.
