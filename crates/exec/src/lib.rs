@@ -46,7 +46,7 @@ pub mod stream;
 pub use local::eval_local;
 pub use msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome, TraceCtx};
 pub(crate) use obs::{Event, Subject};
-pub use obs::{FlightRing, ObsConfig, ObsState, SlowQuery};
+pub use obs::{FlightRing, ObsConfig, ObsState, Rollup, SlowQuery};
 pub use peer::{BaseKind, PeerConfig, PeerMode, PeerNode, Role, SlowChannelPolicy};
 pub use son::{ClusterInfo, Directory};
 pub use sqpeer_cache::{CacheConfig, CacheStats};

@@ -249,24 +249,19 @@ pub enum Msg {
         /// Departed peers in the subtree whose tombstoned schemas matched.
         missing: Vec<sqpeer_routing::PeerId>,
     },
-    /// Observability plane: a periodic rollup *delta* pushed up the
-    /// cluster tree (member → entry super → head) or between equals
-    /// (head ↔ head, flat backbone). Carries only what changed since
-    /// the sender's last push — local links whole plus pattern
-    /// increments, folded with member deltas received meanwhile — and
-    /// never anything learned via peer exchange, so exchange cannot
-    /// double-count a cluster. Receivers fold links latest-wins per key
-    /// (link keys are receiver-owned, so replacement is exact) and add
-    /// pattern increments; the pattern leg rides the reliable ordered
-    /// delivery every supported transport provides.
+    /// Observability plane: a periodic rollup push up the cluster tree
+    /// (member → entry super → head) or between equals (head ↔ head,
+    /// flat backbone). Carries, whole, the rows that changed since the
+    /// sender's last push: its own and those its members pushed to it,
+    /// never rows learned from equals. Each row is its owner's
+    /// cumulative value, and receivers keep the higher count per key, so
+    /// a duplicated, reordered or stale push changes nothing.
     ObsPush {
-        /// The peer the delta arrives from (selects member vs
+        /// The peer the push arrives from (selects member vs
         /// peer-exchange handling at the receiver).
         owner: sqpeer_routing::PeerId,
-        /// Links that changed since `owner`'s last push, carried whole.
-        registry: sqpeer_net::TelemetryRegistry,
-        /// Per-query-pattern counter increments, same delta scope.
-        patterns: sqpeer_net::PatternStats,
+        /// Link and pattern rows newer than `owner` last pushed.
+        rows: crate::obs::Rollup,
     },
 }
 
@@ -328,9 +323,7 @@ impl Msg {
             Msg::ClientAnswer { result, .. } => 32 + result.wire_size(),
             Msg::SummaryAdvertise { summary, .. } => summary.wire_size() + 24,
             Msg::HierRouteRequest { query, .. } => 40 + query.text().len(),
-            Msg::ObsPush {
-                registry, patterns, ..
-            } => 24 + registry.wire_size() + patterns.wire_size(),
+            Msg::ObsPush { rows, .. } => 24 + rows.wire_size(),
         }
     }
 }

@@ -3,37 +3,37 @@
 //! Each peer with an [`ObsConfig`] keeps an [`ObsState`]: a local
 //! receiver-side [`TelemetryRegistry`], a [`PatternStats`] table of the
 //! queries it rooted, a bounded [`FlightRing`] of protocol `Event`s,
-//! and a small slow-query log. Members push *deltas* — only what
-//! changed since their last push — up the cluster tree on a period
-//! (`Msg::ObsPush`); heads fold the arriving deltas and exchange them
+//! and a small slow-query log. Members push what changed up the cluster
+//! tree on a period (`Msg::ObsPush`); heads fold it and exchange it
 //! between heads, so any head serves a near-global snapshot without an
 //! O(peers) scrape and without ever re-shipping cold state.
 //!
-//! The delta channel folds with two semantics, one per payload:
+//! What travels is a [`Rollup`]: rows, each under a key that exactly one
+//! peer — its owner — ever updates, carrying that owner's cumulative
+//! value. A link row `(from, to) → (messages, bytes)` is owned by `to`;
+//! a pattern row `(root, fingerprint) → PatternEntry` by the root that
+//! recorded it. Rows only grow (obs state survives a restart), so one
+//! rule folds both legs: per key, keep the row with the higher count.
+//! That fold is idempotent and order-free — a duplicated, reordered or
+//! stale push changes nothing — and one rule diffs them: a push carries,
+//! whole, the rows its sender holds newer than it last pushed. A row
+//! lost in transit returns only with that row's next change.
 //!
-//! * **Registry: per-link replacement.** A local link key
-//!   `(from, to = self)` is receiver-owned — exactly one peer ever
-//!   updates it — so changed links travel whole and latest-wins per
-//!   link is exact and idempotent under duplication.
-//! * **Patterns: additive increments.** Pattern fingerprints are shared
-//!   across origins, so entries travel as counter differences that
-//!   merge associatively and commutatively anywhere in the tree. This
-//!   leg assumes the reliable ordered delivery every supported
-//!   transport (simulator, loopback, TCP) provides.
-//!
-//! Two rules keep the rollup ≡ monoid-merge pin exact:
+//! Two rules keep the head snapshots equal to the global merge and the
+//! plane quiet:
 //!
 //! * **No self-observation**: `ObsPush` receipts are never recorded
 //!   into the local registry, so the plane does not watch itself and a
 //!   quiet overlay converges instead of chasing its own traffic.
-//! * **No echo**: only deltas learned from *members* are forwarded
+//! * **No echo**: only rows learned from *members* are forwarded
 //!   onward; what sibling heads (or, on the flat backbone, fellow
-//!   super-peers) push is folded locally and never re-shipped, so peer
-//!   exchange cannot double-count a cluster.
+//!   super-peers) push is folded locally and never re-shipped. The fold
+//!   would absorb an echo; the rule saves its bandwidth.
 
-use sqpeer_net::{PatternStats, TelemetryRegistry};
+use sqpeer_net::telemetry::varint_len;
+use sqpeer_net::{LinkTelemetry, NodeId, PatternEntry, PatternStats, TelemetryRegistry};
 use sqpeer_routing::PeerId;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
 
 use crate::dispatch::ReplanCause;
@@ -256,6 +256,83 @@ pub struct SlowQuery {
     pub profile_json: Option<String>,
 }
 
+/// Rows of the rollup channel, each keyed by what its owner updates and
+/// carrying the owner's cumulative value (see the module doc).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rollup {
+    /// `(from, to) → (messages, bytes)` received over a link, owned by `to`.
+    pub links: BTreeMap<(NodeId, NodeId), (u64, u64)>,
+    /// `(root, fingerprint) → entry` of the queries `root` answered.
+    pub patterns: BTreeMap<(PeerId, u64), PatternEntry>,
+}
+
+/// A rollup row: its count is what the fold compares, and every other
+/// field of the row moves together with it.
+trait Row: Clone {
+    fn count(&self) -> u64;
+}
+
+impl Row for (u64, u64) {
+    fn count(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Row for PatternEntry {
+    fn count(&self) -> u64 {
+        self.count
+    }
+}
+
+/// Would `row` replace what `held` keeps under `key`? The one
+/// comparison both [`Rollup::fold`] and [`Rollup::newer_than`] make.
+fn newer<K: Ord, V: Row>(held: &BTreeMap<K, V>, key: &K, row: &V) -> bool {
+    held.get(key).is_none_or(|h| h.count() < row.count())
+}
+
+fn newer_rows<K: Ord + Copy, V: Row>(
+    rows: &BTreeMap<K, V>,
+    held: &BTreeMap<K, V>,
+) -> BTreeMap<K, V> {
+    rows.iter()
+        .filter(|(key, row)| newer(held, key, row))
+        .map(|(key, row)| (*key, row.clone()))
+        .collect()
+}
+
+impl Rollup {
+    /// The one fold: per key, keep the row with the higher count.
+    pub fn fold(&mut self, other: &Rollup) {
+        let Rollup { links, patterns } = other.newer_than(self);
+        self.links.extend(links);
+        self.patterns.extend(patterns);
+    }
+
+    /// The one delta: the rows of `self` that folding into `held` would
+    /// change.
+    pub fn newer_than(&self, held: &Rollup) -> Rollup {
+        Rollup {
+            links: newer_rows(&self.links, &held.links),
+            patterns: newer_rows(&self.patterns, &held.patterns),
+        }
+    }
+
+    /// No row at all?
+    pub fn is_empty(&self) -> bool {
+        self.links.is_empty() && self.patterns.is_empty()
+    }
+
+    /// Estimated encoded size in bytes under the wire form.
+    pub fn wire_size(&self) -> usize {
+        let links = self.links.values();
+        let patterns = self.patterns.values();
+        8 + links
+            .map(|&(m, b)| 10 + varint_len(m) + varint_len(b))
+            .sum::<usize>()
+            + patterns.map(|e| 5 + e.wire_size()).sum::<usize>()
+    }
+}
+
 /// The live observability state of one peer, configured by `PeerConfig::obs`.
 #[derive(Debug, Default)]
 pub struct ObsState {
@@ -267,28 +344,19 @@ pub struct ObsState {
     pub recorder: FlightRing,
     /// Slow queries, oldest first, bounded by [`ObsState::SLOW_QUERY_CAP`].
     pub slow_queries: VecDeque<SlowQuery>,
-    /// Links accumulated from every push received (member *and* peer
-    /// exchange), folded per-link latest-wins.
-    pub rollup_reg: TelemetryRegistry,
-    /// Pattern increments accumulated from every push received, folded
-    /// additively.
-    pub rollup_pats: PatternStats,
-    /// Member-push links awaiting forwarding up the tree (cleared on
-    /// push; peer-exchange pushes never land here — the no-echo rule).
-    pub pending_reg: TelemetryRegistry,
-    /// Member-push pattern increments awaiting forwarding up the tree.
-    pub pending_pats: PatternStats,
-    /// Local registry as of the last committed push — the baseline the
-    /// next registry delta is computed against.
-    pub last_reg: TelemetryRegistry,
-    /// Local pattern table as of the last committed push.
-    pub last_pats: PatternStats,
+    /// Every row pushed to this peer, by members and equals alike.
+    pub received: Rollup,
+    /// Rows learned from members since the last push, to forward up the
+    /// tree; never rows from equals (the no-echo rule).
+    pub forward: Rollup,
+    /// Every row this peer pushed: what the next push is diffed against.
+    pub last_pushed: Rollup,
     /// Rollup pushes this peer sent.
     pub pushes_sent: u64,
     /// Estimated bytes of those pushes (wire-size estimator).
     pub push_bytes_sent: u64,
     /// Has pushable state (local receipts, pattern records, member
-    /// deltas) changed since the last push? An idle peer skips its push
+    /// rows) changed since the last push? An idle peer skips its push
     /// tick entirely, so a quiet overlay stops pushing within one
     /// tree-depth ripple — the steady-state rollup overhead is zero.
     pub dirty: bool,
@@ -303,53 +371,57 @@ impl ObsState {
     /// which are folded locally but never forwarded (the no-echo rule);
     /// everything else came from a member and is queued for the next
     /// push up the tree.
-    pub fn accept_push(
-        &mut self,
-        registry: TelemetryRegistry,
-        patterns: PatternStats,
-        peer_exchange: bool,
-    ) {
-        self.rollup_reg.overlay(&registry);
-        self.rollup_pats.merge(&patterns);
+    pub fn accept_push(&mut self, rows: &Rollup, peer_exchange: bool) {
+        self.received.fold(rows);
         if !peer_exchange {
-            self.pending_reg.overlay(&registry);
-            self.pending_pats.merge(&patterns);
+            self.forward.fold(rows);
             self.dirty = true;
         }
     }
 
-    /// What the next push carries: the local delta since the last
-    /// committed push — projected to per-link counters, distributions
-    /// stay local — plus every member delta received since then, and
-    /// deliberately nothing learned via peer exchange. Pure: call
-    /// [`ObsState::commit_push`] once the push is actually sent.
-    pub fn outbound_delta(&self) -> (TelemetryRegistry, PatternStats) {
-        let mut registry = self.pending_reg.clone();
-        registry.overlay(&self.local.delta_since(&self.last_reg).counters_only());
-        let mut patterns = self.pending_pats.clone();
-        patterns.merge(&self.patterns.diff(&self.last_pats));
-        (registry, patterns)
+    /// What the next push of peer `me` carries: its own rows — links
+    /// projected to their counters, distributions stay local — and the
+    /// member rows to forward, each only if newer than it last pushed.
+    /// Pure: call [`ObsState::commit_push`] once the push is sent.
+    pub fn outbound_delta(&self, me: PeerId) -> Rollup {
+        let mut rows = self.forward.clone();
+        let links = self.local.sorted_links().into_iter();
+        rows.links
+            .extend(links.map(|(key, l)| (key, (l.messages, l.bytes))));
+        let patterns = self.patterns.sorted_entries().into_iter();
+        rows.patterns
+            .extend(patterns.map(|(fp, e)| ((me, fp), e.clone())));
+        rows.newer_than(&self.last_pushed)
     }
 
-    /// Marks the current [`ObsState::outbound_delta`] as sent: the next
-    /// delta is computed against today's local state, and the forwarded
-    /// member deltas are dropped.
-    pub fn commit_push(&mut self) {
-        self.last_reg = self.local.clone();
-        self.last_pats = self.patterns.clone();
-        self.pending_reg = TelemetryRegistry::default();
-        self.pending_pats = PatternStats::new();
+    /// Marks `sent`, an [`ObsState::outbound_delta`], as pushed.
+    pub fn commit_push(&mut self, sent: &Rollup) {
+        self.last_pushed.fold(sent);
+        self.forward = Rollup::default();
     }
 
-    /// The full snapshot this peer can serve: local state folded with
-    /// everything the delta channel delivered. At a head this
-    /// approximates the global registry to within one push period of
-    /// propagation lag.
+    /// The snapshot this peer serves: its local registry and pattern
+    /// table with every received row, patterns summed by fingerprint.
+    /// At a head this approximates the global merge to within one push
+    /// period of propagation lag.
     pub fn snapshot(&self) -> (TelemetryRegistry, PatternStats) {
-        let mut registry = self.local.clone();
-        registry.overlay(&self.rollup_reg);
+        let received = self
+            .received
+            .links
+            .iter()
+            .map(|(&key, &(messages, bytes))| {
+                let mut link = LinkTelemetry::default();
+                (link.messages, link.bytes) = (messages, bytes);
+                (key, link)
+            });
+        let local = self.local.sorted_links().into_iter();
+        let links = received.chain(local.map(|(key, l)| (key, l.clone())));
+        let registry =
+            TelemetryRegistry::from_parts(self.local.window_us(), self.local.epoch_us(), links);
         let mut patterns = self.patterns.clone();
-        patterns.merge(&self.rollup_pats);
+        patterns.merge(&PatternStats::from_entries(
+            self.received.patterns.values().cloned(),
+        ));
         (registry, patterns)
     }
 
@@ -365,7 +437,6 @@ impl ObsState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqpeer_net::{NodeId, DEFAULT_WINDOW_US};
 
     /// One event of each flight kind, its line pinned word for word:
     /// chaos artifacts and `sqpeerd obs` readers rely on this text.
@@ -457,36 +528,37 @@ mod tests {
         assert_eq!(lines.count(), FlightRing::CAP - 1);
     }
 
-    fn reg_with(from: u32, to: u32, bytes: usize) -> TelemetryRegistry {
-        let mut r = TelemetryRegistry::new(DEFAULT_WINDOW_US);
-        r.record_receipt(NodeId(from), NodeId(to), bytes, 10);
-        r
+    /// The rows peer `me` would push with one receipt `from → to` of
+    /// `bytes` and, optionally, one answered query of `pattern`.
+    fn rows_of(me: u32, from: u32, to: u32, bytes: usize, pattern: Option<&str>) -> Rollup {
+        let mut obs = ObsState::default();
+        obs.local
+            .record_receipt(NodeId(from), NodeId(to), bytes, 10);
+        if let Some(p) = pattern {
+            obs.patterns.record(p, 60, None, 2, false, 0);
+        }
+        obs.outbound_delta(PeerId(me))
     }
 
     #[test]
     fn snapshot_folds_local_members_and_peer_exchange() {
-        let mut obs = ObsState {
-            local: reg_with(1, 2, 100),
-            ..ObsState::default()
-        };
-        obs.patterns.record("p-local", 50, None, 1, false, 0);
+        let mut obs = ObsState::default();
+        obs.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
+        obs.patterns.record("p", 50, None, 1, false, 0);
 
-        let mut mp = PatternStats::new();
-        mp.record("p-member", 60, None, 2, false, 0);
-        obs.accept_push(reg_with(3, 4, 200), mp, false);
+        obs.accept_push(&rows_of(4, 3, 4, 200, Some("p")), false);
+        obs.accept_push(&rows_of(6, 5, 6, 300, Some("p-cluster")), true);
 
-        let mut cp = PatternStats::new();
-        cp.record("p-cluster", 70, None, 3, false, 0);
-        obs.accept_push(reg_with(5, 6, 300), cp, true);
-
-        let (out_reg, out_pat) = obs.outbound_delta();
-        assert_eq!(out_reg.total_bytes(), 300); // local + member, no echo
-        assert_eq!(out_pat.total(), 2);
-        assert!(out_pat.get("p-cluster").is_none());
+        let out = obs.outbound_delta(PeerId(2));
+        let bytes: u64 = out.links.values().map(|l| l.1).sum();
+        assert_eq!(bytes, 300); // local + member, no echo
+        assert_eq!(out.patterns.len(), 2); // p at P2 and at P4
+        assert!(out.patterns.keys().all(|&(root, _)| root != PeerId(6)));
 
         let (snap_reg, snap_pat) = obs.snapshot();
         assert_eq!(snap_reg.total_bytes(), 600);
         assert_eq!(snap_pat.total(), 3);
+        assert_eq!(snap_pat.get("p").unwrap().count, 2); // summed over roots
     }
 
     #[test]
@@ -495,40 +567,54 @@ mod tests {
         obs.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
         obs.patterns.record("p", 50, None, 1, false, 0);
 
-        let (reg, pats) = obs.outbound_delta();
-        assert_eq!(reg.total_bytes(), 100);
-        assert_eq!(pats.total(), 1);
-        obs.commit_push();
+        let rows = obs.outbound_delta(PeerId(2));
+        assert_eq!(rows.links.len(), 1);
+        assert_eq!(rows.patterns.len(), 1);
+        obs.commit_push(&rows);
 
         // Nothing changed: the next delta is empty.
-        let (reg, pats) = obs.outbound_delta();
-        assert!(reg.is_empty());
-        assert!(pats.is_empty());
+        assert!(obs.outbound_delta(PeerId(2)).is_empty());
 
         // One more receipt and one more query: the delta carries the
-        // changed link whole, and the pattern entry as an increment.
+        // changed rows whole, the pattern row at its running count.
         obs.local.record_receipt(NodeId(1), NodeId(2), 40, 20);
         obs.local.record_receipt(NodeId(3), NodeId(2), 70, 20);
         obs.patterns.record("p", 90, None, 1, false, 0);
-        let (reg, pats) = obs.outbound_delta();
-        assert_eq!(reg.len(), 2);
-        assert_eq!(reg.total_bytes(), 140 + 70); // (1,2) whole, (3,2) new
-        assert_eq!(pats.total(), 1); // the increment, not the running count
-        assert_eq!(pats.get("p").unwrap().latency_us.sum(), 90);
+        let rows = obs.outbound_delta(PeerId(2));
+        assert_eq!(rows.links[&(NodeId(1), NodeId(2))], (2, 140));
+        assert_eq!(rows.links[&(NodeId(3), NodeId(2))], (1, 70));
+        let entry = rows.patterns.values().next().unwrap();
+        assert_eq!((entry.count, entry.latency_us.sum()), (2, 140));
     }
 
+    /// The fold is idempotent and order-free: a duplicated push and a
+    /// stale one (a lower count, overtaken in transit) change nothing.
     #[test]
-    fn accept_push_replaces_links_and_adds_patterns() {
-        let mut obs = ObsState::default();
-        let mut p1 = PatternStats::new();
-        p1.record("q", 10, None, 1, false, 0);
-        obs.accept_push(reg_with(1, 2, 100), p1.clone(), false);
-        // The same link re-pushed with a later value replaces; the same
-        // pattern increment re-pushed adds.
-        obs.accept_push(reg_with(1, 2, 250), p1, false);
-        let (reg, pats) = obs.snapshot();
-        assert_eq!(reg.total_bytes(), 250);
+    fn duplicate_and_stale_pushes_leave_received_unchanged() {
+        let mut member = ObsState::default();
+        member.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
+        member.patterns.record("q", 10, None, 1, false, 0);
+        let stale = member.outbound_delta(PeerId(2));
+        member.local.record_receipt(NodeId(1), NodeId(2), 150, 20);
+        member.patterns.record("q", 30, None, 1, false, 0);
+        let fresh = member.outbound_delta(PeerId(2));
+
+        let mut head = ObsState::default();
+        head.accept_push(&fresh, false);
+        let received = head.received.clone();
+        head.accept_push(&fresh, false);
+        assert_eq!(head.received, received);
+        head.accept_push(&stale, false);
+        assert_eq!(head.received, received);
+
+        let (reg, pats) = head.snapshot();
+        assert_eq!((reg.total_messages(), reg.total_bytes()), (2, 250));
         assert_eq!(pats.get("q").unwrap().count, 2);
+        // Nor is a stale member row ever pushed on.
+        let sent = head.outbound_delta(PeerId(9));
+        head.commit_push(&sent);
+        head.accept_push(&stale, false);
+        assert!(head.outbound_delta(PeerId(9)).is_empty());
     }
 
     #[test]

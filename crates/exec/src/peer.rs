@@ -1143,15 +1143,13 @@ impl PeerNode {
         }
     }
 
-    /// Pushes this peer's rollup *delta* one level up the cluster tree.
-    /// The destination set mirrors the summary-advertise flow: heads
-    /// push to the other heads, cluster members to their head, simple
-    /// peers to their entry super-peer, flat super-peers to the
-    /// backbone. The payload is only what changed since the last push —
-    /// local links carried whole plus pattern increments, folded with
-    /// every member delta received meanwhile — and never anything
-    /// learned via peer exchange (the no-echo rule), so head↔head and
-    /// backbone exchange cannot double-count a cluster.
+    /// Pushes the rows this peer holds newer than it last pushed one
+    /// level up the cluster tree. The destination set mirrors the
+    /// summary-advertise flow: heads push to the other heads, cluster
+    /// members to their head, simple peers to their entry super-peer,
+    /// flat super-peers to the backbone. The rows are its own and its
+    /// members', never those learned via peer exchange (the no-echo
+    /// rule).
     fn push_obs(&mut self, ctx: &mut Ctx<Msg>) {
         let Some(obs) = &self.obs else {
             return;
@@ -1181,19 +1179,18 @@ impl PeerNode {
         if dests.is_empty() {
             return;
         }
-        let (registry, patterns) = obs.outbound_delta();
-        if registry.is_empty() && patterns.is_empty() {
-            self.obs.as_mut().expect("checked above").dirty = false;
+        let rows = obs.outbound_delta(self.id);
+        let obs = self.obs.as_mut().expect("checked above");
+        if rows.is_empty() {
+            obs.dirty = false;
             return;
         }
+        obs.commit_push(&rows);
         let msg = Msg::ObsPush {
             owner: self.id,
-            registry,
-            patterns,
+            rows,
         };
         let bytes: usize = dests.iter().map(|&d| send(ctx, d, msg.clone())).sum();
-        let obs = self.obs.as_mut().expect("checked above");
-        obs.commit_push();
         obs.pushes_sent += dests.len() as u64;
         obs.push_bytes_sent += bytes as u64;
         obs.dirty = false;
@@ -2567,11 +2564,7 @@ impl NodeLogic for PeerNode {
                 self.son
                     .hier_route_response(ctx, peer_of(from), qid, annotated, missing);
             }
-            Msg::ObsPush {
-                owner,
-                registry,
-                patterns,
-            } => {
+            Msg::ObsPush { owner, rows } => {
                 // A push from an equal — a sibling cluster head, or a
                 // fellow super-peer on the flat backbone — is folded
                 // locally but never forwarded (the no-echo rule); a
@@ -2582,7 +2575,7 @@ impl NodeLogic for PeerNode {
                     None => self.role == Role::Super && self.son.super_peers.contains(&owner),
                 };
                 if let Some(obs) = &mut self.obs {
-                    obs.accept_push(registry, patterns, peer_exchange);
+                    obs.accept_push(&rows, peer_exchange);
                 }
             }
         }
@@ -2606,10 +2599,10 @@ impl NodeLogic for PeerNode {
         self.slot_queue.clear();
         self.outgoing.clear();
         self.served = ServedLog::default();
-        // Accumulated rollups survive the restart — registry links fold
-        // latest-wins and pattern increments were counted exactly once,
-        // so dropping them would lose history. Re-ripple what this peer
-        // knows in case downstream wrote it off while it was down.
+        // Accumulated rollups survive the restart — rows are cumulative
+        // and never shrink, so dropping them would lose history.
+        // Re-ripple what this peer knows in case downstream wrote it off
+        // while it was down.
         if let Some(obs) = &mut self.obs {
             obs.dirty = true;
         }

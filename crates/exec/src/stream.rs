@@ -61,13 +61,10 @@ impl<B> Receiver<B> {
             self.last_seq = Some(seq);
         }
         let is_dup = seq < self.next_seq || self.pending.contains_key(&seq);
-        let mut drained = Vec::new();
-        if seq == self.next_seq {
-            drained.push(batch); // in order: never buffered
-            self.next_seq += 1;
-        } else if !is_dup {
+        if !is_dup {
             self.pending.insert(seq, batch);
         }
+        let mut drained = Vec::new();
         while let Some(batch) = self.pending.remove(&self.next_seq) {
             drained.push(batch);
             self.next_seq += 1;

@@ -1,7 +1,7 @@
 //! The node-local pattern table of the hierarchical observability
 //! plane: per-query-pattern statistics. [`PatternStats::merge`] is a
-//! commutative monoid fold, so cluster heads aggregate member tables the
-//! same way they aggregate [`crate::TelemetryRegistry`] snapshots.
+//! commutative monoid fold: a cluster head's snapshot sums, by
+//! fingerprint, the entries its members' tables hold.
 //!
 //! The pattern table is the substrate for query-mining-driven adaptive
 //! topology (ROADMAP item 5): which patterns are hot, how many peers
@@ -50,25 +50,10 @@ impl PatternEntry {
             + self.latency_us.wire_size()
             + self.ttfr_us.wire_size()
     }
-
-    /// The counter-wise increment `self − earlier`, where `earlier` is a
-    /// prior snapshot of this same monotonically-growing entry. Merging
-    /// the result into `earlier` reproduces `self`.
-    pub fn diff(&self, earlier: &PatternEntry) -> PatternEntry {
-        PatternEntry {
-            pattern: self.pattern.clone(),
-            count: self.count.saturating_sub(earlier.count),
-            partials: self.partials.saturating_sub(earlier.partials),
-            replans: self.replans.saturating_sub(earlier.replans),
-            peers: self.peers.diff(&earlier.peers),
-            latency_us: self.latency_us.diff(&earlier.latency_us),
-            ttfr_us: self.ttfr_us.diff(&earlier.ttfr_us),
-        }
-    }
 }
 
 /// The per-pattern statistics table: every answered query increments its
-/// pattern's entry at the root; tables merge through the rollup channel.
+/// pattern's entry at the root; entries travel the rollup channel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternStats {
     entries: HashMap<u64, PatternEntry>,
@@ -122,28 +107,6 @@ impl PatternStats {
         }
     }
 
-    /// The table of increments since `earlier` (a prior snapshot of
-    /// this same monotonically-growing table): only entries that
-    /// changed, each as its counter difference. Merging the result into
-    /// `earlier` reproduces `self` — a rollup push ships exactly this,
-    /// and because increments merge associatively and commutatively the
-    /// rollup tree needs no per-origin bookkeeping.
-    pub fn diff(&self, earlier: &PatternStats) -> PatternStats {
-        let mut entries = HashMap::new();
-        for (fp, entry) in &self.entries {
-            match earlier.entries.get(fp) {
-                Some(old) if old == entry => {}
-                Some(old) => {
-                    entries.insert(*fp, entry.diff(old));
-                }
-                None => {
-                    entries.insert(*fp, entry.clone());
-                }
-            }
-        }
-        PatternStats { entries }
-    }
-
     /// The entry for `pattern`, if any query of it was recorded.
     pub fn get(&self, pattern: &str) -> Option<&PatternEntry> {
         self.entries.get(&Self::fingerprint(pattern))
@@ -176,8 +139,7 @@ impl PatternStats {
         entries
     }
 
-    /// Entries in fingerprint order — the stable iteration the wire
-    /// codec encodes in.
+    /// Entries in fingerprint order.
     pub fn sorted_entries(&self) -> Vec<(u64, &PatternEntry)> {
         let mut entries: Vec<(u64, &PatternEntry)> =
             self.entries.iter().map(|(fp, e)| (*fp, e)).collect();
@@ -185,9 +147,9 @@ impl PatternStats {
         entries
     }
 
-    /// Reassembles a table from decoded entries (the wire-decode path);
-    /// fingerprints are recomputed from the pattern text, so a decoded
-    /// table can never hold a mismatched key.
+    /// A table of `entries`, those of one pattern summed; fingerprints
+    /// are recomputed from the pattern text, so the table can never hold
+    /// a mismatched key.
     pub fn from_entries(entries: impl IntoIterator<Item = PatternEntry>) -> PatternStats {
         let mut stats = PatternStats::new();
         for entry in entries {
@@ -195,15 +157,6 @@ impl PatternStats {
             stats.entries.entry(fp).or_default().merge(&entry);
         }
         stats
-    }
-
-    /// Estimated encoded size in bytes under the wire form.
-    pub fn wire_size(&self) -> usize {
-        8 + self
-            .entries
-            .values()
-            .map(PatternEntry::wire_size)
-            .sum::<usize>()
     }
 
     /// Plain-text rendering, hottest pattern first — served by the
@@ -285,7 +238,6 @@ mod tests {
         let rebuilt =
             PatternStats::from_entries(ps.sorted_entries().into_iter().map(|(_, e)| e.clone()));
         assert_eq!(ps, rebuilt);
-        assert!(ps.wire_size() > 0);
     }
 
     #[test]

@@ -138,22 +138,6 @@ impl Histogram {
         self.sum += other.sum;
     }
 
-    /// The bucket-wise increment `self − earlier`, where `earlier` is a
-    /// prior snapshot of this same monotonically-growing histogram.
-    /// Merging the result into `earlier` reproduces `self` — the
-    /// delta-rollup channel ships these instead of full histograms.
-    pub fn diff(&self, earlier: &Histogram) -> Histogram {
-        let mut counts = [0u64; BUCKETS];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
-        Histogram {
-            counts,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-
     /// Index of the highest non-empty bucket (0 when empty) — bounds the
     /// exposition so empty tails are not rendered.
     fn highest_nonempty(&self) -> usize {
@@ -163,7 +147,7 @@ impl Histogram {
 
 /// LEB128 length of `v` — sizes the wire-size estimates without the
 /// `sqpeer-wire` crate (which depends on this one).
-fn varint_len(v: u64) -> usize {
+pub fn varint_len(v: u64) -> usize {
     ((64 - v.leading_zeros()).max(1) as usize).div_ceil(7)
 }
 
@@ -215,43 +199,6 @@ impl LinkTelemetry {
     /// Start of the currently open window (µs on the feeding clock).
     pub fn window_start_us(&self) -> u64 {
         self.window_start_us
-    }
-
-    /// Reassembles a link record from its raw parts (the wire-decode
-    /// path). Fields mirror the struct one-to-one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        messages: u64,
-        bytes: u64,
-        latency_us: Histogram,
-        size_bytes: Histogram,
-        window_bytes: Histogram,
-        ttfr_us: Histogram,
-        window_start_us: u64,
-        open_window_bytes: u64,
-    ) -> LinkTelemetry {
-        LinkTelemetry {
-            messages,
-            bytes,
-            latency_us,
-            size_bytes,
-            window_bytes,
-            ttfr_us,
-            window_start_us,
-            open_window_bytes,
-        }
-    }
-
-    /// Estimated encoded size in bytes under the wire form.
-    pub fn wire_size(&self) -> usize {
-        varint_len(self.messages)
-            + varint_len(self.bytes)
-            + varint_len(self.window_start_us)
-            + varint_len(self.open_window_bytes)
-            + self.latency_us.wire_size()
-            + self.size_bytes.wire_size()
-            + self.window_bytes.wire_size()
-            + self.ttfr_us.wire_size()
     }
 
     /// Folds `other` into `self`. Counters and histograms add; the open
@@ -415,48 +362,6 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Per-link *replacement* fold: every link present in `other`
-    /// replaces the entry under the same key. The delta-rollup channel
-    /// folds with this — a local link is receiver-owned (exactly one
-    /// peer ever updates a given `(from, to = self)` key), so latest
-    /// wins per link is exact and idempotent under duplication.
-    pub fn overlay(&mut self, other: &TelemetryRegistry) {
-        for (key, theirs) in &other.links {
-            self.links.insert(*key, theirs.clone());
-        }
-    }
-
-    /// The links that changed since `earlier` (a prior snapshot of this
-    /// same registry), each carried whole. Overlaying the result onto
-    /// `earlier` reproduces `self` — a push ships exactly this.
-    pub fn delta_since(&self, earlier: &TelemetryRegistry) -> TelemetryRegistry {
-        let links = self
-            .links
-            .iter()
-            .filter(|(key, link)| earlier.links.get(key) != Some(link))
-            .map(|(key, link)| (*key, link.clone()));
-        TelemetryRegistry::from_parts(self.window_us, self.epoch_us, links)
-    }
-
-    /// Projects every link to its two counters (messages, bytes),
-    /// dropping histograms and window state. Rollup deltas ship this
-    /// projection — distributions stay at the recording peer (and
-    /// inside pattern entries), so the cluster-tree fold pays a
-    /// near-constant handful of bytes per changed link.
-    pub fn counters_only(&self) -> TelemetryRegistry {
-        let links = self.links.iter().map(|(key, link)| {
-            (
-                *key,
-                LinkTelemetry {
-                    messages: link.messages,
-                    bytes: link.bytes,
-                    ..LinkTelemetry::default()
-                },
-            )
-        });
-        TelemetryRegistry::from_parts(self.window_us, self.epoch_us, links)
-    }
-
     /// Per-node rollup: for every node, all its incoming links merged
     /// into one [`LinkTelemetry`]. Sorted by node id.
     pub fn node_rollup(&self) -> Vec<(NodeId, LinkTelemetry)> {
@@ -477,7 +382,8 @@ impl TelemetryRegistry {
         links
     }
 
-    /// Reassembles a registry from decoded parts (the wire-decode path).
+    /// A registry of `links`, the last of a repeated key kept — how an
+    /// obs snapshot joins the rows it received to its own links.
     pub fn from_parts(
         window_us: u64,
         epoch_us: u64,
@@ -498,15 +404,6 @@ impl TelemetryRegistry {
     /// Total bytes across every recorded link.
     pub fn total_bytes(&self) -> u64 {
         self.links.values().map(|l| l.bytes).sum()
-    }
-
-    /// Estimated encoded size in bytes under the wire form.
-    pub fn wire_size(&self) -> usize {
-        16 + self
-            .links
-            .iter()
-            .map(|((_, _), l)| 10 + l.wire_size())
-            .sum::<usize>()
     }
 
     /// Stable Prometheus-style text exposition. Histogram buckets are
@@ -768,36 +665,22 @@ mod tests {
     }
 
     /// The raw-parts constructors reassemble exactly what the accessors
-    /// expose — the contract the wire codec is built on.
+    /// expose.
     #[test]
     fn from_parts_roundtrips_exactly() {
         let mut reg = TelemetryRegistry::anchored(2_000, 77);
         reg.record_delivery(NodeId(3), NodeId(1), 64, 20_000, 20_100);
         reg.record_ttfr(NodeId(3), NodeId(1), 41_000);
         reg.record_receipt(NodeId(1), NodeId(3), 32, 25_000);
+        let links = reg.sorted_links().into_iter();
         let rebuilt = TelemetryRegistry::from_parts(
             reg.window_us(),
             reg.epoch_us(),
-            reg.sorted_links().into_iter().map(|(k, l)| {
-                (
-                    k,
-                    LinkTelemetry::from_parts(
-                        l.messages,
-                        l.bytes,
-                        l.latency_us.clone(),
-                        l.size_bytes.clone(),
-                        l.window_bytes.clone(),
-                        l.ttfr_us.clone(),
-                        l.window_start_us(),
-                        l.open_window_bytes(),
-                    ),
-                )
-            }),
+            links.map(|(k, l)| (k, l.clone())),
         );
         assert_eq!(reg, rebuilt);
         let h = &reg.link(NodeId(3), NodeId(1)).unwrap().latency_us;
         let hh = Histogram::from_parts(*h.buckets(), h.sum());
         assert_eq!(*h, hh);
-        assert!(reg.wire_size() > 0);
     }
 }

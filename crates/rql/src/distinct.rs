@@ -223,23 +223,20 @@ impl UnionAcc {
     }
 
     /// Set-semantics union with `part`, whose columns are matched by name
-    /// and permuted into this accumulator's order (unless they are in it
-    /// already). Each entry of `part`'s dictionary a row uses is interned
-    /// once, and cloned only if no equal entry is here.
+    /// and permuted into this accumulator's order. Each entry of `part`'s
+    /// dictionary a row uses is interned once, and cloned only if no
+    /// equal entry is here.
     pub fn union(&mut self, part: &ResultSet) {
         // Where each column sits in `part`; a part lacking one adds nothing.
-        let same = part.columns == self.set.columns;
         let found = self.set.columns.iter().map(|c| part.column_index(c));
-        let perm: Option<Vec<usize>> = if same { Some(vec![]) } else { found.collect() };
-        let Some(perm) = perm else { return };
-        let (w, k, ids) = (part.columns.len(), self.set.columns.len(), part.rows.ids());
+        let Some(perm) = found.collect::<Option<Vec<usize>>>() else {
+            return;
+        };
+        let (w, k, ids) = (part.columns.len(), perm.len(), part.rows.ids());
         let rows = (0..part.len()).flat_map(|r| perm.iter().map(move |&c| ids[r * w + c]));
         let dict = Arc::make_mut(&mut self.set.rows.dict);
         let map = self.values.mapper(dict, part.rows.dict());
-        let mapped: Vec<u32> = match same {
-            true => ids.iter().copied().map(map).collect(),
-            false => rows.map(map).collect(),
-        };
+        let mapped: Vec<u32> = rows.map(map).collect();
         for r in 0..part.len() {
             self.push(&mapped[r * k..][..k]);
         }

@@ -515,25 +515,15 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
             wide.insert(proj.iter().map(|&i| row[i]).collect::<Vec<SymId>>())
         }
     };
-    // Symbol → dictionary entry: a table over the whole base when the
-    // cells may reach a good share of it, else a map of the cells.
-    let cells = rows * proj.len();
-    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::with_capacity(cells), 0);
-    let table_len = if cells * 8 >= ib.node_count() {
-        ib.node_count()
-    } else {
-        0
-    };
-    let (mut table, mut map) = (vec![u32::MAX; table_len], FxHashMap::default());
+    // Symbol → dictionary entry, a table over the whole base.
+    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::with_capacity(rows * proj.len()), 0);
+    let mut entry = vec![u32::MAX; ib.node_count()];
     for row in cur
         .chunks_exact(width)
         .filter(|row| rows == 1 || new_row(row))
     {
         for &i in &proj {
-            let id = match table.get_mut(row[i] as usize) {
-                Some(id) => id,
-                None => map.entry(row[i]).or_insert(u32::MAX),
-            };
+            let id = &mut entry[row[i] as usize];
             if *id == u32::MAX {
                 *id = dict.len() as u32;
                 dict.push(ib.node(row[i]).clone());
@@ -583,9 +573,9 @@ fn extend_interned(
         endpoint.class.is_none_or(|c| ib.is_instance(id, c))
     };
 
-    // The subsumption-closed extents, walked off the descendant bit set per
-    // binding row: no list is built for the one row a first pattern extends.
-    let extents = || ib.descendant_extents(pattern.property);
+    // The subsumption-closed extent list, resolved once per pattern
+    // instead of per binding row.
+    let extents: Vec<_> = ib.descendant_extents(pattern.property).collect();
 
     for row in cur.chunks_exact(width) {
         let subj: Option<SymId> = match &pattern.subject.term {
@@ -627,26 +617,29 @@ fn extend_interned(
         match (subj, obj) {
             (Some(s), Some(o)) => {
                 // Both ends fixed: membership test.
-                if extents().any(|e| e.with_subject(s).any(|(_, oo)| oo == o)) {
+                if extents
+                    .iter()
+                    .any(|e| e.with_subject(s).any(|(_, oo)| oo == o))
+                {
                     emit(s, o);
                 }
             }
             (Some(s), None) => {
-                for e in extents() {
+                for e in &extents {
                     for (ss, oo) in e.with_subject(s) {
                         emit(ss, oo);
                     }
                 }
             }
             (None, Some(o)) => {
-                for e in extents() {
+                for e in &extents {
                     for (ss, oo) in e.with_object(o) {
                         emit(ss, oo);
                     }
                 }
             }
             (None, None) => {
-                for e in extents() {
+                for e in &extents {
                     for (ss, oo) in e.pairs() {
                         emit(ss, oo);
                     }
@@ -1008,9 +1001,8 @@ mod tests {
         assert_eq!(rs.columns, vec!["X", "Y"]);
     }
 
-    /// One pattern is evaluated without join ordering, and its projection
-    /// scratch is sized by the answer: every shape still agrees with the
-    /// reference engine.
+    /// One pattern is evaluated without join ordering: every shape still
+    /// agrees with the reference engine.
     #[test]
     fn one_pattern_shapes_agree_with_the_reference() {
         for (src, rows) in [

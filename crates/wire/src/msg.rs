@@ -186,15 +186,10 @@ impl Wire for Msg {
                 annotated.encode(w);
                 missing.encode(w);
             }
-            Msg::ObsPush {
-                owner,
-                registry,
-                patterns,
-            } => {
+            Msg::ObsPush { owner, rows } => {
                 w.u64v(20);
                 owner.encode(w);
-                registry.encode(w);
-                patterns.encode(w);
+                rows.encode(w);
             }
         }
     }
@@ -289,8 +284,7 @@ impl Wire for Msg {
             }),
             20 => Ok(Msg::ObsPush {
                 owner: Wire::decode(r)?,
-                registry: Wire::decode(r)?,
-                patterns: Wire::decode(r)?,
+                rows: Wire::decode(r)?,
             }),
             tag => Err(WireError::BadTag { what: "Msg", tag }),
         }

@@ -1,5 +1,5 @@
 //! [`Wire`] encodings for the observability-plane payloads: histograms,
-//! link telemetry, registry rollups and pattern statistics.
+//! pattern entries and the rollup rows of `Msg::ObsPush`.
 //!
 //! Histograms ship **sparse** — a count of non-empty buckets followed by
 //! `(bucket index, count)` pairs in strictly increasing index order, then
@@ -7,15 +7,17 @@
 //! histograms populate a handful of adjacent log₂ buckets, so this is
 //! far smaller than 40 varints and gives decode a cheap validity check.
 //!
-//! Registries and pattern tables encode their maps as sorted vectors
-//! (links by `(from, to)`, entries by fingerprint), so equal values
-//! produce identical bytes — the determinism rule the whole codec
-//! follows. Pattern fingerprints are *recomputed from the pattern text*
-//! at decode, so a decoded table can never hold a mismatched key.
+//! A [`Rollup`] encodes its rows in key order, so equal values produce
+//! identical bytes — the determinism rule the whole codec follows. A
+//! pattern row's fingerprint is not shipped but *recomputed from the
+//! pattern text* at decode, so a decoded row can never hold a
+//! mismatched key.
 
 use crate::codec::{Reader, Wire, WireError, Writer};
+use sqpeer_exec::Rollup;
 use sqpeer_net::telemetry::BUCKETS;
-use sqpeer_net::{Histogram, LinkTelemetry, NodeId, PatternEntry, PatternStats, TelemetryRegistry};
+use sqpeer_net::{Histogram, NodeId, PatternEntry, PatternStats};
+use sqpeer_routing::PeerId;
 
 impl Wire for NodeId {
     fn encode(&self, w: &mut Writer) {
@@ -67,57 +69,6 @@ impl Wire for Histogram {
     }
 }
 
-impl Wire for LinkTelemetry {
-    fn encode(&self, w: &mut Writer) {
-        w.u64v(self.messages);
-        w.u64v(self.bytes);
-        self.latency_us.encode(w);
-        self.size_bytes.encode(w);
-        self.window_bytes.encode(w);
-        self.ttfr_us.encode(w);
-        w.u64v(self.window_start_us());
-        w.u64v(self.open_window_bytes());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(LinkTelemetry::from_parts(
-            r.u64v()?,
-            r.u64v()?,
-            Histogram::decode(r)?,
-            Histogram::decode(r)?,
-            Histogram::decode(r)?,
-            Histogram::decode(r)?,
-            r.u64v()?,
-            r.u64v()?,
-        ))
-    }
-}
-
-impl Wire for TelemetryRegistry {
-    fn encode(&self, w: &mut Writer) {
-        w.u64v(self.window_us());
-        w.u64v(self.epoch_us());
-        let links = self.sorted_links();
-        w.u64v(links.len() as u64);
-        for ((from, to), link) in links {
-            from.encode(w);
-            to.encode(w);
-            link.encode(w);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let window_us = r.u64v()?;
-        let epoch_us = r.u64v()?;
-        let n = r.count()?;
-        let mut links = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let from = NodeId::decode(r)?;
-            let to = NodeId::decode(r)?;
-            links.push(((from, to), LinkTelemetry::decode(r)?));
-        }
-        Ok(TelemetryRegistry::from_parts(window_us, epoch_us, links))
-    }
-}
-
 impl Wire for PatternEntry {
     fn encode(&self, w: &mut Writer) {
         w.string(&self.pattern);
@@ -141,23 +92,34 @@ impl Wire for PatternEntry {
     }
 }
 
-impl Wire for PatternStats {
+impl Wire for Rollup {
     fn encode(&self, w: &mut Writer) {
-        let entries = self.sorted_entries();
-        w.u64v(entries.len() as u64);
-        for (_, entry) in entries {
-            // The fingerprint is not shipped: it is a pure function of
-            // the pattern text and is recomputed at decode.
+        w.u64v(self.links.len() as u64);
+        for (&(from, to), &(messages, bytes)) in &self.links {
+            from.encode(w);
+            to.encode(w);
+            w.u64v(messages);
+            w.u64v(bytes);
+        }
+        w.u64v(self.patterns.len() as u64);
+        for ((root, _), entry) in &self.patterns {
+            root.encode(w);
             entry.encode(w);
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.count()?;
-        let mut entries = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            entries.push(PatternEntry::decode(r)?);
+        let mut rows = Rollup::default();
+        for _ in 0..r.count()? {
+            let key = (NodeId::decode(r)?, NodeId::decode(r)?);
+            rows.links.insert(key, (r.u64v()?, r.u64v()?));
         }
-        Ok(PatternStats::from_entries(entries))
+        for _ in 0..r.count()? {
+            let root = PeerId::decode(r)?;
+            let entry = PatternEntry::decode(r)?;
+            let fp = PatternStats::fingerprint(&entry.pattern);
+            rows.patterns.insert((root, fp), entry);
+        }
+        Ok(rows)
     }
 }
 
@@ -212,15 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_roundtrips_with_links() {
-        let mut reg = TelemetryRegistry::new(100_000);
-        reg.record_delivery(NodeId(1), NodeId(2), 500, 300, 40_000);
-        reg.record_delivery(NodeId(2), NodeId(1), 120, 900, 140_000);
-        reg.record_receipt(NodeId(3), NodeId(1), 64, 200_000);
-        reg.record_ttfr(NodeId(1), NodeId(2), 77_000);
-        let decoded = roundtrip(&reg);
-        assert_eq!(decoded.total_bytes(), reg.total_bytes());
-        roundtrip(&TelemetryRegistry::new(1));
+    fn link_rows_roundtrip() {
+        let mut rows = Rollup::default();
+        rows.links.insert((NodeId(2), NodeId(1)), (3, 900));
+        rows.links.insert((NodeId(70_000), NodeId(1)), (1, 64));
+        rows.links.insert((NodeId(1), NodeId(2)), (u64::MAX, 0));
+        roundtrip(&rows);
+        roundtrip(&Rollup::default());
     }
 
     #[test]
@@ -229,8 +189,25 @@ mod tests {
         ps.record("SELECT X FROM {X}p{Y}", 1_500, Some(300), 4, false, 1);
         ps.record("SELECT Z FROM {Z}q{W}", 90, None, 1, true, 0);
         ps.record("SELECT X FROM {X}p{Y}", 2_500, None, 2, false, 0);
-        let decoded = roundtrip(&ps);
-        assert_eq!(decoded.get("SELECT X FROM {X}p{Y}").unwrap().count, 2);
-        roundtrip(&PatternStats::new());
+        let mut rows = Rollup::default();
+        for (root, (fp, entry)) in [3, 9].into_iter().zip(ps.sorted_entries()) {
+            rows.patterns.insert((PeerId(root), fp), entry.clone());
+        }
+        let decoded = roundtrip(&rows);
+        let p = PatternStats::fingerprint("SELECT X FROM {X}p{Y}");
+        let held = decoded.patterns.iter().find(|((_, fp), _)| *fp == p);
+        assert_eq!(held.unwrap().1.count, 2);
+
+        // A key that disagrees with its text is not what arrives.
+        let mut forged = Rollup::default();
+        forged
+            .patterns
+            .insert((PeerId(3), 7), ps.by_count()[0].clone());
+        let mut w = Writer::new();
+        forged.encode(&mut w);
+        let bytes = w.into_bytes();
+        let reg = crate::SchemaRegistry::new();
+        let decoded = Rollup::decode(&mut Reader::new(&bytes, &reg)).unwrap();
+        assert_eq!(decoded.patterns.keys().next().unwrap().1, p);
     }
 }

@@ -229,25 +229,14 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     credits: a + 1,
                 },
                 _ => {
-                    let mut registry = sqpeer_net::TelemetryRegistry::new(100_000);
-                    registry.record_delivery(
-                        sqpeer_net::NodeId(a),
-                        sqpeer_net::NodeId(b),
-                        64 + tag as usize,
-                        1_000 + tag,
-                        tag * 10_000,
-                    );
+                    let mut obs = sqpeer_exec::ObsState::default();
+                    let (from, to) = (sqpeer_net::NodeId(b), sqpeer_net::NodeId(a));
+                    obs.local
+                        .record_receipt(from, to, 64 + tag as usize, tag * 10_000);
                     if flag {
-                        registry.record_receipt(
-                            sqpeer_net::NodeId(b),
-                            sqpeer_net::NodeId(a),
-                            128,
-                            tag * 20_000,
-                        );
-                        registry.record_ttfr(sqpeer_net::NodeId(a), sqpeer_net::NodeId(b), tag);
+                        obs.local.record_receipt(to, to, 128, tag * 20_000);
                     }
-                    let mut patterns = sqpeer_net::PatternStats::new();
-                    patterns.record(
+                    obs.patterns.record(
                         QUERY_TEXTS[qi],
                         tag * 100,
                         flag.then_some(tag * 10),
@@ -257,8 +246,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     );
                     Msg::ObsPush {
                         owner: PeerId(a),
-                        registry,
-                        patterns,
+                        rows: obs.outbound_delta(PeerId(a)),
                     }
                 }
             }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqpeer::exec::{node_of, ObsConfig};
-use sqpeer::net::{PatternStats, TelemetryRegistry};
+use sqpeer::net::{FaultPlan, PatternStats, TelemetryRegistry};
 use sqpeer::overlay::HybridNetwork;
 use sqpeer::prelude::*;
 use sqpeer_testkit::{community_schema, hier_network, random_chain_query, NetworkSpec, SchemaSpec};
@@ -41,6 +41,15 @@ fn obs_config() -> PeerConfig {
 /// drain long enough for every rollup to climb the tree and cross to
 /// the sibling head.
 fn run_workload(seed: u64, config: PeerConfig) -> (HybridNetwork, Vec<(PeerId, QueryId, String)>) {
+    run_workload_under(seed, config, None)
+}
+
+/// [`run_workload`] with `faults` installed before the first query.
+fn run_workload_under(
+    seed: u64,
+    config: PeerConfig,
+    faults: Option<FaultPlan>,
+) -> (HybridNetwork, Vec<(PeerId, QueryId, String)>) {
     let schema = community_schema(SchemaSpec::default(), seed ^ 0xA5A5);
     let spec = NetworkSpec {
         peers: 12,
@@ -48,6 +57,9 @@ fn run_workload(seed: u64, config: PeerConfig) -> (HybridNetwork, Vec<(PeerId, Q
         ..NetworkSpec::default()
     };
     let (mut net, ids) = hier_network(&schema, spec, 4, 2, config);
+    if let Some(plan) = faults {
+        net.sim_mut().set_fault_plan(plan);
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut injected = Vec::new();
     for k in 0..4usize {
@@ -201,6 +213,34 @@ proptest! {
             bytes_off + net_on.obs_push_bytes_total(),
             "plane-on bytes must exceed plane-off by exactly the push bytes"
         );
+    }
+}
+
+/// Rollup ≡ merge under duplicated and reordered delivery: every push
+/// may arrive twice, and late behind a newer one, yet after the drain
+/// every head's snapshot still equals the global merge, links and
+/// patterns alike. (No loss: a lost row returns only with its next
+/// change.)
+#[test]
+fn head_rollup_equals_global_merge_under_duplication() {
+    for (dup_permille, jitter_us) in [(50, 20_000), (200, 0)] {
+        for seed in 0..10 {
+            let plan = FaultPlan::new(seed)
+                .with_duplication(dup_permille)
+                .with_jitter(jitter_us);
+            let (net, _) = run_workload_under(seed, obs_config(), Some(plan));
+            let (global_reg, global_pats) = global_merge(&net);
+            for h in heads(&net) {
+                let (reg, pats) = net.obs_snapshot(h).expect("plane is on");
+                let setting = format!("dup {dup_permille}‰ jitter {jitter_us}µs seed {seed}");
+                assert_eq!(
+                    link_rows(&reg),
+                    link_rows(&global_reg),
+                    "{setting}: head {h}"
+                );
+                assert_eq!(pats.render(), global_pats.render(), "{setting}: head {h}");
+            }
+        }
     }
 }
 
