@@ -245,7 +245,8 @@ pub fn e23(json: BenchJson) -> String {
         };
         let (mut net, ids) = hier_network(&schema, spec, SUPERS, CLUSTER, config);
         // Flush boot-driven rollups so the measured window prices only
-        // the query phase (the dirty flag then silences idle peers).
+        // the query phase (an idle peer has no newer rows, so it stays
+        // silent).
         net.run_for(4 * PUSH_US);
         net.sim_mut().reset_metrics();
         let pushes0 = net.obs_pushes_total();
@@ -282,7 +283,7 @@ pub fn e23(json: BenchJson) -> String {
                         .is_some_and(|c| c.head == s)
                 })
                 .expect("clustered overlay has heads");
-            Some(net.obs_snapshot(head).expect("plane is on").1)
+            Some(net.obs_snapshot(head).expect("plane is on").pattern_stats())
         } else {
             None
         };

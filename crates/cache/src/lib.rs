@@ -236,33 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn shortcut_disabled_by_config() {
-        let schema = fig1_schema();
-        let reg = figure2_registry(&schema);
-        let mut cache = SemanticCache::new(CacheConfig {
-            subsumption_shortcut: false,
-            ..CacheConfig::default()
-        });
-        let broad = compile("SELECT X FROM {X}prop1{Y}", &schema).unwrap();
-        let narrow = compile("SELECT X FROM {X}prop4{Y}", &schema).unwrap();
-        cache.route(
-            &reg,
-            &broad,
-            RoutingPolicy::SubsumedOnly,
-            RoutingLimits::unlimited(),
-        );
-        cache.route(
-            &reg,
-            &narrow,
-            RoutingPolicy::SubsumedOnly,
-            RoutingLimits::unlimited(),
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.subsumption_hits, 0);
-        assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
     fn limits_are_applied_on_hits() {
         let schema = fig1_schema();
         let reg = figure2_registry(&schema);
@@ -295,7 +268,6 @@ mod tests {
         // A budget that fits roughly one pattern entry.
         let mut cache = SemanticCache::new(CacheConfig {
             annotation_budget: 600,
-            subsumption_shortcut: false,
             ..CacheConfig::default()
         });
         let queries = [

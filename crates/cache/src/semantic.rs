@@ -36,15 +36,13 @@ use sqpeer_subsume::{match_pattern, rewrite_for};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Sizing and feature knobs for a [`SemanticCache`].
+/// Sizing knobs for a [`SemanticCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Cost budget (approximate bytes) for annotation entries.
     pub annotation_budget: usize,
     /// Cost budget (approximate bytes) for plan entries.
     pub plan_budget: usize,
-    /// Answer narrower patterns from broader cached ones.
-    pub subsumption_shortcut: bool,
 }
 
 impl Default for CacheConfig {
@@ -52,7 +50,6 @@ impl Default for CacheConfig {
         CacheConfig {
             annotation_budget: 256 * 1024,
             plan_budget: 256 * 1024,
-            subsumption_shortcut: true,
         }
     }
 }
@@ -151,7 +148,6 @@ struct PlanEntry {
 /// The subsumption-aware memoisation layer (see module docs).
 #[derive(Debug)]
 pub struct SemanticCache {
-    config: CacheConfig,
     annotations: CostLru<AnnKey, AnnEntry>,
     plans: CostLru<u64, PlanEntry>,
     stats: CacheStats,
@@ -167,7 +163,6 @@ impl SemanticCache {
     /// An empty cache with the given budgets.
     pub fn new(config: CacheConfig) -> Self {
         SemanticCache {
-            config,
             annotations: CostLru::new(config.annotation_budget),
             plans: CostLru::new(config.plan_budget),
             stats: CacheStats::default(),
@@ -274,34 +269,32 @@ impl SemanticCache {
         // Subsumption shortcut: a current-epoch entry for a broader
         // pattern P ⊒ pattern already scanned every arc that could match —
         // re-classify just those candidates against the narrower pattern.
-        if self.config.subsumption_shortcut {
-            let parent = self
-                .annotations
-                .iter()
-                .find(|(k, e)| {
-                    k.schema_ns == ns
-                        && k.policy == policy
-                        && e.epoch == epoch
-                        && k.pattern != *pattern
-                        && pattern_subsumed_by(schema, pattern, &k.pattern)
+        let parent = self
+            .annotations
+            .iter()
+            .find(|(k, e)| {
+                k.schema_ns == ns
+                    && k.policy == policy
+                    && e.epoch == epoch
+                    && k.pattern != *pattern
+                    && pattern_subsumed_by(schema, pattern, &k.pattern)
+            })
+            .map(|(k, e)| (k.clone(), e.candidates.clone()));
+        if let Some((parent_key, parent_candidates)) = parent {
+            self.stats.subsumption_hits += 1;
+            self.annotations.get(&parent_key); // promote the provider
+            let candidates: Vec<PatternCandidate> = parent_candidates
+                .into_iter()
+                .filter_map(|c| {
+                    let kind = match_pattern(schema, &c.arc, pattern)?;
+                    policy
+                        .admits(kind)
+                        .then_some(PatternCandidate { kind, ..c })
                 })
-                .map(|(k, e)| (k.clone(), e.candidates.clone()));
-            if let Some((parent_key, parent_candidates)) = parent {
-                self.stats.subsumption_hits += 1;
-                self.annotations.get(&parent_key); // promote the provider
-                let candidates: Vec<PatternCandidate> = parent_candidates
-                    .into_iter()
-                    .filter_map(|c| {
-                        let kind = match_pattern(schema, &c.arc, pattern)?;
-                        policy
-                            .admits(kind)
-                            .then_some(PatternCandidate { kind, ..c })
-                    })
-                    .collect();
-                let annotations = annotations_from(schema, pattern, &candidates);
-                self.insert_annotation(key, epoch, candidates, annotations.clone());
-                return annotations;
-            }
+                .collect();
+            let annotations = annotations_from(schema, pattern, &candidates);
+            self.insert_annotation(key, epoch, candidates, annotations.clone());
+            return annotations;
         }
 
         // Full scan, exactly the routing algorithm's inner loop.

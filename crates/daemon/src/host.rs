@@ -366,10 +366,10 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
         }
     }
     // Observability-plane section (`sqpeerd obs` prints from this marker
-    // on): merged pattern statistics, slow-query log entries and the
-    // per-node flight recorders.
+    // on): the hosted nodes' own pattern rows summed by pattern,
+    // slow-query log entries and the per-node flight recorders.
     let _ = writeln!(out, "## obs");
-    let mut patterns = sqpeer_net::PatternStats::new();
+    let mut rows = sqpeer_exec::Rollup::default();
     let (mut obs_on, mut pushes, mut push_bytes) = (false, 0u64, 0u64);
     let mut per_node = String::new();
     for id in net.node_ids() {
@@ -377,7 +377,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
             continue;
         };
         obs_on = true;
-        patterns.merge(&obs.patterns);
+        rows.fold(&obs.own);
         pushes += obs.pushes_sent;
         push_bytes += obs.push_bytes_sent;
         for sq in &obs.slow_queries {
@@ -398,7 +398,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
     }
     let _ = writeln!(out, "obs_pushes_sent {pushes}");
     let _ = writeln!(out, "obs_push_bytes {push_bytes}");
-    out.push_str(&patterns.render());
+    out.push_str(&rows.pattern_stats().render());
     out + &per_node
 }
 
@@ -504,6 +504,11 @@ mod tests {
     /// A pump over the Figure 2 group, its command channel and the
     /// compiled Figure 1 query — everything a host has but the sockets.
     fn fig2_pump() -> (Pump, Sender<Command>, sqpeer_rql::QueryPattern) {
+        fig2_pump_with(PeerConfig::default())
+    }
+
+    /// [`fig2_pump`] with every member configured by `config`.
+    fn fig2_pump_with(config: PeerConfig) -> (Pump, Sender<Command>, sqpeer_rql::QueryPattern) {
         let schema = fig1_schema();
         let mut schemas = SchemaRegistry::new();
         schemas.register(Arc::clone(&schema));
@@ -511,7 +516,7 @@ mod tests {
         let spec = GroupSpec {
             bases: fig2_bases(&schema),
             schema,
-            config: PeerConfig::default(),
+            config,
         };
         let group = assemble(&mut net, spec, 50_000);
         let query = group.compile(fig1_query_text()).expect("fixture compiles");
@@ -554,6 +559,34 @@ mod tests {
         assert!(a.try_recv().is_ok() && b.try_recv().is_ok());
         assert!(pump.in_flight.is_empty());
         assert_eq!(pump.ttfr.count, 3);
+    }
+
+    /// The status page's `## obs` section sums the hosted members' own
+    /// pattern rows: queries posed at two roots read back as one pattern
+    /// line counting all of them. A flat group has no super-peer, so
+    /// nothing is pushed.
+    #[test]
+    fn obs_section_counts_every_query_the_group_answered() {
+        const QUERIES: usize = 5;
+        let config = PeerConfig {
+            obs: Some(sqpeer_exec::ObsConfig::default()),
+            ..PeerConfig::default()
+        };
+        let (mut pump, cmd_tx, query) = fig2_pump_with(config);
+        for k in 0..QUERIES {
+            let reply = queue(&cmd_tx, pump.group.peers[k % 2], &query);
+            assert!(pump.turn() > 0);
+            reply.try_recv().expect("answered in the admitting turn");
+        }
+        let page = render_status(&pump.net, &pump.ttfr, pump.in_flight.len());
+        let obs = &page[page.find("## obs\n").expect("the plane is on")..];
+        assert!(obs.contains("\nobs_pushes_sent 0\n"), "{obs}");
+        let (count, pattern) = (format!("count {QUERIES:>6} "), format!(" pattern {query}"));
+        assert!(
+            obs.lines()
+                .any(|line| line.starts_with(&count) && line.ends_with(&pattern)),
+            "no line counts {QUERIES} of the posed query:\n{obs}"
+        );
     }
 
     /// A turn that finds no command, nothing due and nothing finished

@@ -1,37 +1,40 @@
 //! Peer-side state of the hierarchical observability plane.
 //!
-//! Each peer with an [`ObsConfig`] keeps an [`ObsState`]: a local
-//! receiver-side [`TelemetryRegistry`], a [`PatternStats`] table of the
-//! queries it rooted, a bounded [`FlightRing`] of protocol `Event`s,
-//! and a small slow-query log. Members push what changed up the cluster
-//! tree on a period (`Msg::ObsPush`); heads fold it and exchange it
-//! between heads, so any head serves a near-global snapshot without an
-//! O(peers) scrape and without ever re-shipping cold state.
+//! Each peer with an [`ObsConfig`] keeps an [`ObsState`]: the rollup rows
+//! it owns, a bounded [`FlightRing`] of protocol `Event`s, and a small
+//! slow-query log. Members push what changed up the cluster tree on a
+//! period (`Msg::ObsPush`); heads fold it and exchange it between heads,
+//! so any head serves a near-global snapshot without an O(peers) scrape
+//! and without ever re-shipping cold state. Per-link histograms stay
+//! with the transport's telemetry (`net::telemetry`); the plane keeps
+//! counts only.
 //!
 //! What travels is a [`Rollup`]: rows, each under a key that exactly one
 //! peer — its owner — ever updates, carrying that owner's cumulative
 //! value. A link row `(from, to) → (messages, bytes)` is owned by `to`;
 //! a pattern row `(root, fingerprint) → PatternEntry` by the root that
-//! recorded it. Rows only grow (obs state survives a restart), so one
-//! rule folds both legs: per key, keep the row with the higher count.
-//! That fold is idempotent and order-free — a duplicated, reordered or
-//! stale push changes nothing — and one rule diffs them: a push carries,
-//! whole, the rows its sender holds newer than it last pushed. A row
-//! lost in transit returns only with that row's next change.
+//! recorded it. A peer records its own observations straight into such
+//! rows. Rows only grow (obs state survives a restart), so one rule
+//! folds both legs and the snapshot a peer serves: per key, keep the
+//! row with the higher count. That fold is idempotent and order-free —
+//! a duplicated, reordered or stale push changes nothing — and one rule
+//! diffs them: a push carries, whole, the rows its sender holds newer
+//! than it last pushed, and an idle peer has nothing to push. A row lost
+//! in transit returns only with that row's next change.
 //!
-//! Two rules keep the head snapshots equal to the global merge and the
-//! plane quiet:
+//! Two rules keep the head snapshots equal to the fold of every member's
+//! own rows and the plane quiet:
 //!
-//! * **No self-observation**: `ObsPush` receipts are never recorded
-//!   into the local registry, so the plane does not watch itself and a
-//!   quiet overlay converges instead of chasing its own traffic.
+//! * **No self-observation**: `ObsPush` receipts are never counted into
+//!   a link row, so the plane does not watch itself and a quiet overlay
+//!   converges instead of chasing its own traffic.
 //! * **No echo**: only rows learned from *members* are forwarded
 //!   onward; what sibling heads (or, on the flat backbone, fellow
 //!   super-peers) push is folded locally and never re-shipped. The fold
 //!   would absorb an echo; the rule saves its bandwidth.
 
 use sqpeer_net::telemetry::varint_len;
-use sqpeer_net::{LinkTelemetry, NodeId, PatternEntry, PatternStats, TelemetryRegistry};
+use sqpeer_net::{NodeId, PatternEntry, PatternStats};
 use sqpeer_routing::PeerId;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -317,6 +320,12 @@ impl Rollup {
         }
     }
 
+    /// The pattern rows summed by fingerprint over every root — the
+    /// table the status page renders.
+    pub fn pattern_stats(&self) -> PatternStats {
+        PatternStats::from_entries(self.patterns.values().cloned())
+    }
+
     /// No row at all?
     pub fn is_empty(&self) -> bool {
         self.links.is_empty() && self.patterns.is_empty()
@@ -336,14 +345,13 @@ impl Rollup {
 /// The live observability state of one peer, configured by `PeerConfig::obs`.
 #[derive(Debug, Default)]
 pub struct ObsState {
-    /// Receiver-side link telemetry this peer observed locally.
-    pub local: TelemetryRegistry,
-    /// Pattern statistics of queries this peer rooted.
-    pub patterns: PatternStats,
     /// The protocol-event ring.
     pub recorder: FlightRing,
     /// Slow queries, oldest first, bounded by [`ObsState::SLOW_QUERY_CAP`].
     pub slow_queries: VecDeque<SlowQuery>,
+    /// The rows this peer owns: the links into it and the patterns of
+    /// the queries it rooted.
+    pub own: Rollup,
     /// Every row pushed to this peer, by members and equals alike.
     pub received: Rollup,
     /// Rows learned from members since the last push, to forward up the
@@ -355,16 +363,32 @@ pub struct ObsState {
     pub pushes_sent: u64,
     /// Estimated bytes of those pushes (wire-size estimator).
     pub push_bytes_sent: u64,
-    /// Has pushable state (local receipts, pattern records, member
-    /// rows) changed since the last push? An idle peer skips its push
-    /// tick entirely, so a quiet overlay stops pushing within one
-    /// tree-depth ripple — the steady-state rollup overhead is zero.
-    pub dirty: bool,
 }
 
 impl ObsState {
     /// Slow-query log capacity (oldest entries evicted).
     pub const SLOW_QUERY_CAP: usize = 32;
+
+    /// Counts one message of `bytes` that `to`, this peer, received from
+    /// `from` into its link row.
+    pub fn count_receipt(&mut self, from: NodeId, to: NodeId, bytes: usize) {
+        let (messages, total) = self.own.links.entry((from, to)).or_default();
+        *messages += 1;
+        *total += bytes as u64;
+    }
+
+    /// The pattern row of the queries `root`, this peer, answered under
+    /// `pattern` — the entry an answer updates.
+    pub fn pattern_row(&mut self, root: PeerId, pattern: &str) -> &mut PatternEntry {
+        let key = (root, PatternStats::fingerprint(pattern));
+        self.own
+            .patterns
+            .entry(key)
+            .or_insert_with(|| PatternEntry {
+                pattern: pattern.to_owned(),
+                ..PatternEntry::default()
+            })
+    }
 
     /// Accepts a rollup push. `peer_exchange` marks pushes from equals —
     /// a sibling head, or a fellow super-peer on the flat backbone —
@@ -375,22 +399,17 @@ impl ObsState {
         self.received.fold(rows);
         if !peer_exchange {
             self.forward.fold(rows);
-            self.dirty = true;
         }
     }
 
-    /// What the next push of peer `me` carries: its own rows — links
-    /// projected to their counters, distributions stay local — and the
-    /// member rows to forward, each only if newer than it last pushed.
-    /// Pure: call [`ObsState::commit_push`] once the push is sent.
-    pub fn outbound_delta(&self, me: PeerId) -> Rollup {
+    /// What the next push carries: its own rows and the member rows to
+    /// forward, each only if newer than it last pushed. Empty when
+    /// nothing changed — the idle skip that keeps a quiet overlay
+    /// silent. Pure: call [`ObsState::commit_push`] once the push is
+    /// sent.
+    pub fn outbound_delta(&self) -> Rollup {
         let mut rows = self.forward.clone();
-        let links = self.local.sorted_links().into_iter();
-        rows.links
-            .extend(links.map(|(key, l)| (key, (l.messages, l.bytes))));
-        let patterns = self.patterns.sorted_entries().into_iter();
-        rows.patterns
-            .extend(patterns.map(|(fp, e)| ((me, fp), e.clone())));
+        rows.fold(&self.own);
         rows.newer_than(&self.last_pushed)
     }
 
@@ -400,29 +419,13 @@ impl ObsState {
         self.forward = Rollup::default();
     }
 
-    /// The snapshot this peer serves: its local registry and pattern
-    /// table with every received row, patterns summed by fingerprint.
-    /// At a head this approximates the global merge to within one push
-    /// period of propagation lag.
-    pub fn snapshot(&self) -> (TelemetryRegistry, PatternStats) {
-        let received = self
-            .received
-            .links
-            .iter()
-            .map(|(&key, &(messages, bytes))| {
-                let mut link = LinkTelemetry::default();
-                (link.messages, link.bytes) = (messages, bytes);
-                (key, link)
-            });
-        let local = self.local.sorted_links().into_iter();
-        let links = received.chain(local.map(|(key, l)| (key, l.clone())));
-        let registry =
-            TelemetryRegistry::from_parts(self.local.window_us(), self.local.epoch_us(), links);
-        let mut patterns = self.patterns.clone();
-        patterns.merge(&PatternStats::from_entries(
-            self.received.patterns.values().cloned(),
-        ));
-        (registry, patterns)
+    /// The snapshot this peer serves: its own rows folded with every
+    /// received one. At a head this is the global fold to within one
+    /// push period of propagation lag.
+    pub fn snapshot(&self) -> Rollup {
+        let mut rows = self.received.clone();
+        rows.fold(&self.own);
+        rows
     }
 
     /// Appends a slow-query record, evicting the oldest past the cap.
@@ -528,59 +531,65 @@ mod tests {
         assert_eq!(lines.count(), FlightRing::CAP - 1);
     }
 
-    /// The rows peer `me` would push with one receipt `from → to` of
+    /// One answered query of `pattern` at `root`.
+    fn answer(obs: &mut ObsState, root: u32, pattern: &str, latency_us: u64) {
+        let row = obs.pattern_row(PeerId(root), pattern);
+        row.record(latency_us, None, 1, false, 0);
+    }
+
+    /// The rows peer `me` would push with one receipt `from → me` of
     /// `bytes` and, optionally, one answered query of `pattern`.
-    fn rows_of(me: u32, from: u32, to: u32, bytes: usize, pattern: Option<&str>) -> Rollup {
+    fn rows_of(me: u32, from: u32, bytes: usize, pattern: Option<&str>) -> Rollup {
         let mut obs = ObsState::default();
-        obs.local
-            .record_receipt(NodeId(from), NodeId(to), bytes, 10);
+        obs.count_receipt(NodeId(from), NodeId(me), bytes);
         if let Some(p) = pattern {
-            obs.patterns.record(p, 60, None, 2, false, 0);
+            answer(&mut obs, me, p, 60);
         }
-        obs.outbound_delta(PeerId(me))
+        obs.outbound_delta()
     }
 
     #[test]
     fn snapshot_folds_local_members_and_peer_exchange() {
         let mut obs = ObsState::default();
-        obs.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
-        obs.patterns.record("p", 50, None, 1, false, 0);
+        obs.count_receipt(NodeId(1), NodeId(2), 100);
+        answer(&mut obs, 2, "p", 50);
 
-        obs.accept_push(&rows_of(4, 3, 4, 200, Some("p")), false);
-        obs.accept_push(&rows_of(6, 5, 6, 300, Some("p-cluster")), true);
+        obs.accept_push(&rows_of(4, 3, 200, Some("p")), false);
+        obs.accept_push(&rows_of(6, 5, 300, Some("p-cluster")), true);
 
-        let out = obs.outbound_delta(PeerId(2));
+        let out = obs.outbound_delta();
         let bytes: u64 = out.links.values().map(|l| l.1).sum();
         assert_eq!(bytes, 300); // local + member, no echo
         assert_eq!(out.patterns.len(), 2); // p at P2 and at P4
         assert!(out.patterns.keys().all(|&(root, _)| root != PeerId(6)));
 
-        let (snap_reg, snap_pat) = obs.snapshot();
-        assert_eq!(snap_reg.total_bytes(), 600);
-        assert_eq!(snap_pat.total(), 3);
-        assert_eq!(snap_pat.get("p").unwrap().count, 2); // summed over roots
+        let snap = obs.snapshot();
+        assert_eq!(snap.links.values().map(|l| l.1).sum::<u64>(), 600);
+        let pats = snap.pattern_stats();
+        assert_eq!(pats.total(), 3);
+        assert_eq!(pats.get("p").unwrap().count, 2); // summed over roots
     }
 
     #[test]
     fn pushes_carry_only_deltas() {
         let mut obs = ObsState::default();
-        obs.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
-        obs.patterns.record("p", 50, None, 1, false, 0);
+        obs.count_receipt(NodeId(1), NodeId(2), 100);
+        answer(&mut obs, 2, "p", 50);
 
-        let rows = obs.outbound_delta(PeerId(2));
+        let rows = obs.outbound_delta();
         assert_eq!(rows.links.len(), 1);
         assert_eq!(rows.patterns.len(), 1);
         obs.commit_push(&rows);
 
         // Nothing changed: the next delta is empty.
-        assert!(obs.outbound_delta(PeerId(2)).is_empty());
+        assert!(obs.outbound_delta().is_empty());
 
         // One more receipt and one more query: the delta carries the
         // changed rows whole, the pattern row at its running count.
-        obs.local.record_receipt(NodeId(1), NodeId(2), 40, 20);
-        obs.local.record_receipt(NodeId(3), NodeId(2), 70, 20);
-        obs.patterns.record("p", 90, None, 1, false, 0);
-        let rows = obs.outbound_delta(PeerId(2));
+        obs.count_receipt(NodeId(1), NodeId(2), 40);
+        obs.count_receipt(NodeId(3), NodeId(2), 70);
+        answer(&mut obs, 2, "p", 90);
+        let rows = obs.outbound_delta();
         assert_eq!(rows.links[&(NodeId(1), NodeId(2))], (2, 140));
         assert_eq!(rows.links[&(NodeId(3), NodeId(2))], (1, 70));
         let entry = rows.patterns.values().next().unwrap();
@@ -592,12 +601,12 @@ mod tests {
     #[test]
     fn duplicate_and_stale_pushes_leave_received_unchanged() {
         let mut member = ObsState::default();
-        member.local.record_receipt(NodeId(1), NodeId(2), 100, 10);
-        member.patterns.record("q", 10, None, 1, false, 0);
-        let stale = member.outbound_delta(PeerId(2));
-        member.local.record_receipt(NodeId(1), NodeId(2), 150, 20);
-        member.patterns.record("q", 30, None, 1, false, 0);
-        let fresh = member.outbound_delta(PeerId(2));
+        member.count_receipt(NodeId(1), NodeId(2), 100);
+        answer(&mut member, 2, "q", 10);
+        let stale = member.outbound_delta();
+        member.count_receipt(NodeId(1), NodeId(2), 150);
+        answer(&mut member, 2, "q", 30);
+        let fresh = member.outbound_delta();
 
         let mut head = ObsState::default();
         head.accept_push(&fresh, false);
@@ -607,14 +616,14 @@ mod tests {
         head.accept_push(&stale, false);
         assert_eq!(head.received, received);
 
-        let (reg, pats) = head.snapshot();
-        assert_eq!((reg.total_messages(), reg.total_bytes()), (2, 250));
-        assert_eq!(pats.get("q").unwrap().count, 2);
+        let snap = head.snapshot();
+        assert_eq!(snap.links[&(NodeId(1), NodeId(2))], (2, 250));
+        assert_eq!(snap.pattern_stats().get("q").unwrap().count, 2);
         // Nor is a stale member row ever pushed on.
-        let sent = head.outbound_delta(PeerId(9));
+        let sent = head.outbound_delta();
         head.commit_push(&sent);
         head.accept_push(&stale, false);
-        assert!(head.outbound_delta(PeerId(9)).is_empty());
+        assert!(head.outbound_delta().is_empty());
     }
 
     #[test]

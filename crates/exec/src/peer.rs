@@ -36,7 +36,7 @@ use crate::son::{Directory, Route};
 use crate::stream::Sender;
 use crate::{node_of, peer_of, send, Event, Subject};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
-use sqpeer_net::{Channel, Ctx, NodeId, NodeLogic, PatternStats, TelemetryRegistry};
+use sqpeer_net::{Channel, Ctx, NodeId, NodeLogic};
 use sqpeer_plan::{
     generate_plan, optimize_traced, CostParams, Estimator, Explain, OptimizeReport, PlanNode, Site,
     Subquery, UniformCost,
@@ -1119,10 +1119,10 @@ impl PeerNode {
         self.obs.as_ref()
     }
 
-    /// The merged snapshot this peer can serve: its local telemetry plus
-    /// every rollup pushed to it (members and, at a head, other
-    /// clusters). `None` when the plane is off.
-    pub fn obs_snapshot(&self) -> Option<(TelemetryRegistry, PatternStats)> {
+    /// The snapshot this peer can serve: its own rollup rows folded with
+    /// every row pushed to it (members and, at a head, other clusters).
+    /// `None` when the plane is off.
+    pub fn obs_snapshot(&self) -> Option<crate::obs::Rollup> {
         self.obs.as_ref().map(crate::obs::ObsState::snapshot)
     }
 
@@ -1151,14 +1151,12 @@ impl PeerNode {
     /// members', never those learned via peer exchange (the no-echo
     /// rule).
     fn push_obs(&mut self, ctx: &mut Ctx<Msg>) {
-        let Some(obs) = &self.obs else {
+        // Idle skip: nothing changed since the last push, so a quiet
+        // overlay goes silent within one tree-depth ripple.
+        let delta = self.obs.as_ref().map(crate::obs::ObsState::outbound_delta);
+        let Some(rows) = delta.filter(|rows| !rows.is_empty()) else {
             return;
         };
-        // Idle skip: nothing pushable changed since the last push, so a
-        // quiet overlay goes silent within one tree-depth ripple.
-        if !obs.dirty {
-            return;
-        }
         let dests: Vec<PeerId> = match &self.son.cluster {
             Some(c) if c.head == self.id => {
                 c.heads.iter().copied().filter(|&h| h != self.id).collect()
@@ -1179,12 +1177,7 @@ impl PeerNode {
         if dests.is_empty() {
             return;
         }
-        let rows = obs.outbound_delta(self.id);
         let obs = self.obs.as_mut().expect("checked above");
-        if rows.is_empty() {
-            obs.dirty = false;
-            return;
-        }
         obs.commit_push(&rows);
         let msg = Msg::ObsPush {
             owner: self.id,
@@ -1193,7 +1186,6 @@ impl PeerNode {
         let bytes: usize = dests.iter().map(|&d| send(ctx, d, msg.clone())).sum();
         obs.pushes_sent += dests.len() as u64;
         obs.push_bytes_sent += bytes as u64;
-        obs.dirty = false;
     }
 
     fn continue_with_annotation(
@@ -2059,15 +2051,13 @@ impl PeerNode {
         let mut slow = None;
         if let (Some(obs), Some(config)) = (&mut self.obs, self.config.obs) {
             let peers = root.peers_contacted.len() as u64;
-            obs.patterns.record(
-                root.query.text(),
+            obs.pattern_row(self.id, root.query.text()).record(
                 latency_us,
                 ttfr_us,
                 peers,
                 partial,
                 u64::from(replans),
             );
-            obs.dirty = true;
             let threshold_us = config.slow_query_us;
             if latency_us >= threshold_us {
                 slow = Some(Event::SlowQuery {
@@ -2417,14 +2407,12 @@ impl NodeLogic for PeerNode {
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: NodeId, msg: Msg) {
         if let Some(obs) = &mut self.obs {
-            // Receiver-side link telemetry. The plane never observes
+            // Receiver-side link counts. The plane never observes
             // itself: ObsPush receipts are excluded, so a quiet overlay's
             // rollups converge to the query traffic instead of chasing
             // the plane's own pushes forever.
             if !matches!(msg, Msg::ObsPush { .. }) {
-                obs.local
-                    .record_receipt(from, node_of(self.id), msg.wire_size(), ctx.now_us());
-                obs.dirty = true;
+                obs.count_receipt(from, node_of(self.id), msg.wire_size());
             }
         }
         match msg {
@@ -2601,11 +2589,6 @@ impl NodeLogic for PeerNode {
         self.served = ServedLog::default();
         // Accumulated rollups survive the restart — rows are cumulative
         // and never shrink, so dropping them would lose history.
-        // Re-ripple what this peer knows in case downstream wrote it off
-        // while it was down.
-        if let Some(obs) = &mut self.obs {
-            obs.dirty = true;
-        }
         // The directory re-advertises; `arm_lease_timers` then re-seeds
         // every held ad with a full lease from the restart instant.
         self.son.restart(ctx, self.own_advertisement());

@@ -1,7 +1,7 @@
-//! The node-local pattern table of the hierarchical observability
-//! plane: per-query-pattern statistics. [`PatternStats::merge`] is a
-//! commutative monoid fold: a cluster head's snapshot sums, by
-//! fingerprint, the entries its members' tables hold.
+//! The pattern table of the hierarchical observability plane:
+//! per-query-pattern statistics. A root updates its own
+//! [`PatternEntry`] per answered query; [`PatternStats::from_entries`]
+//! sums, by fingerprint, the entries of every root a snapshot holds.
 //!
 //! The pattern table is the substrate for query-mining-driven adaptive
 //! topology (ROADMAP item 5): which patterns are hot, how many peers
@@ -30,6 +30,25 @@ pub struct PatternEntry {
 }
 
 impl PatternEntry {
+    /// Counts one more answered query of this pattern.
+    pub fn record(
+        &mut self,
+        latency_us: u64,
+        ttfr_us: Option<u64>,
+        peers: u64,
+        partial: bool,
+        replans: u64,
+    ) {
+        self.count += 1;
+        self.partials += u64::from(partial);
+        self.replans += replans;
+        self.peers.record(peers);
+        self.latency_us.record(latency_us);
+        if let Some(t) = ttfr_us {
+            self.ttfr_us.record(t);
+        }
+    }
+
     /// Folds `other` (same fingerprint) into `self`.
     pub fn merge(&mut self, other: &PatternEntry) {
         if self.pattern.is_empty() {
@@ -52,8 +71,8 @@ impl PatternEntry {
     }
 }
 
-/// The per-pattern statistics table: every answered query increments its
-/// pattern's entry at the root; entries travel the rollup channel.
+/// The per-pattern statistics table: entries summed by fingerprint, the
+/// form the status page renders.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatternStats {
     entries: HashMap<u64, PatternEntry>,
@@ -74,37 +93,6 @@ impl PatternStats {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
-    }
-
-    /// Records one answered query of `pattern`.
-    pub fn record(
-        &mut self,
-        pattern: &str,
-        latency_us: u64,
-        ttfr_us: Option<u64>,
-        peers: u64,
-        partial: bool,
-        replans: u64,
-    ) {
-        let entry = self.entries.entry(Self::fingerprint(pattern)).or_default();
-        if entry.pattern.is_empty() {
-            entry.pattern = pattern.to_string();
-        }
-        entry.count += 1;
-        entry.partials += u64::from(partial);
-        entry.replans += replans;
-        entry.peers.record(peers);
-        entry.latency_us.record(latency_us);
-        if let Some(t) = ttfr_us {
-            entry.ttfr_us.record(t);
-        }
-    }
-
-    /// Folds `other` into `self`, entry-wise by fingerprint.
-    pub fn merge(&mut self, other: &PatternStats) {
-        for (fp, theirs) in &other.entries {
-            self.entries.entry(*fp).or_default().merge(theirs);
-        }
     }
 
     /// The entry for `pattern`, if any query of it was recorded.
@@ -136,14 +124,6 @@ impl PatternStats {
                 .cmp(&a.count)
                 .then_with(|| a.pattern.cmp(&b.pattern))
         });
-        entries
-    }
-
-    /// Entries in fingerprint order.
-    pub fn sorted_entries(&self) -> Vec<(u64, &PatternEntry)> {
-        let mut entries: Vec<(u64, &PatternEntry)> =
-            self.entries.iter().map(|(fp, e)| (*fp, e)).collect();
-        entries.sort_by_key(|(fp, _)| *fp);
         entries
     }
 
@@ -192,12 +172,28 @@ impl PatternStats {
 mod tests {
     use super::*;
 
+    /// An entry of `pattern` with one answered query per `(latency,
+    /// ttfr, peers, partial, replans)`.
+    fn entry(pattern: &str, answers: &[(u64, Option<u64>, u64, bool, u64)]) -> PatternEntry {
+        let mut e = PatternEntry {
+            pattern: pattern.to_owned(),
+            ..PatternEntry::default()
+        };
+        for &(latency, ttfr, peers, partial, replans) in answers {
+            e.record(latency, ttfr, peers, partial, replans);
+        }
+        e
+    }
+
     #[test]
     fn pattern_stats_record_and_query() {
-        let mut ps = PatternStats::new();
-        ps.record("SELECT X FROM {X}p1{Y}", 1_000, Some(400), 3, false, 0);
-        ps.record("SELECT X FROM {X}p1{Y}", 3_000, None, 2, true, 1);
-        ps.record("SELECT Z FROM {Z}p2{W}", 500, None, 1, false, 0);
+        let ps = PatternStats::from_entries([
+            entry(
+                "SELECT X FROM {X}p1{Y}",
+                &[(1_000, Some(400), 3, false, 0), (3_000, None, 2, true, 1)],
+            ),
+            entry("SELECT Z FROM {Z}p2{W}", &[(500, None, 1, false, 0)]),
+        ]);
         assert_eq!(ps.len(), 2);
         assert_eq!(ps.total(), 3);
         let hot = ps.by_count();
@@ -211,32 +207,40 @@ mod tests {
         assert!(ps.render().contains("pattern SELECT X FROM"));
     }
 
+    /// Summing entries by fingerprint ignores their order and loses no
+    /// query.
     #[test]
     fn pattern_merge_is_commutative_and_count_preserving() {
-        let mut a = PatternStats::new();
-        a.record("q1", 100, None, 1, false, 0);
-        a.record("q2", 200, Some(50), 2, true, 1);
-        let mut b = PatternStats::new();
-        b.record("q1", 300, None, 4, false, 2);
-        b.record("q3", 400, None, 1, false, 0);
+        let a = [
+            entry("q1", &[(100, None, 1, false, 0)]),
+            entry("q2", &[(200, Some(50), 2, true, 1)]),
+        ];
+        let b = [
+            entry("q1", &[(300, None, 4, false, 2)]),
+            entry("q3", &[(400, None, 1, false, 0)]),
+        ];
 
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
+        let ab = PatternStats::from_entries(a.iter().chain(&b).cloned());
+        let ba = PatternStats::from_entries(b.iter().chain(&a).cloned());
         assert_eq!(ab, ba);
-        assert_eq!(ab.total(), a.total() + b.total());
+        let total = |entries: &[PatternEntry]| PatternStats::from_entries(entries.to_vec()).total();
+        assert_eq!(ab.total(), total(&a) + total(&b));
         assert_eq!(ab.get("q1").unwrap().count, 2);
         assert_eq!(ab.get("q1").unwrap().replans, 2);
     }
 
+    /// Entries of one pattern from several roots sum; the table's own
+    /// entries rebuild it exactly.
     #[test]
-    fn from_entries_roundtrips_sorted_entries() {
-        let mut ps = PatternStats::new();
-        ps.record("alpha", 10, Some(5), 2, false, 0);
-        ps.record("beta", 20, None, 3, true, 1);
-        let rebuilt =
-            PatternStats::from_entries(ps.sorted_entries().into_iter().map(|(_, e)| e.clone()));
+    fn from_entries_sums_one_pattern_and_roundtrips() {
+        let ps = PatternStats::from_entries([
+            entry("alpha", &[(10, Some(5), 2, false, 0)]),
+            entry("beta", &[(20, None, 3, true, 1)]),
+            entry("alpha", &[(30, None, 1, false, 0)]),
+        ]);
+        assert_eq!(ps.get("alpha").unwrap().count, 2);
+        assert_eq!(ps.get("alpha").unwrap().latency_us.sum(), 40);
+        let rebuilt = PatternStats::from_entries(ps.by_count().into_iter().cloned());
         assert_eq!(ps, rebuilt);
     }
 

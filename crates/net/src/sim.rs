@@ -319,11 +319,6 @@ impl<N: NodeLogic> Simulator<N> {
         self.fault = Some(plan);
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// Schedules `node` to crash *ungracefully* at `at_us`: from then on
     /// messages addressed to it are silently dropped — senders get no
     /// delivery-failure notification and must rely on timeouts.
@@ -408,11 +403,6 @@ impl<N: NodeLogic> Simulator<N> {
     /// Is `node` currently down (gracefully or ungracefully)?
     pub fn is_down(&self, node: NodeId) -> bool {
         self.down.contains(&node) || self.silent_down.contains(&node)
-    }
-
-    /// Is `node` currently crashed *ungracefully* (silent to senders)?
-    pub fn is_silently_down(&self, node: NodeId) -> bool {
-        self.silent_down.contains(&node)
     }
 
     fn push(&mut self, at_us: u64, kind: EventKind<N::Msg>) {

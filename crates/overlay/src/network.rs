@@ -193,14 +193,11 @@ impl Network {
         self.sim.telemetry().cloned()
     }
 
-    /// The observability snapshot peer `at` can serve — its local
-    /// telemetry merged with every rollup pushed to it. At a cluster
-    /// head this approximates the global registry to within one push
-    /// period. `None` when the plane is off or the peer is down.
-    pub fn obs_snapshot(
-        &self,
-        at: PeerId,
-    ) -> Option<(sqpeer_net::TelemetryRegistry, sqpeer_net::PatternStats)> {
+    /// The observability snapshot peer `at` can serve — its own rollup
+    /// rows folded with every row pushed to it. At a cluster head this
+    /// is the fold of every member's own rows to within one push period.
+    /// `None` when the plane is off or the peer is down.
+    pub fn obs_snapshot(&self, at: PeerId) -> Option<sqpeer_exec::Rollup> {
         self.sim.node(node_of(at)).and_then(|n| n.obs_snapshot())
     }
 

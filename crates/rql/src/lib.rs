@@ -57,23 +57,3 @@ pub fn compile(
     let ast = parse_query(text).map_err(error::RqlError::Parse)?;
     pattern::QueryPattern::resolve(&ast, schema).map_err(error::RqlError::Resolve)
 }
-
-/// [`compile`] with the parse and pattern-extraction steps recorded as
-/// spans into a tracer. With a disabled tracer this is exactly
-/// [`compile`].
-pub fn compile_traced(
-    text: &str,
-    schema: &std::sync::Arc<Schema>,
-    tracer: &mut sqpeer_trace::Tracer,
-    now_us: u64,
-    qid: u64,
-) -> Result<QueryPattern, error::RqlError> {
-    let parse_span = tracer.begin(now_us, qid, "parse");
-    let ast = parse_query(text).map_err(error::RqlError::Parse);
-    tracer.end(now_us, parse_span);
-    let ast = ast?;
-    let extract_span = tracer.begin_with(now_us, qid, "extract-pattern", || text.to_string());
-    let pattern = pattern::QueryPattern::resolve(&ast, schema).map_err(error::RqlError::Resolve);
-    tracer.end(now_us, extract_span);
-    pattern
-}

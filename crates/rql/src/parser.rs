@@ -178,31 +178,6 @@ impl Parser {
         Ok(Projection::Vars(vars))
     }
 
-    /// Parses a comma-separated list of path expressions. Also used by the
-    /// RVL parser for view FROM clauses.
-    pub fn path_list(&mut self) -> Result<Vec<PathExpr>, ParseError> {
-        let mut paths = vec![self.path_expr()?];
-        while self.peek().kind == TokenKind::Comma {
-            // Lookahead: the comma may also end the FROM clause in RVL where
-            // the caller continues with another clause, but in RQL a comma in
-            // FROM position always introduces another path expression.
-            self.bump();
-            paths.push(self.path_expr()?);
-        }
-        Ok(paths)
-    }
-
-    fn path_expr(&mut self) -> Result<PathExpr, ParseError> {
-        let subject = self.node_spec()?;
-        let property = self.name("property name")?;
-        let object = self.node_spec()?;
-        Ok(PathExpr {
-            subject,
-            property,
-            object,
-        })
-    }
-
     fn node_spec(&mut self) -> Result<NodeSpec, ParseError> {
         self.expect(&TokenKind::LBrace, "`{`")?;
         let spec = match self.peek().kind.clone() {

@@ -72,11 +72,6 @@ impl PathPattern {
             .chain(self.object.term.var())
     }
 
-    /// Do two patterns share a variable (i.e. join)?
-    pub fn shares_var(&self, other: &PathPattern) -> bool {
-        self.vars().any(|v| other.vars().any(|w| w == v))
-    }
-
     /// The variable shared with `other`, if any.
     pub fn shared_var(&self, other: &PathPattern) -> Option<VarId> {
         self.vars().find(|v| other.vars().any(|w| w == *v))

@@ -1,9 +1,9 @@
 //! Query-lifecycle observability: a lightweight span/event recorder plus
 //! the per-query [`QueryProfile`] aggregate.
 //!
-//! The whole SQPeer pipeline — parse → pattern extraction → routing
-//! annotation (§2.3) → plan generation/optimisation (§2.4–§2.5) → channel
-//! execution — reports into a [`Tracer`]. Design constraints:
+//! The SQPeer pipeline past compilation — routing annotation (§2.3) →
+//! plan generation/optimisation (§2.4–§2.5) → channel execution —
+//! reports into a [`Tracer`]. Design constraints:
 //!
 //! * **Virtual-time aware.** The recorder never reads a clock; every call
 //!   takes the caller's notion of "now" (the simulator's virtual µs, via
@@ -11,16 +11,17 @@
 //! * **Zero-alloc when disabled.** A disabled tracer never allocates and
 //!   never formats: every entry point returns before touching its detail
 //!   closure, and an empty `Vec` holds no heap storage. Overhead is one
-//!   predictable branch per call site (budgeted ≤3 % end-to-end, enforced
-//!   by bench experiment E18).
+//!   predictable branch per call site. Experiment E18 asserts identical
+//!   answers with tracing on and off and reports the wall-clock cost
+//!   beside an A/A noise floor; it asserts no overhead bound.
 //! * **Spans close within one callback.** Activities that cross simulator
 //!   callbacks (a subplan dispatched now, answered later) are recorded as
 //!   *paired instant events* (`dispatch`/`answer` sharing a tag), not as
 //!   spans — so recorded spans are always properly nested, an invariant
 //!   the property suite checks with [`spans_well_nested`].
 //!
-//! This crate is dependency-free on purpose: `rql`, `routing`, `plan` and
-//! `exec` all record into it, so it must sit below every one of them.
+//! This crate is dependency-free on purpose: `routing`, `plan` and `exec`
+//! all record into it, so it must sit below every one of them.
 
 use std::fmt::Write as _;
 

@@ -185,24 +185,27 @@ mod tests {
 
     #[test]
     fn pattern_stats_roundtrip_and_refingerprint() {
-        let mut ps = PatternStats::new();
-        ps.record("SELECT X FROM {X}p{Y}", 1_500, Some(300), 4, false, 1);
-        ps.record("SELECT Z FROM {Z}q{W}", 90, None, 1, true, 0);
-        ps.record("SELECT X FROM {X}p{Y}", 2_500, None, 2, false, 0);
+        let entry = |pattern: &str| PatternEntry {
+            pattern: pattern.to_owned(),
+            ..PatternEntry::default()
+        };
+        let mut hot = entry("SELECT X FROM {X}p{Y}");
+        hot.record(1_500, Some(300), 4, false, 1);
+        hot.record(2_500, None, 2, false, 0);
+        let mut cold = entry("SELECT Z FROM {Z}q{W}");
+        cold.record(90, None, 1, true, 0);
+        let p = PatternStats::fingerprint(&hot.pattern);
         let mut rows = Rollup::default();
-        for (root, (fp, entry)) in [3, 9].into_iter().zip(ps.sorted_entries()) {
-            rows.patterns.insert((PeerId(root), fp), entry.clone());
-        }
+        rows.patterns.insert((PeerId(3), p), hot.clone());
+        let q = PatternStats::fingerprint(&cold.pattern);
+        rows.patterns.insert((PeerId(9), q), cold);
         let decoded = roundtrip(&rows);
-        let p = PatternStats::fingerprint("SELECT X FROM {X}p{Y}");
         let held = decoded.patterns.iter().find(|((_, fp), _)| *fp == p);
         assert_eq!(held.unwrap().1.count, 2);
 
         // A key that disagrees with its text is not what arrives.
         let mut forged = Rollup::default();
-        forged
-            .patterns
-            .insert((PeerId(3), 7), ps.by_count()[0].clone());
+        forged.patterns.insert((PeerId(3), 7), hot);
         let mut w = Writer::new();
         forged.encode(&mut w);
         let bytes = w.into_bytes();

@@ -231,13 +231,11 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 _ => {
                     let mut obs = sqpeer_exec::ObsState::default();
                     let (from, to) = (sqpeer_net::NodeId(b), sqpeer_net::NodeId(a));
-                    obs.local
-                        .record_receipt(from, to, 64 + tag as usize, tag * 10_000);
+                    obs.count_receipt(from, to, 64 + tag as usize);
                     if flag {
-                        obs.local.record_receipt(to, to, 128, tag * 20_000);
+                        obs.count_receipt(to, to, 128);
                     }
-                    obs.patterns.record(
-                        QUERY_TEXTS[qi],
+                    obs.pattern_row(PeerId(a), QUERY_TEXTS[qi]).record(
                         tag * 100,
                         flag.then_some(tag * 10),
                         u64::from(a),
@@ -246,7 +244,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     );
                     Msg::ObsPush {
                         owner: PeerId(a),
-                        rows: obs.outbound_delta(PeerId(a)),
+                        rows: obs.outbound_delta(),
                     }
                 }
             }

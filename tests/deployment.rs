@@ -401,13 +401,13 @@ fn loopback_pattern_stats_record_real_clock_ttfr() {
             let o = outcome(&net, *at, *qid).expect("just awaited");
             (o.ttfr_us, o.latency_us)
         };
-        let entry = net
+        let patterns = net
             .node(node_of(*at))
             .and_then(PeerNode::obs)
             .expect("plane is on")
-            .patterns
-            .get(&text)
-            .expect("finalize recorded the pattern");
+            .own
+            .pattern_stats();
+        let entry = patterns.get(&text).expect("finalize recorded the pattern");
         assert_eq!(entry.latency_us.count(), 1, "one finalize at {at:?}");
         assert_eq!(entry.latency_us.sum(), latency_us);
         match ttfr_us {

@@ -5,9 +5,8 @@
 //! The two property tests pin the plane's acceptance bar:
 //!
 //! * **Rollup ≡ merge** — after the network quiesces, the snapshot any
-//!   cluster head serves equals the monoid merge of every tree member's
-//!   local registry (the client sits outside the tree and pushes
-//!   nothing).
+//!   cluster head serves equals the fold of every tree member's own
+//!   rows (the client sits outside the tree and pushes nothing).
 //! * **Transparency** — with the plane off, answers and traffic are
 //!   identical to a plane-on run minus exactly the rollup pushes: the
 //!   plane observes, it never participates.
@@ -15,8 +14,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sqpeer::exec::{node_of, ObsConfig};
-use sqpeer::net::{FaultPlan, PatternStats, TelemetryRegistry};
+use sqpeer::exec::{node_of, ObsConfig, Rollup};
+use sqpeer::net::FaultPlan;
 use sqpeer::overlay::HybridNetwork;
 use sqpeer::prelude::*;
 use sqpeer_testkit::{community_schema, hier_network, random_chain_query, NetworkSpec, SchemaSpec};
@@ -86,24 +85,20 @@ fn tree_members(net: &HybridNetwork) -> Vec<PeerId> {
         .collect()
 }
 
-/// The monoid merge of every tree member's *local* registry and pattern
-/// table — the ground truth a head's rollup snapshot must reproduce.
-fn global_merge(net: &HybridNetwork) -> (TelemetryRegistry, PatternStats) {
-    let mut reg: Option<TelemetryRegistry> = None;
-    let mut pats = PatternStats::new();
+/// The fold of every tree member's *own* rows — its link receipts and
+/// the patterns it rooted: the ground truth a head's snapshot must
+/// reproduce.
+fn global_merge(net: &HybridNetwork) -> Rollup {
+    let mut rows = Rollup::default();
     for p in tree_members(net) {
         let obs = net
             .sim()
             .node(node_of(p))
             .and_then(|n| n.obs())
             .expect("plane is on for every node");
-        match &mut reg {
-            None => reg = Some(obs.local.clone()),
-            Some(r) => r.merge(&obs.local),
-        }
-        pats.merge(&obs.patterns);
+        rows.fold(&obs.own);
     }
-    (reg.expect("at least one tree member"), pats)
+    rows
 }
 
 /// The cluster heads of the overlay, read off the peers' cluster info.
@@ -120,43 +115,37 @@ fn heads(net: &HybridNetwork) -> Vec<PeerId> {
         .collect()
 }
 
-/// Per-link `(from, to, messages, bytes)` rows, sorted — a registry
-/// fingerprint that is insensitive to merge order.
-fn link_rows(reg: &TelemetryRegistry) -> Vec<(u32, u32, u64, u64)> {
-    reg.sorted_links()
-        .iter()
-        .map(|((f, t), l)| (f.0, t.0, l.messages, l.bytes))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Acceptance pin: after quiescence, the snapshot at *every* cluster
-    /// head equals the monoid merge of all member registries — link for
-    /// link, and pattern table byte for byte.
+    /// head equals the fold of all members' own rows — link row for link
+    /// row, pattern row for pattern row, and so the summed pattern table
+    /// byte for byte.
     #[test]
     fn head_rollup_equals_global_merge(seed in 0u64..500) {
         let (net, injected) = run_workload(seed, obs_config());
         prop_assert!(!injected.is_empty());
-        let (global_reg, global_pats) = global_merge(&net);
+        let global = global_merge(&net);
         let heads = heads(&net);
         prop_assert!(!heads.is_empty(), "a clustered overlay has heads");
         for h in heads {
-            let (reg, pats) = net.obs_snapshot(h).expect("plane is on");
+            let snap = net.obs_snapshot(h).expect("plane is on");
             prop_assert_eq!(
-                link_rows(&reg),
-                link_rows(&global_reg),
+                &snap.links,
+                &global.links,
                 "head {} rollup diverged from the global merge",
                 h
             );
-            prop_assert_eq!(reg.total_messages(), global_reg.total_messages());
-            prop_assert_eq!(reg.total_bytes(), global_reg.total_bytes());
             prop_assert_eq!(
-                pats.render(),
-                global_pats.render(),
-                "head {} pattern stats diverged from the global merge",
+                &snap.patterns,
+                &global.patterns,
+                "head {} pattern rows diverged from the global merge",
                 h
+            );
+            prop_assert_eq!(
+                snap.pattern_stats().render(),
+                global.pattern_stats().render()
             );
         }
     }
@@ -229,16 +218,12 @@ fn head_rollup_equals_global_merge_under_duplication() {
                 .with_duplication(dup_permille)
                 .with_jitter(jitter_us);
             let (net, _) = run_workload_under(seed, obs_config(), Some(plan));
-            let (global_reg, global_pats) = global_merge(&net);
+            let global = global_merge(&net);
             for h in heads(&net) {
-                let (reg, pats) = net.obs_snapshot(h).expect("plane is on");
+                let snap = net.obs_snapshot(h).expect("plane is on");
                 let setting = format!("dup {dup_permille}‰ jitter {jitter_us}µs seed {seed}");
-                assert_eq!(
-                    link_rows(&reg),
-                    link_rows(&global_reg),
-                    "{setting}: head {h}"
-                );
-                assert_eq!(pats.render(), global_pats.render(), "{setting}: head {h}");
+                assert_eq!(snap.links, global.links, "{setting}: head {h}");
+                assert_eq!(snap.patterns, global.patterns, "{setting}: head {h}");
             }
         }
     }
@@ -282,7 +267,7 @@ fn pattern_stats_attribute_query_texts() {
         .collect();
     assert!(!answered.is_empty(), "vacuous run");
     let head = heads(&net)[0];
-    let (_, pats) = net.obs_snapshot(head).expect("plane is on");
+    let pats = net.obs_snapshot(head).expect("plane is on").pattern_stats();
     assert_eq!(
         pats.total(),
         answered.len() as u64,
@@ -349,6 +334,24 @@ fn default_threshold_keeps_slow_log_empty() {
             "peer {p} logged a slow query under the default threshold"
         );
     }
-    let (_, pats) = net.obs_snapshot(heads(&net)[0]).expect("plane is on");
-    assert!(pats.total() > 0, "pattern stats must still accumulate");
+    let snap = net.obs_snapshot(heads(&net)[0]).expect("plane is on");
+    assert!(
+        snap.pattern_stats().total() > 0,
+        "pattern stats must still accumulate"
+    );
+}
+
+/// A quiet overlay is silent: once the workload has drained, ten more
+/// push periods send no rollup push at all — no peer holds a row newer
+/// than it last pushed, and the plane does not count its own pushes.
+#[test]
+fn drained_overlay_pushes_nothing() {
+    let (mut net, injected) = run_workload(23, obs_config());
+    assert!(!injected.is_empty(), "vacuous run");
+    let pushes = net.obs_pushes_total();
+    let push_bytes = net.obs_push_bytes_total();
+    assert!(pushes > 0, "the workload's rows were never pushed");
+    net.run_for(10 * PUSH_US);
+    assert_eq!(net.obs_pushes_total(), pushes, "an idle peer pushed");
+    assert_eq!(net.obs_push_bytes_total(), push_bytes);
 }
