@@ -27,7 +27,7 @@ pub mod channel;
 pub mod fault;
 pub mod metrics;
 pub mod obs;
-pub mod queue;
+mod queue;
 pub mod sim;
 pub mod telemetry;
 pub mod transport;
@@ -36,7 +36,6 @@ pub use channel::{Channel, ChannelId, ChannelState, ChannelTable};
 pub use fault::{ChurnEvent, FaultPlan, SplitMix64};
 pub use metrics::{Counters, Metrics, NodeMetrics};
 pub use obs::{PatternEntry, PatternStats};
-pub use queue::{CalendarQueue, Scheduled};
 pub use sim::{Ctx, Effects, LinkSpec, NodeId, NodeLogic, Simulator};
 pub use telemetry::{Histogram, LinkTelemetry, TelemetryRegistry, DEFAULT_WINDOW_US};
 pub use transport::{Clock, ManualClock, Transport};

@@ -20,11 +20,17 @@
 //!   every pop, so ordering never depends on the window geometry;
 //! * buckets fill unsorted; the front bucket is sorted **descending** once
 //!   when the cursor reaches it and popped from the back (min first), with
-//!   late pushes into the open front bucket binary-search inserted.
+//!   late pushes into the open front bucket binary-search inserted;
+//! * the pop that drains a bucket returns its storage: every subplan arms
+//!   a 10 s timeout, so the cursor laps the 16.8 s ring every ≈ 1.7
+//!   queries, and a slot that kept its largest burst's capacity held most
+//!   of a long run's memory. The ring holds only what is queued.
 //!
 //! Each slot holds at most one bucket number at a time: pushes land in the
 //! ring only when their bucket number lies in `[cursor, cursor + RING)`,
-//! and the cursor advances past a slot only once it is empty.
+//! and the cursor advances past a slot only once it is empty. The
+//! calendar stays although a plain heap needs as little memory: the heap
+//! made E22 (1k–5k peers) ≈ 1.5× slower (0.83 → 1.24 s on a 2-vCPU Xeon).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -55,12 +61,6 @@ pub struct CalendarQueue<T> {
     ring_len: usize,
     /// Out-of-window items (past the horizon or behind the cursor).
     spill: BinaryHeap<Reverse<T>>,
-}
-
-impl<T: Scheduled> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        CalendarQueue::new()
-    }
 }
 
 impl<T: Scheduled> CalendarQueue<T> {
@@ -143,7 +143,12 @@ impl<T: Scheduled> CalendarQueue<T> {
         if from_spill {
             return self.spill.pop().map(|Reverse(x)| x);
         }
-        let item = self.buckets[front.expect("ring candidate exists")].pop();
+        let bucket = &mut self.buckets[front.expect("ring candidate exists")];
+        let item = bucket.pop();
+        if bucket.is_empty() {
+            // Return the burst's storage: the slot's next lap starts empty.
+            *bucket = Vec::new();
+        }
         self.ring_len -= 1;
         item
     }
@@ -279,5 +284,58 @@ mod tests {
         for want in 0..3 {
             assert_eq!(q.pop().unwrap().seq, want);
         }
+    }
+
+    /// A simulator-shaped load — a fan-out burst into one bucket plus a
+    /// 10 s "timeout" per message, every 3 virtual seconds — laps the
+    /// ring more than three times. A drained bucket must give its storage
+    /// back at once, so an empty slot never holds capacity and a drained
+    /// queue holds none at all.
+    #[test]
+    fn drained_buckets_hold_no_storage_across_laps() {
+        const BURST: u64 = 100;
+        const TIMEOUT_US: u64 = 10_000_000;
+        let horizon = RING << BUCKET_BITS;
+        let no_idle_storage = |q: &CalendarQueue<Ev>| {
+            for (slot, bucket) in q.buckets.iter().enumerate() {
+                assert!(
+                    !bucket.is_empty() || bucket.capacity() == 0,
+                    "empty slot {slot} keeps capacity {}",
+                    bucket.capacity()
+                );
+            }
+        };
+        let mut q: CalendarQueue<Ev> = CalendarQueue::new();
+        let (mut seq, mut clock, mut last) = (0u64, 0u64, (0, 0));
+        let mut pop_due = |q: &mut CalendarQueue<Ev>, until: u64| {
+            while q.peek_at().is_some_and(|at| at <= until) {
+                let ev = q.pop().unwrap();
+                assert!((ev.at_us, ev.seq) > last, "order broken at {ev:?}");
+                last = (ev.at_us, ev.seq);
+                no_idle_storage(q);
+            }
+        };
+        while clock < 3 * horizon + TIMEOUT_US {
+            for _ in 0..BURST {
+                q.push(Ev {
+                    at_us: clock + 1_000,
+                    seq,
+                });
+                q.push(Ev {
+                    at_us: clock + TIMEOUT_US,
+                    seq: seq + 1,
+                });
+                seq += 2;
+            }
+            no_idle_storage(&q);
+            pop_due(&mut q, clock + 1_000);
+            clock += 3_000_000;
+            pop_due(&mut q, clock);
+        }
+        assert!(clock / horizon >= 3, "the cursor lapped the ring ≥ 3 times");
+        pop_due(&mut q, u64::MAX);
+        assert!(q.is_empty());
+        let held: usize = q.buckets.iter().map(Vec::capacity).sum();
+        assert_eq!(held, 0, "a drained queue holds no bucket storage");
     }
 }

@@ -2,7 +2,8 @@
 """Symbolises and summarises a profile written by sampler.c.
 
     symbolize.py BINARY PROF [--keep REGEX] [--focus REGEX]
-                             [--bucket NAME=REGEX ...] [--top N]
+                             [--callees REGEX] [--bucket NAME=REGEX ...]
+                             [--top N]
 
 Addresses inside BINARY's mappings are turned into function names with
 `addr2line -f -C -i` (inlined frames included: build with debug = 2 for
@@ -13,9 +14,12 @@ simulator workloads, `Sim::pose` or the benchmark's query loop);
 outermost frame, so that the tables read what it calls.
 
 Prints the share of kept samples per innermost function (self), per
-function anywhere on the stack (inclusive), and, when `--bucket` rules are
-given, per bucket: a sample goes to the first rule, in the order given,
-that matches a function anywhere on its stack, else to "other".
+function anywhere on the stack (inclusive), with `--callees` per direct
+callee of the outermost frame matching REGEX ("(self)" when that frame is
+innermost, "(not under REGEX)" when no frame matches), and, when
+`--bucket` rules are given, per bucket: a sample goes to the first rule,
+in the order given, that matches a function anywhere on its stack, else
+to "other".
 """
 
 import argparse
@@ -49,6 +53,7 @@ def main():
     ap.add_argument("prof")
     ap.add_argument("--keep", default=None)
     ap.add_argument("--focus", default=None)
+    ap.add_argument("--callees", default=None)
     ap.add_argument("--bucket", action="append", default=[])
     ap.add_argument("--top", type=int, default=25)
     args = ap.parse_args()
@@ -103,10 +108,12 @@ def main():
     if args.keep:
         keep = re.compile(args.keep)
         stacks = [s for s in stacks if any(keep.search(f) for f in s)]
+    def outermost(s, rx):
+        return max((i for i, f in enumerate(s) if rx.search(f)), default=None)
+
     if args.focus:
         focus = re.compile(args.focus)
-        hits = ([i for i, f in enumerate(s) if focus.search(f)] for s in stacks)
-        stacks = [s[: at[-1] + 1] for s, at in zip(stacks, hits) if at]
+        stacks = [s[: i + 1] for s in stacks if (i := outermost(s, focus)) is not None]
     total = len(stacks)
     print(f"{len(samples)} samples, {total} kept, {dropped} dropped")
     if not total:
@@ -119,6 +126,14 @@ def main():
 
     table("self", collections.Counter(s[0] for s in stacks if s))
     table("inclusive", collections.Counter(f for s in stacks for f in set(s)))
+    if args.callees:
+        caller = re.compile(args.callees)
+
+        def callee(s):
+            i = outermost(s, caller)
+            return "(not under REGEX)" if i is None else s[i - 1] if i else "(self)"
+
+        table(f"callees of {args.callees}", collections.Counter(callee(s) for s in stacks))
     if args.bucket:
         rules = [(r.split("=", 1)[0], re.compile(r.split("=", 1)[1])) for r in args.bucket]
         counts = collections.Counter()
