@@ -270,7 +270,7 @@ pub fn substrate_leg<T: Transport<PeerNode>>(
         .peers
         .iter()
         .filter_map(|&p| net.node(node_of(p)))
-        .map(|n| n.max_stream_inflight)
+        .map(|n| n.max_stream_inflight())
         .max()
         .unwrap_or(0);
     let ttfr_samples = net.telemetry_snapshot().map_or(0, |snapshot| {

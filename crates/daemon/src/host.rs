@@ -343,7 +343,7 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
     let (mut max_inflight, mut credits) = (0u32, 0u64);
     for id in net.node_ids() {
         if let Some(node) = net.node(id) {
-            max_inflight = max_inflight.max(node.max_stream_inflight);
+            max_inflight = max_inflight.max(node.max_stream_inflight());
             credits += node.credits_granted;
         }
     }

@@ -11,13 +11,13 @@
 //!   relays and tree-descent routing gathers — and is unit-tested
 //!   without a network;
 //! * [`PeerNode`] ([`peer`]) holds one directory and is the query plane:
-//!   the plan interpreter and the run-time adaptation. What it has
-//!   shipped and still waits on — channels, the timeout/retry/probe
-//!   ladder, answer reassembly — is one `dispatch::Dispatcher`, which
-//!   says what happened to a subplan as a typed `Event` ([`obs`], the
-//!   type of every protocol event a peer records) and is likewise
-//!   unit-tested without a network; [`stream`] is the sans-IO seq/credit
-//!   machine of one channel.
+//!   a query's life at its root and the run-time adaptation, over three
+//!   crate-private machines unit-tested without a network —
+//!   `dispatch::Dispatcher` (what it shipped and still waits on, each step
+//!   a typed `Event`, [`obs`]), `frame::Frames` (the plan interpreter's
+//!   slot table) and `serve::Server` (a channel's destination end: served
+//!   log, outgoing streams); [`stream`] is the sans-IO seq/credit machine
+//!   of one channel.
 //!
 //! The [`PeerNode`] plugs into [`sqpeer_net::Simulator`] and implements,
 //! per peer role,
@@ -36,10 +36,12 @@
 //!   and re-runs routing + processing.
 
 mod dispatch;
+mod frame;
 pub mod local;
 pub mod msg;
 pub mod obs;
 pub mod peer;
+mod serve;
 pub mod son;
 pub mod stream;
 

@@ -11,32 +11,27 @@
 //!
 //! The node plugs into the [`sqpeer_net::Simulator`] event loop; every
 //! behaviour is a reaction to a delivered message, a timer or a failure
-//! notification. What the peer *knows* about its SON — advertisements and
-//! their leases, cluster summaries, backbone relays and tree-descent
-//! routing gathers — is the [`Directory`] in its `son` field
-//! (`crate::son`); every subplan it has shipped and not yet settled —
-//! the channel, the timeout/retry ladder, the slow-channel probes, the
-//! reassembly of the streamed answer — is the `Dispatcher` in its
-//! `dispatch` field (`crate::dispatch`). This file is the life of a query
-//! over the two: intake, routing delegation or local routing, planning,
-//! the plan interpreter (frames, slots, pipelined joins), serving and
-//! streaming subplans for other roots, hole filling, and the run-time
-//! adaptation that every lost subplan reaches through
-//! `handle_lost_subplan`. The node routes messages, timers and delivery
-//! failures to the directory and the dispatcher, lends the directory its
-//! router (`local_route`'s), records every protocol event through one
-//! fold (`note`) and keeps the one timer table.
+//! notification, handed to one of four machines: what the peer *knows*
+//! about its SON is the [`Directory`] (`son`), what it has shipped and not
+//! yet settled the `Dispatcher` (`dispatch`), the plan interpreter's slot
+//! table `frame::Frames` (`frames`), and what it keeps as the destination
+//! of other roots' channels — the served log and the outgoing streams —
+//! `serve::Server` (`serve`). This file is the life of a query over them:
+//! intake, routing, planning, `execute`, `settle`, `finalize`, hole
+//! filling, and the run-time adaptation every lost subplan reaches
+//! through `handle_lost_subplan`. It lends the directory its router
+//! (`annotate`), records every protocol event through one fold (`note`)
+//! and keeps the timer table and the slot queue.
 
-use crate::dispatch::{
-    Dispatcher, Drained, Packet, PendingRemote, Reader, ReplanCause, Step, Verdict,
-};
+use crate::dispatch::{Dispatcher, Drained, Packet, PendingRemote, ReplanCause, Step, Verdict};
+use crate::frame::{Completion, FrameOp, Frames};
 use crate::local::{eval_local, fully_local};
-use crate::msg::{Msg, PeerChannel, QueryId, QueryOutcome};
+use crate::msg::{Msg, QueryId, QueryOutcome};
+use crate::serve::{Reply, ServedLog, Server, StreamKey};
 use crate::son::{Directory, Route};
-use crate::stream::Sender;
 use crate::{node_of, peer_of, send, Event, Subject};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
-use sqpeer_net::{Channel, Ctx, NodeId, NodeLogic};
+use sqpeer_net::{Ctx, NodeId, NodeLogic};
 use sqpeer_plan::{
     generate_plan, optimize_traced, CostParams, Estimator, Explain, OptimizeReport, PlanNode, Site,
     Subquery, UniformCost,
@@ -45,7 +40,7 @@ use sqpeer_rdfs::{FxHashMap, FxHashSet};
 use sqpeer_routing::{
     route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingPolicy,
 };
-use sqpeer_rql::{QueryPattern, ResultSet, Rows, UnionAcc};
+use sqpeer_rql::{QueryPattern, ResultSet};
 use sqpeer_rvl::{ActiveSchema, VirtualBase};
 use sqpeer_store::DescriptionBase;
 use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
@@ -374,136 +369,6 @@ impl RootQuery {
     }
 }
 
-/// How a finished subtree result is consumed.
-#[derive(Debug, Clone)]
-enum Completion {
-    /// Fill `slot` of `frame`.
-    Parent { frame: u64, slot: usize },
-    /// Stream a `Data` packet to the channel root.
-    Channel {
-        channel: Channel<PeerId>,
-        qid: QueryId,
-        tag: u64,
-    },
-    /// Finalise a rooted query.
-    Root { qid: QueryId },
-}
-
-/// How a frame combines its slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameOp {
-    /// Set union over all slots (horizontal distribution).
-    Union,
-    /// Natural join over all slots, in order (vertical distribution).
-    Join,
-    /// First successful slot wins (competing hole-fillers, §3.2).
-    Race,
-}
-
-#[derive(Debug)]
-struct Frame {
-    qid: QueryId,
-    op: FrameOp,
-    completion: Completion,
-    slots: Vec<Option<ResultSet>>,
-    remaining: usize,
-    partial: bool,
-    done: bool,
-    /// Pipelined join state: set while this frame's only unfilled slot
-    /// streams in batches (see [`JoinProbe`]).
-    probe: Option<JoinProbe>,
-    /// The frame's combined result, already computed incrementally by a
-    /// join probe over the full stream — [`combine`] returns it verbatim
-    /// instead of re-folding the slots.
-    precombined: Option<ResultSet>,
-}
-
-impl Frame {
-    /// Who reads the rows a packet releases for the still-streaming
-    /// `slot`. A live `Join` frame whose every other slot is filled
-    /// activates its pipelined probe on them, which needs the stream's
-    /// whole drained prefix (a backfill), and reads each batch after; a
-    /// `Union` relaying towards a channel (while `forwarding`) reads each.
-    fn reader(&self, slot: usize, forwarding: bool) -> Reader {
-        let mut others = self.slots.iter().enumerate().filter(|&(i, _)| i != slot);
-        let siblings_filled = others.all(|(_, s)| s.is_some());
-        let relays = forwarding && matches!(self.completion, Completion::Channel { .. });
-        match self.op {
-            _ if self.done || self.slots[slot].is_some() => Reader::Nobody,
-            FrameOp::Join if self.probe.as_ref().is_some_and(|p| p.slot == slot) => Reader::Batch,
-            FrameOp::Join if siblings_filled => Reader::Backfill,
-            FrameOp::Union if relays => Reader::Batch,
-            _ => Reader::Nobody,
-        }
-    }
-}
-
-/// Pipelined join consumption: once every slot of a `Join` frame except
-/// the streaming one is filled, arriving batches probe against the
-/// already-built sides instead of buffering until the stream completes.
-/// `prefix` is the left fold of the filled slots before the streaming
-/// slot, `suffix` the filled slots after it; each drained batch `b`
-/// contributes `prefix ⋈ b ⋈ suffix…` to `acc`. Because the natural join
-/// distributes over the union of the (disjoint) batches and the fold
-/// order matches [`combine`]'s, `acc` equals the frame's combined result
-/// the moment the stream completes.
-#[derive(Debug)]
-struct JoinProbe {
-    /// The streaming slot being probed.
-    slot: usize,
-    /// Left fold of filled slots before `slot` (`None` when `slot == 0`:
-    /// the batch itself is the leftmost operand).
-    prefix: Option<ResultSet>,
-    /// Filled slots after `slot`, in slot order.
-    suffix: Vec<ResultSet>,
-    /// Union of every per-batch probe result so far.
-    acc: Option<ResultSet>,
-}
-
-/// One outgoing data-packet stream: the credit-gated [`Sender`] plus
-/// what its packets are addressed and closed with.
-#[derive(Debug)]
-struct OutgoingStream {
-    channel: PeerChannel,
-    qid: QueryId,
-    tag: u64,
-    columns: Vec<String>,
-    core: Sender<Rows>,
-    /// Carried by the final packet.
-    partial: bool,
-    stats: Option<sqpeer_store::BaseStatistics>,
-    /// Union-forwarding streams dedup against the rows already queued
-    /// (`None` for pre-chunked result streams, whose batches are
-    /// disjoint by construction).
-    sent_acc: Option<UnionAcc>,
-}
-
-impl OutgoingStream {
-    /// A stream of `core`'s packets answering `(channel, qid, tag)`.
-    fn new(
-        channel: PeerChannel,
-        qid: QueryId,
-        tag: u64,
-        columns: Vec<String>,
-        core: Sender<Rows>,
-    ) -> Self {
-        OutgoingStream {
-            channel,
-            qid,
-            tag,
-            columns,
-            core,
-            partial: false,
-            stats: None,
-            sent_acc: None,
-        }
-    }
-}
-
-/// Key of an outgoing stream: the stream's consumer plus the subplan
-/// identity it answers, mirroring the `served` dedup log.
-type StreamKey = (PeerId, QueryId, u64);
-
 /// What an armed timer stands for. Timer ids are opaque sequence numbers
 /// handed to the transport; the table in [`PeerNode`] resolves a fired
 /// id back to the machine that armed it.
@@ -517,13 +382,9 @@ enum Timer {
     Obs,
     /// Gather timeout of a hierarchical routing descent.
     HierGather(QueryId),
-    /// A result held back by the processing-load model. Occupies a §2.5
-    /// slot until it fires.
-    Completion {
-        completion: Completion,
-        result: ResultSet,
-        partial: bool,
-    },
+    /// A result (and its partial flag) held back by the processing-load
+    /// model. Occupies a §2.5 slot until it fires.
+    Completion(Completion, ResultSet, bool),
     /// Production pacing of a streamed result: one more batch of the
     /// outgoing stream exists when it fires. Occupies a §2.5 slot until
     /// the last batch does.
@@ -543,7 +404,7 @@ impl Timer {
             Timer::Sweep => "sweep",
             Timer::Obs => "obs",
             Timer::HierGather(_) => "hier-gather",
-            Timer::Completion { .. } => "completion",
+            Timer::Completion(..) => "completion",
             Timer::Production(_) => "production",
             Timer::Probe(_) => "probe",
             Timer::Timeout(_) => "timeout",
@@ -557,124 +418,7 @@ impl Timer {
 
     /// Does this timer hold one of the peer's §2.5 processing slots?
     fn holds_slot(&self) -> bool {
-        matches!(self, Timer::Completion { .. } | Timer::Production(_))
-    }
-}
-
-/// The idempotent-receive log: highest attempt served per subplan
-/// identity `(root peer, query, tag)` — keyed on the transport-agnostic
-/// [`PeerId`], not a simulator node index, so the log survives a change
-/// of substrate. Network duplicates (attempt ≤ served) are dropped;
-/// genuine retries (attempt > served) re-evaluate.
-///
-/// Bounded, in two generations: identities are recorded in `recent`
-/// until it holds [`ServedLog::GENERATION`] of them, then `recent`
-/// becomes `older` and what `older` held is forgotten — at most
-/// [`ServedLog::CAP`] identities, always including the `GENERATION` most
-/// recent, and a long-running peer's log does not grow with the queries
-/// it has ever served. A duplicate trails its original by a network
-/// delay, well inside that window; one that arrives after its identity
-/// was forgotten is merely served again, and its answer is dropped at the
-/// root, which no longer holds the tag (or, if it still does, lands in
-/// the slot the original was for, deduplicated by sequence number).
-#[derive(Debug, Default)]
-struct ServedLog {
-    recent: FxHashMap<StreamKey, u32>,
-    older: FxHashMap<StreamKey, u32>,
-}
-
-impl ServedLog {
-    const GENERATION: usize = 128;
-    const CAP: usize = 2 * Self::GENERATION;
-
-    /// Records `attempt` of subplan `key`. `false` for a duplicate: an
-    /// attempt no higher than one already served.
-    fn admit(&mut self, key: StreamKey, attempt: u32) -> bool {
-        if let Some(seen) = self.recent.get_mut(&key) {
-            let retry = attempt > *seen;
-            *seen = (*seen).max(attempt);
-            return retry;
-        }
-        if self.older.get(&key).is_some_and(|&seen| attempt <= seen) {
-            return false;
-        }
-        if self.recent.len() == Self::GENERATION {
-            std::mem::swap(&mut self.recent, &mut self.older);
-            self.recent.clear();
-        }
-        self.recent.insert(key, attempt);
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.recent.len() + self.older.len()
-    }
-}
-
-/// What annotating a query over a registry takes besides the registry:
-/// borrowed field by field, so the directory can be lent it while it is
-/// itself borrowed mutably.
-struct Router<'a> {
-    cache: Option<&'a RefCell<SemanticCache>>,
-    tracer: &'a RefCell<Tracer>,
-    config: &'a PeerConfig,
-}
-
-impl Router<'_> {
-    fn route(
-        &self,
-        registry: &AdRegistry,
-        query: &QueryPattern,
-        excluded: &FxHashSet<PeerId>,
-        now_us: u64,
-        qid: u64,
-    ) -> AnnotatedQuery {
-        // The memoised path serves the common case (no per-query
-        // exclusions); adaptation re-routes with exclusions bypass it, as
-        // excluded sets are query-local and would pollute shared entries.
-        if excluded.is_empty() {
-            if let Some(cache) = self.cache {
-                let before = if self.config.trace {
-                    Some(cache.borrow().stats())
-                } else {
-                    None
-                };
-                let annotated = cache.borrow_mut().route(
-                    registry,
-                    query,
-                    self.config.routing_policy,
-                    self.config.limits,
-                );
-                if let Some(before) = before {
-                    let d = cache.borrow().stats().since(&before);
-                    self.tracer
-                        .borrow_mut()
-                        .event_with(now_us, qid, "cache:lookup", || {
-                            format!(
-                                "{} exact, {} subsumption, {} miss",
-                                d.hits, d.subsumption_hits, d.misses
-                            )
-                        });
-                }
-                return annotated;
-            }
-        }
-        let ads: Vec<Advertisement> = registry
-            .advertisements()
-            .into_iter()
-            .filter(|a| !excluded.contains(&a.peer))
-            .cloned()
-            .collect();
-        let mut tracer = self.tracer.borrow_mut();
-        route_limited_traced(
-            query,
-            &ads,
-            self.config.routing_policy,
-            self.config.limits,
-            &mut tracer,
-            now_us,
-            qid,
-        )
+        matches!(self, Timer::Completion(..) | Timer::Production(_))
     }
 }
 
@@ -692,8 +436,6 @@ pub struct PeerNode {
     /// and its leases, its super-peers/neighbours, its place in the
     /// cluster tree, and the routing requests it is serving.
     pub son: Directory,
-    /// Answers received as a client.
-    pub client_answers: FxHashMap<QueryId, ResultSet>,
     /// Subqueries this peer evaluated locally (the per-peer load measure
     /// of §2.2 / E8).
     pub queries_processed: usize,
@@ -701,8 +443,8 @@ pub struct PeerNode {
     /// Queries this peer rooted, running and answered — see
     /// [`PeerNode::outcome`] / [`PeerNode::take_outcome`].
     rooted: FxHashMap<QueryId, RootQuery>,
-    frames: FxHashMap<u64, Frame>,
-    next_frame: u64,
+    /// The plan interpreter's open frames (see [`Frames`]).
+    frames: Frames,
     /// Subplans shipped from here and not yet settled, and the channels
     /// they travel on.
     dispatch: Dispatcher,
@@ -710,21 +452,16 @@ pub struct PeerNode {
     timers: FxHashMap<u64, Timer>,
     next_timer: u64,
     /// Subplans waiting for a processing slot (FIFO).
-    slot_queue: VecDeque<(PeerChannel, QueryId, u64, PlanNode, Vec<PeerId>)>,
-    /// Credit-gated outgoing result streams this peer is the sender of.
-    outgoing: FxHashMap<StreamKey, OutgoingStream>,
-    /// Idempotent receive of subplans (see [`ServedLog`]).
-    served: ServedLog,
+    slot_queue: VecDeque<(Reply, PlanNode, Vec<PeerId>)>,
+    /// What this peer keeps as the destination of other roots'
+    /// channels: the served log and the outgoing streams.
+    serve: Server,
     /// Routing/plan memoisation (None when disabled by config). RefCell
     /// because routing entry points take `&self`.
     cache: Option<RefCell<SemanticCache>>,
     /// The span/event recorder (disabled unless `config.trace`). RefCell
     /// because routing/planning entry points take `&self`.
     tracer: RefCell<Tracer>,
-    /// High-water mark of data packets in flight on any single outgoing
-    /// stream — observability for the credit-window bound (stays at or
-    /// below `config.stream_credit_window` when streaming).
-    pub max_stream_inflight: u32,
     /// Credits this peer granted as a stream consumer.
     pub credits_granted: u64,
     /// The observability plane (None when `config.obs` is unset).
@@ -744,23 +481,19 @@ impl PeerNode {
         PeerNode {
             son: Directory::new(id, role, &config),
             dispatch: Dispatcher::new(id, &config),
+            serve: Server::new(&config),
             id,
             role,
             config,
             base,
-            client_answers: FxHashMap::default(),
             queries_processed: 0,
             rooted: FxHashMap::default(),
-            frames: FxHashMap::default(),
-            next_frame: 0,
+            frames: Frames::default(),
             timers: FxHashMap::default(),
             next_timer: 0,
             slot_queue: VecDeque::new(),
-            outgoing: FxHashMap::default(),
-            served: ServedLog::default(),
             cache,
             tracer,
-            max_stream_inflight: 0,
             credits_granted: 0,
             obs,
         }
@@ -819,20 +552,27 @@ impl PeerNode {
     /// Subplan identities held in the idempotent-receive log
     /// (inspection; at most [`PeerNode::SERVED_LOG_CAP`]).
     pub fn served_subplans(&self) -> usize {
-        self.served.len()
+        self.serve.served.len()
+    }
+
+    /// High-water mark of data packets in flight on any single outgoing
+    /// stream — observability for the credit-window bound (stays at or
+    /// below `config.stream_credit_window` when streaming).
+    pub fn max_stream_inflight(&self) -> u32 {
+        self.serve.max_inflight
     }
 
     /// A canonical digest of this peer's protocol state, by which the model
     /// checker (`sqpeer-model`) tells explored states apart: what a later
     /// step reads, in sorted order, with no timer id and time only relative
     /// to `now_us` (each lease deadline as the time it has left). Left out:
-    /// the immutable configuration and base, the answers a client keeps,
-    /// the tracer, the semantic cache (cached ≡ uncached), the
-    /// observability plane, telemetry, and the SON state beyond the
-    /// registry, the leases and the departed set.
+    /// the immutable configuration and base, the tracer, the semantic
+    /// cache (cached ≡ uncached), the observability plane, telemetry, and
+    /// the SON state beyond the registry, the leases and the departed set.
     pub fn digest(&self, now_us: u64) -> u64 {
         let h = &mut std::collections::hash_map::DefaultHasher::new();
-        (self.queries_processed, self.next_frame).hash(h);
+        self.queries_processed.hash(h);
+        self.frames.digest(h);
         self.dispatch.digest(h);
         for (qid, root) in by_key(&self.rooted) {
             let (excluded, missing) = (sorted(&root.excluded), sorted(&root.missing));
@@ -842,18 +582,11 @@ impl PeerNode {
             let outcome = outcome.map(|o| (&o.result, o.partial, &o.missing, o.replans));
             (phases, format!("{outcome:?}")).hash(h);
         }
-        for (id, frame) in by_key(&self.frames) {
-            (id, format!("{frame:?}")).hash(h);
-        }
-        for (key, s) in by_key(&self.outgoing) {
-            let ledger = (s.channel, &s.columns, &s.core, s.partial, &s.sent_acc);
-            (key, format!("{ledger:?}"), s.stats.is_some()).hash(h);
-        }
+        self.serve.digest(h);
         sorted(self.timers.values().map(|t| format!("{t:?}"))).hash(h);
-        for (channel, qid, tag, plan, visited) in &self.slot_queue {
+        for ((channel, qid, tag), plan, visited) in &self.slot_queue {
             (format!("{channel:?}"), qid, tag, plan.to_string(), visited).hash(h);
         }
-        (by_key(&self.served.recent), by_key(&self.served.older)).hash(h);
         let ads = self.son.registry.advertisements();
         let registered: Vec<PeerId> = ads.iter().map(|ad| ad.peer).collect();
         (registered, self.son.departed_peers()).hash(h);
@@ -986,27 +719,17 @@ impl PeerNode {
             }
             PeerMode::Adhoc => {
                 // Route locally over the semantic neighbourhood (§3.2).
-                let cache_before = if self.config.trace {
-                    self.cache_stats()
-                } else {
-                    None
-                };
-                let annotated =
-                    self.local_route(&query, &self.excluded_of(qid), ctx.now_us(), qid.0);
-                if let Some(before) = cache_before {
-                    // Attribute routing-cache activity to this query.
-                    if let Some(after) = self.cache_stats() {
-                        let d = after.since(&before);
-                        if let Some(root) = self.live_root(qid) {
-                            root.profile.cache_hits += d.hits + d.subsumption_hits;
-                            root.profile.cache_misses += d.misses;
-                        }
-                    }
-                }
+                let excluded = self.excluded_of(qid);
+                let (annotated, lookup) = self.local_route(&query, &excluded, ctx.now_us(), qid.0);
                 // Staleness-bound neighbourhood: lease-expired neighbours
                 // that would have matched are known-missing contributors.
                 let departed = self.son.departed_matching(&query);
                 if let Some(root) = self.live_root(qid) {
+                    // Attribute routing-cache activity to this query.
+                    if let Some(d) = lookup {
+                        root.profile.cache_hits += d.hits + d.subsumption_hits;
+                        root.profile.cache_misses += d.misses;
+                    }
                     root.missing.extend(departed);
                 }
                 self.continue_with_annotation(ctx, qid, annotated);
@@ -1021,20 +744,18 @@ impl PeerNode {
             .unwrap_or_default()
     }
 
-    /// Annotates `query` over what this peer's directory holds.
+    /// Annotates `query` over what this peer's directory holds (see
+    /// [`annotate`]).
     fn local_route(
         &self,
         query: &QueryPattern,
         excluded: &FxHashSet<PeerId>,
         now_us: u64,
         qid: u64,
-    ) -> AnnotatedQuery {
-        let router = Router {
-            cache: self.cache.as_ref(),
-            tracer: &self.tracer,
-            config: &self.config,
-        };
-        router.route(&self.son.registry, query, excluded, now_us, qid)
+    ) -> (AnnotatedQuery, Option<CacheStats>) {
+        let (cache, tracer) = (self.cache.as_ref(), &self.tracer);
+        let at = (&self.son.registry, now_us, qid);
+        annotate(cache, tracer, &self.config, at, query, excluded)
     }
 
     /// Hands the directory a routing request (`serve`) with this peer's
@@ -1045,14 +766,11 @@ impl PeerNode {
         qid: QueryId,
         serve: impl FnOnce(&mut Directory, &mut Ctx<Msg>, Route<'_>) -> Option<u64>,
     ) {
-        let router = Router {
-            cache: self.cache.as_ref(),
-            tracer: &self.tracer,
-            config: &self.config,
-        };
+        let (cache, tracer, config) = (self.cache.as_ref(), &self.tracer, &self.config);
         let now = ctx.now_us();
         let delay = serve(&mut self.son, ctx, &|registry, query| {
-            router.route(registry, query, &FxHashSet::default(), now, qid.0)
+            let none = FxHashSet::default();
+            annotate(cache, tracer, config, (registry, now, qid.0), query, &none).0
         });
         if let Some(delay) = delay {
             self.arm(ctx, delay, Timer::HierGather(qid));
@@ -1239,35 +957,31 @@ impl PeerNode {
                     if cache_hit { "hit" } else { "miss" }.to_string()
                 });
         }
-        let plan = match cached {
-            Some(plan) => {
-                // A memoised plan skips plan generation, but EXPLAIN still
-                // needs the optimisation pipeline: re-derive it (planning
-                // is deterministic, so the plan is identical).
-                if self.config.trace && self.live_root(qid).is_some_and(|r| r.explain.is_none()) {
-                    let (_, explain) = self.build_plan(&annotated, qid, now);
-                    if let Some(root) = self.live_root(qid) {
-                        root.explain = explain;
-                    }
-                }
-                plan
+        // A memoised plan skips plan generation, but EXPLAIN still needs
+        // the optimisation pipeline: re-derive it (planning is
+        // deterministic, so the plan is identical).
+        let unexplained = self.live_root(qid).is_some_and(|r| r.explain.is_none());
+        let (plan, explain) = match cached {
+            Some(plan) if self.config.trace && unexplained => {
+                (plan, self.build_plan(&annotated, qid, now).1)
             }
+            Some(plan) => (plan, None),
             None => {
                 let (plan, explain) = self.build_plan(&annotated, qid, now);
-                if let (Some(mut explain), Some(root)) = (explain, self.live_root(qid)) {
-                    // Re-plans produce a fresh Explain for the new plan;
-                    // the adaptation log survives across phases.
-                    if let Some(prev) = root.explain.take() {
-                        explain.adaptation = prev.adaptation;
-                    }
-                    root.explain = Some(explain);
-                }
                 if let Some(cache) = &self.cache {
                     cache.borrow_mut().store_plan(epochs, &annotated, &plan);
                 }
-                plan
+                (plan, explain)
             }
         };
+        if let (Some(mut explain), Some(root)) = (explain, self.live_root(qid)) {
+            // Re-plans produce a fresh Explain for the new plan; the
+            // adaptation log survives across phases.
+            if let Some(prev) = root.explain.take() {
+                explain.adaptation = prev.adaptation;
+            }
+            root.explain = Some(explain);
+        }
         let now = ctx.now_us();
         self.tracer.get_mut().end(now, plan_span);
         if let Some(root) = self.live_root(qid) {
@@ -1285,12 +999,8 @@ impl PeerNode {
                 self.finalize(ctx, qid, ResultSet::default(), true);
                 return;
             }
-            let frame = self.new_frame(
-                qid,
-                FrameOp::Race,
-                Completion::Root { qid },
-                candidates.len(),
-            );
+            let root = Completion::Root { qid };
+            let frame = self.frames.open(qid, FrameOp::Race, root, candidates.len());
             for (slot, peer) in candidates.into_iter().enumerate() {
                 self.dispatch_remote(ctx, qid, peer, plan.clone(), frame, slot, vec![self.id]);
             }
@@ -1355,32 +1065,6 @@ impl PeerNode {
     // Plan execution
     // ------------------------------------------------------------------
 
-    fn new_frame(
-        &mut self,
-        qid: QueryId,
-        op: FrameOp,
-        completion: Completion,
-        slots: usize,
-    ) -> u64 {
-        let id = self.next_frame;
-        self.next_frame += 1;
-        self.frames.insert(
-            id,
-            Frame {
-                qid,
-                op,
-                completion,
-                slots: vec![None; slots],
-                remaining: slots,
-                partial: false,
-                done: false,
-                probe: None,
-                precombined: None,
-            },
-        );
-        id
-    }
-
     fn execute(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -1401,10 +1085,11 @@ impl PeerNode {
             // while the rest of the evaluation is still being paid for.
             // Anything else (single-packet results included) takes the
             // one-shot processing delay.
-            if let Completion::Channel { channel, qid, tag } = completion {
-                let batch = self.config.stream_batch_rows.unwrap_or(usize::MAX).max(1);
-                if result.rows.len() > batch {
-                    self.start_paced_stream(ctx, channel, qid, tag, result, batch);
+            if let Completion::Channel(to) = completion {
+                if !self.serve.fits_one_packet(&result) {
+                    let stats = self.base_stats();
+                    let (key, delay) = self.serve.pace(to, result, stats);
+                    self.arm(ctx, delay, Timer::Production(key));
                     return;
                 }
             }
@@ -1425,7 +1110,7 @@ impl PeerNode {
         };
         if let Some(p) = shipped_to {
             debug_assert_ne!(p, self.id);
-            let frame = self.new_frame(qid, FrameOp::Union, completion, 1);
+            let frame = self.frames.open(qid, FrameOp::Union, completion, 1);
             self.dispatch_remote(ctx, qid, p, plan, frame, 0, vec![self.id]);
             return;
         }
@@ -1440,7 +1125,7 @@ impl PeerNode {
             PlanNode::Union(inputs) => (FrameOp::Union, inputs),
             PlanNode::Join { inputs, .. } => (FrameOp::Join, inputs),
         };
-        let frame = self.new_frame(qid, op, completion, inputs.len());
+        let frame = self.frames.open(qid, op, completion, inputs.len());
         for (slot, input) in inputs.into_iter().enumerate() {
             self.execute(ctx, qid, input, Completion::Parent { frame, slot });
         }
@@ -1466,7 +1151,7 @@ impl PeerNode {
                     // this peer: reuse the result, ship nothing (§2.5's
                     // phased alternative to discarding).
                     let cached = cached.clone();
-                    self.fill_slot(ctx, frame, slot, cached, false);
+                    self.fill_slot(ctx, frame, slot, cached, false, false);
                     return;
                 }
             }
@@ -1521,17 +1206,7 @@ impl PeerNode {
                             .insert((step.dest, plan.to_string()), result.clone());
                     }
                 }
-                // A probe that covered the whole stream has already
-                // folded the frame's combined result incrementally;
-                // hand it over so `combine` skips the re-fold.
-                if let Some(f) = self.frames.get_mut(&frame) {
-                    if let Some(probe) = f.probe.take() {
-                        if probe.slot == slot {
-                            f.precombined = probe.acc;
-                        }
-                    }
-                }
-                self.fill_slot(ctx, frame, slot, result, partial);
+                self.fill_slot(ctx, frame, slot, result, partial, true);
             }
             Verdict::Lost { pending, cause } => self.handle_lost_subplan(ctx, pending, cause),
         }
@@ -1613,329 +1288,77 @@ impl PeerNode {
         partial: bool,
     ) {
         match completion {
-            Completion::Parent { frame, slot } => self.fill_slot(ctx, frame, slot, result, partial),
-            Completion::Channel { channel, qid, tag } => {
+            Completion::Parent { frame, slot } => {
+                self.fill_slot(ctx, frame, slot, result, partial, false)
+            }
+            Completion::Channel(to) => {
                 let stats = self.base_stats();
-                let key: StreamKey = (channel.root, qid, tag);
-                if self.outgoing.get(&key).is_some_and(|s| !s.core.finished()) {
-                    // A pipelined forwarding stream already carried the
-                    // arriving batches downstream — close it with the
-                    // remaining delta, the honest partial flag and the
-                    // statistics snapshot.
-                    let stream = self.outgoing.get_mut(&key).expect("checked");
-                    let delta = stream
-                        .sent_acc
-                        .as_mut()
-                        .map(|acc| acc.union_delta(&result))
-                        .unwrap_or_default();
-                    stream.core.push(delta);
-                    stream.core.finish();
-                    stream.partial = partial;
-                    stream.stats = stats;
-                    self.flush_stream(ctx, key);
-                    return;
-                }
-                let batch = self.config.stream_batch_rows.unwrap_or(usize::MAX).max(1);
-                if result.rows.len() <= batch {
-                    let msg = Msg::Data {
-                        channel,
-                        qid,
-                        tag,
-                        result,
-                        partial,
-                        stats,
-                        seq: 0,
-                        last: true,
-                    };
-                    send(ctx, channel.root, msg);
-                } else {
-                    // Stream the result as a credit-gated pipeline of
-                    // data packets: at most `stream_credit_window` are in
-                    // flight until the root credits them back.
-                    let mut core = Sender::new(self.config.stream_credit_window);
-                    result.rows.chunks(batch).for_each(|rows| core.push(rows));
-                    core.finish();
-                    let stream = OutgoingStream {
-                        partial,
-                        stats,
-                        ..OutgoingStream::new(channel, qid, tag, result.columns, core)
-                    };
-                    self.outgoing.insert(key, stream);
-                    self.flush_stream(ctx, key);
-                }
+                self.serve.answer(ctx, to, result, partial, stats);
             }
             Completion::Root { qid } => self.finalize(ctx, qid, result, partial),
         }
     }
 
-    /// Sends as many queued packets of `key`'s stream as the credit
-    /// window allows. The final packet carries the partial flag and the
-    /// statistics snapshot, and retires the stream.
-    fn flush_stream(&mut self, ctx: &mut Ctx<Msg>, key: StreamKey) {
-        let Some(stream) = self.outgoing.get_mut(&key) else {
-            return;
-        };
-        while let Some((seq, rows, last)) = stream.core.next_packet() {
-            let msg = Msg::Data {
-                channel: stream.channel,
-                qid: stream.qid,
-                tag: stream.tag,
-                result: ResultSet {
-                    columns: stream.columns.clone(),
-                    rows,
-                },
-                partial: last && stream.partial,
-                stats: if last { stream.stats.take() } else { None },
-                seq,
-                last,
-            };
-            self.max_stream_inflight = self.max_stream_inflight.max(stream.core.inflight());
-            send(ctx, stream.channel.root, msg);
-            if last {
-                self.outgoing.remove(&key);
-                return;
-            }
-        }
-    }
-
-    /// Incremental production under the processing-load model: the peer
-    /// "produces" the streamed result batch by batch over virtual time,
-    /// and each batch enters the credit-gated stream the moment its
-    /// production timer fires — the first data packet leaves after one
-    /// batch's processing charge, not the whole result's.
-    fn start_paced_stream(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        channel: PeerChannel,
-        qid: QueryId,
-        tag: u64,
-        result: ResultSet,
-        batch: usize,
-    ) {
-        let key: StreamKey = (channel.root, qid, tag);
-        let unproduced: std::collections::VecDeque<Rows> = result.rows.chunks(batch).collect();
-        let first_rows = unproduced.front().map_or(0, Rows::len) as u64;
-        let core = Sender::paced(self.config.stream_credit_window, unproduced);
-        let stream = OutgoingStream {
-            stats: self.base_stats(),
-            ..OutgoingStream::new(channel, qid, tag, result.columns, core)
-        };
-        self.outgoing.insert(key, stream);
-        let delay = self.config.processing_us_per_row * (first_rows + 1);
-        self.arm(ctx, delay, Timer::Production(key));
-    }
-
-    /// A production tick of paced stream `key`: one more batch exists;
-    /// ship what the credit window allows and schedule the next tick.
-    fn produce_batch(&mut self, ctx: &mut Ctx<Msg>, key: StreamKey) {
-        let Some(stream) = self.outgoing.get_mut(&key) else {
-            return;
-        };
-        match stream.core.produce().map(Rows::len) {
-            Some(rows) => {
-                let delay = self.config.processing_us_per_row * rows as u64;
-                self.arm(ctx, delay, Timer::Production(key));
-            }
-            // Production finished: the processing slot frees.
-            None => self.admit_queued(ctx),
-        }
-        self.flush_stream(ctx, key);
-    }
-
     /// Admits the next subplan waiting for a processing slot, if any.
     fn admit_queued(&mut self, ctx: &mut Ctx<Msg>) {
-        if let Some((channel, qid, tag, plan, visited)) = self.slot_queue.pop_front() {
-            self.serve_subplan(ctx, channel, qid, tag, plan, visited, None);
+        if let Some((to, plan, visited)) = self.slot_queue.pop_front() {
+            self.serve_subplan(ctx, to, plan, visited, None);
         }
     }
 
     /// Pipelined consumption of one in-order batch drained from a
-    /// streamed subplan feeding `(frame_id, slot)`: join frames probe the
-    /// batch against their already-built sides, and any resulting
-    /// contribution rows (for a union, rows that only arrived) timestamp
-    /// the root's time-to-first-row and are forwarded downstream when the
-    /// frame completes towards a channel.
+    /// streamed subplan feeding `(frame, slot)` (see [`Frames::consume`]):
+    /// the rows it passes on timestamp the root's time-to-first-row and,
+    /// when the frame completes towards a channel, are forwarded
+    /// downstream at once, so the root sees first rows before this peer's
+    /// inputs complete.
     fn consume_batch(
         &mut self,
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
-        frame_id: u64,
+        frame: u64,
         slot: usize,
         batch: Drained,
     ) {
-        let (contrib, completion) = {
-            let Some(frame) = self.frames.get_mut(&frame_id) else {
-                return;
-            };
-            if frame.done || frame.slots[slot].is_some() {
-                return;
-            }
-            let contrib = match (frame.op, batch) {
-                (FrameOp::Union, batch) => Some(batch),
-                (FrameOp::Join, Drained::Batch(batch)) => {
-                    if frame.reader(slot, false) == Reader::Backfill {
-                        // Fold the filled sides once; every batch joins
-                        // against them from here on. (The caller backfills
-                        // previously drained rows into this first batch.)
-                        let prefix = frame.slots[..slot].iter().flatten().fold(
-                            None::<ResultSet>,
-                            |acc, s| match acc {
-                                None => Some(s.clone()),
-                                Some(a) => Some(a.join(s)),
-                            },
-                        );
-                        let suffix: Vec<ResultSet> =
-                            frame.slots[slot + 1..].iter().flatten().cloned().collect();
-                        frame.probe = Some(JoinProbe {
-                            slot,
-                            prefix,
-                            suffix,
-                            acc: None,
-                        });
-                    }
-                    // No probe on this slot: a sibling is still unfilled,
-                    // and the batch waits for the assembled stream.
-                    frame
-                        .probe
-                        .as_mut()
-                        .filter(|p| p.slot == slot)
-                        .map(|probe| {
-                            let mut t = match &probe.prefix {
-                                Some(p) => p.join(&batch),
-                                None => batch,
-                            };
-                            for s in &probe.suffix {
-                                t = t.join(s);
-                            }
-                            let out = t.clone();
-                            match &mut probe.acc {
-                                Some(acc) => {
-                                    acc.union(&t);
-                                }
-                                None => probe.acc = Some(t),
-                            }
-                            Drained::Batch(out)
-                        })
-                }
-                _ => None,
-            };
-            (contrib, frame.completion.clone())
+        let Some((contrib, completion)) = self.frames.consume(frame, slot, batch) else {
+            return;
         };
-        let contrib = match contrib {
-            None => return,
-            Some(Drained::Batch(rows)) if rows.is_empty() => return,
-            Some(contrib) => contrib,
-        };
-        // Time-to-first-row: the first contribution rows that became
-        // visible at the root of this query.
         if let Some(root) = self.live_root(qid) {
             root.first_row_at_us.get_or_insert(ctx.now_us());
         }
-        // Union/join forwarding: an intermediate frame answering through
-        // a channel relays the contribution downstream immediately, so
-        // the root sees first rows before this peer's inputs complete.
-        if let (Drained::Batch(contrib), Some(_), Completion::Channel { channel, qid, tag }) =
-            (contrib, self.config.stream_batch_rows, completion)
-        {
-            self.forward_delta(ctx, channel, qid, tag, contrib);
+        if let (Drained::Batch(contrib), Completion::Channel(to)) = (contrib, completion) {
+            self.serve.forward(ctx, to, contrib);
         }
     }
 
-    /// Queues `contrib`'s not-yet-forwarded rows on the (created on
-    /// first use) forwarding stream towards `channel.root` and flushes
-    /// what the credit window allows.
-    fn forward_delta(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        channel: PeerChannel,
-        qid: QueryId,
-        tag: u64,
-        contrib: ResultSet,
-    ) {
-        let key: StreamKey = (channel.root, qid, tag);
-        let stream = self.outgoing.entry(key).or_insert_with(|| OutgoingStream {
-            sent_acc: Some(UnionAcc::new(ResultSet::empty(contrib.columns.clone()))),
-            ..OutgoingStream::new(
-                channel,
-                qid,
-                tag,
-                contrib.columns.clone(),
-                Sender::new(self.config.stream_credit_window),
-            )
-        });
-        if stream.core.finished() {
-            return;
-        }
-        let delta = stream
-            .sent_acc
-            .as_mut()
-            .map(|acc| acc.union_delta(&contrib))
-            .unwrap_or_default();
-        if !delta.is_empty() {
-            stream.core.push(delta);
-        }
-        self.flush_stream(ctx, key);
-    }
-
+    /// Fills `(frame, slot)` (see [`Frames::fill`]) and completes the
+    /// frame if that finished it.
     fn fill_slot(
         &mut self,
         ctx: &mut Ctx<Msg>,
-        frame_id: u64,
+        frame: u64,
         slot: usize,
         result: ResultSet,
         partial: bool,
+        streamed: bool,
     ) {
-        let Some(frame) = self.frames.get_mut(&frame_id) else {
-            return;
-        };
-        if frame.done {
-            return;
-        }
-
-        if frame.op == FrameOp::Race {
-            if !partial {
-                // First successful filler wins; later arrivals are ignored
-                // (their frame is gone).
-                let frame = self.frames.remove(&frame_id).expect("frame exists");
-                self.complete(ctx, frame.completion, result, false);
-            } else {
-                if frame.slots[slot].is_none() {
-                    frame.remaining -= 1;
-                }
-                frame.slots[slot] = Some(result);
-                if frame.remaining == 0 {
-                    // Every racer failed.
-                    let frame = self.frames.remove(&frame_id).expect("frame exists");
-                    let first = frame.slots.into_iter().flatten().next().unwrap_or_default();
-                    self.complete(ctx, frame.completion, first, true);
-                }
-            }
-            return;
-        }
-
-        frame.partial |= partial;
-        if frame.slots[slot].is_none() {
-            frame.remaining -= 1;
-        }
-        frame.slots[slot] = Some(result);
-        if frame.remaining > 0 {
-            return;
-        }
-        let frame = self.frames.remove(&frame_id).expect("frame exists");
-        let op = frame.op;
-        // A rooted query's last join applies the query's projection.
-        let root = match frame.completion {
-            Completion::Root { qid } if op == FrameOp::Join => self.rooted.get(&qid),
-            _ => None,
-        };
-        let names = root.map(|root| projection_names(&root.query));
-        let (completion, combined, combined_partial, rows) = combine(frame, names.as_deref());
-        if self.config.processing_us_per_row > 0 && op == FrameOp::Join {
+        let rooted = &self.rooted;
+        let names = |qid| rooted.get(&qid).map(|root| projection_names(&root.query));
+        let finished = self
+            .frames
+            .fill(frame, slot, result, partial, streamed, names);
+        match finished {
             // The join work happens at this peer: charge its load before
             // the result moves on.
-            self.complete_after_processing(ctx, completion, combined, combined_partial, rows);
-        } else {
-            self.complete(ctx, completion, combined, combined_partial);
+            Some((completion, result, partial, Some(rows)))
+                if self.config.processing_us_per_row > 0 =>
+            {
+                self.complete_after_processing(ctx, completion, result, partial, rows)
+            }
+            Some((completion, result, partial, _)) => {
+                self.complete(ctx, completion, result, partial)
+            }
+            None => {}
         }
     }
 
@@ -1952,12 +1375,7 @@ impl PeerNode {
         rows: usize,
     ) {
         let delay = self.config.processing_us_per_row * (rows as u64 + 1);
-        let timer = Timer::Completion {
-            completion,
-            result,
-            partial,
-        };
-        self.arm(ctx, delay, timer);
+        self.arm(ctx, delay, Timer::Completion(completion, result, partial));
     }
 
     fn finalize(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, result: ResultSet, partial: bool) {
@@ -2110,22 +1528,14 @@ impl PeerNode {
         self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
         // ubQL semantics: discard all intermediate results and on-going
         // computations, then re-run routing + processing.
-        let stale_frames: Vec<u64> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.qid == qid)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stale_frames {
-            self.frames.remove(&id);
-        }
+        self.frames.discard(qid);
         self.dispatch.abandon(qid);
         self.plan_and_execute(ctx, qid);
     }
 
     /// The one road a lost subplan takes, whatever showed the loss
-    /// (delivery failure, refusal, timeout ladder, slow channel): phased
-    /// repair, full re-plan, or graceful partial degradation, per
+    /// (delivery failure, refusal, timeout ladder, slow channel): full
+    /// re-plan, phased repair, or graceful partial degradation, per
     /// configuration. The dispatcher has already dropped the channel.
     fn handle_lost_subplan(
         &mut self,
@@ -2133,33 +1543,6 @@ impl PeerNode {
         pending: PendingRemote,
         cause: ReplanCause,
     ) {
-        let (qid, failed_peer) = (pending.qid, pending.dest);
-        let is_root = self.rooted.contains_key(&qid);
-        if is_root && self.config.adaptive && self.config.phased {
-            // Phased, subplan-level repair (§2.5: "the alteration is done
-            // on a subplan and not on the whole query plan"): everything
-            // else keeps running; only the lost fragment is re-routed.
-            self.repair_subplan(ctx, pending, cause);
-        } else if is_root && self.config.adaptive {
-            // ubQL semantics: discard everything and re-plan.
-            self.adapt_or_give_up(ctx, qid, Some(failed_peer), cause);
-        } else {
-            // Static execution (or an intermediate peer): the lost branch
-            // becomes an empty partial slot and the rest of the plan
-            // continues.
-            if let Some(root) = self.live_root(qid) {
-                root.missing.insert(failed_peer);
-            }
-            let empty = ResultSet::empty(plan_columns(&pending.plan));
-            self.fill_slot(ctx, pending.frame, pending.slot, empty, true);
-        }
-    }
-
-    /// Re-routes one lost subplan around its failed destination without
-    /// disturbing the rest of the running plan: the failed peer's fetches
-    /// become holes, local routing fills them with alternatives, and the
-    /// repaired fragment feeds the *same* frame slot.
-    fn repair_subplan(&mut self, ctx: &mut Ctx<Msg>, pending: PendingRemote, cause: ReplanCause) {
         let PendingRemote {
             qid,
             dest: failed,
@@ -2168,38 +1551,55 @@ impl PeerNode {
             plan,
             ..
         } = pending;
-        let columns = plan_columns(&plan);
-        let excluded: Vec<PeerId> = {
-            let Some(root) = self.live_root(qid) else {
-                return;
-            };
-            root.excluded.insert(failed);
-            root.missing.insert(failed);
-            root.excluded.iter().copied().collect()
-        };
-        self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
-        // Every trace of the failed peer becomes a hole / unsited join.
-        let holed = strip_peer(plan, failed);
-        let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
-        if repaired.is_complete() {
-            self.execute(ctx, qid, repaired, Completion::Parent { frame, slot });
-        } else {
-            // Nobody else holds it: an empty partial slot.
-            self.fill_slot(ctx, frame, slot, ResultSet::empty(columns), true);
+        let adapt = self.config.adaptive && self.rooted.contains_key(&qid);
+        if adapt && !self.config.phased {
+            // ubQL semantics: discard everything and re-plan.
+            self.adapt_or_give_up(ctx, qid, Some(failed), cause);
+            return;
         }
+        let columns = plan_columns(&plan);
+        let excluded: Vec<PeerId> = match self.live_root(qid) {
+            Some(root) if adapt => {
+                root.excluded.insert(failed);
+                root.missing.insert(failed);
+                root.excluded.iter().copied().collect()
+            }
+            Some(root) => {
+                root.missing.insert(failed);
+                Vec::new()
+            }
+            None if adapt => return,
+            None => Vec::new(),
+        };
+        if adapt {
+            // Phased, subplan-level repair (§2.5: "the alteration is done
+            // on a subplan and not on the whole query plan"): everything
+            // else keeps running; every trace of the failed peer becomes a
+            // hole / unsited join, local routing fills the holes with
+            // alternatives, and the repaired fragment feeds the *same*
+            // frame slot.
+            self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
+            let holed = strip_peer(plan, failed);
+            let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
+            if repaired.is_complete() {
+                self.execute(ctx, qid, repaired, Completion::Parent { frame, slot });
+                return;
+            }
+        }
+        // Static execution (or an intermediate peer), or nobody else holds
+        // the lost fragment: an empty partial slot, and the rest of the
+        // plan continues.
+        self.fill_slot(ctx, frame, slot, ResultSet::empty(columns), true, false);
     }
 
     // ------------------------------------------------------------------
     // Serving subplans (destination side)
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn serve_subplan(
         &mut self,
         ctx: &mut Ctx<Msg>,
-        channel: Channel<PeerId>,
-        qid: QueryId,
-        tag: u64,
+        to: Reply,
         plan: PlanNode,
         mut visited: Vec<PeerId>,
         trace_ctx: Option<crate::msg::TraceCtx>,
@@ -2209,6 +1609,7 @@ impl PeerNode {
         // qid) splice into the root's tree — `stitched_well_nested`
         // checks them against the origin's dispatch time. Queue re-entries
         // pass `None` so admission retries don't double-record.
+        let (qid, tag) = (to.1, to.2);
         if let Some(tc) = trace_ctx {
             self.tracer
                 .get_mut()
@@ -2225,12 +1626,11 @@ impl PeerNode {
         if let Some(slots) = self.config.slots {
             let busy = self.timers.values().filter(|t| t.holds_slot()).count();
             if busy >= slots.max(1) {
-                self.slot_queue
-                    .push_back((channel, qid, tag, plan, visited));
+                self.slot_queue.push_back((to, plan, visited));
                 return;
             }
         }
-        let completion = Completion::Channel { channel, qid, tag };
+        let completion = Completion::Channel(to);
 
         if plan.is_complete() {
             self.execute(ctx, qid, plan, completion);
@@ -2249,15 +1649,11 @@ impl PeerNode {
         let next = filled.peers().into_iter().find(|p| !visited.contains(p));
         match next {
             Some(peer) => {
-                let frame = self.new_frame(qid, FrameOp::Race, completion, 1);
+                let frame = self.frames.open(qid, FrameOp::Race, completion, 1);
                 self.dispatch_remote(ctx, qid, peer, filled, frame, 0, visited);
             }
-            None => {
-                // Nobody left to ask: refuse the subplan. A forwarding
-                // stream an earlier attempt pipelined is superseded.
-                self.outgoing.remove(&(channel.root, qid, tag));
-                send(ctx, channel.root, Msg::SubplanFailed { channel, qid, tag });
-            }
+            // Nobody left to ask: refuse the subplan.
+            None => self.serve.refuse(ctx, to),
         }
     }
 
@@ -2272,7 +1668,7 @@ impl PeerNode {
             if site != Site::Hole || subquery.query.patterns().len() != 1 {
                 return PlanNode::Fetch { subquery, site };
             }
-            let annotated = self.local_route(&subquery.query, &excluded, now_us, qid);
+            let (annotated, _) = self.local_route(&subquery.query, &excluded, now_us, qid);
             let branches: Vec<PlanNode> = annotated
                 .peers_for(0)
                 .iter()
@@ -2303,6 +1699,46 @@ impl PeerNode {
             }
         })
     }
+}
+
+/// Annotates `query` over `registry` — through the memo unless the query
+/// excludes peers: adaptation re-routes with exclusions, which are
+/// query-local and would pollute shared entries. With tracing on, also
+/// returns what the memo lookup did to the cache counters (recorded as
+/// `cache:lookup`). Takes the peer's fields one by one, so the directory
+/// can be lent it while it is itself borrowed mutably.
+fn annotate(
+    cache: Option<&RefCell<SemanticCache>>,
+    tracer: &RefCell<Tracer>,
+    config: &PeerConfig,
+    (registry, now_us, qid): (&AdRegistry, u64, u64),
+    query: &QueryPattern,
+    excluded: &FxHashSet<PeerId>,
+) -> (AnnotatedQuery, Option<CacheStats>) {
+    let (policy, limits) = (config.routing_policy, config.limits);
+    if let Some(cache) = cache.filter(|_| excluded.is_empty()) {
+        let before = config.trace.then(|| cache.borrow().stats());
+        let annotated = cache.borrow_mut().route(registry, query, policy, limits);
+        let lookup = before.map(|before| cache.borrow().stats().since(&before));
+        if let Some(d) = &lookup {
+            let detail = || {
+                let (exact, subsumed, missed) = (d.hits, d.subsumption_hits, d.misses);
+                format!("{exact} exact, {subsumed} subsumption, {missed} miss")
+            };
+            tracer
+                .borrow_mut()
+                .event_with(now_us, qid, "cache:lookup", detail);
+        }
+        return (annotated, lookup);
+    }
+    let ads = registry.advertisements().into_iter();
+    let ads: Vec<Advertisement> = ads
+        .filter(|a| !excluded.contains(&a.peer))
+        .cloned()
+        .collect();
+    let mut tracer = tracer.borrow_mut();
+    let annotated = route_limited_traced(query, &ads, policy, limits, &mut tracer, now_us, qid);
+    (annotated, None)
 }
 
 /// Replaces every fetch at `peer` with a hole and clears join sites
@@ -2365,41 +1801,6 @@ fn plan_columns(plan: &PlanNode) -> Vec<String> {
             cols
         }
     }
-}
-
-/// Folds a finished frame's slots into its result, consuming them: the
-/// first filled slot becomes the accumulator as it is and the others are
-/// unioned (one pass) or joined onto it in slot order,
-/// the last join projecting onto `names` when given. Also returns the
-/// partial flag and the rows of the combined result before that
-/// projection.
-fn combine(frame: Frame, names: Option<&[String]>) -> (Completion, ResultSet, bool, usize) {
-    let partial = frame.partial && frame.op != FrameOp::Race;
-    if let Some(pre) = frame.precombined {
-        // A pipelined join probe already folded the combined result
-        // incrementally as the batches streamed in.
-        let rows = pre.len();
-        return (frame.completion, pre, partial, rows);
-    }
-    let mut slots = frame.slots.into_iter().flatten().peekable();
-    let Some(mut acc) = slots.next() else {
-        let partial = frame.op != FrameOp::Race;
-        return (frame.completion, ResultSet::default(), partial, 0);
-    };
-    let mut rows = None;
-    match frame.op {
-        FrameOp::Union => acc.union_all(&slots.collect::<Vec<_>>()),
-        FrameOp::Join => {
-            while let Some(s) = slots.next() {
-                let (joined, n) = acc.join_onto(&s, names.filter(|_| slots.peek().is_none()));
-                (acc, rows) = (joined, Some(n));
-            }
-        }
-        // The winning (non-partial) slot if any, else the first filled.
-        FrameOp::Race => {}
-    }
-    let rows = rows.unwrap_or(acc.len());
-    (frame.completion, acc, partial, rows)
 }
 
 impl NodeLogic for PeerNode {
@@ -2469,10 +1870,10 @@ impl NodeLogic for PeerNode {
                 // seen are dropped (their answer is already on the wire
                 // or queued); a higher attempt is a genuine retry and is
                 // served afresh.
-                if !self.served.admit((channel.root, qid, tag), attempt) {
+                if !self.serve.served.admit((channel.root, qid, tag), attempt) {
                     return;
                 }
-                self.serve_subplan(ctx, channel, qid, tag, plan, visited, trace);
+                self.serve_subplan(ctx, (channel, qid, tag), plan, visited, trace);
             }
             Msg::Data {
                 channel,
@@ -2500,9 +1901,7 @@ impl NodeLogic for PeerNode {
                 let step = self
                     .dispatch
                     .data(ctx, from, qid, tag, packet, |frame, slot| {
-                        frames
-                            .get(&frame)
-                            .map_or(Reader::Nobody, |f| f.reader(slot, forwarding))
+                        frames.reader(frame, slot, forwarding)
                     });
                 self.settle(ctx, step);
             }
@@ -2518,22 +1917,16 @@ impl NodeLogic for PeerNode {
             Msg::ClientQuery { qid, query } => {
                 self.begin_query(ctx, qid, query, peer_of(from));
             }
-            Msg::ClientAnswer { qid, result } => {
-                self.client_answers.insert(qid, result);
-            }
+            // A client-peer keeps no copy: drivers read the outcome at
+            // the root.
+            Msg::ClientAnswer { .. } => {}
             Msg::Credit {
                 channel,
                 qid,
                 tag,
                 credits,
             } => {
-                // Flow control: the root consumed packets — shrink the
-                // in-flight count and push what the window now allows.
-                let key: StreamKey = (channel.root, qid, tag);
-                if let Some(stream) = self.outgoing.get_mut(&key) {
-                    stream.core.grant(credits);
-                    self.flush_stream(ctx, key);
-                }
+                self.serve.credit(ctx, (channel.root, qid, tag), credits);
             }
             Msg::SummaryAdvertise { owner, summary } => {
                 self.son.summary_advertised(ctx, owner, summary);
@@ -2585,8 +1978,7 @@ impl NodeLogic for PeerNode {
         self.frames.clear();
         self.timers.clear();
         self.slot_queue.clear();
-        self.outgoing.clear();
-        self.served = ServedLog::default();
+        self.serve.clear();
         // Accumulated rollups survive the restart — rows are cumulative
         // and never shrink, so dropping them would lose history.
         // The directory re-advertises; `arm_lease_timers` then re-seeds
@@ -2618,16 +2010,23 @@ impl NodeLogic for PeerNode {
                 self.arm(ctx, period, Timer::Sweep);
             }
             Timer::HierGather(qid) => self.son.gather_timed_out(ctx, qid),
-            Timer::Completion {
-                completion,
-                result,
-                partial,
-            } => {
+            Timer::Completion(completion, result, partial) => {
                 self.complete(ctx, completion, result, partial);
                 // A slot freed.
                 self.admit_queued(ctx);
             }
-            Timer::Production(key) => self.produce_batch(ctx, key),
+            Timer::Production(key) => {
+                // One more batch of the paced stream exists.
+                let Some(next) = self.serve.produce(key) else {
+                    return;
+                };
+                match next {
+                    Some(delay) => self.arm(ctx, delay, Timer::Production(key)),
+                    // Production finished: the processing slot frees.
+                    None => self.admit_queued(ctx),
+                }
+                self.serve.flush(ctx, key);
+            }
             Timer::Probe(tag) => {
                 let step = self.dispatch.probed(ctx, tag);
                 self.settle(ctx, step);
@@ -2712,15 +2111,15 @@ mod tests {
     }
 
     /// Two peers in ad-hoc mode; P1 knows P2's advertisement and queries.
+    /// The answer is P1's outcome, and P1 mails it, once, to client-peer
+    /// 99, who posed the query.
     #[test]
     fn adhoc_two_peer_query() {
         let schema = fig1_schema();
-        let mut sim: Simulator<PeerNode> = Simulator::default();
-
         let b1 = base_with(&schema, &[("a", "prop1", "b")]);
         let b2 = base_with(&schema, &[("b", "prop2", "c")]);
         let mut p1 = PeerNode::simple(PeerId(1), b1, adhoc_config());
-        let p2 = PeerNode::simple(PeerId(2), b2, adhoc_config());
+        let mut p2 = PeerNode::simple(PeerId(2), b2, adhoc_config());
 
         // P1 knows itself and P2.
         let ad1 = p1.own_advertisement().unwrap();
@@ -2728,22 +2127,37 @@ mod tests {
         p1.son.registry.register(ad1);
         p1.son.registry.register(ad2);
 
-        sim.add_node(NodeId(1), p1);
-        sim.add_node(NodeId(2), p2);
-        sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
-
         let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
-        pose(&mut sim, NodeId(1), QueryId(1), query);
-        sim.run_to_quiescence();
+        let posed = Msg::ClientQuery {
+            qid: QueryId(1),
+            query,
+        };
+        // Every message in flight as `(from, to, msg)`, delivered in send
+        // order; what reaches the client-peer is kept.
+        let mut flight = VecDeque::from([(PeerId(99), PeerId(1), posed)]);
+        let mut to_client = Vec::new();
+        while let Some((from, to, msg)) = flight.pop_front() {
+            let node = match to {
+                PeerId(1) => &mut p1,
+                PeerId(2) => &mut p2,
+                _ => {
+                    to_client.push((from, msg));
+                    continue;
+                }
+            };
+            let (sent, _) = hand(node, from, msg);
+            flight.extend(sent.into_iter().map(|(dest, msg)| (to, dest, msg)));
+        }
 
-        let p1 = sim.node(NodeId(1)).unwrap();
         let outcome = p1.outcome(QueryId(1)).expect("query completed");
         assert!(!outcome.partial);
         assert_eq!(outcome.result.len(), 1);
         assert_eq!(outcome.result.columns, vec!["X", "Z"]);
         // The client got the same answer.
-        let client = sim.node(NodeId(99)).unwrap();
-        assert_eq!(client.client_answers.get(&QueryId(1)).unwrap().len(), 1);
+        let [(PeerId(1), Msg::ClientAnswer { qid, result })] = &to_client[..] else {
+            panic!("one ClientAnswer from the root: {to_client:?}");
+        };
+        assert_eq!((*qid, result), (QueryId(1), &outcome.result));
     }
 
     /// With tracing on, a completed root query exposes well-nested spans,
@@ -3106,12 +2520,12 @@ mod tests {
         assert_eq!(root.outcome(QueryId(3)).unwrap().result.len(), 25);
         let holder = sim.node(NodeId(2)).unwrap();
         assert!(
-            holder.max_stream_inflight <= 2,
+            holder.max_stream_inflight() <= 2,
             "window 2 exceeded: {} packets in flight",
-            holder.max_stream_inflight
+            holder.max_stream_inflight()
         );
         assert!(
-            holder.max_stream_inflight > 0,
+            holder.max_stream_inflight() > 0,
             "the stream never got off the ground"
         );
         // 13 packets; the final one completes the stream and is not
@@ -3585,29 +2999,6 @@ mod tests {
         assert!(m.replans() >= 1);
     }
 
-    /// The idempotent-receive log drops duplicates, admits retries, never
-    /// holds more than its bound and never forgets one of the
-    /// `GENERATION` most recent identities.
-    #[test]
-    fn served_log_is_bounded_and_remembers_the_recent() {
-        let key = |tag: u64| (PeerId(1), QueryId(0), tag);
-        let mut log = ServedLog::default();
-        assert!(log.admit(key(0), 0));
-        assert!(!log.admit(key(0), 0), "a duplicate was admitted");
-        assert!(log.admit(key(0), 1), "a retry was dropped");
-        assert!(!log.admit(key(0), 0), "a stale attempt was admitted");
-        for tag in 1..=10 * ServedLog::CAP as u64 {
-            assert!(log.admit(key(tag), 0));
-            assert!(log.len() <= ServedLog::CAP);
-            let oldest_kept = tag.saturating_sub(ServedLog::GENERATION as u64 - 1);
-            for recent in [oldest_kept, (oldest_kept + tag) / 2, tag] {
-                assert!(!log.admit(key(recent), 0), "forgot {recent} at {tag}");
-            }
-        }
-        // Forgotten long ago: served again.
-        assert!(log.admit(key(0), 0));
-    }
-
     /// Idempotent receive: with every message duplicated in flight, each
     /// subplan attempt is evaluated exactly once and the answer is
     /// unchanged.
@@ -3805,11 +3196,8 @@ mod tests {
         node.on_start(&mut ctx);
         let key: StreamKey = (PeerId(2), QueryId(1), 0);
         node.arm(&mut ctx, 1, Timer::HierGather(QueryId(1)));
-        let held = Timer::Completion {
-            completion: Completion::Root { qid: QueryId(1) },
-            result: ResultSet::default(),
-            partial: false,
-        };
+        let root = Completion::Root { qid: QueryId(1) };
+        let held = Timer::Completion(root, ResultSet::default(), false);
         node.arm(&mut ctx, 1, held);
         node.arm(&mut ctx, 1, Timer::Production(key));
         node.arm(&mut ctx, 1, Timer::Probe(0));
@@ -3885,7 +3273,7 @@ mod tests {
         let mut data = ctx.into_effects().outbox;
         assert_eq!(data.len(), 2);
         let key: StreamKey = (PeerId(1), qid, 0);
-        let channel = holder.outgoing[&key].channel;
+        let (channel, _, _) = holder.serve.stream(&key);
 
         // An absurd grant empties the window and no more: two further
         // packets leave, exactly as for a grant of the whole window.
@@ -3900,9 +3288,9 @@ mod tests {
         holder.on_message(&mut ctx, NodeId(1), credit);
         data.extend(ctx.into_effects().outbox);
         assert_eq!(data.len(), 4);
-        let stream = &holder.outgoing[&key];
-        assert_eq!((stream.core.inflight(), stream.core.next_seq()), (2, 4));
-        assert_eq!(holder.max_stream_inflight, 2);
+        let (_, inflight, next_seq) = holder.serve.stream(&key);
+        assert_eq!((inflight, next_seq), (2, 4));
+        assert_eq!(holder.max_stream_inflight(), 2);
 
         // A data packet carrying tag 0 under a foreign query id is dropped
         // before ingestion (were it ingested, its `last` flag would close
@@ -3933,8 +3321,8 @@ mod tests {
             assert!(ctx.into_effects().outbox.is_empty());
             assert!(root
                 .frames
-                .values()
-                .all(|f| f.slots.iter().all(Option::is_none)));
+                .slots()
+                .all(|slots| slots.iter().all(Option::is_none)));
             assert!(root.rooted.values().all(|r| r.outcome.is_none()));
         }
 
@@ -3995,7 +3383,7 @@ mod tests {
         assert!(outcome.partial);
         assert_eq!(outcome.missing, vec![PeerId(2)]);
         assert_eq!(root.rooted_channels(), 0);
-        assert!(root.frames.is_empty());
+        assert_eq!(root.frames.slots().count(), 0);
     }
 
     /// A lost subplan's slot is filled with an empty table under the
@@ -4036,12 +3424,8 @@ mod tests {
                 Msg::SubplanFailed { channel, qid, tag },
             );
 
-            let frame = root
-                .frames
-                .values()
-                .next()
-                .expect("P3's slot keeps it open");
-            let filled: Vec<&ResultSet> = frame.slots.iter().flatten().collect();
+            let frame = root.frames.slots().next().expect("P3's slot keeps it open");
+            let filled: Vec<&ResultSet> = frame.iter().flatten().collect();
             assert_eq!(filled.len(), 1, "adaptive={adaptive}");
             assert!(filled[0].is_empty());
             assert_eq!(filled[0].columns, ["X", "Y"]);
@@ -4178,81 +3562,5 @@ mod tests {
             [p1.digest(0), p2.digest(0), p3.digest(0)]
         };
         assert_eq!(digests(true), digests(false));
-    }
-
-    /// `combine` as it was before it consumed its frame: the first filled
-    /// slot cloned, every other one folded onto it by reference.
-    fn combine_slot_by_slot(op: FrameOp, slots: &[Option<ResultSet>]) -> ResultSet {
-        let mut filled = slots.iter().flatten();
-        let mut acc = filled.next().cloned().unwrap_or_default();
-        for s in filled {
-            match op {
-                FrameOp::Union => acc.union(s),
-                FrameOp::Join => acc = acc.join(s),
-                FrameOp::Race => {}
-            }
-        }
-        acc
-    }
-
-    proptest::proptest! {
-        /// The one-pass fold over owned slots gives the rows the
-        /// slot-by-slot fold gave, in the same order, for unions of 1–8
-        /// overlapping slots (some column-permuted, some never filled)
-        /// and for joins.
-        #[test]
-        fn combine_matches_slot_by_slot_fold(
-            cells in proptest::collection::vec(0..5u32, 0..96),
-            shape in proptest::collection::vec(0..4u8, 1..9),
-            join in proptest::strategy::any::<bool>(),
-        ) {
-            let node = |v: u32| sqpeer_rdfs::Node::Resource(Resource::new(format!("http://r/{v}")));
-            let mut cells = cells.chunks_exact(2);
-            let slots: Vec<Option<ResultSet>> = shape
-                .iter()
-                .enumerate()
-                .map(|(i, &kind)| {
-                    // Slot 0 is always filled; the others are sometimes a
-                    // hole, sometimes column-permuted. A join chains
-                    // X–Y, Y–Z, Z–W… so consecutive slots share a column.
-                    if i > 0 && kind == 0 {
-                        return None;
-                    }
-                    let names = |a: usize, b: usize| vec![format!("C{a}"), format!("C{b}")];
-                    let columns = match (join, kind) {
-                        (true, _) => names(i, i + 1),
-                        (false, 1) => names(1, 0),
-                        (false, _) => names(0, 1),
-                    };
-                    let rows = cells
-                        .by_ref()
-                        .take(6)
-                        .map(|c| vec![node(c[0]), node(c[1])])
-                        .collect();
-                    Some(ResultSet::from_rows(columns, rows))
-                })
-                .collect();
-            let op = if join { FrameOp::Join } else { FrameOp::Union };
-            let expected = combine_slot_by_slot(op, &slots);
-            let frame = Frame {
-                qid: QueryId(1),
-                op,
-                completion: Completion::Root { qid: QueryId(1) },
-                remaining: 0,
-                slots,
-                partial: false,
-                done: false,
-                probe: None,
-                precombined: None,
-            };
-            // A join projects onto its chain's two ends as it joins.
-            let ends = [expected.columns.first(), expected.columns.last()];
-            let names: Vec<String> = ends.into_iter().flatten().cloned().collect();
-            let (_, combined, partial, rows) = combine(frame, join.then_some(&names[..]));
-            proptest::prop_assert_eq!(rows, expected.len());
-            let expected = if join { expected.project(&names) } else { expected };
-            proptest::prop_assert_eq!(combined, expected);
-            proptest::prop_assert!(!partial);
-        }
     }
 }

@@ -163,8 +163,8 @@ impl StreamMachine {
     }
 
     /// Puts on the wire whatever `dest`'s window allows, as
-    /// `flush_stream` does (sends are atomic within the handler, not
-    /// separate adversary steps).
+    /// `exec::serve::Server::flush` does (sends are atomic within the
+    /// handler, not separate adversary steps).
     fn send(sid: u8, dest: &mut Dest, net: &mut Vec<StreamMsg>) {
         while let Some((seq, (), last)) = dest.stream.next_packet() {
             net.push(StreamMsg::Data {

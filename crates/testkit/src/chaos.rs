@@ -305,7 +305,7 @@ pub fn run_chaos_keeping(spec: &ChaosSpec) -> (ChaosReport, HybridNetwork, Vec<(
         .iter()
         .chain(net.super_peers())
         .filter_map(|&p| net.sim().node(node_of(p)))
-        .map(|n| n.max_stream_inflight)
+        .map(|n| n.max_stream_inflight())
         .max()
         .unwrap_or(0);
     (report, net, injected)

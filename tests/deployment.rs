@@ -252,7 +252,7 @@ fn run_streaming_workload<T: Transport<PeerNode>>(
         .peers
         .iter()
         .filter_map(|&p| transport.node(node_of(p)))
-        .map(|n| n.max_stream_inflight)
+        .map(|n| n.max_stream_inflight())
         .max()
         .unwrap_or(0);
     (observations, max_inflight)

@@ -298,12 +298,12 @@ fn duplex_window_one_streams_complete_without_deadlock() {
             "peer {root}: both fragments must arrive in full"
         );
         assert!(
-            node.max_stream_inflight <= 1,
+            node.max_stream_inflight() <= 1,
             "peer {root}: window 1 breached ({} in flight)",
-            node.max_stream_inflight
+            node.max_stream_inflight()
         );
         assert!(
-            node.max_stream_inflight > 0,
+            node.max_stream_inflight() > 0,
             "peer {root}: streaming never engaged"
         );
     }
