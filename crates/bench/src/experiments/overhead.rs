@@ -75,13 +75,13 @@ pub fn e19(json: BenchJson) -> String {
     // subplan to a live-but-starved holder (seconds of processing before
     // the first byte flows) and must fall back to a fast replica. The
     // telemetry probe observes the dead channel window and replans;
-    // without a policy, only the subplan timeout fires.
+    // with the probe off, only the subplan timeout fires.
     // ------------------------------------------------------------------
     const TIMEOUT_US: u64 = 2_000_000;
 
     // Returns (detection virtual µs from dispatch, query latency µs,
     // slow-channel replans, timeout replans).
-    fn detect(policy: Option<SlowChannelPolicy>) -> (u64, u64, usize, usize) {
+    fn detect(slow_channel: bool) -> (u64, u64, usize, usize) {
         let schema = fig1_schema();
         let mut sim: Simulator<PeerNode> = Simulator::default();
         let adhoc = PeerConfig {
@@ -91,7 +91,7 @@ pub fn e19(json: BenchJson) -> String {
         };
         let root_config = PeerConfig {
             subplan_timeout_us: Some(TIMEOUT_US),
-            slow_channel: policy,
+            slow_channel,
             trace: true,
             phased: true,
             limits: RoutingLimits::top(1),
@@ -159,12 +159,11 @@ pub fn e19(json: BenchJson) -> String {
         )
     }
 
-    let (telemetry_detect, telemetry_latency, slow_replans, t_timeouts) =
-        detect(Some(SlowChannelPolicy::default()));
-    let (timeout_detect, timeout_latency, no_slow, timeout_replans) = detect(None);
+    let (telemetry_detect, telemetry_latency, slow_replans, t_timeouts) = detect(true);
+    let (timeout_detect, timeout_latency, no_slow, timeout_replans) = detect(false);
     assert_eq!(slow_replans, 1, "the probe must fire exactly once");
     assert_eq!(t_timeouts, 0, "the probe must pre-empt the timeout");
-    assert_eq!(no_slow, 0, "no policy, no probe");
+    assert_eq!(no_slow, 0, "probe off, no slow-channel replan");
     assert_eq!(timeout_replans, 1, "the timeout must fire instead");
     // Acceptance: telemetry catches the degraded channel strictly earlier
     // (virtual time) than the timeout.

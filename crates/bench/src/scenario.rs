@@ -118,7 +118,6 @@ pub fn link(bytes_per_ms: u64) -> LinkSpec {
     LinkSpec {
         latency_us: 5_000,
         bytes_per_ms,
-        up: true,
     }
 }
 

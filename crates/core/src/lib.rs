@@ -60,7 +60,7 @@ pub use sqpeer_trace as trace;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use sqpeer_exec::{PeerConfig, PeerMode, PeerNode, QueryId, SlowChannelPolicy};
+    pub use sqpeer_exec::{PeerConfig, PeerMode, PeerNode, QueryId};
     pub use sqpeer_net::{LinkSpec, NodeId, Simulator, TelemetryRegistry};
     pub use sqpeer_overlay::{AdhocBuilder, AdhocNetwork, HybridBuilder, HybridNetwork};
     pub use sqpeer_plan::{generate_plan, optimize, Explain, PlanNode, Site};
@@ -119,11 +119,6 @@ impl LocalPeer {
     /// The underlying description base.
     pub fn base(&self) -> &store::DescriptionBase {
         &self.base
-    }
-
-    /// Mutable base access.
-    pub fn base_mut(&mut self) -> &mut store::DescriptionBase {
-        &mut self.base
     }
 
     /// Inserts a resource-valued triple with RDF/S type inference.

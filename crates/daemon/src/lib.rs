@@ -25,4 +25,4 @@ pub use clock::RealClock;
 pub use gateway::{spawn_gateway, Admission, GatewayConfig, GatewayHandle, Quotas, TenantConfig};
 pub use group::{assemble, await_outcome, outcome, pose, Group, GroupSpec};
 pub use host::{spawn_host, HostConfig, HostHandle};
-pub use loopback::{peer_node, LoopbackNet};
+pub use loopback::LoopbackNet;

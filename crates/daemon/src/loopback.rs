@@ -17,7 +17,6 @@
 
 use crate::RealClock;
 use sqpeer_net::{Clock, Ctx, Metrics, NodeId, NodeLogic, TelemetryRegistry, Transport};
-use sqpeer_routing::PeerId;
 use sqpeer_wire::{Reader, SchemaRegistry, Wire, WireError, Writer, WIRE_VERSION};
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -306,12 +305,6 @@ where
     fn telemetry_snapshot(&self) -> Option<TelemetryRegistry> {
         self.telemetry.clone()
     }
-}
-
-/// The loopback transport addresses nodes; peers map onto them with the
-/// same identity convention as `sqpeer_exec::node_of`.
-pub fn peer_node(peer: PeerId) -> NodeId {
-    NodeId(peer.0)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@
 //! what happened, for the peer to act on and record.
 
 use crate::msg::{Msg, PeerChannel, QueryId, TraceCtx};
-use crate::peer::{by_key, PeerConfig, SlowChannelPolicy};
+use crate::peer::{by_key, PeerConfig};
 use crate::stream::Receiver;
 use crate::{peer_of, send, Event};
 use sqpeer_net::{ChannelTable, Ctx, NodeId};
@@ -227,7 +227,8 @@ pub(crate) struct Dispatcher {
     timeout_us: Option<u64>,
     /// `PeerConfig::subplan_retries`.
     retries: u32,
-    slow_channel: Option<SlowChannelPolicy>,
+    /// `PeerConfig::slow_channel`.
+    slow_channel: bool,
     /// The trace context shipped subplans carry (`PeerConfig::trace`).
     origin: Option<PeerId>,
     channels: ChannelTable<PeerId>,
@@ -291,10 +292,8 @@ impl Dispatcher {
         // Telemetry-driven adaptation probes the channel's throughput
         // window well before the timeout would fire; the grace period
         // lets one round-trip plus service fit first.
-        let probe_us = self
-            .slow_channel
-            .filter(|_| probe)
-            .map(|policy| policy.grace_us + policy.probe_interval_us);
+        let probe_us = (self.slow_channel && probe)
+            .then_some(PeerConfig::SLOW_CHANNEL_GRACE_US + PeerConfig::SLOW_CHANNEL_PROBE_US);
         let timeout_us = self.timeout_us;
         let verdict = Verdict::Pending {
             timeout_us,
@@ -456,16 +455,20 @@ impl Dispatcher {
 
     /// One telemetry probe of subplan `tag`'s channel: compares the
     /// throughput observed over the channel's lifetime window against the
-    /// policy floor and gives up on a degraded-but-alive channel
+    /// fixed floor and gives up on a degraded-but-alive channel
     /// **before** its timeout would fire. A healthy channel re-arms the
     /// probe; a settled subplan retires it silently.
     pub(crate) fn probed(&mut self, ctx: &mut Ctx<Msg>, tag: u64) -> Option<Step> {
-        let policy = self.slow_channel?;
+        if !self.slow_channel {
+            return None;
+        }
         let pending = self.outstanding.get(&tag)?;
         let (qid, dest, bytes) = (pending.qid, pending.dest, pending.bytes_observed);
         let window_us = ctx.now_us().saturating_sub(pending.dispatched_at_us).max(1);
-        let floor_bpms =
-            (policy.expected_bytes_per_ms * policy.min_fraction_permille / 1_000).max(1);
+        let floor_bpms = (PeerConfig::SLOW_CHANNEL_EXPECTED_BYTES_PER_MS
+            * PeerConfig::SLOW_CHANNEL_FLOOR_PERMILLE
+            / 1_000)
+            .max(1);
         if bytes * 1_000 / window_us < floor_bpms {
             let slow = Event::SlowChannel {
                 bytes,
@@ -476,7 +479,7 @@ impl Dispatcher {
         }
         let verdict = Verdict::Pending {
             timeout_us: None,
-            probe_us: Some(policy.probe_interval_us),
+            probe_us: Some(PeerConfig::SLOW_CHANNEL_PROBE_US),
         };
         let events = [None, None];
         Some(Step::new((qid, tag, dest), events, verdict))
@@ -538,7 +541,7 @@ mod tests {
     const T: u64 = 1_000;
 
     /// A dispatcher at `ROOT` with a timeout of `T` and two retries.
-    fn dispatcher(slow_channel: Option<SlowChannelPolicy>) -> Dispatcher {
+    fn dispatcher(slow_channel: bool) -> Dispatcher {
         let config = PeerConfig {
             subplan_timeout_us: Some(T),
             subplan_retries: 2,
@@ -632,7 +635,7 @@ mod tests {
     /// re-sends went unanswered.
     #[test]
     fn timeout_ladder_backs_off_then_gives_up() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (step, subplan) = ship(&mut d, 1);
         assert_eq!(attempts(&[subplan]), [0]);
         let mut armed = vec![step.verdict];
@@ -670,7 +673,7 @@ mod tests {
     /// fills the slot, the other's finds nothing, and so does the timer.
     #[test]
     fn late_answer_after_a_retry_fills_once() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         d.timed_out(&mut ctx_at(T), 0).expect("retried");
         let mut ctx = ctx_at(T + 1);
@@ -698,7 +701,7 @@ mod tests {
     /// one credit and every repeat is reported as a dropped duplicate.
     #[test]
     fn reordered_and_duplicated_packets_drain_in_order() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         let mut ctx = ctx_at(5);
         let mut dups = 0;
@@ -751,7 +754,7 @@ mod tests {
     /// rows came with it.
     #[test]
     fn an_unread_single_packet_answer_lands_whole() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         let p = packet(&subplan, 0, true, 3);
         let rows = p.result.rows.clone();
@@ -772,7 +775,7 @@ mod tests {
     /// packet's rows, the last beside the whole result.
     #[test]
     fn a_read_slot_gets_its_batch_and_its_backfill() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         let mut ctx = ctx_at(1);
         let mut feed = |seq, last, rows, reader| {
@@ -799,7 +802,7 @@ mod tests {
     /// lost the way a `SubplanFailed` loses it, with nothing answered.
     #[test]
     fn a_packet_changing_the_columns_is_refused() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         let mut ctx = ctx_at(1);
         let first = ingest_read_by(
@@ -827,7 +830,7 @@ mod tests {
     /// duplicate, never added to the answer.
     #[test]
     fn an_unread_duplicate_is_only_counted() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         let mut ctx = ctx_at(1);
         let mut feed = |seq, last| {
@@ -848,9 +851,8 @@ mod tests {
     /// channel's window holds the floor and gives up below it.
     #[test]
     fn probe_rearms_above_the_floor_and_gives_up_below() {
-        let policy = SlowChannelPolicy::default();
-        let first = policy.grace_us + policy.probe_interval_us;
-        let mut d = dispatcher(Some(policy));
+        let first = PeerConfig::SLOW_CHANNEL_GRACE_US + PeerConfig::SLOW_CHANNEL_PROBE_US;
+        let mut d = dispatcher(true);
         let (step, subplan) = ship(&mut d, 1);
         let Verdict::Pending { probe_us, .. } = step.verdict else {
             panic!("dispatched subplans are pending");
@@ -866,7 +868,7 @@ mod tests {
         );
         let step = d.probed(&mut ctx_at(first), 0).expect("outstanding");
         assert_eq!(step.events, [None, None]);
-        let rearm = Some(policy.probe_interval_us);
+        let rearm = Some(PeerConfig::SLOW_CHANNEL_PROBE_US);
         assert!(
             matches!(step.verdict, Verdict::Pending { timeout_us: None, probe_us } if probe_us == rearm)
         );
@@ -881,8 +883,8 @@ mod tests {
         assert!(matches!(step.verdict, Verdict::Lost { cause: c, .. } if c == cause));
         assert!(d.probed(&mut ctx_at(11 * first), 0).is_none());
 
-        // No policy, or a forwarding peer's dispatch: no probe is armed.
-        let (step, _) = ship(&mut dispatcher(None), 1);
+        // Probes off, or a forwarding peer's dispatch: no probe is armed.
+        let (step, _) = ship(&mut dispatcher(false), 1);
         assert!(matches!(
             step.verdict,
             Verdict::Pending { probe_us: None, .. }
@@ -894,7 +896,7 @@ mod tests {
     /// settle nothing; naming a live one loses it.
     #[test]
     fn refusals_and_delivery_failures_of_unknown_tags_are_no_ops() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         assert!(d.refused(QueryId(1), 7).is_none());
         assert!(d.refused(QueryId(2), 0).is_none(), "tag 0 is query 1's");
@@ -930,7 +932,7 @@ mod tests {
     /// streams included — and nobody else's.
     #[test]
     fn abandon_forgets_one_query_only() {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, first) = ship(&mut d, 1);
         ship(&mut d, 2);
         ship(&mut d, 1);
@@ -951,7 +953,7 @@ mod tests {
     /// A dispatcher that has received the first packet of a five-packet
     /// stream from `HOLDER` (tag 0 of query 1) and nothing more.
     fn half_received_stream() -> Dispatcher {
-        let mut d = dispatcher(None);
+        let mut d = dispatcher(false);
         let (_, subplan) = ship(&mut d, 1);
         ingest(&mut d, &mut ctx_at(0), 1, 0, packet(&subplan, 0, false, 1));
         let stream = &d.outstanding[&0].stream;

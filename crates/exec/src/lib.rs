@@ -49,7 +49,7 @@ pub use local::eval_local;
 pub use msg::{HierScope, Msg, PeerChannel, QueryId, QueryOutcome, TraceCtx};
 pub(crate) use obs::{Event, Subject};
 pub use obs::{FlightRing, ObsConfig, ObsState, Rollup, SlowQuery};
-pub use peer::{BaseKind, PeerConfig, PeerMode, PeerNode, Role, SlowChannelPolicy};
+pub use peer::{BaseKind, PeerConfig, PeerMode, PeerNode, Role};
 pub use son::{ClusterInfo, Directory};
 pub use sqpeer_cache::{CacheConfig, CacheStats};
 pub use sqpeer_plan::Explain;

@@ -80,9 +80,6 @@ pub struct PeerConfig {
     /// React to channel failures by re-planning (§2.5 run-time
     /// adaptation); otherwise failed subplans yield partial answers.
     pub adaptive: bool,
-    /// Which advertisement matches are routed to (paper-strict or
-    /// completeness-favouring).
-    pub routing_policy: RoutingPolicy,
     /// Broadcast-bounding caps applied to every routing pass (§5 future
     /// work: "constraints regarding the number of peer nodes that each
     /// query is broadcasted").
@@ -150,47 +147,17 @@ pub struct PeerConfig {
     /// running query plan by observing the throughput of a certain
     /// channel"): the root probes each in-flight subplan's windowed
     /// throughput and replans a channel whose observed rate falls below
-    /// the policy floor — **before** the subplan timeout would fire.
-    /// `None` (the default) keeps adaptation purely timeout-driven.
-    pub slow_channel: Option<SlowChannelPolicy>,
+    /// the fixed floor of [`PeerConfig::SLOW_CHANNEL_FLOOR_PERMILLE`] of
+    /// [`PeerConfig::SLOW_CHANNEL_EXPECTED_BYTES_PER_MS`] — **before** the
+    /// subplan timeout would fire. Off (the default) keeps adaptation
+    /// purely timeout-driven.
+    pub slow_channel: bool,
     /// The hierarchical observability plane (rollup pushes up the
     /// cluster tree, flight recorder, slow-query log, pattern
     /// statistics). `None` (the default) keeps the plane fully off:
     /// no extra messages, no extra state, bit-identical behaviour —
     /// pinned by the disabled-plane transparency proptest.
     pub obs: Option<crate::obs::ObsConfig>,
-}
-
-/// Throughput floor for the telemetry-driven slow-channel trigger.
-///
-/// A probe observes the bytes a channel delivered to the root inside its
-/// lifetime window and compares the windowed rate against
-/// `expected_bytes_per_ms × min_fraction_permille / 1000`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlowChannelPolicy {
-    /// Virtual µs between throughput probes of one in-flight subplan.
-    pub probe_interval_us: u64,
-    /// Grace period after dispatch before the first probe: one network
-    /// round-trip plus service must plausibly fit, or every dispatch
-    /// would look silent.
-    pub grace_us: u64,
-    /// Expected healthy channel rate in bytes per virtual millisecond
-    /// (the default matches [`sqpeer_net::LinkSpec::default`]'s
-    /// bandwidth).
-    pub expected_bytes_per_ms: u64,
-    /// Trigger floor as a fraction of the expected rate, in permille.
-    pub min_fraction_permille: u64,
-}
-
-impl Default for SlowChannelPolicy {
-    fn default() -> Self {
-        SlowChannelPolicy {
-            probe_interval_us: 500_000,
-            grace_us: 100_000,
-            expected_bytes_per_ms: 1_000,
-            min_fraction_permille: 10,
-        }
-    }
 }
 
 impl PeerConfig {
@@ -201,11 +168,33 @@ impl PeerConfig {
     /// always eventually detected and re-planned.
     pub const DEFAULT_SUBPLAN_TIMEOUT_US: u64 = 250 * 2 * 20_000;
 
+    /// Virtual µs between slow-channel probes of one in-flight subplan
+    /// (with [`PeerConfig::slow_channel`] on).
+    pub const SLOW_CHANNEL_PROBE_US: u64 = 500_000;
+
+    /// Grace after dispatch before the first slow-channel probe: one
+    /// round-trip plus service must plausibly fit, or every dispatch
+    /// would look silent.
+    pub const SLOW_CHANNEL_GRACE_US: u64 = 100_000;
+
+    /// The healthy channel rate a probe expects, in bytes per virtual
+    /// millisecond: [`sqpeer_net::LinkSpec::default`]'s bandwidth.
+    pub const SLOW_CHANNEL_EXPECTED_BYTES_PER_MS: u64 = 1_000;
+
+    /// A probe gives up on a channel whose rate over its lifetime window
+    /// falls below this fraction, in permille, of the expected rate.
+    pub const SLOW_CHANNEL_FLOOR_PERMILLE: u64 = 10;
+
     /// Bound on adaptation rounds per query.
     pub const MAX_REPLANS: u32 = 3;
 
     /// Hops a route request may travel on the super-peer backbone.
     pub const BACKBONE_TTL: u32 = 4;
+
+    /// Which advertisement matches a peer routes to: only arcs subsumed
+    /// by the query pattern (equivalent or narrower), as §2.3's routing
+    /// annotates on `isSubsumed(AS, AQ)` alone.
+    pub const ROUTING_POLICY: RoutingPolicy = RoutingPolicy::SubsumedOnly;
 }
 
 impl Default for PeerConfig {
@@ -214,7 +203,6 @@ impl Default for PeerConfig {
             mode: PeerMode::Hybrid,
             optimize: true,
             adaptive: true,
-            routing_policy: RoutingPolicy::SubsumedOnly,
             limits: sqpeer_routing::RoutingLimits::unlimited(),
             stream_batch_rows: None,
             stream_credit_window: 4,
@@ -226,7 +214,7 @@ impl Default for PeerConfig {
             processing_us_per_row: 0,
             cache: Some(CacheConfig::default()),
             trace: false,
-            slow_channel: None,
+            slow_channel: false,
             obs: None,
         }
     }
@@ -1715,7 +1703,7 @@ fn annotate(
     query: &QueryPattern,
     excluded: &FxHashSet<PeerId>,
 ) -> (AnnotatedQuery, Option<CacheStats>) {
-    let (policy, limits) = (config.routing_policy, config.limits);
+    let (policy, limits) = (PeerConfig::ROUTING_POLICY, config.limits);
     if let Some(cache) = cache.filter(|_| excluded.is_empty()) {
         let before = config.trace.then(|| cache.borrow().stats());
         let annotated = cache.borrow_mut().route(registry, query, policy, limits);
@@ -2314,6 +2302,43 @@ mod tests {
         assert!(!outcome.partial);
     }
 
+    /// §2.3 annotates on `isSubsumed(AS, AQ)` alone
+    /// ([`PeerConfig::ROUTING_POLICY`]): with `prop4 ⊑ prop1`, P2's
+    /// `prop1` advertisement only generalises `{X}prop4{Y}`, so P2 is
+    /// never asked, and the answer is P1's own rows.
+    #[test]
+    fn generalising_advertisement_is_not_routed_to() {
+        let schema = fig1_schema();
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        let b1 = base_with(&schema, &[("a", "prop4", "b")]);
+        let b2 = base_with(&schema, &[("c", "prop1", "d"), ("e", "prop1", "f")]);
+        let query = compile("SELECT X, Y FROM {X}prop4{Y}", &schema).unwrap();
+        let p1_rows = sqpeer_rql::evaluate(&query, &b1).sorted();
+        let mut p1 = PeerNode::simple(PeerId(1), b1, adhoc_config());
+        let p2 = PeerNode::simple(PeerId(2), b2, adhoc_config());
+        let p2_ad = p2.own_advertisement().unwrap();
+        let kinds: Vec<_> = p2_ad
+            .active
+            .active_properties()
+            .iter()
+            .filter_map(|ap| sqpeer_subsume::match_pattern(&schema, ap, &query.patterns()[0]))
+            .collect();
+        assert_eq!(kinds, [sqpeer_subsume::PatternMatch::GeneralizesQuery]);
+        for ad in [p1.own_advertisement().unwrap(), p2_ad] {
+            p1.son.registry.register(ad);
+        }
+        sim.add_node(NodeId(1), p1);
+        sim.add_node(NodeId(2), p2);
+        sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
+        pose(&mut sim, NodeId(1), QueryId(8), query);
+        sim.run_to_quiescence();
+
+        let outcome = sim.node(NodeId(1)).unwrap().outcome(QueryId(8)).unwrap();
+        assert_eq!(p1_rows.len(), 1);
+        assert_eq!(outcome.result.clone().sorted(), p1_rows);
+        assert_eq!(sim.node(NodeId(2)).unwrap().queries_processed, 0);
+    }
+
     /// Top-N routing caps the union fan-out.
     #[test]
     fn routing_limits_cap_fanout() {
@@ -2736,18 +2761,18 @@ mod tests {
         );
     }
 
-    /// §2.5 telemetry trigger: with a [`SlowChannelPolicy`] armed, the
+    /// §2.5 telemetry trigger: with [`PeerConfig::slow_channel`] on, the
     /// root observes the starved channel's throughput and replans
     /// strictly before the timeout would have fired — and the triggering
     /// window is visible in both the trace and the EXPLAIN.
     #[test]
     fn slow_channel_probe_replans_before_timeout() {
         let schema = fig1_schema();
-        let run = |policy: Option<SlowChannelPolicy>| -> (usize, u64, Vec<String>, Vec<String>) {
+        let run = |slow_channel: bool| -> (usize, u64, Vec<String>, Vec<String>) {
             let mut sim: Simulator<PeerNode> = Simulator::default();
             let config = PeerConfig {
                 subplan_timeout_us: Some(2_000_000),
-                slow_channel: policy,
+                slow_channel,
                 trace: true,
                 phased: true,
                 ..adhoc_config()
@@ -2795,8 +2820,8 @@ mod tests {
                 .unwrap_or_default();
             (o.result.len(), o.latency_us, events, adaptation)
         };
-        let (rows_probe, t_probe, events, adaptation) = run(Some(SlowChannelPolicy::default()));
-        let (rows_timeout, t_timeout, timeout_events, _) = run(None);
+        let (rows_probe, t_probe, events, adaptation) = run(true);
+        let (rows_timeout, t_timeout, timeout_events, _) = run(false);
         assert_eq!(rows_probe, 1);
         assert_eq!(rows_timeout, 1);
         assert!(

@@ -40,7 +40,7 @@ use crate::send;
 use sqpeer_net::Ctx;
 use sqpeer_rdfs::{FxHashMap, FxHashSet};
 use sqpeer_routing::{
-    route_limited, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingLimits, RoutingPolicy,
+    route_limited, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingLimits,
 };
 use sqpeer_rql::QueryPattern;
 use sqpeer_rvl::ActiveSchema;
@@ -61,10 +61,6 @@ pub struct ClusterInfo {
     pub members: Vec<PeerId>,
     /// All cluster heads of the overlay, sorted, including `head`.
     pub heads: Vec<PeerId>,
-    /// Widen cluster summaries to schema-hierarchy roots before pushing
-    /// them (coarser summaries: fewer pushes, more false-positive
-    /// descents, never a missed holder).
-    pub widen: bool,
 }
 
 /// How the directory has a query annotated over its registry: the host
@@ -98,7 +94,6 @@ pub struct Directory {
     mode: PeerMode,
     /// `PeerConfig::ad_lease_us`.
     lease_us: Option<u64>,
-    policy: RoutingPolicy,
     /// How long a gather waits for its subtrees: the subplan timeout.
     gather_timeout_us: u64,
     /// Advertisement knowledge: the SON registry (super-peers), or the
@@ -142,15 +137,13 @@ pub struct Directory {
 
 impl Directory {
     /// The (empty) directory of peer `id`, reading from `config` the
-    /// architecture, the lease, the routing policy and the timeout it
-    /// bounds gathers with.
+    /// architecture, the lease and the timeout it bounds gathers with.
     pub(crate) fn new(id: PeerId, role: Role, config: &PeerConfig) -> Self {
         Directory {
             id,
             role,
             mode: config.mode,
             lease_us: config.ad_lease_us,
-            policy: config.routing_policy,
             gather_timeout_us: config
                 .subplan_timeout_us
                 .unwrap_or(PeerConfig::DEFAULT_SUBPLAN_TIMEOUT_US),
@@ -240,7 +233,7 @@ impl Directory {
     /// `from` withdrew itself. Withdrawals replicate like advertisements;
     /// the relayed form names the leaving peer, so only direct leaves fan
     /// out. Hierarchical summaries are monotone, so a withdrawal never
-    /// shrinks them; the widened summary just descends into this cluster
+    /// shrinks them; the too-wide summary just descends into this cluster
     /// one false-positive at a time.
     pub(crate) fn withdrawn(&mut self, ctx: &mut Ctx<Msg>, from: PeerId) {
         self.forget(from);
@@ -404,7 +397,7 @@ impl Directory {
                 let annotated = route_limited(
                     query,
                     std::slice::from_ref(*ad),
-                    self.policy,
+                    PeerConfig::ROUTING_POLICY,
                     RoutingLimits::unlimited(),
                 );
                 !annotated.all_peers().is_empty()
@@ -480,8 +473,8 @@ impl Directory {
     }
 
     /// At a head: recomputes the cluster summary (own registry plus all
-    /// member summaries, widened when configured) and pushes it to the
-    /// other heads when it changed (or with `force`).
+    /// member summaries) and pushes it to the other heads when it changed
+    /// (or with `force`).
     fn push_cluster_summary(&mut self, ctx: &mut Ctx<Msg>, force: bool) {
         let Some(cluster) = self.cluster.clone() else {
             return;
@@ -498,12 +491,9 @@ impl Directory {
                 acc = fold_summary(acc, s);
             }
         }
-        let Some(mut summary) = acc else {
+        let Some(summary) = acc else {
             return;
         };
-        if cluster.widen {
-            summary = sqpeer_subsume::widen_summary(&summary);
-        }
         if !force && self.last_cluster_summary.as_ref() == Some(&summary) {
             return;
         }
@@ -941,6 +931,7 @@ mod tests {
     use super::*;
     use crate::{node_of, peer_of};
     use sqpeer_rdfs::{Range, Schema, SchemaBuilder};
+    use sqpeer_routing::RoutingPolicy;
     use sqpeer_rql::compile;
     use sqpeer_rvl::ActiveProperty;
     use std::sync::Arc;
@@ -1003,7 +994,6 @@ mod tests {
             head: PeerId(0),
             members: vec![PeerId(0), PeerId(1), PeerId(2)],
             heads: vec![PeerId(0), PeerId(5)],
-            widen: false,
         });
         d
     }

@@ -1168,7 +1168,7 @@ mod tests {
         );
 
         let mut by_probe = scenarios::chain_pair(|config| {
-            config.slow_channel = Some(sqpeer_exec::SlowChannelPolicy::default());
+            config.slow_channel = true;
         });
         let trace = parse("unit-slow-replan", &lose_the_subplan("probe")).unwrap();
         by_probe.run(&trace).unwrap();

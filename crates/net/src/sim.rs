@@ -24,8 +24,6 @@ pub struct LinkSpec {
     pub latency_us: u64,
     /// Bandwidth in bytes per virtual millisecond.
     pub bytes_per_ms: u64,
-    /// Whether the link is currently usable.
-    pub up: bool,
 }
 
 impl Default for LinkSpec {
@@ -34,7 +32,6 @@ impl Default for LinkSpec {
         LinkSpec {
             latency_us: 20_000,
             bytes_per_ms: 1_000,
-            up: true,
         }
     }
 }
@@ -58,7 +55,7 @@ pub trait NodeLogic {
     fn on_timer(&mut self, _ctx: &mut Ctx<Self::Msg>, _timer: u64) {}
 
     /// Called when a message this node sent could not be delivered (the
-    /// destination or the link is down) — the failure signal channel roots
+    /// destination is down or unreachable) — the failure signal channel roots
     /// react to (§2.5 run-time adaptation).
     fn on_delivery_failure(&mut self, _ctx: &mut Ctx<Self::Msg>, _to: NodeId, _msg: Self::Msg) {}
 
@@ -182,8 +179,7 @@ enum EventKind<M> {
         msg: M,
         bytes: usize,
         /// Virtual time the message left the sender — telemetry measures
-        /// delivery latency (including jitter and contention queueing)
-        /// against this.
+        /// delivery latency (jitter included) against this.
         sent_at_us: u64,
         /// True for the fault-plan duplicate of an already-scheduled
         /// delivery (counted separately in metrics).
@@ -233,8 +229,9 @@ impl<M> Scheduled for Event<M> {
 /// The deterministic event-loop simulator.
 pub struct Simulator<N: NodeLogic> {
     nodes: HashMap<NodeId, N>,
+    /// Links set with [`Simulator::set_link`]; every other pair uses
+    /// [`LinkSpec::default`].
     links: HashMap<(NodeId, NodeId), LinkSpec>,
-    default_link: LinkSpec,
     queue: CalendarQueue<Event<N::Msg>>,
     now_us: u64,
     seq: u64,
@@ -243,12 +240,6 @@ pub struct Simulator<N: NodeLogic> {
     /// vanish silently (no `on_delivery_failure`).
     silent_down: HashSet<NodeId>,
     metrics: Metrics,
-    /// Model link contention: transmissions on the same directed link
-    /// serialise (next transfer waits for the link to free). Off by
-    /// default — most experiments measure protocol shapes, not queueing.
-    contention: bool,
-    /// Directed link → virtual time it frees (only with contention).
-    link_busy_until: HashMap<(NodeId, NodeId), u64>,
     /// The installed fault plan, if any.
     fault: Option<FaultPlan>,
     /// Chaos RNG, seeded from the fault plan. Only consumed when a
@@ -265,32 +256,24 @@ pub struct Simulator<N: NodeLogic> {
 
 impl<N: NodeLogic> Default for Simulator<N> {
     fn default() -> Self {
-        Simulator::new(LinkSpec::default())
-    }
-}
-
-impl<N: NodeLogic> Simulator<N> {
-    /// Creates a simulator whose unspecified links use `default_link`.
-    pub fn new(default_link: LinkSpec) -> Self {
         Simulator {
             nodes: HashMap::new(),
             links: HashMap::new(),
-            default_link,
             queue: CalendarQueue::new(),
             now_us: 0,
             seq: 0,
             down: HashSet::new(),
             silent_down: HashSet::new(),
             metrics: Metrics::default(),
-            contention: false,
-            link_busy_until: HashMap::new(),
             fault: None,
             chaos_rng: SplitMix64::new(0),
             telemetry: None,
             booted: false,
         }
     }
+}
 
+impl<N: NodeLogic> Simulator<N> {
     /// Turns telemetry collection on: every subsequent successful
     /// delivery is recorded into a [`TelemetryRegistry`] with
     /// `window_us`-long throughput windows.
@@ -333,15 +316,6 @@ impl<N: NodeLogic> Simulator<N> {
         self.push(at_us.max(self.now_us), EventKind::ChaosUp(node));
     }
 
-    /// Enables or disables link-contention modelling (see
-    /// [`Simulator::new`]; default off).
-    pub fn set_contention(&mut self, on: bool) {
-        self.contention = on;
-        if !on {
-            self.link_busy_until.clear();
-        }
-    }
-
     /// Adds a node.
     pub fn add_node(&mut self, id: NodeId, node: N) {
         self.nodes.insert(id, node);
@@ -364,24 +338,9 @@ impl<N: NodeLogic> Simulator<N> {
         self.links.insert((b, a), spec);
     }
 
-    /// Marks the `a`–`b` link up or down.
-    pub fn set_link_up(&mut self, a: NodeId, b: NodeId, up: bool) {
-        let mut spec = self.link(a, b);
-        spec.up = up;
-        self.set_link(a, b, spec);
-    }
-
     /// The effective link spec between two nodes.
     pub fn link(&self, a: NodeId, b: NodeId) -> LinkSpec {
-        self.links
-            .get(&(a, b))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
-    /// The default link spec unspecified pairs use.
-    pub fn default_link(&self) -> LinkSpec {
-        self.default_link
+        self.links.get(&(a, b)).copied().unwrap_or_default()
     }
 
     /// Current virtual time (µs).
@@ -411,19 +370,11 @@ impl<N: NodeLogic> Simulator<N> {
         self.queue.push(Event { at_us, seq, kind });
     }
 
-    /// Computes the delivery time of a message sent now, honouring link
-    /// contention when enabled: the transmission occupies the link for its
-    /// serialisation time while propagation latency overlaps.
-    fn arrival_time(&mut self, from: NodeId, to: NodeId, bytes: usize) -> u64 {
-        let spec = self.link(from, to);
-        if !self.contention {
-            return self.now_us + spec.transfer_us(bytes);
-        }
-        let serialize = (bytes as u64 * 1_000) / spec.bytes_per_ms.max(1);
-        let busy = self.link_busy_until.entry((from, to)).or_insert(0);
-        let start = self.now_us.max(*busy);
-        *busy = start + serialize;
-        start + serialize + spec.latency_us
+    /// The delivery time of a message sent now: links do not queue, so
+    /// every transfer pays the link's latency plus its serialisation time
+    /// from the moment it is sent.
+    fn arrival_time(&self, from: NodeId, to: NodeId, bytes: usize) -> u64 {
+        self.now_us + self.link(from, to).transfer_us(bytes)
     }
 
     /// Injects a message from the outside world (e.g. a client-peer
@@ -488,8 +439,7 @@ impl<N: NodeLogic> Simulator<N> {
                     self.metrics.record_silent_drop(to);
                     return;
                 }
-                let link = self.link(from, to);
-                if self.down.contains(&to) || !link.up {
+                if self.down.contains(&to) {
                     self.metrics.record_drop(to);
                     // Failure notification travels back to the sender
                     // (unless the sender itself is down).
@@ -747,7 +697,6 @@ mod tests {
         let spec = LinkSpec {
             latency_us: 1_000,
             bytes_per_ms: 100,
-            up: true,
         };
         // 50 bytes at 100 B/ms = 500 µs + 1000 µs latency.
         assert_eq!(spec.transfer_us(50), 1_500);
@@ -763,7 +712,6 @@ mod tests {
             LinkSpec {
                 latency_us: 1_000_000,
                 bytes_per_ms: 1,
-                up: true,
             },
         );
         sim.inject(NodeId(0), NodeId(1), 0, 1_000);
@@ -802,16 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn link_down_blocks_delivery() {
-        let mut sim = two_nodes();
-        sim.set_link_up(NodeId(0), NodeId(1), false);
-        sim.inject(NodeId(0), NodeId(1), 0, 100);
-        sim.run_to_quiescence();
-        assert!(sim.node(NodeId(1)).unwrap().received.is_empty());
-        assert_eq!(sim.node(NodeId(0)).unwrap().failures, vec![NodeId(1)]);
-    }
-
-    #[test]
     fn timers_fire_in_order() {
         struct TimerNode {
             fired: Vec<u64>,
@@ -835,49 +773,22 @@ mod tests {
     }
 
     #[test]
-    fn contention_serialises_same_link_transfers() {
-        // Two 1000-byte messages on a 1 B/ms link: without contention both
-        // arrive together; with contention the second waits for the first
-        // transmission to clear the wire.
-        let run = |contention: bool| {
-            let mut sim = two_nodes();
-            sim.set_contention(contention);
-            sim.set_link(
-                NodeId(0),
-                NodeId(1),
-                LinkSpec {
-                    latency_us: 10_000,
-                    bytes_per_ms: 1,
-                    up: true,
-                },
-            );
-            sim.inject(NodeId(0), NodeId(1), 0, 1_000);
-            sim.inject(NodeId(0), NodeId(1), 0, 1_000);
-            sim.run_to_quiescence();
-            sim.now_us()
-        };
-        let free = run(false); // both arrive at 1 s + 10 ms
-        let queued = run(true); // second arrives at 2 s + 10 ms
-        assert_eq!(free, 1_010_000);
-        assert_eq!(queued, 2_010_000);
-    }
-
-    #[test]
-    fn contention_does_not_affect_distinct_links() {
-        let mut sim: Simulator<Echo> = Simulator::new(LinkSpec {
-            latency_us: 1_000,
-            bytes_per_ms: 1,
-            up: true,
-        });
-        sim.set_contention(true);
-        for i in 0..3 {
-            sim.add_node(NodeId(i), Echo::new());
-        }
-        // 0→1 and 0→2 are distinct directed links: no queueing between them.
+    fn same_link_transfers_do_not_queue() {
+        // Two back-to-back 1000-byte messages on a 1 B/ms link both arrive
+        // at 1 s + 10 ms: a transfer never waits for the one before it.
+        let mut sim = two_nodes();
+        sim.set_link(
+            NodeId(0),
+            NodeId(1),
+            LinkSpec {
+                latency_us: 10_000,
+                bytes_per_ms: 1,
+            },
+        );
         sim.inject(NodeId(0), NodeId(1), 0, 1_000);
-        sim.inject(NodeId(0), NodeId(2), 0, 1_000);
+        sim.inject(NodeId(0), NodeId(1), 0, 1_000);
         sim.run_to_quiescence();
-        assert_eq!(sim.now_us(), 1_001_000);
+        assert_eq!(sim.now_us(), 1_010_000);
     }
 
     #[test]

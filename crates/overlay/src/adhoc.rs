@@ -8,7 +8,7 @@
 
 use crate::network::Network;
 use sqpeer_exec::{inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode};
-use sqpeer_net::{LinkSpec, Simulator};
+use sqpeer_net::Simulator;
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::{PeerId, Topology};
 use sqpeer_rvl::VirtualBase;
@@ -19,7 +19,6 @@ use std::sync::Arc;
 pub struct AdhocBuilder {
     schema: Arc<Schema>,
     config: PeerConfig,
-    default_link: LinkSpec,
     bases: Vec<BaseKind>,
     links: Vec<(u32, u32)>,
     discovery_depth: u32,
@@ -35,7 +34,6 @@ impl AdhocBuilder {
                 mode: PeerMode::Adhoc,
                 ..PeerConfig::default()
             },
-            default_link: LinkSpec::default(),
             bases: Vec::new(),
             links: Vec::new(),
             discovery_depth: discovery_depth.max(1),
@@ -48,12 +46,6 @@ impl AdhocBuilder {
             mode: PeerMode::Adhoc,
             ..config
         };
-        self
-    }
-
-    /// Overrides the default link characteristics.
-    pub fn default_link(mut self, link: LinkSpec) -> Self {
-        self.default_link = link;
         self
     }
 
@@ -93,12 +85,11 @@ impl AdhocBuilder {
         let AdhocBuilder {
             schema,
             config,
-            default_link,
             bases,
             links,
             discovery_depth,
         } = self;
-        let mut sim: Simulator<PeerNode> = Simulator::new(default_link);
+        let mut sim: Simulator<PeerNode> = Simulator::default();
         let mut topology = Topology::new();
 
         let count = bases.len() as u32;

@@ -8,9 +8,8 @@
 //! * a super-peer holds only its own members' advertisements,
 //! * it pushes a *merged summary* (the union of its members'
 //!   active-schemas) to its cluster head,
-//! * heads merge member summaries into a *cluster summary* — optionally
-//!   widened to schema-hierarchy roots — and exchange those with the
-//!   other heads.
+//! * heads merge member summaries into a *cluster summary* and exchange
+//!   those with the other heads.
 //!
 //! A query then descends the cluster tree: the entry super-peer
 //! annotates its own members and forwards to its head, which scatters
@@ -22,7 +21,6 @@
 
 use crate::hybrid::HybridNetwork;
 use sqpeer_exec::{BaseKind, ClusterInfo, PeerConfig, PeerMode};
-use sqpeer_net::LinkSpec;
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rvl::VirtualBase;
@@ -35,10 +33,8 @@ use std::sync::Arc;
 pub struct HierBuilder {
     schema: Arc<Schema>,
     config: PeerConfig,
-    default_link: LinkSpec,
     super_count: u32,
     cluster_size: u32,
-    widen: bool,
     /// Explicit partition of super-peer indexes into clusters; `None`
     /// falls back to consecutive chunks of `cluster_size`.
     clusters: Option<Vec<Vec<u32>>>,
@@ -55,10 +51,8 @@ impl HierBuilder {
                 mode: PeerMode::Hybrid,
                 ..PeerConfig::default()
             },
-            default_link: LinkSpec::default(),
             super_count: super_count.max(1),
             cluster_size: cluster_size.max(1),
-            widen: false,
             clusters: None,
             bases: Vec::new(),
         }
@@ -70,20 +64,6 @@ impl HierBuilder {
             mode: PeerMode::Hybrid,
             ..config
         };
-        self
-    }
-
-    /// Overrides the default link characteristics.
-    pub fn default_link(mut self, link: LinkSpec) -> Self {
-        self.default_link = link;
-        self
-    }
-
-    /// Widens cluster summaries to schema-hierarchy roots before they
-    /// are exchanged between heads (coarser summaries: smaller and more
-    /// stable, at the price of false-positive descents).
-    pub fn widen_summaries(mut self, widen: bool) -> Self {
-        self.widen = widen;
         self
     }
 
@@ -155,18 +135,11 @@ impl HierBuilder {
                     head: members[0],
                     members: members.clone(),
                     heads: heads.clone(),
-                    widen: self.widen,
                 };
                 supers.push((sp, Some(info)));
             }
         }
-        crate::hybrid::spawn(
-            self.schema,
-            self.config,
-            self.default_link,
-            supers,
-            self.bases,
-        )
+        crate::hybrid::spawn(self.schema, self.config, supers, self.bases)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::network::Network;
 use sqpeer_exec::{inject, node_of, BaseKind, ClusterInfo, Msg, PeerConfig, PeerMode, PeerNode};
-use sqpeer_net::{LinkSpec, Simulator};
+use sqpeer_net::Simulator;
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::{PeerId, Topology};
 use sqpeer_rvl::VirtualBase;
@@ -19,7 +19,6 @@ use std::sync::Arc;
 pub struct HybridBuilder {
     schema: Arc<Schema>,
     config: PeerConfig,
-    default_link: LinkSpec,
     super_count: u32,
     bases: Vec<(BaseKind, u32)>, // base, super-peer index
 }
@@ -34,7 +33,6 @@ impl HybridBuilder {
                 mode: PeerMode::Hybrid,
                 ..PeerConfig::default()
             },
-            default_link: LinkSpec::default(),
             super_count: super_count.max(1),
             bases: Vec::new(),
         }
@@ -46,12 +44,6 @@ impl HybridBuilder {
             mode: PeerMode::Hybrid,
             ..config
         };
-        self
-    }
-
-    /// Overrides the default link characteristics.
-    pub fn default_link(mut self, link: LinkSpec) -> Self {
-        self.default_link = link;
         self
     }
 
@@ -86,13 +78,7 @@ impl HybridBuilder {
     /// messages) and runs to quiescence.
     pub fn build(self) -> HybridNetwork {
         let supers = (0..self.super_count).map(|sp| (PeerId(sp), None)).collect();
-        spawn(
-            self.schema,
-            self.config,
-            self.default_link,
-            supers,
-            self.bases,
-        )
+        spawn(self.schema, self.config, supers, self.bases)
     }
 }
 
@@ -106,11 +92,10 @@ impl HybridBuilder {
 pub(crate) fn spawn(
     schema: Arc<Schema>,
     config: PeerConfig,
-    default_link: LinkSpec,
     supers: Vec<(PeerId, Option<ClusterInfo>)>,
     bases: Vec<(BaseKind, u32)>,
 ) -> HybridNetwork {
-    let mut sim: Simulator<PeerNode> = Simulator::new(default_link);
+    let mut sim: Simulator<PeerNode> = Simulator::default();
     let super_count = supers.len() as u32;
     let super_ids: Vec<PeerId> = (0..super_count).map(PeerId).collect();
     for (sp, cluster) in supers {

@@ -17,13 +17,12 @@ use std::collections::{HashMap, HashSet};
 /// can be traversed in a peer's base) to the peers able to answer them.
 ///
 /// Paths are "organized hierarchically according to their length (simple
-/// properties appear as leaves)"; we keep the flat map plus per-peer entry
-/// counts, which is what the maintenance cost depends on.
+/// properties appear as leaves)"; we keep the flat map, whose entries are
+/// what the maintenance cost counts.
 #[derive(Debug, Clone)]
 pub struct PathIndex {
     max_len: usize,
     entries: HashMap<Vec<PropertyId>, HashSet<PeerId>>,
-    per_peer: HashMap<PeerId, usize>,
 }
 
 impl PathIndex {
@@ -32,7 +31,6 @@ impl PathIndex {
         PathIndex {
             max_len: max_len.max(1),
             entries: HashMap::new(),
-            per_peer: HashMap::new(),
         }
     }
 
@@ -75,7 +73,6 @@ impl PathIndex {
                 written += 1;
             }
         }
-        *self.per_peer.entry(peer).or_insert(0) += written;
         written
     }
 
@@ -89,7 +86,6 @@ impl PathIndex {
             }
             !peers.is_empty()
         });
-        self.per_peer.remove(&peer);
         touched
     }
 
@@ -130,11 +126,6 @@ impl PathIndex {
     pub fn size(&self) -> usize {
         self.entries.values().map(|s| s.len()).sum()
     }
-
-    /// Entries attributed to `peer`.
-    pub fn entries_for(&self, peer: PeerId) -> usize {
-        self.per_peer.get(&peer).copied().unwrap_or(0)
-    }
 }
 
 /// Closed-form maintenance cost of a data-level triple index in the style
@@ -152,11 +143,6 @@ impl TripleIndexCost {
     /// Index entries touched when that base leaves.
     pub fn leave_cost(triples: usize) -> usize {
         3 * triples
-    }
-
-    /// Entries touched when `changed` triples are inserted/removed.
-    pub fn update_cost(changed: usize) -> usize {
-        3 * changed
     }
 }
 
@@ -255,7 +241,6 @@ mod tests {
         idx.index_peer(PeerId(2), &active_all(&schema), &schema);
         let touched = idx.remove_peer(PeerId(1));
         assert_eq!(touched, written);
-        assert_eq!(idx.entries_for(PeerId(1)), 0);
         // Peer 2's entries survive.
         let p0 = schema.property_by_name("p0").unwrap();
         assert_eq!(idx.lookup(&[p0]), vec![PeerId(2)]);
@@ -265,6 +250,5 @@ mod tests {
     fn triple_index_costs() {
         assert_eq!(TripleIndexCost::join_cost(100), 300);
         assert_eq!(TripleIndexCost::leave_cost(10), 30);
-        assert_eq!(TripleIndexCost::update_cost(1), 3);
     }
 }

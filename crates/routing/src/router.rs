@@ -38,6 +38,11 @@ impl Advertisement {
 }
 
 /// Controls which advertisement/pattern relationships lead to annotation.
+///
+/// Live peers route under `PeerConfig::ROUTING_POLICY` (`sqpeer-exec`),
+/// which is [`RoutingPolicy::SubsumedOnly`]; the `Default` stays
+/// [`RoutingPolicy::IncludeOverlapping`] for library callers of the
+/// router and the semantic cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Only `isSubsumed(AS, AQ)` matches (equivalence or specialisation),

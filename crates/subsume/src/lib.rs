@@ -18,9 +18,7 @@
 pub mod articulation;
 pub mod contains;
 pub mod pattern_match;
-pub mod widen;
 
 pub use articulation::{Articulation, ArticulationBuilder, ArticulationError};
 pub use contains::{contains, equivalent};
 pub use pattern_match::{match_pattern, rewrite_for, PatternMatch};
-pub use widen::widen_summary;

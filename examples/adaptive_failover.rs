@@ -99,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 3. Slow channel: telemetry replans a live-but-starved holder --
     let mut builder = HybridBuilder::new(Arc::clone(&schema), 1).config(PeerConfig {
         trace: true,
-        slow_channel: Some(SlowChannelPolicy::default()),
+        slow_channel: true,
         subplan_timeout_us: Some(2_000_000),
         ..PeerConfig::default()
     });

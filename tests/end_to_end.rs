@@ -6,7 +6,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sqpeer::exec::{node_of, PeerConfig, PeerMode};
 use sqpeer::overlay::{oracle_answer, oracle_base};
-use sqpeer::routing::RoutingPolicy;
 use sqpeer_testkit::{
     adhoc_network, community_schema, hybrid_network, random_chain_query, DataSpec, NetworkSpec,
     SchemaSpec, TopologyKind,
@@ -24,18 +23,13 @@ fn small_spec(seed: u64) -> NetworkSpec {
     }
 }
 
-/// The completeness-favouring policy: generated peer fragments advertise
-/// exactly what they hold, so strict subsumption routing is enough here,
-/// but overlap inclusion exercises the wider path.
+/// The configurations every oracle comparison runs under: optimised and
+/// unoptimised plans.
 fn configs() -> Vec<PeerConfig> {
     vec![
         PeerConfig::default(),
         PeerConfig {
             optimize: false,
-            ..PeerConfig::default()
-        },
-        PeerConfig {
-            routing_policy: RoutingPolicy::IncludeOverlapping,
             ..PeerConfig::default()
         },
     ]

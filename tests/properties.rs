@@ -536,15 +536,11 @@ proptest! {
     /// Over random placements, random cluster partitions of the backbone
     /// and random queries, the hierarchical overlay answers exactly what
     /// the flat hybrid overlay answers — same rows, same partial flag.
-    /// Summary widening must not change answers either: widened
-    /// summaries only cause false-positive descents, never the pruning
-    /// of a holder.
     #[test]
     fn hierarchical_routing_equals_flat_backbone(
         placements in prop::collection::vec((arb_base(), 0..4u32), 1..6),
         labels in prop::collection::vec(0..4u8, 4usize),
         (q1, q2) in arb_query_pair(),
-        widen in any::<bool>(),
     ) {
         use sqpeer::overlay::HierBuilder;
         let schema = fig1_schema();
@@ -566,8 +562,7 @@ proptest! {
 
         let mut hb = HybridBuilder::new(Arc::clone(&schema), super_count);
         let mut nb = HierBuilder::new(Arc::clone(&schema), super_count, 2)
-            .clusters(partition)
-            .widen_summaries(widen);
+            .clusters(partition);
         let mut origin = None;
         for (base, sp) in &placements {
             let id = hb.add_peer(base.clone(), *sp);
