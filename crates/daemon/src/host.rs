@@ -264,7 +264,7 @@ impl Pump {
     /// The host's one sleep: until the next armed timer or the status
     /// deadline, and never past the 1 ms after which the command channel
     /// is looked at again.
-    fn idle_wait(&self) {
+    fn idle_wait(&mut self) {
         let next_due_us = self.net.next_due_us().unwrap_or(u64::MAX);
         let wake_us = next_due_us.min(self.status_due_us);
         let wait_us = wake_us.saturating_sub(self.net.now_us()).min(1_000);

@@ -1,43 +1,93 @@
 //! The real-clock in-process transport, with the wire codec on the path.
 //!
-//! [`LoopbackNet`] hosts the *same* [`NodeLogic`] state machines the
-//! virtual-time simulator runs, but against [`RealClock`] — and every
-//! message physically becomes bytes: sends are encoded into wire frames
-//! at enqueue and decoded back at delivery, so a run through this
-//! transport exercises the codec for every single hop exactly as a TCP
-//! deployment would. A message that fails to decode is counted and
-//! dropped, never delivered corrupted.
+//! [`LoopbackNet`] is the [`Simulator`] driven by a [`RealClock`]: one
+//! event queue, one delivery rule, the same down-node rules, metrics,
+//! telemetry and fault plan as a virtual-time run, on links of zero delay
+//! (the clock is the only delay). Each hosted node sits behind a `Coded`
+//! adapter whose message is a wire frame: every send the node asks for is
+//! encoded with [`encode_frame`] and every delivery decoded with
+//! [`decode_frame`], so a run through this transport exercises the codec
+//! for every single hop exactly as a TCP deployment would. A frame that
+//! fails to decode is counted and reported to its destination's
+//! [`NodeLogic::on_transport_anomaly`], never delivered corrupted.
 //!
-//! Delivery is immediate-due (loopback has no propagation delay); timers
-//! arm at real microsecond offsets. [`LoopbackNet::run_due`] dispatches
-//! everything that is due and never sleeps; [`LoopbackNet::next_due_us`]
-//! names the earliest deadline still queued. [`Transport::step_for`] is
-//! those two with a sleep between them; the `sqpeerd` pump, which has
-//! work of its own to interleave, calls them itself and owns the sleep.
+//! Timers arm at real microsecond offsets. [`LoopbackNet::run_due`]
+//! dispatches everything that is due and never sleeps;
+//! [`LoopbackNet::next_due_us`] names the earliest deadline still queued.
+//! [`Transport::step_for`] is those two with a sleep between them; the
+//! `sqpeerd` pump, which has work of its own to interleave, calls them
+//! itself and owns the sleep.
 
 use crate::RealClock;
-use sqpeer_net::{Clock, Ctx, Metrics, NodeId, NodeLogic, TelemetryRegistry, Transport};
-use sqpeer_wire::{Reader, SchemaRegistry, Wire, WireError, Writer, WIRE_VERSION};
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
-use std::collections::HashMap;
+use sqpeer_net::{
+    Clock, Ctx, FaultPlan, LinkSpec, Metrics, NodeId, NodeLogic, Simulator, TelemetryRegistry,
+    Transport,
+};
+use sqpeer_wire::{decode_frame, encode_frame, SchemaRegistry, Wire};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// One queued occurrence: an encoded frame to deliver or a timer to fire.
-/// `Ord` only because the queue's tuple needs it: `seq` never repeats,
-/// so no comparison reaches the item.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum Pending {
-    /// An encoded wire frame (version byte + generic envelope), plus the
-    /// bandwidth-accounting byte size the sender declared.
-    Frame {
-        frame: Vec<u8>,
-        bytes: usize,
-    },
-    Timer {
-        node: NodeId,
-        timer: u64,
-    },
+/// A hosted node as the simulator sees it: its messages are wire frames.
+/// `on_delivery_failure` is not passed on: the loopback schedules no
+/// graceful node down, the only event that raises it.
+struct Coded<N> {
+    node: N,
+    schemas: Arc<SchemaRegistry>,
+    decode_failures: u64,
+}
+
+impl<N: NodeLogic> Coded<N>
+where
+    N::Msg: Wire,
+{
+    /// Runs one callback of the inner node on a context of its own
+    /// message type, then asks `ctx` for what the node asked for, every
+    /// send encoded.
+    fn call(&mut self, ctx: &mut Ctx<Vec<u8>>, callback: impl FnOnce(&mut N, &mut Ctx<N::Msg>)) {
+        let mut inner = Ctx::detached(ctx.now_us(), ctx.me());
+        callback(&mut self.node, &mut inner);
+        let effects = inner.into_effects();
+        for (to, msg, bytes) in effects.outbox {
+            ctx.send(to, encode_frame(&msg), bytes);
+        }
+        for (delay_us, timer) in effects.timers {
+            ctx.set_timer(delay_us, timer);
+        }
+        for (from, elapsed_us) in effects.stream_ttfr {
+            ctx.note_stream_ttfr(from, elapsed_us);
+        }
+        *ctx.counters() += effects.counters;
+    }
+}
+
+impl<N: NodeLogic> NodeLogic for Coded<N>
+where
+    N::Msg: Wire,
+{
+    type Msg = Vec<u8>;
+
+    fn on_message(&mut self, ctx: &mut Ctx<Vec<u8>>, from: NodeId, frame: Vec<u8>) {
+        match decode_frame(&frame, &self.schemas) {
+            Ok(msg) => self.call(ctx, |node, ctx| node.on_message(ctx, from, msg)),
+            Err(err) => {
+                self.decode_failures += 1;
+                let detail = format!("frame from node {} failed to decode: {err:?}", from.0);
+                self.node.on_transport_anomaly(ctx.now_us(), &detail);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<Vec<u8>>, timer: u64) {
+        self.call(ctx, |node, ctx| node.on_timer(ctx, timer));
+    }
+
+    fn on_start(&mut self, ctx: &mut Ctx<Vec<u8>>) {
+        self.call(ctx, |node, ctx| node.on_start(ctx));
+    }
+
+    fn on_restart(&mut self, ctx: &mut Ctx<Vec<u8>>) {
+        self.call(ctx, |node, ctx| node.on_restart(ctx));
+    }
 }
 
 /// A real-clock, in-process transport for `NodeLogic` state machines
@@ -47,49 +97,8 @@ where
     N::Msg: Wire,
 {
     clock: RealClock,
-    nodes: HashMap<NodeId, N>,
-    /// Min-heap on `(due_us, seq)`: `seq` counts pushes, so occurrences
-    /// due at the same microsecond run in the order they were queued.
-    queue: BinaryHeap<Reverse<(u64, u64, Pending)>>,
-    seq: u64,
-    metrics: Metrics,
-    telemetry: Option<TelemetryRegistry>,
-    schemas: SchemaRegistry,
-    booted: bool,
-    decode_failures: u64,
-}
-
-/// Encodes the loopback's generic envelope: version byte, from, to,
-/// sent-at, then the message's own wire form.
-fn encode_envelope<M: Wire>(from: NodeId, to: NodeId, sent_at_us: u64, msg: &M) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.byte(WIRE_VERSION);
-    w.u32v(from.0);
-    w.u32v(to.0);
-    w.u64v(sent_at_us);
-    msg.encode(&mut w);
-    w.into_bytes()
-}
-
-/// Decodes a loopback envelope back into `(from, to, sent_at, msg)`.
-fn decode_envelope<M: Wire>(
-    frame: &[u8],
-    schemas: &SchemaRegistry,
-) -> Result<(NodeId, NodeId, u64, M), WireError> {
-    let mut r = Reader::new(frame, schemas);
-    let version = r.byte()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::BadVersion {
-            got: version,
-            want: WIRE_VERSION,
-        });
-    }
-    let from = NodeId(r.u32v()?);
-    let to = NodeId(r.u32v()?);
-    let sent_at = r.u64v()?;
-    let msg = M::decode(&mut r)?;
-    r.expect_end()?;
-    Ok((from, to, sent_at, msg))
+    sim: Simulator<Coded<N>>,
+    schemas: Arc<SchemaRegistry>,
 }
 
 impl<N: NodeLogic> LoopbackNet<N>
@@ -99,133 +108,42 @@ where
     /// A fresh transport whose clock epoch is now, decoding against
     /// `schemas`.
     pub fn new(schemas: SchemaRegistry) -> Self {
+        let instant = LinkSpec {
+            latency_us: 0,
+            bytes_per_ms: u64::MAX,
+        };
         LoopbackNet {
             clock: RealClock::new(),
-            nodes: HashMap::new(),
-            queue: BinaryHeap::new(),
-            seq: 0,
-            metrics: Metrics::default(),
-            telemetry: None,
-            schemas,
-            booted: false,
-            decode_failures: 0,
+            sim: Simulator::with_link(instant),
+            schemas: Arc::new(schemas),
         }
     }
 
-    /// Turns on per-link telemetry, anchored at the current real time so
-    /// throughput windows start now rather than at the process epoch.
+    /// Turns on per-link telemetry; throughput windows open at the
+    /// clock's epoch, this transport's creation.
     pub fn enable_telemetry(&mut self, window_us: u64) {
-        self.telemetry = Some(TelemetryRegistry::anchored(window_us, self.clock.now_us()));
+        self.sim.enable_telemetry(window_us);
+    }
+
+    /// Installs a seeded fault plan on every node-sent frame, as
+    /// [`Simulator::set_fault_plan`] does on virtual time; jitter and
+    /// churn instants are real microseconds.
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.sim.set_fault_plan(plan);
     }
 
     /// Frames that failed to decode on the delivery path (0 in a healthy
     /// run; the codec roundtrip tests make anything else a bug).
     pub fn decode_failures(&self) -> u64 {
-        self.decode_failures
+        let ids = self.sim.node_ids().into_iter();
+        ids.filter_map(|id| self.sim.node(id))
+            .map(|c| c.decode_failures)
+            .sum()
     }
 
     /// Ids of every hosted node, sorted (status-page iteration).
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        ids.sort();
-        ids
-    }
-
-    /// The schema registry inbound frames resolve against.
-    pub fn schemas(&self) -> &SchemaRegistry {
-        &self.schemas
-    }
-
-    fn push(&mut self, due_us: u64, item: Pending) {
-        self.queue.push(Reverse((due_us, self.seq, item)));
-        self.seq += 1;
-    }
-
-    fn boot(&mut self) {
-        if self.booted {
-            return;
-        }
-        self.booted = true;
-        let now = self.clock.now_us();
-        for id in self.node_ids() {
-            let mut ctx = Ctx::detached(now, id);
-            if let Some(node) = self.nodes.get_mut(&id) {
-                node.on_start(&mut ctx);
-            }
-            self.flush(id, ctx);
-        }
-    }
-
-    fn flush(&mut self, node: NodeId, ctx: Ctx<N::Msg>) {
-        let now = self.clock.now_us();
-        let effects = ctx.into_effects();
-        if let Some(telemetry) = &mut self.telemetry {
-            for (from, elapsed) in effects.stream_ttfr {
-                telemetry.record_ttfr(from, node, elapsed);
-            }
-        }
-        for (to, msg, bytes) in effects.outbox {
-            self.metrics.record_send(node, to, bytes);
-            let frame = encode_envelope(node, to, now, &msg);
-            self.push(now, Pending::Frame { frame, bytes });
-        }
-        for (delay, timer) in effects.timers {
-            self.push(now + delay, Pending::Timer { node, timer });
-        }
-        self.metrics.absorb(effects.counters);
-    }
-
-    fn dispatch_frame(&mut self, frame: Vec<u8>, bytes: usize) {
-        let now = self.clock.now_us();
-        match decode_envelope::<N::Msg>(&frame, &self.schemas) {
-            Ok((from, to, sent_at, msg)) => {
-                if !self.nodes.contains_key(&to) {
-                    self.metrics.record_drop(to);
-                    return;
-                }
-                self.metrics.record_delivery(from, to, bytes);
-                if let Some(telemetry) = &mut self.telemetry {
-                    telemetry.record_delivery(from, to, bytes, now.saturating_sub(sent_at), now);
-                }
-                let mut ctx = Ctx::detached(now, to);
-                if let Some(node) = self.nodes.get_mut(&to) {
-                    node.on_message(&mut ctx, from, msg);
-                }
-                self.flush(to, ctx);
-            }
-            Err(err) => {
-                self.decode_failures += 1;
-                // Attribute the anomaly to the destination when the
-                // envelope header is still readable (the usual case:
-                // the body, not the header, got corrupted), so its
-                // flight recorder logs the event.
-                let mut r = Reader::new(&frame, &self.schemas);
-                if let (Ok(_), Ok(from), Ok(to), Ok(_)) = (r.byte(), r.u32v(), r.u32v(), r.u64v()) {
-                    if let Some(node) = self.nodes.get_mut(&NodeId(to)) {
-                        node.on_transport_anomaly(
-                            now,
-                            &format!("frame from node {from} failed to decode: {err:?}"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn dispatch_timer(&mut self, node: NodeId, timer: u64) {
-        let now = self.clock.now_us();
-        let mut ctx = Ctx::detached(now, node);
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.on_timer(&mut ctx, timer);
-        }
-        self.flush(node, ctx);
-    }
-
-    /// Takes the queue's head if the real clock has reached its deadline.
-    fn pop_due(&mut self) -> Option<Pending> {
-        let head = self.queue.peek_mut()?;
-        let Reverse((due_us, ..)) = *head;
-        (due_us <= self.clock.now_us()).then(|| PeekMut::pop(head).0 .2)
+        self.sim.node_ids()
     }
 
     /// Dispatches everything due at or before the current real time —
@@ -233,26 +151,13 @@ where
     /// first time — and returns without sleeping, however near the next
     /// timer is. Returns the number of dispatched occurrences.
     pub fn run_due(&mut self) -> usize {
-        // Budget against self-sustaining message storms, mirroring the
-        // simulator's guard.
-        const BUDGET: usize = 1_000_000;
-        self.boot();
-        let mut processed = 0;
-        while let Some(item) = self.pop_due() {
-            processed += 1;
-            match item {
-                Pending::Frame { frame, bytes } => self.dispatch_frame(frame, bytes),
-                Pending::Timer { node, timer } => self.dispatch_timer(node, timer),
-            }
-            assert!(processed < BUDGET, "loopback event storm");
-        }
-        processed
+        self.sim.run_due(&self.clock)
     }
 
     /// When the earliest queued occurrence falls due, on this
     /// transport's clock; `None` while nothing is queued.
-    pub fn next_due_us(&self) -> Option<u64> {
-        self.queue.peek().map(|Reverse((due, ..))| *due)
+    pub fn next_due_us(&mut self) -> Option<u64> {
+        self.sim.next_due_us()
     }
 }
 
@@ -265,13 +170,18 @@ where
     }
 
     fn add_node(&mut self, id: NodeId, node: N) {
-        self.nodes.insert(id, node);
+        let schemas = Arc::clone(&self.schemas);
+        let coded = Coded {
+            node,
+            schemas,
+            decode_failures: 0,
+        };
+        self.sim.add_node(id, coded);
     }
 
     fn inject(&mut self, from: NodeId, to: NodeId, msg: N::Msg, bytes: usize) {
-        let now = self.clock.now_us();
-        let frame = encode_envelope(from, to, now, &msg);
-        self.push(now, Pending::Frame { frame, bytes });
+        self.sim.advance_to(self.clock.now_us());
+        self.sim.inject(from, to, encode_frame(&msg), bytes);
     }
 
     fn step_for(&mut self, us: u64) -> usize {
@@ -291,19 +201,19 @@ where
     }
 
     fn node(&self, id: NodeId) -> Option<&N> {
-        self.nodes.get(&id)
+        self.sim.node(id).map(|coded| &coded.node)
     }
 
     fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(&id)
+        self.sim.node_mut(id).map(|coded| &mut coded.node)
     }
 
     fn metrics(&self) -> &Metrics {
-        &self.metrics
+        self.sim.metrics()
     }
 
     fn telemetry_snapshot(&self) -> Option<TelemetryRegistry> {
-        self.telemetry.clone()
+        self.sim.telemetry().cloned()
     }
 }
 
@@ -370,20 +280,46 @@ mod tests {
         assert_eq!(net.run_due(), 0, "nothing else is due");
     }
 
-    /// Occurrences due at the same microsecond run in the order they
-    /// were queued — `seq` is the tie-break, and nothing else is.
+    /// Frames due at the same microsecond run in the order they were
+    /// injected — the queue's `seq` is the tie-break, and nothing else is.
     #[test]
     fn equal_due_frames_are_delivered_in_queue_order() {
         let mut net: LoopbackNet<Echo> = LoopbackNet::new(SchemaRegistry::new());
         net.add_node(NodeId(1), Echo(Vec::new()));
         // Payloads in no sorted order: ordering by frame bytes would move them.
         for msg in [0u64, 9, 4, 7, 2].map(|m| m * 1_000) {
-            let frame = encode_envelope(NodeId(0), NodeId(1), 0, &msg);
-            net.push(0, Pending::Frame { frame, bytes: 8 });
+            net.sim.inject(NodeId(0), NodeId(1), encode_frame(&msg), 8);
         }
         net.run_due();
         let got = &net.node(NodeId(1)).unwrap().0;
         assert_eq!(got[..5], [0, 9_000, 4_000, 7_000, 2_000]);
+    }
+
+    /// A frame that does not decode reaches no handler: it is counted and
+    /// reported to its destination as a transport anomaly.
+    #[test]
+    fn undecodable_frame_is_counted_and_reported_to_its_destination() {
+        struct Log(Vec<String>);
+        impl NodeLogic for Log {
+            type Msg = u64;
+            fn on_message(&mut self, _ctx: &mut Ctx<u64>, _from: NodeId, msg: u64) {
+                self.0.push(msg.to_string());
+            }
+            fn on_transport_anomaly(&mut self, _now_us: u64, detail: &str) {
+                self.0.push(detail.to_string());
+            }
+        }
+        let mut net: LoopbackNet<Log> = LoopbackNet::new(SchemaRegistry::new());
+        net.add_node(NodeId(1), Log(Vec::new()));
+        net.sim.inject(NodeId(4), NodeId(1), vec![0xff], 1);
+        net.run_due();
+        assert_eq!(net.decode_failures(), 1);
+        let log = &net.node(NodeId(1)).unwrap().0;
+        assert_eq!(log.len(), 1, "{log:?}");
+        assert!(
+            log[0].starts_with("frame from node 4 failed to decode"),
+            "{log:?}"
+        );
     }
 
     #[test]

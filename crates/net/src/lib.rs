@@ -38,4 +38,4 @@ pub use metrics::{Counters, Metrics, NodeMetrics};
 pub use obs::{PatternEntry, PatternStats};
 pub use sim::{Ctx, Effects, LinkSpec, NodeId, NodeLogic, Simulator};
 pub use telemetry::{Histogram, LinkTelemetry, TelemetryRegistry, DEFAULT_WINDOW_US};
-pub use transport::{Clock, ManualClock, Transport};
+pub use transport::{Clock, Transport};

@@ -79,9 +79,8 @@ impl std::ops::AddAssign for Counters {
 }
 
 impl Metrics {
-    /// Records a successful delivery of `bytes` from `from` to `to`.
-    pub fn record_delivery(&mut self, from: NodeId, to: NodeId, bytes: usize) {
-        let _ = from;
+    /// Records a successful delivery of `bytes` to `to`.
+    pub fn record_delivery(&mut self, to: NodeId, bytes: usize) {
         self.deliveries += 1;
         self.delivered_bytes += bytes;
         let m = self.per_node.entry(to).or_default();
@@ -90,8 +89,7 @@ impl Metrics {
     }
 
     /// Records a send by `from` (whether or not it is later delivered).
-    pub fn record_send(&mut self, from: NodeId, to: NodeId, bytes: usize) {
-        let _ = to;
+    pub fn record_send(&mut self, from: NodeId, bytes: usize) {
         let m = self.per_node.entry(from).or_default();
         m.messages_sent += 1;
         m.bytes_sent += bytes;
@@ -208,9 +206,9 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::default();
-        m.record_send(NodeId(1), NodeId(2), 10);
-        m.record_delivery(NodeId(1), NodeId(2), 10);
-        m.record_delivery(NodeId(2), NodeId(1), 5);
+        m.record_send(NodeId(1), 10);
+        m.record_delivery(NodeId(2), 10);
+        m.record_delivery(NodeId(1), 5);
         m.record_drop(NodeId(2));
         m.record_drop(NodeId(2));
         m.record_drop(NodeId(1));
@@ -258,7 +256,7 @@ mod tests {
     #[test]
     fn replan_causes_and_delta_attribution() {
         let mut m = Metrics::default();
-        m.record_delivery(NodeId(0), NodeId(1), 100);
+        m.record_delivery(NodeId(1), 100);
         // Two replans: one caught by telemetry, one by its timeout.
         m.absorb(Counters {
             replans: 1,
@@ -270,7 +268,7 @@ mod tests {
             timeout_replans: 1,
             ..Counters::default()
         });
-        m.record_delivery(NodeId(0), NodeId(1), 50);
+        m.record_delivery(NodeId(1), 50);
         assert_eq!(m.replans(), 2);
         assert_eq!(m.slow_channel_replans(), 1);
         assert_eq!(m.timeout_replans(), 1);

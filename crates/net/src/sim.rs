@@ -4,6 +4,7 @@ use crate::fault::{FaultPlan, SplitMix64};
 use crate::metrics::{Counters, Metrics};
 use crate::queue::{CalendarQueue, Scheduled};
 use crate::telemetry::TelemetryRegistry;
+use crate::transport::Clock;
 use std::collections::{HashMap, HashSet};
 
 /// Identifier of a simulated node. The overlay layer maps SQPeer peer ids
@@ -88,7 +89,13 @@ pub struct Ctx<M> {
 }
 
 impl<M> Ctx<M> {
-    fn new(now_us: u64, node: NodeId) -> Self {
+    /// A context for one callback of `node` at `now_us` — the one
+    /// constructor, used by every host: the [`Simulator`] (on virtual time
+    /// or, under `sqpeer-daemon`'s loopback, on a real clock), the model
+    /// checker's conductor and unit tests that drive a node by hand. The
+    /// host passes it to the node, consumes it with [`Ctx::into_effects`]
+    /// and applies the effects to its own queue and metrics.
+    pub fn detached(now_us: u64, node: NodeId) -> Self {
         Ctx {
             now_us,
             node,
@@ -101,7 +108,8 @@ impl<M> Ctx<M> {
         }
     }
 
-    /// Current virtual time in microseconds.
+    /// Current time in microseconds on the host's clock: virtual in a
+    /// simulation, real on the loopback.
     pub fn now_us(&self) -> u64 {
         self.now_us
     }
@@ -134,16 +142,6 @@ impl<M> Ctx<M> {
     /// histogram on the `from → me` link (the direction the data flows).
     pub fn note_stream_ttfr(&mut self, from: NodeId, elapsed_us: u64) {
         self.effects.stream_ttfr.push((from, elapsed_us));
-    }
-
-    /// A context for driving a [`NodeLogic`] *outside* the simulator —
-    /// the seam real-clock transports (`sqpeer-daemon`) use to dispatch
-    /// callbacks. The transport constructs one per callback, passes it to
-    /// the node, then consumes it with [`Ctx::into_effects`] and applies
-    /// the effects to its own queue and metrics exactly as
-    /// `Simulator::flush` does.
-    pub fn detached(now_us: u64, node: NodeId) -> Self {
-        Ctx::new(now_us, node)
     }
 
     /// Consumes the context, yielding everything the node asked for.
@@ -230,8 +228,9 @@ impl<M> Scheduled for Event<M> {
 pub struct Simulator<N: NodeLogic> {
     nodes: HashMap<NodeId, N>,
     /// Links set with [`Simulator::set_link`]; every other pair uses
-    /// [`LinkSpec::default`].
+    /// `default_link`.
     links: HashMap<(NodeId, NodeId), LinkSpec>,
+    default_link: LinkSpec,
     queue: CalendarQueue<Event<N::Msg>>,
     now_us: u64,
     seq: u64,
@@ -256,9 +255,19 @@ pub struct Simulator<N: NodeLogic> {
 
 impl<N: NodeLogic> Default for Simulator<N> {
     fn default() -> Self {
+        Simulator::with_link(LinkSpec::default())
+    }
+}
+
+impl<N: NodeLogic> Simulator<N> {
+    /// A simulator whose links are `default_link` unless
+    /// [`Simulator::set_link`] says otherwise. The real-clock loopback
+    /// passes a zero-delay link: its clock is the only delay.
+    pub fn with_link(default_link: LinkSpec) -> Self {
         Simulator {
             nodes: HashMap::new(),
             links: HashMap::new(),
+            default_link,
             queue: CalendarQueue::new(),
             now_us: 0,
             seq: 0,
@@ -271,9 +280,7 @@ impl<N: NodeLogic> Default for Simulator<N> {
             booted: false,
         }
     }
-}
 
-impl<N: NodeLogic> Simulator<N> {
     /// Turns telemetry collection on: every subsequent successful
     /// delivery is recorded into a [`TelemetryRegistry`] with
     /// `window_us`-long throughput windows.
@@ -340,12 +347,26 @@ impl<N: NodeLogic> Simulator<N> {
 
     /// The effective link spec between two nodes.
     pub fn link(&self, a: NodeId, b: NodeId) -> LinkSpec {
-        self.links.get(&(a, b)).copied().unwrap_or_default()
+        *self.links.get(&(a, b)).unwrap_or(&self.default_link)
     }
 
     /// Current virtual time (µs).
     pub fn now_us(&self) -> u64 {
         self.now_us
+    }
+
+    /// Moves the clock forward to `now_us` (never back) without running
+    /// anything: a real-clock host stamps an injected message with the
+    /// time it arrived.
+    pub fn advance_to(&mut self, now_us: u64) {
+        self.now_us = self.now_us.max(now_us);
+    }
+
+    /// Ids of every hosted node, sorted.
+    pub fn node_ids(&self) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = self.nodes.keys().copied().collect();
+        ids.sort();
+        ids
     }
 
     /// Collected metrics.
@@ -411,10 +432,8 @@ impl<N: NodeLogic> Simulator<N> {
             return;
         }
         self.booted = true;
-        let mut ids: Vec<NodeId> = self.nodes.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let mut ctx = Ctx::new(self.now_us, id);
+        for id in self.node_ids() {
+            let mut ctx = Ctx::detached(self.now_us, id);
             if let Some(node) = self.nodes.get_mut(&id) {
                 node.on_start(&mut ctx);
             }
@@ -448,15 +467,22 @@ impl<N: NodeLogic> Simulator<N> {
                     }
                     return;
                 }
+                // A message to an id nothing hosts is dropped, not delivered.
+                let Some(node) = self.nodes.get_mut(&to) else {
+                    self.metrics.record_drop(to);
+                    return;
+                };
                 if dup {
                     self.metrics.record_duplicate(to);
                 }
-                self.metrics.record_delivery(from, to, bytes);
+                self.metrics.record_delivery(to, bytes);
                 if let Some(telemetry) = &mut self.telemetry {
                     let latency = self.now_us.saturating_sub(sent_at_us);
                     telemetry.record_delivery(from, to, bytes, latency, self.now_us);
                 }
-                self.dispatch_message(to, from, msg);
+                let mut ctx = Ctx::detached(self.now_us, to);
+                node.on_message(&mut ctx, from, msg);
+                self.flush(ctx);
             }
             EventKind::Timer { node, timer } => {
                 // Timers of a down node are lost, not deferred — a
@@ -493,7 +519,7 @@ impl<N: NodeLogic> Simulator<N> {
             let Some(event) = self.queue.pop() else {
                 break;
             };
-            self.now_us = self.now_us.max(event.at_us);
+            self.advance_to(event.at_us);
             processed += 1;
             self.step_one(event);
         }
@@ -512,14 +538,8 @@ impl<N: NodeLogic> Simulator<N> {
         const BUDGET: usize = 50_000_000;
         self.boot();
         let mut processed = 0;
-        while let Some(head_at) = self.queue.peek_at() {
-            if head_at > until_us {
-                break;
-            }
-            let Some(event) = self.queue.pop() else {
-                break;
-            };
-            self.now_us = self.now_us.max(event.at_us);
+        while let Some(event) = self.pop_due(until_us) {
+            self.advance_to(event.at_us);
             processed += 1;
             self.step_one(event);
             assert!(
@@ -527,8 +547,42 @@ impl<N: NodeLogic> Simulator<N> {
                 "simulation did not reach t={until_us} within {BUDGET} events"
             );
         }
-        self.now_us = self.now_us.max(until_us);
+        self.advance_to(until_us);
         processed
+    }
+
+    /// Runs every event due at or before `clock`'s reading — what they
+    /// schedule in turn included, and the `on_start` boot the first time
+    /// — and returns without waiting for later ones. Each event runs at
+    /// the reading taken as it starts, so `Ctx::now_us` is real time on a
+    /// real clock. Returns the number of processed events.
+    pub fn run_due(&mut self, clock: &impl Clock) -> usize {
+        const BUDGET: usize = 1_000_000;
+        self.advance_to(clock.now_us());
+        self.boot();
+        let mut processed = 0;
+        loop {
+            let now = clock.now_us();
+            let Some(event) = self.pop_due(now) else {
+                return processed;
+            };
+            self.advance_to(now);
+            processed += 1;
+            self.step_one(event);
+            assert!(processed < BUDGET, "{BUDGET} events fell due at once");
+        }
+    }
+
+    /// When the earliest queued event falls due; `None` while nothing is
+    /// queued.
+    pub fn next_due_us(&mut self) -> Option<u64> {
+        self.queue.peek_at()
+    }
+
+    /// Pops the earliest event if it is due at or before `until_us`.
+    fn pop_due(&mut self, until_us: u64) -> Option<Event<N::Msg>> {
+        self.queue.peek_at().filter(|&at| at <= until_us)?;
+        self.queue.pop()
     }
 
     /// Runs to quiescence with a generous event budget, panicking if the
@@ -543,16 +597,8 @@ impl<N: NodeLogic> Simulator<N> {
         processed
     }
 
-    fn dispatch_message(&mut self, to: NodeId, from: NodeId, msg: N::Msg) {
-        let mut ctx = Ctx::new(self.now_us, to);
-        if let Some(node) = self.nodes.get_mut(&to) {
-            node.on_message(&mut ctx, from, msg);
-        }
-        self.flush(ctx);
-    }
-
     fn dispatch_timer(&mut self, node_id: NodeId, timer: u64) {
-        let mut ctx = Ctx::new(self.now_us, node_id);
+        let mut ctx = Ctx::detached(self.now_us, node_id);
         if let Some(node) = self.nodes.get_mut(&node_id) {
             node.on_timer(&mut ctx, timer);
         }
@@ -560,7 +606,7 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn dispatch_failure(&mut self, sender: NodeId, dest: NodeId, msg: N::Msg) {
-        let mut ctx = Ctx::new(self.now_us, sender);
+        let mut ctx = Ctx::detached(self.now_us, sender);
         if let Some(node) = self.nodes.get_mut(&sender) {
             node.on_delivery_failure(&mut ctx, dest, msg);
         }
@@ -568,7 +614,7 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn dispatch_restart(&mut self, node_id: NodeId) {
-        let mut ctx = Ctx::new(self.now_us, node_id);
+        let mut ctx = Ctx::detached(self.now_us, node_id);
         if let Some(node) = self.nodes.get_mut(&node_id) {
             node.on_restart(&mut ctx);
         }
@@ -631,7 +677,7 @@ impl<N: NodeLogic> Simulator<N> {
             }
         }
         for (to, msg, bytes) in effects.outbox {
-            self.metrics.record_send(node, to, bytes);
+            self.metrics.record_send(node, bytes);
             self.schedule_send(node, to, msg, bytes);
         }
         for (delay, timer) in effects.timers {
@@ -729,6 +775,19 @@ mod tests {
         assert!(sim.node(NodeId(1)).unwrap().received.is_empty());
         assert_eq!(sim.node(NodeId(0)).unwrap().failures, vec![NodeId(1)]);
         assert_eq!(sim.metrics().dropped(), 1);
+    }
+
+    /// A message to an id nothing hosts is dropped and counted as such —
+    /// not a delivery — and nobody is called back.
+    #[test]
+    fn message_to_an_unhosted_node_is_a_counted_drop() {
+        let mut sim = two_nodes();
+        sim.inject(NodeId(0), NodeId(9), 3, 100);
+        sim.run_to_quiescence();
+        assert_eq!(sim.metrics().dropped(), 1);
+        assert_eq!(sim.metrics().node(NodeId(9)).dropped, 1);
+        assert_eq!(sim.metrics().total_messages(), 0);
+        assert!(sim.node(NodeId(0)).unwrap().failures.is_empty());
     }
 
     #[test]

@@ -226,15 +226,6 @@ impl LinkTelemetry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryRegistry {
     window_us: u64,
-    /// Transport epoch (µs): the time a freshly observed link's first
-    /// throughput window opens at. Virtual-time simulations leave it 0 —
-    /// windows anchor at the start of simulated time. Real-clock
-    /// transports anchor at their start ([`TelemetryRegistry::anchored`])
-    /// so the histogram is not flooded with idle windows covering the
-    /// span between absolute time 0 and the first delivery — the
-    /// "virtual-time u64 assumption" that used to make real-clock
-    /// histograms meaningless.
-    epoch_us: u64,
     links: HashMap<(NodeId, NodeId), LinkTelemetry>,
 }
 
@@ -250,25 +241,14 @@ impl Default for TelemetryRegistry {
 }
 
 impl TelemetryRegistry {
-    /// A registry whose throughput windows are `window_us` long.
+    /// A registry whose throughput windows are `window_us` long. A
+    /// link's first window opens at 0, its transport's epoch: virtual
+    /// time and a real clock alike count from the transport's start.
     pub fn new(window_us: u64) -> Self {
-        TelemetryRegistry::anchored(window_us, 0)
-    }
-
-    /// A registry whose throughput windows anchor at `epoch_us` on the
-    /// feeding transport's clock. Real-clock transports pass the clock
-    /// reading at registry creation; the simulator uses 0 (its epoch).
-    pub fn anchored(window_us: u64, epoch_us: u64) -> Self {
         TelemetryRegistry {
             window_us: window_us.max(1),
-            epoch_us,
             links: HashMap::new(),
         }
-    }
-
-    /// The window-anchoring epoch (µs on the feeding transport's clock).
-    pub fn epoch_us(&self) -> u64 {
-        self.epoch_us
     }
 
     /// Records one successful delivery on `from → to`.
@@ -281,14 +261,7 @@ impl TelemetryRegistry {
         now_us: u64,
     ) {
         let window = self.window_us;
-        let epoch = self.epoch_us;
-        let link = self
-            .links
-            .entry((from, to))
-            .or_insert_with(|| LinkTelemetry {
-                window_start_us: epoch,
-                ..LinkTelemetry::default()
-            });
+        let link = self.links.entry((from, to)).or_default();
         link.roll(now_us, window);
         link.messages += 1;
         link.bytes += bytes as u64;
@@ -301,14 +274,7 @@ impl TelemetryRegistry {
     /// between a subplan dispatch at `to` and the first result packet
     /// arriving back from `from` (data flows `from → to`).
     pub fn record_ttfr(&mut self, from: NodeId, to: NodeId, elapsed_us: u64) {
-        let epoch = self.epoch_us;
-        let link = self
-            .links
-            .entry((from, to))
-            .or_insert_with(|| LinkTelemetry {
-                window_start_us: epoch,
-                ..LinkTelemetry::default()
-            });
+        let link = self.links.entry((from, to)).or_default();
         link.ttfr_us.record(elapsed_us);
     }
 
@@ -576,39 +542,11 @@ mod tests {
         assert!(json.contains("\"latency_us\": {\"count\": 1"));
     }
 
-    /// Satellite pin for the transport-clock refactor: a registry
-    /// anchored at a real-clock-magnitude epoch (here, a plausible
-    /// µs-since-boot reading) produces the *same* histogram shape as a
-    /// virtual-time run of the same traffic — no idle-window flood
-    /// covering [0, epoch), no bucket-math overflow.
-    #[test]
-    fn anchored_epoch_matches_virtual_shape() {
-        let epoch: u64 = 7_250_000_000_000; // ~84 days of real µs
-        let mut real = TelemetryRegistry::anchored(1_000, epoch);
-        let mut virt = TelemetryRegistry::new(1_000);
-        for k in 0..5u64 {
-            let at = k * 2_500; // crosses several windows
-            real.record_delivery(NodeId(0), NodeId(1), 64, 300, epoch + at);
-            virt.record_delivery(NodeId(0), NodeId(1), 64, 300, at);
-        }
-        let r = real.link(NodeId(0), NodeId(1)).unwrap();
-        let v = virt.link(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(r.messages, v.messages);
-        assert_eq!(r.latency_us, v.latency_us);
-        assert_eq!(r.size_bytes, v.size_bytes);
-        assert_eq!(r.window_bytes, v.window_bytes);
-        assert_eq!(real.epoch_us(), epoch);
-        // Without anchoring, the first delivery would have closed
-        // epoch/window ≈ 7.25e9 idle windows; anchored, only the windows
-        // actually elapsed since the epoch are accounted.
-        assert!(r.window_bytes.count() < 20);
-    }
-
     /// The raw-parts constructor reassembles exactly what the accessors
     /// expose.
     #[test]
     fn from_parts_roundtrips_exactly() {
-        let mut reg = TelemetryRegistry::anchored(2_000, 77);
+        let mut reg = TelemetryRegistry::new(2_000);
         reg.record_delivery(NodeId(3), NodeId(1), 64, 20_000, 20_100);
         let h = &reg.link(NodeId(3), NodeId(1)).unwrap().latency_us;
         let hh = Histogram::from_parts(*h.buckets(), h.sum());

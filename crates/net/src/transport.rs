@@ -1,22 +1,22 @@
 //! The transport abstraction: one `NodeLogic` code path, many substrates.
 //!
 //! The simulator (`sim.rs`) runs peer state machines over *virtual* time;
-//! a real deployment runs the very same state machines over wall-clock
-//! time and actual sockets. [`Transport`] is the seam between the two:
-//! everything a driver needs to host nodes, inject messages, advance the
-//! clock and observe the run — implemented here by [`Simulator`] and, in
-//! `sqpeer-daemon`, by the real-clock loopback/TCP transports.
+//! `sqpeer-daemon`'s loopback runs the very same simulator on a real
+//! clock ([`Simulator::run_due`]), with the wire codec on every hop.
+//! [`Transport`] is what a driver needs to host nodes, inject messages,
+//! advance the clock and observe the run, whichever clock it is.
 //!
 //! Two rules keep the seam honest:
 //!
 //! * **Nodes never see the substrate.** A [`NodeLogic`] only talks to
-//!   [`Ctx`](crate::sim::Ctx); whether `Ctx::send` becomes a heap event or
-//!   a TCP frame is the transport's business.
+//!   [`Ctx`](crate::sim::Ctx); whether `Ctx::send` becomes an event on
+//!   virtual time or a wire frame on a real clock is the transport's
+//!   business.
 //! * **Clocks are epoch-relative microseconds.** [`Clock::now_us`] counts
 //!   µs since the transport started (virtual runs start at 0). Telemetry
-//!   and metrics consume these values directly, so histograms stay valid
-//!   whether a microsecond is simulated or real — see
-//!   [`TelemetryRegistry::anchored`](crate::telemetry::TelemetryRegistry::anchored).
+//!   and metrics consume these values directly, so a
+//!   [`TelemetryRegistry`]'s throughput windows open at 0 whether a
+//!   microsecond is simulated or real.
 
 use crate::metrics::Metrics;
 use crate::sim::{NodeId, NodeLogic, Simulator};
@@ -24,24 +24,15 @@ use crate::telemetry::TelemetryRegistry;
 
 /// A monotonic clock in microseconds since the transport's epoch.
 ///
-/// The simulator's clock is its virtual time; real transports measure
-/// `Instant`-elapsed time since process start. Keeping both epoch-relative
+/// The simulator's own clock is its virtual time; [`Simulator::run_due`]
+/// follows a real one, which measures `Instant`-elapsed time since the
+/// transport was created. Keeping both epoch-relative
 /// means timestamps fed to [`TelemetryRegistry`] have the same magnitude
 /// in either world, so histogram bucket math and throughput windows need
 /// no per-substrate cases.
 pub trait Clock {
     /// Microseconds elapsed since the epoch of this clock.
     fn now_us(&self) -> u64;
-}
-
-/// A fixed, test-friendly clock.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ManualClock(pub u64);
-
-impl Clock for ManualClock {
-    fn now_us(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The substrate a set of [`NodeLogic`] state machines runs on.
@@ -148,10 +139,5 @@ mod tests {
         assert_eq!(t.metrics().total_messages(), 4);
         assert!(t.now_us() >= 80_000);
         assert!(t.telemetry_snapshot().is_none());
-    }
-
-    #[test]
-    fn manual_clock_reports_fixed_time() {
-        assert_eq!(ManualClock(42).now_us(), 42);
     }
 }

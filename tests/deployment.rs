@@ -14,7 +14,7 @@ use sqpeer_daemon::{
     HostConfig, LoopbackNet, Quotas, TenantConfig,
 };
 use sqpeer_exec::{node_of, Msg, PeerConfig, PeerNode, QueryId};
-use sqpeer_net::{Simulator, Transport};
+use sqpeer_net::{FaultPlan, Simulator, Transport};
 use sqpeer_routing::PeerId;
 use sqpeer_testkit::fixtures::{base_with, fig1_query_text, fig1_schema, fig2_bases};
 use sqpeer_wire::{
@@ -127,6 +127,28 @@ fn simulator_and_loopback_agree_on_answers_and_completeness() {
             .all(|o| !o.partial && o.missing.is_empty()),
         "healthy run reported partial answers"
     );
+}
+
+/// The fault plan on the real clock: with duplicated and jittered frames
+/// the loopback still gives every member the fault-free simulator's
+/// answer and completeness account, and the plan did act.
+#[test]
+fn loopback_under_duplication_and_jitter_agrees_with_the_simulator() {
+    let mut sim: Simulator<PeerNode> = Simulator::default();
+    let virtual_obs = run_workload(&mut sim, 2_000_000, 100_000, 60_000_000);
+
+    let mut schemas = SchemaRegistry::new();
+    schemas.register(fig1_schema());
+    let mut net: LoopbackNet<PeerNode> = LoopbackNet::new(schemas);
+    net.set_fault_plan(FaultPlan::new(7).with_duplication(300).with_jitter(2_000));
+    let real_obs = run_workload(&mut net, 200_000, 10_000, 20_000_000);
+
+    assert_eq!(net.decode_failures(), 0, "codec failed under faults");
+    assert!(
+        net.metrics().duplicates_delivered() > 0,
+        "the fault plan duplicated nothing"
+    );
+    assert_eq!(virtual_obs, real_obs, "faults changed an answer");
 }
 
 /// The TCP host end to end: a raw wire-protocol client poses the query
