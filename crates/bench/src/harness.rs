@@ -223,10 +223,11 @@ pub struct Workload<'a> {
     pub concurrent: bool,
 }
 
-/// Advertisement settle time and await slice on the simulator, in its
-/// virtual µs: time is free there.
+/// The most transport time advertisement discovery may take (assembly
+/// returns once the group has discovered itself) and the await slice, on
+/// the simulator in its virtual µs: time is free there.
 pub const SIM_PACING: (u64, u64) = (2_000_000, 100_000);
-/// The same on a real clock: settle just long enough, poll finely.
+/// The same on a real clock: a discovery bound with room, a fine poll.
 pub const REAL_PACING: (u64, u64) = (150_000, 5_000);
 
 /// Assembles `spec` on `net`, runs `work` there and asserts every answer

@@ -8,8 +8,10 @@
 //!
 //! A group mirrors the ad-hoc SON construction of `sqpeer-overlay`: one
 //! [`PeerNode`] per description base, fully meshed neighbours, pull-based
-//! advertisement discovery. There is no client node: the driver poses a
-//! query *at* a member and reads the outcome there.
+//! advertisement discovery. Discovery runs until every member has
+//! discovered the group ([`discovered`]), for at most the transport time
+//! the caller allows. There is no client node: the driver poses a query
+//! *at* a member and reads the outcome there.
 
 use sqpeer_exec::{
     inject, node_of, BaseKind, Msg, PeerConfig, PeerMode, PeerNode, QueryId, QueryOutcome, Role,
@@ -48,8 +50,9 @@ impl Group {
 }
 
 /// Assembles `spec` onto `transport`: adds one fully-meshed peer node per
-/// base, then runs pull-based advertisement discovery for `settle_us` of
-/// transport time.
+/// base, then runs pull-based advertisement discovery until every member
+/// has [`discovered`] the group, stepping the transport by at most 1 ms at
+/// a time and for at most `settle_us` of its time in all.
 pub fn assemble<T: Transport<PeerNode>>(
     transport: &mut T,
     spec: GroupSpec,
@@ -94,13 +97,32 @@ pub fn assemble<T: Transport<PeerNode>>(
             inject(transport, peer, other, Msg::RequestAds { depth: 1 });
         }
     }
-    transport.step_for(settle_us);
+    let deadline = transport.now_us().saturating_add(settle_us);
+    loop {
+        let left = deadline.saturating_sub(transport.now_us());
+        transport.step_for(left.min(1_000));
+        if transport.now_us() >= deadline || discovered(transport, &peers) == peers.len() {
+            break;
+        }
+    }
 
     Group {
         peers,
         schema,
         next_qid: 0,
     }
+}
+
+/// How many of `peers` have discovered the group: their registry holds
+/// the advertisement of every member (each member advertises, as its base
+/// is materialized; an empty base advertises an empty active-schema). The
+/// group is ready when this is `peers.len()`.
+pub fn discovered<T: Transport<PeerNode>>(transport: &T, peers: &[PeerId]) -> usize {
+    peers
+        .iter()
+        .filter_map(|&p| transport.node(node_of(p)))
+        .filter(|n| peers.iter().all(|&a| n.son.registry.get(a).is_some()))
+        .count()
 }
 
 /// Poses `query` at member `at`, as that member's own: the root records
@@ -157,4 +179,60 @@ pub fn await_outcome<T: Transport<PeerNode>>(
         spent += slice_us;
     }
     outcome(transport, at, qid).is_some()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqpeer_net::{FaultPlan, Simulator};
+    use sqpeer_testkit::fixtures::{fig1_schema, fig2_bases};
+
+    fn spec() -> GroupSpec {
+        let schema = fig1_schema();
+        GroupSpec {
+            bases: fig2_bases(&schema),
+            schema,
+            config: PeerConfig::default(),
+        }
+    }
+
+    /// Discovery on the 20 ms virtual link is a request and a reply: the
+    /// group is ready in the first millisecond after the last reply lands,
+    /// far inside the bound, with every member in every registry.
+    #[test]
+    fn assembly_returns_once_the_group_has_discovered_itself() {
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        let group = assemble(&mut sim, spec(), 2_000_000);
+        assert_eq!(sim.now_us(), 41_000);
+        assert_eq!(discovered(&sim, &group.peers), 4);
+        for &p in &group.peers {
+            assert_eq!(sim.node(node_of(p)).unwrap().son.registry.len(), 4);
+        }
+    }
+
+    /// A member that is down before assembly never answers: nobody holds
+    /// its advertisement, so nobody is ready and the bound ends the wait.
+    #[test]
+    fn a_down_member_holds_discovery_to_its_bound() {
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        sim.schedule_node_down(0, node_of(PeerId(3)));
+        let group = assemble(&mut sim, spec(), 2_000_000);
+        assert_eq!(sim.now_us(), 2_000_000);
+        assert_eq!(discovered(&sim, &group.peers), 0);
+    }
+
+    /// A member whose every outgoing link drops learns the group but is
+    /// learnt by nobody else: it alone is ready when the bound runs out.
+    #[test]
+    fn a_member_with_dropped_links_is_the_only_one_ready_at_the_bound() {
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        let mute = node_of(PeerId(3));
+        let plan = (0..4).fold(FaultPlan::new(7), |plan, p| {
+            plan.with_link_loss(mute, node_of(PeerId(p)), 1_000)
+        });
+        sim.set_fault_plan(plan);
+        let group = assemble(&mut sim, spec(), 2_000_000);
+        assert_eq!(sim.now_us(), 2_000_000);
+        assert_eq!(discovered(&sim, &group.peers), 1);
+    }
 }

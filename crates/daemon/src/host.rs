@@ -59,7 +59,8 @@ pub struct HostConfig {
     pub spec: GroupSpec,
     /// Telemetry window (µs); `None` disables collection.
     pub telemetry_window_us: Option<u64>,
-    /// Transport time given to advertisement discovery at boot.
+    /// The most transport time advertisement discovery may take at boot;
+    /// the host listens as soon as every member has discovered the group.
     pub settle_us: u64,
     /// Stream answers back to peer-port clients in batches of this many
     /// rows — each batch its own `Data` frame (`seq` ascending, `last`
@@ -273,7 +274,7 @@ impl Pump {
 
     /// Rewrites the status page and puts its next deadline 100 ms on.
     fn publish_status(&mut self) {
-        let page = render_status(&self.net, &self.ttfr, self.in_flight.len());
+        let page = render_status(self);
         if let Ok(mut text) = self.status_text.lock() {
             *text = page;
         }
@@ -324,8 +325,15 @@ struct QueryTtfr {
 
 /// Renders the plain-text status page: counters plus the telemetry
 /// snapshot's own rendering.
-fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize) -> String {
+fn render_status(pump: &Pump) -> String {
     use std::fmt::Write as _;
+    let Pump {
+        net,
+        group: Group { peers, .. },
+        in_flight,
+        ttfr,
+        ..
+    } = pump;
     let mut out = String::new();
     let m = net.metrics();
     let _ = writeln!(out, "sqpeerd status");
@@ -336,7 +344,9 @@ fn render_status(net: &LoopbackNet<PeerNode>, ttfr: &QueryTtfr, in_flight: usize
     let _ = writeln!(out, "retries {}", m.retries_sent());
     let _ = writeln!(out, "replans {}", m.replans());
     let _ = writeln!(out, "decode_failures {}", net.decode_failures());
-    let _ = writeln!(out, "in_flight {in_flight}");
+    let _ = writeln!(out, "in_flight {}", in_flight.len());
+    let discovered = group::discovered(net, peers);
+    let _ = writeln!(out, "discovered {discovered}/{}", peers.len());
     // Streaming counters, folded across the hosted nodes: the high-water
     // in-flight mark (bounded by the credit window) and total credits
     // granted by consumers.
@@ -578,7 +588,7 @@ mod tests {
             assert!(pump.turn() > 0);
             reply.try_recv().expect("answered in the admitting turn");
         }
-        let page = render_status(&pump.net, &pump.ttfr, pump.in_flight.len());
+        let page = render_status(&pump);
         let obs = &page[page.find("## obs\n").expect("the plane is on")..];
         assert!(obs.contains("\nobs_pushes_sent 0\n"), "{obs}");
         let (count, pattern) = (format!("count {QUERIES:>6} "), format!(" pattern {query}"));
@@ -693,6 +703,16 @@ mod tests {
         let host = fig2_host(&fig1_schema());
         let text = read_status(&host);
         assert!(text.contains("sqpeerd status"), "got {text:?}");
+        host.shutdown();
+    }
+
+    /// A host listens once its group has discovered itself, and its page
+    /// says so from the first read.
+    #[test]
+    fn the_status_page_reads_a_discovered_group() {
+        let host = fig2_host(&fig1_schema());
+        let text = read_status(&host);
+        assert!(text.contains("\ndiscovered 4/4\n"), "got {text:?}");
         host.shutdown();
     }
 

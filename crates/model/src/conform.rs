@@ -212,9 +212,14 @@ impl Conductor {
 
     fn dispatch(&mut self, flight: Flight) {
         let Flight { from, to, msg, .. } = flight;
-        if self.down.contains(&to) || !self.nodes.contains_key(&to) {
-            // The destination is gone: the only signal the sender gets is
-            // the delivery-failure callback (mirrors the simulator).
+        // A message to an id nothing hosts is dropped, as the simulator
+        // drops it.
+        if !self.nodes.contains_key(&to) {
+            return;
+        }
+        if self.down.contains(&to) {
+            // The destination is down: the only signal the sender gets is
+            // the delivery-failure callback.
             if !self.down.contains(&from) {
                 let mut ctx = Ctx::detached(self.now_us, from);
                 if let Some(sender) = self.nodes.get_mut(&from) {
@@ -1137,6 +1142,23 @@ mod tests {
         conductor.run(&trace).unwrap();
         let armed = conductor.timers.iter().filter(|t| conductor.periodic(t));
         assert_eq!(armed.count(), 2, "one rollup timer per serving peer");
+    }
+
+    /// A subplan addressed to an id nothing hosts vanishes, as on the
+    /// simulator: the root hears no delivery failure, so it neither
+    /// re-plans nor gives the peer up, and nothing new is sent.
+    #[test]
+    fn a_message_to_an_unhosted_id_is_dropped_silently() {
+        let mut conductor = scenarios::chain_pair(|_| {});
+        let trace = parse("unit-unhosted", "deliver kind=clientquery").unwrap();
+        conductor.run(&trace).unwrap();
+        let mut flight = conductor.pool.remove(0);
+        assert_eq!(msg_kind(&flight.msg), "subplan");
+        assert!(conductor.pool.is_empty());
+        flight.to = NodeId(9);
+        conductor.dispatch(flight);
+        assert!(conductor.pool.is_empty(), "{}", conductor.listing());
+        assert_eq!(conductor.counters, Counters::default());
     }
 
     #[test]

@@ -58,7 +58,8 @@ EOF
 "$BIN" serve "$OUT/globex.conf" > "$OUT/globex.log" 2>&1 & PIDS+=($!)
 "$BIN" gateway "$OUT/gateway.conf" > "$OUT/gateway.log" 2>&1 & PIDS+=($!)
 
-# Wait for all three listeners (settle includes ad discovery).
+# Wait for all three listeners (a host listens once its group has
+# discovered itself, or once settle_ms has run out).
 for i in $(seq 1 50); do
   if grep -q listening "$OUT/acme.log" 2>/dev/null \
      && grep -q listening "$OUT/globex.log" 2>/dev/null \
@@ -112,6 +113,7 @@ sleep 0.5
 "$BIN" status 127.0.0.1:7412 | tee "$OUT/status.txt"
 grep -q "sqpeerd status"    "$OUT/status.txt" || { echo "FAIL: no status page"; exit 1; }
 grep -q "decode_failures 0" "$OUT/status.txt" || { echo "FAIL: wire decode failures on the host"; exit 1; }
+grep -q "^discovered 2/2$"  "$OUT/status.txt" || { echo "FAIL: the acme group has not discovered itself"; exit 1; }
 
 echo "== nobody polls: an idle gateway sleeps =="
 # Voluntary context switches, summed over a process' threads, one second
