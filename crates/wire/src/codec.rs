@@ -7,7 +7,14 @@
 //! * **length-prefixed bytes/strings** — varint byte count, then raw
 //!   bytes (strings are validated UTF-8),
 //! * **sequences** — varint element count, then the elements,
-//! * **tagged unions** — varint discriminant, then the variant payload.
+//! * **tagged unions** — a discriminant (one byte, or a varint), then the
+//!   variant payload.
+//!
+//! A type's layout is stated once, as a row of `wire_struct!` (fields in
+//! wire order) or `wire_enum!` (explicit tags, then each variant's
+//! fields), and the row generates both [`Wire::encode`] and
+//! [`Wire::decode`]. Impls are written by hand only where a row cannot say
+//! what the bytes mean; the `types` module lists them.
 //!
 //! Decoding is **total**: every malformed input — truncated frame,
 //! overlong claimed length, unknown tag, wrong version, trailing bytes,
@@ -17,6 +24,7 @@
 //! remaining before any allocation).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum nesting depth of recursive structures (plan trees). Deep
 /// enough for any optimiser output, shallow enough that a crafted frame
@@ -384,6 +392,33 @@ impl Wire for u32 {
     }
 }
 
+impl Wire for u16 {
+    fn encode(&self, w: &mut Writer) {
+        w.u16v(*self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u16v()
+    }
+}
+
+impl Wire for i64 {
+    fn encode(&self, w: &mut Writer) {
+        w.i64v(*self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.i64v()
+    }
+}
+
+impl Wire for f64 {
+    fn encode(&self, w: &mut Writer) {
+        w.f64bits(*self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.f64bits()
+    }
+}
+
 impl Wire for bool {
     fn encode(&self, w: &mut Writer) {
         w.boolean(*self);
@@ -399,6 +434,15 @@ impl Wire for String {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.string()
+    }
+}
+
+impl Wire for Arc<str> {
+    fn encode(&self, w: &mut Writer) {
+        w.string(self);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.str().map(Arc::from)
     }
 }
 
@@ -439,10 +483,7 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.usizev(self.len());
-        for item in self {
-            item.encode(w);
-        }
+        seq(w, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.count()?;
@@ -453,6 +494,94 @@ impl<T: Wire> Wire for Vec<T> {
         Ok(out)
     }
 }
+
+/// Writes a slice as a `Vec<T>` goes: the count, then each element.
+pub(crate) fn seq<T: Wire>(w: &mut Writer, items: &[T]) {
+    w.usizev(items.len());
+    items.iter().for_each(|item| item.encode(w));
+}
+
+/// States structs' wire layouts once, one row each; every row generates
+/// both [`Wire::encode`] and [`Wire::decode`]. `Name { a, b }` is a struct
+/// (or an alias of one) whose fields go in that order, each through its
+/// own `Wire` impl; `Name(Inner)` is a newtype that goes as its `Inner`.
+macro_rules! wire_struct {
+    (@row $ty:ident { $($field:ident),+ }) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                $( $crate::codec::Wire::encode(&self.$field, w); )+
+            }
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::WireError> {
+                $( let $field = $crate::codec::Wire::decode(r)?; )+
+                Ok($ty { $($field),+ })
+            }
+        }
+    };
+    (@row $ty:ident ($inner:ty)) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                $crate::codec::Wire::encode(&self.0, w);
+            }
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::WireError> {
+                Ok($ty(<$inner as $crate::codec::Wire>::decode(r)?))
+            }
+        }
+    };
+    ($($ty:ident $layout:tt);+ $(;)?) => {
+        $( wire_struct!(@row $ty $layout); )+
+    };
+}
+
+/// States tagged unions once: `Name, tag { n => Variant … }` reads and
+/// writes the tag with the named [`Writer`]/[`Reader`] method (`byte`,
+/// `u32v` or `u64v`), then the variant's fields in order, each through its
+/// own `Wire` impl. A row is `n => Unit`, `n => Tuple(a)` or
+/// `n => Named { a, b }`, the bindings naming the fields. Encode's `match`
+/// is exhaustive and decode refuses a repeated tag, so every variant has
+/// exactly one tag and every tag that encodes decodes; an unknown tag is
+/// [`WireError::BadTag`] naming the union.
+macro_rules! wire_enum {
+    (@one $ty:ident, $tag:ident {
+        $( $n:tt => $variant:ident $( ($($pos:ident),+) )? $( { $($named:ident),+ } )? ),+ $(,)?
+    }) => {
+        impl $crate::codec::Wire for $ty {
+            fn encode(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $( $ty::$variant $( ($($pos),+) )? $( { $($named),+ } )? => {
+                        w.$tag($n);
+                        $( $( $crate::codec::Wire::encode($pos, w); )+ )?
+                        $( $( $crate::codec::Wire::encode($named, w); )+ )?
+                    } )+
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::WireError> {
+                match r.$tag()? {
+                    $( $n => {
+                        $( $( let $pos = $crate::codec::Wire::decode(r)?; )+ )?
+                        $( $( let $named = $crate::codec::Wire::decode(r)?; )+ )?
+                        Ok($ty::$variant $( ($($pos),+) )? $( { $($named),+ } )?)
+                    } )+
+                    tag => Err($crate::codec::WireError::BadTag {
+                        what: stringify!($ty),
+                        tag: tag.into(),
+                    }),
+                }
+            }
+        }
+    };
+    ($($ty:ident, $tag:ident $rows:tt);+ $(;)?) => {
+        $( wire_enum!(@one $ty, $tag $rows); )+
+    };
+}
+
+pub(crate) use {wire_enum, wire_struct};
 
 #[cfg(test)]
 mod tests {

@@ -4,16 +4,20 @@
 //! everything peers exchange: the full exec message vocabulary
 //! ([`sqpeer_exec::Msg`] — advertisements, lease heartbeats, withdrawal
 //! tombstones, routing requests, subplans, data packets) plus the gateway
-//! front-door protocol. This is ROADMAP item 3's first layer: the same
-//! messages the virtual-time simulator passes by value become bytes a
-//! real socket can carry, with two guarantees pinned by the test suite:
+//! front-door protocol: the same messages the virtual-time simulator
+//! passes by value become bytes a real socket can carry. Each layout and
+//! each tag is stated once, as a `wire_struct!`/`wire_enum!` row that
+//! generates both directions (see [`codec`]); the test suite pins three
+//! guarantees:
 //!
 //! * **Exact roundtrip** — `encode ∘ decode ∘ encode ≡ encode` for every
 //!   encodable message (byte-exact canonical form),
 //! * **Total decoding** — malformed input (truncated, overlong length
 //!   prefixes, unknown tags, wrong version, trailing bytes, absurd
 //!   nesting) yields a [`WireError`], never a panic and never an
-//!   attacker-sized allocation.
+//!   attacker-sized allocation,
+//! * **Fixed bytes** — one value of every message encodes to the hex
+//!   committed beside `tests/golden.rs`.
 //!
 //! See `DESIGN.md` §Deployment for the wire grammar and versioning rules.
 

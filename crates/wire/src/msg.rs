@@ -13,17 +13,18 @@
 //! from: PeerId | to: PeerId | sent_at_us: varint | msg: Msg
 //! ```
 //!
-//! and a [`Msg`](sqpeer_exec::Msg) encodes as a varint tag in declaration
-//! order followed by the variant payload. Versioning rule: a decoder
+//! and a [`Msg`] encodes as a varint tag followed by the variant's fields,
+//! as the `wire_enum!` table below states them: one row per variant, with
+//! its explicit tag (0–20). Versioning rule: a decoder
 //! speaks exactly [`WIRE_VERSION`]; any other version byte is
 //! [`WireError::BadVersion`] — peers of different versions do not
 //! negotiate, they refuse (the gateway routes tenants to same-version
 //! groups). Version 2 ships result sets as a dictionary plus ids, so a
 //! version-1 peer gets `BadVersion` from a version-2 one, and back.
 
-use crate::codec::{Reader, Wire, WireError, Writer};
+use crate::codec::{wire_enum, wire_struct, Reader, Wire, WireError, Writer};
 use crate::SchemaRegistry;
-use sqpeer_exec::{HierScope, Msg, QueryId, TraceCtx};
+use sqpeer_exec::{HierScope, Msg, QueryId};
 use sqpeer_rdfs::Literal;
 use sqpeer_routing::PeerId;
 use std::io::{Read, Write};
@@ -38,257 +39,42 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 /// `Msg::Data`'s tag, which [`AnswerFrame::push_data`] also looks for.
 const DATA_TAG: u64 = 11;
 
-impl Wire for Msg {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Msg::Advertise(ad) => {
-                w.u64v(0);
-                ad.encode(w);
-            }
-            Msg::RequestAds { depth } => {
-                w.u64v(1);
-                w.u32v(*depth);
-            }
-            Msg::AdsResponse(ads) => {
-                w.u64v(2);
-                ads.encode(w);
-            }
-            Msg::Withdraw => w.u64v(3),
-            Msg::WithdrawPeer(p) => {
-                w.u64v(4);
-                p.encode(w);
-            }
-            Msg::Heartbeat => w.u64v(5),
-            Msg::HeartbeatPeer(p) => {
-                w.u64v(6);
-                p.encode(w);
-            }
-            Msg::ExpirePeer(ad) => {
-                w.u64v(7);
-                ad.encode(w);
-            }
-            Msg::RouteRequest {
-                qid,
-                query,
-                backbone_ttl,
-                partial,
-            } => {
-                w.u64v(8);
-                qid.encode(w);
-                query.encode(w);
-                w.u32v(*backbone_ttl);
-                partial.encode(w);
-            }
-            Msg::RouteResponse {
-                qid,
-                annotated,
-                missing,
-            } => {
-                w.u64v(9);
-                qid.encode(w);
-                annotated.encode(w);
-                missing.encode(w);
-            }
-            Msg::Subplan {
-                channel,
-                qid,
-                tag,
-                plan,
-                visited,
-                attempt,
-                trace,
-            } => {
-                w.u64v(10);
-                channel.encode(w);
-                qid.encode(w);
-                w.u64v(*tag);
-                plan.encode(w);
-                visited.encode(w);
-                w.u32v(*attempt);
-                trace.encode(w);
-            }
-            Msg::Data {
-                channel,
-                qid,
-                tag,
-                result,
-                partial,
-                stats,
-                seq,
-                last,
-            } => {
-                w.u64v(DATA_TAG);
-                channel.encode(w);
-                qid.encode(w);
-                w.u64v(*tag);
-                result.encode(w);
-                w.boolean(*partial);
-                stats.encode(w);
-                w.u32v(*seq);
-                w.boolean(*last);
-            }
-            Msg::SubplanFailed { channel, qid, tag } => {
-                w.u64v(12);
-                channel.encode(w);
-                qid.encode(w);
-                w.u64v(*tag);
-            }
-            Msg::ExecutePlan { qid, query, plan } => {
-                w.u64v(13);
-                qid.encode(w);
-                query.encode(w);
-                plan.encode(w);
-            }
-            Msg::ClientQuery { qid, query } => {
-                w.u64v(14);
-                qid.encode(w);
-                query.encode(w);
-            }
-            Msg::ClientAnswer { qid, result } => {
-                w.u64v(15);
-                qid.encode(w);
-                result.encode(w);
-            }
-            Msg::Credit {
-                channel,
-                qid,
-                tag,
-                credits,
-            } => {
-                w.u64v(16);
-                channel.encode(w);
-                qid.encode(w);
-                w.u64v(*tag);
-                w.u32v(*credits);
-            }
-            Msg::SummaryAdvertise { owner, summary } => {
-                w.u64v(17);
-                owner.encode(w);
-                summary.encode(w);
-            }
-            Msg::HierRouteRequest { qid, query, scope } => {
-                w.u64v(18);
-                qid.encode(w);
-                query.encode(w);
-                w.u32v(match scope {
-                    HierScope::Global => 0,
-                    HierScope::Cluster => 1,
-                    HierScope::Local => 2,
-                });
-            }
-            Msg::HierRouteResponse {
-                qid,
-                annotated,
-                missing,
-            } => {
-                w.u64v(19);
-                qid.encode(w);
-                annotated.encode(w);
-                missing.encode(w);
-            }
-            Msg::ObsPush { owner, rows } => {
-                w.u64v(20);
-                owner.encode(w);
-                rows.encode(w);
-            }
-        }
-    }
+wire_enum! {
+    HierScope, u32v { 0 => Global, 1 => Cluster, 2 => Local };
+    Msg, u64v {
+        0 => Advertise(ad),
+        1 => RequestAds { depth },
+        2 => AdsResponse(ads),
+        3 => Withdraw,
+        4 => WithdrawPeer(peer),
+        5 => Heartbeat,
+        6 => HeartbeatPeer(peer),
+        7 => ExpirePeer(ad),
+        8 => RouteRequest { qid, query, backbone_ttl, partial },
+        9 => RouteResponse { qid, annotated, missing },
+        10 => Subplan { channel, qid, tag, plan, visited, attempt, trace },
+        DATA_TAG => Data { channel, qid, tag, result, partial, stats, seq, last },
+        12 => SubplanFailed { channel, qid, tag },
+        13 => ExecutePlan { qid, query, plan },
+        14 => ClientQuery { qid, query },
+        15 => ClientAnswer { qid, result },
+        16 => Credit { channel, qid, tag, credits },
+        17 => SummaryAdvertise { owner, summary },
+        18 => HierRouteRequest { qid, query, scope },
+        19 => HierRouteResponse { qid, annotated, missing },
+        20 => ObsPush { owner, rows },
+    };
+    GatewayResponse, byte {
+        0 => Answer { columns, rows, partial, ttfr_us, latency_us },
+        1 => Unauthorized,
+        2 => OverQuota { quota },
+        3 => Error(message),
+    };
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.u64v()? {
-            0 => Ok(Msg::Advertise(Wire::decode(r)?)),
-            1 => Ok(Msg::RequestAds { depth: r.u32v()? }),
-            2 => Ok(Msg::AdsResponse(Wire::decode(r)?)),
-            3 => Ok(Msg::Withdraw),
-            4 => Ok(Msg::WithdrawPeer(Wire::decode(r)?)),
-            5 => Ok(Msg::Heartbeat),
-            6 => Ok(Msg::HeartbeatPeer(Wire::decode(r)?)),
-            7 => Ok(Msg::ExpirePeer(Wire::decode(r)?)),
-            8 => Ok(Msg::RouteRequest {
-                qid: Wire::decode(r)?,
-                query: Wire::decode(r)?,
-                backbone_ttl: r.u32v()?,
-                partial: Wire::decode(r)?,
-            }),
-            9 => Ok(Msg::RouteResponse {
-                qid: Wire::decode(r)?,
-                annotated: Wire::decode(r)?,
-                missing: Wire::decode(r)?,
-            }),
-            10 => Ok(Msg::Subplan {
-                channel: Wire::decode(r)?,
-                qid: Wire::decode(r)?,
-                tag: r.u64v()?,
-                plan: Wire::decode(r)?,
-                visited: Wire::decode(r)?,
-                attempt: r.u32v()?,
-                trace: Option::<TraceCtx>::decode(r)?,
-            }),
-            DATA_TAG => Ok(Msg::Data {
-                channel: Wire::decode(r)?,
-                qid: Wire::decode(r)?,
-                tag: r.u64v()?,
-                result: Wire::decode(r)?,
-                partial: r.boolean()?,
-                stats: Wire::decode(r)?,
-                seq: r.u32v()?,
-                last: r.boolean()?,
-            }),
-            12 => Ok(Msg::SubplanFailed {
-                channel: Wire::decode(r)?,
-                qid: Wire::decode(r)?,
-                tag: r.u64v()?,
-            }),
-            13 => Ok(Msg::ExecutePlan {
-                qid: Wire::decode(r)?,
-                query: Wire::decode(r)?,
-                plan: Wire::decode(r)?,
-            }),
-            14 => Ok(Msg::ClientQuery {
-                qid: Wire::decode(r)?,
-                query: Wire::decode(r)?,
-            }),
-            15 => Ok(Msg::ClientAnswer {
-                qid: Wire::decode(r)?,
-                result: Wire::decode(r)?,
-            }),
-            16 => Ok(Msg::Credit {
-                channel: Wire::decode(r)?,
-                qid: Wire::decode(r)?,
-                tag: r.u64v()?,
-                credits: r.u32v()?,
-            }),
-            17 => Ok(Msg::SummaryAdvertise {
-                owner: Wire::decode(r)?,
-                summary: Wire::decode(r)?,
-            }),
-            18 => Ok(Msg::HierRouteRequest {
-                qid: Wire::decode(r)?,
-                query: Wire::decode(r)?,
-                scope: match r.u32v()? {
-                    0 => HierScope::Global,
-                    1 => HierScope::Cluster,
-                    2 => HierScope::Local,
-                    tag => {
-                        return Err(WireError::BadTag {
-                            what: "HierScope",
-                            tag: tag as u64,
-                        })
-                    }
-                },
-            }),
-            19 => Ok(Msg::HierRouteResponse {
-                qid: Wire::decode(r)?,
-                annotated: Wire::decode(r)?,
-                missing: Wire::decode(r)?,
-            }),
-            20 => Ok(Msg::ObsPush {
-                owner: Wire::decode(r)?,
-                rows: Wire::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Msg", tag }),
-        }
-    }
+wire_struct! {
+    Envelope { from, to, sent_at_us, msg };
+    GatewayRequest { token, query };
 }
 
 /// An addressed, timestamped message: what actually travels in a frame.
@@ -306,23 +92,6 @@ pub struct Envelope {
     pub sent_at_us: u64,
     /// The payload.
     pub msg: Msg,
-}
-
-impl Wire for Envelope {
-    fn encode(&self, w: &mut Writer) {
-        self.from.encode(w);
-        self.to.encode(w);
-        w.u64v(self.sent_at_us);
-        self.msg.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Envelope {
-            from: PeerId::decode(r)?,
-            to: PeerId::decode(r)?,
-            sent_at_us: r.u64v()?,
-            msg: Msg::decode(r)?,
-        })
-    }
 }
 
 /// Encodes a value into a complete frame: length prefix, version byte,
@@ -486,19 +255,6 @@ pub struct GatewayRequest {
     pub query: String,
 }
 
-impl Wire for GatewayRequest {
-    fn encode(&self, w: &mut Writer) {
-        w.string(&self.token);
-        w.string(&self.query);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(GatewayRequest {
-            token: r.string()?,
-            query: r.string()?,
-        })
-    }
-}
-
 /// The gateway's verdict on a request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GatewayResponse {
@@ -530,54 +286,6 @@ pub enum GatewayResponse {
     },
     /// The query failed inside the group (parse error, no coverage, …).
     Error(String),
-}
-
-impl Wire for GatewayResponse {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            GatewayResponse::Answer {
-                columns,
-                rows,
-                partial,
-                ttfr_us,
-                latency_us,
-            } => {
-                w.byte(0);
-                columns.encode(w);
-                rows.encode(w);
-                w.boolean(*partial);
-                w.u64v(*ttfr_us);
-                w.u64v(*latency_us);
-            }
-            GatewayResponse::Unauthorized => w.byte(1),
-            GatewayResponse::OverQuota { quota } => {
-                w.byte(2);
-                w.string(quota);
-            }
-            GatewayResponse::Error(e) => {
-                w.byte(3);
-                w.string(e);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(GatewayResponse::Answer {
-                columns: Wire::decode(r)?,
-                rows: Wire::decode(r)?,
-                partial: r.boolean()?,
-                ttfr_us: r.u64v()?,
-                latency_us: r.u64v()?,
-            }),
-            1 => Ok(GatewayResponse::Unauthorized),
-            2 => Ok(GatewayResponse::OverQuota { quota: r.string()? }),
-            3 => Ok(GatewayResponse::Error(r.string()?)),
-            tag => Err(WireError::BadTag {
-                what: "GatewayResponse",
-                tag: tag as u64,
-            }),
-        }
-    }
 }
 
 /// Builds the frame of a [`GatewayResponse::Answer`] out of the host's

@@ -13,19 +13,15 @@
 //! pattern text* at decode, so a decoded row can never hold a
 //! mismatched key.
 
-use crate::codec::{Reader, Wire, WireError, Writer};
+use crate::codec::{wire_struct, Reader, Wire, WireError, Writer};
 use sqpeer_exec::Rollup;
 use sqpeer_net::telemetry::BUCKETS;
 use sqpeer_net::{Histogram, NodeId, PatternEntry, PatternStats};
 use sqpeer_routing::PeerId;
 
-impl Wire for NodeId {
-    fn encode(&self, w: &mut Writer) {
-        w.u32v(self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(NodeId(r.u32v()?))
-    }
+wire_struct! {
+    NodeId(u32);
+    PatternEntry { pattern, count, partials, replans, peers, latency_us, ttfr_us };
 }
 
 impl Wire for Histogram {
@@ -66,29 +62,6 @@ impl Wire for Histogram {
         }
         let sum = r.u64v()?;
         Ok(Histogram::from_parts(counts, sum))
-    }
-}
-
-impl Wire for PatternEntry {
-    fn encode(&self, w: &mut Writer) {
-        w.string(&self.pattern);
-        w.u64v(self.count);
-        w.u64v(self.partials);
-        w.u64v(self.replans);
-        self.peers.encode(w);
-        self.latency_us.encode(w);
-        self.ttfr_us.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PatternEntry {
-            pattern: r.string()?,
-            count: r.u64v()?,
-            partials: r.u64v()?,
-            replans: r.u64v()?,
-            peers: Histogram::decode(r)?,
-            latency_us: Histogram::decode(r)?,
-            ttfr_us: Histogram::decode(r)?,
-        })
     }
 }
 

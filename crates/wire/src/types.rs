@@ -1,25 +1,39 @@
 //! [`Wire`] encodings for the middleware's payload types.
 //!
-//! Most types encode structurally (field by field, unions tagged in
-//! declaration order). Three deliberate exceptions:
+//! Most of them are table rows (`wire_struct!` and `wire_enum!` in
+//! [`codec`](crate::codec)): fields in wire order, unions behind explicit
+//! tag numbers, one row generating both directions. The impls below are
+//! written by hand, each for a reason a row cannot state:
 //!
 //! * **Queries travel as text.** A [`QueryPattern`] is schema-resolved and
 //!   interned; its canonical form on the wire is the schema fingerprint
 //!   plus its RQL text (`QueryPattern::text`), recompiled at decode. This keeps the
 //!   wire format stable across internal pattern-representation changes and
 //!   matches the paper's model of peers exchanging (RQL) query fragments.
+//! * **Annotations ride on their query.** An [`AnnotatedQuery`] ships one
+//!   annotation list per path pattern of its query and no count of lists:
+//!   the query implies it.
+//! * **Active-schemas are bound to a schema.** An [`ActiveSchema`] ships
+//!   its schema's fingerprint, and decode refuses a class or property id
+//!   the schema does not have — a populated class, a property, or an
+//!   arc's domain or range.
 //! * **Statistics travel closed.** A [`BaseStatistics`] snapshot ships both
 //!   its direct and subsumption-closed vectors verbatim, so the receiving
 //!   side needs no schema to reconstruct the closure.
 //! * **Answers travel as a dictionary plus ids.** A [`ResultSet`] ships
 //!   each node its rows use once and every cell as a varint id, as it is
 //!   held in memory: decode allocates once per distinct value, not once
-//!   per cell, and hashes nothing.
+//!   per cell, and hashes nothing. `row_count` refuses a row count the
+//!   bytes left cannot hold.
+//! * **Plans nest to a cap.** A [`PlanNode`] decode counts its depth
+//!   against [`MAX_DEPTH`](crate::MAX_DEPTH).
+//! * **A resource is its URI.** [`Resource`]'s field is private: it goes
+//!   as `uri()` and comes back through `Resource::new`.
 
-use crate::codec::{Reader, Wire, WireError, Writer};
+use crate::codec::{seq, wire_enum, wire_struct, Reader, Wire, WireError, Writer};
 use crate::fingerprint::schema_fingerprint;
 use sqpeer_exec::{PeerChannel, QueryId, TraceCtx};
-use sqpeer_net::{Channel, ChannelId, ChannelState};
+use sqpeer_net::{ChannelId, ChannelState};
 use sqpeer_plan::{PlanNode, Site, Subquery};
 use sqpeer_rdfs::{ClassId, Literal, Node, PropertyId, Resource};
 use sqpeer_routing::{Advertisement, AnnotatedQuery, PeerAnnotation, PeerId};
@@ -28,82 +42,37 @@ use sqpeer_rvl::{ActiveProperty, ActiveSchema};
 use sqpeer_store::{BaseStatistics, ClassStats, PropertyStats};
 use sqpeer_subsume::PatternMatch;
 
-impl Wire for PeerId {
-    fn encode(&self, w: &mut Writer) {
-        w.u32v(self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PeerId(r.u32v()?))
-    }
+wire_struct! {
+    PeerId(u32);
+    QueryId(u64);
+    ChannelId(u64);
+    ClassId(u32);
+    PropertyId(u32);
+    VarId(u16);
+    PeerChannel { id, root, dest, state };
+    TraceCtx { origin, parent_start_us };
+    Endpoint { term, class };
+    PathPattern { subject, property, object };
+    PeerAnnotation { peer, kind, pattern };
+    ActiveProperty { property, domain, range };
+    PropertyStats { triples, distinct_subjects, distinct_objects };
+    ClassStats { instances };
+    Advertisement { peer, active, stats };
+    Subquery { covers, query };
 }
 
-impl Wire for QueryId {
-    fn encode(&self, w: &mut Writer) {
-        w.u64v(self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(QueryId(r.u64v()?))
-    }
-}
-
-impl Wire for ChannelId {
-    fn encode(&self, w: &mut Writer) {
-        w.u64v(self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ChannelId(r.u64v()?))
-    }
-}
-
-impl Wire for ChannelState {
-    fn encode(&self, w: &mut Writer) {
-        w.byte(match self {
-            ChannelState::Open => 0,
-            ChannelState::Failed => 1,
-            ChannelState::Closed => 2,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(ChannelState::Open),
-            1 => Ok(ChannelState::Failed),
-            2 => Ok(ChannelState::Closed),
-            tag => Err(WireError::BadTag {
-                what: "ChannelState",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for PeerChannel {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.root.encode(w);
-        self.dest.encode(w);
-        self.state.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Channel {
-            id: ChannelId::decode(r)?,
-            root: PeerId::decode(r)?,
-            dest: PeerId::decode(r)?,
-            state: ChannelState::decode(r)?,
-        })
-    }
-}
-
-impl Wire for TraceCtx {
-    fn encode(&self, w: &mut Writer) {
-        self.origin.encode(w);
-        w.u64v(self.parent_start_us);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TraceCtx {
-            origin: PeerId::decode(r)?,
-            parent_start_us: r.u64v()?,
-        })
-    }
+wire_enum! {
+    ChannelState, byte { 0 => Open, 1 => Failed, 2 => Closed };
+    Literal, byte { 0 => String(s), 1 => Integer(i), 2 => Float(f), 3 => Boolean(b) };
+    Node, byte { 0 => Resource(res), 1 => Literal(lit) };
+    Term, byte { 0 => Var(v), 1 => Resource(res), 2 => Literal(lit) };
+    PatternMatch, byte {
+        0 => Equivalent,
+        1 => SpecializesQuery,
+        2 => GeneralizesQuery,
+        3 => Overlaps,
+    };
+    Site, byte { 0 => Peer(p), 1 => Hole };
 }
 
 impl Wire for Resource {
@@ -112,66 +81,6 @@ impl Wire for Resource {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Resource::new(r.str()?))
-    }
-}
-
-impl Wire for Literal {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Literal::String(s) => {
-                w.byte(0);
-                w.string(s);
-            }
-            Literal::Integer(i) => {
-                w.byte(1);
-                w.i64v(*i);
-            }
-            Literal::Float(f) => {
-                w.byte(2);
-                w.f64bits(*f);
-            }
-            Literal::Boolean(b) => {
-                w.byte(3);
-                w.boolean(*b);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(Literal::String(r.str()?.into())),
-            1 => Ok(Literal::Integer(r.i64v()?)),
-            2 => Ok(Literal::Float(r.f64bits()?)),
-            3 => Ok(Literal::Boolean(r.boolean()?)),
-            tag => Err(WireError::BadTag {
-                what: "Literal",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for Node {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Node::Resource(res) => {
-                w.byte(0);
-                res.encode(w);
-            }
-            Node::Literal(lit) => {
-                w.byte(1);
-                lit.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(Node::Resource(Resource::decode(r)?)),
-            1 => Ok(Node::Literal(Literal::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "Node",
-                tag: tag as u64,
-            }),
-        }
     }
 }
 
@@ -232,116 +141,6 @@ pub(crate) fn row_count(r: &mut Reader<'_>, width: usize) -> Result<usize, WireE
     }
 }
 
-impl Wire for Term {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Term::Var(v) => {
-                w.byte(0);
-                w.u16v(v.0);
-            }
-            Term::Resource(res) => {
-                w.byte(1);
-                res.encode(w);
-            }
-            Term::Literal(lit) => {
-                w.byte(2);
-                lit.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(Term::Var(VarId(r.u16v()?))),
-            1 => Ok(Term::Resource(Resource::decode(r)?)),
-            2 => Ok(Term::Literal(Literal::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                what: "Term",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for Endpoint {
-    fn encode(&self, w: &mut Writer) {
-        self.term.encode(w);
-        match self.class {
-            None => w.byte(0),
-            Some(c) => {
-                w.byte(1);
-                w.u32v(c.0);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let term = Term::decode(r)?;
-        let class = match r.byte()? {
-            0 => None,
-            1 => Some(ClassId(r.u32v()?)),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "Endpoint.class",
-                    tag: tag as u64,
-                })
-            }
-        };
-        Ok(Endpoint { term, class })
-    }
-}
-
-impl Wire for PathPattern {
-    fn encode(&self, w: &mut Writer) {
-        self.subject.encode(w);
-        w.u32v(self.property.0);
-        self.object.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PathPattern {
-            subject: Endpoint::decode(r)?,
-            property: PropertyId(r.u32v()?),
-            object: Endpoint::decode(r)?,
-        })
-    }
-}
-
-impl Wire for PatternMatch {
-    fn encode(&self, w: &mut Writer) {
-        w.byte(match self {
-            PatternMatch::Equivalent => 0,
-            PatternMatch::SpecializesQuery => 1,
-            PatternMatch::GeneralizesQuery => 2,
-            PatternMatch::Overlaps => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(PatternMatch::Equivalent),
-            1 => Ok(PatternMatch::SpecializesQuery),
-            2 => Ok(PatternMatch::GeneralizesQuery),
-            3 => Ok(PatternMatch::Overlaps),
-            tag => Err(WireError::BadTag {
-                what: "PatternMatch",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for PeerAnnotation {
-    fn encode(&self, w: &mut Writer) {
-        self.peer.encode(w);
-        self.kind.encode(w);
-        self.pattern.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PeerAnnotation {
-            peer: PeerId::decode(r)?,
-            kind: PatternMatch::decode(r)?,
-            pattern: PathPattern::decode(r)?,
-        })
-    }
-}
-
 impl Wire for QueryPattern {
     fn encode(&self, w: &mut Writer) {
         w.u64v(schema_fingerprint(self.schema()));
@@ -361,187 +160,62 @@ impl Wire for AnnotatedQuery {
         query.encode(w);
         // One annotation list per path pattern; the count is implied by
         // the query, which `AnnotatedQuery::new` asserts against.
-        for i in 0..query.patterns().len() {
-            let anns = self.peers_for(i);
-            w.usizev(anns.len());
-            for a in anns {
-                a.encode(w);
-            }
-        }
+        (0..query.patterns().len()).for_each(|i| seq(w, self.peers_for(i)));
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let query = QueryPattern::decode(r)?;
-        let mut annotations = Vec::with_capacity(query.patterns().len());
-        for _ in 0..query.patterns().len() {
-            let n = r.count()?;
-            let mut anns = Vec::with_capacity(n);
-            for _ in 0..n {
-                anns.push(PeerAnnotation::decode(r)?);
-            }
-            annotations.push(anns);
-        }
+        let annotations = (0..query.patterns().len()).map(|_| Vec::decode(r));
+        let annotations = annotations.collect::<Result<_, _>>()?;
         Ok(AnnotatedQuery::new(query, annotations))
-    }
-}
-
-impl Wire for ActiveProperty {
-    fn encode(&self, w: &mut Writer) {
-        w.u32v(self.property.0);
-        w.u32v(self.domain.0);
-        match self.range {
-            None => w.byte(0),
-            Some(c) => {
-                w.byte(1);
-                w.u32v(c.0);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let property = PropertyId(r.u32v()?);
-        let domain = ClassId(r.u32v()?);
-        let range = match r.byte()? {
-            0 => None,
-            1 => Some(ClassId(r.u32v()?)),
-            tag => {
-                return Err(WireError::BadTag {
-                    what: "ActiveProperty.range",
-                    tag: tag as u64,
-                })
-            }
-        };
-        Ok(ActiveProperty {
-            property,
-            domain,
-            range,
-        })
     }
 }
 
 impl Wire for ActiveSchema {
     fn encode(&self, w: &mut Writer) {
         w.u64v(schema_fingerprint(self.schema()));
-        let classes: Vec<u32> = self.classes().map(|c| c.0).collect();
-        classes.encode(w);
-        w.usizev(self.active_properties().len());
-        for p in self.active_properties() {
-            p.encode(w);
-        }
+        self.classes().collect::<Vec<_>>().encode(w);
+        seq(w, self.active_properties());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let fp = r.u64v()?;
         let schema = r.schemas().resolve(fp)?.clone();
-        let classes = Vec::<u32>::decode(r)?;
-        if classes.iter().any(|&c| c as usize >= schema.class_count()) {
+        let beyond = |c: ClassId| c.0 as usize >= schema.class_count();
+        let classes = Vec::<ClassId>::decode(r)?;
+        if classes.iter().any(|&c| beyond(c)) {
             return Err(WireError::Mismatch("class id beyond schema"));
         }
-        let n = r.count()?;
-        let mut properties = Vec::with_capacity(n);
-        for _ in 0..n {
-            let p = ActiveProperty::decode(r)?;
-            if p.property.0 as usize >= schema.property_count() {
-                return Err(WireError::Mismatch("property id beyond schema"));
-            }
-            properties.push(p);
+        let properties = Vec::<ActiveProperty>::decode(r)?;
+        if properties
+            .iter()
+            .any(|p| p.property.0 as usize >= schema.property_count())
+        {
+            return Err(WireError::Mismatch("property id beyond schema"));
         }
-        Ok(ActiveSchema::new(
-            schema,
-            classes.into_iter().map(ClassId),
-            properties,
-        ))
-    }
-}
-
-impl Wire for PropertyStats {
-    fn encode(&self, w: &mut Writer) {
-        w.usizev(self.triples);
-        w.usizev(self.distinct_subjects);
-        w.usizev(self.distinct_objects);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PropertyStats {
-            triples: usize::decode(r)?,
-            distinct_subjects: usize::decode(r)?,
-            distinct_objects: usize::decode(r)?,
-        })
-    }
-}
-
-impl Wire for ClassStats {
-    fn encode(&self, w: &mut Writer) {
-        w.usizev(self.instances);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ClassStats {
-            instances: usize::decode(r)?,
-        })
+        if properties
+            .iter()
+            .any(|p| beyond(p.domain) || p.range.is_some_and(beyond))
+        {
+            return Err(WireError::Mismatch("class id beyond schema"));
+        }
+        Ok(ActiveSchema::new(schema, classes, properties))
     }
 }
 
 impl Wire for BaseStatistics {
     fn encode(&self, w: &mut Writer) {
         let (props, classes, props_closed, classes_closed) = self.raw_parts();
-        props.to_vec().encode(w);
-        classes.to_vec().encode(w);
-        props_closed.to_vec().encode(w);
-        classes_closed.to_vec().encode(w);
+        seq(w, props);
+        seq(w, classes);
+        seq(w, props_closed);
+        seq(w, classes_closed);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(BaseStatistics::from_raw_parts(
-            Vec::<PropertyStats>::decode(r)?,
-            Vec::<ClassStats>::decode(r)?,
-            Vec::<PropertyStats>::decode(r)?,
-            Vec::<ClassStats>::decode(r)?,
+            Vec::decode(r)?,
+            Vec::decode(r)?,
+            Vec::decode(r)?,
+            Vec::decode(r)?,
         ))
-    }
-}
-
-impl Wire for Advertisement {
-    fn encode(&self, w: &mut Writer) {
-        self.peer.encode(w);
-        self.active.encode(w);
-        self.stats.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Advertisement {
-            peer: PeerId::decode(r)?,
-            active: ActiveSchema::decode(r)?,
-            stats: Option::<BaseStatistics>::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Site {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Site::Peer(p) => {
-                w.byte(0);
-                p.encode(w);
-            }
-            Site::Hole => w.byte(1),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.byte()? {
-            0 => Ok(Site::Peer(PeerId::decode(r)?)),
-            1 => Ok(Site::Hole),
-            tag => Err(WireError::BadTag {
-                what: "Site",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for Subquery {
-    fn encode(&self, w: &mut Writer) {
-        self.covers.encode(w);
-        self.query.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Subquery {
-            covers: Vec::<usize>::decode(r)?,
-            query: QueryPattern::decode(r)?,
-        })
     }
 }
 

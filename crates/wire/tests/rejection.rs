@@ -10,9 +10,10 @@
 use proptest::prelude::*;
 use sqpeer_exec::{Msg, QueryId};
 use sqpeer_net::{Channel, ChannelId, ChannelState};
-use sqpeer_rdfs::{Node, Resource};
-use sqpeer_routing::PeerId;
+use sqpeer_rdfs::{ClassId, Node, PropertyId, Resource};
+use sqpeer_routing::{Advertisement, PeerId};
 use sqpeer_rql::{compile, ResultSet};
+use sqpeer_rvl::{ActiveProperty, ActiveSchema};
 use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema};
 use sqpeer_wire::{
     decode_frame, decode_payload, decode_value, encode_frame, encode_value, AnswerFrame, Envelope,
@@ -207,6 +208,31 @@ fn embedded_query_that_fails_to_compile_is_an_error() {
         decode_value::<Msg>(&bytes, &reg).unwrap_err(),
         WireError::Query(_)
     ));
+}
+
+/// An advertised property arc names classes of the schema it is bound
+/// to: a domain or a range past the schema's classes is refused at decode,
+/// as a populated class past them is, instead of reaching routing, which
+/// indexes the schema's class tables by both.
+#[test]
+fn property_ends_beyond_the_schema_are_refused() {
+    let reg = registry();
+    let schema = fig1_schema();
+    let beyond = ClassId(schema.class_count() as u32);
+    for (domain, range) in [(beyond, Some(ClassId(1))), (ClassId(0), Some(beyond))] {
+        let arc = ActiveProperty {
+            property: PropertyId(0),
+            domain,
+            range,
+        };
+        let active = ActiveSchema::new(schema.clone(), [ClassId(0)], vec![arc]);
+        let ad = Msg::Advertise(Advertisement::new(PeerId(1), active));
+        assert_eq!(
+            decode_value::<Msg>(&encode_value(&ad), &reg).unwrap_err(),
+            WireError::Mismatch("class id beyond schema"),
+            "domain {domain:?}, range {range:?}"
+        );
+    }
 }
 
 /// The payload of a host's `Data` reply carrying `result`.

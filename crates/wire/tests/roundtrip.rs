@@ -7,7 +7,7 @@
 //! than value equality — it pins the canonical form itself.
 
 use proptest::prelude::*;
-use sqpeer_exec::{Msg, PeerChannel, QueryId, TraceCtx};
+use sqpeer_exec::{HierScope, Msg, PeerChannel, QueryId, TraceCtx};
 use sqpeer_net::{Channel, ChannelId, ChannelState};
 use sqpeer_plan::{PlanNode, Site, Subquery};
 use sqpeer_rdfs::{Literal, Node, Resource};
@@ -135,7 +135,7 @@ fn advertisement(peer: u32, with_stats: bool) -> Advertisement {
 
 fn arb_msg() -> impl Strategy<Value = Msg> {
     (
-        0..18u8,
+        0..21u8,
         0..QUERY_TEXTS.len(),
         (0..64u64, 0..8u32, 0..8u32, any::<bool>()),
         arb_result_set(),
@@ -228,6 +228,24 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                     tag,
                     credits: a + 1,
                 },
+                17 => Msg::SummaryAdvertise {
+                    owner: PeerId(b),
+                    summary: advertisement(a, flag).active,
+                },
+                18 => Msg::HierRouteRequest {
+                    qid,
+                    query,
+                    scope: [HierScope::Global, HierScope::Cluster, HierScope::Local]
+                        [tag as usize % 3],
+                },
+                19 => {
+                    let ads: Vec<Advertisement> = (0..4).map(|p| advertisement(p, false)).collect();
+                    Msg::HierRouteResponse {
+                        qid,
+                        annotated: route(&query, &ads, RoutingPolicy::default()),
+                        missing: vec![PeerId(b)],
+                    }
+                }
                 _ => {
                     let mut obs = sqpeer_exec::ObsState::default();
                     let (from, to) = (sqpeer_net::NodeId(b), sqpeer_net::NodeId(a));
