@@ -199,6 +199,9 @@ mod tests {
         let _ = b
             .property("age", c1, Range::Literal(rdfs::LiteralType::Integer))
             .unwrap();
+        let _ = b
+            .property("title", c1, Range::Literal(rdfs::LiteralType::String))
+            .unwrap();
         Arc::new(b.finish().unwrap())
     }
 
@@ -246,6 +249,37 @@ mod tests {
         clone.load_text(&text).unwrap();
         assert_eq!(clone.dump(), text);
         assert!(clone.load_text("garbage").is_err());
+    }
+
+    #[test]
+    fn dump_load_round_trips_escaped_strings() {
+        let schema = schema();
+        let title = schema.property_by_name("title").unwrap();
+        let mut peer = LocalPeer::new(Arc::clone(&schema));
+        let tricky = [
+            "two\nlines",
+            "tab\there",
+            "\u{e9}\u{7}bell\r\0",
+            "'q' \"dq\" \\",
+        ];
+        for (i, t) in tricky.iter().enumerate() {
+            peer.insert_literal(&format!("http://s{i}"), title, rdfs::Literal::string(*t));
+        }
+        let mut clone = LocalPeer::new(Arc::clone(&schema));
+        clone.load_text(&peer.dump()).unwrap();
+        let loaded: Vec<_> = clone
+            .base()
+            .triples_direct(title)
+            .map(|(_, o)| o.clone())
+            .collect();
+        let expected: Vec<_> = tricky
+            .iter()
+            .map(|t| Node::Literal(rdfs::Literal::string(*t)))
+            .collect();
+        assert_eq!(loaded, expected);
+        assert!(clone
+            .load_text("<http://s> n1:title \"bad \\q\" .")
+            .is_err());
     }
 
     #[test]

@@ -220,8 +220,8 @@ impl Default for PeerConfig {
     }
 }
 
-/// A peer's description base: materialized RDF, a virtual view over the
-/// relational substrate (populated on demand and cached), or none
+/// A peer's description base: materialized RDF, a virtual view over a
+/// relational or XML source (populated on demand and cached), or none
 /// (client-peers and pure super-peers).
 #[derive(Debug)]
 pub enum BaseKind {
@@ -231,16 +231,8 @@ pub enum BaseKind {
     /// A virtual base: population happens at first query (§2.2 virtual
     /// scenario).
     Virtual {
-        /// The relational substrate plus mapping rules.
+        /// The legacy tables (or loaded XML) plus mapping rules.
         source: VirtualBase,
-        /// Cache filled on first access.
-        cache: OnceLock<DescriptionBase>,
-    },
-    /// A virtual base over an XML document (the paper's other legacy
-    /// substrate).
-    VirtualXml {
-        /// The document plus mapping rules.
-        source: sqpeer_rvl::XmlBase,
         /// Cache filled on first access.
         cache: OnceLock<DescriptionBase>,
     },
@@ -249,17 +241,9 @@ pub enum BaseKind {
 }
 
 impl BaseKind {
-    /// Wraps a relational virtual base.
+    /// Wraps a virtual base.
     pub fn virtual_base(source: VirtualBase) -> Self {
         BaseKind::Virtual {
-            source,
-            cache: OnceLock::new(),
-        }
-    }
-
-    /// Wraps an XML virtual base.
-    pub fn virtual_xml(source: sqpeer_rvl::XmlBase) -> Self {
-        BaseKind::VirtualXml {
             source,
             cache: OnceLock::new(),
         }
@@ -271,7 +255,6 @@ impl BaseKind {
         match self {
             BaseKind::Materialized(db) => f(db),
             BaseKind::Virtual { source, cache } => f(cache.get_or_init(|| source.populate().0)),
-            BaseKind::VirtualXml { source, cache } => f(cache.get_or_init(|| source.populate().0)),
             BaseKind::None => {
                 // Client-peers are never asked to evaluate; defensive empty.
                 unreachable!("with_materialized on a base-less peer")
@@ -284,7 +267,6 @@ impl BaseKind {
         match self {
             BaseKind::Materialized(db) => Some(ActiveSchema::of_base(db)),
             BaseKind::Virtual { source, .. } => Some(source.active_schema()),
-            BaseKind::VirtualXml { source, .. } => Some(source.active_schema()),
             BaseKind::None => None,
         }
     }

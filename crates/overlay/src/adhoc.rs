@@ -56,15 +56,9 @@ impl AdhocBuilder {
     }
 
     /// Adds a peer whose base is a **virtual** view over a legacy
-    /// relational database (§2.2's virtual scenario).
+    /// relational or XML database (§2.2's virtual scenario).
     pub fn add_virtual_peer(&mut self, source: VirtualBase) -> PeerId {
         self.add_base(BaseKind::virtual_base(source))
-    }
-
-    /// Adds a peer backed by an XML document (the paper's other legacy
-    /// substrate).
-    pub fn add_xml_peer(&mut self, source: sqpeer_rvl::XmlBase) -> PeerId {
-        self.add_base(BaseKind::virtual_xml(source))
     }
 
     fn add_base(&mut self, base: BaseKind) -> PeerId {
@@ -350,7 +344,7 @@ mod tests {
 
     #[test]
     fn xml_peer_answers_through_the_network() {
-        use sqpeer_rvl::{ColumnMapping, Element, PathMapping, ValueSource, XmlBase};
+        use sqpeer_rvl::{ColumnMapping, Element, PathMapping, ValueSource};
         let schema = fig1_schema();
         let prop1 = schema.property_by_name("prop1").unwrap();
         let doc = Element::new("lib").child(
@@ -358,9 +352,9 @@ mod tests {
                 .attr("id", "a")
                 .child(Element::new("rel").text("b")),
         );
-        let xb = XmlBase::new(
+        let xb = VirtualBase::from_xml(
             Arc::clone(&schema),
-            doc,
+            &doc,
             vec![PathMapping {
                 path: "lib/item".into(),
                 subject: ValueSource::Attribute("id".into()),
@@ -374,7 +368,7 @@ mod tests {
         );
         let mut b = AdhocBuilder::new(Arc::clone(&schema), 1);
         let origin = b.add_peer(base_with(&schema, &[]));
-        let xml_peer = b.add_xml_peer(xb);
+        let xml_peer = b.add_virtual_peer(xb);
         b.link(origin, xml_peer);
         let mut net = b.build();
         let query = net.compile("SELECT X, Y FROM {X}prop1{Y}").unwrap();

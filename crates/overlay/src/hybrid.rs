@@ -54,16 +54,10 @@ impl HybridBuilder {
     }
 
     /// Adds a simple-peer whose base is a **virtual** view over a legacy
-    /// relational database (§2.2's virtual scenario): it advertises from
-    /// its mapping rules and populates on demand at query time.
+    /// relational or XML database (§2.2's virtual scenario): it advertises
+    /// from its mapping rules and populates on demand at query time.
     pub fn add_virtual_peer(&mut self, source: VirtualBase, super_index: u32) -> PeerId {
         self.add_base(BaseKind::virtual_base(source), super_index)
-    }
-
-    /// Adds a simple-peer backed by an XML document (the paper's other
-    /// legacy substrate).
-    pub fn add_xml_peer(&mut self, source: sqpeer_rvl::XmlBase, super_index: u32) -> PeerId {
-        self.add_base(BaseKind::virtual_xml(source), super_index)
     }
 
     fn add_base(&mut self, base: BaseKind, super_index: u32) -> PeerId {

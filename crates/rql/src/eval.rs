@@ -355,7 +355,7 @@ fn est_matches(
 /// count as bound from the start. Deterministic: ties break on
 /// bound-endpoint presence, then on pattern index.
 ///
-/// Also exposed to the plan layer ([`sqpeer-plan`]'s `Estimator` cost
+/// Also exposed to the plan layer (`sqpeer-plan`'s `Estimator` cost
 /// hooks) so cost estimates of a `Fetch` agree with what the local engine
 /// will actually do.
 pub fn stats_join_order(query: &QueryPattern, stats: &BaseStatistics) -> Vec<usize> {

@@ -77,7 +77,9 @@ impl Parser {
         )
     }
 
-    fn name(&mut self, what: &str) -> Result<String, ParseError> {
+    /// Parses a bare name (variable, class, property or prefix); `what`
+    /// names it in the error.
+    pub fn name(&mut self, what: &str) -> Result<String, ParseError> {
         match &self.peek().kind {
             TokenKind::Name(n) => {
                 let n = n.clone();
@@ -212,7 +214,9 @@ impl Parser {
         Ok(spec)
     }
 
-    fn conditions(&mut self) -> Result<Vec<Condition>, ParseError> {
+    /// Parses WHERE conditions `operand op operand (AND …)*`. Shared with
+    /// the RVL parser.
+    pub fn conditions(&mut self) -> Result<Vec<Condition>, ParseError> {
         let mut conds = vec![self.condition()?];
         while self.eat(&TokenKind::And) {
             conds.push(self.condition()?);

@@ -19,8 +19,11 @@
 //!   the routing algorithm, derivable from a view or from a materialized
 //!   base,
 //! * [`relational`]: a small in-memory relational substrate with
-//!   table-to-RDF mappings, standing in for the "legacy (XML or
-//!   relational) databases" peers expose through virtual views.
+//!   table-to-RDF mappings and the one [`VirtualBase`], standing in for
+//!   the "legacy (XML or relational) databases" peers expose through
+//!   virtual views,
+//! * [`xml`]: a loader for [`VirtualBase`]: an element tree whose
+//!   path-mapped values become the rows of its tables.
 
 pub mod active;
 pub mod parser;
@@ -32,4 +35,4 @@ pub use active::{ActiveProperty, ActiveSchema};
 pub use parser::{parse_view, ViewAst, ViewClauseAst};
 pub use relational::{ColumnMapping, Database, Table, TableMapping, VirtualBase};
 pub use view::{RvlError, ViewClause, ViewDefinition};
-pub use xml::{Element, PathMapping, ValueSource, XmlBase};
+pub use xml::{Element, PathMapping, ValueSource};

@@ -5,7 +5,7 @@
 //! ```text
 //! view      := VIEW clause (',' clause)*
 //!              FROM pathexpr (',' pathexpr)*
-//!              (WHERE conditions)?
+//!              (WHERE conditions)?          -- RQL's condition grammar
 //!              (USING NAMESPACE decls)?
 //! clause    := name '(' var ')'            -- class population
 //!            | name '(' var ',' var ')'    -- property population
@@ -69,7 +69,7 @@ pub fn parse_view(src: &str) -> Result<ViewAst, ParseError> {
     p.expect(&TokenKind::From, "FROM")?;
     let (paths, class_exprs) = p.from_items()?;
     let filters = if p.eat(&TokenKind::Where) {
-        conditions(&mut p)?
+        p.conditions()?
     } else {
         Vec::new()
     };
@@ -85,17 +85,11 @@ pub fn parse_view(src: &str) -> Result<ViewAst, ParseError> {
 }
 
 fn view_clause(p: &mut Parser) -> Result<ViewClauseAst, ParseError> {
-    let name = match p.peek().kind.clone() {
-        TokenKind::Name(n) => {
-            p.bump();
-            n
-        }
-        _ => return Err(p.unexpected("class or property name")),
-    };
+    let name = p.name("class or property name")?;
     p.expect(&TokenKind::LParen, "`(`")?;
-    let first = var_name(p)?;
+    let first = p.name("variable name")?;
     let clause = if p.eat(&TokenKind::Comma) {
-        let second = var_name(p)?;
+        let second = p.name("variable name")?;
         ViewClauseAst::Property {
             name,
             subject: first,
@@ -106,58 +100,6 @@ fn view_clause(p: &mut Parser) -> Result<ViewClauseAst, ParseError> {
     };
     p.expect(&TokenKind::RParen, "`)`")?;
     Ok(clause)
-}
-
-fn var_name(p: &mut Parser) -> Result<String, ParseError> {
-    match p.peek().kind.clone() {
-        TokenKind::Name(n) => {
-            p.bump();
-            Ok(n)
-        }
-        _ => Err(p.unexpected("variable name")),
-    }
-}
-
-fn conditions(p: &mut Parser) -> Result<Vec<Condition>, ParseError> {
-    // Delegate condition parsing to a throwaway RQL query around the
-    // remaining tokens is not possible with this cursor; instead the RQL
-    // parser exposes its pieces. We re-implement the small condition loop.
-    use sqpeer_rql::ast::{CmpOp, LiteralSpec, Operand};
-    let mut out = Vec::new();
-    loop {
-        let left = operand(p)?;
-        let op = match p.peek().kind {
-            TokenKind::Eq => CmpOp::Eq,
-            TokenKind::Ne => CmpOp::Ne,
-            TokenKind::Lt => CmpOp::Lt,
-            TokenKind::Le => CmpOp::Le,
-            TokenKind::Gt => CmpOp::Gt,
-            TokenKind::Ge => CmpOp::Ge,
-            _ => return Err(p.unexpected("comparison operator")),
-        };
-        p.bump();
-        let right = operand(p)?;
-        out.push(Condition { left, op, right });
-        if !p.eat(&TokenKind::And) {
-            break;
-        }
-    }
-    return Ok(out);
-
-    fn operand(p: &mut Parser) -> Result<Operand, ParseError> {
-        let op = match p.peek().kind.clone() {
-            TokenKind::Name(n) if n == "true" => Operand::Literal(LiteralSpec::Boolean(true)),
-            TokenKind::Name(n) if n == "false" => Operand::Literal(LiteralSpec::Boolean(false)),
-            TokenKind::Name(n) => Operand::Var(n),
-            TokenKind::String(s) => Operand::Literal(LiteralSpec::String(s)),
-            TokenKind::Integer(i) => Operand::Literal(LiteralSpec::Integer(i)),
-            TokenKind::Float(x) => Operand::Literal(LiteralSpec::Float(x)),
-            TokenKind::ResourceRef(u) => Operand::Resource(u),
-            _ => return Err(p.unexpected("operand")),
-        };
-        p.bump();
-        Ok(op)
-    }
 }
 
 #[cfg(test)]
@@ -202,6 +144,34 @@ mod tests {
     fn where_clause() {
         let v = parse_view("VIEW C1(X) FROM {X}p{Z} WHERE Z >= 10 AND Z < 20").unwrap();
         assert_eq!(v.filters.len(), 2);
+    }
+
+    #[test]
+    fn where_accepts_every_rql_operand_and_comparison() {
+        use sqpeer_rql::ast::{CmpOp, LiteralSpec, Operand};
+        use CmpOp::*;
+        let v = parse_view(
+            "VIEW C1(X) FROM {X}p{Z} WHERE Z = \"s\" AND Z != &http://r AND Z < true \
+             AND Z <= false AND Z > 1.5 AND 7 >= Z",
+        )
+        .unwrap();
+        let ops: Vec<CmpOp> = v.filters.iter().map(|c| c.op).collect();
+        assert_eq!(ops, [Eq, Ne, Lt, Le, Gt, Ge]);
+        let rights: Vec<&Operand> = v.filters.iter().map(|c| &c.right).collect();
+        assert_eq!(
+            rights,
+            [
+                &Operand::Literal(LiteralSpec::String("s".into())),
+                &Operand::Resource("http://r".into()),
+                &Operand::Literal(LiteralSpec::Boolean(true)),
+                &Operand::Literal(LiteralSpec::Boolean(false)),
+                &Operand::Literal(LiteralSpec::Float(1.5)),
+                &Operand::Var("Z".into()),
+            ]
+        );
+        assert_eq!(v.filters[5].left, Operand::Literal(LiteralSpec::Integer(7)));
+        assert!(parse_view("VIEW C1(X) FROM {X}p{Z} WHERE Z ~ 1").is_err());
+        assert!(parse_view("VIEW C1(X) FROM {X}p{Z} WHERE Z = ,").is_err());
     }
 
     #[test]

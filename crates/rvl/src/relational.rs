@@ -5,9 +5,10 @@
 //! data residing in a relational or an XML peer base" (mappings provided by
 //! SWIM \[9\]). We stand in for such a legacy store with an in-memory
 //! relational [`Database`] plus [`TableMapping`]s from tables to RDF
-//! population rules. A [`VirtualBase`] advertises an active-schema without
-//! materialising anything, and populates a description base only when a
-//! query actually arrives.
+//! population rules; XML documents load into the same tables
+//! ([`VirtualBase::from_xml`]). A [`VirtualBase`] advertises an
+//! active-schema without materialising anything, and populates a
+//! description base only when a query actually arrives.
 
 use crate::active::{ActiveProperty, ActiveSchema};
 use sqpeer_rdfs::{Literal, Node, PropertyId, Range, Resource, Schema, Triple};
@@ -51,26 +52,6 @@ impl Table {
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == name)
     }
-
-    /// Relational selection: rows where `column = value`.
-    pub fn select_eq(&self, column: &str, value: &str) -> Vec<&Vec<String>> {
-        match self.column_index(column) {
-            Some(i) => self.rows.iter().filter(|r| r[i] == value).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Relational projection onto `columns` (duplicates preserved).
-    pub fn project(&self, columns: &[&str]) -> Vec<Vec<String>> {
-        let idx: Vec<usize> = columns
-            .iter()
-            .filter_map(|c| self.column_index(c))
-            .collect();
-        self.rows
-            .iter()
-            .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
-            .collect()
-    }
 }
 
 /// A set of named tables — one peer's legacy database.
@@ -93,38 +74,6 @@ impl Database {
     /// Looks up a table by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
-    }
-
-    /// Equi-join two tables on `left.col = right.col`, returning combined
-    /// rows (left columns then right columns).
-    pub fn join(
-        &self,
-        left: &str,
-        left_col: &str,
-        right: &str,
-        right_col: &str,
-    ) -> Vec<Vec<String>> {
-        let (Some(l), Some(r)) = (self.table(left), self.table(right)) else {
-            return Vec::new();
-        };
-        let (Some(li), Some(ri)) = (l.column_index(left_col), r.column_index(right_col)) else {
-            return Vec::new();
-        };
-        let mut index: HashMap<&str, Vec<&Vec<String>>> = HashMap::new();
-        for row in &r.rows {
-            index.entry(row[ri].as_str()).or_default().push(row);
-        }
-        let mut out = Vec::new();
-        for lrow in &l.rows {
-            if let Some(matches) = index.get(lrow[li].as_str()) {
-                for rrow in matches {
-                    let mut combined = lrow.clone();
-                    combined.extend(rrow.iter().cloned());
-                    out.push(combined);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -193,16 +142,6 @@ impl VirtualBase {
         }
     }
 
-    /// The community schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// The underlying relational database.
-    pub fn database(&self) -> &Database {
-        &self.database
-    }
-
     /// Derives the advertised active-schema from the mapping rules alone —
     /// the **virtual** scenario advertises what *can* be populated without
     /// reading the data.
@@ -231,54 +170,36 @@ impl VirtualBase {
     }
 
     /// Populates a description base on demand, applying every mapping rule
-    /// (the virtual scenario's query-time population). Returns the base and
-    /// the number of triples produced.
+    /// in order (the virtual scenario's query-time population). Returns the
+    /// base and the number of triples produced.
     pub fn populate(&self) -> (DescriptionBase, usize) {
         let mut base = DescriptionBase::new(Arc::clone(&self.schema));
         let mut produced = 0;
         for m in &self.mappings {
-            produced += self.populate_mapping(m, &mut base);
-        }
-        (base, produced)
-    }
-
-    /// Populates only the mappings for `property` — enough to answer a
-    /// single-property subquery without materialising the whole base.
-    pub fn populate_property(&self, property: PropertyId) -> (DescriptionBase, usize) {
-        let mut base = DescriptionBase::new(Arc::clone(&self.schema));
-        let mut produced = 0;
-        for m in self.mappings.iter().filter(|m| m.property == property) {
-            produced += self.populate_mapping(m, &mut base);
-        }
-        (base, produced)
-    }
-
-    fn populate_mapping(&self, m: &TableMapping, base: &mut DescriptionBase) -> usize {
-        let Some(table) = self.database.table(&m.table) else {
-            return 0;
-        };
-        let (Some(si), Some(oi)) = (
-            table.column_index(&m.subject_column),
-            table.column_index(&m.object_column),
-        ) else {
-            return 0;
-        };
-        let mut produced = 0;
-        for row in &table.rows {
-            let subject = Resource::new(format!("{}{}", m.subject_prefix, row[si]));
-            let Some(object) = m.object.to_node(&row[oi]) else {
+            let Some(table) = self.database.table(&m.table) else {
                 continue;
             };
-            let triple = Triple {
-                subject,
-                property: m.property,
-                object,
+            let (Some(si), Some(oi)) = (
+                table.column_index(&m.subject_column),
+                table.column_index(&m.object_column),
+            ) else {
+                continue;
             };
-            if base.insert_described(triple) {
-                produced += 1;
+            for row in &table.rows {
+                let Some(object) = m.object.to_node(&row[oi]) else {
+                    continue;
+                };
+                let subject = Resource::new(format!("{}{}", m.subject_prefix, row[si]));
+                if base.insert_described(Triple {
+                    subject,
+                    property: m.property,
+                    object,
+                }) {
+                    produced += 1;
+                }
             }
         }
-        produced
+        (base, produced)
     }
 }
 
@@ -306,27 +227,6 @@ mod tests {
         let mut db = Database::new();
         db.add_table(authors);
         db
-    }
-
-    #[test]
-    fn table_operations() {
-        let db = sample_db();
-        let t = db.table("authors").unwrap();
-        assert_eq!(t.select_eq("id", "a1").len(), 2);
-        assert_eq!(t.select_eq("id", "zz").len(), 0);
-        assert_eq!(t.select_eq("nocol", "a1").len(), 0);
-        assert_eq!(t.project(&["paper"]).len(), 3);
-    }
-
-    #[test]
-    fn database_join() {
-        let mut db = sample_db();
-        let mut papers = Table::new("papers", &["pid", "title"]);
-        papers.insert(&["p1", "SQPeer"]);
-        db.add_table(papers);
-        let joined = db.join("authors", "paper", "papers", "pid");
-        assert_eq!(joined.len(), 2); // a1-p1 and a2-p1
-        assert_eq!(joined[0].len(), 5);
     }
 
     #[test]
@@ -387,9 +287,6 @@ mod tests {
         assert_eq!(base.triples_direct(p1).count(), 3);
         assert_eq!(base.triples_direct(age).count(), 1);
         assert_eq!(produced, 4);
-
-        let (partial, _) = vb.populate_property(age);
-        assert_eq!(partial.triple_count(), 1);
     }
 
     #[test]

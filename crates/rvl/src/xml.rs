@@ -1,14 +1,14 @@
-//! An XML-document substrate for the **virtual** advertisement scenario.
+//! An XML-document loader for the **virtual** advertisement scenario.
 //!
 //! §2.2 lets peers define views over "legacy (XML or relational)
-//! databases"; `relational` covers the relational half, this module the
-//! XML half: a minimal element tree plus path-based mappings
-//! (`PathMapping`) that populate RDF properties from element/attribute
-//! values — the XML face of the SWIM \[9\] mapping layer.
+//! databases". There is one virtual base, the relational
+//! [`VirtualBase`]; this module is its XML face: a minimal element tree
+//! plus path-based mappings ([`PathMapping`], the XML side of the SWIM
+//! \[9\] mapping layer) that [`VirtualBase::from_xml`] turns into tables
+//! and [`TableMapping`]s.
 
-use crate::active::{ActiveProperty, ActiveSchema};
-use sqpeer_rdfs::{Literal, Node, PropertyId, Range, Resource, Schema, Triple};
-use sqpeer_store::DescriptionBase;
+use crate::relational::{ColumnMapping, Database, Table, TableMapping, VirtualBase};
+use sqpeer_rdfs::{PropertyId, Schema};
 use std::sync::Arc;
 
 /// One XML element: a tag, attributes, text content and children.
@@ -123,114 +123,43 @@ pub struct PathMapping {
     /// Where the object value comes from.
     pub object: ValueSource,
     /// How the object value becomes a node.
-    pub object_kind: super::relational::ColumnMapping,
+    pub object_kind: ColumnMapping,
     /// The populated property.
     pub property: PropertyId,
 }
 
-/// A peer base whose RDF content lives virtually in an XML document.
-#[derive(Debug, Clone)]
-pub struct XmlBase {
-    schema: Arc<Schema>,
-    root: Element,
-    mappings: Vec<PathMapping>,
-}
-
-impl XmlBase {
-    /// Creates an XML-backed virtual base.
-    pub fn new(schema: Arc<Schema>, root: Element, mappings: Vec<PathMapping>) -> Self {
-        XmlBase {
-            schema,
-            root,
-            mappings,
-        }
-    }
-
-    /// The community schema.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// The document root.
-    pub fn root(&self) -> &Element {
-        &self.root
-    }
-
-    /// The advertised active-schema, derived from the mapping rules alone.
-    pub fn active_schema(&self) -> ActiveSchema {
-        let mut classes = Vec::new();
-        let mut properties = Vec::new();
-        for m in &self.mappings {
-            let def = self.schema.property(m.property);
-            classes.push(def.domain);
-            let range = match def.range {
-                Range::Class(rc) => {
-                    classes.push(rc);
-                    Some(rc)
-                }
-                Range::Literal(_) => None,
-            };
-            properties.push(ActiveProperty {
+impl VirtualBase {
+    /// Loads an XML document into a virtual base: each path mapping's
+    /// selected elements become the rows of a two-column table, one
+    /// (subject value, object value) row per element that has both, read
+    /// back by the matching [`TableMapping`].
+    pub fn from_xml(schema: Arc<Schema>, root: &Element, mappings: Vec<PathMapping>) -> Self {
+        let mut database = Database::new();
+        let mut rules = Vec::with_capacity(mappings.len());
+        for (i, m) in mappings.into_iter().enumerate() {
+            let mut table = Table::new(&format!("{i}:{}", m.path), &["subject", "object"]);
+            let selected = root.select(&m.path).into_iter();
+            table.rows.extend(
+                selected.filter_map(|e| Some(vec![m.subject.extract(e)?, m.object.extract(e)?])),
+            );
+            rules.push(TableMapping {
+                table: table.name.clone(),
+                subject_column: "subject".into(),
+                subject_prefix: m.subject_prefix,
+                object_column: "object".into(),
+                object: m.object_kind,
                 property: m.property,
-                domain: def.domain,
-                range,
             });
+            database.add_table(table);
         }
-        classes.sort();
-        classes.dedup();
-        ActiveSchema::new(Arc::clone(&self.schema), classes, properties)
-    }
-
-    /// Populates a description base on demand (the virtual scenario's
-    /// query-time population). Returns the base and the number of triples
-    /// produced.
-    pub fn populate(&self) -> (DescriptionBase, usize) {
-        let mut base = DescriptionBase::new(Arc::clone(&self.schema));
-        let mut produced = 0;
-        for m in &self.mappings {
-            for element in self.root.select(&m.path) {
-                let Some(subject_value) = m.subject.extract(element) else {
-                    continue;
-                };
-                let Some(object_value) = m.object.extract(element) else {
-                    continue;
-                };
-                let subject = Resource::new(format!("{}{}", m.subject_prefix, subject_value));
-                let Some(object) = column_node(&m.object_kind, &object_value) else {
-                    continue;
-                };
-                if base.insert_described(Triple {
-                    subject,
-                    property: m.property,
-                    object,
-                }) {
-                    produced += 1;
-                }
-            }
-        }
-        (base, produced)
-    }
-}
-
-fn column_node(kind: &super::relational::ColumnMapping, value: &str) -> Option<Node> {
-    use super::relational::ColumnMapping;
-    match kind {
-        ColumnMapping::Resource { prefix } => {
-            Some(Node::Resource(Resource::new(format!("{prefix}{value}"))))
-        }
-        ColumnMapping::StringLiteral => Some(Node::Literal(Literal::string(value))),
-        ColumnMapping::IntegerLiteral => value
-            .parse::<i64>()
-            .ok()
-            .map(|i| Node::Literal(Literal::Integer(i))),
+        VirtualBase::new(schema, database, rules)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::ColumnMapping;
-    use sqpeer_rdfs::{LiteralType, SchemaBuilder};
+    use sqpeer_rdfs::{LiteralType, Range, SchemaBuilder};
 
     fn schema() -> Arc<Schema> {
         let mut b = SchemaBuilder::new("n1", "u");
@@ -298,7 +227,7 @@ mod tests {
     #[test]
     fn populate_from_document() {
         let schema = schema();
-        let xb = XmlBase::new(Arc::clone(&schema), document(), mappings(&schema));
+        let xb = VirtualBase::from_xml(Arc::clone(&schema), &document(), mappings(&schema));
         let (base, produced) = xb.populate();
         let prop1 = schema.property_by_name("prop1").unwrap();
         let year = schema.property_by_name("year").unwrap();
@@ -312,11 +241,45 @@ mod tests {
     }
 
     #[test]
+    fn xml_and_table_sources_give_the_same_base() {
+        let schema = schema();
+        let mut books = Table::new("books", &["id", "author", "year"]);
+        books.insert(&["b1", "kokkinidis", "2004"]);
+        books.insert(&["b2", "christophides", "oops"]);
+        let mut db = Database::new();
+        db.add_table(books);
+        let rule = |object_column: &str, object: ColumnMapping, property: &str| TableMapping {
+            table: "books".into(),
+            subject_column: "id".into(),
+            subject_prefix: "http://lib/".into(),
+            object_column: object_column.into(),
+            object,
+            property: schema.property_by_name(property).unwrap(),
+        };
+        let people = ColumnMapping::Resource {
+            prefix: "http://people/".into(),
+        };
+        let relational = VirtualBase::new(
+            Arc::clone(&schema),
+            db,
+            vec![
+                rule("author", people, "prop1"),
+                rule("year", ColumnMapping::IntegerLiteral, "year"),
+            ],
+        );
+        let xml = VirtualBase::from_xml(Arc::clone(&schema), &document(), mappings(&schema));
+        let ((rb, rn), (xb, xn)) = (relational.populate(), xml.populate());
+        assert_eq!(rn, xn);
+        assert_eq!(sqpeer_store::dump(&rb), sqpeer_store::dump(&xb));
+        assert_eq!(relational.active_schema(), xml.active_schema());
+    }
+
+    #[test]
     fn advertises_without_reading_the_document() {
         let schema = schema();
-        let xb = XmlBase::new(
+        let xb = VirtualBase::from_xml(
             Arc::clone(&schema),
-            Element::new("empty"),
+            &Element::new("empty"),
             mappings(&schema),
         );
         let active = xb.active_schema();
@@ -332,7 +295,7 @@ mod tests {
         let doc = Element::new("library")
             .child(Element::new("book")) // no id, no author
             .child(Element::new("book").attr("id", "b9")); // no author
-        let xb = XmlBase::new(Arc::clone(&schema), doc, mappings(&schema));
+        let xb = VirtualBase::from_xml(Arc::clone(&schema), &doc, mappings(&schema));
         assert_eq!(xb.populate().1, 0);
     }
 }

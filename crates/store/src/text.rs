@@ -137,11 +137,9 @@ fn parse_object(text: &str) -> Option<Node> {
         }
         return None;
     }
-    if text.starts_with('"') {
-        // Rust-style quoted string (escapes as produced by `{:?}`).
-        let inner = text.strip_prefix('"')?.strip_suffix('"')?;
-        let unescaped = inner.replace("\\\"", "\"").replace("\\\\", "\\");
-        return Some(Node::Literal(Literal::string(unescaped)));
+    if let Some(quoted) = text.strip_prefix('"') {
+        let inner = quoted.strip_suffix('"')?;
+        return Some(Node::Literal(Literal::string(unescape(inner)?)));
     }
     match text {
         "true" => return Some(Node::Literal(Literal::Boolean(true))),
@@ -156,6 +154,33 @@ fn parse_object(text: &str) -> Option<Node> {
     text.parse::<i64>()
         .ok()
         .map(|i| Node::Literal(Literal::Integer(i)))
+}
+
+/// Undoes exactly the escapes `{:?}` writes for a string: `\n \r \t \0
+/// \' \" \\` and `\u{…}`. Any other escape is refused.
+fn unescape(inner: &str) -> Option<String> {
+    let mut out = String::with_capacity(inner.len());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            '0' => '\0',
+            c @ ('\'' | '"' | '\\') => c,
+            'u' => {
+                let (hex, rest) = chars.as_str().strip_prefix('{')?.split_once('}')?;
+                chars = rest.chars();
+                char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+            }
+            _ => return None,
+        });
+    }
+    Some(out)
 }
 
 #[cfg(test)]
