@@ -224,8 +224,10 @@ pub fn e23(json: BenchJson) -> String {
     };
 
     // One run over the shared placement: answers, query-phase traffic,
-    // rollup-push traffic, query-phase wall clock, and (plane on) the
-    // pattern table a cluster head serves.
+    // rollup-push traffic, query-phase wall clock, the routing requests
+    // sent down the cluster tree and the subtrees answered from a gather
+    // memo instead, and (plane on) the pattern table a cluster head
+    // serves.
     type RunOut = (
         Vec<(ResultSet, bool)>,
         u64,
@@ -233,6 +235,7 @@ pub fn e23(json: BenchJson) -> String {
         u64,
         u64,
         u64,
+        (u64, u64),
         Option<PatternStats>,
     );
     let run = |obs_on: bool| -> RunOut {
@@ -271,6 +274,11 @@ pub fn e23(json: BenchJson) -> String {
         let bytes = net.sim().metrics().total_bytes() as u64;
         let pushes = net.obs_pushes_total() - pushes0;
         let push_bytes = net.obs_push_bytes_total() - push_bytes0;
+        // Boot runs no gather, so the totals are the query phase's.
+        let descents = net.super_peers().iter().fold((0, 0), |(sent, memo), &s| {
+            let son = &net.sim().node(node_of(s)).expect("hosted").son;
+            (sent + son.hier_requests_sent(), memo + son.memo_answers())
+        });
         let head_pats = if obs_on {
             let head = net
                 .super_peers()
@@ -287,11 +295,15 @@ pub fn e23(json: BenchJson) -> String {
         } else {
             None
         };
-        (answers, msgs, bytes, pushes, push_bytes, wall_us, head_pats)
+        (
+            answers, msgs, bytes, pushes, push_bytes, wall_us, descents, head_pats,
+        )
     };
 
-    let (answers_off, msgs_off, bytes_off, pushes_off, _, wall_off, _) = run(false);
-    let (answers_on, msgs_on, bytes_on, pushes_on, push_bytes_on, wall_on, head_pats) = run(true);
+    let (answers_off, msgs_off, bytes_off, pushes_off, _, wall_off, (sent, memo), _) = run(false);
+    let (answers_on, msgs_on, bytes_on, pushes_on, push_bytes_on, wall_on, _, head_pats) =
+        run(true);
+    let per_query = |n: u64| fixed(n as f64 / QUERIES as f64, 3);
     assert_eq!(pushes_off, 0, "plane off must push nothing");
     assert_eq!(answers_on, answers_off, "answers changed with the plane on");
     assert!(
@@ -356,6 +368,12 @@ pub fn e23(json: BenchJson) -> String {
         format!("{} push bytes ({:.2}%)", push_bytes_on, 100.0 * byte_ratio),
     ]);
     t.row(vec![
+        "routing requests/query".into(),
+        per_query(sent),
+        String::new(),
+        format!("{} subtrees/query from the memo", per_query(memo)),
+    ]);
+    t.row(vec![
         "wall clock".into(),
         ms(wall_off),
         ms(wall_on),
@@ -383,6 +401,8 @@ pub fn e23(json: BenchJson) -> String {
         .field("gate_ratio", GATE)
         .field("query_msgs", msgs_off)
         .field("query_bytes", bytes_off)
+        .field("hier_requests_per_query", per_query(sent))
+        .field("memo_answers_per_query", per_query(memo))
         .field("obs_pushes", pushes_on)
         .field("obs_push_bytes", push_bytes_on)
         .field("msg_ratio", fixed(msg_ratio, 5))

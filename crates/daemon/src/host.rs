@@ -16,9 +16,9 @@
 //! threads talk to the pump over an mpsc channel and block on a
 //! per-query reply channel, so several queries can be in flight at once.
 //!
-//! The pump is a loop over one [`Pump::turn`] — admit what waits, run
+//! The pump is a loop over one `Pump::turn` — admit what waits, run
 //! what is due, hand finished outcomes over, republish a stale status
-//! page — and one [`Pump::idle_wait`], the host's single sleep, taken
+//! page — and one `Pump::idle_wait`, the host's single sleep, taken
 //! only after a turn that did nothing, so an answer is never held for
 //! the rest of a time slice. Admission still polls: nothing wakes the
 //! pump when a command arrives, so an idle host looks once a millisecond.

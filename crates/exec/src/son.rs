@@ -24,6 +24,9 @@
 //!   scatter over every super-peer.
 //!   ```
 //!
+//!   A head remembers each child's last answer to a query and does not
+//!   ask again until that child pushes a summary (the gather memo).
+//!
 //! It sends through the same [`Ctx`] the peer does (a [`Ctx::detached`]
 //! is a network-free effects sink, which is what the unit tests below
 //! drive it with), is told the time by that context and its own identity
@@ -37,7 +40,8 @@
 use crate::msg::{HierScope, Msg, QueryId};
 use crate::peer::{by_key, PeerConfig, PeerMode, Role};
 use crate::send;
-use sqpeer_net::Ctx;
+use sqpeer_cache::CostLru;
+use sqpeer_net::{Ctx, PatternStats};
 use sqpeer_rdfs::{FxHashMap, FxHashSet};
 use sqpeer_routing::{
     route_limited, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingLimits,
@@ -85,6 +89,18 @@ struct HierGather {
     acc: AnnotatedQuery,
     missing: Vec<PeerId>,
     pending: FxHashSet<PeerId>,
+    /// The children asked that the memo may remember, with the count of
+    /// their summary pushes when they were asked.
+    asked: Vec<(PeerId, u64)>,
+}
+
+/// At a head: a child's last `HierRouteResponse` to one query (one that
+/// named nobody missing), valid while the child has pushed no summary
+/// since it was asked. The annotated query carries the full key,
+/// compared exactly on a hit.
+struct Memo {
+    pushes: u64,
+    annotated: AnnotatedQuery,
 }
 
 /// One peer's knowledge of the SON (see the module documentation).
@@ -133,6 +149,20 @@ pub struct Directory {
     last_cluster_summary: Option<ActiveSchema>,
     /// In-flight hierarchical scatter/gathers, by query.
     hier_gathers: FxHashMap<QueryId, HierGather>,
+    /// At a head: the gather memo, (child, query fingerprint) → that
+    /// child's last reply. `None` with the routing cache off or routing
+    /// limits set (a limited reply ranks by statistics no push tracks).
+    memo: Option<CostLru<(PeerId, u64), Memo>>,
+    /// At a head: summary pushes received per child; each outdates the
+    /// child's memoised replies.
+    pushes: FxHashMap<PeerId, u64>,
+    /// The schema epoch when this peer first began a `Local` or `Cluster`
+    /// answer since its last push: a later change must be pushed even
+    /// when the summary did not grow, as a head may have memoised it.
+    answered_at: Option<u64>,
+    /// `HierRouteRequest`s sent; subtrees answered from the memo.
+    requests_sent: u64,
+    memo_answers: u64,
 }
 
 impl Directory {
@@ -160,7 +190,26 @@ impl Directory {
             cluster_summaries: FxHashMap::default(),
             last_cluster_summary: None,
             hier_gathers: FxHashMap::default(),
+            memo: config
+                .cache
+                .filter(|_| config.limits.max_peers_per_pattern.is_none())
+                .map(|c| CostLru::new(c.annotation_budget)),
+            pushes: FxHashMap::default(),
+            answered_at: None,
+            requests_sent: 0,
+            memo_answers: 0,
         }
+    }
+
+    /// `HierRouteRequest`s this peer has sent (inspection).
+    pub fn hier_requests_sent(&self) -> u64 {
+        self.requests_sent
+    }
+
+    /// Subtrees whose answer this head took from its gather memo instead
+    /// of asking them (inspection).
+    pub fn memo_answers(&self) -> u64 {
+        self.memo_answers
     }
 
     fn is_hier_super(&self) -> bool {
@@ -225,9 +274,7 @@ impl Directory {
     pub(crate) fn advertised(&mut self, ctx: &mut Ctx<Msg>, from: PeerId, ad: Advertisement) {
         self.learn(ctx.now_us(), ad.clone());
         self.replicate(ctx, from, || Msg::Advertise(ad.clone()));
-        if self.is_hier_super() {
-            self.push_summary(ctx, false);
-        }
+        self.registry_changed(ctx);
     }
 
     /// `from` withdrew itself. Withdrawals replicate like advertisements;
@@ -238,6 +285,7 @@ impl Directory {
     pub(crate) fn withdrawn(&mut self, ctx: &mut Ctx<Msg>, from: PeerId) {
         self.forget(from);
         self.replicate(ctx, from, || Msg::WithdrawPeer(from));
+        self.registry_changed(ctx);
     }
 
     /// A heartbeat (direct or backbone-replicated) arrived from `peer`.
@@ -249,6 +297,7 @@ impl Directory {
             Some(ad) => {
                 self.learn(ctx.now_us(), ad.clone());
                 self.replicate(ctx, peer, || Msg::Advertise(ad.clone()));
+                self.registry_changed(ctx);
             }
             None => self.renew(ctx.now_us(), peer),
         }
@@ -442,8 +491,17 @@ impl Directory {
         acc
     }
 
+    /// A hierarchical super-peer's registry may have changed: its head
+    /// hears of it if the summary grew or a memoised answer went stale.
+    fn registry_changed(&mut self, ctx: &mut Ctx<Msg>) {
+        if self.is_hier_super() {
+            self.push_summary(ctx, false);
+        }
+    }
+
     /// Pushes this super-peer's member summary to its cluster head when
-    /// it changed, or unconditionally with `force` — the periodic
+    /// it changed, when the registry moved since an answer a head may
+    /// have memoised, or unconditionally with `force` — the periodic
     /// self-heal that re-seeds a head whose restart wiped its (volatile)
     /// summary tables. Heads fold their own registry into the cluster
     /// summary directly and never message themselves.
@@ -458,12 +516,15 @@ impl Directory {
         if changed {
             self.last_pushed_summary = Some(summary.clone());
         }
+        let epoch = self.registry.epochs().schema;
+        let force = force || self.answered_at.is_some_and(|at| at != epoch);
         if !changed && !force {
             return;
         }
         if head == self.id {
             self.push_cluster_summary(ctx, force);
         } else {
+            self.answered_at = None;
             let msg = Msg::SummaryAdvertise {
                 owner: self.id,
                 summary,
@@ -497,6 +558,7 @@ impl Directory {
         if !force && self.last_cluster_summary.as_ref() == Some(&summary) {
             return;
         }
+        self.answered_at = None;
         self.last_cluster_summary = Some(summary.clone());
         for &h in &cluster.heads {
             if h == self.id {
@@ -514,7 +576,9 @@ impl Directory {
     /// cluster, else a sibling cluster's. Summaries only ever grow
     /// (merged into what is already held), so reordered or replayed
     /// pushes cannot narrow a subtree's coverage and cause a missed
-    /// descent.
+    /// descent. Any push outdates `owner`'s memoised replies, and a
+    /// member's is passed on to the sibling heads if this head answered
+    /// a `Cluster` gather since its own last push.
     pub(crate) fn summary_advertised(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -535,8 +599,9 @@ impl Directory {
             None => summary,
         };
         held.insert(owner, merged);
+        *self.pushes.entry(owner).or_insert(0) += 1;
         if is_member {
-            self.push_cluster_summary(ctx, false);
+            self.push_cluster_summary(ctx, self.answered_at.is_some());
         }
     }
 
@@ -665,7 +730,9 @@ impl Directory {
     /// Starts a hierarchical scatter/gather: annotate the local registry,
     /// then descend into exactly the subtrees whose summaries intersect
     /// the query. Subtrees without a summary (head restarted, push still
-    /// in flight) are conservatively descended into.
+    /// in flight) are conservatively descended into; a head takes the
+    /// answer of a subtree that has not pushed since it last answered
+    /// this query from its memo instead.
     fn begin_gather(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -681,7 +748,13 @@ impl Directory {
             return None;
         }
         let (HierReply::Flat(requester) | HierReply::Inner(requester)) = reply;
-        let acc = route(&self.registry, query);
+        if matches!(reply, HierReply::Inner(_)) && scope != HierScope::Global {
+            // Set at the start: a change while this gather is pending is
+            // missing from the answer too.
+            self.answered_at
+                .get_or_insert(self.registry.epochs().schema);
+        }
+        let mut acc = route(&self.registry, query);
         let missing = self.departed_matching(query);
         let mut pending: Vec<(PeerId, HierScope)> = Vec::new();
         if let Some(cluster) = &self.cluster {
@@ -711,17 +784,40 @@ impl Directory {
                 }
             }
         }
+        // Children of a head (asked `Local` or `Cluster`) answer from the
+        // memo while they have not pushed since; the rest are asked.
+        let key = PatternStats::fingerprint(query.text());
+        let mut asked = Vec::new();
+        pending.retain(|&(child, scope)| {
+            let Some(memo) = self.memo.as_mut().filter(|_| scope != HierScope::Global) else {
+                return true;
+            };
+            let pushes = self.pushes.get(&child).copied().unwrap_or(0);
+            match memo.get(&(child, key)) {
+                Some(m) if m.pushes == pushes && same_query(m.annotated.query(), query) => {
+                    acc.merge(&m.annotated);
+                    self.memo_answers += 1;
+                    false
+                }
+                _ => {
+                    asked.push((child, pushes));
+                    true
+                }
+            }
+        });
         let gather = HierGather {
             reply,
             acc,
             missing,
             pending: pending.iter().map(|&(p, _)| p).collect(),
+            asked,
         };
         if gather.pending.is_empty() {
             finish_gather(ctx, qid, gather);
             return None;
         }
         self.hier_gathers.insert(qid, gather);
+        self.requests_sent += pending.len() as u64;
         for (target, scope) in pending {
             let msg = Msg::HierRouteRequest {
                 qid,
@@ -748,9 +844,19 @@ impl Directory {
         let Some(gather) = self.hier_gathers.get_mut(&qid) else {
             return;
         };
+        // Remembered only if `from` has not pushed since it was asked (the
+        // reply may predate the push) and names nobody missing (a subtree
+        // below it may merely have timed out).
+        let pushes = self.pushes.get(&from).copied().unwrap_or(0);
+        let fresh = missing.is_empty() && gather.asked.contains(&(from, pushes));
         gather.acc.merge(&annotated);
         gather.missing.extend(missing);
         gather.pending.remove(&from);
+        if let (Some(memo), true) = (&mut self.memo, fresh) {
+            let cost = 96 + 120 * annotated.all_peers().len();
+            let key = (from, PatternStats::fingerprint(annotated.query().text()));
+            memo.insert(key, Memo { pushes, annotated }, cost);
+        }
         self.finish_if_gathered(ctx, qid);
     }
 
@@ -778,7 +884,7 @@ impl Directory {
     ) {
         if scope == HierScope::Global {
             // The cluster head is down: re-parent locally so later
-            // queries pick a live head…
+            // queries pick a live head (whose memo starts empty)…
             if let Some(c) = self.cluster.as_mut() {
                 if c.head == failed {
                     c.head = c
@@ -787,6 +893,9 @@ impl Directory {
                         .copied()
                         .find(|&m| m != failed)
                         .unwrap_or(self.id);
+                    if let Some(memo) = &mut self.memo {
+                        memo.clear();
+                    }
                 }
             }
         }
@@ -807,6 +916,7 @@ impl Directory {
                     continue;
                 }
                 gather.pending.insert(sp);
+                self.requests_sent += 1;
                 let msg = Msg::HierRouteRequest {
                     qid,
                     query: query.clone(),
@@ -850,6 +960,11 @@ impl Directory {
         self.hier_gathers.clear();
         self.member_summaries.clear();
         self.cluster_summaries.clear();
+        if let Some(memo) = &mut self.memo {
+            memo.clear();
+        }
+        self.pushes.clear();
+        self.answered_at = None;
         self.last_pushed_summary = None;
         self.last_cluster_summary = None;
         // Lease deadlines were computed from pre-crash heartbeats that may
@@ -895,6 +1010,11 @@ fn summary_intersects(summary: &ActiveSchema, query: &QueryPattern) -> bool {
             .iter()
             .any(|ap| sqpeer_subsume::match_pattern(summary.schema(), ap, pat).is_some())
     })
+}
+
+/// The same query over the same schema: the memo's exact key test.
+fn same_query(a: &QueryPattern, b: &QueryPattern) -> bool {
+    sqpeer_routing::same_schema(a.schema(), b.schema()) && a == b
 }
 
 /// Answers a finished gather. Annotations are sorted into the canonical
@@ -1018,6 +1138,7 @@ mod tests {
                     Msg::HeartbeatPeer(p) => format!("HeartbeatPeer({p})"),
                     Msg::ExpirePeer(ad) => format!("ExpirePeer({})", ad.peer),
                     Msg::HierRouteRequest { scope, .. } => format!("HierRouteRequest({scope:?})"),
+                    Msg::SummaryAdvertise { owner, .. } => format!("SummaryAdvertise({owner})"),
                     Msg::RouteResponse {
                         annotated, missing, ..
                     } => format!(
@@ -1219,5 +1340,147 @@ mod tests {
                 "P5 <- HierRouteRequest(Cluster)"
             ]
         );
+    }
+
+    /// `ctx`'s outbox, unformatted: what a test hands on to another
+    /// directory.
+    fn outbox(ctx: Ctx<Msg>) -> Vec<(PeerId, Msg)> {
+        let outbox = ctx.into_effects().outbox;
+        outbox
+            .into_iter()
+            .map(|(to, msg, _)| (peer_of(to), msg))
+            .collect()
+    }
+
+    /// Delivers `from`'s `HierRouteResponse`s and `SummaryAdvertise`s in
+    /// `msgs` to `head`; returns what `head` sent in turn.
+    fn deliver(head: &mut Directory, from: u32, msgs: Vec<(PeerId, Msg)>) -> Vec<String> {
+        let mut ctx = ctx_at(0, head);
+        for (to, msg) in msgs {
+            assert_eq!(to, head.id);
+            match msg {
+                Msg::HierRouteResponse {
+                    qid,
+                    annotated,
+                    missing,
+                } => head.hier_route_response(&mut ctx, PeerId(from), qid, annotated, missing),
+                Msg::SummaryAdvertise { owner, summary } => {
+                    head.summary_advertised(&mut ctx, owner, summary)
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        sent(ctx)
+    }
+
+    /// Poses `q` at `head` as query `qid`; returns what the head sent.
+    fn gather(head: &mut Directory, qid: u64, q: &QueryPattern) -> Vec<String> {
+        let mut ctx = ctx_at(0, head);
+        head.route_request(
+            &mut ctx,
+            &route,
+            PeerId(20),
+            QueryId(qid),
+            q.clone(),
+            4,
+            None,
+        );
+        sent(ctx)
+    }
+
+    /// Subtree `from` answers `qid` at `head` with nobody; returns what
+    /// the head sent.
+    fn nobody(head: &mut Directory, from: u32, qid: u64, q: &QueryPattern) -> Vec<String> {
+        let mut ctx = ctx_at(0, head);
+        let empty = AnnotatedQuery::empty(q.clone());
+        head.hier_route_response(&mut ctx, PeerId(from), QueryId(qid), empty, Vec::new());
+        sent(ctx)
+    }
+
+    /// A warm query asks no subtree, and a reply that arrives after its
+    /// child pushed a summary is not remembered: the next gather asks
+    /// that child again.
+    #[test]
+    fn memo_skips_a_reply_that_predates_a_push() {
+        let schema = schema();
+        let q = query(&schema, "prop1");
+        let mut head = clustered(0);
+        assert_eq!(gather(&mut head, 1, &q).len(), 3);
+        // Member 1 pushes while its answer to query 1 is in flight.
+        let summary = active(&schema, &["prop1"]);
+        let mut ctx = ctx_at(0, &head);
+        head.summary_advertised(&mut ctx, PeerId(1), summary);
+        answer(&mut head, 1, QueryId(1), &q, &[]);
+        answer(&mut head, 2, QueryId(1), &q, &[]);
+        assert_eq!(nobody(&mut head, 5, 1, &q).len(), 1);
+        assert_eq!(head.memo_answers(), 0);
+
+        assert_eq!(gather(&mut head, 2, &q), ["P1 <- HierRouteRequest(Local)"]);
+        assert_eq!(head.memo_answers(), 2);
+        assert_eq!(
+            nobody(&mut head, 1, 2, &q),
+            ["P20 <- RouteResponse(peers [], missing [])"]
+        );
+        // Now every subtree's reply is remembered: answered at once.
+        assert_eq!(
+            gather(&mut head, 3, &q),
+            ["P20 <- RouteResponse(peers [], missing [])"]
+        );
+        assert_eq!((head.memo_answers(), head.hier_requests_sent()), (5, 4));
+    }
+
+    /// A member whose summary already covers a property pushes when it
+    /// gains a new holder of it after answering a gather, so the head
+    /// asks it again and finds the holder.
+    #[test]
+    fn memo_finds_a_holder_behind_an_unchanged_summary() {
+        let schema = schema();
+        let q = query(&schema, "prop1");
+        let (mut head, mut member) = (clustered(0), clustered(1));
+        let holder = |p: u32| Advertisement::new(PeerId(p), active(&schema, &["prop1"]));
+        let mut ctx = ctx_at(0, &member);
+        member.advertised(&mut ctx, PeerId(10), holder(10));
+        deliver(&mut head, 1, outbox(ctx));
+
+        let ask = |member: &mut Directory, qid: u64| {
+            let mut ctx = ctx_at(0, member);
+            let (qid, local) = (QueryId(qid), HierScope::Local);
+            member.hier_route_request(&mut ctx, &route, PeerId(0), qid, &q, local);
+            outbox(ctx)
+        };
+        assert_eq!(gather(&mut head, 1, &q).len(), 3);
+        deliver(&mut head, 1, ask(&mut member, 1));
+        answer(&mut head, 2, QueryId(1), &q, &[]);
+        assert_eq!(
+            nobody(&mut head, 5, 1, &q),
+            ["P20 <- RouteResponse(peers [PeerId(10)], missing [])"]
+        );
+
+        let mut ctx = ctx_at(0, &member);
+        member.advertised(&mut ctx, PeerId(11), holder(11));
+        let pushed = outbox(ctx);
+        assert_eq!(pushed.len(), 1, "the member kept its new holder to itself");
+        deliver(&mut head, 1, pushed);
+        assert_eq!(gather(&mut head, 2, &q), ["P1 <- HierRouteRequest(Local)"]);
+        assert_eq!(
+            deliver(&mut head, 1, ask(&mut member, 2)),
+            ["P20 <- RouteResponse(peers [PeerId(10), PeerId(11)], missing [])"]
+        );
+    }
+
+    /// Before any gather, advertisements that leave the summary as it is
+    /// push nothing: boot traffic is what it was without the memo.
+    #[test]
+    fn no_gather_no_extra_push() {
+        let schema = schema();
+        let mut member = clustered(1);
+        let ad = |p: u32| Advertisement::new(PeerId(p), active(&schema, &["prop1"]));
+        let mut ctx = ctx_at(0, &member);
+        member.advertised(&mut ctx, PeerId(10), ad(10));
+        assert_eq!(sent(ctx), ["P0 <- SummaryAdvertise(P1)"]);
+        let mut ctx = ctx_at(0, &member);
+        member.advertised(&mut ctx, PeerId(11), ad(11));
+        member.withdrawn(&mut ctx, PeerId(10));
+        assert!(sent(ctx).is_empty());
     }
 }

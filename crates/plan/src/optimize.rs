@@ -433,7 +433,7 @@ pub struct OptimizeReport {
 /// smaller than any of the inputs"); with a cost model in hand we make the
 /// gate exact: the fully distributed+merged shape wins when, sited, it
 /// costs no more than the sited generated shape. The distributed shape is
-/// costed under that bound ([`site_distributed`]) and only kept when it
+/// costed under that bound (`site_distributed`) and only kept when it
 /// wins, so declining Fig 4's Plan 2 does not cost its n^k joins.
 ///
 /// This entry point always renders the per-stage report, which *does*

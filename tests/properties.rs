@@ -536,11 +536,15 @@ proptest! {
     /// Over random placements, random cluster partitions of the backbone
     /// and random queries, the hierarchical overlay answers exactly what
     /// the flat hybrid overlay answers — same rows, same partial flag.
+    /// Each query is posed twice, with an advertisement and a withdrawal
+    /// in between, so the second posing meets warm gather memos that
+    /// the changes must have outdated.
     #[test]
     fn hierarchical_routing_equals_flat_backbone(
         placements in prop::collection::vec((arb_base(), 0..4u32), 1..6),
         labels in prop::collection::vec(0..4u8, 4usize),
         (q1, q2) in arb_query_pair(),
+        fresh in prop::collection::vec(arb_base(), 2usize),
     ) {
         use sqpeer::overlay::HierBuilder;
         let schema = fig1_schema();
@@ -563,29 +567,44 @@ proptest! {
         let mut hb = HybridBuilder::new(Arc::clone(&schema), super_count);
         let mut nb = HierBuilder::new(Arc::clone(&schema), super_count, 2)
             .clusters(partition);
-        let mut origin = None;
+        let mut ids = Vec::new();
         for (base, sp) in &placements {
-            let id = hb.add_peer(base.clone(), *sp);
+            ids.push(hb.add_peer(base.clone(), *sp));
             nb.add_peer(base.clone(), *sp);
-            origin.get_or_insert(id);
         }
-        let origin = origin.unwrap();
+        let origin = ids[0];
         let mut flat = hb.build();
         let mut hier = nb.build();
-        for q in [q1, q2] {
-            let fq = flat.query(origin, q.clone());
-            let hq = hier.query(origin, q.clone());
-            flat.run();
-            hier.run();
-            let f = flat.outcome(origin, fq).expect("flat completed").clone();
-            let h = hier.outcome(origin, hq).expect("hier completed").clone();
-            prop_assert_eq!(
-                h.result.clone().sorted(),
-                f.result.clone().sorted(),
-                "answer sets diverge on {}",
-                q.to_string()
-            );
-            prop_assert_eq!(h.partial, f.partial, "partial flags diverge");
+        for (round, q) in [q1, q2].into_iter().enumerate() {
+            for posing in 0..2 {
+                if posing == 1 {
+                    // Peer `round` re-advertises a new base; a peer from
+                    // the back (never one of the first two) leaves.
+                    let peer = ids[round % ids.len()];
+                    for net in [&mut flat, &mut hier] {
+                        net.update_peer_base(peer, |b| *b = fresh[round].clone());
+                        net.run();
+                        if ids.len() > round + 2 {
+                            net.leave_peer(ids[ids.len() - 1 - round]);
+                            net.run();
+                        }
+                    }
+                }
+                let fq = flat.query(origin, q.clone());
+                let hq = hier.query(origin, q.clone());
+                flat.run();
+                hier.run();
+                let f = flat.outcome(origin, fq).expect("flat completed").clone();
+                let h = hier.outcome(origin, hq).expect("hier completed").clone();
+                prop_assert_eq!(
+                    h.result.clone().sorted(),
+                    f.result.clone().sorted(),
+                    "answer sets diverge on {} (posing {})",
+                    q.to_string(),
+                    posing
+                );
+                prop_assert_eq!(h.partial, f.partial, "partial flags diverge");
+            }
         }
     }
 }
