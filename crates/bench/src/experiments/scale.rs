@@ -225,9 +225,9 @@ pub fn e23(json: BenchJson) -> String {
 
     // One run over the shared placement: answers, query-phase traffic,
     // rollup-push traffic, query-phase wall clock, the routing requests
-    // sent down the cluster tree and the subtrees answered from a gather
-    // memo instead, and (plane on) the pattern table a cluster head
-    // serves.
+    // sent down the cluster tree, the subtrees answered from a gather
+    // memo instead and the statistics snapshots answers carried, and
+    // (plane on) the pattern table a cluster head serves.
     type RunOut = (
         Vec<(ResultSet, bool)>,
         u64,
@@ -235,7 +235,7 @@ pub fn e23(json: BenchJson) -> String {
         u64,
         u64,
         u64,
-        (u64, u64),
+        (u64, u64, u64),
         Option<PatternStats>,
     );
     let run = |obs_on: bool| -> RunOut {
@@ -275,10 +275,13 @@ pub fn e23(json: BenchJson) -> String {
         let pushes = net.obs_pushes_total() - pushes0;
         let push_bytes = net.obs_push_bytes_total() - push_bytes0;
         // Boot runs no gather, so the totals are the query phase's.
-        let descents = net.super_peers().iter().fold((0, 0), |(sent, memo), &s| {
-            let son = &net.sim().node(node_of(s)).expect("hosted").son;
+        let node = |p| net.sim().node(node_of(p)).expect("hosted");
+        let (sent, memo) = net.super_peers().iter().fold((0, 0), |(sent, memo), &s| {
+            let son = &node(s).son;
             (sent + son.hier_requests_sent(), memo + son.memo_answers())
         });
+        let attached = net.peers().iter().map(|&p| node(p).stats_attached()).sum();
+        let counts = (sent, memo, attached);
         let head_pats = if obs_on {
             let head = net
                 .super_peers()
@@ -296,11 +299,12 @@ pub fn e23(json: BenchJson) -> String {
             None
         };
         (
-            answers, msgs, bytes, pushes, push_bytes, wall_us, descents, head_pats,
+            answers, msgs, bytes, pushes, push_bytes, wall_us, counts, head_pats,
         )
     };
 
-    let (answers_off, msgs_off, bytes_off, pushes_off, _, wall_off, (sent, memo), _) = run(false);
+    let (answers_off, msgs_off, bytes_off, pushes_off, _, wall_off, (sent, memo, attached), _) =
+        run(false);
     let (answers_on, msgs_on, bytes_on, pushes_on, push_bytes_on, wall_on, _, head_pats) =
         run(true);
     let per_query = |n: u64| fixed(n as f64 / QUERIES as f64, 3);
@@ -403,6 +407,7 @@ pub fn e23(json: BenchJson) -> String {
         .field("query_bytes", bytes_off)
         .field("hier_requests_per_query", per_query(sent))
         .field("memo_answers_per_query", per_query(memo))
+        .field("stats_per_query", per_query(attached))
         .field("obs_pushes", pushes_on)
         .field("obs_push_bytes", push_bytes_on)
         .field("msg_ratio", fixed(msg_ratio, 5))

@@ -308,14 +308,24 @@ mod tests {
         cache.store_plan(epochs, &annotated, &plan);
         assert_eq!(cache.plan_for(epochs, &annotated), Some(plan.clone()));
 
+        // Re-registering an identical advertisement changes no cost: the
+        // plan stays.
+        let same = reg.get(PeerId(2)).unwrap().clone();
+        reg.register(same);
+        assert_eq!(cache.plan_for(reg.epochs(), &annotated), Some(plan));
+
         // A statistics-only refresh must invalidate plans (ranking and
         // optimiser costs may change) even though annotations survive.
-        let refreshed = reg.get(PeerId(2)).unwrap().clone();
+        let class = sqpeer_store::ClassStats { instances: 7 };
+        let stats =
+            sqpeer_store::BaseStatistics::from_raw_parts(vec![], vec![class], vec![], vec![class]);
+        let refreshed = reg.get(PeerId(2)).unwrap().clone().with_stats(stats);
         reg.register(refreshed);
+        assert_eq!(reg.epochs().schema, epochs.schema, "annotations survive");
         assert!(cache.plan_for(reg.epochs(), &annotated).is_none());
 
         let stats = cache.stats();
-        assert_eq!(stats.plan_hits, 1);
+        assert_eq!(stats.plan_hits, 2);
         assert_eq!(stats.plan_misses, 2);
     }
 

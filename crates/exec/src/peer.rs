@@ -532,6 +532,11 @@ impl PeerNode {
         self.serve.max_inflight
     }
 
+    /// Statistics snapshots this peer's answers carried (inspection).
+    pub fn stats_attached(&self) -> u64 {
+        self.serve.stats_attached
+    }
+
     /// A canonical digest of this peer's protocol state, by which the model
     /// checker (`sqpeer-model`) tells explored states apart: what a later
     /// step reads, in sorted order, with no timer id and time only relative

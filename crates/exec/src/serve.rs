@@ -134,6 +134,9 @@ pub(crate) struct Server {
     /// High-water mark of data packets in flight on any single outgoing
     /// stream.
     pub(crate) max_inflight: u32,
+    /// The statistics last attached towards each root (§2.4), and their count.
+    last_stats: FxHashMap<PeerId, BaseStatistics>,
+    pub(crate) stats_attached: u64,
 }
 
 impl Server {
@@ -145,7 +148,23 @@ impl Server {
             served: ServedLog::default(),
             outgoing: FxHashMap::default(),
             max_inflight: 0,
+            last_stats: FxHashMap::default(),
+            stats_attached: 0,
         }
+    }
+
+    /// What the final packet answering `key` carries: `stats`, unless its
+    /// root holds them already and this is a first attempt (a retry's
+    /// earlier packet may have been lost, as may one the log forgot).
+    fn attach(&mut self, key: StreamKey, stats: Option<BaseStatistics>) -> Option<BaseStatistics> {
+        let stats = stats?;
+        let first = self.served.recent.get(&key).or(self.served.older.get(&key)) == Some(&0);
+        if first && self.last_stats.get(&key.0) == Some(&stats) {
+            return None;
+        }
+        self.stats_attached += 1;
+        self.last_stats.insert(key.0, stats.clone());
+        Some(stats)
     }
 
     /// The most rows one packet carries.
@@ -163,7 +182,7 @@ impl Server {
     /// the answer leaves as one `Data` packet, or as a credit-gated
     /// stream of which at most `stream_credit_window` packets are in
     /// flight until the root credits them back. The last packet carries
-    /// `partial` and `stats`.
+    /// `partial`, and `stats` if the root has not got them yet.
     pub(crate) fn answer(
         &mut self,
         ctx: &mut Ctx<Msg>,
@@ -186,7 +205,7 @@ impl Server {
                 tag,
                 result,
                 partial,
-                stats,
+                stats: self.attach(key, stats),
                 seq: 0,
                 last: true,
             };
@@ -284,9 +303,9 @@ impl Server {
 
     /// Sends as many queued packets of `key`'s stream as the credit
     /// window allows. The final packet carries the partial flag and the
-    /// statistics snapshot, and retires the stream.
+    /// statistics the root lacks, and retires the stream.
     pub(crate) fn flush(&mut self, ctx: &mut Ctx<Msg>, key: StreamKey) {
-        let Some(stream) = self.outgoing.get_mut(&key) else {
+        let Some(mut stream) = self.outgoing.remove(&key) else {
             return;
         };
         let (channel, qid, tag) = stream.to;
@@ -300,34 +319,36 @@ impl Server {
                     rows,
                 },
                 partial: last && stream.partial,
-                stats: if last { stream.stats.take() } else { None },
+                stats: self.attach(key, if last { stream.stats.take() } else { None }),
                 seq,
                 last,
             };
             self.max_inflight = self.max_inflight.max(stream.core.inflight());
             send(ctx, channel.root, msg);
             if last {
-                self.outgoing.remove(&key);
                 return;
             }
         }
+        self.outgoing.insert(key, stream);
     }
 
-    /// An ungraceful restart: every outgoing stream and the log of what
-    /// was served are lost.
+    /// An ungraceful restart: every outgoing stream, the log of what was
+    /// served and the memo of what statistics each root holds are lost.
     pub(crate) fn clear(&mut self) {
         self.outgoing.clear();
         self.served = ServedLog::default();
+        self.last_stats.clear();
     }
 
     /// Hashes what a later call reads, for [`crate::PeerNode::digest`]:
-    /// each outgoing stream's ledger in key order, then the served log.
+    /// each outgoing stream's ledger in key order, the served log, the stats memo.
     pub(crate) fn digest(&self, h: &mut impl Hasher) {
         for (key, s) in by_key(&self.outgoing) {
             let ledger = (s.to.0, &s.columns, &s.core, s.partial, &s.sent_acc);
             (key, format!("{ledger:?}"), s.stats.is_some()).hash(h);
         }
         (by_key(&self.served.recent), by_key(&self.served.older)).hash(h);
+        format!("{:?}", by_key(&self.last_stats)).hash(h);
     }
 }
 
@@ -482,6 +503,62 @@ mod tests {
         assert_eq!(sent.len(), 3);
         assert_eq!(sent.last(), Some(&(2, 1, true, false)));
         assert!(s.produce(key).is_none(), "the stream is gone");
+    }
+
+    /// A destination attaches its base's statistics only when the root
+    /// has not got them: once over an unchanged base (on a single packet
+    /// or a stream's last), and again after a write, on a retried attempt
+    /// and after a restart.
+    #[test]
+    fn statistics_ride_once_per_change() {
+        let snapshot = |instances| {
+            let class = sqpeer_store::ClassStats { instances };
+            BaseStatistics::from_raw_parts(vec![], vec![class], vec![], vec![class])
+        };
+        let (old, new) = (snapshot(1), snapshot(2));
+        let mut s = server(Some(1), 0);
+        let carried = |s: &mut Server, tag: u64, attempt: u32, stats: &BaseStatistics| {
+            let (channel, qid, _) = reply();
+            s.served.admit((ROOT, qid, tag), attempt);
+            let mut c = ctx();
+            let to = (channel, qid, tag);
+            s.answer(
+                &mut c,
+                to,
+                rows(0, 1 + tag as u32 % 2),
+                false,
+                Some(stats.clone()),
+            );
+            let outbox = c.into_effects().outbox;
+            let with_stats =
+                |(_, msg, _): &(_, Msg, _)| matches!(msg, Msg::Data { stats: Some(_), .. });
+            outbox.iter().filter(|p| with_stats(p)).count()
+        };
+        assert_eq!(carried(&mut s, 0, 0, &old), 1);
+        assert_eq!(
+            carried(&mut s, 1, 0, &old),
+            0,
+            "an unchanged snapshot rode again"
+        );
+        assert_eq!(
+            carried(&mut s, 2, 0, &snapshot(1)),
+            0,
+            "an equal snapshot rode"
+        );
+        assert_eq!(carried(&mut s, 3, 0, &new), 1, "a write went unreported");
+        assert_eq!(carried(&mut s, 4, 0, &new), 0);
+        assert_eq!(
+            carried(&mut s, 4, 1, &new),
+            1,
+            "a retry replaces a lost packet"
+        );
+        s.clear();
+        assert_eq!(
+            carried(&mut s, 5, 0, &new),
+            1,
+            "a restart forgets what roots hold"
+        );
+        assert_eq!(s.stats_attached, 4);
     }
 
     /// A refusal supersedes the forwarding stream it answers for.

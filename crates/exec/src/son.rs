@@ -321,10 +321,14 @@ impl Directory {
     }
 
     /// Refreshes `peer`'s advertised statistics from a channel packet
-    /// (§2.4), keeping the optimiser's estimates current.
+    /// (§2.4), keeping the optimiser's estimates current; an equal
+    /// snapshot changes nothing, and so keeps the cached plans.
     pub(crate) fn refresh_stats(&mut self, peer: PeerId, stats: BaseStatistics) {
-        if let Some(ad) = self.registry.get(peer).cloned() {
-            self.registry.register(ad.with_stats(stats));
+        match self.registry.get(peer) {
+            Some(ad) if ad.stats.as_ref() != Some(&stats) => {
+                self.registry.register(ad.clone().with_stats(stats));
+            }
+            _ => {}
         }
     }
 

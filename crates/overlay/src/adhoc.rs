@@ -203,6 +203,44 @@ mod tests {
         );
     }
 
+    /// In a flat group a holder's statistics ride to the root once, on its
+    /// first answer, and an unchanged snapshot leaves the root's epochs
+    /// alone: the second posing of a query is planned from the cache.
+    #[test]
+    fn adhoc_second_posing_is_planned_from_the_cache() {
+        let schema = fig1_schema();
+        let mut b = AdhocBuilder::new(Arc::clone(&schema), 1);
+        let root = b.add_peer(base_with(&schema, &[]));
+        let holders = [
+            b.add_peer(base_with(&schema, &[("a", "prop1", "b")])),
+            b.add_peer(base_with(&schema, &[("b", "prop2", "c")])),
+        ];
+        holders.iter().for_each(|&h| b.link(root, h));
+        let mut net = b.build();
+        let query = net
+            .compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}")
+            .unwrap();
+        let answers: Vec<_> = (0..2)
+            .map(|_| {
+                let qid = net.query(root, query.clone());
+                net.run();
+                net.outcome(root, qid)
+                    .expect("completed")
+                    .result
+                    .clone()
+                    .sorted()
+            })
+            .collect();
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(answers[0].len(), 1);
+        let stats = net.cache_stats(root).expect("caching on by default");
+        assert_eq!((stats.plan_hits, stats.plan_misses), (1, 1), "{stats:?}");
+        for h in holders {
+            let holder = net.sim().node(sqpeer_exec::node_of(h)).unwrap();
+            assert_eq!(holder.stats_attached(), 1, "holder {h:?}");
+        }
+    }
+
     /// The Figure 7 scenario: P1 knows P2, P3, P4; only P5 (known to P2)
     /// can answer Q2; the query completes through interleaved routing.
     #[test]

@@ -193,9 +193,10 @@ pub fn same_schema(
 /// `schema` advances whenever the *active-schema* content changes (peer
 /// added, removed, or re-advertised with a different fragment) — anything
 /// cached about annotation results is stale past it. `stats` additionally
-/// advances on statistics-only refreshes, which leave annotations intact
+/// advances on statistics-only changes, which leave annotations intact
 /// but can change cost-based decisions (routing limits ranking, optimiser
-/// choices), so plan-level caches key on both.
+/// choices), so plan-level caches key on both. Re-registering an identical
+/// advertisement moves neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RegistryEpochs {
     /// Generation of the advertised active-schema set.
@@ -228,15 +229,17 @@ impl AdRegistry {
     /// was new.
     pub fn register(&mut self, ad: Advertisement) -> bool {
         let peer = ad.peer;
-        let schema_changed = match self.ads.get(&peer) {
-            Some(old) => old.active != ad.active,
-            None => true,
+        let (schema_changed, stats_changed) = match self.ads.get(&peer) {
+            Some(old) => (old.active != ad.active, old.stats != ad.stats),
+            None => (true, true),
         };
         let new = self.ads.insert(peer, ad).is_none();
         if schema_changed {
             self.epochs.schema += 1;
         }
-        self.epochs.stats += 1;
+        if schema_changed || stats_changed {
+            self.epochs.stats += 1;
+        }
         new
     }
 
@@ -421,6 +424,42 @@ mod tests {
         let q = compile("SELECT X FROM {X}prop1{Y}", &schema).unwrap();
         let annotated = reg.route(&q, RoutingPolicy::SubsumedOnly);
         assert!(annotated.peers_for(0).is_empty());
+    }
+
+    /// Statistics of one class of `instances` resources.
+    fn stats(instances: usize) -> BaseStatistics {
+        let class = sqpeer_store::ClassStats { instances };
+        BaseStatistics::from_raw_parts(vec![], vec![class], vec![], vec![class])
+    }
+
+    /// Only a change moves an epoch: re-registering an identical
+    /// advertisement (a fresh but equal snapshot included) moves neither,
+    /// new statistics move `stats` alone, a new fragment moves both.
+    #[test]
+    fn identical_reregistration_moves_no_epoch() {
+        let schema = fig1_schema();
+        let ad = |props: &[&str], instances| {
+            Advertisement::new(PeerId(1), active(&schema, props)).with_stats(stats(instances))
+        };
+        let mut reg = AdRegistry::new();
+        reg.register(ad(&["prop1"], 1));
+        let at = reg.epochs();
+        reg.register(ad(&["prop1"], 1));
+        assert_eq!(
+            reg.epochs(),
+            at,
+            "an identical advertisement moved an epoch"
+        );
+        reg.register(ad(&["prop1"], 2));
+        assert_eq!(
+            (reg.epochs().schema, reg.epochs().stats),
+            (at.schema, at.stats + 1)
+        );
+        reg.register(ad(&["prop2"], 2));
+        assert_eq!(
+            (reg.epochs().schema, reg.epochs().stats),
+            (at.schema + 1, at.stats + 2)
+        );
     }
 
     #[test]
