@@ -7,7 +7,10 @@
 //! cargo run --release --bin experiments --list     # list experiments
 //! ```
 
-use sqpeer_bench::{find, EXPERIMENTS};
+use sqpeer_bench::{alloc, find, EXPERIMENTS};
+
+#[global_allocator]
+static COUNTING: alloc::Counting = alloc::Counting;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

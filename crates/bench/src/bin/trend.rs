@@ -22,47 +22,36 @@
 //! (`sqpeer_bench::harness`), where a unit test holds them to each other.
 
 use sqpeer_bench::harness::{machine_dependent, metrics, Metric};
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// A gated comparison whose fresh value differs from the baseline.
-struct Violation {
-    file: String,
-    metric: Metric,
-    baseline: f64,
-    fresh: f64,
-}
-
-fn compare_file(
-    name: &str,
-    baseline: &str,
-    fresh: &str,
-    violations: &mut Vec<Violation>,
-    gated: &mut usize,
-) -> Result<(), String> {
-    let fresh_map: std::collections::HashMap<Metric, f64> = metrics(fresh).into_iter().collect();
+/// Compares one file's gated metrics: how many were compared, and each
+/// failure described. A gated metric missing from the fresh run ends the
+/// file's comparison.
+fn compare_file(name: &str, baseline: &str, fresh: &str) -> (usize, Vec<String>) {
+    let (mut gated, mut failures) = (0, Vec::new());
+    let fresh: HashMap<Metric, f64> = metrics(fresh).into_iter().collect();
     for (metric, b) in metrics(baseline) {
         if machine_dependent(&metric.key) {
             continue;
         }
-        let Some(&f) = fresh_map.get(&metric) else {
-            return Err(format!(
-                "{name}: gated metric '{}' (occurrence {}) missing from the fresh run — \
-                 structure changed, re-bless the baseline",
-                metric.key, metric.occurrence
+        let (key, occurrence) = (&metric.key, metric.occurrence);
+        let Some(&f) = fresh.get(&metric) else {
+            failures.push(format!(
+                "{name}: gated metric '{key}' (occurrence {occurrence}) missing from the fresh \
+                 run — structure changed, re-bless the baseline"
             ));
+            break;
         };
-        *gated += 1;
+        gated += 1;
         if f != b {
-            violations.push(Violation {
-                file: name.to_string(),
-                metric,
-                baseline: b,
-                fresh: f,
-            });
+            failures.push(format!(
+                "{name} {key} (occurrence {occurrence}): baseline {b} fresh {f} — differs"
+            ));
         }
     }
-    Ok(())
+    (gated, failures)
 }
 
 fn main() -> ExitCode {
@@ -88,56 +77,38 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let mut violations = Vec::new();
-    let mut gated = 0usize;
-    let mut failures = Vec::new();
+    let (mut gated, mut failures) = (0usize, Vec::new());
     for name in &names {
-        let base_path = Path::new(baseline_dir).join(name);
-        let fresh_path = Path::new(fresh_dir).join(name);
-        let baseline = match std::fs::read_to_string(&base_path) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(format!("{name}: cannot read baseline: {e}"));
-                continue;
+        let read = |dir: &str| std::fs::read_to_string(Path::new(dir).join(name));
+        match (read(baseline_dir), read(fresh_dir)) {
+            (Err(e), _) => failures.push(format!("{name}: cannot read baseline: {e}")),
+            (_, Err(e)) => failures.push(format!(
+                "{name}: committed baseline exists but the fresh run produced \
+                 nothing ({e}) — did its experiment fail?"
+            )),
+            (Ok(baseline), Ok(fresh)) => {
+                let (compared, mut failed) = compare_file(name, &baseline, &fresh);
+                gated += compared;
+                failures.append(&mut failed);
             }
-        };
-        let fresh = match std::fs::read_to_string(&fresh_path) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(format!(
-                    "{name}: committed baseline exists but the fresh run produced \
-                     nothing ({e}) — did its experiment fail?"
-                ));
-                continue;
-            }
-        };
-        if let Err(e) = compare_file(name, &baseline, &fresh, &mut violations, &mut gated) {
-            failures.push(e);
         }
     }
 
     println!(
-        "trend: {} baseline file(s), {} gated metric(s) compared",
-        names.len(),
-        gated
+        "trend: {} baseline file(s), {gated} gated metric(s) compared",
+        names.len()
     );
-    for v in &violations {
-        println!(
-            "FAIL {} {} (occurrence {}): baseline {} fresh {} — differs",
-            v.file, v.metric.key, v.metric.occurrence, v.baseline, v.fresh
-        );
-    }
     for f in &failures {
         println!("FAIL {f}");
     }
-    if violations.is_empty() && failures.is_empty() {
+    if failures.is_empty() {
         println!("trend: all gated metrics equal the committed baselines");
         ExitCode::SUCCESS
     } else {
         println!(
             "trend: {} violation(s) — investigate, or re-bless by committing the fresh \
              BENCH_*.json",
-            violations.len() + failures.len()
+            failures.len()
         );
         ExitCode::FAILURE
     }

@@ -45,15 +45,10 @@ pub fn e8() -> String {
     out.push_str(&format!(
         "query: {query_text}\nrelevant peers: 4 (fixed); network size sweeps\n\n"
     ));
-    let mut t = Table::new(&[
-        "peers",
-        "SON msgs",
-        "SON bytes",
-        "SON peers asked",
-        "max msgs at one peer",
-        "flood msgs (ttl=diam)",
-        "flood peers asked",
-    ]);
+    let mut t = Table::new(
+        "peers, SON msgs, SON bytes, SON peers asked, max msgs at one peer, \
+         flood msgs (ttl=diam), flood peers asked",
+    );
     for n in [8usize, 16, 32, 64, 128] {
         let (mut net, ids, topo) = relevant_four(&schema, &chain, n);
         net.sim_mut().reset_metrics();
@@ -95,12 +90,9 @@ pub fn e9() -> String {
          each churn event = one peer leaves and rejoins; costs are the bytes\n\
          the routing knowledge structure must touch.\n\n",
     );
-    let mut t = Table::new(&[
-        "churn events",
-        "active-schema bytes",
-        "path-index bytes (L=3)",
-        "triple-index bytes (RDFPeers)",
-    ]);
+    let mut t = Table::new(
+        "churn events, active-schema bytes, path-index bytes (L=3), triple-index bytes (RDFPeers)",
+    );
     for churn in [10usize, 50, 100, 500] {
         // Materialise the peers once: 32 of them, 3 properties each.
         let mut rng = StdRng::seed_from_u64(9);
@@ -217,7 +209,7 @@ pub fn e11() -> String {
 
     let mut out =
         String::from("E11: vertical distribution ⇒ correctness, horizontal ⇒ completeness\n\n");
-    let mut t = Table::new(&["plan variant", "rows", "precision", "recall"]);
+    let mut t = Table::new("plan variant, rows, precision, recall");
     for (name, mode) in [
         ("full (∪ + ⋈)", Mode::Full),
         (
@@ -294,13 +286,7 @@ pub fn e12() -> String {
         let messages = net.sim().metrics().total_messages();
         (peers_asked(&net, &ids, origin), messages, rows)
     };
-    let mut t = Table::new(&[
-        "cap",
-        "peers contacted",
-        "query messages",
-        "rows",
-        "recall %",
-    ]);
+    let mut t = Table::new("cap, peers contacted, query messages, rows, recall %");
     let (_, full_messages, full_rows) = run(None);
     for k in [1usize, 2, 4, 8, 16] {
         let (contacted, messages, rows) = run(Some(k));
@@ -355,15 +341,9 @@ pub fn e14() -> String {
          advertisements posted under property keys; each peer advertises 2\n\
          random properties; query = 2-pattern chain over superproperties.\n\n",
     );
-    let mut t = Table::new(&[
-        "ring size",
-        "mode",
-        "postings",
-        "publish hops",
-        "query lookups",
-        "lookup hops",
-        "peers found",
-    ]);
+    let mut t = Table::new(
+        "ring size, mode, postings, publish hops, query lookups, lookup hops, peers found",
+    );
     for n in [16usize, 64, 256] {
         for mode in [
             SubsumptionMode::PublishClosure,

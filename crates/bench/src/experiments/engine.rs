@@ -1,6 +1,7 @@
 //! What a peer does alone, under Zipf-skewed repeats: the semantic
 //! routing cache (E15) and interned local evaluation (E16).
 
+use crate::alloc;
 use crate::harness::{best_of, fixed, timed, BenchJson};
 use crate::scenario::{cache_registry, eval_base, eval_workload};
 use crate::table::{f1, Table};
@@ -20,15 +21,8 @@ pub fn e15() -> String {
          200 queries from a 6-query pool; `scan work` counts ad×pattern\n\
          subsumption checks actually performed (cold does all of them).\n\n",
     );
-    let mut t = Table::new(&[
-        "ads",
-        "zipf s",
-        "exact hits",
-        "subsume hits",
-        "misses",
-        "hit rate",
-        "scan work vs cold",
-    ]);
+    let mut t =
+        Table::new("ads, zipf s, exact hits, subsume hits, misses, hit rate, scan work vs cold");
     for ads_n in [64usize, 512] {
         let reg = cache_registry(&schema, ads_n);
         for s in [0.0f64, 0.7, 1.2] {
@@ -63,8 +57,7 @@ pub fn e15() -> String {
     out.push_str(
         "\nshape check: the miss count is bounded by the distinct-pattern pool\n\
          regardless of workload length or skew, so scan work collapses to a\n\
-         few percent of the uncached baseline; wall-clock confirmation lives\n\
-         in benches/e15_cache.rs (warm beats cold at every size).\n",
+         few percent of the uncached baseline.\n",
     );
     out
 }
@@ -77,20 +70,23 @@ pub fn e16(json: BenchJson) -> String {
     let cold_base = base.clone();
     let workload = eval_workload(&schema);
 
-    // One timed pass over the workload: total rows under `rows_of`.
+    // One timed pass over the workload: total rows under `rows_of`, with
+    // the allocation calls and bytes it made.
     let pass = |rows_of: &dyn Fn(&QueryPattern) -> usize| {
-        timed(|| workload.iter().map(rows_of).sum::<usize>())
+        timed(|| alloc::measure(|| workload.iter().map(rows_of).sum::<usize>()))
     };
-    // Reference and warm are best-of-3.
-    let (ref_rows, ref_ms) = best_of(3, || pass(&|q| evaluate_reference(q, &base).len()));
+    // Reference and warm are best-of-3, and every rep must allocate alike.
+    let reference = best_of(3, || pass(&|q| evaluate_reference(q, &base).len()));
     // Cold: the first query pays the snapshot build. One-shot by nature,
     // so no best-of (a second rep would be warm).
-    let (cold_rows, cold_ms) = pass(&|q| evaluate(q, &cold_base).len());
+    let cold = pass(&|q| evaluate(q, &cold_base).len());
     // Warm: snapshot prebuilt, shared across the workload.
     let ib = base.interned();
-    let (warm_rows, warm_ms) = best_of(3, || pass(&|q| evaluate_snapshot(q, &ib).len()));
-    assert_eq!(ref_rows, warm_rows, "engines must agree");
-    assert_eq!(ref_rows, cold_rows, "engines must agree");
+    let warm = best_of(3, || pass(&|q| evaluate_snapshot(q, &ib).len()));
+    let ((ref_rows, _, _), ref_ms) = reference;
+    let (((_, cold_calls, cold_bytes), cold_ms), ((_, warm_calls, warm_bytes), warm_ms)) =
+        (cold, warm);
+    let per_query = |n: u64| fixed(n as f64 / workload.len() as f64, 3);
 
     let mut out = format!(
         "E16: interned, statistics-ordered local evaluation\n\n\
@@ -99,25 +95,25 @@ pub fn e16(json: BenchJson) -> String {
         workload.len(),
         triples
     );
-    let mut t1 = Table::new(&["engine", "total ms", "rows", "speedup vs reference"]);
-    t1.row(vec![
-        "reference (row-at-a-time)".into(),
-        format!("{ref_ms:.2}"),
-        ref_rows.to_string(),
-        "1.0 x".into(),
-    ]);
-    t1.row(vec![
-        "interned (cold)".into(),
-        format!("{cold_ms:.2}"),
-        cold_rows.to_string(),
-        format!("{} x", f1(ref_ms / cold_ms)),
-    ]);
-    t1.row(vec![
-        "interned (warm)".into(),
-        format!("{warm_ms:.2}"),
-        warm_rows.to_string(),
-        format!("{} x", f1(ref_ms / warm_ms)),
-    ]);
+    let mut t1 = Table::new(
+        "engine, total ms, rows, speedup vs reference, alloc calls/query, alloc bytes/query",
+    );
+    let engines = [
+        ("reference (row-at-a-time)", reference),
+        ("interned (cold)", cold),
+        ("interned (warm)", warm),
+    ];
+    for (engine, ((rows, calls, bytes), ms)) in engines {
+        assert_eq!(rows, ref_rows, "engines must agree");
+        t1.row(vec![
+            engine.into(),
+            format!("{ms:.2}"),
+            rows.to_string(),
+            format!("{} x", f1(ref_ms / ms)),
+            per_query(calls),
+            per_query(bytes),
+        ]);
+    }
     out.push_str(&t1.render());
 
     json.field("base_triples", triples)
@@ -127,10 +123,14 @@ pub fn e16(json: BenchJson) -> String {
         .field("interned_warm_ms", fixed(warm_ms, 3))
         .field("speedup_warm", fixed(ref_ms / warm_ms, 2))
         .field("speedup_cold", fixed(ref_ms / cold_ms, 2))
+        .field("cold_alloc_calls_per_query", per_query(cold_calls))
+        .field("cold_alloc_bytes_per_query", per_query(cold_bytes))
+        .field("warm_alloc_calls_per_query", per_query(warm_calls))
+        .field("warm_alloc_bytes_per_query", per_query(warm_bytes))
         .write(&mut out);
     out.push_str(&format!(
-        "\nacceptance: warm interned evaluation is {} x the reference engine\n\
-         (criterion harness: benches/e16_local_eval.rs).\n",
+        "\nacceptance: warm interned evaluation is {} x the reference engine;\n\
+         the reps of an engine allocate alike (asserted).\n",
         f1(ref_ms / warm_ms)
     ));
     out

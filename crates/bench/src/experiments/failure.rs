@@ -39,15 +39,9 @@ pub fn e10() -> String {
          no-failure baseline: {baseline_rows} rows in {} ms\n\n",
         ms(baseline_ms)
     ));
-    let mut t = Table::new(&[
-        "crash at (ms)",
-        "mode",
-        "rows",
-        "partial",
-        "replans",
-        "completion ms",
-        "drops at crashed peer",
-    ]);
+    let mut t = Table::new(
+        "crash at (ms), mode, rows, partial, replans, completion ms, drops at crashed peer",
+    );
     for crash_ms in [0u64, 60, 100] {
         for adaptive in [true, false] {
             let (rows, partial, replans, latency, drops) = run(adaptive, Some(crash_ms * 1_000));
@@ -109,13 +103,7 @@ pub fn e13() -> String {
          re-routes only the lost Q2 subplan (§2.5: \"the alteration is done\n\
          on a subplan and not on the whole query plan\").\n\n",
     );
-    let mut t = Table::new(&[
-        "strategy",
-        "rows",
-        "messages",
-        "Q1-peer fetches",
-        "completion ms",
-    ]);
+    let mut t = Table::new("strategy, rows, messages, Q1-peer fetches, completion ms");
     for (name, phased) in [("ubQL discard", false), ("phased repair", true)] {
         let (rows, msgs, survivor_load, latency) = run(phased);
         t.row(vec![
@@ -173,7 +161,7 @@ pub fn e17(json: BenchJson) -> String {
     );
     let mut header = vec!["loss \u{2030}", "churn"];
     header.extend(COLUMNS[..TABLED].iter().map(|c| c.1));
-    let mut table = Table::new(&header);
+    let mut table = Table::new(&header.join(", "));
     let mut json_rows = Vec::new();
     for &loss in &LOSS_PERMILLE {
         for &churn in &CHURN {

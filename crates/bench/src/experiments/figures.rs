@@ -6,7 +6,7 @@ use crate::scenario::{
     ads_of, fig1_query, fig2_bases_with, fig2_network, link, scaled_fig2_bases, shipping_plans,
     shipping_triangle, unoptimized, CHAIN_QUERY,
 };
-use crate::table::{f1, ms, Table};
+use crate::table::{ms, Table};
 use sqpeer::exec::{node_of, PeerConfig, PeerMode};
 use sqpeer::overlay::{AdhocBuilder, HybridBuilder};
 use sqpeer::plan::{
@@ -57,16 +57,6 @@ pub fn fig1() -> String {
         view.active_schema()
     ));
 
-    // Throughput micro-measurement (also covered by criterion benches).
-    let t0 = std::time::Instant::now();
-    let n = 10_000;
-    for _ in 0..n {
-        std::hint::black_box(fig1_query(&schema));
-    }
-    let per = t0.elapsed().as_micros() as f64 / n as f64;
-    out.push_str(&format!(
-        "\nquery compile+pattern extraction: {per:.1} µs/query\n"
-    ));
     out
 }
 
@@ -91,22 +81,26 @@ pub fn fig2() -> String {
     ));
     out.push_str(&format!("complete: {}\n", annotated.is_complete()));
 
-    // Routing scalability: annotation time vs number of advertisements.
+    // Routing scalability: the algorithm matches every advertised arc
+    // against every path pattern, so its work is that count of checks.
     out.push_str("\nrouting scalability (synthetic ads, Figure 1 schema):\n");
-    let mut t = Table::new(&["peers", "annotations", "µs/route"]);
+    let mut t = Table::new("peers, annotations, subsumption checks/route");
     for n in [10usize, 100, 1_000, 10_000] {
         let many = ads_of(&bases, n);
-        let t0 = std::time::Instant::now();
-        let reps = (20_000 / n).max(1);
-        let mut annotations = 0;
-        for _ in 0..reps {
-            let a = route(&query, &many, RoutingPolicy::SubsumedOnly);
-            annotations = (0..query.patterns().len())
-                .map(|i| a.peers_for(i).len())
-                .sum();
-        }
-        let per = t0.elapsed().as_micros() as f64 / reps as f64;
-        t.row(vec![n.to_string(), annotations.to_string(), f1(per)]);
+        let a = route(&query, &many, RoutingPolicy::SubsumedOnly);
+        let annotations: usize = (0..query.patterns().len())
+            .map(|i| a.peers_for(i).len())
+            .sum();
+        let arcs: usize = many
+            .iter()
+            .map(|ad| ad.active.active_properties().len())
+            .sum();
+        let checks = arcs * query.patterns().len();
+        t.row(vec![
+            n.to_string(),
+            annotations.to_string(),
+            checks.to_string(),
+        ]);
     }
     out.push_str(&t.render());
     out
@@ -125,7 +119,7 @@ pub fn fig3() -> String {
 
     let mut out = String::from("E3 (Figure 3): query-processing algorithm\n\n");
     out.push_str(&format!("generated plan:\n  {plan}\n\n"));
-    let mut t = Table::new(&["metric", "value"]);
+    let mut t = Table::new("metric, value");
     t.row(vec!["fetches".into(), plan.fetch_count().to_string()]);
     t.row(vec!["holes".into(), plan.hole_count().to_string()]);
     t.row(vec![
@@ -179,7 +173,7 @@ pub fn fig4() -> String {
     out.push_str(&format!(
         "Plan 1 = {plan1}\nPlan 2 = {plan2}\nPlan 3 = {plan3}\nPlan 4 = {plan4}\n\n"
     ));
-    let mut t = Table::new(&["stage", "fetches", "est. transfer bytes"]);
+    let mut t = Table::new("stage, fetches, est. transfer bytes");
     for (name, _, fetches, bytes) in &report.stages {
         t.row(vec![
             name.clone(),
@@ -197,7 +191,7 @@ pub fn fig4() -> String {
     out.push_str(&format!(
         "\nmeasured execution A — uniform links, initiator P1 ({triples} triples/property/peer):\n"
     ));
-    let mut t = Table::new(&["plan", "rows", "sim messages", "sim bytes", "completion ms"]);
+    let mut t = Table::new("plan, rows, sim messages, sim bytes, completion ms");
     for (name, plan) in [
         ("plan 1", &plan1),
         ("plan 2", &plan2),
@@ -279,7 +273,7 @@ pub fn fig4() -> String {
         est_b.set_stats(PeerId(i as u32 + 2), base.statistics());
     }
     let (plan_opt_b, _) = optimize(plan1_b.clone(), PeerId(1), &est_b, &net_cost);
-    let mut t = Table::new(&["plan", "rows", "sim bytes", "completion ms"]);
+    let mut t = Table::new("plan, rows, sim bytes, completion ms");
     for (name, plan) in [
         ("plan 1 (all data to initiator)", &plan1_b),
         ("optimised (joins at peers)", &plan_opt_b),
@@ -330,14 +324,14 @@ pub fn fig5() -> String {
          \ntopology: P1 (root) — P2 (Q1 data) — P3 (Q2 data); P2–P3 fast link\n\n",
     );
     out.push_str("sweep A: P1–P3 link bandwidth (bytes/ms), P2 unloaded\n");
-    let mut t = Table::new(&["P1–P3 B/ms", "data-ship ms", "query-ship ms", "winner"]);
+    let mut t = Table::new("P1–P3 B/ms, data-ship ms, query-ship ms, winner");
     for bw in [100u64, 300, 1_000, 3_000, 10_000] {
         t.row(row(bw, bw, 0));
     }
     out.push_str(&t.render());
 
     out.push_str("\nsweep B: P2 processing load (µs/row), P1–P3 slow (100 B/ms,\nwhere query shipping wins when P2 is unloaded)\n");
-    let mut t = Table::new(&["P2 µs/row", "data-ship ms", "query-ship ms", "winner"]);
+    let mut t = Table::new("P2 µs/row, data-ship ms, query-ship ms, winner");
     for load in [0u64, 50, 100, 200, 500] {
         t.row(row(load, 100, load));
     }
@@ -365,7 +359,7 @@ pub fn fig6() -> String {
     let expected = oracle_rows(&net, &query);
 
     let mut out = String::from("E6 (Figure 6): hybrid super-peer execution\n\n");
-    let mut t = Table::new(&["metric", "value"]);
+    let mut t = Table::new("metric, value");
     t.row(vec![
         "advertisement push messages (join phase)".into(),
         ad_messages.to_string(),
@@ -392,7 +386,7 @@ pub fn fig6() -> String {
     out.push_str(&t.render());
 
     out.push_str("\nrole separation (messages received / subqueries processed):\n");
-    let mut t = Table::new(&["node", "role", "msgs received", "subqueries processed"]);
+    let mut t = Table::new("node, role, msgs received, subqueries processed");
     let supers = net.super_peers().iter().map(|&sp| (sp, "super"));
     for (p, role) in supers.chain(peers.iter().map(|&p| (p, "simple"))) {
         let m = net.sim().metrics().node(node_of(p));
@@ -427,7 +421,7 @@ pub fn fig7() -> String {
     let outcome = answer(&mut net, p1, query.clone());
     let expected = oracle_rows(&net, &query);
 
-    let mut t = Table::new(&["metric", "value"]);
+    let mut t = Table::new("metric, value");
     t.row(vec![
         "discovery messages (1-hop pull)".into(),
         discovery_msgs.to_string(),
@@ -465,14 +459,7 @@ pub fn fig7() -> String {
     out.push_str(&t.render());
 
     out.push_str("\ndiscovery-depth sweep (line topology O–P1–P2–P3–P4, query at O):\n");
-    let mut t = Table::new(&[
-        "depth",
-        "O registry size",
-        "query messages",
-        "rows",
-        "oracle rows",
-        "complete",
-    ]);
+    let mut t = Table::new("depth, O registry size, query messages, rows, oracle rows, complete");
     for depth in [1u32, 2, 3, 4] {
         let schema = fig1_schema();
         let mut b = AdhocBuilder::new(Arc::clone(&schema), depth).config(config.clone());

@@ -10,11 +10,12 @@
 //!   E13, E17);
 //! * [`engine`] — the routing cache and local evaluation under Zipf
 //!   workloads (E15, E16);
-//! * [`overhead`] — a recorder off, off again and on over one SON (E18,
-//!   E19);
+//! * [`overhead`] — a recorder off, off again and on over one SON, in
+//!   allocations (E18, E19);
 //! * [`substrates`] — one group on the simulator, the loopback and a TCP
 //!   host, monolithic and streamed (E20, E21);
-//! * [`scale`] — the thousand-peer overlays (E22, E23).
+//! * [`scale`] — the thousand-peer overlays (E22, E23);
+//! * [`work`] — counted work per query and per answer-path step (E24).
 
 use crate::harness::BenchJson;
 
@@ -25,6 +26,7 @@ mod figures;
 mod overhead;
 mod scale;
 mod substrates;
+mod work;
 
 /// One row of the registry.
 pub struct Experiment {
@@ -37,7 +39,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// Runs the experiment, returning its report. Every experiment is
-    /// handed the writer of its `BENCH_<id>.json`; E16–E23 fill and write
+    /// handed the writer of its `BENCH_<id>.json`; E16–E24 fill and write
     /// it, the rest leave no record.
     pub fn run(&self) -> String {
         (self.run)(BenchJson::new(self.id))
@@ -168,5 +170,10 @@ pub static EXPERIMENTS: &[Experiment] = &[
         "e23",
         "observability: rollup overhead vs query traffic and hot-pattern attribution at 1k peers",
         scale::e23,
+    ),
+    row(
+        "e24",
+        "work per query: allocations, events and messages on the simulator and the answer path",
+        work::e24,
     ),
 ];

@@ -1,9 +1,10 @@
 //! What a recorder costs when it is on: the span recorder (E18) and the
 //! per-link telemetry registry (E19), each off, off again and on over the
-//! same small SON and the same 36 chain queries. E19 first measures what
-//! the registry buys — how early it sees a degraded channel.
+//! same small SON and the same 36 chain queries, priced in allocations.
+//! E19 first measures what the registry buys — how early it sees a
+//! degraded channel.
 
-use crate::harness::{overhead, timed_pass, BenchJson, Digest};
+use crate::harness::{counted, overhead, BenchJson, Digest};
 use crate::scenario::{chain_workload, small_son, SON_PEERS};
 use crate::table::{ms, Table};
 use sqpeer::exec::{Msg, PeerMode};
@@ -17,52 +18,47 @@ const REPS: usize = 5;
 
 pub fn e18(json: BenchJson) -> String {
     // One full workload pass at the given trace setting.
-    fn pass(trace: bool) -> (Digest, f64) {
+    fn pass(trace: bool) -> (Digest, u64, u64) {
         let schema = community_schema(SchemaSpec::default(), 0x18);
         let config = PeerConfig {
             trace,
             ..PeerConfig::default()
         };
         let (mut net, ids) = small_son(&schema, 18, config);
-        timed_pass(
-            &mut net,
-            &ids,
-            &chain_workload(&schema, 0x18C0_FFEE, QUERIES),
-        )
+        let workload = chain_workload(&schema, 0x18C0_FFEE, QUERIES);
+        counted(&mut net, &ids, &workload)
     }
     // Transparency: tracing must never change query answers.
-    let run = overhead(
+    let (digest, table, json) = overhead(
         ("trace", "spans + EXPLAIN + profiles"),
         (SON_PEERS, QUERIES, REPS),
         json,
         pass,
     );
 
-    let answered = run
-        .digest
+    let answered = digest
         .iter()
         .filter(|(rows, _)| *rows != usize::MAX)
         .count();
     let mut out = format!(
         "E18: tracing overhead \u{2014} span recorder on the hot path\n\n\
-         {QUERIES} chain queries over a {SON_PEERS}-peer hybrid SON, best-of-{REPS}\n\
-         wall-clock for the inject+run portion. The trace-off configuration\n\
-         is timed twice: the spread between those two is this run's noise\n\
-         floor, and the trace-on figure (every span, EXPLAIN and profile)\n\
-         means something only where it exceeds it.\n\n"
+         {QUERIES} chain queries over a {SON_PEERS}-peer hybrid SON; allocation\n\
+         calls and bytes of the inject+run portion, {REPS} passes a setting\n\
+         after one warm-up pass. Every pass of a setting allocates exactly\n\
+         the same, so the A/A row reads 0 and the trace-on row (every span,\n\
+         EXPLAIN and profile) is the recorder's whole price.\n\n"
     );
-    out.push_str(&run.table);
+    out.push_str(&table);
     out.push_str(&format!(
         "\n{answered}/{QUERIES} queries answered; answers bit-identical across\n\
          all three configurations (tracing is observability-only).\n"
     ));
 
-    run.json.write(&mut out);
-    out.push_str(&format!(
-        "\nacceptance: answers identical trace on/off (asserted); wall-clock \
-         noise floor \u{00b1}{:.2} %, reported only.\n",
-        run.noise_floor_pct
-    ));
+    json.write(&mut out);
+    out.push_str(
+        "\nacceptance: answers identical trace on/off and allocations identical \
+         across the passes of a setting (both asserted).\n",
+    );
     out
 }
 
@@ -174,21 +170,17 @@ pub fn e19(json: BenchJson) -> String {
     );
 
     // ------------------------------------------------------------------
-    // Part 2 — registry cost, on E18's runner: telemetry-off timed twice
-    // (the spread is the run's noise floor) and telemetry-on once, over
-    // a full hybrid workload. Only the answer digests are asserted.
+    // Part 2 — registry cost, on E18's runner: the allocations of a
+    // full hybrid workload with telemetry off and on.
     // ------------------------------------------------------------------
-    fn pass(telemetry: bool) -> (Digest, f64) {
+    fn pass(telemetry: bool) -> (Digest, u64, u64) {
         let schema = community_schema(SchemaSpec::default(), 0x19);
         let (mut net, ids) = small_son(&schema, 19, PeerConfig::default());
         if telemetry {
             net.enable_telemetry(sqpeer::net::DEFAULT_WINDOW_US);
         }
-        let timed = timed_pass(
-            &mut net,
-            &ids,
-            &chain_workload(&schema, 0x19C0_FFEE, QUERIES),
-        );
+        let workload = chain_workload(&schema, 0x19C0_FFEE, QUERIES);
+        let done = counted(&mut net, &ids, &workload);
         if telemetry {
             let snapshot = net.telemetry_snapshot().expect("telemetry enabled");
             assert!(
@@ -198,14 +190,14 @@ pub fn e19(json: BenchJson) -> String {
         } else {
             assert!(net.telemetry_snapshot().is_none(), "off means off");
         }
-        timed
+        done
     }
     let json = json
         .field("telemetry_detect_us", telemetry_detect)
         .field("timeout_detect_us", timeout_detect)
         .field("telemetry_latency_us", telemetry_latency)
         .field("timeout_latency_us", timeout_latency);
-    let run = overhead(
+    let (_, registry_table, json) = overhead(
         ("telemetry", "histograms + windows"),
         (SON_PEERS, QUERIES, REPS),
         json,
@@ -219,7 +211,7 @@ pub fn e19(json: BenchJson) -> String {
          from dispatch to the replan trigger:\n\n",
         TIMEOUT_US / 1_000
     );
-    let mut table = Table::new(&["trigger", "detected after", "query latency", "replans"]);
+    let mut table = Table::new("trigger, detected after, query latency, replans");
     table.row(vec![
         "telemetry probe (windowed throughput)".into(),
         ms(telemetry_detect),
@@ -243,18 +235,17 @@ pub fn e19(json: BenchJson) -> String {
 
     out.push_str(&format!(
         "\nPart 2: per-link registry cost on {QUERIES} chain queries over a\n\
-         {SON_PEERS}-peer hybrid SON, best-of-{REPS} wall-clock (as E18):\n\n"
+         {SON_PEERS}-peer hybrid SON, in allocations (as E18):\n\n"
     ));
-    out.push_str(&run.table);
+    out.push_str(&registry_table);
 
-    run.json.write(&mut out);
+    json.write(&mut out);
     out.push_str(&format!(
         "\nacceptance: telemetry detection strictly earlier than timeout \
-         ({} < {}) and answers identical telemetry on/off (both asserted); \
-         wall-clock noise floor \u{00b1}{:.2} %, reported only.\n",
+         ({} < {}), answers identical telemetry on/off and allocations \
+         identical across the passes of a setting (all asserted).\n",
         ms(telemetry_detect),
         ms(timeout_detect),
-        run.noise_floor_pct
     ));
     out
 }

@@ -2,9 +2,10 @@
 //! backbone (E22) and the observability plane's rollup traffic (E23),
 //! over one community schema and one placement rule.
 
+use crate::alloc;
 use crate::harness::{fixed, BenchJson, Obj};
 use crate::scenario::{chain_workload, ring_with_chords, scale_schema, scale_spec};
-use crate::table::{ms, Table};
+use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqpeer::exec::{node_of, ObsConfig};
@@ -48,16 +49,10 @@ pub fn e22(json: BenchJson) -> String {
          workload: 1 property/peer, 2 triples/property, 3 oracle-checked \
          chain queries per size\n\n",
     );
-    let mut t = Table::new(&[
-        "peers",
-        "supers",
-        "flood msgs/query",
-        "flat boot",
-        "flat query",
-        "hier boot",
-        "hier query",
-        "hier/flat total",
-    ]);
+    let mut t = Table::new(
+        "peers, supers, flood msgs/query, flat boot, flat query, hier boot, hier query, \
+         hier/flat total",
+    );
     let mut json_rows = Vec::new();
     for (n, supers) in SIZES {
         let spec = scale_spec(n, 31 ^ n as u64);
@@ -224,7 +219,7 @@ pub fn e23(json: BenchJson) -> String {
     };
 
     // One run over the shared placement: answers, query-phase traffic,
-    // rollup-push traffic, query-phase wall clock, the routing requests
+    // rollup-push traffic, query-phase allocations, the routing requests
     // sent down the cluster tree, the subtrees answered from a gather
     // memo instead and the statistics snapshots answers carried, and
     // (plane on) the pattern table a cluster head serves.
@@ -234,7 +229,7 @@ pub fn e23(json: BenchJson) -> String {
         u64,
         u64,
         u64,
-        u64,
+        (u64, u64),
         (u64, u64, u64),
         Option<PatternStats>,
     );
@@ -254,18 +249,20 @@ pub fn e23(json: BenchJson) -> String {
         net.sim_mut().reset_metrics();
         let pushes0 = net.obs_pushes_total();
         let push_bytes0 = net.obs_push_bytes_total();
-        let wall = std::time::Instant::now();
-        let mut injected = Vec::new();
-        for (k, &pi) in workload.iter().enumerate() {
-            let origin = ids[(k % ORIGINS) * 113 % ids.len()];
-            let qid = net.query(origin, pool[pi].clone());
-            injected.push((origin, qid));
-            net.run_for(STAGGER_US);
-        }
-        // Drain: answers finalize, then rollups climb member → head →
-        // sibling head with a period to spare.
-        net.run_for(4 * PUSH_US + 1_000_000);
-        let wall_us = wall.elapsed().as_micros().max(1) as u64;
+        let (injected, calls, alloc_bytes) = alloc::measure(|| {
+            let mut injected = Vec::new();
+            for (k, &pi) in workload.iter().enumerate() {
+                let origin = ids[(k % ORIGINS) * 113 % ids.len()];
+                let qid = net.query(origin, pool[pi].clone());
+                injected.push((origin, qid));
+                net.run_for(STAGGER_US);
+            }
+            // Drain: answers finalize, then rollups climb member → head →
+            // sibling head with a period to spare.
+            net.run_for(4 * PUSH_US + 1_000_000);
+            injected
+        });
+        let allocs = (calls, alloc_bytes);
         let answers: Vec<(ResultSet, bool)> = injected
             .iter()
             .map(|(o, q)| answered(&net, *o, *q))
@@ -299,13 +296,13 @@ pub fn e23(json: BenchJson) -> String {
             None
         };
         (
-            answers, msgs, bytes, pushes, push_bytes, wall_us, counts, head_pats,
+            answers, msgs, bytes, pushes, push_bytes, allocs, counts, head_pats,
         )
     };
 
-    let (answers_off, msgs_off, bytes_off, pushes_off, _, wall_off, (sent, memo, attached), _) =
+    let (answers_off, msgs_off, bytes_off, pushes_off, _, allocs_off, (sent, memo, attached), _) =
         run(false);
-    let (answers_on, msgs_on, bytes_on, pushes_on, push_bytes_on, wall_on, _, head_pats) =
+    let (answers_on, msgs_on, bytes_on, pushes_on, push_bytes_on, allocs_on, _, head_pats) =
         run(true);
     let per_query = |n: u64| fixed(n as f64 / QUERIES as f64, 3);
     assert_eq!(pushes_off, 0, "plane off must push nothing");
@@ -321,7 +318,6 @@ pub fn e23(json: BenchJson) -> String {
 
     let msg_ratio = pushes_on as f64 / msgs_off as f64;
     let byte_ratio = push_bytes_on as f64 / bytes_off as f64;
-    let wall_ratio = wall_on as f64 / wall_off as f64;
 
     // Hot-pattern attribution: the head's table must reproduce the
     // workload's Zipf histogram exactly, pattern text for pattern text.
@@ -358,7 +354,7 @@ pub fn e23(json: BenchJson) -> String {
          {ORIGINS} origins; push period {}ms\n\n",
         PUSH_US / 1_000,
     );
-    let mut t = Table::new(&["metric", "plane off", "plane on", "overhead"]);
+    let mut t = Table::new("metric, plane off, plane on, overhead");
     t.row(vec![
         "query msgs".into(),
         msgs_off.to_string(),
@@ -377,11 +373,12 @@ pub fn e23(json: BenchJson) -> String {
         String::new(),
         format!("{} subtrees/query from the memo", per_query(memo)),
     ]);
+    let calls_ratio = allocs_on.0 as f64 / allocs_off.0 as f64;
     t.row(vec![
-        "wall clock".into(),
-        ms(wall_off),
-        ms(wall_on),
-        format!("{wall_ratio:.2}x"),
+        "alloc calls / bytes".into(),
+        format!("{} / {}", allocs_off.0, allocs_off.1),
+        format!("{} / {}", allocs_on.0, allocs_on.1),
+        format!("{:+.2}% calls", 100.0 * (calls_ratio - 1.0)),
     ]);
     out.push_str(&t.render());
     out.push_str("\nhead pattern table (hottest first):\n");
@@ -414,9 +411,10 @@ pub fn e23(json: BenchJson) -> String {
         .field("byte_ratio", fixed(byte_ratio, 5))
         .field("answers_identical", true)
         .field("hot_patterns_reproduced", true)
-        .field("wall_off_ms", fixed(wall_off as f64 / 1_000.0, 1))
-        .field("wall_on_ms", fixed(wall_on as f64 / 1_000.0, 1))
-        .field("wall_ratio_ms", fixed(wall_ratio, 3))
+        .field("off_alloc_calls", allocs_off.0)
+        .field("off_alloc_bytes", allocs_off.1)
+        .field("on_alloc_calls", allocs_on.0)
+        .field("on_alloc_bytes", allocs_on.1)
         .write(&mut out);
     out.push_str(&format!(
         "\nacceptance: answers identical plane on/off; rollup overhead \

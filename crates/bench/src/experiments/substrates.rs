@@ -42,8 +42,7 @@ pub fn e20(json: BenchJson) -> String {
         concurrent: false,
     };
 
-    // Leg 1: virtual-time simulator. `latency_us` is virtual; the wall
-    // clock measures how fast simulation burns through it.
+    // Leg 1: virtual-time simulator. `latency_us` is virtual.
     let mut sim: Simulator<PeerNode> = Simulator::default();
     let sim_leg = substrate_leg(&mut sim, SIM_PACING, spec(), &work);
 
@@ -73,37 +72,32 @@ pub fn e20(json: BenchJson) -> String {
         "E20 — deployment: one workload, three substrates\n\
          workload: figure-2 bases, figure-1 query, posed 12x at peer 0\n\n",
     );
-    let mut table = Table::new(&["substrate", "latency mean", "latency p50", "wall ms (leg)"]);
+    let mut table = Table::new("substrate, latency mean, latency p50");
     table.row(vec![
         "simulator (virtual µs)".into(),
         f1(mean(&sim_leg.latency_us)),
         format!("{}", p50(&sim_leg.latency_us)),
-        format!("{:.2}", sim_leg.wall_ms),
     ]);
     table.row(vec![
         "loopback (real µs, codec on path)".into(),
         f1(mean(&loop_leg.latency_us)),
         format!("{}", p50(&loop_leg.latency_us)),
-        format!("{:.2}", loop_leg.wall_ms),
     ]);
     table.row(vec![
         "tcp host (client round trip µs)".into(),
         f1(mean(&tcp.latency_us)),
         format!("{}", p50(&tcp.latency_us)),
-        "-".into(),
     ]);
     out.push_str(&table.render());
 
     json.field("queries", QUERIES)
         .field("sim_latency_us_mean", fixed(mean(&sim_leg.latency_us), 1))
         .field("sim_latency_us_p50", p50(&sim_leg.latency_us))
-        .field("sim_wall_ms", fixed(sim_leg.wall_ms, 3))
         .field(
             "loopback_latency_us_mean",
             fixed(mean(&loop_leg.latency_us), 1),
         )
         .field("loopback_latency_us_p50", p50(&loop_leg.latency_us))
-        .field("loopback_wall_ms", fixed(loop_leg.wall_ms, 3))
         .field("tcp_rtt_us_mean", fixed(mean(&tcp.latency_us), 1))
         .field("tcp_rtt_us_p50", p50(&tcp.latency_us))
         .field("decode_failures", 0)
@@ -257,7 +251,7 @@ pub fn e21(json: BenchJson) -> String {
          workload: scaled figure-2 bases (120 triples/property), prop1 union \
          query posed 6x concurrently at peer 3, 1 ms/row processing\n\n",
     );
-    let mut table = Table::new(&["leg", "ttfr mean", "latency mean", "max in-flight"]);
+    let mut table = Table::new("leg, ttfr mean, latency mean, max in-flight");
     let leg_row = |name: &str, leg: &Leg| {
         vec![
             name.into(),

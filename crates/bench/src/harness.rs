@@ -1,8 +1,9 @@
 //! How experiments run a scenario and record what they saw: pose / run /
-//! digest on the simulator, the A/A/B overhead runner of E18 and E19, one
+//! digest on the simulator, the off/on allocation runner of E18 and E19, one
 //! substrate leg for any `Transport` plus the TCP client of E20 and E21,
 //! and the `BENCH_*.json` writer with the scanner `trend` reads it by.
 
+use crate::alloc;
 use crate::table::Table;
 use sqpeer::exec::{node_of, Msg, QueryOutcome};
 use sqpeer::net::Transport;
@@ -94,10 +95,10 @@ pub type Digest = Vec<(usize, bool)>;
 
 /// One full workload pass: every query injected round-robin over `ids`,
 /// then the network run to quiescence. Returns the digest and the
-/// wall-clock of that inject+run portion (network build and workload
-/// generation are the caller's, and excluded).
-pub fn timed_pass(net: &mut Network, ids: &[PeerId], queries: &[QueryPattern]) -> (Digest, f64) {
-    let (injected, ms) = timed(|| {
+/// allocation calls and bytes of that inject+run portion (network build
+/// and workload generation are the caller's, and excluded).
+pub fn counted(net: &mut Network, ids: &[PeerId], queries: &[QueryPattern]) -> (Digest, u64, u64) {
+    let (injected, calls, bytes) = alloc::measure(|| {
         let injected: Vec<(PeerId, QueryId)> = queries
             .iter()
             .enumerate()
@@ -117,78 +118,57 @@ pub fn timed_pass(net: &mut Network, ids: &[PeerId], queries: &[QueryPattern]) -
                 .unwrap_or((usize::MAX, true))
         })
         .collect();
-    (digest, ms)
+    (digest, calls, bytes)
 }
 
 // ----------------------------------------------------------------------
-// A/A/B overhead
+// A recorder off and on, in allocations
 // ----------------------------------------------------------------------
 
-/// What [`overhead`] hands back for the report.
-pub struct Overhead {
-    /// The digest every pass of every configuration produced.
-    pub digest: Digest,
-    /// The three-row table: off, off again, on.
-    pub table: String,
-    /// The A/A spread, in percent of the baseline.
-    pub noise_floor_pct: f64,
-    /// The experiment's record with the runner's keys appended.
-    pub json: BenchJson,
-}
-
-/// Times `pass(false)` twice and `pass(true)` once over a `queries`-query
-/// workload on `peers` peers, best of `reps` each: one configuration
-/// timed twice, so the difference is this run's wall-clock noise floor,
-/// and the on figure (`on_detail` says what that switches on) is to be
-/// read against it. Asserts the digests equal — `what` must never change
-/// query answers — and no wall clock: an A/A difference measures the
-/// machine, not the code (it has read +3.6 % and −11 % on unchanged trees).
+/// Counts what `pass(false)` and `pass(true)` allocate over a
+/// `queries`-query workload on `peers` peers, `reps` passes each after one
+/// warm-up pass (the process's first-use allocations land there). Every
+/// pass of one setting must agree exactly, so the off setting's A/A row
+/// reads 0; the on row (`on_detail` says what that switches on) is the
+/// recorder's price. Asserts the digests equal — `what` must never change
+/// query answers. Returns the digest, the three-row table (off, off again,
+/// on) and the record with the runner's keys appended.
 pub fn overhead(
     (what, on_detail): (&str, &str),
     (peers, queries, reps): (usize, usize, usize),
     json: BenchJson,
-    pass: impl Fn(bool) -> (Digest, f64),
-) -> Overhead {
-    let (digest, baseline_ms) = best_of(reps, || pass(false));
-    let (off_digest, disabled_ms) = best_of(reps, || pass(false));
-    let (on_digest, enabled_ms) = best_of(reps, || pass(true));
-    assert_eq!(digest, off_digest, "{what}-off runs must agree");
-    assert_eq!(digest, on_digest, "{what} changed query answers");
-    let noise_floor_pct = (disabled_ms - baseline_ms).abs() / baseline_ms * 100.0;
-    let overhead_pct = (enabled_ms - baseline_ms) / baseline_ms * 100.0;
+    pass: impl Fn(bool) -> (Digest, u64, u64),
+) -> (Digest, String, BenchJson) {
+    pass(false);
+    let passes = |on: bool| -> Vec<(Digest, u64, u64)> { (0..reps).map(|_| pass(on)).collect() };
+    let (off, on) = (passes(false), passes(true));
+    for runs in [&off, &on] {
+        let agree = runs.iter().all(|r| *r == runs[0]);
+        assert!(agree, "the passes of a {what} setting must agree");
+    }
+    assert_eq!(off[0].0, on[0].0, "{what} changed query answers");
 
-    let mut table = Table::new(&["configuration", "wall ms", "vs baseline"]);
-    table.row(vec![
-        format!("{what} off (baseline)"),
-        format!("{baseline_ms:.2}"),
-        "\u{2014}".into(),
-    ]);
-    table.row(vec![
-        format!("{what} off (same again: noise floor)"),
-        format!("{disabled_ms:.2}"),
-        format!("\u{00b1}{noise_floor_pct:.2} %"),
-    ]);
-    table.row(vec![
-        format!("{what} on ({on_detail})"),
-        format!("{enabled_ms:.2}"),
-        format!("{overhead_pct:+.2} %"),
-    ]);
-    let json = json
+    let mut table = Table::new("configuration, alloc calls, alloc bytes, calls vs baseline");
+    let mut json = json
         .field("peers", peers)
         .field("queries", queries)
-        .field("reps", reps)
-        .field("baseline_ms", fixed(baseline_ms, 3))
-        .field("disabled_ms", fixed(disabled_ms, 3))
-        .field("enabled_ms", fixed(enabled_ms, 3))
-        .field("noise_floor_pct", fixed(noise_floor_pct, 3))
-        .field("overhead_enabled_pct", fixed(overhead_pct, 3))
-        .field("answers_identical", true);
-    Overhead {
-        digest,
-        table: table.render(),
-        noise_floor_pct,
-        json,
+        .field("reps", reps);
+    let again = &off[reps - 1];
+    let rows = [
+        ("off", format!("{what} off (baseline)"), &off[0]),
+        ("off_again", format!("{what} off again (A/A)"), again),
+        ("on", format!("{what} on ({on_detail})"), &on[0]),
+    ];
+    for (key, configuration, &(_, calls, bytes)) in rows {
+        let vs = (calls as f64 / off[0].1 as f64 - 1.0) * 100.0;
+        let cells = [calls.to_string(), bytes.to_string(), format!("{vs:+.1} %")];
+        table.row([configuration].into_iter().chain(cells).collect());
+        json = json
+            .field(&format!("{key}_alloc_calls"), calls)
+            .field(&format!("{key}_alloc_bytes"), bytes);
     }
+    let json = json.field("answers_identical", true);
+    (off[0].0.clone(), table.render(), json)
 }
 
 // ----------------------------------------------------------------------
@@ -208,8 +188,6 @@ pub struct Leg {
     /// Samples in the per-link TTFR histograms towards the target (0 with
     /// telemetry off).
     pub ttfr_samples: u64,
-    /// Wall clock of the pose/await portion.
-    pub wall_ms: f64,
 }
 
 /// One query text posed `queries` times at `target` of a daemon group —
@@ -248,7 +226,6 @@ pub fn substrate_leg<T: Transport<PeerNode>>(
     let query = group
         .compile(work.query_text)
         .expect("workload query compiles");
-    let wall = Instant::now();
     let mut qids = Vec::new();
     if concurrent {
         qids.extend((0..queries).map(|_| pose(net, &mut group, target, query.clone())));
@@ -266,7 +243,6 @@ pub fn substrate_leg<T: Transport<PeerNode>>(
         latency_us.push(o.latency_us);
         rows.push(render(&o.result));
     }
-    let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
     let max_inflight = group
         .peers
         .iter()
@@ -288,7 +264,6 @@ pub fn substrate_leg<T: Transport<PeerNode>>(
         rows,
         max_inflight,
         ttfr_samples,
-        wall_ms,
     }
 }
 
@@ -312,7 +287,6 @@ pub fn tcp_leg(spec: GroupSpec, batch: Option<usize>, work: &Workload) -> Leg {
     })
     .expect("host starts");
     let mut stream = TcpStream::connect(host.addr).expect("host reachable");
-    let wall = Instant::now();
     let (mut ttfr_us, mut latency_us, mut all_rows) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..work.queries {
         let sent = Instant::now();
@@ -360,7 +334,6 @@ pub fn tcp_leg(spec: GroupSpec, batch: Option<usize>, work: &Workload) -> Leg {
         ttfr_us.push(first_us.expect("at least one frame carried rows"));
         all_rows.push(render(&answer));
     }
-    let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
     drop(stream);
     host.shutdown();
     Leg {
@@ -369,7 +342,6 @@ pub fn tcp_leg(spec: GroupSpec, batch: Option<usize>, work: &Workload) -> Leg {
         rows: all_rows,
         max_inflight: 0,
         ttfr_samples: 0,
-        wall_ms,
     }
 }
 
@@ -447,35 +419,20 @@ impl BenchJson {
 /// deliberately tiny scanner — the files are written by [`BenchJson`],
 /// and a scanner keeps `trend` dependency-free.
 pub fn scan_numbers(text: &str) -> Vec<(String, f64)> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let Some(end) = text[i + 1..].find('"').map(|e| i + 1 + e) else {
-            break;
-        };
-        let key = &text[i + 1..end];
-        i = end + 1;
-        let rest = text[i..].trim_start();
-        if !rest.starts_with(':') {
-            continue;
-        }
-        let value = rest[1..].trim_start();
-        let len = value
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(value.len());
-        if len == 0 {
-            continue;
-        }
-        if let Ok(v) = value[..len].parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
+    // Split at quotes, every odd piece is quoted; a quoted piece followed
+    // by `: <number>` is a key with a numeric value.
+    let pieces: Vec<&str> = text.split('"').collect();
+    let quoted = pieces.iter().skip(1).step_by(2);
+    let after = pieces.iter().skip(2).step_by(2);
+    let numeric = |c: char| matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E');
+    quoted
+        .zip(after)
+        .filter_map(|(key, after)| {
+            let value = after.trim_start().strip_prefix(':')?.trim_start();
+            let len = value.find(|c| !numeric(c)).unwrap_or(value.len());
+            Some((key.to_string(), value[..len].parse().ok()?))
+        })
+        .collect()
 }
 
 /// One numeric observation: key plus occurrence index (rows arrays
@@ -583,7 +540,13 @@ mod tests {
         ] {
             assert!(machine_dependent(key), "{key} must not be gated");
         }
-        for key in ["messages", "sim_latency_us_p50", "obs_pushes", "ratio"] {
+        // A sample of the counters, then every allocation-count key.
+        let gated = "messages sim_latency_us_p50 obs_pushes ratio off_alloc_calls \
+                     off_alloc_bytes off_again_alloc_calls off_again_alloc_bytes on_alloc_calls \
+                     on_alloc_bytes cold_alloc_calls_per_query cold_alloc_bytes_per_query \
+                     warm_alloc_calls_per_query warm_alloc_bytes_per_query queries_per_row \
+                     alloc_calls alloc_bytes events msgs bytes";
+        for key in gated.split_whitespace() {
             assert!(!machine_dependent(key), "{key} must be gated");
         }
     }

@@ -5,9 +5,10 @@
 //! `experiments` binary, `tests/reports.rs` and EXPERIMENTS.md all see
 //! identical numbers (the whole stack is deterministic). An experiment is
 //! one row of [`EXPERIMENTS`]; what its network looks like is stated once
-//! in [`scenario`] (the criterion benches build the same ones), and how
-//! it is driven, timed and recorded in [`harness`].
+//! in [`scenario`], how it is driven and recorded in [`harness`], and what
+//! it allocates is counted by [`alloc`].
 
+pub mod alloc;
 pub mod experiments;
 pub mod harness;
 pub mod scenario;

@@ -1,5 +1,5 @@
 //! Named, seeded scenario builders: the one statement of every fixture
-//! an experiment and its criterion bench share.
+//! an experiment runs on.
 //!
 //! Every builder is deterministic in its arguments. Where a builder
 //! takes (or returns) an `StdRng`, the order of draws is part of its
@@ -8,8 +8,8 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use sqpeer::exec::{node_of, PeerConfig};
-use sqpeer::net::LinkSpec;
+use sqpeer::exec::{node_of, Msg, PeerConfig, QueryId};
+use sqpeer::net::{Channel, ChannelId, ChannelState, LinkSpec};
 use sqpeer::overlay::{HybridBuilder, HybridNetwork};
 use sqpeer::plan::{single_pattern_subquery, PlanNode, Site, Subquery};
 use sqpeer::prelude::*;
@@ -19,6 +19,7 @@ use sqpeer_testkit::{
     community_schema, hybrid_network, populate, random_chain_query, zipf_workload, DataSpec,
     NetworkSpec, SchemaSpec,
 };
+use sqpeer_wire::{encode_frame, Envelope};
 use std::sync::Arc;
 
 /// The `prop1 . prop2` chain projected on its end points, in the
@@ -386,6 +387,61 @@ pub fn scale_spec(peers: usize, seed: u64) -> NetworkSpec {
         },
         seed,
     }
+}
+
+/// Rows `from..from + 1_800` of one half of a two-pattern chain as a peer
+/// ships them (one dictionary entry per distinct value): the end column
+/// `columns[end]`, unique per row, and the join column `Y`, which takes
+/// 600 values — `gw_scan`'s answer sizes.
+pub fn chain_half(columns: [&str; 2], end: usize, from: usize) -> ResultSet {
+    let uri = |c: &str, n: usize| {
+        Node::Resource(Resource::new(format!("http://example.org/data/{c}/r{n}")))
+    };
+    let row = |i: usize| {
+        let mut row = vec![uri(columns[end], i), uri("Y", i % 600)];
+        row.rotate_left(end);
+        row
+    };
+    let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
+    let mut set = ResultSet::empty(columns.clone());
+    set.union(&ResultSet::from_rows(
+        columns,
+        (from..from + 1_800).map(row).collect(),
+    ));
+    set
+}
+
+/// What a host does with a finished answer streamed `batch` rows a frame:
+/// cut, encode every frame as a `Data` packet, and let the answer go.
+pub fn host_frames(answer: ResultSet, batch: usize) -> Vec<Vec<u8>> {
+    let pieces = answer.rows.chunks(batch);
+    let count = pieces.len();
+    let channel = Channel {
+        id: ChannelId(1),
+        root: PeerId(0),
+        dest: PeerId(1),
+        state: ChannelState::Open,
+    };
+    let frame = |(seq, rows)| {
+        let columns = answer.columns.clone();
+        let msg = Msg::Data {
+            channel,
+            qid: QueryId(1),
+            tag: 1,
+            result: ResultSet { columns, rows },
+            partial: false,
+            stats: None,
+            seq: seq as u32,
+            last: seq + 1 == count,
+        };
+        encode_frame(&Envelope {
+            from: PeerId(1),
+            to: PeerId(0),
+            sent_at_us: 0,
+            msg,
+        })
+    };
+    pieces.enumerate().map(frame).collect()
 }
 
 #[cfg(test)]

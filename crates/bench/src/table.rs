@@ -7,10 +7,10 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Self {
+    /// Creates a table under `header`: column names separated by `", "`.
+    pub fn new(header: &str) -> Self {
         Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.split(", ").map(str::to_string).collect(),
             rows: Vec::new(),
         }
     }
@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn renders_aligned() {
-        let mut t = Table::new(&["n", "value"]);
+        let mut t = Table::new("n, value");
         t.row(vec!["1".into(), "short".into()]);
         t.row(vec!["100".into(), "x".into()]);
         let text = t.render();
@@ -88,6 +88,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "row arity mismatch")]
     fn arity_checked() {
-        Table::new(&["a"]).row(vec!["1".into(), "2".into()]);
+        Table::new("a").row(vec!["1".into(), "2".into()]);
     }
 }

@@ -1,10 +1,10 @@
 //! Pins the deterministic experiment reports byte for byte, and the
 //! registry they are looked up in.
 //!
-//! `fig3`–`fig7` and `e8`–`e15` run on the virtual clock only, so their
+//! `fig1`–`fig7` and `e8`–`e15` run on the virtual clock only, so their
 //! reports repeat exactly; each is compared with `tests/golden/<id>.txt`.
-//! (`fig1`/`fig2` print µs cells and `e16`–`e23` wall clocks — those are
-//! gated through `BENCH_*.json` and the `trend` binary instead.) A change
+//! (`e16`–`e24` print wall clocks or allocation counts — those are gated
+//! through `BENCH_*.json` and the `trend` binary instead.) A change
 //! that moves a report on purpose re-blesses it with
 //! `BLESS=1 cargo test -p sqpeer-bench --test reports` and reviews the diff.
 
@@ -39,7 +39,7 @@ macro_rules! goldens {
     )*};
 }
 
-goldens!(fig3 fig4 fig5 fig6 fig7 e8 e9 e10 e11 e12 e13 e14 e15);
+goldens!(fig1 fig2 fig3 fig4 fig5 fig6 fig7 e8 e9 e10 e11 e12 e13 e14 e15);
 
 /// What `--list`, `all` and lookup read is one table: ids are unique,
 /// every listed id resolves to its own row, and the order is the paper's.
@@ -54,10 +54,10 @@ fn registry_ids_are_unique_and_resolve_in_list_order() {
         assert!(std::ptr::eq(find(id).expect("listed id resolves"), row));
         assert!(!row.about.is_empty());
     }
-    assert!(find("e24").is_none());
+    assert!(find("e25").is_none());
     let paper_order: Vec<String> = (1..=7)
         .map(|n| format!("fig{n}"))
-        .chain((8..=23).map(|n| format!("e{n}")))
+        .chain((8..=24).map(|n| format!("e{n}")))
         .collect();
     assert_eq!(ids, paper_order);
 }
