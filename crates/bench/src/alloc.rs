@@ -3,13 +3,21 @@
 //! A count repeats exactly on every run of one binary, so it is gated like
 //! a message counter (DESIGN §8). Only a binary that installs [`Counting`]
 //! as its `#[global_allocator]` counts; elsewhere [`measure`] reads zero.
+//! With `SQPEER_ALLOC_SAMPLE=N`, every N-th call counted in [`measure`]
+//! prints its backtrace to stderr (uncounted) for
+//! `scripts/profile/alloc_sites.py` to fold into sites.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::backtrace::Backtrace;
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Calls and bytes so far; const-initialised, so it never allocates.
     static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// The sampling period inside a [`measure`] window (0 outside one);
+    /// `None` while a sample is taken, whose allocations are not counted.
+    static EVERY: Cell<Option<u64>> = const { Cell::new(Some(0)) };
 }
 
 /// The counting allocator.
@@ -17,9 +25,17 @@ pub struct Counting;
 
 fn count(bytes: usize) {
     // A thread being torn down may allocate after its locals are gone.
+    let Ok(Some(every)) = EVERY.try_with(Cell::get) else {
+        return;
+    };
     let _ = COUNT.try_with(|c| {
         let (calls, total) = c.get();
         c.set((calls + 1, total + bytes as u64));
+        if every > 0 && (calls + 1) % every == 0 {
+            EVERY.set(None);
+            eprintln!("alloc-sample {bytes} bytes\n{}", Backtrace::force_capture());
+            EVERY.set(Some(every));
+        }
     });
 }
 
@@ -43,9 +59,13 @@ unsafe impl GlobalAlloc for Counting {
 /// Runs `f`, returning what it did with the allocation calls and bytes
 /// this thread made meanwhile.
 pub fn measure<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    static SAMPLE: OnceLock<u64> = OnceLock::new();
+    let env = || std::env::var("SQPEER_ALLOC_SAMPLE").map_or(0, |n| n.parse().unwrap_or(0));
+    let outer = EVERY.replace(Some(*SAMPLE.get_or_init(env)));
     let (calls, bytes) = COUNT.with(Cell::get);
     let done = f();
     let (calls_after, bytes_after) = COUNT.with(Cell::get);
+    EVERY.set(outer);
     (done, calls_after - calls, bytes_after - bytes)
 }
 

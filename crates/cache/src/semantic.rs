@@ -429,7 +429,7 @@ pub fn pattern_subsumed_by(schema: &Schema, narrow: &PathPattern, wide: &PathPat
 /// Fingerprint of a schema's namespace declarations — the same identity
 /// test `routing::same_schema` uses, collapsed to a hashable key.
 fn schema_fingerprint(schema: &Schema) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = sqpeer_rdfs::fxhash::FxHasher::default();
     for ns in schema.namespaces() {
         ns.prefix.hash(&mut h);
         ns.uri.hash(&mut h);

@@ -361,8 +361,9 @@ enum Timer {
     Production(StreamKey),
     /// Slow-channel throughput probe of an in-flight subplan tag.
     Probe(u64),
-    /// Subplan timeout of an in-flight tag.
-    Timeout(u64),
+    /// Subplan timeouts of in-flight tags, in arm order: one timer per
+    /// fan-out (see [`PeerNode::arm_timeout`]).
+    Timeout(Vec<u64>),
 }
 
 impl Timer {
@@ -785,6 +786,19 @@ impl PeerNode {
         ctx.set_timer(delay_us, id);
     }
 
+    /// Arms the timeout of subplan `tag`, joining the timer this callback
+    /// armed last if that is a timeout of the same delay (DESIGN §3: per-tag
+    /// timers armed back to back would fire back to back anyway).
+    fn arm_timeout(&mut self, ctx: &mut Ctx<Msg>, delay_us: u64, tag: u64) {
+        if let Some((_, id)) = ctx.last_timer().filter(|&(d, _)| d == delay_us) {
+            if let Some(Timer::Timeout(tags)) = self.timers.get_mut(&id) {
+                tags.push(tag);
+                return;
+            }
+        }
+        self.arm(ctx, delay_us, Timer::Timeout(vec![tag]));
+    }
+
     // ------------------------------------------------------------------
     // Advertisement leases (opt-in via `config.ad_lease_us`)
     // ------------------------------------------------------------------
@@ -1155,7 +1169,7 @@ impl PeerNode {
                 probe_us,
             } => {
                 if let Some(delay) = timeout_us {
-                    self.arm(ctx, delay, Timer::Timeout(tag));
+                    self.arm_timeout(ctx, delay, tag);
                 }
                 if let Some(delay) = probe_us {
                     self.arm(ctx, delay, Timer::Probe(tag));
@@ -1473,6 +1487,10 @@ impl PeerNode {
         if let Some(event) = slow {
             self.note(ctx, Subject::Query(qid), event);
         }
+        // The answer is final: what is still open or in flight for it (a
+        // losing race filler, say) is forgotten, as a re-plan forgets it.
+        self.frames.discard(qid);
+        self.dispatch.abandon(qid);
         if let Some(result) = answer {
             send(ctx, client, Msg::ClientAnswer { qid, result });
         }
@@ -2006,9 +2024,11 @@ impl NodeLogic for PeerNode {
                 let step = self.dispatch.probed(ctx, tag);
                 self.settle(ctx, step);
             }
-            Timer::Timeout(tag) => {
-                let step = self.dispatch.timed_out(ctx, tag);
-                self.settle(ctx, step);
+            Timer::Timeout(tags) => {
+                for tag in tags {
+                    let step = self.dispatch.timed_out(ctx, tag);
+                    self.settle(ctx, step);
+                }
             }
         }
     }
@@ -3213,7 +3233,7 @@ mod tests {
         node.arm(&mut ctx, 1, held);
         node.arm(&mut ctx, 1, Timer::Production(key));
         node.arm(&mut ctx, 1, Timer::Probe(0));
-        node.arm(&mut ctx, 1, Timer::Timeout(0));
+        node.arm(&mut ctx, 1, Timer::Timeout(vec![0]));
         let kinds = |node: &PeerNode, ctx: Ctx<Msg>| -> Vec<&'static str> {
             let timers = ctx.into_effects().timers;
             timers.iter().map(|&(_, id)| node.timer_kind(id)).collect()
@@ -3533,9 +3553,141 @@ mod tests {
         let resent = ctx.into_effects().outbox;
         assert!(matches!(
             resent[..],
-            [(_, Msg::Subplan { attempt: 1, .. }, _)]
+            [
+                (_, Msg::Subplan { attempt: 1, .. }, _),
+                (_, Msg::Subplan { attempt: 1, .. }, _)
+            ]
         ));
         assert_ne!(root.digest(0), first);
+    }
+
+    /// A fan-out arms one timeout timer for all its subplans. Firing it
+    /// resends every unanswered subplan, in the order they were shipped,
+    /// and nothing for an answered one; the resends again share a timer.
+    #[test]
+    fn a_fan_out_arms_one_timeout_that_resends_the_unanswered_in_order() {
+        let schema = fig1_schema();
+        let config = PeerConfig {
+            subplan_timeout_us: Some(1_000),
+            subplan_retries: 1,
+            ..adhoc_config()
+        };
+        let peer = |id, object: &str| {
+            let triples: &[(&str, &str, &str)] = match id {
+                1 => &[("a", "prop1", "b")],
+                _ => &[("b", "prop2", object)],
+            };
+            PeerNode::simple(PeerId(id), base_with(&schema, triples), config.clone())
+        };
+        let mut root = peer(1, "");
+        let mut holders: Vec<PeerNode> = ["c", "d", "e", "f"]
+            .iter()
+            .enumerate()
+            .map(|(i, object)| peer(i as u32 + 2, object))
+            .collect();
+        for ad in std::iter::once(&root)
+            .chain(&holders)
+            .map(|p| p.own_advertisement().unwrap())
+            .collect::<Vec<_>>()
+        {
+            root.son.registry.register(ad);
+        }
+        let (shipped, timers) = pose_chain(&mut root);
+        let tag = |msg: &Msg| match msg {
+            Msg::Subplan { tag, .. } => *tag,
+            other => panic!("a subplan, not {other:?}"),
+        };
+        assert_eq!(shipped.len(), 4);
+        assert_eq!(timers.len(), 1, "one timer for the fan-out");
+        assert_eq!(root.timer_kind(timers[0]), "timeout");
+        let answered = shipped[1].clone();
+        let holder = &mut holders[answered.0 .0 as usize - 2];
+        let (answer, _) = hand(holder, PeerId(1), answered.1.clone());
+        hand(&mut root, answered.0, answer[0].1.clone());
+
+        let mut ctx = Ctx::detached(1_000, node_of(root.id));
+        root.on_timer(&mut ctx, timers[0]);
+        let effects = ctx.into_effects();
+        let resent: Vec<(NodeId, u64)> = (effects.outbox.iter())
+            .map(|(to, msg, _)| (*to, tag(msg)))
+            .collect();
+        let unanswered: Vec<(NodeId, u64)> = (shipped.iter())
+            .filter(|(to, _)| *to != answered.0)
+            .map(|(to, msg)| (node_of(*to), tag(msg)))
+            .collect();
+        assert_eq!(resent, unanswered);
+        assert!(resent.windows(2).all(|w| w[0].1 < w[1].1), "arm order");
+        assert!(effects
+            .outbox
+            .iter()
+            .all(|(_, msg, _)| matches!(msg, Msg::Subplan { attempt: 1, .. })));
+        assert_eq!(effects.timers.len(), 1, "the retries share one timer");
+    }
+
+    /// The answer forgets what its query still has in flight: once the
+    /// first complete filler of a race has answered, the loser's answer is
+    /// lost and its timeout resends nothing.
+    #[test]
+    fn the_answer_abandons_the_losing_race_filler() {
+        let schema = fig1_schema();
+        let config = PeerConfig {
+            subplan_timeout_us: Some(1_000),
+            subplan_retries: 1,
+            ..adhoc_config()
+        };
+        let peer = |id, triples: &[(&str, &str, &str)]| {
+            PeerNode::simple(PeerId(id), base_with(&schema, triples), config.clone())
+        };
+        // Nobody the root knows holds `prop1`: the plan has a hole, and
+        // the root races the two `prop2` holders to fill it.
+        let mut root = peer(1, &[]);
+        for holder in [
+            peer(2, &[("b", "prop2", "c")]),
+            peer(3, &[("b", "prop2", "d")]),
+        ] {
+            root.son
+                .registry
+                .register(holder.own_advertisement().unwrap());
+        }
+        let (shipped, timers) = pose_chain(&mut root);
+        let data = |(to, msg): &(PeerId, Msg), object: &str| {
+            let Msg::Subplan { channel, tag, .. } = msg else {
+                panic!("a subplan, not {msg:?}");
+            };
+            let columns = vec!["X".to_string(), "Z".to_string()];
+            let node = |r| sqpeer_rdfs::Node::Resource(Resource::new(r));
+            let row = vec![node("a"), node(object)];
+            let answer = Msg::Data {
+                channel: *channel,
+                qid: QueryId(1),
+                tag: *tag,
+                result: ResultSet::from_rows(columns, vec![row]),
+                partial: false,
+                stats: None,
+                seq: 0,
+                last: true,
+            };
+            (*to, answer)
+        };
+        assert_eq!(shipped.len(), 2, "{shipped:?}");
+        let (winner, loser) = (data(&shipped[0], "c"), data(&shipped[1], "d"));
+        hand(&mut root, winner.0, winner.1);
+        let outcome = root.outcome(QueryId(1)).expect("the winner answers");
+        let answer = format!("{:?}", outcome.result);
+        assert_eq!(outcome.result.len(), 1);
+
+        for timer in timers {
+            let mut ctx = Ctx::detached(1_000, node_of(root.id));
+            root.on_timer(&mut ctx, timer);
+            assert!(
+                ctx.into_effects().outbox.is_empty(),
+                "a retry after the answer"
+            );
+        }
+        let (sent, armed) = hand(&mut root, loser.0, loser.1);
+        assert!(sent.is_empty() && armed.is_empty());
+        let outcome = root.outcome(QueryId(1)).expect("still answered");
+        assert_eq!(format!("{:?}", outcome.result), answer);
     }
 
     /// Lease deadlines enter the digest as the time they have left: a peer

@@ -61,10 +61,14 @@ impl<B> Receiver<B> {
             self.last_seq = Some(seq);
         }
         let is_dup = seq < self.next_seq || self.pending.contains_key(&seq);
-        if !is_dup {
+        let mut drained = Vec::new();
+        if !is_dup && seq == self.next_seq {
+            // In order: drains at once, never buffered.
+            drained.push(batch);
+            self.next_seq += 1;
+        } else if !is_dup {
             self.pending.insert(seq, batch);
         }
-        let mut drained = Vec::new();
         while let Some(batch) = self.pending.remove(&self.next_seq) {
             drained.push(batch);
             self.next_seq += 1;

@@ -21,10 +21,10 @@
 //! * buckets fill unsorted; the front bucket is sorted **descending** once
 //!   when the cursor reaches it and popped from the back (min first), with
 //!   late pushes into the open front bucket binary-search inserted;
-//! * the pop that drains a bucket returns its storage: every subplan arms
-//!   a 10 s timeout, so the cursor laps the 16.8 s ring every ≈ 1.7
-//!   queries, and a slot that kept its largest burst's capacity held most
-//!   of a long run's memory. The ring holds only what is queued.
+//! * the pop that drains a bucket returns its storage: a query's fan-out
+//!   arms one 10 s timeout timer, so the cursor laps the 16.8 s ring every
+//!   ≈ 1.7 queries, and a slot that kept its largest burst's capacity held
+//!   most of a long run's memory. The ring holds only what is queued.
 //!
 //! Each slot holds at most one bucket number at a time: pushes land in the
 //! ring only when their bucket number lies in `[cursor, cursor + RING)`,

@@ -99,12 +99,16 @@ impl<M> Ctx<M> {
         Ctx {
             now_us,
             node,
-            effects: Effects {
-                outbox: Vec::new(),
-                timers: Vec::new(),
-                counters: Counters::default(),
-                stream_ttfr: Vec::new(),
-            },
+            effects: Effects::default(),
+        }
+    }
+
+    /// A context on the buffers that [`Simulator::flush`] empties and keeps.
+    fn lent(now_us: u64, node: NodeId, spare: &mut Effects<M>) -> Self {
+        Ctx {
+            now_us,
+            node,
+            effects: std::mem::take(spare),
         }
     }
 
@@ -127,6 +131,11 @@ impl<M> Ctx<M> {
     /// Schedules [`NodeLogic::on_timer`] with `timer` after `delay_us`.
     pub fn set_timer(&mut self, delay_us: u64, timer: u64) {
         self.effects.timers.push((delay_us, timer));
+    }
+
+    /// The last timer this callback armed, as `(delay_us, timer)`.
+    pub fn last_timer(&self) -> Option<(u64, u64)> {
+        self.effects.timers.last().copied()
     }
 
     /// The protocol counters this callback reports: a node bumps the
@@ -166,6 +175,17 @@ pub struct Effects<M> {
     /// [`Ctx::note_stream_ttfr`] observations: `(from, elapsed_us)` per
     /// first result packet, for the telemetry registry.
     pub stream_ttfr: Vec<(NodeId, u64)>,
+}
+
+impl<M> Default for Effects<M> {
+    fn default() -> Self {
+        Effects {
+            outbox: Vec::new(),
+            timers: Vec::new(),
+            counters: Counters::default(),
+            stream_ttfr: Vec::new(),
+        }
+    }
 }
 
 /// One scheduled event.
@@ -251,6 +271,8 @@ pub struct Simulator<N: NodeLogic> {
     telemetry: Option<TelemetryRegistry>,
     /// Whether the one-time `on_start` boot pass ran.
     booted: bool,
+    /// The last callback's [`Effects`], emptied, lent to the next one's.
+    spare: Effects<N::Msg>,
 }
 
 impl<N: NodeLogic> Default for Simulator<N> {
@@ -278,6 +300,7 @@ impl<N: NodeLogic> Simulator<N> {
             chaos_rng: SplitMix64::new(0),
             telemetry: None,
             booted: false,
+            spare: Effects::default(),
         }
     }
 
@@ -433,7 +456,7 @@ impl<N: NodeLogic> Simulator<N> {
         }
         self.booted = true;
         for id in self.node_ids() {
-            let mut ctx = Ctx::detached(self.now_us, id);
+            let mut ctx = Ctx::lent(self.now_us, id, &mut self.spare);
             if let Some(node) = self.nodes.get_mut(&id) {
                 node.on_start(&mut ctx);
             }
@@ -480,7 +503,7 @@ impl<N: NodeLogic> Simulator<N> {
                     let latency = self.now_us.saturating_sub(sent_at_us);
                     telemetry.record_delivery(from, to, bytes, latency, self.now_us);
                 }
-                let mut ctx = Ctx::detached(self.now_us, to);
+                let mut ctx = Ctx::lent(self.now_us, to, &mut self.spare);
                 node.on_message(&mut ctx, from, msg);
                 self.flush(ctx);
             }
@@ -598,7 +621,7 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn dispatch_timer(&mut self, node_id: NodeId, timer: u64) {
-        let mut ctx = Ctx::detached(self.now_us, node_id);
+        let mut ctx = Ctx::lent(self.now_us, node_id, &mut self.spare);
         if let Some(node) = self.nodes.get_mut(&node_id) {
             node.on_timer(&mut ctx, timer);
         }
@@ -606,7 +629,7 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn dispatch_failure(&mut self, sender: NodeId, dest: NodeId, msg: N::Msg) {
-        let mut ctx = Ctx::detached(self.now_us, sender);
+        let mut ctx = Ctx::lent(self.now_us, sender, &mut self.spare);
         if let Some(node) = self.nodes.get_mut(&sender) {
             node.on_delivery_failure(&mut ctx, dest, msg);
         }
@@ -614,7 +637,7 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn dispatch_restart(&mut self, node_id: NodeId) {
-        let mut ctx = Ctx::detached(self.now_us, node_id);
+        let mut ctx = Ctx::lent(self.now_us, node_id, &mut self.spare);
         if let Some(node) = self.nodes.get_mut(&node_id) {
             node.on_restart(&mut ctx);
         }
@@ -670,20 +693,21 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn flush(&mut self, ctx: Ctx<N::Msg>) {
-        let Ctx { node, effects, .. } = ctx;
-        if let Some(telemetry) = &mut self.telemetry {
-            for (from, elapsed) in effects.stream_ttfr {
+        let (node, mut effects) = (ctx.node, ctx.effects);
+        for (from, elapsed) in effects.stream_ttfr.drain(..) {
+            if let Some(telemetry) = &mut self.telemetry {
                 telemetry.record_ttfr(from, node, elapsed);
             }
         }
-        for (to, msg, bytes) in effects.outbox {
+        for (to, msg, bytes) in effects.outbox.drain(..) {
             self.metrics.record_send(node, bytes);
             self.schedule_send(node, to, msg, bytes);
         }
-        for (delay, timer) in effects.timers {
+        for (delay, timer) in effects.timers.drain(..) {
             self.push(self.now_us + delay, EventKind::Timer { node, timer });
         }
-        self.metrics.absorb(effects.counters);
+        self.metrics.absorb(std::mem::take(&mut effects.counters));
+        self.spare = effects;
     }
 }
 

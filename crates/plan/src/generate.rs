@@ -10,9 +10,9 @@ use std::hash::{Hash, Hasher};
 /// annotated queries that fingerprint differently always differ; the plan
 /// cache (`sqpeer-cache`) uses this as its key, confirming hits with a
 /// full [`AnnotatedQuery`] comparison so hash collisions can never
-/// resurrect a wrong plan.
+/// resurrect a wrong plan — which is why the fast Fx hash serves.
 pub fn annotated_fingerprint(annotated: &AnnotatedQuery) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = sqpeer_rdfs::fxhash::FxHasher::default();
     annotated.query().text().hash(&mut h);
     for i in 0..annotated.query().patterns().len() {
         0xa5a5_a5a5u32.hash(&mut h); // pattern separator

@@ -164,13 +164,15 @@ impl Values {
     }
 
     /// Maps ids into `from` to ids into `dict`, interning each entry of
-    /// `from` the first time it is asked for.
+    /// `from` the first time it is asked for; `to` is the map's table.
     pub(crate) fn mapper<'a>(
         &'a mut self,
         dict: &'a mut Vec<Node>,
         from: &'a [Node],
+        to: &'a mut Vec<u32>,
     ) -> impl FnMut(u32) -> u32 + 'a {
-        let mut to = vec![u32::MAX; from.len()];
+        to.clear();
+        to.resize(from.len(), u32::MAX);
         move |id| {
             let mapped = &mut to[id as usize];
             if *mapped == u32::MAX {
@@ -196,6 +198,9 @@ pub struct UnionAcc {
     set: ResultSet,
     values: Values,
     index: RowIndex,
+    /// What every [`union`](Self::union) reuses: where each column sits in
+    /// the part, the part's dictionary mapped here, its rows in our ids.
+    scratch: (Vec<usize>, Vec<u32>, Vec<u32>),
 }
 
 impl UnionAcc {
@@ -214,7 +219,12 @@ impl UnionAcc {
         for r in 0..*len {
             index.place(hash_ids(ids[r * w..][..w].iter().copied()), r);
         }
-        UnionAcc { set, values, index }
+        UnionAcc {
+            set,
+            values,
+            index,
+            scratch: Default::default(),
+        }
     }
 
     /// The accumulated result.
@@ -227,19 +237,21 @@ impl UnionAcc {
     /// dictionary a row uses is interned once, and cloned only if no
     /// equal entry is here.
     pub fn union(&mut self, part: &ResultSet) {
+        let (mut perm, mut to, mut mapped) = std::mem::take(&mut self.scratch);
         // Where each column sits in `part`; a part lacking one adds nothing.
-        let found = self.set.columns.iter().map(|c| part.column_index(c));
-        let Some(perm) = found.collect::<Option<Vec<usize>>>() else {
-            return;
-        };
-        let (w, k, ids) = (part.columns.len(), perm.len(), part.rows.ids());
-        let rows = (0..part.len()).flat_map(|r| perm.iter().map(move |&c| ids[r * w + c]));
-        let dict = Arc::make_mut(&mut self.set.rows.dict);
-        let map = self.values.mapper(dict, part.rows.dict());
-        let mapped: Vec<u32> = rows.map(map).collect();
-        for r in 0..part.len() {
-            self.push(&mapped[r * k..][..k]);
+        perm.clear();
+        let mut found = self.set.columns.iter().map(|c| part.column_index(c));
+        if found.all(|at| at.map(|at| perm.push(at)).is_some()) {
+            let (w, k, ids) = (part.columns.len(), perm.len(), part.rows.ids());
+            let rows = (0..part.len()).flat_map(|r| perm.iter().map(move |&c| ids[r * w + c]));
+            let dict = Arc::make_mut(&mut self.set.rows.dict);
+            mapped.clear();
+            mapped.extend(rows.map(self.values.mapper(dict, part.rows.dict(), &mut to)));
+            for r in 0..part.len() {
+                self.push(&mapped[r * k..][..k]);
+            }
         }
+        self.scratch = (perm, to, mapped);
     }
 
     /// [`union`](Self::union) that also returns the rows that were new,

@@ -163,7 +163,7 @@ impl ResultSet {
             Some(remap) => self.rows.ids.iter().map(|&id| remap[id as usize]).collect(),
         };
         let b_ids: Vec<u32> = (other.rows.ids.iter().copied())
-            .map(values.mapper(&mut dict, &other.rows.dict))
+            .map(values.mapper(&mut dict, &other.rows.dict, &mut Vec::new()))
             .collect();
         // Which rows repeat an earlier row of their side. A pair of rows
         // neither of which does joins into a row no earlier pair gave.
@@ -412,23 +412,31 @@ pub fn evaluate(query: &QueryPattern, base: &DescriptionBase) -> ResultSet {
 pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
     let width = query.var_count().max(1);
     // The binding frontier: `width`-sized rows of interned ids, flat,
-    // double-buffered so each pattern extension reuses scratch space.
-    let mut cur: Vec<SymId> = vec![UNBOUND; width];
-    let mut next: Vec<SymId> = Vec::new();
+    // double-buffered so each pattern extension reuses scratch space. It
+    // starts as one unbound row, borrowed when it is narrow enough.
+    const SEED: [SymId; 16] = [UNBOUND; 16];
+    let seed = SEED
+        .get(..width)
+        .map_or_else(|| vec![UNBOUND; width].into(), Cow::Borrowed);
+    let (mut cur, mut next) = (Vec::new(), Vec::new());
 
     // One pattern has one order: no statistics read.
     let order = match query.patterns().len() {
         1 => Cow::Borrowed(&[0][..]),
         _ => Cow::Owned(stats_join_order(query, ib.stats())),
     };
-    for &pi in order.iter() {
+    for (n, &pi) in order.iter().enumerate() {
         let pattern = &query.patterns()[pi];
         next.clear();
-        extend_interned(ib, pattern, &cur, width, &mut next);
+        let from = if n == 0 { &seed } else { &cur[..] };
+        extend_interned(ib, pattern, from, width, &mut next);
         std::mem::swap(&mut cur, &mut next);
         if cur.is_empty() {
             break;
         }
+    }
+    if order.is_empty() {
+        cur = seed.into_owned();
     }
 
     // Standalone class-membership patterns (§2.1 note: a local-evaluation
@@ -498,39 +506,51 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
     if cur.is_empty() {
         return ResultSet::empty(columns);
     }
-    let proj: Vec<usize> = query.projection().iter().map(|v| v.0 as usize).collect();
-    let rows = cur.len() / width;
-    // One row is distinct by itself: no set is built for it.
-    let unique = if rows > 1 { rows } else { 0 };
+    let proj = || query.projection().iter().map(|v| v.0 as usize);
+    let (rows, k) = (cur.len() / width, query.projection().len());
+    // Symbol → dictionary entry, and the rows kept: a small result scans
+    // what it keeps; a large one has a table over the whole base and a set.
+    const SMALL: usize = 16;
+    let small = rows * k <= SMALL;
+    let unique = if small { 0 } else { rows };
     let mut narrow = FxHashSet::<u128>::with_capacity_and_hasher(unique, Default::default());
     let mut wide = FxHashSet::default();
     let mut new_row = |row: &[SymId]| {
         debug_assert!(
-            proj.iter().all(|&i| row[i] != UNBOUND),
+            proj().all(|i| row[i] != UNBOUND),
             "projected variable unbound"
         );
-        if proj.len() <= 4 {
-            narrow.insert(proj.iter().fold(0, |k, &i| (k << 32) | row[i] as u128))
+        if k <= 4 {
+            narrow.insert(proj().fold(0, |key, i| (key << 32) | row[i] as u128))
         } else {
-            wide.insert(proj.iter().map(|&i| row[i]).collect::<Vec<SymId>>())
+            wide.insert(proj().map(|i| row[i]).collect::<Vec<SymId>>())
         }
     };
-    // Symbol → dictionary entry, a table over the whole base.
-    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::with_capacity(rows * proj.len()), 0);
-    let mut entry = vec![u32::MAX; ib.node_count()];
-    for row in cur
-        .chunks_exact(width)
-        .filter(|row| rows == 1 || new_row(row))
-    {
-        for &i in &proj {
-            let id = &mut entry[row[i] as usize];
-            if *id == u32::MAX {
-                *id = dict.len() as u32;
-                dict.push(ib.node(row[i]).clone());
-            }
-            ids.push(*id);
+    let (mut dict, mut ids, mut len) = (Vec::new(), Vec::with_capacity(rows * k), 0);
+    let mut kept = [UNBOUND; SMALL];
+    let mut entry = vec![u32::MAX; if small { 0 } else { ib.node_count() }];
+    for row in cur.chunks_exact(width).filter(|row| small || new_row(row)) {
+        for sym in proj().map(|i| row[i]) {
+            let found = match small {
+                true => kept[..dict.len()].iter().position(|&s| s == sym),
+                false => (entry[sym as usize] != u32::MAX).then(|| entry[sym as usize] as usize),
+            };
+            let id = found.unwrap_or_else(|| {
+                match small {
+                    true => kept[dict.len()] = sym,
+                    false => entry[sym as usize] = dict.len() as u32,
+                }
+                dict.push(ib.node(sym).clone());
+                dict.len() - 1
+            });
+            ids.push(id as u32);
         }
-        len += 1;
+        // Ids are one per symbol: a small result's repeated row repeats ids.
+        let at = len * k;
+        match small && (0..len).any(|r| ids[r * k..][..k] == ids[at..]) {
+            true => ids.truncate(at),
+            false => len += 1,
+        }
     }
     let dict = Arc::new(dict);
     let rows = Rows { dict, ids, len };
@@ -574,8 +594,11 @@ fn extend_interned(
     };
 
     // The subsumption-closed extent list, resolved once per pattern
-    // instead of per binding row.
-    let extents: Vec<_> = ib.descendant_extents(pattern.property).collect();
+    // instead of per binding row; a property without subproperties (the
+    // common case) allocates nothing for it.
+    let mut closed = ib.descendant_extents(pattern.property);
+    let (first, subs) = (closed.next(), closed.collect::<Vec<_>>());
+    let extents = || first.into_iter().chain(subs.iter().copied());
 
     for row in cur.chunks_exact(width) {
         let subj: Option<SymId> = match &pattern.subject.term {
@@ -617,29 +640,26 @@ fn extend_interned(
         match (subj, obj) {
             (Some(s), Some(o)) => {
                 // Both ends fixed: membership test.
-                if extents
-                    .iter()
-                    .any(|e| e.with_subject(s).any(|(_, oo)| oo == o))
-                {
+                if extents().any(|e| e.with_subject(s).any(|(_, oo)| oo == o)) {
                     emit(s, o);
                 }
             }
             (Some(s), None) => {
-                for e in &extents {
+                for e in extents() {
                     for (ss, oo) in e.with_subject(s) {
                         emit(ss, oo);
                     }
                 }
             }
             (None, Some(o)) => {
-                for e in &extents {
+                for e in extents() {
                     for (ss, oo) in e.with_object(o) {
                         emit(ss, oo);
                     }
                 }
             }
             (None, None) => {
-                for e in &extents {
+                for e in extents() {
                     for (ss, oo) in e.pairs() {
                         emit(ss, oo);
                     }
