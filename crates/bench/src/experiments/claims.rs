@@ -183,11 +183,11 @@ pub fn e11() -> String {
                         // Drop the join condition: rename shared columns
                         // apart, so the join has none to match on and
                         // builds the cartesian product — "invalid answers".
-                        for c in &mut p.columns {
-                            if acc.columns.contains(c) {
-                                *c = format!("{c}#{k}");
-                            }
-                        }
+                        let renamed = p.columns.iter().map(|c| match acc.columns.contains(c) {
+                            true => format!("{c}#{k}"),
+                            false => c.clone(),
+                        });
+                        p.columns = renamed.collect();
                     }
                     acc = acc.join(&p);
                 }
@@ -196,11 +196,6 @@ pub fn e11() -> String {
         }
     }
 
-    let projection: Vec<String> = query
-        .projection()
-        .iter()
-        .map(|&v| query.var_name(v).to_string())
-        .collect();
     let oracle_store = sqpeer::overlay::oracle_base(&schema, bases.iter());
     let expected: HashSet<Vec<String>> =
         render(&sqpeer::overlay::oracle_answer(&oracle_store, &query))
@@ -218,7 +213,7 @@ pub fn e11() -> String {
         ),
         ("no vertical (join → cartesian product)", Mode::NoVertical),
     ] {
-        let result = interpret(&plan, &bases, mode).project(&projection);
+        let result = interpret(&plan, &bases, mode).project(query.columns());
         let rows: HashSet<Vec<String>> = render(&result).into_iter().collect();
         let hit = rows.iter().filter(|r| expected.contains(*r)).count();
         let precision = if rows.is_empty() {

@@ -165,7 +165,7 @@ pub fn shipping_plans(query: &QueryPattern, ids: &[PeerId]) -> (PlanNode, PlanNo
         (0..2)
             .map(|i| PlanNode::Fetch {
                 subquery: Subquery {
-                    covers: vec![i],
+                    covers: 1 << i,
                     query: single_pattern_subquery(query, i, &query.patterns()[i]),
                 },
                 site: Site::Peer(ids[i + 1]),
@@ -402,8 +402,8 @@ pub fn chain_half(columns: [&str; 2], end: usize, from: usize) -> ResultSet {
         row.rotate_left(end);
         row
     };
-    let columns: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
-    let mut set = ResultSet::empty(columns.clone());
+    let columns: Arc<[String]> = columns.iter().map(|c| c.to_string()).collect();
+    let mut set = ResultSet::empty(Arc::clone(&columns));
     set.union(&ResultSet::from_rows(
         columns,
         (from..from + 1_800).map(row).collect(),

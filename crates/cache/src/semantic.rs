@@ -244,26 +244,16 @@ impl SemanticCache {
             pattern: pattern.clone(),
         };
 
-        enum Found {
-            Hit(Vec<PeerAnnotation>),
-            Stale,
-            Absent,
-        }
-        let found = match self.annotations.get(&key) {
-            Some(e) if e.epoch == epoch => Found::Hit(e.annotations.clone()),
-            Some(_) => Found::Stale,
-            None => Found::Absent,
-        };
-        match found {
-            Found::Hit(anns) => {
+        match self.annotations.get(&key) {
+            Some(e) if e.epoch == epoch => {
                 self.stats.hits += 1;
-                return anns;
+                return e.annotations.clone();
             }
-            Found::Stale => {
+            Some(_) => {
                 self.annotations.remove(&key);
                 self.stats.invalidations += 1;
             }
-            Found::Absent => {}
+            None => {}
         }
 
         // Subsumption shortcut: a current-epoch entry for a broader
@@ -335,34 +325,19 @@ impl SemanticCache {
         annotated: &AnnotatedQuery,
     ) -> Option<PlanNode> {
         let fp = annotated_fingerprint(annotated);
-        enum Found {
-            Hit(PlanNode),
-            Stale,
-            Absent,
-        }
-        let found = match self.plans.get(&fp) {
+        match self.plans.get(&fp) {
             Some(e) if e.epochs == epochs && e.annotated == *annotated => {
-                Found::Hit(e.plan.clone())
-            }
-            Some(_) => Found::Stale,
-            None => Found::Absent,
-        };
-        match found {
-            Found::Hit(plan) => {
                 self.stats.plan_hits += 1;
-                Some(plan)
+                return Some(e.plan.clone());
             }
-            Found::Stale => {
+            Some(_) => {
                 self.plans.remove(&fp);
                 self.stats.invalidations += 1;
-                self.stats.plan_misses += 1;
-                None
             }
-            Found::Absent => {
-                self.stats.plan_misses += 1;
-                None
-            }
+            None => {}
         }
+        self.stats.plan_misses += 1;
+        None
     }
 
     /// Stores the plan produced for `annotated` at `epochs`.

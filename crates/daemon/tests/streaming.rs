@@ -178,7 +178,7 @@ fn streamed_frames_concatenate_to_the_single_frame_answer() {
         else {
             panic!("gateway refused at batch {batch:?}: {verdict:?}");
         };
-        assert_eq!(columns, answer.columns, "batch {batch:?}");
+        assert_eq!(columns, *answer.columns, "batch {batch:?}");
         assert_eq!(rows, rendered, "batch {batch:?}");
         assert!(!partial, "batch {batch:?}");
         assert!(0 < ttfr_us && ttfr_us <= latency_us, "batch {batch:?}");

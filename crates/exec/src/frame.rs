@@ -15,6 +15,7 @@ use crate::serve::Reply;
 use sqpeer_rdfs::FxHashMap;
 use sqpeer_rql::ResultSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// How a finished subtree result is consumed.
 #[derive(Debug, Clone, Copy)]
@@ -213,7 +214,7 @@ impl Frames {
         result: ResultSet,
         partial: bool,
         streamed: bool,
-        names: impl FnOnce(QueryId) -> Option<Vec<String>>,
+        names: impl FnOnce(QueryId) -> Option<Arc<[String]>>,
     ) -> Option<(Completion, ResultSet, bool, Option<usize>)> {
         let id = frame;
         let frame = self.open.get_mut(&id)?;
@@ -319,7 +320,7 @@ mod tests {
 
     const ROOT: Completion = Completion::Root { qid: QueryId(1) };
 
-    fn no_names(_: QueryId) -> Option<Vec<String>> {
+    fn no_names(_: QueryId) -> Option<Arc<[String]>> {
         None
     }
 

@@ -83,7 +83,7 @@ mod tests {
     fn fetch(s: &Arc<Schema>, src: &str, peer: u32) -> PlanNode {
         PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![0],
+                covers: 1,
                 query: compile(src, s).unwrap(),
             },
             site: Site::Peer(PeerId(peer)),
@@ -101,7 +101,7 @@ mod tests {
         ]);
         let rs = eval_local(&plan, me, &b);
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.columns, vec!["X", "Y", "Z"]);
+        assert_eq!(*rs.columns, ["X", "Y", "Z"]);
 
         let union = PlanNode::Union(vec![
             fetch(&s, "SELECT X, Y FROM {X}p{Y}", 1),
@@ -119,7 +119,7 @@ mod tests {
         assert!(!fully_local(&fetch(&s, "SELECT X, Y FROM {X}p{Y}", 2), me));
         let hole = PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![0],
+                covers: 1,
                 query: compile("SELECT X, Y FROM {X}p{Y}", &s).unwrap(),
             },
             site: Site::Hole,

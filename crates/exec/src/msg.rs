@@ -350,7 +350,7 @@ mod tests {
         };
         assert!(small.wire_size() > 32);
 
-        let empty = ResultSet::empty(vec!["X".into()]);
+        let empty = ResultSet::empty(vec!["X".into()].into());
         let big = ResultSet::from_rows(
             vec!["X".into()],
             (0..100)

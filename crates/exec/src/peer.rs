@@ -47,7 +47,7 @@ use sqpeer_trace::{QueryProfile, TraceEvent, Tracer};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The role a peer plays in the system (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1332,7 +1332,11 @@ impl PeerNode {
         streamed: bool,
     ) {
         let rooted = &self.rooted;
-        let names = |qid| rooted.get(&qid).map(|root| projection_names(&root.query));
+        let names = |qid| {
+            rooted
+                .get(&qid)
+                .map(|root| Arc::clone(root.query.columns()))
+        };
         let finished = self
             .frames
             .fill(frame, slot, result, partial, streamed, names);
@@ -1379,7 +1383,7 @@ impl PeerNode {
         else {
             return;
         };
-        let names = projection_names(&root.query);
+        let names = Arc::clone(root.query.columns());
         let mut missing: Vec<PeerId> = root.missing.iter().copied().collect();
         missing.sort();
         let missing_count = missing.len();
@@ -1399,13 +1403,11 @@ impl PeerNode {
         }
         // Top-N (§5): ORDER BY + LIMIT apply to the whole distributed
         // answer, at the root, after assembly.
-        let order = root
-            .query
-            .order_by()
-            .map(|(v, asc)| (root.query.var_name(v).to_string(), asc));
+        let order = root.query.order_by();
+        let order = order.map(|(v, asc)| (root.query.var_name(v), asc));
         let limit = root.query.limit();
         if order.is_some() || limit.is_some() {
-            projected.apply_top(order.as_ref().map(|(n, a)| (n.as_str(), *a)), limit);
+            projected.apply_top(order, limit);
         }
         let rows = projected.rows.len();
         // Time-to-first-row: streamed batches set it on arrival; a
@@ -1675,7 +1677,7 @@ impl PeerNode {
                     );
                     PlanNode::Fetch {
                         subquery: Subquery {
-                            covers: subquery.covers.clone(),
+                            covers: subquery.covers,
                             query,
                         },
                         site: Site::Peer(ann.peer),
@@ -1771,27 +1773,19 @@ fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
     items
 }
 
-/// The names of `query`'s projected variables, in order.
-fn projection_names(query: &QueryPattern) -> Vec<String> {
-    let names = query.projection().iter();
-    names.map(|&v| query.var_name(v).to_string()).collect()
-}
-
 /// The natural output columns of a plan subtree.
-fn plan_columns(plan: &PlanNode) -> Vec<String> {
+fn plan_columns(plan: &PlanNode) -> Arc<[String]> {
     match plan {
-        PlanNode::Fetch { subquery, .. } => projection_names(&subquery.query),
+        PlanNode::Fetch { subquery, .. } => Arc::clone(subquery.query.columns()),
         PlanNode::Union(inputs) => inputs.first().map(plan_columns).unwrap_or_default(),
         PlanNode::Join { inputs, .. } => {
             let mut cols: Vec<String> = Vec::new();
-            for input in inputs {
-                for c in plan_columns(input) {
-                    if !cols.contains(&c) {
-                        cols.push(c);
-                    }
+            for c in inputs.iter().flat_map(|input| plan_columns(input).to_vec()) {
+                if !cols.contains(&c) {
+                    cols.push(c);
                 }
             }
-            cols
+            cols.into()
         }
     }
 }
@@ -2147,7 +2141,7 @@ mod tests {
         let outcome = p1.outcome(QueryId(1)).expect("query completed");
         assert!(!outcome.partial);
         assert_eq!(outcome.result.len(), 1);
-        assert_eq!(outcome.result.columns, vec!["X", "Z"]);
+        assert_eq!(*outcome.result.columns, ["X", "Z"]);
         // The client got the same answer.
         let [(PeerId(1), Msg::ClientAnswer { qid, result })] = &to_client[..] else {
             panic!("one ClientAnswer from the root: {to_client:?}");
@@ -3460,7 +3454,7 @@ mod tests {
             let filled: Vec<&ResultSet> = frame.iter().flatten().collect();
             assert_eq!(filled.len(), 1, "adaptive={adaptive}");
             assert!(filled[0].is_empty());
-            assert_eq!(filled[0].columns, ["X", "Y"]);
+            assert_eq!(*filled[0].columns, ["X", "Y"]);
             assert_eq!(filled[0].columns, plan_columns(&plan));
         }
     }

@@ -18,6 +18,7 @@ use sqpeer_routing::PeerId;
 use sqpeer_rql::{ResultSet, Rows, UnionAcc};
 use sqpeer_store::BaseStatistics;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Key of an outgoing stream: the stream's consumer plus the subplan
 /// identity it answers, mirroring the `served` dedup log.
@@ -82,7 +83,7 @@ impl ServedLog {
 #[derive(Debug)]
 struct OutgoingStream {
     to: Reply,
-    columns: Vec<String>,
+    columns: Arc<[String]>,
     core: Sender<Rows>,
     /// Carried by the final packet.
     partial: bool,
@@ -99,7 +100,7 @@ impl OutgoingStream {
     /// row once.
     fn new(
         to: Reply,
-        columns: Vec<String>,
+        columns: Arc<[String]>,
         core: Sender<Rows>,
         partial: bool,
         stats: Option<BaseStatistics>,

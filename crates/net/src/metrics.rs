@@ -3,8 +3,7 @@
 //! Experiments E5–E10 report these counters: queries processed per peer,
 //! total messages, bytes moved, and drops caused by failures.
 
-use crate::sim::NodeId;
-use std::collections::HashMap;
+use crate::sim::{IdMap, NodeId};
 
 /// Per-node counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -31,7 +30,7 @@ pub struct NodeMetrics {
 /// Global and per-node simulation metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
-    per_node: HashMap<NodeId, NodeMetrics>,
+    per_node: IdMap<NodeId, NodeMetrics>,
     deliveries: usize,
     delivered_bytes: usize,
     dropped: usize,

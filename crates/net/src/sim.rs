@@ -6,6 +6,7 @@ use crate::queue::{CalendarQueue, Scheduled};
 use crate::telemetry::TelemetryRegistry;
 use crate::transport::Clock;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a simulated node. The overlay layer maps SQPeer peer ids
 /// onto these one-to-one.
@@ -15,6 +16,27 @@ pub struct NodeId(pub u32);
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "N{}", self.0)
+    }
+}
+
+/// A map over node ids, hashed by [`IdHasher`]: the simulator looks one
+/// up per delivery, and SipHash's keys guard nothing against its own ids.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A fixed multiplicative hash: each word is xored into the rotated state,
+/// which is then multiplied by one odd constant.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(n)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -246,18 +268,18 @@ impl<M> Scheduled for Event<M> {
 
 /// The deterministic event-loop simulator.
 pub struct Simulator<N: NodeLogic> {
-    nodes: HashMap<NodeId, N>,
+    nodes: IdMap<NodeId, N>,
     /// Links set with [`Simulator::set_link`]; every other pair uses
     /// `default_link`.
-    links: HashMap<(NodeId, NodeId), LinkSpec>,
+    links: IdMap<(NodeId, NodeId), LinkSpec>,
     default_link: LinkSpec,
     queue: CalendarQueue<Event<N::Msg>>,
     now_us: u64,
     seq: u64,
-    down: HashSet<NodeId>,
+    down: HashSet<NodeId, BuildHasherDefault<IdHasher>>,
     /// Nodes crashed ungracefully by the fault plan: deliveries to them
     /// vanish silently (no `on_delivery_failure`).
-    silent_down: HashSet<NodeId>,
+    silent_down: HashSet<NodeId, BuildHasherDefault<IdHasher>>,
     metrics: Metrics,
     /// The installed fault plan, if any.
     fault: Option<FaultPlan>,
@@ -287,14 +309,14 @@ impl<N: NodeLogic> Simulator<N> {
     /// passes a zero-delay link: its clock is the only delay.
     pub fn with_link(default_link: LinkSpec) -> Self {
         Simulator {
-            nodes: HashMap::new(),
-            links: HashMap::new(),
+            nodes: IdMap::default(),
+            links: IdMap::default(),
             default_link,
             queue: CalendarQueue::new(),
             now_us: 0,
             seq: 0,
-            down: HashSet::new(),
-            silent_down: HashSet::new(),
+            down: HashSet::default(),
+            silent_down: HashSet::default(),
             metrics: Metrics::default(),
             fault: None,
             chaos_rng: SplitMix64::new(0),

@@ -453,7 +453,7 @@ pub(crate) mod tests {
             1,
             "mediated answer from the local-schema peer"
         );
-        assert_eq!(outcome.result.columns, vec!["D", "P"]);
+        assert_eq!(*outcome.result.columns, ["D", "P"]);
         assert!(!outcome.partial);
         let _ = holder;
     }

@@ -383,7 +383,7 @@ mod tests {
     fn fetch(schema: &Arc<Schema>, src: &str, site: Site) -> PlanNode {
         PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![0],
+                covers: 1,
                 query: compile(src, schema).unwrap(),
             },
             site,
@@ -429,7 +429,7 @@ mod tests {
         est.set_stats(PeerId(1), stats_with(&s, 20));
         let composite = PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![0, 1],
+                covers: 0b11,
                 query: compile("SELECT X, Z FROM {X}p{Y}, {Y}q{Z}", &s).unwrap(),
             },
             site: Site::Peer(PeerId(1)),
@@ -447,7 +447,7 @@ mod tests {
         est.set_stats(PeerId(2), stats_with(&s, 1000));
         let at = |p: u32| Site::Peer(PeerId(p));
         let sub = |src: &str| Subquery {
-            covers: vec![0],
+            covers: 1,
             query: compile(src, &s).unwrap(),
         };
         let open = sub("SELECT X, Y FROM {X}p{Y}");

@@ -152,7 +152,7 @@ fn node_json(plan: &PlanNode, est: &Estimator) -> String {
         PlanNode::Fetch { subquery, site } => format!(
             "{{\"op\": \"fetch\", \"label\": \"{}\", \"site\": \"{}\", \
              \"est_tuples\": {:.0}, \"est_bytes\": {:.0}}}",
-            json_escape(&subquery.label()),
+            json_escape(&subquery.to_string()),
             site,
             tuples,
             bytes

@@ -72,7 +72,7 @@ fn build(annotated: &AnnotatedQuery, tree: &sqpeer_rql::JoinTree, pattern_idx: u
     let horizontal = if annotations.is_empty() {
         PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![pattern_idx],
+                covers: 1 << pattern_idx,
                 query: single_pattern_subquery(query, pattern_idx, &query.patterns()[pattern_idx]),
             },
             site: Site::Hole,
@@ -82,7 +82,7 @@ fn build(annotated: &AnnotatedQuery, tree: &sqpeer_rql::JoinTree, pattern_idx: u
             .iter()
             .map(|ann| PlanNode::Fetch {
                 subquery: Subquery {
-                    covers: vec![pattern_idx],
+                    covers: 1 << pattern_idx,
                     query: single_pattern_subquery(query, pattern_idx, &ann.pattern),
                 },
                 site: Site::Peer(ann.peer),
@@ -236,7 +236,7 @@ mod tests {
                 site: Site::Peer(PeerId(4)),
             } = n
             {
-                if subquery.covers == vec![0] {
+                if subquery.covers == 1 {
                     found = true;
                     assert_eq!(
                         subquery.query.patterns()[0].property,

@@ -26,31 +26,30 @@ impl fmt::Display for Site {
 /// A conjunctive fragment of the original query shipped to one peer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subquery {
-    /// Indices of the original query's path patterns this fragment covers
-    /// (provenance for hole-filling and adaptation).
-    pub covers: Vec<usize>,
+    /// The original query's path patterns this fragment covers, bit `i`
+    /// for pattern `i` (provenance for hole-filling and adaptation); a
+    /// query has at most 64 ([`sqpeer_rql::MAX_PATTERNS`]).
+    pub covers: u64,
     /// The executable (possibly peer-rewritten) conjunctive pattern.
     pub query: QueryPattern,
 }
 
 impl Subquery {
-    /// Short label `Q1`, `Q2` or `Q1.Q2` derived from the covered pattern
-    /// indices (matching the paper's figures).
-    pub fn label(&self) -> String {
-        Label(&self.covers).to_string()
+    /// The indices of the covered patterns, ascending.
+    pub fn covered(&self) -> impl Iterator<Item = usize> {
+        let covers = self.covers;
+        (0..64).filter(move |i| covers >> i & 1 == 1)
     }
 }
 
-/// [`Subquery::label`] as a `Display`, so rendering a plan allocates
-/// nothing per fetch.
-struct Label<'a>(&'a [usize]);
-
-impl fmt::Display for Label<'_> {
+/// The short label `Q1`, `Q2` or `Q1.Q2` of the covered patterns
+/// (matching the paper's figures).
+impl fmt::Display for Subquery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_empty() {
+        if self.covers == 0 {
             return f.write_str("Q");
         }
-        for (n, i) in self.0.iter().enumerate() {
+        for (n, i) in self.covered().enumerate() {
             if n > 0 {
                 f.write_str(".")?;
             }
@@ -91,25 +90,27 @@ impl PlanNode {
 
     /// Number of `Fetch` leaves.
     pub fn fetch_count(&self) -> usize {
-        match self {
-            PlanNode::Fetch { .. } => 1,
-            PlanNode::Union(inputs) | PlanNode::Join { inputs, .. } => {
-                inputs.iter().map(PlanNode::fetch_count).sum()
-            }
-        }
+        self.count(|n| matches!(n, PlanNode::Fetch { .. }))
     }
 
     /// Number of `Fetch` leaves with unknown site — the plan's holes.
     pub fn hole_count(&self) -> usize {
-        match self {
-            PlanNode::Fetch {
-                site: Site::Hole, ..
-            } => 1,
-            PlanNode::Fetch { .. } => 0,
-            PlanNode::Union(inputs) | PlanNode::Join { inputs, .. } => {
-                inputs.iter().map(PlanNode::hole_count).sum()
-            }
-        }
+        self.count(|n| {
+            matches!(
+                n,
+                PlanNode::Fetch {
+                    site: Site::Hole,
+                    ..
+                }
+            )
+        })
+    }
+
+    /// Number of nodes for which `f` holds.
+    fn count(&self, f: impl Fn(&PlanNode) -> bool) -> usize {
+        let mut n = 0;
+        self.visit(&mut |node| n += usize::from(f(node)));
+        n
     }
 
     /// Is the plan complete (free of holes)?
@@ -121,33 +122,17 @@ impl PlanNode {
     /// sites).
     pub fn peers(&self) -> Vec<PeerId> {
         let mut out = Vec::new();
-        self.collect_peers(&mut out);
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn collect_peers(&self, out: &mut Vec<PeerId>) {
-        match self {
+        self.visit(&mut |node| match node {
             PlanNode::Fetch {
                 site: Site::Peer(p),
                 ..
-            } => out.push(*p),
-            PlanNode::Fetch { .. } => {}
-            PlanNode::Union(inputs) => {
-                for i in inputs {
-                    i.collect_peers(out);
-                }
             }
-            PlanNode::Join { inputs, site } => {
-                if let Some(p) = site {
-                    out.push(*p);
-                }
-                for i in inputs {
-                    i.collect_peers(out);
-                }
-            }
-        }
+            | PlanNode::Join { site: Some(p), .. } => out.push(*p),
+            _ => {}
+        });
+        out.sort();
+        out.dedup();
+        out
     }
 
     /// The number of subplan messages the initiating peer must ship: one
@@ -200,24 +185,14 @@ impl fmt::Display for PlanNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanNode::Fetch { subquery, site } => {
-                write!(f, "{}@{}", Label(&subquery.covers), site)
+                write!(f, "{subquery}@{site}")
             }
-            PlanNode::Union(inputs) => {
-                write!(f, "∪(")?;
-                for (i, input) in inputs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{input}")?;
+            PlanNode::Union(inputs) | PlanNode::Join { inputs, .. } => {
+                match self {
+                    PlanNode::Join { site: Some(p), .. } => write!(f, "⋈@{p}(")?,
+                    PlanNode::Join { .. } => write!(f, "⋈(")?,
+                    _ => write!(f, "∪(")?,
                 }
-                write!(f, ")")
-            }
-            PlanNode::Join { inputs, site } => {
-                write!(f, "⋈")?;
-                if let Some(p) = site {
-                    write!(f, "@{p}")?;
-                }
-                write!(f, "(")?;
                 for (i, input) in inputs.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -237,7 +212,7 @@ mod tests {
     use sqpeer_rql::compile;
     use std::sync::Arc;
 
-    fn sample_subquery(covers: Vec<usize>) -> Subquery {
+    fn sample_subquery(covers: u64) -> Subquery {
         let mut b = SchemaBuilder::new("n1", "u");
         let c1 = b.class("C1").unwrap();
         let c2 = b.class("C2").unwrap();
@@ -249,7 +224,7 @@ mod tests {
         }
     }
 
-    fn fetch(covers: Vec<usize>, site: Site) -> PlanNode {
+    fn fetch(covers: u64, site: Site) -> PlanNode {
         PlanNode::Fetch {
             subquery: sample_subquery(covers),
             site,
@@ -260,10 +235,10 @@ mod tests {
     fn counting_and_holes() {
         let plan = PlanNode::join(vec![
             PlanNode::Union(vec![
-                fetch(vec![0], Site::Peer(PeerId(1))),
-                fetch(vec![0], Site::Peer(PeerId(2))),
+                fetch(0b1, Site::Peer(PeerId(1))),
+                fetch(0b1, Site::Peer(PeerId(2))),
             ]),
-            fetch(vec![1], Site::Hole),
+            fetch(0b10, Site::Hole),
         ]);
         assert_eq!(plan.fetch_count(), 3);
         assert_eq!(plan.hole_count(), 1);
@@ -277,25 +252,25 @@ mod tests {
     fn display_matches_paper_notation() {
         let plan = PlanNode::join(vec![
             PlanNode::Union(vec![
-                fetch(vec![0], Site::Peer(PeerId(1))),
-                fetch(vec![0], Site::Peer(PeerId(2))),
+                fetch(0b1, Site::Peer(PeerId(1))),
+                fetch(0b1, Site::Peer(PeerId(2))),
             ]),
-            fetch(vec![1], Site::Hole),
+            fetch(0b10, Site::Hole),
         ]);
         assert_eq!(plan.to_string(), "⋈(∪(Q1@P1, Q1@P2), Q2@?)");
     }
 
     #[test]
     fn composite_labels() {
-        assert_eq!(sample_subquery(vec![0, 1]).label(), "Q1.Q2");
-        assert_eq!(sample_subquery(vec![]).label(), "Q");
+        assert_eq!(sample_subquery(0b11).to_string(), "Q1.Q2");
+        assert_eq!(sample_subquery(0).to_string(), "Q");
     }
 
     #[test]
     fn map_fetches_fills_holes() {
         let plan = PlanNode::join(vec![
-            fetch(vec![0], Site::Peer(PeerId(1))),
-            fetch(vec![1], Site::Hole),
+            fetch(0b1, Site::Peer(PeerId(1))),
+            fetch(0b10, Site::Hole),
         ]);
         let filled = plan.map_fetches(&mut |sq, site| {
             let site = if site == Site::Hole {
@@ -312,7 +287,7 @@ mod tests {
     #[test]
     fn sited_join_display_and_peers() {
         let plan = PlanNode::Join {
-            inputs: vec![fetch(vec![0], Site::Peer(PeerId(2)))],
+            inputs: vec![fetch(0b1, Site::Peer(PeerId(2)))],
             site: Some(PeerId(2)),
         };
         assert_eq!(plan.to_string(), "⋈@P2(Q1@P2)");

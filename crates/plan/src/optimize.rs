@@ -157,11 +157,6 @@ pub fn merge_same_peer(plan: PlanNode) -> PlanNode {
 /// *conjunction* of the fragments (the join is what gets pushed to the
 /// peer) — see DESIGN.md §3 for the notation note.
 fn compose_subqueries(a: &Subquery, b: &Subquery) -> Subquery {
-    let mut covers = a.covers.clone();
-    covers.extend(b.covers.iter().copied());
-    covers.sort_unstable();
-    covers.dedup();
-
     let mut patterns = a.query.patterns().to_vec();
     patterns.extend(b.query.patterns().iter().cloned());
     let mut projection: Vec<_> = a.query.projection().to_vec();
@@ -183,7 +178,10 @@ fn compose_subqueries(a: &Subquery, b: &Subquery) -> Subquery {
         projection,
         filters,
     );
-    Subquery { covers, query }
+    Subquery {
+        covers: a.covers | b.covers,
+        query,
+    }
 }
 
 /// Chooses execution sites for every join — the compile-time
@@ -650,7 +648,7 @@ mod tests {
         let q = compile("SELECT X FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
         let fetch = |i: usize, peer: u32| PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![i],
+                covers: 1 << i,
                 query: crate::generate::single_pattern_subquery(&q, i, &q.patterns()[i]),
             },
             site: Site::Peer(PeerId(peer)),
@@ -672,7 +670,7 @@ mod tests {
         let q = compile("SELECT X FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
         let fetch = |i: usize, peer: u32| PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![i],
+                covers: 1 << i,
                 query: crate::generate::single_pattern_subquery(&q, i, &q.patterns()[i]),
             },
             site: Site::Peer(PeerId(peer)),
@@ -709,7 +707,7 @@ mod tests {
         let q = compile("SELECT X FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
         let fetch = |i: usize, peer: u32| PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![i],
+                covers: 1 << i,
                 query: crate::generate::single_pattern_subquery(&q, i, &q.patterns()[i]),
             },
             site: Site::Peer(PeerId(peer)),
@@ -768,7 +766,7 @@ mod tests {
         let q = compile("SELECT X FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
         let fetch = |i: usize, peer: u32| PlanNode::Fetch {
             subquery: Subquery {
-                covers: vec![i],
+                covers: 1 << i,
                 query: crate::generate::single_pattern_subquery(&q, i, &q.patterns()[i]),
             },
             site: Site::Peer(PeerId(peer)),

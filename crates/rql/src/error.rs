@@ -52,6 +52,8 @@ pub enum ResolveError {
     /// The query has no path expressions (the conjunctive fragment requires
     /// at least one).
     EmptyFrom,
+    /// The FROM clause has over [`MAX_PATTERNS`](crate::MAX_PATTERNS) path expressions.
+    TooManyPatterns(usize),
     /// The FROM clause is not connected: some path expressions share no
     /// variable with the rest, which would require a cartesian product.
     DisconnectedPattern,
@@ -74,6 +76,7 @@ impl fmt::Display for ResolveError {
             ),
             ResolveError::LiteralSubject => write!(f, "literals cannot appear in subject position"),
             ResolveError::EmptyFrom => write!(f, "FROM clause has no path expressions"),
+            ResolveError::TooManyPatterns(n) => write!(f, "{n} path expressions, over 64"),
             ResolveError::DisconnectedPattern => {
                 write!(f, "FROM clause is not connected by shared variables")
             }

@@ -34,15 +34,16 @@ use std::sync::Arc;
 /// joined and unioned in the distributed engine.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ResultSet {
-    /// Column names, in projection order.
-    pub columns: Vec<String>,
+    /// Column names, in projection order: shared, so an answer to a query
+    /// holds its pattern's ([`QueryPattern::columns`]), not a copy.
+    pub columns: Arc<[String]>,
     /// Distinct rows, as dictionary ids.
     pub rows: Rows,
 }
 
 impl ResultSet {
     /// Creates an empty result set with the given columns.
-    pub fn empty(columns: Vec<String>) -> Self {
+    pub fn empty(columns: Arc<[String]>) -> Self {
         ResultSet {
             columns,
             rows: Rows::default(),
@@ -53,11 +54,12 @@ impl ResultSet {
     /// into `dict`. `Err` says what does not fit: the ids do not make
     /// exactly `len` rows, or one lies beyond the dictionary.
     pub fn from_dict(
-        columns: Vec<String>,
+        columns: impl Into<Arc<[String]>>,
         dict: Vec<Node>,
         ids: Vec<u32>,
         len: usize,
     ) -> Result<Self, &'static str> {
+        let columns = columns.into();
         if len.checked_mul(columns.len()) != Some(ids.len()) {
             return Err("row count differs from the cells");
         }
@@ -71,7 +73,8 @@ impl ResultSet {
 
     /// A result set holding `rows` as they are (duplicates stay), each as
     /// wide as `columns`, and each cell its own dictionary entry.
-    pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Node>>) -> Self {
+    pub fn from_rows(columns: impl Into<Arc<[String]>>, rows: Vec<Vec<Node>>) -> Self {
+        let columns = columns.into();
         assert!(rows.iter().all(|row| row.len() == columns.len()));
         let (len, dict): (_, Vec<Node>) = (rows.len(), rows.into_iter().flatten().collect());
         let ids = (0..dict.len() as u32).collect();
@@ -501,17 +504,19 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
     // pack into one u128 key — no per-row allocation during dedup. Each
     // distinct symbol kept becomes one dictionary entry: its node is
     // cloned once, and every cell holding it is that entry's id.
-    let names = query.projection().iter().map(|&v| query.var_name(v));
-    let columns: Vec<String> = names.map(str::to_string).collect();
+    let columns = Arc::clone(query.columns());
     if cur.is_empty() {
         return ResultSet::empty(columns);
     }
     let proj = || query.projection().iter().map(|v| v.0 as usize);
     let (rows, k) = (cur.len() / width, query.projection().len());
     // Symbol → dictionary entry, and the rows kept: a small result scans
-    // what it keeps; a large one has a table over the whole base and a set.
+    // what it keeps — over a snapshot as small, its ids are the symbols
+    // and its dictionary the snapshot's table, nothing cloned; a large one
+    // has a table over the whole base and a set.
     const SMALL: usize = 16;
     let small = rows * k <= SMALL;
+    let lend = small && ib.node_count() <= SMALL;
     let unique = if small { 0 } else { rows };
     let mut narrow = FxHashSet::<u128>::with_capacity_and_hasher(unique, Default::default());
     let mut wide = FxHashSet::default();
@@ -532,6 +537,7 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
     for row in cur.chunks_exact(width).filter(|row| small || new_row(row)) {
         for sym in proj().map(|i| row[i]) {
             let found = match small {
+                _ if lend => Some(sym as usize),
                 true => kept[..dict.len()].iter().position(|&s| s == sym),
                 false => (entry[sym as usize] != u32::MAX).then(|| entry[sym as usize] as usize),
             };
@@ -552,7 +558,8 @@ pub fn evaluate_snapshot(query: &QueryPattern, ib: &InternedBase) -> ResultSet {
             false => len += 1,
         }
     }
-    let dict = Arc::new(dict);
+    let lent = lend.then(|| Arc::clone(ib.table()));
+    let dict = lent.unwrap_or_else(|| Arc::new(dict));
     let rows = Rows { dict, ids, len };
     let mut out = ResultSet { columns, rows };
     let order = query.order_by().map(|(v, asc)| (query.var_name(v), asc));
@@ -601,20 +608,13 @@ fn extend_interned(
     let extents = || first.into_iter().chain(subs.iter().copied());
 
     for row in cur.chunks_exact(width) {
-        let subj: Option<SymId> = match &pattern.subject.term {
-            Term::Var(v) => match row[v.0 as usize] {
-                UNBOUND => None,
-                id => Some(id),
-            },
-            _ => subj_const.flatten(),
+        // An end's symbol: its variable's binding, or its constant's.
+        let end = |term: &Term, constant: Option<Option<SymId>>| match term {
+            Term::Var(v) => Some(row[v.0 as usize]).filter(|&id| id != UNBOUND),
+            _ => constant.flatten(),
         };
-        let obj: Option<SymId> = match &pattern.object.term {
-            Term::Var(v) => match row[v.0 as usize] {
-                UNBOUND => None,
-                id => Some(id),
-            },
-            _ => obj_const.flatten(),
-        };
+        let subj = end(&pattern.subject.term, subj_const);
+        let obj = end(&pattern.object.term, obj_const);
 
         let mut emit = |s: SymId, o: SymId| {
             if !class_ok(&pattern.subject, s) || !class_ok(&pattern.object, o) {
@@ -817,11 +817,6 @@ pub fn evaluate_reference(query: &QueryPattern, base: &DescriptionBase) -> Resul
     partial.retain(|b| query.filters().iter().all(|f| eval_condition(f, b)));
 
     // Projection with set semantics.
-    let names: Vec<String> = query
-        .projection()
-        .iter()
-        .map(|&v| query.var_name(v).to_string())
-        .collect();
     let (mut seen, mut rows) = (HashSet::new(), Vec::new());
     for b in &partial {
         let row: Vec<Node> = query
@@ -837,7 +832,7 @@ pub fn evaluate_reference(query: &QueryPattern, base: &DescriptionBase) -> Resul
             rows.push(row);
         }
     }
-    let mut out = ResultSet::from_rows(names, rows);
+    let mut out = ResultSet::from_rows(Arc::clone(query.columns()), rows);
     let order = query.order_by().map(|(v, asc)| (query.var_name(v), asc));
     if order.is_some() || query.limit().is_some() {
         out.apply_top(order, query.limit());
@@ -1018,7 +1013,7 @@ mod tests {
         let rs = run("SELECT X, Y FROM {X}prop1{Y}");
         // prop1's closed extent includes the prop4 triple.
         assert_eq!(rs.len(), 2);
-        assert_eq!(rs.columns, vec!["X", "Y"]);
+        assert_eq!(*rs.columns, ["X", "Y"]);
     }
 
     /// One pattern is evaluated without join ordering: every shape still
@@ -1209,7 +1204,7 @@ mod tests {
             vec![vec![Node::Resource(r(2)), Node::Resource(r(3))]],
         );
         let j = a.join(&b);
-        assert_eq!(j.columns, vec!["X", "Y", "Z"]);
+        assert_eq!(*j.columns, ["X", "Y", "Z"]);
         assert_eq!(j.len(), 1);
         assert_eq!(j.rows.row(0)[2], Node::Resource(r(3)));
     }
@@ -1238,7 +1233,7 @@ mod tests {
             nan,
         ];
         let part = ResultSet::from_dict(vec!["X".into()], dict, vec![0, 1, 2, 3, 3], 5).unwrap();
-        let mut rs = ResultSet::empty(vec!["X".into()]);
+        let mut rs = ResultSet::empty(vec!["X".into()].into());
         rs.union(&part);
         assert_eq!(rs.len(), 4, "{rs:?}");
         rs.union(&ResultSet::from_rows(

@@ -41,6 +41,7 @@ pub use lexer::{Lexer, Token, TokenKind};
 pub use parser::parse_query;
 pub use pattern::{
     Endpoint, JoinTree, JoinTreeNode, PathPattern, QueryPattern, ResolvedCondition, Term, VarId,
+    MAX_PATTERNS,
 };
 pub use rows::{RowRef, Rows};
 

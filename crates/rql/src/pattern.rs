@@ -16,6 +16,9 @@ use sqpeer_rdfs::{ClassId, Literal, Node, PropertyId, Range, Resource, Schema};
 use std::fmt::{self, Write};
 use std::sync::{Arc, OnceLock};
 
+/// The most path patterns a query may have: `plan::Subquery::covers` is a `u64`.
+pub const MAX_PATTERNS: usize = 64;
+
 /// Index of a variable within one [`QueryPattern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u16);
@@ -141,6 +144,8 @@ struct PatternData {
     limit: Option<usize>,
     /// The rendered RQL text; reset by every edit ([`QueryPattern::edit`]).
     text: OnceLock<String>,
+    /// The projected variables' names; reset with `text`.
+    columns: OnceLock<Arc<[String]>>,
 }
 
 impl QueryPattern {
@@ -148,6 +153,9 @@ impl QueryPattern {
     pub fn resolve(ast: &QueryAst, schema: &Arc<Schema>) -> Result<Self, ResolveError> {
         if ast.paths.is_empty() && ast.class_exprs.is_empty() {
             return Err(ResolveError::EmptyFrom);
+        }
+        if ast.paths.len() > MAX_PATTERNS {
+            return Err(ResolveError::TooManyPatterns(ast.paths.len()));
         }
         let mut builder = PatternBuilder::new(Arc::clone(schema));
         for path in &ast.paths {
@@ -189,8 +197,10 @@ impl QueryPattern {
             order_by,
             limit: ast.limit,
             text: OnceLock::new(),
+            columns: OnceLock::new(),
         }));
         qp.check_connected()?;
+        qp.columns();
         Ok(qp)
     }
 
@@ -213,6 +223,7 @@ impl QueryPattern {
             order_by: None,
             limit: None,
             text: OnceLock::new(),
+            columns: OnceLock::new(),
         }))
     }
 
@@ -221,6 +232,7 @@ impl QueryPattern {
     fn edit(&mut self) -> &mut PatternData {
         let data = Arc::make_mut(&mut self.0);
         data.text.take();
+        data.columns.take();
         data
     }
 
@@ -272,6 +284,17 @@ impl QueryPattern {
     /// The resolved filters.
     pub fn filters(&self) -> &[ResolvedCondition] {
         &self.0.filters
+    }
+
+    /// The projected variables' names, in order: the columns of every
+    /// answer, built once and shared — by a compiled query as it compiles,
+    /// by a programmatic one (a plan's fragment) on first use.
+    pub fn columns(&self) -> &Arc<[String]> {
+        let names = self
+            .projection()
+            .iter()
+            .map(|&v| self.var_name(v).to_string());
+        self.0.columns.get_or_init(|| names.collect())
     }
 
     /// Printable name of variable `v`.
@@ -406,12 +429,7 @@ impl QueryPattern {
 
     fn render(&self) -> Result<String, fmt::Error> {
         let mut f = String::new();
-        let proj: Vec<_> = self
-            .0
-            .projection
-            .iter()
-            .map(|&v| self.var_name(v).to_string())
-            .collect();
+        let proj = self.columns();
         write!(
             f,
             "SELECT {}",
@@ -604,16 +622,7 @@ impl PatternBuilder {
         let (domain, range) = (def.domain, def.range);
 
         let subject = match &path.subject {
-            NodeSpec::Var { name, class } => {
-                let user = class
-                    .as_deref()
-                    .map(|c| self.resolve_class(c))
-                    .transpose()?;
-                Endpoint {
-                    term: Term::Var(self.intern_var(name)),
-                    class: Some(self.effective_class(domain, user, &path.property)?),
-                }
-            }
+            NodeSpec::Var { name, class } => self.var_endpoint(name, class, domain, path)?,
             NodeSpec::Resource(uri) => Endpoint {
                 term: Term::Resource(Resource::new(uri.as_str())),
                 class: Some(domain),
@@ -623,14 +632,7 @@ impl PatternBuilder {
 
         let object = match (&path.object, range) {
             (NodeSpec::Var { name, class }, Range::Class(rc)) => {
-                let user = class
-                    .as_deref()
-                    .map(|c| self.resolve_class(c))
-                    .transpose()?;
-                Endpoint {
-                    term: Term::Var(self.intern_var(name)),
-                    class: Some(self.effective_class(rc, user, &path.property)?),
-                }
+                self.var_endpoint(name, class, rc, path)?
             }
             (NodeSpec::Var { name, class }, Range::Literal(_)) => {
                 if let Some(c) = class {
@@ -672,6 +674,21 @@ impl PatternBuilder {
             object,
         });
         Ok(())
+    }
+
+    /// A variable end-point of `path` whose property declares the class
+    /// `declared` there, narrowed by the user's `class`.
+    fn var_endpoint(
+        &mut self,
+        name: &str,
+        class: &Option<String>,
+        declared: ClassId,
+        path: &crate::ast::PathExpr,
+    ) -> Result<Endpoint, ResolveError> {
+        let user = class.as_deref().map(|c| self.resolve_class(c));
+        let class = Some(self.effective_class(declared, user.transpose()?, &path.property)?);
+        let term = Term::Var(self.intern_var(name));
+        Ok(Endpoint { term, class })
     }
 
     /// Resolves a standalone `{X;C}` FROM item.

@@ -55,9 +55,10 @@ fn patterns_differing_in_one_rendered_field_compare_unequal() {
 }
 
 /// Applies `edit` to the pattern `before` compiles to, its text already
-/// rendered: first while another handle shares it, then to that other
-/// handle alone. Both results must read as `after` does from scratch, and
-/// the shared handle must still read as `before` in between.
+/// rendered (its columns are built as it compiles): first while another
+/// handle shares it, then to that other handle alone. Both results must
+/// read as `after` does from scratch, text and columns, and the shared
+/// handle must still read as `before` in between.
 fn check_edit(before: &str, edit: impl Fn(QueryPattern) -> QueryPattern, after: &str) {
     let (fresh_before, fresh_after) = (q(before), q(after));
     let p = q(before);
@@ -65,10 +66,13 @@ fn check_edit(before: &str, edit: impl Fn(QueryPattern) -> QueryPattern, after: 
     let other = p.clone();
     let shared_edit = edit(p);
     assert_eq!(shared_edit.text(), fresh_after.text());
+    assert_eq!(shared_edit.columns(), fresh_after.columns());
     assert_eq!(shared_edit, fresh_after);
     assert_eq!(other.text(), fresh_before.text());
+    assert_eq!(other.columns(), fresh_before.columns());
     let unique_edit = edit(other);
     assert_eq!(unique_edit.text(), fresh_after.text());
+    assert_eq!(unique_edit.columns(), fresh_after.columns());
     assert_eq!(unique_edit.to_string(), fresh_after.text());
 }
 
@@ -118,7 +122,10 @@ fn text_memo_of_derived_patterns() {
     assert_eq!(rebuilt.text(), without_top.text());
     assert_eq!(rebuilt, without_top);
 
+    assert_eq!(rebuilt.columns(), without_top.columns());
+
     let sub = p.subpattern(&[0], vec![X, Y]);
     assert_eq!(sub.text(), q("SELECT X, Y FROM {X}prop1{Y}").text());
+    assert_eq!(**sub.columns(), ["X", "Y"]);
     assert_eq!(sub.text(), sub.to_string());
 }

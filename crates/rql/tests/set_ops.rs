@@ -15,8 +15,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqpeer_rdfs::{Literal, Node, Resource};
-use sqpeer_rql::{ResultSet, UnionAcc};
+use sqpeer_rdfs::{Literal, LiteralType, Node, Range, Resource, SchemaBuilder, Triple};
+use sqpeer_rql::{compile, evaluate, ResultSet, UnionAcc};
+use sqpeer_store::DescriptionBase;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 mod reference {
     use sqpeer_rdfs::{FxHashMap, FxHashSet, Node};
@@ -311,7 +314,7 @@ proptest! {
         let set = coded(rng, &distinct);
 
         // A permutation, a subset, a repeated or an unknown name.
-        let mut names = shuffled(rng, set.columns.clone());
+        let mut names = shuffled(rng, set.columns.to_vec());
         match rng.gen_range(0..5u8) {
             0 if !names.is_empty() => {
                 names.pop();
@@ -395,4 +398,79 @@ proptest! {
         sorted.rows.truncate(n);
         prop_assert_eq!(format!("{:?}", sorted.rows), format!("{rows:?}"));
     }
+}
+
+/// `set`'s rows over a compact dictionary: each value once, in the order
+/// the cells first use it, as an answer over a larger snapshot holds them.
+fn compact(set: &ResultSet) -> ResultSet {
+    let (mut dict, mut ids) = (Vec::new(), Vec::new());
+    for node in set.rows.iter().flat_map(|row| row.iter()) {
+        let at = dict.iter().position(|d| d == node).unwrap_or_else(|| {
+            dict.push(node.clone());
+            dict.len() - 1
+        });
+        ids.push(at as u32);
+    }
+    ResultSet::from_dict(set.columns.clone(), dict, ids, set.len()).expect("ids in range")
+}
+
+/// An answer of at most 16 cells over a snapshot of at most 16 nodes has
+/// the snapshot's table for its dictionary — every node of the base,
+/// those no row uses included — and the symbols for its ids. Union (into
+/// it and from it, at once or as a delta), join and projection give what
+/// they give on the same rows over a compact dictionary, whichever side
+/// holds the table.
+#[test]
+fn shared_table_answers_set_operate_as_compact_ones() {
+    let mut b = SchemaBuilder::new("n1", "http://example.org/n1#");
+    let (c1, c2) = (b.class("C1").unwrap(), b.class("C2").unwrap());
+    let p = b.property("p", c1, Range::Class(c2)).unwrap();
+    let q = b.property("q", c2, Range::Literal(LiteralType::Integer));
+    let (q, schema) = (q.unwrap(), Arc::new(b.finish().unwrap()));
+    let mut base = DescriptionBase::new(Arc::clone(&schema));
+    let r = |n: u32| Resource::new(format!("http://data/r{n}"));
+    for (s, o) in [(1, 2), (1, 3), (4, 2), (5, 6)] {
+        base.insert_described(Triple::new(r(s), p, r(o)));
+    }
+    for (s, v) in [(2, 7), (3, 7), (8, 9)] {
+        base.insert_described(Triple::new(r(s), q, Literal::Integer(v)));
+    }
+    let table = base.snapshot().table();
+    assert!(table.len() <= 16);
+    let ask = |text: &str| evaluate(&compile(text, &schema).unwrap(), &base);
+    let (xy, yv) = (
+        ask("SELECT X, Y FROM {X}p{Y}"),
+        ask("SELECT Y, V FROM {Y}q{V}"),
+    );
+    for lent in [&xy, &yv] {
+        assert!(std::ptr::eq(lent.rows.dict(), &table[..]), "{lent:?}");
+        let used: HashSet<&u32> = lent.rows.ids().iter().collect();
+        assert!(used.len() < table.len(), "{lent:?} leaves entries unused");
+    }
+
+    let names = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+    let node = |n| Node::Resource(r(n));
+    let other = vec![vec![node(2), node(1)], vec![node(9), node(8)]];
+    let other = ResultSet::from_rows(names(&["Y", "X"]), other);
+    let results = |xy: &ResultSet, yv: &ResultSet| {
+        let (mut acc, mut into) = (xy.clone(), other.clone());
+        acc.union(&other);
+        into.union_all([xy, yv]);
+        let delta = UnionAcc::new(other.clone()).union_delta(xy);
+        let (joined, rows) = xy.join_onto(yv, Some(&names(&["X", "V"])));
+        let projected = yv.clone().into_projection(&names(&["V", "Y"]));
+        [
+            shown(&acc),
+            shown(&into),
+            format!("{delta:?}"),
+            shown(&xy.join(yv)),
+            format!("{} {rows}", shown(&joined)),
+            shown(&xy.project(&names(&["Y"]))),
+            shown(&projected),
+        ]
+    };
+    let expected = results(&compact(&xy), &compact(&yv));
+    assert_eq!(results(&xy, &yv), expected);
+    assert_eq!(results(&compact(&xy), &yv), expected);
+    assert_eq!(results(&xy, &compact(&yv)), expected);
 }

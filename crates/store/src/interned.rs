@@ -90,8 +90,8 @@ impl InternedExtent {
 #[derive(Debug, Clone)]
 pub struct InternedBase {
     schema: Arc<Schema>,
-    /// `SymId` → node, densely numbered in first-seen order.
-    nodes: Vec<Node>,
+    /// `SymId` → node, densely numbered in first-seen order ([`Self::table`]).
+    nodes: Arc<Vec<Node>>,
     /// Node → `SymId`.
     ids: FxHashMap<Node, SymId>,
     /// Direct extents per property, columnar.
@@ -159,7 +159,7 @@ impl InternedBase {
         InternedBase {
             stats: base.stats().clone(),
             schema,
-            nodes,
+            nodes: Arc::new(nodes),
             ids,
             props,
             class_members,
@@ -185,6 +185,12 @@ impl InternedBase {
     /// The node behind a symbol.
     pub fn node(&self, id: SymId) -> &Node {
         &self.nodes[id as usize]
+    }
+
+    /// Every node, indexed by its symbol: shared, so a small answer may
+    /// take it as its dictionary.
+    pub fn table(&self) -> &Arc<Vec<Node>> {
+        &self.nodes
     }
 
     /// The symbol of a node, if it occurs in the base at all.

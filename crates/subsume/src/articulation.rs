@@ -307,6 +307,6 @@ mod tests {
         let r = a.reformulate(&q).unwrap();
         let rs = evaluate(&r, &base);
         assert_eq!(rs.len(), 1);
-        assert_eq!(rs.columns, vec!["D", "P"]);
+        assert_eq!(*rs.columns, ["D", "P"]);
     }
 }

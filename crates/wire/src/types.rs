@@ -25,6 +25,8 @@
 //!   held in memory: decode allocates once per distinct value, not once
 //!   per cell, and hashes nothing. `row_count` refuses a row count the
 //!   bytes left cannot hold.
+//! * **Covers are a list.** A [`Subquery`]'s covered-pattern bits go as
+//!   the ascending list of their indices; decode refuses one past 63.
 //! * **Plans nest to a cap.** A [`PlanNode`] decode counts its depth
 //!   against [`MAX_DEPTH`](crate::MAX_DEPTH).
 //! * **A resource is its URI.** [`Resource`]'s field is private: it goes
@@ -58,7 +60,6 @@ wire_struct! {
     PropertyStats { triples, distinct_subjects, distinct_objects };
     ClassStats { instances };
     Advertisement { peer, active, stats };
-    Subquery { covers, query };
 }
 
 wire_enum! {
@@ -90,7 +91,7 @@ impl Wire for ResultSet {
     /// unused entries and the dictionary's order never reach the wire, so
     /// decoding and encoding again gives back the same bytes.
     fn encode(&self, w: &mut Writer) {
-        self.columns.encode(w);
+        seq(w, &self.columns);
         let (dict, ids) = (self.rows.dict(), self.rows.ids());
         // A dictionary every entry of which is used, first uses in order
         // (what the engine, a decode and a union produce), goes as it is.
@@ -151,6 +152,22 @@ impl Wire for QueryPattern {
         let text = r.string()?;
         let schema = r.schemas().resolve(fp)?.clone();
         sqpeer_rql::compile(&text, &schema).map_err(|e| WireError::Query(e.to_string()))
+    }
+}
+
+impl Wire for Subquery {
+    fn encode(&self, w: &mut Writer) {
+        w.usizev(self.covers.count_ones() as usize);
+        self.covered().for_each(|i| w.usizev(i));
+        self.query.encode(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (mut covers, beyond) = (0u64, WireError::Mismatch("covered pattern beyond 63"));
+        for i in Vec::<u32>::decode(r)? {
+            covers |= 1u64.checked_shl(i).ok_or(beyond.clone())?;
+        }
+        let query = QueryPattern::decode(r)?;
+        Ok(Subquery { covers, query })
     }
 }
 

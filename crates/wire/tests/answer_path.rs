@@ -8,7 +8,8 @@ use sqpeer_exec::{Msg, QueryId};
 use sqpeer_net::{Channel, ChannelId, ChannelState};
 use sqpeer_rdfs::{Literal, Node, Resource};
 use sqpeer_routing::PeerId;
-use sqpeer_rql::ResultSet;
+use sqpeer_rql::{compile, evaluate, ResultSet};
+use sqpeer_testkit::fixtures::{base_with, fig1_schema};
 use sqpeer_wire::{
     decode_payload, decode_value, encode_frame, encode_value, AnswerFrame, Envelope,
     GatewayResponse, SchemaRegistry, WireError,
@@ -62,8 +63,57 @@ fn arb_result_set() -> impl Strategy<Value = ResultSet> {
         let rows = picks.len().checked_div(width).unwrap_or(picks.len().min(1));
         let n = dict.len() as u32;
         let ids = picks[..rows * width].iter().map(|p| p % n);
-        ResultSet::from_dict(columns.collect(), dict, ids.collect(), rows).expect("ids in range")
+        ResultSet::from_dict(columns.collect::<Vec<_>>(), dict, ids.collect(), rows)
+            .expect("ids in range")
     })
+}
+
+/// `set`'s rows over a compact dictionary: each value once, in the order
+/// the cells first use it, as an answer over a larger snapshot holds them.
+fn compact(set: &ResultSet) -> ResultSet {
+    let (mut dict, mut ids) = (Vec::new(), Vec::new());
+    for node in set.rows.iter().flat_map(|row| row.iter()) {
+        let at = dict.iter().position(|d| d == node).unwrap_or_else(|| {
+            dict.push(node.clone());
+            dict.len() - 1
+        });
+        ids.push(at as u32);
+    }
+    ResultSet::from_dict(set.columns.clone(), dict, ids, set.len()).expect("ids in range")
+}
+
+/// An answer of at most 16 cells over a snapshot of at most 16 nodes has
+/// the snapshot's table for its dictionary, unused entries and all: it
+/// encodes to the bytes of the same rows over a compact dictionary, alone
+/// and in a `Data` packet, and decodes equal to both.
+#[test]
+fn a_shared_table_answer_encodes_as_its_compact_rows() {
+    let (reg, schema) = (SchemaRegistry::new(), fig1_schema());
+    let base = base_with(
+        &schema,
+        &[
+            ("http://p/a", "prop1", "http://p/b"),
+            ("http://p/c", "prop1", "http://p/b"),
+            ("http://p/b", "prop2", "http://p/d"),
+            ("http://p/e", "prop2", "http://p/f"),
+        ],
+    );
+    let table = base.snapshot().table();
+    for text in [
+        "SELECT X, Y FROM {X}prop1{Y}",
+        "SELECT Y FROM {X}prop1{Y}",
+        "SELECT Z, Y FROM {Y}prop2{Z}",
+    ] {
+        let lent = evaluate(&compile(text, &schema).unwrap(), &base);
+        assert!(std::ptr::eq(lent.rows.dict(), &table[..]), "{text}");
+        let compact = compact(&lent);
+        let bytes = encode_value(&compact);
+        assert_eq!(encode_value(&lent), bytes, "{text}");
+        let packet = |rs: &ResultSet| data_payload(rs.clone(), false, 0, true);
+        assert_eq!(packet(&lent), packet(&compact), "{text}");
+        let decoded: ResultSet = decode_value(&bytes, &reg).expect("own encoding");
+        assert_eq!((&decoded, &decoded), (&lent, &compact), "{text}");
+    }
 }
 
 proptest! {
@@ -88,7 +138,7 @@ proptest! {
     ) {
         let reg = SchemaRegistry::new();
         let expected = encode_frame(&GatewayResponse::Answer {
-            columns: rs.columns.clone(),
+            columns: rs.columns.to_vec(),
             rows: rs
                 .rows
                 .iter()

@@ -150,10 +150,10 @@ fn plan() -> PlanNode {
     PlanNode::Join {
         inputs: vec![
             PlanNode::Union(vec![
-                fetch(vec![0, 2], Site::Peer(PeerId(21))),
-                fetch(vec![1], Site::Hole),
+                fetch(0b101, Site::Peer(PeerId(21))),
+                fetch(0b10, Site::Hole),
             ]),
-            fetch(vec![3], Site::Peer(PeerId(22))),
+            fetch(0b1000, Site::Peer(PeerId(22))),
         ],
         site: Some(PeerId(23)),
     }

@@ -10,9 +10,10 @@
 use proptest::prelude::*;
 use sqpeer_exec::{Msg, QueryId};
 use sqpeer_net::{Channel, ChannelId, ChannelState};
+use sqpeer_plan::Subquery;
 use sqpeer_rdfs::{ClassId, Node, PropertyId, Resource};
 use sqpeer_routing::{Advertisement, PeerId};
-use sqpeer_rql::{compile, ResultSet};
+use sqpeer_rql::{compile, ResolveError, ResultSet, RqlError, MAX_PATTERNS};
 use sqpeer_rvl::{ActiveProperty, ActiveSchema};
 use sqpeer_testkit::fixtures::{fig1_query_text, fig1_schema};
 use sqpeer_wire::{
@@ -210,6 +211,42 @@ fn embedded_query_that_fails_to_compile_is_an_error() {
     ));
 }
 
+/// A query of more path patterns than a plan's 64-bit covers can name is
+/// refused as it compiles — so by every decode of a message carrying one —
+/// and a shipped fragment naming a pattern past the 64th is refused at
+/// decode: typed errors, no panic.
+#[test]
+fn a_query_past_64_path_patterns_is_refused() {
+    let (reg, schema) = (registry(), fig1_schema());
+    let star = |n: usize| {
+        let from: Vec<String> = (0..n).map(|i| format!("{{X}}prop1{{Y{i}}}")).collect();
+        format!("SELECT X FROM {}", from.join(", "))
+    };
+    assert!(compile(&star(MAX_PATTERNS), &schema).is_ok());
+    assert_eq!(
+        compile(&star(MAX_PATTERNS + 1), &schema).unwrap_err(),
+        RqlError::Resolve(ResolveError::TooManyPatterns(65))
+    );
+    let mut w = Writer::new();
+    w.u64v(14); // Msg::ClientQuery
+    w.u64v(1); // qid
+    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.string(&star(MAX_PATTERNS + 1));
+    assert!(matches!(
+        decode_value::<Msg>(&w.into_bytes(), &reg).unwrap_err(),
+        WireError::Query(e) if e == "65 path expressions, over 64"
+    ));
+    let mut w = Writer::new();
+    w.usizev(1); // one covered pattern,
+    w.usizev(MAX_PATTERNS); // the 65th
+    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.string("SELECT X, Y FROM {X}prop1{Y}");
+    assert_eq!(
+        decode_value::<Subquery>(&w.into_bytes(), &reg).unwrap_err(),
+        WireError::Mismatch("covered pattern beyond 63")
+    );
+}
+
 /// An advertised property arc names classes of the schema it is bound
 /// to: a domain or a range past the schema's classes is refused at decode,
 /// as a populated class past them is, instead of reaching routing, which
@@ -365,7 +402,7 @@ fn a_packet_changing_the_answer_columns_is_refused() {
         .push_data(&reply(xy.clone()), &reg)
         .expect("first packet");
     frame
-        .push_data(&reply(ResultSet::empty(columns(&["Z"]))), &reg)
+        .push_data(&reply(ResultSet::empty(columns(&["Z"]).into())), &reg)
         .expect("no rows");
     frame.push_data(&reply(xy), &reg).expect("same columns");
     assert_eq!(

@@ -77,7 +77,7 @@ fn arb_dictionary_set() -> impl Strategy<Value = ResultSet> {
     let entries = prop::collection::vec((0..4u8, 0..4u32), 1..12);
     let picks = prop::collection::vec(any::<u32>(), 0..24);
     (0..3usize, entries, picks).prop_map(|(width, entries, picks)| {
-        let columns = ["X", "Y"][..width].iter().map(|c| c.to_string()).collect();
+        let columns: Vec<String> = ["X", "Y"][..width].iter().map(|c| c.to_string()).collect();
         let value = |(k, v)| match (k, v) {
             (2, 0) => Node::Literal(Literal::Float(f64::NAN)),
             _ => node(k, v),
@@ -103,7 +103,7 @@ fn arb_plan() -> impl Strategy<Value = PlanNode> {
                 .iter()
                 .map(|&(qi, peer, hole)| PlanNode::Fetch {
                     subquery: Subquery {
-                        covers: vec![qi % 3],
+                        covers: 1 << (qi % 3),
                         query: compile(QUERY_TEXTS[qi], &schema).unwrap(),
                     },
                     site: if hole {

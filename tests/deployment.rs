@@ -79,7 +79,7 @@ fn run_workload<T: Transport<PeerNode>>(
                 .collect();
             rows.sort();
             Observation {
-                columns: o.result.columns.clone(),
+                columns: o.result.columns.to_vec(),
                 rows,
                 partial: o.partial,
                 missing: o.missing.clone(),
@@ -263,7 +263,7 @@ fn run_streaming_workload<T: Transport<PeerNode>>(
                 .collect();
             rows.sort();
             Observation {
-                columns: o.result.columns.clone(),
+                columns: o.result.columns.to_vec(),
                 rows,
                 partial: o.partial,
                 missing: o.missing.clone(),

@@ -72,7 +72,7 @@ fn arb_result_set() -> impl Strategy<Value = ResultSet> {
                 Node::Resource(Resource::new(format!("http://r/{y}"))),
             ]
         });
-        let mut rs = ResultSet::empty(vec!["X".into(), "Y".into()]);
+        let mut rs = ResultSet::empty(vec!["X".into(), "Y".into()].into());
         rs.union(&ResultSet::from_rows(rs.columns.clone(), rows.collect()));
         rs
     })
