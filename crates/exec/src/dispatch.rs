@@ -21,11 +21,13 @@
 //! (so a [`Ctx::detached`] drives it without a network — the unit tests
 //! below), hands back the delays it wants armed — the timer table is the
 //! peer's — and copies what it needs of the configuration at
-//! construction. It knows nothing of frames, rooted queries, the tracer
-//! or the observability plane: every call returns a [`Step`] whose
-//! [`Verdict`] says what became of the subplan and whose [`Event`]s say
-//! what happened, for the peer to act on and record.
+//! construction. It carries each subplan's [`Completion`] but knows
+//! nothing of frames, rooted queries, the tracer or the observability
+//! plane: every call returns a [`Step`] whose [`Verdict`] says what became
+//! of the subplan and whose [`Event`]s say what happened, for the peer to
+//! act on and record.
 
+use crate::frame::Completion;
 use crate::msg::{Msg, PeerChannel, QueryId, TraceCtx};
 use crate::peer::{by_key, PeerConfig};
 use crate::stream::Receiver;
@@ -68,8 +70,12 @@ impl fmt::Display for ReplanCause {
 #[derive(Debug)]
 pub(crate) struct PendingRemote {
     pub(crate) qid: QueryId,
-    pub(crate) frame: u64,
-    pub(crate) slot: usize,
+    /// Where its answer goes: the parent slot, channel or root it was
+    /// shipped for.
+    pub(crate) completion: Completion,
+    /// A hole-filler (a race slot or a forwarded hole, §3.2): its rows
+    /// count only once it answers, so nobody reads them while it streams.
+    filler: bool,
     pub(crate) dest: PeerId,
     /// The shipped plan itself (needed to repair around a slow or failed
     /// destination, and for the columns of the empty table that fills a
@@ -120,8 +126,7 @@ impl PendingRemote {
 
 /// Root-side reassembly of one streamed subplan result: the seq machine
 /// ([`Receiver`]) plus the rows it has released so far, in sequence
-/// order. Every drained batch is visible to the pipelined-consumption
-/// hook (§2.4) at once.
+/// order. A drained batch leaves it only as a relayed copy ([`Drained`]).
 #[derive(Debug, Default)]
 struct Reassembly {
     recv: Receiver<Rows>,
@@ -129,18 +134,11 @@ struct Reassembly {
     partial: bool,
 }
 
-/// Who reads the rows a `Data` packet releases for its `(frame, slot)`:
-/// nobody (they move into the reassembly), a reader of that batch, or of
-/// the batch with everything released before it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Reader {
-    Nobody,
-    Batch,
-    Backfill,
-}
-
-/// Released rows: word that they `Arrived` (into the reassembly only), or
-/// the `Batch` their [`Reader`] asked for.
+/// Rows a `Data` packet released, relayed or not: word that they
+/// `Arrived` (into the reassembly only), or a copy of the `Batch` to relay
+/// down the channel the subplan answers. Only a subplan completing
+/// towards a [`Completion::Channel`] relays, and only while answers
+/// stream; a hole-filler's rows are not even reported.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Drained {
     Arrived,
@@ -166,17 +164,15 @@ pub(crate) enum Verdict {
         probe_us: Option<u64>,
     },
     /// In-order rows of its still-open stream became available for
-    /// `(frame, slot)`.
+    /// `completion`.
     Drained {
-        frame: u64,
-        slot: usize,
+        completion: Completion,
         batch: Drained,
     },
-    /// Its whole `result` arrived for `(frame, slot)`; `last` is what the
+    /// Its whole `result` arrived for `completion`; `last` is what the
     /// final packet drained, not yet consumed as a batch.
     Answered {
-        frame: u64,
-        slot: usize,
+        completion: Completion,
         plan: PlanNode,
         last: Option<Drained>,
         result: ResultSet,
@@ -229,6 +225,9 @@ pub(crate) struct Dispatcher {
     retries: u32,
     /// `PeerConfig::slow_channel`.
     slow_channel: bool,
+    /// `PeerConfig::stream_batch_rows` is set: a subplan answering a
+    /// channel relays its batches.
+    relay: bool,
     /// The trace context shipped subplans carry (`PeerConfig::trace`).
     origin: Option<PeerId>,
     channels: ChannelTable<PeerId>,
@@ -243,6 +242,7 @@ impl Dispatcher {
             timeout_us: config.subplan_timeout_us,
             retries: config.subplan_retries,
             slow_channel: config.slow_channel,
+            relay: config.stream_batch_rows.is_some(),
             origin: config.trace.then_some(id),
             channels: ChannelTable::new(),
             outstanding: FxHashMap::default(),
@@ -255,10 +255,12 @@ impl Dispatcher {
         self.channels.len()
     }
 
-    /// Ships `plan` to `dest` as a fresh subplan of `qid` feeding
-    /// `(frame, slot)`. `probe` asks for slow-channel probes as well as
-    /// the timeout (set at the query's root only — forwarding peers leave
-    /// slow channels to their own roots).
+    /// Ships `plan` to `dest` as a fresh subplan of `qid` answering
+    /// `completion`. `filler` holds the peers already asked when `plan` is
+    /// a hole-filler (see [`PendingRemote`]); any other subplan ships with
+    /// this peer alone as visited. `probe` asks for slow-channel probes as
+    /// well as the timeout (set at the query's root only — forwarding
+    /// peers leave slow channels to their own roots).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn dispatch(
         &mut self,
@@ -266,8 +268,8 @@ impl Dispatcher {
         qid: QueryId,
         dest: PeerId,
         plan: PlanNode,
-        (frame, slot): (u64, usize),
-        visited: Vec<PeerId>,
+        completion: Completion,
+        filler: Option<Vec<PeerId>>,
         probe: bool,
     ) -> Step {
         let tag = self.next_tag;
@@ -275,11 +277,11 @@ impl Dispatcher {
         let channel = self.channels.channel_to(self.id, dest);
         let pending = PendingRemote {
             qid,
-            frame,
-            slot,
+            completion,
+            filler: filler.is_some(),
             dest,
             plan,
-            visited,
+            visited: filler.unwrap_or_else(|| vec![self.id]),
             attempt: 0,
             dispatched_at_us: ctx.now_us(),
             bytes_observed: 0,
@@ -307,7 +309,6 @@ impl Dispatcher {
     /// duplicated batches — smaller packets travel faster, retries resend
     /// from the start), accounts it to the channel's throughput window and
     /// acknowledges it with one credit while the stream is incomplete.
-    /// `reader(frame, slot)` says who reads what this packet drains.
     /// `None` when the claim matches no outstanding subplan. One answer
     /// has one set of columns, the first packet's: a packet carrying rows
     /// under others is refused like a `SubplanFailed`.
@@ -318,7 +319,6 @@ impl Dispatcher {
         qid: QueryId,
         tag: u64,
         packet: Packet,
-        reader: impl FnOnce(u64, usize) -> Reader,
     ) -> Option<Step> {
         // `tag` and `qid` are the sender's claim: a packet naming another
         // query's tag must not reach its slot.
@@ -338,8 +338,9 @@ impl Dispatcher {
             ctx.note_stream_ttfr(from, elapsed);
         }
         pending.bytes_observed += bytes;
-        let (dest, frame, slot) = (pending.dest, pending.frame, pending.slot);
-        let reader = reader(frame, slot);
+        let (dest, completion) = (pending.dest, pending.completion);
+        let relay = self.relay && matches!(completion, Completion::Channel(_));
+        let read = !pending.filler;
         let state = &mut pending.stream;
         state.partial |= packet.partial;
         let ingested = state.recv.ingest(packet.seq, rows, packet.last);
@@ -352,19 +353,15 @@ impl Dispatcher {
             .drained
             .into_iter()
             .for_each(|batch| fresh.append(batch));
-        let (drained, arrived) = (&mut state.drained, !fresh.is_empty());
-        match reader {
-            Reader::Batch => drained.rows.append(fresh.clone()),
-            Reader::Nobody | Reader::Backfill => drained.rows.append(std::mem::take(&mut fresh)),
-        }
-        let batch = arrived.then(|| match reader {
-            Reader::Nobody => Drained::Arrived,
-            Reader::Batch => Drained::Batch(ResultSet {
+        let drained = &mut state.drained;
+        let batch = (read && !fresh.is_empty()).then(|| match relay {
+            true => Drained::Batch(ResultSet {
                 columns: drained.columns.clone(),
-                rows: fresh,
+                rows: fresh.clone(),
             }),
-            Reader::Backfill => Drained::Batch(drained.clone()),
+            false => Drained::Arrived,
         });
+        drained.rows.append(fresh);
         let (event, verdict) = if ingested.credit_owed {
             // Credit-based backpressure: acknowledge the packet so the
             // sender may put another in flight.
@@ -376,7 +373,7 @@ impl Dispatcher {
             };
             let bytes = send(ctx, peer_of(from), credit) as u64;
             let verdict = match batch {
-                Some(batch) => Verdict::Drained { frame, slot, batch },
+                Some(batch) => Verdict::Drained { completion, batch },
                 None => Verdict::Pending {
                     timeout_us: None,
                     probe_us: None,
@@ -391,8 +388,7 @@ impl Dispatcher {
                 bytes: result.wire_size() as u64,
             };
             let verdict = Verdict::Answered {
-                frame,
-                slot,
+                completion,
                 plan: pending.plan,
                 last: batch,
                 result,
@@ -522,7 +518,8 @@ impl Dispatcher {
     pub(crate) fn digest(&self, h: &mut impl Hasher) {
         (self.next_tag, &self.channels).hash(h);
         for (tag, p) in by_key(&self.outstanding) {
-            (tag, p.qid, p.frame, p.slot, p.dest, &p.visited, p.attempt).hash(h);
+            (tag, p.qid, format!("{:?}", p.completion), p.filler).hash(h);
+            (p.dest, &p.visited, p.attempt).hash(h);
             let stream = format!("{:?}", p.stream); // cursor, buffered seqs, rows, partial
             (p.bytes_observed, p.plan.to_string(), stream).hash(h);
         }
@@ -533,6 +530,7 @@ impl Dispatcher {
 mod tests {
     use super::*;
     use crate::node_of;
+    use sqpeer_net::{ChannelId, ChannelState};
     use sqpeer_rdfs::{Node, Resource};
 
     const ROOT: PeerId = PeerId(1);
@@ -540,12 +538,14 @@ mod tests {
     /// The base subplan timeout of [`dispatcher`].
     const T: u64 = 1_000;
 
-    /// A dispatcher at `ROOT` with a timeout of `T` and two retries.
+    /// A dispatcher at `ROOT` with a timeout of `T` and two retries, whose
+    /// answers stream.
     fn dispatcher(slow_channel: bool) -> Dispatcher {
         let config = PeerConfig {
             subplan_timeout_us: Some(T),
             subplan_retries: 2,
             slow_channel,
+            stream_batch_rows: Some(1),
             ..PeerConfig::default()
         };
         Dispatcher::new(ROOT, &config)
@@ -571,21 +571,44 @@ mod tests {
             .collect()
     }
 
-    /// Ships an (empty) subplan of query `qid` to `HOLDER` at t = 0, with
-    /// probes asked for; returns the step and the `Subplan` sent.
-    fn ship(d: &mut Dispatcher, qid: u64) -> (Step, Msg) {
+    /// The channel an upstream root shipped query 9's tag 0 here on: a
+    /// subplan answering it relays.
+    const UPSTREAM: Completion = Completion::Channel((
+        PeerChannel {
+            id: ChannelId(9),
+            root: PeerId(9),
+            dest: ROOT,
+            state: ChannelState::Open,
+        },
+        QueryId(9),
+        0,
+    ));
+
+    /// A slot of frame 1: a subplan filling it does not relay.
+    const SLOT: Completion = Completion::Parent { frame: 1, slot: 0 };
+
+    /// Ships an (empty) subplan of query `qid` to `HOLDER` at t = 0 for
+    /// `completion`, a hole-filler if `filler`, with probes asked for;
+    /// returns the step and the `Subplan` sent.
+    fn ship_for(d: &mut Dispatcher, qid: u64, completion: Completion, filler: bool) -> (Step, Msg) {
         let mut ctx = ctx_at(0);
         let plan = PlanNode::Union(Vec::new());
+        let filler = filler.then(|| vec![ROOT]);
         let step = d.dispatch(
             &mut ctx,
             QueryId(qid),
             HOLDER,
             plan,
-            (qid, 0),
-            vec![ROOT],
+            completion,
+            filler,
             true,
         );
         (step, sent(ctx).pop().expect("the subplan was sent"))
+    }
+
+    /// [`ship_for`] a relaying subplan.
+    fn ship(d: &mut Dispatcher, qid: u64) -> (Step, Msg) {
+        ship_for(d, qid, UPSTREAM, false)
     }
 
     /// Packet `seq` of a one-column stream answering `subplan`: `rows`
@@ -611,18 +634,15 @@ mod tests {
         tag: u64,
         p: Packet,
     ) -> Option<Step> {
-        d.data(ctx, node_of(HOLDER), QueryId(qid), tag, p, |_, _| {
-            Reader::Batch
-        })
+        d.data(ctx, node_of(HOLDER), QueryId(qid), tag, p)
     }
 
-    /// Packet `p` of tag 0 of query 1, read at its slot by `reader`.
-    fn ingest_read_by(d: &mut Dispatcher, ctx: &mut Ctx<Msg>, p: Packet, reader: Reader) -> Step {
-        let step = d.data(ctx, node_of(HOLDER), QueryId(1), 0, p, |_, _| reader);
-        step.expect("tag 0 is live")
+    /// Packet `p` of tag 0 of query 1.
+    fn ingest_live(d: &mut Dispatcher, ctx: &mut Ctx<Msg>, p: Packet) -> Step {
+        ingest(d, ctx, 1, 0, p).expect("tag 0 is live")
     }
 
-    /// The rows of a batch handed over to a reader.
+    /// The rows of a relayed batch.
     fn read(drained: Option<Drained>) -> Rows {
         match drained {
             Some(Drained::Batch(batch)) => batch.rows,
@@ -680,8 +700,7 @@ mod tests {
         let step = ingest(&mut d, &mut ctx, 1, 0, packet(&subplan, 0, true, 1)).expect("live");
         assert_eq!((step.qid, step.tag, step.dest), (QueryId(1), 0, HOLDER));
         let Verdict::Answered {
-            frame,
-            slot,
+            completion,
             result,
             last,
             ..
@@ -689,7 +708,11 @@ mod tests {
         else {
             panic!("a complete single-packet answer: {:?}", step.verdict);
         };
-        assert_eq!((frame, slot, result.len()), (1, 0, 1));
+        assert!(matches!(
+            completion,
+            Completion::Channel((_, QueryId(9), 0))
+        ));
+        assert_eq!(result.len(), 1);
         assert_eq!(last, Some(Drained::Batch(result)));
         assert!(ingest(&mut d, &mut ctx, 1, 0, packet(&subplan, 0, true, 1)).is_none());
         assert!(d.timed_out(&mut ctx, 0).is_none());
@@ -749,16 +772,16 @@ mod tests {
         }
     }
 
-    /// A slot nobody reads (a union answering the root): a one-packet
+    /// A subplan filling a parent slot relays nothing: a one-packet
     /// answer lands whole in the result, and the verdict only says that
     /// rows came with it.
     #[test]
     fn an_unread_single_packet_answer_lands_whole() {
         let mut d = dispatcher(false);
-        let (_, subplan) = ship(&mut d, 1);
+        let (_, subplan) = ship_for(&mut d, 1, SLOT, false);
         let p = packet(&subplan, 0, true, 3);
         let rows = p.result.rows.clone();
-        let step = ingest_read_by(&mut d, &mut ctx_at(1), p, Reader::Nobody);
+        let step = ingest_live(&mut d, &mut ctx_at(1), p);
         assert!(matches!(
             step.events,
             [Some(Event::Answered { rows: 3, .. }), None]
@@ -770,31 +793,28 @@ mod tests {
         assert_eq!(result.rows, rows);
     }
 
-    /// A join slot still reads: nothing while a sibling is unfilled, then
-    /// — its probe activating — everything released so far, then each
-    /// packet's rows, the last beside the whole result.
+    /// A hole-filler's rows are nobody's until it answers: its drained
+    /// packets are credited but not reported, even towards a channel, and
+    /// its answer brings no last batch.
     #[test]
-    fn a_read_slot_gets_its_batch_and_its_backfill() {
+    fn a_hole_filler_reports_only_its_answer() {
         let mut d = dispatcher(false);
-        let (_, subplan) = ship(&mut d, 1);
+        let (_, subplan) = ship_for(&mut d, 1, UPSTREAM, true);
         let mut ctx = ctx_at(1);
-        let mut feed = |seq, last, rows, reader| {
-            ingest_read_by(&mut d, &mut ctx, packet(&subplan, seq, last, rows), reader).verdict
+        let mut feed = |seq, last| ingest_live(&mut d, &mut ctx, packet(&subplan, seq, last, 2));
+        let step = feed(0, false);
+        assert!(matches!(step.events[0], Some(Event::CreditGranted { .. })));
+        assert!(matches!(
+            step.verdict,
+            Verdict::Pending {
+                timeout_us: None,
+                probe_us: None
+            }
+        ));
+        let Verdict::Answered { last, result, .. } = feed(1, true).verdict else {
+            panic!("packet 1 completes the stream");
         };
-        let Verdict::Drained { batch, .. } = feed(0, false, 2, Reader::Nobody) else {
-            panic!("packet 0 drains");
-        };
-        assert_eq!(batch, Drained::Arrived);
-        let Verdict::Drained { batch, .. } = feed(1, false, 1, Reader::Backfill) else {
-            panic!("packet 1 drains");
-        };
-        let Verdict::Answered { last, result, .. } = feed(2, true, 2, Reader::Batch) else {
-            panic!("packet 2 completes the stream");
-        };
-        let (mut backfill, last) = (read(Some(batch)), read(last));
-        assert_eq!((backfill.len(), last.len()), (3, 2));
-        backfill.append(last);
-        assert_eq!(backfill, result.rows);
+        assert_eq!((last, result.len()), (None, 4));
     }
 
     /// One answer, one set of columns: a later packet carrying rows under
@@ -803,21 +823,16 @@ mod tests {
     #[test]
     fn a_packet_changing_the_columns_is_refused() {
         let mut d = dispatcher(false);
-        let (_, subplan) = ship(&mut d, 1);
+        let (_, subplan) = ship_for(&mut d, 1, SLOT, false);
         let mut ctx = ctx_at(1);
-        let first = ingest_read_by(
-            &mut d,
-            &mut ctx,
-            packet(&subplan, 0, false, 1),
-            Reader::Nobody,
-        );
+        let first = ingest_live(&mut d, &mut ctx, packet(&subplan, 0, false, 1));
         assert!(matches!(first.verdict, Verdict::Drained { .. }));
         let mut wider = packet(&subplan, 1, true, 1);
         wider.result = ResultSet::from_rows(
             vec!["X".into(), "Y".into()],
             vec![vec![Node::Resource(Resource::new("r1")); 2]],
         );
-        let step = ingest_read_by(&mut d, &mut ctx, wider, Reader::Nobody);
+        let step = ingest_live(&mut d, &mut ctx, wider);
         let cause = ReplanCause::Refused;
         let lost = Event::Lost { attempts: 1, cause };
         assert_eq!(step.events, [Some(Event::Refused), Some(lost)]);
@@ -826,17 +841,14 @@ mod tests {
         assert_eq!(d.open_channels(), 0);
     }
 
-    /// A repeated packet of a slot nobody reads is reported as a dropped
+    /// A repeated packet of an unrelayed subplan is reported as a dropped
     /// duplicate, never added to the answer.
     #[test]
     fn an_unread_duplicate_is_only_counted() {
         let mut d = dispatcher(false);
-        let (_, subplan) = ship(&mut d, 1);
+        let (_, subplan) = ship_for(&mut d, 1, SLOT, false);
         let mut ctx = ctx_at(1);
-        let mut feed = |seq, last| {
-            let p = packet(&subplan, seq, last, 1);
-            ingest_read_by(&mut d, &mut ctx, p, Reader::Nobody)
-        };
+        let mut feed = |seq, last| ingest_live(&mut d, &mut ctx, packet(&subplan, seq, last, 1));
         assert!(matches!(feed(0, false).verdict, Verdict::Drained { .. }));
         let dup = feed(0, false);
         assert!(matches!(dup.verdict, Verdict::Pending { .. }));

@@ -1,14 +1,13 @@
-//! The plan interpreter's slot table (§2.4–§2.5). Executing a union or a
-//! join opens a frame with one slot per input; each input fills its slot
-//! (a local evaluation, a subplan's answer, an empty partial table for a
-//! lost one) and the last fill combines them. A `Race` frame (competing
-//! hole-fillers, §3.2) ends with its first complete filler. While an
-//! answer still streams in, `consume` reads each batch it releases: a
-//! union passes it on, a join probes it ([`JoinProbe`]). [`Frames`] takes
-//! no `Ctx` and sends nothing: `fill` hands a finished frame back, and the
-//! peer completes it.
+//! The plan interpreter's slot table (§2.4–§2.5): one frame per union,
+//! join or race node. Executing a union or a join opens a frame with one
+//! slot per input; each input fills its slot (a local evaluation, a
+//! subplan's answer, an empty partial table for a lost one) and the last
+//! fill combines them. A `Race` frame (competing hole-fillers, §3.2) ends
+//! with its first complete filler. A shipped subplan opens no frame: it
+//! completes straight into its parent's slot, its channel or its root.
+//! [`Frames`] takes no `Ctx` and sends nothing: `fill` hands a finished
+//! frame back, and the peer completes it.
 
-use crate::dispatch::{Drained, Reader};
 use crate::msg::QueryId;
 use crate::peer::by_key;
 use crate::serve::Reply;
@@ -47,70 +46,6 @@ struct Frame {
     slots: Vec<Option<ResultSet>>,
     remaining: usize,
     partial: bool,
-    /// Pipelined join state: set while this frame's only unfilled slot
-    /// streams in batches.
-    probe: Option<JoinProbe>,
-}
-
-impl Frame {
-    /// Who reads the rows a packet releases for the still-streaming
-    /// `slot`. A `Join` frame whose every other slot is filled activates
-    /// its pipelined probe on them, which needs the stream's whole drained
-    /// prefix (a backfill), and reads each batch after; a `Union` relaying
-    /// towards a channel (while `forwarding`) reads each.
-    fn reader(&self, slot: usize, forwarding: bool) -> Reader {
-        let mut others = self.slots.iter().enumerate().filter(|&(i, _)| i != slot);
-        let siblings_filled = others.all(|(_, s)| s.is_some());
-        let relays = forwarding && matches!(self.completion, Completion::Channel(_));
-        match self.op {
-            _ if self.slots[slot].is_some() => Reader::Nobody,
-            FrameOp::Join if self.probe.as_ref().is_some_and(|p| p.slot == slot) => Reader::Batch,
-            FrameOp::Join if siblings_filled => Reader::Backfill,
-            FrameOp::Union if relays => Reader::Batch,
-            _ => Reader::Nobody,
-        }
-    }
-}
-
-/// Pipelined join consumption: once every slot of a `Join` frame except
-/// the streaming one is filled, arriving batches probe against the
-/// already-built sides instead of buffering until the stream completes.
-/// `prefix` is the left fold of the filled slots before the streaming
-/// slot, `suffix` the filled slots after it; each drained batch `b`
-/// contributes `prefix ⋈ b ⋈ suffix…` to `acc`. Because the natural join
-/// distributes over the union of the (disjoint) batches, `acc` holds the
-/// rows of the frame's combined result — in batch order rather than
-/// [`combine`]'s — the moment the stream completes.
-#[derive(Debug)]
-struct JoinProbe {
-    /// The streaming slot being probed.
-    slot: usize,
-    /// Left fold of filled slots before `slot` (`None` when `slot == 0`:
-    /// the batch itself is the leftmost operand).
-    prefix: Option<ResultSet>,
-    /// Filled slots after `slot`, in slot order.
-    suffix: Vec<ResultSet>,
-    /// Union of every per-batch probe result so far.
-    acc: Option<ResultSet>,
-}
-
-impl JoinProbe {
-    /// Joins `batch` against the filled sides and folds what it joined
-    /// into `acc`; returns those rows.
-    fn probe(&mut self, batch: ResultSet) -> ResultSet {
-        let mut t = match &self.prefix {
-            Some(p) => p.join(&batch),
-            None => batch,
-        };
-        for s in &self.suffix {
-            t = t.join(s);
-        }
-        match &mut self.acc {
-            Some(acc) => acc.union(&t),
-            None => self.acc = Some(t.clone()),
-        }
-        t
-    }
 }
 
 /// The frames a peer has open, by id (see the module documentation).
@@ -139,81 +74,22 @@ impl Frames {
             slots: vec![None; slots],
             remaining: slots,
             partial: false,
-            probe: None,
         };
         self.open.insert(id, frame);
         id
     }
 
-    /// Who reads the rows a streamed answer releases for `(frame, slot)`:
-    /// nobody once the frame is gone.
-    pub(crate) fn reader(&self, frame: u64, slot: usize, forwarding: bool) -> Reader {
-        let frame = self.open.get(&frame);
-        frame.map_or(Reader::Nobody, |f| f.reader(slot, forwarding))
-    }
-
-    /// Reads one in-order batch a still-streaming answer released for
-    /// `(frame, slot)`: a union passes it on; a join whose other slots
-    /// are filled probes it — activating its probe on the backfill that
-    /// carries everything released before — and passes on what it
-    /// joined. Returns what passes on, beside where the frame completes;
-    /// `None` when no rows do.
-    pub(crate) fn consume(
-        &mut self,
-        frame: u64,
-        slot: usize,
-        batch: Drained,
-    ) -> Option<(Drained, Completion)> {
-        let frame = self.open.get_mut(&frame)?;
-        if frame.slots[slot].is_some() {
-            return None;
-        }
-        let contrib = match (frame.op, batch) {
-            (FrameOp::Union, batch) => batch,
-            (FrameOp::Join, Drained::Batch(batch)) => {
-                if frame.reader(slot, false) == Reader::Backfill {
-                    // Fold the filled sides once; every batch joins
-                    // against them from here on.
-                    let mut before = frame.slots[..slot].iter().flatten();
-                    let prefix = before.next().map(|first| {
-                        let first = first.clone();
-                        before.fold(first, |acc, s| acc.join(s))
-                    });
-                    let suffix = frame.slots[slot + 1..].iter().flatten().cloned();
-                    frame.probe = Some(JoinProbe {
-                        slot,
-                        prefix,
-                        suffix: suffix.collect(),
-                        acc: None,
-                    });
-                }
-                // No probe on this slot: a sibling is still unfilled, and
-                // the batch waits for the assembled stream.
-                let probe = frame.probe.as_mut().filter(|p| p.slot == slot)?;
-                Drained::Batch(probe.probe(batch))
-            }
-            (FrameOp::Join | FrameOp::Race, _) => return None,
-        };
-        match contrib {
-            Drained::Batch(rows) if rows.is_empty() => None,
-            contrib => Some((contrib, frame.completion)),
-        }
-    }
-
-    /// Fills `slot` of `frame` with `result`. `streamed` says `result` is
-    /// the whole answer whose batches `consume` read: a probe that read
-    /// them all has the frame's combined rows already. Once this fill
-    /// finishes the frame, returns where it completes, its result (a
-    /// rooted query's last join projects onto `names(qid)`), whether that
-    /// is partial and — for a join, whose work the processing-load model
-    /// charges — the rows joined before that projection.
+    /// Fills `slot` of `frame` with `result`. Once this fill finishes the
+    /// frame, returns where it completes, its result (a rooted query's
+    /// last join projects onto `names(qid)`), whether that is partial and
+    /// — for a join, whose work the processing-load model charges — the
+    /// rows joined before that projection.
     pub(crate) fn fill(
         &mut self,
         frame: u64,
         slot: usize,
         result: ResultSet,
         partial: bool,
-        streamed: bool,
         names: impl FnOnce(QueryId) -> Option<Arc<[String]>>,
     ) -> Option<(Completion, ResultSet, bool, Option<usize>)> {
         let id = frame;
@@ -224,7 +100,6 @@ impl Frames {
             return Some((frame.completion, result, false, None));
         }
         frame.partial |= partial;
-        let probe = if streamed { frame.probe.take() } else { None };
         if frame.slots[slot].is_none() {
             frame.remaining -= 1;
         }
@@ -234,10 +109,6 @@ impl Frames {
         }
         let frame = self.open.remove(&id)?;
         let joined = frame.op == FrameOp::Join;
-        if let Some(acc) = probe.filter(|p| p.slot == slot).and_then(|p| p.acc) {
-            let rows = acc.len();
-            return Some((frame.completion, acc, frame.partial, Some(rows)));
-        }
         let names = match frame.completion {
             Completion::Root { qid } if joined => names(qid),
             _ => None,
@@ -331,14 +202,12 @@ mod tests {
         let mut frames = Frames::default();
         let race = frames.open(QueryId(1), FrameOp::Race, ROOT, 3);
         let (first, second) = (table(0, 1, &[[1, 2]]), table(0, 1, &[[3, 4]]));
-        assert!(frames.fill(race, 0, first, true, false, no_names).is_none());
-        let won = frames.fill(race, 2, second.clone(), false, false, no_names);
+        assert!(frames.fill(race, 0, first, true, no_names).is_none());
+        let won = frames.fill(race, 2, second.clone(), false, no_names);
         let (completion, result, partial, rows) = won.expect("a complete filler wins");
         assert!(matches!(completion, Completion::Root { qid: QueryId(1) }));
         assert_eq!((result, partial, rows), (second.clone(), false, None));
-        assert!(frames
-            .fill(race, 1, second, false, false, no_names)
-            .is_none());
+        assert!(frames.fill(race, 1, second, false, no_names).is_none());
         assert_eq!(frames.slots().count(), 0);
     }
 
@@ -349,10 +218,8 @@ mod tests {
         let mut frames = Frames::default();
         let race = frames.open(QueryId(1), FrameOp::Race, ROOT, 2);
         let (first, second) = (table(0, 1, &[[1, 2]]), table(0, 1, &[[3, 4]]));
-        assert!(frames
-            .fill(race, 1, second, true, false, no_names)
-            .is_none());
-        let lost = frames.fill(race, 0, first.clone(), true, false, no_names);
+        assert!(frames.fill(race, 1, second, true, no_names).is_none());
+        let lost = frames.fill(race, 0, first.clone(), true, no_names);
         let (_, result, partial, rows) = lost.expect("the last racer failed");
         assert_eq!((result, partial, rows), (first, true, None));
     }
@@ -367,7 +234,7 @@ mod tests {
         frames.discard(QueryId(1));
         assert_eq!(frames.open.keys().collect::<Vec<_>>(), [&kept]);
         assert_eq!(frames.next, 3, "ids are never reused");
-        let done = frames.fill(kept, 0, table(0, 1, &[]), false, false, no_names);
+        let done = frames.fill(kept, 0, table(0, 1, &[]), false, no_names);
         assert!(done.is_some(), "query 2's frame still completes");
     }
 
@@ -384,13 +251,6 @@ mod tests {
             }
         }
         acc
-    }
-
-    /// `rows` of `result` rendered and sorted: the table as a set.
-    fn row_set(result: &ResultSet) -> Vec<String> {
-        let mut rows: Vec<String> = result.rows.iter().map(|r| format!("{r:?}")).collect();
-        rows.sort_unstable();
-        rows
     }
 
     proptest::proptest! {
@@ -439,7 +299,6 @@ mod tests {
                 remaining: 0,
                 slots,
                 partial: false,
-                probe: None,
             };
             // A join projects onto its chain's two ends as it joins.
             let ends = [expected.columns.first(), expected.columns.last()];
@@ -449,57 +308,6 @@ mod tests {
             let expected = if join { expected.project(&names) } else { expected };
             proptest::prop_assert_eq!(combined, expected);
             proptest::prop_assert!(!partial);
-        }
-
-        /// A join probe fed its streaming slot in any split of batches —
-        /// the first one a backfill — holds, once the stream is filled in,
-        /// the rows `combine` gives over the assembled slot, for any
-        /// position of the streaming slot in a chain of 1–5 joined slots.
-        #[test]
-        fn a_join_probe_over_any_batch_split_equals_combine(
-            cells in proptest::collection::vec(0..4u32, 2..80),
-            width in 1..6usize,
-            streaming in 0..5usize,
-            cuts in proptest::collection::vec(0..16usize, 0..6),
-        ) {
-            let streaming = streaming % width;
-            let mut cells = cells.chunks_exact(2).map(|c| [c[0], c[1]]);
-            let slots: Vec<ResultSet> = (0..width)
-                .map(|i| table(i, i + 1, &cells.by_ref().take(8).collect::<Vec<_>>()))
-                .collect();
-            let parent = Completion::Parent { frame: 9, slot: 0 };
-            let (mut probed, mut folded) = (Frames::default(), Frames::default());
-            let (p, f) = (
-                probed.open(QueryId(1), FrameOp::Join, parent, width),
-                folded.open(QueryId(1), FrameOp::Join, parent, width),
-            );
-            for (i, slot) in slots.iter().enumerate().filter(|&(i, _)| i != streaming) {
-                proptest::prop_assert!(probed.fill(p, i, slot.clone(), false, false, no_names).is_none());
-                proptest::prop_assert!(folded.fill(f, i, slot.clone(), false, false, no_names).is_none());
-            }
-            // The streaming slot's rows, cut into consecutive batches.
-            let stream = &slots[streaming];
-            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (stream.len() + 1)).collect();
-            bounds.extend([0, stream.len()]);
-            bounds.sort_unstable();
-            bounds.dedup();
-            for w in bounds.windows(2) {
-                let rows: Vec<Vec<Node>> = (w[0]..w[1])
-                    .map(|i| stream.rows.row(i).iter().cloned().collect())
-                    .collect();
-                let batch = ResultSet::from_rows(stream.columns.clone(), rows);
-                let reader = probed.reader(p, streaming, false);
-                let first = w[0] == 0;
-                proptest::prop_assert_eq!(reader, if first { Reader::Backfill } else { Reader::Batch });
-                probed.consume(p, streaming, Drained::Batch(batch));
-            }
-            let with_probe = probed.fill(p, streaming, stream.clone(), false, true, no_names);
-            let without = folded.fill(f, streaming, stream.clone(), false, true, no_names);
-            let (_, with_probe, _, probe_rows) = with_probe.expect("the stream completes the frame");
-            let (_, without, _, rows) = without.expect("the stream completes the frame");
-            proptest::prop_assert_eq!(&with_probe.columns, &without.columns);
-            proptest::prop_assert_eq!(row_set(&with_probe), row_set(&without));
-            proptest::prop_assert_eq!(probe_rows, rows);
         }
     }
 }

@@ -988,10 +988,13 @@ impl PeerNode {
                 self.finalize(ctx, qid, ResultSet::default(), true);
                 return;
             }
+            // A race of one is its filler answering the root.
             let root = Completion::Root { qid };
-            let frame = self.frames.open(qid, FrameOp::Race, root, candidates.len());
+            let n = candidates.len();
+            let race = (n > 1).then(|| self.frames.open(qid, FrameOp::Race, root, n));
             for (slot, peer) in candidates.into_iter().enumerate() {
-                self.dispatch_remote(ctx, qid, peer, plan.clone(), frame, slot, vec![self.id]);
+                let to = race.map_or(root, |frame| Completion::Parent { frame, slot });
+                self.dispatch_remote(ctx, qid, peer, plan.clone(), to, Some(vec![self.id]));
             }
         }
     }
@@ -1099,8 +1102,7 @@ impl PeerNode {
         };
         if let Some(p) = shipped_to {
             debug_assert_ne!(p, self.id);
-            let frame = self.frames.open(qid, FrameOp::Union, completion, 1);
-            self.dispatch_remote(ctx, qid, p, plan, frame, 0, vec![self.id]);
+            self.dispatch_remote(ctx, qid, p, plan, completion, None);
             return;
         }
         let (op, inputs) = match plan {
@@ -1120,18 +1122,18 @@ impl PeerNode {
         }
     }
 
-    /// Ships `plan` to `dest` as a subplan feeding `(frame, slot)` —
-    /// unless a previous phase already fetched it from there.
-    #[allow(clippy::too_many_arguments)]
+    /// Ships `plan` to `dest` as a subplan answering `completion` —
+    /// unless a previous phase already fetched it from there. `filler`
+    /// holds the peers already asked when `plan` is a hole-filler
+    /// ([`Dispatcher::dispatch`]).
     fn dispatch_remote(
         &mut self,
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
         dest: PeerId,
         plan: PlanNode,
-        frame: u64,
-        slot: usize,
-        visited: Vec<PeerId>,
+        completion: Completion,
+        filler: Option<Vec<PeerId>>,
     ) {
         if self.config.phased {
             if let Some(root) = self.rooted.get(&qid) {
@@ -1140,7 +1142,7 @@ impl PeerNode {
                     // this peer: reuse the result, ship nothing (§2.5's
                     // phased alternative to discarding).
                     let cached = cached.clone();
-                    self.fill_slot(ctx, frame, slot, cached, false, false);
+                    self.complete(ctx, completion, cached, false);
                     return;
                 }
             }
@@ -1148,7 +1150,7 @@ impl PeerNode {
         let probe = self.rooted.contains_key(&qid);
         let step = self
             .dispatch
-            .dispatch(ctx, qid, dest, plan, (frame, slot), visited, probe);
+            .dispatch(ctx, qid, dest, plan, completion, filler, probe);
         self.settle(ctx, Some(step));
     }
 
@@ -1175,19 +1177,18 @@ impl PeerNode {
                     self.arm(ctx, delay, Timer::Probe(tag));
                 }
             }
-            Verdict::Drained { frame, slot, batch } => {
-                self.consume_batch(ctx, qid, frame, slot, batch)
+            Verdict::Drained { completion, batch } => {
+                self.consume_batch(ctx, qid, completion, batch)
             }
             Verdict::Answered {
-                frame,
-                slot,
+                completion,
                 plan,
                 last,
                 result,
                 partial,
             } => {
                 if let Some(batch) = last {
-                    self.consume_batch(ctx, qid, frame, slot, batch);
+                    self.consume_batch(ctx, qid, completion, batch);
                 }
                 if self.config.phased && !partial {
                     if let Some(root) = self.live_root(qid) {
@@ -1195,7 +1196,7 @@ impl PeerNode {
                             .insert((step.dest, plan.to_string()), result.clone());
                     }
                 }
-                self.fill_slot(ctx, frame, slot, result, partial, true);
+                self.complete(ctx, completion, result, partial);
             }
             Verdict::Lost { pending, cause } => self.handle_lost_subplan(ctx, pending, cause),
         }
@@ -1277,9 +1278,7 @@ impl PeerNode {
         partial: bool,
     ) {
         match completion {
-            Completion::Parent { frame, slot } => {
-                self.fill_slot(ctx, frame, slot, result, partial, false)
-            }
+            Completion::Parent { frame, slot } => self.fill_slot(ctx, frame, slot, result, partial),
             Completion::Channel(to) => {
                 let stats = self.base_stats();
                 self.serve.answer(ctx, to, result, partial, stats);
@@ -1295,28 +1294,23 @@ impl PeerNode {
         }
     }
 
-    /// Pipelined consumption of one in-order batch drained from a
-    /// streamed subplan feeding `(frame, slot)` (see [`Frames::consume`]):
-    /// the rows it passes on timestamp the root's time-to-first-row and,
-    /// when the frame completes towards a channel, are forwarded
-    /// downstream at once, so the root sees first rows before this peer's
-    /// inputs complete.
+    /// One in-order batch drained from a streamed subplan that is no
+    /// hole-filler (see [`Drained`]): it timestamps the root's
+    /// time-to-first-row and, relayed, goes down the channel the subplan
+    /// answers at once, so the root sees first rows before this peer's
+    /// answer completes.
     fn consume_batch(
         &mut self,
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
-        frame: u64,
-        slot: usize,
+        completion: Completion,
         batch: Drained,
     ) {
-        let Some((contrib, completion)) = self.frames.consume(frame, slot, batch) else {
-            return;
-        };
         if let Some(root) = self.live_root(qid) {
             root.first_row_at_us.get_or_insert(ctx.now_us());
         }
-        if let (Drained::Batch(contrib), Completion::Channel(to)) = (contrib, completion) {
-            self.serve.forward(ctx, to, contrib);
+        if let (Drained::Batch(rows), Completion::Channel(to)) = (batch, completion) {
+            self.serve.forward(ctx, to, rows);
         }
     }
 
@@ -1329,7 +1323,6 @@ impl PeerNode {
         slot: usize,
         result: ResultSet,
         partial: bool,
-        streamed: bool,
     ) {
         let rooted = &self.rooted;
         let names = |qid| {
@@ -1337,9 +1330,7 @@ impl PeerNode {
                 .get(&qid)
                 .map(|root| Arc::clone(root.query.columns()))
         };
-        let finished = self
-            .frames
-            .fill(frame, slot, result, partial, streamed, names);
+        let finished = self.frames.fill(frame, slot, result, partial, names);
         match finished {
             // The join work happens at this peer: charge its load before
             // the result moves on.
@@ -1541,8 +1532,7 @@ impl PeerNode {
         let PendingRemote {
             qid,
             dest: failed,
-            frame,
-            slot,
+            completion,
             plan,
             ..
         } = pending;
@@ -1572,19 +1562,19 @@ impl PeerNode {
             // else keeps running; every trace of the failed peer becomes a
             // hole / unsited join, local routing fills the holes with
             // alternatives, and the repaired fragment feeds the *same*
-            // frame slot.
+            // parent slot.
             self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
             let holed = strip_peer(plan, failed);
             let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
             if repaired.is_complete() {
-                self.execute(ctx, qid, repaired, Completion::Parent { frame, slot });
+                self.execute(ctx, qid, repaired, completion);
                 return;
             }
         }
         // Static execution (or an intermediate peer), or nobody else holds
         // the lost fragment: an empty partial slot, and the rest of the
         // plan continues.
-        self.fill_slot(ctx, frame, slot, ResultSet::empty(columns), true, false);
+        self.complete(ctx, completion, ResultSet::empty(columns), true);
     }
 
     // ------------------------------------------------------------------
@@ -1643,10 +1633,7 @@ impl PeerNode {
         visited.push(self.id);
         let next = filled.peers().into_iter().find(|p| !visited.contains(p));
         match next {
-            Some(peer) => {
-                let frame = self.frames.open(qid, FrameOp::Race, completion, 1);
-                self.dispatch_remote(ctx, qid, peer, filled, frame, 0, visited);
-            }
+            Some(peer) => self.dispatch_remote(ctx, qid, peer, filled, completion, Some(visited)),
             // Nobody left to ask: refuse the subplan.
             None => self.serve.refuse(ctx, to),
         }
@@ -1884,12 +1871,7 @@ impl NodeLogic for PeerNode {
                     result,
                     partial,
                 };
-                let (frames, forwarding) = (&self.frames, self.config.stream_batch_rows.is_some());
-                let step = self
-                    .dispatch
-                    .data(ctx, from, qid, tag, packet, |frame, slot| {
-                        frames.reader(frame, slot, forwarding)
-                    });
+                let step = self.dispatch.data(ctx, from, qid, tag, packet);
                 self.settle(ctx, step);
             }
             Msg::SubplanFailed { qid, tag, .. } => {
@@ -2056,7 +2038,8 @@ impl NodeLogic for PeerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqpeer_net::{NodeId, Simulator};
+    use sqpeer_net::{ChannelTable, NodeId, Simulator};
+    use sqpeer_plan::single_pattern_subquery;
     use sqpeer_rdfs::{Range, Resource, Schema, SchemaBuilder, Triple};
     use sqpeer_rql::compile;
     use std::sync::Arc;
@@ -3457,6 +3440,212 @@ mod tests {
             assert_eq!(*filled[0].columns, ["X", "Y"]);
             assert_eq!(filled[0].columns, plan_columns(&plan));
         }
+    }
+
+    /// A plan that is one shipped fetch opens no frame: the holder's
+    /// stream answers the root itself, and its first batch stamps the
+    /// time to first row before the stream completes.
+    #[test]
+    fn a_one_fetch_plan_completes_its_root_from_the_stream() {
+        let schema = fig1_schema();
+        let mut sim: Simulator<PeerNode> = Simulator::default();
+        let mut root = PeerNode::simple(PeerId(1), base_with(&schema, &[]), adhoc_config());
+        let config = PeerConfig {
+            stream_batch_rows: Some(4),
+            processing_us_per_row: 1_000,
+            ..adhoc_config()
+        };
+        let mut base = DescriptionBase::new(Arc::clone(&schema));
+        let prop1 = schema.property_by_name("prop1").unwrap();
+        for i in 0..25 {
+            let (s, o) = (format!("http://s/{i}"), format!("http://o/{i}"));
+            base.insert_described(Triple::new(Resource::new(s), prop1, Resource::new(o)));
+        }
+        let holder = PeerNode::simple(PeerId(2), base, config);
+        root.son
+            .registry
+            .register(holder.own_advertisement().unwrap());
+        sim.add_node(NodeId(1), root);
+        sim.add_node(NodeId(2), holder);
+        sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
+        let query = compile("SELECT X, Y FROM {X}prop1{Y}", &schema).unwrap();
+        pose(&mut sim, NodeId(1), QueryId(8), query);
+        let (mut dispatched, mut streaming) = (false, false);
+        while sim.run(1) > 0 {
+            let root = sim.node(NodeId(1)).unwrap();
+            assert_eq!(
+                root.frames.slots().count(),
+                0,
+                "no frame at t={}",
+                sim.now_us()
+            );
+            let stamped = root.rooted.get(&QueryId(8));
+            let stamped = stamped.is_some_and(|r| r.first_row_at_us.is_some());
+            let answered = root.outcome(QueryId(8)).is_some();
+            dispatched |= root.rooted_channels() == 1 && !answered;
+            streaming |= stamped && !answered;
+        }
+        assert!(dispatched && streaming, "the subplan streamed in flight");
+        let outcome = sim.node(NodeId(1)).unwrap().outcome(QueryId(8)).unwrap();
+        assert_eq!((outcome.result.len(), outcome.partial), (25, false));
+        let ttfr_us = outcome.ttfr_us.expect("rows arrived");
+        assert!(
+            ttfr_us < outcome.latency_us,
+            "{ttfr_us} vs {}",
+            outcome.latency_us
+        );
+    }
+
+    /// A shipped fetch lost under a root join fills that join's own slot:
+    /// statically with an empty partial table, under phased repair with
+    /// the repaired fragment (a replica the root learnt of after planning).
+    /// The join is the only frame the root ever holds.
+    #[test]
+    fn a_lost_fetch_fills_its_join_slot_directly() {
+        let schema = fig1_schema();
+        for phased in [false, true] {
+            let config = PeerConfig {
+                adaptive: phased,
+                phased,
+                ..adhoc_config()
+            };
+            let peer = |id, triples: &[(&str, &str, &str)]| {
+                PeerNode::simple(PeerId(id), base_with(&schema, triples), config.clone())
+            };
+            let mut root = peer(1, &[]);
+            let (lost, slow) = (
+                peer(2, &[("a", "prop1", "b")]),
+                peer(3, &[("b", "prop2", "c")]),
+            );
+            let replica = peer(4, &[("a", "prop1", "b")]);
+            for holder in [&lost, &slow] {
+                root.son
+                    .registry
+                    .register(holder.own_advertisement().unwrap());
+            }
+            let late_ad = replica.own_advertisement().unwrap();
+            let mut sim: Simulator<PeerNode> = Simulator::default();
+            for (id, node) in [(1, root), (2, lost), (3, slow), (4, replica)] {
+                sim.add_node(NodeId(id), node);
+            }
+            sim.add_node(NodeId(99), PeerNode::client(PeerId(99)));
+            // P2 is down before its subplan lands; P3 answers late.
+            sim.schedule_node_down(1, NodeId(2));
+            let slow_link = sqpeer_net::LinkSpec {
+                latency_us: 500_000,
+                ..Default::default()
+            };
+            sim.set_link(NodeId(1), NodeId(3), slow_link);
+            let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
+            pose(&mut sim, NodeId(1), QueryId(1), query);
+            while sim.node(NodeId(1)).unwrap().rooted_channels() < 2 {
+                assert!(sim.run(1) > 0, "the root ships both fetches");
+            }
+            let root = sim.node_mut(NodeId(1)).unwrap();
+            root.son.registry.register(late_ad);
+            let filled = loop {
+                assert!(sim.run(1) > 0, "P2's slot fills before P3 answers");
+                let root = sim.node(NodeId(1)).unwrap();
+                let frames: Vec<_> = root.frames.slots().collect();
+                assert_eq!(frames.len(), 1, "the join's frame alone");
+                if let [Some(filled), None] | [None, Some(filled)] = frames[0] {
+                    break filled.clone();
+                }
+            };
+            assert_eq!(*filled.columns, ["X", "Y"]);
+            assert_eq!(filled.len(), usize::from(phased), "phased={phased}");
+            sim.run_to_quiescence();
+            let outcome = sim.node(NodeId(1)).unwrap().outcome(QueryId(1)).unwrap();
+            assert_eq!(outcome.result.len(), usize::from(phased));
+            assert_eq!(
+                (outcome.partial, &outcome.missing[..]),
+                (true, &[PeerId(2)][..])
+            );
+        }
+    }
+
+    /// An intermediate that cannot fill a hole forwards it with no frame
+    /// open, and passes each row of the stream that answers it on to the
+    /// root once. A forwarded hole is a hole-filler: its rows go on when
+    /// it answers, not batch by batch.
+    #[test]
+    fn a_forwarded_hole_answers_its_channel_without_a_frame() {
+        let schema = fig1_schema();
+        let config = PeerConfig {
+            stream_batch_rows: Some(2),
+            stream_credit_window: 8,
+            ..adhoc_config()
+        };
+        let mut p2 = PeerNode::simple(PeerId(2), base_with(&schema, &[]), config);
+        let query = compile("SELECT X, Z FROM {X}prop1{Y}, {Y}prop2{Z}", &schema).unwrap();
+        let fragment = |i: usize, site| PlanNode::Fetch {
+            subquery: Subquery {
+                covers: 1 << i,
+                query: single_pattern_subquery(&query, i, &query.patterns()[i]),
+            },
+            site,
+        };
+        let plan = PlanNode::Join {
+            inputs: vec![fragment(0, Site::Hole), fragment(1, Site::Peer(PeerId(3)))],
+            site: None,
+        };
+        let qid = QueryId(5);
+        let subplan = Msg::Subplan {
+            channel: ChannelTable::new().channel_to(PeerId(1), PeerId(2)),
+            qid,
+            tag: 0,
+            plan,
+            visited: vec![PeerId(1)],
+            attempt: 0,
+            trace: None,
+        };
+        let (sent, _) = hand(&mut p2, PeerId(1), subplan);
+        let [(
+            PeerId(3),
+            Msg::Subplan {
+                channel,
+                tag,
+                visited,
+                ..
+            },
+        )] = &sent[..]
+        else {
+            panic!("one subplan forwarded to P3: {sent:?}");
+        };
+        assert_eq!(visited, &[PeerId(1), PeerId(2)]);
+        assert_eq!(p2.frames.slots().count(), 0);
+        let node = |r: String| sqpeer_rdfs::Node::Resource(Resource::new(r));
+        let rows: Vec<Vec<_>> = (0..6)
+            .map(|i| vec![node(format!("x{i}")), node(format!("z{i}"))])
+            .collect();
+        let (mut to_root, mut credits) = (Vec::new(), 0);
+        for (seq, batch) in rows.chunks(2).enumerate() {
+            let data = Msg::Data {
+                channel: *channel,
+                qid,
+                tag: *tag,
+                result: ResultSet::from_rows(vec!["X".into(), "Z".into()], batch.to_vec()),
+                partial: false,
+                stats: None,
+                seq: seq as u32,
+                last: seq == 2,
+            };
+            for (to, msg) in hand(&mut p2, PeerId(3), data).0 {
+                match (to, msg) {
+                    (PeerId(3), Msg::Credit { .. }) => credits += 1,
+                    (PeerId(1), Msg::Data { result, .. }) if seq == 2 => {
+                        to_root.extend(result.rows.iter().map(|r| format!("{r:?}")))
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        assert_eq!(credits, 2, "one per packet of the open stream");
+        assert_eq!(p2.frames.slots().count(), 0);
+        let mut expected: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        to_root.sort();
+        expected.sort();
+        assert_eq!(to_root, expected, "each row once");
     }
 
     /// Hands `msg` from `from` to `node` off-network; returns what it sent

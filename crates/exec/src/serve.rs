@@ -3,7 +3,8 @@
 //! served subplan's identity `(root, qid, tag)`, the idempotent-receive
 //! log ([`ServedLog`]) and the outgoing streams: an answer larger than one
 //! packet leaves as a credit-gated [`Sender`], produced batch by batch
-//! under the processing-load model or relayed by a union still assembling.
+//! under the processing-load model or relayed from a shipped subplan
+//! still streaming in.
 //! Like `dispatch::Dispatcher` it sends through the peer's [`Ctx`], copies
 //! its configuration at construction and hands back the delays it wants
 //! armed: the timer table, and with it the §2.5 slots, is the peer's.
@@ -88,7 +89,7 @@ struct OutgoingStream {
     /// Carried by the final packet.
     partial: bool,
     stats: Option<BaseStatistics>,
-    /// Union-forwarding streams dedup against the rows already queued
+    /// Relaying streams dedup against the rows already queued
     /// (`None` for pre-chunked result streams, whose batches are
     /// disjoint by construction).
     sent_acc: Option<UnionAcc>,
@@ -257,8 +258,8 @@ impl Server {
         Some(rows.map(|rows| self.us_per_row * rows as u64))
     }
 
-    /// Relays `contrib` — rows a frame replying to `to` passed on before
-    /// it completes — on the forwarding stream towards the root, opened on
+    /// Relays `contrib` — rows drained from a subplan answering `to`
+    /// before it completes — on the forwarding stream towards the root, opened on
     /// first use: only rows not yet sent, as far as the credit window
     /// allows. A no-op unless answers stream.
     pub(crate) fn forward(&mut self, ctx: &mut Ctx<Msg>, to: Reply, contrib: ResultSet) {
@@ -462,7 +463,7 @@ mod tests {
         s.credit(&mut ctx(), key, 1);
     }
 
-    /// A union still assembling relays each row once, before its answer
+    /// A subplan still streaming in relays each row once, before its answer
     /// is complete; the answer then closes the stream with what was not
     /// relayed.
     #[test]

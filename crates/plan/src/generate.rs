@@ -36,15 +36,13 @@ pub fn single_pattern_subquery(
     index: usize,
     pattern: &PathPattern,
 ) -> QueryPattern {
-    let projection: Vec<_> = pattern.vars().collect();
-    // `subpattern` keeps only filters fully bound by this pattern.
-    let template = query.subpattern(&[index], projection.clone());
+    let filters = query.filters_bound_by(std::slice::from_ref(&query.patterns()[index]));
     QueryPattern::from_parts(
         query.schema().clone(),
         query.var_names().to_vec(),
         vec![pattern.clone()],
-        projection,
-        template.filters().to_vec(),
+        pattern.vars().collect(),
+        filters,
     )
 }
 

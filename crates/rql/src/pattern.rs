@@ -248,14 +248,6 @@ impl QueryPattern {
         self
     }
 
-    /// Attaches a Top-N clause (`ORDER BY` + `LIMIT`) to the pattern.
-    pub fn with_top(mut self, order_by: Option<(VarId, bool)>, limit: Option<usize>) -> Self {
-        let data = self.edit();
-        data.order_by = order_by;
-        data.limit = limit;
-        self
-    }
-
     /// The `ORDER BY` variable and direction, if any.
     pub fn order_by(&self) -> Option<(VarId, bool)> {
         self.0.order_by
@@ -312,36 +304,30 @@ impl QueryPattern {
         self.0.var_names.len()
     }
 
-    /// Replaces the projection (used when deriving shipped subqueries whose
-    /// projection must include join variables).
-    pub fn with_projection(mut self, projection: Vec<VarId>) -> Self {
-        self.edit().projection = projection;
-        self
+    /// The filters whose every variable `patterns` bind, in order: what a
+    /// fragment of this query over `patterns` keeps.
+    pub fn filters_bound_by(&self, patterns: &[PathPattern]) -> Vec<ResolvedCondition> {
+        let bound = |o: &CondOperand| match o {
+            CondOperand::Var(v) => patterns.iter().any(|p| p.vars().any(|b| b == *v)),
+            CondOperand::Const(_) => true,
+        };
+        let kept = self
+            .0
+            .filters
+            .iter()
+            .filter(|f| bound(&f.left) && bound(&f.right));
+        kept.cloned().collect()
     }
 
     /// Extracts the sub-pattern consisting of `indices` (into
     /// [`QueryPattern::patterns`]) with the given projection, keeping
-    /// variable ids stable and dropping filters that mention variables not
-    /// bound by the kept patterns.
+    /// variable ids stable and the filters its patterns bind.
     pub fn subpattern(&self, indices: &[usize], projection: Vec<VarId>) -> QueryPattern {
         let patterns: Vec<_> = indices
             .iter()
             .map(|&i| self.0.patterns[i].clone())
             .collect();
-        let bound: std::collections::HashSet<VarId> =
-            patterns.iter().flat_map(|p| p.vars()).collect();
-        let filters = self
-            .0
-            .filters
-            .iter()
-            .filter(|f| {
-                [&f.left, &f.right].iter().all(|o| match o {
-                    CondOperand::Var(v) => bound.contains(v),
-                    CondOperand::Const(_) => true,
-                })
-            })
-            .cloned()
-            .collect();
+        let filters = self.filters_bound_by(&patterns);
         // Class patterns and Top-N apply to the whole answer, never to
         // shipped fragments.
         let (schema, var_names) = (Arc::clone(&self.0.schema), self.0.var_names.clone());

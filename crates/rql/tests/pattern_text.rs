@@ -79,21 +79,6 @@ fn check_edit(before: &str, edit: impl Fn(QueryPattern) -> QueryPattern, after: 
 #[test]
 fn text_memo_follows_every_builder() {
     let one = "SELECT X, Y FROM {X}prop1{Y}";
-    check_edit(
-        one,
-        |p| p.with_top(Some((X, false)), Some(3)),
-        "SELECT X, Y FROM {X}prop1{Y} ORDER BY X DESC LIMIT 3",
-    );
-    check_edit(
-        "SELECT X, Y FROM {X}prop1{Y} LIMIT 3",
-        |p| p.with_top(None, None),
-        one,
-    );
-    check_edit(
-        one,
-        |p| p.with_projection(vec![Y]),
-        "SELECT Y FROM {X}prop1{Y}",
-    );
     let c5 = schema().class_by_name("C5").unwrap();
     check_edit(
         one,
