@@ -32,12 +32,12 @@
 //! worst a duplicate costs is the host evaluating it twice — and it is
 //! bounded because a failure on the fresh connection is final.
 
-use crate::host::wake_accept;
+use crate::host::{accept_loop, frames, wake_accept};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
 use sqpeer_rql::compile;
 use sqpeer_wire::{
-    encode_frame, read_frame, read_payload, AnswerFrame, Envelope, GatewayRequest, GatewayResponse,
+    encode_frame, read_payload, AnswerFrame, Envelope, GatewayRequest, GatewayResponse,
     SchemaRegistry,
 };
 use std::collections::HashMap;
@@ -46,7 +46,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy)]
@@ -209,20 +208,10 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let next_qid = Arc::new(AtomicU64::new(0));
     let mut threads = Vec::new();
-    {
-        let shutdown = Arc::clone(&shutdown);
-        threads.push(std::thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let tenants = Arc::clone(&tenants);
-                let shutdown = Arc::clone(&shutdown);
-                let next_qid = Arc::clone(&next_qid);
-                std::thread::spawn(move || serve_client(stream, tenants, next_qid, shutdown));
-            }
-        }));
-    }
+    threads.push(accept_loop(listener, &shutdown, move |stream, shutdown| {
+        let (tenants, next_qid) = (Arc::clone(&tenants), Arc::clone(&next_qid));
+        std::thread::spawn(move || serve_client(stream, tenants, next_qid, shutdown));
+    }));
 
     Ok(GatewayHandle {
         addr,
@@ -239,32 +228,18 @@ type HostConns<'a> = HashMap<&'a str, TcpStream>;
 /// One client connection: framed requests in, framed verdicts out. The
 /// host connections its requests open live and die with it.
 fn serve_client(
-    mut stream: TcpStream,
+    stream: TcpStream,
     tenants: Arc<HashMap<String, Tenant>>,
     next_qid: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
     // Requests carry no schema-bound types, so an empty registry decodes
     // them.
     let no_schemas = SchemaRegistry::new();
     let mut hosts = HostConns::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let request: GatewayRequest = match read_frame(&mut stream, &no_schemas) {
-            Ok(Some(r)) => r,
-            Ok(None) => return,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
+    for request in frames::<GatewayRequest>(&stream, &no_schemas, &shutdown) {
         let response = answer(&request, &tenants, &next_qid, &mut hosts);
-        if io::Write::write_all(&mut stream, &response).is_err() {
+        if io::Write::write_all(&mut &stream, &response).is_err() {
             return;
         }
     }

@@ -39,9 +39,10 @@ use sqpeer_exec::{Msg, PeerNode, QueryId, QueryOutcome};
 use sqpeer_net::{Channel, ChannelId, ChannelState, Transport};
 use sqpeer_routing::PeerId;
 use sqpeer_rql::ResultSet;
-use sqpeer_wire::{read_frame, write_frame, Envelope, SchemaRegistry};
+use sqpeer_wire::{read_frame, write_frame, Envelope, SchemaRegistry, Wire};
 use std::collections::HashMap;
 use std::io;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -121,6 +122,45 @@ pub(crate) fn wake_accept(mut addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
+/// Spawns the thread that accepts connections on `listener` and hands
+/// each, with a handle on the `shutdown` flag, to `serve`, until it wakes
+/// to find the flag set (see [`wake_accept`]).
+pub(crate) fn accept_loop(
+    listener: TcpListener,
+    shutdown: &Arc<AtomicBool>,
+    mut serve: impl FnMut(TcpStream, Arc<AtomicBool>) + Send + 'static,
+) -> JoinHandle<()> {
+    let shutdown = Arc::clone(shutdown);
+    std::thread::spawn(move || {
+        while let Ok((stream, _)) = listener.accept() {
+            if shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            serve(stream, Arc::clone(&shutdown));
+        }
+    })
+}
+
+/// The frames a connection reads off `stream` until EOF, a read error or
+/// `shutdown`: a read waits at most 500 ms, then checks `shutdown` again.
+pub(crate) fn frames<'a, T: Wire + 'a>(
+    mut stream: &'a TcpStream,
+    schemas: &'a SchemaRegistry,
+    shutdown: &'a AtomicBool,
+) -> impl Iterator<Item = T> + 'a {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    std::iter::from_fn(move || loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        match read_frame(&mut stream, schemas) {
+            Ok(frame) => return frame,
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => {}
+            Err(_) => return None,
+        }
+    })
+}
+
 /// Boots a host: assembles the group on a fresh loopback transport,
 /// binds the sockets, spawns the pump and accept threads.
 pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
@@ -157,44 +197,25 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
 
     // Pump thread: owns the transport, injects queries, collects
     // outcomes, refreshes the status text.
-    {
-        let shutdown = Arc::clone(&shutdown);
-        threads.push(std::thread::spawn(move || pump.run(&shutdown)));
-    }
+    let stop = Arc::clone(&shutdown);
+    threads.push(std::thread::spawn(move || pump.run(&stop)));
 
     // Peer-port accept thread.
-    {
-        let shutdown = Arc::clone(&shutdown);
-        let schemas = schemas.clone();
-        threads.push(std::thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Answers leave as a burst of small frames: do not let
-                // Nagle hold one back for the peer's ACK.
-                let _ = stream.set_nodelay(true);
-                let cmd_tx = cmd_tx.clone();
-                let schemas = schemas.clone();
-                let shutdown = Arc::clone(&shutdown);
-                std::thread::spawn(move || {
-                    serve_connection(stream, cmd_tx, schemas, shutdown, answer_batch_rows)
-                });
-            }
-        }));
-    }
+    threads.push(accept_loop(listener, &shutdown, move |stream, stop| {
+        // Answers leave as a burst of small frames: do not let Nagle hold
+        // one back for the peer's ACK.
+        let _ = stream.set_nodelay(true);
+        let (cmd_tx, schemas) = (cmd_tx.clone(), schemas.clone());
+        std::thread::spawn(move || {
+            serve_connection(stream, cmd_tx, schemas, stop, answer_batch_rows)
+        });
+    }));
 
     // Status accept thread.
     if let Some(listener) = status_listener {
-        let shutdown = Arc::clone(&shutdown);
-        threads.push(std::thread::spawn(move || {
-            while let Ok((mut stream, _)) = listener.accept() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let text = status_text.lock().map(|t| t.clone()).unwrap_or_default();
-                let _ = io::Write::write_all(&mut stream, text.as_bytes());
-            }
+        threads.push(accept_loop(listener, &shutdown, move |mut stream, _| {
+            let text = status_text.lock().map(|t| t.clone()).unwrap_or_default();
+            let _ = io::Write::write_all(&mut stream, text.as_bytes());
         }));
     }
 
@@ -416,27 +437,13 @@ fn render_status(pump: &Pump) -> String {
 /// `Envelope(Data)` frames out (several when `answer_batch_rows` streams
 /// the answer), until the peer closes or shutdown.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     cmd_tx: Sender<Command>,
     schemas: SchemaRegistry,
     shutdown: Arc<AtomicBool>,
     answer_batch_rows: Option<usize>,
 ) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let envelope: Envelope = match read_frame(&mut stream, &schemas) {
-            Ok(Some(e)) => e,
-            Ok(None) => return, // clean EOF
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue
-            }
-            Err(_) => return,
-        };
+    for envelope in frames::<Envelope>(&stream, &schemas, &shutdown) {
         let Msg::ClientQuery { qid, query } = envelope.msg else {
             // Anything but a client query on the front door is refused by
             // closing: the peer protocol proper runs inside the group.
@@ -498,7 +505,7 @@ fn serve_connection(
             };
             let last = seq + 1 == count;
             let frame = data(piece, last && partial, seq as u32, last);
-            if write_frame(&mut stream, &frame).is_err() {
+            if write_frame(&mut &stream, &frame).is_err() {
                 return;
             }
         }

@@ -10,14 +10,14 @@
 //!   registry and its leases, tombstones, cluster summaries, backbone
 //!   relays and tree-descent routing gathers — and is unit-tested
 //!   without a network;
-//! * [`PeerNode`] ([`peer`]) holds one directory and is the query plane:
-//!   a query's life at its root and the run-time adaptation, over three
-//!   crate-private machines unit-tested without a network —
-//!   `dispatch::Dispatcher` (what it shipped and still waits on, each step
-//!   a typed `Event`, [`obs`]), `frame::Frames` (the plan interpreter's
-//!   slot table) and `serve::Server` (a channel's destination end: served
-//!   log, outgoing streams); [`stream`] is the sans-IO seq/credit machine
-//!   of one channel.
+//! * [`PeerNode`] ([`peer`]) holds one directory and is the query plane,
+//!   carrying out four crate-private machines unit-tested without a
+//!   network — `root::Roots` (a query's life at its root and the one
+//!   run-time adaptation decision), `dispatch::Dispatcher` (what it shipped
+//!   and still waits on, each step a typed `Event`, [`obs`]),
+//!   `frame::Frames` (the plan interpreter's slot table) and
+//!   `serve::Server` (a channel's destination end: served log, outgoing
+//!   streams); [`stream`] is the sans-IO seq/credit machine of one channel.
 //!
 //! The [`PeerNode`] plugs into [`sqpeer_net::Simulator`] and implements,
 //! per peer role,
@@ -41,6 +41,7 @@ pub mod local;
 pub mod msg;
 pub mod obs;
 pub mod peer;
+mod root;
 mod serve;
 pub mod son;
 pub mod stream;

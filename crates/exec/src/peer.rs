@@ -11,31 +11,28 @@
 //!
 //! The node plugs into the [`sqpeer_net::Simulator`] event loop; every
 //! behaviour is a reaction to a delivered message, a timer or a failure
-//! notification, handed to one of four machines: what the peer *knows*
-//! about its SON is the [`Directory`] (`son`), what it has shipped and not
-//! yet settled the `Dispatcher` (`dispatch`), the plan interpreter's slot
-//! table `frame::Frames` (`frames`), and what it keeps as the destination
-//! of other roots' channels — the served log and the outgoing streams —
-//! `serve::Server` (`serve`). This file is the life of a query over them:
-//! intake, routing, planning, `execute`, `settle`, `finalize`, hole
-//! filling, and the run-time adaptation every lost subplan reaches
-//! through `handle_lost_subplan`. It lends the directory its router
-//! (`annotate`), records every protocol event through one fold (`note`)
-//! and keeps the timer table and the slot queue.
+//! notification, handed to one of five machines: what the peer *knows*
+//! about its SON is the [`Directory`] (`son`), the life of each query it
+//! roots and the one adaptation decision `root::Roots` (`roots`, with no
+//! `Ctx`), what it has shipped and not yet settled the `Dispatcher`
+//! (`dispatch`), the plan interpreter's slot table `frame::Frames`
+//! (`frames`), and what it keeps as the destination of other roots'
+//! channels `serve::Server` (`serve`). This file carries out what they
+//! return, in order: it routes, executes, sends, arms the timers, fills
+//! holes, records every protocol event through one fold (`note`) and
+//! lends the directory its router (`annotate`).
 
-use crate::dispatch::{Dispatcher, Drained, Packet, PendingRemote, ReplanCause, Step, Verdict};
+use crate::dispatch::{Dispatcher, Drained, Packet, ReplanCause, Step, Verdict};
 use crate::frame::{Completion, FrameOp, Frames};
 use crate::local::{eval_local, fully_local};
 use crate::msg::{Msg, QueryId, QueryOutcome};
+use crate::root::{strip_peer, Lost, Roots};
 use crate::serve::{Reply, ServedLog, Server, StreamKey};
 use crate::son::{Directory, Route};
 use crate::{node_of, peer_of, send, Event, Subject};
 use sqpeer_cache::{CacheConfig, CacheStats, SemanticCache};
 use sqpeer_net::{Ctx, NodeId, NodeLogic};
-use sqpeer_plan::{
-    generate_plan, optimize_traced, CostParams, Estimator, Explain, OptimizeReport, PlanNode, Site,
-    Subquery, UniformCost,
-};
+use sqpeer_plan::{Explain, PlanNode, Site, Subquery};
 use sqpeer_rdfs::{FxHashMap, FxHashSet};
 use sqpeer_routing::{
     route_limited_traced, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingPolicy,
@@ -277,68 +274,6 @@ impl BaseKind {
     }
 }
 
-/// Everything a root knows about one query it initiated: the running
-/// state and, from finalisation on, the answer. One record per query, so
-/// [`PeerNode::take_outcome`] leaves nothing of a collected query behind.
-#[derive(Debug)]
-struct RootQuery {
-    query: QueryPattern,
-    /// Who posed the query, and is mailed the answer — unless that is
-    /// this peer itself (a driver that collects outcomes at the root).
-    client: PeerId,
-    excluded: FxHashSet<PeerId>,
-    started_at_us: u64,
-    /// Virtual µs at which the first answer rows became visible at this
-    /// root — a streamed batch draining in order, or a complete local or
-    /// remote result. Feeds `ttfr_us` in the outcome and profile.
-    first_row_at_us: Option<u64>,
-    /// Completeness accounting: peers whose contributions this root gave
-    /// up on (excluded after failures/timeouts) or learned had departed
-    /// (lease-expiry tombstones matching the query). Any entry forces
-    /// the final answer partial — the root cannot know whether surviving
-    /// replicas held the same rows.
-    missing: FxHashSet<PeerId>,
-    /// Completed subplan results kept across phases (phased adaptation):
-    /// `(destination peer, rendered subplan) → result`.
-    phase_cache: FxHashMap<(PeerId, String), ResultSet>,
-    peers_contacted: FxHashSet<PeerId>,
-    /// Phase timestamps: when the routing annotation became available and
-    /// when the executable plan was ready.
-    annotated_at_us: Option<u64>,
-    plan_ready_at_us: Option<u64>,
-    /// The query's profile. Its counters (and `replans`, which bounds
-    /// adaptation) are plain integer bumps on the hot path while the
-    /// query runs; finalisation fills in the times and the answer's
-    /// shape when tracing is on, which is when [`PeerNode::profile`]
-    /// serves it.
-    profile: QueryProfile,
-    /// The EXPLAIN capture (populated at planning with tracing on).
-    explain: Option<Explain>,
-    /// The answer, from finalisation on. An answered query is no longer
-    /// `live_root`: late traffic cannot move its profile.
-    outcome: Option<QueryOutcome>,
-}
-
-impl RootQuery {
-    fn new(query: QueryPattern, client: PeerId, started_at_us: u64) -> Self {
-        RootQuery {
-            query,
-            client,
-            excluded: FxHashSet::default(),
-            started_at_us,
-            first_row_at_us: None,
-            missing: FxHashSet::default(),
-            phase_cache: FxHashMap::default(),
-            peers_contacted: FxHashSet::default(),
-            annotated_at_us: None,
-            plan_ready_at_us: None,
-            profile: QueryProfile::default(),
-            explain: None,
-            outcome: None,
-        }
-    }
-}
-
 /// What an armed timer stands for. Timer ids are opaque sequence numbers
 /// handed to the transport; the table in [`PeerNode`] resolves a fired
 /// id back to the machine that armed it.
@@ -411,9 +346,8 @@ pub struct PeerNode {
     /// of §2.2 / E8).
     pub queries_processed: usize,
 
-    /// Queries this peer rooted, running and answered — see
-    /// [`PeerNode::outcome`] / [`PeerNode::take_outcome`].
-    rooted: FxHashMap<QueryId, RootQuery>,
+    /// Queries this peer rooted, running and answered (see [`Roots`]).
+    roots: Roots,
     /// The plan interpreter's open frames (see [`Frames`]).
     frames: Frames,
     /// Subplans shipped from here and not yet settled, and the channels
@@ -453,12 +387,12 @@ impl PeerNode {
             son: Directory::new(id, role, &config),
             dispatch: Dispatcher::new(id, &config),
             serve: Server::new(&config),
+            roots: Roots::new(id, &config),
             id,
             role,
             config,
             base,
             queries_processed: 0,
-            rooted: FxHashMap::default(),
             frames: Frames::default(),
             timers: FxHashMap::default(),
             next_timer: 0,
@@ -514,7 +448,7 @@ impl PeerNode {
     /// Rooted-query records held here, running and answered-but-not-yet-
     /// taken (inspection).
     pub fn rooted_queries(&self) -> usize {
-        self.rooted.len()
+        self.roots.len()
     }
 
     /// The most subplan identities the idempotent-receive log holds.
@@ -550,14 +484,7 @@ impl PeerNode {
         self.queries_processed.hash(h);
         self.frames.digest(h);
         self.dispatch.digest(h);
-        for (qid, root) in by_key(&self.rooted) {
-            let (excluded, missing) = (sorted(&root.excluded), sorted(&root.missing));
-            (qid, excluded, missing, root.profile.replans).hash(h);
-            let phases = sorted(root.phase_cache.iter().map(|(k, r)| (k, format!("{r:?}"))));
-            let outcome = root.outcome.as_ref();
-            let outcome = outcome.map(|o| (&o.result, o.partial, &o.missing, o.replans));
-            (phases, format!("{outcome:?}")).hash(h);
-        }
+        self.roots.digest(h);
         self.serve.digest(h);
         sorted(self.timers.values().map(|t| format!("{t:?}"))).hash(h);
         for ((channel, qid, tag), plan, visited) in &self.slot_queue {
@@ -574,7 +501,7 @@ impl PeerNode {
 
     /// The answer to a query this peer rooted, once it completed.
     pub fn outcome(&self, qid: QueryId) -> Option<&QueryOutcome> {
-        self.rooted.get(&qid)?.outcome.as_ref()
+        self.roots.outcome(qid)
     }
 
     /// Takes the answer to a completed query and with it everything this
@@ -582,17 +509,7 @@ impl PeerNode {
     /// long-running host that collects answers this way holds no
     /// per-query state past the collection.
     pub fn take_outcome(&mut self, qid: QueryId) -> Option<QueryOutcome> {
-        self.outcome(qid)?;
-        self.rooted.remove(&qid)?.outcome
-    }
-
-    /// The still-running query `qid` rooted here. `None` once answered,
-    /// so whatever arrives late leaves the finished query's profile as
-    /// finalisation wrote it.
-    fn live_root(&mut self, qid: QueryId) -> Option<&mut RootQuery> {
-        self.rooted
-            .get_mut(&qid)
-            .filter(|root| root.outcome.is_none())
+        self.roots.take_outcome(qid)
     }
 
     // ------------------------------------------------------------------
@@ -611,113 +528,71 @@ impl PeerNode {
 
     /// The post-run profile of a query this peer rooted (tracing on).
     pub fn profile(&self, qid: QueryId) -> Option<QueryProfile> {
-        let root = self.rooted.get(&qid)?;
-        (self.config.trace && root.outcome.is_some()).then(|| root.profile.clone())
+        self.roots.profile(qid)
     }
 
     /// The EXPLAIN capture of a query this peer rooted (tracing on).
     pub fn explain(&self, qid: QueryId) -> Option<Explain> {
-        self.rooted.get(&qid)?.explain.clone()
+        self.roots.explain(qid)
     }
 
     // ------------------------------------------------------------------
-    // Planning at the root
+    // Intake and routing at the root
     // ------------------------------------------------------------------
 
-    fn begin_query(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        qid: QueryId,
-        query: QueryPattern,
-        client: PeerId,
-    ) {
-        // Class-membership patterns are outside the routable fragment
-        // (§2.1: routing operates on path patterns); such queries are
-        // answered against this peer's own base only and flagged partial
-        // so callers know the network was not consulted.
-        self.tracer
-            .get_mut()
-            .event_with(ctx.now_us(), qid.0, "query:begin", || query.to_string());
-        if !query.class_patterns().is_empty() {
-            self.rooted
-                .insert(qid, RootQuery::new(query.clone(), client, ctx.now_us()));
-            let result = if self.base.is_some() {
-                self.base
-                    .with_materialized(|db| sqpeer_rql::evaluate(&query, db))
-            } else {
-                ResultSet::default()
-            };
-            self.finalize(ctx, qid, result, true);
+    /// A client's query: answered from this peer's own base, partial,
+    /// when it has class-membership patterns (§2.1: routing operates on
+    /// path patterns), routed and planned otherwise.
+    fn intake(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, query: QueryPattern, client: PeerId) {
+        let now = ctx.now_us();
+        let tracer = self.tracer.get_mut();
+        tracer.event_with(now, qid.0, "query:begin", || query.to_string());
+        let local = (!query.class_patterns().is_empty()).then(|| query.clone());
+        if !self.roots.begin((qid, now), query, client) {
             return;
         }
-        self.rooted
-            .insert(qid, RootQuery::new(query, client, ctx.now_us()));
-        self.plan_and_execute(ctx, qid);
+        let result = match (local, &self.base) {
+            (None, _) => return self.plan_and_execute(ctx, qid),
+            (Some(_), BaseKind::None) => ResultSet::default(),
+            (Some(query), base) => base.with_materialized(|db| sqpeer_rql::evaluate(&query, db)),
+        };
+        self.finalize(ctx, qid, result, true);
     }
 
     fn plan_and_execute(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId) {
-        let Some(root) = self.rooted.get(&qid) else {
+        let Some((query, excluded)) = self.roots.query(qid) else {
             return;
         };
-        let query = root.query.clone();
+        let (query, now) = (query.clone(), ctx.now_us());
         match self.config.mode {
             PeerMode::Hybrid => {
-                // Delegate routing to a super-peer (§3.1). Pick the first
-                // non-excluded one.
-                let sp = self
-                    .son
-                    .super_peers
-                    .iter()
-                    .find(|p| !root.excluded.contains(p))
-                    .copied();
-                match sp {
-                    Some(sp) => {
-                        self.tracer.get_mut().event_with(
-                            ctx.now_us(),
-                            qid.0,
-                            "route:delegate",
-                            || format!("route request to super-peer {sp}"),
-                        );
-                        let msg = Msg::RouteRequest {
-                            qid,
-                            query,
-                            backbone_ttl: PeerConfig::BACKBONE_TTL,
-                            partial: None,
-                        };
-                        let bytes = send(ctx, sp, msg);
-                        if let Some(root) = self.live_root(qid) {
-                            root.profile.messages_sent += 1;
-                            root.profile.bytes_sent += bytes as u64;
-                        }
-                    }
-                    None => self.finalize(ctx, qid, ResultSet::default(), true),
-                }
+                // Delegate routing to the first non-excluded super-peer (§3.1).
+                let sp = self.son.super_peers.iter().find(|p| !excluded.contains(p));
+                let Some(&sp) = sp else {
+                    return self.finalize(ctx, qid, ResultSet::default(), true);
+                };
+                let detail = || format!("route request to super-peer {sp}");
+                let tracer = self.tracer.get_mut();
+                tracer.event_with(now, qid.0, "route:delegate", detail);
+                let msg = Msg::RouteRequest {
+                    qid,
+                    query,
+                    backbone_ttl: PeerConfig::BACKBONE_TTL,
+                    partial: None,
+                };
+                let bytes = send(ctx, sp, msg);
+                self.roots.sent(qid, bytes);
             }
             PeerMode::Adhoc => {
                 // Route locally over the semantic neighbourhood (§3.2).
-                let excluded = self.excluded_of(qid);
-                let (annotated, lookup) = self.local_route(&query, &excluded, ctx.now_us(), qid.0);
+                let (annotated, lookup) = self.local_route(&query, excluded, now, qid.0);
                 // Staleness-bound neighbourhood: lease-expired neighbours
                 // that would have matched are known-missing contributors.
                 let departed = self.son.departed_matching(&query);
-                if let Some(root) = self.live_root(qid) {
-                    // Attribute routing-cache activity to this query.
-                    if let Some(d) = lookup {
-                        root.profile.cache_hits += d.hits + d.subsumption_hits;
-                        root.profile.cache_misses += d.misses;
-                    }
-                    root.missing.extend(departed);
-                }
-                self.continue_with_annotation(ctx, qid, annotated);
+                self.roots.routed(qid, lookup, departed);
+                self.plan_annotated(ctx, qid, annotated);
             }
         }
-    }
-
-    fn excluded_of(&self, qid: QueryId) -> FxHashSet<PeerId> {
-        self.rooted
-            .get(&qid)
-            .map(|r| r.excluded.clone())
-            .unwrap_or_default()
     }
 
     /// Annotates `query` over what this peer's directory holds (see
@@ -895,161 +770,32 @@ impl PeerNode {
         obs.push_bytes_sent += bytes as u64;
     }
 
-    fn continue_with_annotation(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        qid: QueryId,
-        mut annotated: AnnotatedQuery,
-    ) {
-        // Duplicate-tolerant: a replayed RouteResponse (or any other
-        // duplicate trigger) must not start a second execution for an
-        // answered query.
-        if self.live_root(qid).is_none() {
+    /// Plans query `qid` from its routing annotation (see
+    /// [`Roots::plan`]) and executes the plan — or, partial, forwards it
+    /// to the peers that can answer parts of it (§3.2).
+    fn plan_annotated(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, annotated: AnnotatedQuery) {
+        let (registry, cache) = (&self.son.registry, self.cache.as_ref());
+        let tracer = self.tracer.get_mut();
+        let at = (qid, ctx.now_us());
+        // A replayed trigger plans nothing for an answered query.
+        let Some(plan) = self.roots.plan(at, annotated, registry, cache, tracer) else {
             return;
-        }
-        // Run-time adaptation: peers this root already saw fail must not
-        // reappear, even when the (stale) super-peer registry still lists
-        // them (§2.5: "not taking into consideration those peers that
-        // became obsolete").
-        for peer in self.excluded_of(qid) {
-            annotated.remove_peer(peer);
-        }
-        let now = ctx.now_us();
-        if let Some(root) = self.live_root(qid) {
-            root.annotated_at_us.get_or_insert(now);
-        }
-        self.tracer
-            .get_mut()
-            .event_with(now, qid.0, "annotate", || annotated.to_string());
-        // Plan memoisation: keyed by the annotated query (so adaptation
-        // re-plans with peers removed key differently) and validated
-        // against both registry epochs, since ranking and optimiser costs
-        // follow advertised statistics.
-        let plan_span = self.tracer.get_mut().begin(now, qid.0, "plan");
-        let epochs = self.son.registry.epochs();
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.borrow_mut().plan_for(epochs, &annotated));
-        let cache_hit = cached.is_some();
-        if self.cache.is_some() {
-            if let Some(root) = self.live_root(qid) {
-                if cache_hit {
-                    root.profile.plan_cache_hits += 1;
-                } else {
-                    root.profile.plan_cache_misses += 1;
-                }
-            }
-            self.tracer
-                .get_mut()
-                .event_with(now, qid.0, "cache:plan", || {
-                    if cache_hit { "hit" } else { "miss" }.to_string()
-                });
-        }
-        // A memoised plan skips plan generation, but EXPLAIN still needs
-        // the optimisation pipeline: re-derive it (planning is
-        // deterministic, so the plan is identical).
-        let unexplained = self.live_root(qid).is_some_and(|r| r.explain.is_none());
-        let (plan, explain) = match cached {
-            Some(plan) if self.config.trace && unexplained => {
-                (plan, self.build_plan(&annotated, qid, now).1)
-            }
-            Some(plan) => (plan, None),
-            None => {
-                let (plan, explain) = self.build_plan(&annotated, qid, now);
-                if let Some(cache) = &self.cache {
-                    cache.borrow_mut().store_plan(epochs, &annotated, &plan);
-                }
-                (plan, explain)
-            }
         };
-        if let (Some(mut explain), Some(root)) = (explain, self.live_root(qid)) {
-            // Re-plans produce a fresh Explain for the new plan; the
-            // adaptation log survives across phases.
-            if let Some(prev) = root.explain.take() {
-                explain.adaptation = prev.adaptation;
-            }
-            root.explain = Some(explain);
-        }
-        let now = ctx.now_us();
-        self.tracer.get_mut().end(now, plan_span);
-        if let Some(root) = self.live_root(qid) {
-            root.plan_ready_at_us.get_or_insert(now);
-        }
-
+        let root = Completion::Root { qid };
         if plan.is_complete() {
-            self.execute(ctx, qid, plan, Completion::Root { qid });
-        } else {
-            // Partial plan: forward it to peers that can answer parts of
-            // it; the first to complete executes and streams back (§3.2).
-            let candidates: Vec<PeerId> =
-                plan.peers().into_iter().filter(|p| *p != self.id).collect();
-            if candidates.is_empty() {
-                self.finalize(ctx, qid, ResultSet::default(), true);
-                return;
-            }
-            // A race of one is its filler answering the root.
-            let root = Completion::Root { qid };
-            let n = candidates.len();
-            let race = (n > 1).then(|| self.frames.open(qid, FrameOp::Race, root, n));
-            for (slot, peer) in candidates.into_iter().enumerate() {
-                let to = race.map_or(root, |frame| Completion::Parent { frame, slot });
-                self.dispatch_remote(ctx, qid, peer, plan.clone(), to, Some(vec![self.id]));
-            }
+            return self.execute(ctx, qid, plan, root);
         }
-    }
-
-    /// Plan generation + compile-time optimisation (§2.5), uncached.
-    /// With tracing on, also produces the [`Explain`] rendering of the
-    /// annotation and the optimisation pipeline.
-    fn build_plan(
-        &self,
-        annotated: &AnnotatedQuery,
-        qid: QueryId,
-        now_us: u64,
-    ) -> (PlanNode, Option<Explain>) {
-        let plan = generate_plan(annotated);
-        let mut estimator = Estimator::new(CostParams::default());
-        for ad in self.son.registry.advertisements() {
-            if let Some(stats) = &ad.stats {
-                estimator.borrow_stats(ad.peer, stats);
-            }
+        // The first peer to complete a partial plan executes it (§3.2).
+        let candidates: Vec<PeerId> = plan.peers().into_iter().filter(|p| *p != self.id).collect();
+        if candidates.is_empty() {
+            return self.finalize(ctx, qid, ResultSet::default(), true);
         }
-        if self.config.optimize {
-            let net_cost = UniformCost::default();
-            let (optimized, report) = {
-                let mut tracer = self.tracer.borrow_mut();
-                optimize_traced(
-                    plan,
-                    self.id,
-                    &estimator,
-                    &net_cost,
-                    &mut tracer,
-                    now_us,
-                    qid.0,
-                )
-            };
-            let explain = self
-                .config
-                .trace
-                .then(|| Explain::new(annotated, &report, &optimized, &estimator));
-            (optimized, explain)
-        } else {
-            let explain = self.config.trace.then(|| {
-                // Optimiser off: a one-stage report (the generated shape).
-                let report = OptimizeReport {
-                    stages: vec![(
-                        "plan 1 (generated)".to_string(),
-                        plan.to_string(),
-                        plan.fetch_count(),
-                        estimator.transfer_bytes(&plan, self.id),
-                    )],
-                    final_cost: estimator.plan_work(&plan),
-                    distributed_won: false,
-                };
-                Explain::new(annotated, &report, &plan, &estimator)
-            });
-            (plan, explain)
+        // A race of one is its filler answering the root.
+        let n = candidates.len();
+        let race = (n > 1).then(|| self.frames.open(qid, FrameOp::Race, root, n));
+        for (slot, peer) in candidates.into_iter().enumerate() {
+            let to = race.map_or(root, |frame| Completion::Parent { frame, slot });
+            self.dispatch_remote(ctx, qid, peer, plan.clone(), to, Some(vec![self.id]));
         }
     }
 
@@ -1135,19 +881,11 @@ impl PeerNode {
         completion: Completion,
         filler: Option<Vec<PeerId>>,
     ) {
-        if self.config.phased {
-            if let Some(root) = self.rooted.get(&qid) {
-                if let Some(cached) = root.phase_cache.get(&(dest, plan.to_string())) {
-                    // A previous phase already fetched this subplan from
-                    // this peer: reuse the result, ship nothing (§2.5's
-                    // phased alternative to discarding).
-                    let cached = cached.clone();
-                    self.complete(ctx, completion, cached, false);
-                    return;
-                }
-            }
+        // §2.5's phased alternative to discarding: ship nothing.
+        if let Some(cached) = self.roots.reuse(qid, dest, &plan) {
+            return self.complete(ctx, completion, cached, false);
         }
-        let probe = self.rooted.contains_key(&qid);
+        let probe = self.roots.query(qid).is_some();
         let step = self
             .dispatch
             .dispatch(ctx, qid, dest, plan, completion, filler, probe);
@@ -1190,15 +928,15 @@ impl PeerNode {
                 if let Some(batch) = last {
                     self.consume_batch(ctx, qid, completion, batch);
                 }
-                if self.config.phased && !partial {
-                    if let Some(root) = self.live_root(qid) {
-                        root.phase_cache
-                            .insert((step.dest, plan.to_string()), result.clone());
-                    }
+                if !partial {
+                    self.roots.keep(qid, dest, &plan, &result);
                 }
                 self.complete(ctx, completion, result, partial);
             }
-            Verdict::Lost { pending, cause } => self.handle_lost_subplan(ctx, pending, cause),
+            Verdict::Lost { pending, cause } => {
+                let lost = Some((pending.completion, pending.plan));
+                self.adapt(ctx, pending.qid, pending.dest, cause, lost);
+            }
         }
     }
 
@@ -1210,33 +948,7 @@ impl PeerNode {
     fn note(&mut self, ctx: &mut Ctx<Msg>, subject: Subject, event: Event) {
         let now = ctx.now_us();
         let qid = subject.qid();
-        if let Some(root) = qid.and_then(|qid| self.live_root(qid)) {
-            let profile = &mut root.profile;
-            if let Event::Dispatched { bytes, .. }
-            | Event::Retried { bytes, .. }
-            | Event::CreditGranted { bytes } = event
-            {
-                profile.messages_sent += 1;
-                profile.bytes_sent += bytes;
-            }
-            match event {
-                Event::Dispatched { .. } => {
-                    profile.subplans_dispatched += 1;
-                    if let Subject::Subplan { dest, .. } = subject {
-                        root.peers_contacted.insert(dest);
-                    }
-                }
-                Event::Retried { .. } => profile.retries += 1,
-                Event::TimedOut => profile.timeouts += 1,
-                Event::Answered { bytes, .. } => {
-                    profile.subplans_answered += 1;
-                    profile.bytes_received += bytes;
-                }
-                Event::Lost { .. } => profile.subplans_failed += 1,
-                Event::Replanned { .. } => profile.replans += 1,
-                _ => {}
-            }
-        }
+        self.roots.record(now, subject, &event);
         match event {
             Event::Retried { .. } => ctx.counters().retries_sent += 1,
             Event::TimedOut => ctx.counters().timeouts_fired += 1,
@@ -1248,15 +960,6 @@ impl PeerNode {
                 counters.replans += 1;
                 counters.timeout_replans += usize::from(cause == ReplanCause::Timeout);
                 counters.slow_channel_replans += usize::from(cause == ReplanCause::SlowChannel);
-            }
-            // The EXPLAIN adaptation log (§2.5): the window that flagged a
-            // channel, and every loss with its cause. Not `live_root`: a
-            // subplan abandoned after a give-up answer still belongs.
-            Event::SlowChannel { .. } | Event::Lost { .. } => {
-                let explain = qid.and_then(|qid| self.rooted.get_mut(&qid)?.explain.as_mut());
-                if let Some(e) = explain {
-                    e.adaptation.push(format!("t={now}us {subject}{event}"));
-                }
             }
             _ => {}
         }
@@ -1270,14 +973,9 @@ impl PeerNode {
         }
     }
 
-    fn complete(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        completion: Completion,
-        result: ResultSet,
-        partial: bool,
-    ) {
-        match completion {
+    /// Hands a finished subtree's result to where it completes.
+    fn complete(&mut self, ctx: &mut Ctx<Msg>, to: Completion, result: ResultSet, partial: bool) {
+        match to {
             Completion::Parent { frame, slot } => self.fill_slot(ctx, frame, slot, result, partial),
             Completion::Channel(to) => {
                 let stats = self.base_stats();
@@ -1299,18 +997,10 @@ impl PeerNode {
     /// time-to-first-row and, relayed, goes down the channel the subplan
     /// answers at once, so the root sees first rows before this peer's
     /// answer completes.
-    fn consume_batch(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        qid: QueryId,
-        completion: Completion,
-        batch: Drained,
-    ) {
-        if let Some(root) = self.live_root(qid) {
-            root.first_row_at_us.get_or_insert(ctx.now_us());
-        }
-        if let (Drained::Batch(rows), Completion::Channel(to)) = (batch, completion) {
-            self.serve.forward(ctx, to, rows);
+    fn consume_batch(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, to: Completion, batch: Drained) {
+        self.roots.first_row(qid, ctx.now_us());
+        if let (Drained::Batch(rows), Completion::Channel(channel)) = (batch, to) {
+            self.serve.forward(ctx, channel, rows);
         }
     }
 
@@ -1324,12 +1014,7 @@ impl PeerNode {
         result: ResultSet,
         partial: bool,
     ) {
-        let rooted = &self.rooted;
-        let names = |qid| {
-            rooted
-                .get(&qid)
-                .map(|root| Arc::clone(root.query.columns()))
-        };
+        let names = |qid| Some(Arc::clone(self.roots.query(qid)?.0.columns()));
         let finished = self.frames.fill(frame, slot, result, partial, names);
         match finished {
             // The join work happens at this peer: charge its load before
@@ -1362,219 +1047,67 @@ impl PeerNode {
         self.arm(ctx, delay, Timer::Completion(completion, result, partial));
     }
 
+    /// Answers query `qid` (see [`Roots::finish`]). What is still open or
+    /// in flight for it (a losing race filler, say) is forgotten, as a
+    /// re-plan forgets it.
     fn finalize(&mut self, ctx: &mut Ctx<Msg>, qid: QueryId, result: ResultSet, partial: bool) {
-        let now = ctx.now_us();
-        let trace = self.config.trace;
-        // `live_root`, spelled out so the tracer and the obs plane stay
-        // borrowable beside the record.
-        let Some(root) = self
-            .rooted
-            .get_mut(&qid)
-            .filter(|root| root.outcome.is_none())
-        else {
+        let (tracer, obs) = (self.tracer.get_mut(), self.obs.as_mut());
+        let at = (qid, ctx.now_us());
+        let Some(done) = self.roots.finish(at, result, partial, tracer, obs) else {
             return;
         };
-        let names = Arc::clone(root.query.columns());
-        let mut missing: Vec<PeerId> = root.missing.iter().copied().collect();
-        missing.sort();
-        let missing_count = missing.len();
-        let started = root.started_at_us;
-        let replans = root.profile.replans;
-        // Honest completeness: once any contributor was given up on, the
-        // root cannot claim the full answer — a surviving replica may
-        // hold different rows than the lost peer did.
-        let partial = partial || missing_count > 0;
-        // Apply the query's final projection (§2.1 projections) — already
-        // applied by a last join at this root. An empty result coming out
-        // of a hole has no columns; give it the query's projection schema
-        // so consumers see a well-formed (empty) table.
-        let mut projected = result.into_projection(&names);
-        if projected.rows.is_empty() && projected.columns.len() != names.len() {
-            projected = ResultSet::empty(names);
-        }
-        // Top-N (§5): ORDER BY + LIMIT apply to the whole distributed
-        // answer, at the root, after assembly.
-        let order = root.query.order_by();
-        let order = order.map(|(v, asc)| (root.query.var_name(v), asc));
-        let limit = root.query.limit();
-        if order.is_some() || limit.is_some() {
-            projected.apply_top(order, limit);
-        }
-        let rows = projected.rows.len();
-        // Time-to-first-row: streamed batches set it on arrival; a
-        // monolithic (or fully local) answer's first row arrives with the
-        // whole result, i.e. now.
-        if rows > 0 {
-            root.first_row_at_us.get_or_insert(now);
-        }
-        let ttfr_us = root.first_row_at_us.map(|at| at.saturating_sub(started));
-        let latency_us = now.saturating_sub(started);
-        // The one copy of the answer: a remote client's. A driver that
-        // posed the query from this peer itself reads the outcome.
-        let client = root.client;
-        let answer = (client != self.id).then(|| projected.clone());
-        root.outcome = Some(QueryOutcome {
-            result: projected,
-            completed_at_us: now,
-            latency_us,
-            ttfr_us,
-            replans,
-            partial,
-            missing,
-        });
-        self.tracer
-            .get_mut()
-            .event_with(now, qid.0, "query:done", || {
-                format!(
-                    "{rows} rows, {}",
-                    if partial { "partial" } else { "complete" }
-                )
-            });
-        if trace {
-            // The counters were bumped in place while the query ran; what
-            // remains is where its time went and the answer's shape.
-            let annotated_at = root.annotated_at_us.unwrap_or(started);
-            let plan_ready = root.plan_ready_at_us.unwrap_or(annotated_at);
-            let profile = &mut root.profile;
-            profile.qid = qid.0;
-            profile.query = root.query.text().to_owned();
-            profile.routing_us = annotated_at.saturating_sub(started);
-            profile.planning_us = plan_ready.saturating_sub(annotated_at);
-            profile.execution_us = now.saturating_sub(plan_ready);
-            profile.total_us = latency_us;
-            profile.ttfr_us = ttfr_us;
-            profile.peers_contacted = root.peers_contacted.len();
-            profile.partial = partial;
-            profile.missing = missing_count;
-            profile.rows = rows;
-        }
-        let mut slow = None;
-        if let (Some(obs), Some(config)) = (&mut self.obs, self.config.obs) {
-            let peers = root.peers_contacted.len() as u64;
-            obs.pattern_row(self.id, root.query.text()).record(
-                latency_us,
-                ttfr_us,
-                peers,
-                partial,
-                u64::from(replans),
-            );
-            let threshold_us = config.slow_query_us;
-            if latency_us >= threshold_us {
-                slow = Some(Event::SlowQuery {
-                    latency_us,
-                    threshold_us,
-                });
-                // EXPLAIN/profile capture only exists with tracing on; a
-                // slow query without tracing still lands in the log,
-                // JSON-less.
-                obs.log_slow_query(crate::obs::SlowQuery {
-                    query: qid,
-                    at_us: now,
-                    latency_us,
-                    pattern: root.query.text().to_owned(),
-                    explain_json: root.explain.as_ref().map(|e| e.to_json()),
-                    profile_json: trace.then(|| root.profile.to_json()),
-                });
-            }
-        }
-        if let Some(event) = slow {
+        if let Some(event) = done.slow {
             self.note(ctx, Subject::Query(qid), event);
         }
-        // The answer is final: what is still open or in flight for it (a
-        // losing race filler, say) is forgotten, as a re-plan forgets it.
         self.frames.discard(qid);
         self.dispatch.abandon(qid);
-        if let Some(result) = answer {
+        if let Some((client, result)) = done.mail {
             send(ctx, client, Msg::ClientAnswer { qid, result });
         }
     }
 
-    // ------------------------------------------------------------------
-    // Run-time adaptation (§2.5)
-    // ------------------------------------------------------------------
-
-    fn adapt_or_give_up(
+    /// Run-time adaptation (§2.5): carries out [`Roots::lost`] for query
+    /// `qid` losing its route request or, `lost`, a subplan (where it
+    /// completes, what it was) to `failed`, however the loss showed.
+    fn adapt(
         &mut self,
         ctx: &mut Ctx<Msg>,
         qid: QueryId,
-        culprit: Option<PeerId>,
+        failed: PeerId,
         cause: ReplanCause,
+        lost: Option<(Completion, PlanNode)>,
     ) {
-        let Some(root) = self.live_root(qid) else {
-            return;
-        };
-        if let Some(p) = culprit {
-            root.excluded.insert(p);
-            root.missing.insert(p);
-        }
-        if root.profile.replans >= PeerConfig::MAX_REPLANS {
-            self.finalize(ctx, qid, ResultSet::default(), true);
-            return;
-        }
-        self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
-        // ubQL semantics: discard all intermediate results and on-going
-        // computations, then re-run routing + processing.
-        self.frames.discard(qid);
-        self.dispatch.abandon(qid);
-        self.plan_and_execute(ctx, qid);
-    }
-
-    /// The one road a lost subplan takes, whatever showed the loss
-    /// (delivery failure, refusal, timeout ladder, slow channel): full
-    /// re-plan, phased repair, or graceful partial degradation, per
-    /// configuration. The dispatcher has already dropped the channel.
-    fn handle_lost_subplan(
-        &mut self,
-        ctx: &mut Ctx<Msg>,
-        pending: PendingRemote,
-        cause: ReplanCause,
-    ) {
-        let PendingRemote {
-            qid,
-            dest: failed,
-            completion,
-            plan,
-            ..
-        } = pending;
-        let adapt = self.config.adaptive && self.rooted.contains_key(&qid);
-        if adapt && !self.config.phased {
-            // ubQL semantics: discard everything and re-plan.
-            self.adapt_or_give_up(ctx, qid, Some(failed), cause);
-            return;
-        }
-        let columns = plan_columns(&plan);
-        let excluded: Vec<PeerId> = match self.live_root(qid) {
-            Some(root) if adapt => {
-                root.excluded.insert(failed);
-                root.missing.insert(failed);
-                root.excluded.iter().copied().collect()
-            }
-            Some(root) => {
-                root.missing.insert(failed);
-                Vec::new()
-            }
-            None if adapt => return,
-            None => Vec::new(),
-        };
-        if adapt {
-            // Phased, subplan-level repair (§2.5: "the alteration is done
-            // on a subplan and not on the whole query plan"): everything
-            // else keeps running; every trace of the failed peer becomes a
-            // hole / unsited join, local routing fills the holes with
-            // alternatives, and the repaired fragment feeds the *same*
-            // parent slot.
+        let verdict = self.roots.lost(qid, failed, lost.is_some());
+        if matches!(verdict, Lost::Replan | Lost::Repair { .. }) {
             self.note(ctx, Subject::Query(qid), Event::Replanned { cause });
-            let holed = strip_peer(plan, failed);
-            let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
-            if repaired.is_complete() {
-                self.execute(ctx, qid, repaired, completion);
-                return;
-            }
         }
-        // Static execution (or an intermediate peer), or nobody else holds
-        // the lost fragment: an empty partial slot, and the rest of the
-        // plan continues.
-        self.complete(ctx, completion, ResultSet::empty(columns), true);
+        match (verdict, lost) {
+            (Lost::Replan, _) => {
+                // ubQL semantics: discard all intermediate results and
+                // on-going computations, then re-run routing + processing.
+                self.frames.discard(qid);
+                self.dispatch.abandon(qid);
+                self.plan_and_execute(ctx, qid);
+            }
+            (Lost::GiveUp, _) => self.finalize(ctx, qid, ResultSet::default(), true),
+            (verdict @ (Lost::Repair { .. } | Lost::EmptySlot), Some((completion, plan))) => {
+                let columns = plan_columns(&plan);
+                if let Lost::Repair { excluded } = verdict {
+                    // Everything else keeps running: every trace of the
+                    // failed peer becomes a hole / unsited join, local
+                    // routing fills the holes with alternatives, and the
+                    // repaired fragment feeds the *same* parent slot.
+                    let holed = strip_peer(plan, failed);
+                    let repaired = self.fill_holes(holed, &excluded, ctx.now_us(), qid.0);
+                    if repaired.is_complete() {
+                        return self.execute(ctx, qid, repaired, completion);
+                    }
+                }
+                // Static execution, or nobody else holds the lost fragment.
+                self.complete(ctx, completion, ResultSet::empty(columns), true);
+            }
+            _ => {}
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1723,29 +1256,6 @@ fn annotate(
     (annotated, None)
 }
 
-/// Replaces every fetch at `peer` with a hole and clears join sites
-/// assigned to it (used by phased subplan repair).
-fn strip_peer(plan: PlanNode, peer: PeerId) -> PlanNode {
-    let plan = match plan {
-        PlanNode::Join { inputs, site } => PlanNode::Join {
-            inputs: inputs.into_iter().map(|i| strip_peer(i, peer)).collect(),
-            site: site.filter(|&s| s != peer),
-        },
-        PlanNode::Union(inputs) => {
-            PlanNode::Union(inputs.into_iter().map(|i| strip_peer(i, peer)).collect())
-        }
-        leaf => leaf,
-    };
-    plan.map_fetches(&mut |sq, site| {
-        let site = if site == Site::Peer(peer) {
-            Site::Hole
-        } else {
-            site
-        };
-        PlanNode::Fetch { subquery: sq, site }
-    })
-}
-
 /// A map's entries in key order: how a digest reads a hash map.
 pub(crate) fn by_key<K: Ord, V>(map: &FxHashMap<K, V>) -> Vec<(&K, &V)> {
     let mut entries: Vec<_> = map.iter().collect();
@@ -1754,7 +1264,7 @@ pub(crate) fn by_key<K: Ord, V>(map: &FxHashMap<K, V>) -> Vec<(&K, &V)> {
 }
 
 /// `items` sorted: how a digest reads a set.
-fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+pub(crate) fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
     let mut items: Vec<T> = items.into_iter().collect();
     items.sort_unstable();
     items
@@ -1823,12 +1333,10 @@ impl NodeLogic for PeerNode {
                 if let Some((annotated, missing)) =
                     self.son.route_response(ctx, qid, annotated, missing)
                 {
-                    if let Some(root) = self.live_root(qid) {
-                        // The super-peer named departed contributors: the
-                        // answer is known to be missing their rows.
-                        root.missing.extend(missing);
-                    }
-                    self.continue_with_annotation(ctx, qid, annotated);
+                    // The super-peer named departed contributors: the
+                    // answer is known to be missing their rows.
+                    self.roots.routed(qid, None, missing);
+                    self.plan_annotated(ctx, qid, annotated);
                 }
             }
             Msg::Subplan {
@@ -1879,12 +1387,12 @@ impl NodeLogic for PeerNode {
                 self.settle(ctx, step);
             }
             Msg::ExecutePlan { qid, query, plan } => {
-                self.rooted
-                    .insert(qid, RootQuery::new(query, peer_of(from), ctx.now_us()));
-                self.execute(ctx, qid, plan, Completion::Root { qid });
+                if self.roots.begin((qid, ctx.now_us()), query, peer_of(from)) {
+                    self.execute(ctx, qid, plan, Completion::Root { qid });
+                }
             }
             Msg::ClientQuery { qid, query } => {
-                self.begin_query(ctx, qid, query, peer_of(from));
+                self.intake(ctx, qid, query, peer_of(from));
             }
             // A client-peer keeps no copy: drivers read the outcome at
             // the root.
@@ -1943,7 +1451,7 @@ impl NodeLogic for PeerNode {
         // state — the base, recorded outcomes, and what the directory
         // keeps of itself — survives.
         self.dispatch.clear();
-        self.rooted.retain(|_, root| root.outcome.is_some());
+        self.roots.restart();
         self.frames.clear();
         self.timers.clear();
         self.slot_queue.clear();
@@ -2022,8 +1530,8 @@ impl NodeLogic for PeerNode {
         let step = self.dispatch.undelivered(failed_peer, &msg);
         self.settle(ctx, step);
         match msg {
-            Msg::RouteRequest { qid, .. } if self.rooted.contains_key(&qid) => {
-                self.adapt_or_give_up(ctx, qid, Some(failed_peer), ReplanCause::Delivery);
+            Msg::RouteRequest { qid, .. } => {
+                self.adapt(ctx, qid, failed_peer, ReplanCause::Delivery, None)
             }
             Msg::HierRouteRequest { qid, scope, .. } => {
                 self.son
@@ -2661,9 +2169,8 @@ mod tests {
                 .map(|&i| {
                     sim.node(NodeId(i))
                         .unwrap()
-                        .rooted
-                        .values()
-                        .filter_map(|r| r.outcome.as_ref())
+                        .roots
+                        .outcomes()
                         .map(|o| o.completed_at_us)
                         .max()
                         .unwrap()
@@ -3332,7 +2839,7 @@ mod tests {
                 .frames
                 .slots()
                 .all(|slots| slots.iter().all(Option::is_none)));
-            assert!(root.rooted.values().all(|r| r.outcome.is_none()));
+            assert!(root.roots.outcomes().next().is_none());
         }
 
         // The stream the forgeries pointed at runs to its complete answer.
@@ -3479,8 +2986,7 @@ mod tests {
                 "no frame at t={}",
                 sim.now_us()
             );
-            let stamped = root.rooted.get(&QueryId(8));
-            let stamped = stamped.is_some_and(|r| r.first_row_at_us.is_some());
+            let stamped = root.roots.first_row_at(QueryId(8)).is_some();
             let answered = root.outcome(QueryId(8)).is_some();
             dispatched |= root.rooted_channels() == 1 && !answered;
             streaming |= stamped && !answered;

@@ -145,8 +145,14 @@ impl InternedBase {
         let mut class_members = Vec::with_capacity(schema.class_count());
         let mut class_extent_closed = Vec::with_capacity(schema.class_count());
         for c in schema.classes() {
-            let mut members = BitSet::with_capacity(capacity);
-            for sub in schema.class_descendant_set(c).iter() {
+            // A class with no members anywhere below it allocates nothing.
+            let subs = schema.class_descendant_set(c);
+            let mut members = if subs.iter().any(|sub| !direct[sub].is_empty()) {
+                BitSet::with_capacity(capacity)
+            } else {
+                BitSet::new()
+            };
+            for sub in subs.iter() {
                 for &id in &direct[sub] {
                     members.insert(id as usize);
                 }
