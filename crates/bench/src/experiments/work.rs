@@ -9,9 +9,8 @@ use crate::scenario::{chain_half, chain_workload, host_frames, scale_schema, sca
 use crate::table::Table;
 use sqpeer::overlay::Network;
 use sqpeer::prelude::*;
-use sqpeer_testkit::{fixtures::fig1_schema, hier_network};
+use sqpeer_testkit::{data_gen::pool_resource, fixtures::fig1_schema, hier_network};
 use sqpeer_wire::{decode_frame, AnswerFrame, Envelope, SchemaRegistry};
-use std::sync::Arc;
 
 pub fn e24(json: BenchJson) -> String {
     const PEERS: usize = 500;
@@ -34,13 +33,26 @@ pub fn e24(json: BenchJson) -> String {
         pose(&mut net, query);
     }
     // `sim_churn`'s writes, in pairs that undo each other: a holder of the
-    // one-pattern chain's property empties its base, then gets it back.
-    // Each re-pushes the holder's advertisement.
+    // one-pattern chain's property gains a triple of a property it did not
+    // hold, then gets its base back. Each re-pushes the holder's
+    // advertisement; the insert also stales the holder's snapshot, which
+    // the one-pattern chain posed next still reaches and so rebuilds.
     let property = chains[0].patterns()[0].property;
     let (writer, original) = (ids.iter().zip(net.bases()))
         .find(|(_, base)| base.populated_properties().contains(&property))
         .map(|(&peer, base)| (peer, base.clone()))
         .expect("a holder of the property");
+    let triple = (schema.properties())
+        .filter(|p| !original.populated_properties().contains(p))
+        .find_map(|p| {
+            let def = schema.property(p);
+            let Range::Class(range) = def.range else {
+                return None;
+            };
+            let object = Node::Resource(pool_resource(range, 0));
+            Some(Triple::new(pool_resource(def.domain, 0), p, object))
+        })
+        .expect("a property the holder lacks");
     let mut sim = Vec::new();
     for (r, row) in ["warm one-pattern", "warm two-pattern", "after an ad write"]
         .into_iter()
@@ -50,7 +62,7 @@ pub fn e24(json: BenchJson) -> String {
         for i in 0..QUERIES {
             if r == 2 {
                 net.update_peer_base(writer, |base| match i % 2 {
-                    0 => *base = DescriptionBase::new(Arc::clone(&schema)),
+                    0 => drop(base.insert_described(triple.clone())),
                     _ => *base = original.clone(),
                 });
                 net.sim_mut().run_to_quiescence();

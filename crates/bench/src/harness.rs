@@ -270,7 +270,7 @@ pub fn substrate_leg<T: Transport<PeerNode>>(
 /// Boots a `sqpeerd` TCP host over `spec` and runs `work` against it on
 /// one socket, one round trip at a time: writes the `ClientQuery`, reads
 /// `Data` frames until `last`. Client-observed clocks include framing,
-/// the kernel and the pump's admission poll; `ttfr_us` is the first
+/// the kernel and the pump's wake on admission; `ttfr_us` is the first
 /// frame that carried rows. `batch` makes the host stream its answer in
 /// frames of at most that many rows (asserted).
 pub fn tcp_leg(spec: GroupSpec, batch: Option<usize>, work: &Workload) -> Leg {

@@ -18,10 +18,13 @@
 //!
 //! The pump is a loop over one `Pump::turn` — admit what waits, run
 //! what is due, hand finished outcomes over, republish a stale status
-//! page — and one `Pump::idle_wait`, the host's single sleep, taken
+//! page — and one `Pump::idle_wait`, the host's single wait, taken
 //! only after a turn that did nothing, so an answer is never held for
-//! the rest of a time slice. Admission still polls: nothing wakes the
-//! pump when a command arrives, so an idle host looks once a millisecond.
+//! the rest of a time slice. The wait blocks on the command channel
+//! itself: a query wakes the pump as it arrives (§2.4's channels hand a
+//! peer its work, they are not polled), and an idle host sleeps until its
+//! next timer or status page. [`HostHandle::shutdown`] wakes it the same
+//! way, through the channel.
 //!
 //! Each accept thread owns its listener and sits in a blocking `accept`;
 //! [`HostHandle::shutdown`] sets the flag and then connects to each bound
@@ -45,7 +48,7 @@ use std::io;
 use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -76,7 +79,8 @@ struct InFlight {
     reply: Sender<QueryOutcome>,
 }
 
-/// A query command from a connection thread to the pump.
+/// A query command from a connection thread to the pump. The channel
+/// carries `Option<Command>`: `None` only wakes the pump (shutdown).
 struct Command {
     at: PeerId,
     query: sqpeer_rql::QueryPattern,
@@ -90,14 +94,16 @@ pub struct HostHandle {
     /// The bound status-port address, when configured.
     pub status_addr: Option<SocketAddr>,
     shutdown: Arc<AtomicBool>,
+    wake: Sender<Option<Command>>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl HostHandle {
-    /// Signals every thread to stop, wakes the accept threads and joins
-    /// them all.
+    /// Signals every thread to stop, wakes the pump and the accept
+    /// threads and joins them all.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.wake.send(None);
         wake_accept(self.addr);
         if let Some(status) = self.status_addr {
             wake_accept(status);
@@ -188,7 +194,7 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     let status_addr = status_listener.as_ref().and_then(|l| l.local_addr().ok());
 
     let shutdown = Arc::new(AtomicBool::new(false));
-    let (cmd_tx, cmd_rx) = channel::<Command>();
+    let (cmd_tx, cmd_rx) = channel::<Option<Command>>();
     // Renders the first status page, before any thread can serve it.
     let pump = Pump::new(net, group, cmd_rx);
     let status_text = Arc::clone(&pump.status_text);
@@ -201,6 +207,7 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     threads.push(std::thread::spawn(move || pump.run(&stop)));
 
     // Peer-port accept thread.
+    let wake = cmd_tx.clone();
     threads.push(accept_loop(listener, &shutdown, move |stream, stop| {
         // Answers leave as a burst of small frames: do not let Nagle hold
         // one back for the peer's ACK.
@@ -223,6 +230,7 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
         addr,
         status_addr,
         shutdown,
+        wake,
         threads,
     })
 }
@@ -233,7 +241,7 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
 struct Pump {
     net: LoopbackNet<PeerNode>,
     group: Group,
-    cmd_rx: Receiver<Command>,
+    cmd_rx: Receiver<Option<Command>>,
     in_flight: HashMap<QueryId, InFlight>,
     ttfr: QueryTtfr,
     status_text: Arc<Mutex<String>>,
@@ -241,7 +249,7 @@ struct Pump {
 }
 
 impl Pump {
-    fn new(net: LoopbackNet<PeerNode>, group: Group, cmd_rx: Receiver<Command>) -> Self {
+    fn new(net: LoopbackNet<PeerNode>, group: Group, cmd_rx: Receiver<Option<Command>>) -> Self {
         let mut pump = Pump {
             net,
             group,
@@ -256,7 +264,7 @@ impl Pump {
     }
 
     /// The transport-owning loop: turns back to back while they find
-    /// work, one sleep when one finds none.
+    /// work, one wait when one finds none.
     fn run(mut self, shutdown: &AtomicBool) {
         while !shutdown.load(Ordering::SeqCst) {
             if self.turn() == 0 {
@@ -283,14 +291,19 @@ impl Pump {
         done
     }
 
-    /// The host's one sleep: until the next armed timer or the status
-    /// deadline, and never past the 1 ms after which the command channel
-    /// is looked at again.
+    /// The host's one wait: blocked on the command channel until the
+    /// next armed timer or the status deadline, admitting the command
+    /// that wakes it. A disconnected channel (no sender left) sleeps out
+    /// the wait instead of returning at once.
     fn idle_wait(&mut self) {
         let next_due_us = self.net.next_due_us().unwrap_or(u64::MAX);
         let wake_us = next_due_us.min(self.status_due_us);
-        let wait_us = wake_us.saturating_sub(self.net.now_us()).min(1_000);
-        std::thread::sleep(Duration::from_micros(wait_us));
+        let wait = Duration::from_micros(wake_us.saturating_sub(self.net.now_us()));
+        match self.cmd_rx.recv_timeout(wait) {
+            Ok(cmd) => self.admit(cmd),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
+        }
     }
 
     /// Rewrites the status page and puts its next deadline 100 ms on.
@@ -302,13 +315,14 @@ impl Pump {
         self.status_due_us = self.net.now_us() + 100_000;
     }
 
-    /// Poses `cmd`'s query at the member it names. The address came off a
-    /// socket: one that names no member is refused — dropping the command
-    /// drops its reply sender, which closes the connection — instead of
-    /// leaving a query that can never finish in flight for ever.
-    fn admit(&mut self, cmd: Command) {
-        let Command { at, query, reply } = cmd;
-        if self.group.peers.contains(&at) {
+    /// Poses `cmd`'s query at the member it names (`None`, a bare wake,
+    /// poses nothing). The address came off a socket: one that names no
+    /// member is refused — dropping the command drops its reply sender,
+    /// which closes the connection — instead of leaving a query that can
+    /// never finish in flight for ever.
+    fn admit(&mut self, cmd: Option<Command>) {
+        let member = |c: &Command| self.group.peers.contains(&c.at);
+        if let Some(Command { at, query, reply }) = cmd.filter(member) {
             let qid = group::pose(&mut self.net, &mut self.group, at, query);
             self.in_flight.insert(qid, InFlight { at, reply });
         }
@@ -438,7 +452,7 @@ fn render_status(pump: &Pump) -> String {
 /// the answer), until the peer closes or shutdown.
 fn serve_connection(
     stream: TcpStream,
-    cmd_tx: Sender<Command>,
+    cmd_tx: Sender<Option<Command>>,
     schemas: SchemaRegistry,
     shutdown: Arc<AtomicBool>,
     answer_batch_rows: Option<usize>,
@@ -455,11 +469,11 @@ fn serve_connection(
         // dropping `reply_tx`, and the connection closes); the pump
         // re-mints a host-local qid and the reply echoes the client's own.
         if cmd_tx
-            .send(Command {
+            .send(Some(Command {
                 at: envelope.to,
                 query,
                 reply: reply_tx,
-            })
+            }))
             .is_err()
         {
             return;
@@ -520,12 +534,14 @@ mod tests {
 
     /// A pump over the Figure 2 group, its command channel and the
     /// compiled Figure 1 query — everything a host has but the sockets.
-    fn fig2_pump() -> (Pump, Sender<Command>, sqpeer_rql::QueryPattern) {
+    fn fig2_pump() -> (Pump, Sender<Option<Command>>, sqpeer_rql::QueryPattern) {
         fig2_pump_with(PeerConfig::default())
     }
 
     /// [`fig2_pump`] with every member configured by `config`.
-    fn fig2_pump_with(config: PeerConfig) -> (Pump, Sender<Command>, sqpeer_rql::QueryPattern) {
+    fn fig2_pump_with(
+        config: PeerConfig,
+    ) -> (Pump, Sender<Option<Command>>, sqpeer_rql::QueryPattern) {
         let schema = fig1_schema();
         let mut schemas = SchemaRegistry::new();
         schemas.register(Arc::clone(&schema));
@@ -544,14 +560,14 @@ mod tests {
     /// Queues `query` at `at` as a connection thread would; the returned
     /// receiver is where that thread would block for the outcome.
     fn queue(
-        cmd_tx: &Sender<Command>,
+        cmd_tx: &Sender<Option<Command>>,
         at: PeerId,
         query: &sqpeer_rql::QueryPattern,
     ) -> Receiver<QueryOutcome> {
         let (reply, outcome) = channel();
         let query = query.clone();
         cmd_tx
-            .send(Command { at, query, reply })
+            .send(Some(Command { at, query, reply }))
             .expect("the pump holds the receiver");
         outcome
     }
@@ -576,6 +592,22 @@ mod tests {
         assert!(a.try_recv().is_ok() && b.try_recv().is_ok());
         assert!(pump.in_flight.is_empty());
         assert_eq!(pump.ttfr.count, 3);
+    }
+
+    /// The admission half, without a stopwatch: a command that waits
+    /// when the pump goes idle is admitted by the wait it wakes, not left
+    /// in the channel for a later look — and the next turn answers it.
+    #[test]
+    fn idle_wait_admits_the_command_that_wakes_it() {
+        let (mut pump, cmd_tx, query) = fig2_pump();
+        let reply = queue(&cmd_tx, pump.group.peers[0], &query);
+        pump.idle_wait();
+        assert_eq!(pump.in_flight.len(), 1, "the command was left waiting");
+        assert!(pump.turn() > 0);
+        reply
+            .try_recv()
+            .expect("answered in the turn after the wake");
+        assert!(pump.in_flight.is_empty());
     }
 
     /// The status page's `## obs` section sums the hosted members' own

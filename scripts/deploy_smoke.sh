@@ -2,8 +2,8 @@
 # Deployment smoke test: boots two sqpeerd tenant hosts and the
 # multi-tenant gateway on loopback TCP, poses one query per tenant,
 # asserts hard cross-tenant isolation and the admission quota, captures
-# the telemetry status page, and checks that an idle gateway process
-# sleeps (nobody polls for a connection).
+# the telemetry status page, and checks that idle gateway and host
+# processes sleep (nobody polls for a connection or a command).
 #
 # Usage: scripts/deploy_smoke.sh [outdir]   (default: deploy-smoke/)
 # Requires: target/release/sqpeerd (cargo build --release -p sqpeer-daemon)
@@ -115,13 +115,14 @@ grep -q "sqpeerd status"    "$OUT/status.txt" || { echo "FAIL: no status page"; 
 grep -q "decode_failures 0" "$OUT/status.txt" || { echo "FAIL: wire decode failures on the host"; exit 1; }
 grep -q "^discovered 2/2$"  "$OUT/status.txt" || { echo "FAIL: the acme group has not discovered itself"; exit 1; }
 
-echo "== nobody polls: an idle gateway sleeps =="
+echo "== nobody polls: idle hosts and gateway sleep =="
 # Voluntary context switches, summed over a process' threads, one second
 # apart. A thread blocked in accept() or read() makes none; a 5 ms accept
-# poll alone makes 200 a second. The hosts' figure (≈ 900) is printed,
-# not asserted: their pump no longer sleeps on a finished answer, but
-# nothing wakes it when a command arrives, so while idle it still looks at
-# its command channel once a millisecond.
+# poll alone makes 200 a second. A host's pump blocks on its command
+# channel until a command arrives or its next timer or status page is
+# due, so an idle host wakes ≈ 10 times a second (the 100 ms status
+# cadence); a pump that looked at the channel once a millisecond made
+# ≈ 940.
 voluntary_switches() {
   cat /proc/"$1"/task/*/status | awk '/^voluntary_ctxt_switches/ { n += $2 } END { print n + 0 }'
 }
@@ -130,6 +131,8 @@ sleep 1
 rate=(); for i in "${!PIDS[@]}"; do rate+=($(( $(voluntary_switches "${PIDS[$i]}") - before[i] ))); done
 echo "voluntary context switches in 1 s: acme host ${rate[0]}, globex host ${rate[1]}, gateway ${rate[2]}" \
   | tee "$OUT/idle_switches.txt"
+[ "${rate[0]}" -le 20 ] || { echo "FAIL: the idle acme host woke ${rate[0]} times in a second — its pump polls"; exit 1; }
+[ "${rate[1]}" -le 20 ] || { echo "FAIL: the idle globex host woke ${rate[1]} times in a second — its pump polls"; exit 1; }
 [ "${rate[2]}" -le 20 ] || { echo "FAIL: the idle gateway woke ${rate[2]} times in a second — something polls"; exit 1; }
 
 echo "deploy smoke: OK"
