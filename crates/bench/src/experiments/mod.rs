@@ -2,20 +2,20 @@
 //! `all` and lookup alike. The modules beneath are cut along the fixtures
 //! their experiments share, not by number:
 //!
-//! * [`figures`] — the paper's Figures 1–7 over the Figure 1 schema and
+//! * `figures` — the paper's Figures 1–7 over the Figure 1 schema and
 //!   the Figure 2 peers;
-//! * [`claims`] — routing and maintenance claims on generated community
+//! * `claims` — routing and maintenance claims on generated community
 //!   schemas (E8, E9, E11, E12, E14);
-//! * [`failure`] — adaptation when peers crash and messages vanish (E10,
+//! * `failure` — adaptation when peers crash and messages vanish (E10,
 //!   E13, E17);
-//! * [`engine`] — the routing cache and local evaluation under Zipf
+//! * `engine` — the routing cache and local evaluation under Zipf
 //!   workloads (E15, E16);
-//! * [`overhead`] — a recorder off, off again and on over one SON, in
+//! * `overhead` — a recorder off, off again and on over one SON, in
 //!   allocations (E18, E19);
-//! * [`substrates`] — one group on the simulator, the loopback and a TCP
+//! * `substrates` — one group on the simulator, the loopback and a TCP
 //!   host, monolithic and streamed (E20, E21);
-//! * [`scale`] — the thousand-peer overlays (E22, E23);
-//! * [`work`] — counted work per query and per answer-path step (E24).
+//! * `scale` — the thousand-peer overlays (E22, E23);
+//! * `work` — counted work per query and per answer-path step (E24).
 
 use crate::harness::BenchJson;
 

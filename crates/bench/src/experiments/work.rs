@@ -5,8 +5,10 @@
 
 use crate::alloc;
 use crate::harness::{fixed, BenchJson, Obj};
-use crate::scenario::{chain_half, chain_workload, host_frames, scale_schema, scale_spec};
+use crate::scenario::{chain_half, chain_workload, host_frames, query_frame};
+use crate::scenario::{scale_schema, scale_spec};
 use crate::table::Table;
+use sqpeer::exec::Msg;
 use sqpeer::overlay::Network;
 use sqpeer::prelude::*;
 use sqpeer_testkit::{data_gen::pool_resource, fixtures::fig1_schema, hier_network};
@@ -90,6 +92,9 @@ pub fn e24(json: BenchJson) -> String {
     answer.rows = first;
     let frames = host_frames(answer.clone(), 256);
     assert_eq!((joined, frames.len()), (5_400, 21));
+    // A host decodes a shipped query at its front door, then at its root.
+    let shipped = query_frame();
+    decode_frame::<Msg>(&shipped, &schemas).expect("decodes");
     let mut inputs = [parts[0].clone(), answer].map(Some);
     let mut path = Vec::new();
     let mut step = |name: &str, f: &mut dyn FnMut()| {
@@ -118,6 +123,9 @@ pub fn e24(json: BenchJson) -> String {
             rendered.push_data(&frame[4..], &schemas).expect("renders");
         }
         rendered.finish(false, 0, 0);
+    });
+    step("ClientQuery decode again", &mut || {
+        decode_frame::<Msg>(&shipped, &schemas).expect("decodes");
     });
 
     let mut out = format!(

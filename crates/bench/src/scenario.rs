@@ -444,6 +444,12 @@ pub fn host_frames(answer: ResultSet, batch: usize) -> Vec<Vec<u8>> {
     pieces.enumerate().map(frame).collect()
 }
 
+/// The Figure 1 query as a gateway ships it to a host, framed.
+pub fn query_frame() -> Vec<u8> {
+    let (qid, query) = (QueryId(1), fig1_query(&fig1_schema()));
+    encode_frame(&Msg::ClientQuery { qid, query })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

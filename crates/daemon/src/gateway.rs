@@ -35,10 +35,9 @@
 use crate::host::{accept_loop, frames, wake_accept};
 use sqpeer_rdfs::Schema;
 use sqpeer_routing::PeerId;
-use sqpeer_rql::compile;
 use sqpeer_wire::{
     encode_frame, read_payload, AnswerFrame, Envelope, GatewayRequest, GatewayResponse,
-    SchemaRegistry,
+    SchemaRegistry, WireError,
 };
 use std::collections::HashMap;
 use std::io;
@@ -141,7 +140,7 @@ pub struct TenantConfig {
 
 struct Tenant {
     host: String,
-    schema: Arc<Schema>,
+    fingerprint: u64,
     schemas: SchemaRegistry,
     at: PeerId,
     admission: Mutex<Admission>,
@@ -190,12 +189,12 @@ pub fn spawn_gateway(config: GatewayConfig) -> io::Result<GatewayHandle> {
             .into_iter()
             .map(|t| {
                 let mut schemas = SchemaRegistry::new();
-                schemas.register(Arc::clone(&t.schema));
+                let fingerprint = schemas.register(t.schema);
                 (
                     t.token,
                     Tenant {
                         host: t.host,
-                        schema: t.schema,
+                        fingerprint,
                         schemas,
                         at: t.at,
                         admission: Mutex::new(Admission::new(t.quotas)),
@@ -259,8 +258,9 @@ fn answer<'a>(
     let Some((token, tenant)) = tenants.get_key_value(&request.token) else {
         return encode_frame(&GatewayResponse::Unauthorized);
     };
-    let query = match compile(&request.query, &tenant.schema) {
+    let query = match tenant.schemas.compile(tenant.fingerprint, &request.query) {
         Ok(q) => q,
+        Err(WireError::Query(e)) => return encode_frame(&GatewayResponse::Error(e)),
         Err(e) => return encode_frame(&GatewayResponse::Error(e.to_string())),
     };
     let qid = sqpeer_exec::QueryId(next_qid.fetch_add(1, Ordering::SeqCst));
@@ -445,12 +445,11 @@ mod tests {
     }
 
     fn tenant(host: &str, at: u32, quotas: Quotas) -> Tenant {
-        let schema = fig1_schema();
         let mut schemas = SchemaRegistry::new();
-        schemas.register(Arc::clone(&schema));
+        let fingerprint = schemas.register(fig1_schema());
         Tenant {
             host: host.into(),
-            schema,
+            fingerprint,
             schemas,
             at: PeerId(at),
             admission: Mutex::new(Admission::new(quotas)),

@@ -379,6 +379,9 @@ fn render_status(pump: &Pump) -> String {
     let _ = writeln!(out, "retries {}", m.retries_sent());
     let _ = writeln!(out, "replans {}", m.replans());
     let _ = writeln!(out, "decode_failures {}", net.decode_failures());
+    let (compiles, hits) = net.schemas().compile_counts();
+    let _ = writeln!(out, "query_compiles {compiles}");
+    let _ = writeln!(out, "query_compile_hits {hits}");
     let _ = writeln!(out, "in_flight {}", in_flight.len());
     let discovered = group::discovered(net, peers);
     let _ = writeln!(out, "discovered {discovered}/{}", peers.len());
@@ -752,6 +755,78 @@ mod tests {
         let host = fig2_host(&fig1_schema());
         let text = read_status(&host);
         assert!(text.contains("\ndiscovered 4/4\n"), "got {text:?}");
+        host.shutdown();
+    }
+
+    /// The page the pump publishes once it has answered `queries` queries.
+    fn page_after(host: &HostHandle, queries: usize) -> String {
+        for _ in 0..100 {
+            let text = read_status(host);
+            if text.contains(&format!("\nquery_ttfr_count {queries}\n")) {
+                return text;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        panic!("no status page counted {queries} queries");
+    }
+
+    /// A host compiles each query text once: posed again, a query's
+    /// front-door, root and subplan decodes all find their patterns
+    /// compiled, so `query_compiles` stays at the number of distinct texts
+    /// the first posing decoded, while the hits grow by one per decode.
+    #[test]
+    fn a_query_posed_again_compiles_nothing() {
+        const QUERIES: usize = 10;
+        let schema = fig1_schema();
+        let host = fig2_host(&schema);
+        let mut schemas = SchemaRegistry::new();
+        schemas.register(Arc::clone(&schema));
+        let query = sqpeer_rql::compile(fig1_query_text(), &schema).expect("fixture compiles");
+        let mut stream = TcpStream::connect(host.addr).expect("reachable");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout set");
+        let mut pose = |qid: u64| {
+            let msg = Msg::ClientQuery {
+                qid: QueryId(qid),
+                query: query.clone(),
+            };
+            let envelope = Envelope {
+                from: PeerId(9_999),
+                to: PeerId(0),
+                sent_at_us: 0,
+                msg,
+            };
+            write_frame(&mut stream, &envelope).expect("sent");
+            let reply = read_frame(&mut stream, &schemas).expect("readable");
+            let Some(Envelope {
+                msg: Msg::Data { result, last, .. },
+                ..
+            }) = reply
+            else {
+                panic!("expected Data, got {reply:?}");
+            };
+            assert!(last && result.len() == 3);
+        };
+        let counts = |page: &str| {
+            let count = |key: &str| -> u64 {
+                let value = page
+                    .lines()
+                    .find_map(|l| l.strip_prefix(key)?.strip_prefix(' '));
+                value.and_then(|v| v.parse().ok()).expect(key)
+            };
+            (count("query_compiles"), count("query_compile_hits"))
+        };
+
+        pose(0);
+        let (texts, first_hits) = counts(&page_after(&host, 1));
+        // The client's text reaches the front door and the root alike.
+        assert!(first_hits >= 1, "the root recompiled the front door's text");
+        let decodes = texts + first_hits;
+        (1..QUERIES as u64).for_each(&mut pose);
+        let (compiles, hits) = counts(&page_after(&host, QUERIES));
+        assert_eq!(compiles, texts, "a text was compiled twice");
+        assert_eq!(compiles + hits, decodes * QUERIES as u64);
         host.shutdown();
     }
 

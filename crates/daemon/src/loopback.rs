@@ -141,6 +141,11 @@ where
             .sum()
     }
 
+    /// The registry frames decode against (and compile their queries in).
+    pub fn schemas(&self) -> &SchemaRegistry {
+        &self.schemas
+    }
+
     /// Ids of every hosted node, sorted (status-page iteration).
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.sim.node_ids()

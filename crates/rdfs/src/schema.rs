@@ -95,9 +95,18 @@ pub struct Schema {
     class_descendants: Vec<BitSet>,
     prop_ancestors: Vec<BitSet>,
     prop_descendants: Vec<BitSet>,
+    fingerprint: u64,
 }
 
 impl Schema {
+    /// The structural fingerprint: FNV-1a over namespaces, class
+    /// definitions and property definitions in declaration order, hashed
+    /// once by [`SchemaBuilder::finish`]. Two schemas built identically
+    /// fingerprint identically, whatever `Arc` they live in.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// All namespace declarations, in declaration order.
     pub fn namespaces(&self) -> &[NamespaceDecl] {
         &self.namespaces
@@ -478,7 +487,7 @@ impl SchemaBuilder {
             let _ = i;
         }
 
-        Ok(Schema {
+        let mut schema = Schema {
             namespaces: self.namespaces,
             classes: self.classes,
             properties: self.properties,
@@ -488,8 +497,59 @@ impl SchemaBuilder {
             class_descendants: class_desc,
             prop_ancestors: prop_anc,
             prop_descendants: prop_desc,
-        })
+            fingerprint: 0,
+        };
+        schema.fingerprint = fingerprint(&schema);
+        Ok(schema)
     }
+}
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        let fold = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        self.0 = bytes.iter().fold(self.0, fold);
+    }
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// What [`Schema::fingerprint`] returns, hashed from the definitions.
+fn fingerprint(schema: &Schema) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.u64(schema.namespaces.len() as u64);
+    for ns in &schema.namespaces {
+        h.str(&ns.prefix);
+        h.str(&ns.uri);
+    }
+    h.u64(schema.classes.len() as u64);
+    for def in &schema.classes {
+        h.str(&def.name);
+        h.u64(def.namespace.0 as u64);
+        h.u64(def.parents.len() as u64);
+        def.parents.iter().for_each(|p| h.u64(p.0 as u64));
+    }
+    h.u64(schema.properties.len() as u64);
+    for def in &schema.properties {
+        h.str(&def.name);
+        h.u64(def.namespace.0 as u64);
+        h.u64(def.domain.0 as u64);
+        let (tag, id) = match def.range {
+            Range::Class(c) => (0, c.0 as u64),
+            Range::Literal(lt) => (1, lt as u64),
+        };
+        h.u64(tag);
+        h.u64(id);
+        h.u64(def.parents.len() as u64);
+        def.parents.iter().for_each(|q| h.u64(q.0 as u64));
+    }
+    h.0
 }
 
 /// Computes reflexive-transitive (ancestors, descendants) closures of a DAG

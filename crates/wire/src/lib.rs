@@ -31,7 +31,7 @@ pub mod telemetry;
 mod types;
 
 pub use codec::{Reader, Wire, WireError, Writer, MAX_DEPTH};
-pub use fingerprint::{schema_fingerprint, SchemaRegistry};
+pub use fingerprint::SchemaRegistry;
 pub use msg::{
     decode_frame, decode_payload, decode_value, encode_frame, encode_value, read_frame,
     read_payload, scoped_qid, write_frame, AnswerFrame, DataFlags, Envelope, GatewayRequest,

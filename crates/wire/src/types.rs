@@ -7,8 +7,10 @@
 //!
 //! * **Queries travel as text.** A [`QueryPattern`] is schema-resolved and
 //!   interned; its canonical form on the wire is the schema fingerprint
-//!   plus its RQL text (`QueryPattern::text`), recompiled at decode. This keeps the
-//!   wire format stable across internal pattern-representation changes and
+//!   plus its RQL text (`QueryPattern::text`). Decode compiles the text
+//!   through the [`SchemaRegistry`](crate::SchemaRegistry), which hands
+//!   out the pattern a text it has seen compiled to. This keeps the wire
+//!   format stable across internal pattern-representation changes and
 //!   matches the paper's model of peers exchanging (RQL) query fragments.
 //! * **Annotations ride on their query.** An [`AnnotatedQuery`] ships one
 //!   annotation list per path pattern of its query and no count of lists:
@@ -33,7 +35,6 @@
 //!   as `uri()` and comes back through `Resource::new`.
 
 use crate::codec::{seq, wire_enum, wire_struct, Reader, Wire, WireError, Writer};
-use crate::fingerprint::schema_fingerprint;
 use sqpeer_exec::{PeerChannel, QueryId, TraceCtx};
 use sqpeer_net::{ChannelId, ChannelState};
 use sqpeer_plan::{PlanNode, Site, Subquery};
@@ -144,14 +145,13 @@ pub(crate) fn row_count(r: &mut Reader<'_>, width: usize) -> Result<usize, WireE
 
 impl Wire for QueryPattern {
     fn encode(&self, w: &mut Writer) {
-        w.u64v(schema_fingerprint(self.schema()));
+        w.u64v(self.schema().fingerprint());
         w.string(self.text());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let fp = r.u64v()?;
-        let text = r.string()?;
-        let schema = r.schemas().resolve(fp)?.clone();
-        sqpeer_rql::compile(&text, &schema).map_err(|e| WireError::Query(e.to_string()))
+        let text = r.str()?;
+        r.schemas().compile(fp, text)
     }
 }
 
@@ -189,7 +189,7 @@ impl Wire for AnnotatedQuery {
 
 impl Wire for ActiveSchema {
     fn encode(&self, w: &mut Writer) {
-        w.u64v(schema_fingerprint(self.schema()));
+        w.u64v(self.schema().fingerprint());
         self.classes().collect::<Vec<_>>().encode(w);
         seq(w, self.active_properties());
     }

@@ -161,7 +161,7 @@ fn absurd_plan_nesting_is_refused() {
     w.u64v(1); // qid
                // query: fingerprint + text
     let schema = fig1_schema();
-    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.u64v(schema.fingerprint());
     w.string("SELECT X, Y FROM {X}prop1{Y}");
     for _ in 0..2 * MAX_DEPTH {
         w.byte(1); // PlanNode::Union
@@ -181,7 +181,7 @@ fn bad_option_tag_is_refused() {
     let mut w = Writer::new();
     w.u64v(8); // Msg::RouteRequest
     w.u64v(1); // qid
-    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.u64v(schema.fingerprint());
     w.string("SELECT X, Y FROM {X}prop1{Y}");
     w.u64v(0); // backbone_ttl
     w.byte(7); // Option tag that is neither 0 nor 1
@@ -202,13 +202,46 @@ fn embedded_query_that_fails_to_compile_is_an_error() {
     let mut w = Writer::new();
     w.u64v(14); // Msg::ClientQuery
     w.u64v(1); // qid
-    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.u64v(schema.fingerprint());
     w.string("SELECT gibberish");
     let bytes = w.into_bytes();
     assert!(matches!(
         decode_value::<Msg>(&bytes, &reg).unwrap_err(),
         WireError::Query(_)
     ));
+}
+
+/// A query text over the registry memo's 4 KiB cap is compiled at every
+/// decode and never kept: a valid one decodes to what `compile` gives, an
+/// invalid one is refused with the compiler's error, every time.
+#[test]
+fn an_over_long_query_text_is_compiled_at_every_decode() {
+    let (reg, schema) = (registry(), fig1_schema());
+    let frame = |text: &str| {
+        let mut w = Writer::new();
+        w.u64v(14); // Msg::ClientQuery
+        w.u64v(1); // qid
+        w.u64v(schema.fingerprint());
+        w.string(text);
+        w.into_bytes()
+    };
+    let pad = " ".repeat(5_000);
+    let (good, bad) = (
+        format!("SELECT X, Y FROM{pad}{{X}}prop1{{Y}}"),
+        format!("SELECT{pad}gibberish"),
+    );
+    let refusal = WireError::Query(compile(&bad, &schema).unwrap_err().to_string());
+    for round in 1..=2 {
+        let Msg::ClientQuery { query, .. } = decode_value(&frame(&good), &reg).unwrap() else {
+            panic!("not a client query");
+        };
+        assert_eq!(query.text(), compile(&good, &schema).unwrap().text());
+        assert_eq!(
+            decode_value::<Msg>(&frame(&bad), &reg).unwrap_err(),
+            refusal
+        );
+        assert_eq!(reg.compile_counts(), (2 * round, 0), "a long text was kept");
+    }
 }
 
 /// A query of more path patterns than a plan's 64-bit covers can name is
@@ -230,7 +263,7 @@ fn a_query_past_64_path_patterns_is_refused() {
     let mut w = Writer::new();
     w.u64v(14); // Msg::ClientQuery
     w.u64v(1); // qid
-    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.u64v(schema.fingerprint());
     w.string(&star(MAX_PATTERNS + 1));
     assert!(matches!(
         decode_value::<Msg>(&w.into_bytes(), &reg).unwrap_err(),
@@ -239,7 +272,7 @@ fn a_query_past_64_path_patterns_is_refused() {
     let mut w = Writer::new();
     w.usizev(1); // one covered pattern,
     w.usizev(MAX_PATTERNS); // the 65th
-    w.u64v(sqpeer_wire::schema_fingerprint(&schema));
+    w.u64v(schema.fingerprint());
     w.string("SELECT X, Y FROM {X}prop1{Y}");
     assert_eq!(
         decode_value::<Subquery>(&w.into_bytes(), &reg).unwrap_err(),
