@@ -394,6 +394,13 @@ pub fn e23(json: BenchJson) -> String {
         "rollup byte overhead {byte_ratio:.4} exceeds the {GATE} gate \
          ({push_bytes_on} push bytes vs {bytes_off} query bytes)"
     );
+    // The plane-off run does strictly less work than the plane-on run.
+    assert!(
+        allocs_off.1 <= allocs_on.1,
+        "plane off asked for {} alloc bytes, more than plane on's {}",
+        allocs_off.1,
+        allocs_on.1
+    );
 
     json.field("peers", PEERS)
         .field("supers", SUPERS)

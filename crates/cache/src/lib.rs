@@ -42,6 +42,10 @@ mod tests {
     use std::sync::Arc;
 
     fn fig1_schema() -> Arc<Schema> {
+        Arc::new(fig1_builder().finish().unwrap())
+    }
+
+    fn fig1_builder() -> SchemaBuilder {
         let mut b = SchemaBuilder::new("n1", "http://example.org/n1#");
         let c1 = b.class("C1").unwrap();
         let c2 = b.class("C2").unwrap();
@@ -53,7 +57,7 @@ mod tests {
         let _ = b.property("prop2", c2, Range::Class(c3)).unwrap();
         let _ = b.property("prop3", c3, Range::Class(c4)).unwrap();
         let _ = b.subproperty("prop4", p1, c5, Range::Class(c6)).unwrap();
-        Arc::new(b.finish().unwrap())
+        b
     }
 
     fn active(schema: &Arc<Schema>, props: &[&str]) -> ActiveSchema {
@@ -120,6 +124,30 @@ mod tests {
         assert_eq!(stats.misses, 4);
         assert_eq!(stats.hits, 4);
         assert_eq!(stats.invalidations, 0);
+    }
+
+    /// Entries are keyed by the schema's structural fingerprint: a
+    /// separately built copy of a schema shares them, while a schema with
+    /// the same namespaces plus one class does not. Either way the cache
+    /// routes exactly as an uncached scan.
+    #[test]
+    fn entries_are_keyed_by_schema_fingerprint() {
+        let schema = fig1_schema();
+        let reg = figure2_registry(&schema);
+        let copy = fig1_schema();
+        let mut wider = fig1_builder();
+        wider.class("C7").unwrap();
+        let wider = Arc::new(wider.finish().unwrap());
+        assert_eq!(copy.namespaces(), wider.namespaces());
+        let policy = RoutingPolicy::SubsumedOnly;
+        let mut cache = SemanticCache::default();
+        for (schema, misses) in [(&schema, 1), (&copy, 1), (&wider, 2)] {
+            let q = compile("SELECT X FROM {X}prop1{Y}", schema).unwrap();
+            let got = cache.route(&reg, &q, policy, RoutingLimits::unlimited());
+            assert_eq!(got, uncached(&reg, &q, policy, RoutingLimits::unlimited()));
+            assert_eq!(cache.stats().misses, misses);
+        }
+        assert_eq!(cache.stats().hits, 1, "only the copy hits");
     }
 
     #[test]

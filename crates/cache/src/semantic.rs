@@ -33,7 +33,6 @@ use sqpeer_routing::{
 };
 use sqpeer_rql::{PathPattern, QueryPattern};
 use sqpeer_subsume::{match_pattern, rewrite_for};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Sizing knobs for a [`SemanticCache`].
@@ -118,10 +117,9 @@ impl CacheStats {
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct AnnKey {
-    /// Fingerprint of the community schema's namespace declarations —
-    /// advertisements over other schemas never match (see
-    /// `routing::same_schema`), so entries are partitioned by schema.
-    schema_ns: u64,
+    /// The query schema's [`Schema::fingerprint`]: a pattern's ids mean
+    /// something only under its schema, so entries are partitioned by it.
+    schema: u64,
     policy: RoutingPolicy,
     pattern: PathPattern,
 }
@@ -206,14 +204,12 @@ impl SemanticCache {
     ) -> AnnotatedQuery {
         let epoch = registry.epochs().schema;
         let schema = query.schema();
-        let ns = schema_fingerprint(schema);
         // Advertisement list is materialised lazily: a fully warm lookup
         // with no routing limits never touches the registry's ads at all.
         let mut ads: Option<Vec<&Advertisement>> = None;
         let mut out = AnnotatedQuery::empty(query.clone());
         for (i, aq_i) in query.patterns().iter().enumerate() {
-            for ann in self.pattern_annotations(epoch, schema, ns, aq_i, policy, registry, &mut ads)
-            {
+            for ann in self.pattern_annotations(epoch, schema, aq_i, policy, registry, &mut ads) {
                 out.annotate(i, ann);
             }
         }
@@ -227,19 +223,17 @@ impl SemanticCache {
 
     /// The annotation list for one path pattern: exact hit, subsumption
     /// shortcut, or full scan (in that order).
-    #[allow(clippy::too_many_arguments)]
     fn pattern_annotations<'r>(
         &mut self,
         epoch: u64,
         schema: &Arc<Schema>,
-        ns: u64,
         pattern: &PathPattern,
         policy: RoutingPolicy,
         registry: &'r AdRegistry,
         ads: &mut Option<Vec<&'r Advertisement>>,
     ) -> Vec<PeerAnnotation> {
         let key = AnnKey {
-            schema_ns: ns,
+            schema: schema.fingerprint(),
             policy,
             pattern: pattern.clone(),
         };
@@ -263,7 +257,7 @@ impl SemanticCache {
             .annotations
             .iter()
             .find(|(k, e)| {
-                k.schema_ns == ns
+                k.schema == key.schema
                     && k.policy == policy
                     && e.epoch == epoch
                     && k.pattern != *pattern
@@ -399,15 +393,4 @@ pub fn pattern_subsumed_by(schema: &Schema, narrow: &PathPattern, wide: &PathPat
     (narrow.property == wide.property || schema.is_subproperty(narrow.property, wide.property))
         && class_le(narrow.subject.class, wide.subject.class)
         && class_le(narrow.object.class, wide.object.class)
-}
-
-/// Fingerprint of a schema's namespace declarations — the same identity
-/// test `routing::same_schema` uses, collapsed to a hashable key.
-fn schema_fingerprint(schema: &Schema) -> u64 {
-    let mut h = sqpeer_rdfs::fxhash::FxHasher::default();
-    for ns in schema.namespaces() {
-        ns.prefix.hash(&mut h);
-        ns.uri.hash(&mut h);
-    }
-    h.finish()
 }

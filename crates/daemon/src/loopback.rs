@@ -161,7 +161,7 @@ where
 
     /// When the earliest queued occurrence falls due, on this
     /// transport's clock; `None` while nothing is queued.
-    pub fn next_due_us(&mut self) -> Option<u64> {
+    pub fn next_due_us(&self) -> Option<u64> {
         self.sim.next_due_us()
     }
 }

@@ -27,7 +27,6 @@ pub mod channel;
 pub mod fault;
 pub mod metrics;
 pub mod obs;
-mod queue;
 pub mod sim;
 pub mod telemetry;
 pub mod transport;

@@ -2,10 +2,10 @@
 
 use crate::fault::{FaultPlan, SplitMix64};
 use crate::metrics::{Counters, Metrics};
-use crate::queue::{CalendarQueue, Scheduled};
 use crate::telemetry::TelemetryRegistry;
 use crate::transport::Clock;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a simulated node. The overlay layer maps SQPeer peer ids
@@ -238,34 +238,6 @@ enum EventKind<M> {
     ChaosUp(NodeId),
 }
 
-struct Event<M> {
-    at_us: u64,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_us == other.at_us && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
-    }
-}
-impl<M> Scheduled for Event<M> {
-    fn at_us(&self) -> u64 {
-        self.at_us
-    }
-}
-
 /// The deterministic event-loop simulator.
 pub struct Simulator<N: NodeLogic> {
     nodes: IdMap<NodeId, N>,
@@ -273,7 +245,13 @@ pub struct Simulator<N: NodeLogic> {
     /// `default_link`.
     links: IdMap<(NodeId, NodeId), LinkSpec>,
     default_link: LinkSpec,
-    queue: CalendarQueue<Event<N::Msg>>,
+    /// The event queue, ordered by `(at_us, seq)`: a min-heap of small
+    /// keys whose events wait in `slots`. Sifting a key moves 24 bytes,
+    /// not a whole message, and a freed slot (listed in `free`) is reused,
+    /// so `slots` never outgrows the most events pending at once.
+    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    slots: Vec<Option<EventKind<N::Msg>>>,
+    free: Vec<usize>,
     now_us: u64,
     seq: u64,
     down: HashSet<NodeId, BuildHasherDefault<IdHasher>>,
@@ -312,7 +290,9 @@ impl<N: NodeLogic> Simulator<N> {
             nodes: IdMap::default(),
             links: IdMap::default(),
             default_link,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             now_us: 0,
             seq: 0,
             down: HashSet::default(),
@@ -431,9 +411,13 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     fn push(&mut self, at_us: u64, kind: EventKind<N::Msg>) {
-        let seq = self.seq;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        self.slots[slot] = Some(kind);
+        self.queue.push(Reverse((at_us, self.seq, slot)));
         self.seq += 1;
-        self.queue.push(Event { at_us, seq, kind });
     }
 
     /// The delivery time of a message sent now: links do not queue, so
@@ -487,8 +471,8 @@ impl<N: NodeLogic> Simulator<N> {
     }
 
     /// Processes one already-popped event.
-    fn step_one(&mut self, event: Event<N::Msg>) {
-        match event.kind {
+    fn step_one(&mut self, event: EventKind<N::Msg>) {
+        match event {
             EventKind::Deliver {
                 from,
                 to,
@@ -561,10 +545,10 @@ impl<N: NodeLogic> Simulator<N> {
         self.boot();
         let mut processed = 0;
         while processed < max_events {
-            let Some(event) = self.queue.pop() else {
+            let Some((at_us, event)) = self.pop_due(u64::MAX) else {
                 break;
             };
-            self.advance_to(event.at_us);
+            self.advance_to(at_us);
             processed += 1;
             self.step_one(event);
         }
@@ -583,8 +567,8 @@ impl<N: NodeLogic> Simulator<N> {
         const BUDGET: usize = 50_000_000;
         self.boot();
         let mut processed = 0;
-        while let Some(event) = self.pop_due(until_us) {
-            self.advance_to(event.at_us);
+        while let Some((at_us, event)) = self.pop_due(until_us) {
+            self.advance_to(at_us);
             processed += 1;
             self.step_one(event);
             assert!(
@@ -608,7 +592,7 @@ impl<N: NodeLogic> Simulator<N> {
         let mut processed = 0;
         loop {
             let now = clock.now_us();
-            let Some(event) = self.pop_due(now) else {
+            let Some((_, event)) = self.pop_due(now) else {
                 return processed;
             };
             self.advance_to(now);
@@ -620,14 +604,21 @@ impl<N: NodeLogic> Simulator<N> {
 
     /// When the earliest queued event falls due; `None` while nothing is
     /// queued.
-    pub fn next_due_us(&mut self) -> Option<u64> {
-        self.queue.peek_at()
+    pub fn next_due_us(&self) -> Option<u64> {
+        self.queue.peek().map(|Reverse((at_us, ..))| *at_us)
     }
 
-    /// Pops the earliest event if it is due at or before `until_us`.
-    fn pop_due(&mut self, until_us: u64) -> Option<Event<N::Msg>> {
-        self.queue.peek_at().filter(|&at| at <= until_us)?;
-        self.queue.pop()
+    /// Pops the earliest event, with its due time, if it is due at or
+    /// before `until_us`, and frees its slot.
+    fn pop_due(&mut self, until_us: u64) -> Option<(u64, EventKind<N::Msg>)> {
+        let &Reverse((at_us, _, slot)) = self.queue.peek()?;
+        if at_us > until_us {
+            return None;
+        }
+        self.queue.pop();
+        self.free.push(slot);
+        let event = self.slots[slot].take().expect("a queued key owns its slot");
+        Some((at_us, event))
     }
 
     /// Runs to quiescence with a generous event budget, panicking if the
@@ -875,6 +866,98 @@ mod tests {
         sim.inject(NodeId(0), NodeId(0), (), 0);
         sim.run_to_quiescence();
         assert_eq!(sim.node(NodeId(0)).unwrap().fired, vec![1, 2, 3]);
+    }
+
+    /// Events due at one instant run in the order they were scheduled,
+    /// messages and timers alike; and a far-future timer armed once the
+    /// queue has gone idle still runs in `(at_us, seq)` order.
+    #[test]
+    fn equal_due_events_run_in_schedule_order() {
+        struct Log(Vec<u32>);
+        impl NodeLogic for Log {
+            type Msg = u32;
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, _from: NodeId, msg: u32) {
+                self.0.push(msg);
+                let me = ctx.me();
+                match msg {
+                    // All four fall due 20.1 ms on (the default link);
+                    // a callback's sends are scheduled before its timers.
+                    0 => {
+                        ctx.send(me, 1, 100);
+                        ctx.set_timer(20_100, 3);
+                        ctx.send(me, 2, 100);
+                        ctx.set_timer(20_100, 4);
+                    }
+                    5 => {
+                        ctx.set_timer(600_000_000, 7);
+                        ctx.set_timer(1_000, 6);
+                        ctx.set_timer(600_000_000, 8);
+                    }
+                    _ => {}
+                }
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<u32>, timer: u64) {
+                self.0.push(timer as u32);
+            }
+        }
+        let mut sim: Simulator<Log> = Simulator::default();
+        sim.add_node(NodeId(0), Log(Vec::new()));
+        sim.inject(NodeId(0), NodeId(0), 0, 100);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(NodeId(0)).unwrap().0, [0, 1, 2, 3, 4]);
+        let idle_at = sim.now_us();
+        sim.inject(NodeId(0), NodeId(0), 5, 100);
+        sim.run_to_quiescence();
+        assert_eq!(sim.node(NodeId(0)).unwrap().0, [0, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(sim.now_us(), idle_at + 20_100 + 600_000_000);
+    }
+
+    /// A query-shaped load: every 3 virtual seconds a root fans out to 8
+    /// peers, which answer, and arms a 10 s timeout, so timeouts of
+    /// earlier queries are pending throughout. Freed slots are reused:
+    /// the slot vector never outgrows the most events pending at once,
+    /// though the run schedules many times that many.
+    #[test]
+    fn freed_slots_are_reused() {
+        struct Fan;
+        impl NodeLogic for Fan {
+            type Msg = u32;
+            fn on_message(&mut self, ctx: &mut Ctx<u32>, from: NodeId, msg: u32) {
+                match msg {
+                    0 => {
+                        (1..=8).for_each(|to| ctx.send(NodeId(to), 1, 100));
+                        ctx.set_timer(10_000_000, 0);
+                    }
+                    1 => ctx.send(from, 2, 100),
+                    _ => {}
+                }
+            }
+        }
+        let mut sim: Simulator<Fan> = Simulator::default();
+        (0..=8).for_each(|id| sim.add_node(NodeId(id), Fan));
+        let mut peak = 0;
+        for _ in 0..40 {
+            sim.inject(NodeId(0), NodeId(0), 0, 100);
+            let until = sim.now_us() + 3_000_000;
+            loop {
+                peak = peak.max(sim.queue.len());
+                assert!(sim.slots.len() <= peak, "slots outgrew the peak");
+                if sim.next_due_us().is_none_or(|at| at > until) {
+                    break;
+                }
+                sim.run(1);
+            }
+            sim.advance_to(until);
+        }
+        sim.run_to_quiescence();
+        assert!(peak >= 12, "timeouts of several queries overlap: {peak}");
+        assert!(sim.seq > 40 * peak as u64, "{} events scheduled", sim.seq);
+        assert_eq!(sim.slots.len(), peak);
+        assert_eq!(
+            sim.free.len(),
+            peak,
+            "a drained queue holds only free slots"
+        );
     }
 
     #[test]
