@@ -9,7 +9,7 @@
 //!   and the completeness flag;
 //! * the **status port** serves the PR 5 telemetry snapshot as plain
 //!   text: connect, read to EOF, done — `curl`-able without any HTTP
-//!   machinery.
+//!   machinery. The pump renders each read's page as of that read.
 //!
 //! Threading: an accept thread per listener, a reader thread per peer
 //! connection, and one pump thread that owns the transport. Connection
@@ -17,14 +17,13 @@
 //! per-query reply channel, so several queries can be in flight at once.
 //!
 //! The pump is a loop over one `Pump::turn` — admit what waits, run
-//! what is due, hand finished outcomes over, republish a stale status
-//! page — and one `Pump::idle_wait`, the host's single wait, taken
-//! only after a turn that did nothing, so an answer is never held for
-//! the rest of a time slice. The wait blocks on the command channel
-//! itself: a query wakes the pump as it arrives (§2.4's channels hand a
-//! peer its work, they are not polled), and an idle host sleeps until its
-//! next timer or status page. [`HostHandle::shutdown`] wakes it the same
-//! way, through the channel.
+//! what is due, hand finished outcomes over — and one `Pump::idle_wait`,
+//! the host's single wait, taken only after a turn that did nothing, so
+//! an answer is never held for the rest of a time slice. The wait blocks
+//! on the command channel itself: a query or a status read wakes the pump
+//! as it arrives (§2.4's channels hand a peer its work, they are not
+//! polled), and an idle host sleeps until its next timer, if one is armed.
+//! [`HostHandle::shutdown`] wakes it the same way, through the channel.
 //!
 //! Each accept thread owns its listener and sits in a blocking `accept`;
 //! [`HostHandle::shutdown`] sets the flag and then connects to each bound
@@ -49,7 +48,7 @@ use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -79,12 +78,17 @@ struct InFlight {
     reply: Sender<QueryOutcome>,
 }
 
-/// A query command from a connection thread to the pump. The channel
-/// carries `Option<Command>`: `None` only wakes the pump (shutdown).
-struct Command {
-    at: PeerId,
-    query: sqpeer_rql::QueryPattern,
-    reply: Sender<QueryOutcome>,
+/// A command from a connection thread to the pump. The channel carries
+/// `Option<Command>`: `None` only wakes the pump (shutdown).
+enum Command {
+    /// Pose `query` at member `at`; the outcome goes to `reply`.
+    Pose {
+        at: PeerId,
+        query: sqpeer_rql::QueryPattern,
+        reply: Sender<QueryOutcome>,
+    },
+    /// Render the status page as of now into the sender.
+    Status(Sender<String>),
 }
 
 /// A running host.
@@ -195,19 +199,30 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let (cmd_tx, cmd_rx) = channel::<Option<Command>>();
-    // Renders the first status page, before any thread can serve it.
     let pump = Pump::new(net, group, cmd_rx);
-    let status_text = Arc::clone(&pump.status_text);
 
     let mut threads = Vec::new();
 
     // Pump thread: owns the transport, injects queries, collects
-    // outcomes, refreshes the status text.
+    // outcomes, renders the status pages asked for.
     let stop = Arc::clone(&shutdown);
     threads.push(std::thread::spawn(move || pump.run(&stop)));
 
-    // Peer-port accept thread.
+    // Status accept thread: one connection at a time, each sent the page
+    // the pump renders for it, or closed unanswered if the pump is gone.
     let wake = cmd_tx.clone();
+    if let Some(listener) = status_listener {
+        let cmd_tx = cmd_tx.clone();
+        threads.push(accept_loop(listener, &shutdown, move |mut stream, _| {
+            let (page_tx, page) = channel();
+            let _ = cmd_tx.send(Some(Command::Status(page_tx)));
+            if let Ok(text) = page.recv() {
+                let _ = io::Write::write_all(&mut stream, text.as_bytes());
+            }
+        }));
+    }
+
+    // Peer-port accept thread.
     threads.push(accept_loop(listener, &shutdown, move |stream, stop| {
         // Answers leave as a burst of small frames: do not let Nagle hold
         // one back for the peer's ACK.
@@ -218,14 +233,6 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
         });
     }));
 
-    // Status accept thread.
-    if let Some(listener) = status_listener {
-        threads.push(accept_loop(listener, &shutdown, move |mut stream, _| {
-            let text = status_text.lock().map(|t| t.clone()).unwrap_or_default();
-            let _ = io::Write::write_all(&mut stream, text.as_bytes());
-        }));
-    }
-
     Ok(HostHandle {
         addr,
         status_addr,
@@ -235,40 +242,34 @@ pub fn spawn_host(config: HostConfig) -> io::Result<HostHandle> {
     })
 }
 
-/// What the pump thread owns: the transport, the group on it, every
-/// query admitted but not yet answered, and the page the status thread
-/// serves (the transport itself never leaves this thread).
+/// What the pump thread owns: the transport, the group on it and every
+/// query admitted but not yet answered (the transport itself never
+/// leaves this thread).
 struct Pump {
     net: LoopbackNet<PeerNode>,
     group: Group,
     cmd_rx: Receiver<Option<Command>>,
     in_flight: HashMap<QueryId, InFlight>,
     ttfr: QueryTtfr,
-    status_text: Arc<Mutex<String>>,
-    status_due_us: u64,
 }
 
 impl Pump {
     fn new(net: LoopbackNet<PeerNode>, group: Group, cmd_rx: Receiver<Option<Command>>) -> Self {
-        let mut pump = Pump {
+        Pump {
             net,
             group,
             cmd_rx,
             in_flight: HashMap::new(),
             ttfr: QueryTtfr::default(),
-            status_text: Arc::default(),
-            status_due_us: 0,
-        };
-        pump.publish_status();
-        pump
+        }
     }
 
     /// The transport-owning loop: turns back to back while they find
-    /// work, one wait when one finds none.
+    /// work, one wait when one finds none, until shutdown (or no sender).
     fn run(mut self, shutdown: &AtomicBool) {
         while !shutdown.load(Ordering::SeqCst) {
-            if self.turn() == 0 {
-                self.idle_wait();
+            if self.turn() == 0 && !self.idle_wait() {
+                return;
             }
         }
     }
@@ -285,46 +286,39 @@ impl Pump {
         }
         done += self.net.run_due();
         self.collect();
-        if self.net.now_us() >= self.status_due_us {
-            self.publish_status();
-        }
         done
     }
 
     /// The host's one wait: blocked on the command channel until the
-    /// next armed timer or the status deadline, admitting the command
-    /// that wakes it. A disconnected channel (no sender left) sleeps out
-    /// the wait instead of returning at once.
-    fn idle_wait(&mut self) {
-        let next_due_us = self.net.next_due_us().unwrap_or(u64::MAX);
-        let wake_us = next_due_us.min(self.status_due_us);
-        let wait = Duration::from_micros(wake_us.saturating_sub(self.net.now_us()));
+    /// next armed timer, if any, admitting the command that wakes it.
+    /// Returns `false` once no sender is left (no handle, listener or
+    /// connection): then nothing can pose, read or stop any more.
+    fn idle_wait(&mut self) -> bool {
+        let due_us = self.net.next_due_us().unwrap_or(u64::MAX);
+        let wait = Duration::from_micros(due_us.saturating_sub(self.net.now_us()));
         match self.cmd_rx.recv_timeout(wait) {
             Ok(cmd) => self.admit(cmd),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => std::thread::sleep(wait),
+            Err(RecvTimeoutError::Disconnected) => return false,
         }
+        true
     }
 
-    /// Rewrites the status page and puts its next deadline 100 ms on.
-    fn publish_status(&mut self) {
-        let page = render_status(self);
-        if let Ok(mut text) = self.status_text.lock() {
-            *text = page;
-        }
-        self.status_due_us = self.net.now_us() + 100_000;
-    }
-
-    /// Poses `cmd`'s query at the member it names (`None`, a bare wake,
-    /// poses nothing). The address came off a socket: one that names no
-    /// member is refused — dropping the command drops its reply sender,
-    /// which closes the connection — instead of leaving a query that can
-    /// never finish in flight for ever.
+    /// Poses a query at the member it names, or renders the page as of now
+    /// for a status read (`None`, a bare wake, does nothing). The address
+    /// came off a socket: one that names no member is refused — dropping
+    /// its reply sender closes the connection — instead of leaving a query
+    /// that can never finish in flight for ever.
     fn admit(&mut self, cmd: Option<Command>) {
-        let member = |c: &Command| self.group.peers.contains(&c.at);
-        if let Some(Command { at, query, reply }) = cmd.filter(member) {
-            let qid = group::pose(&mut self.net, &mut self.group, at, query);
-            self.in_flight.insert(qid, InFlight { at, reply });
+        match cmd {
+            Some(Command::Pose { at, query, reply }) if self.group.peers.contains(&at) => {
+                let qid = group::pose(&mut self.net, &mut self.group, at, query);
+                self.in_flight.insert(qid, InFlight { at, reply });
+            }
+            Some(Command::Status(page)) => {
+                let _ = page.send(render_status(self));
+            }
+            _ => {}
         }
     }
 
@@ -472,7 +466,7 @@ fn serve_connection(
         // dropping `reply_tx`, and the connection closes); the pump
         // re-mints a host-local qid and the reply echoes the client's own.
         if cmd_tx
-            .send(Some(Command {
+            .send(Some(Command::Pose {
                 at: envelope.to,
                 query,
                 reply: reply_tx,
@@ -570,7 +564,7 @@ mod tests {
         let (reply, outcome) = channel();
         let query = query.clone();
         cmd_tx
-            .send(Some(Command { at, query, reply }))
+            .send(Some(Command::Pose { at, query, reply }))
             .expect("the pump holds the receiver");
         outcome
     }
@@ -648,6 +642,33 @@ mod tests {
         let (mut pump, _cmd_tx, _) = fig2_pump();
         assert_eq!(pump.turn(), 0);
         assert_eq!(pump.turn(), 0);
+    }
+
+    /// An idle pump has no wake deadline: its group arms no timer, and the
+    /// wait's only other end is a command, so it sleeps until one comes.
+    #[test]
+    fn an_idle_pump_with_no_timer_armed_has_no_wake_deadline() {
+        let (mut pump, _cmd_tx, _) = fig2_pump();
+        assert_eq!(pump.turn(), 0);
+        assert_eq!(pump.net.next_due_us(), None, "an idle group armed a timer");
+    }
+
+    /// A status read admitted by the wait is answered in that call, with
+    /// the page as of that moment: a query admitted but not yet run is in
+    /// flight, and none has been answered.
+    #[test]
+    fn idle_wait_answers_a_status_read_as_of_now() {
+        let (mut pump, cmd_tx, query) = fig2_pump();
+        let _reply = queue(&cmd_tx, pump.group.peers[0], &query);
+        let (page_tx, page) = channel();
+        cmd_tx
+            .send(Some(Command::Status(page_tx)))
+            .expect("the pump holds the receiver");
+        assert!(pump.idle_wait(), "the query's wait");
+        assert!(pump.idle_wait(), "the status read's wait");
+        let page = page.try_recv().expect("answered in the admitting wait");
+        assert!(page.contains("\nin_flight 1\n"), "{page}");
+        assert!(page.contains("\nquery_ttfr_count 0\n"), "{page}");
     }
 
     /// A host that serves queries for ever must not keep their answers:
@@ -737,9 +758,8 @@ mod tests {
         text
     }
 
-    /// The status port never serves an empty page: the first one is
-    /// rendered before the listener's thread exists, not ≈ 0.1 s into the
-    /// pump's life.
+    /// The status port serves a page from the first connect: the read
+    /// itself has the pump render it.
     #[test]
     fn the_first_status_read_finds_a_page() {
         let host = fig2_host(&fig1_schema());
@@ -758,16 +778,54 @@ mod tests {
         host.shutdown();
     }
 
-    /// The page the pump publishes once it has answered `queries` queries.
+    /// The page a read gets once the host has answered `queries` queries.
     fn page_after(host: &HostHandle, queries: usize) -> String {
-        for _ in 0..100 {
-            let text = read_status(host);
-            if text.contains(&format!("\nquery_ttfr_count {queries}\n")) {
-                return text;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        panic!("no status page counted {queries} queries");
+        let text = read_status(host);
+        let count = format!("\nquery_ttfr_count {queries}\n");
+        assert!(
+            text.contains(&count),
+            "the page did not count {queries}: {text}"
+        );
+        text
+    }
+
+    /// Poses the Figure 1 query at `to` over a fresh peer-port connection
+    /// and reads the first reply frame.
+    fn ask(
+        host: &HostHandle,
+        schema: &Arc<sqpeer_rdfs::Schema>,
+        to: PeerId,
+    ) -> io::Result<Option<Envelope>> {
+        let mut schemas = SchemaRegistry::new();
+        schemas.register(Arc::clone(schema));
+        let query = sqpeer_rql::compile(fig1_query_text(), schema).expect("fixture compiles");
+        let mut stream = TcpStream::connect(host.addr)?;
+        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+        let envelope = Envelope {
+            from: PeerId(9_999),
+            to,
+            sent_at_us: 0,
+            msg: Msg::ClientQuery {
+                qid: QueryId(7),
+                query,
+            },
+        };
+        write_frame(&mut stream, &envelope)?;
+        read_frame(&mut stream, &schemas)
+    }
+
+    /// A status read is rendered when it is asked for: made right after an
+    /// answer, it has counted that answer and holds nothing in flight.
+    #[test]
+    fn a_status_read_right_after_an_answer_counts_it() {
+        let schema = fig1_schema();
+        let host = fig2_host(&schema);
+        let reply = ask(&host, &schema, PeerId(0)).expect("reply readable");
+        let reply = reply.expect("a member answers").msg;
+        assert!(matches!(reply, Msg::Data { .. }), "{reply:?}");
+        let page = page_after(&host, 1);
+        assert!(page.contains("\nin_flight 0\n"), "{page}");
+        host.shutdown();
     }
 
     /// A host compiles each query text once: posed again, a query's
@@ -837,28 +895,8 @@ mod tests {
     fn non_member_address_is_refused() {
         let schema = fig1_schema();
         let host = fig2_host(&schema);
-        let mut schemas = SchemaRegistry::new();
-        schemas.register(Arc::clone(&schema));
-        let query = sqpeer_rql::compile(fig1_query_text(), &schema).expect("fixture compiles");
-        let ask = |to: PeerId| -> io::Result<Option<Envelope>> {
-            let mut stream = TcpStream::connect(host.addr)?;
-            stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-            let msg = Msg::ClientQuery {
-                qid: QueryId(7),
-                query: query.clone(),
-            };
-            let envelope = Envelope {
-                from: PeerId(9_999),
-                to,
-                sent_at_us: 0,
-                msg,
-            };
-            write_frame(&mut stream, &envelope)?;
-            read_frame(&mut stream, &schemas)
-        };
-
         let asked = std::time::Instant::now();
-        let refused = ask(PeerId(999));
+        let refused = ask(&host, &schema, PeerId(999));
         assert!(
             asked.elapsed() < Duration::from_secs(1),
             "a non-member address parked the connection: {refused:?}"
@@ -868,29 +906,18 @@ mod tests {
             "a non-member address was answered: {refused:?}"
         );
 
-        let reply = ask(PeerId(0))
+        let reply = ask(&host, &schema, PeerId(0))
             .expect("reply readable")
             .expect("a member still answers");
         let Msg::Data { result, last, .. } = reply.msg else {
             panic!("expected Data, got {:?}", reply.msg);
         };
         assert!(last && result.len() == 3);
-
-        // The pump republishes its status when the page is 100 ms old:
-        // wait for the one that has counted the answered query.
-        let mut seen = None;
-        for _ in 0..100 {
-            let text = read_status(&host);
-            if text.contains("query_ttfr_count 1") {
-                seen = text
-                    .lines()
-                    .find(|l| l.starts_with("in_flight"))
-                    .map(str::to_string);
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        assert_eq!(seen.as_deref(), Some("in_flight 0"));
+        let page = page_after(&host, 1);
+        assert!(
+            page.contains("\nin_flight 0\n"),
+            "the refused query stayed: {page}"
+        );
         host.shutdown();
     }
 }

@@ -205,8 +205,6 @@ fn tcp_host_answers_wire_protocol_clients() {
     // The status endpoint serves a plain-text page mentioning the
     // telemetry the exchange produced.
     let status_addr = handle.status_addr.expect("status configured");
-    // Give the pump a refresh cycle before sampling.
-    std::thread::sleep(std::time::Duration::from_millis(300));
     let mut status = String::new();
     std::io::Read::read_to_string(
         &mut TcpStream::connect(status_addr).expect("status reachable"),
