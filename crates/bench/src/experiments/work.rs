@@ -34,6 +34,17 @@ pub fn e24(json: BenchJson) -> String {
     for query in &chains {
         pose(&mut net, query);
     }
+    // A triple at `pool_resource` 0 of the first property `take` admits.
+    let triple_of = |take: &dyn Fn(PropertyId) -> bool| {
+        (schema.properties()).filter(|&p| take(p)).find_map(|p| {
+            let def = schema.property(p);
+            let Range::Class(range) = def.range else {
+                return None;
+            };
+            let object = Node::Resource(pool_resource(range, 0));
+            Some(Triple::new(pool_resource(def.domain, 0), p, object))
+        })
+    };
     // `sim_churn`'s writes, in pairs that undo each other: a holder of the
     // one-pattern chain's property gains a triple of a property it did not
     // hold, then gets its base back. Each re-pushes the holder's
@@ -44,22 +55,33 @@ pub fn e24(json: BenchJson) -> String {
         .find(|(_, base)| base.populated_properties().contains(&property))
         .map(|(&peer, base)| (peer, base.clone()))
         .expect("a holder of the property");
-    let triple = (schema.properties())
-        .filter(|p| !original.populated_properties().contains(p))
-        .find_map(|p| {
-            let def = schema.property(p);
-            let Range::Class(range) = def.range else {
-                return None;
-            };
-            let object = Node::Resource(pool_resource(range, 0));
-            Some(Triple::new(pool_resource(def.domain, 0), p, object))
+    let held = original.populated_properties();
+    let triple = triple_of(&|p| !held.contains(&p)).expect("a property the holder lacks");
+    // The same pair of writes on a property neither chain depends on, at a
+    // peer holding none they do: it stales no annotation, no memoised
+    // reply and no snapshot a chain reaches.
+    let deps: Vec<PropertyId> = (chains.iter().flat_map(|q| q.patterns()))
+        .flat_map(|p| AdRegistry::dependencies(&schema, p, PeerConfig::ROUTING_POLICY))
+        .collect();
+    let (bystander, kept) = (ids.iter().zip(net.bases()))
+        .find(|(_, base)| {
+            base.populated_properties()
+                .iter()
+                .all(|p| !deps.contains(p))
         })
-        .expect("a property the holder lacks");
+        .map(|(&peer, base)| (peer, base.clone()))
+        .expect("a peer outside the chains");
+    let held = kept.populated_properties();
+    let unrelated = triple_of(&|p| !deps.contains(&p) && !held.contains(&p))
+        .expect("a property outside the chains");
     let mut sim = Vec::new();
-    for (r, row) in ["warm one-pattern", "warm two-pattern", "after an ad write"]
-        .into_iter()
-        .enumerate()
-    {
+    let rows = [
+        "warm one-pattern",
+        "warm two-pattern",
+        "after an ad write",
+        "after an unrelated ad write",
+    ];
+    for (r, row) in rows.into_iter().enumerate() {
         let mut sum = [0; 5];
         for i in 0..QUERIES {
             if r == 2 {
@@ -67,6 +89,14 @@ pub fn e24(json: BenchJson) -> String {
                     0 => drop(base.insert_described(triple.clone())),
                     _ => *base = original.clone(),
                 });
+                net.sim_mut().run_to_quiescence();
+            }
+            if r == 3 {
+                net.update_peer_base(bystander, |base| {
+                    base.insert_described(unrelated.clone());
+                });
+                net.sim_mut().run_to_quiescence();
+                net.update_peer_base(bystander, |base| *base = kept.clone());
                 net.sim_mut().run_to_quiescence();
             }
             let counts = pose(&mut net, &chains[if r < 2 { r } else { i % 2 }]);
@@ -132,8 +162,9 @@ pub fn e24(json: BenchJson) -> String {
         "E24 — work per query, counted\n\n\
          simulator: {PEERS} peers, 20 supers, clusters of 7 (E23's placement); \
          {QUERIES} queries a row at one origin after a warm-up posing of each \
-         chain; the write row alternates the chains, each after a write. All \
-         figures are per query.\n\n"
+         chain; the write rows alternate the chains, each after a write (the \
+         last row: a pair of writes on a property neither chain depends on). \
+         All figures are per query.\n\n"
     );
     let (sim_table, sim) = record("query, alloc calls, alloc bytes, events, msgs, bytes", sim);
     let (path_table, path) = record("answer path step, alloc calls, alloc bytes", path);

@@ -8,15 +8,16 @@
 //!
 //! * [`SemanticCache::route`] caches per-(schema, policy, pattern)
 //!   annotation results, validated against the [`AdRegistry`]'s
-//!   monotonically increasing epochs — any advertisement add, update or
-//!   withdraw lazily invalidates dependent entries, so a stale
-//!   `PeerAnnotation` is never returned;
+//!   per-property versions — an advertisement add, update or withdraw
+//!   lazily invalidates the entries whose pattern depends on a property
+//!   it changed, so a stale `PeerAnnotation` is never returned and an
+//!   unrelated write stales nothing;
 //! * a *subsumption shortcut* answers a pattern `P'` from a cached broader
 //!   pattern `P ⊒ P'` by re-classifying only `P`'s admitted arcs with
 //!   `sqpeer-subsume` instead of rescanning all advertisements;
 //! * [`SemanticCache::plan_for`] / [`SemanticCache::store_plan`] memoise
 //!   generated (and optimised) plans keyed by annotated-query fingerprint,
-//!   validated against both schema and statistics epochs;
+//!   validated against the registry's whole-content generation;
 //! * storage is a cost-bounded LRU ([`CostLru`]) with per-entry cost
 //!   accounting, and [`SemanticCache::stats`] exposes
 //!   hit/miss/eviction/invalidation counters.
@@ -171,8 +172,8 @@ mod tests {
         assert!(after.peers_for(0).iter().all(|a| a.peer != PeerId(2)));
         assert_eq!(cache.stats().invalidations, 1);
 
-        // A new advertisement bumps the epoch again; the re-advertised
-        // peer must reappear.
+        // A new advertisement moves prop1's version again; the
+        // re-advertised peer must reappear.
         reg.register(Advertisement::new(PeerId(2), active(&schema, &["prop1"])));
         let back = cache.route(&reg, &q, policy, RoutingLimits::unlimited());
         assert!(back.peers_for(0).iter().any(|a| a.peer == PeerId(2)));
@@ -192,7 +193,7 @@ mod tests {
         );
 
         // Re-registering the same active-schema (a statistics refresh)
-        // advances only the stats epoch: annotations stay warm.
+        // moves no property's version: annotations stay warm.
         let same = Advertisement::new(PeerId(2), active(&schema, &["prop1"]));
         reg.register(same);
         cache.route(
@@ -204,6 +205,35 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.invalidations, 0);
+    }
+
+    /// A write to a property outside a pattern's dependency set keeps
+    /// its entry; one inside drops it, under either policy.
+    #[test]
+    fn unrelated_write_keeps_annotations() {
+        let schema = fig1_schema();
+        let q = compile("SELECT X FROM {X}prop4{Y}", &schema).unwrap();
+        for policy in [
+            RoutingPolicy::SubsumedOnly,
+            RoutingPolicy::IncludeOverlapping,
+        ] {
+            let mut reg = figure2_registry(&schema);
+            let mut cache = SemanticCache::default();
+            let unlimited = RoutingLimits::unlimited();
+            cache.route(&reg, &q, policy, unlimited);
+            reg.register(Advertisement::new(PeerId(3), active(&schema, &["prop3"])));
+            assert_eq!(
+                cache.route(&reg, &q, policy, unlimited),
+                uncached(&reg, &q, policy, unlimited)
+            );
+            assert_eq!((cache.stats().hits, cache.stats().invalidations), (1, 0));
+            reg.register(Advertisement::new(PeerId(3), active(&schema, &["prop4"])));
+            assert_eq!(
+                cache.route(&reg, &q, policy, unlimited),
+                uncached(&reg, &q, policy, unlimited)
+            );
+            assert_eq!((cache.stats().hits, cache.stats().invalidations), (1, 1));
+        }
     }
 
     #[test]
@@ -330,17 +360,17 @@ mod tests {
             RoutingPolicy::SubsumedOnly,
             RoutingLimits::unlimited(),
         );
-        let epochs = reg.epochs();
-        assert!(cache.plan_for(epochs, &annotated).is_none());
+        let generation = reg.generation();
+        assert!(cache.plan_for(generation, &annotated).is_none());
         let plan = generate_plan(&annotated);
-        cache.store_plan(epochs, &annotated, &plan);
-        assert_eq!(cache.plan_for(epochs, &annotated), Some(plan.clone()));
+        cache.store_plan(generation, &annotated, &plan);
+        assert_eq!(cache.plan_for(generation, &annotated), Some(plan.clone()));
 
         // Re-registering an identical advertisement changes no cost: the
         // plan stays.
         let same = reg.get(PeerId(2)).unwrap().clone();
         reg.register(same);
-        assert_eq!(cache.plan_for(reg.epochs(), &annotated), Some(plan));
+        assert_eq!(cache.plan_for(reg.generation(), &annotated), Some(plan));
 
         // A statistics-only refresh must invalidate plans (ranking and
         // optimiser costs may change) even though annotations survive.
@@ -349,8 +379,11 @@ mod tests {
             sqpeer_store::BaseStatistics::from_raw_parts(vec![], vec![class], vec![], vec![class]);
         let refreshed = reg.get(PeerId(2)).unwrap().clone().with_stats(stats);
         reg.register(refreshed);
-        assert_eq!(reg.epochs().schema, epochs.schema, "annotations survive");
-        assert!(cache.plan_for(reg.epochs(), &annotated).is_none());
+        assert!(
+            reg.changed_since(generation).is_empty(),
+            "annotations survive"
+        );
+        assert!(cache.plan_for(reg.generation(), &annotated).is_none());
 
         let stats = cache.stats();
         assert_eq!(stats.plan_hits, 2);

@@ -1,4 +1,4 @@
-//! The semantic cache: epoch-validated memoisation of routing annotations
+//! The semantic cache: version-validated memoisation of routing annotations
 //! and generated plans.
 //!
 //! # Annotation cache
@@ -16,20 +16,24 @@
 //!
 //! # Invalidation
 //!
-//! Correctness under churn is epoch-based and lazy: the [`AdRegistry`]
-//! advances a schema epoch on every advertisement add/update/withdraw, and
-//! each cache entry records the epoch it was computed at. A lookup whose
-//! entry carries an older epoch treats it as missing (and drops it), so a
-//! stale `PeerAnnotation` can never be returned. Plans additionally
-//! depend on advertised statistics (limits ranking, optimiser costs), so
-//! plan entries validate against both the schema and the stats epoch.
+//! Correctness under churn is version-based and lazy: the [`AdRegistry`]
+//! moves the version of every property whose advertised arcs an
+//! add/update/withdraw changes, and each annotation entry records, at
+//! insert, the versions of its pattern's dependency set
+//! ([`AdRegistry::dependencies`]) — the only properties whose arcs can
+//! change its list. A lookup whose entry finds one of them moved treats
+//! it as missing (and drops it), so a stale `PeerAnnotation` can never
+//! be returned, while a write to an unrelated property leaves it in
+//! place. Plans additionally depend on advertised statistics (limits
+//! ranking, optimiser costs), so plan entries validate against the
+//! registry's whole-content generation.
 
 use crate::lru::CostLru;
 use sqpeer_plan::{annotated_fingerprint, PlanNode};
-use sqpeer_rdfs::{ClassId, Schema};
+use sqpeer_rdfs::{ClassId, PropertyId, Schema};
 use sqpeer_routing::{
     apply_limits, pattern_matches, AdRegistry, Advertisement, AnnotatedQuery, PatternCandidate,
-    PeerAnnotation, RegistryEpochs, RoutingLimits, RoutingPolicy,
+    PeerAnnotation, RoutingLimits, RoutingPolicy,
 };
 use sqpeer_rql::{PathPattern, QueryPattern};
 use sqpeer_subsume::{match_pattern, rewrite_for};
@@ -56,13 +60,13 @@ impl Default for CacheConfig {
 /// Counter snapshot of a [`SemanticCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Exact annotation hits (pattern found at the current epoch).
+    /// Exact annotation hits (pattern found with current versions).
     pub hits: u64,
     /// Annotation hits answered through the subsumption shortcut.
     pub subsumption_hits: u64,
     /// Annotation misses (full advertisement scan performed).
     pub misses: u64,
-    /// Entries dropped because their epoch was stale.
+    /// Entries dropped because a version they depend on moved.
     pub invalidations: u64,
     /// Entries dropped by LRU cost pressure.
     pub evictions: u64,
@@ -126,8 +130,9 @@ struct AnnKey {
 
 #[derive(Debug, Clone)]
 struct AnnEntry {
-    /// Registry schema epoch this entry was computed at.
-    epoch: u64,
+    /// The registry version of each property the pattern depends on,
+    /// when this entry was computed.
+    versions: Vec<(PropertyId, u64)>,
     /// Every policy-admitted (peer, arc) pair, in scan order.
     candidates: Vec<PatternCandidate>,
     /// The finished annotation list (candidates deduplicated by peer).
@@ -136,7 +141,7 @@ struct AnnEntry {
 
 #[derive(Debug, Clone)]
 struct PlanEntry {
-    epochs: RegistryEpochs,
+    generation: u64,
     /// Full key material: hits must match the annotated query exactly, so
     /// a fingerprint collision can never resurrect a wrong plan.
     annotated: AnnotatedQuery,
@@ -192,9 +197,9 @@ impl SemanticCache {
     /// Routes `query` against `registry`'s advertisements with memoised
     /// per-pattern annotation: behaviourally identical to
     /// `route_limited(query, registry.advertisements(), policy, limits)`,
-    /// but pattern scans are skipped on cache hits. Entries computed at an
-    /// older registry epoch are ignored and dropped, so churn can never
-    /// produce a stale annotation.
+    /// but pattern scans are skipped on cache hits. Entries one of whose
+    /// dependencies moved since are ignored and dropped, so churn can
+    /// never produce a stale annotation.
     pub fn route(
         &mut self,
         registry: &AdRegistry,
@@ -202,14 +207,13 @@ impl SemanticCache {
         policy: RoutingPolicy,
         limits: RoutingLimits,
     ) -> AnnotatedQuery {
-        let epoch = registry.epochs().schema;
         let schema = query.schema();
         // Advertisement list is materialised lazily: a fully warm lookup
         // with no routing limits never touches the registry's ads at all.
         let mut ads: Option<Vec<&Advertisement>> = None;
         let mut out = AnnotatedQuery::empty(query.clone());
         for (i, aq_i) in query.patterns().iter().enumerate() {
-            for ann in self.pattern_annotations(epoch, schema, aq_i, policy, registry, &mut ads) {
+            for ann in self.pattern_annotations(schema, aq_i, policy, registry, &mut ads) {
                 out.annotate(i, ann);
             }
         }
@@ -225,7 +229,6 @@ impl SemanticCache {
     /// shortcut, or full scan (in that order).
     fn pattern_annotations<'r>(
         &mut self,
-        epoch: u64,
         schema: &Arc<Schema>,
         pattern: &PathPattern,
         policy: RoutingPolicy,
@@ -238,8 +241,9 @@ impl SemanticCache {
             pattern: pattern.clone(),
         };
 
+        let current = |e: &AnnEntry| e.versions.iter().all(|&(p, v)| registry.version(p) == v);
         match self.annotations.get(&key) {
-            Some(e) if e.epoch == epoch => {
+            Some(e) if current(e) => {
                 self.stats.hits += 1;
                 return e.annotations.clone();
             }
@@ -250,16 +254,20 @@ impl SemanticCache {
             None => {}
         }
 
-        // Subsumption shortcut: a current-epoch entry for a broader
-        // pattern P ⊒ pattern already scanned every arc that could match —
-        // re-classify just those candidates against the narrower pattern.
+        let versions = AdRegistry::dependencies(schema, pattern, policy)
+            .map(|p| (p, registry.version(p)))
+            .collect();
+        // Subsumption shortcut: a current entry for a broader pattern
+        // P ⊒ pattern already scanned every arc that could match (its
+        // dependencies include the narrower pattern's) — re-classify just
+        // those candidates against the narrower pattern.
         let parent = self
             .annotations
             .iter()
             .find(|(k, e)| {
                 k.schema == key.schema
                     && k.policy == policy
-                    && e.epoch == epoch
+                    && current(e)
                     && k.pattern != *pattern
                     && pattern_subsumed_by(schema, pattern, &k.pattern)
             })
@@ -277,7 +285,7 @@ impl SemanticCache {
                 })
                 .collect();
             let annotations = annotations_from(schema, pattern, &candidates);
-            self.insert_annotation(key, epoch, candidates, annotations.clone());
+            self.insert_annotation(key, versions, candidates, annotations.clone());
             return annotations;
         }
 
@@ -286,14 +294,14 @@ impl SemanticCache {
         let ads = ads.get_or_insert_with(|| registry.advertisements());
         let candidates = pattern_matches(schema, pattern, ads.iter().copied(), policy);
         let annotations = annotations_from(schema, pattern, &candidates);
-        self.insert_annotation(key, epoch, candidates, annotations.clone());
+        self.insert_annotation(key, versions, candidates, annotations.clone());
         annotations
     }
 
     fn insert_annotation(
         &mut self,
         key: AnnKey,
-        epoch: u64,
+        versions: Vec<(PropertyId, u64)>,
         candidates: Vec<PatternCandidate>,
         annotations: Vec<PeerAnnotation>,
     ) {
@@ -301,7 +309,7 @@ impl SemanticCache {
         self.stats.evictions += self.annotations.insert(
             key,
             AnnEntry {
-                epoch,
+                versions,
                 candidates,
                 annotations,
             },
@@ -309,18 +317,15 @@ impl SemanticCache {
         );
     }
 
-    /// The cached plan for `annotated`, if one was stored at the current
-    /// epochs. Plans depend on statistics (ranking, optimiser costs), so
-    /// both epochs must match; the stored annotated query is compared in
-    /// full, making fingerprint collisions harmless.
-    pub fn plan_for(
-        &mut self,
-        epochs: RegistryEpochs,
-        annotated: &AnnotatedQuery,
-    ) -> Option<PlanNode> {
+    /// The cached plan for `annotated`, if one was stored at the registry
+    /// `generation` given. Plans depend on statistics (ranking, optimiser
+    /// costs), so the whole-content generation must match; the stored
+    /// annotated query is compared in full, making fingerprint collisions
+    /// harmless.
+    pub fn plan_for(&mut self, generation: u64, annotated: &AnnotatedQuery) -> Option<PlanNode> {
         let fp = annotated_fingerprint(annotated);
         match self.plans.get(&fp) {
-            Some(e) if e.epochs == epochs && e.annotated == *annotated => {
+            Some(e) if e.generation == generation && e.annotated == *annotated => {
                 self.stats.plan_hits += 1;
                 return Some(e.plan.clone());
             }
@@ -334,13 +339,8 @@ impl SemanticCache {
         None
     }
 
-    /// Stores the plan produced for `annotated` at `epochs`.
-    pub fn store_plan(
-        &mut self,
-        epochs: RegistryEpochs,
-        annotated: &AnnotatedQuery,
-        plan: &PlanNode,
-    ) {
+    /// Stores the plan produced for `annotated` at registry `generation`.
+    pub fn store_plan(&mut self, generation: u64, annotated: &AnnotatedQuery, plan: &PlanNode) {
         let fp = annotated_fingerprint(annotated);
         let mut nodes = 0usize;
         plan.visit(&mut |_| nodes += 1);
@@ -348,7 +348,7 @@ impl SemanticCache {
         self.stats.evictions += self.plans.insert(
             fp,
             PlanEntry {
-                epochs,
+                generation,
                 annotated: annotated.clone(),
                 plan: plan.clone(),
             },

@@ -228,6 +228,10 @@ pub enum Msg {
         /// The merged active-schema fragment: every pattern answerable
         /// below `owner` matches this summary (possibly wider).
         summary: sqpeer_rvl::ActiveSchema,
+        /// The properties whose advertised arcs changed below `owner`
+        /// since its last push; `None` for "anything may have":
+        /// a first push, a self-heal or a restart.
+        changed: Option<Vec<sqpeer_rdfs::PropertyId>>,
     },
     /// Hierarchical SONs: descend the cluster tree for `query` instead of
     /// walking the flat backbone.
@@ -321,7 +325,9 @@ impl Msg {
             }
             Msg::ClientQuery { query, .. } => 32 + query.text().len(),
             Msg::ClientAnswer { result, .. } => 32 + result.wire_size(),
-            Msg::SummaryAdvertise { summary, .. } => summary.wire_size() + 24,
+            Msg::SummaryAdvertise {
+                summary, changed, ..
+            } => summary.wire_size() + 24 + changed.as_ref().map_or(0, |c| 4 * c.len()),
             Msg::HierRouteRequest { query, .. } => 40 + query.text().len(),
             Msg::ObsPush { rows, .. } => 24 + rows.wire_size(),
         }

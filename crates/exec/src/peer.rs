@@ -132,7 +132,7 @@ pub struct PeerConfig {
     /// §2.5). Zero = infinitely fast peers.
     pub processing_us_per_row: u64,
     /// Memoise routing annotations and generated plans across queries
-    /// (epoch-invalidated, so advertisement churn is always observed).
+    /// (version-invalidated, so advertisement churn is always observed).
     /// `None` disables caching entirely.
     pub cache: Option<CacheConfig>,
     /// Record query-lifecycle spans/events, per-query [`QueryProfile`]s
@@ -1405,8 +1405,12 @@ impl NodeLogic for PeerNode {
             } => {
                 self.serve.credit(ctx, (channel.root, qid, tag), credits);
             }
-            Msg::SummaryAdvertise { owner, summary } => {
-                self.son.summary_advertised(ctx, owner, summary);
+            Msg::SummaryAdvertise {
+                owner,
+                summary,
+                changed,
+            } => {
+                self.son.summary_advertised(ctx, owner, summary, changed);
             }
             Msg::HierRouteRequest { qid, query, scope } => {
                 let from = peer_of(from);

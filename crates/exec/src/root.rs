@@ -176,9 +176,9 @@ impl Roots {
 
     /// Plans live query `qid` from its routing annotation minus the peers
     /// it excludes (§2.5: "not taking into consideration those peers that
-    /// became obsolete"), memoised by annotation and registry epochs; with
-    /// tracing on a memoised plan is re-derived for EXPLAIN (planning is
-    /// deterministic). `None`, planning nothing, once `qid` is answered.
+    /// became obsolete"), memoised by annotation and registry generation;
+    /// with tracing on a memoised plan is re-derived for EXPLAIN (planning
+    /// is deterministic). `None`, planning nothing, once `qid` is answered.
     pub(crate) fn plan(
         &mut self,
         (qid, now): (QueryId, u64),
@@ -194,8 +194,8 @@ impl Roots {
         root.annotated_at_us.get_or_insert(now);
         tracer.event_with(now, qid.0, "annotate", || annotated.to_string());
         let plan_span = tracer.begin(now, qid.0, "plan");
-        let epochs = registry.epochs();
-        let cached = cache.and_then(|c| c.borrow_mut().plan_for(epochs, &annotated));
+        let generation = registry.generation();
+        let cached = cache.and_then(|c| c.borrow_mut().plan_for(generation, &annotated));
         let hit = cached.is_some();
         if cache.is_some() {
             root.profile.plan_cache_hits += u64::from(hit);
@@ -211,7 +211,7 @@ impl Roots {
             None => {
                 let (plan, explain) = build();
                 if let Some(cache) = cache {
-                    cache.borrow_mut().store_plan(epochs, &annotated, &plan);
+                    cache.borrow_mut().store_plan(generation, &annotated, &plan);
                 }
                 (plan, explain)
             }

@@ -25,7 +25,8 @@
 //!   ```
 //!
 //!   A head remembers each child's last answer to a query and does not
-//!   ask again until that child pushes a summary (the gather memo).
+//!   ask again until that child pushes a summary naming a property the
+//!   query depends on (the gather memo).
 //!
 //! It sends through the same [`Ctx`] the peer does (a [`Ctx::detached`]
 //! is a network-free effects sink, which is what the unit tests below
@@ -42,7 +43,7 @@ use crate::peer::{by_key, PeerConfig, PeerMode, Role};
 use crate::send;
 use sqpeer_cache::CostLru;
 use sqpeer_net::{Ctx, PatternStats};
-use sqpeer_rdfs::{FxHashMap, FxHashSet};
+use sqpeer_rdfs::{FxHashMap, FxHashSet, PropertyId};
 use sqpeer_routing::{
     route_limited, AdRegistry, Advertisement, AnnotatedQuery, PeerId, RoutingLimits,
 };
@@ -95,13 +96,20 @@ struct HierGather {
 }
 
 /// At a head: a child's last `HierRouteResponse` to one query (one that
-/// named nobody missing), valid while the child has pushed no summary
-/// since it was asked. The annotated query carries the full key,
-/// compared exactly on a hit.
+/// named nobody missing), valid while no push of the child since it was
+/// asked named a property the query depends on (see [`current`]). The
+/// annotated query carries the full key, compared exactly on a hit.
 struct Memo {
-    pushes: u64,
+    asked: u64,
     annotated: AnnotatedQuery,
 }
+
+/// What a summary push names: the properties changed, or (`None`) all.
+type Changed = Option<Vec<PropertyId>>;
+
+/// At a head, per (child, property): the last push of the child that
+/// named the property (`None`: everything), by push count.
+type Named = FxHashMap<(PeerId, Option<PropertyId>), u64>;
 
 /// One peer's knowledge of the SON (see the module documentation).
 pub struct Directory {
@@ -153,13 +161,17 @@ pub struct Directory {
     /// child's last reply. `None` with the routing cache off or routing
     /// limits set (a limited reply ranks by statistics no push tracks).
     memo: Option<CostLru<(PeerId, u64), Memo>>,
-    /// At a head: summary pushes received per child; each outdates the
-    /// child's memoised replies.
-    pushes: FxHashMap<PeerId, u64>,
-    /// The schema epoch when this peer first began a `Local` or `Cluster`
-    /// answer since its last push: a later change must be pushed even
-    /// when the summary did not grow, as a head may have memoised it.
-    answered_at: Option<u64>,
+    /// At a head: what the summary pushes received named, and their count.
+    pushes: Named,
+    push_count: u64,
+    /// Has this peer begun a `Local` or `Cluster` answer since its last
+    /// push naming everything? A head may hold it memoised then: every
+    /// registry change is pushed, even when the summary did not grow.
+    answered: bool,
+    /// The registry generation at this peer's last push, or at its first
+    /// answer since one naming everything: the next push names what
+    /// changed since.
+    pushed_at: u64,
     /// `HierRouteRequest`s sent; subtrees answered from the memo.
     requests_sent: u64,
     memo_answers: u64,
@@ -195,7 +207,9 @@ impl Directory {
                 .filter(|_| config.limits.max_peers_per_pattern.is_none())
                 .map(|c| CostLru::new(c.annotation_budget)),
             pushes: FxHashMap::default(),
-            answered_at: None,
+            push_count: 0,
+            answered: false,
+            pushed_at: 0,
             requests_sent: 0,
             memo_answers: 0,
         }
@@ -496,7 +510,7 @@ impl Directory {
     }
 
     /// A hierarchical super-peer's registry may have changed: its head
-    /// hears of it if the summary grew or a memoised answer went stale.
+    /// hears of it if the summary grew or a memoised answer may be stale.
     fn registry_changed(&mut self, ctx: &mut Ctx<Msg>) {
         if self.is_hier_super() {
             self.push_summary(ctx, false);
@@ -504,11 +518,13 @@ impl Directory {
     }
 
     /// Pushes this super-peer's member summary to its cluster head when
-    /// it changed, when the registry moved since an answer a head may
+    /// it grew, when the registry changed after an answer a head may
     /// have memoised, or unconditionally with `force` — the periodic
     /// self-heal that re-seeds a head whose restart wiped its (volatile)
-    /// summary tables. Heads fold their own registry into the cluster
-    /// summary directly and never message themselves.
+    /// summary tables. A push names the properties changed since the
+    /// last one; a first or forced push names everything. Heads fold
+    /// their own registry into the cluster summary directly and never
+    /// message themselves.
     fn push_summary(&mut self, ctx: &mut Ctx<Msg>, force: bool) {
         let Some(head) = self.cluster.as_ref().map(|c| c.head) else {
             return;
@@ -516,31 +532,43 @@ impl Directory {
         let Some(summary) = self.own_summary() else {
             return;
         };
-        let changed = self.last_pushed_summary.as_ref() != Some(&summary);
-        if changed {
-            self.last_pushed_summary = Some(summary.clone());
-        }
-        let epoch = self.registry.epochs().schema;
-        let force = force || self.answered_at.is_some_and(|at| at != epoch);
-        if !changed && !force {
+        let last = self.last_pushed_summary.replace(summary.clone());
+        let moved = self.registry.changed_since(self.pushed_at);
+        let stale = force || (self.answered && !moved.is_empty());
+        if last.as_ref() == Some(&summary) && !stale {
             return;
         }
         if head == self.id {
-            self.push_cluster_summary(ctx, force);
+            // The cluster push adds this registry's changes itself.
+            self.push_cluster_summary(ctx, stale, (!force).then(Vec::new));
         } else {
-            self.answered_at = None;
+            let changed = (!force && last.is_some()).then_some(moved);
+            self.push(ctx, &[head], summary, changed);
+        }
+    }
+
+    /// Sends `summary` to `to` (but not to this peer), naming `changed`:
+    /// what changes later is named from here on, and a push naming
+    /// everything leaves its receivers no memoised answer of this peer.
+    fn push(&mut self, ctx: &mut Ctx<Msg>, to: &[PeerId], summary: ActiveSchema, changed: Changed) {
+        self.pushed_at = self.registry.generation();
+        self.answered &= changed.is_some();
+        for &peer in to.iter().filter(|&&p| p != self.id) {
+            let (owner, summary, changed) = (self.id, summary.clone(), changed.clone());
             let msg = Msg::SummaryAdvertise {
-                owner: self.id,
+                owner,
                 summary,
+                changed,
             };
-            send(ctx, head, msg);
+            send(ctx, peer, msg);
         }
     }
 
     /// At a head: recomputes the cluster summary (own registry plus all
     /// member summaries) and pushes it to the other heads when it changed
-    /// (or with `force`).
-    fn push_cluster_summary(&mut self, ctx: &mut Ctx<Msg>, force: bool) {
+    /// (or with `force`), naming `changed` and this head's own registry
+    /// changes since its last push (`None`: everything).
+    fn push_cluster_summary(&mut self, ctx: &mut Ctx<Msg>, force: bool, changed: Changed) {
         let Some(cluster) = self.cluster.clone() else {
             return;
         };
@@ -559,35 +587,30 @@ impl Directory {
         let Some(summary) = acc else {
             return;
         };
-        if !force && self.last_cluster_summary.as_ref() == Some(&summary) {
+        let last = self.last_cluster_summary.replace(summary.clone());
+        if !force && last.as_ref() == Some(&summary) {
             return;
         }
-        self.answered_at = None;
-        self.last_cluster_summary = Some(summary.clone());
-        for &h in &cluster.heads {
-            if h == self.id {
-                continue;
-            }
-            let msg = Msg::SummaryAdvertise {
-                owner: self.id,
-                summary: summary.clone(),
-            };
-            send(ctx, h, msg);
-        }
+        let changed = changed.filter(|_| last.is_some()).map(|mut c| {
+            c.extend(self.registry.changed_since(self.pushed_at));
+            c
+        });
+        self.push(ctx, &cluster.heads, summary, changed);
     }
 
     /// `owner` pushed `summary`: a member's, if this peer heads `owner`'s
     /// cluster, else a sibling cluster's. Summaries only ever grow
     /// (merged into what is already held), so reordered or replayed
     /// pushes cannot narrow a subtree's coverage and cause a missed
-    /// descent. Any push outdates `owner`'s memoised replies, and a
-    /// member's is passed on to the sibling heads if this head answered
-    /// a `Cluster` gather since its own last push.
+    /// descent. The push outdates `owner`'s memoised replies to queries
+    /// depending on what it names, and a member's is passed on to the
+    /// sibling heads, naming the same, if this head may be memoised there.
     pub(crate) fn summary_advertised(
         &mut self,
         ctx: &mut Ctx<Msg>,
         owner: PeerId,
         summary: ActiveSchema,
+        changed: Changed,
     ) {
         let is_member = self
             .cluster
@@ -603,9 +626,16 @@ impl Directory {
             None => summary,
         };
         held.insert(owner, merged);
-        *self.pushes.entry(owner).or_insert(0) += 1;
+        self.push_count += 1;
+        for p in changed
+            .as_ref()
+            .map_or(vec![None], |c| c.iter().map(|&p| Some(p)).collect())
+        {
+            self.pushes.insert((owner, p), self.push_count);
+        }
         if is_member {
-            self.push_cluster_summary(ctx, self.answered_at.is_some());
+            let stale = self.answered && changed.as_ref().is_none_or(|c| !c.is_empty());
+            self.push_cluster_summary(ctx, stale, changed);
         }
     }
 
@@ -754,9 +784,13 @@ impl Directory {
         let (HierReply::Flat(requester) | HierReply::Inner(requester)) = reply;
         if matches!(reply, HierReply::Inner(_)) && scope != HierScope::Global {
             // Set at the start: a change while this gather is pending is
-            // missing from the answer too.
-            self.answered_at
-                .get_or_insert(self.registry.epochs().schema);
+            // missing from the answer too. What changed before the first
+            // answer since a push naming everything is in it: no later
+            // push need name it.
+            if !self.answered {
+                self.pushed_at = self.registry.generation();
+            }
+            self.answered = true;
         }
         let mut acc = route(&self.registry, query);
         let missing = self.departed_matching(query);
@@ -789,22 +823,25 @@ impl Directory {
             }
         }
         // Children of a head (asked `Local` or `Cluster`) answer from the
-        // memo while they have not pushed since; the rest are asked.
+        // memo while no push since named what the query depends on; the
+        // rest are asked.
         let key = PatternStats::fingerprint(query.text());
         let mut asked = Vec::new();
         pending.retain(|&(child, scope)| {
             let Some(memo) = self.memo.as_mut().filter(|_| scope != HierScope::Global) else {
                 return true;
             };
-            let pushes = self.pushes.get(&child).copied().unwrap_or(0);
             match memo.get(&(child, key)) {
-                Some(m) if m.pushes == pushes && same_query(m.annotated.query(), query) => {
+                Some(m)
+                    if current(&self.pushes, child, m.asked, query)
+                        && same_query(m.annotated.query(), query) =>
+                {
                     acc.merge(&m.annotated);
                     self.memo_answers += 1;
                     false
                 }
                 _ => {
-                    asked.push((child, pushes));
+                    asked.push((child, self.push_count));
                     true
                 }
             }
@@ -848,18 +885,21 @@ impl Directory {
         let Some(gather) = self.hier_gathers.get_mut(&qid) else {
             return;
         };
-        // Remembered only if `from` has not pushed since it was asked (the
-        // reply may predate the push) and names nobody missing (a subtree
-        // below it may merely have timed out).
-        let pushes = self.pushes.get(&from).copied().unwrap_or(0);
-        let fresh = missing.is_empty() && gather.asked.contains(&(from, pushes));
+        // Remembered only if no push of `from` since it was asked named
+        // what the query depends on (the reply may predate the push) and
+        // it names nobody missing (a subtree below it may merely have
+        // timed out).
+        let asked = (gather.asked.iter().find(|&&(child, _)| child == from))
+            .map(|&(_, asked)| asked)
+            .filter(|&asked| current(&self.pushes, from, asked, annotated.query()));
+        let fresh = asked.filter(|_| missing.is_empty());
         gather.acc.merge(&annotated);
         gather.missing.extend(missing);
         gather.pending.remove(&from);
-        if let (Some(memo), true) = (&mut self.memo, fresh) {
+        if let (Some(memo), Some(asked)) = (&mut self.memo, fresh) {
             let cost = 96 + 120 * annotated.all_peers().len();
             let key = (from, PatternStats::fingerprint(annotated.query().text()));
-            memo.insert(key, Memo { pushes, annotated }, cost);
+            memo.insert(key, Memo { asked, annotated }, cost);
         }
         self.finish_if_gathered(ctx, qid);
     }
@@ -968,7 +1008,7 @@ impl Directory {
             memo.clear();
         }
         self.pushes.clear();
-        self.answered_at = None;
+        self.answered = false;
         self.last_pushed_summary = None;
         self.last_cluster_summary = None;
         // Lease deadlines were computed from pre-crash heartbeats that may
@@ -1014,6 +1054,17 @@ fn summary_intersects(summary: &ActiveSchema, query: &QueryPattern) -> bool {
             .iter()
             .any(|ap| sqpeer_subsume::match_pattern(summary.schema(), ap, pat).is_some())
     })
+}
+
+/// Is `child`'s reply to `query`, asked at push count `asked`, still
+/// what it would answer: has no push of it since named everything, or a
+/// property whose arcs can change the answer (`AdRegistry::dependencies`)?
+fn current(pushes: &Named, child: PeerId, asked: u64, query: &QueryPattern) -> bool {
+    let since = |p| pushes.get(&(child, p)).is_none_or(|&n| n <= asked);
+    let policy = PeerConfig::ROUTING_POLICY;
+    let mut deps =
+        (query.patterns().iter()).flat_map(|p| AdRegistry::dependencies(query.schema(), p, policy));
+    since(None) && deps.all(|p| since(Some(p)))
 }
 
 /// The same query over the same schema: the memo's exact key test.
@@ -1324,7 +1375,7 @@ mod tests {
         let mut head = clustered(0);
         let push = |head: &mut Directory, owner: u32, props: &[&str]| {
             let mut ctx = ctx_at(0, head);
-            head.summary_advertised(&mut ctx, PeerId(owner), active(&schema, props));
+            head.summary_advertised(&mut ctx, PeerId(owner), active(&schema, props), None);
         };
         // Member 1 and cluster 5 cover prop2, then an older, narrower
         // push of each arrives late; member 2 never covered prop2.
@@ -1368,9 +1419,11 @@ mod tests {
                     annotated,
                     missing,
                 } => head.hier_route_response(&mut ctx, PeerId(from), qid, annotated, missing),
-                Msg::SummaryAdvertise { owner, summary } => {
-                    head.summary_advertised(&mut ctx, owner, summary)
-                }
+                Msg::SummaryAdvertise {
+                    owner,
+                    summary,
+                    changed,
+                } => head.summary_advertised(&mut ctx, owner, summary, changed),
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -1401,9 +1454,26 @@ mod tests {
         sent(ctx)
     }
 
+    /// The ids of the properties `names`.
+    fn props(schema: &Schema, names: &[&str]) -> Vec<PropertyId> {
+        names
+            .iter()
+            .map(|n| schema.property_by_name(n).unwrap())
+            .collect()
+    }
+
+    /// What each `SummaryAdvertise` in `msgs` named, by receiver.
+    fn named(msgs: Vec<(PeerId, Msg)>) -> Vec<(PeerId, Option<Vec<PropertyId>>)> {
+        let named = msgs.into_iter().filter_map(|(to, msg)| match msg {
+            Msg::SummaryAdvertise { changed, .. } => Some((to, changed)),
+            _ => None,
+        });
+        named.collect()
+    }
+
     /// A warm query asks no subtree, and a reply that arrives after its
-    /// child pushed a summary is not remembered: the next gather asks
-    /// that child again.
+    /// child pushed a summary naming a property the query depends on is
+    /// not remembered: the next gather asks that child again.
     #[test]
     fn memo_skips_a_reply_that_predates_a_push() {
         let schema = schema();
@@ -1413,7 +1483,8 @@ mod tests {
         // Member 1 pushes while its answer to query 1 is in flight.
         let summary = active(&schema, &["prop1"]);
         let mut ctx = ctx_at(0, &head);
-        head.summary_advertised(&mut ctx, PeerId(1), summary);
+        let changed = Some(props(&schema, &["prop1"]));
+        head.summary_advertised(&mut ctx, PeerId(1), summary, changed);
         answer(&mut head, 1, QueryId(1), &q, &[]);
         answer(&mut head, 2, QueryId(1), &q, &[]);
         assert_eq!(nobody(&mut head, 5, 1, &q).len(), 1);
@@ -1470,6 +1541,92 @@ mod tests {
             deliver(&mut head, 1, ask(&mut member, 2)),
             ["P20 <- RouteResponse(peers [PeerId(10), PeerId(11)], missing [])"]
         );
+    }
+
+    /// A push naming only properties a memoised query does not depend on
+    /// keeps the child's reply; one naming a dependent property, or
+    /// everything, drops it.
+    #[test]
+    fn memo_outlives_an_unrelated_push() {
+        let schema = schema();
+        let q = query(&schema, "prop1");
+        let mut head = clustered(0);
+        let push = |head: &mut Directory, changed: Option<&[&str]>| {
+            let mut ctx = ctx_at(0, head);
+            let summary = active(&schema, &["prop1", "prop2"]);
+            let changed = changed.map(|c| props(&schema, c));
+            head.summary_advertised(&mut ctx, PeerId(1), summary, changed);
+        };
+        let answered = ["P20 <- RouteResponse(peers [], missing [])"];
+        assert_eq!(gather(&mut head, 1, &q).len(), 3);
+        answer(&mut head, 1, QueryId(1), &q, &[]);
+        answer(&mut head, 2, QueryId(1), &q, &[]);
+        assert_eq!(nobody(&mut head, 5, 1, &q), answered);
+
+        push(&mut head, Some(&["prop2"]));
+        assert_eq!(gather(&mut head, 2, &q), answered);
+        push(&mut head, Some(&["prop1", "prop2"]));
+        assert_eq!(gather(&mut head, 3, &q), ["P1 <- HierRouteRequest(Local)"]);
+        assert_eq!(nobody(&mut head, 1, 3, &q), answered);
+        push(&mut head, None);
+        assert_eq!(gather(&mut head, 4, &q), ["P1 <- HierRouteRequest(Local)"]);
+        assert_eq!((head.memo_answers(), head.hier_requests_sent()), (7, 5));
+    }
+
+    /// A member that answered a gather pushes every later change of its
+    /// registry, naming exactly the properties changed since it answered,
+    /// though its summary did not grow — and again after that push, while
+    /// the head may still hold the reply memoised. A change before the
+    /// answer is in the answer: it is neither pushed nor named.
+    #[test]
+    fn an_answered_member_names_what_changed() {
+        let schema = schema();
+        let mut member = clustered(1);
+        let learn = |member: &mut Directory, p: u32, props: &[&str]| {
+            let mut ctx = ctx_at(0, member);
+            let ad = Advertisement::new(PeerId(p), active(&schema, props));
+            member.advertised(&mut ctx, PeerId(p), ad);
+            named(outbox(ctx))
+        };
+        assert_eq!(
+            learn(&mut member, 10, &["prop1", "prop2"]),
+            [(PeerId(0), None)]
+        );
+        assert_eq!(learn(&mut member, 13, &["prop1"]), []);
+        let mut ctx = ctx_at(0, &member);
+        let (qid, q) = (QueryId(1), query(&schema, "prop1"));
+        member.hier_route_request(&mut ctx, &route, PeerId(0), qid, &q, HierScope::Local);
+        let prop2 = Some(props(&schema, &["prop2"]));
+        assert_eq!(
+            learn(&mut member, 11, &["prop2"]),
+            [(PeerId(0), prop2.clone())]
+        );
+        assert_eq!(learn(&mut member, 12, &["prop2"]), [(PeerId(0), prop2)]);
+    }
+
+    /// A head that answered a sibling's `Cluster` gather names its own
+    /// registry's changes to the sibling heads, and passes on what a
+    /// member's push names.
+    #[test]
+    fn a_head_names_its_own_and_its_members_changes() {
+        let schema = schema();
+        let mut head = clustered(0);
+        let mut ctx = ctx_at(0, &head);
+        head.summary_advertised(&mut ctx, PeerId(1), active(&schema, &["prop1"]), None);
+        assert_eq!(named(outbox(ctx)), [(PeerId(5), None)]);
+        let mut ctx = ctx_at(0, &head);
+        let (qid, q) = (QueryId(1), query(&schema, "prop1"));
+        head.hier_route_request(&mut ctx, &route, PeerId(5), qid, &q, HierScope::Cluster);
+
+        let mut ctx = ctx_at(0, &head);
+        let ad = Advertisement::new(PeerId(10), active(&schema, &["prop2"]));
+        head.advertised(&mut ctx, PeerId(10), ad);
+        let prop2 = Some(props(&schema, &["prop2"]));
+        assert_eq!(named(outbox(ctx)), [(PeerId(5), prop2)]);
+        let mut ctx = ctx_at(0, &head);
+        let (summary, prop1) = (active(&schema, &["prop1"]), props(&schema, &["prop1"]));
+        head.summary_advertised(&mut ctx, PeerId(1), summary, Some(prop1.clone()));
+        assert_eq!(named(outbox(ctx)), [(PeerId(5), Some(prop1))]);
     }
 
     /// Before any gather, advertisements that leave the summary as it is

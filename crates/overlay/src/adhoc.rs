@@ -204,7 +204,7 @@ mod tests {
     }
 
     /// In a flat group a holder's statistics ride to the root once, on its
-    /// first answer, and an unchanged snapshot leaves the root's epochs
+    /// first answer, and an unchanged snapshot leaves the registry versions
     /// alone: the second posing of a query is planned from the cache.
     #[test]
     fn adhoc_second_posing_is_planned_from_the_cache() {

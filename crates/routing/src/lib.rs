@@ -27,7 +27,7 @@ pub use limits::{apply_limits, route_limited, route_limited_traced, RoutingLimit
 pub use path_index::{PathIndex, TripleIndexCost};
 pub use router::{
     pattern_matches, route, route_traced, same_schema, AdRegistry, Advertisement, PatternCandidate,
-    RegistryEpochs, RoutingPolicy,
+    RoutingPolicy,
 };
 
 use std::fmt;

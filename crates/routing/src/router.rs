@@ -2,6 +2,7 @@
 
 use crate::annotated::{AnnotatedQuery, PeerAnnotation};
 use crate::PeerId;
+use sqpeer_rdfs::{FxHashMap, PropertyId, Schema};
 use sqpeer_rql::QueryPattern;
 use sqpeer_rvl::ActiveSchema;
 use sqpeer_store::BaseStatistics;
@@ -187,30 +188,19 @@ pub fn same_schema(
     std::sync::Arc::ptr_eq(a, b) || a.namespaces() == b.namespaces()
 }
 
-/// Monotonically increasing generations of an [`AdRegistry`]'s contents,
-/// used by the semantic cache (`sqpeer-cache`) for lazy invalidation.
-///
-/// `schema` advances whenever the *active-schema* content changes (peer
-/// added, removed, or re-advertised with a different fragment) — anything
-/// cached about annotation results is stale past it. `stats` additionally
-/// advances on statistics-only changes, which leave annotations intact
-/// but can change cost-based decisions (routing limits ranking, optimiser
-/// choices), so plan-level caches key on both. Re-registering an identical
-/// advertisement moves neither.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct RegistryEpochs {
-    /// Generation of the advertised active-schema set.
-    pub schema: u64,
-    /// Generation of the advertisement set including statistics.
-    pub stats: u64,
-}
-
 /// The advertisement registry a super-peer maintains for its SON (§3.1),
 /// also used by ad-hoc peers for their semantic neighbourhood (§3.2).
+///
+/// For lazy invalidation it versions its contents: a `generation` moved
+/// by every change (statistics too), and per property the generation its
+/// arcs last changed at, which is all a pattern's annotation depends on
+/// ([`dependencies`](AdRegistry::dependencies)). An identical
+/// re-registration moves nothing.
 #[derive(Debug, Clone, Default)]
 pub struct AdRegistry {
     ads: HashMap<PeerId, Advertisement>,
-    epochs: RegistryEpochs,
+    generation: u64,
+    versions: FxHashMap<PropertyId, u64>,
 }
 
 impl AdRegistry {
@@ -219,38 +209,74 @@ impl AdRegistry {
         AdRegistry::default()
     }
 
-    /// Current content generations (see [`RegistryEpochs`]).
-    pub fn epochs(&self) -> RegistryEpochs {
-        self.epochs
+    /// The generation of the whole contents, statistics included.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The generation at which `property`'s advertised arcs last changed.
+    pub fn version(&self, property: PropertyId) -> u64 {
+        self.versions.get(&property).copied().unwrap_or(0)
+    }
+
+    /// The properties whose arcs changed after generation `at`, sorted.
+    pub fn changed_since(&self, at: u64) -> Vec<PropertyId> {
+        let mut out: Vec<PropertyId> = (self.versions.iter())
+            .filter_map(|(&p, &v)| (v > at).then_some(p))
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The properties whose arcs can change [`match_pattern`]'s verdict
+    /// on `pattern` under `policy`: its subproperties (itself included),
+    /// and with overlaps admitted all sharing one (superproperties too).
+    pub fn dependencies<'s>(
+        schema: &'s Schema,
+        pattern: &sqpeer_rql::PathPattern,
+        policy: RoutingPolicy,
+    ) -> impl Iterator<Item = PropertyId> + 's {
+        let below = schema.property_descendant_set(pattern.property);
+        schema.properties().filter(move |&p| match policy {
+            RoutingPolicy::SubsumedOnly => below.contains(p.0 as usize),
+            RoutingPolicy::IncludeOverlapping => {
+                schema.property_descendant_set(p).intersects(below)
+            }
+        })
+    }
+
+    /// Moves the generation when `changed`, and the version of every
+    /// property whose arcs differ between `old` and `new`.
+    fn touch(&mut self, old: Option<&ActiveSchema>, new: Option<&ActiveSchema>, changed: bool) {
+        let same = matches!((old, new), (Some(a), Some(b)) if same_schema(a.schema(), b.schema()));
+        let arcs = ActiveSchema::active_properties;
+        let (old, new) = (old.map_or(&[][..], arcs), new.map_or(&[][..], arcs));
+        let moved = (old.iter().filter(|a| !same || !new.contains(a)))
+            .chain(new.iter().filter(|a| !same || !old.contains(a)));
+        self.generation += u64::from(changed);
+        for arc in moved {
+            self.versions.insert(arc.property, self.generation);
+        }
     }
 
     /// Registers (or replaces) a peer's advertisement — the *push* step
     /// when a peer connects to its super-peer. Returns `true` if the peer
     /// was new.
     pub fn register(&mut self, ad: Advertisement) -> bool {
-        let peer = ad.peer;
-        let (schema_changed, stats_changed) = match self.ads.get(&peer) {
-            Some(old) => (old.active != ad.active, old.stats != ad.stats),
-            None => (true, true),
-        };
-        let new = self.ads.insert(peer, ad).is_none();
-        if schema_changed {
-            self.epochs.schema += 1;
-        }
-        if schema_changed || stats_changed {
-            self.epochs.stats += 1;
-        }
-        new
+        let old = self.ads.remove(&ad.peer);
+        let changed = old
+            .as_ref()
+            .is_none_or(|o| o.active != ad.active || o.stats != ad.stats);
+        self.touch(old.as_ref().map(|o| &o.active), Some(&ad.active), changed);
+        self.ads.insert(ad.peer, ad);
+        old.is_none()
     }
 
     /// Removes a peer (leave/failure). Returns `true` if it was present.
     pub fn unregister(&mut self, peer: PeerId) -> bool {
-        let removed = self.ads.remove(&peer).is_some();
-        if removed {
-            self.epochs.schema += 1;
-            self.epochs.stats += 1;
-        }
-        removed
+        let old = self.ads.remove(&peer);
+        self.touch(old.as_ref().map(|o| &o.active), None, old.is_some());
+        old.is_some()
     }
 
     /// The registered advertisement of `peer`.
@@ -432,34 +458,62 @@ mod tests {
         BaseStatistics::from_raw_parts(vec![], vec![class], vec![], vec![class])
     }
 
-    /// Only a change moves an epoch: re-registering an identical
-    /// advertisement (a fresh but equal snapshot included) moves neither,
-    /// new statistics move `stats` alone, a new fragment moves both.
+    /// Only a change moves a version: re-registering an identical
+    /// advertisement (a fresh but equal snapshot included) moves nothing,
+    /// new statistics move the generation alone, a new fragment moves the
+    /// generation and exactly the versions of the arcs that differ, and a
+    /// withdrawal those of every arc it took away.
     #[test]
     fn identical_reregistration_moves_no_epoch() {
         let schema = fig1_schema();
+        let p = |name| schema.property_by_name(name).unwrap();
         let ad = |props: &[&str], instances| {
             Advertisement::new(PeerId(1), active(&schema, props)).with_stats(stats(instances))
         };
         let mut reg = AdRegistry::new();
-        reg.register(ad(&["prop1"], 1));
-        let at = reg.epochs();
-        reg.register(ad(&["prop1"], 1));
-        assert_eq!(
-            reg.epochs(),
-            at,
-            "an identical advertisement moved an epoch"
+        reg.register(ad(&["prop1", "prop3"], 1));
+        let at = reg.generation();
+        reg.register(ad(&["prop1", "prop3"], 1));
+        assert_eq!(reg.generation(), at, "an identical advertisement moved");
+        reg.register(ad(&["prop1", "prop3"], 2));
+        assert_eq!(reg.generation(), at + 1);
+        assert!(
+            reg.changed_since(at).is_empty(),
+            "statistics moved a version"
         );
-        reg.register(ad(&["prop1"], 2));
-        assert_eq!(
-            (reg.epochs().schema, reg.epochs().stats),
-            (at.schema, at.stats + 1)
+        reg.register(ad(&["prop2", "prop3"], 2));
+        assert_eq!(reg.generation(), at + 2);
+        assert_eq!(reg.changed_since(at), [p("prop1"), p("prop2")]);
+        assert_eq!(reg.version(p("prop3")), at);
+        reg.unregister(PeerId(1));
+        assert_eq!(reg.changed_since(at + 2), [p("prop2"), p("prop3")]);
+    }
+
+    /// A pattern depends on its property's subproperties under the
+    /// strict policy, and on its superproperties too once overlaps are
+    /// admitted; never on an unrelated property.
+    #[test]
+    fn dependencies_follow_the_policy() {
+        let schema = fig1_schema();
+        let p = |name| schema.property_by_name(name).unwrap();
+        let deps = |text: &str, policy| {
+            let q = compile(text, &schema).unwrap();
+            AdRegistry::dependencies(&schema, &q.patterns()[0], policy).collect::<Vec<_>>()
+        };
+        let (strict, loose) = (
+            RoutingPolicy::SubsumedOnly,
+            RoutingPolicy::IncludeOverlapping,
         );
-        reg.register(ad(&["prop2"], 2));
         assert_eq!(
-            (reg.epochs().schema, reg.epochs().stats),
-            (at.schema + 1, at.stats + 2)
+            deps("SELECT X FROM {X}prop1{Y}", strict),
+            [p("prop1"), p("prop4")]
         );
+        assert_eq!(deps("SELECT X FROM {X}prop4{Y}", strict), [p("prop4")]);
+        assert_eq!(
+            deps("SELECT X FROM {X}prop4{Y}", loose),
+            [p("prop1"), p("prop4")]
+        );
+        assert_eq!(deps("SELECT X FROM {X}prop2{Y}", loose), [p("prop2")]);
     }
 
     #[test]

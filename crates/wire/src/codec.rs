@@ -540,13 +540,16 @@ macro_rules! wire_struct {
 /// writes the tag with the named [`Writer`]/[`Reader`] method (`byte`,
 /// `u32v` or `u64v`), then the variant's fields in order, each through its
 /// own `Wire` impl. A row is `n => Unit`, `n => Tuple(a)` or
-/// `n => Named { a, b }`, the bindings naming the fields. Encode's `match`
+/// `n => Named { a, b }`, the bindings naming the fields; a trailing
+/// `where check` has decode refuse the value unless `check(&value)` is
+/// `Ok`. Encode's `match`
 /// is exhaustive and decode refuses a repeated tag, so every variant has
 /// exactly one tag and every tag that encodes decodes; an unknown tag is
 /// [`WireError::BadTag`] naming the union.
 macro_rules! wire_enum {
     (@one $ty:ident, $tag:ident {
-        $( $n:tt => $variant:ident $( ($($pos:ident),+) )? $( { $($named:ident),+ } )? ),+ $(,)?
+        $( $n:tt => $variant:ident $( ($($pos:ident),+) )? $( { $($named:ident),+ } )?
+            $( where $check:path )? ),+ $(,)?
     }) => {
         impl $crate::codec::Wire for $ty {
             fn encode(&self, w: &mut $crate::codec::Writer) {
@@ -566,7 +569,9 @@ macro_rules! wire_enum {
                     $( $n => {
                         $( $( let $pos = $crate::codec::Wire::decode(r)?; )+ )?
                         $( $( let $named = $crate::codec::Wire::decode(r)?; )+ )?
-                        Ok($ty::$variant $( ($($pos),+) )? $( { $($named),+ } )?)
+                        let value = $ty::$variant $( ($($pos),+) )? $( { $($named),+ } )?;
+                        $( $check(&value)?; )?
+                        Ok(value)
                     } )+
                     tag => Err($crate::codec::WireError::BadTag {
                         what: stringify!($ty),

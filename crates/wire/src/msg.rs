@@ -20,7 +20,8 @@
 //! [`WireError::BadVersion`] — peers of different versions do not
 //! negotiate, they refuse (the gateway routes tenants to same-version
 //! groups). Version 2 ships result sets as a dictionary plus ids, so a
-//! version-1 peer gets `BadVersion` from a version-2 one, and back.
+//! version-1 peer gets `BadVersion` from a version-2 one, and back;
+//! version 3 has a summary push name the properties it changed.
 
 use crate::codec::{wire_enum, wire_struct, Reader, Wire, WireError, Writer};
 use crate::SchemaRegistry;
@@ -30,7 +31,7 @@ use sqpeer_routing::PeerId;
 use std::io::{Read, Write};
 
 /// The one wire version this build speaks.
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Sanity cap on a frame's claimed payload length (16 MiB): a crafted
 /// length prefix must not make a reader allocate unboundedly.
@@ -59,7 +60,7 @@ wire_enum! {
         14 => ClientQuery { qid, query },
         15 => ClientAnswer { qid, result },
         16 => Credit { channel, qid, tag, credits },
-        17 => SummaryAdvertise { owner, summary },
+        17 => SummaryAdvertise { owner, summary, changed } where names_its_schema,
         18 => HierRouteRequest { qid, query, scope },
         19 => HierRouteResponse { qid, annotated, missing },
         20 => ObsPush { owner, rows },
@@ -70,6 +71,20 @@ wire_enum! {
         2 => OverQuota { quota },
         3 => Error(message),
     };
+}
+
+/// A summary push may name only properties of its summary's schema.
+fn names_its_schema(msg: &Msg) -> Result<(), WireError> {
+    match msg {
+        Msg::SummaryAdvertise {
+            summary,
+            changed: Some(changed),
+            ..
+        } if (changed.iter()).any(|p| p.0 as usize >= summary.schema().property_count()) => {
+            Err(WireError::Mismatch("property id beyond schema"))
+        }
+        _ => Ok(()),
+    }
 }
 
 wire_struct! {

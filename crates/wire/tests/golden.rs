@@ -276,6 +276,15 @@ fn msgs() -> Vec<(&'static str, Msg)> {
             Msg::SummaryAdvertise {
                 owner: PeerId(52),
                 summary: active(52),
+                changed: Some(vec![PropertyId(0), PropertyId(3)]),
+            },
+        ),
+        (
+            "SummaryAdvertise.everything",
+            Msg::SummaryAdvertise {
+                owner: PeerId(53),
+                summary: active(53),
+                changed: None,
             },
         ),
         (

@@ -305,6 +305,27 @@ fn property_ends_beyond_the_schema_are_refused() {
     }
 }
 
+/// A summary push naming a property its schema does not have is refused
+/// at decode, before a head records it; the last property id passes.
+#[test]
+fn a_summary_push_naming_a_property_beyond_the_schema_is_refused() {
+    let reg = registry();
+    let schema = fig1_schema();
+    let push = |last: u32| Msg::SummaryAdvertise {
+        owner: PeerId(1),
+        summary: ActiveSchema::new(schema.clone(), [ClassId(0)], vec![]),
+        changed: Some(vec![PropertyId(0), PropertyId(last)]),
+    };
+    let count = schema.property_count() as u32;
+    assert!(decode_value::<Msg>(&encode_value(&push(count - 1)), &reg).is_ok());
+    for beyond in [count, u32::MAX] {
+        assert_eq!(
+            decode_value::<Msg>(&encode_value(&push(beyond)), &reg).unwrap_err(),
+            WireError::Mismatch("property id beyond schema"),
+        );
+    }
+}
+
 /// The payload of a host's `Data` reply carrying `result`.
 fn reply(result: ResultSet) -> Vec<u8> {
     let frame = encode_frame(&Envelope {

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use sqpeer_exec::{HierScope, Msg, PeerChannel, QueryId, TraceCtx};
 use sqpeer_net::{Channel, ChannelId, ChannelState};
 use sqpeer_plan::{PlanNode, Site, Subquery};
-use sqpeer_rdfs::{Literal, Node, Resource};
+use sqpeer_rdfs::{Literal, Node, PropertyId, Resource};
 use sqpeer_routing::{route, Advertisement, PeerId, RoutingPolicy};
 use sqpeer_rql::{compile, QueryPattern, ResultSet};
 use sqpeer_rvl::ActiveSchema;
@@ -231,6 +231,7 @@ fn arb_msg() -> impl Strategy<Value = Msg> {
                 17 => Msg::SummaryAdvertise {
                     owner: PeerId(b),
                     summary: advertisement(a, flag).active,
+                    changed: flag.then(|| (0..b % 5).map(PropertyId).collect()),
                 },
                 18 => Msg::HierRouteRequest {
                     qid,

@@ -449,32 +449,30 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary interleavings of advertise / withdraw / query events:
-    /// after every event, routing through a [`SemanticCache`] must return
-    /// exactly what a from-scratch scan of the live registry returns —
-    /// including the policy, the rewritten patterns and the peer order.
+    /// Arbitrary interleavings of advertise / withdraw / re-advertise /
+    /// statistics refresh / query events: after every event, routing
+    /// through a [`SemanticCache`] must return exactly what a from-scratch
+    /// scan of the live registry returns — including the policy, the
+    /// rewritten patterns and the peer order. A re-advertisement adds or
+    /// drops one property's arc, so most writes leave most entries' versions
+    /// where they were.
     #[test]
     fn cached_routing_equals_uncached_under_churn(
         bases in prop::collection::vec(arb_base(), 3..6),
         // op, peer index, query index: op 0 = advertise, 1 = withdraw,
-        // 2..=4 = query (weighted towards querying so the cache warms).
-        events in prop::collection::vec((0..5u8, 0..6usize, 0..6usize), 1..40),
+        // 2 = re-advertise with property `query index % 4` toggled,
+        // 3 = statistics-only refresh, 4..=7 = query (weighted towards
+        // querying so the cache warms).
+        events in prop::collection::vec((0..8u8, 0..6usize, 0..6usize), 1..40),
         policy_bit in any::<bool>(),
     ) {
         use sqpeer::cache::SemanticCache;
         use sqpeer::routing::{route_limited, AdRegistry, RoutingLimits};
+        use sqpeer::store::{BaseStatistics, ClassStats};
 
         let schema = fig1_schema();
-        let texts = [
-            "SELECT X, Y FROM {X}prop1{Y}",
-            "SELECT X, Y FROM {X}prop4{Y}",
-            "SELECT X, Y FROM {X;C5}prop1{Y}",
-            "SELECT X, Y FROM {X}prop1{Y}, {Y}prop2{Z}",
-            "SELECT X, Y FROM {X}prop4{Y}, {Y}prop2{Z}",
-            "SELECT X, Y FROM {X}prop2{Y}, {Y}prop3{Z}",
-        ];
         let queries: Vec<QueryPattern> =
-            texts.iter().map(|t| compile(t, &schema).unwrap()).collect();
+            CHURN_QUERIES.iter().map(|t| compile(t, &schema).unwrap()).collect();
         let all_ads = ads_from_bases(&bases);
         let policy = if policy_bit {
             RoutingPolicy::SubsumedOnly
@@ -484,6 +482,9 @@ proptest! {
 
         let mut registry = AdRegistry::new();
         let mut cache = SemanticCache::default();
+        // Vacuous-pass guard: an interleaving that routed must have
+        // counted lookups, or `route` silently skipped the cache.
+        let routed = events.iter().any(|&(op, _, _)| op >= 4);
         for (op, peer_ix, query_ix) in events {
             match op {
                 0 => {
@@ -493,6 +494,28 @@ proptest! {
                 1 => {
                     let peer = all_ads[peer_ix % all_ads.len()].peer;
                     registry.unregister(peer);
+                }
+                2 => {
+                    let ad = &all_ads[peer_ix % all_ads.len()];
+                    let ad = registry.get(ad.peer).unwrap_or(ad).clone();
+                    let arc = declared_arc(&schema, PropertyId((query_ix % 4) as u32));
+                    let mut arcs = ad.active.active_properties().to_vec();
+                    match arcs.iter().position(|a| a.property == arc.property) {
+                        Some(at) => {
+                            arcs.remove(at);
+                        }
+                        None => arcs.push(arc),
+                    }
+                    let active = ActiveSchema::new(Arc::clone(&schema), ad.active.classes(), arcs);
+                    registry.register(Advertisement { active, ..ad });
+                }
+                3 => {
+                    let peer = all_ads[peer_ix % all_ads.len()].peer;
+                    if let Some(ad) = registry.get(peer).cloned() {
+                        let class = ClassStats { instances: query_ix };
+                        let stats = BaseStatistics::from_raw_parts(vec![], vec![class], vec![], vec![class]);
+                        registry.register(ad.with_stats(stats));
+                    }
                 }
                 _ => {
                     let q = &queries[query_ix % queries.len()];
@@ -511,19 +534,104 @@ proptest! {
         }
         // The cache must have been exercised, not bypassed.
         let stats = cache.stats();
-        prop_assert_eq!(
-            stats.hits + stats.subsumption_hits + stats.misses > 0,
-            events_had_query(&registry),
-        );
+        prop_assert_eq!(stats.hits + stats.subsumption_hits + stats.misses > 0, routed);
     }
 }
 
-/// Whether the interleaving above ever routed — vacuous-pass guard: if the
-/// registry saw activity but the counter total is zero, `route` silently
-/// skipped the cache. (Registry emptiness is not the signal; queries on an
-/// empty registry still count lookups.)
-fn events_had_query(_registry: &sqpeer::routing::AdRegistry) -> bool {
-    true
+/// The query pool of the churn properties: one-pattern queries over a
+/// property, its subproperty and a narrowed domain, and chains.
+const CHURN_QUERIES: [&str; 6] = [
+    "SELECT X, Y FROM {X}prop1{Y}",
+    "SELECT X, Y FROM {X}prop4{Y}",
+    "SELECT X, Y FROM {X;C5}prop1{Y}",
+    "SELECT X, Y FROM {X}prop1{Y}, {Y}prop2{Z}",
+    "SELECT X, Y FROM {X}prop4{Y}, {Y}prop2{Z}",
+    "SELECT X, Y FROM {X}prop2{Y}, {Y}prop3{Z}",
+];
+
+/// `property`'s arc with its declared end-points.
+fn declared_arc(schema: &Schema, property: PropertyId) -> sqpeer::rvl::ActiveProperty {
+    let def = schema.property(property);
+    sqpeer::rvl::ActiveProperty {
+        property,
+        domain: def.domain,
+        range: match def.range {
+            Range::Class(c) => Some(c),
+            Range::Literal(_) => None,
+        },
+    }
+}
+
+/// Every arc the Figure 1 schema allows: each property with every
+/// subclass of its declared domain and of its declared range.
+fn every_arc(schema: &Schema) -> Vec<sqpeer::rvl::ActiveProperty> {
+    let mut out = Vec::new();
+    for property in schema.properties() {
+        let declared = declared_arc(schema, property);
+        for domain in schema.subclasses(declared.domain) {
+            for range in declared
+                .range
+                .into_iter()
+                .flat_map(|r| schema.subclasses(r))
+            {
+                out.push(sqpeer::rvl::ActiveProperty {
+                    property,
+                    domain,
+                    range: Some(range),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Dependency soundness, exhaustively over the Figure 1 schema: for every
+/// path pattern of the churn pool, under both policies, for every
+/// advertisement drawn from the schema's arcs and every property outside
+/// the pattern's dependency set, adding that property's arcs to the
+/// advertisement or taking them away leaves `pattern_matches` as it was —
+/// so a cache entry that checks only its dependencies' versions can never
+/// be stale.
+#[test]
+fn writes_outside_a_dependency_set_leave_pattern_matches_unchanged() {
+    use sqpeer::routing::pattern_matches;
+    let schema = fig1_schema();
+    let arcs = every_arc(&schema);
+    let ad = |mask: u32| {
+        let chosen = (arcs.iter().enumerate())
+            .filter(|&(i, _)| mask & (1 << i) != 0)
+            .map(|(_, a)| *a);
+        Advertisement::new(
+            PeerId(1),
+            ActiveSchema::new(Arc::clone(&schema), [], chosen.collect()),
+        )
+    };
+    let mut checked = 0;
+    for text in CHURN_QUERIES {
+        let q = compile(text, &schema).unwrap();
+        for pattern in q.patterns() {
+            for policy in [
+                RoutingPolicy::SubsumedOnly,
+                RoutingPolicy::IncludeOverlapping,
+            ] {
+                let deps: Vec<_> = AdRegistry::dependencies(&schema, pattern, policy).collect();
+                for p in schema.properties().filter(|p| !deps.contains(p)) {
+                    let of_p: u32 = (arcs.iter().enumerate())
+                        .filter(|(_, a)| a.property == p)
+                        .map(|(i, _)| 1 << i)
+                        .sum();
+                    for mask in 0..1u32 << arcs.len() {
+                        let with = pattern_matches(&schema, pattern, [&ad(mask | of_p)], policy);
+                        let without =
+                            pattern_matches(&schema, pattern, [&ad(mask & !of_p)], policy);
+                        assert_eq!(with, without, "{text}, {policy:?}, property {p:?}");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 0);
 }
 
 // ----------------------------------------------------------------------
@@ -531,14 +639,17 @@ fn events_had_query(_registry: &sqpeer::routing::AdRegistry) -> bool {
 // ----------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Over random placements, random cluster partitions of the backbone
     /// and random queries, the hierarchical overlay answers exactly what
     /// the flat hybrid overlay answers — same rows, same partial flag.
-    /// Each query is posed twice, with an advertisement and a withdrawal
-    /// in between, so the second posing meets warm gather memos that
-    /// the changes must have outdated.
+    /// Each query is posed four times, with writes in between: a triple
+    /// of a property the query does not depend on, then of one it does
+    /// (each at a peer lacking it), then an advertisement and a
+    /// withdrawal. So later posings meet warm
+    /// gather memos that the first write must leave standing and the
+    /// others must have outdated.
     #[test]
     fn hierarchical_routing_equals_flat_backbone(
         placements in prop::collection::vec((arb_base(), 0..4u32), 1..6),
@@ -575,12 +686,39 @@ proptest! {
         let origin = ids[0];
         let mut flat = hb.build();
         let mut hier = nb.build();
+        // What each peer holds and whether it is still in, so that a write
+        // can pick a peer lacking the property: its advertisement changes.
+        let mut bases: Vec<DescriptionBase> = placements.iter().map(|(b, _)| b.clone()).collect();
+        let mut live = vec![true; ids.len()];
         for (round, q) in [q1, q2].into_iter().enumerate() {
-            for posing in 0..2 {
-                if posing == 1 {
+            let deps: Vec<PropertyId> = (q.patterns().iter())
+                .flat_map(|p| AdRegistry::dependencies(&schema, p, PeerConfig::ROUTING_POLICY))
+                .collect();
+            for posing in 0..4 {
+                let related = posing == 2;
+                let lacks = |i: usize, p| live[i] && !bases[i].populated_properties().contains(&p);
+                let target = (schema.properties())
+                    .filter(|p| (1..=2).contains(&posing) && deps.contains(p) == related)
+                    .find_map(|p| (0..ids.len()).find(|&i| lacks(i, p)).map(|i| (i, p)));
+                if let Some((i, prop)) = target {
+                    let triple = Triple::new(
+                        Resource::new(format!("http://r/w{posing}")),
+                        prop,
+                        Node::Resource(Resource::new("http://r/0")),
+                    );
+                    bases[i].insert_described(triple.clone());
+                    for net in [&mut flat, &mut hier] {
+                        net.update_peer_base(ids[i], |b| {
+                            b.insert_described(triple.clone());
+                        });
+                        net.run();
+                    }
+                }
+                if posing == 3 {
                     // Peer `round` re-advertises a new base; a peer from
                     // the back (never one of the first two) leaves.
                     let peer = ids[round % ids.len()];
+                    bases[round % ids.len()] = fresh[round].clone();
                     for net in [&mut flat, &mut hier] {
                         net.update_peer_base(peer, |b| *b = fresh[round].clone());
                         net.run();
@@ -588,6 +726,9 @@ proptest! {
                             net.leave_peer(ids[ids.len() - 1 - round]);
                             net.run();
                         }
+                    }
+                    if ids.len() > round + 2 {
+                        live[ids.len() - 1 - round] = false;
                     }
                 }
                 let fq = flat.query(origin, q.clone());
